@@ -7,12 +7,12 @@
 // workload, and at runtime selects the sample family and resolution that
 // satisfy a query's ERROR WITHIN / WITHIN ... SECONDS bounds.
 //
-// Execution is shard-affine by default (Config.Affinity): blocks are
-// striped over the simulated cluster's nodes, scan workers each own one
-// node's shard, and the cluster model prices data placement — straggler
-// nodes bound the scan, and merging partial aggregates across nodes pays
-// a network fan-in. Results are bit-identical whether affinity is on or
-// off (AffinityBlind), for any worker count and block layout.
+// Blocks are striped over the simulated cluster's nodes, and the cluster
+// model prices that placement shard-affine — straggler nodes bound the
+// scan, and merging partial aggregates across nodes pays a network
+// fan-in. The in-process scan is partitioned by rows, not by placement;
+// results are bit-identical whether Config.Affinity is on or off
+// (AffinityBlind), for any worker count and block layout.
 //
 // Queries flow through an explicit prepare → execute pipeline with a
 // template-keyed plan cache (Config.PlanCacheSize, on by default):
@@ -50,7 +50,7 @@
 // the calibration substrate for adaptive ELP recalibration. Prefixing a
 // query with EXPLAIN ANALYZE executes it normally (sharing all cache
 // state with the plain form) and additionally returns a span tree in
-// Result.Trace: normalize → cache lookups → probes → per-shard scan
+// Result.Trace: normalize → cache lookups → probes → per-range scan
 // partials → merge → materialize, each with monotonic durations and
 // cache markers. Engine.QueryTraced returns the structured trace for
 // programmatic use (e.g. Chrome trace-event export via
@@ -138,6 +138,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -184,25 +185,24 @@ const (
 	LayoutRow
 )
 
-// Affinity selects how the executor's scan workers are scheduled over
-// the simulated cluster's block placement.
+// Affinity names the schedule of the simulated cluster's scan tasks over
+// its block placement. It is a pricing concept: the in-process executor
+// partitions a scan by rows and runs the same scan under both values.
 type Affinity uint8
 
 const (
-	// AffinityNode — the default — schedules scans shard-affine: the
-	// deterministic block partition is grouped by the node each range's
-	// blocks live on, and one worker owns one node's shard (the paper's
-	// §2.2.1 layout of samples striped as many small blocks across the
-	// cluster, scanned node-locally). Query results are bit-identical to
-	// AffinityBlind — the partition and merge order never change — and
-	// the cluster model prices block placement either way: data piled on
-	// one node pays a straggler-bound scan, data striped across nodes
-	// pays a cross-node partial-merge fan-in.
+	// AffinityNode — the default — is the paper's §2.2.1 layout: samples
+	// striped as many small blocks across the cluster, scanned
+	// node-locally. The cluster model prices it: the block list's
+	// per-block partition is grouped by the node each range's blocks live
+	// on, data piled on one node pays a straggler-bound scan, data striped
+	// across nodes pays a cross-node partial-merge fan-in. Query results
+	// are bit-identical to AffinityBlind.
 	AffinityNode Affinity = iota
-	// AffinityBlind restores the node-blind scheduler: workers claim scan
-	// ranges round-robin regardless of block placement. Kept as the
-	// reference for the affinity equivalence tests and for A/B
-	// throughput comparisons (blinkdb-bench reports both modes).
+	// AffinityBlind is the node-blind schedule. Kept as the reference for
+	// the affinity equivalence tests and for blinkdb-bench's A/B
+	// comparison; latency attribution prices the affine schedule either
+	// way.
 	AffinityBlind
 )
 
@@ -223,10 +223,12 @@ type Config struct {
 	// CoresPerNode (default 8).
 	CoresPerNode int
 	// Workers sizes the executor's scan worker pool. 0 (default) uses
-	// CoresPerNode; 1 restores the old fully sequential executor. Query
-	// results are bit-identical for every value: the executor partitions
-	// block scans deterministically and merges partial aggregates in
-	// block-index order.
+	// min(CoresPerNode, GOMAXPROCS): a simulated node's cores, but never
+	// more goroutines than this host can run — the ELP runtime probes
+	// several families at once, each with its own pool. 1 runs every scan
+	// on the calling goroutine. Query results are bit-identical for every
+	// value: the executor partitions scans by the blocks' row counts and
+	// merges partial aggregates in partition-index order.
 	Workers int
 	// MemCacheGBPerNode (default 60, ≈ the paper's 6 TB aggregate).
 	MemCacheGBPerNode float64
@@ -246,10 +248,9 @@ type Config struct {
 	// scans); LayoutRow restores the row-oriented store. Query results
 	// are bit-identical across layouts.
 	Layout Layout
-	// Affinity is the scan scheduling mode. The zero value is
-	// AffinityNode (shard-affine: one worker per simulated node's
-	// blocks); AffinityBlind restores node-blind range scheduling. Query
-	// results are bit-identical across modes.
+	// Affinity names the simulated cluster's scan schedule (see
+	// Affinity). The zero value is AffinityNode. Query results are
+	// bit-identical across modes.
 	Affinity Affinity
 	// PlanCacheSize caps how many query templates keep their prepared
 	// state — compiled plan, sample probes, Error-Latency Profile —
@@ -312,7 +313,7 @@ func (c Config) normalize() Config {
 		c.CoresPerNode = 8
 	}
 	if c.Workers == 0 {
-		c.Workers = c.CoresPerNode
+		c.Workers = min(c.CoresPerNode, runtime.GOMAXPROCS(0))
 	}
 	if c.Workers < 0 {
 		c.Workers = 1

@@ -9,7 +9,7 @@ import (
 )
 
 // demoEngine loads a skewed sessions table and builds samples, with the
-// default worker pool (Workers: 0 → CoresPerNode).
+// default worker pool (Workers: 0 → min(CoresPerNode, GOMAXPROCS)).
 func demoEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	return demoEngineWorkers(t, rows, 0)

@@ -66,7 +66,10 @@ func TestQueryCtxCancelMidSession(t *testing.T) {
 // TestQueryCtxConcurrentCancelRaceClean races queries against immediate
 // cancellation: every outcome must be either a complete answer or a clean
 // cancellation error — never a torn result — and the books must balance
-// (answers + cancellations = queries). Run under -race in CI.
+// (answers + cancellations = queries, an answer being an execution, a
+// result-cache hit or a share of another query's flight: a scan that fits
+// one range outruns the cancel, and the other racers reuse its answer).
+// Run under -race in CI.
 func TestQueryCtxConcurrentCancelRaceClean(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	const queries = 16
@@ -110,8 +113,9 @@ func TestQueryCtxConcurrentCancelRaceClean(t *testing.T) {
 	for _, n := range s.AnswersByLevel {
 		answers += n
 	}
-	if answers != int64(completed) {
-		t.Errorf("AnswersByLevel total %d, but %d queries completed", answers, completed)
+	if served := answers + s.ResultCacheHits + s.ResultCacheShared; served != int64(completed) {
+		t.Errorf("%d executed + %d result-cache hits + %d shared, but %d queries completed",
+			answers, s.ResultCacheHits, s.ResultCacheShared, completed)
 	}
 	if s.Cancelled != int64(queries-completed) {
 		t.Errorf("Cancelled = %d, want %d", s.Cancelled, queries-completed)

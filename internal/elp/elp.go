@@ -71,16 +71,15 @@ type Options struct {
 	// selectivity estimate carries statistical signal. Default 100.
 	MinProbeRows int64
 	// Workers sizes the executor's scan worker pool (default 1). Results
-	// are bit-identical for any value: the executor folds block-partitioned
+	// are bit-identical for any value: the executor folds row-budgeted
 	// partial aggregates in a deterministic order.
 	Workers int
-	// Affine, when true (default), schedules scan workers node-affine:
-	// each worker owns one simulated node's shard of the block list
-	// (exec.SchedNodeAffine). False restores the node-blind round-robin
-	// scheduler. Results are bit-identical either way — the partition and
-	// merge order never change — and latency attribution always prices
-	// the affine schedule's locality: which bytes are node-local is a
-	// property of block placement and the partition, not of the knob.
+	// Affine, when true (default), names the node-affine schedule
+	// (exec.SchedNodeAffine); false the node-blind one. The executor runs
+	// the same row-budgeted scan under both, so results are bit-identical
+	// either way, and latency attribution always prices the affine
+	// schedule's locality: which bytes are node-local is a property of
+	// block placement and the pricing partition, not of the knob.
 	Affine *bool
 	// PlanCacheSize enables the template-keyed prepared-query cache: up
 	// to this many templates keep their compiled state, probe results and
@@ -305,7 +304,7 @@ func (rt *Runtime) RunCtx(ctx context.Context, q *sqlparser.Query) (*Response, e
 
 // RunTraced is Run with query-lifecycle telemetry: span children of the
 // trace's root record each pipeline phase (normalize, cache lookups, the
-// singleflight execution with its probes and per-shard scans, result
+// singleflight execution with its probes and per-range scans, result
 // materialization), and — when Options.Telemetry is set — the completed
 // query is recorded against its template key. tr may be nil: with a nil
 // trace and a nil registry this is exactly Run, with zero telemetry
@@ -570,7 +569,8 @@ func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key s
 }
 
 // selectFamily implements §4.1.1: prefer the covering stratified family
-// with the fewest columns; otherwise probe candidates and take the one
+// with the fewest columns; otherwise probe every candidate's smallest
+// sample — concurrently, one goroutine per family — and take the one
 // with the highest matched/read ratio. The third return value is the
 // winning family's smallest-sample probe result (nil when no probe ran),
 // which selectResolution reuses so each (family, view) executes at most
@@ -627,26 +627,41 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		return nil, dec, nil, nil
 	}
 
+	// §4.1.1 probes the candidates' smallest samples in parallel, which is
+	// also what ProbeLatency prices (the max, not the sum). Outcomes are
+	// gathered by candidate index and judged in candidate order below, so
+	// the decision is the one a sequential sweep would reach.
+	var psp *telemetry.Span
+	if sp != nil {
+		psp = sp.Child(fmt.Sprintf("probe candidates=%d", len(cands)))
+	}
+	results := make([]*exec.Result, len(cands))
+	lats := make([]float64, len(cands))
+	spans := make([]*telemetry.Span, len(cands))
+	if psp != nil {
+		for i, f := range cands {
+			spans[i] = psp.Child("probe " + f.Label()) // in candidate order
+		}
+	}
+	err := gather(len(cands), func(i int) error {
+		in := viewInput(rt.probeView(cands[i]), plan)
+		res, err := rt.runProbe(ctx, plan, in, conf, joins, spans[i])
+		spans[i].End()
+		results[i], lats[i] = res, rt.latencyOfProbe(in.Blocks)
+		return err
+	})
+	psp.End()
+	if err != nil {
+		return nil, dec, nil, err
+	}
+
 	var best, uniform *sample.Family
 	var bestRes, uniformRes *exec.Result
 	bestRatio, uniformRatio := -1.0, -1.0
 	maxProbe := 0.0
-	for _, f := range cands {
-		in, blocks := viewInput(rt.probeView(f), plan)
-		var psp *telemetry.Span
-		if sp != nil {
-			psp = sp.Child("probe " + f.Label())
-		}
-		res, err := rt.runProbe(ctx, plan, in, conf, joins, psp)
-		if err != nil {
-			psp.End()
-			return nil, dec, nil, err
-		}
-		psp.End()
-		lat := rt.latencyOfProbe(blocks)
-		if lat > maxProbe {
-			maxProbe = lat // probes run in parallel
-		}
+	for i, f := range cands {
+		res := results[i]
+		maxProbe = max(maxProbe, lats[i])
 		ratio := res.Selectivity()
 		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: ratio, Matched: res.RowsMatched})
 		if ratio > bestRatio {
@@ -668,6 +683,30 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
 		len(cands), bestRatio, best.Label())
 	return best, dec, bestRes, nil
+}
+
+// gather runs fn(0) … fn(n-1) concurrently — one goroutine each, the last
+// on the caller — waits for all of them and returns the lowest-index
+// error: the one a sequential sweep would have stopped at, whichever
+// finished first. n must be at least 1.
+func gather(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n-1; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	errs[n-1] = fn(n - 1)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // requiredRows converts the error bound into a matched-row target using
@@ -805,9 +844,9 @@ func (rt *Runtime) levelForTime(fam *sample.Family, plan *exec.Plan, budget, spe
 		view := fam.View(lvl)
 		var lat float64
 		if *rt.opt.DeltaReuse {
-			lat = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(small), plan))
+			lat = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(small)))
 		} else {
-			lat = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+			lat = rt.latencyOfSample(plan.Prune(view.Blocks()))
 		}
 		if spent+lat <= budget {
 			best = lvl
@@ -843,7 +882,7 @@ type ProfilePoint struct {
 // Fig. 7(c) plots (time to reach a target error).
 func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []ProfilePoint {
 	pv := rt.probeView(fam)
-	smallIn, _ := viewInput(pv, plan)
+	smallIn := viewInput(pv, plan)
 	probe, _ := rt.runPlan(context.Background(), plan, smallIn, conf, nil, nil)
 	probeMatched := float64(probe.RowsMatched)
 
@@ -870,7 +909,7 @@ func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []
 			pt.ProjStdErr = worstStd * shrink
 			pt.ProjRelErr = worstRel * shrink
 		}
-		pt.Latency = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+		pt.Latency = rt.latencyOfSample(plan.Prune(view.Blocks()))
 		pts = append(pts, pt)
 	}
 	return pts
@@ -886,7 +925,7 @@ func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input,
 // runPlan executes the plan over the input, joining dimension tables when
 // the query has JOIN clauses (§2.1: fact-side sampling, exact broadcast
 // dimensions). The scan schedule follows Options.Affine. With sp non-nil
-// the scan records a span tree (per-shard partials + merge) beneath it.
+// the scan records a span tree (per-range partials + merge) beneath it.
 // The only possible error is ctx.Err(): a cancelled scan returns no
 // partial result. PlanExecs counts the attempt either way — a cancelled
 // scan may have done most of its work.
@@ -959,18 +998,11 @@ func factColumns(cs types.ColumnSet, fact *types.Schema) types.ColumnSet {
 	return types.NewColumnSet(keep...)
 }
 
-// prunedBlocks applies zone-map pruning (the §3.1 clustered layout) to a
-// view's blocks for the given plan: blocks whose per-column min/max cannot
-// satisfy the predicate's conjunctive bounds are neither read nor priced.
-func prunedBlocks(blocks []*storage.Block, plan *exec.Plan) []*storage.Block {
-	kept, _ := exec.PruneBlocks(blocks, exec.ColumnBounds(plan.Pred))
-	return kept
-}
-
-// viewInput builds a pruned executor input for one view.
-func viewInput(v sample.View, plan *exec.Plan) (exec.Input, []*storage.Block) {
-	blocks := prunedBlocks(v.Blocks(), plan)
-	return exec.FromBlocks(v.Family.Schema(), blocks, v.Cap()), blocks
+// viewInput builds a zone-pruned executor input for one view (the §3.1
+// clustered layout): blocks whose per-column min/max cannot satisfy the
+// predicate's conjunctive bounds are neither read nor priced.
+func viewInput(v sample.View, plan *exec.Plan) exec.Input {
+	return exec.FromView(v).Pruned(plan)
 }
 
 // PriceBlockRead prices reading blocks on the cluster under the given

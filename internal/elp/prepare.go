@@ -244,7 +244,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 		return pd, nil
 	}
 	pv := rt.probeView(fam)
-	in, probeBlocks := viewInput(pv, plan)
+	in := viewInput(pv, plan)
 	probe := famProbe
 	if probe == nil {
 		var psp *telemetry.Span
@@ -257,15 +257,15 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 			return nil, err
 		}
 	}
-	probeLat := rt.latencyOfProbe(probeBlocks)
+	probeLat := rt.latencyOfProbe(in.Blocks)
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
-		step := rt.latencyOfSample(prunedBlocks(next.DeltaBlocks(pv), plan))
+		step := rt.latencyOfSample(plan.Prune(next.DeltaBlocks(pv)))
 		if q.Time != nil && probeLat+step > q.Time.Seconds {
 			break // escalating further would blow the time bound
 		}
 		pv = next
-		in, _ = viewInput(pv, plan)
+		in = viewInput(pv, plan)
 		var esp *telemetry.Span
 		if sp != nil {
 			esp = sp.Child(fmt.Sprintf("probe escalate L%d %s", pv.Level, fam.Label()))
@@ -400,9 +400,9 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 	// Latency accounting applies §4.4 delta reuse: the probe already read
 	// resolutions 0..pv.Level.
 	if *rt.opt.DeltaReuse && probe != nil {
-		dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(pv), plan))
+		dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(pv)))
 	} else {
-		dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.Blocks(), plan))
+		dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.Blocks()))
 	}
 	dec.ReadLatency += rt.broadcastCost(joins)
 	return levelChoice{dec: dec, level: level}
@@ -427,7 +427,7 @@ func (rt *Runtime) scanConjunctive(ctx context.Context, pq *PreparedQuery, pd *p
 		rt.recordLevel(lc.level)
 		return pd.probe, nil
 	}
-	in, _ := viewInput(pd.fam.View(lc.level), plan)
+	in := viewInput(pd.fam.View(lc.level), plan)
 	res, err := pd.runMemo(ctx, rt, lc.level, plan, in, conf, pq.joins, paramsEq, sp)
 	if err != nil {
 		return nil, err

@@ -438,7 +438,7 @@ func (rt *Runtime) scanStreamLevel(ctx context.Context, pq *PreparedQuery, pd *p
 	if level == pd.pv.Level && paramsEq {
 		res = pd.probe
 	} else {
-		in, _ := viewInput(pd.fam.View(level), plan)
+		in := viewInput(pd.fam.View(level), plan)
 		r, err := pd.runMemo(ctx, rt, level, plan, in, conf, pq.joins, paramsEq, sp)
 		if err != nil {
 			return nil, err
@@ -467,7 +467,7 @@ func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exe
 	view := fam.View(level)
 	dec.View = view
 	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	dec.ReadLatency = rt.latencyOfSample(prunedBlocks(view.DeltaBlocks(pv), plan)) + rt.broadcastCost(pq.joins)
+	dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(pv))) + rt.broadcastCost(pq.joins)
 	dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
 	return dec
 }

@@ -12,7 +12,7 @@ import (
 
 // reorderByNode rebuilds a table's block list grouped by node — a skewed,
 // non-round-robin placement that makes node shards span multiple
-// contiguous ranges (the interesting case for the affine scheduler).
+// contiguous ranges (placement must never reach the scan partition).
 func reorderByNode(t testing.TB, tab *storage.Table) *storage.Table {
 	t.Helper()
 	out := storage.NewTable(tab.Name, tab.Schema)
@@ -33,10 +33,11 @@ func reorderByNode(t testing.TB, tab *storage.Table) *storage.Table {
 	return out
 }
 
-// TestAffinityEquivalence is the tentpole's executor acceptance check:
-// the node-affine schedule returns bit-identical Results to the
-// node-blind schedule for worker counts 1, 2 and 8 (and more workers
-// than shards), across query shapes, block layouts and placements.
+// TestAffinityEquivalence: the node-affine schedule returns bit-identical
+// Results to the node-blind schedule for worker counts 1, 2 and 8 (and
+// more workers than ranges), across query shapes, block layouts and
+// placements. The executor no longer tells the two apart (see Sched); the
+// sweep keeps that a tested fact rather than a comment.
 func TestAffinityEquivalence(t *testing.T) {
 	for _, rowsPerBlock := range []int{64, 509} {
 		base := randomWeightedTable(t, 4, 6000, rowsPerBlock)
@@ -98,15 +99,16 @@ func TestAffinityJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanShardsMatchesPartition pins that the schedule ScanShards
-// reports (used by ELP's latency attribution) is the executor's own
-// partition.
+// TestScanShardsMatchesPartition pins the pricing partition ScanShards
+// reports (used by ELP's latency attribution): the per-block-count layout
+// of storage.PartitionBlocks at maxPartials, whatever the executor's own
+// row-budgeted ranges are.
 func TestScanShardsMatchesPartition(t *testing.T) {
 	tab := randomWeightedTable(t, 4, 6000, 64)
 	ranges, shards := ScanShards(tab.Blocks)
 	wantRanges := storage.PartitionBlocks(len(tab.Blocks), maxPartials)
 	if !reflect.DeepEqual(ranges, wantRanges) {
-		t.Fatal("ScanShards ranges differ from the executor partition")
+		t.Fatal("ScanShards ranges differ from the per-block-count partition")
 	}
 	covered := 0
 	for _, s := range shards {
@@ -118,7 +120,7 @@ func TestScanShardsMatchesPartition(t *testing.T) {
 }
 
 // randomPlacementTable builds a columnar table with blocks assigned to
-// random nodes — worst-case shard imbalance for the affine pool.
+// random nodes — worst-case shard imbalance for the pricing partition.
 func randomPlacementTable(t testing.TB, seed int64, rows int) *storage.Table {
 	t.Helper()
 	tab := randomWeightedTable(t, seed, rows, 64)

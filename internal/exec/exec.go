@@ -4,14 +4,16 @@
 // rate), producing the unbiased estimates of §4.3; base tables have rate 1
 // everywhere so exact execution is the same code path.
 //
-// Execution is block-partitioned: the block list is split into contiguous
-// ranges (storage.PartitionBlocks), each range is scanned into a mergeable
-// Partial (one group map per range, zone-map pruning applied before any
-// row is touched), and MergePartials folds the partials in block-index
-// order. Because the partition depends only on the block count, the fold
-// order — and hence every floating-point accumulation — is identical for
-// any worker count: RunParallel(…, 8) returns bit-for-bit the same Result
-// as RunParallel(…, 1).
+// Execution is row-budgeted: the block list is split into contiguous
+// ranges of at least minPartialRows rows each (scanRanges), each range is
+// scanned into a mergeable Partial (one group map per range, zone-map
+// pruning applied before any row is touched), and the partials are folded
+// in partition-index order. Because the partition depends only on the
+// blocks' row counts, the fold order — and hence every floating-point
+// accumulation — is identical for any worker count: RunParallel(…, 8)
+// returns bit-for-bit the same Result as RunParallel(…, 1). How the
+// simulated cluster places and prices those blocks (ScanShards) is a
+// separate, per-block partition the scan never consults.
 package exec
 
 import (
@@ -31,12 +33,53 @@ import (
 	"blinkdb/internal/types"
 )
 
-// maxPartials caps how many block ranges a scan is split into. It is a
-// fixed constant — NOT derived from the worker count — so that partial
-// boundaries, and therefore float summation order, never depend on
-// parallelism. 256 ranges keep 64 workers busy with 4× load-balancing
-// slack while bounding per-range group-map overhead.
+// maxPartials caps how many ranges a scan is split into, and is the
+// pricing partition's range count (ScanShards). It is a fixed constant —
+// NOT derived from the worker count — so that partial boundaries, and
+// therefore float summation order, never depend on parallelism. The cap
+// bounds per-scan group-map and merge overhead on tables past
+// maxPartials × minPartialRows rows, where ranges grow instead.
 const maxPartials = 256
+
+// minPartialRows is the executor's unit of work: a scan range is closed
+// once it holds at least this many rows. A Partial costs a group map, a
+// merge and (past the first) a goroutine hand-off, so it must amortize
+// them over enough rows; at the simulated cluster's ~300-row blocks one
+// Partial per block spent more on that than on scanning. Throughput was
+// flat between 8k and 16k rows per range, so this is a constant, not a
+// knob — and like maxPartials it must never depend on the worker count.
+const minPartialRows = 8192
+
+// scanRanges splits a block list into the executor's contiguous scan
+// ranges: a range closes once it holds max(minPartialRows, rows/maxPartials)
+// rows, and blocks left over after the last full range join it — so a
+// list shorter than two units is one range, and there are never more than
+// maxPartials. The boundaries depend only on the blocks' row counts —
+// never on workers, schedule or placement — which is the whole
+// bit-identity argument: one Partial per range, folded in range order.
+func scanRanges(blocks []*storage.Block) []storage.BlockRange {
+	if len(blocks) == 0 {
+		return nil
+	}
+	total := 0
+	for _, b := range blocks {
+		total += b.NumRows()
+	}
+	target := max(minPartialRows, (total+maxPartials-1)/maxPartials)
+	ranges := make([]storage.BlockRange, 0, max(total/target, 1))
+	lo, rows := 0, 0
+	for i, b := range blocks {
+		if rows += b.NumRows(); rows >= target {
+			ranges = append(ranges, storage.BlockRange{Lo: lo, Hi: i + 1})
+			lo, rows = i+1, 0
+		}
+	}
+	if len(ranges) == 0 {
+		return append(ranges, storage.BlockRange{Lo: 0, Hi: len(blocks)})
+	}
+	ranges[len(ranges)-1].Hi = len(blocks)
+	return ranges
+}
 
 // Input is a scannable row source with per-row sampling rates.
 type Input struct {
@@ -46,6 +89,21 @@ type Input struct {
 	Blocks []*storage.Block
 	// Rate derives a row's effective sampling rate from its metadata.
 	Rate func(m storage.RowMeta) float64
+
+	// prunedFor is the plan state Blocks were already zone-pruned against
+	// (see Pruned); a scan of that very plan skips its per-block re-check.
+	prunedFor *planRuntime
+}
+
+// Pruned returns the input restricted to the blocks whose zone maps may
+// satisfy p's predicate — the blocks a scan of p would read, which is also
+// the list the cost model prices. The scan prunes as it goes either way;
+// pruning up front just spares it checking every survivor a second time.
+func (in Input) Pruned(p *Plan) Input {
+	rt := p.runtime()
+	in.Blocks, _ = pruneBlocks(in.Blocks, rt.bounds)
+	in.prunedFor = rt
+	return in
 }
 
 // FromTable wraps a base table (or uniform-rate sample table) as an Input.
@@ -126,8 +184,8 @@ type planRuntime struct {
 	// pred is the compiled predicate closure; nil means "always true".
 	pred func(types.Row) bool
 	// bounds are the conjunctive per-column intervals used for zone-map
-	// pruning inside the scan.
-	bounds map[int]*Bounds
+	// pruning, flattened once per plan: the scan checks them per block.
+	bounds []colBound
 	// leaves are the predicate's comparison leaves when it is a pure
 	// conjunction of them (nil otherwise) — the precondition for the
 	// all-true zone shortcut (see zoneImpliesPred).
@@ -141,7 +199,7 @@ func newPlanRuntime(pred types.Predicate) *planRuntime {
 	if pred == nil {
 		pred = types.TruePred{}
 	}
-	rt := &planRuntime{pred: types.CompilePredicate(pred), bounds: ColumnBounds(pred)}
+	rt := &planRuntime{pred: types.CompilePredicate(pred), bounds: boundList(ColumnBounds(pred))}
 	rt.leaves = conjunctiveLeaves(pred)
 	if len(rt.leaves) == 1 {
 		rt.soleLeaf = rt.leaves[0]
@@ -432,13 +490,13 @@ func (pt *Partial) addMatched(p *Plan, row types.Row, rate float64, stratumFreq 
 
 // zoneMayMatch reports whether a block's zone maps can intersect the
 // plan's conjunctive bounds. Blocks without zones are conservatively kept.
-func zoneMayMatch(b *storage.Block, bounds map[int]*Bounds) bool {
-	for col, bd := range bounds {
-		if col >= len(b.Zones) || !b.Zones[col].Valid {
+func zoneMayMatch(b *storage.Block, bounds []colBound) bool {
+	for _, cb := range bounds {
+		if cb.col >= len(b.Zones) || !b.Zones[cb.col].Valid {
 			continue
 		}
-		z := b.Zones[col]
-		if !bd.overlapsZone(z.Min, z.Max) {
+		z := &b.Zones[cb.col]
+		if !cb.b.overlapsZone(z.Min, z.Max) {
 			return false
 		}
 	}
@@ -471,9 +529,10 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	if sc == nil {
 		sc = &colScratch{} // direct RunPartial calls
 	}
+	prune := len(rt.bounds) > 0 && in.prunedFor != rt
 	for bi := lo; bi < hi; bi++ {
 		b := in.Blocks[bi]
-		if len(rt.bounds) > 0 && !zoneMayMatch(b, rt.bounds) {
+		if prune && !zoneMayMatch(b, rt.bounds) {
 			continue // pruned: never read, never counted
 		}
 		pt.BytesScanned += b.Bytes
@@ -539,23 +598,30 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 
 // Merger folds partials into the merged group map incrementally, as each
 // arrives at its partition index, instead of materializing the full
-// partial list first. The fold order is ALWAYS block-index order: a
+// partial list first. The fold order is ALWAYS partition-index order: a
 // partial delivered out of order is buffered until every lower index has
 // been folded, then drained — so float accumulation, and hence the
 // Result, is bit-identical to a sequential fold for any arrival order and
 // worker count. Folded partials are released immediately, which caps the
 // merger's live memory at the merged group map plus the out-of-order
-// window, rather than one group map per block range — the difference
-// that matters at very high group cardinalities.
+// window, rather than one group map per range — the difference that
+// matters at very high group cardinalities.
 //
 // Partials are not mutated (group states are cloned on first occurrence),
 // so the same partials may be folded again by another Merger, e.g. at a
-// different confidence level.
+// different confidence level. The scan driver, whose partials nobody else
+// ever sees, opts out of the cloning (owned).
 type Merger struct {
 	p    *Plan
 	next int        // lowest index not yet folded
 	wait []*Partial // out-of-order buffer, indexed by partition index
 	got  []bool     // which indices have arrived (nil partials are legal)
+
+	// owned marks every delivered partial as the merger's to consume: the
+	// first one's group map becomes the merged map and later first-seen
+	// groups move in as they are. Same values, same fold order, no clones —
+	// a scan that fits one range finalizes from its own group states.
+	owned bool
 
 	merged                map[uint64][]*groupState
 	rowsScanned           int64
@@ -599,11 +665,15 @@ func (m *Merger) fold(pt *Partial) {
 	if pt.MaxMatchedStratumFreq > m.maxMatchedStratumFreq {
 		m.maxMatchedStratumFreq = pt.MaxMatchedStratumFreq
 	}
+	if m.owned && len(m.merged) == 0 {
+		m.merged = pt.groups
+		return
+	}
 	for h, bucket := range pt.groups {
 		for _, gs := range bucket {
-			dst, fresh := findMerged(m.merged, h, gs)
+			dst, fresh := findMerged(m.merged, h, gs, m.owned)
 			if fresh {
-				continue // first occurrence: cloned into the fold
+				continue // first occurrence: cloned (or moved) into the fold
 			}
 			for ai, acc := range dst.accs {
 				acc.Merge(gs.accs[ai])
@@ -640,7 +710,7 @@ func (m *Merger) Finish(confidence float64) *Result {
 	return res
 }
 
-// MergePartials folds partials — which MUST be ordered by block index —
+// MergePartials folds partials — which MUST be in partition-index order —
 // into a Result. Per-group aggregate states merge associatively
 // (stats.Acc.Merge); because the fold order is the partial order, float
 // accumulation is deterministic and independent of how many workers
@@ -657,20 +727,23 @@ func MergePartials(p *Plan, parts []*Partial, confidence float64) *Result {
 }
 
 // findMerged locates the merged group matching gs's key; on first sight
-// it inserts a clone of gs (fresh=true) so the source partial stays
-// untouched.
-func findMerged(merged map[uint64][]*groupState, h uint64, gs *groupState) (dst *groupState, fresh bool) {
+// it inserts gs (fresh=true) — as a clone, so the source partial stays
+// untouched, unless the caller owns the partial.
+func findMerged(merged map[uint64][]*groupState, h uint64, gs *groupState, owned bool) (dst *groupState, fresh bool) {
 	for _, have := range merged[h] {
 		if groupKeysEqual(have.key, gs.key) {
 			return have, false
 		}
 	}
-	cp := &groupState{key: gs.key, accs: make([]*stats.Acc, len(gs.accs))}
-	for i, acc := range gs.accs {
-		cp.accs[i] = acc.Clone()
+	if !owned {
+		cp := &groupState{key: gs.key, accs: make([]*stats.Acc, len(gs.accs))}
+		for i, acc := range gs.accs {
+			cp.accs[i] = acc.Clone()
+		}
+		gs = cp
 	}
-	merged[h] = append(merged[h], cp)
-	return cp, true
+	merged[h] = append(merged[h], gs)
+	return gs, true
 }
 
 func groupKeysEqual(a, b []types.Value) bool {
@@ -719,23 +792,23 @@ func encodeKey(key []types.Value) string {
 	return b.String()
 }
 
-// Sched selects how the executor assigns scan ranges to workers. Both
-// modes consume the SAME deterministic block partition and merge partials
-// in block-index order, so results are bit-identical across modes and
-// worker counts; only the assignment of ranges to workers differs.
+// Sched names the schedule of the SIMULATED cluster. Node affinity is a
+// pricing concept, carried by ScanShards: which of a block list's bytes a
+// node-local task reads from its own disk. The executor itself has no
+// nodes to be local to, and its unit of work — a row-budgeted range (see
+// scanRanges) — spans dozens of round-robin-placed blocks and has no
+// owner, so both modes run the same scan: workers claim ranges in index
+// order and partials fold in partition-index order, bit-identical across
+// modes and worker counts.
 type Sched uint8
 
 const (
-	// SchedNodeAffine — the default — groups the partition's ranges into
-	// per-node shards (storage.PartitionBlocksByNode) and hands each
-	// worker whole shards, so one worker owns one simulated node's blocks
-	// (the paper's §2.2.1 layout: samples striped as many small blocks
-	// across the cluster, scanned by node-local tasks). When the data
-	// occupies fewer shards than there are workers, scheduling falls back
-	// to per-range claiming rather than idling cores.
+	// SchedNodeAffine — the default — is the paper's §2.2.1 layout: samples
+	// striped as many small blocks across the cluster, scanned by
+	// node-local tasks. ScanShards is what prices it.
 	SchedNodeAffine Sched = iota
-	// SchedBlind restores the node-blind schedule: workers claim ranges
-	// round-robin regardless of block placement.
+	// SchedBlind is the node-blind schedule the locality ablations compare
+	// against.
 	SchedBlind
 )
 
@@ -747,11 +820,13 @@ func (s Sched) String() string {
 	return "node-affine"
 }
 
-// ScanShards exposes the executor's node-affine schedule for a block
-// list: the contiguous partial ranges (identical to the node-blind
-// partition) and the per-node shards that consume them. The ELP runtime
-// uses it to attribute scan locality in the cluster model, and
-// blinkdb-bench reports its locality hit rate.
+// ScanShards is the PRICING partition of a block list: up to maxPartials
+// contiguous per-block-count ranges and the per-node shards that own them
+// under the node-affine schedule. The ELP runtime uses it to attribute
+// scan locality in the cluster model (elp.PriceBlockRead), the locality
+// ablations and blinkdb-bench report its hit rate. It models how the
+// cluster places work, not how this process scans: the executor's own
+// partition is scanRanges, and changing one never moves the other.
 func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeShard) {
 	return storage.PartitionBlocksByNode(blocks, maxPartials)
 }
@@ -763,87 +838,70 @@ func Run(p *Plan, in Input, confidence float64) *Result {
 }
 
 // RunParallelSchedCtx is RunParallelSchedTraced with a cancellation
-// context: workers re-check ctx between claim units (one scan range, or
-// one node shard's range under the affine schedule), so a cancelled
+// context: workers re-check ctx between scan ranges, so a cancelled
 // context stops the scan within one range's worth of work. A context
 // cancelled before the call scans nothing. On cancellation the partial
 // merge is abandoned and ctx.Err() is returned; a nil error guarantees
 // the Result is the same bit-identical answer the uncancellable
 // entry points produce.
-func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, sched Sched, sp *telemetry.Span) (*Result, error) {
-	return runRanges(ctx, p, p.runtime(), in, confidence, workers, sched, nil, sp)
+func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
+	return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
 }
 
 // RunParallel executes the plan over the input using up to workers
-// goroutines under the default node-affine schedule. The block list is
-// split into contiguous ranges whose boundaries depend only on the block
-// count; each range produces one Partial, and MergePartials folds them in
-// block order — so the Result is bit-identical for every workers value
-// (1, 8, or more workers than blocks) and for either schedule.
+// goroutines. The block list is split into contiguous ranges whose
+// boundaries depend only on the blocks' row counts; each range produces
+// one Partial, folded in partition-index order — so the Result is
+// bit-identical for every workers value (1, 8, or more workers than
+// ranges) and for either schedule.
 func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
 	return RunParallelSched(p, in, confidence, workers, SchedNodeAffine)
 }
 
-// RunParallelSched is RunParallel with an explicit scheduling mode.
-func RunParallelSched(p *Plan, in Input, confidence float64, workers int, sched Sched) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, sched, nil, nil)
+// RunParallelSched is RunParallel with an explicit scheduling mode (which
+// the executor does not distinguish: see Sched).
+func RunParallelSched(p *Plan, in Input, confidence float64, workers int, _ Sched) *Result {
+	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, nil, nil)
 	return res
 }
 
 // RunParallelSchedTraced is RunParallelSched with a telemetry span under
-// which the scan records per-unit (shard or range) child spans and the
-// merge phase. sp may be nil (identical to RunParallelSched).
-func RunParallelSchedTraced(p *Plan, in Input, confidence float64, workers int, sched Sched, sp *telemetry.Span) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, sched, nil, sp)
+// which the scan records per-range child spans and the merge phase. sp
+// may be nil (identical to RunParallelSched).
+func RunParallelSchedTraced(p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) *Result {
+	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, nil, sp)
 	return res
 }
 
-// runRanges is the shared scan driver for plain and join execution. The
-// claim unit is one range under the blind schedule and one node shard
-// (that node's whole range list) under the affine schedule; either way a
-// range's Partial lands at its partition index and MergePartials folds in
-// range order, so every float accumulation — and hence the Result — is
-// identical across schedules and worker counts.
-// Span bookkeeping (sp non-nil) adds one child span per claim unit plus a
-// merge span; with sp nil the scan performs no telemetry work at all.
-// Cancellation is checked per claim unit and per range within a shard;
-// once ctx is cancelled no further range is scanned and ctx.Err() is
-// returned with a nil Result. The background-context entry points above
-// can therefore never observe an error.
+// runRanges is the shared scan driver for plain and join execution. Each
+// range of scanRanges yields one Partial, delivered at its partition index
+// and folded in that order, so every float accumulation — and hence the
+// Result — is identical across worker counts (and across schedules, which
+// the executor does not distinguish: see Sched). A single-range scan runs
+// inline on the caller: no goroutine, no mutex, and the Result is
+// finalized from the Partial's own group states.
+// Span bookkeeping (sp non-nil) adds one child span per range plus a merge
+// span; with sp nil the scan performs no telemetry work at all.
+// Cancellation is checked per range; once ctx is cancelled no further
+// range is scanned and ctx.Err() is returned with a nil Result. The
+// background-context entry points above can therefore never observe an
+// error.
 func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confidence float64, workers int,
-	sched Sched, jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
+	jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Affine scheduling only pays off while every worker can own a
-	// shard; with fewer shards (simulated nodes) than workers it would
-	// idle cores that per-range claiming keeps busy, so fall back. Either
-	// partitioner yields the same ranges, so the partition is computed
-	// exactly once.
-	var ranges []storage.BlockRange
-	var shards []storage.NodeShard
-	if sched == SchedNodeAffine && workers > 1 {
-		var byNode []storage.NodeShard
-		ranges, byNode = storage.PartitionBlocksByNode(in.Blocks, maxPartials)
-		if len(byNode) >= workers {
-			shards = byNode
-		}
-	} else {
-		ranges = storage.PartitionBlocks(len(in.Blocks), maxPartials)
-	}
-	units := len(ranges)
-	if shards != nil {
-		units = len(shards)
-	}
-	if workers > units {
-		workers = units
+	ranges := scanRanges(in.Blocks)
+	if workers > len(ranges) {
+		workers = len(ranges)
 	}
 	// Partials stream into the merger at their partition index as each
 	// range completes; the fold order is index order regardless of which
 	// worker finishes first, so the Result stays bit-identical while no
 	// more than the out-of-order window of partials is ever retained.
 	merger := NewMerger(p, len(ranges))
+	merger.owned = true // the partials never leave this function
 	if workers <= 1 {
 		var scanSp *telemetry.Span
 		if sp != nil {
@@ -858,68 +916,38 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 			merger.Add(i, runPartial(p, rt, in, r.Lo, r.Hi, jr, sc))
 		}
 		scanSp.End()
-		var mergeSp *telemetry.Span
-		if sp != nil {
-			mergeSp = sp.Child("merge")
-		}
-		res := merger.Finish(confidence)
-		mergeSp.End()
-		return res, nil
-	}
-	var mu sync.Mutex // serializes merger.Add across workers
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	deliver := func(i int, pt *Partial) {
-		mu.Lock()
-		merger.Add(i, pt)
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := &colScratch{} // per-worker: buffers are not shared
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				u := int(next.Add(1)) - 1
-				if u >= units {
-					return
-				}
-				if shards == nil {
-					var unitSp *telemetry.Span
-					if sp != nil {
-						unitSp = sp.Child(fmt.Sprintf("range %d blocks=%d", u, ranges[u].Hi-ranges[u].Lo))
-					}
-					deliver(u, runPartial(p, rt, in, ranges[u].Lo, ranges[u].Hi, jr, sc))
-					unitSp.End()
-					continue
-				}
-				var unitSp *telemetry.Span
-				if sp != nil {
-					unitSp = sp.Child(fmt.Sprintf("shard node=%d ranges=%d", shards[u].Node, len(shards[u].Ranges)))
-				}
-				// A shard's ranges are disjoint from every other shard's,
-				// so each index is delivered exactly once. Cancellation is
-				// re-checked between ranges so a large shard doesn't pin a
-				// worker past the client's disconnect.
-				for _, ri := range shards[u].Ranges {
-					if ctx.Err() != nil {
-						unitSp.End()
+	} else {
+		var mu sync.Mutex // serializes merger.Add across workers
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc := &colScratch{} // per-worker: buffers are not shared
+				for ctx.Err() == nil {
+					u := int(next.Add(1)) - 1
+					if u >= len(ranges) {
 						return
 					}
-					deliver(ri, runPartial(p, rt, in, ranges[ri].Lo, ranges[ri].Hi, jr, sc))
+					var unitSp *telemetry.Span
+					if sp != nil {
+						unitSp = sp.Child(fmt.Sprintf("range %d blocks=%d", u, ranges[u].Len()))
+					}
+					pt := runPartial(p, rt, in, ranges[u].Lo, ranges[u].Hi, jr, sc)
+					mu.Lock()
+					merger.Add(u, pt)
+					mu.Unlock()
+					unitSp.End()
 				}
-				unitSp.End()
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// Workers stopped early; the partial set is incomplete and folding
-		// it would silently yield a wrong (under-scanned) answer.
-		return nil, err
+			}()
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			// Workers stopped early; the partial set is incomplete and
+			// folding it would silently yield a wrong (under-scanned) answer.
+			return nil, err
+		}
 	}
 	var mergeSp *telemetry.Span
 	if sp != nil {

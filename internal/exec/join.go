@@ -301,9 +301,7 @@ func RunJoin(p *Plan, in Input, joins []JoinSpec, confidence float64) *Result {
 // hash-joined in memory. plan must be compiled against the combined
 // schema. The join indexes are built once up front and then shared
 // read-only across the scan workers; like RunParallel, the Result is
-// bit-identical for every workers value and either schedule. The default
-// schedule is node-affine (dimension tables are broadcast, so only the
-// fact side has locality to exploit).
+// bit-identical for every workers value and either schedule.
 func RunJoinParallel(p *Plan, in Input, joins []JoinSpec, confidence float64, workers int) *Result {
 	return RunJoinParallelSched(p, in, joins, confidence, workers, SchedNodeAffine)
 }
@@ -326,7 +324,7 @@ func RunJoinParallelSchedTraced(p *Plan, in Input, joins []JoinSpec, confidence 
 // cancellation context, under the same contract as RunParallelSchedCtx:
 // workers re-check ctx between claim units, a pre-cancelled context scans
 // nothing, and a nil error guarantees the bit-identical Result.
-func RunJoinParallelSchedCtx(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, sched Sched, sp *telemetry.Span) (*Result, error) {
+func RunJoinParallelSchedCtx(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -345,5 +343,5 @@ func RunJoinParallelSchedCtx(ctx context.Context, p *Plan, in Input, joins []Joi
 	// late-materialization path (fact predicate first, probe keys straight
 	// from the columns, materialise only matched rows), row blocks expand
 	// into the pooled buffer.
-	return runRanges(ctx, p, p.runtime(), joined, confidence, workers, sched, jr, sp)
+	return runRanges(ctx, p, p.runtime(), joined, confidence, workers, jr, sp)
 }

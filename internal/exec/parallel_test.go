@@ -303,8 +303,9 @@ func TestCompiledPredicateMatchesEval(t *testing.T) {
 	}
 }
 
-// TestPartitionBlocksDeterminism pins the property the executor's
-// bit-identity rests on: the partition depends only on the block count.
+// TestPartitionBlocksDeterminism pins the pricing partition (ScanShards):
+// it depends only on the block count. The executor's own partition has
+// the same property over row counts — TestScanRangesInvariants.
 func TestPartitionBlocksDeterminism(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 255, 256, 257, 1000} {
 		a := storage.PartitionBlocks(n, 256)

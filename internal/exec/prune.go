@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"sort"
 
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
@@ -26,6 +27,23 @@ type Bounds struct {
 func ColumnBounds(p types.Predicate) map[int]*Bounds {
 	out := map[int]*Bounds{}
 	collectBounds(p, out)
+	return out
+}
+
+// colBound is one ColumnBounds entry. Scans carry the bounds as a slice in
+// column order: the per-block zone check walks it, and ranging over a map
+// there cost more than the comparisons themselves.
+type colBound struct {
+	col int
+	b   *Bounds
+}
+
+func boundList(bounds map[int]*Bounds) []colBound {
+	out := make([]colBound, 0, len(bounds))
+	for col, b := range bounds {
+		out = append(out, colBound{col, b})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].col < out[j].col })
 	return out
 }
 
@@ -197,6 +215,18 @@ func zoneImpliesPred(b *storage.Block, d *colstore.Data, leaves []*types.CmpPred
 // satisfying the bounds. Blocks without zone maps are kept (correctness
 // over savings). The second return value is the fraction of bytes pruned.
 func PruneBlocks(blocks []*storage.Block, bounds map[int]*Bounds) ([]*storage.Block, float64) {
+	return pruneBlocks(blocks, boundList(bounds))
+}
+
+// Prune is PruneBlocks against the plan's own predicate, using the bounds
+// compiled with the plan instead of re-deriving them per call: the blocks
+// a scan of p would read, which is also the list the cost model prices.
+func (p *Plan) Prune(blocks []*storage.Block) []*storage.Block {
+	kept, _ := pruneBlocks(blocks, p.runtime().bounds)
+	return kept
+}
+
+func pruneBlocks(blocks []*storage.Block, bounds []colBound) ([]*storage.Block, float64) {
 	if len(bounds) == 0 {
 		return blocks, 0
 	}

@@ -55,7 +55,7 @@ import (
 
 // Trace is one query's span tree. Create with New, pass Root() down the
 // pipeline, and Finish when the query completes. All methods are safe on a
-// nil *Trace (no-ops), and safe for concurrent use — per-shard scan spans
+// nil *Trace (no-ops), and safe for concurrent use — per-range scan spans
 // are created from worker goroutines.
 type Trace struct {
 	mu   sync.Mutex

@@ -150,7 +150,9 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 	w.i64(int64(e.cfg.Nodes))
 	w.i64(e.cfg.Seed)
 	w.i64(int64(e.cfg.Layout))
-	w.i64(int64(e.cfg.Workers))
+	// Not Workers: builds are identical for any pool size, and the default
+	// pool follows the host's cores — a restart under another GOMAXPROCS
+	// must still warm-boot.
 	return w.h
 }
 
