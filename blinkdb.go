@@ -11,8 +11,7 @@
 // model prices that placement shard-affine — straggler nodes bound the
 // scan, and merging partial aggregates across nodes pays a network
 // fan-in. The in-process scan is partitioned by rows, not by placement;
-// results are bit-identical whether Config.Affinity is on or off
-// (AffinityBlind), for any worker count and block layout.
+// results are bit-identical for any worker count.
 //
 // Queries flow through an explicit prepare → execute pipeline with a
 // template-keyed plan cache (Config.PlanCacheSize, on by default):
@@ -58,20 +57,21 @@
 // bit-identical with it on or off, and the disabled query path performs
 // zero telemetry allocations.
 //
-// The columnar scan underneath picks its kernels per block from encoding
-// and zone metadata, never changing answers — every dispatch rule below
-// is purely physical, and the row path remains the bit-identical
-// reference. Sorted or low-cardinality columns (stratification columns
-// are sorted by construction; sample builders hint them) are run-length
-// encoded at build time, and predicates over them evaluate once per run
-// instead of once per row. Zone maps classify each block three ways:
-// all-false blocks are skipped, all-true blocks (zones prove a purely
-// conjunctive predicate for every row, requiring NaN-free columns and
-// magnitudes below 2^53) skip predicate evaluation and batch-aggregate
-// whole group runs, and mixed blocks evaluate — through a branch-free
-// selection-vector kernel when the predicate is a single comparison leaf
-// over a null-free numeric column and the running selectivity estimate is
-// at least 1/16, through the bitmap kernels otherwise. Joins materialize
+// Tables and samples are stored as columnar blocks (internal/colstore):
+// per-column typed slices with null bitmaps plus per-block sampling-
+// metadata arrays, which is what lets cached samples be scanned at memory
+// bandwidth (§5). The scan picks its kernels per block from encoding and
+// zone metadata, never changing answers — every dispatch rule below is
+// purely physical, pinned against a naive reference evaluator in
+// internal/exec's tests. Sorted or low-cardinality columns
+// (stratification columns are sorted by construction; sample builders
+// hint them) are run-length encoded at build time, and predicates over
+// them evaluate once per run instead of once per row. Zone maps classify
+// each block three ways: all-false blocks are skipped, all-true blocks
+// (zones prove a purely conjunctive predicate for every row, requiring
+// NaN-free columns and magnitudes below 2^53) skip predicate evaluation
+// and batch-aggregate whole group runs, and mixed blocks evaluate the
+// predicate column-at-a-time into a selection bitmap. Joins materialize
 // late: the fact-only conjuncts filter columnar first, join keys probe
 // the typed hash indexes straight from the key columns, and only matched
 // rows are expanded into pooled combined-row buffers.
@@ -166,46 +166,6 @@ const (
 	Bool
 )
 
-// Layout selects the physical block layout for base tables and samples.
-type Layout uint8
-
-const (
-	// LayoutColumnar — the default — stores every block as per-column
-	// typed slices with null bitmaps plus per-block sampling-metadata
-	// arrays (internal/colstore). The executor then evaluates predicates
-	// into selection bitmaps and runs aggregation over contiguous
-	// float64/int64 slices, which is what lets cached samples be scanned
-	// at memory bandwidth (§5). Zone maps, sampling, planning and results
-	// are identical to the row layout — bit for bit, for any worker
-	// count — so the knob is purely physical.
-	LayoutColumnar Layout = iota
-	// LayoutRow stores blocks as []Row of tagged values — the original
-	// representation, kept as a fallback and as the reference for the
-	// row-vs-columnar equivalence tests.
-	LayoutRow
-)
-
-// Affinity names the schedule of the simulated cluster's scan tasks over
-// its block placement. It is a pricing concept: the in-process executor
-// partitions a scan by rows and runs the same scan under both values.
-type Affinity uint8
-
-const (
-	// AffinityNode — the default — is the paper's §2.2.1 layout: samples
-	// striped as many small blocks across the cluster, scanned
-	// node-locally. The cluster model prices it: the block list's
-	// per-block partition is grouped by the node each range's blocks live
-	// on, data piled on one node pays a straggler-bound scan, data striped
-	// across nodes pays a cross-node partial-merge fan-in. Query results
-	// are bit-identical to AffinityBlind.
-	AffinityNode Affinity = iota
-	// AffinityBlind is the node-blind schedule. Kept as the reference for
-	// the affinity equivalence tests and for blinkdb-bench's A/B
-	// comparison; latency attribution prices the affine schedule either
-	// way.
-	AffinityBlind
-)
-
 // ColumnDef declares one table column.
 type ColumnDef struct {
 	Name string
@@ -243,15 +203,6 @@ type Config struct {
 	// blocks are auto-sized so one block represents ≈256 MB of logical
 	// data at the configured Scale (HDFS-style blocks).
 	RowsPerBlock int
-	// Layout is the physical block layout for tables and samples built
-	// by this engine. The zero value is LayoutColumnar (vectorized
-	// scans); LayoutRow restores the row-oriented store. Query results
-	// are bit-identical across layouts.
-	Layout Layout
-	// Affinity names the simulated cluster's scan schedule (see
-	// Affinity). The zero value is AffinityNode. Query results are
-	// bit-identical across modes.
-	Affinity Affinity
 	// PlanCacheSize caps how many query templates keep their prepared
 	// state — compiled plan, sample probes, Error-Latency Profile —
 	// across queries (the hot-path amortization for template-heavy
@@ -348,14 +299,6 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// storageLayout maps the public knob to the storage-level enum.
-func (c Config) storageLayout() storage.Layout {
-	if c.Layout == LayoutRow {
-		return storage.RowLayout
-	}
-	return storage.ColumnarLayout
-}
-
 // Engine is a BlinkDB instance: a catalog of tables and samples plus the
 // runtime that answers bounded queries over them.
 type Engine struct {
@@ -404,7 +347,6 @@ func Open(cfg Config) *Engine {
 		MemCacheBytesPerNode: cfg.MemCacheGBPerNode * 1e9,
 	})
 	cat := catalog.New()
-	affine := cfg.Affinity != AffinityBlind
 	planCache := cfg.PlanCacheSize
 	if planCache < 0 {
 		planCache = 0 // explicit disable
@@ -422,7 +364,6 @@ func Open(cfg Config) *Engine {
 		Scale:             cfg.Scale,
 		ProbeOverheadOnly: !cfg.FullProbePricing,
 		Workers:           cfg.Workers,
-		Affine:            &affine,
 		PlanCacheSize:     planCache,
 		ResultCacheSize:   resultCache,
 		ResultCacheTTL:    cfg.ResultCacheTTL,
@@ -471,7 +412,7 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	return &Loader{
 		eng:     e,
 		table:   tab,
-		builder: storage.NewBuilderLayout(tab, provisional, e.cfg.Nodes, place, e.cfg.storageLayout()),
+		builder: storage.NewBuilder(tab, provisional, e.cfg.Nodes, place),
 		schema:  schema,
 		place:   place,
 	}
@@ -512,7 +453,7 @@ func (l *Loader) Close() error {
 	if l.eng.cfg.RowsPerBlock <= 0 && l.table.NumRows() > 0 {
 		target := l.eng.blockRows(l.table)
 		rechunked := storage.NewTable(l.table.Name, l.schema)
-		b := storage.NewBuilderLayout(rechunked, target, l.eng.cfg.Nodes, l.place, l.eng.cfg.storageLayout())
+		b := storage.NewBuilder(rechunked, target, l.eng.cfg.Nodes, l.place)
 		b.AppendTable(l.table)
 		b.Finish()
 		l.table = rechunked
@@ -659,7 +600,6 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 			RowsPerBlock: blockRows,
 			Nodes:        e.cfg.Nodes,
 			Place:        storage.InMemory, // samples live in the cache
-			Layout:       e.cfg.storageLayout(),
 			Seed:         e.cfg.Seed,
 		},
 	}
@@ -1102,7 +1042,6 @@ func (e *Engine) RefreshSamples(table string) (columns []string, ok bool, err er
 		RowsPerBlock: e.blockRows(entry.Table),
 		Nodes:        e.cfg.Nodes,
 		Place:        storage.InMemory,
-		Layout:       e.cfg.storageLayout(),
 		Seed:         e.cfg.Seed + 7717,
 	})
 	phi, ok, err := r.RefreshNext()
@@ -1190,7 +1129,6 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 			RowsPerBlock: e.blockRows(entry.Table),
 			Nodes:        e.cfg.Nodes,
 			Place:        storage.InMemory,
-			Layout:       e.cfg.storageLayout(),
 			Seed:         e.cfg.Seed + 31,
 		},
 	}

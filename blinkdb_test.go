@@ -1,10 +1,12 @@
 package blinkdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,17 +79,11 @@ func TestEndToEndTimeBoundedQuery(t *testing.T) {
 // demoEngineWorkers is demoEngine with an explicit executor pool size.
 func demoEngineWorkers(t testing.TB, rows, workers int) *Engine {
 	t.Helper()
-	return demoEngineLayout(t, rows, workers, LayoutColumnar)
-}
-
-// demoEngineLayout is demoEngineWorkers with an explicit block layout.
-func demoEngineLayout(t testing.TB, rows, workers int, layout Layout) *Engine {
-	t.Helper()
-	return demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: workers, Layout: layout})
+	return demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: workers})
 }
 
 // demoEngineCfg loads the standard demo dataset into an engine with an
-// arbitrary configuration (affinity/layout/worker sweeps).
+// arbitrary configuration (cache and worker sweeps).
 func demoEngineCfg(t testing.TB, rows int, cfg Config) *Engine {
 	t.Helper()
 	eng := Open(cfg)
@@ -137,41 +133,44 @@ func demoEngineCfg(t testing.TB, rows int, cfg Config) *Engine {
 	return eng
 }
 
+// demoQueries covers exact, error-bounded, time-bounded, grouped,
+// disjunctive and zero-match execution through the public API.
+var demoQueries = []string{
+	`SELECT COUNT(*) FROM sessions`,
+	`SELECT AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`,
+	`SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 5% AT CONFIDENCE 95%`,
+	`SELECT COUNT(*) FROM sessions WHERE city = 'SF' GROUP BY os WITHIN 2 SECONDS`,
+	`SELECT SUM(sessiontime) FROM sessions WHERE city = 'NY' OR os = 'Linux' ERROR WITHIN 10%`,
+	`SELECT COUNT(*) FROM sessions WHERE city = 'Atlantis'`,
+}
+
 // TestWorkersEquivalenceEndToEnd pins the public-API contract of the
-// parallel executor: two engines differing only in Config.Workers return
-// bit-identical query results — same groups, same points, same error
-// bars, same plan decisions — for exact, error-bounded, time-bounded,
-// grouped and disjunctive queries.
+// parallel executor: engines differing only in Config.Workers return
+// DeepEqual-identical results — estimates, error bars, plan decisions,
+// scan counters AND simulated latency (the cluster model prices block
+// placement, not the scan pool) — for every demo query shape plus a
+// grouped quantile.
 func TestWorkersEquivalenceEndToEnd(t *testing.T) {
-	seq := demoEngineWorkers(t, 30000, 1)
-	par := demoEngineWorkers(t, 30000, 8)
-	queries := []string{
-		`SELECT COUNT(*) FROM sessions`,
-		`SELECT AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`,
-		`SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 5% AT CONFIDENCE 95%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'SF' GROUP BY os WITHIN 2 SECONDS`,
-		`SELECT SUM(sessiontime) FROM sessions WHERE city = 'NY' OR os = 'Linux' ERROR WITHIN 10%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'Atlantis'`,
+	queries := append([]string{
+		`SELECT QUANTILE(sessiontime, 0.9) FROM sessions WHERE ended = 1 GROUP BY genre ERROR WITHIN 15%`,
+	}, demoQueries...)
+	engines := map[int]*Engine{}
+	for _, workers := range []int{1, 2, 8} {
+		engines[workers] = demoEngineWorkers(t, 30000, workers)
 	}
 	for _, src := range queries {
-		a, err := seq.Query(src)
+		want, err := engines[1].Query(src)
 		if err != nil {
 			t.Fatalf("%q (workers=1): %v", src, err)
 		}
-		b, err := par.Query(src)
-		if err != nil {
-			t.Fatalf("%q (workers=8): %v", src, err)
-		}
-		if a.SampleDescription != b.SampleDescription {
-			t.Errorf("%q: plan diverged: %q vs %q", src, a.SampleDescription, b.SampleDescription)
-		}
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Errorf("%q: results diverged across worker counts\nworkers=1: %+v\nworkers=8: %+v",
-				src, a.Rows, b.Rows)
-		}
-		if a.RowsScanned != b.RowsScanned || a.RowsMatched != b.RowsMatched {
-			t.Errorf("%q: scan counters diverged: %d/%d vs %d/%d",
-				src, a.RowsScanned, a.RowsMatched, b.RowsScanned, b.RowsMatched)
+		for _, workers := range []int{2, 8} {
+			got, err := engines[workers].Query(src)
+			if err != nil {
+				t.Fatalf("%q (workers=%d): %v", src, workers, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%q: workers=%d diverged from workers=1\nwant %+v\ngot  %+v", src, workers, want, got)
+			}
 		}
 	}
 }
@@ -423,39 +422,70 @@ func TestMaintainEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLayoutEquivalenceEndToEnd pins the public-API contract of the
-// columnar store: two engines differing only in Config.Layout (and in
-// worker count, to compose both axes) return bit-identical query results
-// — same groups, points, error bars, plan decisions, scan counters and
-// simulated latencies — for exact, error-bounded, time-bounded, grouped,
-// disjunctive and zero-match queries.
-func TestLayoutEquivalenceEndToEnd(t *testing.T) {
-	row := demoEngineLayout(t, 30000, 1, LayoutRow)
-	col := demoEngineLayout(t, 30000, 1, LayoutColumnar)
-	colPar := demoEngineLayout(t, 30000, 8, LayoutColumnar)
-	queries := []string{
-		`SELECT COUNT(*) FROM sessions`,
-		`SELECT AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`,
-		`SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 5% AT CONFIDENCE 95%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'SF' GROUP BY os WITHIN 2 SECONDS`,
-		`SELECT SUM(sessiontime) FROM sessions WHERE city = 'NY' OR os = 'Linux' ERROR WITHIN 10%`,
-		`SELECT QUANTILE(sessiontime, 0.9) FROM sessions WHERE ended = 1 GROUP BY genre ERROR WITHIN 15%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'Atlantis'`,
+// stripPlanCache normalizes the plan- and result-cache outcome markers
+// so results can be compared across cold (miss), warm (hit) and
+// singleflight (shared) servings — the ANSWER must be bit-identical in
+// every case; only the annotations differ.
+func stripPlanCache(res *Result) *Result {
+	cp := *res
+	cp.PlanCache = ""
+	cp.ResultCache = ""
+	for _, marker := range []string{
+		"; cache=hit", "; cache=miss",
+		"; result=hit", "; result=miss", "; result=shared",
+	} {
+		cp.Explanation = strings.ReplaceAll(cp.Explanation, marker, "")
 	}
-	for _, src := range queries {
-		want, err := row.Query(src)
+	return &cp
+}
+
+// TestConcurrentQuerySmoke hammers one engine from many goroutines — the
+// north-star workload is heavy multi-user traffic, and the catalog's
+// RWMutex plus the ELP runtime's probe path had no engine-level
+// concurrency coverage. Run under -race in CI; every concurrent answer
+// must equal the serial one (queries are read-only and deterministic;
+// with the default plan cache the serial warm-up is the miss that
+// prepares each template and every concurrent replay is a hit, so
+// results are compared modulo the cache=hit|miss marker).
+func TestConcurrentQuerySmoke(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	want := make([]*Result, len(demoQueries))
+	for i, src := range demoQueries {
+		res, err := eng.Query(src)
 		if err != nil {
-			t.Fatalf("%q (row): %v", src, err)
+			t.Fatalf("%q: %v", src, err)
 		}
-		for name, eng := range map[string]*Engine{"columnar/1": col, "columnar/8": colPar} {
-			got, err := eng.Query(src)
-			if err != nil {
-				t.Fatalf("%q (%s): %v", src, name, err)
+		want[i] = stripPlanCache(res)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*len(demoQueries))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				// Offset the query order per goroutine so different
+				// queries overlap in flight.
+				for k := range demoQueries {
+					i := (k + g) % len(demoQueries)
+					res, err := eng.Query(demoQueries[i])
+					if err != nil {
+						errs <- fmt.Errorf("goroutine %d: %q: %v", g, demoQueries[i], err)
+						return
+					}
+					if !reflect.DeepEqual(want[i], stripPlanCache(res)) {
+						errs <- fmt.Errorf("goroutine %d: %q: concurrent result diverged from serial", g, demoQueries[i])
+						return
+					}
+				}
 			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%q: %s diverged from row layout\nrow:      %+v\ncolumnar: %+v",
-					src, name, want, got)
-			}
-		}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -60,32 +60,19 @@ type expRecord struct {
 }
 
 // execRecord reports the scan-executor micro-benchmark: a filtered
-// grouped aggregation over the same in-memory table in BOTH block
-// layouts at several worker counts. The row/columnar pairing tracks the
-// vectorized-scan speedup over time; results are bit-identical across
-// layouts and worker counts, only throughput differs.
+// grouped aggregation over an in-memory table at several worker counts.
+// Results are bit-identical across worker counts, only throughput differs.
 type execRecord struct {
 	Rows   int `json:"rows"`
 	Blocks int `json:"blocks"`
-	// RowsPerSec is the row-layout throughput by worker count (field
+	// ColumnarRowsPerSec is the scan throughput by worker count (field
 	// name kept stable for cross-PR comparison).
-	RowsPerSec map[string]float64 `json:"rows_per_sec_by_workers"`
-	// ColumnarRowsPerSec is the columnar-layout (vectorized) throughput.
 	ColumnarRowsPerSec map[string]float64 `json:"columnar_rows_per_sec_by_workers"`
-	// AffinityOnRowsPerSec / AffinityOffRowsPerSec pair the columnar
-	// throughput under the node-affine shard scheduler against the
-	// node-blind one (results are bit-identical; only worker→range
-	// assignment differs).
-	AffinityOnRowsPerSec  map[string]float64 `json:"affinity_on_rows_per_sec_by_workers"`
-	AffinityOffRowsPerSec map[string]float64 `json:"affinity_off_rows_per_sec_by_workers"`
 	// LocalityHitRate is the fraction of the bench table's bytes the
 	// node-affine schedule reads on the owning node (1.0 when every scan
 	// range is a single block).
 	LocalityHitRate float64 `json:"locality_hit_rate"`
-	// ColumnarSpeedup1 is columnar/row throughput at 1 worker — the
-	// single-thread layout speedup.
-	ColumnarSpeedup1 float64 `json:"columnar_speedup_1_worker"`
-	Speedup8vs1      float64 `json:"speedup_8_vs_1"`
+	Speedup8vs1     float64 `json:"speedup_8_vs_1"`
 }
 
 // replayRecord reports the hot-template replay benchmark: one bounded
@@ -137,30 +124,17 @@ type resultReplayRecord struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// kernelRecord reports the scan-kernel overhaul's three headline ratios,
-// each measured as single-thread throughput of one physical design over
-// another on identical logical data (answers are bit-identical by the
-// Tuning contract; only the kernels differ):
-//
-//   - RLESpeedup: filtered grouped scan over a sorted-stratification
-//     table, the full overhaul (run-length-encoded columns, three-state
-//     zones, selection vectors) vs the pre-overhaul columnar design
-//     (plain typed encodings, two-state zones, bitmap-only kernels).
-//   - LateMatJoinSpeedup: columnar fact⋈dim scan, late materialization
-//     (fact predicate first, probe keys straight from the columns) vs
-//     expanding every fact row through the join before filtering.
-//   - SelVecVsBitmap: mid-selectivity single-leaf predicate dispatched to
-//     the selection-vector kernel vs forced bitmap evaluation.
+// kernelRecord reports what run-length encoding buys the scan: single-
+// thread throughput of a filtered grouped scan over a sorted-
+// stratification table built with RLE against the same rows built with
+// DisableRLE() (plain typed encodings). Both encodings are production —
+// the builder picks per column and block — and answers are bit-identical;
+// only the kernels each encoding dispatches to differ.
 type kernelRecord struct {
 	// RLERowsPerSec / PlainRowsPerSec are the two legs behind RLESpeedup.
 	RLERowsPerSec   float64 `json:"rle_rows_per_sec"`
 	PlainRowsPerSec float64 `json:"plain_rows_per_sec"`
 	RLESpeedup      float64 `json:"rle_speedup"`
-	// LateMatJoinSpeedup = late-materialization / early-materialization
-	// join throughput.
-	LateMatJoinSpeedup float64 `json:"latemat_join_speedup"`
-	// SelVecVsBitmap = selection-vector / bitmap scan throughput.
-	SelVecVsBitmap float64 `json:"selvec_vs_bitmap"`
 }
 
 // templateTelemetry is one template's histogram summary in the snapshot.
@@ -441,12 +415,10 @@ func main() {
 }
 
 // executorBench measures the partitioned scan executor in isolation:
-// rows/s of a filtered grouped aggregation at worker counts 1, 2, 4, 8,
-// over the same data in the row layout and the columnar (vectorized)
-// layout. Results are bit-identical across layouts and counts; only
-// throughput differs (worker scaling additionally needs GOMAXPROCS > 1 —
-// single-core hosts report speedup_8_vs_1 ≈ 1, but the layout speedup is
-// visible even there). smoke shrinks data and timing windows for CI path
+// rows/s of a filtered grouped aggregation at worker counts 1, 2, 4, 8.
+// Results are bit-identical across counts; only throughput differs
+// (worker scaling needs GOMAXPROCS > 1 — single-core hosts report
+// speedup_8_vs_1 ≈ 1). smoke shrinks data and timing windows for CI path
 // coverage; smoke numbers are not comparable to tracked snapshots.
 func executorBench(smoke bool) execRecord {
 	rows := 300000
@@ -459,74 +431,60 @@ func executorBench(smoke bool) execRecord {
 		types.Column{Name: "code", Kind: types.KindInt},
 		types.Column{Name: "sessiontime", Kind: types.KindFloat},
 	)
-	build := func(layout storage.Layout) *storage.Table {
-		tab := storage.NewTable("bench", schema)
-		b := storage.NewBuilderLayout(tab, 2048, 4, storage.InMemory, layout)
-		rng := rand.New(rand.NewSource(17))
-		cities := []string{"NY", "SF", "LA", "Austin", "Boise"}
-		for i := 0; i < rows; i++ {
-			b.AppendRow(types.Row{
-				types.Str(cities[rng.Intn(len(cities))]),
-				types.Int(int64(rng.Intn(1000))),
-				types.Float(rng.ExpFloat64() * 100),
-			})
-		}
-		return b.Finish()
+	tab := storage.NewTable("bench", schema)
+	b := storage.NewBuilder(tab, 2048, 4, storage.InMemory)
+	rng := rand.New(rand.NewSource(17))
+	cities := []string{"NY", "SF", "LA", "Austin", "Boise"}
+	for i := 0; i < rows; i++ {
+		b.AppendRow(types.Row{
+			types.Str(cities[rng.Intn(len(cities))]),
+			types.Int(int64(rng.Intn(1000))),
+			types.Float(rng.ExpFloat64() * 100),
+		})
 	}
+	b.Finish()
 	q := `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM bench WHERE code < 900 GROUP BY city`
 	plan, err := compileBench(q, schema)
 	if err != nil {
 		panic(err) // static query against a static schema
 	}
 
-	measure := func(in exec.Input, workers int, sched exec.Sched) float64 {
-		// Warm up once, then time enough iterations for ≥ ~0.5 s.
-		exec.RunParallelSched(plan, in, 0.95, workers, sched)
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < window {
-			exec.RunParallelSched(plan, in, 0.95, workers, sched)
-			iters++
-		}
-		return float64(rows) * float64(iters) / time.Since(start).Seconds()
-	}
-	rowTab := build(storage.RowLayout)
-	colTab := build(storage.ColumnarLayout)
-	rec := execRecord{
-		Rows: rows, Blocks: len(rowTab.Blocks),
-		RowsPerSec:            map[string]float64{},
-		ColumnarRowsPerSec:    map[string]float64{},
-		AffinityOnRowsPerSec:  map[string]float64{},
-		AffinityOffRowsPerSec: map[string]float64{},
-	}
-	_, shards := exec.ScanShards(colTab.Blocks)
+	rec := execRecord{Rows: rows, Blocks: len(tab.Blocks), ColumnarRowsPerSec: map[string]float64{}}
+	_, shards := exec.ScanShards(tab.Blocks)
 	rec.LocalityHitRate = storage.LocalityHitRate(shards)
 	for _, w := range []int{1, 2, 4, 8} {
-		key := fmt.Sprintf("%d", w)
-		rec.RowsPerSec[key] = measure(exec.FromTable(rowTab), w, exec.SchedNodeAffine)
-		rec.ColumnarRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedNodeAffine)
-		rec.AffinityOnRowsPerSec[key] = rec.ColumnarRowsPerSec[key]
-		rec.AffinityOffRowsPerSec[key] = measure(exec.FromTable(colTab), w, exec.SchedBlind)
+		rec.ColumnarRowsPerSec[fmt.Sprintf("%d", w)] = scanRowsPerSec(plan, tab, w, window)
 	}
-	if base := rec.RowsPerSec["1"]; base > 0 {
-		rec.Speedup8vs1 = rec.RowsPerSec["8"] / base
-		rec.ColumnarSpeedup1 = rec.ColumnarRowsPerSec["1"] / base
+	if base := rec.ColumnarRowsPerSec["1"]; base > 0 {
+		rec.Speedup8vs1 = rec.ColumnarRowsPerSec["8"] / base
 	}
 	return rec
 }
 
-// kernelsBench measures the scan-kernel overhaul in isolation (see
-// kernelRecord). All legs run single-threaded on identical logical data;
-// the Tuning knobs and the RLE/plain builder toggle are purely physical,
-// so every pairing is answer-identical by construction — only the kernels
-// under test differ.
+// scanRowsPerSec warms the scan up once, then times whole-table scans for
+// one window and returns rows per second.
+func scanRowsPerSec(plan *exec.Plan, tab *storage.Table, workers int, window time.Duration) float64 {
+	in := exec.FromTable(tab)
+	exec.RunParallel(plan, in, 0.95, workers)
+	iters := 0
+	start := time.Now()
+	for time.Since(start) < window {
+		exec.RunParallel(plan, in, 0.95, workers)
+		iters++
+	}
+	return float64(tab.NumRows()) * float64(iters) / time.Since(start).Seconds()
+}
+
+// kernelsBench measures the RLE encoding's payoff in isolation (see
+// kernelRecord). Both legs run the one scan path single-threaded on
+// identical logical data; the RLE/plain builder toggle is purely physical,
+// so the pairing is answer-identical by construction.
 func kernelsBench(smoke bool) kernelRecord {
 	strata, perStratum := 100, 2000
 	window := 500 * time.Millisecond
 	if smoke {
 		strata, perStratum, window = 40, 500, 100*time.Millisecond
 	}
-	rows := strata * perStratum
 
 	// The sorted-stratification shape: rows arrive sorted by the
 	// stratification column (~perStratum-row runs, the layout
@@ -538,7 +496,7 @@ func kernelsBench(smoke bool) kernelRecord {
 	)
 	build := func(rle bool) *storage.Table {
 		tab := storage.NewTable("strat", schema)
-		b := storage.NewBuilderLayout(tab, 2048, 4, storage.InMemory, storage.ColumnarLayout)
+		b := storage.NewBuilder(tab, 2048, 4, storage.InMemory)
 		if rle {
 			b.HintSortedColumns(0)
 		} else {
@@ -554,28 +512,9 @@ func kernelsBench(smoke bool) kernelRecord {
 		}
 		return b.Finish()
 	}
-	rleTab := build(true)
-	plainTab := build(false)
 
-	measure := func(plan *exec.Plan, tab *storage.Table) float64 {
-		in := exec.FromTable(tab)
-		exec.RunParallel(plan, in, 0.95, 1) // warm
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < window {
-			exec.RunParallel(plan, in, 0.95, 1)
-			iters++
-		}
-		return float64(rows) * float64(iters) / time.Since(start).Seconds()
-	}
-
-	rec := kernelRecord{}
-
-	// Leg 1: the overhauled scan (RLE table, default Tuning) vs the
-	// pre-overhaul columnar design (plain table, three-state zones and
-	// selection vectors switched off). The range covers ~60% of the
-	// strata, so blocks split into pruned / all-true / mixed — the full
-	// three-state spread.
+	// The range covers ~60% of the strata, so blocks split into pruned /
+	// all-true / mixed — the full three-state zone spread.
 	scanQ := fmt.Sprintf(
 		`SELECT COUNT(*), SUM(v) FROM strat WHERE strat >= 'stratum-%03d' AND strat < 'stratum-%03d' GROUP BY strat`,
 		strata/5, strata/5+(strata*3)/5)
@@ -583,70 +522,12 @@ func kernelsBench(smoke bool) kernelRecord {
 	if err != nil {
 		panic(err)
 	}
-	oldPlan := *scanPlan
-	oldPlan.Tuning = exec.Tuning{NoTristateZones: true, NoSelVectors: true}
-	rec.RLERowsPerSec = measure(scanPlan, rleTab)
-	rec.PlainRowsPerSec = measure(&oldPlan, plainTab)
+	rec := kernelRecord{
+		RLERowsPerSec:   scanRowsPerSec(scanPlan, build(true), 1, window),
+		PlainRowsPerSec: scanRowsPerSec(scanPlan, build(false), 1, window),
+	}
 	if rec.PlainRowsPerSec > 0 {
 		rec.RLESpeedup = rec.RLERowsPerSec / rec.PlainRowsPerSec
-	}
-
-	// Leg 2: selection-vector vs bitmap on a mid-selectivity single-leaf
-	// predicate (v < 100 matches ~63% of ExpFloat64()*100).
-	selQ := `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 100 GROUP BY strat`
-	selPlan, err := compileBench(selQ, schema)
-	if err != nil {
-		panic(err)
-	}
-	bmPlan := *selPlan
-	bmPlan.Tuning.NoSelVectors = true
-	if bm := measure(&bmPlan, rleTab); bm > 0 {
-		rec.SelVecVsBitmap = measure(selPlan, rleTab) / bm
-	}
-
-	// Leg 3: late- vs early-materialized join. The dimension maps strata
-	// to a handful of buckets; the fact-side conjunct keeps ~half the
-	// rows, so early materialization expands twice as many rows as it
-	// aggregates.
-	dimSchema := types.NewSchema(
-		types.Column{Name: "name", Kind: types.KindString},
-		types.Column{Name: "bucket", Kind: types.KindString},
-	)
-	dim := storage.NewTable("strata", dimSchema)
-	db := storage.NewBuilder(dim, 64, 1, storage.InMemory)
-	buckets := []string{"low", "mid", "high", "top"}
-	for s := 0; s < strata; s++ {
-		db.AppendRow(types.Row{
-			types.Str(fmt.Sprintf("stratum-%03d", s)),
-			types.Str(buckets[s*len(buckets)/strata]),
-		})
-	}
-	db.Finish()
-	combined, _, err := exec.JoinedSchema(schema, []*storage.Table{dim})
-	if err != nil {
-		panic(err)
-	}
-	spec := exec.JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
-	joinQ := `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 70 AND bucket <> 'mid' GROUP BY bucket`
-	joinPlan, err := compileBench(joinQ, combined)
-	if err != nil {
-		panic(err)
-	}
-	measureJoin := func(plan *exec.Plan) float64 {
-		in := exec.FromTable(rleTab)
-		exec.RunJoinParallel(plan, in, []exec.JoinSpec{spec}, 0.95, 1)
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < window {
-			exec.RunJoinParallel(plan, in, []exec.JoinSpec{spec}, 0.95, 1)
-			iters++
-		}
-		return float64(rows) * float64(iters) / time.Since(start).Seconds()
-	}
-	earlyPlan := *joinPlan
-	earlyPlan.Tuning.NoLateMaterialization = true
-	if early := measureJoin(&earlyPlan); early > 0 {
-		rec.LateMatJoinSpeedup = measureJoin(joinPlan) / early
 	}
 	return rec
 }

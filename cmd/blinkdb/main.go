@@ -315,7 +315,7 @@ func (sh *shell) execute(src string) error {
 			return nil
 		})
 	} else {
-		resp, err = sh.rt.RunTraced(q, tr)
+		resp, err = sh.rt.RunCtxTraced(context.Background(), q, tr)
 	}
 	tr.Finish()
 	if err != nil {

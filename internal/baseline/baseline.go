@@ -28,15 +28,14 @@ import (
 // FullScan runs the plan exactly over the base table and prices the scan
 // under the given engine profile. memFraction says how much of the data is
 // cache-resident (Shark-with-caching = 1, disk engines = 0). scale maps
-// physical to logical bytes. workers sizes the executor's scan pool and
-// sched its scheduling mode (results are identical for any worker count
-// and either schedule; ≤1 workers means sequential). The priced Work
-// carries the cluster model's cross-node merge fan-in: a full scan's
+// physical to logical bytes. workers sizes the executor's scan pool
+// (results are identical for any worker count; ≤1 workers means
+// sequential). The priced Work carries the cluster model's cross-node merge fan-in: a full scan's
 // per-node partials merge over the network like any other job.
 func FullScan(clus *cluster.Cluster, prof cluster.EngineProfile, tab *storage.Table,
-	plan *exec.Plan, scale, memFraction float64, workers int, sched exec.Sched) (*exec.Result, float64) {
+	plan *exec.Plan, scale, memFraction float64, workers int) (*exec.Result, float64) {
 
-	res := exec.RunParallelSched(plan, exec.FromTable(tab), 0.95, workers, sched)
+	res := exec.RunParallel(plan, exec.FromTable(tab), 0.95, workers)
 	logical := float64(tab.Bytes()) * scale
 	shuffle := logical * 0.01
 	taskBytes := 256e6

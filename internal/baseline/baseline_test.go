@@ -19,18 +19,13 @@ import (
 
 func testTable(t testing.TB, rows int) *storage.Table {
 	t.Helper()
-	return testTableLayout(t, rows, storage.ColumnarLayout)
-}
-
-func testTableLayout(t testing.TB, rows int, layout storage.Layout) *storage.Table {
-	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "city", Kind: types.KindString},
 		types.Column{Name: "os", Kind: types.KindString},
 		types.Column{Name: "time", Kind: types.KindFloat},
 	)
 	tab := storage.NewTable("sessions", schema)
-	b := storage.NewBuilderLayout(tab, 512, 100, storage.OnDisk, layout)
+	b := storage.NewBuilder(tab, 512, 100, storage.OnDisk)
 	rng := rand.New(rand.NewSource(13))
 	cityGen := zipf.NewGeneratorCDF(rng, 1.4, 100)
 	oses := []string{"Win7", "OSX", "Linux"}
@@ -63,15 +58,15 @@ func TestFullScanEngineOrdering(t *testing.T) {
 	clus := cluster.New(cluster.PaperConfig())
 	scale := 1e5 // pretend multi-TB
 
-	_, hadoop := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
-	_, sharkDisk := FullScan(clus, cluster.SharkNoCache, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
-	_, sharkMem := FullScan(clus, cluster.SharkCached, tab, plan, scale, 1, 4, exec.SchedBlind)
+	_, hadoop := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4)
+	_, sharkDisk := FullScan(clus, cluster.SharkNoCache, tab, plan, scale, 0, 4)
+	_, sharkMem := FullScan(clus, cluster.SharkCached, tab, plan, scale, 1, 4)
 	if !(hadoop > sharkDisk && sharkDisk > sharkMem) {
 		t.Errorf("engine ordering wrong: hadoop %.0f, shark-disk %.0f, shark-mem %.0f",
 			hadoop, sharkDisk, sharkMem)
 	}
 	// Answers are exact regardless of engine.
-	res, _ := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4, exec.SchedNodeAffine)
+	res, _ := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4)
 	for _, g := range res.Groups {
 		if !g.Estimates[0].Exact {
 			t.Error("full scan must be exact")
@@ -280,37 +275,21 @@ func BenchmarkOLA(b *testing.B) {
 	}
 }
 
-// TestBaselineLayoutEquivalence pins the comparison systems to the same
-// row-vs-columnar contract as the main engine: FullScan (any worker
-// count) and OLA return bit-identical results and simulated latencies on
-// both layouts.
-func TestBaselineLayoutEquivalence(t *testing.T) {
-	row := testTableLayout(t, 20000, storage.RowLayout)
-	col := testTableLayout(t, 20000, storage.ColumnarLayout)
+// TestFullScanWorkerEquivalence pins the full-scan baseline to the main
+// engine's contract: any worker count returns the bit-identical result and
+// simulated latency.
+func TestFullScanWorkerEquivalence(t *testing.T) {
+	tab := testTable(t, 20000)
 	clus := cluster.New(cluster.PaperConfig())
 	for _, src := range []string{
 		`SELECT AVG(time) FROM sessions GROUP BY city`,
 		`SELECT COUNT(*), SUM(time) FROM sessions WHERE os = 'Linux' GROUP BY city`,
 	} {
-		plan := compile(t, src, row.Schema)
-		wantRes, wantLat := FullScan(clus, cluster.SharkCached, row, plan, 1e5, 1, 1, exec.SchedBlind)
-		for _, w := range []int{1, 8} {
-			gotRes, gotLat := FullScan(clus, cluster.SharkCached, col, plan, 1e5, 1, w, exec.SchedNodeAffine)
-			if !reflect.DeepEqual(wantRes, gotRes) || wantLat != gotLat {
-				t.Errorf("%q workers=%d: FullScan diverged across layouts", src, w)
-			}
-		}
-
-		cfg := OLAConfig{TargetRelErr: 0.05, Seed: 11, Scale: 1e5}
-		wantOLA := OLA(clus, row, plan, cfg)
-		gotOLA := OLA(clus, col, plan, cfg)
-		if wantOLA.RowsConsumed != gotOLA.RowsConsumed || wantOLA.Converged != gotOLA.Converged ||
-			wantOLA.Latency != gotOLA.Latency || wantOLA.Fraction != gotOLA.Fraction {
-			t.Errorf("%q: OLA stopping behaviour diverged across layouts: %+v vs %+v",
-				src, wantOLA, gotOLA)
-		}
-		if !reflect.DeepEqual(wantOLA.Result.Groups, gotOLA.Result.Groups) {
-			t.Errorf("%q: OLA estimates diverged across layouts", src)
+		plan := compile(t, src, tab.Schema)
+		wantRes, wantLat := FullScan(clus, cluster.SharkCached, tab, plan, 1e5, 1, 1)
+		gotRes, gotLat := FullScan(clus, cluster.SharkCached, tab, plan, 1e5, 1, 8)
+		if !reflect.DeepEqual(wantRes, gotRes) || wantLat != gotLat {
+			t.Errorf("%q: FullScan diverged between 1 and 8 workers", src)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"blinkdb/internal/colstore"
@@ -18,7 +19,7 @@ import (
 // dict string column, a mixed-kind column (EncValue fallback), and a
 // sorted low-cardinality column that RLE-compresses under the builder's
 // hint. Blocks are small so several are produced, across 3 nodes.
-func buildFixture(t testing.TB, rows int, layout storage.Layout) *storage.Table {
+func buildFixture(t testing.TB, rows int) *storage.Table {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "f", Kind: types.KindFloat},
@@ -29,7 +30,7 @@ func buildFixture(t testing.TB, rows int, layout storage.Layout) *storage.Table 
 		types.Column{Name: "sorted", Kind: types.KindString},
 	)
 	tbl := storage.NewTable("fixture", schema)
-	bld := storage.NewBuilderLayout(tbl, 64, 3, storage.InMemory, layout)
+	bld := storage.NewBuilder(tbl, 64, 3, storage.InMemory)
 	bld.HintSortedColumns(5)
 	for r := 0; r < rows; r++ {
 		f := types.Float(float64(r) * 1.5)
@@ -115,7 +116,7 @@ func zonesEq(a, b []storage.Zone) bool {
 }
 
 // scanAll materializes every (row, meta) pair — the observable content
-// of a table, shared by both layouts.
+// of a table.
 func scanAll(tbl *storage.Table) ([]types.Row, []storage.RowMeta) {
 	var rows []types.Row
 	var metas []storage.RowMeta
@@ -150,22 +151,17 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 		if !zonesEq(gb.Zones, wb.Zones) {
 			t.Fatalf("block %d zones mismatch", i)
 		}
-		if gb.IsColumnar() != wb.IsColumnar() {
-			t.Fatalf("block %d layout mismatch", i)
+		for c := range wb.Col.Cols {
+			if gb.Col.Cols[c].Enc != wb.Col.Cols[c].Enc {
+				t.Fatalf("block %d col %d encoding %v != %v",
+					i, c, gb.Col.Cols[c].Enc, wb.Col.Cols[c].Enc)
+			}
+			if gb.Col.Cols[c].NaNFree != wb.Col.Cols[c].NaNFree {
+				t.Fatalf("block %d col %d NaNFree mismatch", i, c)
+			}
 		}
-		if wb.IsColumnar() {
-			for c := range wb.Col.Cols {
-				if gb.Col.Cols[c].Enc != wb.Col.Cols[c].Enc {
-					t.Fatalf("block %d col %d encoding %v != %v",
-						i, c, gb.Col.Cols[c].Enc, wb.Col.Cols[c].Enc)
-				}
-				if gb.Col.Cols[c].NaNFree != wb.Col.Cols[c].NaNFree {
-					t.Fatalf("block %d col %d NaNFree mismatch", i, c)
-				}
-			}
-			if gb.Col.Uniform() != wb.Col.Uniform() {
-				t.Fatalf("block %d uniformity mismatch", i)
-			}
+		if gb.Col.Uniform() != wb.Col.Uniform() {
+			t.Fatalf("block %d uniformity mismatch", i)
 		}
 	}
 	wantRows, wantMeta := scanAll(want)
@@ -179,39 +175,55 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 }
 
 // TestRoundTrip pins build → persist → load equivalence for every
-// encoding, both block layouts, and both load paths (mmap, ReadFile).
+// encoding and both load paths (mmap, ReadFile).
 func TestRoundTrip(t *testing.T) {
-	for _, layout := range []storage.Layout{storage.ColumnarLayout, storage.RowLayout} {
-		for _, mode := range []string{"mmap", "readfile"} {
-			t.Run(fmt.Sprintf("%s/%s", layout, mode), func(t *testing.T) {
-				want := buildFixture(t, 500, layout)
-				path := writeFixture(t, want)
-				var seg *Segment
-				var err error
-				if mode == "mmap" {
-					seg, err = Open(path)
-				} else {
-					seg, err = OpenReadFile(path)
-				}
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				defer seg.Close()
-				if mode == "readfile" && seg.Mapped() {
-					t.Fatal("OpenReadFile produced a mapped segment")
-				}
-				if blob, ok := seg.Meta("note"); !ok || string(blob) != "fixture-meta" {
-					t.Fatalf("meta blob lost: %q %v", blob, ok)
-				}
-				if seg.NumTables() != 1 || seg.TableName(0) != "fixture" {
-					t.Fatalf("table index wrong: %d tables", seg.NumTables())
-				}
-				got, err := seg.Table(0)
-				if err != nil {
-					t.Fatalf("Table: %v", err)
-				}
-				assertTablesEqual(t, want, got)
-			})
+	for _, mode := range []string{"mmap", "readfile"} {
+		t.Run(mode, func(t *testing.T) {
+			want := buildFixture(t, 500)
+			path := writeFixture(t, want)
+			var seg *Segment
+			var err error
+			if mode == "mmap" {
+				seg, err = Open(path)
+			} else {
+				seg, err = OpenReadFile(path)
+			}
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer seg.Close()
+			if mode == "readfile" && seg.Mapped() {
+				t.Fatal("OpenReadFile produced a mapped segment")
+			}
+			if blob, ok := seg.Meta("note"); !ok || string(blob) != "fixture-meta" {
+				t.Fatalf("meta blob lost: %q %v", blob, ok)
+			}
+			if seg.NumTables() != 1 || seg.TableName(0) != "fixture" {
+				t.Fatalf("table index wrong: %d tables", seg.NumTables())
+			}
+			got, err := seg.Table(0)
+			if err != nil {
+				t.Fatalf("Table: %v", err)
+			}
+			assertTablesEqual(t, want, got)
+		})
+	}
+}
+
+// TestRetiredLayoutByteRejected loads a segment written before the row
+// block layout was retired (testdata/row_layout_v1.seg: 6 rows in two
+// layout-byte-0 blocks, CRCs intact). Both load paths must refuse it with
+// a clean error — no panic, no half-loaded table — so the engine above
+// falls back to a cold rebuild.
+func TestRetiredLayoutByteRejected(t *testing.T) {
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+		seg, err := open(filepath.Join("testdata", "row_layout_v1.seg"))
+		if err == nil {
+			seg.Close()
+			t.Fatalf("%s: a row-layout segment loaded", name)
+		}
+		if !strings.Contains(err.Error(), "invalid block layout 0") {
+			t.Errorf("%s: error %q does not name the retired layout", name, err)
 		}
 	}
 }
@@ -219,7 +231,7 @@ func TestRoundTrip(t *testing.T) {
 // TestEncodingCoverage asserts the fixture actually exercises every
 // encoding, so the round-trip test can't silently lose coverage.
 func TestEncodingCoverage(t *testing.T) {
-	tbl := buildFixture(t, 500, storage.ColumnarLayout)
+	tbl := buildFixture(t, 500)
 	seen := map[colstore.Encoding]bool{}
 	withNulls := false
 	for _, b := range tbl.Blocks {
@@ -246,8 +258,8 @@ func TestEncodingCoverage(t *testing.T) {
 // TestMultiTableSegment checks several tables share one segment (the
 // sample-family layout: one table per delta).
 func TestMultiTableSegment(t *testing.T) {
-	t1 := buildFixture(t, 130, storage.ColumnarLayout)
-	t2 := buildFixture(t, 67, storage.ColumnarLayout)
+	t1 := buildFixture(t, 130)
+	t2 := buildFixture(t, 67)
 	t2.Name = "fixture2"
 	path := filepath.Join(t.TempDir(), "multi.seg")
 	err := WriteSegment(path, func(w *Writer) error {
@@ -285,7 +297,7 @@ func TestMultiTableSegment(t *testing.T) {
 // CRCs catch payload flips; footer/tail checks catch structural ones).
 // None may panic and none may silently load wrong data.
 func TestCorruption(t *testing.T) {
-	want := buildFixture(t, 200, storage.ColumnarLayout)
+	want := buildFixture(t, 200)
 	path := writeFixture(t, want)
 	valid, err := os.ReadFile(path)
 	if err != nil {
@@ -373,7 +385,7 @@ func TestViewAllocsIndependentOfRows(t *testing.T) {
 			types.Column{Name: "i", Kind: types.KindInt},
 		)
 		tbl := storage.NewTable("nums", schema)
-		bld := storage.NewBuilderLayout(tbl, rows, 1, storage.InMemory, storage.ColumnarLayout)
+		bld := storage.NewBuilder(tbl, rows, 1, storage.InMemory)
 		for r := 0; r < rows; r++ {
 			bld.Append(types.Row{types.Float(float64(r)), types.Int(int64(r))},
 				storage.RowMeta{Rate: 1 / (1 + float64(r%3)), StratumFreq: int64(r % 7)})

@@ -2,6 +2,8 @@ package blockfile
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -13,12 +15,12 @@ import (
 // then materialize every table and meta blob of anything that parses.
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
-// Seeds cover a valid single-table segment, a multi-table segment, and
-// systematic mutations of both; testdata/fuzz holds the checked-in
-// corpus.
+// Seeds cover a valid single-table segment, a multi-table segment, a
+// segment of the retired row block layout, and systematic mutations of the
+// first; testdata/fuzz holds the checked-in corpus.
 func FuzzSegmentLoad(f *testing.F) {
-	seed := func(rows int, layout storage.Layout, extraTable bool) []byte {
-		tbl := buildFixture(f, rows, layout)
+	seed := func(rows int, extraTable bool) []byte {
+		tbl := buildFixture(f, rows)
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		w.PutMeta("m", []byte("blob"))
@@ -26,7 +28,7 @@ func FuzzSegmentLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 		if extraTable {
-			t2 := buildFixture(f, rows/2+1, layout)
+			t2 := buildFixture(f, rows/2+1)
 			t2.Name = "second"
 			if err := w.AddTable(t2); err != nil {
 				f.Fatal(err)
@@ -37,10 +39,14 @@ func FuzzSegmentLoad(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	valid := seed(90, storage.ColumnarLayout, false)
+	valid := seed(90, false)
 	f.Add(valid)
-	f.Add(seed(40, storage.RowLayout, false))
-	f.Add(seed(70, storage.ColumnarLayout, true))
+	retired, err := os.ReadFile(filepath.Join("testdata", "row_layout_v1.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
+	f.Add(seed(70, true))
 	for off := 0; off < len(valid); off += len(valid)/17 + 1 {
 		mut := append([]byte(nil), valid...)
 		mut[off] ^= 0x81

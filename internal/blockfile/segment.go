@@ -40,14 +40,11 @@ type blockDesc struct {
 	nrows int
 	zones []storage.Zone
 
-	columnar    bool
 	uniformRate float64
 	uniformFreq int64
 	ratesSec    uint32
 	freqsSec    uint32
 	cols        []colDesc
-
-	rowsSec uint32 // row layout: value stream + rate/freq arrays
 }
 
 type colDesc struct {
@@ -251,43 +248,40 @@ func (s *Segment) parseBlock(d *dec, ncols int) (blockDesc, error) {
 	if d.err != nil {
 		return b, d.err
 	}
-	switch layout := d.u8(); layout {
-	case 1:
-		b.columnar = true
-		b.uniformRate = d.f64()
-		b.uniformFreq = d.i64()
-		b.ratesSec = d.u32()
-		b.freqsSec = d.u32()
-		b.cols = make([]colDesc, ncols)
-		for i := range b.cols {
-			c := &b.cols[i]
-			c.enc = colstore.Encoding(d.u8())
-			c.nanFree = d.u8() != 0
-			c.payload, c.nulls, c.dict = noSection, noSection, noSection
-			switch c.enc {
-			case colstore.EncFloat, colstore.EncInt, colstore.EncBool:
-				c.payload = d.u32()
-				c.nulls = d.u32()
-			case colstore.EncDict:
-				c.payload = d.u32()
-				c.nulls = d.u32()
-				c.dict = d.u32()
-			case colstore.EncValue:
-				c.payload = d.u32()
-			case colstore.EncRLE:
-				c.payload = d.u32() // run values
-				c.dict = d.u32()    // run ends
-			default:
-				return b, fmt.Errorf("column %d: invalid encoding %d", i, c.enc)
-			}
+	// The layout byte: 1 is columnar, the only layout. 0 was the retired
+	// row layout — such a segment is rejected here, and the engine cold-
+	// rebuilds over it.
+	if layout := d.u8(); layout != 1 {
+		if d.err != nil {
+			return b, d.err
 		}
-	case 0:
-		b.rowsSec = d.u32()
-		b.ratesSec = d.u32()
-		b.freqsSec = d.u32()
-	default:
-		if d.err == nil {
-			return b, fmt.Errorf("invalid block layout %d", layout)
+		return b, fmt.Errorf("invalid block layout %d", layout)
+	}
+	b.uniformRate = d.f64()
+	b.uniformFreq = d.i64()
+	b.ratesSec = d.u32()
+	b.freqsSec = d.u32()
+	b.cols = make([]colDesc, ncols)
+	for i := range b.cols {
+		c := &b.cols[i]
+		c.enc = colstore.Encoding(d.u8())
+		c.nanFree = d.u8() != 0
+		c.payload, c.nulls, c.dict = noSection, noSection, noSection
+		switch c.enc {
+		case colstore.EncFloat, colstore.EncInt, colstore.EncBool:
+			c.payload = d.u32()
+			c.nulls = d.u32()
+		case colstore.EncDict:
+			c.payload = d.u32()
+			c.nulls = d.u32()
+			c.dict = d.u32()
+		case colstore.EncValue:
+			c.payload = d.u32()
+		case colstore.EncRLE:
+			c.payload = d.u32() // run values
+			c.dict = d.u32()    // run ends
+		default:
+			return b, fmt.Errorf("column %d: invalid encoding %d", i, c.enc)
 		}
 	}
 	return b, d.err
@@ -350,9 +344,6 @@ func (s *Segment) loadBlock(bd *blockDesc, schema *types.Schema) (*storage.Block
 		Bytes: bd.bytes,
 		Zones: append([]storage.Zone(nil), bd.zones...),
 	}
-	if !bd.columnar {
-		return s.loadRowBlock(b, bd, schema)
-	}
 	d := &colstore.Data{N: bd.nrows, UniformRate: bd.uniformRate, UniformFreq: bd.uniformFreq}
 	var err error
 	if bd.ratesSec != noSection {
@@ -372,37 +363,6 @@ func (s *Segment) loadBlock(bd *blockDesc, schema *types.Schema) (*storage.Block
 		}
 	}
 	b.Col = d
-	return b, nil
-}
-
-func (s *Segment) loadRowBlock(b *storage.Block, bd *blockDesc, schema *types.Schema) (*storage.Block, error) {
-	raw, err := s.section(bd.rowsSec)
-	if err != nil {
-		return nil, fmt.Errorf("rows: %w", err)
-	}
-	d := dec{b: raw}
-	vals := d.vals()
-	if d.err != nil {
-		return nil, d.err
-	}
-	ncols := schema.Len()
-	if len(vals) != bd.nrows*ncols {
-		return nil, fmt.Errorf("row stream has %d values, want %d", len(vals), bd.nrows*ncols)
-	}
-	rates, err := s.f64View(bd.ratesSec, bd.nrows)
-	if err != nil {
-		return nil, fmt.Errorf("rates: %w", err)
-	}
-	freqs, err := s.i64View(bd.freqsSec, bd.nrows)
-	if err != nil {
-		return nil, fmt.Errorf("freqs: %w", err)
-	}
-	b.Rows = make([]types.Row, bd.nrows)
-	b.Meta = make([]storage.RowMeta, bd.nrows)
-	for i := 0; i < bd.nrows; i++ {
-		b.Rows[i] = types.Row(vals[i*ncols : (i+1)*ncols : (i+1)*ncols])
-		b.Meta[i] = storage.RowMeta{Rate: rates[i], StratumFreq: freqs[i]}
-	}
 	return b, nil
 }
 

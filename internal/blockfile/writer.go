@@ -139,9 +139,8 @@ func (w *Writer) PutMeta(name string, blob []byte) {
 	w.nmetas++
 }
 
-// AddTable serializes t (any mix of row and columnar blocks) into the
-// segment. Blocks are written in order, so IDs round-trip through
-// Table.AddBlock on load.
+// AddTable serializes t into the segment. Blocks are written in order, so
+// IDs round-trip through Table.AddBlock on load.
 func (w *Writer) AddTable(t *storage.Table) error {
 	var e enc
 	e.str(t.Name)
@@ -179,40 +178,19 @@ func (w *Writer) addBlock(e *enc, t *storage.Table, b *storage.Block) error {
 		e.val(z.Min)
 		e.val(z.Max)
 	}
-	if d := b.Col; d != nil {
-		e.u8(1) // columnar
-		e.f64(d.UniformRate)
-		e.i64(d.UniformFreq)
-		e.u32(w.optSection(f64Bytes(d.Rates), d.Rates != nil))
-		e.u32(w.optSection(i64Bytes(d.Freqs), d.Freqs != nil))
-		if len(d.Cols) != t.Schema.Len() {
-			return fmt.Errorf("blockfile: block %d of %q has %d columns, schema %d",
-				b.ID, t.Name, len(d.Cols), t.Schema.Len())
-		}
-		for i := range d.Cols {
-			w.addColumn(e, &d.Cols[i])
-		}
-		return nil
+	d := b.Col
+	e.u8(1) // layout byte: columnar (0 was the retired row layout)
+	e.f64(d.UniformRate)
+	e.i64(d.UniformFreq)
+	e.u32(w.optSection(f64Bytes(d.Rates), d.Rates != nil))
+	e.u32(w.optSection(i64Bytes(d.Freqs), d.Freqs != nil))
+	if len(d.Cols) != t.Schema.Len() {
+		return fmt.Errorf("blockfile: block %d of %q has %d columns, schema %d",
+			b.ID, t.Name, len(d.Cols), t.Schema.Len())
 	}
-	e.u8(0) // row layout
-	var rows enc
-	rows.u32(uint32(len(b.Rows) * t.Schema.Len()))
-	rates := make([]float64, len(b.Rows))
-	freqs := make([]int64, len(b.Rows))
-	for i, r := range b.Rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("blockfile: row %d of block %d in %q has %d values, schema %d",
-				i, b.ID, t.Name, len(r), t.Schema.Len())
-		}
-		for _, v := range r {
-			rows.val(v)
-		}
-		rates[i] = b.Meta[i].Rate
-		freqs[i] = b.Meta[i].StratumFreq
+	for i := range d.Cols {
+		w.addColumn(e, &d.Cols[i])
 	}
-	e.u32(w.section(rows.buf))
-	e.u32(w.section(f64Bytes(rates)))
-	e.u32(w.section(i64Bytes(freqs)))
 	return nil
 }
 

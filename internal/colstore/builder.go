@@ -64,8 +64,7 @@ func (b *Builder) HintSorted(cols ...int) {
 func (b *Builder) Len() int { return len(b.rates) }
 
 // Append adds one row. len(r) must equal the builder's column count;
-// short rows are padded with NULLs (mirroring how the row layout treats
-// missing trailing values on read).
+// short rows are padded with NULLs.
 func (b *Builder) Append(r types.Row, rate float64, freq int64) {
 	for c := range b.cols {
 		v := types.Null()

@@ -3,18 +3,19 @@
 // decomposed into per-column typed slices — []float64, []int64,
 // dictionary-encoded strings — plus a null bitmap per column and per-block
 // rate/stratum-frequency arrays (the sampling metadata storage.RowMeta
-// carries row-by-row in the row layout).
+// reports per row).
 //
 // The layout is the paper's §5 speed argument made physical: cached sample
 // blocks are scanned at memory bandwidth because the executor's compiled
 // predicates and aggregate kernels run over contiguous machine-typed
 // slices instead of chasing one tagged value at a time.
 //
-// Encoding is LOSSLESS with respect to the row layout: Value(col, i)
+// Encoding is LOSSLESS with respect to the appended rows: Value(col, i)
 // reconstructs exactly the types.Value that was appended (kind included),
-// so a columnar scan produces bit-identical results to a row scan. A
-// column whose non-null values mix kinds falls back to a verbatim
-// []types.Value encoding — still contiguous, never wrong.
+// so a scan over the typed slices produces bit-identical results to a
+// naive evaluation of the materialised rows. A column whose non-null
+// values mix kinds falls back to a verbatim []types.Value encoding — still
+// contiguous, never wrong.
 //
 // # Encodings
 //
@@ -220,8 +221,7 @@ func (c *Column) NumNulls(n int) int {
 // under types.Compare, and false when every row is NULL. Note this is a
 // summary helper (tests use it to cross-check encodings), NOT the source
 // of block zone maps: storage.Builder extends zones from every appended
-// value — NULLs included — identically in both layouts, so zone-based
-// pruning stays bit-identical across layouts.
+// value, NULLs included.
 func (c *Column) MinMax(n int) (min, max types.Value, ok bool) {
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {

@@ -74,13 +74,6 @@ type Options struct {
 	// are bit-identical for any value: the executor folds row-budgeted
 	// partial aggregates in a deterministic order.
 	Workers int
-	// Affine, when true (default), names the node-affine schedule
-	// (exec.SchedNodeAffine); false the node-blind one. The executor runs
-	// the same row-budgeted scan under both, so results are bit-identical
-	// either way, and latency attribution always prices the affine
-	// schedule's locality: which bytes are node-local is a property of
-	// block placement and the pricing partition, not of the knob.
-	Affine *bool
 	// PlanCacheSize enables the template-keyed prepared-query cache: up
 	// to this many templates keep their compiled state, probe results and
 	// Error-Latency Profiles across queries, amortizing the probe cost
@@ -145,10 +138,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.Affine == nil {
-		v := true
-		o.Affine = &v
 	}
 	if o.PlanCacheSize < 0 {
 		o.PlanCacheSize = 0
@@ -292,29 +281,25 @@ func (rt *Runtime) Run(q *sqlparser.Query) (*Response, error) {
 	return rt.RunCtxTraced(context.Background(), q, nil)
 }
 
-// RunCtx is Run with a cancellation context: a context cancelled before
-// the call returns ctx.Err() without planning or scanning anything, and a
-// context cancelled mid-query stops the scan workers within one block
-// range's worth of work. Cancelled queries bump Stats.Cancelled and
-// return no partial answer. The background context makes this exactly
-// Run.
-func (rt *Runtime) RunCtx(ctx context.Context, q *sqlparser.Query) (*Response, error) {
-	return rt.RunCtxTraced(ctx, q, nil)
-}
-
-// RunTraced is Run with query-lifecycle telemetry: span children of the
-// trace's root record each pipeline phase (normalize, cache lookups, the
-// singleflight execution with its probes and per-range scans, result
-// materialization), and — when Options.Telemetry is set — the completed
-// query is recorded against its template key. tr may be nil: with a nil
-// trace and a nil registry this is exactly Run, with zero telemetry
-// overhead and no allocations on the telemetry paths.
-func (rt *Runtime) RunTraced(q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
-	return rt.RunCtxTraced(context.Background(), q, tr)
-}
-
-// RunCtxTraced is RunTraced with a cancellation context (see RunCtx).
+// RunCtxTraced is Run with a cancellation context and query-lifecycle
+// telemetry. A context cancelled before the call returns ctx.Err() without
+// planning or scanning anything, and a context cancelled mid-query stops
+// the scan workers within one block range's worth of work; cancelled
+// queries bump Stats.Cancelled and return no partial answer. Span children
+// of the trace's root record each pipeline phase (normalize, cache
+// lookups, the singleflight execution with its probes and per-range scans,
+// result materialization), and — when Options.Telemetry is set — the
+// completed query is recorded against its template key. tr may be nil:
+// with the background context, a nil trace and a nil registry this is
+// exactly Run, with zero telemetry overhead and no allocations on the
+// telemetry paths.
 func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
+	return rt.run(ctx, q, tr, nil)
+}
+
+// run is the one body behind RunCtxTraced (emitMid nil) and
+// RunStreamTraced (emitMid receives the pre-final refinements).
+func (rt *Runtime) run(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace, emitMid midEmitter) (*Response, error) {
 	reg := rt.opt.Telemetry
 	var started time.Time
 	if reg != nil {
@@ -331,7 +316,7 @@ func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *tel
 	nsp := root.Child("normalize")
 	key, params := sqlparser.Normalize(q)
 	nsp.End()
-	resp, err := rt.runKeyed(ctx, q, key, params, root)
+	resp, err := rt.runKeyed(ctx, q, key, params, root, emitMid)
 	if err != nil {
 		if isCancellation(err) {
 			rt.bump(&rt.stats.cancelled)
@@ -374,11 +359,14 @@ func observationFor(resp *Response, wallSeconds float64) telemetry.Observation {
 	return o
 }
 
-// runKeyed is the Run body with normalization precomputed and an optional
-// parent span (nil when untraced).
-func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span) (*Response, error) {
+// runKeyed is the run body with normalization precomputed and an optional
+// parent span (nil when untraced). Intermediate refinements flow through
+// emitMid (nil when not streaming) on the executing paths only: cache hits
+// and singleflight shares stream nothing — their answer is the session's
+// single final refinement.
+func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emitMid midEmitter) (*Response, error) {
 	if rt.results == nil {
-		resp, note, _, err := rt.runPrepared(ctx, q, key, params, root)
+		resp, note, _, err := rt.streamPrepared(ctx, q, key, params, root, emitMid)
 		if err != nil {
 			return nil, err
 		}
@@ -404,45 +392,45 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.freshDeps(cand.deps) })
 	}
 	lsp.End()
+	if emitMid != nil {
+		// Intermediates only flow on an executing path, whose final is
+		// annotated result=miss — mark them the same way so a session's
+		// refinements agree about where they came from.
+		inner := emitMid
+		emitMid = func(resp *Response, level int) error {
+			annotateResult(resp, "miss")
+			return inner(resp, level)
+		}
+	}
 	var cachedHit bool
 	fsp := root.Child("execute")
 	ent, shared, err := rt.flights.Do(rkey, func() (*resultEntry, error) {
 		var err error
 		var e *resultEntry
 		// Only the singleflight leader's closure runs, so only the
-		// leader's trace carries the pipeline spans; waiters' "execute"
-		// spans cover their wait and are noted result=shared below.
-		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp)
+		// leader's trace carries the pipeline spans (and only the leader
+		// streams); waiters' "execute" spans cover their wait and are
+		// noted result=shared below.
+		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp, emitMid)
 		return e, err
 	})
 	fsp.End()
 	if err != nil {
 		// A leader cancelled mid-flight poisons the shared error for every
 		// waiter, but a waiter whose OWN context is still live owes its
-		// caller an answer: run a private leader pass outside the (landed)
-		// flight. Real query errors are shared as-is — re-executing would
-		// reproduce them.
-		if shared && isCancellation(err) && ctx.Err() == nil {
-			rsp := root.Child("cancelled-leader re-execute")
-			ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp)
-			rsp.End()
-			if err != nil {
-				return nil, err
-			}
-			shared = false
-			msp := root.Child("materialize")
-			resp := ent.resp.clone()
-			if cachedHit {
-				rt.bump(&rt.stats.resultHits)
-				annotateResult(resp, "hit")
-			} else {
-				annotate(resp, ent.note)
-				annotateResult(resp, "miss")
-			}
-			msp.End()
-			return resp, nil
+		// caller an answer (and, streaming, the refinements too): run a
+		// private leader pass outside the (landed) flight. Real query
+		// errors are shared as-is — re-executing would reproduce them.
+		if !shared || !isCancellation(err) || ctx.Err() != nil {
+			return nil, err
 		}
-		return nil, err
+		rsp := root.Child("cancelled-leader re-execute")
+		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emitMid)
+		rsp.End()
+		if err != nil {
+			return nil, err
+		}
+		shared = false
 	}
 	if shared && !rt.freshDeps(ent.deps) {
 		// The shared answer predates an epoch change this caller has
@@ -452,7 +440,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		// the (already landed) flight; concurrent stale waiters each
 		// re-execute, an acceptable cost for the rare refresh window.
 		rsp := root.Child("stale-shared re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp)
+		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emitMid)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -489,11 +477,11 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 // would re-run the whole pipeline for an answer that is already cached
 // (and skew the exactly-one-execution Stats contract). cached reports
 // whether the answer came from the cache (a hit) rather than execution.
-func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span) (*resultEntry, bool, error) {
+func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emitMid midEmitter) (*resultEntry, bool, error) {
 	if cached, ok := rt.results.Get(rkey); ok && rt.freshDeps(cached.deps) {
 		return cached, true, nil
 	}
-	resp, note, deps, err := rt.runPrepared(ctx, q, key, params, sp)
+	resp, note, deps, err := rt.streamPrepared(ctx, q, key, params, sp, emitMid)
 	if err != nil {
 		return nil, false, err
 	}
@@ -505,21 +493,14 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 	return ent, false, nil
 }
 
-// runPrepared is the prepare/execute pipeline of Run — plan-cache lookup
-// (when enabled), prepare on miss, execute — returning the UNANNOTATED
-// response, the plan-cache note ("hit"/"miss", "" when disabled) and the
-// table-epoch deps the answer was computed against. Callers own the
-// annotation so the result cache can store canonical responses.
-func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span) (*Response, string, []tableDep, error) {
-	resp, note, deps, err := rt.streamPrepared(ctx, q, key, params, sp, nil)
-	return resp, note, deps, err
-}
-
-// streamPrepared is runPrepared with an optional intermediate-refinement
-// sink: when emitMid is non-nil, executeParams runs in streaming mode and
-// emitMid receives each pre-final refinement (see streamParams). The
-// returned Response is always the final answer — bit-identical to the
-// emitMid==nil path.
+// streamPrepared is the prepare/execute pipeline of a run — plan-cache
+// lookup (when enabled), prepare on miss, execute — returning the
+// UNANNOTATED response, the plan-cache note ("hit"/"miss", "" when
+// disabled) and the table-epoch deps the answer was computed against.
+// Callers own the annotation so the result cache can store canonical
+// responses. When emitMid is non-nil it receives each pre-final refinement
+// (see streamParams); the returned Response is always the final answer —
+// bit-identical to the emitMid==nil path.
 func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, string, []tableDep, error) {
 	if rt.cache == nil {
 		pq, err := rt.prepareKeyed(ctx, q, key, params, sp)
@@ -924,28 +905,17 @@ func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input,
 
 // runPlan executes the plan over the input, joining dimension tables when
 // the query has JOIN clauses (§2.1: fact-side sampling, exact broadcast
-// dimensions). The scan schedule follows Options.Affine. With sp non-nil
-// the scan records a span tree (per-range partials + merge) beneath it.
-// The only possible error is ctx.Err(): a cancelled scan returns no
-// partial result. PlanExecs counts the attempt either way — a cancelled
-// scan may have done most of its work.
+// dimensions). With sp non-nil the scan records a span tree (per-range
+// partials + merge) beneath it. The only possible error is ctx.Err(): a
+// cancelled scan returns no partial result. PlanExecs counts the attempt
+// either way — a cancelled scan may have done most of its work.
 func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
 	rt.bump(&rt.stats.planExecs)
-	sched := exec.SchedNodeAffine
-	if !*rt.opt.Affine {
-		sched = exec.SchedBlind
-	}
 	var ssp *telemetry.Span
 	if sp != nil {
 		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
 	}
-	var res *exec.Result
-	var err error
-	if len(joins) == 0 {
-		res, err = exec.RunParallelSchedCtx(ctx, plan, in, conf, rt.opt.Workers, sched, ssp)
-	} else {
-		res, err = exec.RunJoinParallelSchedCtx(ctx, plan, in, joins, conf, rt.opt.Workers, sched, ssp)
-	}
+	res, err := exec.RunJoin(ctx, plan, in, joins, conf, rt.opt.Workers, ssp)
 	ssp.End()
 	return res, err
 }

@@ -29,13 +29,6 @@ type fixture struct {
 
 func newFixture(t testing.TB, rows int, opt Options) *fixture {
 	t.Helper()
-	return newFixtureLayout(t, rows, opt, storage.ColumnarLayout)
-}
-
-// newFixtureLayout is newFixture with an explicit physical block layout
-// for both the base table and every sample family.
-func newFixtureLayout(t testing.TB, rows int, opt Options, layout storage.Layout) *fixture {
-	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "city", Kind: types.KindString},
 		types.Column{Name: "os", Kind: types.KindString},
@@ -44,7 +37,7 @@ func newFixtureLayout(t testing.TB, rows int, opt Options, layout storage.Layout
 		types.Column{Name: "time", Kind: types.KindFloat},
 	)
 	tab := storage.NewTable("sessions", schema)
-	b := storage.NewBuilderLayout(tab, 256, 100, storage.InMemory, layout)
+	b := storage.NewBuilder(tab, 256, 100, storage.InMemory)
 	rng := rand.New(rand.NewSource(77))
 	cityGen := zipf.NewGeneratorCDF(rng, 1.4, 200)
 	oses := []string{"Win7", "OSX", "Linux", "iOS"}
@@ -70,7 +63,7 @@ func newFixtureLayout(t testing.TB, rows int, opt Options, layout storage.Layout
 	cat := catalog.New()
 	cat.Register(tab)
 	caps := sample.GeometricCaps(2000, 4, 4, 8)
-	bc := sample.BuildConfig{Seed: 3, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64, Layout: layout}
+	bc := sample.BuildConfig{Seed: 3, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64}
 	for _, phi := range []types.ColumnSet{
 		types.NewColumnSet("city"),
 		types.NewColumnSet("os", "url"),
@@ -446,12 +439,12 @@ func BenchmarkRunErrorBounded(b *testing.B) {
 	}
 }
 
-// TestLayoutEquivalenceELP pins the runtime sample-selection contract of
-// the columnar store at the ELP layer: identical fixtures in row and
-// columnar layouts must probe the same families, choose the same
-// resolutions, pay the same simulated latencies and return bit-identical
-// estimates for every bounded-query shape and worker count.
-func TestLayoutEquivalenceELP(t *testing.T) {
+// TestWorkerEquivalenceELP pins the runtime sample-selection contract at
+// the ELP layer: fixtures differing only in the scan pool must probe the
+// same families, choose the same resolutions, pay the same simulated
+// latencies and return bit-identical estimates for every bounded-query
+// shape (disjunctions, exact queries and explicit confidence included).
+func TestWorkerEquivalenceELP(t *testing.T) {
 	queries := []string{
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`,
 		`SELECT COUNT(*) FROM sessions WHERE os = 'Linux' GROUP BY city WITHIN 2 SECONDS`,
@@ -459,41 +452,34 @@ func TestLayoutEquivalenceELP(t *testing.T) {
 		`SELECT AVG(time) FROM sessions GROUP BY genre`,
 		`SELECT COUNT(*) FROM sessions WHERE url = 'cnn.com' ERROR WITHIN 20% AT CONFIDENCE 90%`,
 	}
-	for _, workers := range []int{1, 4} {
-		row := newFixtureLayout(t, 20000, Options{Workers: 1}, storage.RowLayout)
-		col := newFixtureLayout(t, 20000, Options{Workers: workers}, storage.ColumnarLayout)
-		for _, src := range queries {
-			q, err := sqlparser.Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := row.rt.Run(q)
-			if err != nil {
-				t.Fatalf("%q (row): %v", src, err)
-			}
-			got, err := col.rt.Run(q)
-			if err != nil {
-				t.Fatalf("%q (columnar/%d): %v", src, workers, err)
-			}
-			if !reflect.DeepEqual(want.Result, got.Result) {
-				t.Errorf("%q workers=%d: estimates diverged across layouts\nrow %+v\ncol %+v",
-					src, workers, want.Result, got.Result)
-			}
-			if want.SimLatency != got.SimLatency || want.Confidence != got.Confidence {
-				t.Errorf("%q workers=%d: latency/confidence diverged: %g/%g vs %g/%g",
-					src, workers, want.SimLatency, want.Confidence, got.SimLatency, got.Confidence)
-			}
-			if len(want.Decisions) != len(got.Decisions) {
-				t.Fatalf("%q: decision counts diverged", src)
-			}
-			for i := range want.Decisions {
-				a, b := want.Decisions[i], got.Decisions[i]
-				if a.UsedBase != b.UsedBase || a.Reason != b.Reason ||
-					a.View.Level != b.View.Level ||
-					a.ProbeLatency != b.ProbeLatency || a.ReadLatency != b.ReadLatency ||
-					a.RequiredRows != b.RequiredRows {
-					t.Errorf("%q decision %d diverged across layouts:\nrow %+v\ncol %+v", src, i, a, b)
-				}
+	one := newFixture(t, 20000, Options{Workers: 1})
+	four := newFixture(t, 20000, Options{Workers: 4})
+	for _, src := range queries {
+		want, err := one.rt.Run(parse(t, src))
+		if err != nil {
+			t.Fatalf("%q (1 worker): %v", src, err)
+		}
+		got, err := four.rt.Run(parse(t, src))
+		if err != nil {
+			t.Fatalf("%q (4 workers): %v", src, err)
+		}
+		if !reflect.DeepEqual(want.Result, got.Result) {
+			t.Errorf("%q: estimates diverged across worker counts\n1 %+v\n4 %+v", src, want.Result, got.Result)
+		}
+		if want.SimLatency != got.SimLatency || want.Confidence != got.Confidence {
+			t.Errorf("%q: latency/confidence diverged: %g/%g vs %g/%g",
+				src, want.SimLatency, want.Confidence, got.SimLatency, got.Confidence)
+		}
+		if len(want.Decisions) != len(got.Decisions) {
+			t.Fatalf("%q: decision counts diverged", src)
+		}
+		for i := range want.Decisions {
+			a, b := want.Decisions[i], got.Decisions[i]
+			if a.UsedBase != b.UsedBase || a.Reason != b.Reason ||
+				a.View.Level != b.View.Level ||
+				a.ProbeLatency != b.ProbeLatency || a.ReadLatency != b.ReadLatency ||
+				a.RequiredRows != b.RequiredRows {
+				t.Errorf("%q decision %d diverged across worker counts:\n1 %+v\n4 %+v", src, i, a, b)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // table, epoch deps, the prepare-time parameter vector, and each
 // disjunct's family choice (by φ), Decision skeleton, probe-chain
 // endpoint (level, probe result, probe latency). What is NOT: the
-// compiled query/plan (prepQ/prepPlan restore as nil — executeParams
+// compiled query/plan (prepQ/prepPlan restore as nil — streamParams
 // recompiles per query, its pointer-identity fast path simply never
 // fires), the per-level result memos (repopulated on demand; a memo
 // only saves work, never changes an answer), and join templates (their

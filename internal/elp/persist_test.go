@@ -108,7 +108,7 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 	// Bump the table's epoch: re-add one family (a refresh).
 	fam, err := sample.Build(f.tab, types.NewColumnSet("city"),
 		sample.GeometricCaps(2000, 4, 4, 8),
-		sample.BuildConfig{Seed: 3, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64, Layout: storage.ColumnarLayout})
+		sample.BuildConfig{Seed: 3, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ type PreparedQuery struct {
 	// statistics, ELP fit) is template-scoped and serves any constants.
 	prepParams []types.Value
 	// prepQ/prepPlan are the exact query object Prepare compiled and its
-	// plan; executeParams reuses the plan when handed the same object
+	// plan; streamParams reuses the plan when handed the same object
 	// (the cache-off and miss paths), skipping a second compile.
 	prepQ    *sqlparser.Query
 	prepPlan *exec.Plan
@@ -295,15 +295,9 @@ func (rt *Runtime) Execute(pq *PreparedQuery, q *sqlparser.Query) (*Response, er
 	if key != pq.Key {
 		return nil, errTemplateMismatch
 	}
-	return rt.executeParams(context.Background(), pq, q, params, nil)
-}
-
-// executeParams is Execute with the normalization precomputed. The
-// response is returned unannotated; Run applies the plan/result cache
-// markers so cached canonical responses stay pristine. It is exactly
-// streamParams with no refinement sink.
-func (rt *Runtime) executeParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span) (*Response, error) {
-	return rt.streamParams(ctx, pq, q, params, sp, nil)
+	// Unannotated, like every streamParams response: Run applies the
+	// plan/result cache markers so cached canonical responses stay pristine.
+	return rt.streamParams(context.Background(), pq, q, params, nil, nil)
 }
 
 // levelChoice is the scan-free half of executing one conjunctive

@@ -13,6 +13,7 @@ import (
 	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
+	"blinkdb/internal/telemetry"
 )
 
 // stripResult removes the result-cache annotation from a response so
@@ -336,19 +337,25 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestResultCacheStaleSharedWaiterReExecutes pins the epoch half of the
-// singleflight contract: a waiter whose query began AFTER an epoch
-// change must never be served a flight answer computed before it. The
-// test registers a fake in-flight leader whose (poisoned) answer carries
-// stale deps, lets a real Run join it as a waiter, and requires the
-// waiter to discard the shared answer and execute fresh.
-func TestResultCacheStaleSharedWaiterReExecutes(t *testing.T) {
-	f, ref := resultRuntimes(t, 20000)
-	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	q := parse(t, src)
-	key, params := sqlparser.Normalize(q)
+// TestResultCacheWaiterReExecutes pins the two branches where a
+// singleflight waiter must discard what the flight handed it and run a
+// private leader pass, through both sinks of the one run path:
+//
+//   - stale-shared: a waiter whose query began AFTER an epoch change must
+//     never be served a flight answer computed before it;
+//   - cancelled-leader: a leader cancelled mid-flight poisons the shared
+//     error, but a waiter whose own context is live still owes an answer.
+//
+// A fake leader holds the flight open and lands a poisoned stale entry
+// (or context.Canceled); a real Run or stream joins as a waiter. Either
+// way the waiter's answer must be the fresh pipeline's, marked as its own
+// miss; the streamed session must carry the very frames of a cold stream
+// (the re-execution keeps the emitter), and its final must be bit-identical
+// to Run's.
+func TestResultCacheWaiterReExecutes(t *testing.T) {
+	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
+	key, params := sqlparser.Normalize(parse(t, src))
 	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-
 	stale := &resultEntry{
 		resp: &Response{
 			Result:    &exec.Result{Groups: []exec.Group{{}}},
@@ -357,52 +364,89 @@ func TestResultCacheStaleSharedWaiterReExecutes(t *testing.T) {
 		note: "miss",
 		deps: []tableDep{{table: "sessions", epoch: 999999}}, // ≠ current: stale
 	}
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var leaderWG sync.WaitGroup
-	leaderWG.Add(1)
-	go func() { // fake leader holding the flight open
-		defer leaderWG.Done()
-		f.rt.flights.Do(rkey, func() (*resultEntry, error) {
-			close(started) // the flight is registered before fn runs
-			<-release
-			return stale, nil
-		})
-	}()
-	<-started
-
-	type outcome struct {
-		resp *Response
-		err  error
+	cold, _ := resultRuntimes(t, 20000)
+	coldFrames := collect(t, cold.rt, parse(t, src))
+	if len(coldFrames) < 2 {
+		t.Fatalf("the cold stream has %d frame(s); the matrix needs intermediates", len(coldFrames))
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		resp, err := f.rt.Run(parse(t, src))
-		done <- outcome{resp, err}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the waiter join the flight
-	close(release)
-	leaderWG.Wait()
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	for _, d := range out.resp.Decisions {
-		if strings.Contains(d.Reason, "poisoned") {
-			t.Fatal("waiter served the stale flight answer")
+
+	for _, branch := range []string{"stale-shared", "cancelled-leader"} {
+		finals := map[string]*Response{}
+		for _, sink := range []string{"run", "stream"} {
+			f, ref := resultRuntimes(t, 20000)
+			started := make(chan struct{})
+			release := make(chan struct{})
+			var leader sync.WaitGroup
+			leader.Add(1)
+			go func() { // fake leader holding the flight open
+				defer leader.Done()
+				f.rt.flights.Do(rkey, func() (*resultEntry, error) {
+					close(started) // the flight is registered before fn runs
+					<-release
+					if branch == "cancelled-leader" {
+						return nil, context.Canceled
+					}
+					return stale, nil
+				})
+			}()
+			<-started
+
+			tr := telemetry.New("waiter")
+			var frames []Refinement
+			var resp *Response
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if sink == "run" {
+					resp, err = f.rt.RunCtxTraced(context.Background(), parse(t, src), tr)
+					return
+				}
+				err = f.rt.RunStreamTraced(context.Background(), parse(t, src), tr, func(r Refinement) error {
+					frames = append(frames, r)
+					return nil
+				})
+			}()
+			time.Sleep(50 * time.Millisecond) // let the waiter join the flight
+			close(release)
+			leader.Wait()
+			<-done
+			name := branch + "/" + sink
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tr.Finish()
+			took := false
+			tr.Walk(func(sp *telemetry.Span, _ int) { took = took || sp.Name() == branch+" re-execute" })
+			if !took {
+				t.Fatalf("%s: the waiter never took the %s branch:\n%s", name, branch, tr.Render())
+			}
+			if sink == "stream" {
+				checkSession(t, frames)
+				if !reflect.DeepEqual(frames, coldFrames) {
+					t.Errorf("%s: the re-execution did not stream a cold session's frames: %d frames, want %d",
+						name, len(frames), len(coldFrames))
+				}
+				resp = frames[len(frames)-1].Resp
+			}
+			if resp.ResultCache != "miss" {
+				t.Errorf("%s: ResultCache = %q, want the waiter's own miss", name, resp.ResultCache)
+			}
+			want, err := ref.Run(parse(t, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stripAll(want), stripAll(resp)) {
+				t.Errorf("%s: answer diverged from the fresh pipeline\nwant %+v\ngot  %+v", name, stripAll(want), stripAll(resp))
+			}
+			if s := f.rt.Stats(); s.ResultMisses != 1 || s.ResultShared != 0 {
+				t.Errorf("%s: misses=%d shared=%d, want one private execution", name, s.ResultMisses, s.ResultShared)
+			}
+			finals[sink] = resp
 		}
-	}
-	if out.resp.ResultCache == "shared" {
-		t.Fatal("stale flight answer must not be reported as shared")
-	}
-	want, err := ref.Run(parse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripAll(want), stripAll(out.resp)) {
-		t.Errorf("post-stale-flight answer diverged from the fresh pipeline\nwant %+v\ngot  %+v",
-			stripAll(want), stripAll(out.resp))
+		if !reflect.DeepEqual(finals["run"], finals["stream"]) {
+			t.Errorf("%s: stream final diverges from Run\n run    %+v\n stream %+v", branch, finals["run"], finals["stream"])
+		}
 	}
 }
 
@@ -420,7 +464,7 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
-	ent, cached, err := f.rt.resultLeader(context.Background(), q, key, params, rkey, nil)
+	ent, cached, err := f.rt.resultLeader(context.Background(), q, key, params, rkey, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

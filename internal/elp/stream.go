@@ -5,9 +5,9 @@ package elp
 // A family stores its resolutions as non-overlapping delta block sets, so
 // a query that will finally be answered at resolution F has a natural
 // chain of cheaper answers along the way: the probe resolution pv, then
-// pv+1, …, F−1, each adding one delta's worth of blocks. RunStream walks
-// that chain and emits one Refinement per level, so a client sees a first
-// (coarse, wide-bound) answer long before the final one.
+// pv+1, …, F−1, each adding one delta's worth of blocks. RunStreamTraced
+// walks that chain and emits one Refinement per level, so a client sees a
+// first (coarse, wide-bound) answer long before the final one.
 //
 // # Why refinements rescan the prefix
 //
@@ -41,7 +41,6 @@ package elp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"blinkdb/internal/exec"
 	"blinkdb/internal/sqlparser"
@@ -69,53 +68,29 @@ type Refinement struct {
 // midEmitter receives one intermediate (pre-final) refinement response.
 type midEmitter func(resp *Response, level int) error
 
-// RunStream executes q as a streaming-refinement session: emit is called
-// once per refinement, in order, ending with exactly one Final
+// RunStreamTraced executes q as a streaming-refinement session: emit is
+// called once per refinement, in order, ending with exactly one Final
 // refinement. An emit error aborts the session and is returned.
 // A session that cannot refine (result-cache hit, singleflight share,
 // exact template, single-level chain, DeltaReuse disabled) emits exactly
 // one final refinement, so emit is always called at least once on
-// success. Cancellation follows RunCtx: ctx is checked between
-// refinements and inside scans.
-func (rt *Runtime) RunStream(ctx context.Context, q *sqlparser.Query, emit func(Refinement) error) error {
-	return rt.RunStreamTraced(ctx, q, nil, emit)
-}
-
-// RunStreamTraced is RunStream with query-lifecycle telemetry: each
-// refinement records a "refinement N" span (note level=L, final on the
-// last) under the execute span, so span start times order first-answer
-// vs final-answer. The completed session is observed against its
-// template key exactly like a non-streaming Run (one Observation, final
-// answer's accounting).
+// success. Cancellation follows RunCtxTraced: ctx is checked between
+// refinements and inside scans. It is the same run as RunCtxTraced — one
+// body, with a refinement sink — so tr (which may be nil) sees the same
+// spans plus a "refinement N" span (note level=L, final on the last) per
+// refinement under the execute span, ordering first-answer vs
+// final-answer, and the completed session is observed against its template
+// key exactly like a non-streaming Run (one Observation, final answer's
+// accounting).
 func (rt *Runtime) RunStreamTraced(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace, emit func(Refinement) error) error {
-	reg := rt.opt.Telemetry
-	var started time.Time
-	if reg != nil {
-		started = time.Now()
-	}
-	if err := ctx.Err(); err != nil {
-		rt.bump(&rt.stats.cancelled)
-		return err
-	}
-	root := tr.Root()
-	nsp := root.Child("normalize")
-	key, params := sqlparser.Normalize(q)
-	nsp.End()
 	seq := 0
-	emitMid := func(resp *Response, level int) error {
+	final, err := rt.run(ctx, q, tr, func(resp *Response, level int) error {
 		r := Refinement{Resp: resp, Level: level, Seq: seq}
 		seq++
 		return emit(r)
-	}
-	final, err := rt.streamKeyed(ctx, q, key, params, root, emitMid)
+	})
 	if err != nil {
-		if isCancellation(err) {
-			rt.bump(&rt.stats.cancelled)
-		}
 		return err
-	}
-	if reg != nil {
-		reg.Observe(key, observationFor(final, time.Since(started).Seconds()))
 	}
 	return emit(Refinement{Resp: final, Level: responseLevel(final), Seq: seq, Final: true})
 }
@@ -135,123 +110,13 @@ func responseLevel(resp *Response) int {
 	return level
 }
 
-// streamKeyed is runKeyed's streaming twin: identical cache, singleflight
-// and annotation logic, with intermediate refinements flowing through
-// emitMid on the execute (leader) path. Cache hits and singleflight
-// shares stream nothing here — the caller emits their answer as the
-// session's single final refinement.
-func (rt *Runtime) streamKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emitMid midEmitter) (*Response, error) {
-	if rt.results == nil {
-		resp, note, _, err := rt.streamPrepared(ctx, q, key, params, root, emitMid)
-		if err != nil {
-			return nil, err
-		}
-		annotate(resp, note)
-		return resp, nil
-	}
-	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-	lsp := root.Child("result-cache lookup")
-	if ent, ok := rt.results.Get(rkey); ok {
-		if rt.freshDeps(ent.deps) {
-			lsp.End()
-			lsp.Note("result=hit")
-			rt.bump(&rt.stats.resultHits)
-			msp := root.Child("materialize")
-			resp := ent.resp.clone()
-			annotateResult(resp, "hit")
-			msp.End()
-			return resp, nil
-		}
-		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.freshDeps(cand.deps) })
-	}
-	lsp.End()
-	// Intermediates only flow on the miss (leader) path, and a miss's
-	// final is annotated result=miss — mark its intermediates the same
-	// way so a session's refinements agree about where they came from.
-	wrapped := func(resp *Response, level int) error {
-		annotateResult(resp, "miss")
-		return emitMid(resp, level)
-	}
-	var cachedHit bool
-	fsp := root.Child("execute")
-	ent, shared, err := rt.flights.Do(rkey, func() (*resultEntry, error) {
-		var err error
-		var e *resultEntry
-		e, cachedHit, err = rt.streamLeader(ctx, q, key, params, rkey, fsp, wrapped)
-		return e, err
-	})
-	fsp.End()
-	if err != nil {
-		// Same fallback as runKeyed: a cancelled leader poisons the shared
-		// error, but a waiter with a live context owes an answer — and,
-		// streaming, it owes the refinements too, so the private retry
-		// keeps the emitter.
-		if shared && isCancellation(err) && ctx.Err() == nil {
-			rsp := root.Child("cancelled-leader re-execute")
-			ent, cachedHit, err = rt.streamLeader(ctx, q, key, params, rkey, rsp, wrapped)
-			rsp.End()
-			if err != nil {
-				return nil, err
-			}
-			shared = false
-		} else {
-			return nil, err
-		}
-	}
-	if shared && !rt.freshDeps(ent.deps) {
-		// Stale-shared: see runKeyed. The private re-execution streams.
-		rsp := root.Child("stale-shared re-execute")
-		ent, cachedHit, err = rt.streamLeader(ctx, q, key, params, rkey, rsp, wrapped)
-		rsp.End()
-		if err != nil {
-			return nil, err
-		}
-		shared = false
-	}
-	msp := root.Child("materialize")
-	resp := ent.resp.clone()
-	switch {
-	case shared:
-		rt.bump(&rt.stats.resultShared)
-		annotateResult(resp, "shared")
-		fsp.Note("result=shared")
-	case cachedHit:
-		rt.bump(&rt.stats.resultHits)
-		annotateResult(resp, "hit")
-		fsp.Note("result=hit")
-	default:
-		annotate(resp, ent.note)
-		annotateResult(resp, "miss")
-		fsp.Note("result=miss")
-	}
-	msp.End()
-	return resp, nil
-}
-
-// streamLeader is resultLeader with a refinement sink: the singleflight
-// leader streams its intermediates while computing the answer that every
-// concurrent waiter will share (waiters emit only their final).
-func (rt *Runtime) streamLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emitMid midEmitter) (*resultEntry, bool, error) {
-	if cached, ok := rt.results.Get(rkey); ok && rt.freshDeps(cached.deps) {
-		return cached, true, nil
-	}
-	resp, note, deps, err := rt.streamPrepared(ctx, q, key, params, sp, emitMid)
-	if err != nil {
-		return nil, false, err
-	}
-	rt.bump(&rt.stats.resultMisses)
-	ent := &resultEntry{resp: resp, note: note, deps: deps}
-	rt.results.Put(rkey, ent)
-	return ent, false, nil
-}
-
 // streamParams executes a prepared query, streaming intermediate
 // refinements through emitMid when non-nil. The returned final Response
-// is bit-identical to the emitMid==nil (non-streaming executeParams)
-// path: the final always runs the exact chooseConjunctive/scanConjunctive
-// pair against the shared memo. See the package comment at the top of
-// this file for why intermediates rescan the pruned prefix rather than
-// folding delta partials across caps.
+// is bit-identical to the emitMid==nil (non-streaming) path: the final
+// always runs the exact chooseConjunctive/scanConjunctive pair against the
+// shared memo. See the package comment at the top of this file for why
+// intermediates rescan the pruned prefix rather than folding delta
+// partials across caps.
 func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, error) {
 	bsp := sp.Child("bind+scan")
 	defer bsp.End()

@@ -16,7 +16,7 @@ import (
 func collect(t *testing.T, rt *Runtime, q *sqlparser.Query) []Refinement {
 	t.Helper()
 	var refs []Refinement
-	if err := rt.RunStream(context.Background(), q, func(r Refinement) error {
+	if err := rt.RunStreamTraced(context.Background(), q, nil, func(r Refinement) error {
 		refs = append(refs, r)
 		return nil
 	}); err != nil {
@@ -183,7 +183,7 @@ func TestStreamStampede(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			errs[g] = f.rt.RunStream(context.Background(), parse(t, src), func(r Refinement) error {
+			errs[g] = f.rt.RunStreamTraced(context.Background(), parse(t, src), nil, func(r Refinement) error {
 				sessions[g] = append(sessions[g], r)
 				return nil
 			})
@@ -311,8 +311,8 @@ func TestStreamCancelBetweenRefinements(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []Refinement
-	err := f.rt.RunStream(ctx, parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`),
+	err := f.rt.RunStreamTraced(ctx, parse(t,
+		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`), nil,
 		func(r Refinement) error {
 			got = append(got, r)
 			cancel()
@@ -340,7 +340,7 @@ func TestStreamAlreadyCancelled(t *testing.T) {
 	f := newFixture(t, 5000, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := f.rt.RunStream(ctx, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`),
+	err := f.rt.RunStreamTraced(ctx, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`), nil,
 		func(Refinement) error {
 			t.Error("emit called despite dead context")
 			return nil

@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -50,7 +51,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10% AT CONFIDENCE 95%`)
 
 	cold := telemetry.New("query")
-	if _, err := f.rt.RunTraced(q, cold); err != nil {
+	if _, err := f.rt.RunCtxTraced(context.Background(), q, cold); err != nil {
 		t.Fatal(err)
 	}
 	cold.Finish()
@@ -74,7 +75,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	}
 
 	warm := telemetry.New("query")
-	if _, err := f.rt.RunTraced(q, warm); err != nil {
+	if _, err := f.rt.RunCtxTraced(context.Background(), q, warm); err != nil {
 		t.Fatal(err)
 	}
 	warm.Finish()
@@ -98,7 +99,7 @@ func TestPlanCacheHitTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := telemetry.New("query")
-	if _, err := f.rt.RunTraced(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr); err != nil {
+	if _, err := f.rt.RunCtxTraced(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -133,7 +134,7 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	}
 	for _, src := range queries {
 		tr := telemetry.New("query")
-		a, err := on.rt.RunTraced(parse(t, src), tr)
+		a, err := on.rt.RunCtxTraced(context.Background(), parse(t, src), tr)
 		tr.Finish()
 		if err != nil {
 			t.Fatal(err)

@@ -152,31 +152,11 @@ type Plan struct {
 	Aggs       []AggPlan
 	Limit      int
 
-	// Tuning toggles the scan path's physical optimizations.
-	Tuning Tuning
-
 	// rt caches the compiled predicate closure and zone-pruning bounds.
 	// It is populated by Compile/WithPred; hand-assembled Plans fall back
 	// to compiling on entry (without mutating the Plan, so sharing a Plan
 	// across goroutines stays race-free).
 	rt *planRuntime
-}
-
-// Tuning disables individual physical optimizations of the scan path —
-// the A/B benchmarks and the equivalence suite use it to pin the old and
-// new paths against each other. The zero value enables everything. Every
-// combination is purely physical: the Result is bit-identical across all
-// of them (and across worker counts), only the speed differs.
-type Tuning struct {
-	// NoTristateZones keeps zone maps prune-only: blocks whose zones prove
-	// the predicate true for every row are still evaluated row by row.
-	NoTristateZones bool
-	// NoSelVectors disables the selection-vector compare kernels; single-
-	// leaf predicates always evaluate through the bitmap kernels.
-	NoSelVectors bool
-	// NoLateMaterialization makes joins materialize every fact row and
-	// expand it before filtering, as the pre-overhaul path did.
-	NoLateMaterialization bool
 }
 
 // planRuntime is the precompiled hot-path state derived from Plan.Pred.
@@ -190,21 +170,17 @@ type planRuntime struct {
 	// conjunction of them (nil otherwise) — the precondition for the
 	// all-true zone shortcut (see zoneImpliesPred).
 	leaves []*types.CmpPred
-	// soleLeaf is set when the whole predicate is a single comparison —
-	// the shape eligible for selection-vector kernels.
-	soleLeaf *types.CmpPred
 }
 
 func newPlanRuntime(pred types.Predicate) *planRuntime {
 	if pred == nil {
 		pred = types.TruePred{}
 	}
-	rt := &planRuntime{pred: types.CompilePredicate(pred), bounds: boundList(ColumnBounds(pred))}
-	rt.leaves = conjunctiveLeaves(pred)
-	if len(rt.leaves) == 1 {
-		rt.soleLeaf = rt.leaves[0]
+	return &planRuntime{
+		pred:   types.CompilePredicate(pred),
+		bounds: boundList(ColumnBounds(pred)),
+		leaves: conjunctiveLeaves(pred),
 	}
-	return rt
 }
 
 // runtime returns the plan's compiled state, compiling a transient copy
@@ -489,10 +465,17 @@ func (pt *Partial) addMatched(p *Plan, row types.Row, rate float64, stratumFreq 
 }
 
 // zoneMayMatch reports whether a block's zone maps can intersect the
-// plan's conjunctive bounds. Blocks without zones are conservatively kept.
+// plan's conjunctive bounds. Blocks without zones, and columns holding a
+// NaN, are conservatively kept.
 func zoneMayMatch(b *storage.Block, bounds []colBound) bool {
 	for _, cb := range bounds {
 		if cb.col >= len(b.Zones) || !b.Zones[cb.col].Valid {
+			continue
+		}
+		// A NaN compares equal to everything: it never widens a zone (a
+		// leading one pins it at [NaN, NaN]) yet passes =, <= and >= against
+		// any constant, so its column's bracket says nothing about the block.
+		if d := b.Col; d != nil && cb.col < len(d.Cols) && !d.Cols[cb.col].NaNFree {
 			continue
 		}
 		z := &b.Zones[cb.col]
@@ -525,7 +508,6 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	if hi > len(in.Blocks) {
 		hi = len(in.Blocks)
 	}
-	pred := rt.pred
 	if sc == nil {
 		sc = &colScratch{} // direct RunPartial calls
 	}
@@ -536,62 +518,16 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 			continue // pruned: never read, never counted
 		}
 		pt.BytesScanned += b.Bytes
-		if d := b.Col; d != nil {
-			// Columnar block: vectorized kernels (bit-identical to the
-			// row loops below — see vector.go's contract).
-			if jr == nil {
-				// Three-state zone classification: zoneMayMatch above
-				// handled all-false; a zone bracket that PROVES the
-				// predicate lets the scan skip evaluation and
-				// batch-aggregate every row.
-				allTrue := false
-				if pred != nil && rt.leaves != nil && !p.Tuning.NoTristateZones {
-					allTrue = zoneImpliesPred(b, d, rt.leaves)
-				}
-				pt.scanColumnar(p, rt, in, d, sc, allTrue)
-			} else if p.Tuning.NoLateMaterialization {
-				pt.scanColumnarExpand(p, rt, in, d, sc, jr)
-			} else {
-				pt.scanColumnarJoin(p, rt, in, d, sc, jr)
-			}
+		d := b.Col
+		if jr != nil {
+			pt.scanColumnarJoin(p, in, d, sc, jr)
 			continue
 		}
-		if jr == nil {
-			for i, row := range b.Rows {
-				pt.RowsScanned++
-				if pred != nil && !pred(row) {
-					continue
-				}
-				rate := 1.0
-				if in.Rate != nil {
-					rate = in.Rate(b.Meta[i]) // only matched rows pay this
-				}
-				pt.addMatched(p, row, rate, b.Meta[i].StratumFreq)
-			}
-			continue
-		}
-		// Row-layout join scan: expand every fact row through the join
-		// chain into the pooled combined-row buffer, filter, aggregate.
-		// (addMatched never retains the row, so buffer reuse is safe.)
-		buf := sc.rowBuf(jr.width)
-		var rate float64
-		var freq int64
-		emit := func(r types.Row) {
-			if pred != nil && !pred(r) {
-				return
-			}
-			pt.addMatched(p, r, rate, freq)
-		}
-		for i, row := range b.Rows {
-			pt.RowsScanned++
-			rate = 1.0
-			if in.Rate != nil {
-				rate = in.Rate(b.Meta[i])
-			}
-			freq = b.Meta[i].StratumFreq
-			n := copy(buf, row)
-			jr.expandInto(buf, n, 0, emit)
-		}
+		// Three-state zone classification: zoneMayMatch above handled
+		// all-false; a zone bracket that PROVES the predicate lets the scan
+		// skip evaluation and batch-aggregate every row.
+		allTrue := rt.pred == nil || (rt.leaves != nil && zoneImpliesPred(b, d, rt.leaves))
+		pt.scanColumnar(p, in, d, sc, allTrue)
 	}
 	return pt
 }
@@ -792,33 +728,13 @@ func encodeKey(key []types.Value) string {
 	return b.String()
 }
 
-// Sched names the schedule of the SIMULATED cluster. Node affinity is a
-// pricing concept, carried by ScanShards: which of a block list's bytes a
-// node-local task reads from its own disk. The executor itself has no
-// nodes to be local to, and its unit of work — a row-budgeted range (see
-// scanRanges) — spans dozens of round-robin-placed blocks and has no
-// owner, so both modes run the same scan: workers claim ranges in index
-// order and partials fold in partition-index order, bit-identical across
-// modes and worker counts.
+// Sched is single-valued: it and RunParallelSchedCtx's parameter exist
+// only because benchmark/ passes one; a benchmark-archetype PR removes
+// both. Node affinity is a pricing concept, carried by ScanShards.
 type Sched uint8
 
-const (
-	// SchedNodeAffine — the default — is the paper's §2.2.1 layout: samples
-	// striped as many small blocks across the cluster, scanned by
-	// node-local tasks. ScanShards is what prices it.
-	SchedNodeAffine Sched = iota
-	// SchedBlind is the node-blind schedule the locality ablations compare
-	// against.
-	SchedBlind
-)
-
-// String renders the scheduling mode.
-func (s Sched) String() string {
-	if s == SchedBlind {
-		return "blind"
-	}
-	return "node-affine"
-}
+// SchedNodeAffine is the paper's §2.2.1 schedule: node-local scan tasks.
+const SchedNodeAffine Sched = 0
 
 // ScanShards is the PRICING partition of a block list: up to maxPartials
 // contiguous per-block-count ranges and the per-node shards that own them
@@ -837,55 +753,40 @@ func Run(p *Plan, in Input, confidence float64) *Result {
 	return RunParallel(p, in, confidence, 1)
 }
 
-// RunParallelSchedCtx is RunParallelSchedTraced with a cancellation
-// context: workers re-check ctx between scan ranges, so a cancelled
-// context stops the scan within one range's worth of work. A context
-// cancelled before the call scans nothing. On cancellation the partial
-// merge is abandoned and ctx.Err() is returned; a nil error guarantees
-// the Result is the same bit-identical answer the uncancellable
-// entry points produce.
-func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
-	return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
-}
-
 // RunParallel executes the plan over the input using up to workers
 // goroutines. The block list is split into contiguous ranges whose
 // boundaries depend only on the blocks' row counts; each range produces
 // one Partial, folded in partition-index order — so the Result is
 // bit-identical for every workers value (1, 8, or more workers than
-// ranges) and for either schedule.
+// ranges).
 func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
-	return RunParallelSched(p, in, confidence, workers, SchedNodeAffine)
-}
-
-// RunParallelSched is RunParallel with an explicit scheduling mode (which
-// the executor does not distinguish: see Sched).
-func RunParallelSched(p *Plan, in Input, confidence float64, workers int, _ Sched) *Result {
 	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, nil, nil)
 	return res
 }
 
-// RunParallelSchedTraced is RunParallelSched with a telemetry span under
-// which the scan records per-range child spans and the merge phase. sp
-// may be nil (identical to RunParallelSched).
-func RunParallelSchedTraced(p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, nil, sp)
-	return res
+// RunParallelSchedCtx is RunParallel with a cancellation context and a
+// telemetry span under which the scan records per-range child spans and
+// the merge phase (sp may be nil). Workers re-check ctx between scan
+// ranges, so a cancelled context stops the scan within one range's worth
+// of work; a context cancelled before the call scans nothing. On
+// cancellation the partial merge is abandoned and ctx.Err() is returned;
+// a nil error guarantees the Result is the same bit-identical answer
+// RunParallel produces.
+func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
+	return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
 }
 
 // runRanges is the shared scan driver for plain and join execution. Each
 // range of scanRanges yields one Partial, delivered at its partition index
 // and folded in that order, so every float accumulation — and hence the
-// Result — is identical across worker counts (and across schedules, which
-// the executor does not distinguish: see Sched). A single-range scan runs
+// Result — is identical across worker counts. A single-range scan runs
 // inline on the caller: no goroutine, no mutex, and the Result is
 // finalized from the Partial's own group states.
 // Span bookkeeping (sp non-nil) adds one child span per range plus a merge
 // span; with sp nil the scan performs no telemetry work at all.
 // Cancellation is checked per range; once ctx is cancelled no further
-// range is scanned and ctx.Err() is returned with a nil Result. The
-// background-context entry points above can therefore never observe an
-// error.
+// range is scanned and ctx.Err() is returned with a nil Result; under a
+// background context the error is therefore always nil.
 func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confidence float64, workers int,
 	jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
 

@@ -289,42 +289,21 @@ func (jr *joinRuntime) expandInto(buf types.Row, n, depth int, emit func(types.R
 	}
 }
 
-// RunJoin executes the plan over fact ⋈ dims with a single worker. It is
-// exactly RunJoinParallel(p, in, joins, confidence, 1).
-func RunJoin(p *Plan, in Input, joins []JoinSpec, confidence float64) *Result {
-	return RunJoinParallel(p, in, joins, confidence, 1)
-}
-
-// RunJoinParallel executes the plan over fact ⋈ dims: the fact side
-// streams from `in` (a base table or a sample view — rates carry through
-// unchanged, since dimensions are unsampled, §2.1); dimension rows are
-// hash-joined in memory. plan must be compiled against the combined
-// schema. The join indexes are built once up front and then shared
-// read-only across the scan workers; like RunParallel, the Result is
-// bit-identical for every workers value and either schedule.
-func RunJoinParallel(p *Plan, in Input, joins []JoinSpec, confidence float64, workers int) *Result {
-	return RunJoinParallelSched(p, in, joins, confidence, workers, SchedNodeAffine)
-}
-
-// RunJoinParallelSched is RunJoinParallel with an explicit scheduling
-// mode.
-func RunJoinParallelSched(p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, sched Sched) *Result {
-	return RunJoinParallelSchedTraced(p, in, joins, confidence, workers, sched, nil)
-}
-
-// RunJoinParallelSchedTraced is RunJoinParallelSched with a telemetry
-// span covering the join-index build and the fact-side scan. sp may be
-// nil (identical to RunJoinParallelSched).
-func RunJoinParallelSchedTraced(p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, sched Sched, sp *telemetry.Span) *Result {
-	res, _ := RunJoinParallelSchedCtx(context.Background(), p, in, joins, confidence, workers, sched, sp)
-	return res
-}
-
-// RunJoinParallelSchedCtx is RunJoinParallelSchedTraced with a
-// cancellation context, under the same contract as RunParallelSchedCtx:
-// workers re-check ctx between claim units, a pre-cancelled context scans
-// nothing, and a nil error guarantees the bit-identical Result.
-func RunJoinParallelSchedCtx(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
+// RunJoin executes the plan over fact ⋈ dims: the fact side streams from
+// `in` (a base table or a sample view — rates carry through unchanged,
+// since dimensions are unsampled, §2.1); dimension rows are hash-joined in
+// memory. plan must be compiled against the combined schema. The join
+// indexes are built once up front and then shared read-only across the
+// scan workers; like RunParallel, the Result is bit-identical for every
+// workers value. ctx and sp follow RunParallelSchedCtx's contract: workers
+// re-check ctx between scan ranges, a pre-cancelled context scans nothing,
+// a nil error guarantees the bit-identical Result, and a non-nil sp covers
+// the join-index build and the fact-side scan. With no joins it is the
+// plain scan.
+func RunJoin(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, sp *telemetry.Span) (*Result, error) {
+	if len(joins) == 0 {
+		return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -339,9 +318,8 @@ func RunJoinParallelSchedCtx(ctx context.Context, p *Plan, in Input, joins []Joi
 		Blocks: in.Blocks,
 		Rate:   in.Rate,
 	}
-	// The scan drives expansion through jr: columnar fact blocks take the
-	// late-materialization path (fact predicate first, probe keys straight
-	// from the columns, materialise only matched rows), row blocks expand
-	// into the pooled buffer.
+	// The scan drives expansion through jr (scanColumnarJoin): fact
+	// predicate first, probe keys straight from the columns, materialise
+	// only matched rows.
 	return runRanges(ctx, p, p.runtime(), joined, confidence, workers, jr, sp)
 }

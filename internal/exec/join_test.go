@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,6 +75,17 @@ func compileJoinQuery(t testing.TB, src string, fact *storage.Table,
 	return plan, specs
 }
 
+// runJoin is RunJoin at 95% confidence under a background context, where
+// it cannot fail.
+func runJoin(t testing.TB, p *Plan, in Input, joins []JoinSpec, workers int) *Result {
+	t.Helper()
+	res, err := RunJoin(context.Background(), p, in, joins, 0.95, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestJoinedSchemaCollisionsQualified(t *testing.T) {
 	fact := factTable(t, 10, 5, 1)
 	dim := dimTable(t, 5)
@@ -100,7 +112,7 @@ func TestJoinExactMatchesNestedLoop(t *testing.T) {
 		`SELECT COUNT(*), SUM(watchtime) FROM views JOIN media ON objectid = objectid WHERE genre = 'western' GROUP BY city`,
 		fact, map[string]*storage.Table{"media": dim})
 
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runJoin(t, plan, FromTable(fact), specs, 1)
 
 	// Nested-loop reference.
 	genreOf := map[int64]string{}
@@ -141,7 +153,7 @@ func TestJoinOnSampledFactUnbiased(t *testing.T) {
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid WHERE genre = 'drama'`,
 		fact, map[string]*storage.Table{"media": dim})
 
-	exact := RunJoin(plan, FromTable(fact), specs, 0.95)
+	exact := runJoin(t, plan, FromTable(fact), specs, 1)
 	truth := exact.Groups[0].Estimates[0].Point
 
 	// Stratified sample on the join key (§2.1 case (i)).
@@ -149,7 +161,7 @@ func TestJoinOnSampledFactUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx := RunJoin(plan, FromView(fam.View(0)), specs, 0.95)
+	approx := runJoin(t, plan, FromView(fam.View(0)), specs, 1)
 	e := approx.Groups[0].Estimates[0]
 	if math.Abs(e.Point-truth) > math.Max(3*e.StdErr, truth*0.1) {
 		t.Errorf("sampled join count %g vs truth %g (stderr %g)", e.Point, truth, e.StdErr)
@@ -174,7 +186,7 @@ func TestMultiWayJoin(t *testing.T) {
 	plan, specs := compileJoinQuery(t,
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid JOIN ratings ON genre = genre WHERE kids = TRUE`,
 		fact, map[string]*storage.Table{"media": media, "ratings": ratings})
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runJoin(t, plan, FromTable(fact), specs, 1)
 
 	// comedy objects are ids ≡ 2 mod 3.
 	want := 0.0
@@ -195,7 +207,7 @@ func TestJoinDropsUnmatchedRows(t *testing.T) {
 	plan, specs := compileJoinQuery(t,
 		`SELECT COUNT(*) FROM views JOIN media ON objectid = objectid`,
 		fact, map[string]*storage.Table{"media": dim})
-	got := RunJoin(plan, FromTable(fact), specs, 0.95)
+	got := runJoin(t, plan, FromTable(fact), specs, 1)
 	want := 0.0
 	fact.Scan(func(r types.Row, _ storage.RowMeta) bool {
 		if r[0].I < 10 {
@@ -239,6 +251,6 @@ func BenchmarkJoin(b *testing.B) {
 	in := FromTable(fact)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunJoin(plan, in, specs, 0.95)
+		runJoin(b, plan, in, specs, 1)
 	}
 }

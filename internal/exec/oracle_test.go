@@ -1,0 +1,174 @@
+package exec
+
+import (
+	"context"
+	"reflect"
+	"sort"
+	"testing"
+
+	"blinkdb/internal/stats"
+	"blinkdb/internal/types"
+)
+
+// oracle is the naive reference evaluator every production scan must match
+// bit for bit: one materialised row at a time through the compiled
+// predicate closure, one stats.Acc.Add per row and aggregate, a nested loop
+// for joins. It takes production's data types and otherwise shares only
+// stats.Acc, types.CompilePredicate, Block.RowAt/MetaAt and scanRanges with
+// it — the last because the fold order (one accumulator set per range,
+// merged in range order) is part of the Result's contract, not an
+// implementation detail. It has no kernels, no encodings and no zone maps:
+// it reads every block (see checkOracle for what that means for the two
+// scan counters).
+func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
+	type group struct {
+		key  []types.Value
+		accs []*stats.Acc
+	}
+	pred := types.CompilePredicate(p.Pred) // nil: always true
+	dims := make([][]types.Row, len(joins))
+	for d, j := range joins {
+		for _, b := range j.Dim.Blocks {
+			for i := 0; i < b.NumRows(); i++ {
+				dims[d] = append(dims[d], b.RowAt(i))
+			}
+		}
+	}
+	res := &Result{Confidence: conf}
+	merged := map[string]*group{}
+	// Per-range state (one accumulator set and one weight sum per range,
+	// folded in range order) and the current fact row's sampling metadata.
+	var part map[string]*group
+	var weighted, rate float64
+	var freq int64
+	// expand walks the join chain depth-first in dimension scan order; with
+	// no joins it visits the fact row once.
+	var expand func(row types.Row, depth int)
+	expand = func(row types.Row, depth int) {
+		if depth < len(joins) {
+			j := joins[depth]
+			for _, dr := range dims[depth] {
+				if dr[j.RightCol].Key() == row[j.LeftCol].Key() {
+					expand(append(row[:len(row):len(row)], dr...), depth+1)
+				}
+			}
+			return
+		}
+		if pred != nil && !pred(row) {
+			return
+		}
+		res.RowsMatched++
+		if rate > 0 {
+			weighted += 1 / rate
+		}
+		if freq > res.MaxMatchedStratumFreq {
+			res.MaxMatchedStratumFreq = freq
+		}
+		k := types.RowKey(row, p.GroupBy)
+		g := part[k]
+		if g == nil {
+			g = &group{}
+			for _, ci := range p.GroupBy {
+				g.key = append(g.key, row[ci])
+			}
+			for _, a := range p.Aggs {
+				g.accs = append(g.accs, stats.NewAcc(a.Kind, a.P))
+			}
+			part[k] = g
+		}
+		for ai, a := range p.Aggs {
+			x := 1.0 // COUNT(*), and COUNT(col) of a non-NULL
+			if a.Col >= 0 {
+				if row[a.Col].IsNull() {
+					continue // SQL: NULLs drop out of this aggregate only
+				}
+				if a.Kind != stats.AggCount {
+					x = row[a.Col].AsFloat()
+				}
+			}
+			g.accs[ai].Add(x, rate)
+		}
+	}
+	for _, r := range scanRanges(in.Blocks) {
+		part, weighted = map[string]*group{}, 0
+		for _, b := range in.Blocks[r.Lo:r.Hi] {
+			res.BytesScanned += b.Bytes
+			for i := 0; i < b.NumRows(); i++ {
+				res.RowsScanned++
+				meta := b.MetaAt(i)
+				rate, freq = 1, meta.StratumFreq
+				if in.Rate != nil {
+					rate = in.Rate(meta)
+				}
+				expand(b.RowAt(i), 0)
+			}
+		}
+		res.WeightedMatched += weighted
+		for k, g := range part {
+			if have := merged[k]; have != nil {
+				for ai := range have.accs {
+					have.accs[ai].Merge(g.accs[ai])
+				}
+			} else {
+				merged[k] = g
+			}
+		}
+	}
+	if len(p.GroupBy) == 0 && len(merged) == 0 {
+		g := &group{} // a global aggregate always answers, even over nothing
+		for _, a := range p.Aggs {
+			g.accs = append(g.accs, stats.NewAcc(a.Kind, a.P))
+		}
+		merged[""] = g
+	}
+	keys := make([]string, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := merged[keys[i]].key, merged[keys[j]].key
+		for c := range a {
+			if d := types.Compare(a[c], b[c]); d != 0 {
+				return d < 0
+			}
+		}
+		return keys[i] < keys[j] // Int(1) vs Float(1): equal under Compare, distinct groups
+	})
+	for _, k := range keys {
+		g := Group{Key: merged[k].key, Estimates: make([]stats.Estimate, len(p.Aggs))}
+		for ai, acc := range merged[k].accs {
+			g.Estimates[ai] = acc.Estimate(conf)
+		}
+		res.Groups = append(res.Groups, g)
+	}
+	if p.Limit > 0 && len(res.Groups) > p.Limit {
+		res.Groups = res.Groups[:p.Limit]
+	}
+	return res
+}
+
+// checkOracle asserts that production returns the oracle's Result for 1, 3
+// and 8 workers (a plain scan when joins is empty). Zone pruning is the one
+// thing the oracle does not model: a pruned block holds no matching row, so
+// it can only lower RowsScanned and BytesScanned and move nothing else —
+// the two counters are checked as upper bounds (their exact pruned values
+// are pinned by TestScanPruningSkipsBlocks), everything else by DeepEqual.
+func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec) {
+	t.Helper()
+	want := oracle(p, in, joins, 0.95)
+	rows, bytes := want.RowsScanned, want.BytesScanned
+	for _, w := range []int{1, 3, 8} {
+		got, err := RunJoin(context.Background(), p, in, joins, 0.95, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.RowsScanned > rows || got.BytesScanned > bytes {
+			t.Fatalf("%s workers=%d: scanned %d rows / %d bytes, the input holds %d / %d",
+				label, w, got.RowsScanned, got.BytesScanned, rows, bytes)
+		}
+		want.RowsScanned, want.BytesScanned = got.RowsScanned, got.BytesScanned
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s workers=%d: production diverged from the oracle\nwant %+v\ngot  %+v", label, w, want, got)
+		}
+	}
+}

@@ -206,12 +206,12 @@ func TestParallelJoinEquivalence(t *testing.T) {
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions GROUP BY region`, combined)
 	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
 	in := FromTable(tab)
-	want := RunJoinParallel(p, in, []JoinSpec{spec}, 0.95, 1)
+	want := runJoin(t, p, in, []JoinSpec{spec}, 1)
 	if len(want.Groups) != 3 {
 		t.Fatalf("join groups = %d, want 3 (east/south/west)", len(want.Groups))
 	}
 	for _, w := range []int{2, 4, 8, 1 << 10} {
-		got := RunJoinParallel(p, in, []JoinSpec{spec}, 0.95, w)
+		got := runJoin(t, p, in, []JoinSpec{spec}, w)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: join result diverged", w)
 		}
@@ -289,7 +289,8 @@ func TestCompiledPredicateMatchesEval(t *testing.T) {
 		p := compile(t, src, tab.Schema)
 		compiled := types.CompilePredicate(p.Pred)
 		for _, blk := range tab.Blocks {
-			for _, row := range blk.Rows {
+			for i := 0; i < blk.NumRows(); i++ {
+				row := blk.RowAt(i)
 				want := p.Pred.Eval(row)
 				got := want
 				if compiled != nil {

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -107,10 +106,10 @@ func TestScanRangesInvariants(t *testing.T) {
 	}
 }
 
-// irregularTable builds the three physical designs of one logical table
-// whose block sizes are given explicitly (0 = an empty block): the shapes
-// where a row-budgeted partition can go wrong.
-func irregularTable(t testing.TB, sizes []int) (row, plain, rle *storage.Table) {
+// irregularTable builds both physical designs (plain encodings, RLE) of one
+// logical table whose block sizes are given explicitly (0 = an empty
+// block): the shapes where a row-budgeted partition can go wrong.
+func irregularTable(t testing.TB, sizes []int) (plain, rle *storage.Table) {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "strat", Kind: types.KindString},
@@ -119,13 +118,13 @@ func irregularTable(t testing.TB, sizes []int) (row, plain, rle *storage.Table) 
 		types.Column{Name: "v", Kind: types.KindFloat},
 	)
 	cities := []string{"NY", "NY", "NY", "SF", "SF", "LA", "Austin", "Boise"}
-	build := func(layout storage.Layout, noRLE bool) *storage.Table {
+	build := func(noRLE bool) *storage.Table {
 		tab := storage.NewTable("t", schema)
 		rng := rand.New(rand.NewSource(5))
 		n := 0
 		for bi, size := range sizes {
 			one := storage.NewTable("t", schema)
-			b := storage.NewBuilderLayout(one, size+1, 7, storage.InMemory, layout)
+			b := storage.NewBuilder(one, size+1, 7, storage.InMemory)
 			if noRLE {
 				b.DisableRLE()
 			} else {
@@ -144,18 +143,16 @@ func irregularTable(t testing.TB, sizes []int) (row, plain, rle *storage.Table) 
 				}, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * (1 + rng.Intn(4)))})
 				n++
 			}
-			blk := &storage.Block{Node: bi % 7}
+			blk := &storage.Block{Col: colstore.NewBuilder(schema.Len()).Finish()}
 			if size > 0 {
 				blk = b.Finish().Blocks[0]
-				blk.Node = bi % 7
-			} else if layout == storage.ColumnarLayout {
-				blk.Col = colstore.NewBuilder(schema.Len()).Finish()
 			}
+			blk.Node = bi % 7
 			tab.AddBlock(blk)
 		}
 		return tab
 	}
-	return build(storage.RowLayout, true), build(storage.ColumnarLayout, true), build(storage.ColumnarLayout, false)
+	return build(true), build(false)
 }
 
 var irregularShapes = map[string][]int{
@@ -169,10 +166,10 @@ var irregularShapes = map[string][]int{
 }
 
 // TestPartitionInvariant is the property the row-budgeted partition must
-// keep: over tables with irregular blocks, every worker count × schedule ×
-// physical design returns the bit-identical Result. (The older equivalence
-// sweeps run on tables of a few thousand rows, which are now one range;
-// these shapes are the ones that fold several.)
+// keep: over tables with irregular blocks, every worker count × physical
+// design returns the oracle's Result. (The other equivalence sweeps run on
+// tables of a few thousand rows, which are one range; these shapes are the
+// ones that fold several.)
 func TestPartitionInvariant(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(*), SUM(v), AVG(v) FROM t GROUP BY city`,
@@ -181,34 +178,16 @@ func TestPartitionInvariant(t *testing.T) {
 		`SELECT COUNT(*) FROM t WHERE city = 'Nowhere'`,
 	}
 	for name, sizes := range irregularShapes {
-		row, plain, rle := irregularTable(t, sizes)
+		plain, rle := irregularTable(t, sizes)
 		if !hasRLEColumn(rle) || hasRLEColumn(plain) {
 			t.Fatalf("%s: RLE legs are not what they claim", name)
 		}
 		for _, src := range queries {
-			p := compile(t, src, row.Schema)
-			for _, rated := range []bool{false, true} {
-				input := func(tab *storage.Table) Input {
-					if rated {
-						return FromBlocks(tab.Schema, tab.Blocks, 120) // weighted rates
-					}
-					return FromTable(tab)
-				}
-				want := RunParallelSched(p, input(row), 0.95, 1, SchedBlind)
-				for li, tab := range []*storage.Table{row, plain, rle} {
-					for _, w := range []int{1, 2, 3, 8, 64} {
-						for _, sched := range []Sched{SchedNodeAffine, SchedBlind} {
-							got, err := RunParallelSchedCtx(context.Background(), p, input(tab), 0.95, w, sched, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("%s layout=%d workers=%d sched=%v rated=%v query=%q: result diverged\nwant %+v\ngot  %+v",
-									name, li, w, sched, rated, src, want, got)
-							}
-						}
-					}
-				}
+			p := compile(t, src, plain.Schema)
+			for leg, tab := range map[string]*storage.Table{"plain": plain, "rle": rle} {
+				label := name + " " + leg + " " + src
+				checkOracle(t, label, p, FromTable(tab), nil)
+				checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 120), nil)
 			}
 		}
 	}
@@ -227,23 +206,15 @@ func TestPartitionInvariantJoin(t *testing.T) {
 	}
 	db.Finish()
 	for name, sizes := range irregularShapes {
-		row, plain, rle := irregularTable(t, sizes)
-		combined, _, err := JoinedSchema(row.Schema, []*storage.Table{dim})
+		plain, rle := irregularTable(t, sizes)
+		combined, _, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
 		if err != nil {
 			t.Fatal(err)
 		}
-		joins := []JoinSpec{{Dim: dim, LeftCol: row.Schema.Index("city"), RightCol: 0}}
+		joins := []JoinSpec{{Dim: dim, LeftCol: plain.Schema.Index("city"), RightCol: 0}}
 		p := compile(t, `SELECT COUNT(*), AVG(v) FROM t WHERE code < 700 GROUP BY region`, combined)
-		want := RunJoinParallelSched(p, FromTable(row), joins, 0.95, 1, SchedBlind)
-		for li, tab := range []*storage.Table{row, plain, rle} {
-			for _, w := range []int{1, 2, 3, 8, 64} {
-				for _, sched := range []Sched{SchedNodeAffine, SchedBlind} {
-					if got := RunJoinParallelSched(p, FromTable(tab), joins, 0.95, w, sched); !reflect.DeepEqual(want, got) {
-						t.Fatalf("%s layout=%d workers=%d sched=%v: join result diverged", name, li, w, sched)
-					}
-				}
-			}
-		}
+		checkOracle(t, name+" plain", p, FromTable(plain), joins)
+		checkOracle(t, name+" rle", p, FromTable(rle), joins)
 	}
 }
 
@@ -251,7 +222,7 @@ func TestPartitionInvariantJoin(t *testing.T) {
 // unpruned input (the scan prunes as it goes either way), and the marker
 // only short-circuits the re-check for the plan it was pruned against.
 func TestPrunedInputSkipsNothing(t *testing.T) {
-	_, plain, _ := irregularTable(t, irregularShapes["one big block"])
+	plain, _ := irregularTable(t, irregularShapes["one big block"])
 	p := compile(t, `SELECT COUNT(*), AVG(v) FROM t WHERE strat = 's004' GROUP BY city`, plain.Schema)
 	other := compile(t, `SELECT COUNT(*), AVG(v) FROM t WHERE strat = 's009' GROUP BY city`, plain.Schema)
 	in := FromTable(plain)
@@ -265,5 +236,25 @@ func TestPrunedInputSkipsNothing(t *testing.T) {
 	// Pruned for p, scanned by another plan: its own zone check must run.
 	if want, got := Run(other, FromBlocks(plain.Schema, pruned.Blocks, 0), 0.95), Run(other, pruned, 0.95); want.RowsScanned != got.RowsScanned {
 		t.Fatalf("a foreign plan skipped its zone check: scanned %d, want %d", got.RowsScanned, want.RowsScanned)
+	}
+}
+
+// TestScanShardsMatchesPartition pins the pricing partition ScanShards
+// reports (used by ELP's latency attribution): the per-block-count layout
+// of storage.PartitionBlocks at maxPartials, whatever the executor's own
+// row-budgeted ranges are.
+func TestScanShardsMatchesPartition(t *testing.T) {
+	tab := randomWeightedTable(t, 4, 6000, 64)
+	ranges, shards := ScanShards(tab.Blocks)
+	wantRanges := storage.PartitionBlocks(len(tab.Blocks), maxPartials)
+	if !reflect.DeepEqual(ranges, wantRanges) {
+		t.Fatal("ScanShards ranges differ from the per-block-count partition")
+	}
+	covered := 0
+	for _, s := range shards {
+		covered += len(s.Ranges)
+	}
+	if covered != len(ranges) {
+		t.Fatalf("shards cover %d of %d ranges", covered, len(ranges))
 	}
 }

@@ -161,8 +161,8 @@ func zoneOrderSafe(v types.Value) bool {
 // types.Compare — NULLs included, since zones extend through them as the
 // minimum) satisfies the comparison leaf. Sound because, after the
 // zoneOrderSafe guards, Compare is a transitive total order over the
-// zone's bracket and the constant, and every scan kernel (row closures and
-// columnar kernels alike) decides each row exactly by
+// zone's bracket and the constant, and every scan kernel decides each row
+// exactly by
 // cmpPass(Compare(rowVal, val), opFlags).
 func leafImplied(zmin, zmax, val types.Value, op types.CmpOp) bool {
 	if !zoneOrderSafe(zmin) || !zoneOrderSafe(zmax) || !zoneOrderSafe(val) {

@@ -1,10 +1,10 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"blinkdb/internal/colstore"
@@ -16,9 +16,9 @@ import (
 // physical layout: rows sorted by the stratification column (long runs),
 // a block-monotonic int column (tight zones → all-true/all-false blocks),
 // NULL runs, and a mixed-kind column whose values also arrive in runs.
-// layout picks row vs columnar; rle toggles run-length encoding (with the
-// stratification columns hinted sorted) vs the plain typed encodings.
-func stratSortedTable(t testing.TB, layout storage.Layout, rle bool) *storage.Table {
+// rle toggles run-length encoding (with the stratification columns hinted
+// sorted) vs the plain typed encodings.
+func stratSortedTable(t testing.TB, rle bool) *storage.Table {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "strat", Kind: types.KindString},
@@ -28,7 +28,7 @@ func stratSortedTable(t testing.TB, layout storage.Layout, rle bool) *storage.Ta
 		types.Column{Name: "blob", Kind: types.KindFloat},
 	)
 	tab := storage.NewTable("strat", schema)
-	b := storage.NewBuilderLayout(tab, 128, 4, storage.InMemory, layout)
+	b := storage.NewBuilder(tab, 128, 4, storage.InMemory)
 	if !rle {
 		b.DisableRLE()
 	} else {
@@ -68,9 +68,6 @@ func stratSortedTable(t testing.TB, layout storage.Layout, rle bool) *storage.Ta
 
 func hasRLEColumn(tab *storage.Table) bool {
 	for _, blk := range tab.Blocks {
-		if blk.Col == nil {
-			continue
-		}
 		for _, c := range blk.Col.Cols {
 			if c.Enc == colstore.EncRLE {
 				return true
@@ -80,15 +77,13 @@ func hasRLEColumn(tab *storage.Table) bool {
 	return false
 }
 
-// TestThreeWayEquivalence is the overhaul's acceptance gate: row layout,
-// plain-columnar (RLE disabled) and RLE-columnar must return bit-identical
-// Results for every query shape, worker count and Tuning combination —
-// including all-true/all-false zone blocks, NULL runs, mixed-kind run
-// columns, and selection-vector vs bitmap kernel dispatch.
+// TestThreeWayEquivalence is the scan kernels' acceptance gate: the
+// plain-columnar (RLE disabled) and RLE-columnar designs must both return
+// the oracle's Result for every query shape and worker count — including
+// all-true/all-false zone blocks, NULL runs and mixed-kind run columns.
 func TestThreeWayEquivalence(t *testing.T) {
-	row := stratSortedTable(t, storage.RowLayout, false)
-	plain := stratSortedTable(t, storage.ColumnarLayout, false)
-	rle := stratSortedTable(t, storage.ColumnarLayout, true)
+	plain := stratSortedTable(t, false)
+	rle := stratSortedTable(t, true)
 	if hasRLEColumn(plain) {
 		t.Fatal("DisableRLE leg still produced an RLE column")
 	}
@@ -102,49 +97,27 @@ func TestThreeWayEquivalence(t *testing.T) {
 		`SELECT COUNT(*) FROM strat WHERE tier < 999`,                             // every block all-true
 		`SELECT COUNT(*) FROM strat WHERE tier > 999`,                             // every block all-false
 		`SELECT AVG(v) FROM strat WHERE strat = 'stratum-07'`,                     // RLE leaf, single-run strata
-		`SELECT SUM(v), COUNT(score) FROM strat WHERE v < 40 GROUP BY strat`,      // mid-selectivity single leaf → selvec
-		`SELECT COUNT(*) FROM strat WHERE v < 0.5 GROUP BY strat`,                 // sparse single leaf → bitmap
+		`SELECT SUM(v), COUNT(score) FROM strat WHERE v < 40 GROUP BY strat`,      // mid-selectivity single leaf
+		`SELECT COUNT(*) FROM strat WHERE v < 0.5 GROUP BY strat`,                 // sparse single leaf
 		`SELECT AVG(score), MEDIAN(v) FROM strat WHERE score >= 5 GROUP BY strat`, // mixed-kind RLE column in pred+agg
 		`SELECT SUM(score) FROM strat WHERE strat <> 'stratum-00' AND NOT (v <= 5)`,
 		`SELECT COUNT(*), AVG(v) FROM strat WHERE score = 70 OR strat < 'stratum-03' GROUP BY tier`,
 	}
-	tunings := []Tuning{
-		{},
-		{NoTristateZones: true},
-		{NoSelVectors: true},
-		{NoTristateZones: true, NoSelVectors: true},
-	}
 	for _, src := range queries {
-		p := compile(t, src, row.Schema)
-		want := RunParallel(p, FromTable(row), 0.95, 1)
-		for li, leg := range []*storage.Table{plain, rle} {
-			for _, tn := range tunings {
-				pt := *p
-				pt.Tuning = tn
-				for _, w := range []int{1, 2, 8} {
-					got := RunParallel(&pt, FromTable(leg), 0.95, w)
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: diverged\nwant %+v\ngot  %+v",
-							li, tn, w, src, want, got)
-					}
-				}
-			}
-		}
-		// Weighted-rate variant (per-row rates through FromBlocks).
-		wantW := RunParallel(p, FromBlocks(row.Schema, row.Blocks, 150), 0.95, 1)
-		gotW := RunParallel(p, FromBlocks(rle.Schema, rle.Blocks, 150), 0.95, 4)
-		if !reflect.DeepEqual(wantW, gotW) {
-			t.Fatalf("weighted query=%q: diverged", src)
+		p := compile(t, src, plain.Schema)
+		for name, leg := range map[string]*storage.Table{"plain": plain, "rle": rle} {
+			checkOracle(t, name+" "+src, p, FromTable(leg), nil)
+			// Weighted-rate variant (per-row rates through FromBlocks).
+			checkOracle(t, name+" weighted "+src, p, FromBlocks(leg.Schema, leg.Blocks, 150), nil)
 		}
 	}
 }
 
 // TestThreeWayJoinEquivalence pins late-materialized joins against the
-// row path and the early-materialization fallback across fact layouts.
+// oracle's nested loop across fact encodings.
 func TestThreeWayJoinEquivalence(t *testing.T) {
-	row := stratSortedTable(t, storage.RowLayout, false)
-	plain := stratSortedTable(t, storage.ColumnarLayout, false)
-	rle := stratSortedTable(t, storage.ColumnarLayout, true)
+	plain := stratSortedTable(t, false)
+	rle := stratSortedTable(t, true)
 
 	dimSchema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
@@ -160,11 +133,11 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 	}
 	db.Finish()
 
-	combined, _, err := JoinedSchema(row.Schema, []*storage.Table{dim})
+	combined, _, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
+	joins := []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}}
 	queries := []string{
 		// Fact-side conjunct + dim-side conjunct: exercises the split.
 		`SELECT COUNT(*), SUM(v) FROM strat WHERE v < 40 AND bucket <> 'mid' GROUP BY bucket`,
@@ -174,19 +147,8 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 	}
 	for _, src := range queries {
 		p := compile(t, src, combined)
-		want := RunJoinParallel(p, FromTable(row), []JoinSpec{spec}, 0.95, 1)
-		for li, leg := range []*storage.Table{plain, rle} {
-			for _, tn := range []Tuning{{}, {NoLateMaterialization: true}} {
-				pt := *p
-				pt.Tuning = tn
-				for _, w := range []int{1, 2, 8} {
-					got := RunJoinParallel(&pt, FromTable(leg), []JoinSpec{spec}, 0.95, w)
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("leg=%d tuning=%+v workers=%d query=%q: join diverged\nwant %+v\ngot  %+v",
-							li, tn, w, src, want, got)
-					}
-				}
-			}
+		for name, leg := range map[string]*storage.Table{"plain": plain, "rle": rle} {
+			checkOracle(t, name+" "+src, p, FromTable(leg), joins)
 		}
 	}
 }
@@ -194,7 +156,7 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 // TestEvalPredMatchesRowEvalRLE runs the kernel-vs-interpreter cross-check
 // over a table with genuine RLE columns (NULL runs, mixed-kind runs).
 func TestEvalPredMatchesRowEvalRLE(t *testing.T) {
-	tab := stratSortedTable(t, storage.ColumnarLayout, true)
+	tab := stratSortedTable(t, true)
 	var preds []types.Predicate
 	for col := 0; col < tab.Schema.Len(); col++ {
 		name := tab.Schema.Columns[col].Name
@@ -222,49 +184,6 @@ func TestEvalPredMatchesRowEvalRLE(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSelVecMatchesBitmap pins the selection-vector kernels against the
-// bitmap kernels element-for-element across operators and NaN.
-func TestSelVecMatchesBitmap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 517
-	fs := make([]float64, n)
-	is := make([]int64, n)
-	for i := range fs {
-		fs[i] = math.Floor(rng.NormFloat64() * 10)
-		is[i] = int64(rng.Intn(40) - 20)
-	}
-	fs[5], fs[100] = math.NaN(), math.Inf(1)
-	dst := make([]uint64, (n+63)/64)
-	idxs := make([]int32, n)
-	for _, op := range []types.CmpOp{types.CmpLt, types.CmpLe, types.CmpEq, types.CmpGe, types.CmpGt, types.CmpNe} {
-		lt, eq, gt := opFlags(op)
-		cmpFloats(fs, 3, dst, lt, eq, gt)
-		k := selFloats(fs, 3, idxs, lt, eq, gt)
-		checkSelAgainstBitmap(t, "floats", op, dst, n, idxs[:k])
-		cmpInts(is, -2, dst, lt, eq, gt)
-		k = selInts(is, -2, idxs, lt, eq, gt)
-		checkSelAgainstBitmap(t, "ints", op, dst, n, idxs[:k])
-	}
-}
-
-func checkSelAgainstBitmap(t *testing.T, kind string, op types.CmpOp, dst []uint64, n int, idxs []int32) {
-	t.Helper()
-	j := 0
-	for i := 0; i < n; i++ {
-		inBitmap := dst[i>>6]&(1<<uint(i&63)) != 0
-		inSel := j < len(idxs) && idxs[j] == int32(i)
-		if inSel {
-			j++
-		}
-		if inBitmap != inSel {
-			t.Fatalf("%s %v row %d: bitmap=%v selvec=%v", kind, op, i, inBitmap, inSel)
-		}
-	}
-	if j != len(idxs) {
-		t.Fatalf("%s %v: selection vector has %d extra entries", kind, op, len(idxs)-j)
 	}
 }
 
@@ -309,17 +228,16 @@ func TestCmpIntsAsFloatNormalization(t *testing.T) {
 // the whole pooling design exists for.
 func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 	for _, rle := range []bool{false, true} {
-		tab := stratSortedTable(t, storage.ColumnarLayout, rle)
+		tab := stratSortedTable(t, rle)
 		// COUNT/SUM only: quantile accumulators buffer samples and so
 		// allocate by design.
 		p := compile(t, `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 40 GROUP BY strat`, tab.Schema)
-		rt := p.runtime()
 		in := FromTable(tab)
 		sc := &colScratch{}
 		pt := &Partial{groups: make(map[uint64][]*groupState)}
 		scan := func() {
 			for _, blk := range tab.Blocks {
-				pt.scanColumnar(p, rt, in, blk.Col, sc, false)
+				pt.scanColumnar(p, in, blk.Col, sc, false)
 			}
 		}
 		scan() // warm: group states, scratch buffers, batch pools
@@ -329,13 +247,12 @@ func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScanColumnarJoinSteadyStateZeroAlloc pins the late- and
-// early-materialization join scan loops at zero allocations per pass once
-// the pooled combined-row buffer (sized at plan time, reused via
-// colScratch) and group states are warm — the regression the buffer hoist
-// exists to prevent.
+// TestScanColumnarJoinSteadyStateZeroAlloc pins the join scan loop at zero
+// allocations per pass once the pooled combined-row buffer (sized at plan
+// time, reused via colScratch) and group states are warm — the regression
+// the buffer hoist exists to prevent.
 func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
-	tab := stratSortedTable(t, storage.ColumnarLayout, true)
+	tab := stratSortedTable(t, true)
 	dimSchema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
 		types.Column{Name: "bucket", Kind: types.KindString},
@@ -354,34 +271,27 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 40 AND bucket <> 'mid' GROUP BY bucket`, combined)
-	rt := p.runtime()
 	jr := newJoinRuntime(p, []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
 	in := FromTable(tab)
-	for name, late := range map[string]bool{"late": true, "early": false} {
-		sc := &colScratch{}
-		pt := &Partial{groups: make(map[uint64][]*groupState)}
-		scan := func() {
-			for _, blk := range tab.Blocks {
-				if late {
-					pt.scanColumnarJoin(p, rt, in, blk.Col, sc, jr)
-				} else {
-					pt.scanColumnarExpand(p, rt, in, blk.Col, sc, jr)
-				}
-			}
+	sc := &colScratch{}
+	pt := &Partial{groups: make(map[uint64][]*groupState)}
+	scan := func() {
+		for _, blk := range tab.Blocks {
+			pt.scanColumnarJoin(p, in, blk.Col, sc, jr)
 		}
-		scan() // warm: row buffer, bitmap scratch, group states
-		if a := testing.AllocsPerRun(20, scan); a != 0 {
-			t.Errorf("%s: steady-state join scan allocates %.1f allocs/run, want 0", name, a)
-		}
+	}
+	scan() // warm: row buffer, bitmap scratch, group states
+	if a := testing.AllocsPerRun(20, scan); a != 0 {
+		t.Errorf("steady-state join scan allocates %.1f allocs/run, want 0", a)
 	}
 }
 
 // TestTristateZoneSkipsEval asserts the all-true classification actually
-// fires: a predicate its zones prove must aggregate every row without the
-// per-row selection pass (observable via the selectivity counters staying
-// exact AND zoneImpliesPred returning true for at least one block).
+// fires: zoneImpliesPred must return true for at least one block of a
+// predicate its zones prove, and aggregating those blocks without the
+// per-row selection pass must not move the answer off the oracle's.
 func TestTristateZoneSkipsEval(t *testing.T) {
-	tab := stratSortedTable(t, storage.ColumnarLayout, true)
+	tab := stratSortedTable(t, true)
 	p := compile(t, `SELECT COUNT(*) FROM strat WHERE tier >= 2 AND tier < 20`, tab.Schema)
 	rt := p.runtime()
 	if rt.leaves == nil {
@@ -389,9 +299,6 @@ func TestTristateZoneSkipsEval(t *testing.T) {
 	}
 	implied := 0
 	for _, blk := range tab.Blocks {
-		if blk.Col == nil {
-			continue
-		}
 		if zoneImpliesPred(blk, blk.Col, rt.leaves) {
 			implied++
 		}
@@ -399,15 +306,7 @@ func TestTristateZoneSkipsEval(t *testing.T) {
 	if implied == 0 {
 		t.Fatal("no block classified all-true — the shortcut never fires on its target workload")
 	}
-	// And the shortcut must not change results (belt over the equivalence
-	// suite's braces, on this exact plan).
-	want := RunParallel(p, FromTable(tab), 0.95, 1)
-	pNo := *p
-	pNo.Tuning.NoTristateZones = true
-	got := RunParallel(&pNo, FromTable(tab), 0.95, 1)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("three-state zones changed the result")
-	}
+	checkOracle(t, "tristate", p, FromTable(tab), nil)
 }
 
 // TestZoneImpliesPredGuards pins the soundness guards: NaN-bearing
@@ -418,7 +317,7 @@ func TestZoneImpliesPredGuards(t *testing.T) {
 		types.Column{Name: "big", Kind: types.KindInt},
 	)
 	tab := storage.NewTable("guards", schema)
-	b := storage.NewBuilderLayout(tab, 64, 1, storage.InMemory, storage.ColumnarLayout)
+	b := storage.NewBuilder(tab, 64, 1, storage.InMemory)
 	for i := 0; i < 64; i++ {
 		f := types.Float(float64(i))
 		if i == 10 {
@@ -463,8 +362,8 @@ func benchFloatCol(n int) []float64 {
 	return xs
 }
 
-// BenchmarkCmpFloats compares the bitmap and selection-vector float
-// kernels at the mid selectivity the dispatcher targets.
+// BenchmarkCmpFloats measures the bitmap float kernel, alone and with the
+// index-extraction pass the scan runs after it, at mid selectivity.
 func BenchmarkCmpFloats(b *testing.B) {
 	n := 1 << 16
 	xs := benchFloatCol(n)
@@ -474,12 +373,6 @@ func BenchmarkCmpFloats(b *testing.B) {
 		b.SetBytes(int64(n * 8))
 		for i := 0; i < b.N; i++ {
 			cmpFloats(xs, 0, dst, true, false, false)
-		}
-	})
-	b.Run("selvec", func(b *testing.B) {
-		b.SetBytes(int64(n * 8))
-		for i := 0; i < b.N; i++ {
-			selFloats(xs, 0, idxs, true, false, false)
 		}
 	})
 	b.Run("bitmap+extract", func(b *testing.B) {
@@ -502,8 +395,8 @@ func BenchmarkCmpFloats(b *testing.B) {
 // column (one verdict per run) against the dictionary kernel on identical
 // logical data.
 func BenchmarkCmpRLE(b *testing.B) {
-	rle := stratSortedTable(b, storage.ColumnarLayout, true)
-	plain := stratSortedTable(b, storage.ColumnarLayout, false)
+	rle := stratSortedTable(b, true)
+	plain := stratSortedTable(b, false)
 	pred := &types.CmpPred{Col: "strat", ColIdx: 0, Op: types.CmpLe, Val: types.Str("stratum-14")}
 	for _, leg := range []struct {
 		name string
@@ -526,11 +419,10 @@ func BenchmarkCmpRLE(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinLateMat measures the late-materialization join against the
-// early-materialization fallback on the same plan and data.
+// BenchmarkJoinLateMat measures the late-materialization join on a plan
+// with one fact-side and one dimension-side conjunct.
 func BenchmarkJoinLateMat(b *testing.B) {
-	row := randomWeightedTable(b, 17, 120000, 2048)
-	col := columnarClone(b, row, 2048, 4)
+	tab := randomWeightedTable(b, 17, 120000, 2048)
 	dimSchema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
 		types.Column{Name: "region", Kind: types.KindString},
@@ -541,24 +433,19 @@ func BenchmarkJoinLateMat(b *testing.B) {
 		db.AppendRow(types.Row{types.Str(r[0]), types.Str(r[1])})
 	}
 	db.Finish()
-	combined, _, err := JoinedSchema(row.Schema, []*storage.Table{dim})
+	combined, _, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
+	joins := []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}}
 	p := compile(b, `SELECT COUNT(*), SUM(sessiontime) FROM sessions WHERE code < 500 AND region <> 'south' GROUP BY region`, combined)
-	for _, tn := range []struct {
-		name string
-		t    Tuning
-	}{{"late", Tuning{}}, {"early", Tuning{NoLateMaterialization: true}}} {
-		b.Run(tn.name, func(b *testing.B) {
-			pt := *p
-			pt.Tuning = tn.t
-			b.ReportAllocs()
-			b.SetBytes(int64(col.Bytes()))
-			for i := 0; i < b.N; i++ {
-				RunJoinParallel(&pt, FromTable(col), []JoinSpec{spec}, 0.95, 1)
-			}
-		})
+	in := FromTable(tab)
+	b.ReportAllocs()
+	b.SetBytes(int64(tab.Bytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunJoin(context.Background(), p, in, joins, 0.95, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -10,20 +10,21 @@ import (
 	"blinkdb/internal/types"
 )
 
-// This file implements the vectorized scan path over columnar blocks
+// This file implements the vectorized scan over columnar blocks
 // (internal/colstore): predicates are evaluated column-at-a-time into a
 // selection bitmap, then grouping and aggregation run over the selected
 // rows using contiguous typed slices — no types.Row is materialised and
 // no per-row interface dispatch happens.
 //
-// BIT-IDENTITY CONTRACT: for any block, the columnar scan must produce
-// exactly the state the row scan would: the same rows selected, the same
-// groups created, and — because floating-point addition is not
-// associative — every per-group accumulator fed the same (x, rate) pairs
-// in the same row order, and WeightedMatched summed in row order. The
-// kernels below therefore reorder work only in ways invisible to IEEE
-// arithmetic (hoisting loop-invariant weight math, batching per-group
-// accumulation without changing each group's row order).
+// BIT-IDENTITY CONTRACT: for any block, the scan must produce exactly the
+// state a naive row-at-a-time evaluation would (the reference oracle in
+// oracle_test.go): the same rows selected, the same groups created, and —
+// because floating-point addition is not associative — every per-group
+// accumulator fed the same (x, rate) pairs in the same row order, and
+// WeightedMatched summed in row order. The kernels below therefore
+// reorder work only in ways invisible to IEEE arithmetic (hoisting
+// loop-invariant weight math, batching per-group accumulation without
+// changing each group's row order).
 
 // colScratch holds buffers reused across the columnar blocks of one
 // RunPartial call, so steady-state scanning allocates nothing.
@@ -242,7 +243,7 @@ func evalPred(pred types.Predicate, d *colstore.Data, dst []uint64, n int, sc *c
 		bitmapNot(dst, n)
 	default:
 		// Unknown predicate implementation: materialise rows and defer to
-		// Eval (the row path's own fallback).
+		// Eval.
 		buf := sc.rowBuf(len(d.Cols))
 		bitmapFill(dst, n, false)
 		for i := 0; i < n; i++ {
@@ -255,8 +256,8 @@ func evalPred(pred types.Predicate, d *colstore.Data, dst []uint64, n int, sc *c
 
 // evalCmp evaluates one comparison leaf. Fast paths cover typed columns
 // against same-class constants; every mixed case falls back to
-// types.Compare, which is exactly what the row path's compiled closures
-// do for kind mismatches.
+// types.Compare, which is exactly what types.CompilePredicate's row
+// closures do for kind mismatches.
 func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScratch) {
 	lt, eq, gt := opFlags(t.Op)
 	col := &d.Cols[t.ColIdx]
@@ -348,7 +349,7 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScr
 		}
 	case colstore.EncRLE:
 		// One verdict per RUN, painted over the run's bit range. The
-		// generic Compare decides each run exactly as the row path's
+		// generic Compare decides each run exactly as the compiled row
 		// closures decide each row (NULL runs and cross-kind constants
 		// included), so this is the typed kernels' semantics at run
 		// granularity.
@@ -384,7 +385,7 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScr
 // 1 + (v>c) - (v<c) (both comparisons compile to SETcc, no branches), and
 // the loops are 4-wide unrolled so the compiler can keep the verdicts in
 // independent registers. NaN yields (v>c)=(v<c)=false → the eq slot, which
-// is exactly how the row path's closures treat it.
+// is exactly how the compiled row closures treat it.
 
 // b2u converts a bool to 0/1 (inlines to SETcc — no branch).
 func b2u(b bool) uint64 {
@@ -400,7 +401,7 @@ func verdictTab(lt, eq, gt bool) [3]uint64 {
 }
 
 // cmpFloats compares a float column against c. The (lt,eq,gt) selection
-// matches the row path's compiled closure exactly, including NaN (no
+// matches the compiled row closure exactly, including NaN (no
 // ordered comparison holds, so the eq flag decides).
 func cmpFloats(xs []float64, c float64, dst []uint64, lt, eq, gt bool) {
 	tab := verdictTab(lt, eq, gt)
@@ -547,121 +548,6 @@ func cmpIntsAsFloatSlow(xs []int64, c float64, dst []uint64, lt, eq, gt bool) {
 	}
 }
 
-// ---- selection-vector kernels ----
-//
-// For a single-comparison predicate over a null-free typed column, writing
-// selected row indices directly skips the bitmap materialization AND the
-// bit-extraction pass. The write is unconditional (idxs[k] always stores
-// the candidate, k advances by the 0/1 verdict), so the loop has no
-// mispredictable branch at any selectivity. Dispatch (selVecLeaf) prefers
-// the bitmap kernels when the running selectivity estimate is very low —
-// there the extraction pass skips whole empty words and wins.
-
-// selFloats appends the indices of elements passing the comparison.
-// idxs must have length len(xs); the match count is returned.
-func selFloats(xs []float64, c float64, idxs []int32, lt, eq, gt bool) int {
-	tab := verdictTab(lt, eq, gt)
-	n := len(xs)
-	k := 0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0, v1, v2, v3 := xs[i], xs[i+1], xs[i+2], xs[i+3]
-		idxs[k] = int32(i)
-		k += int(tab[1+b2u(v0 > c)-b2u(v0 < c)])
-		idxs[k] = int32(i + 1)
-		k += int(tab[1+b2u(v1 > c)-b2u(v1 < c)])
-		idxs[k] = int32(i + 2)
-		k += int(tab[1+b2u(v2 > c)-b2u(v2 < c)])
-		idxs[k] = int32(i + 3)
-		k += int(tab[1+b2u(v3 > c)-b2u(v3 < c)])
-	}
-	for ; i < n; i++ {
-		v := xs[i]
-		idxs[k] = int32(i)
-		k += int(tab[1+b2u(v > c)-b2u(v < c)])
-	}
-	return k
-}
-
-// selInts is selFloats for int64 columns.
-func selInts(xs []int64, c int64, idxs []int32, lt, eq, gt bool) int {
-	tab := verdictTab(lt, eq, gt)
-	n := len(xs)
-	k := 0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0, v1, v2, v3 := xs[i], xs[i+1], xs[i+2], xs[i+3]
-		idxs[k] = int32(i)
-		k += int(tab[1+b2u(v0 > c)-b2u(v0 < c)])
-		idxs[k] = int32(i + 1)
-		k += int(tab[1+b2u(v1 > c)-b2u(v1 < c)])
-		idxs[k] = int32(i + 2)
-		k += int(tab[1+b2u(v2 > c)-b2u(v2 < c)])
-		idxs[k] = int32(i + 3)
-		k += int(tab[1+b2u(v3 > c)-b2u(v3 < c)])
-	}
-	for ; i < n; i++ {
-		v := xs[i]
-		idxs[k] = int32(i)
-		k += int(tab[1+b2u(v > c)-b2u(v < c)])
-	}
-	return k
-}
-
-// selFill writes 0..n-1 (every row selected) or nothing.
-func selFill(idxs []int32, n int, pass bool) int {
-	if !pass {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		idxs[i] = int32(i)
-	}
-	return n
-}
-
-// selVecLeaf evaluates a single comparison leaf directly into the scratch
-// selection vector when a branch-free kernel applies and the selectivity
-// estimate favors it. Returns ok=false to fall back to the bitmap path.
-// The estimate is the partial's running matched/scanned ratio — a
-// deterministic function of the (fixed) partial boundaries, so kernel
-// choice, like everything physical here, cannot vary with worker count
-// (and either kernel selects the same rows anyway).
-func selVecLeaf(t *types.CmpPred, d *colstore.Data, idxs []int32, n int, priorScanned, priorMatched int64) (int, bool) {
-	if priorScanned > 0 && priorMatched*16 < priorScanned {
-		return 0, false // sparse: bitmap extraction skips empty words
-	}
-	col := &d.Cols[t.ColIdx]
-	if col.Nulls != nil {
-		return 0, false
-	}
-	lt, eq, gt := opFlags(t.Op)
-	val := t.Val
-	numericConst := val.Kind == types.KindInt || val.Kind == types.KindFloat || val.Kind == types.KindBool
-	switch col.Enc {
-	case colstore.EncFloat:
-		if !numericConst {
-			return 0, false
-		}
-		return selFloats(col.Floats[:n], val.AsFloat(), idxs, lt, eq, gt), true
-	case colstore.EncInt:
-		if val.Kind == types.KindInt {
-			return selInts(col.Ints[:n], val.I, idxs, lt, eq, gt), true
-		}
-		fallthrough
-	case colstore.EncBool:
-		if !numericConst {
-			return 0, false
-		}
-		switch plan := normIntCmp(val.AsFloat(), lt, eq, gt); plan.mode {
-		case normInt:
-			return selInts(col.Ints[:n], plan.c, idxs, plan.lt, plan.eq, plan.gt), true
-		case normFill:
-			return selFill(idxs, n, plan.fill), true
-		}
-	}
-	return 0, false
-}
-
 // ---- grouping + aggregation over selected rows ----
 
 // findGroupVals mirrors Partial.findGroup for keys extracted directly
@@ -693,22 +579,20 @@ func (pt *Partial) findGroupVals(p *Plan, vals []types.Value, h uint64) *groupSt
 	return gs
 }
 
-// scanColumnar scans one columnar block into the partial: selection
-// (bitmap or selection-vector kernels, or skipped entirely when the
-// block's zones already proved the predicate — allTrue), then a row-order
-// pass that maintains the scan counters and stages each selected row on
-// its group, then per-group batched aggregation. See the bit-identity
-// contract at the top of the file.
-func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.Data, sc *colScratch, allTrue bool) {
+// scanColumnar scans one columnar block into the partial: selection into
+// a bitmap (skipped entirely when there is no predicate or the block's
+// zones already proved it — allTrue), then a row-order pass that maintains
+// the scan counters and stages each selected row on its group, then
+// per-group batched aggregation. See the bit-identity contract at the top
+// of the file.
+func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScratch, allTrue bool) {
 	n := d.N
 	if n == 0 {
 		return
 	}
-	if (rt.pred == nil || allTrue) && !p.Tuning.NoTristateZones &&
-		pt.scanColumnarAllRows(p, in, d, sc) {
+	if allTrue && pt.scanColumnarAllRows(p, in, d, sc) {
 		return
 	}
-	priorScanned, priorMatched := pt.RowsScanned, pt.RowsMatched
 	pt.RowsScanned += int64(n)
 
 	// 1. Selection.
@@ -716,31 +600,18 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 		sc.idxs = make([]int32, 0, n)
 	}
 	idxs := sc.idxs[:0]
-	var sel []uint64
-	selDone := false
-	if rt.pred != nil && !allTrue {
-		if rt.soleLeaf != nil && !p.Tuning.NoSelVectors {
-			if k, ok := selVecLeaf(rt.soleLeaf, d, sc.idxs[:n], n, priorScanned, priorMatched); ok {
-				idxs, selDone = sc.idxs[:k], true
-			}
+	if allTrue {
+		for i := 0; i < n; i++ {
+			idxs = append(idxs, int32(i))
 		}
-		if !selDone {
-			sel = sc.bitmap(n)
-			evalPred(p.Pred, d, sel, n, sc)
-		}
-	}
-	if !selDone {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				idxs = append(idxs, int32(i))
-			}
-		} else {
-			for wi, w := range sel {
-				base := int32(wi << 6)
-				for w != 0 {
-					idxs = append(idxs, base+int32(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
+	} else {
+		sel := sc.bitmap(n)
+		evalPred(p.Pred, d, sel, n, sc)
+		for wi, w := range sel {
+			base := int32(wi << 6)
+			for w != 0 {
+				idxs = append(idxs, base+int32(bits.TrailingZeros64(w)))
+				w &= w - 1
 			}
 		}
 	}
@@ -750,7 +621,7 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 
 	// 2. Per-row pass in row order: sampling rate, scan counters, group
 	// staging. With uniform block metadata the rate (and its reciprocal)
-	// is computed once — the same value the row path derives per row.
+	// is computed once — the same value a per-row evaluation derives.
 	uniform := d.Uniform()
 	var urate, uinv float64
 	if uniform {
@@ -875,10 +746,10 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 	}
 
 	// 3. Batched per-group aggregation. Each group's rows are fed to its
-	// accumulators in row order, so every Acc sees exactly the sequence
-	// the row path would produce. A block whose derived rates turned out
-	// constant uses the hoisted-weight path with that shared rate — the
-	// per-row weights are the same values either way.
+	// accumulators in row order, so every Acc sees exactly the sequence a
+	// row-at-a-time evaluation would produce. A block whose derived rates
+	// turned out constant uses the hoisted-weight path with that shared
+	// rate — the per-row weights are the same values either way.
 	if !uniform && ratesEqual {
 		uniform, urate = true, firstRate
 	}
@@ -900,7 +771,7 @@ func (pt *Partial) scanColumnar(p *Plan, rt *planRuntime, in Input, d *colstore.
 // anything else returns false and takes the generic path. Bit-identity
 // holds because AddBatch is a sequential fold — splitting one group's rows
 // into consecutive in-order AddBatch calls reproduces the exact operation
-// stream the staged path (and the row path) performs.
+// stream the staged path performs.
 func (pt *Partial) scanColumnarAllRows(p *Plan, in Input, d *colstore.Data, sc *colScratch) bool {
 	n := d.N
 	if !d.Uniform() {
@@ -936,7 +807,7 @@ func (pt *Partial) scanColumnarAllRows(p *Plan, in Input, d *colstore.Data, sc *
 		pt.MaxMatchedStratumFreq = d.UniformFreq
 	}
 	if urate > 0 {
-		// Same add chain as the per-row path: n sequential additions of the
+		// Same add chain as the staged path: n sequential additions of the
 		// shared reciprocal.
 		uinv := 1 / urate
 		wm := pt.WeightedMatched
@@ -1054,7 +925,7 @@ func (pt *Partial) accumulateBatch(p *Plan, d *colstore.Data, gs *groupState, un
 		if col.Enc == colstore.EncRLE {
 			// Run-cursor gather: batch rows are ascending, so each run's
 			// value (and NULL-ness) is resolved once. A NULL run drops its
-			// rows from this aggregate only, as in the row path.
+			// rows from this aggregate only.
 			xs := growFloats(&sc.xs, len(rows))[:0]
 			var rs []float64
 			if !uniform {
@@ -1168,47 +1039,17 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// scanColumnarExpand is the early-materialization join path over a
-// columnar block (the Tuning.NoLateMaterialization fallback): every fact
-// row is materialised into the pooled combined-row buffer, expanded
-// through the join chain, and only then filtered. Buffer sizing happened
-// once at plan time (joinRuntime.width); nothing downstream retains the
-// buffer (addMatched copies what it keeps).
-func (pt *Partial) scanColumnarExpand(p *Plan, rt *planRuntime, in Input, d *colstore.Data,
-	sc *colScratch, jr *joinRuntime) {
-
-	pred := rt.pred
-	buf := sc.rowBuf(jr.width)
-	var rate float64
-	var freq int64
-	emit := func(r types.Row) {
-		if pred != nil && !pred(r) {
-			return
-		}
-		pt.addMatched(p, r, rate, freq)
-	}
-	factW := len(d.Cols)
-	for i := 0; i < d.N; i++ {
-		pt.RowsScanned++
-		rate = 1.0
-		if in.Rate != nil {
-			rate = in.Rate(storage.RowMeta{Rate: d.RateAt(i), StratumFreq: d.FreqAt(i)})
-		}
-		freq = d.FreqAt(i)
-		d.RowInto(buf[:factW], i)
-		jr.expandInto(buf, factW, 0, emit)
-	}
-}
-
-// scanColumnarJoin is the late-materialization join path: the fact-side
+// scanColumnarJoin is the late-materialization join scan: the fact-side
 // predicate conjuncts are evaluated FIRST over the columnar block, join
 // keys of surviving rows are probed straight out of the key columns, and
 // only fact rows with at least one dimension match are materialised into
-// the pooled buffer. Expansion order, filter semantics and aggregation
-// order are exactly scanColumnarExpand's — rows that path would discard
-// after materialising (predicate miss or empty join) are skipped before
-// paying for materialisation, which changes no emitted value.
-func (pt *Partial) scanColumnarJoin(p *Plan, rt *planRuntime, in Input, d *colstore.Data,
+// the pooled buffer (sized once at plan time, joinRuntime.width; nothing
+// downstream retains it — addMatched copies what it keeps). Expansion
+// order, filter semantics and aggregation order are those of expanding
+// every fact row and filtering the combined rows — rows that would be
+// discarded after materialising (predicate miss or empty join) are skipped
+// before paying for materialisation, which changes no emitted value.
+func (pt *Partial) scanColumnarJoin(p *Plan, in Input, d *colstore.Data,
 	sc *colScratch, jr *joinRuntime) {
 
 	n := d.N

@@ -25,52 +25,18 @@ func newAccForTest(name string) *stats.Acc {
 	}
 }
 
-// columnarClone rebuilds a table in the columnar layout with identical
-// block boundaries, striping and placement, so the two tables are the
-// same physical design in two representations.
-func columnarClone(t testing.TB, tab *storage.Table, rowsPerBlock, nodes int) *storage.Table {
-	t.Helper()
-	out := storage.NewTable(tab.Name, tab.Schema)
-	b := storage.NewBuilderLayout(out, rowsPerBlock, nodes, storage.InMemory, storage.ColumnarLayout)
-	tab.Scan(func(r types.Row, m storage.RowMeta) bool { b.Append(r, m); return true })
-	b.Finish()
-	if len(out.Blocks) != len(tab.Blocks) || out.Bytes() != tab.Bytes() {
-		t.Fatalf("columnar clone shape mismatch: %d/%d blocks, %d/%d bytes",
-			len(out.Blocks), len(tab.Blocks), out.Bytes(), tab.Bytes())
-	}
-	for _, blk := range out.Blocks {
-		if !blk.IsColumnar() {
-			t.Fatalf("clone produced a non-columnar block")
-		}
-	}
-	return out
-}
-
-// TestColumnarEquivalence is the acceptance criterion of the columnar
-// subsystem: for every seed, query shape, input kind and worker count,
-// the vectorized scan over columnar blocks returns a Result that is
-// bit-for-bit identical to the row scan.
+// TestColumnarEquivalence is the acceptance criterion of the vectorized
+// scan: for every seed, block size, query shape, input kind and worker
+// count it returns the oracle's Result, bit for bit.
 func TestColumnarEquivalence(t *testing.T) {
-	workerCounts := []int{1, 3, 8, 1 << 10}
 	for _, seed := range []int64{1, 2, 3} {
 		for _, rowsPerBlock := range []int{64, 509} {
-			row := randomWeightedTable(t, seed, 6000, rowsPerBlock)
-			col := columnarClone(t, row, rowsPerBlock, 4)
+			tab := randomWeightedTable(t, seed, 6000, rowsPerBlock)
 			for _, src := range equivalenceQueries {
-				p := compile(t, src, row.Schema)
-				for ii, inputs := range [][2]Input{
-					{FromTable(row), FromTable(col)},
-					{FromBlocks(row.Schema, row.Blocks, 400), FromBlocks(col.Schema, col.Blocks, 400)},
-				} {
-					want := RunParallel(p, inputs[0], 0.95, 1)
-					for _, w := range workerCounts {
-						got := RunParallel(p, inputs[1], 0.95, w)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("seed=%d rpb=%d input=%d workers=%d query=%q: columnar result diverged\nwant %+v\ngot  %+v",
-								seed, rowsPerBlock, ii, w, src, want, got)
-						}
-					}
-				}
+				p := compile(t, src, tab.Schema)
+				label := fmt.Sprintf("seed=%d rpb=%d %s", seed, rowsPerBlock, src)
+				checkOracle(t, label, p, FromTable(tab), nil)
+				checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 400), nil)
 			}
 		}
 	}
@@ -80,7 +46,7 @@ func TestColumnarEquivalence(t *testing.T) {
 // NULLs in the GROUP BY string column (dict null fallback), a column
 // mixing Int and Float values (EncValue fallback), bool and all-null
 // columns.
-func mixedKindTable(t testing.TB, layout storage.Layout) *storage.Table {
+func mixedKindTable(t testing.TB) *storage.Table {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "city", Kind: types.KindString},
@@ -90,7 +56,7 @@ func mixedKindTable(t testing.TB, layout storage.Layout) *storage.Table {
 		types.Column{Name: "v", Kind: types.KindFloat},
 	)
 	tab := storage.NewTable("mixed", schema)
-	b := storage.NewBuilderLayout(tab, 32, 3, storage.InMemory, layout)
+	b := storage.NewBuilder(tab, 32, 3, storage.InMemory)
 	rng := rand.New(rand.NewSource(42))
 	cities := []string{"NY", "SF", "LA"}
 	freqs := []int64{0, 40, 900}
@@ -122,8 +88,7 @@ func mixedKindTable(t testing.TB, layout storage.Layout) *storage.Table {
 // TestColumnarEquivalenceMixedKinds drives the EncValue and null-group
 // fallbacks through the same bit-identity contract.
 func TestColumnarEquivalenceMixedKinds(t *testing.T) {
-	row := mixedKindTable(t, storage.RowLayout)
-	col := mixedKindTable(t, storage.ColumnarLayout)
+	tab := mixedKindTable(t)
 	queries := []string{
 		`SELECT COUNT(*), SUM(v) FROM mixed GROUP BY city`,
 		`SELECT COUNT(*) FROM mixed WHERE mixed > 5 GROUP BY city`,
@@ -134,20 +99,10 @@ func TestColumnarEquivalenceMixedKinds(t *testing.T) {
 		`SELECT COUNT(city) FROM mixed WHERE v < 30`,
 	}
 	for _, src := range queries {
-		p := compile(t, src, row.Schema)
-		want := RunParallel(p, FromTable(row), 0.95, 1)
-		for _, w := range []int{1, 4, 64} {
-			got := RunParallel(p, FromTable(col), 0.95, w)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d query=%q: mixed-kind columnar diverged\nwant %+v\ngot  %+v", w, src, want, got)
-			}
-		}
+		p := compile(t, src, tab.Schema)
+		checkOracle(t, src, p, FromTable(tab), nil)
 		// Weighted-input variant exercises per-row rate staging.
-		wantW := RunParallel(p, FromBlocks(row.Schema, row.Blocks, 100), 0.95, 1)
-		gotW := RunParallel(p, FromBlocks(col.Schema, col.Blocks, 100), 0.95, 2)
-		if !reflect.DeepEqual(wantW, gotW) {
-			t.Fatalf("weighted query=%q: diverged", src)
-		}
+		checkOracle(t, "weighted "+src, p, FromBlocks(tab.Schema, tab.Blocks, 100), nil)
 	}
 }
 
@@ -155,7 +110,7 @@ func TestColumnarEquivalenceMixedKinds(t *testing.T) {
 // interpreted predicate row by row, including hand-built predicates with
 // cross-kind and NULL constants that the parser never emits.
 func TestEvalPredMatchesRowEval(t *testing.T) {
-	tab := mixedKindTable(t, storage.ColumnarLayout)
+	tab := mixedKindTable(t)
 	var preds []types.Predicate
 	for _, src := range []string{
 		`SELECT COUNT(*) FROM mixed WHERE city = 'NY'`,
@@ -195,65 +150,29 @@ func TestEvalPredMatchesRowEval(t *testing.T) {
 	}
 }
 
-// TestColumnarJoinEquivalence pins the join path over columnar fact
-// blocks against the row layout for every worker count.
+// TestColumnarJoinEquivalence pins the join scan against the oracle's
+// nested loop for every worker count.
 func TestColumnarJoinEquivalence(t *testing.T) {
-	row := randomWeightedTable(t, 11, 3000, 101)
-	col := columnarClone(t, row, 101, 4)
+	tab := randomWeightedTable(t, 11, 3000, 101)
 	dimSchema := types.NewSchema(
 		types.Column{Name: "name", Kind: types.KindString},
 		types.Column{Name: "region", Kind: types.KindString},
 	)
-	for _, dimLayout := range []storage.Layout{storage.RowLayout, storage.ColumnarLayout} {
-		dim := storage.NewTable("cities", dimSchema)
-		db := storage.NewBuilderLayout(dim, 16, 1, storage.InMemory, dimLayout)
-		for _, r := range [][2]string{
-			{"NY", "east"}, {"SF", "west"}, {"LA", "west"}, {"Austin", "south"},
-		} {
-			db.AppendRow(types.Row{types.Str(r[0]), types.Str(r[1])})
-		}
-		db.Finish()
+	dim := storage.NewTable("cities", dimSchema)
+	db := storage.NewBuilder(dim, 16, 1, storage.InMemory)
+	for _, r := range [][2]string{
+		{"NY", "east"}, {"SF", "west"}, {"LA", "west"}, {"Austin", "south"},
+	} {
+		db.AppendRow(types.Row{types.Str(r[0]), types.Str(r[1])})
+	}
+	db.Finish()
 
-		combined, _, err := JoinedSchema(row.Schema, []*storage.Table{dim})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
-		spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
-		want := RunJoinParallel(p, FromTable(row), []JoinSpec{spec}, 0.95, 1)
-		for _, w := range []int{1, 2, 8} {
-			got := RunJoinParallel(p, FromTable(col), []JoinSpec{spec}, 0.95, w)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("dim=%s workers=%d: columnar join diverged", dimLayout, w)
-			}
-		}
+	combined, _, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestColumnarZonePruning checks that pruning works identically on
-// columnar blocks (zones are built the same way in both layouts).
-func TestColumnarZonePruning(t *testing.T) {
-	schema := types.NewSchema(
-		types.Column{Name: "day", Kind: types.KindInt},
-		types.Column{Name: "v", Kind: types.KindFloat},
-	)
-	tab := storage.NewTable("clustered", schema)
-	b := storage.NewBuilderLayout(tab, 100, 1, storage.InMemory, storage.ColumnarLayout)
-	for i := 0; i < 1000; i++ {
-		b.AppendRow(types.Row{types.Int(int64(i)), types.Float(float64(i % 7))})
-	}
-	b.Finish()
-	p := compile(t, `SELECT COUNT(*), SUM(v) FROM clustered WHERE day >= 450 AND day < 550`, schema)
-	res := RunParallel(p, FromTable(tab), 0.95, 2)
-	if res.RowsScanned != 200 {
-		t.Errorf("RowsScanned = %d, want 200 (pruned columnar blocks must not be read)", res.RowsScanned)
-	}
-	if res.RowsMatched != 100 {
-		t.Errorf("RowsMatched = %d, want 100", res.RowsMatched)
-	}
-	if got := res.Groups[0].Estimates[0].Point; got != 100 {
-		t.Errorf("COUNT = %g, want 100", got)
-	}
+	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
+	checkOracle(t, "join", p, FromTable(tab), []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
 }
 
 // TestAddBatchMatchesAdd pins the stats contract the batched kernels rely
@@ -301,21 +220,5 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 				t.Fatalf("%s/%s: NaN point", kindName, mode)
 			}
 		}
-	}
-}
-
-func BenchmarkRunParallelColumnar(b *testing.B) {
-	row := randomWeightedTable(b, 9, 200000, 2048)
-	col := columnarClone(b, row, 2048, 4)
-	p := compile(b, `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions WHERE code < 900 GROUP BY city`, row.Schema)
-	in := FromTable(col)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				RunParallel(p, in, 0.95, w)
-			}
-			b.SetBytes(int64(col.Bytes()))
-		})
 	}
 }

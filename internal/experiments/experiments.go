@@ -191,13 +191,11 @@ func NewEnv(cfg Config, which string, targetBytes float64) (*Env, error) {
 			return workload.Conviva(workload.ConvivaConfig{
 				Rows: cfg.ConvivaRows, Nodes: cfg.Nodes, Seed: cfg.Seed,
 				Place: storage.OnDisk, RowsPerBlock: rowsPerBlock,
-				Layout: storage.ColumnarLayout,
 			}), nil
 		case "tpch":
 			return workload.TPCH(workload.TPCHConfig{
 				Rows: cfg.TPCHRows, Nodes: cfg.Nodes, Seed: cfg.Seed,
 				Place: storage.OnDisk, RowsPerBlock: rowsPerBlock,
-				Layout: storage.ColumnarLayout,
 			}), nil
 		default:
 			return nil, fmt.Errorf("experiments: unknown dataset %q", which)
@@ -232,7 +230,6 @@ func NewEnv(cfg Config, which string, targetBytes float64) (*Env, error) {
 
 	bc := sample.BuildConfig{
 		RowsPerBlock: blockRows, Nodes: cfg.Nodes, Place: storage.InMemory, Seed: cfg.Seed,
-		Layout: storage.ColumnarLayout,
 	}
 	optCfg := optimizer.Config{
 		K: k, CapRatio: ratio, Resolutions: res, MinCap: minCap,

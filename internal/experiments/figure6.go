@@ -44,7 +44,6 @@ func figure6SampleFamilies(cfg Config, which, title string) (*Table, error) {
 			ChurnFrac:   -1,
 			Build: sample.BuildConfig{
 				RowsPerBlock: 256, Nodes: cfg.Nodes, Place: storage.InMemory, Seed: cfg.Seed,
-				Layout: storage.ColumnarLayout,
 			},
 		}
 		plan, err := optimizer.ChooseSamples(env.Data.Table, env.Data.OptimizerTemplates(), c)

@@ -324,8 +324,7 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	}
 	base := Config{
 		K: 200, BudgetBytes: tab.Bytes(),
-		Build: sample.BuildConfig{RowsPerBlock: 256, Nodes: 4, Seed: 7,
-			Layout: storage.ColumnarLayout},
+		Build: sample.BuildConfig{RowsPerBlock: 256, Nodes: 4, Seed: 7},
 	}
 	seq := base
 	seq.Workers = 1

@@ -20,7 +20,7 @@ func TestFamilyPersistRoundTrip(t *testing.T) {
 		types.Column{Name: "x", Kind: types.KindFloat},
 	)
 	base := storage.NewTable("base", schema)
-	bld := storage.NewBuilderLayout(base, 128, 2, storage.InMemory, storage.ColumnarLayout)
+	bld := storage.NewBuilder(base, 128, 2, storage.InMemory)
 	for r := 0; r < 3000; r++ {
 		bld.Append(types.Row{
 			types.Str(fmt.Sprintf("c%d", r%(1+r%37))),
@@ -30,8 +30,7 @@ func TestFamilyPersistRoundTrip(t *testing.T) {
 	bld.Finish()
 
 	fam, err := Build(base, types.NewColumnSet("city"), []int64{10, 40, 160}, BuildConfig{
-		RowsPerBlock: 64, Nodes: 2, Place: storage.InMemory,
-		Layout: storage.ColumnarLayout, Seed: 7,
+		RowsPerBlock: 64, Nodes: 2, Place: storage.InMemory, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,10 +32,6 @@ type BuildConfig struct {
 	Nodes int
 	// Place is the storage tier for the blocks.
 	Place storage.Placement
-	// Layout is the physical block representation (row or columnar).
-	// Sampling is layout-transparent: the same seed draws the same rows
-	// either way, and query results are bit-identical across layouts.
-	Layout storage.Layout
 	// Seed makes sampling deterministic.
 	Seed int64
 }
@@ -320,7 +316,7 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	builders := make([]*storage.Builder, len(caps))
 	for i := range caps {
 		t := storage.NewTable(fmt.Sprintf("%s@K%d", phi.Key(), caps[i]), base.Schema)
-		builders[i] = storage.NewBuilderLayout(t, cfg.RowsPerBlock, cfg.Nodes, cfg.Place, cfg.Layout)
+		builders[i] = storage.NewBuilder(t, cfg.RowsPerBlock, cfg.Nodes, cfg.Place)
 		// Strata are emitted in sorted φ-key order, so the stratification
 		// columns arrive in runs up to the cap length — prime RLE targets.
 		builders[i].HintSortedColumns(idx...)

@@ -17,26 +17,12 @@ import (
 	"blinkdb/internal/types"
 )
 
-// Layout selects a table's physical block representation.
+// Layout is single-valued: it and NewBuilderLayout exist only because
+// benchmark/ calls them; a benchmark-archetype PR removes both.
 type Layout uint8
 
-const (
-	// RowLayout stores blocks as []types.Row plus per-row RowMeta — the
-	// original representation, kept as the fallback scan path.
-	RowLayout Layout = iota
-	// ColumnarLayout stores blocks as per-column typed slices with null
-	// bitmaps and per-block rate/stratum-frequency arrays
-	// (internal/colstore), enabling the executor's vectorized kernels.
-	ColumnarLayout
-)
-
-// String renders the layout name.
-func (l Layout) String() string {
-	if l == ColumnarLayout {
-		return "columnar"
-	}
-	return "row"
-}
+// ColumnarLayout is the one block layout (internal/colstore).
+const ColumnarLayout Layout = 1
 
 // Placement says where a block physically resides.
 type Placement uint8
@@ -95,19 +81,15 @@ func (z *Zone) Extend(v types.Value) {
 	}
 }
 
-// Block is a contiguous run of rows with shared placement. A block is
-// stored in exactly one layout: row blocks populate Rows/Meta, columnar
-// blocks populate Col (and leave Rows/Meta nil). Readers that don't go
-// through the executor's layout-aware scan use the accessor methods
-// (NumRows, RowAt, MetaAt, ValueAt, RowKey), which work for both.
+// Block is a contiguous run of rows with shared placement, stored as
+// per-column typed slices with null bitmaps and per-block rate and
+// stratum-frequency arrays (internal/colstore). Readers outside the
+// executor's vectorized scan use the accessor methods (NumRows, RowAt,
+// MetaAt, ValueAt, RowKey).
 type Block struct {
 	// ID is unique within a Table.
 	ID int
-	// Rows holds the data (row layout only).
-	Rows []types.Row
-	// Meta[i] describes Rows[i]. len(Meta) == len(Rows) (row layout only).
-	Meta []RowMeta
-	// Col is the columnar payload (columnar layout only).
+	// Col is the columnar payload.
 	Col *colstore.Data
 	// Zones[i] summarises column i across the block's rows.
 	Zones []Zone
@@ -120,51 +102,23 @@ type Block struct {
 }
 
 // NumRows returns the row count.
-func (b *Block) NumRows() int {
-	if b.Col != nil {
-		return b.Col.N
-	}
-	return len(b.Rows)
-}
+func (b *Block) NumRows() int { return b.Col.N }
 
-// IsColumnar reports whether the block carries a columnar payload.
-func (b *Block) IsColumnar() bool { return b.Col != nil }
-
-// RowAt returns row i. For row blocks it aliases the stored row; for
-// columnar blocks it materialises a fresh one. Callers must not mutate
-// the result.
-func (b *Block) RowAt(i int) types.Row {
-	if b.Col != nil {
-		return b.Col.Row(i)
-	}
-	return b.Rows[i]
-}
+// RowAt materialises row i (fresh per call, safe to retain).
+func (b *Block) RowAt(i int) types.Row { return b.Col.Row(i) }
 
 // MetaAt returns row i's sampling metadata.
 func (b *Block) MetaAt(i int) RowMeta {
-	if b.Col != nil {
-		return RowMeta{Rate: b.Col.RateAt(i), StratumFreq: b.Col.FreqAt(i)}
-	}
-	return b.Meta[i]
+	return RowMeta{Rate: b.Col.RateAt(i), StratumFreq: b.Col.FreqAt(i)}
 }
 
 // ValueAt returns the value of column col in row i without materialising
 // the row.
-func (b *Block) ValueAt(i, col int) types.Value {
-	if b.Col != nil {
-		return b.Col.Cols[col].Value(i)
-	}
-	return b.Rows[i][col]
-}
+func (b *Block) ValueAt(i, col int) types.Value { return b.Col.Cols[col].Value(i) }
 
 // RowKey renders the projection of row i onto the given schema indices —
-// types.RowKey without materialising columnar rows.
-func (b *Block) RowKey(i int, idx []int) string {
-	if b.Col != nil {
-		return b.Col.RowKey(i, idx)
-	}
-	return types.RowKey(b.Rows[i], idx)
-}
+// types.RowKey without materialising the row.
+func (b *Block) RowKey(i int, idx []int) string { return b.Col.RowKey(i, idx) }
 
 // Table is a named collection of blocks sharing a schema.
 type Table struct {
@@ -196,20 +150,11 @@ func (t *Table) NumRows() int64 { return t.rows }
 func (t *Table) Bytes() int64 { return t.bytes }
 
 // Scan calls fn for every row (with its metadata) in block order. Rows
-// from columnar blocks are materialised fresh per call (safe to retain);
-// rows from row blocks alias storage and must not be mutated.
+// are materialised fresh per call (safe to retain).
 func (t *Table) Scan(fn func(r types.Row, m RowMeta) bool) {
 	for _, b := range t.Blocks {
-		if d := b.Col; d != nil {
-			for i := 0; i < d.N; i++ {
-				if !fn(d.Row(i), b.MetaAt(i)) {
-					return
-				}
-			}
-			continue
-		}
-		for i, r := range b.Rows {
-			if !fn(r, b.Meta[i]) {
+		for i, n := 0, b.NumRows(); i < n; i++ {
+			if !fn(b.RowAt(i), b.MetaAt(i)) {
 				return
 			}
 		}
@@ -376,20 +321,14 @@ func EstimateRowBytes(r types.Row) int64 {
 
 // Builder accumulates rows into fixed-size blocks, striping them
 // round-robin across numNodes cluster nodes (HDFS-style block spread).
-// The layout decides the physical block representation: RowLayout keeps
-// []types.Row, ColumnarLayout encodes each flushed block into per-column
-// typed slices (internal/colstore). Both layouts produce tables with
-// identical logical content, block boundaries, zones and byte accounting,
-// so query results are bit-identical across layouts.
+// Each flushed block is encoded into per-column typed slices
+// (internal/colstore).
 type Builder struct {
 	table        *Table
 	rowsPerBlock int
 	numNodes     int
 	place        Placement
-	layout       Layout
 
-	curRows  []types.Row
-	curMeta  []RowMeta
 	curCol   *colstore.Builder
 	curZones []Zone
 	curByte  int64
@@ -403,28 +342,27 @@ type Builder struct {
 	noRLE      bool
 }
 
-// NewBuilder creates a row-layout builder for the given table.
-// rowsPerBlock controls block granularity; numNodes the round-robin
-// striping width.
+// NewBuilder creates a builder for the given table. rowsPerBlock controls
+// block granularity; numNodes the round-robin striping width.
 func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Builder {
-	return NewBuilderLayout(table, rowsPerBlock, numNodes, place, RowLayout)
-}
-
-// NewBuilderLayout is NewBuilder with an explicit block layout.
-func NewBuilderLayout(table *Table, rowsPerBlock, numNodes int, place Placement, layout Layout) *Builder {
 	if rowsPerBlock <= 0 {
 		rowsPerBlock = 8192
 	}
 	if numNodes <= 0 {
 		numNodes = 1
 	}
-	return &Builder{table: table, rowsPerBlock: rowsPerBlock, numNodes: numNodes, place: place, layout: layout}
+	return &Builder{table: table, rowsPerBlock: rowsPerBlock, numNodes: numNodes, place: place}
+}
+
+// NewBuilderLayout is NewBuilder; see Layout.
+func NewBuilderLayout(table *Table, rowsPerBlock, numNodes int, place Placement, _ Layout) *Builder {
+	return NewBuilder(table, rowsPerBlock, numNodes, place)
 }
 
 // HintSortedColumns marks columns as sorted (or low-cardinality-clustered)
 // for the columnar encoder, lowering its run-length-encoding threshold for
 // them. Sample builders hint the stratification columns, which are sorted
-// within a stratum by construction. No-op under RowLayout.
+// within a stratum by construction.
 func (b *Builder) HintSortedColumns(cols ...int) {
 	b.sortedCols = append(b.sortedCols, cols...)
 	if b.curCol != nil {
@@ -453,21 +391,16 @@ func (b *Builder) numCols(r types.Row) int {
 
 // Append adds one row with its sampling metadata.
 func (b *Builder) Append(r types.Row, m RowMeta) {
-	if b.layout == ColumnarLayout {
-		if b.curCol == nil {
-			b.curCol = colstore.NewBuilder(b.numCols(r))
-			if b.noRLE {
-				b.curCol.DisableRLE()
-			}
-			if len(b.sortedCols) > 0 {
-				b.curCol.HintSorted(b.sortedCols...)
-			}
+	if b.curCol == nil {
+		b.curCol = colstore.NewBuilder(b.numCols(r))
+		if b.noRLE {
+			b.curCol.DisableRLE()
 		}
-		b.curCol.Append(r, m.Rate, m.StratumFreq)
-	} else {
-		b.curRows = append(b.curRows, r)
-		b.curMeta = append(b.curMeta, m)
+		if len(b.sortedCols) > 0 {
+			b.curCol.HintSorted(b.sortedCols...)
+		}
 	}
+	b.curCol.Append(r, m.Rate, m.StratumFreq)
 	if b.curZones == nil {
 		// Zones are sized from the schema, not the first row, so a narrow
 		// leading row cannot silently disable zone maintenance for
@@ -480,64 +413,43 @@ func (b *Builder) Append(r types.Row, m RowMeta) {
 		}
 	}
 	b.curByte += EstimateRowBytes(r)
-	if b.curLen() >= b.rowsPerBlock {
+	if b.curCol.Len() >= b.rowsPerBlock {
 		b.flush()
 	}
-}
-
-func (b *Builder) curLen() int {
-	if b.curCol != nil {
-		return b.curCol.Len()
-	}
-	return len(b.curRows)
 }
 
 // AppendRow adds an unsampled (rate-1) row.
 func (b *Builder) AppendRow(r types.Row) { b.Append(r, RowMeta{Rate: 1}) }
 
 // AppendTable copies every row of src (with its metadata) into the
-// builder — the re-chunking path. When both the source block and this
-// builder are columnar, rows are decoded through one reused buffer
-// instead of a fresh allocation per row (safe: the columnar builder
+// builder — the re-chunking path. Rows are decoded through one reused
+// buffer instead of a fresh allocation per row (safe: the columnar builder
 // copies values out immediately and never retains the row slice).
 func (b *Builder) AppendTable(src *Table) {
 	var scratch types.Row
 	for _, blk := range src.Blocks {
-		n := blk.NumRows()
-		if d := blk.Col; d != nil && b.layout == ColumnarLayout {
-			if cap(scratch) < len(d.Cols) {
-				scratch = make(types.Row, len(d.Cols))
-			}
-			for i := 0; i < n; i++ {
-				b.Append(d.RowInto(scratch[:len(d.Cols)], i), blk.MetaAt(i))
-			}
-			continue
+		d := blk.Col
+		if cap(scratch) < len(d.Cols) {
+			scratch = make(types.Row, len(d.Cols))
 		}
-		for i := 0; i < n; i++ {
-			b.Append(blk.RowAt(i), blk.MetaAt(i))
+		for i := 0; i < d.N; i++ {
+			b.Append(d.RowInto(scratch[:len(d.Cols)], i), blk.MetaAt(i))
 		}
 	}
 }
 
 func (b *Builder) flush() {
-	if b.curLen() == 0 {
+	if b.curCol == nil {
 		return
 	}
 	blk := &Block{
+		Col:   b.curCol.Finish(),
 		Zones: b.curZones,
 		Node:  b.nextTgt % b.numNodes,
 		Place: b.place,
 		Bytes: b.curByte,
 	}
-	if b.curCol != nil {
-		blk.Col = b.curCol.Finish()
-		b.curCol = nil
-	} else {
-		blk.Rows = b.curRows
-		blk.Meta = b.curMeta
-		b.curRows = nil
-		b.curMeta = nil
-	}
+	b.curCol = nil
 	b.nextTgt++
 	b.table.AddBlock(blk)
 	b.curZones = nil
@@ -558,28 +470,25 @@ func SetPlacement(t *Table, p Placement) {
 	}
 }
 
-// Validate checks internal invariants: meta parity, byte accounting and
-// node assignment ranges. Returns the first violation found.
+// Validate checks internal invariants: column/meta length parity, byte
+// accounting and node assignment ranges. Returns the first violation found.
 func Validate(t *Table, numNodes int) error {
 	var rows, bytes int64
 	for _, b := range t.Blocks {
-		if d := b.Col; d != nil {
-			if len(b.Rows) != 0 || len(b.Meta) != 0 {
-				return fmt.Errorf("block %d: carries both row and columnar payloads", b.ID)
+		d := b.Col
+		if d == nil {
+			return fmt.Errorf("block %d: no columnar payload", b.ID)
+		}
+		for ci := range d.Cols {
+			if got := d.Cols[ci].Len(); got != d.N {
+				return fmt.Errorf("block %d: column %d length %d but %d rows", b.ID, ci, got, d.N)
 			}
-			for ci := range d.Cols {
-				if got := d.Cols[ci].Len(); got != d.N {
-					return fmt.Errorf("block %d: column %d length %d but %d rows", b.ID, ci, got, d.N)
-				}
-			}
-			if d.Rates != nil && len(d.Rates) != d.N {
-				return fmt.Errorf("block %d: %d rates but %d rows", b.ID, len(d.Rates), d.N)
-			}
-			if d.Freqs != nil && len(d.Freqs) != d.N {
-				return fmt.Errorf("block %d: %d freqs but %d rows", b.ID, len(d.Freqs), d.N)
-			}
-		} else if len(b.Rows) != len(b.Meta) {
-			return fmt.Errorf("block %d: %d rows but %d meta", b.ID, len(b.Rows), len(b.Meta))
+		}
+		if d.Rates != nil && len(d.Rates) != d.N {
+			return fmt.Errorf("block %d: %d rates but %d rows", b.ID, len(d.Rates), d.N)
+		}
+		if d.Freqs != nil && len(d.Freqs) != d.N {
+			return fmt.Errorf("block %d: %d freqs but %d rows", b.ID, len(d.Freqs), d.N)
 		}
 		if numNodes > 0 && (b.Node < 0 || b.Node >= numNodes) {
 			return fmt.Errorf("block %d: node %d out of range [0,%d)", b.ID, b.Node, numNodes)

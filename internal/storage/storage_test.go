@@ -97,13 +97,13 @@ func TestSetPlacement(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	tab := buildTable(t, 20, 8, 2)
-	tab.Blocks[0].Meta = tab.Blocks[0].Meta[:1]
+	tab.Blocks[0].Col.Rates = []float64{1}
 	if err := Validate(tab, 2); err == nil {
 		t.Error("meta/rows mismatch not caught")
 	}
 
 	tab2 := buildTable(t, 20, 8, 2)
-	tab2.Blocks[0].Meta[0].Rate = 0
+	tab2.Blocks[0].Col.UniformRate = 0
 	if err := Validate(tab2, 2); err == nil {
 		t.Error("zero rate not caught")
 	}
@@ -154,9 +154,24 @@ func TestBuilderDefaults(t *testing.T) {
 	}
 }
 
-// buildTableLayout mirrors buildTable with an explicit layout and mixed
-// value kinds (nulls, strings, floats) to exercise every encoding.
-func buildTableLayout(t *testing.T, layout Layout, n, rowsPerBlock, nodes int) *Table {
+// mixedRows generates rows of mixed value kinds (nulls, strings, floats)
+// with varying stratum frequencies, to exercise every encoding.
+func mixedRows(n int) ([]types.Row, []RowMeta) {
+	cities := []string{"NY", "SF", "LA"}
+	rows, metas := make([]types.Row, n), make([]RowMeta, n)
+	for i := range rows {
+		v := types.Float(float64(i) * 1.5)
+		if i%11 == 0 {
+			v = types.Null()
+		}
+		rows[i] = types.Row{types.Int(int64(i)), types.Str(cities[i%3]), v}
+		metas[i] = RowMeta{Rate: 1, StratumFreq: int64(i % 4 * 100)}
+	}
+	return rows, metas
+}
+
+// buildMixedTable builds a validated table from mixedRows.
+func buildMixedTable(t *testing.T, n, rowsPerBlock, nodes int) *Table {
 	t.Helper()
 	schema := types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
@@ -164,85 +179,65 @@ func buildTableLayout(t *testing.T, layout Layout, n, rowsPerBlock, nodes int) *
 		types.Column{Name: "v", Kind: types.KindFloat},
 	)
 	tab := NewTable("t", schema)
-	b := NewBuilderLayout(tab, rowsPerBlock, nodes, OnDisk, layout)
-	cities := []string{"NY", "SF", "LA"}
-	for i := 0; i < n; i++ {
-		v := types.Float(float64(i) * 1.5)
-		if i%11 == 0 {
-			v = types.Null()
-		}
-		b.Append(types.Row{types.Int(int64(i)), types.Str(cities[i%3]), v},
-			RowMeta{Rate: 1, StratumFreq: int64(i % 4 * 100)})
+	b := NewBuilder(tab, rowsPerBlock, nodes, OnDisk)
+	rows, metas := mixedRows(n)
+	for i, r := range rows {
+		b.Append(r, metas[i])
 	}
 	b.Finish()
 	if err := Validate(tab, nodes); err != nil {
-		t.Fatalf("invalid %s table: %v", layout, err)
+		t.Fatalf("invalid table: %v", err)
 	}
 	return tab
 }
 
-// TestColumnarBuilderMatchesRowBuilder pins that the two layouts produce
-// tables with identical logical content: same block boundaries, nodes,
-// zones, bytes, rows and metadata.
-func TestColumnarBuilderMatchesRowBuilder(t *testing.T) {
-	row := buildTableLayout(t, RowLayout, 230, 16, 4)
-	col := buildTableLayout(t, ColumnarLayout, 230, 16, 4)
-	if len(row.Blocks) != len(col.Blocks) || row.NumRows() != col.NumRows() || row.Bytes() != col.Bytes() {
-		t.Fatalf("shape mismatch: %d/%d blocks, %d/%d rows, %d/%d bytes",
-			len(row.Blocks), len(col.Blocks), row.NumRows(), col.NumRows(), row.Bytes(), col.Bytes())
+// TestBlockAccessorsMatchAppendedRows pins that a built table gives back
+// exactly what was appended through every reader: block boundaries, zones,
+// RowAt/MetaAt/ValueAt/RowKey, and Table.Scan including early stop.
+func TestBlockAccessorsMatchAppendedRows(t *testing.T) {
+	tab := buildMixedTable(t, 230, 16, 4)
+	rows, metas := mixedRows(230)
+	if len(tab.Blocks) != 15 || tab.NumRows() != 230 {
+		t.Fatalf("shape: %d blocks, %d rows", len(tab.Blocks), tab.NumRows())
 	}
-	for bi, rb := range row.Blocks {
-		cb := col.Blocks[bi]
-		if !cb.IsColumnar() || cb.IsColumnar() == rb.IsColumnar() {
-			t.Fatalf("block %d layouts wrong", bi)
-		}
-		if rb.Node != cb.Node || rb.Place != cb.Place || rb.Bytes != cb.Bytes || rb.NumRows() != cb.NumRows() {
+	n := 0
+	for bi, b := range tab.Blocks {
+		if b.Node != bi%4 || b.Place != OnDisk || len(b.Zones) != 3 {
 			t.Fatalf("block %d physical mismatch", bi)
 		}
-		if len(rb.Zones) != len(cb.Zones) {
-			t.Fatalf("block %d zone widths differ", bi)
+		if z := b.Zones[0]; !z.Valid || z.Min.I != int64(n) || z.Max.I != int64(n+b.NumRows()-1) {
+			t.Fatalf("block %d id zone %+v, rows start at %d", bi, z, n)
 		}
-		for zi := range rb.Zones {
-			rz, cz := rb.Zones[zi], cb.Zones[zi]
-			if rz.Valid != cz.Valid || types.Compare(rz.Min, cz.Min) != 0 || types.Compare(rz.Max, cz.Max) != 0 {
-				t.Fatalf("block %d zone %d differs: %+v vs %+v", bi, zi, rz, cz)
-			}
-		}
-		for i := 0; i < rb.NumRows(); i++ {
-			if rb.MetaAt(i) != cb.MetaAt(i) {
+		for i := 0; i < b.NumRows(); i, n = i+1, n+1 {
+			if b.MetaAt(i) != metas[n] {
 				t.Fatalf("block %d row %d meta differs", bi, i)
 			}
-			rr, cr := rb.RowAt(i), cb.RowAt(i)
-			for ci := range rr {
-				if !types.GroupEqual(rr[ci], cr[ci]) || rr[ci].Kind != cr[ci].Kind {
-					t.Fatalf("block %d row %d col %d: %v vs %v", bi, i, ci, rr[ci], cr[ci])
-				}
-				if rb.ValueAt(i, ci) != rr[ci] || cb.ValueAt(i, ci).Kind != rr[ci].Kind {
-					t.Fatalf("ValueAt mismatch at block %d row %d col %d", bi, i, ci)
+			got := b.RowAt(i)
+			for ci, want := range rows[n] {
+				if got[ci] != want || b.ValueAt(i, ci) != want {
+					t.Fatalf("block %d row %d col %d: RowAt %v, ValueAt %v, appended %v", bi, i, ci, got[ci], b.ValueAt(i, ci), want)
 				}
 			}
-			if rb.RowKey(i, []int{1, 0}) != cb.RowKey(i, []int{1, 0}) {
+			if b.RowKey(i, []int{1, 0}) != types.RowKey(rows[n], []int{1, 0}) {
 				t.Fatalf("RowKey mismatch at block %d row %d", bi, i)
 			}
 		}
 	}
-}
-
-// TestColumnarScanMatchesRowScan checks Table.Scan parity across layouts,
-// including early stop.
-func TestColumnarScanMatchesRowScan(t *testing.T) {
-	row := buildTableLayout(t, RowLayout, 120, 32, 2)
-	col := buildTableLayout(t, ColumnarLayout, 120, 32, 2)
-	var rowSeen, colSeen []types.Row
-	row.Scan(func(r types.Row, m RowMeta) bool { rowSeen = append(rowSeen, r.Clone()); return len(rowSeen) < 70 })
-	col.Scan(func(r types.Row, m RowMeta) bool { colSeen = append(colSeen, r); return len(colSeen) < 70 })
-	if len(rowSeen) != len(colSeen) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(rowSeen), len(colSeen))
+	var seen []types.Row
+	tab.Scan(func(r types.Row, m RowMeta) bool {
+		if m != metas[len(seen)] {
+			t.Fatalf("scan row %d meta differs", len(seen))
+		}
+		seen = append(seen, r)
+		return len(seen) < 70
+	})
+	if len(seen) != 70 {
+		t.Fatalf("early stop scanned %d rows, want 70", len(seen))
 	}
-	for i := range rowSeen {
-		for ci := range rowSeen[i] {
-			if rowSeen[i][ci] != colSeen[i][ci] {
-				t.Fatalf("scan row %d col %d: %v vs %v", i, ci, rowSeen[i][ci], colSeen[i][ci])
+	for i, r := range seen {
+		for ci := range r {
+			if r[ci] != rows[i][ci] {
+				t.Fatalf("scan row %d col %d: %v vs %v", i, ci, r[ci], rows[i][ci])
 			}
 		}
 	}
@@ -252,66 +247,52 @@ func TestColumnarScanMatchesRowScan(t *testing.T) {
 // bug: a narrow first row used to size curZones, silently disabling zone
 // maintenance for trailing columns of later (full-width) rows.
 func TestZoneSizingFromSchema(t *testing.T) {
-	for _, layout := range []Layout{RowLayout, ColumnarLayout} {
-		tab := NewTable("z", testSchema()) // (id INT, city STRING)
-		b := NewBuilderLayout(tab, 8, 1, OnDisk, layout)
-		b.AppendRow(types.Row{types.Int(5)}) // narrow row first
-		b.AppendRow(types.Row{types.Int(1), types.Str("AA")})
-		b.AppendRow(types.Row{types.Int(9), types.Str("ZZ")})
-		b.Finish()
-		blk := tab.Blocks[0]
-		if len(blk.Zones) != 2 {
-			t.Fatalf("%s: zones sized %d from first row, want 2 (schema width)", layout, len(blk.Zones))
-		}
-		z := blk.Zones[1]
-		if !z.Valid || z.Min.S != "AA" || z.Max.S != "ZZ" {
-			t.Fatalf("%s: trailing column zone not maintained: %+v", layout, z)
-		}
-		if z0 := blk.Zones[0]; !z0.Valid || z0.Min.I != 1 || z0.Max.I != 9 {
-			t.Fatalf("%s: leading zone wrong: %+v", layout, z0)
-		}
+	tab := NewTable("z", testSchema()) // (id INT, city STRING)
+	b := NewBuilder(tab, 8, 1, OnDisk)
+	b.AppendRow(types.Row{types.Int(5)}) // narrow row first
+	b.AppendRow(types.Row{types.Int(1), types.Str("AA")})
+	b.AppendRow(types.Row{types.Int(9), types.Str("ZZ")})
+	b.Finish()
+	blk := tab.Blocks[0]
+	if len(blk.Zones) != 2 {
+		t.Fatalf("zones sized %d from first row, want 2 (schema width)", len(blk.Zones))
+	}
+	z := blk.Zones[1]
+	if !z.Valid || z.Min.S != "AA" || z.Max.S != "ZZ" {
+		t.Fatalf("trailing column zone not maintained: %+v", z)
+	}
+	if z0 := blk.Zones[0]; !z0.Valid || z0.Min.I != 1 || z0.Max.I != 9 {
+		t.Fatalf("leading zone wrong: %+v", z0)
 	}
 }
 
-// TestAppendTableRechunk pins the re-chunking copy across every layout
-// pairing: contents, metadata and totals survive, and the columnar →
-// columnar path (which reuses a decode buffer) matches a fresh build.
+// TestAppendTableRechunk pins the re-chunking copy (which decodes through
+// one reused buffer): contents, metadata and totals survive.
 func TestAppendTableRechunk(t *testing.T) {
-	for _, srcLayout := range []Layout{RowLayout, ColumnarLayout} {
-		for _, dstLayout := range []Layout{RowLayout, ColumnarLayout} {
-			src := buildTableLayout(t, srcLayout, 230, 16, 4)
-			dst := NewTable("t", src.Schema)
-			b := NewBuilderLayout(dst, 64, 2, OnDisk, dstLayout)
-			b.AppendTable(src)
-			b.Finish()
-			if dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
-				t.Fatalf("%s->%s: totals changed: %d/%d rows, %d/%d bytes",
-					srcLayout, dstLayout, dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
+	src := buildMixedTable(t, 230, 16, 4)
+	dst := NewTable("t", src.Schema)
+	b := NewBuilder(dst, 64, 2, OnDisk)
+	b.AppendTable(src)
+	b.Finish()
+	if dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
+		t.Fatalf("totals changed: %d/%d rows, %d/%d bytes", dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
+	}
+	if err := Validate(dst, 2); err != nil {
+		t.Fatal(err)
+	}
+	rows, metas := mixedRows(230)
+	n := 0
+	for bi, blk := range dst.Blocks {
+		for ri := 0; ri < blk.NumRows(); ri, n = ri+1, n+1 {
+			if blk.MetaAt(ri) != metas[n] {
+				t.Fatalf("meta diverged at block %d row %d", bi, ri)
 			}
-			if err := Validate(dst, 2); err != nil {
-				t.Fatalf("%s->%s: %v", srcLayout, dstLayout, err)
+			got := blk.RowAt(ri)
+			for ci := range got {
+				if got[ci] != rows[n][ci] {
+					t.Fatalf("row diverged at block %d row %d col %d: %v vs %v", bi, ri, ci, got[ci], rows[n][ci])
+				}
 			}
-			want := buildTableLayout(t, srcLayout, 230, 16, 4) // reference contents
-			ri, bi := 0, 0
-			want.Scan(func(r types.Row, m RowMeta) bool {
-				blk := dst.Blocks[bi]
-				if ri >= blk.NumRows() {
-					bi, ri = bi+1, 0
-					blk = dst.Blocks[bi]
-				}
-				if blk.MetaAt(ri) != m {
-					t.Fatalf("%s->%s: meta diverged at block %d row %d", srcLayout, dstLayout, bi, ri)
-				}
-				got := blk.RowAt(ri)
-				for ci := range r {
-					if got[ci] != r[ci] {
-						t.Fatalf("%s->%s: row diverged at block %d row %d col %d: %v vs %v",
-							srcLayout, dstLayout, bi, ri, ci, got[ci], r[ci])
-					}
-				}
-				ri++
-				return true
-			})
 		}
 	}
 }

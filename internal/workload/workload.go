@@ -91,7 +91,6 @@ type ConvivaConfig struct {
 	RowsPerBlock int
 	Seed         int64
 	Place        storage.Placement
-	Layout       storage.Layout
 }
 
 func (c ConvivaConfig) normalize() ConvivaConfig {
@@ -136,7 +135,7 @@ func Conviva(cfg ConvivaConfig) *Dataset {
 	cfg = cfg.normalize()
 	schema := ConvivaSchema()
 	tab := storage.NewTable("sessions", schema)
-	b := storage.NewBuilderLayout(tab, cfg.RowsPerBlock, cfg.Nodes, cfg.Place, cfg.Layout)
+	b := storage.NewBuilder(tab, cfg.RowsPerBlock, cfg.Nodes, cfg.Place)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	cityGen := zipf.NewGeneratorCDF(rng, 1.5, 400)
@@ -283,7 +282,6 @@ type TPCHConfig struct {
 	RowsPerBlock int
 	Seed         int64
 	Place        storage.Placement
-	Layout       storage.Layout
 }
 
 func (c TPCHConfig) normalize() TPCHConfig {
@@ -327,7 +325,7 @@ func TPCH(cfg TPCHConfig) *Dataset {
 	cfg = cfg.normalize()
 	schema := TPCHSchema()
 	tab := storage.NewTable("lineitem", schema)
-	b := storage.NewBuilderLayout(tab, cfg.RowsPerBlock, cfg.Nodes, cfg.Place, cfg.Layout)
+	b := storage.NewBuilder(tab, cfg.RowsPerBlock, cfg.Nodes, cfg.Place)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	suppGen := zipf.NewGeneratorCDF(rng, 1.3, 1000)

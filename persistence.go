@@ -7,7 +7,7 @@ package blinkdb
 //
 //  1. Sample segments. CreateSamples persists every built family to
 //     DataDir/samples/<table>/ keyed by a build signature over its
-//     inputs (table content stats, templates, budget, seed, layout). A
+//     inputs (table content stats, templates, budget, seed). A
 //     warm boot whose CreateSamples call matches the signature loads
 //     the families from disk instead of re-running stratification —
 //     and because sampling is seeded-deterministic, the loaded
@@ -149,7 +149,6 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 	w.i64(int64(blockRows))
 	w.i64(int64(e.cfg.Nodes))
 	w.i64(e.cfg.Seed)
-	w.i64(int64(e.cfg.Layout))
 	// Not Workers: builds are identical for any pool size, and the default
 	// pool follows the host's cores — a restart under another GOMAXPROCS
 	// must still warm-boot.

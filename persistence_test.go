@@ -370,3 +370,41 @@ func TestCorruptWarmupFileColdBoots(t *testing.T) {
 		return mut
 	})
 }
+
+// TestRetiredLayoutSegmentColdBoots: a data dir whose sample segment
+// carries the retired row block layout (the blockfile fixture, written
+// before the layout was removed) must boot cold — the reason in
+// PersistenceNotes, the rebuilt families answering exactly like a fresh
+// engine's — never panic and never serve a half-loaded family.
+func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
+	dir := t.TempDir()
+	fresh, freshRep := bootEngine(t, dir)
+	retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", "row_layout_v1.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "samples", "sessions", "fam0.seg"), retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rebooted, rep := bootEngine(t, dir)
+	notes := strings.Join(rebooted.PersistenceNotes(), "\n")
+	if !strings.Contains(notes, "invalid block layout 0") || !strings.Contains(notes, "rebuilding") {
+		t.Fatalf("PersistenceNotes do not record the retired-layout fallback: %q", notes)
+	}
+	if !reflect.DeepEqual(freshRep, rep) {
+		t.Errorf("cold rebuild's sample report differs:\n fresh %+v\n rebuilt %+v", freshRep, rep)
+	}
+	for _, src := range persistQueries {
+		want, err := fresh.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rebooted.Query(src)
+		if err != nil {
+			t.Fatalf("%q after the fallback: %v", src, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%q: answer differs after the cold rebuild\n fresh   %+v\n rebuilt %+v", src, want, got)
+		}
+	}
+}

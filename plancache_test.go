@@ -34,7 +34,7 @@ func TestPlanCacheEquivalenceEndToEnd(t *testing.T) {
 	engOff := demoEngineCfg(t, rows, off)
 	engOn := demoEngineCfg(t, rows, base)
 
-	for _, src := range affinityQueries {
+	for _, src := range demoQueries {
 		want, err := engOff.Query(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
@@ -76,8 +76,8 @@ func TestPlanCacheEquivalenceEndToEnd(t *testing.T) {
 		}
 	}
 	s := engOn.Stats()
-	if s.PlanCacheHits == 0 || s.PlanCacheMisses != int64(len(affinityQueries)) {
-		t.Errorf("stats: %d hits / %d misses, want >0 / %d", s.PlanCacheHits, s.PlanCacheMisses, len(affinityQueries))
+	if s.PlanCacheHits == 0 || s.PlanCacheMisses != int64(len(demoQueries)) {
+		t.Errorf("stats: %d hits / %d misses, want >0 / %d", s.PlanCacheHits, s.PlanCacheMisses, len(demoQueries))
 	}
 	if off := engOff.Stats(); off.PlanCacheHits != 0 || off.PlanCacheMisses != 0 {
 		t.Errorf("disabled cache counted outcomes: %+v", off)

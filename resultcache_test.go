@@ -23,7 +23,7 @@ func TestResultCacheEquivalenceEndToEnd(t *testing.T) {
 	engOff := demoEngineCfg(t, rows, off)
 	engOn := demoEngineCfg(t, rows, base)
 
-	for _, src := range affinityQueries {
+	for _, src := range demoQueries {
 		want, err := engOff.Query(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
@@ -60,9 +60,9 @@ func TestResultCacheEquivalenceEndToEnd(t *testing.T) {
 		}
 	}
 	s := engOn.Stats()
-	if s.ResultCacheHits != int64(len(affinityQueries)) || s.ResultCacheMisses != int64(len(affinityQueries)) {
+	if s.ResultCacheHits != int64(len(demoQueries)) || s.ResultCacheMisses != int64(len(demoQueries)) {
 		t.Errorf("stats: %d hits / %d misses, want %d / %d",
-			s.ResultCacheHits, s.ResultCacheMisses, len(affinityQueries), len(affinityQueries))
+			s.ResultCacheHits, s.ResultCacheMisses, len(demoQueries), len(demoQueries))
 	}
 	if hr := s.ResultCacheHitRate(); hr < 0.49 || hr > 0.51 {
 		t.Errorf("hit rate = %.3f, want 0.5 (one hit per miss)", hr)
