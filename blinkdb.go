@@ -57,13 +57,14 @@
 // bit-identical with it on or off, and the disabled query path performs
 // zero telemetry allocations.
 //
-// Tables and samples are stored as columnar blocks (internal/colstore):
-// per-column typed slices with null bitmaps plus per-block sampling-
-// metadata arrays, which is what lets cached samples be scanned at memory
-// bandwidth (§5). The scan picks its kernels per block from encoding and
-// zone metadata, never changing answers — every dispatch rule below is
-// purely physical, pinned against a naive reference evaluator in
-// internal/exec's tests. Sorted or low-cardinality columns
+// Tables and samples are stored as columnar chunks (internal/colstore):
+// per-column typed slices with null bitmaps plus the sampling metadata as
+// runs, which is what lets cached samples be scanned at memory bandwidth
+// (§5). The paper's block — what the cluster model places, prices and
+// prunes — is a window on a chunk. The scan picks its kernels per span of
+// blocks from encoding and zone metadata, never changing answers — every
+// dispatch rule below is purely physical, pinned against a naive
+// reference evaluator in internal/exec's tests. Sorted or low-cardinality columns
 // (stratification columns are sorted by construction; sample builders
 // hint them) are run-length encoded at build time, and predicates over
 // them evaluate once per run instead of once per row. Zone maps classify
@@ -199,9 +200,11 @@ type Config struct {
 	Confidence float64
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
-	// RowsPerBlock is the storage block granularity. When 0 (default)
-	// blocks are auto-sized so one block represents ≈256 MB of logical
-	// data at the configured Scale (HDFS-style blocks).
+	// RowsPerBlock is the size of the priced block: the unit the cluster
+	// model places on a node, prices and prunes — a window on a physical
+	// chunk, not the unit of storage. When 0 (default) blocks are
+	// auto-sized so one block represents ≈256 MB of logical data at the
+	// configured Scale (HDFS-style blocks).
 	RowsPerBlock int
 	// PlanCacheSize caps how many query templates keep their prepared
 	// state — compiled plan, sample probes, Error-Latency Profile —
@@ -443,20 +446,15 @@ func (l *Loader) Append(values ...any) error {
 }
 
 // Close finalizes the table and registers it with the engine. When the
-// engine auto-sizes blocks, the table is re-chunked so each block stands
-// for ≈256 MB of logical data at the configured Scale.
+// engine auto-sizes blocks, the table is re-cut so each priced block
+// stands for ≈256 MB of logical data at the configured Scale.
 func (l *Loader) Close() error {
 	if l.err != nil {
 		return l.err
 	}
 	l.builder.Finish()
 	if l.eng.cfg.RowsPerBlock <= 0 && l.table.NumRows() > 0 {
-		target := l.eng.blockRows(l.table)
-		rechunked := storage.NewTable(l.table.Name, l.schema)
-		b := storage.NewBuilder(rechunked, target, l.eng.cfg.Nodes, l.place)
-		b.AppendTable(l.table)
-		b.Finish()
-		l.table = rechunked
+		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.place)
 	}
 	l.eng.cat.Register(l.table)
 	return nil

@@ -151,17 +151,26 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 		if !zonesEq(gb.Zones, wb.Zones) {
 			t.Fatalf("block %d zones mismatch", i)
 		}
-		for c := range wb.Col.Cols {
-			if gb.Col.Cols[c].Enc != wb.Col.Cols[c].Enc {
-				t.Fatalf("block %d col %d encoding %v != %v",
-					i, c, gb.Col.Cols[c].Enc, wb.Col.Cols[c].Enc)
+		if gb.Off != wb.Off || gb.N != wb.N {
+			t.Fatalf("block %d window [%d,+%d) != [%d,+%d)", i, gb.Off, gb.N, wb.Off, wb.N)
+		}
+	}
+	wantChunks, gotChunks := want.Chunks(), got.Chunks()
+	if len(gotChunks) != len(wantChunks) {
+		t.Fatalf("%d chunks != %d", len(gotChunks), len(wantChunks))
+	}
+	for i, wc := range wantChunks {
+		gc := gotChunks[i]
+		for c := range wc.Cols {
+			if gc.Cols[c].Enc != wc.Cols[c].Enc {
+				t.Fatalf("chunk %d col %d encoding %v != %v", i, c, gc.Cols[c].Enc, wc.Cols[c].Enc)
 			}
-			if gb.Col.Cols[c].NaNFree != wb.Col.Cols[c].NaNFree {
-				t.Fatalf("block %d col %d NaNFree mismatch", i, c)
+			if gc.Cols[c].NaNFree != wc.Cols[c].NaNFree {
+				t.Fatalf("chunk %d col %d NaNFree mismatch", i, c)
 			}
 		}
-		if gb.Col.Uniform() != wb.Col.Uniform() {
-			t.Fatalf("block %d uniformity mismatch", i)
+		if !reflect.DeepEqual(gc.MetaEnds, wc.MetaEnds) {
+			t.Fatalf("chunk %d metadata runs differ", i)
 		}
 	}
 	wantRows, wantMeta := scanAll(want)
@@ -210,20 +219,24 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetiredLayoutByteRejected loads a segment written before the row
-// block layout was retired (testdata/row_layout_v1.seg: 6 rows in two
-// layout-byte-0 blocks, CRCs intact). Both load paths must refuse it with
-// a clean error — no panic, no half-loaded table — so the engine above
+// TestRetiredFormatVersionRejected loads the segments earlier commits
+// wrote, CRCs intact: testdata/row_layout_v1.seg (6 rows in two blocks of
+// the row layout) and testdata/columnar_blocks_v1.seg (6 rows in two
+// blocks, each its own column set — the format before blocks became
+// windows on chunks). Both load paths must refuse them with a clean
+// version error — no panic, no half-loaded table — so the engine above
 // falls back to a cold rebuild.
-func TestRetiredLayoutByteRejected(t *testing.T) {
-	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
-		seg, err := open(filepath.Join("testdata", "row_layout_v1.seg"))
-		if err == nil {
-			seg.Close()
-			t.Fatalf("%s: a row-layout segment loaded", name)
-		}
-		if !strings.Contains(err.Error(), "invalid block layout 0") {
-			t.Errorf("%s: error %q does not name the retired layout", name, err)
+func TestRetiredFormatVersionRejected(t *testing.T) {
+	for _, file := range []string{"row_layout_v1.seg", "columnar_blocks_v1.seg"} {
+		for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+			seg, err := open(filepath.Join("testdata", file))
+			if err == nil {
+				seg.Close()
+				t.Fatalf("%s %s: a format-1 segment loaded", file, name)
+			}
+			if !strings.Contains(err.Error(), "unsupported format version 1") {
+				t.Errorf("%s %s: error %q does not name the retired version", file, name, err)
+			}
 		}
 	}
 }
@@ -234,10 +247,10 @@ func TestEncodingCoverage(t *testing.T) {
 	tbl := buildFixture(t, 500)
 	seen := map[colstore.Encoding]bool{}
 	withNulls := false
-	for _, b := range tbl.Blocks {
-		for c := range b.Col.Cols {
-			seen[b.Col.Cols[c].Enc] = true
-			if b.Col.Cols[c].Nulls != nil {
+	for _, d := range tbl.Chunks() {
+		for c := range d.Cols {
+			seen[d.Cols[c].Enc] = true
+			if d.Cols[c].Nulls != nil {
 				withNulls = true
 			}
 		}

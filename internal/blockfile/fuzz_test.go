@@ -15,9 +15,9 @@ import (
 // then materialize every table and meta blob of anything that parses.
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
-// Seeds cover a valid single-table segment, a multi-table segment, a
-// segment of the retired row block layout, and systematic mutations of the
-// first; testdata/fuzz holds the checked-in corpus.
+// Seeds cover a valid single-table segment, a multi-table segment, the
+// two retired format-1 segments, and systematic mutations of the first;
+// testdata/fuzz holds the checked-in corpus.
 func FuzzSegmentLoad(f *testing.F) {
 	seed := func(rows int, extraTable bool) []byte {
 		tbl := buildFixture(f, rows)
@@ -53,6 +53,12 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(mut)
 		f.Add(valid[:off])
 	}
+	// After the rest, so the earlier seeds keep their numbers.
+	retired, err = os.ReadFile(filepath.Join("testdata", "columnar_blocks_v1.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg := &Segment{data: alignedCopy(data)}

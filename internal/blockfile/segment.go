@@ -30,21 +30,23 @@ type Segment struct {
 type tableDesc struct {
 	name   string
 	schema *types.Schema
+	chunks []chunkDesc
 	blocks []blockDesc
 }
 
-type blockDesc struct {
-	node  int
-	place storage.Placement
-	bytes int64
-	nrows int
-	zones []storage.Zone
+type chunkDesc struct {
+	nrows, nruns                    int
+	metaEndsSec, ratesSec, freqsSec uint32
+	cols                            []colDesc
+}
 
-	uniformRate float64
-	uniformFreq int64
-	ratesSec    uint32
-	freqsSec    uint32
-	cols        []colDesc
+type blockDesc struct {
+	node   int
+	place  storage.Placement
+	bytes  int64
+	chunk  int
+	off, n int
+	zones  []storage.Zone
 }
 
 type colDesc struct {
@@ -217,7 +219,16 @@ func (s *Segment) parseTable(d *dec) (tableDesc, error) {
 		return t, d.err
 	}
 	t.schema = types.NewSchema(cols...)
-	nblocks := d.count(14)
+	nchunks := d.count(20)
+	t.chunks = make([]chunkDesc, 0, nchunks)
+	for i := 0; i < nchunks; i++ {
+		c, err := s.parseChunk(d, ncols)
+		if err != nil {
+			return t, fmt.Errorf("chunk %d: %w", i, err)
+		}
+		t.chunks = append(t.chunks, c)
+	}
+	nblocks := d.count(29)
 	t.blocks = make([]blockDesc, 0, nblocks)
 	for i := 0; i < nblocks; i++ {
 		b, err := s.parseBlock(d, ncols)
@@ -229,12 +240,50 @@ func (s *Segment) parseTable(d *dec) (tableDesc, error) {
 	return t, d.err
 }
 
+func (s *Segment) parseChunk(d *dec, ncols int) (chunkDesc, error) {
+	var c chunkDesc
+	c.nrows = int(d.u32())
+	c.nruns = int(d.u32())
+	c.metaEndsSec = d.u32()
+	c.ratesSec = d.u32()
+	c.freqsSec = d.u32()
+	c.cols = make([]colDesc, ncols)
+	for i := range c.cols {
+		cd := &c.cols[i]
+		cd.enc = colstore.Encoding(d.u8())
+		cd.nanFree = d.u8() != 0
+		cd.payload, cd.nulls, cd.dict = noSection, noSection, noSection
+		switch cd.enc {
+		case colstore.EncFloat, colstore.EncInt, colstore.EncBool:
+			cd.payload = d.u32()
+			cd.nulls = d.u32()
+		case colstore.EncDict:
+			cd.payload = d.u32()
+			cd.nulls = d.u32()
+			cd.dict = d.u32()
+		case colstore.EncValue:
+			cd.payload = d.u32()
+		case colstore.EncRLE:
+			cd.payload = d.u32() // run values
+			cd.dict = d.u32()    // run ends
+		default:
+			if d.err != nil {
+				return c, d.err
+			}
+			return c, fmt.Errorf("column %d: invalid encoding %d", i, cd.enc)
+		}
+	}
+	return c, d.err
+}
+
 func (s *Segment) parseBlock(d *dec, ncols int) (blockDesc, error) {
 	var b blockDesc
 	b.node = int(d.u32())
 	b.place = storage.Placement(d.u8())
 	b.bytes = d.i64()
-	b.nrows = int(d.u32())
+	b.chunk = int(d.u32())
+	b.off = int(d.u32())
+	b.n = int(d.u32())
 	nz := d.count(3)
 	if d.err == nil && nz != ncols {
 		return b, fmt.Errorf("zone count %d != %d columns", nz, ncols)
@@ -244,45 +293,6 @@ func (s *Segment) parseBlock(d *dec, ncols int) (blockDesc, error) {
 		b.zones[i].Valid = d.u8() != 0
 		b.zones[i].Min = d.val()
 		b.zones[i].Max = d.val()
-	}
-	if d.err != nil {
-		return b, d.err
-	}
-	// The layout byte: 1 is columnar, the only layout. 0 was the retired
-	// row layout — such a segment is rejected here, and the engine cold-
-	// rebuilds over it.
-	if layout := d.u8(); layout != 1 {
-		if d.err != nil {
-			return b, d.err
-		}
-		return b, fmt.Errorf("invalid block layout %d", layout)
-	}
-	b.uniformRate = d.f64()
-	b.uniformFreq = d.i64()
-	b.ratesSec = d.u32()
-	b.freqsSec = d.u32()
-	b.cols = make([]colDesc, ncols)
-	for i := range b.cols {
-		c := &b.cols[i]
-		c.enc = colstore.Encoding(d.u8())
-		c.nanFree = d.u8() != 0
-		c.payload, c.nulls, c.dict = noSection, noSection, noSection
-		switch c.enc {
-		case colstore.EncFloat, colstore.EncInt, colstore.EncBool:
-			c.payload = d.u32()
-			c.nulls = d.u32()
-		case colstore.EncDict:
-			c.payload = d.u32()
-			c.nulls = d.u32()
-			c.dict = d.u32()
-		case colstore.EncValue:
-			c.payload = d.u32()
-		case colstore.EncRLE:
-			c.payload = d.u32() // run values
-			c.dict = d.u32()    // run ends
-		default:
-			return b, fmt.Errorf("column %d: invalid encoding %d", i, c.enc)
-		}
 	}
 	return b, d.err
 }
@@ -315,55 +325,89 @@ func (s *Segment) NumTables() int { return len(s.tables) }
 func (s *Segment) TableName(i int) string { return s.tables[i].name }
 
 // Table materializes table i. Columnar int/float payloads, null
-// bitmaps, dictionary codes and run ends are slice views over the
-// segment's backing bytes (zero per-value decode); strings and
-// mixed-kind value streams are decoded. Each referenced section's CRC
-// is verified, and all structural invariants the executor relies on
-// (payload lengths, run-end monotonicity, dictionary code bounds) are
+// bitmaps, dictionary codes, run ends and the sampling-metadata runs are
+// slice views over the segment's backing bytes (zero per-value decode);
+// strings and mixed-kind value streams are decoded. Each referenced
+// section's CRC is verified, and all structural invariants the executor
+// relies on (payload lengths, run-end monotonicity, dictionary code
+// bounds, every chunk tiled in order by its blocks' windows) are
 // validated — a corrupt segment returns an error, never a broken table.
 func (s *Segment) Table(i int) (*storage.Table, error) {
 	if i < 0 || i >= len(s.tables) {
 		return nil, fmt.Errorf("blockfile: table index %d out of range", i)
 	}
 	td := &s.tables[i]
-	t := storage.NewTable(td.name, td.schema)
-	for bi := range td.blocks {
-		blk, err := s.loadBlock(&td.blocks[bi], td.schema)
+	chunks := make([]*colstore.Data, len(td.chunks))
+	for ci := range td.chunks {
+		d, err := s.loadChunk(&td.chunks[ci], td.schema)
 		if err != nil {
-			return nil, fmt.Errorf("blockfile: table %q block %d: %w", td.name, bi, err)
+			return nil, fmt.Errorf("blockfile: table %q chunk %d: %w", td.name, ci, err)
 		}
-		t.AddBlock(blk)
+		chunks[ci] = d
+	}
+	t := storage.NewTable(td.name, td.schema)
+	chunk, end := 0, 0 // the chunk being tiled and how far
+	for bi := range td.blocks {
+		bd := &td.blocks[bi]
+		if chunk < len(chunks) && end == chunks[chunk].N && bd.chunk == chunk+1 {
+			chunk, end = chunk+1, 0
+		}
+		if bd.chunk != chunk || chunk >= len(chunks) || bd.off != end || bd.n <= 0 || bd.n > chunks[chunk].N-end {
+			return nil, fmt.Errorf("blockfile: table %q block %d: window [%d,+%d) of chunk %d does not continue the tiling",
+				td.name, bi, bd.off, bd.n, bd.chunk)
+		}
+		end += bd.n
+		t.AddBlock(&storage.Block{
+			Chunk: chunks[chunk], Off: bd.off, N: bd.n,
+			Node: bd.node, Place: bd.place, Bytes: bd.bytes,
+			Zones: append([]storage.Zone(nil), bd.zones...),
+		})
+	}
+	if len(chunks) > 0 && (chunk != len(chunks)-1 || end != chunks[chunk].N) {
+		return nil, fmt.Errorf("blockfile: table %q: blocks cover chunk %d to row %d, the table has %d chunks",
+			td.name, chunk, end, len(chunks))
 	}
 	return t, nil
 }
 
-func (s *Segment) loadBlock(bd *blockDesc, schema *types.Schema) (*storage.Block, error) {
-	b := &storage.Block{
-		Node:  bd.node,
-		Place: bd.place,
-		Bytes: bd.bytes,
-		Zones: append([]storage.Zone(nil), bd.zones...),
-	}
-	d := &colstore.Data{N: bd.nrows, UniformRate: bd.uniformRate, UniformFreq: bd.uniformFreq}
+func (s *Segment) loadChunk(cd *chunkDesc, schema *types.Schema) (*colstore.Data, error) {
+	d := &colstore.Data{N: cd.nrows}
 	var err error
-	if bd.ratesSec != noSection {
-		if d.Rates, err = s.f64View(bd.ratesSec, bd.nrows); err != nil {
-			return nil, fmt.Errorf("rates: %w", err)
-		}
+	if d.MetaEnds, err = s.i32View(cd.metaEndsSec, cd.nruns); err != nil {
+		return nil, fmt.Errorf("metadata run ends: %w", err)
 	}
-	if bd.freqsSec != noSection {
-		if d.Freqs, err = s.i64View(bd.freqsSec, bd.nrows); err != nil {
-			return nil, fmt.Errorf("freqs: %w", err)
-		}
+	if err = checkRunEnds(d.MetaEnds, cd.nrows); err != nil {
+		return nil, fmt.Errorf("metadata %w", err)
 	}
-	d.Cols = make([]colstore.Column, len(bd.cols))
-	for ci := range bd.cols {
-		if err := s.loadColumn(&d.Cols[ci], &bd.cols[ci], bd.nrows); err != nil {
+	if d.Rates, err = s.f64View(cd.ratesSec, cd.nruns); err != nil {
+		return nil, fmt.Errorf("rates: %w", err)
+	}
+	if d.Freqs, err = s.i64View(cd.freqsSec, cd.nruns); err != nil {
+		return nil, fmt.Errorf("freqs: %w", err)
+	}
+	d.Cols = make([]colstore.Column, len(cd.cols))
+	for ci := range cd.cols {
+		if err := s.loadColumn(&d.Cols[ci], &cd.cols[ci], cd.nrows); err != nil {
 			return nil, fmt.Errorf("column %q: %w", schema.Columns[ci].Name, err)
 		}
 	}
-	b.Col = d
-	return b, nil
+	return d, nil
+}
+
+// checkRunEnds validates a cumulative run-end list: strictly ascending
+// and covering exactly nrows.
+func checkRunEnds(ends []int32, nrows int) error {
+	prev := int32(0)
+	for _, end := range ends {
+		if end <= prev {
+			return fmt.Errorf("run ends not ascending (%d after %d)", end, prev)
+		}
+		prev = end
+	}
+	if int(prev) != nrows {
+		return fmt.Errorf("runs cover %d rows, want %d", prev, nrows)
+	}
+	return nil
 }
 
 func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
@@ -434,17 +478,7 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if c.RunEnds, err = s.i32View(cd.dict, len(c.RunVals)); err != nil {
 			return fmt.Errorf("run ends: %w", err)
 		}
-		prev := int32(0)
-		for _, end := range c.RunEnds {
-			if end <= prev {
-				return fmt.Errorf("run ends not ascending (%d after %d)", end, prev)
-			}
-			prev = end
-		}
-		if int(prev) != nrows && !(nrows == 0 && len(c.RunEnds) == 0) {
-			return fmt.Errorf("runs cover %d rows, want %d", prev, nrows)
-		}
-		return nil
+		return checkRunEnds(c.RunEnds, nrows)
 	default:
 		return fmt.Errorf("invalid encoding %d", cd.enc)
 	}

@@ -9,13 +9,15 @@
 //	sections ...    8-byte-aligned raw payloads (one per column payload,
 //	                null bitmap, dictionary, rate/freq array, …)
 //	footer   ...    index: section table (offset, length, CRC32C per
-//	                section) + logical structure (tables → blocks →
-//	                columns with their encodings and section refs)
+//	                section) + logical structure (tables → physical
+//	                chunks → columns with their encodings and section
+//	                refs, then the block table: placement, bytes, zones
+//	                and a (chunk, offset, rows) window per priced block)
 //	tail     24 B   footer offset/length, footer CRC32C, magic
 //
 // All fixed-width fields are little-endian. Numeric column payloads
 // (float64/int64 values, uint64 null-bitmap words, uint32 dictionary
-// codes, int32 run ends) are stored as raw machine-width arrays, so on a
+// codes, int32 run ends and metadata-run ends) are stored as raw machine-width arrays, so on a
 // little-endian host a loaded column's slices are views over the mapping
 // — zero per-value decode, zero per-value allocation. Strings
 // (dictionaries, mixed-kind value streams) are length-prefixed and
@@ -44,9 +46,10 @@ const (
 	// magicV1 spells "BKF1" when the u32 is laid out little-endian.
 	magicV1 = uint32('B') | uint32('K')<<8 | uint32('F')<<16 | uint32('1')<<24
 	// FormatVersion is the current segment format version. Readers
-	// reject any other version (a newer engine may understand older
-	// versions later; for now the contract is exact-match).
-	FormatVersion = 1
+	// reject any other version: the contract is exact-match, and a segment
+	// is a cache — the engine rebuilds over one it cannot read. Version 1
+	// stored every priced block as its own column set.
+	FormatVersion = 2
 
 	headerSize = 16
 	tailSize   = 24
@@ -139,8 +142,9 @@ func (w *Writer) PutMeta(name string, blob []byte) {
 	w.nmetas++
 }
 
-// AddTable serializes t into the segment. Blocks are written in order, so
-// IDs round-trip through Table.AddBlock on load.
+// AddTable serializes t into the segment: its chunks once each, then the
+// block table. Blocks are written in order, so IDs round-trip through
+// Table.AddBlock on load.
 func (w *Writer) AddTable(t *storage.Table) error {
 	var e enc
 	e.str(t.Name)
@@ -149,49 +153,52 @@ func (w *Writer) AddTable(t *storage.Table) error {
 		e.str(c.Name)
 		e.u8(uint8(c.Kind))
 	}
+	chunks := t.Chunks()
+	e.u32(uint32(len(chunks)))
+	for ci, d := range chunks {
+		if len(d.Cols) != t.Schema.Len() {
+			return w.fail(fmt.Errorf("blockfile: chunk %d of %q has %d columns, schema %d",
+				ci, t.Name, len(d.Cols), t.Schema.Len()))
+		}
+		e.u32(uint32(d.N))
+		e.u32(uint32(len(d.MetaEnds)))
+		e.u32(w.section(i32Bytes(d.MetaEnds)))
+		e.u32(w.section(f64Bytes(d.Rates)))
+		e.u32(w.section(i64Bytes(d.Freqs)))
+		for i := range d.Cols {
+			w.addColumn(&e, &d.Cols[i])
+		}
+	}
 	e.u32(uint32(len(t.Blocks)))
+	chunk := -1
 	for _, b := range t.Blocks {
-		if err := w.addBlock(&e, t, b); err != nil {
-			if w.err == nil {
-				w.err = err
+		if b.Chunk == nil {
+			return w.fail(fmt.Errorf("blockfile: block %d of %q has no rows behind it", b.ID, t.Name))
+		}
+		// Table.Chunks starts a chunk wherever the pointer changes.
+		if chunk < 0 || chunks[chunk] != b.Chunk {
+			chunk++
+		}
+		e.u32(uint32(b.Node))
+		e.u8(uint8(b.Place))
+		e.i64(b.Bytes)
+		e.u32(uint32(chunk))
+		e.u32(uint32(b.Off))
+		e.u32(uint32(b.N))
+		e.u32(uint32(len(b.Zones)))
+		for _, z := range b.Zones {
+			if z.Valid {
+				e.u8(1)
+			} else {
+				e.u8(0)
 			}
-			return err
+			e.val(z.Min)
+			e.val(z.Max)
 		}
 	}
 	w.tables = append(w.tables, e.buf...)
 	w.ntables++
 	return w.err
-}
-
-func (w *Writer) addBlock(e *enc, t *storage.Table, b *storage.Block) error {
-	e.u32(uint32(b.Node))
-	e.u8(uint8(b.Place))
-	e.i64(b.Bytes)
-	e.u32(uint32(b.NumRows()))
-	e.u32(uint32(len(b.Zones)))
-	for _, z := range b.Zones {
-		if z.Valid {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-		e.val(z.Min)
-		e.val(z.Max)
-	}
-	d := b.Col
-	e.u8(1) // layout byte: columnar (0 was the retired row layout)
-	e.f64(d.UniformRate)
-	e.i64(d.UniformFreq)
-	e.u32(w.optSection(f64Bytes(d.Rates), d.Rates != nil))
-	e.u32(w.optSection(i64Bytes(d.Freqs), d.Freqs != nil))
-	if len(d.Cols) != t.Schema.Len() {
-		return fmt.Errorf("blockfile: block %d of %q has %d columns, schema %d",
-			b.ID, t.Name, len(d.Cols), t.Schema.Len())
-	}
-	for i := range d.Cols {
-		w.addColumn(e, &d.Cols[i])
-	}
-	return nil
 }
 
 func (w *Writer) addColumn(e *enc, c *colstore.Column) {
@@ -231,6 +238,15 @@ func (w *Writer) addColumn(e *enc, c *colstore.Column) {
 			w.err = fmt.Errorf("blockfile: unknown encoding %d", c.Enc)
 		}
 	}
+}
+
+// fail poisons the writer with err (the first failure sticks) and returns
+// it.
+func (w *Writer) fail(err error) error {
+	if w.err == nil {
+		w.err = err
+	}
+	return err
 }
 
 func (w *Writer) optSection(data []byte, present bool) uint32 {

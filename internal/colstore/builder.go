@@ -1,8 +1,6 @@
 package colstore
 
 import (
-	"math"
-
 	"blinkdb/internal/types"
 )
 
@@ -18,16 +16,22 @@ const (
 	rleHintedMinMeanRun = 2
 )
 
-// Builder accumulates one block's rows and encodes them into a Data. It
-// mirrors storage.Builder's per-block accumulation: Append rows (with
-// their sampling metadata), then Finish to freeze the columnar payload.
-// Encoding decisions are made at Finish time from the values actually
-// seen, so a column degrades gracefully (typed slice → verbatim values)
-// instead of ever rejecting a row.
+// Builder accumulates one chunk's rows and encodes them into a Data:
+// Append rows (with their sampling metadata), or AppendFrom a window of an
+// already-encoded chunk, then Finish to freeze the payload. Values
+// accumulate in their typed form from the first row on — a column only
+// falls back to verbatim values when its non-null kinds actually mix — so
+// a column degrades gracefully instead of ever rejecting a row, and Finish
+// has nothing left to decode. The accumulators are kept across Finish
+// calls: a builder that writes many chunks grows its buffers once.
 type Builder struct {
-	cols  [][]types.Value
-	rates []float64
-	freqs []int64
+	cols []colAcc
+	n    int
+
+	// The sampling metadata as runs (see Data).
+	metaEnds []int32
+	rates    []float64
+	freqs    []int64
 
 	// noRLE disables run-length encoding (plain typed encodings only);
 	// sorted marks columns hinted as sorted/low-cardinality.
@@ -35,9 +39,9 @@ type Builder struct {
 	sorted []bool
 }
 
-// NewBuilder creates a builder for blocks of numCols columns.
+// NewBuilder creates a builder for chunks of numCols columns.
 func NewBuilder(numCols int) *Builder {
-	return &Builder{cols: make([][]types.Value, numCols)}
+	return &Builder{cols: make([]colAcc, numCols)}
 }
 
 // DisableRLE makes the builder skip run-length encoding and emit only the
@@ -61,7 +65,7 @@ func (b *Builder) HintSorted(cols ...int) {
 }
 
 // Len returns the number of rows appended so far.
-func (b *Builder) Len() int { return len(b.rates) }
+func (b *Builder) Len() int { return b.n }
 
 // Append adds one row. len(r) must equal the builder's column count;
 // short rows are padded with NULLs.
@@ -71,29 +75,71 @@ func (b *Builder) Append(r types.Row, rate float64, freq int64) {
 		if c < len(r) {
 			v = r[c]
 		}
-		b.cols[c] = append(b.cols[c], v)
+		b.cols[c].append(v, b.n)
 	}
+	b.appendMeta(rate, freq, 1)
+	b.n++
+}
+
+// AppendFrom adds rows [lo, hi) of an encoded chunk of the same width,
+// values and metadata exactly as they were appended to it, column at a
+// time and without materialising a row.
+func (b *Builder) AppendFrom(src *Data, lo, hi int) {
+	for c := range b.cols {
+		a, col := &b.cols[c], &src.Cols[c]
+		if col.Enc == EncRLE {
+			for i, run := lo, col.RunOf(lo); i < hi; run++ {
+				end := min(int(col.RunEnds[run]), hi)
+				for ; i < end; i++ {
+					a.append(col.RunVals[run], b.n+i-lo)
+				}
+			}
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			a.append(col.Value(i), b.n+i-lo)
+		}
+	}
+	for i, run := lo, src.MetaRunOf(lo); i < hi; run++ {
+		end := min(int(src.MetaEnds[run]), hi)
+		b.appendMeta(src.Rates[run], src.Freqs[run], end-i)
+		i = end
+	}
+	b.n += hi - lo
+}
+
+// appendMeta records count more rows of one (rate, freq) pair, extending
+// the open metadata run when the pair repeats.
+func (b *Builder) appendMeta(rate float64, freq int64, count int) {
+	end := int32(count)
+	if k := len(b.metaEnds); k > 0 {
+		if b.rates[k-1] == rate && b.freqs[k-1] == freq {
+			b.metaEnds[k-1] += end
+			return
+		}
+		end += b.metaEnds[k-1]
+	}
+	b.metaEnds = append(b.metaEnds, end)
 	b.rates = append(b.rates, rate)
 	b.freqs = append(b.freqs, freq)
 }
 
 // Finish encodes the accumulated rows into a Data and resets the builder
-// for the next block.
+// for the next chunk. Every slice of the Data is allocated at its exact
+// length: the append slack stays with the builder.
 func (b *Builder) Finish() *Data {
-	n := len(b.rates)
-	d := &Data{N: n, Cols: make([]Column, len(b.cols))}
+	d := &Data{N: b.n, Cols: make([]Column, len(b.cols))}
 	for c := range b.cols {
 		hinted := b.sorted != nil && b.sorted[c]
-		d.Cols[c] = encodeColumn(b.cols[c], !b.noRLE, hinted)
-		b.cols[c] = nil
+		d.Cols[c] = b.cols[c].finish(b.n, !b.noRLE, hinted)
 	}
-	d.Rates, d.UniformRate = compressFloats(b.rates)
-	d.Freqs, d.UniformFreq = compressInts(b.freqs)
-	b.rates, b.freqs = nil, nil
+	d.MetaEnds, d.Rates, d.Freqs = exact(b.metaEnds), exact(b.rates), exact(b.freqs)
+	b.metaEnds, b.rates, b.freqs = b.metaEnds[:0], b.rates[:0], b.freqs[:0]
+	b.n = 0
 	return d
 }
 
-// FromRows encodes a complete block in one call.
+// FromRows encodes a complete chunk in one call.
 func FromRows(numCols int, rows []types.Row, rates []float64, freqs []int64) *Data {
 	b := NewBuilder(numCols)
 	for i, r := range rows {
@@ -102,153 +148,172 @@ func FromRows(numCols int, rows []types.Row, rates []float64, freqs []int64) *Da
 	return b.Finish()
 }
 
-// compressFloats drops the array when every element is equal, returning
-// the shared value.
-func compressFloats(xs []float64) ([]float64, float64) {
+// exact copies xs into a slice with no spare capacity (nil when empty).
+func exact[T any](xs []T) []T {
 	if len(xs) == 0 {
-		return nil, 1
+		return nil
 	}
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return xs, 0
-		}
-	}
-	return nil, xs[0]
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
 }
 
-func compressInts(xs []int64) ([]int64, int64) {
-	if len(xs) == 0 {
-		return nil, 0
-	}
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return xs, 0
-		}
-	}
-	return nil, xs[0]
+// colAcc accumulates one column in the typed form its encoding will use.
+type colAcc struct {
+	// kind is the kind of the non-NULL values seen so far (KindNull until
+	// the first one); it selects which payload slice is live.
+	kind   types.Kind
+	floats []float64 // KindFloat payloads, 0 at NULL rows
+	ints   []int64   // KindInt and KindBool payloads
+	codes  []uint32  // KindString codes into dict, first-appearance order
+	dict   []string
+	lookup map[string]uint32
+	nulls  []uint64 // bitmap, grown to the last NULL row's word
+
+	// mixed is set once two non-NULL kinds have met: from then on values
+	// holds every row verbatim and the typed slices are unused.
+	mixed  bool
+	values []types.Value
+
+	// runs counts maximal runs of exactly-equal values. Equality is struct
+	// equality — kind AND payload — so Int(1)/Float(1) start separate runs
+	// and NaN never extends one, which is what keeps EncRLE lossless.
+	runs    int
+	last    types.Value
+	hasNull bool
+	hasNaN  bool
 }
 
-// countRuns counts maximal runs of exactly-equal values. Equality is
-// struct equality — kind AND payload bits — so Int(1)/Float(1) start
-// separate runs and NaN never extends one (NaN != NaN), which is what
-// keeps the encoding lossless.
-func countRuns(vals []types.Value) int {
-	if len(vals) == 0 {
-		return 0
+// append adds v as row i of the column.
+func (a *colAcc) append(v types.Value, i int) {
+	if i == 0 || v != a.last {
+		a.runs++
+		a.last = v
 	}
-	runs := 1
-	for i := 1; i < len(vals); i++ {
-		if vals[i] != vals[i-1] {
-			runs++
+	if v.Kind == types.KindFloat && v.F != v.F {
+		a.hasNaN = true
+	}
+	if a.mixed {
+		a.values = append(a.values, v)
+		return
+	}
+	if v.Kind == types.KindNull {
+		a.hasNull = true
+		for len(a.nulls) <= i>>6 {
+			a.nulls = append(a.nulls, 0)
 		}
+		a.nulls[i>>6] |= 1 << uint(i&63)
+	} else if a.kind == types.KindNull {
+		a.kind = v.Kind
+		for j := 0; j < i; j++ { // the leading NULL rows' payload slots
+			a.push(types.Value{})
+		}
+	} else if v.Kind != a.kind {
+		a.values = a.values[:0]
+		for j := 0; j < i; j++ {
+			a.values = append(a.values, a.value(j))
+		}
+		a.values = append(a.values, v)
+		a.mixed = true
+		return
 	}
-	return runs
+	a.push(v)
 }
 
-// noNaN reports whether no value in vals is a float NaN.
-func noNaN(vals []types.Value) bool {
-	for _, v := range vals {
-		if v.Kind == types.KindFloat && math.IsNaN(v.F) {
-			return false
+// push appends v's payload to the live typed slice (a zero slot for NULL).
+func (a *colAcc) push(v types.Value) {
+	switch a.kind {
+	case types.KindFloat:
+		a.floats = append(a.floats, v.F)
+	case types.KindInt, types.KindBool:
+		a.ints = append(a.ints, v.I)
+	case types.KindString:
+		var code uint32
+		if v.Kind != types.KindNull {
+			var ok bool
+			if code, ok = a.lookup[v.S]; !ok {
+				if a.lookup == nil {
+					a.lookup = map[string]uint32{}
+				}
+				code = uint32(len(a.dict))
+				a.lookup[v.S] = code
+				a.dict = append(a.dict, v.S)
+			}
 		}
+		a.codes = append(a.codes, code)
 	}
-	return true
 }
 
-// encodeColumn picks the tightest lossless encoding for one column.
-func encodeColumn(vals []types.Value, allowRLE, hinted bool) Column {
-	if allowRLE && len(vals) >= rleMinRows {
+// value reconstructs row j from the typed accumulators.
+func (a *colAcc) value(j int) types.Value {
+	if a.mixed {
+		return a.values[j]
+	}
+	if j>>6 < len(a.nulls) && a.nulls[j>>6]&(1<<uint(j&63)) != 0 {
+		return types.Null()
+	}
+	switch a.kind {
+	case types.KindFloat:
+		return types.Float(a.floats[j])
+	case types.KindInt, types.KindBool:
+		return types.Value{Kind: a.kind, I: a.ints[j]}
+	case types.KindString:
+		return types.Str(a.dict[a.codes[j]])
+	}
+	return types.Null()
+}
+
+// finish picks the tightest lossless encoding for the n accumulated rows
+// and resets the accumulator, keeping its buffers.
+func (a *colAcc) finish(n int, allowRLE, hinted bool) Column {
+	col := a.encode(n, allowRLE, hinted)
+	col.NaNFree = !a.hasNaN
+	a.floats, a.ints, a.codes = a.floats[:0], a.ints[:0], a.codes[:0]
+	a.dict, a.nulls, a.values = a.dict[:0], a.nulls[:0], a.values[:0]
+	clear(a.lookup)
+	a.kind, a.mixed, a.runs, a.last, a.hasNull, a.hasNaN = types.KindNull, false, 0, types.Value{}, false, false
+	return col
+}
+
+func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
+	if allowRLE && n >= rleMinRows {
 		threshold := rleMinMeanRun
 		if hinted {
 			threshold = rleHintedMinMeanRun
 		}
-		if runs := countRuns(vals); runs*threshold <= len(vals) {
-			col := Column{Enc: EncRLE, NaNFree: noNaN(vals)}
-			col.RunVals = make([]types.Value, 0, runs)
-			col.RunEnds = make([]int32, 0, runs)
-			for i, v := range vals {
-				if i == 0 || v != vals[i-1] {
+		if a.runs*threshold <= n {
+			col := Column{Enc: EncRLE, RunVals: make([]types.Value, 0, a.runs), RunEnds: make([]int32, 0, a.runs)}
+			for j := 0; j < n; j++ {
+				if v := a.value(j); j == 0 || v != col.RunVals[len(col.RunVals)-1] {
 					col.RunVals = append(col.RunVals, v)
-					col.RunEnds = append(col.RunEnds, int32(i+1))
+					col.RunEnds = append(col.RunEnds, int32(j+1))
 				} else {
-					col.RunEnds[len(col.RunEnds)-1] = int32(i + 1)
+					col.RunEnds[len(col.RunEnds)-1] = int32(j + 1)
 				}
 			}
 			return col
 		}
 	}
-
-	kind := types.KindNull
-	mixed := false
-	hasNull := false
-	for _, v := range vals {
-		if v.Kind == types.KindNull {
-			hasNull = true
-			continue
-		}
-		if kind == types.KindNull {
-			kind = v.Kind
-		} else if v.Kind != kind {
-			mixed = true
-			break
-		}
+	if a.mixed {
+		return Column{Enc: EncValue, Values: exact(a.values)}
 	}
-	if mixed {
-		return Column{Enc: EncValue, Values: vals, NaNFree: noNaN(vals)}
-	}
-
 	var nulls []uint64
-	if hasNull {
-		nulls = make([]uint64, (len(vals)+63)/64)
-		for i, v := range vals {
-			if v.Kind == types.KindNull {
-				nulls[i>>6] |= 1 << uint(i&63)
-			}
-		}
+	if a.hasNull {
+		nulls = make([]uint64, (n+63)/64)
+		copy(nulls, a.nulls)
 	}
-	switch kind {
-	case types.KindFloat:
-		xs := make([]float64, len(vals))
-		nanFree := true
-		for i, v := range vals {
-			xs[i] = v.F
-			if math.IsNaN(v.F) {
-				nanFree = false
-			}
-		}
-		return Column{Enc: EncFloat, Floats: xs, Nulls: nulls, NaNFree: nanFree}
+	switch a.kind {
 	case types.KindInt:
-		xs := make([]int64, len(vals))
-		for i, v := range vals {
-			xs[i] = v.I
-		}
-		return Column{Enc: EncInt, Ints: xs, Nulls: nulls, NaNFree: true}
+		return Column{Enc: EncInt, Ints: exact(a.ints), Nulls: nulls}
 	case types.KindBool:
-		xs := make([]int64, len(vals))
-		for i, v := range vals {
-			xs[i] = v.I
-		}
-		return Column{Enc: EncBool, Ints: xs, Nulls: nulls, NaNFree: true}
+		return Column{Enc: EncBool, Ints: exact(a.ints), Nulls: nulls}
 	case types.KindString:
-		codes := make([]uint32, len(vals))
-		var dict []string
-		lookup := map[string]uint32{}
-		for i, v := range vals {
-			if v.Kind == types.KindNull {
-				continue
-			}
-			code, ok := lookup[v.S]
-			if !ok {
-				code = uint32(len(dict))
-				lookup[v.S] = code
-				dict = append(dict, v.S)
-			}
-			codes[i] = code
-		}
-		return Column{Enc: EncDict, Codes: codes, Dict: dict, Nulls: nulls, NaNFree: true}
+		return Column{Enc: EncDict, Codes: exact(a.codes), Dict: exact(a.dict), Nulls: nulls}
+	case types.KindFloat:
+		return Column{Enc: EncFloat, Floats: exact(a.floats), Nulls: nulls}
 	default:
 		// Every value NULL: any typed encoding with a full null bitmap
 		// reconstructs it; pick float.
-		return Column{Enc: EncFloat, Floats: make([]float64, len(vals)), Nulls: nulls, NaNFree: true}
+		return Column{Enc: EncFloat, Floats: make([]float64, n), Nulls: nulls}
 	}
 }

@@ -1,9 +1,9 @@
-// Package colstore implements the columnar block layout underlying
-// BlinkDB-Go's vectorized scan path. A Data holds one storage block's rows
-// decomposed into per-column typed slices — []float64, []int64,
-// dictionary-encoded strings — plus a null bitmap per column and per-block
-// rate/stratum-frequency arrays (the sampling metadata storage.RowMeta
-// reports per row).
+// Package colstore implements the columnar layout underlying BlinkDB-Go's
+// vectorized scan path. A Data is one physical chunk — tens of thousands
+// of rows, many of storage's priced blocks — decomposed into per-column
+// typed slices — []float64, []int64, dictionary-encoded strings — plus a
+// null bitmap per column and the sampling metadata storage.RowMeta
+// reports per row (rate, stratum frequency), stored as runs.
 //
 // The layout is the paper's §5 speed argument made physical: cached sample
 // blocks are scanned at memory bandwidth because the executor's compiled
@@ -19,7 +19,7 @@
 //
 // # Encodings
 //
-// The builder picks, per column and per block, the tightest encoding that
+// The builder picks, per column and per chunk, the tightest encoding that
 // reconstructs every appended value exactly:
 //
 //   - EncRLE — run-length encoding: maximal runs of exactly-equal values
@@ -93,7 +93,7 @@ func (e Encoding) String() string {
 	}
 }
 
-// Column is one column of a block in columnar form. Exactly the payload
+// Column is one column of a chunk in columnar form. Exactly the payload
 // fields selected by Enc are meaningful. Nulls is a little-endian bitmap
 // (bit i set ⇒ row i is NULL); nil means the column has no nulls. EncValue
 // columns keep nulls inline in Values and leave Nulls nil.
@@ -116,7 +116,7 @@ type Column struct {
 	// NaNFree is true when the builder PROVED the column holds no float
 	// NaN (trivially true for int/bool/dict columns). The executor's
 	// all-true zone shortcut relies on it: NaN compares unordered, so a
-	// zone map cannot vouch for a block that might contain one. The zero
+	// zone map cannot vouch for a block whose chunk might contain one. The zero
 	// value (false) is the conservative side, so hand-assembled columns
 	// stay correct, just ineligible for the shortcut.
 	NaNFree bool
@@ -220,8 +220,8 @@ func (c *Column) NumNulls(n int) int {
 // MinMax returns the smallest and largest non-NULL value of the column
 // under types.Compare, and false when every row is NULL. Note this is a
 // summary helper (tests use it to cross-check encodings), NOT the source
-// of block zone maps: storage.Builder extends zones from every appended
-// value, NULLs included.
+// of block zone maps: those bracket every value of a block, NULLs
+// included (see storage's cutter).
 func (c *Column) MinMax(n int) (min, max types.Value, ok bool) {
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
@@ -242,44 +242,42 @@ func (c *Column) MinMax(n int) (min, max types.Value, ok bool) {
 	return min, max, ok
 }
 
-// Data is the columnar payload of one block: every column plus the per-row
-// sampling metadata. When every row shares the same (rate, stratum
-// frequency) pair — base tables, uniform samples, single-stratum sample
-// blocks — the arrays are dropped and the shared pair is stored once,
+// Data is one physical chunk: every column of a run of rows plus their
+// sampling metadata, stored as runs — rows [MetaEnds[r-1], MetaEnds[r])
+// share the rate Rates[r] and the stratum frequency Freqs[r]. A base table
+// or uniform sample is a single run; a stratified delta has about one per
+// stratum. A span of rows inside one run has one derived sampling rate,
 // which is what lets the executor hoist rate math out of its inner loop.
 type Data struct {
 	// N is the row count.
 	N int
 	// Cols holds one entry per schema column.
 	Cols []Column
-	// Rates[i] is row i's effective sampling rate; nil when uniform.
+	// MetaEnds[r] is the exclusive end row of metadata run r (ascending;
+	// the last entry is N). Empty only when N is 0.
+	MetaEnds []int32
+	// Rates[r] is the effective sampling rate of every row in run r.
 	Rates []float64
-	// Freqs[i] is row i's stratum frequency; nil when uniform.
+	// Freqs[r] is the stratum frequency of every row in run r.
 	Freqs []int64
-	// UniformRate is every row's rate when Rates is nil.
-	UniformRate float64
-	// UniformFreq is every row's stratum frequency when Freqs is nil.
-	UniformFreq int64
 }
 
 // Uniform reports whether every row shares one (rate, freq) pair.
-func (d *Data) Uniform() bool { return d.Rates == nil && d.Freqs == nil }
+func (d *Data) Uniform() bool { return len(d.MetaEnds) <= 1 }
+
+// MetaRunOf returns the index of the metadata run containing row i.
+func (d *Data) MetaRunOf(i int) int {
+	if len(d.MetaEnds) <= 1 {
+		return 0
+	}
+	return sort.Search(len(d.MetaEnds), func(r int) bool { return d.MetaEnds[r] > int32(i) })
+}
 
 // RateAt returns row i's sampling rate.
-func (d *Data) RateAt(i int) float64 {
-	if d.Rates == nil {
-		return d.UniformRate
-	}
-	return d.Rates[i]
-}
+func (d *Data) RateAt(i int) float64 { return d.Rates[d.MetaRunOf(i)] }
 
 // FreqAt returns row i's stratum frequency.
-func (d *Data) FreqAt(i int) int64 {
-	if d.Freqs == nil {
-		return d.UniformFreq
-	}
-	return d.Freqs[i]
-}
+func (d *Data) FreqAt(i int) int64 { return d.Freqs[d.MetaRunOf(i)] }
 
 // Row materialises row i as a fresh types.Row (safe to retain).
 func (d *Data) Row(i int) types.Row {
@@ -287,7 +285,7 @@ func (d *Data) Row(i int) types.Row {
 }
 
 // RowInto materialises row i into buf (which must have len(d.Cols)) and
-// returns it. The scan paths reuse one buffer per block with this.
+// returns it. The scan paths reuse one buffer with this.
 func (d *Data) RowInto(buf types.Row, i int) types.Row {
 	for c := range d.Cols {
 		buf[c] = d.Cols[c].Value(i)

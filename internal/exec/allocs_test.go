@@ -5,7 +5,47 @@ package exec
 import (
 	"context"
 	"testing"
+
+	"blinkdb/internal/storage"
 )
+
+// TestSpanScanSteadyStateZeroAlloc pins the span scan at zero allocations
+// once the scratch (bitmaps, index and gather buffers, the per-chunk
+// dictionary verdict tables and group cache) and the group states are
+// warm, over chunks of many blocks and every lane: the single-group fold
+// from a selection, the staged dictionary GROUP BY, the all-rows fold by
+// runs of an RLE GROUP BY column, and per-run sampling rates under a cap.
+// COUNT/SUM/AVG only: quantile accumulators buffer samples by design.
+func TestSpanScanSteadyStateZeroAlloc(t *testing.T) {
+	sorted := stratSortedTable(t, true)              // 128-row blocks, strata sorted: runs, tight zones
+	weighted := randomWeightedTable(t, 3, 6000, 101) // 101-row blocks, dictionary columns, a metadata run a row
+	for _, tc := range []struct {
+		tab *storage.Table
+		src string
+	}{
+		{sorted, `SELECT COUNT(*), AVG(v) FROM strat WHERE v < 40`},
+		{sorted, `SELECT COUNT(*), AVG(v) FROM strat GROUP BY strat`},
+		{sorted, `SELECT COUNT(*), SUM(v) FROM strat WHERE tier >= 2 AND tier < 20 GROUP BY strat`},
+		{weighted, `SELECT SUM(sessiontime) FROM sessions WHERE city = 'NY' AND code < 300`},
+		{weighted, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 900 GROUP BY city`},
+		{weighted, `SELECT COUNT(*) FROM sessions WHERE city = 'NY' OR os = 'Linux' GROUP BY os`},
+	} {
+		p := compile(t, tc.src, tc.tab.Schema)
+		rt := p.runtime()
+		for name, in := range map[string]Input{"table": FromTable(tc.tab), "capped": FromBlocks(tc.tab.Schema, tc.tab.Blocks, 120)} {
+			if len(tc.tab.Chunks()) != 1 || len(scanRanges(in.Blocks)) != 1 {
+				t.Fatal("the table is meant to be one chunk scanned as one range")
+			}
+			sc := &colScratch{}
+			pt := &Partial{groups: make(map[uint64][]*groupState)}
+			scan := func() { pt.scanBlocks(p, rt, in, in.Blocks, nil, sc) }
+			scan()
+			if a := testing.AllocsPerRun(20, scan); a != 0 {
+				t.Errorf("%s over %s: steady-state span scan allocates %.1f objects a pass, want 0", tc.src, name, a)
+			}
+		}
+	}
+}
 
 // TestProbeScanAllocs pins the allocation cost of the benchmark's probe
 // shape — a 10k-row, 60-block GROUP BY through the ctx entry point — so

@@ -12,17 +12,9 @@ import (
 	"blinkdb/internal/types"
 )
 
-// genCase derives one differential case from a seed: a table over one of
-// partition_test.go's irregular block shapes (sorted RLE runs, dictionary
-// strings, NULLs, a NaN-bearing column, a mixed int/float column, a
-// block-monotonic column for the three zone states, varying stratum
-// frequencies), a random AND/OR/NOT predicate with cross-kind constants,
-// 0–2 GROUP BY columns, 1–3 aggregates, rate-1 or capped per-row weights,
-// and — one case in three — a dimension join. Everything is a function of
-// the seed, so a failing seed is a complete reproduction.
-func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
-	rng := rand.New(rand.NewSource(seed))
-	schema := types.NewSchema(
+// diffSchema is the table both case generators fill.
+func diffSchema() *types.Schema {
+	return types.NewSchema(
 		types.Column{Name: "strat", Kind: types.KindString},
 		types.Column{Name: "city", Kind: types.KindString},
 		types.Column{Name: "tier", Kind: types.KindInt},
@@ -31,13 +23,51 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 		types.Column{Name: "mix", Kind: types.KindFloat},
 		types.Column{Name: "nanny", Kind: types.KindFloat}, // predicates only: NaN != NaN under DeepEqual
 	)
+}
+
+var diffCities = []string{"NY", "NY", "SF", "LA", "Austin", "Boise"}
+
+// diffRow draws row n of a differential table: tier is the caller's (the
+// column the zone states hang on), and when dirty one row in ten carries a
+// NULL pair, a NaN beside a mixed-kind value, or another NULL pair.
+func diffRow(rng *rand.Rand, n int, tier int64, dirty bool) types.Row {
+	row := types.Row{
+		types.Str(fmt.Sprintf("s%03d", n/700)),
+		types.Str(diffCities[rng.Intn(len(diffCities))]),
+		types.Int(tier),
+		types.Int(int64(rng.Intn(1000))),
+		types.Float(rng.ExpFloat64() * 100),
+		types.Float(float64(rng.Intn(20))),
+		types.Float(rng.NormFloat64()),
+	}
+	if dirty {
+		switch rng.Intn(30) {
+		case 0:
+			row[1], row[4] = types.Null(), types.Null()
+		case 1:
+			row[5], row[6] = types.Int(int64(rng.Intn(20))), types.Float(math.NaN())
+		case 2:
+			row[3], row[5] = types.Null(), types.Null()
+		}
+	}
+	return row
+}
+
+// genCase derives one differential case from a seed: a table over one of
+// partition_test.go's irregular block shapes, every block a chunk of its
+// own (sorted RLE runs, dictionary strings, NULLs, a NaN-bearing column, a
+// mixed int/float column, a block-monotonic column for the three zone
+// states, varying stratum frequencies), then genQuery's plan. Everything
+// is a function of the seed, so a failing seed is a complete reproduction.
+func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
+	rng := rand.New(rand.NewSource(seed))
+	schema := diffSchema()
 	names := make([]string, 0, len(irregularShapes))
 	for name := range irregularShapes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	shape := names[rng.Intn(len(names))]
-	cities := []string{"NY", "NY", "SF", "LA", "Austin", "Boise"}
 	rle := rng.Intn(2) == 0
 	tab := storage.NewTable("t", schema)
 	n := 0
@@ -53,23 +83,7 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 			b.DisableRLE()
 		}
 		for i := 0; i < size; i++ {
-			row := types.Row{
-				types.Str(fmt.Sprintf("s%03d", n/700)),
-				types.Str(cities[rng.Intn(len(cities))]),
-				types.Int(int64(bi)),
-				types.Int(int64(rng.Intn(1000))),
-				types.Float(rng.ExpFloat64() * 100),
-				types.Float(float64(rng.Intn(20))),
-				types.Float(rng.NormFloat64()),
-			}
-			switch rng.Intn(30) {
-			case 0:
-				row[1], row[4] = types.Null(), types.Null()
-			case 1:
-				row[5], row[6] = types.Int(int64(rng.Intn(20))), types.Float(math.NaN())
-			case 2:
-				row[3], row[5] = types.Null(), types.Null()
-			}
+			row := diffRow(rng, n, int64(bi), true)
 			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * rng.Intn(5))})
 			n++
 		}
@@ -79,7 +93,85 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	if rng.Intn(2) == 0 {
 		in = FromBlocks(schema, tab.Blocks, int64(60+rng.Intn(120)))
 	}
+	p, joins = genQuery(rng, schema)
+	return p, in, joins, fmt.Sprintf("seed=%d shape=%q rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
+}
 
+// genChunkCase is genCase over the shapes physical chunks introduce: three
+// to five chunks of many blocks each (3 to 2,500 rows a block), at least
+// one long enough that a scan-range boundary falls inside it; a tier
+// column that saw-tooths with the block number and wobbles in every third
+// block, so a predicate on it prunes blocks in the middle of a chunk and
+// alternates all-true with mixed verdicts; stratum frequencies that change
+// every row, mid-block or every few thousand rows; NULLs, NaNs and
+// mixed-kind values confined to one block per chunk (the whole chunk's
+// columns still pay for them: null bitmaps, the verbatim encoding, no
+// NaN-free guarantee); and, one case in three, a FromBlocks list that
+// skips blocks the way a delta-reuse scan does.
+func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
+	rng := rand.New(rand.NewSource(seed))
+	schema := diffSchema()
+	rle := rng.Intn(2) == 0
+	tab := storage.NewTable("t", schema)
+	chunks := 3 + rng.Intn(3)
+	long := rng.Intn(chunks) // this chunk holds at least two scan ranges
+	n, bi := 0, 0
+	shape := ""
+	for c := 0; c < chunks; c++ {
+		perBlock := []int{3, 64, 100, 700, 2500}[rng.Intn(5)]
+		rows := 200 + rng.Intn(3000)
+		if c == long {
+			rows = 2*minPartialRows + 500 + rng.Intn(2000)
+		}
+		period := []int{1, 37, 400, 5000}[rng.Intn(4)]    // rows per stratum frequency
+		dirty := rng.Intn((rows+perBlock-1)/perBlock + 1) // this block alone is dirty (one past the end: none)
+		shape += fmt.Sprintf(" %dx%d/f%d", rows, perBlock, period)
+		one := storage.NewTable("t", schema)
+		b := storage.NewBuilder(one, perBlock, 5, storage.InMemory)
+		if rle {
+			b.HintSortedColumns(0)
+		} else {
+			b.DisableRLE()
+		}
+		for i := 0; i < rows; i++ {
+			blk := bi + i/perBlock
+			tier := int64(blk % 50)
+			if blk%3 == 2 {
+				tier += int64(rng.Intn(5) - 2)
+			}
+			row := diffRow(rng, n, tier, i/perBlock == dirty)
+			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * (n / period % 5))})
+			n++
+		}
+		for _, blk := range b.Finish().Blocks {
+			tab.AddBlock(blk)
+		}
+		bi += (rows + perBlock - 1) / perBlock
+	}
+	switch rng.Intn(3) {
+	case 0:
+		in = FromTable(tab)
+	case 1:
+		in = FromBlocks(schema, tab.Blocks, int64(60+rng.Intn(120)))
+	default:
+		var kept []*storage.Block
+		for _, blk := range tab.Blocks {
+			if rng.Intn(8) != 0 {
+				kept = append(kept, blk)
+			}
+		}
+		shape += " skips"
+		in = FromBlocks(schema, kept, int64(60+rng.Intn(120)))
+	}
+	p, joins = genQuery(rng, schema)
+	return p, in, joins, fmt.Sprintf("seed=%d chunks=%s rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
+}
+
+// genQuery draws the plan for a differential case: a random AND/OR/NOT
+// predicate with cross-kind constants, 0–2 GROUP BY columns, 1–3
+// aggregates, sometimes a LIMIT, and — one case in three — a dimension
+// join on city.
+func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) {
 	p = &Plan{Schema: schema}
 	if rng.Intn(3) == 0 {
 		dim := storage.NewTable("regions", types.NewSchema(
@@ -152,20 +244,23 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	if rng.Intn(6) == 0 {
 		p.Limit = 1 + rng.Intn(4)
 	}
-	return p, in, joins, fmt.Sprintf("seed=%d shape=%q rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
+	return p, joins
 }
 
-// TestOracleDifferential sweeps seeded cases through checkOracle: the
-// production scan — kernels, encodings, zone states, row-budgeted
-// partials, late-materialized joins — against the naive evaluator.
+// TestOracleDifferential sweeps seeded cases from both generators through
+// checkOracle: the production scan — kernels, encodings, zone states,
+// spans, row-budgeted partials, late-materialized joins — against the
+// naive evaluator.
 func TestOracleDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 12
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		p, in, joins, label := genCase(seed)
-		checkOracle(t, label, p, in, joins)
+		for _, gen := range []func(int64) (*Plan, Input, []JoinSpec, string){genCase, genChunkCase} {
+			p, in, joins, label := gen(seed)
+			checkOracle(t, label, p, in, joins)
+		}
 	}
 }
 
@@ -175,7 +270,9 @@ func TestOracleDifferential(t *testing.T) {
 func FuzzOracle(f *testing.F) {
 	f.Add(int64(1))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		p, in, joins, label := genCase(seed)
-		checkOracle(t, label, p, in, joins)
+		for _, gen := range []func(int64) (*Plan, Input, []JoinSpec, string){genCase, genChunkCase} {
+			p, in, joins, label := gen(seed)
+			checkOracle(t, label, p, in, joins)
+		}
 	})
 }

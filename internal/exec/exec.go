@@ -14,6 +14,12 @@
 // returns bit-for-bit the same Result as RunParallel(…, 1). How the
 // simulated cluster places and prices those blocks (ScanShards) is a
 // separate, per-block partition the scan never consults.
+//
+// A block is the priced unit — pruned by its zones, counted by its bytes —
+// and a window on a physical chunk. Within a range the kernels (vector.go)
+// run over spans: as many adjacent surviving blocks of one chunk as share
+// a zone verdict and a sampling-metadata run. Where spans are cut changes
+// how fast a scan runs, never what it returns.
 package exec
 
 import (
@@ -63,7 +69,7 @@ func scanRanges(blocks []*storage.Block) []storage.BlockRange {
 	}
 	total := 0
 	for _, b := range blocks {
-		total += b.NumRows()
+		total += b.N
 	}
 	target := max(minPartialRows, (total+maxPartials-1)/maxPartials)
 	ranges := make([]storage.BlockRange, 0, max(total/target, 1))
@@ -85,7 +91,7 @@ func scanRanges(blocks []*storage.Block) []storage.BlockRange {
 type Input struct {
 	// Schema describes the rows.
 	Schema *types.Schema
-	// Blocks is the physical block set (used by the cost model).
+	// Blocks is the priced block list (what the cost model reads, too).
 	Blocks []*storage.Block
 	// Rate derives a row's effective sampling rate from its metadata.
 	Rate func(m storage.RowMeta) float64
@@ -361,8 +367,8 @@ type groupState struct {
 	accs []*stats.Acc
 
 	// batchRows/batchRates stage this group's selected rows while one
-	// columnar block is scanned (vector.go); they are drained and reset
-	// before the scan moves to the next block.
+	// span is scanned (vector.go); they are drained and reset before the
+	// scan moves to the next span.
 	batchRows  []int32
 	batchRates []float64
 }
@@ -474,8 +480,9 @@ func zoneMayMatch(b *storage.Block, bounds []colBound) bool {
 		}
 		// A NaN compares equal to everything: it never widens a zone (a
 		// leading one pins it at [NaN, NaN]) yet passes =, <= and >= against
-		// any constant, so its column's bracket says nothing about the block.
-		if d := b.Col; d != nil && cb.col < len(d.Cols) && !d.Cols[cb.col].NaNFree {
+		// any constant, so the bracket of a column whose chunk holds one says
+		// nothing about the block.
+		if d := b.Chunk; d != nil && cb.col < len(d.Cols) && !d.Cols[cb.col].NaNFree {
 			continue
 		}
 		z := &b.Zones[cb.col]
@@ -496,8 +503,8 @@ func RunPartial(p *Plan, in Input, lo, hi int) *Partial {
 
 // runPartial is RunPartial with precompiled plan state, an optional join
 // runtime (joins expand each fact row through the dimension indexes; nil
-// means a plain scan) and an optional columnar-scan scratch to reuse
-// across the ranges one worker processes (nil allocates on demand).
+// means a plain scan) and an optional scan scratch to reuse across the
+// ranges one worker processes (nil allocates on demand).
 func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	jr *joinRuntime, sc *colScratch) *Partial {
 
@@ -511,25 +518,47 @@ func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	if sc == nil {
 		sc = &colScratch{} // direct RunPartial calls
 	}
-	prune := len(rt.bounds) > 0 && in.prunedFor != rt
-	for bi := lo; bi < hi; bi++ {
-		b := in.Blocks[bi]
-		if prune && !zoneMayMatch(b, rt.bounds) {
-			continue // pruned: never read, never counted
+	pt.scanBlocks(p, rt, in, in.Blocks[lo:hi], jr, sc)
+	return pt
+}
+
+// scanBlocks scans one range's blocks into the partial as spans: each
+// block is pruned, counted and classified on its own, and neighbours that
+// continue one another in a chunk under the same classification are handed
+// to the kernels as one run of rows.
+func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*storage.Block,
+	jr *joinRuntime, sc *colScratch) {
+
+	var open span // open.d is nil when no span is open
+	var meta metaCursor
+	scan := func() {
+		switch {
+		case open.d == nil:
+		case jr != nil:
+			pt.scanSpanJoin(p, in, open, sc, jr)
+		default:
+			pt.scanSpan(p, in, open, sc)
 		}
-		pt.BytesScanned += b.Bytes
-		d := b.Col
-		if jr != nil {
-			pt.scanColumnarJoin(p, in, d, sc, jr)
+		open.d = nil
+	}
+	prune := len(rt.bounds) > 0 && in.prunedFor != rt
+	for _, b := range blocks {
+		if prune && !zoneMayMatch(b, rt.bounds) {
+			scan() // pruned: never read, never counted
 			continue
 		}
-		// Three-state zone classification: zoneMayMatch above handled
-		// all-false; a zone bracket that PROVES the predicate lets the scan
-		// skip evaluation and batch-aggregate every row.
-		allTrue := rt.pred == nil || (rt.leaves != nil && zoneImpliesPred(b, d, rt.leaves))
-		pt.scanColumnar(p, in, d, sc, allTrue)
+		pt.BytesScanned += b.Bytes
+		if b.N == 0 {
+			continue
+		}
+		if next := spanOf(b, rt, jr != nil, &meta); open.d != nil && open.extends(next) {
+			open.hi = next.hi
+		} else {
+			scan()
+			open = next
+		}
 	}
-	return pt
+	scan()
 }
 
 // Merger folds partials into the merged group map incrementally, as each
@@ -808,14 +837,16 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 		if sp != nil {
 			scanSp = sp.Child(fmt.Sprintf("partials ranges=%d", len(ranges)))
 		}
-		sc := &colScratch{}
+		sc := getScratch()
 		for i, r := range ranges {
 			if err := ctx.Err(); err != nil {
 				scanSp.End()
+				putScratch(sc)
 				return nil, err
 			}
 			merger.Add(i, runPartial(p, rt, in, r.Lo, r.Hi, jr, sc))
 		}
+		putScratch(sc)
 		scanSp.End()
 	} else {
 		var mu sync.Mutex // serializes merger.Add across workers
@@ -825,7 +856,8 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := &colScratch{} // per-worker: buffers are not shared
+				sc := getScratch() // per-worker: buffers are not shared
+				defer putScratch(sc)
 				for ctx.Err() == nil {
 					u := int(next.Add(1)) - 1
 					if u >= len(ranges) {

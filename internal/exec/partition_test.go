@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -16,7 +15,7 @@ import (
 func fakeBlocks(sizes ...int) []*storage.Block {
 	out := make([]*storage.Block, len(sizes))
 	for i, n := range sizes {
-		out[i] = &storage.Block{Col: &colstore.Data{N: n}}
+		out[i] = &storage.Block{N: n}
 	}
 	return out
 }
@@ -143,7 +142,7 @@ func irregularTable(t testing.TB, sizes []int) (plain, rle *storage.Table) {
 				}, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * (1 + rng.Intn(4)))})
 				n++
 			}
-			blk := &storage.Block{Col: colstore.NewBuilder(schema.Len()).Finish()}
+			blk := &storage.Block{}
 			if size > 0 {
 				blk = b.Finish().Blocks[0]
 			}

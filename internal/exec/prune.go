@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -190,11 +189,13 @@ func leafImplied(zmin, zmax, val types.Value, op types.CmpOp) bool {
 // reports whether the block's zones prove the (purely conjunctive)
 // predicate holds for EVERY row, letting the scan skip predicate
 // evaluation entirely and batch-aggregate the whole block. Requires each
-// leaf's column to be NaN-free (a hidden NaN fails ordered comparisons
-// without moving the zone) with a valid zone whose bracket implies the
-// leaf. Purely an evaluation shortcut: a false return only means "evaluate
-// normally", so results are bit-identical either way.
-func zoneImpliesPred(b *storage.Block, d *colstore.Data, leaves []*types.CmpPred) bool {
+// leaf's column to be NaN-free across the block's chunk (a hidden NaN
+// fails ordered comparisons without moving the zone) with a valid zone
+// whose bracket implies the leaf. Purely an evaluation shortcut: a false
+// return only means "evaluate normally", so results are bit-identical
+// either way.
+func zoneImpliesPred(b *storage.Block, leaves []*types.CmpPred) bool {
+	d := b.Chunk
 	for _, t := range leaves {
 		ci := t.ColIdx
 		if ci >= len(b.Zones) || !b.Zones[ci].Valid {

@@ -174,3 +174,28 @@ func TestPruningNeverChangesResults(t *testing.T) {
 		}
 	}
 }
+
+// TestShortRowPaddingIsInTheZone: a row narrower than the schema is padded
+// with NULLs, and those NULLs are values of their columns like any other —
+// the block's zone must bracket them. When it left them out, [AA, ZZ]
+// "proved" city >= 'AA' for every row of the block and the padded row was
+// counted (3, not 2).
+func TestShortRowPaddingIsInTheZone(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "city", Kind: types.KindString},
+	)
+	tab := storage.NewTable("z", schema)
+	b := storage.NewBuilder(tab, 8, 1, storage.OnDisk)
+	b.AppendRow(types.Row{types.Int(5)}) // no city
+	b.AppendRow(types.Row{types.Int(1), types.Str("AA")})
+	b.AppendRow(types.Row{types.Int(9), types.Str("ZZ")})
+	b.Finish()
+	for _, src := range []string{
+		`SELECT COUNT(*) FROM z WHERE city >= 'AA'`,
+		`SELECT COUNT(*) FROM z WHERE city < 'B'`,
+		`SELECT COUNT(*), SUM(id) FROM z WHERE city <> 'ZZ' GROUP BY city`,
+	} {
+		checkOracle(t, src, compile(t, src, schema), FromTable(tab), nil)
+	}
+}

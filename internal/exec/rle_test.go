@@ -67,8 +67,8 @@ func stratSortedTable(t testing.TB, rle bool) *storage.Table {
 }
 
 func hasRLEColumn(tab *storage.Table) bool {
-	for _, blk := range tab.Blocks {
-		for _, c := range blk.Col.Cols {
+	for _, d := range tab.Chunks() {
+		for _, c := range d.Cols {
 			if c.Enc == colstore.EncRLE {
 				return true
 			}
@@ -169,22 +169,7 @@ func TestEvalPredMatchesRowEvalRLE(t *testing.T) {
 			}
 		}
 	}
-	sc := &colScratch{}
-	for pi, pred := range preds {
-		for _, blk := range tab.Blocks {
-			d := blk.Col
-			dst := sc.bitmap(d.N)
-			evalPred(pred, d, dst, d.N, sc)
-			for i := 0; i < d.N; i++ {
-				got := dst[i>>6]&(1<<uint(i&63)) != 0
-				want := pred.Eval(blk.RowAt(i))
-				if got != want {
-					t.Fatalf("pred %d (%s) block %d row %d: bitmap=%v eval=%v (row %v)",
-						pi, pred, blk.ID, i, got, want, blk.RowAt(i))
-				}
-			}
-		}
-	}
+	checkKernels(t, tab, preds)
 }
 
 // TestCmpIntsAsFloatNormalization checks the int-threshold rewrite against
@@ -223,9 +208,9 @@ func TestCmpIntsAsFloatNormalization(t *testing.T) {
 	}
 }
 
-// TestScanColumnarSteadyStateZeroAlloc pins the per-block scan loop at
-// zero allocations once scratch and group states are warm — the property
-// the whole pooling design exists for.
+// TestScanColumnarSteadyStateZeroAlloc pins the scan loop at zero
+// allocations once scratch and group states are warm — the property the
+// whole pooling design exists for.
 func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 	for _, rle := range []bool{false, true} {
 		tab := stratSortedTable(t, rle)
@@ -235,12 +220,9 @@ func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 		in := FromTable(tab)
 		sc := &colScratch{}
 		pt := &Partial{groups: make(map[uint64][]*groupState)}
-		scan := func() {
-			for _, blk := range tab.Blocks {
-				pt.scanColumnar(p, in, blk.Col, sc, false)
-			}
-		}
-		scan() // warm: group states, scratch buffers, batch pools
+		rt := p.runtime()
+		scan := func() { pt.scanBlocks(p, rt, in, tab.Blocks, nil, sc) }
+		scan() // warm: group states, scratch buffers, batch pools, verdict tables
 		if a := testing.AllocsPerRun(20, scan); a != 0 {
 			t.Errorf("rle=%v: steady-state scan allocates %.1f allocs/run, want 0", rle, a)
 		}
@@ -275,11 +257,8 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 	in := FromTable(tab)
 	sc := &colScratch{}
 	pt := &Partial{groups: make(map[uint64][]*groupState)}
-	scan := func() {
-		for _, blk := range tab.Blocks {
-			pt.scanColumnarJoin(p, in, blk.Col, sc, jr)
-		}
-	}
+	rt := p.runtime()
+	scan := func() { pt.scanBlocks(p, rt, in, tab.Blocks, jr, sc) }
 	scan() // warm: row buffer, bitmap scratch, group states
 	if a := testing.AllocsPerRun(20, scan); a != 0 {
 		t.Errorf("steady-state join scan allocates %.1f allocs/run, want 0", a)
@@ -299,7 +278,7 @@ func TestTristateZoneSkipsEval(t *testing.T) {
 	}
 	implied := 0
 	for _, blk := range tab.Blocks {
-		if zoneImpliesPred(blk, blk.Col, rt.leaves) {
+		if zoneImpliesPred(blk, rt.leaves) {
 			implied++
 		}
 	}
@@ -334,7 +313,7 @@ func TestZoneImpliesPredGuards(t *testing.T) {
 	// NaNFree check the block would be batch-aggregated with one row too
 	// many.
 	nanLeaf := []*types.CmpPred{{Col: "f", ColIdx: 0, Op: types.CmpLt, Val: types.Float(100)}}
-	if zoneImpliesPred(blk, blk.Col, nanLeaf) {
+	if zoneImpliesPred(blk, nanLeaf) {
 		t.Error("all-true claimed over a NaN-bearing column")
 	}
 	p := compile(t, `SELECT COUNT(*) FROM guards WHERE f < 100`, schema)
@@ -346,7 +325,7 @@ func TestZoneImpliesPredGuards(t *testing.T) {
 	// Magnitude guard: int values ≥ 2^53 round when compared as floats,
 	// so interval implication must refuse them.
 	bigLeaf := []*types.CmpPred{{Col: "big", ColIdx: 1, Op: types.CmpGe, Val: types.Float(9007199254740993)}}
-	if zoneImpliesPred(blk, blk.Col, bigLeaf) {
+	if zoneImpliesPred(blk, bigLeaf) {
 		t.Error("all-true claimed over ≥2^53 magnitudes")
 	}
 }
@@ -404,15 +383,10 @@ func BenchmarkCmpRLE(b *testing.B) {
 	}{{"rle", rle}, {"dict", plain}} {
 		b.Run(leg.name, func(b *testing.B) {
 			sc := &colScratch{}
-			rows := int64(0)
-			for _, blk := range leg.tab.Blocks {
-				rows += int64(blk.Col.N)
-			}
-			b.SetBytes(rows)
+			b.SetBytes(leg.tab.NumRows())
 			for i := 0; i < b.N; i++ {
-				for _, blk := range leg.tab.Blocks {
-					d := blk.Col
-					evalPred(pred, d, sc.bitmap(d.N), d.N, sc)
+				for _, d := range leg.tab.Chunks() {
+					evalPred(pred, d, 0, d.N, sc.bitmap(d.N), sc)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/stats"
@@ -10,13 +11,16 @@ import (
 	"blinkdb/internal/types"
 )
 
-// This file implements the vectorized scan over columnar blocks
-// (internal/colstore): predicates are evaluated column-at-a-time into a
-// selection bitmap, then grouping and aggregation run over the selected
+// This file implements the vectorized scan over physical chunks
+// (internal/colstore). Its unit of work is the span — a run of rows of one
+// chunk, as many adjacent blocks as share a zone verdict and a sampling-
+// metadata run (see span): predicates are evaluated column-at-a-time into
+// a selection bitmap, then grouping and aggregation run over the selected
 // rows using contiguous typed slices — no types.Row is materialised and
-// no per-row interface dispatch happens.
+// no per-row interface dispatch happens. Row indices are chunk row
+// numbers throughout.
 //
-// BIT-IDENTITY CONTRACT: for any block, the scan must produce exactly the
+// BIT-IDENTITY CONTRACT: for any span, the scan must produce exactly the
 // state a naive row-at-a-time evaluation would (the reference oracle in
 // oracle_test.go): the same rows selected, the same groups created, and —
 // because floating-point addition is not associative — every per-group
@@ -26,25 +30,61 @@ import (
 // loop-invariant weight math, batching per-group accumulation without
 // changing each group's row order).
 
-// colScratch holds buffers reused across the columnar blocks of one
-// RunPartial call, so steady-state scanning allocates nothing.
+// colScratch holds buffers reused across the spans one worker scans, so
+// steady-state scanning allocates nothing.
 type colScratch struct {
 	sel     []uint64   // selection bitmap
 	free    [][]uint64 // temp bitmaps for AND/OR subtrees
 	idxs    []int32    // selected row indices, ascending
-	passTab []bool     // per-dictionary-code predicate outcomes
 	xs      []float64  // gathered aggregate inputs
 	rs      []float64  // gathered per-row rates
 	keybuf  []types.Value
 	rowbuf  types.Row
-	codeGS  []*groupState // per-dictionary-code group cache
-	touched []*groupState // groups staged during the current block
+	touched []*groupState // groups staged during the current span
+
+	// passTabs holds, per (dictionary column, comparison leaf), the leaf's
+	// verdict for every dictionary code. A dictionary is chunk-wide, so the
+	// string comparisons are paid once per chunk, not once per span.
+	passTabs map[passKey][]bool
+
+	// codeGS caches the group of every dictionary code of codeCol, the
+	// GROUP BY column of the chunk being scanned into codePT. Groups live
+	// as long as their partial, so the cache holds across that chunk's
+	// spans and is cleared when either changes.
+	codeGS  []*groupState
+	codeCol *colstore.Column
+	codePT  *Partial
 
 	// rowPool/ratePool recycle the per-group staging buffers across
 	// blocks and partials (group states die with their partial; their
 	// buffers shouldn't).
 	rowPool  [][]int32
 	ratePool [][]float64
+}
+
+// scratchPool recycles scan scratch across scans: a span can be a whole
+// scan range of one chunk, so the buffers are sized in tens of kilobytes
+// and a scan that allocated its own would spend more on the collector than
+// on its kernels.
+var scratchPool = sync.Pool{New: func() any { return &colScratch{} }}
+
+func getScratch() *colScratch { return scratchPool.Get().(*colScratch) }
+
+// putScratch returns sc to the pool, dropping what it knows about the
+// chunks and partials of the scan it served.
+func putScratch(sc *colScratch) {
+	clear(sc.passTabs)
+	clear(sc.codeGS[:cap(sc.codeGS)])
+	sc.codeCol, sc.codePT = nil, nil
+	clear(sc.keybuf[:cap(sc.keybuf)])
+	clear(sc.rowbuf[:cap(sc.rowbuf)])
+	scratchPool.Put(sc)
+}
+
+// passKey names one memoized dictionary verdict table.
+type passKey struct {
+	col  *colstore.Column
+	leaf *types.CmpPred
 }
 
 func (sc *colScratch) getBatchBufs() ([]int32, []float64) {
@@ -90,6 +130,13 @@ func (sc *colScratch) acquireTemp(words int) []uint64 {
 }
 
 func (sc *colScratch) releaseTemp(t []uint64) { sc.free = append(sc.free, t) }
+
+func (sc *colScratch) keyBuf(w int) []types.Value {
+	if cap(sc.keybuf) < w {
+		sc.keybuf = make([]types.Value, w)
+	}
+	return sc.keybuf[:w]
+}
 
 func (sc *colScratch) rowBuf(w int) types.Row {
 	if cap(sc.rowbuf) < w {
@@ -158,8 +205,8 @@ func bitmapSetRange(dst []uint64, lo, hi int) {
 	dst[hiW] |= hiMask
 }
 
-// patchNulls forces the selection outcome of every NULL row to b. Null
-// bitmaps never set bits past the row count, so no tail masking is needed.
+// patchNulls forces the selection outcome of every NULL row to b. nulls is
+// the chunk's bitmap from dst's first word on (see evalPred on the tail).
 func patchNulls(dst, nulls []uint64, b bool) {
 	if nulls == nil {
 		return
@@ -205,24 +252,27 @@ func opFlags(op types.CmpOp) (lt, eq, gt bool) {
 
 // ---- predicate → selection bitmap ----
 
-// evalPred fills dst with pred's selection over the block; bits ≥ n stay
-// clear. Boolean combination over bitmaps is exact boolean algebra, so the
-// result equals per-row Predicate.Eval for every row.
-func evalPred(pred types.Predicate, d *colstore.Data, dst []uint64, n int, sc *colScratch) {
+// evalPred fills dst with pred's selection over rows [base, base+n) of the
+// chunk: bit k is row base+k. base is a multiple of 64, so the chunk's null
+// bitmaps line up with dst word for word — which also means the last
+// word's bits ≥ n may come back set (they are later rows' NULLs): the
+// caller clears them. Boolean combination over bitmaps is exact boolean
+// algebra, so the result equals per-row Predicate.Eval for every row.
+func evalPred(pred types.Predicate, d *colstore.Data, base, n int, dst []uint64, sc *colScratch) {
 	switch t := pred.(type) {
 	case types.TruePred:
 		bitmapFill(dst, n, true)
 	case *types.CmpPred:
-		evalCmp(t, d, dst, n, sc)
+		evalCmp(t, d, base, n, dst, sc)
 	case *types.AndPred:
 		if len(t.Kids) == 0 {
 			bitmapFill(dst, n, true) // empty AND is true, as in Eval
 			return
 		}
-		evalPred(t.Kids[0], d, dst, n, sc)
+		evalPred(t.Kids[0], d, base, n, dst, sc)
 		for _, k := range t.Kids[1:] {
 			tmp := sc.acquireTemp(len(dst))
-			evalPred(k, d, tmp, n, sc)
+			evalPred(k, d, base, n, tmp, sc)
 			bitmapAnd(dst, tmp)
 			sc.releaseTemp(tmp)
 		}
@@ -231,15 +281,15 @@ func evalPred(pred types.Predicate, d *colstore.Data, dst []uint64, n int, sc *c
 			bitmapFill(dst, n, false) // empty OR is false, as in Eval
 			return
 		}
-		evalPred(t.Kids[0], d, dst, n, sc)
+		evalPred(t.Kids[0], d, base, n, dst, sc)
 		for _, k := range t.Kids[1:] {
 			tmp := sc.acquireTemp(len(dst))
-			evalPred(k, d, tmp, n, sc)
+			evalPred(k, d, base, n, tmp, sc)
 			bitmapOr(dst, tmp)
 			sc.releaseTemp(tmp)
 		}
 	case *types.NotPred:
-		evalPred(t.Kid, d, dst, n, sc)
+		evalPred(t.Kid, d, base, n, dst, sc)
 		bitmapNot(dst, n)
 	default:
 		// Unknown predicate implementation: materialise rows and defer to
@@ -247,21 +297,39 @@ func evalPred(pred types.Predicate, d *colstore.Data, dst []uint64, n int, sc *c
 		buf := sc.rowBuf(len(d.Cols))
 		bitmapFill(dst, n, false)
 		for i := 0; i < n; i++ {
-			if pred.Eval(d.RowInto(buf, i)) {
+			if pred.Eval(d.RowInto(buf, base+i)) {
 				dst[i>>6] |= 1 << uint(i&63)
 			}
 		}
 	}
 }
 
-// evalCmp evaluates one comparison leaf. Fast paths cover typed columns
-// against same-class constants; every mixed case falls back to
-// types.Compare, which is exactly what types.CompilePredicate's row
-// closures do for kind mismatches.
-func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScratch) {
+// selectRows evaluates pred over the span into the scratch bitmap: bit k
+// of the result is chunk row base+k, set exactly for the span's rows that
+// pass. The kernels run from the 64-row boundary at or before the span
+// (see evalPred); the rows in front of it and the last word's tail are
+// then masked off.
+func (sc *colScratch) selectRows(pred types.Predicate, s span) (bm []uint64, base int) {
+	base = s.lo &^ 63
+	bm = sc.bitmap(s.hi - base)
+	evalPred(pred, s.d, base, s.hi-base, bm, sc)
+	bm[0] &^= 1<<uint(s.lo-base) - 1
+	maskTail(bm, s.hi-base)
+	return bm, base
+}
+
+// evalCmp evaluates one comparison leaf over rows [base, base+n). Fast
+// paths cover typed columns against same-class constants; every mixed case
+// falls back to types.Compare, which is exactly what
+// types.CompilePredicate's row closures do for kind mismatches.
+func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *colScratch) {
 	lt, eq, gt := opFlags(t.Op)
 	col := &d.Cols[t.ColIdx]
 	val := t.Val
+	var nulls []uint64
+	if col.Nulls != nil {
+		nulls = col.Nulls[base>>6:]
+	}
 
 	numericConst := val.Kind == types.KindInt || val.Kind == types.KindFloat || val.Kind == types.KindBool
 	switch col.Enc {
@@ -269,28 +337,28 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScr
 		switch {
 		case numericConst:
 			c := val.AsFloat()
-			cmpFloats(col.Floats[:n], c, dst, lt, eq, gt)
-			patchNulls(dst, col.Nulls, lt) // NULL sorts before numerics
+			cmpFloats(col.Floats[base:base+n], c, dst, lt, eq, gt)
+			patchNulls(dst, nulls, lt) // NULL sorts before numerics
 		case val.Kind == types.KindString:
 			bitmapFill(dst, n, lt) // numerics and NULL sort before strings
 		default: // NULL constant
 			bitmapFill(dst, n, gt)
-			patchNulls(dst, col.Nulls, eq)
+			patchNulls(dst, nulls, eq)
 		}
 	case colstore.EncInt:
 		switch {
 		case val.Kind == types.KindInt:
-			cmpInts(col.Ints[:n], val.I, dst, lt, eq, gt)
-			patchNulls(dst, col.Nulls, lt)
+			cmpInts(col.Ints[base:base+n], val.I, dst, lt, eq, gt)
+			patchNulls(dst, nulls, lt)
 		case numericConst:
 			c := val.AsFloat()
-			cmpIntsAsFloat(col.Ints[:n], c, dst, lt, eq, gt)
-			patchNulls(dst, col.Nulls, lt)
+			cmpIntsAsFloat(col.Ints[base:base+n], c, dst, lt, eq, gt)
+			patchNulls(dst, nulls, lt)
 		case val.Kind == types.KindString:
 			bitmapFill(dst, n, lt)
 		default:
 			bitmapFill(dst, n, gt)
-			patchNulls(dst, col.Nulls, eq)
+			patchNulls(dst, nulls, eq)
 		}
 	case colstore.EncBool:
 		switch {
@@ -298,54 +366,43 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScr
 			// Bool vs Int/Float/Bool constants compare as floats under
 			// types.Compare (only the Int–Int pair compares integrally).
 			c := val.AsFloat()
-			cmpIntsAsFloat(col.Ints[:n], c, dst, lt, eq, gt)
-			patchNulls(dst, col.Nulls, lt)
+			cmpIntsAsFloat(col.Ints[base:base+n], c, dst, lt, eq, gt)
+			patchNulls(dst, nulls, lt)
 		case val.Kind == types.KindString:
 			bitmapFill(dst, n, lt)
 		default:
 			bitmapFill(dst, n, gt)
-			patchNulls(dst, col.Nulls, eq)
+			patchNulls(dst, nulls, eq)
 		}
 	case colstore.EncDict:
 		switch {
 		case val.Kind == types.KindString:
-			// One comparison per distinct value, then a table lookup per
-			// row.
-			if cap(sc.passTab) < len(col.Dict) {
-				sc.passTab = make([]bool, len(col.Dict))
-			}
-			tab := sc.passTab[:len(col.Dict)]
-			c := val.S
-			for j, s := range col.Dict {
-				b := eq
-				if s < c {
-					b = lt
-				} else if s > c {
-					b = gt
-				}
-				tab[j] = b
-			}
-			codes := col.Codes[:n]
-			for base := 0; base < n; base += 64 {
+			// One comparison per distinct value of the chunk, then a table
+			// lookup per row.
+			tab := sc.passTab(col, t)
+			codes := col.Codes[base : base+n]
+			for off := 0; off < n; off += 64 {
+				blk := codes[off:min(off+64, n)]
 				var w uint64
-				m := n - base
-				if m > 64 {
-					m = 64
+				j := 0
+				for ; j+8 <= len(blk); j += 8 { // see intsBelow
+					q := blk[j : j+8 : j+8]
+					b := b2u(tab[q[0]]) | b2u(tab[q[1]])<<1 | b2u(tab[q[2]])<<2 | b2u(tab[q[3]])<<3 |
+						b2u(tab[q[4]])<<4 | b2u(tab[q[5]])<<5 | b2u(tab[q[6]])<<6 | b2u(tab[q[7]])<<7
+					w |= b << (uint(j) & 63)
 				}
-				for k := 0; k < m; k++ {
-					if tab[codes[base+k]] {
-						w |= 1 << uint(k)
-					}
+				for ; j < len(blk); j++ {
+					w |= b2u(tab[blk[j]]) << (uint(j) & 63)
 				}
-				dst[base>>6] = w
+				dst[off>>6] = w
 			}
-			patchNulls(dst, col.Nulls, lt) // NULL sorts before strings
+			patchNulls(dst, nulls, lt) // NULL sorts before strings
 		case numericConst:
 			bitmapFill(dst, n, gt) // strings sort after numerics
-			patchNulls(dst, col.Nulls, lt)
+			patchNulls(dst, nulls, lt)
 		default: // NULL constant
 			bitmapFill(dst, n, gt)
-			patchNulls(dst, col.Nulls, eq)
+			patchNulls(dst, nulls, eq)
 		}
 	case colstore.EncRLE:
 		// One verdict per RUN, painted over the run's bit range. The
@@ -354,30 +411,52 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, dst []uint64, n int, sc *colScr
 		// included), so this is the typed kernels' semantics at run
 		// granularity.
 		bitmapFill(dst, n, false)
-		prev := 0
-		for r, rv := range col.RunVals {
-			end := int(col.RunEnds[r])
-			if cmpPass(types.Compare(rv, val), lt, eq, gt) {
-				bitmapSetRange(dst, prev, end)
+		for i, run := base, col.RunOf(base); i < base+n; run++ {
+			end := min(int(col.RunEnds[run]), base+n)
+			if cmpPass(types.Compare(col.RunVals[run], val), lt, eq, gt) {
+				bitmapSetRange(dst, i-base, end-base)
 			}
-			prev = end
+			i = end
 		}
 	default: // EncValue: mixed kinds, generic comparison per row
-		vals := col.Values[:n]
-		for base := 0; base < n; base += 64 {
+		vals := col.Values[base : base+n]
+		for off := 0; off < n; off += 64 {
 			var w uint64
-			m := n - base
-			if m > 64 {
-				m = 64
-			}
-			for k := 0; k < m; k++ {
-				if cmpPass(types.Compare(vals[base+k], val), lt, eq, gt) {
+			for k, v := range vals[off:min(off+64, n)] {
+				if cmpPass(types.Compare(v, val), lt, eq, gt) {
 					w |= 1 << uint(k)
 				}
 			}
-			dst[base>>6] = w
+			dst[off>>6] = w
 		}
 	}
+}
+
+// passTab returns the verdict of comparison leaf t for every code of the
+// dictionary column col, computing it on the first span of the chunk that
+// asks.
+func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) []bool {
+	key := passKey{col, t}
+	if tab, ok := sc.passTabs[key]; ok {
+		return tab
+	}
+	lt, eq, gt := opFlags(t.Op)
+	tab := make([]bool, len(col.Dict))
+	c := t.Val.S
+	for j, s := range col.Dict {
+		b := eq
+		if s < c {
+			b = lt
+		} else if s > c {
+			b = gt
+		}
+		tab[j] = b
+	}
+	if sc.passTabs == nil {
+		sc.passTabs = make(map[passKey][]bool)
+	}
+	sc.passTabs[key] = tab
+	return tab
 }
 
 // The compare kernels below are SIMD-shaped: the constant is hoisted, the
@@ -429,27 +508,63 @@ func cmpFloats(xs []float64, c float64, dst []uint64, lt, eq, gt bool) {
 	}
 }
 
+// cmpInts compares an int column against c. Integers have no unordered
+// case, so every (lt, eq, gt) acceptance triple is x < k, x == k, or the
+// complement of one of them: the inner loops do one comparison per
+// element, and the complement is a pass over the finished words.
 func cmpInts(xs []int64, c int64, dst []uint64, lt, eq, gt bool) {
-	tab := verdictTab(lt, eq, gt)
 	n := len(xs)
-	for base := 0; base < n; base += 64 {
-		m := n - base
-		if m > 64 {
-			m = 64
+	switch {
+	case lt == eq && eq == gt: // nothing passes, or everything
+		bitmapFill(dst, n, lt)
+	case lt != gt: // an order test, complemented when the upper side passes
+		k := c        // <  is x < c,    >= its complement
+		if lt == eq { // <= is x < c+1,  >  its complement
+			if c == math.MaxInt64 {
+				bitmapFill(dst, n, lt)
+				return
+			}
+			k = c + 1
 		}
-		blk := xs[base : base+m]
+		intsBelow(xs, k, dst)
+		if gt {
+			bitmapNot(dst, n)
+		}
+	default: // = and, complemented, <>
+		intsEqual(xs, c, dst)
+		if lt {
+			bitmapNot(dst, n)
+		}
+	}
+}
+
+// intsBelow sets bit i of dst where xs[i] < k. Eight verdicts are packed
+// with constant shifts before one variable shift places them: the variable
+// shift is the expensive instruction here.
+func intsBelow(xs []int64, k int64, dst []uint64) {
+	for base := 0; base < len(xs); base += 64 {
+		blk := xs[base:min(base+64, len(xs))]
 		var w uint64
-		k := 0
-		for ; k+4 <= m; k += 4 {
-			v0, v1, v2, v3 := blk[k], blk[k+1], blk[k+2], blk[k+3]
-			w |= tab[1+b2u(v0 > c)-b2u(v0 < c)] << uint(k)
-			w |= tab[1+b2u(v1 > c)-b2u(v1 < c)] << uint(k+1)
-			w |= tab[1+b2u(v2 > c)-b2u(v2 < c)] << uint(k+2)
-			w |= tab[1+b2u(v3 > c)-b2u(v3 < c)] << uint(k+3)
+		j := 0
+		for ; j+8 <= len(blk); j += 8 {
+			q := blk[j : j+8 : j+8]
+			b := b2u(q[0] < k) | b2u(q[1] < k)<<1 | b2u(q[2] < k)<<2 | b2u(q[3] < k)<<3 |
+				b2u(q[4] < k)<<4 | b2u(q[5] < k)<<5 | b2u(q[6] < k)<<6 | b2u(q[7] < k)<<7
+			w |= b << (uint(j) & 63)
 		}
-		for ; k < m; k++ {
-			v := blk[k]
-			w |= tab[1+b2u(v > c)-b2u(v < c)] << uint(k)
+		for ; j < len(blk); j++ {
+			w |= b2u(blk[j] < k) << (uint(j) & 63)
+		}
+		dst[base>>6] = w
+	}
+}
+
+// intsEqual sets bit i of dst where xs[i] == k.
+func intsEqual(xs []int64, k int64, dst []uint64) {
+	for base := 0; base < len(xs); base += 64 {
+		var w uint64
+		for j, v := range xs[base:min(base+64, len(xs))] {
+			w |= b2u(v == k) << uint(j)
 		}
 		dst[base>>6] = w
 	}
@@ -579,65 +694,215 @@ func (pt *Partial) findGroupVals(p *Plan, vals []types.Value, h uint64) *groupSt
 	return gs
 }
 
-// scanColumnar scans one columnar block into the partial: selection into
-// a bitmap (skipped entirely when there is no predicate or the block's
-// zones already proved it — allTrue), then a row-order pass that maintains
-// the scan counters and stages each selected row on its group, then
-// per-group batched aggregation. See the bit-identity contract at the top
-// of the file.
-func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScratch, allTrue bool) {
-	n := d.N
-	if n == 0 {
-		return
-	}
-	if allTrue && pt.scanColumnarAllRows(p, in, d, sc) {
-		return
-	}
-	pt.RowsScanned += int64(n)
+// span is the scan's unit of work: rows [lo, hi) of one chunk — a maximal
+// run of adjacent surviving blocks of a scan range that share a zone
+// verdict and a sampling-metadata run. Priced blocks decide where spans
+// may begin and end; nothing inside the kernels knows how many blocks a
+// span covers.
+type span struct {
+	d      *colstore.Data
+	lo, hi int
+	// allTrue says the blocks' zones prove the predicate for every row (or
+	// there is none), so selection is skipped.
+	allTrue bool
+	// metaRun is the metadata run every row lies in, or -1 when the rows
+	// straddle runs and sampling rates resolve row by row.
+	metaRun int
+}
 
-	// 1. Selection.
+// metaCursor finds the metadata run of rows asked for in ascending order,
+// as a scan's block walk does: a step or two on from the last answer, a
+// search when the chunk changed or the walk jumped.
+type metaCursor struct {
+	d   *colstore.Data
+	run int
+}
+
+func (c *metaCursor) runOf(d *colstore.Data, row int) int {
+	ends := d.MetaEnds
+	if c.d != d || (c.run > 0 && int(ends[c.run-1]) > row) {
+		c.d, c.run = d, d.MetaRunOf(row)
+		return c.run
+	}
+	for steps := 0; int(ends[c.run]) <= row; steps++ {
+		if steps == 4 {
+			c.run = d.MetaRunOf(row)
+			break
+		}
+		c.run++
+	}
+	return c.run
+}
+
+// minImpliedRows is the smallest block the all-true zone check is asked
+// about. Asking costs a few generic comparisons per leaf, and a yes splits
+// the neighbours' span in two: not worth it to spare the kernels less than
+// one bitmap word of rows (at 3-row blocks over unclustered data the
+// answer flipped every other block and cut spans to six rows).
+const minImpliedRows = 64
+
+// spanOf classifies one block as a span of its own. Join scans evaluate
+// their own fact-side predicate and rates per probed row, so they only
+// need the window.
+func spanOf(b *storage.Block, rt *planRuntime, join bool, meta *metaCursor) span {
+	s := span{d: b.Chunk, lo: b.Off, hi: b.Off + b.N, metaRun: -1}
+	if join {
+		return s
+	}
+	// Three-state zone classification: zoneMayMatch handled all-false; a
+	// zone bracket that PROVES the predicate lets the scan skip evaluation.
+	s.allTrue = rt.pred == nil || (b.N >= minImpliedRows && rt.leaves != nil && zoneImpliesPred(b, rt.leaves))
+	if r := meta.runOf(s.d, s.lo); int(s.d.MetaEnds[r]) >= s.hi {
+		s.metaRun = r
+	}
+	return s
+}
+
+// extends reports whether next continues s: the rows that follow it in the
+// same chunk, under the same verdict and metadata run.
+func (s span) extends(next span) bool {
+	return s.d == next.d && s.hi == next.lo && s.allTrue == next.allTrue && s.metaRun == next.metaRun
+}
+
+// rowSel is the rows of a span that one group folds, ascending: idxs, or
+// every row of [lo, hi) when idxs is nil.
+type rowSel struct {
+	idxs   []int32
+	lo, hi int
+}
+
+func (s rowSel) len() int {
+	if s.idxs != nil {
+		return len(s.idxs)
+	}
+	return s.hi - s.lo
+}
+
+// rows returns the selection as explicit indices, writing a contiguous one
+// out into the scratch index buffer.
+func (s rowSel) rows(sc *colScratch) []int32 {
+	if s.idxs != nil {
+		return s.idxs
+	}
+	idxs := sc.idxs[:0]
+	for i := s.lo; i < s.hi; i++ {
+		idxs = append(idxs, int32(i))
+	}
+	sc.idxs = idxs[:0]
+	return idxs
+}
+
+// runRate returns the sampling rate the input derives for metadata run r,
+// and records the run's stratum frequency as matched.
+func (pt *Partial) runRate(in Input, d *colstore.Data, r int) float64 {
+	if f := d.Freqs[r]; f > pt.MaxMatchedStratumFreq {
+		pt.MaxMatchedStratumFreq = f
+	}
+	if in.Rate == nil {
+		return 1
+	}
+	return in.Rate(storage.RowMeta{Rate: d.Rates[r], StratumFreq: d.Freqs[r]})
+}
+
+// groupCache returns the per-dictionary-code group cache for GROUP BY
+// column c of the chunk being scanned into pt (see colScratch.codeGS).
+func (sc *colScratch) groupCache(pt *Partial, c *colstore.Column) []*groupState {
+	if sc.codeCol != c || sc.codePT != pt {
+		if cap(sc.codeGS) < len(c.Dict) {
+			sc.codeGS = make([]*groupState, len(c.Dict))
+		}
+		sc.codeGS = sc.codeGS[:len(c.Dict)]
+		clear(sc.codeGS)
+		sc.codeCol, sc.codePT = c, pt
+	}
+	return sc.codeGS
+}
+
+// scanSpan scans one span into the partial: selection into a bitmap
+// (skipped when the zones already proved the predicate), then grouping and
+// aggregation over the selected rows. A selection that folds into known
+// groups wholesale — no GROUP BY, or every row selected and a GROUP BY
+// column stored as runs — under one sampling rate aggregates straight from
+// the selection; anything else takes a row-order pass that stages each
+// selected row on its group, then aggregates group by group. See the
+// bit-identity contract at the top of the file.
+func (pt *Partial) scanSpan(p *Plan, in Input, s span, sc *colScratch) {
+	d, n := s.d, s.hi-s.lo
+	pt.RowsScanned += int64(n)
 	if cap(sc.idxs) < n {
 		sc.idxs = make([]int32, 0, n)
 	}
-	idxs := sc.idxs[:0]
-	if allTrue {
-		for i := 0; i < n; i++ {
-			idxs = append(idxs, int32(i))
-		}
-	} else {
-		sel := sc.bitmap(n)
-		evalPred(p.Pred, d, sel, n, sc)
-		for wi, w := range sel {
-			base := int32(wi << 6)
+
+	// 1. Selection.
+	sel := rowSel{lo: s.lo, hi: s.hi}
+	if !s.allTrue {
+		bm, base := sc.selectRows(p.Pred, s)
+		idxs := sc.idxs[:0]
+		for wi, w := range bm {
+			at := int32(base + wi<<6)
 			for w != 0 {
-				idxs = append(idxs, base+int32(bits.TrailingZeros64(w)))
+				idxs = append(idxs, at+int32(bits.TrailingZeros64(w)))
 				w &= w - 1
 			}
 		}
+		if len(idxs) == 0 {
+			return
+		}
+		if len(idxs) < n { // else every row passed: the contiguous selection
+			sel.idxs = idxs
+		}
 	}
-	if len(idxs) == 0 {
-		return
-	}
+	matched := sel.len()
+	pt.RowsMatched += int64(matched)
 
-	// 2. Per-row pass in row order: sampling rate, scan counters, group
-	// staging. With uniform block metadata the rate (and its reciprocal)
-	// is computed once — the same value a per-row evaluation derives.
-	uniform := d.Uniform()
+	// 2. Sampling rate. Inside one metadata run the rate (and its
+	// reciprocal) is computed once — the same value a per-row evaluation
+	// derives.
+	uniform := s.metaRun >= 0
 	var urate, uinv float64
 	if uniform {
-		urate = 1.0
-		if in.Rate != nil {
-			urate = in.Rate(storage.RowMeta{Rate: d.UniformRate, StratumFreq: d.UniformFreq})
-		}
-		if urate > 0 {
+		if urate = pt.runRate(in, d, s.metaRun); urate > 0 {
 			uinv = 1 / urate
-		}
-		if d.UniformFreq > pt.MaxMatchedStratumFreq {
-			pt.MaxMatchedStratumFreq = d.UniformFreq
 		}
 	}
 
-	// Group resolution mode for this block.
+	// 3a. Wholesale folds: no row-order pass, no staging. AddBatch is a
+	// sequential fold, so handing one group's rows over in consecutive
+	// in-order calls reproduces the exact operation stream of feeding them
+	// one at a time.
+	if uniform {
+		var byRun *colstore.Column
+		if len(p.GroupBy) == 1 && sel.idxs == nil && d.Cols[p.GroupBy[0]].Enc == colstore.EncRLE {
+			byRun = &d.Cols[p.GroupBy[0]]
+		}
+		if len(p.GroupBy) == 0 || byRun != nil {
+			if urate > 0 {
+				wm := pt.WeightedMatched // one addition per row, in a register
+				for j := 0; j < matched; j++ {
+					wm += uinv
+				}
+				pt.WeightedMatched = wm
+			}
+			if byRun == nil {
+				pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, nil, urate, sc)
+				return
+			}
+			keybuf := sc.keyBuf(1)
+			for lo, run := s.lo, byRun.RunOf(s.lo); lo < s.hi; run++ {
+				hi := min(int(byRun.RunEnds[run]), s.hi)
+				v := byRun.RunVals[run]
+				keybuf[0] = v
+				gs := pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+				pt.accumulate(p, d, gs, rowSel{lo: lo, hi: hi}, nil, urate, sc)
+				lo = hi
+			}
+			return
+		}
+	}
+
+	// 3b. Row-order pass: sampling rate per metadata run crossed, scan
+	// counters, group staging.
+	idxs := sel.rows(sc)
 	var dictCol *colstore.Column
 	var codeGS []*groupState
 	var rleCol *colstore.Column
@@ -646,57 +911,46 @@ func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScra
 	if len(p.GroupBy) == 1 {
 		switch c := &d.Cols[p.GroupBy[0]]; {
 		case c.Enc == colstore.EncDict && c.Nulls == nil:
-			dictCol = c
-			if cap(sc.codeGS) < len(c.Dict) {
-				sc.codeGS = make([]*groupState, len(c.Dict))
-			}
-			codeGS = sc.codeGS[:len(c.Dict)]
-			for i := range codeGS {
-				codeGS[i] = nil
-			}
+			dictCol, codeGS = c, sc.groupCache(pt, c)
 		case c.Enc == colstore.EncRLE:
 			// Selected indices are ascending, so an advancing run cursor
 			// resolves the group once per RUN instead of once per row —
 			// the RLE payoff for GROUP BY stratification columns.
-			rleCol = c
+			rleCol, rleRun = c, c.RunOf(int(idxs[0]))
 		}
 	}
-	if cap(sc.keybuf) < len(p.GroupBy) {
-		sc.keybuf = make([]types.Value, len(p.GroupBy))
-	}
-	keybuf := sc.keybuf[:len(p.GroupBy)]
+	keybuf := sc.keyBuf(len(p.GroupBy))
 	var globalGS *groupState
 
-	pt.RowsMatched += int64(len(idxs))
-	// Even when block metadata varies, the derived rates often don't
-	// (e.g. a base table whose stratum frequencies differ but whose rates
-	// are all 1). Track that: constant rates let aggregation hoist the
-	// weight math exactly as in the metadata-uniform case.
-	ratesEqual := true
-	firstRate := 0.0
-	for ii, i32 := range idxs {
-		i := int(i32)
-		rate := urate
-		if uniform {
-			if rate > 0 {
-				pt.WeightedMatched += uinv
+	// Even when metadata varies, the derived rates often don't (e.g. a
+	// base table whose stratum frequencies differ but whose rates are all
+	// 1). Track that: constant rates let aggregation hoist the weight math
+	// exactly as in the single-run case.
+	rate, inv, ratesEqual := urate, uinv, true
+	metaRun, metaEnd := s.metaRun, int32(s.hi)
+	if !uniform {
+		metaRun = d.MetaRunOf(int(idxs[0]))
+		metaEnd = d.MetaEnds[metaRun]
+		if rate = pt.runRate(in, d, metaRun); rate > 0 {
+			inv = 1 / rate
+		}
+	}
+	firstRate := rate
+	wm := pt.WeightedMatched // summed in row order, in a register
+	for _, i32 := range idxs {
+		if i32 >= metaEnd { // crossed into a later metadata run
+			for metaRun++; d.MetaEnds[metaRun] <= i32; metaRun++ {
 			}
-		} else {
-			rate = 1.0
-			if in.Rate != nil {
-				rate = in.Rate(storage.RowMeta{Rate: d.RateAt(i), StratumFreq: d.FreqAt(i)})
+			metaEnd = d.MetaEnds[metaRun]
+			if rate = pt.runRate(in, d, metaRun); rate > 0 {
+				inv = 1 / rate
 			}
-			if rate > 0 {
-				pt.WeightedMatched += 1 / rate
-			}
-			if f := d.FreqAt(i); f > pt.MaxMatchedStratumFreq {
-				pt.MaxMatchedStratumFreq = f
-			}
-			if ii == 0 {
-				firstRate = rate
-			} else if rate != firstRate {
+			if rate != firstRate {
 				ratesEqual = false
 			}
+		}
+		if rate > 0 {
+			wm += inv
 		}
 
 		var gs *groupState
@@ -713,7 +967,7 @@ func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScra
 			}
 			gs = rleGS
 		case dictCol != nil:
-			code := dictCol.Codes[i]
+			code := dictCol.Codes[i32]
 			gs = codeGS[code]
 			if gs == nil {
 				v := types.Str(dictCol.Dict[code])
@@ -729,7 +983,7 @@ func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScra
 		default:
 			h := types.HashSeed
 			for ki, ci := range p.GroupBy {
-				v := d.Cols[ci].Value(i)
+				v := d.Cols[ci].Value(int(i32))
 				keybuf[ki] = v
 				h = v.HashInto(h)
 			}
@@ -744,284 +998,127 @@ func (pt *Partial) scanColumnar(p *Plan, in Input, d *colstore.Data, sc *colScra
 			gs.batchRates = append(gs.batchRates, rate)
 		}
 	}
+	pt.WeightedMatched = wm
 
-	// 3. Batched per-group aggregation. Each group's rows are fed to its
+	// 3c. Batched per-group aggregation. Each group's rows are fed to its
 	// accumulators in row order, so every Acc sees exactly the sequence a
-	// row-at-a-time evaluation would produce. A block whose derived rates
+	// row-at-a-time evaluation would produce. A span whose derived rates
 	// turned out constant uses the hoisted-weight path with that shared
 	// rate — the per-row weights are the same values either way.
-	if !uniform && ratesEqual {
+	if ratesEqual {
 		uniform, urate = true, firstRate
 	}
 	for _, gs := range sc.touched {
-		pt.accumulateBatch(p, d, gs, uniform, urate, sc)
+		rates := gs.batchRates
+		if uniform {
+			rates = nil
+		}
+		pt.accumulate(p, d, gs, rowSel{idxs: gs.batchRows}, rates, urate, sc)
 		sc.putBatchBufs(gs.batchRows, gs.batchRates)
 		gs.batchRows, gs.batchRates = nil, nil
 	}
 	sc.touched = sc.touched[:0]
-	sc.idxs = idxs[:0]
 }
 
-// scanColumnarAllRows is the whole-block lane of the all-true zone state:
-// every row is known to match (no predicate, or the zones imply it), so
-// the block aggregates as contiguous group ranges without materializing a
-// selection or staging per-row indices. It handles uniform-metadata blocks
-// whose GROUP BY is empty or a single RLE column (group resolved once per
-// run) and whose aggregated columns are null-free typed slices or RLE;
-// anything else returns false and takes the generic path. Bit-identity
-// holds because AddBatch is a sequential fold — splitting one group's rows
-// into consecutive in-order AddBatch calls reproduces the exact operation
-// stream the staged path performs.
-func (pt *Partial) scanColumnarAllRows(p *Plan, in Input, d *colstore.Data, sc *colScratch) bool {
-	n := d.N
-	if !d.Uniform() {
-		return false
-	}
-	var rleCol *colstore.Column
-	if len(p.GroupBy) == 1 {
-		c := &d.Cols[p.GroupBy[0]]
-		if c.Enc != colstore.EncRLE {
-			return false
-		}
-		rleCol = c
-	} else if len(p.GroupBy) != 0 {
-		return false
-	}
-	for ai := range p.Aggs {
-		a := &p.Aggs[ai]
-		if a.Col < 0 {
-			continue
-		}
-		if c := &d.Cols[a.Col]; c.Enc == colstore.EncValue || c.Nulls != nil {
-			return false
-		}
-	}
-
-	pt.RowsScanned += int64(n)
-	pt.RowsMatched += int64(n)
-	urate := 1.0
-	if in.Rate != nil {
-		urate = in.Rate(storage.RowMeta{Rate: d.UniformRate, StratumFreq: d.UniformFreq})
-	}
-	if d.UniformFreq > pt.MaxMatchedStratumFreq {
-		pt.MaxMatchedStratumFreq = d.UniformFreq
-	}
-	if urate > 0 {
-		// Same add chain as the staged path: n sequential additions of the
-		// shared reciprocal.
-		uinv := 1 / urate
-		wm := pt.WeightedMatched
-		for j := 0; j < n; j++ {
-			wm += uinv
-		}
-		pt.WeightedMatched = wm
-	}
-
-	emitRange := func(gs *groupState, lo, hi int) {
-		m := hi - lo
-		for ai := range p.Aggs {
-			a := &p.Aggs[ai]
-			acc := gs.accs[ai]
-			if a.Col < 0 {
-				acc.AddBatch(nil, nil, m, urate)
-				continue
-			}
-			col := &d.Cols[a.Col]
-			isCount := a.Kind == stats.AggCount
-			switch col.Enc {
-			case colstore.EncRLE:
-				// Per-run: NULL runs drop out of this aggregate only, and a
-				// non-null run contributes its constant value m2 times.
-				run := col.RunOf(lo)
-				for i := lo; i < hi; run++ {
-					end := int(col.RunEnds[run])
-					if end > hi {
-						end = hi
-					}
-					if v := col.RunVals[run]; !v.IsNull() {
-						m2 := end - i
-						if isCount {
-							acc.AddBatch(nil, nil, m2, urate)
-						} else {
-							xs := growFloats(&sc.xs, m2)
-							x := v.AsFloat()
-							for j := range xs {
-								xs[j] = x
-							}
-							acc.AddBatch(xs, nil, m2, urate)
-						}
-					}
-					i = end
-				}
-			case colstore.EncFloat:
-				if isCount {
-					acc.AddBatch(nil, nil, m, urate)
-				} else {
-					acc.AddBatch(col.Floats[lo:hi], nil, m, urate)
-				}
-			case colstore.EncInt, colstore.EncBool:
-				if isCount {
-					acc.AddBatch(nil, nil, m, urate)
-				} else {
-					xs := growFloats(&sc.xs, m)
-					for j, v := range col.Ints[lo:hi] {
-						xs[j] = float64(v)
-					}
-					acc.AddBatch(xs, nil, m, urate)
-				}
-			default: // EncDict: strings aggregate as 0 (Value.AsFloat)
-				if isCount {
-					acc.AddBatch(nil, nil, m, urate)
-				} else {
-					xs := growFloats(&sc.xs, m)
-					for j := range xs {
-						xs[j] = 0
-					}
-					acc.AddBatch(xs, nil, m, urate)
-				}
-			}
-		}
-	}
-
-	if rleCol == nil {
-		emitRange(pt.findGroupVals(p, nil, types.HashSeed), 0, n)
-		return true
-	}
-	if cap(sc.keybuf) < 1 {
-		sc.keybuf = make([]types.Value, 1)
-	}
-	keybuf := sc.keybuf[:1]
-	for lo, run := 0, 0; lo < n; run++ {
-		hi := int(rleCol.RunEnds[run])
-		if hi > n {
-			hi = n
-		}
-		v := rleCol.RunVals[run]
-		keybuf[0] = v
-		emitRange(pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed)), lo, hi)
-		lo = hi
-	}
-	return true
-}
-
-// accumulateBatch feeds one group's staged rows through every aggregate.
-func (pt *Partial) accumulateBatch(p *Plan, d *colstore.Data, gs *groupState, uniform bool, urate float64, sc *colScratch) {
-	rows := gs.batchRows
+// accumulate feeds one group's selected rows through every aggregate:
+// under the shared rate urate when rates is nil, else under rates, which
+// holds one rate per selected row.
+func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel rowSel, rates []float64, urate float64, sc *colScratch) {
+	m := sel.len()
 	for ai := range p.Aggs {
 		a := &p.Aggs[ai]
 		acc := gs.accs[ai]
 		if a.Col < 0 {
-			// COUNT(*): every staged row contributes x = 1.
-			if uniform {
-				acc.AddBatch(nil, nil, len(rows), urate)
-			} else {
-				acc.AddBatch(nil, gs.batchRates, len(rows), 0)
-			}
+			acc.AddBatch(nil, rates, m, urate) // COUNT(*): every row contributes x = 1
 			continue
 		}
 		col := &d.Cols[a.Col]
 		isCount := a.Kind == stats.AggCount
 
-		if col.Enc == colstore.EncRLE {
-			// Run-cursor gather: batch rows are ascending, so each run's
-			// value (and NULL-ness) is resolved once. A NULL run drops its
-			// rows from this aggregate only.
-			xs := growFloats(&sc.xs, len(rows))[:0]
-			var rs []float64
-			if !uniform {
-				rs = growFloats(&sc.rs, len(rows))[:0]
-			}
-			run := 0
-			runNull := col.RunVals[0].IsNull()
-			x := col.RunVals[0].AsFloat()
-			for j, ri := range rows {
-				for ri >= col.RunEnds[run] {
-					run++
-					runNull = col.RunVals[run].IsNull()
-					x = col.RunVals[run].AsFloat()
-				}
-				if runNull {
-					continue
-				}
-				xs = append(xs, x)
-				if !uniform {
-					rs = append(rs, gs.batchRates[j])
-				}
-			}
+		// Fast path: a typed column without NULLs — every selected row has
+		// a value, so the rates stay aligned with the selection, and a
+		// contiguous selection of floats is the column slice itself.
+		if col.Nulls == nil && col.Enc != colstore.EncValue && col.Enc != colstore.EncRLE {
 			if isCount {
-				acc.AddBatch(nil, rs, len(xs), urate)
-			} else {
-				acc.AddBatch(xs, rs, len(xs), urate)
-			}
-			continue
-		}
-
-		// Fast path: no NULLs and rates already aligned with the batch.
-		if col.Nulls == nil && col.Enc != colstore.EncValue {
-			rates, ur := gs.batchRates, urate
-			if uniform {
-				rates = nil
-			}
-			if isCount {
-				acc.AddBatch(nil, rates, len(rows), ur)
+				acc.AddBatch(nil, rates, m, urate)
 				continue
 			}
-			xs := growFloats(&sc.xs, len(rows))
-			switch col.Enc {
-			case colstore.EncFloat:
+			var xs []float64
+			switch {
+			case col.Enc == colstore.EncFloat && sel.idxs == nil:
+				xs = col.Floats[sel.lo:sel.hi]
+			case col.Enc == colstore.EncFloat:
+				xs = growFloats(&sc.xs, m)
 				src := col.Floats
-				for j, ri := range rows {
+				for j, ri := range sel.idxs {
 					xs[j] = src[ri]
 				}
-			case colstore.EncInt, colstore.EncBool:
+			case col.Enc == colstore.EncDict: // strings aggregate as 0 (Value.AsFloat)
+				xs = growFloats(&sc.xs, m)
+				clear(xs)
+			case sel.idxs == nil: // EncInt, EncBool
+				xs = growFloats(&sc.xs, m)
+				for j, v := range col.Ints[sel.lo:sel.hi] {
+					xs[j] = float64(v)
+				}
+			default:
+				xs = growFloats(&sc.xs, m)
 				src := col.Ints
-				for j, ri := range rows {
+				for j, ri := range sel.idxs {
 					xs[j] = float64(src[ri])
 				}
-			default: // EncDict: strings aggregate as 0 (Value.AsFloat)
-				for j := range rows {
-					xs[j] = 0
-				}
 			}
-			acc.AddBatch(xs, rates, len(rows), ur)
+			acc.AddBatch(xs, rates, m, urate)
 			continue
 		}
 
 		// NULL-skipping gather (SQL semantics: NULLs are ignored, and the
-		// row drops out of this aggregate only).
-		xs := growFloats(&sc.xs, len(rows))[:0]
+		// row drops out of this aggregate only). Rows are ascending, so an
+		// RLE column resolves each run's value and NULL-ness once.
+		rows := sel.rows(sc)
+		xs := growFloats(&sc.xs, m)[:0]
 		var rs []float64
-		if !uniform {
-			rs = growFloats(&sc.rs, len(rows))[:0]
+		if rates != nil {
+			rs = growFloats(&sc.rs, m)[:0]
+		}
+		run, runEnd := 0, int32(0)
+		var runVal types.Value
+		if col.Enc == colstore.EncRLE {
+			run = col.RunOf(int(rows[0]))
+			runEnd, runVal = col.RunEnds[run], col.RunVals[run]
 		}
 		for j, ri := range rows {
-			i := int(ri)
 			var x float64
-			if col.Enc == colstore.EncValue {
-				v := col.Values[i]
+			switch col.Enc {
+			case colstore.EncRLE:
+				for ri >= runEnd {
+					run++
+					runEnd, runVal = col.RunEnds[run], col.RunVals[run]
+				}
+				if runVal.IsNull() {
+					continue
+				}
+				x = runVal.AsFloat()
+			case colstore.EncValue:
+				v := col.Values[ri]
 				if v.IsNull() {
 					continue
 				}
 				x = v.AsFloat()
-			} else {
-				if col.IsNull(i) {
+			default:
+				if col.IsNull(int(ri)) {
 					continue
 				}
 				switch col.Enc {
 				case colstore.EncFloat:
-					x = col.Floats[i]
+					x = col.Floats[ri]
 				case colstore.EncInt, colstore.EncBool:
-					x = float64(col.Ints[i])
-				default: // EncDict
-					x = 0
-				}
-			}
-			if isCount {
-				x = 1
+					x = float64(col.Ints[ri])
+				} // EncDict: 0
 			}
 			xs = append(xs, x)
-			if !uniform {
-				rs = append(rs, gs.batchRates[j])
+			if rates != nil {
+				rs = append(rs, rates[j])
 			}
 		}
 		if isCount {
@@ -1039,38 +1136,26 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// scanColumnarJoin is the late-materialization join scan: the fact-side
-// predicate conjuncts are evaluated FIRST over the columnar block, join
-// keys of surviving rows are probed straight out of the key columns, and
-// only fact rows with at least one dimension match are materialised into
-// the pooled buffer (sized once at plan time, joinRuntime.width; nothing
-// downstream retains it — addMatched copies what it keeps). Expansion
-// order, filter semantics and aggregation order are those of expanding
-// every fact row and filtering the combined rows — rows that would be
-// discarded after materialising (predicate miss or empty join) are skipped
-// before paying for materialisation, which changes no emitted value.
-func (pt *Partial) scanColumnarJoin(p *Plan, in Input, d *colstore.Data,
-	sc *colScratch, jr *joinRuntime) {
-
-	n := d.N
-	pt.RowsScanned += int64(n)
-	if n == 0 {
-		return
-	}
-
-	// Fact-side selection: only the conjuncts that reference fact columns.
-	// (Rows they reject can never produce a passing combined row, so
-	// filtering before expansion is exact.)
-	var sel []uint64
-	if jr.factPred != nil {
-		sel = sc.bitmap(n)
-		evalPred(jr.factPred, d, sel, n, sc)
-	}
+// scanSpanJoin is the late-materialization join scan: the fact-side
+// predicate conjuncts are evaluated FIRST over the span, join keys of
+// surviving rows are probed straight out of the key columns, and only fact
+// rows with at least one dimension match are materialised into the pooled
+// buffer (sized once at plan time, joinRuntime.width; nothing downstream
+// retains it — addMatched copies what it keeps). Expansion order, filter
+// semantics and aggregation order are those of expanding every fact row
+// and filtering the combined rows — rows that would be discarded after
+// materialising (predicate miss or empty join) are skipped before paying
+// for materialisation, which changes no emitted value.
+func (pt *Partial) scanSpanJoin(p *Plan, in Input, s span, sc *colScratch, jr *joinRuntime) {
+	d := s.d
+	pt.RowsScanned += int64(s.hi - s.lo)
 
 	buf := sc.rowBuf(jr.width)
 	factW := len(d.Cols)
 	ix0 := jr.idxs[0]
 	keyCol := &d.Cols[ix0.spec.LeftCol]
+	// Probed rows ascend, so their sampling metadata comes off a run cursor.
+	metaRun := -1
 	var rate float64
 	var freq int64
 	emit := func(r types.Row) {
@@ -1086,27 +1171,34 @@ func (pt *Partial) scanColumnarJoin(p *Plan, in Input, d *colstore.Data,
 		if len(matches) == 0 {
 			return
 		}
-		rate = 1.0
-		if in.Rate != nil {
-			rate = in.Rate(storage.RowMeta{Rate: d.RateAt(i), StratumFreq: d.FreqAt(i)})
+		if metaRun < 0 || int(d.MetaEnds[metaRun]) <= i {
+			metaRun = d.MetaRunOf(i)
+			rate, freq = 1.0, d.Freqs[metaRun]
+			if in.Rate != nil {
+				rate = in.Rate(storage.RowMeta{Rate: d.Rates[metaRun], StratumFreq: freq})
+			}
 		}
-		freq = d.FreqAt(i)
 		d.RowInto(buf[:factW], i)
 		for _, dimRow := range matches {
 			copy(buf[factW:factW+len(dimRow)], dimRow)
 			jr.expandInto(buf, factW+len(dimRow), 1, emit)
 		}
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
+
+	// Fact-side selection: only the conjuncts that reference fact columns.
+	// (Rows they reject can never produce a passing combined row, so
+	// filtering before expansion is exact.)
+	if jr.factPred == nil {
+		for i := s.lo; i < s.hi; i++ {
 			probe(i)
 		}
 		return
 	}
-	for wi, w := range sel {
-		base := wi << 6
+	bm, base := sc.selectRows(jr.factPred, s)
+	for wi, w := range bm {
+		at := base + wi<<6
 		for w != 0 {
-			probe(base + bits.TrailingZeros64(w))
+			probe(at + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
 	}

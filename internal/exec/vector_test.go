@@ -132,18 +132,29 @@ func TestEvalPredMatchesRowEval(t *testing.T) {
 			}
 		}
 	}
+	checkKernels(t, tab, preds)
+}
+
+// checkKernels cross-checks evalPred against the interpreted predicate,
+// row by row, over windows of every chunk of tab: the whole chunk from
+// each third 64-row boundary on, and a 100-row window there (so windows
+// end mid-word with the chunk's later NULLs behind them).
+func checkKernels(t *testing.T, tab *storage.Table, preds []types.Predicate) {
+	t.Helper()
 	sc := &colScratch{}
 	for pi, pred := range preds {
-		for _, blk := range tab.Blocks {
-			d := blk.Col
-			dst := sc.bitmap(d.N)
-			evalPred(pred, d, dst, d.N, sc)
-			for i := 0; i < d.N; i++ {
-				got := dst[i>>6]&(1<<uint(i&63)) != 0
-				want := pred.Eval(blk.RowAt(i))
-				if got != want {
-					t.Fatalf("pred %d (%s) block %d row %d: bitmap=%v eval=%v (row %v)",
-						pi, pred, blk.ID, i, got, want, blk.RowAt(i))
+		for ci, d := range tab.Chunks() {
+			for base := 0; base < d.N; base += 3 * 64 {
+				for _, n := range []int{d.N - base, min(d.N-base, 100)} {
+					dst := sc.bitmap(n)
+					evalPred(pred, d, base, n, dst, sc)
+					for i := 0; i < n; i++ {
+						got := dst[i>>6]&(1<<uint(i&63)) != 0
+						if row := d.Row(base + i); got != pred.Eval(row) {
+							t.Fatalf("pred %d (%s) chunk %d window [%d,+%d) row %d: bitmap=%v eval=%v (row %v)",
+								pi, pred, ci, base, n, base+i, got, !got, row)
+						}
+					}
 				}
 			}
 		}

@@ -26,7 +26,8 @@ import (
 
 // BuildConfig controls physical layout of built samples.
 type BuildConfig struct {
-	// RowsPerBlock is the block granularity (default 8192).
+	// RowsPerBlock is the size of the priced block, a window on a physical
+	// chunk (default 8192).
 	RowsPerBlock int
 	// Nodes is the striping width for round-robin block placement.
 	Nodes int
@@ -282,8 +283,7 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	}
 
 	// Pass 1: group row locators by stratum key. Block.RowKey projects
-	// the key directly from either layout (no row materialisation for
-	// columnar bases).
+	// the key straight from the columns (no row materialisation).
 	type loc struct{ block, row int32 }
 	strata := make(map[string][]loc)
 	var keys []string

@@ -1,12 +1,15 @@
 // Package storage provides the block-oriented table store underlying
-// BlinkDB-Go. A Table is a bag of Blocks; each block holds a contiguous
-// run of rows, carries per-row effective sampling rates (1.0 for base
-// tables), and has a physical placement: the simulated cluster node it
-// lives on and whether it is resident in memory or on disk.
+// BlinkDB-Go. A Table is a list of Blocks; each block is a contiguous run
+// of rows with a placement: the simulated cluster node it lives on and
+// whether it is resident in memory or on disk.
 //
 // This mirrors the paper's HDFS layout (§2.2.1 "Storage optimization" and
 // Fig. 4): samples are split into many small blocks spread across nodes,
-// and multi-resolution samples map to non-overlapping block sets.
+// and multi-resolution samples map to non-overlapping block sets. The
+// block is the unit the cluster model places and prices — at a large
+// simulated scale it stands for a few hundred rows, or three. It is not
+// the unit of storage: rows live in physical chunks of about chunkRows
+// rows (internal/colstore), and a block is a window on one of them.
 package storage
 
 import (
@@ -81,16 +84,17 @@ func (z *Zone) Extend(v types.Value) {
 	}
 }
 
-// Block is a contiguous run of rows with shared placement, stored as
-// per-column typed slices with null bitmaps and per-block rate and
-// stratum-frequency arrays (internal/colstore). Readers outside the
-// executor's vectorized scan use the accessor methods (NumRows, RowAt,
-// MetaAt, ValueAt, RowKey).
+// Block is a priced block: what the cluster model places on a node, prices
+// as one read and prunes by its zones. It is pure metadata — its rows are
+// the window [Off, Off+N) of a physical chunk that neighbouring blocks
+// share. Readers outside the executor's vectorized scan use the accessor
+// methods (NumRows, RowAt, MetaAt, ValueAt, RowKey).
 type Block struct {
 	// ID is unique within a Table.
 	ID int
-	// Col is the columnar payload.
-	Col *colstore.Data
+	// Chunk holds the block's rows, among others: rows [Off, Off+N).
+	Chunk  *colstore.Data
+	Off, N int
 	// Zones[i] summarises column i across the block's rows.
 	Zones []Zone
 	// Node is the cluster node the block is assigned to.
@@ -102,23 +106,24 @@ type Block struct {
 }
 
 // NumRows returns the row count.
-func (b *Block) NumRows() int { return b.Col.N }
+func (b *Block) NumRows() int { return b.N }
 
 // RowAt materialises row i (fresh per call, safe to retain).
-func (b *Block) RowAt(i int) types.Row { return b.Col.Row(i) }
+func (b *Block) RowAt(i int) types.Row { return b.Chunk.Row(b.Off + i) }
 
 // MetaAt returns row i's sampling metadata.
 func (b *Block) MetaAt(i int) RowMeta {
-	return RowMeta{Rate: b.Col.RateAt(i), StratumFreq: b.Col.FreqAt(i)}
+	run := b.Chunk.MetaRunOf(b.Off + i)
+	return RowMeta{Rate: b.Chunk.Rates[run], StratumFreq: b.Chunk.Freqs[run]}
 }
 
 // ValueAt returns the value of column col in row i without materialising
 // the row.
-func (b *Block) ValueAt(i, col int) types.Value { return b.Col.Cols[col].Value(i) }
+func (b *Block) ValueAt(i, col int) types.Value { return b.Chunk.Cols[col].Value(b.Off + i) }
 
 // RowKey renders the projection of row i onto the given schema indices —
 // types.RowKey without materialising the row.
-func (b *Block) RowKey(i int, idx []int) string { return b.Col.RowKey(i, idx) }
+func (b *Block) RowKey(i int, idx []int) string { return b.Chunk.RowKey(b.Off+i, idx) }
 
 // Table is a named collection of blocks sharing a schema.
 type Table struct {
@@ -145,6 +150,19 @@ func (t *Table) AddBlock(b *Block) {
 
 // NumRows returns the total number of rows.
 func (t *Table) NumRows() int64 { return t.rows }
+
+// Chunks returns the table's physical chunks in block order. A builder
+// (or a loaded segment) lays a chunk's blocks out consecutively, so a new
+// chunk starts wherever the pointer changes.
+func (t *Table) Chunks() []*colstore.Data {
+	var out []*colstore.Data
+	for _, b := range t.Blocks {
+		if b.Chunk != nil && (len(out) == 0 || out[len(out)-1] != b.Chunk) {
+			out = append(out, b.Chunk)
+		}
+	}
+	return out
+}
 
 // Bytes returns the total serialized size.
 func (t *Table) Bytes() int64 { return t.bytes }
@@ -307,43 +325,53 @@ func RemoteBytes(shards []NodeShard) int64 {
 func EstimateRowBytes(r types.Row) int64 {
 	var n int64
 	for _, v := range r {
-		switch v.Kind {
-		case types.KindInt, types.KindFloat:
-			n += 8
-		case types.KindString:
-			n += int64(len(v.S)) + 2
-		default:
-			n++
-		}
+		n += valueBytes(v)
 	}
 	return n
 }
 
-// Builder accumulates rows into fixed-size blocks, striping them
-// round-robin across numNodes cluster nodes (HDFS-style block spread).
-// Each flushed block is encoded into per-column typed slices
-// (internal/colstore).
+func valueBytes(v types.Value) int64 {
+	switch v.Kind {
+	case types.KindInt, types.KindFloat:
+		return 8
+	case types.KindString:
+		return int64(len(v.S)) + 2
+	default:
+		return 1
+	}
+}
+
+// chunkRows is how many rows a physical chunk aims to hold: enough that a
+// scan's per-chunk setup (dictionaries, run cursors, bitmaps) disappears
+// behind the rows, small enough that row indices stay 32-bit and a
+// chunk-wide dictionary stays cache-sized. A chunk always holds whole
+// blocks, so it closes on the last block boundary at or under this (one
+// block when a block alone is larger).
+const chunkRows = 1 << 16
+
+// Builder accumulates rows into physical chunks and cuts each chunk into
+// fixed-size priced blocks, striped round-robin across numNodes cluster
+// nodes (HDFS-style block spread).
 type Builder struct {
 	table        *Table
 	rowsPerBlock int
+	perChunk     int // rows per chunk: a whole number of blocks
 	numNodes     int
 	place        Placement
 
-	curCol   *colstore.Builder
-	curZones []Zone
-	curByte  int64
-	nextTgt  int
+	cur     *colstore.Builder // created at the first row, reused per chunk
+	nextTgt int
 
-	// Encoding knobs forwarded to each block's colstore.Builder (which is
-	// created lazily per block): sortedCols hints sorted/low-cardinality
-	// columns, noRLE pins the pre-RLE plain typed encodings. Both are
-	// purely physical — logical content is identical either way.
+	// Encoding knobs forwarded to the chunk encoder: sortedCols hints
+	// sorted/low-cardinality columns, noRLE pins the pre-RLE plain typed
+	// encodings. Both are purely physical — logical content is identical
+	// either way.
 	sortedCols []int
 	noRLE      bool
 }
 
-// NewBuilder creates a builder for the given table. rowsPerBlock controls
-// block granularity; numNodes the round-robin striping width.
+// NewBuilder creates a builder for the given table. rowsPerBlock is the
+// priced block's size in rows; numNodes the round-robin striping width.
 func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Builder {
 	if rowsPerBlock <= 0 {
 		rowsPerBlock = 8192
@@ -351,7 +379,13 @@ func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Buil
 	if numNodes <= 0 {
 		numNodes = 1
 	}
-	return &Builder{table: table, rowsPerBlock: rowsPerBlock, numNodes: numNodes, place: place}
+	return &Builder{
+		table:        table,
+		rowsPerBlock: rowsPerBlock,
+		perChunk:     max(chunkRows/rowsPerBlock, 1) * rowsPerBlock,
+		numNodes:     numNodes,
+		place:        place,
+	}
 }
 
 // NewBuilderLayout is NewBuilder; see Layout.
@@ -365,8 +399,8 @@ func NewBuilderLayout(table *Table, rowsPerBlock, numNodes int, place Placement,
 // within a stratum by construction.
 func (b *Builder) HintSortedColumns(cols ...int) {
 	b.sortedCols = append(b.sortedCols, cols...)
-	if b.curCol != nil {
-		b.curCol.HintSorted(cols...)
+	if b.cur != nil {
+		b.cur.HintSorted(cols...)
 	}
 }
 
@@ -375,45 +409,35 @@ func (b *Builder) HintSortedColumns(cols ...int) {
 // physical design from identical input.
 func (b *Builder) DisableRLE() {
 	b.noRLE = true
-	if b.curCol != nil {
-		b.curCol.DisableRLE()
+	if b.cur != nil {
+		b.cur.DisableRLE()
 	}
 }
 
-// numCols returns the block width: the schema's width when known, else
-// the first appended row's.
-func (b *Builder) numCols(r types.Row) int {
-	if b.table.Schema != nil {
-		return b.table.Schema.Len()
+// encoder returns the chunk encoder, creating it for width columns.
+func (b *Builder) encoder(width int) *colstore.Builder {
+	if b.cur == nil {
+		// The schema's width when known, else the first row's: a narrow
+		// leading row cannot silently drop trailing columns.
+		if b.table.Schema != nil {
+			width = b.table.Schema.Len()
+		}
+		b.cur = colstore.NewBuilder(width)
+		if b.noRLE {
+			b.cur.DisableRLE()
+		}
+		if len(b.sortedCols) > 0 {
+			b.cur.HintSorted(b.sortedCols...)
+		}
 	}
-	return len(r)
+	return b.cur
 }
 
 // Append adds one row with its sampling metadata.
 func (b *Builder) Append(r types.Row, m RowMeta) {
-	if b.curCol == nil {
-		b.curCol = colstore.NewBuilder(b.numCols(r))
-		if b.noRLE {
-			b.curCol.DisableRLE()
-		}
-		if len(b.sortedCols) > 0 {
-			b.curCol.HintSorted(b.sortedCols...)
-		}
-	}
-	b.curCol.Append(r, m.Rate, m.StratumFreq)
-	if b.curZones == nil {
-		// Zones are sized from the schema, not the first row, so a narrow
-		// leading row cannot silently disable zone maintenance for
-		// trailing columns.
-		b.curZones = make([]Zone, b.numCols(r))
-	}
-	for i, v := range r {
-		if i < len(b.curZones) {
-			b.curZones[i].Extend(v)
-		}
-	}
-	b.curByte += EstimateRowBytes(r)
-	if b.curCol.Len() >= b.rowsPerBlock {
+	cur := b.encoder(len(r))
+	cur.Append(r, m.Rate, m.StratumFreq)
+	if cur.Len() >= b.perChunk {
 		b.flush()
 	}
 }
@@ -421,45 +445,48 @@ func (b *Builder) Append(r types.Row, m RowMeta) {
 // AppendRow adds an unsampled (rate-1) row.
 func (b *Builder) AppendRow(r types.Row) { b.Append(r, RowMeta{Rate: 1}) }
 
-// AppendTable copies every row of src (with its metadata) into the
-// builder — the re-chunking path. Rows are decoded through one reused
-// buffer instead of a fresh allocation per row (safe: the columnar builder
-// copies values out immediately and never retains the row slice).
-func (b *Builder) AppendTable(src *Table) {
-	var scratch types.Row
-	for _, blk := range src.Blocks {
-		d := blk.Col
-		if cap(scratch) < len(d.Cols) {
-			scratch = make(types.Row, len(d.Cols))
-		}
-		for i := 0; i < d.N; i++ {
-			b.Append(d.RowInto(scratch[:len(d.Cols)], i), blk.MetaAt(i))
-		}
-	}
-}
-
+// flush freezes the open chunk and cuts it into blocks.
 func (b *Builder) flush() {
-	if b.curCol == nil {
+	if b.cur == nil || b.cur.Len() == 0 {
 		return
 	}
-	blk := &Block{
-		Col:   b.curCol.Finish(),
-		Zones: b.curZones,
-		Node:  b.nextTgt % b.numNodes,
-		Place: b.place,
-		Bytes: b.curByte,
+	cut := cutter{d: b.cur.Finish()}
+	blocks := cut.blocks(b.rowsPerBlock)
+	for i := range blocks {
+		blk := &blocks[i]
+		blk.Node = b.nextTgt % b.numNodes
+		blk.Place = b.place
+		b.nextTgt++
+		b.table.AddBlock(blk)
 	}
-	b.curCol = nil
-	b.nextTgt++
-	b.table.AddBlock(blk)
-	b.curZones = nil
-	b.curByte = 0
 }
 
-// Finish flushes any partial block and returns the table.
+// Finish flushes the open chunk and returns the table.
 func (b *Builder) Finish() *Table {
 	b.flush()
+	b.cur = nil
 	return b.table
+}
+
+// Recut returns src's rows, values and sampling metadata unchanged and in
+// order, as a table of rowsPerBlock-row blocks. Rows move between chunks
+// column at a time in their typed form (a chunk must hold whole blocks, so
+// its boundaries move with the block size); zones and byte sizes are
+// computed for the new windows.
+func Recut(src *Table, rowsPerBlock, numNodes int, place Placement) *Table {
+	b := NewBuilder(NewTable(src.Name, src.Schema), rowsPerBlock, numNodes, place)
+	for _, d := range src.Chunks() {
+		for off := 0; off < d.N; {
+			cur := b.encoder(len(d.Cols))
+			take := min(d.N-off, b.perChunk-cur.Len())
+			cur.AppendFrom(d, off, off+take)
+			off += take
+			if cur.Len() >= b.perChunk {
+				b.flush()
+			}
+		}
+	}
+	return b.Finish()
 }
 
 // SetPlacement moves every block of the table to the given tier. Used by
@@ -470,42 +497,71 @@ func SetPlacement(t *Table, p Placement) {
 	}
 }
 
-// Validate checks internal invariants: column/meta length parity, byte
-// accounting and node assignment ranges. Returns the first violation found.
+// Validate checks internal invariants: chunk column and metadata-run
+// lengths, that every chunk's blocks tile it in order, sampling rates,
+// byte accounting and node assignment ranges. Returns the first violation
+// found.
 func Validate(t *Table, numNodes int) error {
 	var rows, bytes int64
+	var chunk *colstore.Data
+	end := 0 // rows of chunk covered by the blocks seen so far
 	for _, b := range t.Blocks {
-		d := b.Col
-		if d == nil {
-			return fmt.Errorf("block %d: no columnar payload", b.ID)
+		if b.Chunk == nil {
+			return fmt.Errorf("block %d: no chunk", b.ID)
 		}
-		for ci := range d.Cols {
-			if got := d.Cols[ci].Len(); got != d.N {
-				return fmt.Errorf("block %d: column %d length %d but %d rows", b.ID, ci, got, d.N)
+		if b.Chunk != chunk {
+			if chunk != nil && end != chunk.N {
+				return fmt.Errorf("block %d: previous chunk covered to row %d of %d", b.ID, end, chunk.N)
+			}
+			chunk, end = b.Chunk, 0
+			if err := validateChunk(chunk); err != nil {
+				return fmt.Errorf("block %d: %w", b.ID, err)
 			}
 		}
-		if d.Rates != nil && len(d.Rates) != d.N {
-			return fmt.Errorf("block %d: %d rates but %d rows", b.ID, len(d.Rates), d.N)
+		if b.Off != end || b.N <= 0 || b.Off+b.N > chunk.N {
+			return fmt.Errorf("block %d: window [%d,%d) does not continue at row %d of a %d-row chunk",
+				b.ID, b.Off, b.Off+b.N, end, chunk.N)
 		}
-		if d.Freqs != nil && len(d.Freqs) != d.N {
-			return fmt.Errorf("block %d: %d freqs but %d rows", b.ID, len(d.Freqs), d.N)
-		}
+		end += b.N
 		if numNodes > 0 && (b.Node < 0 || b.Node >= numNodes) {
 			return fmt.Errorf("block %d: node %d out of range [0,%d)", b.ID, b.Node, numNodes)
 		}
-		for i, n := 0, b.NumRows(); i < n; i++ {
-			if r := b.MetaAt(i).Rate; r <= 0 || r > 1 {
-				return fmt.Errorf("block %d row %d: rate %g out of (0,1]", b.ID, i, r)
-			}
-		}
-		rows += int64(b.NumRows())
+		rows += int64(b.N)
 		bytes += b.Bytes
+	}
+	if chunk != nil && end != chunk.N {
+		return fmt.Errorf("last chunk covered to row %d of %d", end, chunk.N)
 	}
 	if rows != t.rows {
 		return fmt.Errorf("row accounting: blocks have %d, table says %d", rows, t.rows)
 	}
 	if bytes != t.bytes {
 		return fmt.Errorf("byte accounting: blocks have %d, table says %d", bytes, t.bytes)
+	}
+	return nil
+}
+
+func validateChunk(d *colstore.Data) error {
+	for ci := range d.Cols {
+		if got := d.Cols[ci].Len(); got != d.N {
+			return fmt.Errorf("column %d length %d but %d rows", ci, got, d.N)
+		}
+	}
+	if len(d.Rates) != len(d.MetaEnds) || len(d.Freqs) != len(d.MetaEnds) {
+		return fmt.Errorf("%d metadata runs with %d rates and %d freqs", len(d.MetaEnds), len(d.Rates), len(d.Freqs))
+	}
+	prev := int32(0)
+	for r, end := range d.MetaEnds {
+		if end <= prev {
+			return fmt.Errorf("metadata run %d ends at %d after %d", r, end, prev)
+		}
+		prev = end
+		if rate := d.Rates[r]; rate <= 0 || rate > 1 {
+			return fmt.Errorf("metadata run %d: rate %g out of (0,1]", r, rate)
+		}
+	}
+	if int(prev) != d.N {
+		return fmt.Errorf("metadata runs cover %d of %d rows", prev, d.N)
 	}
 	return nil
 }

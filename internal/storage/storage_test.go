@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -97,13 +98,13 @@ func TestSetPlacement(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	tab := buildTable(t, 20, 8, 2)
-	tab.Blocks[0].Col.Rates = []float64{1}
+	tab.Blocks[0].Chunk.MetaEnds = []int32{1}
 	if err := Validate(tab, 2); err == nil {
 		t.Error("meta/rows mismatch not caught")
 	}
 
 	tab2 := buildTable(t, 20, 8, 2)
-	tab2.Blocks[0].Col.UniformRate = 0
+	tab2.Blocks[0].Chunk.Rates[0] = 0
 	if err := Validate(tab2, 2); err == nil {
 		t.Error("zero rate not caught")
 	}
@@ -118,6 +119,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tab4.Blocks[0].Bytes++
 	if err := Validate(tab4, 2); err == nil {
 		t.Error("byte drift not caught")
+	}
+
+	tab5 := buildTable(t, 20, 8, 2)
+	tab5.Blocks[1].Off++
+	if err := Validate(tab5, 2); err == nil {
+		t.Error("a window that does not continue its chunk not caught")
 	}
 }
 
@@ -170,15 +177,18 @@ func mixedRows(n int) ([]types.Row, []RowMeta) {
 	return rows, metas
 }
 
-// buildMixedTable builds a validated table from mixedRows.
-func buildMixedTable(t *testing.T, n, rowsPerBlock, nodes int) *Table {
-	t.Helper()
-	schema := types.NewSchema(
+func mixedSchema() *types.Schema {
+	return types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "city", Kind: types.KindString},
 		types.Column{Name: "v", Kind: types.KindFloat},
 	)
-	tab := NewTable("t", schema)
+}
+
+// buildMixedTable builds a validated table from mixedRows.
+func buildMixedTable(t *testing.T, n, rowsPerBlock, nodes int) *Table {
+	t.Helper()
+	tab := NewTable("t", mixedSchema())
 	b := NewBuilder(tab, rowsPerBlock, nodes, OnDisk)
 	rows, metas := mixedRows(n)
 	for i, r := range rows {
@@ -244,8 +254,10 @@ func TestBlockAccessorsMatchAppendedRows(t *testing.T) {
 }
 
 // TestZoneSizingFromSchema is the regression test for the zone-sizing
-// bug: a narrow first row used to size curZones, silently disabling zone
-// maintenance for trailing columns of later (full-width) rows.
+// bug: a narrow first row used to size the zones, silently disabling zone
+// maintenance for trailing columns of later (full-width) rows. The narrow
+// row's missing column is a NULL like any other, so it is the bracket's
+// minimum: a zone that left it out let `city >= 'AA'` count that row.
 func TestZoneSizingFromSchema(t *testing.T) {
 	tab := NewTable("z", testSchema()) // (id INT, city STRING)
 	b := NewBuilder(tab, 8, 1, OnDisk)
@@ -258,7 +270,7 @@ func TestZoneSizingFromSchema(t *testing.T) {
 		t.Fatalf("zones sized %d from first row, want 2 (schema width)", len(blk.Zones))
 	}
 	z := blk.Zones[1]
-	if !z.Valid || z.Min.S != "AA" || z.Max.S != "ZZ" {
+	if !z.Valid || !z.Min.IsNull() || z.Max.S != "ZZ" {
 		t.Fatalf("trailing column zone not maintained: %+v", z)
 	}
 	if z0 := blk.Zones[0]; !z0.Valid || z0.Min.I != 1 || z0.Max.I != 9 {
@@ -266,33 +278,52 @@ func TestZoneSizingFromSchema(t *testing.T) {
 	}
 }
 
-// TestAppendTableRechunk pins the re-chunking copy (which decodes through
-// one reused buffer): contents, metadata and totals survive.
-func TestAppendTableRechunk(t *testing.T) {
-	src := buildMixedTable(t, 230, 16, 4)
-	dst := NewTable("t", src.Schema)
-	b := NewBuilder(dst, 64, 2, OnDisk)
-	b.AppendTable(src)
-	b.Finish()
-	if dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
-		t.Fatalf("totals changed: %d/%d rows, %d/%d bytes", dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
+// TestRecut pins the re-cut a loader does once it knows its block size:
+// contents, metadata and totals survive, blocks come out at the new size
+// with the zones and bytes a fresh build of the same rows gives them, and
+// chunk boundaries move so that every chunk still holds whole blocks.
+func TestRecut(t *testing.T) {
+	const n = 3*chunkRows + 1234 // several provisional chunks
+	rows, metas := mixedRows(n)
+	build := func(rowsPerBlock, nodes int) *Table {
+		tab := NewTable("t", mixedSchema())
+		b := NewBuilder(tab, rowsPerBlock, nodes, OnDisk)
+		for i, r := range rows {
+			b.Append(r, metas[i])
+		}
+		return b.Finish()
 	}
-	if err := Validate(dst, 2); err != nil {
-		t.Fatal(err)
-	}
-	rows, metas := mixedRows(230)
-	n := 0
-	for bi, blk := range dst.Blocks {
-		for ri := 0; ri < blk.NumRows(); ri, n = ri+1, n+1 {
-			if blk.MetaAt(ri) != metas[n] {
-				t.Fatalf("meta diverged at block %d row %d", bi, ri)
+	src := build(8192, 4)
+	for _, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
+		dst := Recut(src, rowsPerBlock, 2, OnDisk)
+		if err := Validate(dst, 2); err != nil {
+			t.Fatalf("rowsPerBlock %d: %v", rowsPerBlock, err)
+		}
+		want := build(rowsPerBlock, 2)
+		if len(dst.Blocks) != len(want.Blocks) || dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
+			t.Fatalf("rowsPerBlock %d: %d blocks (want %d), %d/%d rows, %d/%d bytes", rowsPerBlock,
+				len(dst.Blocks), len(want.Blocks), dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
+		}
+		if got, fresh := len(dst.Chunks()), len(want.Chunks()); got != fresh {
+			t.Fatalf("rowsPerBlock %d: %d chunks, a fresh build has %d", rowsPerBlock, got, fresh)
+		}
+		at := 0
+		for bi, blk := range dst.Blocks {
+			wb := want.Blocks[bi]
+			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !reflect.DeepEqual(blk.Zones, wb.Zones) {
+				t.Fatalf("rowsPerBlock %d block %d: %+v, a fresh build has %+v", rowsPerBlock, bi, blk, wb)
 			}
-			got := blk.RowAt(ri)
-			for ci := range got {
-				if got[ci] != rows[n][ci] {
-					t.Fatalf("row diverged at block %d row %d col %d: %v vs %v", bi, ri, ci, got[ci], rows[n][ci])
+			for ri := 0; ri < blk.N; ri += 1 + blk.N/7 { // a few rows of every block
+				if blk.MetaAt(ri) != metas[at+ri] {
+					t.Fatalf("rowsPerBlock %d: meta diverged at block %d row %d", rowsPerBlock, bi, ri)
+				}
+				for ci, v := range blk.RowAt(ri) {
+					if v != rows[at+ri][ci] {
+						t.Fatalf("rowsPerBlock %d: row diverged at block %d row %d col %d: %v vs %v", rowsPerBlock, bi, ri, ci, v, rows[at+ri][ci])
+					}
 				}
 			}
+			at += blk.N
 		}
 	}
 }

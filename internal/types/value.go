@@ -154,6 +154,17 @@ func kindRank(k Kind) int {
 // Numeric kinds compare numerically with each other; otherwise values of
 // different kinds order by kind rank. NULL sorts first.
 func Compare(a, b Value) int {
+	// Both ints: the common case, and exact where float rounding of large
+	// magnitudes is not.
+	if a.Kind == KindInt && b.Kind == KindInt {
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		}
+		return 0
+	}
 	ra, rb := kindRank(a.Kind), kindRank(b.Kind)
 	if ra != rb {
 		if ra < rb {
@@ -166,16 +177,6 @@ func Compare(a, b Value) int {
 		return 0
 	case 1: // numeric
 		fa, fb := a.AsFloat(), b.AsFloat()
-		// Fast path: both ints avoids float rounding on large magnitudes.
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
-			return 0
-		}
 		switch {
 		case fa < fb:
 			return -1

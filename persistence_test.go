@@ -371,40 +371,43 @@ func TestCorruptWarmupFileColdBoots(t *testing.T) {
 	})
 }
 
-// TestRetiredLayoutSegmentColdBoots: a data dir whose sample segment
-// carries the retired row block layout (the blockfile fixture, written
-// before the layout was removed) must boot cold — the reason in
+// TestRetiredLayoutSegmentColdBoots: a data dir whose sample segment was
+// written by an earlier format (the blockfile fixtures: the retired row
+// block layout, and format 1's one-column-set-per-block layout from
+// before blocks became windows on chunks) must boot cold — the reason in
 // PersistenceNotes, the rebuilt families answering exactly like a fresh
 // engine's — never panic and never serve a half-loaded family.
 func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
-	dir := t.TempDir()
-	fresh, freshRep := bootEngine(t, dir)
-	retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", "row_layout_v1.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "samples", "sessions", "fam0.seg"), retired, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rebooted, rep := bootEngine(t, dir)
-	notes := strings.Join(rebooted.PersistenceNotes(), "\n")
-	if !strings.Contains(notes, "invalid block layout 0") || !strings.Contains(notes, "rebuilding") {
-		t.Fatalf("PersistenceNotes do not record the retired-layout fallback: %q", notes)
-	}
-	if !reflect.DeepEqual(freshRep, rep) {
-		t.Errorf("cold rebuild's sample report differs:\n fresh %+v\n rebuilt %+v", freshRep, rep)
-	}
-	for _, src := range persistQueries {
-		want, err := fresh.Query(src)
+	for _, file := range []string{"row_layout_v1.seg", "columnar_blocks_v1.seg"} {
+		dir := t.TempDir()
+		fresh, freshRep := bootEngine(t, dir)
+		retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rebooted.Query(src)
-		if err != nil {
-			t.Fatalf("%q after the fallback: %v", src, err)
+		if err := os.WriteFile(filepath.Join(dir, "samples", "sessions", "fam0.seg"), retired, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%q: answer differs after the cold rebuild\n fresh   %+v\n rebuilt %+v", src, want, got)
+		rebooted, rep := bootEngine(t, dir)
+		notes := strings.Join(rebooted.PersistenceNotes(), "\n")
+		if !strings.Contains(notes, "unsupported format version 1") || !strings.Contains(notes, "rebuilding") {
+			t.Fatalf("%s: PersistenceNotes do not record the retired-format fallback: %q", file, notes)
+		}
+		if !reflect.DeepEqual(freshRep, rep) {
+			t.Errorf("%s: cold rebuild's sample report differs:\n fresh %+v\n rebuilt %+v", file, freshRep, rep)
+		}
+		for _, src := range persistQueries {
+			want, err := fresh.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rebooted.Query(src)
+			if err != nil {
+				t.Fatalf("%s: %q after the fallback: %v", file, src, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: %q: answer differs after the cold rebuild\n fresh   %+v\n rebuilt %+v", file, src, want, got)
+			}
 		}
 	}
 }
