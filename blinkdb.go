@@ -32,7 +32,8 @@
 // — is served from memory without probing or scanning, and N concurrent
 // cold replays of one query collapse into a single execution shared by
 // all (singleflight). Answers are epoch-validated like plan-cache
-// entries, optionally TTL-bounded, and deep-copied on return.
+// entries, optionally TTL-bounded, and copied on return (a serving layer,
+// through Engine.Answer, shares the entry's read-only served form).
 // Result.Explanation reports result=hit|miss|shared; disabling the cache
 // (ResultCacheSize < 0) restores the execute-every-query pipeline bit
 // for bit.
@@ -85,7 +86,8 @@
 // ranges, and QueryStream runs a query as a streaming-refinement session
 // — one StreamUpdate per sample resolution along the §4.4 delta chain,
 // each a complete answer with bounds, ending in a Final update
-// bit-identical to Query's. cmd/blinkdb-server wraps these in HTTP/JSON
+// bit-identical to Query's; Answer and Stream are the same runs for a
+// caller that parsed the query itself. cmd/blinkdb-server wraps those in HTTP/JSON
 // (NDJSON and SSE streaming) with admission control priced by the ELP's
 // predicted latencies: overload is shed with 429 + Retry-After before
 // any scanning happens, which the Admitted/Shed/Cancelled counters in
@@ -224,7 +226,7 @@ type Config struct {
 	// query pipeline bit-identically (no result= markers, same answers
 	// and latencies). Served answers are epoch-validated like plan-cache
 	// entries — RefreshSamples/Maintain invalidate them immediately —
-	// and deep-copied on return, so callers can never corrupt the cache.
+	// and copied on return, so callers can never corrupt the cache.
 	// Unlike a plan-cache hit, which reuses template-level probe state to
 	// answer NEW constants, a result-cache hit requires the parameters to
 	// match exactly and replays the identical answer.
@@ -737,8 +739,7 @@ func (r *Result) MaxRelErr() float64 {
 // rendered query-lifecycle span tree (cache state is shared with the
 // plain form of the query, so a warm replay shows the warm path).
 func (e *Engine) Query(sql string) (*Result, error) {
-	res, _, err := e.queryTraced(sql)
-	return res, err
+	return e.QueryCtx(context.Background(), sql)
 }
 
 // QueryCtx is Query with cancellation: a ctx that is cancelled before the
@@ -747,38 +748,78 @@ func (e *Engine) Query(sql string) (*Result, error) {
 // Cancelled queries return ctx.Err() (or a wrapped form satisfying
 // errors.Is) and count toward EngineStats.Cancelled.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
-	res, _, err := e.query(ctx, sql, false)
+	res, _, err := e.query(ctx, sql, nil)
 	return res, err
 }
 
 // QueryTraced is Query with the structured span tree returned alongside
 // the result: the trace is always captured, whether or not the query has
-// an EXPLAIN ANALYZE prefix. Use it to feed telemetry.WriteChrome or to
-// walk span durations programmatically; plain Query keeps the zero-
-// overhead untraced path.
+// an EXPLAIN ANALYZE prefix, and its root spans what the caller waits
+// for — parse, normalize, the run, the result. Use it to feed
+// telemetry.WriteChrome or to walk span durations programmatically; plain
+// Query keeps the zero-overhead untraced path.
 func (e *Engine) QueryTraced(sql string) (*Result, *telemetry.Trace, error) {
-	return e.query(context.Background(), sql, true)
+	return e.query(context.Background(), sql, telemetry.New("query"))
 }
 
-func (e *Engine) queryTraced(sql string) (*Result, *telemetry.Trace, error) {
-	return e.query(context.Background(), sql, false)
-}
-
-func (e *Engine) query(ctx context.Context, sql string, forceTrace bool) (*Result, *telemetry.Trace, error) {
-	q, err := sqlparser.Parse(sql)
+func (e *Engine) query(ctx context.Context, sql string, tr *telemetry.Trace) (*Result, *telemetry.Trace, error) {
+	st, err := parse(sql, tr)
 	if err != nil {
 		return nil, nil, err
 	}
-	var tr *telemetry.Trace
-	if q.Analyze || forceTrace {
+	u, err := e.Answer(ctx, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return u.Result, st.tr, nil
+}
+
+// Statement is one parsed query ready for its one run: the AST with
+// whatever bounds its producer set, the key and parameters Normalize
+// derived from it — once — the wall time spent producing it (charged to
+// the query in Engine.Telemetry) and the trace of a traced or EXPLAIN
+// ANALYZE query. The SQL-text entry points make one per call; a serving
+// layer that must see the query before it runs makes its own.
+type Statement struct {
+	// Key is the normalized template key: what admission prices
+	// (TemplateWallSeconds) and telemetry records the statement under.
+	Key     string
+	q       *sqlparser.Query
+	params  []types.Value
+	spent   time.Duration
+	tr      *telemetry.Trace
+	private bool // the SQL-text entry points': Results the caller may modify
+}
+
+// NewStatement normalizes q, which must not change afterwards; began is
+// when the caller started producing q (before it parsed). The Results of
+// its run are READ-ONLY: a result-cache hit's is the cache entry's own,
+// which is what lets a serving layer answer one with a lookup and a write.
+func NewStatement(q *sqlparser.Query, began time.Time) Statement {
+	return newStatement(q, began, nil)
+}
+
+func newStatement(q *sqlparser.Query, began time.Time, tr *telemetry.Trace) Statement {
+	if tr == nil && q.Analyze {
 		tr = telemetry.New("query")
 	}
-	resp, err := e.rt.RunCtxTraced(ctx, q, tr)
-	tr.Finish()
+	nsp := tr.Root().Child("normalize")
+	key, params := sqlparser.Normalize(q)
+	nsp.End()
+	return Statement{Key: key, q: q, params: params, spent: time.Since(began), tr: tr}
+}
+
+// parse is where SQL text becomes a Statement — the only parse any entry
+// point of this package performs — under the caller's trace, if any.
+func parse(sql string, tr *telemetry.Trace) (Statement, error) {
+	began := time.Now()
+	q, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, nil, err
+		return Statement{}, err
 	}
-	return buildResult(q, resp, tr), tr, nil
+	st := newStatement(q, began, tr)
+	st.private = true
+	return st, nil
 }
 
 // StreamUpdate is one refinement of a streaming query session: a
@@ -795,6 +836,7 @@ type StreamUpdate struct {
 	Seq int
 	// Final marks the session's last, authoritative answer.
 	Final bool
+	wire  []byte // a shared served Result's encoding, from its cache entry
 }
 
 // QueryStream executes sql as a streaming-refinement session: emit is
@@ -806,31 +848,62 @@ type StreamUpdate struct {
 // emit aborts the session and is returned; ctx cancellation behaves as
 // in QueryCtx, checked between refinements and inside scans.
 func (e *Engine) QueryStream(ctx context.Context, sql string, emit func(StreamUpdate) error) error {
-	q, err := sqlparser.Parse(sql)
+	st, err := parse(sql, nil)
 	if err != nil {
 		return err
 	}
-	var tr *telemetry.Trace
-	if q.Analyze {
-		tr = telemetry.New("query")
+	return e.Stream(ctx, st, emit)
+}
+
+// Stream is QueryStream for a Statement.
+func (e *Engine) Stream(ctx context.Context, st Statement, emit func(StreamUpdate) error) error {
+	u, err := e.run(ctx, st, emit)
+	if err != nil {
+		return err
 	}
-	err = e.rt.RunStreamTraced(ctx, q, tr, func(r elp.Refinement) error {
-		if r.Final {
-			tr.Finish()
+	return emit(u)
+}
+
+// Answer is QueryCtx for a Statement: the final update of a session that
+// streams nothing.
+func (e *Engine) Answer(ctx context.Context, st Statement) (StreamUpdate, error) {
+	return e.run(ctx, st, nil)
+}
+
+// run is the one path under every entry point: it returns the session's
+// final update, after passing any pre-final refinements to mid (nil:
+// stream none). The trace's root and the Engine.Telemetry clock stop when
+// the final Result is ready, not when its consumer is done with it.
+func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) error) (StreamUpdate, error) {
+	started := time.Now()
+	q, tr := st.q, st.tr
+	u := StreamUpdate{Final: true}
+	var emitMid func(*elp.Response, int) error
+	if mid != nil {
+		emitMid = func(resp *elp.Response, level int) error {
+			res := buildResult(q, resp)
+			res.Trace = tr.Render() // the tree so far; empty unless EXPLAIN ANALYZE
+			u.Seq++
+			return mid(StreamUpdate{Result: res, Level: level, Seq: u.Seq - 1})
 		}
-		return emit(StreamUpdate{
-			Result: buildResult(q, r.Resp, tr),
-			Level:  r.Level,
-			Seq:    r.Seq,
-			Final:  r.Final,
-		})
-	})
+	}
+	resp, err := e.rt.RunKeyed(ctx, q, st.Key, st.params, tr, emitMid)
+	if err != nil {
+		tr.Finish()
+		return StreamUpdate{}, err
+	}
+	u.Result, u.wire = st.result(resp)
+	u.Level = u.Result.Level
 	tr.Finish()
-	return err
+	if q.Analyze {
+		u.Result.Trace = tr.Render()
+	}
+	e.tele.Observe(st.Key, elp.ObservationFor(resp, (st.spent+time.Since(started)).Seconds()))
+	return u, nil
 }
 
 // buildResult maps an elp response onto the public Result shape.
-func buildResult(q *sqlparser.Query, resp *elp.Response, tr *telemetry.Trace) *Result {
+func buildResult(q *sqlparser.Query, resp *elp.Response) *Result {
 	out := &Result{
 		Confidence:        resp.Confidence,
 		SimLatencySeconds: resp.SimLatency,
@@ -838,7 +911,6 @@ func buildResult(q *sqlparser.Query, resp *elp.Response, tr *telemetry.Trace) *R
 		RowsMatched:       resp.Result.RowsMatched,
 		PlanCache:         resp.Cache,
 		ResultCache:       resp.ResultCache,
-		Trace:             tr.Render(),
 	}
 	var expl, desc []string
 	for _, d := range resp.Decisions {

@@ -180,13 +180,29 @@ type Runtime struct {
 }
 
 // resultEntry is one cached answer: the canonical (never-annotated,
-// never-handed-out) response, the plan-cache note of the execution that
+// never-mutated) response, the plan-cache note of the execution that
 // produced it, and the per-table epochs it was computed against. The
 // entry is servable only while every dep's catalog epoch is unchanged.
+// hit is what a hit of it returns (see Response.Shared); served is the
+// serving layer's immutable form of the answer (for blinkdb.Engine, the
+// Result a hit returns and its wire encoding), built by the first hit
+// that asks. Both die with the entry and neither is persisted.
 type resultEntry struct {
 	resp *Response
 	note string
 	deps []tableDep
+
+	hit        *Response
+	servedOnce sync.Once
+	served     any
+}
+
+func newResultEntry(resp *Response, note string, deps []tableDep) *resultEntry {
+	ent := &resultEntry{resp: resp, note: note, deps: deps}
+	hit := *resp
+	hit.ResultCache, hit.ent = "hit", ent
+	ent.hit = &hit
+	return ent
 }
 
 // New creates a runtime.
@@ -261,6 +277,28 @@ type Response struct {
 	// concurrent miss's singleflight execution supplied the answer, ""
 	// when the result cache is disabled.
 	ResultCache string
+
+	// ent marks RunKeyed's shared view of a result-cache hit (see Shared).
+	ent *resultEntry
+}
+
+// Shared reports whether r is RunKeyed's view of a result-cache hit: its
+// Result and Decisions are the cache's own, read-only and unannotated.
+func (r *Response) Shared() bool { return r.ent != nil }
+
+// Materialize returns a private deep copy of a shared hit, annotated
+// result=hit — the response Run returns for the same query.
+func (r *Response) Materialize() *Response {
+	resp := r.ent.resp.clone()
+	annotateResult(resp, "hit")
+	return resp
+}
+
+// Served returns the served form of a shared hit's cache entry, built by
+// build on the entry's first call and immutable: every hit gets it.
+func (r *Response) Served(build func() any) any {
+	r.ent.servedOnce.Do(func() { r.ent.served = build() })
+	return r.ent.served
 }
 
 // Run parses nothing: q must already be parsed. It plans and executes the
@@ -305,28 +343,41 @@ func (rt *Runtime) run(ctx context.Context, q *sqlparser.Query, tr *telemetry.Tr
 	if reg != nil {
 		started = time.Now()
 	}
-	// An already-cancelled context never enters the pipeline: no
-	// normalization, no cache consultation, no scan (the QueryCtx
-	// promptness pin).
+	nsp := tr.Root().Child("normalize")
+	key, params := sqlparser.Normalize(q)
+	nsp.End()
+	resp, err := rt.RunKeyed(ctx, q, key, params, tr, emitMid)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Shared() {
+		msp := tr.Root().Child("materialize")
+		resp = resp.Materialize()
+		msp.End()
+	}
+	if reg != nil {
+		reg.Observe(key, ObservationFor(resp, time.Since(started).Seconds()))
+	}
+	return resp, nil
+}
+
+// RunKeyed is the run for a caller that normalized q itself (key, params:
+// sqlparser.Normalize's) and keeps its own clock: nothing is observed
+// here. emitMid, when non-nil, receives each pre-final refinement and its
+// level. A result-cache hit comes back as a Shared view, not a copy, so a
+// serving layer can answer it from the entry's Served form.
+func (rt *Runtime) RunKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, tr *telemetry.Trace, emitMid func(*Response, int) error) (*Response, error) {
+	// An already-cancelled context never enters the pipeline: no cache
+	// consultation, no scan (the QueryCtx promptness pin).
 	if err := ctx.Err(); err != nil {
 		rt.bump(&rt.stats.cancelled)
 		return nil, err
 	}
-	root := tr.Root()
-	nsp := root.Child("normalize")
-	key, params := sqlparser.Normalize(q)
-	nsp.End()
-	resp, err := rt.runKeyed(ctx, q, key, params, root, emitMid)
-	if err != nil {
-		if isCancellation(err) {
-			rt.bump(&rt.stats.cancelled)
-		}
-		return nil, err
+	resp, err := rt.runKeyed(ctx, q, key, params, tr.Root(), emitMid)
+	if err != nil && isCancellation(err) {
+		rt.bump(&rt.stats.cancelled)
 	}
-	if reg != nil {
-		reg.Observe(key, observationFor(resp, time.Since(started).Seconds()))
-	}
-	return resp, nil
+	return resp, err
 }
 
 // isCancellation reports whether an error is a context cancellation or
@@ -335,22 +386,24 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// observationFor folds one completed response into a telemetry
+// ObservationFor folds one completed response into a telemetry
 // Observation. Predicted latency is the cluster simulator's seconds (a
 // different clock from wall time — the ratio is a per-template
 // calibration constant); the bound pair is same-units.
-func observationFor(resp *Response, wallSeconds float64) telemetry.Observation {
+func ObservationFor(resp *Response, wallSeconds float64) telemetry.Observation {
 	o := telemetry.Observation{
 		WallSeconds:      wallSeconds,
 		PredictedSeconds: resp.SimLatency,
 		// A result-cache hit (or a singleflight share of one execution)
 		// scanned nothing this time around; only executed queries feed
 		// the scan-shaped histograms.
-		Executed:      resp.ResultCache != "hit" && resp.ResultCache != "shared",
-		RowsScanned:   resp.Result.RowsScanned,
-		BytesScanned:  resp.Result.BytesScanned,
-		ObservedBound: resp.Result.MaxAbsErr(),
+		Executed: resp.ResultCache != "hit" && resp.ResultCache != "shared",
 	}
+	if !o.Executed {
+		return o // the registry keeps nothing else of it
+	}
+	o.RowsScanned, o.BytesScanned = resp.Result.RowsScanned, resp.Result.BytesScanned
+	o.ObservedBound = resp.Result.MaxAbsErr()
 	for _, d := range resp.Decisions {
 		if d.PredictedBound > o.PredictedBound {
 			o.PredictedBound = d.PredictedBound
@@ -380,11 +433,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 			lsp.End()
 			lsp.Note("result=hit")
 			rt.bump(&rt.stats.resultHits)
-			msp := root.Child("materialize")
-			resp := ent.resp.clone()
-			annotateResult(resp, "hit")
-			msp.End()
-			return resp, nil
+			return ent.hit, nil
 		}
 		// A stale entry means a sample refresh/rebuild happened since the
 		// answer was computed; purge EVERY stale answer now (mirroring the
@@ -447,21 +496,20 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		}
 		shared = false
 	}
-	// Every caller — leader and singleflight waiters alike — receives a
-	// private deep copy; the canonical response in the entry is never
-	// annotated and never handed out.
+	if cachedHit {
+		rt.bump(&rt.stats.resultHits)
+		fsp.Note("result=hit")
+		return ent.hit, nil
+	}
+	// The leader and every singleflight waiter receive a private deep
+	// copy; the canonical response in the entry is never annotated.
 	msp := root.Child("materialize")
 	resp := ent.resp.clone()
-	switch {
-	case shared:
+	if shared {
 		rt.bump(&rt.stats.resultShared)
 		annotateResult(resp, "shared")
 		fsp.Note("result=shared")
-	case cachedHit:
-		rt.bump(&rt.stats.resultHits)
-		annotateResult(resp, "hit")
-		fsp.Note("result=hit")
-	default:
+	} else {
 		annotate(resp, ent.note)
 		annotateResult(resp, "miss")
 		fsp.Note("result=miss")
@@ -488,7 +536,7 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 	// Count the miss only for executions that enter the cache, like the
 	// plan cache's convention.
 	rt.bump(&rt.stats.resultMisses)
-	ent := &resultEntry{resp: resp, note: note, deps: deps}
+	ent := newResultEntry(resp, note, deps)
 	rt.results.Put(rkey, ent)
 	return ent, false, nil
 }

@@ -364,7 +364,7 @@ func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, time.Ti
 	if stale || respStale {
 		return rkey, nil, deadline, nil
 	}
-	return rkey, &resultEntry{resp: resp, note: note, deps: deps}, deadline, nil
+	return rkey, newResultEntry(resp, note, deps), deadline, nil
 }
 
 // --- field codecs -----------------------------------------------------

@@ -14,6 +14,24 @@
 // overload burst from converting bounded-latency queries into an
 // unbounded queue.
 //
+// # Request pipeline
+//
+// A /query request is bytes → one AST → cache entry → bytes. The body (at
+// most 1 MiB; more is a 413) is read into a pooled buffer; the SQL is
+// parsed once, error / confidence / time_seconds are set on that AST as
+// the parser would have set them from clause text, and NewStatement
+// normalizes it once: the key prices admission and, with the parameters,
+// finds the cached answer. Every frame — miss, hit or shared; single,
+// NDJSON or SSE — leaves through StreamUpdate.AppendFrame into the same
+// buffer and one Write. Cached, per result-cache entry: the served form
+// of its answer — the Result a hit returns and the encoding of the
+// frame's "result" — built on the entry's first hit and dropped with it,
+// so a hit allocates the same whatever the size of the answer
+// (TestHitPathAllocs). Per request: the envelope (seq, level, final,
+// elapsed_ms), admission, and the form's one precondition — aliases are
+// not part of the cache key, so a hit naming its columns otherwise is
+// built and encoded for itself, as is every EXPLAIN ANALYZE.
+//
 // Endpoints:
 //
 //	POST /query   {"sql": "...", "stream": true, ...}  (also GET with ?sql=)
@@ -27,6 +45,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +53,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -120,83 +140,28 @@ type queryRequest struct {
 	// single JSON answer.
 	Stream bool `json:"stream,omitempty"`
 	// Error is a per-request error bound ("10%" relative or "0.5"
-	// absolute), appended to the SQL as an ERROR WITHIN clause. Rejected
+	// absolute), set on the query as its ERROR WITHIN clause. Rejected
 	// when the SQL already carries one.
 	Error string `json:"error,omitempty"`
 	// Confidence qualifies Error ("95%"; default the engine's).
 	Confidence string `json:"confidence,omitempty"`
-	// TimeSeconds is a per-request response-time bound, appended as a
-	// WITHIN n SECONDS clause. Rejected when the SQL already carries one.
+	// TimeSeconds is a per-request response-time bound, set as the
+	// query's WITHIN n SECONDS clause. Rejected when the SQL already
+	// carries one.
 	TimeSeconds float64 `json:"time_seconds,omitempty"`
 }
 
-// frame is one streamed refinement (or the single non-streaming answer,
-// which is a lone final frame).
-type frame struct {
-	Seq       int         `json:"seq"`
-	Level     int         `json:"level"`
-	Final     bool        `json:"final"`
-	ElapsedMS float64     `json:"elapsed_ms"`
-	Result    *resultJSON `json:"result,omitempty"`
-	Error     string      `json:"error,omitempty"`
-}
+// maxBodyBytes bounds a POST body; a longer one is answered 413.
+const maxBodyBytes = 1 << 20
 
-// resultJSON is the wire shape of blinkdb.Result.
-type resultJSON struct {
-	Rows              []rowJSON `json:"rows"`
-	Confidence        float64   `json:"confidence"`
-	SimLatencySeconds float64   `json:"sim_latency_seconds"`
-	Sample            string    `json:"sample"`
-	Explanation       string    `json:"explanation"`
-	PlanCache         string    `json:"plan_cache,omitempty"`
-	ResultCache       string    `json:"result_cache,omitempty"`
-	RowsScanned       int64     `json:"rows_scanned"`
-	RowsMatched       int64     `json:"rows_matched"`
-	PredictedBound    float64   `json:"predicted_bound"`
-}
+// scratch is a request's one reusable buffer: first the POST body, then —
+// json.Unmarshal having copied what it keeps — each frame on its way out.
+type scratch struct{ b []byte }
 
-type rowJSON struct {
-	Group string     `json:"group"`
-	Cells []cellJSON `json:"cells"`
-}
-
-type cellJSON struct {
-	Name   string  `json:"name,omitempty"`
-	Value  float64 `json:"value"`
-	Bound  float64 `json:"bound"`
-	RelErr float64 `json:"rel_err"`
-	Exact  bool    `json:"exact"`
-	Rows   int64   `json:"rows"`
-}
-
-func toResultJSON(res *blinkdb.Result) *resultJSON {
-	out := &resultJSON{
-		Confidence:        res.Confidence,
-		SimLatencySeconds: res.SimLatencySeconds,
-		Sample:            res.SampleDescription,
-		Explanation:       res.Explanation,
-		PlanCache:         res.PlanCache,
-		ResultCache:       res.ResultCache,
-		RowsScanned:       res.RowsScanned,
-		RowsMatched:       res.RowsMatched,
-		PredictedBound:    res.PredictedBound,
-	}
-	for _, row := range res.Rows {
-		rj := rowJSON{Group: row.Group}
-		for _, c := range row.Cells {
-			re := c.RelErr
-			if math.IsInf(re, 0) || math.IsNaN(re) {
-				re = -1 // JSON has no Inf; -1 marks "undefined relative error"
-			}
-			rj.Cells = append(rj.Cells, cellJSON{
-				Name: c.Name, Value: c.Value, Bound: c.Bound,
-				RelErr: re, Exact: c.Exact, Rows: c.Rows,
-			})
-		}
-		out.Rows = append(out.Rows, rj)
-	}
-	return out
-}
+var (
+	scratchPool     = sync.Pool{New: func() any { return new(scratch) }}
+	jsonContentType = []string{"application/json"} // shared: net/http only reads it
+)
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if !s.ready.Load() {
@@ -222,24 +187,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	arrival := s.cfg.Now()
-	req, err := decodeRequest(r)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	req, err := decodeRequest(w, r, sc)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
+		return
+	}
+	began := time.Now()
+	q, err := bindBounds(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sql, key, err := s.bindBounds(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+	st := blinkdb.NewStatement(q, began)
 
 	// Admission: everything above was parse-only. Price the queue entry
 	// with the template's observed calibration when the engine has one.
 	predicted := s.cfg.DefaultCostSeconds
-	if obs, ok := s.eng.TemplateWallSeconds(key); ok {
+	if obs, ok := s.eng.TemplateWallSeconds(st.Key); ok {
 		predicted = obs
 	}
-	ticket, err := s.adm.Admit(r.Context(), key, predicted)
+	ticket, err := s.adm.Admit(r.Context(), st.Key, predicted)
 	if err != nil {
 		var shed *admission.ShedError
 		if errors.As(err, &shed) {
@@ -273,9 +246,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// admission EWMA and shed everyone else's queries.
 	var compute float64
 	if req.Stream {
-		compute = s.streamQuery(w, r, sql, arrival)
+		compute = s.streamQuery(w, r, st, sc, arrival)
 	} else {
-		compute = s.singleQuery(w, r, sql, arrival)
+		compute = s.singleQuery(w, r, st, sc, arrival)
 	}
 	ticket.Release(compute)
 }
@@ -291,12 +264,12 @@ func retryAfterSeconds(d time.Duration) int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-// singleQuery answers with one JSON frame. It returns the engine
-// compute seconds for admission calibration (0 when the query did not
-// complete — Release skips learning on non-positive observations).
-func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, sql string, arrival time.Time) float64 {
+// singleQuery answers with one JSON frame in one Write. It returns the
+// engine compute seconds for admission calibration (0 when the query did
+// not complete — Release skips learning on non-positive observations).
+func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time) float64 {
 	start := s.cfg.Now()
-	res, err := s.eng.QueryCtx(r.Context(), sql)
+	u, err := s.eng.Answer(r.Context(), st)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return 0 // client gone; the engine already counted the cancel
@@ -304,24 +277,26 @@ func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, sql string,
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return 0
 	}
-	compute := s.cfg.Now().Sub(start).Seconds()
-	elapsed := s.cfg.Now().Sub(arrival).Seconds()
+	now := s.cfg.Now()
+	elapsed := now.Sub(arrival).Seconds()
 	s.met.RecordFirstAnswer(elapsed)
 	s.met.RecordFinal(elapsed)
-	writeJSON(w, http.StatusOK, frame{
-		Seq: 0, Level: res.Level, Final: true,
-		ElapsedMS: elapsed * 1000, Result: toResultJSON(res),
-	})
-	return compute
+	sc.b = u.AppendFrame(sc.b[:0], elapsed*1000, "")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(sc.b))}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.b) // a client that left mid-reply is nobody's error
+	return now.Sub(start).Seconds()
 }
 
 // streamQuery answers with one frame per refinement: NDJSON lines by
-// default, SSE "data:" events when the client asked for an event stream.
-// It returns the engine compute seconds — wall time minus emit/flush
-// time, accumulated in segments that pause while a frame drains to the
-// client — so a slow reader cannot poison the admission EWMA. 0 when
-// the stream did not complete.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string, arrival time.Time) float64 {
+// default, SSE "data:" events when the client asked for an event stream,
+// each frame one Write followed by a flush. It returns the engine compute
+// seconds — wall time minus emit/flush time, accumulated in segments that
+// pause while a frame drains to the client — so a slow reader cannot
+// poison the admission EWMA. 0 when the stream did not complete.
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time) float64 {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -331,20 +306,18 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string,
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(f frame) error {
+	emit := func(u *blinkdb.StreamUpdate, elapsed float64, errMsg string) error {
+		b := sc.b[:0]
 		if sse {
-			if _, err := fmt.Fprintf(w, "data: "); err != nil {
-				return err
-			}
+			b = append(b, "data: "...)
 		}
-		if err := enc.Encode(f); err != nil { // Encode appends '\n'
+		b = u.AppendFrame(b, elapsed*1000, errMsg)
+		if sse {
+			b = append(b, '\n')
+		}
+		sc.b = b
+		if _, err := w.Write(b); err != nil {
 			return err
-		}
-		if sse {
-			if _, err := fmt.Fprintf(w, "\n"); err != nil {
-				return err
-			}
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -354,7 +327,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string,
 	first := true
 	compute := 0.0
 	segStart := s.cfg.Now() // current compute segment; paused during emit
-	err := s.eng.QueryStream(r.Context(), sql, func(u blinkdb.StreamUpdate) error {
+	err := s.eng.Stream(r.Context(), st, func(u blinkdb.StreamUpdate) error {
 		now := s.cfg.Now()
 		compute += now.Sub(segStart).Seconds()
 		elapsed := now.Sub(arrival).Seconds()
@@ -365,10 +338,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string,
 		if u.Final {
 			s.met.RecordFinal(elapsed)
 		}
-		emitErr := emit(frame{
-			Seq: u.Seq, Level: u.Level, Final: u.Final,
-			ElapsedMS: elapsed * 1000, Result: toResultJSON(u.Result),
-		})
+		emitErr := emit(&u, elapsed, "")
 		segStart = s.cfg.Now()
 		return emitErr
 	})
@@ -376,21 +346,26 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, sql string,
 	if err != nil {
 		if r.Context().Err() == nil {
 			// Headers are gone; deliver the failure in-band as a final frame.
-			_ = emit(frame{Final: true, Error: err.Error(),
-				ElapsedMS: s.cfg.Now().Sub(arrival).Seconds() * 1000})
+			_ = emit(&blinkdb.StreamUpdate{Final: true}, s.cfg.Now().Sub(arrival).Seconds(), err.Error())
 		}
 		return 0
 	}
 	return compute
 }
 
-// decodeRequest reads a queryRequest from JSON (POST) or URL parameters
-// (GET).
-func decodeRequest(r *http.Request) (*queryRequest, error) {
+// decodeRequest reads a queryRequest from JSON (POST; at most
+// maxBodyBytes, read through sc) or URL parameters (GET).
+func decodeRequest(w http.ResponseWriter, r *http.Request, sc *scratch) (*queryRequest, error) {
 	req := &queryRequest{}
 	switch r.Method {
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		body := bytes.NewBuffer(sc.b[:0])
+		_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		sc.b = body.Bytes()
+		if err == nil {
+			err = json.Unmarshal(sc.b, req)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("bad request body: %w", err)
 		}
 	case http.MethodGet:
@@ -415,54 +390,51 @@ func decodeRequest(r *http.Request) (*queryRequest, error) {
 	return req, nil
 }
 
-// bindBounds validates the SQL, applies per-request bound parameters as
-// clause text, and returns the final SQL plus its normalized template
-// key (the admission pricing key). Bound parameters conflict with bounds
-// already written in the SQL — that's an error, not an override.
-func (s *Server) bindBounds(req *queryRequest) (sql string, key string, err error) {
+// bindBounds parses the SQL — the request's one parse — and sets the
+// per-request bound parameters on the AST exactly as the parser would
+// have from "ERROR WITHIN e AT CONFIDENCE c% WITHIN t SECONDS". Bound
+// parameters conflict with bounds already written in the SQL — that's an
+// error, not an override.
+func bindBounds(req *queryRequest) (*sqlparser.Query, error) {
 	q, err := sqlparser.Parse(req.SQL)
 	if err != nil {
-		return "", "", fmt.Errorf("parse error: %w", err)
+		return nil, fmt.Errorf("parse error: %w", err)
 	}
-	sql = strings.TrimRight(strings.TrimSpace(req.SQL), ";")
 	if req.Error != "" {
 		if q.Err != nil {
-			return "", "", errors.New("sql already specifies an ERROR bound; drop the error parameter")
+			return nil, errors.New("sql already specifies an ERROR bound; drop the error parameter")
 		}
 		bound, pct, err := parseBoundNumber(req.Error)
 		if err != nil {
-			return "", "", fmt.Errorf("bad error parameter: %w", err)
+			return nil, fmt.Errorf("bad error parameter: %w", err)
 		}
+		q.Err = &sqlparser.ErrorBound{Relative: pct, Bound: bound, Confidence: 0.95}
 		if pct {
-			sql += fmt.Sprintf(" ERROR WITHIN %g%%", bound)
-		} else {
-			sql += fmt.Sprintf(" ERROR WITHIN %g", bound)
+			q.Err.Bound = bound / 100
 		}
 		if req.Confidence != "" {
 			conf, _, err := parseBoundNumber(req.Confidence)
 			if err != nil {
-				return "", "", fmt.Errorf("bad confidence parameter: %w", err)
+				return nil, fmt.Errorf("bad confidence parameter: %w", err)
 			}
-			sql += fmt.Sprintf(" AT CONFIDENCE %g%%", normalizeConfidencePct(conf))
+			if conf <= 1 {
+				conf *= 100 // 0.95, 95 and "95%" all mean 95%
+			}
+			q.Err.Confidence = conf / 100
 		}
 	} else if req.Confidence != "" {
-		return "", "", errors.New("confidence parameter requires an error parameter")
+		return nil, errors.New("confidence parameter requires an error parameter")
 	}
 	if req.TimeSeconds != 0 {
 		if req.TimeSeconds < 0 {
-			return "", "", errors.New("time parameter must be positive")
+			return nil, errors.New("time parameter must be positive")
 		}
 		if q.Time != nil {
-			return "", "", errors.New("sql already specifies a WITHIN time bound; drop the time parameter")
+			return nil, errors.New("sql already specifies a WITHIN time bound; drop the time parameter")
 		}
-		sql += fmt.Sprintf(" WITHIN %g SECONDS", req.TimeSeconds)
+		q.Time = &sqlparser.TimeBound{Seconds: req.TimeSeconds}
 	}
-	final, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", "", fmt.Errorf("parse error after binding bounds: %w", err)
-	}
-	key, _ = sqlparser.Normalize(final)
-	return sql, key, nil
+	return q, nil
 }
 
 // parseBoundNumber parses "10%" or "0.1"-style parameters.
@@ -477,14 +449,6 @@ func parseBoundNumber(s string) (v float64, pct bool, err error) {
 		return 0, false, fmt.Errorf("not a valid bound: %q", s)
 	}
 	return v, pct, nil
-}
-
-// normalizeConfidencePct maps 0.95 and 95 (and "95%") all to 95.
-func normalizeConfidencePct(v float64) float64 {
-	if v <= 1 {
-		return v * 100
-	}
-	return v
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

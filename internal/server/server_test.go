@@ -431,3 +431,87 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestHitKeepsRequestAliases pins what the template key leaves out:
+// aliases rename output columns without being part of the cache key, so
+// a hit must carry the names of the request it answers — not those of
+// whichever request filled the entry or built its served form.
+func TestHitKeepsRequestAliases(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	srv := New(eng, Config{})
+	const tmpl = `SELECT AVG(sessiontime) AS %s FROM sessions WHERE city = 'NY' ERROR WITHIN 5%%`
+	overHTTP := func(alias string) *resultJSON {
+		t.Helper()
+		w := postQuery(t, srv, fmt.Sprintf(`{"sql": %q}`, fmt.Sprintf(tmpl, alias)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		var f frame
+		if err := json.Unmarshal(w.Body.Bytes(), &f); err != nil {
+			t.Fatal(err)
+		}
+		return f.Result
+	}
+	if res := overHTTP("a"); res.ResultCache != "miss" || res.Rows[0].Cells[0].Name != "a" {
+		t.Fatalf("first answer: %+v", res)
+	}
+	// b's hit builds the served form; a's is then the mismatch, b's the
+	// cached bytes.
+	for _, alias := range []string{"b", "a", "b"} {
+		if res := overHTTP(alias); res.ResultCache != "hit" || res.Rows[0].Cells[0].Name != alias {
+			t.Fatalf("hit for AS %s is result=%s with cells named %q", alias, res.ResultCache, res.Rows[0].Cells[0].Name)
+		}
+	}
+	for _, alias := range []string{"c", "b"} {
+		res, err := eng.Query(fmt.Sprintf(tmpl, alias))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ResultCache != "hit" || res.Rows[0].Cells[0].Name != alias {
+			t.Fatalf("in-process hit for AS %s is result=%s with cells named %q", alias, res.ResultCache, res.Rows[0].Cells[0].Name)
+		}
+	}
+	// EXPLAIN ANALYZE rides the same entry and keeps its trace to itself.
+	res, err := eng.Query("EXPLAIN ANALYZE " + fmt.Sprintf(tmpl, "b"))
+	if err != nil || res.ResultCache != "hit" || res.Trace == "" {
+		t.Fatalf("analyzed hit: %+v, %v", res, err)
+	}
+	if res, _ := eng.Query(fmt.Sprintf(tmpl, "b")); res.Trace != "" {
+		t.Fatalf("an analyzed hit left its trace in the served form:\n%s", res.Trace)
+	}
+}
+
+// TestBodyLimit: a POST body past maxBodyBytes is refused with 413 and
+// the usual error object before it reaches admission — so the
+// conservation identity (arrivals = admitted + shed + queue-cancelled)
+// never sees it — and the client's next request is served.
+func TestBodyLimit(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	srv := New(eng, Config{})
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, readAll(resp)
+	}
+	huge := fmt.Sprintf(`{"sql": %q, "pad": %q}`, boundedSQL, strings.Repeat("x", 2<<20))
+	status, body := post(huge)
+	var e map[string]string
+	if status != http.StatusRequestEntityTooLarge || json.Unmarshal([]byte(body), &e) != nil || e["error"] == "" {
+		t.Fatalf("2 MiB body: status %d, body %.200s", status, body)
+	}
+	if s, m := eng.Stats(), srv.Metrics().Snapshot(); s.Admitted+s.Shed+s.Cancelled != 0 || m.Admitted+m.Shed+m.QueueCancelled != 0 {
+		t.Fatalf("a refused body reached admission: engine %+v, server %+v", s, m)
+	}
+	if status, body := post(fmt.Sprintf(`{"sql": %q}`, boundedSQL)); status != http.StatusOK {
+		t.Fatalf("request after the refusal: status %d, body %.200s", status, body)
+	}
+	if s := eng.Stats(); s.Admitted != 1 {
+		t.Fatalf("admitted %d, want 1", s.Admitted)
+	}
+}

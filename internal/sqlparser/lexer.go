@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies lexer tokens.
@@ -23,8 +24,8 @@ const (
 
 type token struct {
 	kind tokKind
-	text string // identifiers upper-cased for keyword matching; sym text
-	raw  string // original spelling (identifiers keep case)
+	text string // literal value or symbol; identifiers as spelled (parser.acceptKw folds case)
+	raw  string // original spelling
 	pos  int
 }
 
@@ -47,7 +48,8 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Few tokens are under four bytes with their separator: one allocation.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+2)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -58,7 +60,7 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent()
 		case c >= '0' && c <= '9' || c == '.' && l.peekDigit():
 			if err := l.lexNumber(); err != nil {
@@ -82,12 +84,16 @@ func lex(src string) ([]token, error) {
 	return l.toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// Identifiers are classified bytewise, bytes past ASCII read as Latin-1.
+func isIdentStart(c byte) bool {
+	if c < utf8.RuneSelf {
+		return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+	}
+	return unicode.IsLetter(rune(c))
 }
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9' || c == '.' // Latin-1 has no digits past ASCII
 }
 
 func (l *lexer) peekDigit() bool {
@@ -96,11 +102,11 @@ func (l *lexer) peekDigit() bool {
 
 func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	raw := l.src[start:l.pos]
-	l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToUpper(raw), raw: raw, pos: start})
+	l.toks = append(l.toks, token{kind: tokIdent, text: raw, raw: raw, pos: start})
 }
 
 func (l *lexer) lexNumber() error {

@@ -34,6 +34,8 @@ import (
 // vectors are the same query up to aliases and answer identically.
 func Normalize(q *Query) (key string, params []types.Value) {
 	var b strings.Builder
+	b.Grow(160) // a dashboard template's key, in one allocation
+	params = make([]types.Value, 0, 8)
 	b.WriteString("select ")
 	for i, a := range q.Aggs {
 		if i > 0 {
@@ -93,7 +95,10 @@ func writeAggTemplate(b *strings.Builder, a AggSpec) {
 	case a.Kind == stats.AggQuantile:
 		fmt.Fprintf(b, "quantile(%s,%g)", strings.ToLower(a.Col), a.P)
 	default:
-		fmt.Fprintf(b, "%s(%s)", strings.ToLower(a.Kind.String()), strings.ToLower(a.Col))
+		b.WriteString(strings.ToLower(a.Kind.String()))
+		b.WriteByte('(')
+		b.WriteString(strings.ToLower(a.Col))
+		b.WriteByte(')')
 	}
 }
 
@@ -102,7 +107,9 @@ func writeAggTemplate(b *strings.Builder, a AggSpec) {
 func writeExprTemplate(b *strings.Builder, e Expr, params []types.Value) []types.Value {
 	switch t := e.(type) {
 	case *CmpExpr:
-		fmt.Fprintf(b, "%s%s?", strings.ToLower(t.Col), t.Op)
+		b.WriteString(strings.ToLower(t.Col))
+		b.WriteString(t.Op.String())
+		b.WriteByte('?')
 		return append(params, t.Val)
 	case *BinExpr:
 		b.WriteByte('(')
@@ -143,6 +150,7 @@ func ParamsKey(params []types.Value) string {
 		return ""
 	}
 	var b strings.Builder
+	b.Grow(24 * len(params))
 	for _, v := range params {
 		// Explicit kind byte: Value.Key alone folds Bool(true) into
 		// Int(1) (sound for group keys, where the two compare equal, but

@@ -54,9 +54,10 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("parse error near %s: %s", p.cur(), fmt.Sprintf(format, args...))
 }
 
-// acceptKw consumes the keyword if present.
+// acceptKw consumes the (upper-case, ASCII) keyword if present, in any
+// case. Equal lengths rule out the runes that fold onto ASCII letters.
 func (p *parser) acceptKw(kw string) bool {
-	if p.cur().kind == tokIdent && p.cur().text == kw {
+	if t := &p.toks[p.i]; t.kind == tokIdent && len(t.raw) == len(kw) && strings.EqualFold(t.raw, kw) {
 		p.i++
 		return true
 	}
@@ -133,8 +134,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	}
 	for {
 		// "RELATIVE ERROR AT c% CONFIDENCE" pseudo-projection.
-		if p.cur().kind == tokIdent && p.cur().text == "RELATIVE" {
-			p.i++
+		if p.acceptKw("RELATIVE") {
 			if err := p.expectKw("ERROR"); err != nil {
 				return nil, err
 			}
@@ -227,8 +227,7 @@ func (p *parser) parseQuery() (*Query, error) {
 	// Bound clauses, in either order.
 	for {
 		switch {
-		case p.cur().kind == tokIdent && p.cur().text == "ERROR":
-			p.i++
+		case p.acceptKw("ERROR"):
 			if err := p.expectKw("WITHIN"); err != nil {
 				return nil, err
 			}
@@ -254,8 +253,7 @@ func (p *parser) parseQuery() (*Query, error) {
 				return nil, p.errf("duplicate ERROR clause")
 			}
 			q.Err = eb
-		case p.cur().kind == tokIdent && p.cur().text == "WITHIN":
-			p.i++
+		case p.acceptKw("WITHIN"):
 			secs, err := p.expectNumber()
 			if err != nil {
 				return nil, err
@@ -267,8 +265,7 @@ func (p *parser) parseQuery() (*Query, error) {
 				return nil, p.errf("duplicate WITHIN clause")
 			}
 			q.Time = &TimeBound{Seconds: secs}
-		case p.cur().kind == tokIdent && p.cur().text == "LIMIT":
-			p.i++
+		case p.acceptKw("LIMIT"):
 			n, err := p.expectNumber()
 			if err != nil {
 				return nil, err
@@ -292,7 +289,7 @@ func (p *parser) parseAgg() (AggSpec, error) {
 		return AggSpec{}, err
 	}
 	var spec AggSpec
-	name := t.text
+	name := strings.ToUpper(t.raw) // no copy when already upper-case
 	switch name {
 	case "COUNT":
 		spec.Kind = stats.AggCount
@@ -454,15 +451,12 @@ func (p *parser) parseLiteral() (types.Value, error) {
 		p.i++
 		return types.Str(t.text), nil
 	case tokIdent:
-		switch t.text {
-		case "TRUE":
-			p.i++
+		switch {
+		case p.acceptKw("TRUE"):
 			return types.Bool(true), nil
-		case "FALSE":
-			p.i++
+		case p.acceptKw("FALSE"):
 			return types.Bool(false), nil
-		case "NULL":
-			p.i++
+		case p.acceptKw("NULL"):
 			return types.Null(), nil
 		}
 	}

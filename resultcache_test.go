@@ -1,11 +1,16 @@
 package blinkdb
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"blinkdb/internal/sqlparser"
 )
 
 // TestResultCacheEquivalenceEndToEnd is the public-API acceptance check
@@ -104,6 +109,111 @@ func TestResultCacheInvalidationOnRefresh(t *testing.T) {
 	if res, _ := eng.Query(src); res.ResultCache != "hit" {
 		t.Errorf("re-cached answer should hit, got %q", res.ResultCache)
 	}
+
+	// The same under fire (run with -race): 8 goroutines replay one hot
+	// key — half through Query's private copies, half through Answer's
+	// shared served form and its cached bytes — while samples refresh
+	// underneath. An answer whose own lookup began after refresh k was
+	// published must be an answer of epoch k or later, and a served
+	// form's bytes must always be the encoding of the Result they ride
+	// with. (A fresh engine: RefreshSamples redraws with one seed, so only
+	// an engine's first refresh changes its samples.)
+	eng = demoEngine(t, 20000)
+	hot := `SELECT AVG(sessiontime), COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%` // on S([city]), the family refreshed
+	encode := func(res *Result) string {
+		cp := *res // the rows only: markers differ between a miss and its hits
+		cp.Explanation, cp.PlanCache, cp.ResultCache = "", "", ""
+		return string(cp.appendJSON(nil))
+	}
+	answerOf := func() string {
+		res, err := eng.Query(hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(res)
+	}
+	const refreshes = 6
+	epochs := []string{answerOf()} // epochs[k] is the answer after k refreshes
+	var published atomic.Int32
+	type seen struct {
+		epoch  int32
+		answer string
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	sightings := make([][]seen, 8)
+	var shared bool // written by goroutine 1 alone
+	for g := range sightings {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				at := published.Load()
+				if g%2 == 0 {
+					res, err := eng.Query(hot)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sightings[g] = append(sightings[g], seen{at, encode(res)})
+					res.Rows[0].Group, res.Rows[0].Cells[0].Value = "scribbled", -1 // ours to ruin
+					continue
+				}
+				q, err := sqlparser.Parse(hot)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				u, err := eng.Answer(context.Background(), NewStatement(q, time.Now()))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if g == 1 {
+					shared = shared || u.wire != nil
+				}
+				if got, want := u.wire, u.Result.appendJSON(nil); got != nil && !bytes.Equal(got, want) {
+					t.Errorf("cached bytes are not the encoding of their Result:\n got %s\nwant %s", got, want)
+					return
+				}
+				sightings[g] = append(sightings[g], seen{at, encode(u.Result)})
+			}
+		}(g)
+	}
+	for k := 1; k <= refreshes; k++ {
+		if _, ok, err := eng.RefreshSamples("sessions"); err != nil || !ok {
+			t.Fatalf("refresh %d: ok=%v err=%v", k, ok, err)
+		}
+		epochs = append(epochs, answerOf()) // read by nobody until the goroutines are done
+		published.Store(int32(k))
+	}
+	close(stop)
+	wg.Wait()
+	if !shared {
+		t.Error("Answer never served an entry's cached bytes")
+	}
+	if epochs[0] == epochs[1] {
+		t.Fatal("the refresh did not change the hot answer: the check below would prove nothing")
+	}
+	n := 0
+	for g, ss := range sightings {
+		for _, s := range ss {
+			n++
+			ok := false
+			for _, a := range epochs[s.epoch:] {
+				ok = ok || a == s.answer
+			}
+			if !ok {
+				t.Errorf("goroutine %d: a lookup begun after refresh %d returned an answer of an earlier epoch (or a scribbled one):\n%s", g, s.epoch, s.answer)
+			}
+		}
+	}
+	t.Logf("%d concurrent answers across %d refreshes", n, refreshes)
 }
 
 // TestResultCacheInvalidationOnMaintain: a forced Maintain pass that
