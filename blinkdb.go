@@ -967,7 +967,9 @@ type EngineStats struct {
 	// fully memoized plan-cache hit adds 0.
 	PlanExecs int64
 	// ProbeExecs counts the subset of PlanExecs that were ELP probes —
-	// the work the plan cache amortizes.
+	// the work the plan cache amortizes. Choosing among N ≥ 2 candidate
+	// families is N count-only passes plus the query's plan once on the
+	// winner: N + 1.
 	ProbeExecs int64
 	// Prepares counts template compilations (cold paths).
 	Prepares int64

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -83,7 +84,8 @@ func run(o options) error {
 		Warming:   true,
 		Admission: admissionConfig(o),
 	})
-	hs := &http.Server{Addr: o.addr, Handler: srv}
+	hs := httpServer(srv, readHeaderTimeout)
+	hs.Addr = o.addr
 	// SIGTERM/SIGINT starts a graceful drain: the listener closes, queued
 	// admissions keep their place, in-flight queries (and their streams)
 	// run to completion, the warm state snapshots, then the process exits.
@@ -143,6 +145,25 @@ func run(o options) error {
 	snapshot() // final snapshot: the next boot starts warm
 	fmt.Println("drained; bye")
 	return nil
+}
+
+// The serving timeouts. A connection gets readHeaderTimeout to deliver its
+// request line and headers — one that opens and then trickles, or says
+// nothing, holds a goroutine and a descriptor no longer than that — and a
+// keep-alive connection with no request in flight is closed after
+// idleTimeout. Neither bounds a query: bodies are capped in size (1 MiB)
+// and a streamed answer may legitimately outlive any write deadline; a
+// client that stops reading is cut off by its query's context instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer is the http.Server every listener of this command runs:
+// production with readHeaderTimeout, the selfcheck's slow-header leg with a
+// header timeout short enough to wait out.
+func httpServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 func admissionConfig(o options) admission.Config {
@@ -267,7 +288,7 @@ func runSelfcheck(o options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := httpServer(srv, readHeaderTimeout)
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
@@ -333,10 +354,58 @@ func runSelfcheck(o options) error {
 	}
 	fmt.Printf("selfcheck ok: %d frames, final matches library mode\n", len(frames))
 
+	if err := selfcheckSlowHeaders(srv); err != nil {
+		return err
+	}
 	if err := selfcheckRestart(o, sql); err != nil {
 		return err
 	}
 	return selfcheckRestartUnderLoad(o, sql)
+}
+
+// selfcheckSlowHeaders is the slowloris leg: a connection that sends a
+// request line and one header and then nothing — never the blank line that
+// ends them — must be closed by the server once the header timeout runs
+// out, not held until the client gives up. It runs against the production
+// server constructor with a header timeout short enough to wait out, and
+// then checks that an honest request on the same listener is still served.
+func selfcheckSlowHeaders(h http.Handler) error {
+	const headerTimeout = 250 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	hs := httpServer(h, headerTimeout)
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /query HTTP/1.1\r\nHost: selfcheck\r\n")); err != nil {
+		return err
+	}
+	began := time.Now()
+	patience := 20 * headerTimeout // a client far more patient than the server
+	if err := conn.SetReadDeadline(began.Add(patience)); err != nil {
+		return err
+	}
+	// The server owes an unfinished request nothing but the close: read to
+	// EOF, whatever (if anything) it says first.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		return fmt.Errorf("slow-header connection still open after %v (header timeout %v): %w", patience, headerTimeout, err)
+	}
+	held := time.Since(began)
+	if held < headerTimeout/2 {
+		return fmt.Errorf("slow-header connection closed after %v, before the %v header timeout could have fired", held, headerTimeout)
+	}
+	if status, err := healthz("http://" + ln.Addr().String()); err != nil || status != "ok" {
+		return fmt.Errorf("healthz after the slow-header connection: %q, %v (want ok)", status, err)
+	}
+	fmt.Printf("selfcheck ok: server closed a connection that never finished its headers after %v\n", held.Round(time.Millisecond))
+	return nil
 }
 
 // selfcheckRestart is the persistence leg: serve against a data
@@ -364,7 +433,7 @@ func selfcheckRestart(o options, sql string) error {
 			eng.Close()
 			return nil, nil, nil, nil, err
 		}
-		hs := &http.Server{Handler: srv}
+		hs := httpServer(srv, readHeaderTimeout)
 		go hs.Serve(ln)
 		stop := func() { hs.Close(); eng.Close() }
 		base := "http://" + ln.Addr().String()
@@ -407,7 +476,7 @@ func selfcheckRestart(o options, sql string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv2}
+	hs := httpServer(srv2, readHeaderTimeout)
 	go hs.Serve(ln)
 	defer hs.Close()
 
@@ -493,7 +562,7 @@ func selfcheckRestartUnderLoad(o options, sql string) error {
 	}
 	addr := ln1.Addr().String()
 	base := "http://" + addr
-	hs1 := &http.Server{Handler: srv1}
+	hs1 := httpServer(srv1, readHeaderTimeout)
 	go hs1.Serve(ln1)
 
 	var warm json.RawMessage
@@ -548,7 +617,7 @@ func selfcheckRestartUnderLoad(o options, sql string) error {
 	eng2 := openEngine(o)
 	defer eng2.Close()
 	srv2 := server.New(eng2, server.Config{Warming: true, Admission: admissionConfig(o)})
-	hs2 := &http.Server{Handler: srv2}
+	hs2 := httpServer(srv2, readHeaderTimeout)
 	go hs2.Serve(ln2)
 	defer hs2.Close()
 

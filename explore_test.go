@@ -1,0 +1,213 @@
+package blinkdb
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"blinkdb/internal/elp"
+	"blinkdb/internal/exec"
+	"blinkdb/internal/sample"
+	"blinkdb/internal/sqlparser"
+)
+
+// The benchmark's explore_cold shape, rebuilt here because benchmark/ is a
+// main package: five Zipf(2) string dimensions, genre, dt and two floats
+// under cmd/blinkdb-server's engine configuration, and a template list
+// (aggregate × filter × group-by × dt cut) no family covers, so every
+// cold query probes all four families before a small time-bounded scan.
+var exploreDims = []struct {
+	name string
+	card int
+}{{"city", 200}, {"os", 40}, {"browser", 60}, {"country", 80}, {"device", 25}}
+
+var exploreGenres = []string{"drama", "news", "sports", "western"}
+
+func exploreEngine(t testing.TB, rows int) *Engine {
+	t.Helper()
+	eng := Open(Config{Scale: 1e4, CacheTables: true})
+	cols := make([]ColumnDef, 0, len(exploreDims)+4)
+	for _, d := range exploreDims {
+		cols = append(cols, Col(d.name, String))
+	}
+	cols = append(cols, Col("genre", String), Col("dt", Int), Col("sessiontime", Float), Col("buffering", Float))
+	load := eng.CreateTable("sessions", cols...)
+	rng := rand.New(rand.NewSource(1))
+	zipfs := make([]*rand.Zipf, len(exploreDims))
+	for i, d := range exploreDims {
+		zipfs[i] = rand.NewZipf(rng, 2, 1, uint64(d.card-1))
+	}
+	for i := 0; i < rows; i++ {
+		row := make([]any, 0, len(cols))
+		for j, d := range exploreDims {
+			row = append(row, fmt.Sprintf("%s%03d", d.name, zipfs[j].Uint64()))
+		}
+		g := rng.Intn(len(exploreGenres))
+		row = append(row, exploreGenres[g], int64(rng.Intn(1000)),
+			rng.ExpFloat64()*60*float64(1+g), rng.ExpFloat64()*0.8)
+		if err := load.Append(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts := SampleOptions{BudgetFraction: 0.5}
+	for i, w := range []float64{0.3, 0.2, 0.2, 0.2, 0.1} {
+		opts.Templates = append(opts.Templates, Template{Columns: []string{exploreDims[i].name}, Weight: w})
+	}
+	if _, err := eng.CreateSamples("sessions", opts); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// exploreQueries returns the 648 templates with fixed constants and the
+// workload's 2 s time bound, in the benchmark's stride order.
+func exploreQueries() []string {
+	aggs := []string{"COUNT(*)", "AVG(sessiontime)", "AVG(buffering)", "SUM(sessiontime)",
+		"SUM(buffering)", "COUNT(*), AVG(sessiontime)"}
+	cols := []string{"city", "os", "browser", "country", "device", "genre"}
+	var tmpls []string
+	for _, agg := range aggs {
+		for _, filter := range cols {
+			value := filter + "001"
+			if filter == "genre" {
+				value = exploreGenres[1]
+			}
+			for _, group := range append([]string{""}, cols...) {
+				if group == filter {
+					continue
+				}
+				for _, dt := range []string{"", " AND dt < 700", " AND dt >= 300"} {
+					sql := "SELECT " + agg + " FROM sessions WHERE " + filter + " = '" + value + "'" + dt
+					if group != "" {
+						sql += " GROUP BY " + group
+					}
+					tmpls = append(tmpls, sql+" WITHIN 2 SECONDS")
+				}
+			}
+		}
+	}
+	out := make([]string, len(tmpls))
+	for i := range tmpls {
+		out[i] = tmpls[i*271%len(tmpls)]
+	}
+	return out
+}
+
+// probeViewOf mirrors the runtime's probe resolution at the engine's
+// default MinProbeRows: the smallest level with at least 100 rows, else the
+// largest. The sweep below checks it against the level every winner's first
+// answer was actually served at.
+func probeViewOf(f *sample.Family) sample.View {
+	for lvl := 0; lvl < f.Resolutions(); lvl++ {
+		if v := f.View(lvl); v.Rows() >= 100 {
+			return v
+		}
+	}
+	return f.Largest()
+}
+
+// TestExploreDecisionsMatchFullProbes is decision identity at the engine:
+// for each of the 648 templates, cold, over the families CreateSamples chose,
+// every Probed entry is what the full plan reports on that family's probe
+// view, the chosen family is the argmax under the 0.9 uniform tie-break, and
+// the session's first answer — the prepared probe Result itself, streamed at
+// the probe's resolution — is DeepEqual to a full-plan run on that view.
+// Candidates are compared on count-only passes; nothing they decide may
+// differ from comparing full-plan probes.
+func TestExploreDecisionsMatchFullProbes(t *testing.T) {
+	eng := exploreEngine(t, 60000)
+	entry, err := eng.cat.Lookup("sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed, stratifiedWins := 0, 0
+	for _, src := range exploreQueries() {
+		q, err := sqlparser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *elp.Refinement
+		if err := eng.rt.RunStreamTraced(context.Background(), q, nil, func(r elp.Refinement) error {
+			if first == nil {
+				first = &r
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		dec := first.Resp.Decisions[0]
+		if len(first.Resp.Decisions) != 1 || dec.UsedBase {
+			t.Fatalf("%q: not a single-disjunct sample answer: %+v", src, first.Resp.Decisions)
+		}
+		if len(dec.Probed) == 0 {
+			continue // a covering family: nothing was compared
+		}
+		probed++
+		plan, err := exec.Compile(q, entry.Table.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := func(v sample.View) *exec.Result {
+			return exec.Run(plan, exec.FromView(v).Pruned(plan), eng.cfg.Confidence)
+		}
+		var best, uniform *sample.Family
+		bestRatio, uniformRatio := -1.0, -1.0
+		for i, got := range dec.Probed {
+			want := full(probeViewOf(got.Family))
+			if got.Selectivity != want.Selectivity() || got.Matched != want.RowsMatched {
+				t.Fatalf("%q: Probed[%d] (%s) = %v/%d, the full plan on its probe view reports %v/%d", src, i,
+					got.Family.Label(), got.Selectivity, got.Matched, want.Selectivity(), want.RowsMatched)
+			}
+			if got.Selectivity > bestRatio {
+				best, bestRatio = got.Family, got.Selectivity
+			}
+			if got.Family.IsUniform() {
+				uniform, uniformRatio = got.Family, got.Selectivity
+			}
+		}
+		if uniform != nil && !best.IsUniform() && uniformRatio >= 0.9*bestRatio {
+			best = uniform
+		}
+		if dec.View.Family != best {
+			t.Fatalf("%q: chose %s, the argmax under the uniform tie-break is %s", src, dec.View.Family.Label(), best.Label())
+		}
+		if pv := probeViewOf(best); first.Level != pv.Level || dec.View.Level != pv.Level {
+			t.Fatalf("%q: first answer at level %d, the probe view is level %d", src, first.Level, pv.Level)
+		}
+		if want := full(dec.View); !reflect.DeepEqual(first.Resp.Result, want) {
+			t.Fatalf("%q: the prepared probe is not the full plan's run on %s\nwant %+v\ngot  %+v", src, dec.View, want, first.Resp.Result)
+		}
+		if !best.IsUniform() {
+			stratifiedWins++
+		}
+	}
+	if d := eng.Stats(); d.Prepares != 648 || probed < 600 || stratifiedWins == 0 || stratifiedWins == probed {
+		t.Errorf("%d prepares, %d templates that probed, %d stratified winners: want 648 cold queries, nearly all probing, winners of both kinds",
+			d.Prepares, probed, stratifiedWins)
+	}
+}
+
+// BenchmarkExploreColdQuery times one cold explore_cold request in process:
+// parse, prepare, a count pass per candidate family, the plan on the winner,
+// a small time-bounded scan. Every iteration is a template the engine has
+// not seen; the engine is rebuilt, off the clock, when the 648 run out.
+func BenchmarkExploreColdQuery(b *testing.B) {
+	queries := exploreQueries()
+	var eng *Engine
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%len(queries) == 0 {
+			b.StopTimer()
+			eng = exploreEngine(b, 250000)
+			b.StartTimer()
+		}
+		if _, err := eng.Query(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

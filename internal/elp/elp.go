@@ -4,6 +4,11 @@
 // predicts how error shrinks and latency grows with sample size, and picks
 // the family and resolution that best satisfy the bounds.
 //
+// Choosing among candidate families compares one ratio per family (§4.1.1:
+// rows matched ÷ rows read), so a candidate probe is a count — the query's
+// predicate under a single COUNT(*) — and the query's own plan runs once,
+// on the winner's smallest sample; that result seeds the profile.
+//
 // Latency is attributed by the cluster simulator (internal/cluster) using
 // the same linear-scaling model the paper fits at runtime (§4.2); error
 // projections use the 1/√n law of Table 2.
@@ -600,10 +605,14 @@ func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key s
 // selectFamily implements §4.1.1: prefer the covering stratified family
 // with the fewest columns; otherwise probe every candidate's smallest
 // sample — concurrently, one goroutine per family — and take the one
-// with the highest matched/read ratio. The third return value is the
-// winning family's smallest-sample probe result (nil when no probe ran),
-// which selectResolution reuses so each (family, view) executes at most
-// once per query.
+// with the highest matched/read ratio. The comparison reads two integers
+// off each candidate, so with several candidates each is probed with the
+// plan's count plan (exec.Plan.CountOnly: same predicate, joins, pruning
+// and scan; one COUNT(*), no groups) and the plan itself then runs once, on
+// the winner's probe view; a lone candidate runs the plan directly. The
+// third return value is that full-plan probe result (nil when no probe
+// ran), which prepareConjunctive carries on, so each (family, view) executes
+// the plan at most once per query.
 func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan *exec.Plan,
 	phi types.ColumnSet, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*sample.Family, Decision, *exec.Result, error) {
 
@@ -664,6 +673,12 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	if sp != nil {
 		psp = sp.Child(fmt.Sprintf("probe candidates=%d", len(cands)))
 	}
+	defer psp.End()
+	probePlan := plan
+	if len(cands) > 1 {
+		probePlan = plan.CountOnly()
+	}
+	ins := make([]exec.Input, len(cands))
 	results := make([]*exec.Result, len(cands))
 	lats := make([]float64, len(cands))
 	spans := make([]*telemetry.Span, len(cands))
@@ -673,19 +688,17 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		}
 	}
 	err := gather(len(cands), func(i int) error {
-		in := viewInput(rt.probeView(cands[i]), plan)
-		res, err := rt.runProbe(ctx, plan, in, conf, joins, spans[i])
+		ins[i] = viewInput(rt.probeView(cands[i]), plan)
+		res, err := rt.runProbe(ctx, probePlan, ins[i], conf, joins, spans[i])
 		spans[i].End()
-		results[i], lats[i] = res, rt.latencyOfProbe(in.Blocks)
+		results[i], lats[i] = res, rt.latencyOfProbe(ins[i].Blocks)
 		return err
 	})
-	psp.End()
 	if err != nil {
 		return nil, dec, nil, err
 	}
 
-	var best, uniform *sample.Family
-	var bestRes, uniformRes *exec.Result
+	best, uniform := -1, -1
 	bestRatio, uniformRatio := -1.0, -1.0
 	maxProbe := 0.0
 	for i, f := range cands {
@@ -694,10 +707,10 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		ratio := res.Selectivity()
 		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: ratio, Matched: res.RowsMatched})
 		if ratio > bestRatio {
-			bestRatio, best, bestRes = ratio, f, res
+			bestRatio, best = ratio, i
 		}
 		if f.IsUniform() {
-			uniform, uniformRatio, uniformRes = f, ratio, res
+			uniform, uniformRatio = i, ratio
 		}
 	}
 	// Tie-break: when the uniform family matches the best stratified
@@ -705,13 +718,29 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	// any stratification column the ratios converge, and the uniform
 	// sample's equal weights give strictly lower estimator variance than
 	// a stratified sample's spread of 1/rate weights.
-	if uniform != nil && best != nil && !best.IsUniform() && uniformRatio >= 0.9*bestRatio {
-		best, bestRatio, bestRes = uniform, uniformRatio, uniformRes
+	if uniform >= 0 && !cands[best].IsUniform() && uniformRatio >= 0.9*bestRatio {
+		best, bestRatio = uniform, uniformRatio
 	}
 	dec.ProbeLatency = maxProbe
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
-		len(cands), bestRatio, best.Label())
-	return best, dec, bestRes, nil
+		len(cands), bestRatio, cands[best].Label())
+	bestRes := results[best]
+	if probePlan != plan {
+		// The winner's probe view, read again for what the count pass left
+		// out: the groups and estimates resolution selection extrapolates
+		// from, and — at the probe's own resolution — the answer itself.
+		// Part of probing: ProbeLatency priced this view's read already.
+		var fsp *telemetry.Span
+		if psp != nil {
+			fsp = psp.Child("probe " + cands[best].Label() + " full")
+		}
+		bestRes, err = rt.runProbe(ctx, plan, ins[best], conf, joins, fsp)
+		fsp.End()
+		if err != nil {
+			return nil, dec, nil, err
+		}
+	}
+	return cands[best], dec, bestRes, nil
 }
 
 // gather runs fn(0) … fn(n-1) concurrently — one goroutine each, the last
@@ -944,8 +973,9 @@ func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []
 	return pts
 }
 
-// runProbe is runPlan counted as an ELP probe (§4.1.1 candidate probes
-// and §4.2 escalations) — the executions the plan cache amortizes away.
+// runProbe is runPlan counted as an ELP probe (§4.1.1 candidate count
+// passes and the plan's run on the chosen family, §4.2 escalations) — the
+// executions the plan cache amortizes away.
 func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
 	rt.bump(&rt.stats.probeExecs)
 	return rt.runPlan(ctx, plan, in, conf, joins, sp)

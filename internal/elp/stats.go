@@ -6,13 +6,17 @@ package elp
 // are cumulative since the runtime was created; use Delta to measure an
 // interval between two snapshots.
 type Stats struct {
-	// PlanExecs counts executor invocations of any kind — family probes,
-	// probe escalations, and final reads. It is the physical-work
-	// counter: a plan-cache hit that reuses a memoized answer adds 0.
+	// PlanExecs counts executor invocations of any kind — candidate count
+	// passes, full-plan probes, probe escalations, and final reads. It is
+	// the physical-work counter: a plan-cache hit that reuses a memoized
+	// answer adds 0.
 	PlanExecs int64
-	// ProbeExecs counts the subset of PlanExecs that were ELP probes
-	// (§4.1.1 candidate probes and §4.2 escalations). The plan cache
-	// exists to amortize exactly these.
+	// ProbeExecs counts the subset of PlanExecs that were ELP probes:
+	// §4.1.1's count pass on each candidate family, the plan's one run on
+	// the winner (or on the lone candidate or covering family), and §4.2
+	// escalations. Comparing N ≥ 2 candidates is therefore N + 1 probe
+	// executions — N cheap counts and one full pass — not N. The plan
+	// cache exists to amortize exactly these.
 	ProbeExecs int64
 	// Prepares counts Prepare calls: template compilations with their
 	// probe+profile work. With the cache on, this is the cold-path count.

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -244,6 +245,23 @@ func (p *Plan) WithPred(pred types.Predicate) *Plan {
 	cp.Pred = pred
 	cp.rt = newPlanRuntime(pred)
 	return &cp
+}
+
+// CountOnly returns the plan's count plan: the same predicate over the
+// same schema — and the same compiled state, so an Input pruned for either
+// is pruned for both — with no GROUP BY, no LIMIT and a single COUNT(*).
+// Every scan counter of a Result (RowsScanned, RowsMatched,
+// WeightedMatched, MaxMatchedStratumFreq, BytesScanned) depends only on
+// which rows are read and which pass the predicate, so the count plan
+// reports exactly the plan's own, at the cost of one group and one
+// accumulator: what §4.1.1's family comparison needs from each candidate.
+func (p *Plan) CountOnly() *Plan {
+	return &Plan{
+		Schema: p.Schema,
+		Pred:   p.Pred,
+		Aggs:   []AggPlan{{Kind: stats.AggCount, Col: -1}},
+		rt:     p.runtime(),
+	}
 }
 
 // Group is one output row.
@@ -725,23 +743,24 @@ func groupKeysEqual(a, b []types.Value) bool {
 
 // finalize converts merged group states into sorted result groups.
 func finalize(p *Plan, res *Result, merged map[uint64][]*groupState) {
+	z := stats.ZForConfidence(res.Confidence) // an Erfinv: once, not per cell
 	for _, bucket := range merged {
 		for _, gs := range bucket {
 			g := Group{Key: gs.key, Estimates: make([]stats.Estimate, len(gs.accs))}
 			for i, acc := range gs.accs {
-				g.Estimates[i] = acc.Estimate(res.Confidence)
+				g.Estimates[i] = acc.EstimateZ(res.Confidence, z)
 			}
 			res.Groups = append(res.Groups, g)
 		}
 	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		if c := compareKeys(res.Groups[i].Key, res.Groups[j].Key); c != 0 {
-			return c < 0
+	slices.SortFunc(res.Groups, func(a, b Group) int {
+		if c := compareKeys(a.Key, b.Key); c != 0 {
+			return c
 		}
 		// Distinct keys can still compare equal across kinds (Int(1) vs
 		// Float(1)); break the tie on the encoded key so ordering never
 		// depends on map iteration.
-		return encodeKey(res.Groups[i].Key) < encodeKey(res.Groups[j].Key)
+		return strings.Compare(encodeKey(a.Key), encodeKey(b.Key))
 	})
 	if p.Limit > 0 && len(res.Groups) > p.Limit {
 		res.Groups = res.Groups[:p.Limit]

@@ -153,10 +153,17 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 // it can only lower RowsScanned and BytesScanned and move nothing else —
 // the two counters are checked as upper bounds (their exact pruned values
 // are pinned by TestScanPruningSkipsBlocks), everything else by DeepEqual.
+//
+// The plan's count plan (Plan.CountOnly, what a §4.1.1 candidate probe
+// runs) is held to the plan itself: same rows read, same rows matched, same
+// bytes, same weights — over the raw input and over one pruned up front for
+// a compiled copy of the plan, which is how the ELP runtime hands it over.
 func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec) {
 	t.Helper()
 	want := oracle(p, in, joins, 0.95)
 	rows, bytes := want.RowsScanned, want.BytesScanned
+	compiled := p.WithPred(p.Pred)
+	count := compiled.CountOnly()
 	for _, w := range []int{1, 3, 8} {
 		got, err := RunJoin(context.Background(), p, in, joins, 0.95, w, nil)
 		if err != nil {
@@ -169,6 +176,27 @@ func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec
 		want.RowsScanned, want.BytesScanned = got.RowsScanned, got.BytesScanned
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s workers=%d: production diverged from the oracle\nwant %+v\ngot  %+v", label, w, want, got)
+		}
+		// Pruning up front moves the scan ranges, and with them the order
+		// WeightedMatched is summed in: the pruned input is its own comparison.
+		pruned := in.Pruned(compiled)
+		full, err := RunJoin(context.Background(), compiled, pruned, joins, 0.95, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			in   Input
+			plan *Result
+		}{{in, got}, {pruned, full}} {
+			cnt, err := RunJoin(context.Background(), count, c.in, joins, 0.95, w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cnt.RowsScanned != c.plan.RowsScanned || cnt.RowsMatched != c.plan.RowsMatched || cnt.BytesScanned != c.plan.BytesScanned ||
+				cnt.MaxMatchedStratumFreq != c.plan.MaxMatchedStratumFreq || cnt.WeightedMatched != c.plan.WeightedMatched || len(cnt.Groups) != 1 {
+				t.Fatalf("%s workers=%d pruned=%v: the count plan's counters are not the plan's\nplan  %+v\ncount %+v",
+					label, w, c.plan == full, c.plan, cnt)
+			}
 		}
 	}
 }

@@ -227,17 +227,27 @@ func (p *Plan) Prune(blocks []*storage.Block) []*storage.Block {
 	return kept
 }
 
+// pruneBlocks returns blocks itself when every block survives — the common
+// case on the planning path, which prunes each resolution of a family
+// several times per request — and a fresh list from the first pruned block
+// on. Callers only read the result.
 func pruneBlocks(blocks []*storage.Block, bounds []colBound) ([]*storage.Block, float64) {
 	if len(bounds) == 0 {
 		return blocks, 0
 	}
-	kept := make([]*storage.Block, 0, len(blocks))
+	kept, pruned := blocks, false
 	var total, keptBytes int64
-	for _, blk := range blocks {
+	for i, blk := range blocks {
 		total += blk.Bytes
-		if zoneMayMatch(blk, bounds) {
-			kept = append(kept, blk)
+		switch {
+		case zoneMayMatch(blk, bounds):
 			keptBytes += blk.Bytes
+			if pruned {
+				kept = append(kept, blk)
+			}
+		case !pruned:
+			pruned = true
+			kept = append(make([]*storage.Block, 0, len(blocks)-1), blocks[:i]...)
 		}
 	}
 	if total == 0 {

@@ -109,6 +109,16 @@ func TestPruneBlocks(t *testing.T) {
 	if len(kept) != 2 {
 		t.Errorf("open bound kept %d blocks, want 2", len(kept))
 	}
+	// Nothing pruned: the input comes back as it is, uncopied. A pruned
+	// list is the caller's own and leaves the input alone.
+	kept, frac = PruneBlocks(blocks, ColumnBounds(predOf(t, "a >= 0")))
+	if len(kept) != 3 || &kept[0] != &blocks[0] || frac != 0 {
+		t.Errorf("unpruned list was copied (or pruned: %d blocks, fraction %g)", len(kept), frac)
+	}
+	kept, _ = PruneBlocks(blocks, ColumnBounds(predOf(t, "a < 20")))
+	if len(kept) != 2 || kept[0] != blocks[0] || kept[1] != blocks[1] || &kept[0] == &blocks[0] {
+		t.Errorf("pruning the last block kept %d blocks, in the input's array: %v", len(kept), &kept[0] == &blocks[0])
+	}
 }
 
 func TestPruneBlocksKeepsUnzoned(t *testing.T) {

@@ -109,5 +109,6 @@ func ReadFamily(seg *blockfile.Segment) (*Family, error) {
 			return nil, fmt.Errorf("sample: stratification column %q missing from schema %s", c, fam.schema)
 		}
 	}
+	fam.index()
 	return fam, nil
 }

@@ -59,6 +59,12 @@ type Family struct {
 	// StratumFreq metadata so per-resolution rates can be derived.
 	Deltas []*storage.Table
 
+	// blocks is every delta's block list end to end and ends[i] the length
+	// of the prefix that is resolution i, so a view's blocks are a subslice
+	// (see index). Deltas' own lists must not change once a family is built.
+	blocks []*storage.Block
+	ends   []int
+
 	schema    *types.Schema
 	baseRows  int64
 	numStrata int64
@@ -102,6 +108,22 @@ func (f *Family) StorageRows() int64 {
 		n += d.NumRows()
 	}
 	return n
+}
+
+// index builds the cumulative block list behind View.Blocks and
+// View.DeltaBlocks. Every constructor of a Family calls it once, before the
+// family is shared, so the query path only ever reads it.
+func (f *Family) index() {
+	n := 0
+	for _, d := range f.Deltas {
+		n += len(d.Blocks)
+	}
+	f.blocks = make([]*storage.Block, 0, n)
+	f.ends = make([]int, len(f.Deltas))
+	for i, d := range f.Deltas {
+		f.blocks = append(f.blocks, d.Blocks...)
+		f.ends[i] = len(f.blocks)
+	}
 }
 
 // View returns the sample at the given resolution (0 = smallest).
@@ -150,28 +172,27 @@ type View struct {
 // Cap returns this view's frequency cap K.
 func (v View) Cap() int64 { return v.Family.Caps[v.Level] }
 
-// Blocks returns the block set backing this resolution (deltas 0..Level).
+// Blocks returns the block set backing this resolution (deltas 0..Level):
+// a window on the family's own list, read-only, with its capacity clipped
+// so an append copies instead of writing into the next delta.
 func (v View) Blocks() []*storage.Block {
-	var out []*storage.Block
-	for i := 0; i <= v.Level; i++ {
-		out = append(out, v.Family.Deltas[i].Blocks...)
-	}
-	return out
+	hi := v.Family.ends[v.Level]
+	return v.Family.blocks[:hi:hi]
 }
 
 // DeltaBlocks returns only the blocks NOT contained in the other (smaller)
 // view — the §4.4 reuse path: having scanned `smaller`, a query needs to
-// read just these blocks to upgrade to v.
+// read just these blocks to upgrade to v. Like Blocks, the result is a
+// clipped read-only window.
 func (v View) DeltaBlocks(smaller View) []*storage.Block {
-	lo := smaller.Level + 1
-	if smaller.Family != v.Family {
-		lo = 0
+	lo, hi := 0, v.Family.ends[v.Level]
+	if smaller.Family == v.Family {
+		lo = v.Family.ends[smaller.Level]
 	}
-	var out []*storage.Block
-	for i := lo; i <= v.Level; i++ {
-		out = append(out, v.Family.Deltas[i].Blocks...)
+	if lo >= hi {
+		return nil
 	}
-	return out
+	return v.Family.blocks[lo:hi:hi]
 }
 
 // Rows returns the number of rows in this resolution.
@@ -347,6 +368,7 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	for i := range builders {
 		builders[i].Finish()
 	}
+	fam.index()
 	return fam, nil
 }
 

@@ -282,11 +282,16 @@ func (a *Acc) weightedVariance() float64 {
 
 // Estimate produces the point estimate and CI at the given confidence.
 func (a *Acc) Estimate(conf float64) Estimate {
+	return a.EstimateZ(conf, ZForConfidence(conf))
+}
+
+// EstimateZ is Estimate for a caller that finalizes many accumulators at
+// one confidence and computed z = ZForConfidence(conf) once for all of them.
+func (a *Acc) EstimateZ(conf, z float64) Estimate {
 	e := Estimate{Confidence: conf, Rows: a.rows, EffRows: a.EffRows(), Exact: a.allOne}
 	if a.rows == 0 {
 		return e
 	}
-	z := ZForConfidence(conf)
 	switch a.kind {
 	case AggCount:
 		// Table 2: N̂ = Σw; Var(N̂) = Σ w(w−1) (Poisson-design HT

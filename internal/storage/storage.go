@@ -255,40 +255,46 @@ func PartitionBlocksByNode(blocks []*Block, maxParts int) ([]BlockRange, []NodeS
 	if len(ranges) == 0 {
 		return nil, nil
 	}
-	shardIdx := make(map[int]int) // node → index into shards
+	// Per-node state is dense, indexed by node id less the lowest one, and
+	// reset per range by a touched-list: the pricing path calls this for
+	// every resolution it considers.
+	minNode, maxNode := blocks[0].Node, blocks[0].Node
+	for _, b := range blocks {
+		minNode, maxNode = min(minNode, b.Node), max(maxNode, b.Node)
+	}
+	width := maxNode - minNode + 1
+	perNode := make([]int64, width) // the current range's bytes on each node it touches
+	seenIn := make([]int, width)    // 1 + the last range that touched the node
+	shardOf := make([]int, width)   // 1 + the node's index into shards, 0 for none yet
+	var touched []int               // the current range's nodes, less minNode
 	var shards []NodeShard
-	var perNode map[int]int64 // reused per range
 	for ri, r := range ranges {
 		var total int64
-		if perNode == nil {
-			perNode = make(map[int]int64)
-		} else {
-			for k := range perNode {
-				delete(perNode, k)
+		touched = touched[:0]
+		for _, b := range blocks[r.Lo:r.Hi] {
+			k := b.Node - minNode
+			if seenIn[k] != ri+1 {
+				seenIn[k], perNode[k] = ri+1, 0
+				touched = append(touched, k)
 			}
-		}
-		for bi := r.Lo; bi < r.Hi; bi++ {
-			b := blocks[bi]
-			perNode[b.Node] += b.Bytes
+			perNode[k] += b.Bytes
 			total += b.Bytes
 		}
-		// Owner: most bytes, ties to the lowest node id. The selection is
-		// by comparison, so map iteration order cannot affect it.
-		owner, ownerBytes, first := 0, int64(0), true
-		for node, bytes := range perNode {
-			if first || bytes > ownerBytes || (bytes == ownerBytes && node < owner) {
-				owner, ownerBytes, first = node, bytes, false
+		// Owner: most bytes, ties to the lowest node id.
+		owner, ownerBytes := touched[0], perNode[touched[0]]
+		for _, k := range touched[1:] {
+			if bytes := perNode[k]; bytes > ownerBytes || (bytes == ownerBytes && k < owner) {
+				owner, ownerBytes = k, bytes
 			}
 		}
-		si, ok := shardIdx[owner]
-		if !ok {
-			si = len(shards)
-			shardIdx[owner] = si
-			shards = append(shards, NodeShard{Node: owner})
+		if shardOf[owner] == 0 {
+			shards = append(shards, NodeShard{Node: owner + minNode})
+			shardOf[owner] = len(shards)
 		}
-		shards[si].Ranges = append(shards[si].Ranges, ri)
-		shards[si].Bytes += total
-		shards[si].LocalBytes += ownerBytes
+		sh := &shards[shardOf[owner]-1]
+		sh.Ranges = append(sh.Ranges, ri)
+		sh.Bytes += total
+		sh.LocalBytes += ownerBytes
 	}
 	sort.Slice(shards, func(i, j int) bool { return shards[i].Node < shards[j].Node })
 	return ranges, shards

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -442,5 +443,51 @@ func TestPartitionBlocksByNodeOwnerAndLocality(t *testing.T) {
 	}
 	if hr := LocalityHitRate(nil); hr != 1 {
 		t.Errorf("empty shard list hit rate = %g, want 1", hr)
+	}
+}
+
+// TestPartitionBlocksByNodeMatchesMapReference holds the dense per-node
+// bookkeeping to the rule as first written — a byte count per node in a map
+// — over random placements with byte ties, zero-byte blocks and node ids
+// that do not start at 0.
+func TestPartitionBlocksByNodeMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		blocks := make([]*Block, 1+rng.Intn(400))
+		lowest, nodes := rng.Intn(3)*5, 1+rng.Intn(9)
+		for i := range blocks {
+			blocks[i] = &Block{ID: i, Node: lowest + rng.Intn(nodes), Bytes: int64(rng.Intn(4)) * 100}
+		}
+		maxParts := []int{1, 7, 256}[rng.Intn(3)]
+		ranges, shards := PartitionBlocksByNode(blocks, maxParts)
+		want := map[int]*NodeShard{}
+		for ri, r := range ranges {
+			perNode := map[int]int64{}
+			var total int64
+			for _, b := range blocks[r.Lo:r.Hi] {
+				perNode[b.Node] += b.Bytes
+				total += b.Bytes
+			}
+			owner, ownerBytes, first := 0, int64(0), true
+			for node, bytes := range perNode {
+				if first || bytes > ownerBytes || (bytes == ownerBytes && node < owner) {
+					owner, ownerBytes, first = node, bytes, false
+				}
+			}
+			if want[owner] == nil {
+				want[owner] = &NodeShard{Node: owner}
+			}
+			want[owner].Ranges = append(want[owner].Ranges, ri)
+			want[owner].Bytes += total
+			want[owner].LocalBytes += ownerBytes
+		}
+		if len(shards) != len(want) {
+			t.Fatalf("trial %d: %d shards, want %d", trial, len(shards), len(want))
+		}
+		for i, s := range shards {
+			if w := want[s.Node]; w == nil || !reflect.DeepEqual(s, *w) || (i > 0 && shards[i-1].Node >= s.Node) {
+				t.Fatalf("trial %d: shard %d is %+v, want %+v in ascending node order", trial, i, s, w)
+			}
+		}
 	}
 }
