@@ -75,7 +75,6 @@ func BenchmarkOnlineVsOffline(b *testing.B) { runExperiment(b, "ola") }
 
 // Ablation benches for the design decisions called out in DESIGN.md §4.
 func BenchmarkAblationDeltaReuse(b *testing.B) { runExperiment(b, "abl-delta") }
-func BenchmarkAblationProbeAll(b *testing.B)   { runExperiment(b, "abl-probe") }
 func BenchmarkAblationMILP(b *testing.B)       { runExperiment(b, "abl-milp") }
 func BenchmarkAblationSkew(b *testing.B)       { runExperiment(b, "abl-skew") }
 

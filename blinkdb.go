@@ -245,11 +245,6 @@ type Config struct {
 	// recording overhead (a timestamp pair and a few atomic adds per
 	// query). EXPLAIN ANALYZE span capture is per-query and unaffected.
 	DisableTelemetry bool
-	// FullProbePricing charges ELP probe runs like any other sample
-	// read. By default probes are priced at job overhead only, matching
-	// §4.1.1's assumption that the smallest per-family samples are
-	// memory-resident and "very fast" to query.
-	FullProbePricing bool
 	// DataDir enables persistence when set: CreateSamples writes built
 	// families as columnar segment files under it and loads them back
 	// on matching warm boots instead of re-stratifying, and
@@ -286,17 +281,12 @@ func (c Config) normalize() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
+	// Negative cache sizes pass through: elp.Options maps them to off.
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
 	}
-	if c.PlanCacheSize < 0 {
-		c.PlanCacheSize = -1 // disabled; elp treats ≤0 as off
-	}
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 1024
-	}
-	if c.ResultCacheSize < 0 {
-		c.ResultCacheSize = -1 // disabled; elp treats ≤0 as off
 	}
 	if c.ResultCacheTTL < 0 {
 		c.ResultCacheTTL = 0
@@ -352,14 +342,6 @@ func Open(cfg Config) *Engine {
 		MemCacheBytesPerNode: cfg.MemCacheGBPerNode * 1e9,
 	})
 	cat := catalog.New()
-	planCache := cfg.PlanCacheSize
-	if planCache < 0 {
-		planCache = 0 // explicit disable
-	}
-	resultCache := cfg.ResultCacheSize
-	if resultCache < 0 {
-		resultCache = 0 // explicit disable
-	}
 	var tele *telemetry.Registry
 	if !cfg.DisableTelemetry {
 		tele = telemetry.NewRegistry()
@@ -367,10 +349,10 @@ func Open(cfg Config) *Engine {
 	rt := elp.New(cat, clus, elp.Options{
 		Confidence:        cfg.Confidence,
 		Scale:             cfg.Scale,
-		ProbeOverheadOnly: !cfg.FullProbePricing,
+		ProbeOverheadOnly: true, // §4.1.1: the smallest samples are memory-resident
 		Workers:           cfg.Workers,
-		PlanCacheSize:     planCache,
-		ResultCacheSize:   resultCache,
+		PlanCacheSize:     cfg.PlanCacheSize,
+		ResultCacheSize:   cfg.ResultCacheSize,
 		ResultCacheTTL:    cfg.ResultCacheTTL,
 		Telemetry:         tele,
 	})

@@ -98,13 +98,13 @@ func exploreQueries() []string {
 	return out
 }
 
-// probeViewOf mirrors the runtime's probe resolution at the engine's
-// default MinProbeRows: the smallest level with at least 100 rows, else the
-// largest. The sweep below checks it against the level every winner's first
-// answer was actually served at.
+// probeViewOf mirrors the runtime's probe resolution: the smallest level
+// with at least elp.MinProbeRows rows, else the largest. The sweep below
+// checks it against the level every winner's first answer was actually
+// served at.
 func probeViewOf(f *sample.Family) sample.View {
 	for lvl := 0; lvl < f.Resolutions(); lvl++ {
-		if v := f.View(lvl); v.Rows() >= 100 {
+		if v := f.View(lvl); v.Rows() >= elp.MinProbeRows {
 			return v
 		}
 	}

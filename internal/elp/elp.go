@@ -36,45 +36,32 @@ import (
 	"blinkdb/internal/types"
 )
 
-// DefaultShuffleFraction is Options.ShuffleFraction's default: shuffle
-// (GROUP BY exchange) volume approximated as 1% of bytes scanned.
-const DefaultShuffleFraction = 0.01
+// shuffleFraction approximates shuffle (GROUP BY exchange) volume as 1% of
+// bytes scanned.
+const shuffleFraction = 0.01
+
+// MinProbeRows is the smallest sample size worth probing: the probe uses
+// the smallest resolution with at least this many rows, so the selectivity
+// estimate carries statistical signal.
+const MinProbeRows = 100
 
 // Options tune the runtime. Zero values select paper-default behaviour.
 type Options struct {
 	// Confidence is the default CI level for queries that don't set one.
 	Confidence float64
-	// ProbeAll, when true (default), probes the smallest sample of every
-	// family when no covering family exists (§4.1.1's choice); false
-	// probes only families sharing ≥1 column with the query — the
-	// ablation the paper argues against (negative correlation risk).
-	ProbeAll *bool
 	// DeltaReuse, when true (default), charges only the delta blocks
 	// when upgrading from the probe resolution (§4.4); false recharges
 	// the full chosen sample — the ablation of intermediate-data reuse.
 	DeltaReuse *bool
-	// Scale maps physical stored bytes to logical bytes for BASE TABLE
-	// scans (our tables are laptop-scale stand-ins for TB-scale data).
+	// Scale maps physical stored bytes to logical bytes, for base-table
+	// and sample reads alike (our tables are laptop-scale stand-ins for
+	// TB-scale data).
 	Scale float64
-	// SampleScale maps physical sample bytes to logical bytes. Sample
-	// resolutions are absolute row counts in the paper (§2.3: 1M/2M/4M
-	// tuples; K = 1e5), so their logical size scales with the cap ratio
-	// (paperK/ourK), not with the table-byte ratio. Defaults to Scale.
-	SampleScale float64
-	// Profile is the engine cost profile (default BlinkDBEngine).
-	Profile cluster.EngineProfile
-	// ShuffleFraction approximates shuffle volume as a fraction of bytes
-	// scanned (GROUP BY exchange). Default DefaultShuffleFraction.
-	ShuffleFraction float64
 	// ProbeOverheadOnly prices probe runs at job overhead alone,
 	// reflecting §4.1.1's assumption that the smallest samples fit in
 	// aggregate memory and "running Q on these samples is very fast".
 	// Off by default (probes priced like any other read).
 	ProbeOverheadOnly bool
-	// MinProbeRows is the smallest sample size worth probing; the probe
-	// uses the smallest resolution with at least this many rows so the
-	// selectivity estimate carries statistical signal. Default 100.
-	MinProbeRows int64
 	// Workers sizes the executor's scan worker pool (default 1). Results
 	// are bit-identical for any value: the executor folds row-budgeted
 	// partial aggregates in a deterministic order.
@@ -118,28 +105,12 @@ func (o Options) normalize() Options {
 	if o.Confidence <= 0 || o.Confidence >= 1 {
 		o.Confidence = 0.95
 	}
-	if o.ProbeAll == nil {
-		v := true
-		o.ProbeAll = &v
-	}
 	if o.DeltaReuse == nil {
 		v := true
 		o.DeltaReuse = &v
 	}
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.SampleScale <= 0 {
-		o.SampleScale = o.Scale
-	}
-	if o.Profile.Name == "" {
-		o.Profile = cluster.BlinkDBEngine
-	}
-	if o.ShuffleFraction <= 0 {
-		o.ShuffleFraction = DefaultShuffleFraction
-	}
-	if o.MinProbeRows <= 0 {
-		o.MinProbeRows = 100
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -637,33 +608,9 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		return f, dec, nil, nil
 	}
 
-	// No covering family: probe smallest samples. Candidate set per the
-	// ProbeAll option; the uniform family is always a candidate.
-	var cands []*sample.Family
-	for _, f := range entry.Families {
-		if f.IsUniform() {
-			cands = append(cands, f)
-			continue
-		}
-		if *rt.opt.ProbeAll {
-			cands = append(cands, f)
-			continue
-		}
-		// Ablation path: only families sharing a column with φ.
-		shares := false
-		for _, c := range f.Phi.Columns() {
-			if phi.Contains(c) {
-				shares = true
-				break
-			}
-		}
-		if shares {
-			cands = append(cands, f)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, dec, nil, nil
-	}
+	// No covering family: every family's smallest sample is probed
+	// (§4.1.1; entry.Families is non-empty here).
+	cands := entry.Families
 
 	// §4.1.1 probes the candidates' smallest samples in parallel, which is
 	// also what ProbeLatency prices (the max, not the sum). Outcomes are
@@ -902,9 +849,9 @@ func (rt *Runtime) levelForTime(fam *sample.Family, plan *exec.Plan, budget, spe
 		view := fam.View(lvl)
 		var lat float64
 		if *rt.opt.DeltaReuse {
-			lat = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(small)))
+			lat = rt.latencyOf(plan.Prune(view.DeltaBlocks(small)))
 		} else {
-			lat = rt.latencyOfSample(plan.Prune(view.Blocks()))
+			lat = rt.latencyOf(plan.Prune(view.Blocks()))
 		}
 		if spent+lat <= budget {
 			best = lvl
@@ -967,7 +914,7 @@ func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []
 			pt.ProjStdErr = worstStd * shrink
 			pt.ProjRelErr = worstRel * shrink
 		}
-		pt.Latency = rt.latencyOfSample(plan.Prune(view.Blocks()))
+		pt.Latency = rt.latencyOf(plan.Prune(view.Blocks()))
 		pts = append(pts, pt)
 	}
 	return pts
@@ -1032,7 +979,7 @@ func (rt *Runtime) broadcastCost(joins []exec.JoinSpec) float64 {
 		bytes += float64(j.Dim.Bytes()) * rt.opt.Scale
 	}
 	cfg := rt.clus.Config()
-	return bytes / (float64(cfg.Nodes) * rt.opt.Profile.NetworkMBps * 1e6)
+	return bytes / (float64(cfg.Nodes) * cluster.BlinkDBEngine.NetworkMBps * 1e6)
 }
 
 // factColumns restricts a column set to those present in the fact schema.
@@ -1053,7 +1000,7 @@ func viewInput(v sample.View, plan *exec.Plan) exec.Input {
 	return exec.FromView(v).Pruned(plan)
 }
 
-// PriceBlockRead prices reading blocks on the cluster under the given
+// PriceBlockRead prices reading blocks on the cluster under the BlinkDB
 // engine profile: bytes are scaled to logical size, spread per the
 // blocks' node placement, with a shuffle term proportional to bytes
 // scanned, a cross-node merge fan-in term over the nodes holding blocks,
@@ -1062,9 +1009,7 @@ func viewInput(v sample.View, plan *exec.Plan) exec.Input {
 // node). This is the single pricing path shared by the runtime's latency
 // attribution and the experiments' placement ablations; an error means a
 // block carries a negative node id.
-func PriceBlockRead(clus *cluster.Cluster, prof cluster.EngineProfile,
-	blocks []*storage.Block, scale, shuffleFraction float64) (float64, error) {
-
+func PriceBlockRead(clus *cluster.Cluster, blocks []*storage.Block, scale float64) (float64, error) {
 	if len(blocks) == 0 {
 		return 0, nil
 	}
@@ -1081,15 +1026,15 @@ func PriceBlockRead(clus *cluster.Cluster, prof cluster.EngineProfile,
 	// shard cannot read on its owner node cross the network.
 	_, shards := exec.ScanShards(blocks)
 	work.RemoteBytes = float64(storage.RemoteBytes(shards)) * scale
-	return clus.Latency(prof, work), nil
+	return clus.Latency(cluster.BlinkDBEngine, work), nil
 }
 
-// latencyOf prices a block read via PriceBlockRead with the runtime's
-// profile and shuffle fraction. An empty block list costs nothing — §4.4:
-// upgrading to the already-probed resolution reads nothing and launches
-// no job; the probe's answer is reused as-is.
-func (rt *Runtime) latencyOf(blocks []*storage.Block, scale float64) float64 {
-	lat, err := PriceBlockRead(rt.clus, rt.opt.Profile, blocks, scale, rt.opt.ShuffleFraction)
+// latencyOf prices a block read — base table or sample — via
+// PriceBlockRead at the runtime's scale. An empty block list costs
+// nothing — §4.4: upgrading to the already-probed resolution reads nothing
+// and launches no job; the probe's answer is reused as-is.
+func (rt *Runtime) latencyOf(blocks []*storage.Block) float64 {
+	lat, err := PriceBlockRead(rt.clus, blocks, rt.opt.Scale)
 	if err != nil {
 		// Tables pass storage.Validate at build time, so a negative node
 		// id here is a programming error, not a user-recoverable one.
@@ -1098,32 +1043,22 @@ func (rt *Runtime) latencyOf(blocks []*storage.Block, scale float64) float64 {
 	return lat
 }
 
-// latencyOfBase prices a base-table read (table-byte scale).
-func (rt *Runtime) latencyOfBase(blocks []*storage.Block) float64 {
-	return rt.latencyOf(blocks, rt.opt.Scale)
-}
-
-// latencyOfSample prices a sample read (sample scale).
-func (rt *Runtime) latencyOfSample(blocks []*storage.Block) float64 {
-	return rt.latencyOf(blocks, rt.opt.SampleScale)
-}
-
 // latencyOfProbe prices a probe run.
 func (rt *Runtime) latencyOfProbe(blocks []*storage.Block) float64 {
 	if rt.opt.ProbeOverheadOnly {
 		if len(blocks) == 0 {
 			return 0
 		}
-		return rt.opt.Profile.JobOverheadSec
+		return cluster.BlinkDBEngine.JobOverheadSec
 	}
-	return rt.latencyOfSample(blocks)
+	return rt.latencyOf(blocks)
 }
 
 // probeView returns the family's probe resolution: the smallest level with
 // at least MinProbeRows rows (or the largest level if none reaches it).
 func (rt *Runtime) probeView(fam *sample.Family) sample.View {
 	for lvl := 0; lvl < fam.Resolutions(); lvl++ {
-		if v := fam.View(lvl); v.Rows() >= rt.opt.MinProbeRows {
+		if v := fam.View(lvl); v.Rows() >= MinProbeRows {
 			return v
 		}
 	}

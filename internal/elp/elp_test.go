@@ -198,21 +198,6 @@ func TestProbingPathWhenNoCoveringFamily(t *testing.T) {
 	}
 }
 
-func TestProbeSubsetAblation(t *testing.T) {
-	probeAll := false
-	f := newFixture(t, 30000, Options{ProbeAll: &probeAll})
-	resp, err := f.rt.Run(parse(t,
-		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := resp.Decisions[0]
-	// Ablation probes only [city] (shares a column) + uniform = 2.
-	if len(d.Probed) != 2 {
-		t.Fatalf("ablation should probe 2 families, probed %d", len(d.Probed))
-	}
-}
-
 func TestErrorBoundMet(t *testing.T) {
 	f := newFixture(t, 60000, Options{})
 	resp, err := f.rt.Run(parse(t,

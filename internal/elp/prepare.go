@@ -260,7 +260,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 	probeLat := rt.latencyOfProbe(in.Blocks)
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
-		step := rt.latencyOfSample(plan.Prune(next.DeltaBlocks(pv)))
+		step := rt.latencyOf(plan.Prune(next.DeltaBlocks(pv)))
 		if q.Time != nil && probeLat+step > q.Time.Seconds {
 			break // escalating further would blow the time bound
 		}
@@ -327,7 +327,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 		// No samples at all: exact execution.
 		dec.UsedBase = true
 		dec.Reason = "no sample families available: exact execution"
-		dec.ReadLatency = rt.latencyOfBase(entry.Table.Blocks) + rt.broadcastCost(joins)
+		dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
 		return levelChoice{dec: dec, level: -1}
 	}
 	fam, pv, probe := pd.fam, pd.pv, pd.probe
@@ -370,7 +370,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 			dec.Reason += "; largest sample insufficient for error bound"
 			dec.UsedBase = true
 			dec.Reason += "; error bound unreachable on samples: exact execution"
-			dec.ReadLatency = rt.latencyOfBase(entry.Table.Blocks) + rt.broadcastCost(joins)
+			dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
 			return levelChoice{dec: dec, level: -1}
 		}
 	case q.Time != nil:
@@ -394,9 +394,9 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 	// Latency accounting applies §4.4 delta reuse: the probe already read
 	// resolutions 0..pv.Level.
 	if *rt.opt.DeltaReuse && probe != nil {
-		dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(pv)))
+		dec.ReadLatency = rt.latencyOf(plan.Prune(view.DeltaBlocks(pv)))
 	} else {
-		dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.Blocks()))
+		dec.ReadLatency = rt.latencyOf(plan.Prune(view.Blocks()))
 	}
 	dec.ReadLatency += rt.broadcastCost(joins)
 	return levelChoice{dec: dec, level: level}

@@ -58,7 +58,7 @@ func pricingTable(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	line := func(name string, level int, blocks []*storage.Block, scale float64) {
+	line := func(name string, level int, blocks []*storage.Block) {
 		ranges, shards := exec.ScanShards(blocks)
 		h := fnv.New64a()
 		for _, r := range ranges {
@@ -67,19 +67,19 @@ func pricingTable(t *testing.T) string {
 		for _, s := range shards {
 			fmt.Fprintf(h, "s%d:%v:%d:%d;", s.Node, s.Ranges, s.Bytes, s.LocalBytes)
 		}
-		secs, err := PriceBlockRead(f.clus, f.opt.Profile, blocks, scale, f.opt.ShuffleFraction)
+		secs, err := PriceBlockRead(f.clus, blocks, f.opt.Scale)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&out, "%s L%d blocks=%d ranges=%d shards=%d digest=%016x seconds=%016x\n",
 			name, level, len(blocks), len(ranges), len(shards), h.Sum64(), math.Float64bits(secs))
 	}
-	line("base", 0, entry.Table.Blocks, f.opt.Scale)
+	line("base", 0, entry.Table.Blocks)
 	for _, fam := range entry.Families {
 		for lvl := 0; lvl < fam.Resolutions(); lvl++ {
-			line(fam.Label(), lvl, fam.View(lvl).Blocks(), f.opt.SampleScale)
+			line(fam.Label(), lvl, fam.View(lvl).Blocks())
 			if lvl > 0 {
-				line(fam.Label()+" delta", lvl, fam.View(lvl).DeltaBlocks(fam.View(lvl-1)), f.opt.SampleScale)
+				line(fam.Label()+" delta", lvl, fam.View(lvl).DeltaBlocks(fam.View(lvl-1)))
 			}
 		}
 	}

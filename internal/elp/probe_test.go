@@ -152,7 +152,7 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 	var dec Decision
 	results := map[*sample.Family]*exec.Result{}
 	var scanBlocks []int
-	for _, f := range entry.Families { // ProbeAll: every family is a candidate
+	for _, f := range entry.Families { // §4.1.1: every family is a candidate
 		blocks := plan.Prune(rt.probeView(f).Blocks())
 		in := exec.FromBlocks(f.Schema(), blocks, rt.probeView(f).Cap())
 		res := exec.RunParallel(plan, in, conf, 1)

@@ -2,9 +2,9 @@ package elp
 
 // Stats is a point-in-time snapshot of the runtime's serving counters,
 // the observability surface for the prepare/execute pipeline (consumed by
-// blinkdb-bench's JSON snapshot and the concurrency tests). All counters
-// are cumulative since the runtime was created; use Delta to measure an
-// interval between two snapshots.
+// Engine.Stats, the benchmark's layer table and the concurrency tests).
+// All counters are cumulative since the runtime was created; use Delta to
+// measure an interval between two snapshots.
 type Stats struct {
 	// PlanExecs counts executor invocations of any kind — candidate count
 	// passes, full-plan probes, probe escalations, and final reads. It is

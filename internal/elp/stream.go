@@ -137,7 +137,7 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 			return nil, err
 		}
 		d := Decision{UsedBase: true, Reason: "no bounds: exact execution on base table"}
-		d.ReadLatency = rt.latencyOfBase(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
+		d.ReadLatency = rt.latencyOf(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
 		rt.recordLevel(-1)
 		return &Response{Result: res, Decisions: []Decision{d}, SimLatency: d.Latency(), Confidence: conf}, nil
 	}
@@ -332,7 +332,7 @@ func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exe
 	view := fam.View(level)
 	dec.View = view
 	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	dec.ReadLatency = rt.latencyOfSample(plan.Prune(view.DeltaBlocks(pv))) + rt.broadcastCost(pq.joins)
+	dec.ReadLatency = rt.latencyOf(plan.Prune(view.DeltaBlocks(pv))) + rt.broadcastCost(pq.joins)
 	dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
 	return dec
 }

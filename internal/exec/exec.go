@@ -787,8 +787,8 @@ const SchedNodeAffine Sched = 0
 // ScanShards is the PRICING partition of a block list: up to maxPartials
 // contiguous per-block-count ranges and the per-node shards that own them
 // under the node-affine schedule. The ELP runtime uses it to attribute
-// scan locality in the cluster model (elp.PriceBlockRead), the locality
-// ablations and blinkdb-bench report its hit rate. It models how the
+// scan locality in the cluster model (elp.PriceBlockRead) and the locality
+// ablation (abl-affinity) reports its hit rate. It models how the
 // cluster places work, not how this process scans: the executor's own
 // partition is scanRanges, and changing one never moves the other.
 func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeShard) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"blinkdb/internal/cluster"
 	"blinkdb/internal/elp"
 	"blinkdb/internal/exec"
 	"blinkdb/internal/milp"
@@ -63,80 +62,6 @@ func AblationDeltaReuse(cfg Config) (*Table, error) {
 	return tab, nil
 }
 
-// AblationProbeAll compares §4.1.1's probe-all-families choice against
-// probing only families sharing a column with the query (the alternative
-// the paper argues against because of negative correlations).
-func AblationProbeAll(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
-	env, err := NewEnv(cfg, "conviva", 17e12)
-	if err != nil {
-		return nil, err
-	}
-	all, subset := true, false
-	rtAll := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, ProbeAll: &all, Workers: env.Cfg.Workers,
-	})
-	rtSub := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, ProbeAll: &subset, Workers: env.Cfg.Workers,
-	})
-	tab := &Table{
-		Title:  "Ablation (§4.1.1): probe all families vs only column-sharing families",
-		Header: []string{"query", "probe-all: family / err%", "subset: family / err%"},
-	}
-	queries := []string{
-		// No covering family: φ = {dt, genre} shares no column with the
-		// stratified families, so the subset strategy sees only uniform.
-		`SELECT AVG(sessiontimems) FROM sessions WHERE dt = 20120310 AND genre = 'western' ERROR WITHIN 15%`,
-		`SELECT COUNT(*) FROM sessions WHERE city = 'city001' AND genre = 'drama' ERROR WITHIN 15%`,
-	}
-	for i, src := range queries {
-		q, err := sqlparser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("Q%d", i+1)}
-		for _, rt := range []*elp.Runtime{rtAll, rtSub} {
-			resp, err := rt.Run(q)
-			if err != nil {
-				return nil, err
-			}
-			fam := "base"
-			if !resp.Decisions[0].UsedBase {
-				fam = resp.Decisions[0].View.Family.Phi.String()
-				if resp.Decisions[0].View.Family.IsUniform() {
-					fam = "uniform"
-				}
-			}
-			truth, err := env.GroundTruth(srcWithoutBound(src))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%s / %.1f%%", fam,
-				100*MeasuredRelErr(resp.Result, truth)))
-		}
-		tab.Rows = append(tab.Rows, row)
-	}
-	tab.Notes = append(tab.Notes,
-		"probing every family lets the runtime discover correlations the column-sharing heuristic misses")
-	return tab, nil
-}
-
-func srcWithoutBound(src string) string {
-	if i := indexOf(src, " ERROR WITHIN"); i >= 0 {
-		return src[:i]
-	}
-	return src
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 // AblationAffinity quantifies the locality-aware cluster model: for each
 // sample family of the Conviva catalog, the largest resolution's blocks
 // are priced (a) as built — striped across the cluster — and (b) piled
@@ -161,8 +86,7 @@ func AblationAffinity(cfg Config) (*Table, error) {
 	}
 	// The exact pricing path the runtime uses for sample reads.
 	price := func(blocks []*storage.Block) (float64, error) {
-		return elp.PriceBlockRead(env.Clus, cluster.BlinkDBEngine, blocks,
-			env.Scale, elp.DefaultShuffleFraction)
+		return elp.PriceBlockRead(env.Clus, blocks, env.Scale)
 	}
 	for _, f := range entry.Families {
 		name := f.Label()

@@ -27,7 +27,6 @@ func All() []Experiment {
 		{"ola", "BlinkDB vs online aggregation", OnlineVsOffline},
 		{"abl-affinity", "ablation: shard-affine locality & placement pricing", AblationAffinity},
 		{"abl-delta", "ablation: §4.4 delta-block reuse", AblationDeltaReuse},
-		{"abl-probe", "ablation: §4.1.1 probe-all vs subset", AblationProbeAll},
 		{"abl-milp", "ablation: exact B&B vs greedy solver", AblationMILP},
 		{"abl-skew", "ablation: tail-count vs kurtosis metric", AblationSkewMetric},
 	}

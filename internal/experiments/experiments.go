@@ -75,14 +75,6 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// TotalDatasetRows returns the Conviva + TPC-H row counts this config
-// generates after defaulting — the denominator for coarse rows/s
-// throughput metrics (cmd/blinkdb-bench's JSON snapshot).
-func (c Config) TotalDatasetRows() int {
-	c = c.normalize()
-	return c.ConvivaRows + c.TPCHRows
-}
-
 // Quick returns a reduced configuration for fast test runs.
 func Quick() Config {
 	return Config{ConvivaRows: 30000, TPCHRows: 20000, Seed: 42, Instances: 3, Nodes: 100}

@@ -329,16 +329,6 @@ func TestAblationAffinitySkewStrictlySlower(t *testing.T) {
 	}
 }
 
-func TestAblationProbeAllRuns(t *testing.T) {
-	tab, err := AblationProbeAll(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-}
-
 func TestAblationMILPExactNotWorse(t *testing.T) {
 	tab, err := AblationMILP(Quick())
 	if err != nil {

@@ -3,11 +3,11 @@ package telemetry
 import "sync/atomic"
 
 // ServerMetrics aggregates the serving-layer signals blinkdb-server
-// reports on /stats and blinkdb-bench folds into its snapshot: admission
-// outcomes and the latency shape of streaming sessions. The interesting
-// serving quantity is the gap between TimeToFirstAnswer and TimeToFinal —
-// how much sooner a streaming client has *an* answer than *the* answer —
-// plus how long admitted queries waited in the queue before scanning.
+// reports on /stats: admission outcomes and the latency shape of streaming
+// sessions. The interesting serving quantity is the gap between
+// TimeToFirstAnswer and TimeToFinal — how much sooner a streaming client
+// has *an* answer than *the* answer — plus how long admitted queries waited
+// in the queue before scanning.
 //
 // The zero value is ready to use; all methods are safe for concurrent use
 // and nil-safe, so call sites can thread an optional *ServerMetrics

@@ -24,8 +24,7 @@
 // nothing, so the scan-shaped metrics (rows, bytes, bounds) are recorded
 // only for executed queries (Observation.Executed), keeping the
 // microsecond-scale hit path cheap. The enabled end-to-end overhead is
-// tracked by blinkdb-bench's telemetry record (qps with the registry on
-// vs off on the result-cache replay).
+// the benchmark's trace.overhead_fraction (go run ./benchmark -trace 1).
 //
 // # Merge semantics
 //

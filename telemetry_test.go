@@ -1,6 +1,8 @@
 package blinkdb
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -115,6 +117,23 @@ func TestQueryTracedSpanAccounting(t *testing.T) {
 	}
 	if !strings.Contains(warm.Render(), "result=hit") {
 		t.Errorf("warm QueryTraced should hit:\n%s", warm.Render())
+	}
+
+	// Engine traces export as Chrome trace events, one per span.
+	spans := 0
+	for _, x := range []*telemetry.Trace{tr, warm} {
+		x.Walk(func(*telemetry.Span, int) { spans++ })
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteChrome(&buf, []*telemetry.Trace{tr, warm}); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("chrome export is not a JSON array: %v", err)
+	}
+	if len(events) != spans {
+		t.Errorf("chrome export has %d events for %d spans", len(events), spans)
 	}
 }
 
