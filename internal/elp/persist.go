@@ -41,8 +41,14 @@ import (
 // a warmup blob can only ever point at samples the engine actually
 // loaded.
 
-// warmupVersion versions the elp warmup blob layout.
-const warmupVersion = 1
+// warmupVersion versions the elp warmup blob: its layout, and the
+// arithmetic behind the estimates it carries. Version 2 has version 1's
+// layout; it marks answers and probe WeightedMatched computed from per-class
+// moments (stats.Acc), whose last bits differ from version 1's per-row
+// weighted sums — replaying those beside freshly computed ones would break
+// restart bit-identity, so a version 1 blob is refused and both caches warm
+// lazily.
+const warmupVersion = 2
 
 // warmupCRC is the blob's integrity check (CRC32-Castagnoli, matching
 // the segment format). The segment layer already checksums the meta

@@ -10,11 +10,12 @@ import (
 )
 
 // TestSpanScanSteadyStateZeroAlloc pins the span scan at zero allocations
-// once the scratch (bitmaps, index and gather buffers, the per-chunk
-// dictionary verdict tables and group cache) and the group states are
-// warm, over chunks of many blocks and every lane: the single-group fold
-// from a selection, the staged dictionary GROUP BY, the all-rows fold by
-// runs of an RLE GROUP BY column, and per-run sampling rates under a cap.
+// once the scratch (bitmaps, index buffers, the per-chunk dictionary
+// verdict, group and slot tables) and the group states — their weight
+// classes included — are warm, over chunks of many blocks and every lane:
+// the single-group fold from a selection, the per-code fold of a dictionary
+// GROUP BY, the staged fold of a filtered RLE one and its all-rows fold by
+// runs, and a span cut at every change of sampling rate under a cap.
 // COUNT/SUM/AVG only: quantile accumulators buffer samples by design.
 func TestSpanScanSteadyStateZeroAlloc(t *testing.T) {
 	sorted := stratSortedTable(t, true)              // 128-row blocks, strata sorted: runs, tight zones

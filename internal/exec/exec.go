@@ -177,6 +177,9 @@ type planRuntime struct {
 	// conjunction of them (nil otherwise) — the precondition for the
 	// all-true zone shortcut (see zoneImpliesPred).
 	leaves []*types.CmpPred
+	// sel is the predicate as the columnar scan evaluates it (see
+	// mergeIntervals).
+	sel types.Predicate
 }
 
 func newPlanRuntime(pred types.Predicate) *planRuntime {
@@ -187,6 +190,7 @@ func newPlanRuntime(pred types.Predicate) *planRuntime {
 		pred:   types.CompilePredicate(pred),
 		bounds: boundList(ColumnBounds(pred)),
 		leaves: conjunctiveLeaves(pred),
+		sel:    mergeIntervals(pred),
 	}
 }
 
@@ -384,11 +388,9 @@ type groupState struct {
 	key  []types.Value
 	accs []*stats.Acc
 
-	// batchRows/batchRates stage this group's selected rows while one
-	// span is scanned (vector.go); they are drained and reset before the
-	// scan moves to the next span.
-	batchRows  []int32
-	batchRates []float64
+	// batchRows stages this group's selected rows during one fold
+	// (vector.go); it is drained and reset before the next.
+	batchRows []int32
 }
 
 // newGroupState initialises a group for the given (possibly nil) first row.
@@ -421,12 +423,13 @@ func (gs *groupState) keyMatches(row types.Row, groupBy []int) bool {
 // per-group aggregate states plus the scan counters. Partials from
 // disjoint ranges combine associatively via MergePartials.
 type Partial struct {
-	// RowsScanned, RowsMatched, WeightedMatched, MaxMatchedStratumFreq
-	// and BytesScanned mirror the same fields on Result, restricted to
-	// this partial's block range.
+	// RowsScanned, RowsMatched, MaxMatchedStratumFreq and BytesScanned
+	// mirror the same fields on Result, restricted to this partial's block
+	// range. WeightedMatched is Result's as a tally — matching rows counted
+	// by weight 1/rate — so it merges exactly, whatever the partition.
 	RowsScanned           int64
 	RowsMatched           int64
-	WeightedMatched       float64
+	WeightedMatched       stats.Tally
 	MaxMatchedStratumFreq int64
 	BytesScanned          int64
 
@@ -466,7 +469,7 @@ func (pt *Partial) findGroup(p *Plan, row types.Row) *groupState {
 func (pt *Partial) addMatched(p *Plan, row types.Row, rate float64, stratumFreq int64) {
 	pt.RowsMatched++
 	if rate > 0 {
-		pt.WeightedMatched += 1 / rate
+		pt.WeightedMatched.Add(1/rate, 1)
 	}
 	if stratumFreq > pt.MaxMatchedStratumFreq {
 		pt.MaxMatchedStratumFreq = stratumFreq
@@ -555,7 +558,7 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*stor
 		case jr != nil:
 			pt.scanSpanJoin(p, in, open, sc, jr)
 		default:
-			pt.scanSpan(p, in, open, sc)
+			pt.scanSpan(p, rt, in, open, sc)
 		}
 		open.d = nil
 	}
@@ -609,7 +612,7 @@ type Merger struct {
 	merged                map[uint64][]*groupState
 	rowsScanned           int64
 	rowsMatched           int64
-	weightedMatched       float64
+	weightedMatched       stats.Tally
 	maxMatchedStratumFreq int64
 	bytesScanned          int64
 }
@@ -643,15 +646,16 @@ func (m *Merger) fold(pt *Partial) {
 	}
 	m.rowsScanned += pt.RowsScanned
 	m.rowsMatched += pt.RowsMatched
-	m.weightedMatched += pt.WeightedMatched
 	m.bytesScanned += pt.BytesScanned
 	if pt.MaxMatchedStratumFreq > m.maxMatchedStratumFreq {
 		m.maxMatchedStratumFreq = pt.MaxMatchedStratumFreq
 	}
 	if m.owned && len(m.merged) == 0 {
-		m.merged = pt.groups
+		// No row has matched yet: the partial's groups and weights move in.
+		m.merged, m.weightedMatched = pt.groups, pt.WeightedMatched
 		return
 	}
+	m.weightedMatched.Merge(&pt.WeightedMatched)
 	for h, bucket := range pt.groups {
 		for _, gs := range bucket {
 			dst, fresh := findMerged(m.merged, h, gs, m.owned)
@@ -681,7 +685,7 @@ func (m *Merger) Finish(confidence float64) *Result {
 		Confidence:            confidence,
 		RowsScanned:           m.rowsScanned,
 		RowsMatched:           m.rowsMatched,
-		WeightedMatched:       m.weightedMatched,
+		WeightedMatched:       m.weightedMatched.Sum(),
 		MaxMatchedStratumFreq: m.maxMatchedStratumFreq,
 		BytesScanned:          m.bytesScanned,
 	}

@@ -175,7 +175,8 @@ type joinRuntime struct {
 	// fact columns at [0, factW) and each dimension after the previous.
 	factW int
 	// factPred is the conjunction of predicate conjuncts that reference
-	// only fact columns (nil: no fact-side filtering).
+	// only fact columns, as the columnar scan evaluates it (see
+	// mergeIntervals; nil: no fact-side filtering).
 	factPred types.Predicate
 	// restPred is the compiled remainder (nil: always true). factPred AND
 	// restPred ≡ the plan predicate.
@@ -195,7 +196,9 @@ func newJoinRuntime(p *Plan, joins []JoinSpec) *joinRuntime {
 		jr.idxs = append(jr.idxs, buildJoinIndex(j))
 	}
 	factPred, restPred := splitJoinPred(p.Pred, factW)
-	jr.factPred = factPred
+	if factPred != nil {
+		jr.factPred = mergeIntervals(factPred)
+	}
 	if restPred != nil {
 		jr.restPred = types.CompilePredicate(restPred)
 	}

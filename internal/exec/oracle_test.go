@@ -36,10 +36,12 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 	}
 	res := &Result{Confidence: conf}
 	merged := map[string]*group{}
-	// Per-range state (one accumulator set and one weight sum per range,
-	// folded in range order) and the current fact row's sampling metadata.
+	// Per-range state (one accumulator set per range, folded in range
+	// order), the scan's weight tally and the current fact row's sampling
+	// metadata.
 	var part map[string]*group
-	var weighted, rate float64
+	var weighted stats.Tally
+	var rate float64
 	var freq int64
 	// expand walks the join chain depth-first in dimension scan order; with
 	// no joins it visits the fact row once.
@@ -59,7 +61,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 		}
 		res.RowsMatched++
 		if rate > 0 {
-			weighted += 1 / rate
+			weighted.Add(1/rate, 1)
 		}
 		if freq > res.MaxMatchedStratumFreq {
 			res.MaxMatchedStratumFreq = freq
@@ -90,7 +92,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 		}
 	}
 	for _, r := range scanRanges(in.Blocks) {
-		part, weighted = map[string]*group{}, 0
+		part = map[string]*group{}
 		for _, b := range in.Blocks[r.Lo:r.Hi] {
 			res.BytesScanned += b.Bytes
 			for i := 0; i < b.NumRows(); i++ {
@@ -103,7 +105,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 				expand(b.RowAt(i), 0)
 			}
 		}
-		res.WeightedMatched += weighted
+		res.WeightedMatched = weighted.Sum()
 		for k, g := range part {
 			if have := merged[k]; have != nil {
 				for ai := range have.accs {

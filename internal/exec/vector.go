@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"blinkdb/internal/colstore"
@@ -22,13 +23,16 @@ import (
 //
 // BIT-IDENTITY CONTRACT: for any span, the scan must produce exactly the
 // state a naive row-at-a-time evaluation would (the reference oracle in
-// oracle_test.go): the same rows selected, the same groups created, and —
-// because floating-point addition is not associative — every per-group
-// accumulator fed the same (x, rate) pairs in the same row order, and
-// WeightedMatched summed in row order. The kernels below therefore
-// reorder work only in ways invisible to IEEE arithmetic (hoisting
-// loop-invariant weight math, batching per-group accumulation without
-// changing each group's row order).
+// oracle_test.go): the same rows selected and the same groups created. What
+// is pinned beyond that is what stats.Acc keeps. Per (group, aggregate,
+// weight class) — the rows of one group that share a derived sampling rate
+// — floating-point addition is not associative, so the class's x values are
+// added in row order; nothing else about a fold is order-sensitive, because
+// a weight meets a sum only in Acc.Estimate, once per class. Per partial,
+// WeightedMatched is an exact weight → count tally. The kernels below
+// therefore reorder work freely across groups, aggregates and classes — one
+// pass per aggregate, one slot per dictionary code, a span cut wherever its
+// derived rate changes — and never within a class.
 
 // colScratch holds buffers reused across the spans one worker scans, so
 // steady-state scanning allocates nothing.
@@ -36,11 +40,10 @@ type colScratch struct {
 	sel     []uint64   // selection bitmap
 	free    [][]uint64 // temp bitmaps for AND/OR subtrees
 	idxs    []int32    // selected row indices, ascending
-	xs      []float64  // gathered aggregate inputs
-	rs      []float64  // gathered per-row rates
+	xs      []float64  // aggregate inputs gathered past NULLs
 	keybuf  []types.Value
 	rowbuf  types.Row
-	touched []*groupState // groups staged during the current span
+	touched []*groupState // groups staged during the current fold
 
 	// passTabs holds, per (dictionary column, comparison leaf), the leaf's
 	// verdict for every dictionary code. A dictionary is chunk-wide, so the
@@ -55,11 +58,18 @@ type colScratch struct {
 	codeCol *colstore.Column
 	codePT  *Partial
 
-	// rowPool/ratePool recycle the per-group staging buffers across
-	// blocks and partials (group states die with their partial; their
-	// buffers shouldn't).
-	rowPool  [][]int32
-	ratePool [][]float64
+	// The per-code fold's tables, indexed by dictionary code like codeGS:
+	// how many of the rows being folded carry the code (all zero between
+	// folds), the codes that do, and the moments each adds to for the
+	// aggregate in hand.
+	codeCnt   []int32
+	codeSeen  []uint32
+	codeSlots []*stats.Moments
+
+	// rowPool recycles the per-group staging buffers across spans and
+	// partials (group states die with their partial; their buffers
+	// shouldn't).
+	rowPool [][]int32
 }
 
 // scratchPool recycles scan scratch across scans: a span can be a whole
@@ -75,6 +85,7 @@ func getScratch() *colScratch { return scratchPool.Get().(*colScratch) }
 func putScratch(sc *colScratch) {
 	clear(sc.passTabs)
 	clear(sc.codeGS[:cap(sc.codeGS)])
+	clear(sc.codeSlots[:cap(sc.codeSlots)])
 	sc.codeCol, sc.codePT = nil, nil
 	clear(sc.keybuf[:cap(sc.keybuf)])
 	clear(sc.rowbuf[:cap(sc.rowbuf)])
@@ -87,28 +98,16 @@ type passKey struct {
 	leaf *types.CmpPred
 }
 
-func (sc *colScratch) getBatchBufs() ([]int32, []float64) {
-	var rows []int32
-	var rates []float64
+func (sc *colScratch) getBatchRows() []int32 {
 	if k := len(sc.rowPool); k > 0 {
-		rows = sc.rowPool[k-1]
+		rows := sc.rowPool[k-1]
 		sc.rowPool = sc.rowPool[:k-1]
-	} else {
-		rows = make([]int32, 0, 64)
+		return rows
 	}
-	if k := len(sc.ratePool); k > 0 {
-		rates = sc.ratePool[k-1]
-		sc.ratePool = sc.ratePool[:k-1]
-	} else {
-		rates = make([]float64, 0, 64)
-	}
-	return rows, rates
+	return make([]int32, 0, 64)
 }
 
-func (sc *colScratch) putBatchBufs(rows []int32, rates []float64) {
-	sc.rowPool = append(sc.rowPool, rows[:0])
-	sc.ratePool = append(sc.ratePool, rates[:0])
-}
+func (sc *colScratch) putBatchRows(rows []int32) { sc.rowPool = append(sc.rowPool, rows[:0]) }
 
 func (sc *colScratch) bitmap(n int) []uint64 {
 	words := (n + 63) / 64
@@ -205,6 +204,29 @@ func bitmapSetRange(dst []uint64, lo, hi int) {
 	dst[hiW] |= hiMask
 }
 
+// bitmapCount returns how many bits are set.
+func bitmapCount(bm []uint64) int {
+	n := 0
+	for _, w := range bm {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// bitmapCountRange returns how many of bits [lo, hi) are set.
+func bitmapCountRange(bm []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	loW, hiW := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if loW == hiW {
+		return bits.OnesCount64(bm[loW] & loMask & hiMask)
+	}
+	return bits.OnesCount64(bm[loW]&loMask) + bitmapCount(bm[loW+1:hiW]) + bits.OnesCount64(bm[hiW]&hiMask)
+}
+
 // patchNulls forces the selection outcome of every NULL row to b. nulls is
 // the chunk's bitmap from dst's first word on (see evalPred on the tail).
 func patchNulls(dst, nulls []uint64, b bool) {
@@ -264,6 +286,20 @@ func evalPred(pred types.Predicate, d *colstore.Data, base, n int, dst []uint64,
 		bitmapFill(dst, n, true)
 	case *types.CmpPred:
 		evalCmp(t, d, base, n, dst, sc)
+	case *intervalPred:
+		col := &d.Cols[t.col]
+		switch {
+		case col.Enc != colstore.EncInt:
+			evalPred(&t.AndPred, d, base, n, dst, sc) // leaf by leaf
+			return
+		case t.empty:
+			bitmapFill(dst, n, false)
+		default:
+			intsInRange(col.Ints[base:base+n], t.lo, t.hi, dst)
+		}
+		if col.Nulls != nil {
+			patchNulls(dst, col.Nulls[base>>6:], t.nullPass)
+		}
 	case *types.AndPred:
 		if len(t.Kids) == 0 {
 			bitmapFill(dst, n, true) // empty AND is true, as in Eval
@@ -385,7 +421,7 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 				blk := codes[off:min(off+64, n)]
 				var w uint64
 				j := 0
-				for ; j+8 <= len(blk); j += 8 { // see intsBelow
+				for ; j+8 <= len(blk); j += 8 { // see intsInRange
 					q := blk[j : j+8 : j+8]
 					b := b2u(tab[q[0]]) | b2u(tab[q[1]])<<1 | b2u(tab[q[2]])<<2 | b2u(tab[q[3]])<<3 |
 						b2u(tab[q[4]])<<4 | b2u(tab[q[5]])<<5 | b2u(tab[q[6]])<<6 | b2u(tab[q[7]])<<7
@@ -509,65 +545,231 @@ func cmpFloats(xs []float64, c float64, dst []uint64, lt, eq, gt bool) {
 }
 
 // cmpInts compares an int column against c. Integers have no unordered
-// case, so every (lt, eq, gt) acceptance triple is x < k, x == k, or the
-// complement of one of them: the inner loops do one comparison per
-// element, and the complement is a pass over the finished words.
+// case, so every (lt, eq, gt) acceptance triple is a closed interval of
+// int64 — one-sided for an order test, the single point c for = — or the
+// complement of one: there is one compare loop, intsInRange.
 func cmpInts(xs []int64, c int64, dst []uint64, lt, eq, gt bool) {
 	n := len(xs)
 	switch {
 	case lt == eq && eq == gt: // nothing passes, or everything
 		bitmapFill(dst, n, lt)
-	case lt != gt: // an order test, complemented when the upper side passes
-		k := c        // <  is x < c,    >= its complement
-		if lt == eq { // <= is x < c+1,  >  its complement
-			if c == math.MaxInt64 {
-				bitmapFill(dst, n, lt)
-				return
-			}
-			k = c + 1
-		}
-		intsBelow(xs, k, dst)
-		if gt {
-			bitmapNot(dst, n)
+	case lt != gt: // an order test
+		if lo, hi, ok := orderInterval(c, lt, eq); ok {
+			intsInRange(xs, lo, hi, dst)
+		} else {
+			bitmapFill(dst, n, false)
 		}
 	default: // = and, complemented, <>
-		intsEqual(xs, c, dst)
+		intsInRange(xs, c, c, dst)
 		if lt {
 			bitmapNot(dst, n)
 		}
 	}
 }
 
-// intsBelow sets bit i of dst where xs[i] < k. Eight verdicts are packed
-// with constant shifts before one variable shift places them: the variable
-// shift is the expensive instruction here.
-func intsBelow(xs []int64, k int64, dst []uint64) {
+// orderInterval returns the closed interval [lo, hi] of int64 that passes
+// an order test against c — below c when lt, above it otherwise, c itself
+// when eq — and ok false when nothing can (x < MinInt64, x > MaxInt64).
+func orderInterval(c int64, lt, eq bool) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch {
+	case lt && eq:
+		hi = c
+	case lt:
+		if c == math.MinInt64 {
+			return 0, 0, false
+		}
+		hi = c - 1
+	case eq:
+		lo = c
+	default:
+		if c == math.MaxInt64 {
+			return 0, 0, false
+		}
+		lo = c + 1
+	}
+	return lo, hi, true
+}
+
+// intsInRange sets bit i of dst where lo ≤ xs[i] ≤ hi (lo ≤ hi), as one
+// unsigned comparison: x−lo wraps below lo to past every width, so
+// uint64(x−lo) ≤ uint64(hi−lo) tests both sides at once. Eight verdicts are
+// packed with constant shifts before one variable shift places them: the
+// variable shift is the expensive instruction here.
+func intsInRange(xs []int64, lo, hi int64, dst []uint64) {
+	ulo, width := uint64(lo), uint64(hi)-uint64(lo)
 	for base := 0; base < len(xs); base += 64 {
 		blk := xs[base:min(base+64, len(xs))]
 		var w uint64
 		j := 0
 		for ; j+8 <= len(blk); j += 8 {
 			q := blk[j : j+8 : j+8]
-			b := b2u(q[0] < k) | b2u(q[1] < k)<<1 | b2u(q[2] < k)<<2 | b2u(q[3] < k)<<3 |
-				b2u(q[4] < k)<<4 | b2u(q[5] < k)<<5 | b2u(q[6] < k)<<6 | b2u(q[7] < k)<<7
+			b := b2u(uint64(q[0])-ulo <= width) | b2u(uint64(q[1])-ulo <= width)<<1 |
+				b2u(uint64(q[2])-ulo <= width)<<2 | b2u(uint64(q[3])-ulo <= width)<<3 |
+				b2u(uint64(q[4])-ulo <= width)<<4 | b2u(uint64(q[5])-ulo <= width)<<5 |
+				b2u(uint64(q[6])-ulo <= width)<<6 | b2u(uint64(q[7])-ulo <= width)<<7
 			w |= b << (uint(j) & 63)
 		}
 		for ; j < len(blk); j++ {
-			w |= b2u(blk[j] < k) << (uint(j) & 63)
+			w |= b2u(uint64(blk[j])-ulo <= width) << (uint(j) & 63)
 		}
 		dst[base>>6] = w
 	}
 }
 
-// intsEqual sets bit i of dst where xs[i] == k.
-func intsEqual(xs []int64, k int64, dst []uint64) {
-	for base := 0; base < len(xs); base += 64 {
-		var w uint64
-		for j, v := range xs[base:min(base+64, len(xs))] {
-			w |= b2u(v == k) << uint(j)
-		}
-		dst[base>>6] = w
+// interval is a closed interval [lo, hi] of int64, or no int at all.
+type interval struct {
+	lo, hi int64
+	empty  bool
+}
+
+// intervalPred is a conjunction of two or more order comparisons of one
+// column against numeric constants — dt >= lo AND dt < hi — with the
+// interval of int64 they select worked out when the plan is compiled. Over
+// an int-encoded chunk column it is one intsInRange pass where the leaves
+// would each take their own and an AND; over any other encoding it is
+// evaluated as the conjunction it embeds. Float columns are left to their
+// leaves: a NaN takes each side's eq verdict separately, which no interval
+// reproduces.
+type intervalPred struct {
+	types.AndPred
+	col int
+	interval
+	// nullPass is a NULL row's verdict. NULL sorts before every number: it
+	// passes upper bounds and fails any lower bound.
+	nullPass bool
+}
+
+// orderLeaf returns p as a comparison leaf and the interval of int64 that
+// passes it over an int-encoded column, when p is an order comparison (<,
+// <=, >, >=) against a constant for which there is one (see normIntCmp for
+// float and bool constants); a nil leaf otherwise.
+func orderLeaf(p types.Predicate) (*types.CmpPred, interval) {
+	t, ok := p.(*types.CmpPred)
+	if !ok {
+		return nil, interval{}
 	}
+	lt, eq, gt := opFlags(t.Op)
+	if lt == gt {
+		return nil, interval{}
+	}
+	c := t.Val.I
+	switch t.Val.Kind {
+	case types.KindInt:
+	case types.KindFloat, types.KindBool:
+		switch plan := normIntCmp(t.Val.AsFloat(), lt, eq, gt); plan.mode {
+		case normFill:
+			return t, interval{math.MinInt64, math.MaxInt64, !plan.fill}
+		case normInt:
+			c, lt, eq = plan.c, plan.lt, plan.eq
+		default:
+			return nil, interval{}
+		}
+	default:
+		return nil, interval{}
+	}
+	lo, hi, ok := orderInterval(c, lt, eq)
+	return t, interval{lo, hi, !ok}
+}
+
+// mergeIntervals returns pred as the scan evaluates it: the same tree with
+// every conjunction flattened (the parser nests a AND b AND c two by two)
+// and its order leaves that share a column folded into one intervalPred. A
+// predicate with nothing to fold is returned as it is.
+func mergeIntervals(pred types.Predicate) types.Predicate {
+	switch t := pred.(type) {
+	case *types.AndPred:
+		kids, changed := conjuncts(t, make([]types.Predicate, 0, 4))
+		if folded := foldOrderLeaves(kids); folded != nil {
+			kids, changed = folded, true
+		}
+		switch {
+		case !changed:
+			return t
+		case len(kids) == 1:
+			return kids[0]
+		}
+		return &types.AndPred{Kids: kids}
+	case *types.OrPred:
+		var kids []types.Predicate
+		for i, k := range t.Kids {
+			if m := mergeIntervals(k); m != k {
+				if kids == nil {
+					kids = slices.Clone(t.Kids)
+				}
+				kids[i] = m
+			}
+		}
+		if kids != nil {
+			return &types.OrPred{Kids: kids}
+		}
+	case *types.NotPred:
+		if kid := mergeIntervals(t.Kid); kid != t.Kid {
+			return &types.NotPred{Kid: kid}
+		}
+	}
+	return pred
+}
+
+// conjuncts appends to out the kids of t, those of conjunctions nested in it
+// inlined and the rest as mergeIntervals returns them; changed says whether
+// any came back different.
+func conjuncts(t *types.AndPred, out []types.Predicate) (_ []types.Predicate, changed bool) {
+	for _, k := range t.Kids {
+		if and, ok := k.(*types.AndPred); ok {
+			var c bool
+			out, c = conjuncts(and, out)
+			changed = changed || c
+			continue
+		}
+		m := mergeIntervals(k)
+		changed = changed || m != k
+		out = append(out, m)
+	}
+	return out, changed
+}
+
+// foldOrderLeaves replaces, among a conjunction's kids, the order leaves of
+// every column that has two or more by their intervalPred, in the first
+// one's place. It returns nil when no column has two.
+func foldOrderLeaves(kids []types.Predicate) []types.Predicate {
+	shared := func(i, col int) bool {
+		for j, k := range kids {
+			if t, _ := orderLeaf(k); j != i && t != nil && t.ColIdx == col {
+				return true
+			}
+		}
+		return false
+	}
+	var out []types.Predicate
+	for i, k := range kids {
+		t, one := orderLeaf(k)
+		if t == nil || !shared(i, t.ColIdx) {
+			if out != nil {
+				out = append(out, k)
+			}
+			continue
+		}
+		if out == nil {
+			out = append(make([]types.Predicate, 0, len(kids)-1), kids[:i]...)
+		}
+		var iv *intervalPred
+		for _, o := range out {
+			if have, ok := o.(*intervalPred); ok && have.col == t.ColIdx {
+				iv = have
+			}
+		}
+		if iv == nil {
+			iv = &intervalPred{AndPred: types.AndPred{Kids: make([]types.Predicate, 0, 2)}, col: t.ColIdx,
+				interval: interval{lo: math.MinInt64, hi: math.MaxInt64}, nullPass: true}
+			out = append(out, iv)
+		}
+		iv.Kids = append(iv.Kids, t)
+		iv.lo, iv.hi = max(iv.lo, one.lo), min(iv.hi, one.hi)
+		iv.empty = iv.empty || one.empty || iv.lo > iv.hi
+		iv.nullPass = iv.nullPass && (t.Op == types.CmpLt || t.Op == types.CmpLe)
+	}
+	return out
 }
 
 // intCmpMode says how a float-constant comparison over an int column was
@@ -764,24 +966,21 @@ func (s span) extends(next span) bool {
 	return s.d == next.d && s.hi == next.lo && s.allTrue == next.allTrue && s.metaRun == next.metaRun
 }
 
-// rowSel is the rows of a span that one group folds, ascending: idxs, or
-// every row of [lo, hi) when idxs is nil.
+// rowSel is the n rows of a span that one fold takes, ascending: listed in
+// idxs, or — idxs nil — every row of [lo, hi). A fold that only counts (see
+// Plan.readsRows) is handed n alone.
 type rowSel struct {
+	n      int
 	idxs   []int32
 	lo, hi int
 }
 
-func (s rowSel) len() int {
-	if s.idxs != nil {
-		return len(s.idxs)
-	}
-	return s.hi - s.lo
-}
+func (s rowSel) contiguous() bool { return s.idxs == nil }
 
 // rows returns the selection as explicit indices, writing a contiguous one
 // out into the scratch index buffer.
 func (s rowSel) rows(sc *colScratch) []int32 {
-	if s.idxs != nil {
+	if !s.contiguous() {
 		return s.idxs
 	}
 	idxs := sc.idxs[:0]
@@ -790,6 +989,51 @@ func (s rowSel) rows(sc *colScratch) []int32 {
 	}
 	sc.idxs = idxs[:0]
 	return idxs
+}
+
+// rowsOf lists the n set bits of bm (bit k is chunk row base+k), ascending,
+// in the scratch index buffer.
+func (sc *colScratch) rowsOf(bm []uint64, base, n int) []int32 {
+	if cap(sc.idxs) < n {
+		sc.idxs = make([]int32, n)
+	}
+	idxs := sc.idxs[:n]
+	k := 0
+	for wi, w := range bm {
+		at := int32(base + wi<<6)
+		for ; w != 0; w &= w - 1 {
+			idxs[k] = at + int32(bits.TrailingZeros64(w))
+			k++
+		}
+	}
+	return idxs
+}
+
+// plainCol reports whether every row of the column has a value in a typed
+// slice the folds read in place: no NULLs, no runs, no mixed kinds.
+func plainCol(c *colstore.Column) bool {
+	return c.Nulls == nil && c.Enc != colstore.EncValue && c.Enc != colstore.EncRLE
+}
+
+// countsAs reports whether the aggregate over chunk d adds one per selected
+// row whatever the row holds: COUNT(*), or COUNT of a column without NULLs.
+func (a *AggPlan) countsAs(d *colstore.Data) bool {
+	return a.Col < 0 || (a.Kind == stats.AggCount && plainCol(&d.Cols[a.Col]))
+}
+
+// readsRows reports whether scanning chunk d for p needs to know WHICH rows
+// a predicate selected, not just how many: anything but a global aggregate
+// of counts.
+func (p *Plan) readsRows(d *colstore.Data) bool {
+	if len(p.GroupBy) > 0 {
+		return true
+	}
+	for ai := range p.Aggs {
+		if !p.Aggs[ai].countsAs(d) {
+			return true
+		}
+	}
+	return false
 }
 
 // runRate returns the sampling rate the input derives for metadata run r,
@@ -819,140 +1063,133 @@ func (sc *colScratch) groupCache(pt *Partial, c *colstore.Column) []*groupState 
 }
 
 // scanSpan scans one span into the partial: selection into a bitmap
-// (skipped when the zones already proved the predicate), then grouping and
-// aggregation over the selected rows. A selection that folds into known
-// groups wholesale — no GROUP BY, or every row selected and a GROUP BY
-// column stored as runs — under one sampling rate aggregates straight from
-// the selection; anything else takes a row-order pass that stages each
-// selected row on its group, then aggregates group by group. See the
-// bit-identity contract at the top of the file.
-func (pt *Partial) scanSpan(p *Plan, in Input, s span, sc *colScratch) {
+// (skipped when the zones already proved the predicate), the bitmap into
+// row indices when anything reads rows (a count probe reads none: its
+// matches are the bitmap's population), then one fold per derived sampling
+// rate — the whole span when it lies in one metadata run, else cut where
+// the rate changes. See the bit-identity contract at the top of the file.
+func (pt *Partial) scanSpan(p *Plan, rt *planRuntime, in Input, s span, sc *colScratch) {
 	d, n := s.d, s.hi-s.lo
 	pt.RowsScanned += int64(n)
-	if cap(sc.idxs) < n {
-		sc.idxs = make([]int32, 0, n)
-	}
 
-	// 1. Selection.
-	sel := rowSel{lo: s.lo, hi: s.hi}
+	// 1. Selection. bm stays nil when every row is selected.
+	sel := rowSel{n: n, lo: s.lo, hi: s.hi}
+	var bm []uint64
+	base := 0
 	if !s.allTrue {
-		bm, base := sc.selectRows(p.Pred, s)
-		idxs := sc.idxs[:0]
-		for wi, w := range bm {
-			at := int32(base + wi<<6)
-			for w != 0 {
-				idxs = append(idxs, at+int32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-		if len(idxs) == 0 {
+		bm, base = sc.selectRows(rt.sel, s)
+		if sel.n = bitmapCount(bm); sel.n == 0 {
 			return
 		}
-		if len(idxs) < n { // else every row passed: the contiguous selection
-			sel.idxs = idxs
+		if sel.n == n {
+			bm = nil
+		} else if p.readsRows(d) {
+			sel.idxs = sc.rowsOf(bm, base, sel.n)
 		}
 	}
-	matched := sel.len()
-	pt.RowsMatched += int64(matched)
+	pt.RowsMatched += int64(sel.n)
 
-	// 2. Sampling rate. Inside one metadata run the rate (and its
-	// reciprocal) is computed once — the same value a per-row evaluation
-	// derives.
-	uniform := s.metaRun >= 0
-	var urate, uinv float64
-	if uniform {
-		if urate = pt.runRate(in, d, s.metaRun); urate > 0 {
-			uinv = 1 / urate
-		}
+	// 2. One sampling rate: one fold.
+	if s.metaRun >= 0 {
+		pt.fold(p, d, sel, pt.runRate(in, d, s.metaRun), sc)
+		return
 	}
 
-	// 3a. Wholesale folds: no row-order pass, no staging. AddBatch is a
-	// sequential fold, so handing one group's rows over in consecutive
-	// in-order calls reproduces the exact operation stream of feeding them
-	// one at a time.
-	if uniform {
-		var byRun *colstore.Column
-		if len(p.GroupBy) == 1 && sel.idxs == nil && d.Cols[p.GroupBy[0]].Enc == colstore.EncRLE {
-			byRun = &d.Cols[p.GroupBy[0]]
+	// 3. The span straddles metadata runs: fold each stretch of runs whose
+	// derived rates agree (a base table's strata differ in frequency, not in
+	// rate), consulting only runs that hold a selected row. Stretches ascend,
+	// so every group still sees its rows in row order.
+	idxs := sel.idxs
+	var seg rowSel
+	var segRate float64
+	for r, lo := d.MetaRunOf(s.lo), s.lo; lo < s.hi; r++ {
+		hi := min(int(d.MetaEnds[r]), s.hi)
+		m := hi - lo
+		if bm != nil {
+			m = bitmapCountRange(bm, lo-base, hi-base)
 		}
-		if len(p.GroupBy) == 0 || byRun != nil {
-			if urate > 0 {
-				wm := pt.WeightedMatched // one addition per row, in a register
-				for j := 0; j < matched; j++ {
-					wm += uinv
-				}
-				pt.WeightedMatched = wm
+		if m > 0 {
+			rate := pt.runRate(in, d, r)
+			if seg.n > 0 && rate != segRate {
+				seg.idxs, idxs = cut(idxs, seg.n)
+				pt.fold(p, d, seg, segRate, sc)
+				seg = rowSel{}
 			}
-			if byRun == nil {
-				pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, nil, urate, sc)
-				return
+			if seg.n == 0 {
+				seg.lo, segRate = lo, rate
 			}
-			keybuf := sc.keyBuf(1)
-			for lo, run := s.lo, byRun.RunOf(s.lo); lo < s.hi; run++ {
-				hi := min(int(byRun.RunEnds[run]), s.hi)
-				v := byRun.RunVals[run]
-				keybuf[0] = v
-				gs := pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
-				pt.accumulate(p, d, gs, rowSel{lo: lo, hi: hi}, nil, urate, sc)
-				lo = hi
-			}
-			return
+			seg.n, seg.hi = seg.n+m, hi
 		}
+		lo = hi
 	}
+	seg.idxs, _ = cut(idxs, seg.n)
+	pt.fold(p, d, seg, segRate, sc)
+}
 
-	// 3b. Row-order pass: sampling rate per metadata run crossed, scan
-	// counters, group staging.
-	idxs := sel.rows(sc)
-	var dictCol *colstore.Column
-	var codeGS []*groupState
-	var rleCol *colstore.Column
-	rleRun := 0
-	var rleGS *groupState
+// cut splits the first n indices off idxs (nil stays nil).
+func cut(idxs []int32, n int) (head, tail []int32) {
+	if idxs == nil {
+		return nil, nil
+	}
+	return idxs[:n], idxs[n:]
+}
+
+// fold feeds the selected rows, all sampled at rate, through grouping and
+// aggregation. A selection that falls into known groups wholesale — no
+// GROUP BY, or every row selected and a GROUP BY column stored as runs —
+// aggregates straight from the selection; a single dictionary GROUP BY
+// column folds per code (foldByCode); anything else takes a row-order pass
+// that stages each selected row on its group, then aggregates group by
+// group.
+func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, rate float64, sc *colScratch) {
+	if rate > 0 {
+		pt.WeightedMatched.Add(1/rate, int64(sel.n))
+	}
+	if len(p.GroupBy) == 0 {
+		pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, rate, sc)
+		return
+	}
+	keybuf := sc.keyBuf(len(p.GroupBy))
+	var dictCol, rleCol *colstore.Column
 	if len(p.GroupBy) == 1 {
 		switch c := &d.Cols[p.GroupBy[0]]; {
 		case c.Enc == colstore.EncDict && c.Nulls == nil:
-			dictCol, codeGS = c, sc.groupCache(pt, c)
+			dictCol = c
 		case c.Enc == colstore.EncRLE:
-			// Selected indices are ascending, so an advancing run cursor
-			// resolves the group once per RUN instead of once per row —
-			// the RLE payoff for GROUP BY stratification columns.
-			rleCol, rleRun = c, c.RunOf(int(idxs[0]))
+			rleCol = c
 		}
 	}
-	keybuf := sc.keyBuf(len(p.GroupBy))
-	var globalGS *groupState
+	if rleCol != nil && sel.contiguous() {
+		// Every row of [lo, hi): one fold per run of the GROUP BY column.
+		for lo, run := sel.lo, rleCol.RunOf(sel.lo); lo < sel.hi; run++ {
+			hi := min(int(rleCol.RunEnds[run]), sel.hi)
+			v := rleCol.RunVals[run]
+			keybuf[0] = v
+			gs := pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+			pt.accumulate(p, d, gs, rowSel{n: hi - lo, lo: lo, hi: hi}, rate, sc)
+			lo = hi
+		}
+		return
+	}
+	idxs := sel.rows(sc)
+	if dictCol != nil && pt.foldByCode(p, d, dictCol, idxs, rate, sc) {
+		return
+	}
 
-	// Even when metadata varies, the derived rates often don't (e.g. a
-	// base table whose stratum frequencies differ but whose rates are all
-	// 1). Track that: constant rates let aggregation hoist the weight math
-	// exactly as in the single-run case.
-	rate, inv, ratesEqual := urate, uinv, true
-	metaRun, metaEnd := s.metaRun, int32(s.hi)
-	if !uniform {
-		metaRun = d.MetaRunOf(int(idxs[0]))
-		metaEnd = d.MetaEnds[metaRun]
-		if rate = pt.runRate(in, d, metaRun); rate > 0 {
-			inv = 1 / rate
-		}
+	// Row-order pass: group staging.
+	var codeGS []*groupState
+	if dictCol != nil {
+		codeGS = sc.groupCache(pt, dictCol)
 	}
-	firstRate := rate
-	wm := pt.WeightedMatched // summed in row order, in a register
+	rleRun := 0
+	var rleGS *groupState
+	if rleCol != nil {
+		// Selected indices are ascending, so an advancing run cursor
+		// resolves the group once per RUN instead of once per row — the RLE
+		// payoff for GROUP BY stratification columns.
+		rleRun = rleCol.RunOf(int(idxs[0]))
+	}
 	for _, i32 := range idxs {
-		if i32 >= metaEnd { // crossed into a later metadata run
-			for metaRun++; d.MetaEnds[metaRun] <= i32; metaRun++ {
-			}
-			metaEnd = d.MetaEnds[metaRun]
-			if rate = pt.runRate(in, d, metaRun); rate > 0 {
-				inv = 1 / rate
-			}
-			if rate != firstRate {
-				ratesEqual = false
-			}
-		}
-		if rate > 0 {
-			wm += inv
-		}
-
 		var gs *groupState
 		switch {
 		case rleCol != nil:
@@ -967,19 +1204,7 @@ func (pt *Partial) scanSpan(p *Plan, in Input, s span, sc *colScratch) {
 			}
 			gs = rleGS
 		case dictCol != nil:
-			code := dictCol.Codes[i32]
-			gs = codeGS[code]
-			if gs == nil {
-				v := types.Str(dictCol.Dict[code])
-				keybuf[0] = v
-				gs = pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
-				codeGS[code] = gs
-			}
-		case len(p.GroupBy) == 0:
-			if globalGS == nil {
-				globalGS = pt.findGroupVals(p, nil, types.HashSeed)
-			}
-			gs = globalGS
+			gs = pt.codeGroup(p, dictCol, codeGS, dictCol.Codes[i32], keybuf)
 		default:
 			h := types.HashSeed
 			for ki, ci := range p.GroupBy {
@@ -990,85 +1215,116 @@ func (pt *Partial) scanSpan(p *Plan, in Input, s span, sc *colScratch) {
 			gs = pt.findGroupVals(p, keybuf, h)
 		}
 		if gs.batchRows == nil {
-			gs.batchRows, gs.batchRates = sc.getBatchBufs()
+			gs.batchRows = sc.getBatchRows()
 			sc.touched = append(sc.touched, gs)
 		}
 		gs.batchRows = append(gs.batchRows, i32)
-		if !uniform {
-			gs.batchRates = append(gs.batchRates, rate)
-		}
 	}
-	pt.WeightedMatched = wm
 
-	// 3c. Batched per-group aggregation. Each group's rows are fed to its
-	// accumulators in row order, so every Acc sees exactly the sequence a
-	// row-at-a-time evaluation would produce. A span whose derived rates
-	// turned out constant uses the hoisted-weight path with that shared
-	// rate — the per-row weights are the same values either way.
-	if ratesEqual {
-		uniform, urate = true, firstRate
-	}
+	// Per-group aggregation. Each group's rows are fed to its accumulators
+	// in row order.
 	for _, gs := range sc.touched {
-		rates := gs.batchRates
-		if uniform {
-			rates = nil
-		}
-		pt.accumulate(p, d, gs, rowSel{idxs: gs.batchRows}, rates, urate, sc)
-		sc.putBatchBufs(gs.batchRows, gs.batchRates)
-		gs.batchRows, gs.batchRates = nil, nil
+		rows := gs.batchRows
+		pt.accumulate(p, d, gs, rowSel{n: len(rows), idxs: rows}, rate, sc)
+		sc.putBatchRows(rows)
+		gs.batchRows = nil
 	}
 	sc.touched = sc.touched[:0]
 }
 
-// accumulate feeds one group's selected rows through every aggregate:
-// under the shared rate urate when rates is nil, else under rates, which
-// holds one rate per selected row.
-func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel rowSel, rates []float64, urate float64, sc *colScratch) {
-	m := sel.len()
+// codeGroup returns the group of dictionary code c of GROUP BY column col,
+// through the per-code cache.
+func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState, c uint32, keybuf []types.Value) *groupState {
+	gs := codeGS[c]
+	if gs == nil {
+		v := types.Str(col.Dict[c])
+		keybuf[0] = v
+		gs = pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+		codeGS[c] = gs
+	}
+	return gs
+}
+
+// foldByCode folds rows idxs, all sampled at rate, into the groups of the
+// single dictionary GROUP BY column col without staging them per group:
+// one pass counts the rows of each code — which is every COUNT already —
+// and then each aggregate makes one pass over the rows, adding each value
+// to the moments its code selects. Every group still sees its rows in row
+// order. It declines (false, nothing done) when an aggregate cannot be read
+// in place: a column with NULLs, runs or mixed kinds, or a quantile, which
+// retains its values.
+func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, idxs []int32, rate float64, sc *colScratch) bool {
+	for ai := range p.Aggs {
+		a := &p.Aggs[ai]
+		if a.Kind == stats.AggQuantile || (a.Col >= 0 && !plainCol(&d.Cols[a.Col])) {
+			return false
+		}
+	}
+	if nd := len(col.Dict); cap(sc.codeCnt) < nd {
+		sc.codeCnt, sc.codeSlots = make([]int32, nd), make([]*stats.Moments, nd)
+	}
+	codes, cnt, slots := col.Codes, sc.codeCnt[:len(col.Dict)], sc.codeSlots[:len(col.Dict)]
+	seen := sc.codeSeen[:0]
+	for _, i := range idxs {
+		c := codes[i]
+		if cnt[c] == 0 {
+			seen = append(seen, c)
+		}
+		cnt[c]++
+	}
+	sc.codeSeen = seen
+
+	codeGS := sc.groupCache(pt, col)
+	keybuf := sc.keyBuf(1)
+	for ai := range p.Aggs {
+		a := &p.Aggs[ai]
+		if a.countsAs(d) {
+			for _, c := range seen {
+				pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].AddCount(int(cnt[c]), rate)
+			}
+			continue
+		}
+		for _, c := range seen {
+			slots[c] = pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].Slot(int(cnt[c]), rate)
+		}
+		switch src := &d.Cols[a.Col]; src.Enc {
+		case colstore.EncFloat:
+			stats.FoldByCode(slots, codes, src.Floats, idxs)
+		case colstore.EncInt, colstore.EncBool:
+			stats.FoldByCode(slots, codes, src.Ints, idxs)
+		} // EncDict: strings aggregate as 0, which moves no moment
+	}
+	for _, c := range seen {
+		cnt[c] = 0
+	}
+	return true
+}
+
+// accumulate feeds one group's selected rows, all sampled at rate, through
+// every aggregate.
+func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel rowSel, rate float64, sc *colScratch) {
 	for ai := range p.Aggs {
 		a := &p.Aggs[ai]
 		acc := gs.accs[ai]
-		if a.Col < 0 {
-			acc.AddBatch(nil, rates, m, urate) // COUNT(*): every row contributes x = 1
+		if a.countsAs(d) {
+			acc.AddCount(sel.n, rate)
 			continue
 		}
 		col := &d.Cols[a.Col]
-		isCount := a.Kind == stats.AggCount
 
-		// Fast path: a typed column without NULLs — every selected row has
-		// a value, so the rates stay aligned with the selection, and a
-		// contiguous selection of floats is the column slice itself.
-		if col.Nulls == nil && col.Enc != colstore.EncValue && col.Enc != colstore.EncRLE {
-			if isCount {
-				acc.AddBatch(nil, rates, m, urate)
-				continue
-			}
-			var xs []float64
-			switch {
-			case col.Enc == colstore.EncFloat && sel.idxs == nil:
-				xs = col.Floats[sel.lo:sel.hi]
-			case col.Enc == colstore.EncFloat:
-				xs = growFloats(&sc.xs, m)
-				src := col.Floats
-				for j, ri := range sel.idxs {
-					xs[j] = src[ri]
-				}
-			case col.Enc == colstore.EncDict: // strings aggregate as 0 (Value.AsFloat)
-				xs = growFloats(&sc.xs, m)
+		// A typed column without NULLs folds in place: every selected row
+		// has a value.
+		if plainCol(col) {
+			switch col.Enc {
+			case colstore.EncFloat:
+				addRows(acc, col.Floats, sel, rate)
+			case colstore.EncInt, colstore.EncBool:
+				addRows(acc, col.Ints, sel, rate)
+			default: // EncDict: strings aggregate as 0 (Value.AsFloat)
+				xs := growFloats(&sc.xs, sel.n)
 				clear(xs)
-			case sel.idxs == nil: // EncInt, EncBool
-				xs = growFloats(&sc.xs, m)
-				for j, v := range col.Ints[sel.lo:sel.hi] {
-					xs[j] = float64(v)
-				}
-			default:
-				xs = growFloats(&sc.xs, m)
-				src := col.Ints
-				for j, ri := range sel.idxs {
-					xs[j] = float64(src[ri])
-				}
+				stats.AddRange(acc, xs, rate)
 			}
-			acc.AddBatch(xs, rates, m, urate)
 			continue
 		}
 
@@ -1076,18 +1332,14 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 		// row drops out of this aggregate only). Rows are ascending, so an
 		// RLE column resolves each run's value and NULL-ness once.
 		rows := sel.rows(sc)
-		xs := growFloats(&sc.xs, m)[:0]
-		var rs []float64
-		if rates != nil {
-			rs = growFloats(&sc.rs, m)[:0]
-		}
+		xs := growFloats(&sc.xs, sel.n)[:0]
 		run, runEnd := 0, int32(0)
 		var runVal types.Value
 		if col.Enc == colstore.EncRLE {
 			run = col.RunOf(int(rows[0]))
 			runEnd, runVal = col.RunEnds[run], col.RunVals[run]
 		}
-		for j, ri := range rows {
+		for _, ri := range rows {
 			var x float64
 			switch col.Enc {
 			case colstore.EncRLE:
@@ -1117,15 +1369,22 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 				} // EncDict: 0
 			}
 			xs = append(xs, x)
-			if rates != nil {
-				rs = append(rs, rates[j])
-			}
 		}
-		if isCount {
-			acc.AddBatch(nil, rs, len(xs), urate)
+		if a.Kind == stats.AggCount {
+			acc.AddCount(len(xs), rate)
 		} else {
-			acc.AddBatch(xs, rs, len(xs), urate)
+			stats.AddRange(acc, xs, rate)
 		}
+	}
+}
+
+// addRows folds the selected rows of the column src into acc, reading the
+// column in place.
+func addRows[T stats.Number](acc *stats.Acc, src []T, sel rowSel, rate float64) {
+	if sel.contiguous() {
+		stats.AddRange(acc, src[sel.lo:sel.hi], rate)
+	} else {
+		stats.AddIndexed(acc, src, sel.idxs, rate)
 	}
 }
 

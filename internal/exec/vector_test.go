@@ -4,26 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"blinkdb/internal/stats"
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
-
-func newAccForTest(name string) *stats.Acc {
-	switch name {
-	case "count":
-		return stats.NewAcc(stats.AggCount, 0)
-	case "sum":
-		return stats.NewAcc(stats.AggSum, 0)
-	case "avg":
-		return stats.NewAcc(stats.AggAvg, 0)
-	default:
-		return stats.NewAcc(stats.AggQuantile, 0.5)
-	}
-}
 
 // TestColumnarEquivalence is the acceptance criterion of the vectorized
 // scan: for every seed, block size, query shape, input kind and worker
@@ -186,50 +172,102 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 	checkOracle(t, "join", p, FromTable(tab), []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
 }
 
-// TestAddBatchMatchesAdd pins the stats contract the batched kernels rely
-// on: AddBatch must leave the accumulator bit-identical to per-row Add.
-func TestAddBatchMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 257
-	xs := make([]float64, n)
-	rates := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 100
-		rates[i] = 1 / float64(1+rng.Intn(5))
+// TestIntervalKernel holds the one int compare kernel — intsInRange, behind
+// every order comparison and equality of an int column, and behind the
+// interval leaves mergeIntervals folds conjunctions into — to the per-row
+// compiled closure, on the cases where an interval could go wrong: the ends
+// of int64 (x < MinInt64, x > MaxInt64, the c±1 that would overflow), empty
+// and contradictory ranges, NULLs (which sort below every number: they pass
+// any set of upper bounds and fail any lower bound), float and bool
+// constants (normIntCmp) and windows that start mid-word.
+func TestIntervalKernel(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "a", Kind: types.KindInt}, // with NULLs
+		types.Column{Name: "b", Kind: types.KindInt}, // without
+		types.Column{Name: "f", Kind: types.KindFloat},
+	)
+	tab := storage.NewTable("t", schema)
+	b := storage.NewBuilder(tab, 50, 1, storage.InMemory)
+	rng := rand.New(rand.NewSource(3))
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -3, -2, 0, 2, 3, 4, 1 << 53, math.MaxInt64 - 1, math.MaxInt64}
+	for i := 0; i < 700; i++ {
+		pick := func() types.Value {
+			if rng.Intn(3) == 0 {
+				return types.Int(edges[rng.Intn(len(edges))])
+			}
+			return types.Int(int64(rng.Intn(11) - 5))
+		}
+		a := pick()
+		if rng.Intn(7) == 0 {
+			a = types.Null()
+		}
+		f := types.Float(float64(rng.Intn(11) - 5))
+		if rng.Intn(9) == 0 {
+			f = types.Float(math.NaN())
+		}
+		b.AppendRow(types.Row{a, pick(), f})
 	}
-	for _, kindName := range []string{"count", "sum", "avg", "quantile"} {
-		for _, mode := range []string{"varying", "uniform", "count-uniform", "count-varying"} {
-			a := newAccForTest(kindName)
-			b := newAccForTest(kindName)
-			switch mode {
-			case "varying":
-				for i := range xs {
-					a.Add(xs[i], rates[i])
+	b.Finish()
+	d := tab.Chunks()[0]
+	if len(tab.Chunks()) != 1 || d.Cols[0].Enc != colstore.EncInt || d.Cols[0].Nulls == nil || d.Cols[1].Enc != colstore.EncInt || d.Cols[1].Nulls != nil {
+		t.Fatal("the table is meant to be one chunk with a nullable and a NULL-free int column")
+	}
+
+	consts := []types.Value{
+		types.Int(math.MinInt64), types.Int(math.MinInt64 + 1), types.Int(-2), types.Int(0), types.Int(3),
+		types.Int(math.MaxInt64 - 1), types.Int(math.MaxInt64),
+		types.Float(2.5), types.Float(-2.5), types.Float(3), types.Float(math.NaN()), types.Float(1e300), types.Float(-1e300),
+		types.Float(1 << 53), types.Bool(true),
+	}
+	order := []types.CmpOp{types.CmpLt, types.CmpLe, types.CmpGt, types.CmpGe}
+	leaf := func(col int, op types.CmpOp, v types.Value) *types.CmpPred {
+		return &types.CmpPred{Col: schema.Columns[col].Name, ColIdx: col, Op: op, Val: v}
+	}
+	var preds []types.Predicate
+	folded := 0
+	for col := 0; col < 3; col++ {
+		for _, v1 := range consts {
+			for _, op1 := range append(order, types.CmpEq, types.CmpNe) {
+				preds = append(preds, leaf(col, op1, v1)) // one-sided, =, <>
+				if op1 == types.CmpEq || op1 == types.CmpNe {
+					continue
 				}
-				b.AddBatch(xs, rates, n, 0)
-			case "uniform":
-				for i := range xs {
-					a.Add(xs[i], 0.25)
+				for _, v2 := range consts {
+					for _, op2 := range order { // ranges, contradictions, two bounds on a side
+						// Nested two by two, as the parser builds a AND b AND c.
+						preds = append(preds, &types.AndPred{Kids: []types.Predicate{
+							&types.AndPred{Kids: []types.Predicate{leaf(col, op1, v1), leaf(1-col%2, types.CmpNe, types.Int(4))}},
+							leaf(col, op2, v2)}})
+					}
 				}
-				b.AddBatch(xs, nil, n, 0.25)
-			case "count-uniform":
-				for range xs {
-					a.Add(1, 0.5)
-				}
-				b.AddBatch(nil, nil, n, 0.5)
-			case "count-varying":
-				for i := range xs {
-					a.Add(1, rates[i])
-				}
-				b.AddBatch(nil, rates, n, 0)
-			}
-			ea, eb := a.Estimate(0.95), b.Estimate(0.95)
-			if !reflect.DeepEqual(ea, eb) {
-				t.Fatalf("%s/%s: AddBatch diverged from Add: %+v vs %+v", kindName, mode, ea, eb)
-			}
-			if math.IsNaN(ea.Point) {
-				t.Fatalf("%s/%s: NaN point", kindName, mode)
 			}
 		}
+	}
+	sc := &colScratch{}
+	for _, pred := range preds {
+		sel := mergeIntervals(pred)
+		if and, ok := sel.(*types.AndPred); ok && len(and.Kids) == 2 {
+			if iv, ok := and.Kids[0].(*intervalPred); ok && len(iv.Kids) == 2 {
+				folded++
+			}
+		}
+		want := types.CompilePredicate(pred)
+		for _, s := range []span{{d: d, lo: 0, hi: d.N}, {d: d, lo: 70, hi: 70 + 130}, {d: d, lo: 129, hi: 131}, {d: d, lo: 448, hi: d.N}} {
+			bm, base := sc.selectRows(sel, s)
+			if got := bitmapCount(bm); got != bitmapCountRange(bm, s.lo-base, s.hi-base) {
+				t.Fatalf("%s rows [%d,%d): bits set outside the span", pred, s.lo, s.hi)
+			}
+			for i := s.lo; i < s.hi; i++ {
+				got := bm[(i-base)>>6]&(1<<uint((i-base)&63)) != 0
+				if row := d.Row(i); got != want(row) {
+					t.Fatalf("%s (as %T) rows [%d,%d) row %d = %v: kernel %v, closure %v", pred, sel, s.lo, s.hi, i, row, got, !got)
+				}
+			}
+		}
+	}
+	// Every pair of order leaves on one column folds, but for the constant
+	// no int64 threshold stands for (2^53 as a float).
+	if want := 3 * 4 * 4 * (len(consts) - 1) * (len(consts) - 1); folded != want {
+		t.Fatalf("%d conjunctions folded into an interval leaf, want %d", folded, want)
 	}
 }

@@ -3,6 +3,26 @@
 // QUANTILE over weighted (Horvitz–Thompson) samples, normal-approximation
 // confidence intervals, and the per-row effective-sampling-rate bias
 // correction required when answering from stratified samples.
+//
+// # Weigh once
+//
+// Table 2's estimators are per stratum: sum a stratum's rows, then scale by
+// its N/n. Acc accumulates the same way. Per distinct weight w = 1/rate — a
+// weight class c — it keeps the raw moments of its rows, n_c, Σx_c and
+// Σx²_c, and Estimate derives the weighted sums the estimators read, one
+// multiplication per class instead of six per row, visiting the classes in
+// ascending w:
+//
+//	Σw         = Σ_c n_c·w_c
+//	Σw²        = Σ_c n_c·w_c²
+//	Σwx        = Σ_c w_c·Σx_c
+//	Σwx²       = Σ_c w_c·Σx²_c
+//	Σw(w−1)    = Σ_c n_c·w_c(w_c−1)
+//	Σw(w−1)x²  = Σ_c w_c(w_c−1)·Σx²_c
+//
+// Whether every weight was 1 (Estimate.Exact) and the effective sample size
+// (Σw)²/Σw² are derived too. Tally is the same structure with the counts
+// alone: Σ 1/rate over matching rows as an exact weight → count table.
 package stats
 
 import (
@@ -100,180 +120,352 @@ type weightedVal struct {
 	w float64
 }
 
+// Moments are the raw moments of a set of rows: how many, Σx and Σx². They
+// carry no weight — an accumulator keeps one per weight class and applies
+// the weights when it estimates.
+type Moments struct {
+	N     int64
+	SumX  float64
+	SumXX float64
+}
+
+// class is the rows an accumulator saw under one weight w = 1/rate: one
+// stratum's rows at one resolution, or several strata sampled alike.
+type class struct {
+	w float64
+	Moments
+}
+
+// classes is a set of weight classes keyed by exact weight. The first
+// class to arrive is held inline — a group whose rows share one rate, which
+// is most groups, allocates nothing more — and later ones in a slice kept
+// ascending in w. Lookups are by the last hit, then by search: rows arrive
+// in runs of one weight.
+type classes struct {
+	live  bool // first is in use
+	first class
+	more  []class
+	last  int // index into more of the latest hit
+}
+
+// find returns the class of weight w, adding it when new. The pointer is
+// good until the next find of a new weight.
+func (c *classes) find(w float64) *class {
+	switch {
+	case !c.live:
+		c.live, c.first.w = true, w
+		return &c.first
+	case c.first.w == w:
+		return &c.first
+	case c.last < len(c.more) && c.more[c.last].w == w:
+		return &c.more[c.last]
+	}
+	i := sort.Search(len(c.more), func(i int) bool { return c.more[i].w >= w })
+	if i == len(c.more) || c.more[i].w != w {
+		if c.more == nil {
+			// Past one rate there are usually several — every capped
+			// stratum of a resolution has its own.
+			c.more = make([]class, 0, 8)
+		}
+		c.more = append(c.more, class{})
+		copy(c.more[i+1:], c.more[i:])
+		c.more[i] = class{w: w}
+	}
+	c.last = i
+	return &c.more[i]
+}
+
+// each visits the classes in ascending weight, the one order every derived
+// sum is taken in: which class happened to arrive first, or how partials
+// were merged, then cannot move a bit of it.
+func (c *classes) each(f func(*class)) {
+	if !c.live {
+		return
+	}
+	first := &c.first
+	for i := range c.more {
+		if first != nil && first.w < c.more[i].w {
+			f(first)
+			first = nil
+		}
+		f(&c.more[i])
+	}
+	if first != nil {
+		f(first)
+	}
+}
+
+// merge adds other's classes into c, moment by moment.
+func (c *classes) merge(other *classes) {
+	other.each(func(o *class) {
+		m := c.find(o.w)
+		m.N += o.N
+		m.SumX += o.SumX
+		m.SumXX += o.SumXX
+	})
+}
+
+// clone returns a copy that shares no memory with c.
+func (c *classes) clone() classes {
+	cp := *c
+	if c.more != nil {
+		cp.more = append(make([]class, 0, len(c.more)), c.more...)
+	}
+	return cp
+}
+
+// Tally counts rows by weight — the exact form of a Horvitz–Thompson count
+// Σ 1/rate. Counts are integers, so tallies merge exactly in any order, and
+// Sum weighs each class once. The zero value is an empty tally; a copy of
+// one in use shares its memory, so copy a Tally only to move it.
+type Tally struct{ cs classes }
+
+// Add records n rows of weight w.
+func (t *Tally) Add(w float64, n int64) {
+	if n > 0 {
+		t.cs.find(w).N += n
+	}
+}
+
+// Merge adds other's counts to t; other is left as it was.
+func (t *Tally) Merge(other *Tally) { t.cs.merge(&other.cs) }
+
+// Sum returns Σ_c n_c·w_c over the classes in ascending weight.
+func (t *Tally) Sum() float64 {
+	sum := 0.0
+	t.cs.each(func(c *class) { sum += float64(c.N) * c.w })
+	return sum
+}
+
 // Acc accumulates matching rows of one (group, aggregate) pair from a
 // weighted sample. Each matching row carries the effective sampling rate
 // with which it entered the sample; weight w = 1/rate. Base tables have
 // rate 1 everywhere, making every estimate exact.
+//
+// As in Table 2, accumulation is per stratum weight: an Acc keeps the raw
+// moments (n, Σx, Σx²) of its rows per distinct weight, and only Estimate
+// multiplies by a weight — once per class, not once per row (see the
+// package comment for the sums it derives). A COUNT keeps only n. Every
+// way of adding rows updates this one state with the same additions in the
+// same order, so adding rows one at a time, in batches, by index or by
+// count leaves an Acc bit-identical.
 type Acc struct {
 	kind AggKind
 	p    float64 // quantile level for AggQuantile
 
-	rows    int64
-	sumW    float64 // Σ w            (HT count estimate)
-	sumW2   float64 // Σ w²
-	sumWX   float64 // Σ w·x          (HT sum estimate)
-	sumWX2  float64 // Σ w·x²
-	sumWW1  float64 // Σ w(w−1)       (Poisson-HT count variance)
-	sumWW1X float64 // Σ w(w−1)x²     (Poisson-HT sum variance)
-	allOne  bool    // every weight was exactly 1 → estimate is exact
-
+	cs   classes
 	vals []weightedVal // retained only for quantiles
 }
 
 // NewAcc creates an accumulator. p is the quantile level and is ignored
 // for other aggregate kinds.
 func NewAcc(kind AggKind, p float64) *Acc {
-	return &Acc{kind: kind, p: p, allOne: true}
+	return &Acc{kind: kind, p: p}
 }
 
 // Kind returns the aggregate kind.
 func (a *Acc) Kind() AggKind { return a.kind }
 
+// class returns the weight class of rows sampled at rate; a rate outside
+// (0, 1] weighs 1.
+func (a *Acc) class(rate float64) *class {
+	w := 1.0
+	if rate > 0 && rate < 1 {
+		w = 1 / rate
+	}
+	if a.cs.live && a.cs.first.w == w { // inlined into Add: a fifth off a per-row add
+		return &a.cs.first
+	}
+	return a.cs.find(w)
+}
+
+// Number is the element type of a column the fold kernels read in place.
+type Number interface{ ~int64 | ~float64 }
+
 // Add records one matching row with value x sampled at the given rate.
 func (a *Acc) Add(x, rate float64) {
-	if rate <= 0 || rate > 1 {
-		rate = 1
+	c := a.class(rate)
+	c.N++
+	if a.kind == AggCount {
+		return
 	}
-	w := 1 / rate
-	a.rows++
-	a.sumW += w
-	a.sumW2 += w * w
-	a.sumWX += w * x
-	a.sumWX2 += w * x * x
-	a.sumWW1 += w * (w - 1)
-	a.sumWW1X += w * (w - 1) * x * x
-	if w != 1 {
-		a.allOne = false
-	}
+	c.SumX += x
+	c.SumXX += x * x
 	if a.kind.NeedsValues() {
-		a.vals = append(a.vals, weightedVal{x: x, w: w})
+		a.vals = append(a.vals, weightedVal{x: x, w: c.w})
 	}
 }
 
-// AddBatch records n matching rows at once, identically — operation for
-// operation, in order — to calling Add for each row, so batch and scalar
-// accumulation produce bit-identical state. xs holds the per-row values
-// (nil means every x is 1, the COUNT path; otherwise len(xs) == n). rates
-// holds the per-row sampling rates (nil means every row shares rate;
-// otherwise len(rates) == n). The batch forms exist for the vectorized
-// columnar scan: with a shared rate the weight terms w, w² and w(w−1) are
-// loop-invariant and the moment sums stay in registers across the batch.
-func (a *Acc) AddBatch(xs, rates []float64, n int, rate float64) {
-	if n == 0 {
+// AddCount records n matching rows of value 1 sampled at rate — what a
+// COUNT adds per row — as Add would one at a time.
+func (a *Acc) AddCount(n int, rate float64) {
+	if n <= 0 {
 		return
 	}
-	if rates != nil {
-		// Varying rates: per-row weight math is unavoidable; reuse Add so
-		// the operation sequence stays trivially identical.
-		if xs == nil {
-			for _, r := range rates[:n] {
-				a.Add(1, r)
-			}
-		} else {
-			for j, x := range xs[:n] {
-				a.Add(x, rates[j])
-			}
-		}
+	c := a.class(rate)
+	c.N += int64(n)
+	if a.kind == AggCount {
 		return
 	}
-	if rate <= 0 || rate > 1 {
-		rate = 1
+	for j := 0; j < n; j++ {
+		c.SumX++
+		c.SumXX++
 	}
-	w := 1 / rate
-	w2, ww1 := w*w, w*(w-1)
-	sumW, sumW2, sumWX, sumWX2 := a.sumW, a.sumW2, a.sumWX, a.sumWX2
-	sumWW1, sumWW1X := a.sumWW1, a.sumWW1X
-	if xs == nil {
-		// x = 1 throughout: w·x = w, w·x·x = w, w(w−1)x² = w(w−1), all
-		// exactly (IEEE multiplication by 1 is the identity).
+	if a.kind.NeedsValues() {
 		for j := 0; j < n; j++ {
-			sumW += w
-			sumW2 += w2
-			sumWX += w
-			sumWX2 += w
-			sumWW1 += ww1
-			sumWW1X += ww1
-		}
-	} else {
-		for _, x := range xs[:n] {
-			sumW += w
-			sumW2 += w2
-			sumWX += w * x
-			sumWX2 += w * x * x
-			sumWW1 += ww1
-			sumWW1X += ww1 * x * x
-		}
-	}
-	a.sumW, a.sumW2, a.sumWX, a.sumWX2 = sumW, sumW2, sumWX, sumWX2
-	a.sumWW1, a.sumWW1X = sumWW1, sumWW1X
-	a.rows += int64(n)
-	if w != 1 {
-		a.allOne = false
-	}
-	if a.kind.NeedsValues() {
-		if xs == nil {
-			for j := 0; j < n; j++ {
-				a.vals = append(a.vals, weightedVal{x: 1, w: w})
-			}
-		} else {
-			for _, x := range xs[:n] {
-				a.vals = append(a.vals, weightedVal{x: x, w: w})
-			}
+			a.vals = append(a.vals, weightedVal{x: 1, w: c.w})
 		}
 	}
 }
 
-// Merge folds other into a (parallel partial aggregation). Every estimator
-// state is a set of moment sums (Σw, Σw², Σwx, Σwx², …), so combining is
-// associative addition — the Chan et al. parallel-merge formulation of
-// mean/variance expressed over raw moments. Quantile value buffers
-// concatenate; weightedQuantile sorts with a total order, so the estimate
-// depends only on the merged multiset, not the merge schedule. Callers who
-// need bit-identical floating-point results across worker counts must
-// additionally fold partials in a deterministic order (see
-// exec.MergePartials).
+// AddRange records every element of xs as a matching row sampled at rate,
+// in order, as Add would one at a time.
+func AddRange[T Number](a *Acc, xs []T, rate float64) {
+	if len(xs) == 0 {
+		return
+	}
+	c := a.class(rate)
+	c.N += int64(len(xs))
+	if a.kind == AggCount {
+		return
+	}
+	sx, sxx := c.SumX, c.SumXX
+	for _, v := range xs {
+		x := float64(v)
+		sx += x
+		sxx += x * x
+	}
+	c.SumX, c.SumXX = sx, sxx
+	if a.kind.NeedsValues() {
+		for _, v := range xs {
+			a.vals = append(a.vals, weightedVal{x: float64(v), w: c.w})
+		}
+	}
+}
+
+// AddIndexed records rows idxs of the column src as matching rows sampled
+// at rate, in idxs order, as Add would one at a time: the fold reads the
+// column in place.
+func AddIndexed[T Number](a *Acc, src []T, idxs []int32, rate float64) {
+	if len(idxs) == 0 {
+		return
+	}
+	c := a.class(rate)
+	c.N += int64(len(idxs))
+	if a.kind == AggCount {
+		return
+	}
+	sx, sxx := c.SumX, c.SumXX
+	for _, i := range idxs {
+		x := float64(src[i])
+		sx += x
+		sxx += x * x
+	}
+	c.SumX, c.SumXX = sx, sxx
+	if a.kind.NeedsValues() {
+		for _, i := range idxs {
+			a.vals = append(a.vals, weightedVal{x: float64(src[i]), w: c.w})
+		}
+	}
+}
+
+// Slot records n matching rows sampled at rate whose values the caller
+// adds itself — FoldByCode, for a scan folding many groups in one pass over
+// a column — and returns the moments to add them to. The pointer is good
+// until rows of another rate are added to a. Not for quantiles, which
+// retain their values.
+func (a *Acc) Slot(n int, rate float64) *Moments {
+	c := a.class(rate)
+	c.N += int64(n)
+	return &c.Moments
+}
+
+// FoldByCode adds rows idxs of the column src to the moments their
+// dictionary codes select — slots[codes[i]] gains src[i] and its square —
+// in idxs order, so each slot sees its rows in the order Add would.
+func FoldByCode[T Number](slots []*Moments, codes []uint32, src []T, idxs []int32) {
+	for _, i := range idxs {
+		m, x := slots[codes[i]], float64(src[i])
+		m.SumX += x
+		m.SumXX += x * x
+	}
+}
+
+// Merge folds other into a (parallel partial aggregation). The state is raw
+// moments per weight class, so combining is addition class by class — the
+// Chan et al. parallel-merge formulation of mean/variance expressed over
+// raw moments — and the row counts per weight combine exactly, in any
+// order. Quantile value buffers concatenate; weightedQuantile sorts with a
+// total order, so the estimate depends only on the merged multiset, not the
+// merge schedule. Callers who need bit-identical floating-point results
+// across worker counts must additionally fold partials in a deterministic
+// order (see exec.MergePartials).
 func (a *Acc) Merge(other *Acc) {
-	a.rows += other.rows
-	a.sumW += other.sumW
-	a.sumW2 += other.sumW2
-	a.sumWX += other.sumWX
-	a.sumWX2 += other.sumWX2
-	a.sumWW1 += other.sumWW1
-	a.sumWW1X += other.sumWW1X
-	a.allOne = a.allOne && other.allOne
+	a.cs.merge(&other.cs)
 	a.vals = append(a.vals, other.vals...)
 }
 
-// Clone returns an independent copy of the accumulator (the quantile
-// value buffer is copied, not aliased), so merging into the clone leaves
-// the original usable.
+// Clone returns an independent copy of the accumulator (the class list and
+// the quantile value buffer are copied, not aliased), so merging into the
+// clone leaves the original usable.
 func (a *Acc) Clone() *Acc {
 	cp := *a
+	cp.cs = a.cs.clone()
 	if a.vals != nil {
 		cp.vals = append(make([]weightedVal, 0, len(a.vals)), a.vals...)
 	}
 	return &cp
 }
 
-// Rows returns the number of matching rows added.
-func (a *Acc) Rows() int64 { return a.rows }
+// sums are the weighted sums the Table 2 estimators read, derived from the
+// per-class moments (see the package comment).
+type sums struct {
+	rows   int64
+	w      float64 // Σ w            (HT count estimate)
+	w2     float64 // Σ w²
+	wx     float64 // Σ w·x          (HT sum estimate)
+	wx2    float64 // Σ w·x²
+	ww1    float64 // Σ w(w−1)       (Poisson-HT count variance)
+	ww1x2  float64 // Σ w(w−1)x²     (Poisson-HT sum variance)
+	allOne bool    // every weight was exactly 1 → estimate is exact
+}
 
-// EffRows returns the effective sample size (Σw)²/Σw².
-func (a *Acc) EffRows() float64 {
-	if a.sumW2 == 0 {
+// sums derives the weighted sums, visiting classes in ascending weight.
+func (a *Acc) sums() sums {
+	s := sums{allOne: true}
+	a.cs.each(func(c *class) {
+		n, w := float64(c.N), c.w
+		ww1 := w * (w - 1)
+		s.rows += c.N
+		s.w += n * w
+		s.w2 += n * (w * w)
+		s.wx += w * c.SumX
+		s.wx2 += w * c.SumXX
+		s.ww1 += n * ww1
+		s.ww1x2 += ww1 * c.SumXX
+		if w != 1 {
+			s.allOne = false
+		}
+	})
+	return s
+}
+
+// effRows returns the effective sample size (Σw)²/Σw².
+func (s *sums) effRows() float64 {
+	if s.w2 == 0 {
 		return 0
 	}
-	return a.sumW * a.sumW / a.sumW2
+	return s.w * s.w / s.w2
 }
 
 // weightedVariance returns the weighted population variance of x,
 // S² = Σw(x−μ)²/Σw with μ the weighted mean.
-func (a *Acc) weightedVariance() float64 {
-	if a.sumW == 0 {
+func (s *sums) weightedVariance() float64 {
+	if s.w == 0 {
 		return 0
 	}
-	mu := a.sumWX / a.sumW
-	v := a.sumWX2/a.sumW - mu*mu
+	mu := s.wx / s.w
+	v := s.wx2/s.w - mu*mu
 	if v < 0 {
 		v = 0 // numeric noise
 	}
@@ -288,8 +480,9 @@ func (a *Acc) Estimate(conf float64) Estimate {
 // EstimateZ is Estimate for a caller that finalizes many accumulators at
 // one confidence and computed z = ZForConfidence(conf) once for all of them.
 func (a *Acc) EstimateZ(conf, z float64) Estimate {
-	e := Estimate{Confidence: conf, Rows: a.rows, EffRows: a.EffRows(), Exact: a.allOne}
-	if a.rows == 0 {
+	s := a.sums()
+	e := Estimate{Confidence: conf, Rows: s.rows, EffRows: s.effRows(), Exact: s.allOne}
+	if s.rows == 0 {
 		return e
 	}
 	switch a.kind {
@@ -297,30 +490,28 @@ func (a *Acc) EstimateZ(conf, z float64) Estimate {
 		// Table 2: N̂ = Σw; Var(N̂) = Σ w(w−1) (Poisson-design HT
 		// estimator; reduces to N²c(1−c)/n under uniform rates for
 		// small c).
-		e.Point = a.sumW
-		e.StdErr = math.Sqrt(math.Max(a.sumWW1, 0))
+		e.Point = s.w
+		e.StdErr = math.Sqrt(math.Max(s.ww1, 0))
 	case AggSum:
 		// Table 2: Ŝ = Σw·x; Var(Ŝ) = Σ w(w−1)x² plus the
 		// within-replicate variance term N̂·S²ₙ·(deff) captured by the
 		// HT estimator under Poisson sampling.
-		e.Point = a.sumWX
-		e.StdErr = math.Sqrt(math.Max(a.sumWW1X, 0))
+		e.Point = s.wx
+		e.StdErr = math.Sqrt(math.Max(s.ww1x2, 0))
 	case AggAvg:
 		// Table 2: X̄ = Σwx/Σw; Var(X̄) = S²ₙ/n with n the effective
 		// sample size under unequal weights.
-		e.Point = a.sumWX / a.sumW
-		if eff := a.EffRows(); eff > 0 && !a.allOne {
-			e.StdErr = math.Sqrt(a.weightedVariance() / eff)
-		} else if a.allOne {
-			e.StdErr = 0 // rate-1 rows: exact
+		e.Point = s.wx / s.w
+		if e.EffRows > 0 {
+			e.StdErr = math.Sqrt(s.weightedVariance() / e.EffRows)
 		}
 	case AggQuantile:
 		e.Point = a.weightedQuantile(a.p)
-		if !a.allOne {
-			e.StdErr = a.quantileStdErr()
+		if !s.allOne {
+			e.StdErr = a.quantileStdErr(e.EffRows)
 		}
 	}
-	if a.allOne {
+	if s.allOne {
 		// All rows were sampled at rate 1: the sample contains every
 		// matching row of the base table and the answer is exact.
 		e.StdErr = 0
@@ -350,7 +541,7 @@ func (a *Acc) weightedQuantile(p float64) float64 {
 	if p >= 1 {
 		return a.vals[len(a.vals)-1].x
 	}
-	target := p * a.sumW
+	target := p * a.sums().w
 	cum := 0.0
 	for i, v := range a.vals {
 		next := cum + v.w
@@ -372,9 +563,8 @@ func (a *Acc) weightedQuantile(p float64) float64 {
 
 // quantileStdErr estimates Table 2's quantile stderr
 // √(p(1−p)/n)/f(x_p) using a finite-difference density estimate:
-// f(x_p) ≈ 2δ / (x_{p+δ} − x_{p−δ}).
-func (a *Acc) quantileStdErr() float64 {
-	n := a.EffRows()
+// f(x_p) ≈ 2δ / (x_{p+δ} − x_{p−δ}), with n the effective sample size.
+func (a *Acc) quantileStdErr(n float64) float64 {
 	if n < 4 {
 		return math.Abs(a.weightedQuantile(0.75)-a.weightedQuantile(0.25)) / 2
 	}

@@ -1,6 +1,7 @@
 package blinkdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"blinkdb/internal/blockfile"
 )
 
 // persistQueries exercise both caches and several planning paths. They
@@ -308,6 +311,83 @@ func TestStaleWarmupDropped(t *testing.T) {
 	for _, src := range persistQueries {
 		if _, err := restarted.Query(src); err != nil {
 			t.Errorf("%q after stale fallback: %v", src, err)
+		}
+	}
+}
+
+// TestWarmupVersionSkewBootsCachesCold: a data dir whose warmup file was
+// written by a build with another elp warmup version — its cached answers
+// computed by other arithmetic — restores its samples and epochs but boots
+// both caches cold, with the reason noted, and answers like a fresh engine.
+func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
+	dir := t.TempDir()
+	eng, _ := bootEngine(t, dir)
+	for _, src := range persistQueries {
+		if _, err := eng.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.SnapshotWarmup(WarmupState{}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the elp blob's leading version field to 1. The blob's own
+	// checksum covers the payload behind it; the segment's is re-sealed by
+	// writing the segment anew.
+	path := filepath.Join(dir, "warmup.seg")
+	seg, err := blockfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := map[string][]byte{}
+	for _, name := range []string{"manifest", "elp", "admission"} {
+		blob, ok := seg.Meta(name)
+		if !ok {
+			t.Fatalf("warmup.seg has no %q section", name)
+		}
+		metas[name] = append([]byte(nil), blob...)
+	}
+	seg.Close()
+	binary.LittleEndian.PutUint32(metas["elp"], 1)
+	err = blockfile.WriteSegment(path, func(w *blockfile.Writer) error {
+		for _, name := range []string{"manifest", "elp", "admission"} {
+			w.PutMeta(name, metas[name])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, _ := bootEngine(t, dir)
+	if notes := restarted.PersistenceNotes(); len(notes) != 0 {
+		t.Fatalf("the samples should have loaded warm: %v", notes)
+	}
+	rep, err := restarted.RestoreWarmup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || rep.EpochsRestored == 0 || rep.Plans != 0 || rep.Results != 0 {
+		t.Fatalf("restored %+v; want epochs restored, no plans, no results", rep)
+	}
+	if notes := strings.Join(restarted.PersistenceNotes(), "\n"); !strings.Contains(notes, "warmup blob version 1 (want 2)") {
+		t.Fatalf("PersistenceNotes do not give the version skew: %q", notes)
+	}
+	fresh, _ := bootEngine(t, t.TempDir())
+	for _, src := range persistQueries {
+		want, err := fresh.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restarted.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ResultCache == "hit" || got.PlanCache == "hit" {
+			t.Errorf("%q: first answer after the skew came from a cache (result %q, plan %q)", src, got.ResultCache, got.PlanCache)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%q: answer differs from a fresh engine's\n fresh     %+v\n restarted %+v", src, want, got)
 		}
 	}
 }
