@@ -250,18 +250,20 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 // TestOracleDifferential sweeps seeded cases from both generators through
 // checkOracle: the production scan — kernels, encodings, zone states,
 // spans, row-budgeted partials, late-materialized joins — against the
-// naive evaluator.
+// naive evaluator, on each selection kernel set.
 func TestOracleDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 12
 	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		for _, gen := range []func(int64) (*Plan, Input, []JoinSpec, string){genCase, genChunkCase} {
-			p, in, joins, label := gen(seed)
-			checkOracle(t, label, p, in, joins)
+	forKernelSets(t, func(t *testing.T) {
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			for _, gen := range []func(int64) (*Plan, Input, []JoinSpec, string){genCase, genChunkCase} {
+				p, in, joins, label := gen(seed)
+				checkOracle(t, label, p, in, joins)
+			}
 		}
-	}
+	})
 }
 
 // FuzzOracle is the same check with the seed under the fuzzer's control

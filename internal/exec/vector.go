@@ -33,13 +33,25 @@ import (
 // therefore reorder work freely across groups, aggregates and classes — one
 // pass per aggregate, one slot per dictionary code, a span cut wherever its
 // derived rate changes — and never within a class.
+//
+// Selection is outside what the contract has to pin: bitmaps and row-index
+// lists are exact integers, so any kernel that sets the same bits may stand
+// in for another. On amd64 three selection steps have AVX2 kernels
+// (select_amd64.s) over whole 64-row words, the Go loops finishing the
+// tail: the int interval test behind every int order or equality leaf and
+// every intervalPred (intsInRange), a dictionary column's = and <> against
+// a string as one code compare (evalCmp), and bitmap → row indices
+// (rowsOf). They run when useAVX2 is set, once at init from CPUID and
+// XGETBV — no option, flag or build tag chooses. The Go kernels are the
+// path on every other platform and CPU, and the reference the tests hold
+// the assembly to, bit for bit.
 
 // colScratch holds buffers reused across the spans one worker scans, so
 // steady-state scanning allocates nothing.
 type colScratch struct {
 	sel     []uint64   // selection bitmap
 	free    [][]uint64 // temp bitmaps for AND/OR subtrees
-	idxs    []int32    // selected row indices, ascending
+	idxs    []int32    // selected row indices, ascending (rowsOf keeps 8 spare)
 	xs      []float64  // aggregate inputs gathered past NULLs
 	keybuf  []types.Value
 	rowbuf  types.Row
@@ -48,7 +60,7 @@ type colScratch struct {
 	// passTabs holds, per (dictionary column, comparison leaf), the leaf's
 	// verdict for every dictionary code. A dictionary is chunk-wide, so the
 	// string comparisons are paid once per chunk, not once per span.
-	passTabs map[passKey][]bool
+	passTabs map[passKey]dictVerdicts
 
 	// codeGS caches the group of every dictionary code of codeCol, the
 	// GROUP BY column of the chunk being scanned into codePT. Groups live
@@ -97,6 +109,22 @@ type passKey struct {
 	col  *colstore.Column
 	leaf *types.CmpPred
 }
+
+// dictVerdicts is one comparison leaf's verdict for every code of a chunk
+// dictionary, and the code holding the leaf's constant: eq is that code
+// when exactly one does, noCode when none does and dupCodes when several do
+// (blockfile loads a dictionary without checking that its strings are
+// distinct). With one such code, = passes exactly on it and <> on every
+// other; the table is correct whatever the dictionary holds.
+type dictVerdicts struct {
+	pass []bool
+	eq   int
+}
+
+const (
+	noCode   = -1
+	dupCodes = -2
+)
 
 func (sc *colScratch) getBatchRows() []int32 {
 	if k := len(sc.rowPool); k > 0 {
@@ -414,23 +442,16 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 		switch {
 		case val.Kind == types.KindString:
 			// One comparison per distinct value of the chunk, then a table
-			// lookup per row.
-			tab := sc.passTab(col, t)
+			// lookup per row — or, for = and <> with AVX2, a code compare.
+			v := sc.passTab(col, t)
 			codes := col.Codes[base : base+n]
-			for off := 0; off < n; off += 64 {
-				blk := codes[off:min(off+64, n)]
-				var w uint64
-				j := 0
-				for ; j+8 <= len(blk); j += 8 { // see intsInRange
-					q := blk[j : j+8 : j+8]
-					b := b2u(tab[q[0]]) | b2u(tab[q[1]])<<1 | b2u(tab[q[2]])<<2 | b2u(tab[q[3]])<<3 |
-						b2u(tab[q[4]])<<4 | b2u(tab[q[5]])<<5 | b2u(tab[q[6]])<<6 | b2u(tab[q[7]])<<7
-					w |= b << (uint(j) & 63)
+			if useAVX2 && v.eq != dupCodes && (t.Op == types.CmpEq || t.Op == types.CmpNe) {
+				codesEqual(codes, v.eq, dst)
+				if t.Op == types.CmpNe {
+					bitmapNot(dst, n)
 				}
-				for ; j < len(blk); j++ {
-					w |= b2u(tab[blk[j]]) << (uint(j) & 63)
-				}
-				dst[off>>6] = w
+			} else {
+				codesPass(codes, v.pass, dst)
 			}
 			patchNulls(dst, nulls, lt) // NULL sorts before strings
 		case numericConst:
@@ -468,31 +489,74 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 	}
 }
 
-// passTab returns the verdict of comparison leaf t for every code of the
-// dictionary column col, computing it on the first span of the chunk that
-// asks.
-func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) []bool {
+// passTab returns the verdicts of comparison leaf t over the dictionary
+// column col, computing them on the first span of the chunk that asks.
+func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) dictVerdicts {
 	key := passKey{col, t}
-	if tab, ok := sc.passTabs[key]; ok {
-		return tab
+	if v, ok := sc.passTabs[key]; ok {
+		return v
 	}
 	lt, eq, gt := opFlags(t.Op)
-	tab := make([]bool, len(col.Dict))
+	v := dictVerdicts{pass: make([]bool, len(col.Dict)), eq: noCode}
 	c := t.Val.S
 	for j, s := range col.Dict {
-		b := eq
-		if s < c {
-			b = lt
-		} else if s > c {
-			b = gt
+		switch {
+		case s < c:
+			v.pass[j] = lt
+		case s > c:
+			v.pass[j] = gt
+		default:
+			v.pass[j] = eq
+			if v.eq == noCode {
+				v.eq = j
+			} else {
+				v.eq = dupCodes
+			}
 		}
-		tab[j] = b
 	}
 	if sc.passTabs == nil {
-		sc.passTabs = make(map[passKey][]bool)
+		sc.passTabs = make(map[passKey]dictVerdicts)
 	}
-	sc.passTabs[key] = tab
-	return tab
+	sc.passTabs[key] = v
+	return v
+}
+
+// codesPass sets bit i of dst where tab[codes[i]].
+func codesPass(codes []uint32, tab []bool, dst []uint64) {
+	n := len(codes)
+	for off := 0; off < n; off += 64 {
+		blk := codes[off:min(off+64, n)]
+		var w uint64
+		j := 0
+		for ; j+8 <= len(blk); j += 8 { // see intsInRangeGo
+			q := blk[j : j+8 : j+8]
+			b := b2u(tab[q[0]]) | b2u(tab[q[1]])<<1 | b2u(tab[q[2]])<<2 | b2u(tab[q[3]])<<3 |
+				b2u(tab[q[4]])<<4 | b2u(tab[q[5]])<<5 | b2u(tab[q[6]])<<6 | b2u(tab[q[7]])<<7
+			w |= b << (uint(j) & 63)
+		}
+		for ; j < len(blk); j++ {
+			w |= b2u(tab[blk[j]]) << (uint(j) & 63)
+		}
+		dst[off>>6] = w
+	}
+}
+
+// codesEqual sets bit i of dst where codes[i] == c, and none when c is
+// noCode: the AVX2 kernel over whole words, a Go loop over the tail.
+func codesEqual(codes []uint32, c int, dst []uint64) {
+	if c == noCode {
+		bitmapFill(dst, len(codes), false)
+		return
+	}
+	w := len(codes) &^ 63
+	codesEqAVX2(codes[:w], uint32(c), dst)
+	if tail := codes[w:]; len(tail) > 0 {
+		var m uint64
+		for j, x := range tail {
+			m |= b2u(x == uint32(c)) << uint(j)
+		}
+		dst[w>>6] = m
+	}
 }
 
 // The compare kernels below are SIMD-shaped: the constant is hoisted, the
@@ -593,10 +657,23 @@ func orderInterval(c int64, lt, eq bool) (lo, hi int64, ok bool) {
 
 // intsInRange sets bit i of dst where lo ≤ xs[i] ≤ hi (lo ≤ hi), as one
 // unsigned comparison: x−lo wraps below lo to past every width, so
-// uint64(x−lo) ≤ uint64(hi−lo) tests both sides at once. Eight verdicts are
-// packed with constant shifts before one variable shift places them: the
-// variable shift is the expensive instruction here.
+// uint64(x−lo) ≤ uint64(hi−lo) tests both sides at once. With AVX2 the
+// whole words go to intsInRangeAVX2, whose compare is signed: flipping the
+// sign bit of both sides keeps the unsigned order, and x−lo flipped is
+// x−(lo flipped).
 func intsInRange(xs []int64, lo, hi int64, dst []uint64) {
+	const sign = 1 << 63
+	if w := len(xs) &^ 63; useAVX2 && w > 0 {
+		intsInRangeAVX2(xs[:w], uint64(lo)^sign, (uint64(hi)-uint64(lo))^sign, dst)
+		xs, dst = xs[w:], dst[w>>6:]
+	}
+	intsInRangeGo(xs, lo, hi, dst)
+}
+
+// intsInRangeGo is intsInRange's portable kernel. Eight verdicts are packed
+// with constant shifts before one variable shift places them: the variable
+// shift is the expensive instruction here.
+func intsInRangeGo(xs []int64, lo, hi int64, dst []uint64) {
 	ulo, width := uint64(lo), uint64(hi)-uint64(lo)
 	for base := 0; base < len(xs); base += 64 {
 		blk := xs[base:min(base+64, len(xs))]
@@ -992,10 +1069,16 @@ func (s rowSel) rows(sc *colScratch) []int32 {
 }
 
 // rowsOf lists the n set bits of bm (bit k is chunk row base+k), ascending,
-// in the scratch index buffer.
+// in the scratch index buffer. The AVX2 kernel pays per byte of bm and the
+// Go loop per set bit, so the kernel takes bitmaps of at least one row a
+// byte; it stores eight lanes at a time, hence the buffer's 8 spare entries.
 func (sc *colScratch) rowsOf(bm []uint64, base, n int) []int32 {
-	if cap(sc.idxs) < n {
-		sc.idxs = make([]int32, n)
+	if cap(sc.idxs) < n+8 {
+		sc.idxs = make([]int32, n+8)
+	}
+	if useAVX2 && n >= 8*len(bm) {
+		rowsOfAVX2(bm, int32(base), sc.idxs[:n+8])
+		return sc.idxs[:n]
 	}
 	idxs := sc.idxs[:n]
 	k := 0

@@ -13,19 +13,22 @@ import (
 
 // TestColumnarEquivalence is the acceptance criterion of the vectorized
 // scan: for every seed, block size, query shape, input kind and worker
-// count it returns the oracle's Result, bit for bit.
+// count, and selection kernel set, it returns the oracle's Result, bit for
+// bit.
 func TestColumnarEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		for _, rowsPerBlock := range []int{64, 509} {
-			tab := randomWeightedTable(t, seed, 6000, rowsPerBlock)
-			for _, src := range equivalenceQueries {
-				p := compile(t, src, tab.Schema)
-				label := fmt.Sprintf("seed=%d rpb=%d %s", seed, rowsPerBlock, src)
-				checkOracle(t, label, p, FromTable(tab), nil)
-				checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 400), nil)
+	forKernelSets(t, func(t *testing.T) {
+		for _, seed := range []int64{1, 2, 3} {
+			for _, rowsPerBlock := range []int{64, 509} {
+				tab := randomWeightedTable(t, seed, 6000, rowsPerBlock)
+				for _, src := range equivalenceQueries {
+					p := compile(t, src, tab.Schema)
+					label := fmt.Sprintf("seed=%d rpb=%d %s", seed, rowsPerBlock, src)
+					checkOracle(t, label, p, FromTable(tab), nil)
+					checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 400), nil)
+				}
 			}
 		}
-	}
+	})
 }
 
 // mixedKindTable builds a table that defeats every typed fast path:
@@ -92,9 +95,10 @@ func TestColumnarEquivalenceMixedKinds(t *testing.T) {
 	}
 }
 
-// TestEvalPredMatchesRowEval cross-checks the bitmap kernels against the
-// interpreted predicate row by row, including hand-built predicates with
-// cross-kind and NULL constants that the parser never emits.
+// TestEvalPredMatchesRowEval cross-checks the bitmap kernels, on each
+// selection kernel set, against the interpreted predicate row by row,
+// including hand-built predicates with cross-kind and NULL constants that
+// the parser never emits.
 func TestEvalPredMatchesRowEval(t *testing.T) {
 	tab := mixedKindTable(t)
 	var preds []types.Predicate
@@ -118,7 +122,7 @@ func TestEvalPredMatchesRowEval(t *testing.T) {
 			}
 		}
 	}
-	checkKernels(t, tab, preds)
+	forKernelSets(t, func(t *testing.T) { checkKernels(t, tab, preds) })
 }
 
 // checkKernels cross-checks evalPred against the interpreted predicate,
@@ -179,7 +183,8 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 // of int64 (x < MinInt64, x > MaxInt64, the c±1 that would overflow), empty
 // and contradictory ranges, NULLs (which sort below every number: they pass
 // any set of upper bounds and fail any lower bound), float and bool
-// constants (normIntCmp) and windows that start mid-word.
+// constants (normIntCmp) and windows that start mid-word — on each
+// selection kernel set.
 func TestIntervalKernel(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "a", Kind: types.KindInt}, // with NULLs
@@ -224,7 +229,6 @@ func TestIntervalKernel(t *testing.T) {
 		return &types.CmpPred{Col: schema.Columns[col].Name, ColIdx: col, Op: op, Val: v}
 	}
 	var preds []types.Predicate
-	folded := 0
 	for col := 0; col < 3; col++ {
 		for _, v1 := range consts {
 			for _, op1 := range append(order, types.CmpEq, types.CmpNe) {
@@ -243,31 +247,34 @@ func TestIntervalKernel(t *testing.T) {
 			}
 		}
 	}
-	sc := &colScratch{}
-	for _, pred := range preds {
-		sel := mergeIntervals(pred)
-		if and, ok := sel.(*types.AndPred); ok && len(and.Kids) == 2 {
-			if iv, ok := and.Kids[0].(*intervalPred); ok && len(iv.Kids) == 2 {
-				folded++
+	forKernelSets(t, func(t *testing.T) {
+		folded := 0
+		sc := &colScratch{}
+		for _, pred := range preds {
+			sel := mergeIntervals(pred)
+			if and, ok := sel.(*types.AndPred); ok && len(and.Kids) == 2 {
+				if iv, ok := and.Kids[0].(*intervalPred); ok && len(iv.Kids) == 2 {
+					folded++
+				}
 			}
-		}
-		want := types.CompilePredicate(pred)
-		for _, s := range []span{{d: d, lo: 0, hi: d.N}, {d: d, lo: 70, hi: 70 + 130}, {d: d, lo: 129, hi: 131}, {d: d, lo: 448, hi: d.N}} {
-			bm, base := sc.selectRows(sel, s)
-			if got := bitmapCount(bm); got != bitmapCountRange(bm, s.lo-base, s.hi-base) {
-				t.Fatalf("%s rows [%d,%d): bits set outside the span", pred, s.lo, s.hi)
-			}
-			for i := s.lo; i < s.hi; i++ {
-				got := bm[(i-base)>>6]&(1<<uint((i-base)&63)) != 0
-				if row := d.Row(i); got != want(row) {
-					t.Fatalf("%s (as %T) rows [%d,%d) row %d = %v: kernel %v, closure %v", pred, sel, s.lo, s.hi, i, row, got, !got)
+			want := types.CompilePredicate(pred)
+			for _, s := range []span{{d: d, lo: 0, hi: d.N}, {d: d, lo: 70, hi: 70 + 130}, {d: d, lo: 129, hi: 131}, {d: d, lo: 448, hi: d.N}} {
+				bm, base := sc.selectRows(sel, s)
+				if got := bitmapCount(bm); got != bitmapCountRange(bm, s.lo-base, s.hi-base) {
+					t.Fatalf("%s rows [%d,%d): bits set outside the span", pred, s.lo, s.hi)
+				}
+				for i := s.lo; i < s.hi; i++ {
+					got := bm[(i-base)>>6]&(1<<uint((i-base)&63)) != 0
+					if row := d.Row(i); got != want(row) {
+						t.Fatalf("%s (as %T) rows [%d,%d) row %d = %v: kernel %v, closure %v", pred, sel, s.lo, s.hi, i, row, got, !got)
+					}
 				}
 			}
 		}
-	}
-	// Every pair of order leaves on one column folds, but for the constant
-	// no int64 threshold stands for (2^53 as a float).
-	if want := 3 * 4 * 4 * (len(consts) - 1) * (len(consts) - 1); folded != want {
-		t.Fatalf("%d conjunctions folded into an interval leaf, want %d", folded, want)
-	}
+		// Every pair of order leaves on one column folds, but for the constant
+		// no int64 threshold stands for (2^53 as a float).
+		if want := 3 * 4 * 4 * (len(consts) - 1) * (len(consts) - 1); folded != want {
+			t.Fatalf("%d conjunctions folded into an interval leaf, want %d", folded, want)
+		}
+	})
 }
