@@ -148,6 +148,10 @@ type Runtime struct {
 	results *resultcache.Cache[*resultEntry]
 	flights resultcache.Flights[*resultEntry]
 
+	// prices memoizes the price of every whole window the runtime reads
+	// (see price.go).
+	prices priceMemo
+
 	// Serving counters behind Stats(), guarded by one mutex so a snapshot
 	// is internally consistent — per-counter atomics let Stats observe a
 	// hits/misses pair that never coexisted, skewing HitRate under load.
@@ -581,15 +585,15 @@ func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key s
 // plan's count plan (exec.Plan.CountOnly: same predicate, joins, pruning
 // and scan; one COUNT(*), no groups) and the plan itself then runs once, on
 // the winner's probe view; a lone candidate runs the plan directly. The
-// third return value is that full-plan probe result (nil when no probe
-// ran), which prepareConjunctive carries on, so each (family, view) executes
-// the plan at most once per query.
+// third and fourth return values are that full-plan probe's result and its
+// chain (nil when no probe ran), which prepareConjunctive carries on, so
+// each (family, view) executes the plan at most once per query.
 func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan *exec.Plan,
-	phi types.ColumnSet, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*sample.Family, Decision, *exec.Result, error) {
+	phi types.ColumnSet, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*sample.Family, Decision, *exec.Result, *exec.Chain, error) {
 
 	var dec Decision
 	if len(entry.Families) == 0 {
-		return nil, dec, nil, nil
+		return nil, dec, nil, nil, nil
 	}
 
 	// Queries with no filter/group columns have no stratification to
@@ -598,14 +602,14 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	if phi.Empty() {
 		if u := entry.Uniform(); u != nil {
 			dec.Reason = "no filter/group columns: uniform family"
-			return u, dec, nil, nil
+			return u, dec, nil, nil, nil
 		}
 	}
 
 	if covering := entry.CoveringFamilies(phi); len(covering) > 0 {
 		f := covering[0]
 		dec.Reason = fmt.Sprintf("covering family %s (fewest columns among %d covering)", f.Phi, len(covering))
-		return f, dec, nil, nil
+		return f, dec, nil, nil, nil
 	}
 
 	// No covering family: every family's smallest sample is probed
@@ -621,10 +625,6 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		psp = sp.Child(fmt.Sprintf("probe candidates=%d", len(cands)))
 	}
 	defer psp.End()
-	probePlan := plan
-	if len(cands) > 1 {
-		probePlan = plan.CountOnly()
-	}
 	ins := make([]exec.Input, len(cands))
 	results := make([]*exec.Result, len(cands))
 	lats := make([]float64, len(cands))
@@ -634,15 +634,28 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 			spans[i] = psp.Child("probe " + f.Label()) // in candidate order
 		}
 	}
+	var chain *exec.Chain // a lone candidate's probe runs the plan itself
+	var count *exec.Plan
+	if len(cands) > 1 {
+		count = plan.CountOnly()
+	}
 	err := gather(len(cands), func(i int) error {
-		ins[i] = viewInput(rt.probeView(cands[i]), plan)
-		res, err := rt.runProbe(ctx, probePlan, ins[i], conf, joins, spans[i])
+		pv := rt.probeView(cands[i])
+		ins[i] = viewInput(pv, plan)
+		var res *exec.Result
+		var err error
+		if count == nil {
+			chain = exec.NewChain(plan, joins)
+			res, err = rt.probeChain(ctx, chain, ins[i], conf, spans[i])
+		} else {
+			res, err = rt.runProbe(ctx, count, ins[i], conf, joins, spans[i])
+		}
 		spans[i].End()
-		results[i], lats[i] = res, rt.latencyOfProbe(ins[i].Blocks)
+		results[i], lats[i] = res, rt.probePrice(entry, pv.Blocks(), ins[i].Blocks)
 		return err
 	})
 	if err != nil {
-		return nil, dec, nil, err
+		return nil, dec, nil, nil, err
 	}
 
 	best, uniform := -1, -1
@@ -672,7 +685,7 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
 		len(cands), bestRatio, cands[best].Label())
 	bestRes := results[best]
-	if probePlan != plan {
+	if chain == nil {
 		// The winner's probe view, read again for what the count pass left
 		// out: the groups and estimates resolution selection extrapolates
 		// from, and — at the probe's own resolution — the answer itself.
@@ -681,13 +694,14 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		if psp != nil {
 			fsp = psp.Child("probe " + cands[best].Label() + " full")
 		}
-		bestRes, err = rt.runProbe(ctx, plan, ins[best], conf, joins, fsp)
+		chain = exec.NewChain(plan, joins)
+		bestRes, err = rt.probeChain(ctx, chain, ins[best], conf, fsp)
 		fsp.End()
 		if err != nil {
-			return nil, dec, nil, err
+			return nil, dec, nil, nil, err
 		}
 	}
-	return cands[best], dec, bestRes, nil
+	return cands[best], dec, bestRes, chain, nil
 }
 
 // gather runs fn(0) … fn(n-1) concurrently — one goroutine each, the last
@@ -842,16 +856,15 @@ func predictedBound(fam *sample.Family, probe *exec.Result, level int, pv sample
 
 // levelForTime finds the largest resolution executable within the bound,
 // accounting for probe time already spent and §4.4 delta reuse.
-func (rt *Runtime) levelForTime(fam *sample.Family, plan *exec.Plan, budget, spent float64, pv sample.View) int {
+func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *exec.Plan, budget, spent float64, pv sample.View) int {
 	best := 0
-	small := pv
 	for lvl := 0; lvl < fam.Resolutions(); lvl++ {
 		view := fam.View(lvl)
 		var lat float64
 		if *rt.opt.DeltaReuse {
-			lat = rt.latencyOf(plan.Prune(view.DeltaBlocks(small)))
+			lat = rt.readPrice(entry, plan, view.DeltaBlocks(pv))
 		} else {
-			lat = rt.latencyOf(plan.Prune(view.Blocks()))
+			lat = rt.readPrice(entry, plan, view.Blocks())
 		}
 		if spent+lat <= budget {
 			best = lvl
@@ -921,11 +934,30 @@ func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []
 }
 
 // runProbe is runPlan counted as an ELP probe (§4.1.1 candidate count
-// passes and the plan's run on the chosen family, §4.2 escalations) — the
-// executions the plan cache amortizes away.
+// passes) — the executions the plan cache amortizes away.
 func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
 	rt.bump(&rt.stats.probeExecs)
 	return rt.runPlan(ctx, plan, in, conf, joins, sp)
+}
+
+// probeChain is extend counted as an ELP probe: the plan's run on the
+// chosen family's probe view and each §4.2 escalation past it.
+func (rt *Runtime) probeChain(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, sp *telemetry.Span) (*exec.Result, error) {
+	rt.bump(&rt.stats.probeExecs)
+	return rt.extend(ctx, c, in, conf, sp)
+}
+
+// extend is runPlan for a Chain: in's blocks folded into c, and the
+// answer at in's resolution.
+func (rt *Runtime) extend(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, sp *telemetry.Span) (*exec.Result, error) {
+	rt.bump(&rt.stats.planExecs)
+	var ssp *telemetry.Span
+	if sp != nil {
+		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
+	}
+	res, err := c.Extend(ctx, in, conf, rt.opt.Workers, ssp)
+	ssp.End()
+	return res, err
 }
 
 // runPlan executes the plan over the input, joining dimension tables when
@@ -1043,15 +1075,16 @@ func (rt *Runtime) latencyOf(blocks []*storage.Block) float64 {
 	return lat
 }
 
-// latencyOfProbe prices a probe run.
-func (rt *Runtime) latencyOfProbe(blocks []*storage.Block) float64 {
+// probePrice prices a probe's run over read, the blocks of the probe view's
+// window w the plan reads (see windowPrice).
+func (rt *Runtime) probePrice(entry *catalog.Entry, w, read []*storage.Block) float64 {
 	if rt.opt.ProbeOverheadOnly {
-		if len(blocks) == 0 {
+		if len(read) == 0 {
 			return 0
 		}
 		return cluster.BlinkDBEngine.JobOverheadSec
 	}
-	return rt.latencyOf(blocks)
+	return rt.windowPrice(entry, w, read)
 }
 
 // probeView returns the family's probe resolution: the smallest level with

@@ -22,10 +22,10 @@ import (
 // endpoint (level, probe result, probe latency). What is NOT: the
 // compiled query/plan (prepQ/prepPlan restore as nil — streamParams
 // recompiles per query, its pointer-identity fast path simply never
-// fires), the per-level result memos (repopulated on demand; a memo
-// only saves work, never changes an answer), and join templates (their
-// join-expanded schema and specs need the query object to recompile, so
-// they re-prepare on first use).
+// fires), the probe's chain (a read that would have continued it scans
+// its view from the start instead: the same answer, bit for bit), and
+// join templates (their join-expanded schema and specs need the query
+// object to recompile, so they re-prepare on first use).
 //
 // Per result-cache entry: the full key, the canonical Response (result
 // groups, decisions, simulated latency), the plan-cache note, epoch
@@ -42,13 +42,15 @@ import (
 // loaded.
 
 // warmupVersion versions the elp warmup blob: its layout, and the
-// arithmetic behind the estimates it carries. Version 2 has version 1's
-// layout; it marks answers and probe WeightedMatched computed from per-class
-// moments (stats.Acc), whose last bits differ from version 1's per-row
-// weighted sums — replaying those beside freshly computed ones would break
-// restart bit-identity, so a version 1 blob is refused and both caches warm
-// lazily.
-const warmupVersion = 2
+// arithmetic behind the estimates it carries. Versions 2 and 3 have version
+// 1's layout. Version 2 marks answers and probe WeightedMatched computed
+// from per-class moments (stats.Acc), whose last bits differ from version
+// 1's per-row weighted sums; version 3 marks those moments kept per stratum
+// frequency and in four lanes, and scan ranges cut at every sample delta,
+// whose last bits differ again. Replaying an older blob's answers beside
+// freshly computed ones would break restart bit-identity, so it is refused
+// and both caches warm lazily.
+const warmupVersion = 3
 
 // warmupCRC is the blob's integrity check (CRC32-Castagnoli, matching
 // the segment format). The segment layer already checksums the meta
@@ -275,7 +277,7 @@ func (rt *Runtime) decodePlan(blob []byte) (*PreparedQuery, error) {
 
 	stale := lookupErr != nil
 	for i := 0; i < ndis; i++ {
-		pd := &prepDisjunct{results: map[int]*exec.Result{}}
+		pd := &prepDisjunct{}
 		var famKey string
 		hasFam := d.U8() != 0
 		if hasFam {
@@ -310,9 +312,6 @@ func (rt *Runtime) decodePlan(blob []byte) (*PreparedQuery, error) {
 	}
 	pq.entry = entry
 	pq.schema = entry.Table.Schema
-	if pq.exact {
-		pq.base = &prepDisjunct{results: map[int]*exec.Result{}}
-	}
 	return pq, nil
 }
 

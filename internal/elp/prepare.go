@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"blinkdb/internal/catalog"
 	"blinkdb/internal/exec"
@@ -36,8 +36,8 @@ type tableDep struct {
 // against this state without re-probing.
 //
 // A PreparedQuery is safe for concurrent Execute calls: everything
-// written by Prepare is immutable afterwards, and the per-level result
-// memo is mutex-guarded.
+// written by Prepare is immutable afterwards, except a probe's chain, which
+// the first read to continue it takes.
 type PreparedQuery struct {
 	// Key is the template key (sqlparser.Normalize) this state serves.
 	Key string
@@ -53,7 +53,7 @@ type PreparedQuery struct {
 	// on the base table and carry no probe state.
 	exact bool
 	// prepParams is the parameter vector Prepare ran with. Cached RESULTS
-	// (probe answers, memoized scans) may only answer queries whose
+	// (probe answers and the probe's chain) may only answer queries whose
 	// parameters equal it; cached DECISION state (family choice, probe
 	// statistics, ELP fit) is template-scoped and serves any constants.
 	prepParams []types.Value
@@ -63,7 +63,6 @@ type PreparedQuery struct {
 	prepQ    *sqlparser.Query
 	prepPlan *exec.Plan
 
-	base      *prepDisjunct // base-table result memo for exact templates
 	disjuncts []*prepDisjunct
 }
 
@@ -91,46 +90,12 @@ type prepDisjunct struct {
 	pv       sample.View
 	probe    *exec.Result
 	probeLat float64
-
-	// results memoizes executed answers by resolution level (-1 = base
-	// table) for queries whose parameters equal prepParams; guarded by mu.
-	mu      sync.Mutex
-	results map[int]*exec.Result
-}
-
-// runMemo returns the memoized result for a level, executing (and, when
-// reusable, memoizing) on miss. reusable is true only when the caller's
-// parameter vector equals prepParams — results computed for different
-// constants must never be served from or stored into the memo.
-func (pd *prepDisjunct) runMemo(ctx context.Context, rt *Runtime, level int, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, reusable bool, sp *telemetry.Span) (*exec.Result, error) {
-	if reusable {
-		pd.mu.Lock()
-		r, ok := pd.results[level]
-		pd.mu.Unlock()
-		if ok {
-			sp.Note("memo=hit")
-			return r, nil
-		}
-	}
-	r, err := rt.runPlan(ctx, plan, in, conf, joins, sp)
-	if err != nil {
-		return nil, err
-	}
-	if reusable {
-		pd.mu.Lock()
-		if prev, ok := pd.results[level]; ok {
-			r = prev // concurrent executes converge on one pointer
-		} else {
-			pd.results[level] = r
-		}
-		pd.mu.Unlock()
-	}
-	return r, nil
-}
-
-// baseMemo is runMemo for the base table (level -1).
-func (pd *prepDisjunct) baseMemo(ctx context.Context, rt *Runtime, plan *exec.Plan, tab *storage.Table, conf float64, joins []exec.JoinSpec, reusable bool, sp *telemetry.Span) (*exec.Result, error) {
-	return pd.runMemo(ctx, rt, -1, plan, exec.FromTable(tab), conf, joins, reusable, sp)
+	// chain is the probe's scan state through pv, which the first read
+	// with Prepare's parameters at a larger resolution takes and continues
+	// (§4.4), scanning the deltas past pv alone — the read right after a
+	// prepare. Later reads, and a template restored from a warmup blob
+	// (nil), scan their view whole: the same answer, bit for bit.
+	chain atomic.Pointer[exec.Chain]
 }
 
 // confidenceFor derives the CI level for a query.
@@ -205,7 +170,6 @@ func (rt *Runtime) prepareKeyed(ctx context.Context, q *sqlparser.Query, key str
 	// no probes, no ELP.
 	if q.Err == nil && q.Time == nil {
 		pq.exact = true
-		pq.base = &prepDisjunct{results: map[int]*exec.Result{}}
 		return pq, nil
 	}
 
@@ -231,53 +195,54 @@ func (rt *Runtime) prepareKeyed(ctx context.Context, q *sqlparser.Query, key str
 // for error-bounded queries, escalating to coarser resolutions until the
 // probe carries statistical signal (≥20 matching rows). Only the FIRST
 // probe enjoys the cheap-probe assumption; escalations read real delta
-// blocks and are priced (and budget-limited) accordingly.
+// blocks — and only those: each one extends the probe's chain — and are
+// priced (and budget-limited) accordingly.
 func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry, plan *exec.Plan,
 	phi types.ColumnSet, q *sqlparser.Query, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*prepDisjunct, error) {
 
-	fam, dec, famProbe, err := rt.selectFamily(ctx, entry, plan, phi, conf, joins, sp)
+	fam, dec, probe, chain, err := rt.selectFamily(ctx, entry, plan, phi, conf, joins, sp)
 	if err != nil {
 		return nil, err
 	}
-	pd := &prepDisjunct{fam: fam, famDec: dec, results: map[int]*exec.Result{}}
+	pd := &prepDisjunct{fam: fam, famDec: dec}
 	if fam == nil {
 		return pd, nil
 	}
 	pv := rt.probeView(fam)
 	in := viewInput(pv, plan)
-	probe := famProbe
 	if probe == nil {
 		var psp *telemetry.Span
 		if sp != nil {
 			psp = sp.Child("probe " + fam.Label())
 		}
-		probe, err = rt.runProbe(ctx, plan, in, conf, joins, psp)
+		chain = exec.NewChain(plan, joins)
+		probe, err = rt.probeChain(ctx, chain, in, conf, psp)
 		psp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	probeLat := rt.latencyOfProbe(in.Blocks)
+	probeLat := rt.probePrice(entry, pv.Blocks(), in.Blocks)
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
-		step := rt.latencyOf(plan.Prune(next.DeltaBlocks(pv)))
+		step := rt.readPrice(entry, plan, next.DeltaBlocks(pv))
 		if q.Time != nil && probeLat+step > q.Time.Seconds {
 			break // escalating further would blow the time bound
 		}
-		pv = next
-		in = viewInput(pv, plan)
 		var esp *telemetry.Span
 		if sp != nil {
-			esp = sp.Child(fmt.Sprintf("probe escalate L%d %s", pv.Level, fam.Label()))
+			esp = sp.Child(fmt.Sprintf("probe escalate L%d %s", next.Level, fam.Label()))
 		}
-		probe, err = rt.runProbe(ctx, plan, in, conf, joins, esp)
+		probe, err = rt.probeChain(ctx, chain, exec.FromDelta(next, pv.Level).Pruned(plan), conf, esp)
 		esp.End()
 		if err != nil {
 			return nil, err
 		}
+		pv = next
 		probeLat += step
 	}
 	pd.pv, pd.probe, pd.probeLat = pv, probe, probeLat
+	pd.chain.Store(chain)
 	return pd, nil
 }
 
@@ -327,7 +292,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 		// No samples at all: exact execution.
 		dec.UsedBase = true
 		dec.Reason = "no sample families available: exact execution"
-		dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
+		dec.ReadLatency = rt.tablePrice(entry) + rt.broadcastCost(joins)
 		return levelChoice{dec: dec, level: -1}
 	}
 	fam, pv, probe := pd.fam, pd.pv, pd.probe
@@ -353,7 +318,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 
 	maxLevel := fam.Resolutions() - 1 // largest level within the time bound
 	if q.Time != nil {
-		maxLevel = rt.levelForTime(fam, plan, q.Time.Seconds, dec.ProbeLatency, pv)
+		maxLevel = rt.levelForTime(entry, fam, plan, q.Time.Seconds, dec.ProbeLatency, pv)
 	}
 
 	level := minLevel
@@ -370,7 +335,7 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 			dec.Reason += "; largest sample insufficient for error bound"
 			dec.UsedBase = true
 			dec.Reason += "; error bound unreachable on samples: exact execution"
-			dec.ReadLatency = rt.latencyOf(entry.Table.Blocks) + rt.broadcastCost(joins)
+			dec.ReadLatency = rt.tablePrice(entry) + rt.broadcastCost(joins)
 			return levelChoice{dec: dec, level: -1}
 		}
 	case q.Time != nil:
@@ -394,39 +359,58 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 	// Latency accounting applies §4.4 delta reuse: the probe already read
 	// resolutions 0..pv.Level.
 	if *rt.opt.DeltaReuse && probe != nil {
-		dec.ReadLatency = rt.latencyOf(plan.Prune(view.DeltaBlocks(pv)))
+		dec.ReadLatency = rt.readPrice(entry, plan, view.DeltaBlocks(pv))
 	} else {
-		dec.ReadLatency = rt.latencyOf(plan.Prune(view.Blocks()))
+		dec.ReadLatency = rt.readPrice(entry, plan, view.Blocks())
 	}
 	dec.ReadLatency += rt.broadcastCost(joins)
 	return levelChoice{dec: dec, level: level}
 }
 
-// scanConjunctive is the scan half: execute the level chooseConjunctive
-// picked (zone-pruned) — unless the probe already ran on exactly this
-// view with these very parameters, in which case its answer IS the final
-// answer: re-running the same (family, view) was the double-probe bug.
-func (rt *Runtime) scanConjunctive(ctx context.Context, pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
-	conf float64, paramsEq bool, lc levelChoice, sp *telemetry.Span) (*exec.Result, error) {
+// read is one disjunct's scan within one execution: the chain of the
+// family's resolutions it has folded so far, and its answer at the last
+// level it read. An execution that walks several levels — a streaming
+// session's refinements, then its final — reads each delta once.
+type read struct {
+	chain *exec.Chain
+	res   *exec.Result
+	level int // res's resolution; -1 the base table
+}
 
-	if lc.level < 0 {
-		res, err := pd.baseMemo(ctx, rt, plan, pq.entry.Table, conf, pq.joins, paramsEq, sp)
-		if err != nil {
-			return nil, err
+// readAt returns the disjunct's answer at level (-1: the base table), the
+// levels a read is asked for never decreasing. It reads nothing when the
+// answer is already at hand: r's own, or — parameters as Prepare's — the
+// probe's at the probe's level. Past that it continues a chain: r's, the
+// probe's when r is the first read to take it (Prepare's parameters), or a
+// new one, scanning only the deltas the chain has not folded. Whichever,
+// the answer is bit-identical to a scan of the level's view (exec.Chain).
+func (rt *Runtime) readAt(ctx context.Context, pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
+	conf float64, paramsEq bool, r *read, level int, sp *telemetry.Span) (*exec.Result, error) {
+
+	if r.res != nil && r.level == level {
+		return r.res, nil
+	}
+	var res *exec.Result
+	var err error
+	switch {
+	case level < 0:
+		res, err = rt.runPlan(ctx, plan, exec.FromTable(pq.entry.Table), conf, pq.joins, sp)
+	case paramsEq && level == pd.pv.Level:
+		res = pd.probe
+	default:
+		if r.chain == nil && paramsEq && level > pd.pv.Level {
+			r.chain = pd.chain.Swap(nil)
 		}
-		rt.recordLevel(-1)
-		return res, nil
+		if r.chain == nil {
+			r.chain = exec.NewChain(plan, pq.joins)
+		}
+		in := exec.FromDelta(pd.fam.View(level), r.chain.Level()).Pruned(plan)
+		res, err = rt.extend(ctx, r.chain, in, conf, sp)
 	}
-	if lc.level == pd.pv.Level && paramsEq {
-		rt.recordLevel(lc.level)
-		return pd.probe, nil
-	}
-	in := viewInput(pd.fam.View(lc.level), plan)
-	res, err := pd.runMemo(ctx, rt, lc.level, plan, in, conf, pq.joins, paramsEq, sp)
 	if err != nil {
 		return nil, err
 	}
-	rt.recordLevel(lc.level)
+	r.res, r.level = res, level
 	return res, nil
 }
 

@@ -153,12 +153,15 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 	results := map[*sample.Family]*exec.Result{}
 	var scanBlocks []int
 	for _, f := range entry.Families { // §4.1.1: every family is a candidate
-		blocks := plan.Prune(rt.probeView(f).Blocks())
-		in := exec.FromBlocks(f.Schema(), blocks, rt.probeView(f).Cap())
+		in := exec.FromView(rt.probeView(f)).Pruned(plan)
 		res := exec.RunParallel(plan, in, conf, 1)
 		results[f] = res
-		scanBlocks = append(scanBlocks, len(blocks))
-		if lat := rt.latencyOfProbe(blocks); lat > dec.ProbeLatency {
+		scanBlocks = append(scanBlocks, len(in.Blocks))
+		lat := rt.latencyOf(in.Blocks)
+		if rt.opt.ProbeOverheadOnly && len(in.Blocks) > 0 {
+			lat = cluster.BlinkDBEngine.JobOverheadSec
+		}
+		if lat > dec.ProbeLatency {
 			dec.ProbeLatency = lat
 		}
 		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: res.Selectivity(), Matched: res.RowsMatched})
@@ -199,8 +202,8 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 		if covering := entry.CoveringFamilies(phi); len(covering) > 0 {
 			// 18 of the 648 filter on a stratified column alone: no probes.
 			before := f.Stats()
-			fam, _, res, err := f.selectFamily(context.Background(), entry, plan, phi, conf, nil, nil)
-			if d := f.Stats().Delta(before); err != nil || fam != covering[0] || res != nil || d.PlanExecs != 0 {
+			fam, _, res, chain, err := f.selectFamily(context.Background(), entry, plan, phi, conf, nil, nil)
+			if d := f.Stats().Delta(before); err != nil || fam != covering[0] || res != nil || chain != nil || d.PlanExecs != 0 {
 				t.Fatalf("%q: covered template probed (%d execs) or chose %v, err %v", src, d.PlanExecs, fam, err)
 			}
 			covered++
@@ -210,7 +213,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 
 		before := f.Stats()
 		tr := telemetry.New("select")
-		fam, dec, res, err := f.selectFamily(context.Background(), entry, plan, phi, conf, nil, tr.Root())
+		fam, dec, res, chain, err := f.selectFamily(context.Background(), entry, plan, phi, conf, nil, tr.Root())
 		tr.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +222,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 			t.Fatalf("%q: decision diverged from the sequential reference\nwant %s %+v\ngot  %s %+v",
 				src, wantFam.Label(), wantDec, fam.Label(), dec)
 		}
-		if !reflect.DeepEqual(res, wantRes) {
+		if !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(chain.Result(conf), wantRes) {
 			t.Fatalf("%q: winning probe result diverged\nwant %+v\ngot  %+v", src, wantRes, res)
 		}
 		d := f.Stats().Delta(before)

@@ -9,34 +9,29 @@ package elp
 // walks that chain and emits one Refinement per level, so a client sees a
 // first (coarse, wide-bound) answer long before the final one.
 //
-// # Why refinements rescan the prefix
+// # Refinements fold deltas
 //
-// A Horvitz-Thompson weight in this engine is per-row w = max(1, f/K_ℓ):
-// it depends on the LEVEL CAP, not just the row. Partial aggregates
-// accumulated at cap K_ℓ therefore cannot be folded into an answer at cap
-// K_{ℓ+1} — summing delta-partials across caps gives Σ(K_d−K_{d−1})·f/K_d
-// ≠ f, a biased estimator with no scalar correction. The engine's
-// existing §4.4 delta-reuse path resolves the same tension by rescanning
-// the pruned 0..ℓ prefix while CHARGING only the delta blocks (the
-// probe's blocks are memory-resident; the simulated cluster prices what a
-// real cluster would newly read). Streaming follows that exact house
-// semantics: each refinement scans the prefix at its own cap — through
-// the per-level memo, so repeated sessions of one template scan nothing —
-// and its SimLatency is the delta-priced cumulative cost, monotonically
-// approaching the final's.
+// Each refinement folds one more delta into the session's chain
+// (exec.Chain) and finalizes it at the level's cap. A row's class is keyed
+// by its stratum frequency and weighed only at finalize, so what was
+// folded for level ℓ is still right at ℓ+1: the session reads every delta
+// once — the probe's levels not at all when its parameters are Prepare's —
+// and each refinement's SimLatency is the delta-priced cumulative cost,
+// monotonically approaching the final's.
 //
 // # Bit-identity of the final refinement
 //
-// The final refinement does not take a special path: it is produced by
-// the same chooseConjunctive/scanConjunctive pair the non-streaming
-// Execute runs, against the same memo, with the same merge and LIMIT
-// handling — so it is DeepEqual (including latencies and cache markers)
-// to what Run would have returned, by construction. Intermediate
-// refinements add executor invocations (visible in Stats.PlanExecs) but
-// never perturb the final answer; with Options.DeltaReuse disabled, or
-// when the chain has a single step (result-cache hit, singleflight share,
-// exact template, probe already at the final level), the stream degrades
-// to exactly one final refinement.
+// The final refinement does not take a special path: it is the same
+// chooseConjunctive/readAt pair the non-streaming Execute runs, continuing
+// the chain the refinements built — a chain extended to a level answers
+// bit for bit as a scan of that level's view does — with the same merge
+// and LIMIT handling, so it is DeepEqual (including latencies and cache
+// markers) to what Run would have returned. Intermediate refinements add
+// executor invocations (visible in Stats.PlanExecs) but never perturb the
+// final answer; with Options.DeltaReuse disabled, or when the chain has a
+// single step (result-cache hit, singleflight share, exact template, probe
+// already at the final level), the stream degrades to exactly one final
+// refinement.
 
 import (
 	"context"
@@ -53,8 +48,8 @@ import (
 // refinement is bit-identical to the non-streaming Run response.
 type Refinement struct {
 	// Resp is the full response at this refinement's resolution. Callers
-	// must treat it as read-only: results may be shared with the runtime's
-	// memo and caches.
+	// must treat it as read-only: results may be shared with the prepared
+	// probe and the runtime's caches.
 	Resp *Response
 	// Level is the sample resolution that produced this refinement (max
 	// across disjuncts; -1 = base table).
@@ -111,12 +106,12 @@ func responseLevel(resp *Response) int {
 }
 
 // streamParams executes a prepared query, streaming intermediate
-// refinements through emitMid when non-nil. The returned final Response
-// is bit-identical to the emitMid==nil (non-streaming) path: the final
-// always runs the exact chooseConjunctive/scanConjunctive pair against the
-// shared memo. See the package comment at the top of this file for why
-// intermediates rescan the pruned prefix rather than folding delta
-// partials across caps.
+// refinements through emitMid when non-nil: per disjunct the §4.4 level
+// chain pv.Level..final−1, aligned across disjuncts (a disjunct whose chain
+// is exhausted contributes its final-level answer, a base-table disjunct
+// its one answer). Every refinement is a complete, well-formed response;
+// the final one — the returned Response — is the emitMid==nil path's, bit
+// for bit.
 func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, error) {
 	bsp := sp.Child("bind+scan")
 	defer bsp.End()
@@ -132,12 +127,12 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 	paramsEq := sqlparser.ParamsEqual(params, pq.prepParams)
 
 	if pq.exact {
-		res, err := pq.base.baseMemo(ctx, rt, plan, pq.entry.Table, conf, pq.joins, paramsEq, bsp)
+		res, err := rt.runPlan(ctx, plan, exec.FromTable(pq.entry.Table), conf, pq.joins, bsp)
 		if err != nil {
 			return nil, err
 		}
 		d := Decision{UsedBase: true, Reason: "no bounds: exact execution on base table"}
-		d.ReadLatency = rt.latencyOf(pq.entry.Table.Blocks) + rt.broadcastCost(pq.joins)
+		d.ReadLatency = rt.tablePrice(pq.entry) + rt.broadcastCost(pq.joins)
 		rt.recordLevel(-1)
 		return &Response{Result: res, Decisions: []Decision{d}, SimLatency: d.Latency(), Confidence: conf}, nil
 	}
@@ -149,178 +144,94 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 	}
 	subs := make([]*exec.Plan, len(disjuncts))
 	lcs := make([]levelChoice, len(disjuncts))
+	steps := 0 // intermediate refinements: the most levels a disjunct climbs past its probe's
 	for i, pred := range disjuncts {
 		subs[i] = plan.WithPred(pred)
 		lcs[i] = rt.chooseConjunctive(pq, pq.disjuncts[i], subs[i], q, conf)
+		if lcs[i].level >= 0 {
+			steps = max(steps, lcs[i].level-pq.disjuncts[i].pv.Level)
+		}
+	}
+	if emitMid == nil || !*rt.opt.DeltaReuse {
+		steps = 0 // not streaming, or the ablation: no delta chain, one final refinement
 	}
 
-	if emitMid != nil {
-		if err := rt.streamIntermediates(ctx, pq, plan, subs, lcs, conf, paramsEq, bsp, emitMid); err != nil {
-			return nil, err
-		}
-	}
-
-	// The final refinement: the exact non-streaming scan path.
-	var fsp *telemetry.Span
-	if bsp != nil && emitMid != nil {
-		fsp = bsp.Child("refinement final")
-		fsp.Note("final")
-	}
-	scanSp := bsp
-	if fsp != nil {
-		scanSp = fsp
-	}
-	var parts []*exec.Result
-	var decisions []Decision
-	simLatency := 0.0
-	for i := range subs {
-		res, err := rt.scanConjunctive(ctx, pq, pq.disjuncts[i], subs[i], conf, paramsEq, lcs[i], scanSp)
-		if err != nil {
-			fsp.End()
-			return nil, err
-		}
-		parts = append(parts, res)
-		decisions = append(decisions, lcs[i].dec)
-		if l := lcs[i].dec.Latency(); l > simLatency {
-			simLatency = l // disjuncts execute in parallel
-		}
-	}
-	fsp.End()
-	merged := exec.MergeResults(plan, parts)
-	if plan.Limit > 0 && len(merged.Groups) > plan.Limit {
-		// Copy-on-truncate: with one disjunct, merged IS the (possibly
-		// memoized, shared) disjunct result — never mutate it.
-		cp := *merged
-		cp.Groups = merged.Groups[:plan.Limit]
-		merged = &cp
-	}
-	return &Response{Result: merged, Decisions: decisions, SimLatency: simLatency, Confidence: conf}, nil
-}
-
-// streamIntermediates emits the pre-final refinements: per disjunct the
-// §4.4 level chain pv.Level..final−1, aligned across disjuncts (a
-// disjunct whose chain is exhausted contributes its final-level answer,
-// served from the memo when the final step re-reads it). Each step
-// re-merges and re-applies LIMIT so every refinement is a complete,
-// well-formed response.
-func (rt *Runtime) streamIntermediates(ctx context.Context, pq *PreparedQuery, plan *exec.Plan,
-	subs []*exec.Plan, lcs []levelChoice, conf float64, paramsEq bool, sp *telemetry.Span, emitMid midEmitter) error {
-
-	if !*rt.opt.DeltaReuse {
-		return nil // ablation: no delta chain, single final refinement
-	}
-	chains := make([][]int, len(subs))
-	steps := 0
-	for i, lc := range lcs {
-		if lc.level < 0 {
-			continue // base-table disjunct: no resolution chain
-		}
-		pd := pq.disjuncts[i]
-		for l := pd.pv.Level; l < lc.level; l++ {
-			chains[i] = append(chains[i], l)
-		}
-		if len(chains[i]) > steps {
-			steps = len(chains[i])
-		}
-	}
-	if steps == 0 {
-		return nil
-	}
-	// Session-local memo: when paramsEq the shared per-level memo already
-	// deduplicates; when not, it keeps one session from scanning the same
-	// level twice across steps.
-	local := make([]map[int]*exec.Result, len(subs))
-	for i := range local {
-		local[i] = make(map[int]*exec.Result)
-	}
-	for s := 0; s < steps; s++ {
+	reads := make([]read, len(subs))
+	for step := 0; ; step++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		var rsp *telemetry.Span
-		if sp != nil {
-			rsp = sp.Child(fmt.Sprintf("refinement %d", s))
-		}
-		stepLevel := -1
-		var parts []*exec.Result
-		var decs []Decision
-		simLatency := 0.0
-		for i := range subs {
-			pd := pq.disjuncts[i]
-			level := lcs[i].level
-			if s < len(chains[i]) {
-				level = chains[i][s]
+		final := step == steps
+		scanSp, rsp := bsp, (*telemetry.Span)(nil)
+		if bsp != nil && emitMid != nil {
+			name := "refinement final"
+			if !final {
+				name = fmt.Sprintf("refinement %d", step)
 			}
-			res, err := rt.scanStreamLevel(ctx, pq, pd, subs[i], conf, paramsEq, level, local[i], rsp)
+			rsp = bsp.Child(name)
+			scanSp = rsp
+		}
+		parts := make([]*exec.Result, len(subs))
+		decs := make([]Decision, len(subs))
+		stepLevel := -1
+		for i, lc := range lcs {
+			pd, level := pq.disjuncts[i], lc.level
+			if level >= 0 && !final {
+				level = min(level, pd.pv.Level+step)
+			}
+			res, err := rt.readAt(ctx, pq, pd, subs[i], conf, paramsEq, &reads[i], level, scanSp)
 			if err != nil {
 				rsp.End()
-				return err
+				return nil, err
 			}
-			dec := rt.refineDecision(pq, pd, subs[i], lcs[i], level, conf)
-			parts = append(parts, res)
-			decs = append(decs, dec)
-			if l := dec.Latency(); l > simLatency {
-				simLatency = l
-			}
-			if level > stepLevel {
-				stepLevel = level
-			}
+			parts[i], decs[i] = res, rt.refineDecision(pq, pd, subs[i], lc, level, conf)
+			stepLevel = max(stepLevel, level)
 		}
-		merged := exec.MergeResults(plan, parts)
-		if plan.Limit > 0 && len(merged.Groups) > plan.Limit {
-			cp := *merged
-			cp.Groups = merged.Groups[:plan.Limit]
-			merged = &cp
+		resp := respond(plan, parts, decs, conf)
+		if final {
+			rsp.Note("final")
+			rsp.End()
+			for _, lc := range lcs {
+				rt.recordLevel(lc.level)
+			}
+			return resp, nil
 		}
 		if rsp != nil {
 			rsp.Note(fmt.Sprintf("level=%d", stepLevel))
 		}
 		rsp.End()
-		resp := &Response{Result: merged, Decisions: decs, SimLatency: simLatency, Confidence: conf}
 		if err := emitMid(resp, stepLevel); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanStreamLevel produces one disjunct's answer at one chain level:
-// probe reuse at the probe's own level, the shared per-level memo
-// otherwise, with the session-local map preventing intra-session rescans
-// when the shared memo is unusable (parameters differ from prepare).
-// Unlike scanConjunctive it does not count toward AnswersByLevel — only
-// final answers do.
-func (rt *Runtime) scanStreamLevel(ctx context.Context, pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
-	conf float64, paramsEq bool, level int, local map[int]*exec.Result, sp *telemetry.Span) (*exec.Result, error) {
-
-	if level < 0 {
-		return pd.baseMemo(ctx, rt, plan, pq.entry.Table, conf, pq.joins, paramsEq, sp)
-	}
-	if r, ok := local[level]; ok {
-		return r, nil
-	}
-	var res *exec.Result
-	if level == pd.pv.Level && paramsEq {
-		res = pd.probe
-	} else {
-		in := viewInput(pd.fam.View(level), plan)
-		r, err := pd.runMemo(ctx, rt, level, plan, in, conf, pq.joins, paramsEq, sp)
-		if err != nil {
 			return nil, err
 		}
-		res = r
 	}
-	local[level] = res
-	return res, nil
 }
 
-// refineDecision derives an intermediate refinement's Decision from the
-// final level choice: same probe accounting, but the view, projected
-// bound and delta-priced read latency of the intermediate level. The
-// cumulative ReadLatency (delta blocks pv..level) grows monotonically
-// toward the final decision's, mirroring what a client progressively
-// pays. At the disjunct's final level the final Decision is reported
-// verbatim.
+// respond merges the disjuncts' answers into one Response (§4.1.2): LIMIT
+// applied, the disjuncts priced as running in parallel.
+func respond(plan *exec.Plan, parts []*exec.Result, decs []Decision, conf float64) *Response {
+	merged := exec.MergeResults(plan, parts)
+	if plan.Limit > 0 && len(merged.Groups) > plan.Limit {
+		// Copy-on-truncate: with one disjunct, merged IS the disjunct's
+		// answer — possibly the prepared probe's, shared — never mutate it.
+		cp := *merged
+		cp.Groups = merged.Groups[:plan.Limit]
+		merged = &cp
+	}
+	simLatency := 0.0
+	for _, d := range decs {
+		if l := d.Latency(); l > simLatency {
+			simLatency = l // disjuncts execute in parallel
+		}
+	}
+	return &Response{Result: merged, Decisions: decs, SimLatency: simLatency, Confidence: conf}
+}
+
+// refineDecision derives a refinement's Decision from the final level
+// choice: same probe accounting, but the view, projected bound and
+// delta-priced read latency of the refinement's level. The cumulative
+// ReadLatency (delta blocks pv..level) grows monotonically toward the
+// final decision's, mirroring what a client progressively pays. At the
+// disjunct's final level the final Decision is reported verbatim.
 func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
 	lc levelChoice, level int, conf float64) Decision {
 
@@ -332,7 +243,7 @@ func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exe
 	view := fam.View(level)
 	dec.View = view
 	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	dec.ReadLatency = rt.latencyOf(plan.Prune(view.DeltaBlocks(pv))) + rt.broadcastCost(pq.joins)
+	dec.ReadLatency = rt.readPrice(pq.entry, plan, view.DeltaBlocks(pv)) + rt.broadcastCost(pq.joins)
 	dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
 	return dec
 }

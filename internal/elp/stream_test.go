@@ -2,12 +2,15 @@ package elp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"blinkdb/internal/cpu"
+	"blinkdb/internal/exec"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/telemetry"
 )
@@ -77,20 +80,43 @@ func TestStreamFinalBitIdentical(t *testing.T) {
 	}
 	for _, tc := range templates {
 		t.Run(tc.name, func(t *testing.T) {
-			stream, serial := build(tc.join), build(tc.join)
-			want, err := serial.rt.Run(parse(t, tc.src))
-			if err != nil {
-				t.Fatal(err)
+			forKernels(t, func(t *testing.T) {
+				stream, serial := build(tc.join), build(tc.join)
+				want, err := serial.rt.Run(parse(t, tc.src))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs := collect(t, stream.rt, parse(t, tc.src))
+				checkSession(t, refs)
+				final := refs[len(refs)-1]
+				if !reflect.DeepEqual(final.Resp, want) {
+					t.Errorf("final streamed response diverges from Run:\n got %+v\nwant %+v", final.Resp, want)
+				}
+				if want := responseLevel(final.Resp); final.Level != want {
+					t.Errorf("final Level = %d, want %d", final.Level, want)
+				}
+			})
+		})
+	}
+}
+
+// forKernels runs f once per kernel set: the AVX2 kernels, skipped where
+// this CPU has none, and the Go kernels forced. No test in this package
+// runs in parallel, so flipping cpu.AVX2 races nothing.
+func forKernels(t *testing.T, f func(t *testing.T)) {
+	host := cpu.AVX2
+	for _, avx2 := range []bool{true, false} {
+		name := "generic"
+		if avx2 {
+			name = "avx2"
+		}
+		t.Run(name, func(t *testing.T) {
+			if avx2 && !host {
+				t.Skip("this CPU has no AVX2 kernels")
 			}
-			refs := collect(t, stream.rt, parse(t, tc.src))
-			checkSession(t, refs)
-			final := refs[len(refs)-1]
-			if !reflect.DeepEqual(final.Resp, want) {
-				t.Errorf("final streamed response diverges from Run:\n got %+v\nwant %+v", final.Resp, want)
-			}
-			if want := responseLevel(final.Resp); final.Level != want {
-				t.Errorf("final Level = %d, want %d", final.Level, want)
-			}
+			cpu.AVX2 = avx2
+			defer func() { cpu.AVX2 = host }()
+			f(t)
 		})
 	}
 }
@@ -355,4 +381,84 @@ func TestStreamAlreadyCancelled(t *testing.T) {
 	if s.Cancelled != 1 {
 		t.Errorf("Cancelled = %d, want 1", s.Cancelled)
 	}
+}
+
+// scannedBlocks sums the blocks of every scan span of tr under spans named
+// with prefix.
+func scannedBlocks(t *testing.T, tr *telemetry.Trace, prefix string) int {
+	t.Helper()
+	total := 0
+	var walk func(s *telemetry.Span, under bool)
+	walk = func(s *telemetry.Span, under bool) {
+		under = under || strings.HasPrefix(s.Name(), prefix)
+		var n int
+		if _, err := fmt.Sscanf(s.Name(), "scan blocks=%d", &n); err == nil && under {
+			total += n
+		}
+		for _, c := range s.Children() {
+			walk(c, under)
+		}
+	}
+	walk(tr.Root(), false)
+	return total
+}
+
+// TestSessionReadsEachDeltaOnce: a streaming session folds one delta per
+// refinement into one chain. With Prepare's own parameters the probe's
+// levels are never read again — the refinements and the final together
+// scan exactly the blocks the final level adds to the probe's — and with
+// other parameters (a plan-cache hit) exactly the final level's blocks,
+// each once; either way the final answer is the non-streaming Run's, on
+// both kernel sets.
+func TestSessionReadsEachDeltaOnce(t *testing.T) {
+	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city%d' ERROR WITHIN 5%%`
+	forKernels(t, func(t *testing.T) {
+		f := newFixture(t, 20000, Options{PlanCacheSize: 8})
+		serial := newFixture(t, 20000, Options{PlanCacheSize: 8})
+		for i, city := range []int{1, 2} {
+			q := fmt.Sprintf(src, city)
+			tr := telemetry.New("stream")
+			var refs []Refinement
+			if err := f.rt.RunStreamTraced(context.Background(), parse(t, q), tr, func(r Refinement) error {
+				refs = append(refs, r)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			want, err := serial.rt.Run(parse(t, q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := refs[len(refs)-1]
+			if len(refs) < 3 || !reflect.DeepEqual(final.Resp, want) {
+				t.Fatalf("%q: %d refinements; final %+v, Run %+v", q, len(refs), final.Resp, want)
+			}
+			pd := preparedDisjunct(t, f.rt, parse(t, q))
+			plan, err := exec.Compile(parse(t, q), f.tab.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := pd.fam.View(final.Level)
+			wantBlocks := len(plan.Prune(view.Blocks()))
+			if i == 0 { // the session that prepared: Prepare's parameters
+				wantBlocks = len(plan.Prune(view.DeltaBlocks(pd.pv)))
+			}
+			if got := scannedBlocks(t, tr, "refinement"); got != wantBlocks {
+				t.Fatalf("%q: the session scanned %d blocks, want %d (levels %d..%d, prepared=%v)",
+					q, got, wantBlocks, pd.pv.Level, final.Level, i == 0)
+			}
+		}
+	})
+}
+
+// preparedDisjunct returns the plan-cache entry's one disjunct for q.
+func preparedDisjunct(t *testing.T, rt *Runtime, q *sqlparser.Query) *prepDisjunct {
+	t.Helper()
+	key, _ := sqlparser.Normalize(q)
+	pq, ok := rt.cache.Get(key)
+	if !ok || len(pq.disjuncts) != 1 {
+		t.Fatalf("%s is not prepared with one disjunct", key)
+	}
+	return pq.disjuncts[0]
 }

@@ -33,13 +33,13 @@ func TestSpanScanSteadyStateZeroAlloc(t *testing.T) {
 	} {
 		p := compile(t, tc.src, tc.tab.Schema)
 		rt := p.runtime()
-		for name, in := range map[string]Input{"table": FromTable(tc.tab), "capped": FromBlocks(tc.tab.Schema, tc.tab.Blocks, 120)} {
-			if len(tc.tab.Chunks()) != 1 || len(scanRanges(in.Blocks)) != 1 {
+		for name, in := range map[string]Input{"table": FromTable(tc.tab), "capped": viewOf(tc.tab.Schema, tc.tab.Blocks, 120)} {
+			if len(tc.tab.Chunks()) != 1 || len(in.ranges()) != 1 {
 				t.Fatal("the table is meant to be one chunk scanned as one range")
 			}
 			sc := &colScratch{}
 			pt := &Partial{groups: make(map[uint64][]*groupState)}
-			scan := func() { pt.scanBlocks(p, rt, in, in.Blocks, nil, sc) }
+			scan := func() { pt.scanBlocks(p, rt, in, 0, len(in.Blocks), nil, sc) }
 			scan()
 			if a := testing.AllocsPerRun(20, scan); a != 0 {
 				t.Errorf("%s over %s: steady-state span scan allocates %.1f objects a pass, want 0", tc.src, name, a)

@@ -91,7 +91,7 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	}
 	in = FromTable(tab)
 	if rng.Intn(2) == 0 {
-		in = FromBlocks(schema, tab.Blocks, int64(60+rng.Intn(120)))
+		in = viewOf(schema, tab.Blocks, randomCaps(rng)...)
 	}
 	p, joins = genQuery(rng, schema)
 	return p, in, joins, fmt.Sprintf("seed=%d shape=%q rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
@@ -106,8 +106,8 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 // every row, mid-block or every few thousand rows; NULLs, NaNs and
 // mixed-kind values confined to one block per chunk (the whole chunk's
 // columns still pay for them: null bitmaps, the verbatim encoding, no
-// NaN-free guarantee); and, one case in three, a FromBlocks list that
-// skips blocks the way a delta-reuse scan does.
+// NaN-free guarantee); and, one case in three, a view input whose block
+// list skips blocks the way a pruned one does.
 func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := diffSchema()
@@ -152,7 +152,7 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 	case 0:
 		in = FromTable(tab)
 	case 1:
-		in = FromBlocks(schema, tab.Blocks, int64(60+rng.Intn(120)))
+		in = viewOf(schema, tab.Blocks, randomCaps(rng)...)
 	default:
 		var kept []*storage.Block
 		for _, blk := range tab.Blocks {
@@ -161,10 +161,20 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 			}
 		}
 		shape += " skips"
-		in = FromBlocks(schema, kept, int64(60+rng.Intn(120)))
+		in = viewOf(schema, kept, randomCaps(rng)...)
 	}
 	p, joins = genQuery(rng, schema)
 	return p, in, joins, fmt.Sprintf("seed=%d chunks=%s rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
+}
+
+// randomCaps draws a view's resolutions: one to three ascending caps, the
+// first among the stratum frequencies the generators write (0 to 200).
+func randomCaps(rng *rand.Rand) []int64 {
+	caps := []int64{int64(60 + rng.Intn(120))}
+	for n := rng.Intn(3); n > 0; n-- {
+		caps = append(caps, caps[len(caps)-1]+int64(1+rng.Intn(100)))
+	}
+	return caps
 }
 
 // genQuery draws the plan for a differential case: a random AND/OR/NOT

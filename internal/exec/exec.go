@@ -5,15 +5,19 @@
 // everywhere so exact execution is the same code path.
 //
 // Execution is row-budgeted: the block list is split into contiguous
-// ranges of at least minPartialRows rows each (scanRanges), each range is
-// scanned into a mergeable Partial (one group map per range, zone-map
-// pruning applied before any row is touched), and the partials are folded
-// in partition-index order. Because the partition depends only on the
-// blocks' row counts, the fold order — and hence every floating-point
-// accumulation — is identical for any worker count: RunParallel(…, 8)
-// returns bit-for-bit the same Result as RunParallel(…, 1). How the
-// simulated cluster places and prices those blocks (ScanShards) is a
-// separate, per-block partition the scan never consults.
+// ranges of at least minPartialRows rows each (scanRanges) — a sample
+// view's one resolution's delta at a time, so no range straddles a delta —
+// each range is scanned into a mergeable Partial (one group map per range,
+// zone-map pruning applied before any row is touched), and the partials
+// are folded in partition-index order. Because the partition depends only
+// on the blocks' row counts, the fold order — and hence every
+// floating-point accumulation — is identical for any worker count:
+// RunParallel(…, 8) returns bit-for-bit the same Result as
+// RunParallel(…, 1). And because it is cut at every delta, a Chain that
+// folds a view's deltas one step at a time folds the same partials, in the
+// same order, as a scan of the whole view (§4.4). How the simulated
+// cluster places and prices those blocks (ScanShards) is a separate,
+// per-block partition the scan never consults.
 //
 // A block is the priced unit — pruned by its zones, counted by its bytes —
 // and a window on a physical chunk. Within a range the kernels (vector.go)
@@ -65,41 +69,63 @@ const minPartialRows = 8192
 // never on workers, schedule or placement — which is the whole
 // bit-identity argument: one Partial per range, folded in range order.
 func scanRanges(blocks []*storage.Block) []storage.BlockRange {
+	return appendRanges(nil, blocks, 0)
+}
+
+// appendRanges appends scanRanges(blocks), offset by off, to dst.
+func appendRanges(dst []storage.BlockRange, blocks []*storage.Block, off int) []storage.BlockRange {
 	if len(blocks) == 0 {
-		return nil
+		return dst
 	}
 	total := 0
 	for _, b := range blocks {
 		total += b.N
 	}
 	target := max(minPartialRows, (total+maxPartials-1)/maxPartials)
-	ranges := make([]storage.BlockRange, 0, max(total/target, 1))
-	lo, rows := 0, 0
+	if dst == nil {
+		dst = make([]storage.BlockRange, 0, max(total/target, 1))
+	}
+	first, lo, rows := len(dst), 0, 0
 	for i, b := range blocks {
 		if rows += b.NumRows(); rows >= target {
-			ranges = append(ranges, storage.BlockRange{Lo: lo, Hi: i + 1})
+			dst = append(dst, storage.BlockRange{Lo: off + lo, Hi: off + i + 1})
 			lo, rows = i+1, 0
 		}
 	}
-	if len(ranges) == 0 {
-		return append(ranges, storage.BlockRange{Lo: 0, Hi: len(blocks)})
+	if len(dst) == first {
+		return append(dst, storage.BlockRange{Lo: off, Hi: off + len(blocks)})
 	}
-	ranges[len(ranges)-1].Hi = len(blocks)
-	return ranges
+	dst[len(dst)-1].Hi = off + len(blocks)
+	return dst
 }
 
-// Input is a scannable row source with per-row sampling rates.
+// Input is a scannable row source: a table, whose rows carry their own
+// sampling rates, or a window of a sample family's resolutions, whose rows
+// carry their stratum frequencies (§3.1).
 type Input struct {
 	// Schema describes the rows.
 	Schema *types.Schema
 	// Blocks is the priced block list (what the cost model reads, too).
 	Blocks []*storage.Block
-	// Rate derives a row's effective sampling rate from its metadata.
-	Rate func(m storage.RowMeta) float64
+
+	// A view's input (FromView, FromDelta) reads resolution view up to and
+	// is answered at cap, its cap; Blocks hold the deltas of the
+	// resolutions it adds, in order. All zero for a table.
+	view   sample.View
+	cap    int64
+	deltas []delta
 
 	// prunedFor is the plan state Blocks were already zone-pruned against
 	// (see Pruned); a scan of that very plan skips its per-block re-check.
 	prunedFor *planRuntime
+}
+
+// delta is one resolution's delta in a view input's Blocks: where it ends,
+// and its cap, which its rows' stratum frequencies are raised to
+// (stats.FreqKey).
+type delta struct {
+	end   int
+	floor int64
 }
 
 // Pruned returns the input restricted to the blocks whose zone maps may
@@ -108,38 +134,78 @@ type Input struct {
 // pruning up front just spares it checking every survivor a second time.
 func (in Input) Pruned(p *Plan) Input {
 	rt := p.runtime()
-	in.Blocks, _ = pruneBlocks(in.Blocks, rt.bounds)
-	in.prunedFor = rt
+	kept, _ := pruneBlocks(in.Blocks, rt.bounds)
+	if len(kept) != len(in.Blocks) && in.deltas != nil {
+		// Pruning moved the delta boundaries: record where they now fall.
+		deltas := make([]delta, len(in.deltas))
+		i, j := 0, 0
+		for l, dl := range in.deltas {
+			for ; i < dl.end; i++ {
+				if j < len(kept) && kept[j] == in.Blocks[i] {
+					j++
+				}
+			}
+			deltas[l] = delta{j, dl.floor}
+		}
+		in.deltas = deltas
+	}
+	in.Blocks, in.prunedFor = kept, rt
 	return in
 }
 
 // FromTable wraps a base table (or uniform-rate sample table) as an Input.
 func FromTable(t *storage.Table) Input {
-	return Input{
-		Schema: t.Schema,
-		Blocks: t.Blocks,
-		Rate:   func(m storage.RowMeta) float64 { return m.Rate },
-	}
+	return Input{Schema: t.Schema, Blocks: t.Blocks}
 }
 
-// FromView wraps a sample-family resolution as an Input; rates are derived
-// per row from the view's cap and the row's stratum frequency.
-func FromView(v sample.View) Input {
-	cap := v.Cap()
-	return Input{
-		Schema: v.Family.Schema(),
-		Blocks: v.Blocks(),
-		Rate:   func(m storage.RowMeta) float64 { return sample.RateForCap(m, cap) },
+// FromView wraps a sample-family resolution as an Input: weights are
+// derived per row from the view's cap and the row's stratum frequency.
+func FromView(v sample.View) Input { return FromDelta(v, -1) }
+
+// FromDelta wraps the blocks resolution v adds to resolution after of its
+// family — the deltas after+1..v.Level, all of v when after is -1 — as the
+// Input a Chain at resolution after extends by (§4.4).
+func FromDelta(v sample.View, after int) Input {
+	fam := v.Family
+	in := Input{
+		Schema: fam.Schema(),
+		Blocks: v.Blocks()[prefix(fam, after):],
+		view:   v,
+		cap:    v.Cap(),
+		deltas: make([]delta, 0, max(v.Level-after, 0)),
 	}
+	for l := after + 1; l <= v.Level; l++ {
+		in.deltas = append(in.deltas, delta{prefix(fam, l) - prefix(fam, after), fam.Caps[l]})
+	}
+	return in
 }
 
-// FromBlocks wraps an explicit block list (the §4.4 delta-reuse path).
-func FromBlocks(schema *types.Schema, blocks []*storage.Block, cap int64) Input {
-	return Input{
-		Schema: schema,
-		Blocks: blocks,
-		Rate:   func(m storage.RowMeta) float64 { return sample.RateForCap(m, cap) },
+// prefix returns how many blocks resolutions 0..level of fam hold.
+func prefix(fam *sample.Family, level int) int {
+	if level < 0 {
+		return 0
 	}
+	return len(fam.View(level).Blocks())
+}
+
+// weights returns how the input's class keys weigh: at the view's cap, or
+// — a table — as the rows' own weights.
+func (in Input) weights() stats.Weights { return stats.Weights{Cap: in.cap} }
+
+// ranges returns the input's scan ranges: scanRanges over a table's blocks,
+// and over a view's one delta at a time, so that no range straddles two —
+// which is what makes a Chain's partials those of a direct scan.
+func (in Input) ranges() []storage.BlockRange {
+	if in.deltas == nil {
+		return scanRanges(in.Blocks)
+	}
+	out := make([]storage.BlockRange, 0, len(in.deltas))
+	lo := 0
+	for _, dl := range in.deltas {
+		out = appendRanges(out, in.Blocks[lo:dl.end], lo)
+		lo = dl.end
+	}
+	return out
 }
 
 // AggPlan is a compiled aggregate.
@@ -393,6 +459,16 @@ type groupState struct {
 	batchRows []int32
 }
 
+// clone returns a copy of gs whose accumulators share no memory with it
+// (the key is immutable and shared).
+func (gs *groupState) clone() *groupState {
+	cp := &groupState{key: gs.key, accs: make([]*stats.Acc, len(gs.accs))}
+	for i, acc := range gs.accs {
+		cp.accs[i] = acc.Clone()
+	}
+	return cp
+}
+
 // newGroupState initialises a group for the given (possibly nil) first row.
 func newGroupState(p *Plan, row types.Row) *groupState {
 	gs := &groupState{accs: make([]*stats.Acc, len(p.Aggs))}
@@ -436,6 +512,8 @@ type Partial struct {
 	// groups buckets group states by hashed GROUP BY key; each bucket
 	// holds the (rare) hash-colliding groups.
 	groups map[uint64][]*groupState
+	// w is how the scanned input's class keys weigh (Input.weights).
+	w stats.Weights
 }
 
 // NumGroups returns the number of distinct groups seen in this partial.
@@ -465,12 +543,10 @@ func (pt *Partial) findGroup(p *Plan, row types.Row) *groupState {
 }
 
 // addMatched feeds one row that already passed the predicate through
-// group → aggregate.
-func (pt *Partial) addMatched(p *Plan, row types.Row, rate float64, stratumFreq int64) {
+// group → aggregate: chunk row r of class key k.
+func (pt *Partial) addMatched(p *Plan, row types.Row, r int, k stats.Key, stratumFreq int64) {
 	pt.RowsMatched++
-	if rate > 0 {
-		pt.WeightedMatched.Add(1/rate, 1)
-	}
+	pt.WeightedMatched.Add(k, 1)
 	if stratumFreq > pt.MaxMatchedStratumFreq {
 		pt.MaxMatchedStratumFreq = stratumFreq
 	}
@@ -487,7 +563,7 @@ func (pt *Partial) addMatched(p *Plan, row types.Row, rate float64, stratumFreq 
 				x = 1
 			}
 		}
-		gs.accs[ai].Add(x, rate)
+		gs.accs[ai].AddRow(x, r, k)
 	}
 }
 
@@ -529,25 +605,20 @@ func RunPartial(p *Plan, in Input, lo, hi int) *Partial {
 func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	jr *joinRuntime, sc *colScratch) *Partial {
 
-	pt := &Partial{groups: make(map[uint64][]*groupState)}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(in.Blocks) {
-		hi = len(in.Blocks)
-	}
+	pt := &Partial{groups: make(map[uint64][]*groupState), w: in.weights()}
+	lo, hi = max(lo, 0), min(hi, len(in.Blocks))
 	if sc == nil {
 		sc = &colScratch{} // direct RunPartial calls
 	}
-	pt.scanBlocks(p, rt, in, in.Blocks[lo:hi], jr, sc)
+	pt.scanBlocks(p, rt, in, lo, hi, jr, sc)
 	return pt
 }
 
-// scanBlocks scans one range's blocks into the partial as spans: each
-// block is pruned, counted and classified on its own, and neighbours that
-// continue one another in a chunk under the same classification are handed
-// to the kernels as one run of rows.
-func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*storage.Block,
+// scanBlocks scans blocks [lo, hi) of the input into the partial as spans:
+// each block is pruned, counted and classified on its own, and neighbours
+// that continue one another in a chunk under the same classification are
+// handed to the kernels as one run of rows.
+func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	jr *joinRuntime, sc *colScratch) {
 
 	var open span // open.d is nil when no span is open
@@ -556,14 +627,27 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*stor
 		switch {
 		case open.d == nil:
 		case jr != nil:
-			pt.scanSpanJoin(p, in, open, sc, jr)
+			pt.scanSpanJoin(p, open, sc, jr)
 		default:
-			pt.scanSpan(p, rt, in, open, sc)
+			pt.scanSpan(p, rt, open, sc)
 		}
 		open.d = nil
 	}
+	// A view's rows are keyed by the cap of the delta that holds them
+	// (floor; 0 for a table's), the delta before end.
+	dl, end, floor := 0, len(in.Blocks), int64(0)
+	for ; dl < len(in.deltas); dl++ {
+		if end, floor = in.deltas[dl].end, in.deltas[dl].floor; end > lo {
+			break
+		}
+	}
 	prune := len(rt.bounds) > 0 && in.prunedFor != rt
-	for _, b := range blocks {
+	for i := lo; i < hi; i++ {
+		b := in.Blocks[i]
+		for i >= end {
+			dl++
+			end, floor = in.deltas[dl].end, in.deltas[dl].floor
+		}
 		if prune && !zoneMayMatch(b, rt.bounds) {
 			scan() // pruned: never read, never counted
 			continue
@@ -572,7 +656,7 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*stor
 		if b.N == 0 {
 			continue
 		}
-		if next := spanOf(b, rt, jr != nil, &meta); open.d != nil && open.extends(next) {
+		if next := spanOf(b, rt, jr != nil, floor, &meta); open.d != nil && open.extends(next) {
 			open.hi = next.hi
 		} else {
 			scan()
@@ -596,7 +680,8 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, blocks []*stor
 // Partials are not mutated (group states are cloned on first occurrence),
 // so the same partials may be folded again by another Merger, e.g. at a
 // different confidence level. The scan driver, whose partials nobody else
-// ever sees, opts out of the cloning (owned).
+// ever sees, opts out of the cloning (owned). Finalizing reads the merged
+// state and changes nothing.
 type Merger struct {
 	p    *Plan
 	next int        // lowest index not yet folded
@@ -608,6 +693,9 @@ type Merger struct {
 	// groups move in as they are. Same values, same fold order, no clones —
 	// a scan that fits one range finalizes from its own group states.
 	owned bool
+	// w weighs the merged classes at Finish: the weights of the input the
+	// partials were scanned from.
+	w stats.Weights
 
 	merged                map[uint64][]*groupState
 	rowsScanned           int64
@@ -619,7 +707,15 @@ type Merger struct {
 
 // NewMerger creates a merger expecting partials at indices [0, n).
 func NewMerger(p *Plan, n int) *Merger {
-	return &Merger{p: p, wait: make([]*Partial, n), got: make([]bool, n), merged: make(map[uint64][]*groupState)}
+	m := &Merger{p: p, merged: make(map[uint64][]*groupState)}
+	m.expect(n)
+	return m
+}
+
+// expect opens the merger to n more partials, delivered at indices [0, n)
+// and folded after everything it holds: how a Chain adds a delta's ranges.
+func (m *Merger) expect(n int) {
+	m.next, m.wait, m.got = 0, make([]*Partial, n), make([]bool, n)
 }
 
 // Add delivers the partial for one partition index (nil for an empty
@@ -644,6 +740,7 @@ func (m *Merger) fold(pt *Partial) {
 	if pt == nil {
 		return
 	}
+	m.w = pt.w
 	m.rowsScanned += pt.RowsScanned
 	m.rowsMatched += pt.RowsMatched
 	m.bytesScanned += pt.BytesScanned
@@ -669,31 +766,44 @@ func (m *Merger) fold(pt *Partial) {
 	}
 }
 
-// Finish folds any remaining delivered partials (still in index order)
-// and finalizes the Result at the given confidence.
-func (m *Merger) Finish(confidence float64) *Result {
-	if confidence <= 0 || confidence >= 1 {
-		confidence = 0.95
-	}
+// flush folds any remaining delivered partials, still in index order.
+func (m *Merger) flush() {
 	for ; m.next < len(m.wait); m.next++ {
 		if m.got[m.next] {
 			m.fold(m.wait[m.next])
 			m.wait[m.next] = nil
 		}
 	}
+}
+
+// Finish folds any remaining delivered partials (still in index order)
+// and finalizes the Result at the given confidence.
+func (m *Merger) Finish(confidence float64) *Result {
+	m.flush()
+	return m.result(confidence, m.w)
+}
+
+// result finalizes the merged state at confidence, its classes weighed by
+// w. It reads the state and changes nothing, so one state may be finalized
+// at several caps, concurrently.
+func (m *Merger) result(confidence float64, w stats.Weights) *Result {
+	if confidence <= 0 || confidence >= 1 {
+		confidence = 0.95
+	}
 	res := &Result{
 		Confidence:            confidence,
 		RowsScanned:           m.rowsScanned,
 		RowsMatched:           m.rowsMatched,
-		WeightedMatched:       m.weightedMatched.Sum(),
+		WeightedMatched:       m.weightedMatched.Sum(w),
 		MaxMatchedStratumFreq: m.maxMatchedStratumFreq,
 		BytesScanned:          m.bytesScanned,
 	}
-	// A global aggregate with zero matches still yields one empty group.
-	if len(m.p.GroupBy) == 0 && len(m.merged) == 0 {
-		m.merged[types.HashSeed] = []*groupState{newGroupState(m.p, nil)}
+	merged := m.merged
+	if len(m.p.GroupBy) == 0 && len(merged) == 0 {
+		// A global aggregate with zero matches still yields one empty group.
+		merged = map[uint64][]*groupState{types.HashSeed: {newGroupState(m.p, nil)}}
 	}
-	finalize(m.p, res, m.merged)
+	finalize(m.p, res, merged, w)
 	return res
 }
 
@@ -723,11 +833,7 @@ func findMerged(merged map[uint64][]*groupState, h uint64, gs *groupState, owned
 		}
 	}
 	if !owned {
-		cp := &groupState{key: gs.key, accs: make([]*stats.Acc, len(gs.accs))}
-		for i, acc := range gs.accs {
-			cp.accs[i] = acc.Clone()
-		}
-		gs = cp
+		gs = gs.clone()
 	}
 	merged[h] = append(merged[h], gs)
 	return gs, true
@@ -745,14 +851,15 @@ func groupKeysEqual(a, b []types.Value) bool {
 	return true
 }
 
-// finalize converts merged group states into sorted result groups.
-func finalize(p *Plan, res *Result, merged map[uint64][]*groupState) {
+// finalize converts merged group states, their classes weighed by w, into
+// sorted result groups. It only reads the group states.
+func finalize(p *Plan, res *Result, merged map[uint64][]*groupState, w stats.Weights) {
 	z := stats.ZForConfidence(res.Confidence) // an Erfinv: once, not per cell
 	for _, bucket := range merged {
 		for _, gs := range bucket {
 			g := Group{Key: gs.key, Estimates: make([]stats.Estimate, len(gs.accs))}
 			for i, acc := range gs.accs {
-				g.Estimates[i] = acc.EstimateZ(res.Confidence, z)
+				g.Estimates[i] = acc.EstimateZ(res.Confidence, z, w)
 			}
 			res.Groups = append(res.Groups, g)
 		}
@@ -828,24 +935,50 @@ func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence floa
 	return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
 }
 
-// runRanges is the shared scan driver for plain and join execution. Each
-// range of scanRanges yields one Partial, delivered at its partition index
-// and folded in that order, so every float accumulation — and hence the
-// Result — is identical across worker counts. A single-range scan runs
-// inline on the caller: no goroutine, no mutex, and the Result is
-// finalized from the Partial's own group states.
-// Span bookkeeping (sp non-nil) adds one child span per range plus a merge
-// span; with sp nil the scan performs no telemetry work at all.
+// runRanges is the shared scan driver for plain and join execution: the
+// input's ranges scanned into a fresh merger (scanInto), then finalized. A
+// single-range scan runs inline on the caller: no goroutine, no mutex, and
+// the Result is finalized from the Partial's own group states.
 // Cancellation is checked per range; once ctx is cancelled no further
 // range is scanned and ctx.Err() is returned with a nil Result; under a
 // background context the error is therefore always nil.
 func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confidence float64, workers int,
 	jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
 
-	if err := ctx.Err(); err != nil {
+	merger := NewMerger(p, 0)
+	merger.owned = true // the partials never leave the scan
+	if err := scanInto(ctx, merger, p, rt, in, workers, jr, sp); err != nil {
 		return nil, err
 	}
-	ranges := scanRanges(in.Blocks)
+	return finishSpan(merger, confidence, merger.w, sp), nil
+}
+
+// finishSpan finalizes the merger's state under a "merge" span of sp.
+func finishSpan(m *Merger, confidence float64, w stats.Weights, sp *telemetry.Span) *Result {
+	var mergeSp *telemetry.Span
+	if sp != nil {
+		mergeSp = sp.Child("merge")
+	}
+	m.flush()
+	res := m.result(confidence, w)
+	mergeSp.End()
+	return res
+}
+
+// scanInto scans the input's ranges into m, to be folded after everything
+// m already holds. Each range yields one Partial, delivered at its
+// partition index and folded in that order, so every float accumulation —
+// and hence the Result — is identical across worker counts. Span
+// bookkeeping (sp non-nil) adds one child span per range; with sp nil the
+// scan performs no telemetry work at all. A non-nil error is ctx's: the
+// scan stopped between ranges and m holds part of the input.
+func scanInto(ctx context.Context, m *Merger, p *Plan, rt *planRuntime, in Input, workers int,
+	jr *joinRuntime, sp *telemetry.Span) error {
+
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ranges := in.ranges()
 	if workers > len(ranges) {
 		workers = len(ranges)
 	}
@@ -853,65 +986,54 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 	// range completes; the fold order is index order regardless of which
 	// worker finishes first, so the Result stays bit-identical while no
 	// more than the out-of-order window of partials is ever retained.
-	merger := NewMerger(p, len(ranges))
-	merger.owned = true // the partials never leave this function
+	m.expect(len(ranges))
+	m.w = in.weights()
 	if workers <= 1 {
 		var scanSp *telemetry.Span
 		if sp != nil {
 			scanSp = sp.Child(fmt.Sprintf("partials ranges=%d", len(ranges)))
 		}
+		defer scanSp.End()
 		sc := getScratch()
+		defer putScratch(sc)
 		for i, r := range ranges {
 			if err := ctx.Err(); err != nil {
-				scanSp.End()
-				putScratch(sc)
-				return nil, err
+				return err
 			}
-			merger.Add(i, runPartial(p, rt, in, r.Lo, r.Hi, jr, sc))
+			m.Add(i, runPartial(p, rt, in, r.Lo, r.Hi, jr, sc))
 		}
-		putScratch(sc)
-		scanSp.End()
-	} else {
-		var mu sync.Mutex // serializes merger.Add across workers
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := getScratch() // per-worker: buffers are not shared
-				defer putScratch(sc)
-				for ctx.Err() == nil {
-					u := int(next.Add(1)) - 1
-					if u >= len(ranges) {
-						return
-					}
-					var unitSp *telemetry.Span
-					if sp != nil {
-						unitSp = sp.Child(fmt.Sprintf("range %d blocks=%d", u, ranges[u].Len()))
-					}
-					pt := runPartial(p, rt, in, ranges[u].Lo, ranges[u].Hi, jr, sc)
-					mu.Lock()
-					merger.Add(u, pt)
-					mu.Unlock()
-					unitSp.End()
+		return nil
+	}
+	var mu sync.Mutex // serializes m.Add across workers
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := getScratch() // per-worker: buffers are not shared
+			defer putScratch(sc)
+			for ctx.Err() == nil {
+				u := int(next.Add(1)) - 1
+				if u >= len(ranges) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			// Workers stopped early; the partial set is incomplete and
-			// folding it would silently yield a wrong (under-scanned) answer.
-			return nil, err
-		}
+				var unitSp *telemetry.Span
+				if sp != nil {
+					unitSp = sp.Child(fmt.Sprintf("range %d blocks=%d", u, ranges[u].Len()))
+				}
+				pt := runPartial(p, rt, in, ranges[u].Lo, ranges[u].Hi, jr, sc)
+				mu.Lock()
+				m.Add(u, pt)
+				mu.Unlock()
+				unitSp.End()
+			}
+		}()
 	}
-	var mergeSp *telemetry.Span
-	if sp != nil {
-		mergeSp = sp.Child("merge")
-	}
-	res := merger.Finish(confidence)
-	mergeSp.End()
-	return res, nil
+	wg.Wait()
+	// Workers that stopped early left the partial set incomplete: folding
+	// it would silently yield a wrong (under-scanned) answer.
+	return ctx.Err()
 }
 
 func compareKeys(a, b []types.Value) int {

@@ -98,7 +98,7 @@ func TestPaperStratifiedExample(t *testing.T) {
 	b.Finish()
 
 	p := compile(t, `SELECT SUM(sessiontime) FROM sessions GROUP BY city`, schema)
-	res := Run(p, FromBlocks(schema, samp.Blocks, 1), 0.95)
+	res := Run(p, viewOf(schema, samp.Blocks, 1), 0.95)
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %d (Berkeley must be missing)", len(res.Groups))
 	}

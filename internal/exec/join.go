@@ -310,19 +310,22 @@ func RunJoin(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidenc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	jr := buildJoinRuntime(p, joins, sp)
+	// The scan drives expansion through jr (scanSpanJoin): fact predicate
+	// first, probe keys straight from the columns, materialise only matched
+	// rows.
+	in.Schema = p.Schema
+	return runRanges(ctx, p, p.runtime(), in, confidence, workers, jr, sp)
+}
+
+// buildJoinRuntime builds the join indexes of plan p under a "join-index
+// build" span of sp (nil: no span).
+func buildJoinRuntime(p *Plan, joins []JoinSpec, sp *telemetry.Span) *joinRuntime {
 	var buildSp *telemetry.Span
 	if sp != nil {
 		buildSp = sp.Child("join-index build")
 	}
 	jr := newJoinRuntime(p, joins)
 	buildSp.End()
-	joined := Input{
-		Schema: p.Schema,
-		Blocks: in.Blocks,
-		Rate:   in.Rate,
-	}
-	// The scan drives expansion through jr (scanColumnarJoin): fact
-	// predicate first, probe keys straight from the columns, materialise
-	// only matched rows.
-	return runRanges(ctx, p, p.runtime(), joined, confidence, workers, jr, sp)
+	return jr
 }

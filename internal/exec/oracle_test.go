@@ -7,19 +7,34 @@ import (
 	"testing"
 
 	"blinkdb/internal/stats"
+	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
 
+// viewOf lays blocks out as a sample view's input, the way FromView reads a
+// family: split into len(caps) deltas of about equal block counts, delta i
+// under cap caps[i] (ascending), answered at the last cap. Any block list
+// stands in for a family's this way — irregular shapes, dirty rows, chunks
+// cut mid-delta — which real families never are.
+func viewOf(schema *types.Schema, blocks []*storage.Block, caps ...int64) Input {
+	in := Input{Schema: schema, Blocks: blocks, cap: caps[len(caps)-1]}
+	for i, c := range caps {
+		in.deltas = append(in.deltas, delta{len(blocks) * (i + 1) / len(caps), c})
+	}
+	return in
+}
+
 // oracle is the naive reference evaluator every production scan must match
 // bit for bit: one materialised row at a time through the compiled
-// predicate closure, one stats.Acc.Add per row and aggregate, a nested loop
+// predicate closure, one stats.Acc.AddRow per row and aggregate — the row's
+// chunk row number picks its lane, its key its class — and a nested loop
 // for joins. It takes production's data types and otherwise shares only
-// stats.Acc, types.CompilePredicate, Block.RowAt/MetaAt and scanRanges with
-// it — the last because the fold order (one accumulator set per range,
-// merged in range order) is part of the Result's contract, not an
-// implementation detail. It has no kernels, no encodings and no zone maps:
-// it reads every block (see checkOracle for what that means for the two
-// scan counters).
+// stats.Acc, types.CompilePredicate, Block.RowAt/MetaAt and the input's
+// delta layout and scan ranges with it — the last because the fold order
+// (one accumulator set per range, merged in range order) is part of the
+// Result's contract, not an implementation detail. It has no kernels, no
+// encodings and no zone maps: it reads every block (see checkOracle for
+// what that means for the two scan counters).
 func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 	type group struct {
 		key  []types.Value
@@ -37,11 +52,12 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 	res := &Result{Confidence: conf}
 	merged := map[string]*group{}
 	// Per-range state (one accumulator set per range, folded in range
-	// order), the scan's weight tally and the current fact row's sampling
-	// metadata.
+	// order), the scan's weight tally and the current fact row's number,
+	// class key and stratum frequency.
 	var part map[string]*group
 	var weighted stats.Tally
-	var rate float64
+	var rowNum int
+	var key stats.Key
 	var freq int64
 	// expand walks the join chain depth-first in dimension scan order; with
 	// no joins it visits the fact row once.
@@ -60,9 +76,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 			return
 		}
 		res.RowsMatched++
-		if rate > 0 {
-			weighted.Add(1/rate, 1)
-		}
+		weighted.Add(key, 1)
 		if freq > res.MaxMatchedStratumFreq {
 			res.MaxMatchedStratumFreq = freq
 		}
@@ -88,24 +102,28 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 					x = row[a.Col].AsFloat()
 				}
 			}
-			g.accs[ai].Add(x, rate)
+			g.accs[ai].AddRow(x, rowNum, key)
 		}
 	}
-	for _, r := range scanRanges(in.Blocks) {
+	for _, r := range in.ranges() {
 		part = map[string]*group{}
-		for _, b := range in.Blocks[r.Lo:r.Hi] {
+		for bi := r.Lo; bi < r.Hi; bi++ {
+			b := in.Blocks[bi]
+			floor := int64(0) // a table's rows are keyed by rate
+			for d := len(in.deltas) - 1; d >= 0 && bi < in.deltas[d].end; d-- {
+				floor = in.deltas[d].floor
+			}
 			res.BytesScanned += b.Bytes
 			for i := 0; i < b.NumRows(); i++ {
 				res.RowsScanned++
 				meta := b.MetaAt(i)
-				rate, freq = 1, meta.StratumFreq
-				if in.Rate != nil {
-					rate = in.Rate(meta)
+				rowNum, key, freq = b.Off+i, stats.RateKey(meta.Rate), meta.StratumFreq
+				if floor > 0 {
+					key = stats.FreqKey(freq, floor)
 				}
 				expand(b.RowAt(i), 0)
 			}
 		}
-		res.WeightedMatched = weighted.Sum()
 		for k, g := range part {
 			if have := merged[k]; have != nil {
 				for ai := range have.accs {
@@ -116,6 +134,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 			}
 		}
 	}
+	res.WeightedMatched = weighted.Sum(in.weights())
 	if len(p.GroupBy) == 0 && len(merged) == 0 {
 		g := &group{} // a global aggregate always answers, even over nothing
 		for _, a := range p.Aggs {
@@ -139,7 +158,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 	for _, k := range keys {
 		g := Group{Key: merged[k].key, Estimates: make([]stats.Estimate, len(p.Aggs))}
 		for ai, acc := range merged[k].accs {
-			g.Estimates[ai] = acc.Estimate(conf)
+			g.Estimates[ai] = acc.EstimateZ(conf, stats.ZForConfidence(conf), in.weights())
 		}
 		res.Groups = append(res.Groups, g)
 	}

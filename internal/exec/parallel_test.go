@@ -12,7 +12,7 @@ import (
 )
 
 // randomWeightedTable builds a table whose rows carry stratum frequencies,
-// so FromBlocks inputs exercise non-uniform weights (the Horvitz–Thompson
+// so view inputs (viewOf) exercise non-uniform weights (the Horvitz–Thompson
 // path) as well as the exact rate-1 path.
 func randomWeightedTable(t testing.TB, seed int64, rows, rowsPerBlock int) *storage.Table {
 	t.Helper()
@@ -68,7 +68,7 @@ func TestParallelEquivalence(t *testing.T) {
 				p := compile(t, src, tab.Schema)
 				for _, in := range []Input{
 					FromTable(tab),
-					FromBlocks(tab.Schema, tab.Blocks, 400), // weighted rates
+					viewOf(tab.Schema, tab.Blocks, 120, 400), // weighted rates, two deltas
 				} {
 					want := RunParallel(p, in, 0.95, 1)
 					for _, w := range workerCounts {

@@ -186,7 +186,7 @@ func TestPartitionInvariant(t *testing.T) {
 			for leg, tab := range map[string]*storage.Table{"plain": plain, "rle": rle} {
 				label := name + " " + leg + " " + src
 				checkOracle(t, label, p, FromTable(tab), nil)
-				checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 120), nil)
+				checkOracle(t, label+" weighted", p, viewOf(tab.Schema, tab.Blocks, 50, 120), nil)
 			}
 		}
 	}
@@ -233,7 +233,7 @@ func TestPrunedInputSkipsNothing(t *testing.T) {
 		t.Fatalf("pruned input changed the answer\nwant %+v\ngot  %+v", want, got)
 	}
 	// Pruned for p, scanned by another plan: its own zone check must run.
-	if want, got := Run(other, FromBlocks(plain.Schema, pruned.Blocks, 0), 0.95), Run(other, pruned, 0.95); want.RowsScanned != got.RowsScanned {
+	if want, got := Run(other, Input{Schema: plain.Schema, Blocks: pruned.Blocks}, 0.95), Run(other, pruned, 0.95); want.RowsScanned != got.RowsScanned {
 		t.Fatalf("a foreign plan skipped its zone check: scanned %d, want %d", got.RowsScanned, want.RowsScanned)
 	}
 }

@@ -176,8 +176,7 @@ func TestPruningNeverChangesResults(t *testing.T) {
 		}
 		full := Run(plan, FromTable(tab), 0.95)
 		kept, _ := PruneBlocks(tab.Blocks, ColumnBounds(plan.Pred))
-		pruned := Run(plan, Input{Schema: schema, Blocks: kept,
-			Rate: func(m storage.RowMeta) float64 { return m.Rate }}, 0.95)
+		pruned := Run(plan, Input{Schema: schema, Blocks: kept}, 0.95)
 		if full.Groups[0].Estimates[0].Point != pruned.Groups[0].Estimates[0].Point ||
 			full.Groups[0].Estimates[1].Point != pruned.Groups[0].Estimates[1].Point {
 			t.Errorf("WHERE %s: pruning changed the answer", where)

@@ -107,8 +107,8 @@ func TestThreeWayEquivalence(t *testing.T) {
 		p := compile(t, src, plain.Schema)
 		for name, leg := range map[string]*storage.Table{"plain": plain, "rle": rle} {
 			checkOracle(t, name+" "+src, p, FromTable(leg), nil)
-			// Weighted-rate variant (per-row rates through FromBlocks).
-			checkOracle(t, name+" weighted "+src, p, FromBlocks(leg.Schema, leg.Blocks, 150), nil)
+			// Weighted variant: per-row weights from a view's cap.
+			checkOracle(t, name+" weighted "+src, p, viewOf(leg.Schema, leg.Blocks, 150), nil)
 		}
 	}
 }
@@ -221,7 +221,7 @@ func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 		sc := &colScratch{}
 		pt := &Partial{groups: make(map[uint64][]*groupState)}
 		rt := p.runtime()
-		scan := func() { pt.scanBlocks(p, rt, in, tab.Blocks, nil, sc) }
+		scan := func() { pt.scanBlocks(p, rt, in, 0, len(in.Blocks), nil, sc) }
 		scan() // warm: group states, scratch buffers, batch pools, verdict tables
 		if a := testing.AllocsPerRun(20, scan); a != 0 {
 			t.Errorf("rle=%v: steady-state scan allocates %.1f allocs/run, want 0", rle, a)
@@ -258,7 +258,7 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 	sc := &colScratch{}
 	pt := &Partial{groups: make(map[uint64][]*groupState)}
 	rt := p.runtime()
-	scan := func() { pt.scanBlocks(p, rt, in, tab.Blocks, jr, sc) }
+	scan := func() { pt.scanBlocks(p, rt, in, 0, len(in.Blocks), jr, sc) }
 	scan() // warm: row buffer, bitmap scratch, group states
 	if a := testing.AllocsPerRun(20, scan); a != 0 {
 		t.Errorf("steady-state join scan allocates %.1f allocs/run, want 0", a)

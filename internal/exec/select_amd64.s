@@ -3,24 +3,6 @@
 // AVX2 selection kernels (see select_amd64.go). Each processes whole
 // 64-row words only; the Go callers in vector.go handle the tail.
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
 // RANGE4 tests xs[4k:4k+4] (k = off/32) and ORs the four FAIL bits into AX
 // at bit sh: int64(x-lo) > int64(width), with Y0 = lo and Y1 = width.
 #define RANGE4(off, sh) \

@@ -2,9 +2,8 @@
 
 package exec
 
-// useAVX2 is always false off amd64: the Go selection kernels are the only
-// ones (see select_amd64.go).
-var useAVX2 = false
+// Off amd64 cpu.AVX2 is always false: the Go selection kernels are the only
+// ones (see select_amd64.go), and these stand-ins are never called.
 
 func intsInRangeAVX2(xs []int64, lo, width uint64, dst []uint64) { panic("exec: no AVX2 kernels") }
 

@@ -8,25 +8,27 @@ import (
 	"testing"
 
 	"blinkdb/internal/colstore"
+	"blinkdb/internal/cpu"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
 
-// hostAVX2 is whether this CPU runs the AVX2 selection kernels, as found
-// at init, before any test flips useAVX2.
-var hostAVX2 = useAVX2
+// hostAVX2 is whether this CPU runs the AVX2 kernels, as found at init,
+// before any test flips cpu.AVX2.
+var hostAVX2 = cpu.AVX2
 
-// setKernels selects the AVX2 selection kernels or the Go ones and returns
-// what restores the choice. The scan's workers read useAVX2, so a test that
-// flips it must not run beside another: none in this package is parallel.
+// setKernels selects the AVX2 kernels — selection and fold — or the Go
+// ones and returns what restores the choice. The scan's workers read
+// cpu.AVX2, so a test that flips it must not run beside another: none in
+// this package is parallel.
 func setKernels(avx2 bool) (restore func()) {
-	was := useAVX2
-	useAVX2 = avx2
-	return func() { useAVX2 = was }
+	was := cpu.AVX2
+	cpu.AVX2 = avx2
+	return func() { cpu.AVX2 = was }
 }
 
-// forKernelSets runs f once per selection kernel set: the AVX2 kernels,
-// skipped where this CPU has none, and the Go kernels forced.
+// forKernelSets runs f once per kernel set: the AVX2 kernels, skipped where
+// this CPU has none, and the Go kernels forced.
 func forKernelSets(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for _, avx2 := range []bool{true, false} {
@@ -366,4 +368,69 @@ func BenchmarkSelectKernels(b *testing.B) {
 			})
 		}
 	}
+}
+
+// foldChunk hand-builds one chunk of n rows for the masked folds: a
+// dictionary column g holding "a" under two codes, a six-string dictionary
+// column h, a float measure v (−0 included) and an int code to filter on,
+// none with NULLs; and metadata runs of 37 to 700 rows whose stratum
+// frequencies keep changing, so spans straddle keys.
+func foldChunk(n int, seed int64) (*colstore.Data, *types.Schema) {
+	rng := rand.New(rand.NewSource(seed))
+	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes: make([]uint32, n), NaNFree: true}
+	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes: make([]uint32, n), NaNFree: true}
+	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
+	code := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
+	for i := 0; i < n; i++ {
+		g.Codes[i], h.Codes[i] = uint32(rng.Intn(len(g.Dict))), uint32(rng.Intn(len(h.Dict)))
+		v.Floats[i] = rng.NormFloat64() * 1e3
+		if rng.Intn(50) == 0 {
+			v.Floats[i] = math.Copysign(0, -1)
+		}
+		code.Ints[i] = int64(rng.Intn(1000))
+	}
+	d := &colstore.Data{N: n, Cols: []colstore.Column{g, h, v, code}}
+	for end := 0; end < n; {
+		end = min(n, end+37+rng.Intn(700))
+		d.MetaEnds = append(d.MetaEnds, int32(end))
+		d.Rates = append(d.Rates, 1)
+		d.Freqs = append(d.Freqs, int64(50*rng.Intn(12)))
+	}
+	return d, types.NewSchema(
+		types.Column{Name: "g", Kind: types.KindString},
+		types.Column{Name: "h", Kind: types.KindString},
+		types.Column{Name: "v", Kind: types.KindFloat},
+		types.Column{Name: "code", Kind: types.KindInt},
+	)
+}
+
+// TestMaskedFoldsMatchOracle holds the masked folds — a span at least a
+// quarter selected folds from its selection bitmap: ungrouped, per code of
+// a small dictionary, and, when two codes share a string, from the listed
+// rows after all — to the oracle, at densities on both sides of the
+// quarter, over a table and a two-delta view whose spans straddle keys, on
+// both kernel sets.
+func TestMaskedFoldsMatchOracle(t *testing.T) {
+	d, schema := foldChunk(5000, 6)
+	tab := storage.NewTable("t", schema)
+	for off := 0; off < d.N; off += 100 {
+		tab.AddBlock(&storage.Block{Chunk: d, Off: off, N: min(100, d.N-off), Bytes: 800})
+	}
+	forKernelSets(t, func(t *testing.T) {
+		for _, cut := range []int{20, 200, 260, 900, 1000} {
+			for _, src := range []string{
+				`SELECT COUNT(*), SUM(v), AVG(v) FROM t WHERE code < %d`,
+				`SELECT COUNT(*), AVG(v) FROM t WHERE code < %d GROUP BY g`,
+				`SELECT SUM(v), COUNT(*) FROM t WHERE code < %d GROUP BY h`,
+			} {
+				src = fmt.Sprintf(src, cut)
+				p := compile(t, src, schema)
+				if !p.foldsMasked(d) {
+					t.Fatalf("%s: the masked folds do not take this plan", src)
+				}
+				checkOracle(t, src, p, FromTable(tab), nil)
+				checkOracle(t, src+" view", p, viewOf(schema, tab.Blocks, 120, 400), nil)
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"blinkdb/internal/colstore"
+	"blinkdb/internal/cpu"
 	"blinkdb/internal/stats"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
@@ -24,15 +25,25 @@ import (
 // BIT-IDENTITY CONTRACT: for any span, the scan must produce exactly the
 // state a naive row-at-a-time evaluation would (the reference oracle in
 // oracle_test.go): the same rows selected and the same groups created. What
-// is pinned beyond that is what stats.Acc keeps. Per (group, aggregate,
-// weight class) — the rows of one group that share a derived sampling rate
-// — floating-point addition is not associative, so the class's x values are
-// added in row order; nothing else about a fold is order-sensitive, because
-// a weight meets a sum only in Acc.Estimate, once per class. Per partial,
-// WeightedMatched is an exact weight → count tally. The kernels below
-// therefore reorder work freely across groups, aggregates and classes — one
-// pass per aggregate, one slot per dictionary code, a span cut wherever its
-// derived rate changes — and never within a class.
+// is pinned beyond that is what stats.Acc keeps:
+//
+//   - Keys. A row's weight class is keyed by its rate's weight for a table,
+//     and for a sample by its stratum frequency raised to the cap of the
+//     delta that holds it (stats.FreqKey); weights meet sums only at
+//     finalize, once per class, at the cap the answer is read at.
+//   - Lanes. Row r of a chunk adds x and float64(x*x) to lane r mod 4 of its
+//     (group, aggregate, class), rows of one lane in row order; lanes merge
+//     lane by lane and combine as (l0+l1)+(l2+l3) at finalize. A row's lane
+//     is its row number's, whichever span, fold call or kernel adds it.
+//   - Ranges. Partials are the input's scan ranges (Input.ranges), cut at
+//     every sample delta, folded in range order; so a Chain that adds a
+//     view's deltas one at a time folds what a scan of the view folds.
+//
+// Per partial, WeightedMatched is an exact key → count tally. The kernels
+// below therefore reorder work freely across groups, aggregates, classes
+// and lanes — one pass per aggregate, one slot or one masked pass per
+// dictionary code, a span cut wherever its key changes — and never within
+// a lane of a class.
 //
 // Selection is outside what the contract has to pin: bitmaps and row-index
 // lists are exact integers, so any kernel that sets the same bits may stand
@@ -41,10 +52,13 @@ import (
 // tail: the int interval test behind every int order or equality leaf and
 // every intervalPred (intsInRange), a dictionary column's = and <> against
 // a string as one code compare (evalCmp), and bitmap → row indices
-// (rowsOf). They run when useAVX2 is set, once at init from CPUID and
+// (rowsOf). They run when cpu.AVX2 is set, once at init from CPUID and
 // XGETBV — no option, flag or build tag chooses. The Go kernels are the
 // path on every other platform and CPU, and the reference the tests hold
-// the assembly to, bit for bit.
+// the assembly to, bit for bit. The folds' own AVX2 kernels (stats'
+// masked and per-code folds, and the per-code count) follow the same rule;
+// which form a span folds in is a matter of density (see scanSpan), never
+// of the bits it produces.
 
 // colScratch holds buffers reused across the spans one worker scans, so
 // steady-state scanning allocates nothing.
@@ -77,6 +91,9 @@ type colScratch struct {
 	codeCnt   []int32
 	codeSeen  []uint32
 	codeSlots []*stats.Moments
+
+	// kept holds the rows of a gather's values past NULLs, beside xs.
+	kept []int32
 
 	// rowPool recycles the per-group staging buffers across spans and
 	// partials (group states die with their partial; their buffers
@@ -445,7 +462,7 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 			// lookup per row — or, for = and <> with AVX2, a code compare.
 			v := sc.passTab(col, t)
 			codes := col.Codes[base : base+n]
-			if useAVX2 && v.eq != dupCodes && (t.Op == types.CmpEq || t.Op == types.CmpNe) {
+			if cpu.AVX2 && v.eq != dupCodes && (t.Op == types.CmpEq || t.Op == types.CmpNe) {
 				codesEqual(codes, v.eq, dst)
 				if t.Op == types.CmpNe {
 					bitmapNot(dst, n)
@@ -663,7 +680,7 @@ func orderInterval(c int64, lt, eq bool) (lo, hi int64, ok bool) {
 // x−(lo flipped).
 func intsInRange(xs []int64, lo, hi int64, dst []uint64) {
 	const sign = 1 << 63
-	if w := len(xs) &^ 63; useAVX2 && w > 0 {
+	if w := len(xs) &^ 63; cpu.AVX2 && w > 0 {
 		intsInRangeAVX2(xs[:w], uint64(lo)^sign, (uint64(hi)-uint64(lo))^sign, dst)
 		xs, dst = xs[w:], dst[w>>6:]
 	}
@@ -985,8 +1002,12 @@ type span struct {
 	// there is none), so selection is skipped.
 	allTrue bool
 	// metaRun is the metadata run every row lies in, or -1 when the rows
-	// straddle runs and sampling rates resolve row by row.
+	// straddle runs and class keys resolve run by run.
 	metaRun int
+	// floor is the cap of the sample delta the rows lie in, which their
+	// stratum frequencies are raised to (stats.FreqKey); 0 for a table's
+	// rows, keyed by rate.
+	floor int64
 }
 
 // metaCursor finds the metadata run of rows asked for in ascending order,
@@ -1020,11 +1041,11 @@ func (c *metaCursor) runOf(d *colstore.Data, row int) int {
 // answer flipped every other block and cut spans to six rows).
 const minImpliedRows = 64
 
-// spanOf classifies one block as a span of its own. Join scans evaluate
-// their own fact-side predicate and rates per probed row, so they only
-// need the window.
-func spanOf(b *storage.Block, rt *planRuntime, join bool, meta *metaCursor) span {
-	s := span{d: b.Chunk, lo: b.Off, hi: b.Off + b.N, metaRun: -1}
+// spanOf classifies one block, of the delta of cap floor (0: a table's), as
+// a span of its own. Join scans evaluate their own fact-side predicate and
+// keys per probed row, so they only need the window.
+func spanOf(b *storage.Block, rt *planRuntime, join bool, floor int64, meta *metaCursor) span {
+	s := span{d: b.Chunk, lo: b.Off, hi: b.Off + b.N, metaRun: -1, floor: floor}
 	if join {
 		return s
 	}
@@ -1040,29 +1061,35 @@ func spanOf(b *storage.Block, rt *planRuntime, join bool, meta *metaCursor) span
 // extends reports whether next continues s: the rows that follow it in the
 // same chunk, under the same verdict and metadata run.
 func (s span) extends(next span) bool {
-	return s.d == next.d && s.hi == next.lo && s.allTrue == next.allTrue && s.metaRun == next.metaRun
+	return s.d == next.d && s.hi == next.lo && s.allTrue == next.allTrue && s.metaRun == next.metaRun && s.floor == next.floor
 }
 
-// rowSel is the n rows of a span that one fold takes, ascending: listed in
-// idxs, or — idxs nil — every row of [lo, hi). A fold that only counts (see
+// rowSel is the n rows of a span that one fold takes, ascending: every row
+// of [lo, hi); or those listed in idxs; or — bm non-nil — those of [lo, hi)
+// the selection bitmap bm holds, bit j being row base+j (the masked
+// kernels' form, see Plan.foldsMasked). A fold that only counts (see
 // Plan.readsRows) is handed n alone.
 type rowSel struct {
 	n      int
 	idxs   []int32
 	lo, hi int
+	bm     []uint64
+	base   int
 }
 
-func (s rowSel) contiguous() bool { return s.idxs == nil }
+func (s rowSel) contiguous() bool { return s.idxs == nil && s.bm == nil }
 
-// rows returns the selection as explicit indices, writing a contiguous one
-// out into the scratch index buffer.
+// rows returns the selection as explicit indices, writing a contiguous or
+// masked one out into the scratch index buffer.
 func (s rowSel) rows(sc *colScratch) []int32 {
-	if !s.contiguous() {
+	if s.idxs != nil {
 		return s.idxs
 	}
 	idxs := sc.idxs[:0]
 	for i := s.lo; i < s.hi; i++ {
-		idxs = append(idxs, int32(i))
+		if s.bm == nil || s.bm[(i-s.base)>>6]&(1<<uint((i-s.base)&63)) != 0 {
+			idxs = append(idxs, int32(i))
+		}
 	}
 	sc.idxs = idxs[:0]
 	return idxs
@@ -1076,7 +1103,7 @@ func (sc *colScratch) rowsOf(bm []uint64, base, n int) []int32 {
 	if cap(sc.idxs) < n+8 {
 		sc.idxs = make([]int32, n+8)
 	}
-	if useAVX2 && n >= 8*len(bm) {
+	if cpu.AVX2 && n >= 8*len(bm) {
 		rowsOfAVX2(bm, int32(base), sc.idxs[:n+8])
 		return sc.idxs[:n]
 	}
@@ -1119,16 +1146,47 @@ func (p *Plan) readsRows(d *colstore.Data) bool {
 	return false
 }
 
-// runRate returns the sampling rate the input derives for metadata run r,
-// and records the run's stratum frequency as matched.
-func (pt *Partial) runRate(in Input, d *colstore.Data, r int) float64 {
-	if f := d.Freqs[r]; f > pt.MaxMatchedStratumFreq {
+// maskedCodes is the largest dictionary a GROUP BY column may have for a
+// span to fold per code over its selection bitmap: each code costs a pass
+// over the span's codes, and one more over the column per aggregate.
+const maskedCodes = 8
+
+// foldsMasked reports whether every fold of a span of chunk d can take its
+// selection as a bitmap — the masked fold kernels, which a span uses when
+// a quarter of its rows or more are selected: no quantile (it retains
+// values), every other aggregate a count or over a float column without
+// NULLs, and no GROUP BY or one dictionary column without NULLs of at most
+// maskedCodes codes.
+func (p *Plan) foldsMasked(d *colstore.Data) bool {
+	for ai := range p.Aggs {
+		a := &p.Aggs[ai]
+		if a.Kind == stats.AggQuantile || !a.countsAs(d) && (d.Cols[a.Col].Enc != colstore.EncFloat || d.Cols[a.Col].Nulls != nil) {
+			return false
+		}
+	}
+	switch len(p.GroupBy) {
+	case 0:
+		return true
+	case 1:
+		c := &d.Cols[p.GroupBy[0]]
+		return c.Enc == colstore.EncDict && c.Nulls == nil && len(c.Dict) <= maskedCodes
+	}
+	return false
+}
+
+// runKey returns the class key the input derives for metadata run r — its
+// rate's for a table (floor 0), its stratum frequency raised to the
+// delta's cap for a sample — and records the run's stratum frequency as
+// matched.
+func (pt *Partial) runKey(d *colstore.Data, r int, floor int64) stats.Key {
+	f := d.Freqs[r]
+	if f > pt.MaxMatchedStratumFreq {
 		pt.MaxMatchedStratumFreq = f
 	}
-	if in.Rate == nil {
-		return 1
+	if floor == 0 {
+		return stats.RateKey(d.Rates[r])
 	}
-	return in.Rate(storage.RowMeta{Rate: d.Rates[r], StratumFreq: d.Freqs[r]})
+	return stats.FreqKey(f, floor)
 }
 
 // groupCache returns the per-dictionary-code group cache for GROUP BY
@@ -1146,12 +1204,15 @@ func (sc *colScratch) groupCache(pt *Partial, c *colstore.Column) []*groupState 
 }
 
 // scanSpan scans one span into the partial: selection into a bitmap
-// (skipped when the zones already proved the predicate), the bitmap into
-// row indices when anything reads rows (a count probe reads none: its
-// matches are the bitmap's population), then one fold per derived sampling
-// rate — the whole span when it lies in one metadata run, else cut where
-// the rate changes. See the bit-identity contract at the top of the file.
-func (pt *Partial) scanSpan(p *Plan, rt *planRuntime, in Input, s span, sc *colScratch) {
+// (skipped when the zones already proved the predicate), then one fold per
+// class key — the whole span when it lies in one metadata run, else cut
+// where the key changes. A fold reads the selection as row indices, or —
+// when a quarter of the span's rows or more are selected and every fold
+// can (Plan.foldsMasked) — as the bitmap itself, through the masked
+// kernels; a count probe reads no row at all (its matches are the
+// bitmap's population). See the bit-identity contract at the top of the
+// file.
+func (pt *Partial) scanSpan(p *Plan, rt *planRuntime, s span, sc *colScratch) {
 	d, n := s.d, s.hi-s.lo
 	pt.RowsScanned += int64(n)
 
@@ -1164,27 +1225,32 @@ func (pt *Partial) scanSpan(p *Plan, rt *planRuntime, in Input, s span, sc *colS
 		if sel.n = bitmapCount(bm); sel.n == 0 {
 			return
 		}
-		if sel.n == n {
+		switch {
+		case sel.n == n:
 			bm = nil
-		} else if p.readsRows(d) {
+		case !p.readsRows(d):
+		case 4*sel.n >= n && p.foldsMasked(d):
+			sel.bm, sel.base = bm, base
+		default:
 			sel.idxs = sc.rowsOf(bm, base, sel.n)
 		}
 	}
 	pt.RowsMatched += int64(sel.n)
 
-	// 2. One sampling rate: one fold.
+	// 2. One class key: one fold.
 	if s.metaRun >= 0 {
-		pt.fold(p, d, sel, pt.runRate(in, d, s.metaRun), sc)
+		pt.fold(p, d, sel, pt.runKey(d, s.metaRun, s.floor), sc)
 		return
 	}
 
 	// 3. The span straddles metadata runs: fold each stretch of runs whose
-	// derived rates agree (a base table's strata differ in frequency, not in
-	// rate), consulting only runs that hold a selected row. Stretches ascend,
-	// so every group still sees its rows in row order.
+	// keys agree (a table's strata differ in frequency, not in rate; a
+	// sample delta's strata under its cap share one key), consulting only
+	// runs that hold a selected row. Stretches ascend, so every group still
+	// sees its rows in row order.
 	idxs := sel.idxs
-	var seg rowSel
-	var segRate float64
+	seg := rowSel{bm: sel.bm, base: sel.base}
+	var segKey stats.Key
 	for r, lo := d.MetaRunOf(s.lo), s.lo; lo < s.hi; r++ {
 		hi := min(int(d.MetaEnds[r]), s.hi)
 		m := hi - lo
@@ -1192,21 +1258,21 @@ func (pt *Partial) scanSpan(p *Plan, rt *planRuntime, in Input, s span, sc *colS
 			m = bitmapCountRange(bm, lo-base, hi-base)
 		}
 		if m > 0 {
-			rate := pt.runRate(in, d, r)
-			if seg.n > 0 && rate != segRate {
+			k := pt.runKey(d, r, s.floor)
+			if seg.n > 0 && k != segKey {
 				seg.idxs, idxs = cut(idxs, seg.n)
-				pt.fold(p, d, seg, segRate, sc)
-				seg = rowSel{}
+				pt.fold(p, d, seg, segKey, sc)
+				seg = rowSel{bm: sel.bm, base: sel.base}
 			}
 			if seg.n == 0 {
-				seg.lo, segRate = lo, rate
+				seg.lo, segKey = lo, k
 			}
 			seg.n, seg.hi = seg.n+m, hi
 		}
 		lo = hi
 	}
 	seg.idxs, _ = cut(idxs, seg.n)
-	pt.fold(p, d, seg, segRate, sc)
+	pt.fold(p, d, seg, segKey, sc)
 }
 
 // cut splits the first n indices off idxs (nil stays nil).
@@ -1217,19 +1283,17 @@ func cut(idxs []int32, n int) (head, tail []int32) {
 	return idxs[:n], idxs[n:]
 }
 
-// fold feeds the selected rows, all sampled at rate, through grouping and
+// fold feeds the selected rows, all of class key k, through grouping and
 // aggregation. A selection that falls into known groups wholesale — no
 // GROUP BY, or every row selected and a GROUP BY column stored as runs —
 // aggregates straight from the selection; a single dictionary GROUP BY
-// column folds per code (foldByCode); anything else takes a row-order pass
-// that stages each selected row on its group, then aggregates group by
-// group.
-func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, rate float64, sc *colScratch) {
-	if rate > 0 {
-		pt.WeightedMatched.Add(1/rate, int64(sel.n))
-	}
+// column folds per code (foldCodesMasked over a bitmap, foldByCode over
+// indices); anything else takes a row-order pass that stages each
+// selected row on its group, then aggregates group by group.
+func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *colScratch) {
+	pt.WeightedMatched.Add(k, int64(sel.n))
 	if len(p.GroupBy) == 0 {
-		pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, rate, sc)
+		pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, k, sc)
 		return
 	}
 	keybuf := sc.keyBuf(len(p.GroupBy))
@@ -1249,13 +1313,16 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, rate float64, sc 
 			v := rleCol.RunVals[run]
 			keybuf[0] = v
 			gs := pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
-			pt.accumulate(p, d, gs, rowSel{n: hi - lo, lo: lo, hi: hi}, rate, sc)
+			pt.accumulate(p, d, gs, rowSel{n: hi - lo, lo: lo, hi: hi}, k, sc)
 			lo = hi
 		}
 		return
 	}
+	if sel.bm != nil && pt.foldCodesMasked(p, d, dictCol, sel, k, sc) {
+		return
+	}
 	idxs := sel.rows(sc)
-	if dictCol != nil && pt.foldByCode(p, d, dictCol, idxs, rate, sc) {
+	if dictCol != nil && pt.foldByCode(p, d, dictCol, idxs, k, sc) {
 		return
 	}
 
@@ -1308,7 +1375,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, rate float64, sc 
 	// in row order.
 	for _, gs := range sc.touched {
 		rows := gs.batchRows
-		pt.accumulate(p, d, gs, rowSel{n: len(rows), idxs: rows}, rate, sc)
+		pt.accumulate(p, d, gs, rowSel{n: len(rows), idxs: rows}, k, sc)
 		sc.putBatchRows(rows)
 		gs.batchRows = nil
 	}
@@ -1328,18 +1395,59 @@ func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState
 	return gs
 }
 
-// foldByCode folds rows idxs, all sampled at rate, into the groups of the
-// single dictionary GROUP BY column col without staging them per group:
-// one pass counts the rows of each code — which is every COUNT already —
-// and then each aggregate makes one pass over the rows, adding each value
-// to the moments its code selects. Every group still sees its rows in row
-// order. It declines (false, nothing done) when an aggregate cannot be read
-// in place: a column with NULLs, runs or mixed kinds, or a quantile, which
-// retains its values.
-func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, idxs []int32, rate float64, sc *colScratch) bool {
+// foldCodesMasked folds a bitmap selection, all of key k, into the groups
+// of the single dictionary GROUP BY column col (Plan.foldsMasked vouched
+// for its size and the aggregates): per code, a popcount pass counts the
+// code's selected rows — which is every COUNT already — then each other
+// aggregate adds them in one masked pass over its column. It declines
+// (false) when two codes share a group — a dictionary holding one string
+// twice, which blockfile does not refuse — since their rows must meet in
+// row order; the groups it created by then are the ones the fallback
+// creates.
+func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Column, sel rowSel, k stats.Key, sc *colScratch) bool {
+	codeGS := sc.groupCache(pt, col)
+	keybuf := sc.keyBuf(1)
+	var cnt [maskedCodes]int
+	var groups [maskedCodes]*groupState
+	for c := range col.Dict {
+		if cnt[c] = stats.CountCodeMasked(col.Codes, uint32(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
+			continue
+		}
+		groups[c] = pt.codeGroup(p, col, codeGS, uint32(c), keybuf)
+		for _, other := range groups[:c] {
+			if other == groups[c] {
+				return false
+			}
+		}
+	}
 	for ai := range p.Aggs {
 		a := &p.Aggs[ai]
-		if a.Kind == stats.AggQuantile || (a.Col >= 0 && !plainCol(&d.Cols[a.Col])) {
+		for c, gs := range groups[:len(col.Dict)] {
+			switch {
+			case gs == nil:
+			case a.countsAs(d):
+				gs.accs[ai].AddCount(cnt[c], k)
+			default:
+				slot := gs.accs[ai].Slot(cnt[c], k)
+				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, col.Codes, uint32(c), sel.bm, sel.base, sel.lo, sel.hi)
+			}
+		}
+	}
+	return true
+}
+
+// foldByCode folds rows idxs, all of key k, into the groups of the single
+// dictionary GROUP BY column col without staging them per group: one pass
+// counts the rows of each code — which is every COUNT already — and then
+// each aggregate makes one pass over the rows, adding each value to the
+// moments its code selects. Every group still sees its rows in row order.
+// It declines (false, nothing done) when an aggregate cannot be read in
+// place: a column with NULLs, runs or mixed kinds, a dictionary column (its
+// strings aggregate as 0), or a quantile, which retains its values.
+func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, idxs []int32, k stats.Key, sc *colScratch) bool {
+	for ai := range p.Aggs {
+		a := &p.Aggs[ai]
+		if a.Kind == stats.AggQuantile || !a.countsAs(d) && !numericCol(&d.Cols[a.Col]) {
 			return false
 		}
 	}
@@ -1363,19 +1471,18 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 		a := &p.Aggs[ai]
 		if a.countsAs(d) {
 			for _, c := range seen {
-				pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].AddCount(int(cnt[c]), rate)
+				pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].AddCount(int(cnt[c]), k)
 			}
 			continue
 		}
 		for _, c := range seen {
-			slots[c] = pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].Slot(int(cnt[c]), rate)
+			slots[c] = pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].Slot(int(cnt[c]), k)
 		}
-		switch src := &d.Cols[a.Col]; src.Enc {
-		case colstore.EncFloat:
+		if src := &d.Cols[a.Col]; src.Enc == colstore.EncFloat {
 			stats.FoldByCode(slots, codes, src.Floats, idxs)
-		case colstore.EncInt, colstore.EncBool:
+		} else {
 			stats.FoldByCode(slots, codes, src.Ints, idxs)
-		} // EncDict: strings aggregate as 0, which moves no moment
+		}
 	}
 	for _, c := range seen {
 		cnt[c] = 0
@@ -1383,39 +1490,45 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 	return true
 }
 
-// accumulate feeds one group's selected rows, all sampled at rate, through
-// every aggregate.
-func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel rowSel, rate float64, sc *colScratch) {
+// numericCol reports whether the folds read every row of the column as a
+// number in place: a float, int or bool column without NULLs.
+func numericCol(c *colstore.Column) bool {
+	return plainCol(c) && c.Enc != colstore.EncDict
+}
+
+// accumulate feeds one group's selected rows, all of key k, through every
+// aggregate.
+func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel rowSel, k stats.Key, sc *colScratch) {
 	for ai := range p.Aggs {
 		a := &p.Aggs[ai]
 		acc := gs.accs[ai]
 		if a.countsAs(d) {
-			acc.AddCount(sel.n, rate)
+			acc.AddCount(sel.n, k)
 			continue
 		}
 		col := &d.Cols[a.Col]
 
-		// A typed column without NULLs folds in place: every selected row
+		// A numeric column without NULLs folds in place: every selected row
 		// has a value.
-		if plainCol(col) {
-			switch col.Enc {
-			case colstore.EncFloat:
-				addRows(acc, col.Floats, sel, rate)
-			case colstore.EncInt, colstore.EncBool:
-				addRows(acc, col.Ints, sel, rate)
-			default: // EncDict: strings aggregate as 0 (Value.AsFloat)
-				xs := growFloats(&sc.xs, sel.n)
-				clear(xs)
-				stats.AddRange(acc, xs, rate)
+		if numericCol(col) {
+			switch {
+			case sel.bm != nil:
+				stats.AddMasked(acc, col.Floats, sel.bm, sel.base, sel.lo, sel.hi, sel.n, k)
+			case col.Enc == colstore.EncFloat:
+				addRows(acc, col.Floats, sel, k)
+			default: // EncInt, EncBool
+				addRows(acc, col.Ints, sel, k)
 			}
 			continue
 		}
 
-		// NULL-skipping gather (SQL semantics: NULLs are ignored, and the
-		// row drops out of this aggregate only). Rows are ascending, so an
-		// RLE column resolves each run's value and NULL-ness once.
+		// Gather (SQL semantics: NULLs are ignored, and the row drops out of
+		// this aggregate only; strings aggregate as 0, Value.AsFloat). Rows
+		// are ascending, so an RLE column resolves each run's value and
+		// NULL-ness once.
 		rows := sel.rows(sc)
 		xs := growFloats(&sc.xs, sel.n)[:0]
+		kept := sc.kept[:0]
 		run, runEnd := 0, int32(0)
 		var runVal types.Value
 		if col.Enc == colstore.EncRLE {
@@ -1452,22 +1565,24 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 				} // EncDict: 0
 			}
 			xs = append(xs, x)
+			kept = append(kept, ri)
 		}
+		sc.kept = kept[:0]
 		if a.Kind == stats.AggCount {
-			acc.AddCount(len(xs), rate)
+			acc.AddCount(len(xs), k)
 		} else {
-			stats.AddRange(acc, xs, rate)
+			stats.AddValues(acc, xs, kept, k)
 		}
 	}
 }
 
-// addRows folds the selected rows of the column src into acc, reading the
-// column in place.
-func addRows[T stats.Number](acc *stats.Acc, src []T, sel rowSel, rate float64) {
+// addRows folds the selected rows — a range or a list — of the column src
+// into acc, reading the column in place.
+func addRows[T stats.Number](acc *stats.Acc, src []T, sel rowSel, k stats.Key) {
 	if sel.contiguous() {
-		stats.AddRange(acc, src[sel.lo:sel.hi], rate)
+		stats.AddRange(acc, src, sel.lo, sel.hi, k)
 	} else {
-		stats.AddIndexed(acc, src, sel.idxs, rate)
+		stats.AddIndexed(acc, src, sel.idxs, k)
 	}
 }
 
@@ -1488,7 +1603,7 @@ func growFloats(buf *[]float64, n int) []float64 {
 // and filtering the combined rows — rows that would be discarded after
 // materialising (predicate miss or empty join) are skipped before paying
 // for materialisation, which changes no emitted value.
-func (pt *Partial) scanSpanJoin(p *Plan, in Input, s span, sc *colScratch, jr *joinRuntime) {
+func (pt *Partial) scanSpanJoin(p *Plan, s span, sc *colScratch, jr *joinRuntime) {
 	d := s.d
 	pt.RowsScanned += int64(s.hi - s.lo)
 
@@ -1496,15 +1611,16 @@ func (pt *Partial) scanSpanJoin(p *Plan, in Input, s span, sc *colScratch, jr *j
 	factW := len(d.Cols)
 	ix0 := jr.idxs[0]
 	keyCol := &d.Cols[ix0.spec.LeftCol]
-	// Probed rows ascend, so their sampling metadata comes off a run cursor.
-	metaRun := -1
-	var rate float64
+	// Probed rows ascend, so their sampling metadata comes off a run cursor;
+	// a combined row sits in its fact row's lane.
+	metaRun, row := -1, 0
+	var key stats.Key
 	var freq int64
 	emit := func(r types.Row) {
 		if jr.restPred != nil && !jr.restPred(r) {
 			return
 		}
-		pt.addMatched(p, r, rate, freq)
+		pt.addMatched(p, r, row, key, freq)
 	}
 	probe := func(i int) {
 		// Probe the first join from the key column directly — no
@@ -1515,11 +1631,12 @@ func (pt *Partial) scanSpanJoin(p *Plan, in Input, s span, sc *colScratch, jr *j
 		}
 		if metaRun < 0 || int(d.MetaEnds[metaRun]) <= i {
 			metaRun = d.MetaRunOf(i)
-			rate, freq = 1.0, d.Freqs[metaRun]
-			if in.Rate != nil {
-				rate = in.Rate(storage.RowMeta{Rate: d.Rates[metaRun], StratumFreq: freq})
+			key, freq = stats.RateKey(d.Rates[metaRun]), d.Freqs[metaRun]
+			if s.floor > 0 {
+				key = stats.FreqKey(freq, s.floor)
 			}
 		}
+		row = i
 		d.RowInto(buf[:factW], i)
 		for _, dimRow := range matches {
 			copy(buf[factW:factW+len(dimRow)], dimRow)

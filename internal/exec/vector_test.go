@@ -24,7 +24,7 @@ func TestColumnarEquivalence(t *testing.T) {
 					p := compile(t, src, tab.Schema)
 					label := fmt.Sprintf("seed=%d rpb=%d %s", seed, rowsPerBlock, src)
 					checkOracle(t, label, p, FromTable(tab), nil)
-					checkOracle(t, label+" weighted", p, FromBlocks(tab.Schema, tab.Blocks, 400), nil)
+					checkOracle(t, label+" weighted", p, viewOf(tab.Schema, tab.Blocks, 400), nil)
 				}
 			}
 		}
@@ -90,8 +90,8 @@ func TestColumnarEquivalenceMixedKinds(t *testing.T) {
 	for _, src := range queries {
 		p := compile(t, src, tab.Schema)
 		checkOracle(t, src, p, FromTable(tab), nil)
-		// Weighted-input variant exercises per-row rate staging.
-		checkOracle(t, "weighted "+src, p, FromBlocks(tab.Schema, tab.Blocks, 100), nil)
+		// Weighted-input variant exercises per-row key staging.
+		checkOracle(t, "weighted "+src, p, viewOf(tab.Schema, tab.Blocks, 50, 100), nil)
 	}
 }
 

@@ -4,14 +4,13 @@
 // confidence intervals, and the per-row effective-sampling-rate bias
 // correction required when answering from stratified samples.
 //
-// # Weigh once
+// # Weigh once, at finalize
 //
 // Table 2's estimators are per stratum: sum a stratum's rows, then scale by
-// its N/n. Acc accumulates the same way. Per distinct weight w = 1/rate — a
-// weight class c — it keeps the raw moments of its rows, n_c, Σx_c and
-// Σx²_c, and Estimate derives the weighted sums the estimators read, one
-// multiplication per class instead of six per row, visiting the classes in
-// ascending w:
+// its N/n. Acc accumulates the same way. Per weight class c it keeps the
+// raw moments of its rows, n_c, Σx_c and Σx²_c, and Estimate derives the
+// weighted sums the estimators read, one multiplication per class instead
+// of six per row, visiting the classes in ascending key:
 //
 //	Σw         = Σ_c n_c·w_c
 //	Σw²        = Σ_c n_c·w_c²
@@ -22,12 +21,35 @@
 //
 // Whether every weight was 1 (Estimate.Exact) and the effective sample size
 // (Σw)²/Σw² are derived too. Tally is the same structure with the counts
-// alone: Σ 1/rate over matching rows as an exact weight → count table.
+// alone: Σ weight over matching rows as an exact key → count table.
+//
+// # Keys
+//
+// A class is named by a Key, and its weight is applied only when the
+// accumulator is finalized, by a Weights. A table's rows are keyed by their
+// weight itself, 1/rate (RateKey). A sample family's rows are keyed by
+// their stratum frequency f, raised to the cap of the delta that holds
+// them (FreqKey): under cap K the weight is 1/(K/f) past the cap and 1
+// under it, so it depends on the resolution an answer is read at, and
+// moments folded for one resolution stay valid at every larger one. That
+// is what lets a §4.4 refinement add the rows of one more delta to what it
+// already holds instead of scanning again.
+//
+// # Lanes
+//
+// Each Σx and Σx² is kept as Lanes partial sums: row r of a chunk adds x
+// and float64(x*x) — the square rounded on its own, never fused into the
+// add — to lane r mod Lanes of its class, in row order; lanes merge lane by
+// lane, and combine as (l0+l1)+(l2+l3) at finalize. The lanes are four
+// independent addition chains the fold kernels (fold.go) run side by side,
+// and since a row's lane depends on its row number alone, how rows were
+// split between fold calls, spans or kernels moves no bit.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -115,32 +137,87 @@ func (e Estimate) String() string {
 	return fmt.Sprintf("%.4g ± %.3g (%.0f%% confidence)", e.Point, e.Bound, e.Confidence*100)
 }
 
-type weightedVal struct {
-	x float64
-	w float64
+// Key names a weight class: a table row's weight, or a sample row's stratum
+// frequency raised to its delta's cap (see the package comment).
+type Key float64
+
+// RateKey is the key of a table's rows sampled at rate: their weight
+// 1/rate, where a rate outside (0, 1] weighs 1.
+func RateKey(rate float64) Key {
+	if rate > 0 && rate < 1 {
+		return Key(1 / rate)
+	}
+	return 1
 }
 
-// Moments are the raw moments of a set of rows: how many, Σx and Σx². They
-// carry no weight — an accumulator keeps one per weight class and applies
-// the weights when it estimates.
+// FreqKey is the key of a sample family's rows of stratum frequency f held
+// in the delta of the resolution with cap floor: max(f, floor). Every
+// resolution that holds the delta has a cap of at least floor, under which
+// strata of f ≤ floor weigh 1 — so they share one class.
+func FreqKey(f, floor int64) Key { return Key(max(f, floor)) }
+
+// Weights turns keys into weights when an accumulator is finalized. The
+// zero value reads keys as weights (RateKey). With Cap K > 0 keys are
+// stratum frequencies (FreqKey) read at cap K: a key past the cap weighs
+// 1/(K/f) — the float sample.RateForCap's rate inverts to — and any other
+// weighs 1.
+type Weights struct{ Cap int64 }
+
+// Of returns the weight of class key k.
+func (ws Weights) Of(k Key) float64 {
+	switch {
+	case ws.Cap <= 0:
+		return float64(k)
+	case float64(k) <= float64(ws.Cap):
+		return 1
+	}
+	return 1 / (float64(ws.Cap) / float64(k))
+}
+
+// Lanes is how many partial sums each moment keeps (see the package
+// comment). Row r adds to lane r & (Lanes-1).
+const Lanes = 4
+
+// Moments are the raw moments of a set of rows: how many, and Σx and Σx²
+// in Lanes partial sums. They carry no weight — an accumulator keeps one
+// set per class and applies the weights when it estimates.
 type Moments struct {
 	N     int64
-	SumX  float64
-	SumXX float64
+	SumX  [Lanes]float64
+	SumXX [Lanes]float64
 }
 
-// class is the rows an accumulator saw under one weight w = 1/rate: one
-// stratum's rows at one resolution, or several strata sampled alike.
+// add adds row's x to its lane.
+func (m *Moments) add(x float64, row int) {
+	l := row & (Lanes - 1)
+	m.SumX[l] += x
+	m.SumXX[l] += float64(x * x)
+}
+
+// merge adds other's moments into m, lane by lane.
+func (m *Moments) merge(other *Moments) {
+	m.N += other.N
+	for l := range m.SumX {
+		m.SumX[l] += other.SumX[l]
+		m.SumXX[l] += other.SumXX[l]
+	}
+}
+
+// combine folds lanes into one sum, in the pinned order (l0+l1)+(l2+l3).
+func combine(l *[Lanes]float64) float64 { return (l[0] + l[1]) + (l[2] + l[3]) }
+
+// class is the rows an accumulator saw under one key: one stratum's rows,
+// or several strata that weigh alike at every resolution they are read at.
 type class struct {
-	w float64
+	k Key
 	Moments
 }
 
-// classes is a set of weight classes keyed by exact weight. The first
-// class to arrive is held inline — a group whose rows share one rate, which
-// is most groups, allocates nothing more — and later ones in a slice kept
-// ascending in w. Lookups are by the last hit, then by search: rows arrive
-// in runs of one weight.
+// classes is a set of weight classes keyed by Key. The first class to
+// arrive is held inline — a group whose rows share one key, which is most
+// groups, allocates nothing more — and later ones in a slice kept ascending
+// in key. Lookups are by the last hit, then by search: rows arrive in runs
+// of one key.
 type classes struct {
 	live  bool // first is in use
 	first class
@@ -148,34 +225,34 @@ type classes struct {
 	last  int // index into more of the latest hit
 }
 
-// find returns the class of weight w, adding it when new. The pointer is
-// good until the next find of a new weight.
-func (c *classes) find(w float64) *class {
+// find returns the class of key k, adding it when new. The pointer is good
+// until the next find of a new key.
+func (c *classes) find(k Key) *class {
 	switch {
 	case !c.live:
-		c.live, c.first.w = true, w
+		c.live, c.first.k = true, k
 		return &c.first
-	case c.first.w == w:
+	case c.first.k == k:
 		return &c.first
-	case c.last < len(c.more) && c.more[c.last].w == w:
+	case c.last < len(c.more) && c.more[c.last].k == k:
 		return &c.more[c.last]
 	}
-	i := sort.Search(len(c.more), func(i int) bool { return c.more[i].w >= w })
-	if i == len(c.more) || c.more[i].w != w {
+	i := sort.Search(len(c.more), func(i int) bool { return c.more[i].k >= k })
+	if i == len(c.more) || c.more[i].k != k {
 		if c.more == nil {
-			// Past one rate there are usually several — every capped
-			// stratum of a resolution has its own.
+			// Past one key there are usually several — every capped
+			// stratum of a family has its own.
 			c.more = make([]class, 0, 8)
 		}
 		c.more = append(c.more, class{})
 		copy(c.more[i+1:], c.more[i:])
-		c.more[i] = class{w: w}
+		c.more[i] = class{k: k}
 	}
 	c.last = i
 	return &c.more[i]
 }
 
-// each visits the classes in ascending weight, the one order every derived
+// each visits the classes in ascending key, the one order every derived
 // sum is taken in: which class happened to arrive first, or how partials
 // were merged, then cannot move a bit of it.
 func (c *classes) each(f func(*class)) {
@@ -184,7 +261,7 @@ func (c *classes) each(f func(*class)) {
 	}
 	first := &c.first
 	for i := range c.more {
-		if first != nil && first.w < c.more[i].w {
+		if first != nil && first.k < c.more[i].k {
 			f(first)
 			first = nil
 		}
@@ -195,66 +272,65 @@ func (c *classes) each(f func(*class)) {
 	}
 }
 
-// merge adds other's classes into c, moment by moment.
+// merge adds other's classes into c, lane by lane.
 func (c *classes) merge(other *classes) {
-	other.each(func(o *class) {
-		m := c.find(o.w)
-		m.N += o.N
-		m.SumX += o.SumX
-		m.SumXX += o.SumXX
-	})
+	other.each(func(o *class) { c.find(o.k).merge(&o.Moments) })
 }
 
 // clone returns a copy that shares no memory with c.
 func (c *classes) clone() classes {
 	cp := *c
 	if c.more != nil {
-		cp.more = append(make([]class, 0, len(c.more)), c.more...)
+		cp.more = slices.Clone(c.more)
 	}
 	return cp
 }
 
-// Tally counts rows by weight — the exact form of a Horvitz–Thompson count
-// Σ 1/rate. Counts are integers, so tallies merge exactly in any order, and
+// Tally counts rows by key — the exact form of a Horvitz–Thompson count
+// Σ weight. Counts are integers, so tallies merge exactly in any order, and
 // Sum weighs each class once. The zero value is an empty tally; a copy of
 // one in use shares its memory, so copy a Tally only to move it.
 type Tally struct{ cs classes }
 
-// Add records n rows of weight w.
-func (t *Tally) Add(w float64, n int64) {
+// Add records n rows of key k.
+func (t *Tally) Add(k Key, n int64) {
 	if n > 0 {
-		t.cs.find(w).N += n
+		t.cs.find(k).N += n
 	}
 }
 
 // Merge adds other's counts to t; other is left as it was.
 func (t *Tally) Merge(other *Tally) { t.cs.merge(&other.cs) }
 
-// Sum returns Σ_c n_c·w_c over the classes in ascending weight.
-func (t *Tally) Sum() float64 {
+// Sum returns Σ_c n_c·w_c over the classes in ascending key, weighed by ws.
+func (t *Tally) Sum(ws Weights) float64 {
 	sum := 0.0
-	t.cs.each(func(c *class) { sum += float64(c.N) * c.w })
+	t.cs.each(func(c *class) { sum += float64(float64(c.N) * ws.Of(c.k)) })
 	return sum
 }
 
 // Acc accumulates matching rows of one (group, aggregate) pair from a
-// weighted sample. Each matching row carries the effective sampling rate
-// with which it entered the sample; weight w = 1/rate. Base tables have
-// rate 1 everywhere, making every estimate exact.
+// weighted sample. Each matching row carries its class key (see the
+// package comment); an estimate weighs every class once.
 //
-// As in Table 2, accumulation is per stratum weight: an Acc keeps the raw
-// moments (n, Σx, Σx²) of its rows per distinct weight, and only Estimate
-// multiplies by a weight — once per class, not once per row (see the
-// package comment for the sums it derives). A COUNT keeps only n. Every
-// way of adding rows updates this one state with the same additions in the
-// same order, so adding rows one at a time, in batches, by index or by
-// count leaves an Acc bit-identical.
+// Every way of adding rows — one at a time, a range, by index, by
+// selection bitmap, by count, by dictionary code — updates this one state
+// with the same additions to the same lanes in the same order, so each
+// leaves an Acc bit-identical to adding its rows one at a time with AddRow.
+// Finalizing (Estimate, EstimateZ) reads the state and changes nothing, so
+// one accumulator may be finalized at several caps, concurrently.
 type Acc struct {
 	kind AggKind
 	p    float64 // quantile level for AggQuantile
 
 	cs   classes
-	vals []weightedVal // retained only for quantiles
+	vals []keyedVal // retained only for quantiles
+}
+
+// keyedVal is a retained value and its class key.
+type keyedVal struct {
+	x float64
+	k Key
 }
 
 // NewAcc creates an accumulator. p is the quantile level and is ignored
@@ -266,140 +342,63 @@ func NewAcc(kind AggKind, p float64) *Acc {
 // Kind returns the aggregate kind.
 func (a *Acc) Kind() AggKind { return a.kind }
 
-// class returns the weight class of rows sampled at rate; a rate outside
-// (0, 1] weighs 1.
-func (a *Acc) class(rate float64) *class {
-	w := 1.0
-	if rate > 0 && rate < 1 {
-		w = 1 / rate
-	}
-	if a.cs.live && a.cs.first.w == w { // inlined into Add: a fifth off a per-row add
+// class returns the class of key k.
+func (a *Acc) class(k Key) *class {
+	if a.cs.live && a.cs.first.k == k { // inlined into the adds: a fifth off a per-row add
 		return &a.cs.first
 	}
-	return a.cs.find(w)
+	return a.cs.find(k)
 }
 
-// Number is the element type of a column the fold kernels read in place.
-type Number interface{ ~int64 | ~float64 }
-
-// Add records one matching row with value x sampled at the given rate.
-func (a *Acc) Add(x, rate float64) {
-	c := a.class(rate)
+// AddRow records one matching row with value x: row r of its chunk, of
+// class key k.
+func (a *Acc) AddRow(x float64, row int, k Key) {
+	c := a.class(k)
 	c.N++
 	if a.kind == AggCount {
 		return
 	}
-	c.SumX += x
-	c.SumXX += x * x
+	c.add(x, row)
 	if a.kind.NeedsValues() {
-		a.vals = append(a.vals, weightedVal{x: x, w: c.w})
+		a.vals = append(a.vals, keyedVal{x, k})
 	}
 }
 
-// AddCount records n matching rows of value 1 sampled at rate — what a
-// COUNT adds per row — as Add would one at a time.
-func (a *Acc) AddCount(n int, rate float64) {
-	if n <= 0 {
-		return
+// Add records one row with value x sampled at rate, as row 0 of a chunk: an
+// accumulator fed this way, outside a scan, sums in one lane.
+func (a *Acc) Add(x, rate float64) { a.AddRow(x, 0, RateKey(rate)) }
+
+// AddCount records n matching rows of key k in a COUNT accumulator, which
+// keeps their number alone.
+func (a *Acc) AddCount(n int, k Key) {
+	if a.kind != AggCount {
+		panic("stats: AddCount on a " + a.kind.String())
 	}
-	c := a.class(rate)
-	c.N += int64(n)
-	if a.kind == AggCount {
-		return
-	}
-	for j := 0; j < n; j++ {
-		c.SumX++
-		c.SumXX++
-	}
-	if a.kind.NeedsValues() {
-		for j := 0; j < n; j++ {
-			a.vals = append(a.vals, weightedVal{x: 1, w: c.w})
-		}
+	if n > 0 {
+		a.class(k).N += int64(n)
 	}
 }
 
-// AddRange records every element of xs as a matching row sampled at rate,
-// in order, as Add would one at a time.
-func AddRange[T Number](a *Acc, xs []T, rate float64) {
-	if len(xs) == 0 {
-		return
-	}
-	c := a.class(rate)
-	c.N += int64(len(xs))
-	if a.kind == AggCount {
-		return
-	}
-	sx, sxx := c.SumX, c.SumXX
-	for _, v := range xs {
-		x := float64(v)
-		sx += x
-		sxx += x * x
-	}
-	c.SumX, c.SumXX = sx, sxx
-	if a.kind.NeedsValues() {
-		for _, v := range xs {
-			a.vals = append(a.vals, weightedVal{x: float64(v), w: c.w})
-		}
-	}
-}
-
-// AddIndexed records rows idxs of the column src as matching rows sampled
-// at rate, in idxs order, as Add would one at a time: the fold reads the
-// column in place.
-func AddIndexed[T Number](a *Acc, src []T, idxs []int32, rate float64) {
-	if len(idxs) == 0 {
-		return
-	}
-	c := a.class(rate)
-	c.N += int64(len(idxs))
-	if a.kind == AggCount {
-		return
-	}
-	sx, sxx := c.SumX, c.SumXX
-	for _, i := range idxs {
-		x := float64(src[i])
-		sx += x
-		sxx += x * x
-	}
-	c.SumX, c.SumXX = sx, sxx
-	if a.kind.NeedsValues() {
-		for _, i := range idxs {
-			a.vals = append(a.vals, weightedVal{x: float64(src[i]), w: c.w})
-		}
-	}
-}
-
-// Slot records n matching rows sampled at rate whose values the caller
-// adds itself — FoldByCode, for a scan folding many groups in one pass over
-// a column — and returns the moments to add them to. The pointer is good
-// until rows of another rate are added to a. Not for quantiles, which
-// retain their values.
-func (a *Acc) Slot(n int, rate float64) *Moments {
-	c := a.class(rate)
+// Slot records n matching rows of key k whose values the caller adds itself
+// — FoldByCode or FoldCodeMasked, for a scan folding many groups in one
+// pass over a column — and returns the moments to add them to. The pointer
+// is good until rows of another key are added to a. Not for quantiles,
+// which retain their values.
+func (a *Acc) Slot(n int, k Key) *Moments {
+	c := a.class(k)
 	c.N += int64(n)
 	return &c.Moments
 }
 
-// FoldByCode adds rows idxs of the column src to the moments their
-// dictionary codes select — slots[codes[i]] gains src[i] and its square —
-// in idxs order, so each slot sees its rows in the order Add would.
-func FoldByCode[T Number](slots []*Moments, codes []uint32, src []T, idxs []int32) {
-	for _, i := range idxs {
-		m, x := slots[codes[i]], float64(src[i])
-		m.SumX += x
-		m.SumXX += x * x
-	}
-}
-
 // Merge folds other into a (parallel partial aggregation). The state is raw
-// moments per weight class, so combining is addition class by class — the
-// Chan et al. parallel-merge formulation of mean/variance expressed over
-// raw moments — and the row counts per weight combine exactly, in any
-// order. Quantile value buffers concatenate; weightedQuantile sorts with a
-// total order, so the estimate depends only on the merged multiset, not the
-// merge schedule. Callers who need bit-identical floating-point results
-// across worker counts must additionally fold partials in a deterministic
-// order (see exec.MergePartials).
+// moments per class and lane, so combining is addition class by class and
+// lane by lane — the Chan et al. parallel-merge formulation of
+// mean/variance expressed over raw moments — and the row counts per class
+// combine exactly, in any order. Quantile value buffers concatenate;
+// finalizing sorts with a total order, so the estimate depends only on the
+// merged multiset, not the merge schedule. Callers who need bit-identical
+// floating-point results across worker counts must additionally fold
+// partials in a deterministic order (see exec.MergePartials).
 func (a *Acc) Merge(other *Acc) {
 	a.cs.merge(&other.cs)
 	a.vals = append(a.vals, other.vals...)
@@ -412,7 +411,7 @@ func (a *Acc) Clone() *Acc {
 	cp := *a
 	cp.cs = a.cs.clone()
 	if a.vals != nil {
-		cp.vals = append(make([]weightedVal, 0, len(a.vals)), a.vals...)
+		cp.vals = slices.Clone(a.vals)
 	}
 	return &cp
 }
@@ -430,19 +429,22 @@ type sums struct {
 	allOne bool    // every weight was exactly 1 → estimate is exact
 }
 
-// sums derives the weighted sums, visiting classes in ascending weight.
-func (a *Acc) sums() sums {
+// sums derives the weighted sums under ws, visiting classes in ascending
+// key. Every product is rounded on its own (float64(…)): a multiply fused
+// into the add would round once where amd64 rounds twice.
+func (a *Acc) sums(ws Weights) sums {
 	s := sums{allOne: true}
 	a.cs.each(func(c *class) {
-		n, w := float64(c.N), c.w
-		ww1 := w * (w - 1)
+		n, w := float64(c.N), ws.Of(c.k)
+		sx, sxx := combine(&c.SumX), combine(&c.SumXX)
+		ww1 := float64(w * (w - 1))
 		s.rows += c.N
-		s.w += n * w
-		s.w2 += n * (w * w)
-		s.wx += w * c.SumX
-		s.wx2 += w * c.SumXX
-		s.ww1 += n * ww1
-		s.ww1x2 += ww1 * c.SumXX
+		s.w += float64(n * w)
+		s.w2 += float64(n * float64(w*w))
+		s.wx += float64(w * sx)
+		s.wx2 += float64(w * sxx)
+		s.ww1 += float64(n * ww1)
+		s.ww1x2 += float64(ww1 * sxx)
 		if w != 1 {
 			s.allOne = false
 		}
@@ -465,22 +467,24 @@ func (s *sums) weightedVariance() float64 {
 		return 0
 	}
 	mu := s.wx / s.w
-	v := s.wx2/s.w - mu*mu
+	v := s.wx2/s.w - float64(mu*mu)
 	if v < 0 {
 		v = 0 // numeric noise
 	}
 	return v
 }
 
-// Estimate produces the point estimate and CI at the given confidence.
+// Estimate produces the point estimate and CI at the given confidence, with
+// keys read as weights (RateKey).
 func (a *Acc) Estimate(conf float64) Estimate {
-	return a.EstimateZ(conf, ZForConfidence(conf))
+	return a.EstimateZ(conf, ZForConfidence(conf), Weights{})
 }
 
 // EstimateZ is Estimate for a caller that finalizes many accumulators at
-// one confidence and computed z = ZForConfidence(conf) once for all of them.
-func (a *Acc) EstimateZ(conf, z float64) Estimate {
-	s := a.sums()
+// one confidence and weighing — z = ZForConfidence(conf), computed once for
+// all of them, and ws. It reads a and changes nothing.
+func (a *Acc) EstimateZ(conf, z float64, ws Weights) Estimate {
+	s := a.sums(ws)
 	e := Estimate{Confidence: conf, Rows: s.rows, EffRows: s.effRows(), Exact: s.allOne}
 	if s.rows == 0 {
 		return e
@@ -506,9 +510,10 @@ func (a *Acc) EstimateZ(conf, z float64) Estimate {
 			e.StdErr = math.Sqrt(s.weightedVariance() / e.EffRows)
 		}
 	case AggQuantile:
-		e.Point = a.weightedQuantile(a.p)
+		q := a.weighed(ws, s.w)
+		e.Point = q.quantile(a.p)
 		if !s.allOne {
-			e.StdErr = a.quantileStdErr(e.EffRows)
+			e.StdErr = q.stdErr(a.p, e.EffRows)
 		}
 	}
 	if s.allOne {
@@ -520,63 +525,98 @@ func (a *Acc) EstimateZ(conf, z float64) Estimate {
 	return e
 }
 
-// weightedQuantile computes the weighted interpolated p-quantile,
-// generalising Table 2's x_⌊h⌋ + (h−⌊h⌋)(x_⌈h⌉−x_⌊h⌋).
-func (a *Acc) weightedQuantile(p float64) float64 {
-	if len(a.vals) == 0 {
+// weightedVal is a retained value with its weight at finalize.
+type weightedVal struct {
+	x float64
+	w float64
+}
+
+// weighedVals are a quantile's values weighed and sorted, and their total
+// weight.
+type weighedVals struct {
+	vals []weightedVal
+	sumW float64
+}
+
+// weighed returns a's retained values weighed by ws, in a fresh buffer
+// sorted by the total order (x, then w): ties between equal values with
+// different weights resolve identically however the buffer was assembled,
+// so merged partials quantile the same as a sequential scan.
+func (a *Acc) weighed(ws Weights, sumW float64) weighedVals {
+	vals := make([]weightedVal, len(a.vals))
+	for i, v := range a.vals {
+		vals[i] = weightedVal{v.x, ws.Of(v.k)}
+	}
+	slices.SortFunc(vals, func(a, b weightedVal) int {
+		if c := cmpFloat(a.x, b.x); c != 0 {
+			return c
+		}
+		return cmpFloat(a.w, b.w)
+	})
+	return weighedVals{vals, sumW}
+}
+
+// cmpFloat orders as the < of the former sort.Slice comparator: NaNs
+// compare equal to everything, so they keep no defined place.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// quantile computes the weighted interpolated p-quantile, generalising
+// Table 2's x_⌊h⌋ + (h−⌊h⌋)(x_⌈h⌉−x_⌊h⌋).
+func (q weighedVals) quantile(p float64) float64 {
+	vals := q.vals
+	if len(vals) == 0 {
 		return 0
 	}
-	// Total order (x, then w): ties between equal values with different
-	// weights resolve identically however the buffer was assembled, so
-	// merged partials quantile the same as a sequential scan.
-	sort.Slice(a.vals, func(i, j int) bool {
-		if a.vals[i].x != a.vals[j].x {
-			return a.vals[i].x < a.vals[j].x
-		}
-		return a.vals[i].w < a.vals[j].w
-	})
 	if p <= 0 {
-		return a.vals[0].x
+		return vals[0].x
 	}
 	if p >= 1 {
-		return a.vals[len(a.vals)-1].x
+		return vals[len(vals)-1].x
 	}
-	target := p * a.sums().w
+	target := float64(p * q.sumW)
 	cum := 0.0
-	for i, v := range a.vals {
+	for i, v := range vals {
 		next := cum + v.w
 		if next >= target {
 			// Past the midpoint of this value's weight mass, interpolate
 			// linearly toward the next order statistic; this generalises
 			// Table 2's x_⌊h⌋ + (h−⌊h⌋)(x_⌈h⌉−x_⌊h⌋) to weighted rows.
-			if i+1 < len(a.vals) && v.w > 0 {
+			if i+1 < len(vals) && v.w > 0 {
 				if frac := (target - cum) / v.w; frac > 0.5 {
-					return v.x + (a.vals[i+1].x-v.x)*(frac-0.5)
+					return v.x + float64((vals[i+1].x-v.x)*(frac-0.5))
 				}
 			}
 			return v.x
 		}
 		cum = next
 	}
-	return a.vals[len(a.vals)-1].x
+	return vals[len(vals)-1].x
 }
 
-// quantileStdErr estimates Table 2's quantile stderr
-// √(p(1−p)/n)/f(x_p) using a finite-difference density estimate:
-// f(x_p) ≈ 2δ / (x_{p+δ} − x_{p−δ}), with n the effective sample size.
-func (a *Acc) quantileStdErr(n float64) float64 {
+// stdErr estimates Table 2's quantile stderr √(p(1−p)/n)/f(x_p) using a
+// finite-difference density estimate: f(x_p) ≈ 2δ / (x_{p+δ} − x_{p−δ}),
+// with n the effective sample size.
+func (q weighedVals) stdErr(p, n float64) float64 {
 	if n < 4 {
-		return math.Abs(a.weightedQuantile(0.75)-a.weightedQuantile(0.25)) / 2
+		return math.Abs(q.quantile(0.75)-q.quantile(0.25)) / 2
 	}
 	delta := math.Min(0.1, math.Max(0.01, 1/math.Sqrt(n)))
-	lo := clampQ(a.p - delta)
-	hi := clampQ(a.p + delta)
-	spread := a.weightedQuantile(hi) - a.weightedQuantile(lo)
+	lo := clampQ(p - delta)
+	hi := clampQ(p + delta)
+	spread := q.quantile(hi) - q.quantile(lo)
 	if spread <= 0 {
 		return 0 // locally constant data: quantile is pinned
 	}
 	f := (hi - lo) / spread
-	return math.Sqrt(a.p*(1-a.p)/n) / f
+	return math.Sqrt(float64(p*(1-p))/n) / f
 }
 
 func clampQ(p float64) float64 {

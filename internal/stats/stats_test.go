@@ -264,10 +264,11 @@ func TestQuantileEdgeLevels(t *testing.T) {
 	for _, v := range []float64{3, 1, 2} {
 		a.Add(v, 0.5)
 	}
-	if q := a.weightedQuantile(0); q != 1 {
+	q := a.weighed(Weights{}, a.sums(Weights{}).w)
+	if q := q.quantile(0); q != 1 {
 		t.Errorf("q0 = %g", q)
 	}
-	if q := a.weightedQuantile(1); q != 3 {
+	if q := q.quantile(1); q != 3 {
 		t.Errorf("q1 = %g", q)
 	}
 }
