@@ -74,9 +74,8 @@ func BenchmarkTable5MonteCarlo(b *testing.B) { runExperiment(b, "table5mc") }
 func BenchmarkOnlineVsOffline(b *testing.B) { runExperiment(b, "ola") }
 
 // Ablation benches for the design decisions called out in DESIGN.md §4.
-func BenchmarkAblationDeltaReuse(b *testing.B) { runExperiment(b, "abl-delta") }
-func BenchmarkAblationMILP(b *testing.B)       { runExperiment(b, "abl-milp") }
-func BenchmarkAblationSkew(b *testing.B)       { runExperiment(b, "abl-skew") }
+func BenchmarkAblationMILP(b *testing.B) { runExperiment(b, "abl-milp") }
+func BenchmarkAblationSkew(b *testing.B) { runExperiment(b, "abl-skew") }
 
 // ---- engine-level operation benchmarks (end-to-end public API) ----
 

@@ -27,25 +27,27 @@
 // bit for bit.
 //
 // Above the plan cache sits a cross-query RESULT cache
-// (Config.ResultCacheSize, on by default; Config.ResultCacheTTL bounds
-// answer age): an exact replay — same template AND same constants/bounds
-// — is served from memory without probing or scanning, and N concurrent
-// cold replays of one query collapse into a single execution shared by
-// all (singleflight). Answers are epoch-validated like plan-cache
-// entries, optionally TTL-bounded, and copied on return (a serving layer,
-// through Engine.Answer, shares the entry's read-only served form).
-// Result.Explanation reports result=hit|miss|shared; disabling the cache
-// (ResultCacheSize < 0) restores the execute-every-query pipeline bit
-// for bit.
+// (Config.ResultCacheSize, on by default): an exact replay — same
+// template AND same constants/bounds — is served from memory without
+// probing or scanning, and N concurrent cold replays of one query
+// collapse into a single execution shared by all (singleflight). Answers
+// are epoch-validated like plan-cache entries and copied on return (a
+// serving layer, through Engine.Answer, shares the entry's read-only
+// served form). A loaded table never changes and every reload bumps its
+// epoch, so an answer is served until it is evicted or its samples or
+// table change, with no age limit. Result.Explanation reports
+// result=hit|miss|shared; disabling the cache (ResultCacheSize < 0)
+// restores the execute-every-query pipeline bit for bit.
 //
 // # Observability
 //
 // The engine carries a query-lifecycle telemetry layer
-// (internal/telemetry, on by default; Config.DisableTelemetry turns it
-// off). Every completed query is recorded against its normalized template
-// in mergeable log-bucketed histograms: wall-clock and predicted
-// (simulated-cluster) latency, rows/bytes scanned, and the ELP's
-// projected error half-width against the half-width actually reported.
+// (internal/telemetry), always on: the serving layer prices admission from
+// it (Engine.TemplateWallSeconds). Every completed query is recorded
+// against its normalized template in mergeable log-bucketed histograms:
+// wall-clock and predicted (simulated-cluster) latency, rows/bytes
+// scanned, and the ELP's projected error half-width against the
+// half-width actually reported.
 // Engine.Telemetry folds them into per-template p50/p95/p99 snapshots —
 // the calibration substrate for adaptive ELP recalibration. Prefixing a
 // query with EXPLAIN ANALYZE executes it normally (sharing all cache
@@ -54,9 +56,8 @@
 // partials → merge → materialize, each with monotonic durations and
 // cache markers. Engine.QueryTraced returns the structured trace for
 // programmatic use (e.g. Chrome trace-event export via
-// telemetry.WriteChrome). Telemetry never changes answers: results are
-// bit-identical with it on or off, and the disabled query path performs
-// zero telemetry allocations.
+// telemetry.WriteChrome). Telemetry never changes answers: recording a
+// query reads its response and writes only histograms.
 //
 // Tables and samples are stored as columnar chunks (internal/colstore):
 // per-column typed slices with null bitmaps plus the sampling metadata as
@@ -90,8 +91,8 @@
 // caller that parsed the query itself. cmd/blinkdb-server wraps those in HTTP/JSON
 // (NDJSON and SSE streaming) with admission control priced by the ELP's
 // predicted latencies: overload is shed with 429 + Retry-After before
-// any scanning happens, which the Admitted/Shed/Cancelled counters in
-// EngineStats make auditable.
+// any scanning happens, which the server's admitted/shed/queue-cancelled
+// ledger (server.Metrics) makes auditable.
 //
 // # Persistence
 //
@@ -103,18 +104,16 @@
 // options and engine knobs; a warm boot mmaps them back as zero-copy
 // column views instead of re-stratifying. SnapshotWarmup additionally
 // writes a warmup file: per-table catalog epochs with content
-// fingerprints, prepared-template probe state, cached results with
-// their original TTL deadlines, and the serving layer's admission-cost
-// EWMA; RestoreWarmup replays it into the caches on boot, so the first
-// query after a restart answers from the same steady state the previous
-// process died in — bit-identical, cache markers and simulated
-// latencies included. Everything under DataDir is a cache of
-// reproducible state: corruption, truncation, or staleness (a table
-// reloaded or resampled between snapshot and boot) is detected by
-// checksum, build signature, epoch and content fingerprint, and
-// degrades to a cold rebuild with the reason in PersistenceNotes —
-// deleting the directory costs a cold boot, never correctness. A
-// restart never extends a cached answer's TTL. Engines with loaded
+// fingerprints, prepared-template probe state, cached results, and the
+// serving layer's admission-cost EWMA; RestoreWarmup replays it into the
+// caches on boot, so the first query after a restart answers from the
+// same steady state the previous process died in — bit-identical, cache
+// markers and simulated latencies included. Everything under DataDir is a
+// cache of reproducible state: corruption, truncation, or staleness (a
+// table reloaded or resampled between snapshot and boot) is detected by
+// checksum, build signature, epoch and content fingerprint, and degrades
+// to a cold rebuild with the reason in PersistenceNotes — deleting the
+// directory costs a cold boot, never correctness. Engines with loaded
 // segments must be released with Close.
 //
 // A minimal session:
@@ -231,20 +230,8 @@ type Config struct {
 	// answer NEW constants, a result-cache hit requires the parameters to
 	// match exactly and replays the identical answer.
 	ResultCacheSize int
-	// ResultCacheTTL additionally bounds the wall-clock age of served
-	// answers (epochs track sample rebuilds; the TTL covers base-data
-	// drift underneath unchanged samples). 0 (the default) applies no
-	// TTL: answers live until evicted or epoch-invalidated.
-	ResultCacheTTL time.Duration
 	// CacheTables places base tables in simulated cluster memory.
 	CacheTables bool
-	// DisableTelemetry turns off per-template query telemetry (the
-	// histograms behind Engine.Telemetry and the per-query Observation
-	// recording). Off by default — telemetry is on, like both caches.
-	// Answers are bit-identical either way; disabling only removes the
-	// recording overhead (a timestamp pair and a few atomic adds per
-	// query). EXPLAIN ANALYZE span capture is per-query and unaffected.
-	DisableTelemetry bool
 	// DataDir enables persistence when set: CreateSamples writes built
 	// families as columnar segment files under it and loads them back
 	// on matching warm boots instead of re-stratifying, and
@@ -288,9 +275,6 @@ func (c Config) normalize() Config {
 	if c.ResultCacheSize == 0 {
 		c.ResultCacheSize = 1024
 	}
-	if c.ResultCacheTTL < 0 {
-		c.ResultCacheTTL = 0
-	}
 	return c
 }
 
@@ -301,7 +285,7 @@ type Engine struct {
 	cat  *catalog.Catalog
 	clus *cluster.Cluster
 	rt   *elp.Runtime
-	tele *telemetry.Registry // nil when Config.DisableTelemetry
+	tele *telemetry.Registry
 
 	maint    map[string]*maintenance.Maintainer
 	lastSnap map[string]*maintenance.Snapshot
@@ -342,19 +326,14 @@ func Open(cfg Config) *Engine {
 		MemCacheBytesPerNode: cfg.MemCacheGBPerNode * 1e9,
 	})
 	cat := catalog.New()
-	var tele *telemetry.Registry
-	if !cfg.DisableTelemetry {
-		tele = telemetry.NewRegistry()
-	}
+	tele := telemetry.NewRegistry()
 	rt := elp.New(cat, clus, elp.Options{
-		Confidence:        cfg.Confidence,
-		Scale:             cfg.Scale,
-		ProbeOverheadOnly: true, // §4.1.1: the smallest samples are memory-resident
-		Workers:           cfg.Workers,
-		PlanCacheSize:     cfg.PlanCacheSize,
-		ResultCacheSize:   cfg.ResultCacheSize,
-		ResultCacheTTL:    cfg.ResultCacheTTL,
-		Telemetry:         tele,
+		Confidence:      cfg.Confidence,
+		Scale:           cfg.Scale,
+		Workers:         cfg.Workers,
+		PlanCacheSize:   cfg.PlanCacheSize,
+		ResultCacheSize: cfg.ResultCacheSize,
+		Telemetry:       tele,
 	})
 	return &Engine{cfg: cfg, cat: cat, clus: clus, rt: rt, tele: tele}
 }
@@ -431,7 +410,9 @@ func (l *Loader) Append(values ...any) error {
 
 // Close finalizes the table and registers it with the engine. When the
 // engine auto-sizes blocks, the table is re-cut so each priced block
-// stands for ≈256 MB of logical data at the configured Scale.
+// stands for ≈256 MB of logical data at the configured Scale. A closed
+// loader is done: Append and Close return an error after it, and the
+// registered table — and the samples built on it — stay as they are.
 func (l *Loader) Close() error {
 	if l.err != nil {
 		return l.err
@@ -441,6 +422,7 @@ func (l *Loader) Close() error {
 		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.place)
 	}
 	l.eng.cat.Register(l.table)
+	l.err = fmt.Errorf("blinkdb: table %s: loader already closed", l.table.Name)
 	return nil
 }
 
@@ -936,8 +918,7 @@ func buildResult(q *sqlparser.Query, resp *elp.Response) *Result {
 
 // Telemetry folds the engine's per-template histograms into a snapshot:
 // p50/p95/p99 latency (wall-clock and simulated), rows/bytes scanned,
-// and predicted-vs-observed error half-width per template. Returns an
-// empty snapshot when Config.DisableTelemetry is set. Safe for
+// and predicted-vs-observed error half-width per template. Safe for
 // concurrent use with Query.
 func (e *Engine) Telemetry() telemetry.Snapshot {
 	return e.tele.Snapshot()
@@ -962,17 +943,15 @@ type EngineStats struct {
 	// ResultCacheHits / ResultCacheMisses / ResultCacheShared count
 	// result-cache outcomes: exact replays served from memory, executions
 	// that entered the cache, and singleflight waiters that shared a
-	// concurrent miss's execution. Stale or TTL-expired entries count as
-	// misses. All 0 when the result cache is disabled.
+	// concurrent miss's execution. Stale entries count as misses. All 0
+	// when the result cache is disabled.
 	ResultCacheHits, ResultCacheMisses, ResultCacheShared int64
-	// Admitted / Shed count serving-layer admission outcomes, recorded by
-	// the admission queue's owner (blinkdb-server) via NoteAdmitted /
-	// NoteShed. A shed query never reaches the pipeline: Shed can grow
-	// while PlanExecs stands still. Both stay 0 in library-only use.
-	Admitted, Shed int64
-	// Cancelled counts queries aborted by context cancellation (client
-	// disconnect, deadline) before or during scanning. Cancelled queries
-	// produce no answer and are not counted in AnswersByLevel.
+	// Cancelled counts queries the engine was asked to answer and that
+	// were aborted by context cancellation (client disconnect, deadline)
+	// before or during scanning. A serving layer's requests that give up
+	// before reaching the engine — queued for admission, say — are its own
+	// to count. Cancelled queries produce no answer and are not counted in
+	// AnswersByLevel.
 	Cancelled int64
 	// AnswersByLevel counts answers by serving resolution level
 	// (-1 = base table).
@@ -1011,8 +990,6 @@ func (s EngineStats) Delta(prev EngineStats) EngineStats {
 		ResultCacheHits:   s.ResultCacheHits - prev.ResultCacheHits,
 		ResultCacheMisses: s.ResultCacheMisses - prev.ResultCacheMisses,
 		ResultCacheShared: s.ResultCacheShared - prev.ResultCacheShared,
-		Admitted:          s.Admitted - prev.Admitted,
-		Shed:              s.Shed - prev.Shed,
 		Cancelled:         s.Cancelled - prev.Cancelled,
 	}
 	for level, n := range s.AnswersByLevel {
@@ -1040,8 +1017,6 @@ func (e *Engine) Stats() EngineStats {
 		ResultCacheHits:   s.ResultHits,
 		ResultCacheMisses: s.ResultMisses,
 		ResultCacheShared: s.ResultShared,
-		Admitted:          s.Admitted,
-		Shed:              s.Shed,
 		Cancelled:         s.Cancelled,
 		AnswersByLevel:    s.AnswersByLevel,
 	}
@@ -1049,27 +1024,11 @@ func (e *Engine) Stats() EngineStats {
 
 // TemplateWallSeconds returns the mean observed wall-clock seconds for
 // queries of the given normalized template key, or false when the
-// template has never completed (or telemetry is disabled). The serving
-// layer uses it to price admission before any planning happens.
+// template has never completed. The serving layer uses it to price
+// admission before any planning happens.
 func (e *Engine) TemplateWallSeconds(key string) (float64, bool) {
 	return e.tele.ObservedWallSeconds(key)
 }
-
-// NoteAdmitted records one admission-control accept in the engine's
-// stats. The serving layer (blinkdb-server) owns the admission decision;
-// the engine only keeps the counter so one Stats snapshot covers the
-// whole serving picture.
-func (e *Engine) NoteAdmitted() { e.rt.NoteAdmitted() }
-
-// NoteShed records one admission-control rejection: a query shed by the
-// serving layer before any planning or scanning happened.
-func (e *Engine) NoteShed() { e.rt.NoteShed() }
-
-// NoteCancelled records a request whose client gave up while it was
-// still queued for admission — it never reached the pipeline, so no
-// other counter would see it, and arrivals would stop balancing against
-// admitted + shed + cancelled.
-func (e *Engine) NoteCancelled() { e.rt.NoteCancelled() }
 
 // Tables lists registered table names.
 func (e *Engine) Tables() []string { return e.cat.Tables() }

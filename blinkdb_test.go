@@ -213,6 +213,52 @@ func TestLoaderErrors(t *testing.T) {
 	}
 }
 
+// TestLoaderClosedRejectsReuse: a loader is finished once Close returns.
+// A later Append must not silently drop its row, and a second Close must
+// not re-register the table, which would discard the samples built on it.
+func TestLoaderClosedRejectsReuse(t *testing.T) {
+	eng := Open(Config{})
+	load := eng.CreateTable("t", Col("a", Int), Col("x", Float))
+	for i := 0; i < 1000; i++ {
+		if err := load.Append(i%10, float64(100+i%20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.CreateSamples("t", SampleOptions{
+		Templates: []Template{{Columns: []string{"a"}, Weight: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const bounded = `SELECT AVG(x) FROM t ERROR WITHIN 10%`
+	before, err := eng.Query(bounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.SampleDescription == "base table" {
+		t.Fatalf("the bounded query should read a sample: %s", before.Explanation)
+	}
+
+	if err := load.Append(1, 1.0); err == nil {
+		t.Error("Append after Close returned nil")
+	}
+	if err := load.Close(); err == nil {
+		t.Error("a second Close returned nil")
+	}
+	if n, err := eng.TableRows("t"); err != nil || n != 1000 {
+		t.Errorf("rows = %d, err = %v; want the 1000 loaded before Close", n, err)
+	}
+	after, err := eng.Query(bounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.SampleDescription != before.SampleDescription {
+		t.Errorf("the bounded query moved from %q to %q", before.SampleDescription, after.SampleDescription)
+	}
+}
+
 func TestValueConversions(t *testing.T) {
 	eng := Open(Config{})
 	load := eng.CreateTable("conv",

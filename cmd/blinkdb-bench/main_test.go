@@ -19,7 +19,8 @@ func TestSelectExperiments(t *testing.T) {
 	}{
 		{run: "", want: all},
 		{run: "6c", want: []string{"6c"}},
-		{run: "abl-delta, 6c", want: []string{"6c", "abl-delta"}}, // paper order, spaces trimmed
+		{run: "abl-affinity, 6c", want: []string{"6c", "abl-affinity"}}, // paper order, spaces trimmed
+		{run: "abl-delta", wantErr: `"abl-delta"`},
 		{run: "6c,6c", want: []string{"6c"}},
 		{run: "6x", wantErr: `"6x"`},
 		{run: "6c,nosuch", wantErr: `"nosuch"`},

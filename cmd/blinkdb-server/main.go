@@ -342,14 +342,14 @@ func runSelfcheck(o options) error {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		Engine struct {
+		Server struct {
 			Admitted int64 `json:"Admitted"`
-		} `json:"engine"`
+		} `json:"server"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		return err
 	}
-	if stats.Engine.Admitted < 1 {
+	if stats.Server.Admitted < 1 {
 		return fmt.Errorf("stats report no admissions")
 	}
 	fmt.Printf("selfcheck ok: %d frames, final matches library mode\n", len(frames))

@@ -115,9 +115,8 @@ func run(dataset string, rows int, budget float64, seed int64, tb float64) error
 	clus := cluster.New(cluster.PaperConfig())
 	reg := telemetry.NewRegistry()
 	rt := elp.New(cat, clus, elp.Options{
-		Scale:             scale,
-		ProbeOverheadOnly: true,
-		Workers:           runtime.GOMAXPROCS(0),
+		Scale:   scale,
+		Workers: runtime.GOMAXPROCS(0),
 		// Interactive sessions are template-heavy (users tweak constants
 		// and bounds on the same query); cache prepared templates so
 		// replays skip the probe work, and cache completed answers so

@@ -1,13 +1,11 @@
-// Package baseline implements the comparison systems of the evaluation:
-//
-//   - full-scan execution under the Hive-on-Hadoop and Shark (±cache)
-//     engine profiles (Fig. 6(c));
-//   - online aggregation (OLA) — streaming the data in random order and
-//     stopping once the error target is met (§7 related work; the 2×
-//     comparison in §1). OLA pays the random-I/O penalty the paper argues
-//     makes it impractical on distributed stores;
-//   - helper constructors for the uniform-only and single-dimension
-//     sampling strategies of §6.3.
+// Package baseline implements online aggregation (OLA), the comparison
+// system of §1's 2× claim and §7's related work: streaming the data in
+// random order and stopping once the error target is met. OLA pays the
+// random-I/O penalty the paper argues makes it impractical on distributed
+// stores. The evaluation's other baselines need no code of their own: the
+// experiments price Fig. 6(c)'s Hive and Shark full scans with the cluster
+// model directly, and build §6.3's uniform-only and single-column catalogs
+// with the sample and optimizer packages.
 package baseline
 
 import (
@@ -18,30 +16,10 @@ import (
 
 	"blinkdb/internal/cluster"
 	"blinkdb/internal/exec"
-	"blinkdb/internal/optimizer"
-	"blinkdb/internal/sample"
 	"blinkdb/internal/stats"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
-
-// FullScan runs the plan exactly over the base table and prices the scan
-// under the given engine profile. memFraction says how much of the data is
-// cache-resident (Shark-with-caching = 1, disk engines = 0). scale maps
-// physical to logical bytes. workers sizes the executor's scan pool
-// (results are identical for any worker count; ≤1 workers means
-// sequential). The priced Work carries the cluster model's cross-node merge fan-in: a full scan's
-// per-node partials merge over the network like any other job.
-func FullScan(clus *cluster.Cluster, prof cluster.EngineProfile, tab *storage.Table,
-	plan *exec.Plan, scale, memFraction float64, workers int) (*exec.Result, float64) {
-
-	res := exec.RunParallel(plan, exec.FromTable(tab), 0.95, workers)
-	logical := float64(tab.Bytes()) * scale
-	shuffle := logical * 0.01
-	taskBytes := 256e6
-	work := clus.UniformWork(logical, memFraction, shuffle, taskBytes)
-	return res, clus.Latency(prof, work)
-}
 
 // OLAResult reports an online-aggregation run.
 type OLAResult struct {
@@ -268,27 +246,4 @@ func (s *groupsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 func (s *groupsByKey) Swap(i, j int) {
 	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// UniformOnly builds the §6.3 "random samples" strategy: a single uniform
-// family holding the given fraction of the table, with the same resolution
-// ladder a stratified family would get.
-func UniformOnly(tab *storage.Table, fraction float64, resolutions int, capRatio float64,
-	bc sample.BuildConfig) (*sample.Family, error) {
-
-	target := int64(float64(tab.NumRows()) * fraction)
-	if target < 1 {
-		target = 1
-	}
-	sizes := sample.GeometricCaps(target, capRatio, resolutions, 1)
-	return sample.BuildUniform(tab, sizes, bc)
-}
-
-// SingleColumn runs the optimizer restricted to one-column candidates —
-// the Babcock-style single-dimensional stratified baseline of §6.3.
-func SingleColumn(tab *storage.Table, templates []optimizer.TemplateSpec,
-	cfg optimizer.Config) (*optimizer.Plan, error) {
-
-	cfg.MaxColumns = 1
-	return optimizer.ChooseSamples(tab, templates, cfg)
 }

@@ -3,13 +3,10 @@ package baseline
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"blinkdb/internal/cluster"
 	"blinkdb/internal/exec"
-	"blinkdb/internal/optimizer"
-	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/stats"
 	"blinkdb/internal/storage"
@@ -50,28 +47,6 @@ func compile(t testing.TB, src string, schema *types.Schema) *exec.Plan {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestFullScanEngineOrdering(t *testing.T) {
-	tab := testTable(t, 20000)
-	plan := compile(t, `SELECT AVG(time) FROM sessions GROUP BY city`, tab.Schema)
-	clus := cluster.New(cluster.PaperConfig())
-	scale := 1e5 // pretend multi-TB
-
-	_, hadoop := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4)
-	_, sharkDisk := FullScan(clus, cluster.SharkNoCache, tab, plan, scale, 0, 4)
-	_, sharkMem := FullScan(clus, cluster.SharkCached, tab, plan, scale, 1, 4)
-	if !(hadoop > sharkDisk && sharkDisk > sharkMem) {
-		t.Errorf("engine ordering wrong: hadoop %.0f, shark-disk %.0f, shark-mem %.0f",
-			hadoop, sharkDisk, sharkMem)
-	}
-	// Answers are exact regardless of engine.
-	res, _ := FullScan(clus, cluster.HiveOnHadoop, tab, plan, scale, 0, 4)
-	for _, g := range res.Groups {
-		if !g.Estimates[0].Exact {
-			t.Error("full scan must be exact")
-		}
-	}
 }
 
 func TestOLAConvergesAndIsAccurate(t *testing.T) {
@@ -179,41 +154,6 @@ func TestOLACountVarianceCalibrated(t *testing.T) {
 	}
 }
 
-func TestUniformOnly(t *testing.T) {
-	tab := testTable(t, 10000)
-	fam, err := UniformOnly(tab, 0.5, 3, 4, sample.BuildConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fam.IsUniform() {
-		t.Error("should be uniform")
-	}
-	if got := fam.Largest().Rows(); got != 5000 {
-		t.Errorf("largest = %d, want 5000", got)
-	}
-	if fam.Resolutions() != 3 {
-		t.Errorf("resolutions = %d", fam.Resolutions())
-	}
-}
-
-func TestSingleColumnRestriction(t *testing.T) {
-	tab := testTable(t, 10000)
-	templates := []optimizer.TemplateSpec{
-		{Columns: types.NewColumnSet("city", "os"), Weight: 1},
-	}
-	plan, err := SingleColumn(tab, templates, optimizer.Config{
-		K: 100, BudgetBytes: tab.Bytes(), ChurnFrac: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plan.Chosen {
-		if c.Phi.Len() != 1 {
-			t.Errorf("single-column baseline built %v", c.Phi)
-		}
-	}
-}
-
 func TestOLAQuantile(t *testing.T) {
 	tab := testTable(t, 30000)
 	plan := compile(t, `SELECT MEDIAN(time) FROM sessions`, tab.Schema)
@@ -272,24 +212,5 @@ func BenchmarkOLA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		OLA(clus, tab, plan, OLAConfig{TargetRelErr: 0.05, Seed: int64(i)})
-	}
-}
-
-// TestFullScanWorkerEquivalence pins the full-scan baseline to the main
-// engine's contract: any worker count returns the bit-identical result and
-// simulated latency.
-func TestFullScanWorkerEquivalence(t *testing.T) {
-	tab := testTable(t, 20000)
-	clus := cluster.New(cluster.PaperConfig())
-	for _, src := range []string{
-		`SELECT AVG(time) FROM sessions GROUP BY city`,
-		`SELECT COUNT(*), SUM(time) FROM sessions WHERE os = 'Linux' GROUP BY city`,
-	} {
-		plan := compile(t, src, tab.Schema)
-		wantRes, wantLat := FullScan(clus, cluster.SharkCached, tab, plan, 1e5, 1, 1)
-		gotRes, gotLat := FullScan(clus, cluster.SharkCached, tab, plan, 1e5, 1, 8)
-		if !reflect.DeepEqual(wantRes, gotRes) || wantLat != gotLat {
-			t.Errorf("%q: FullScan diverged between 1 and 8 workers", src)
-		}
 	}
 }

@@ -49,19 +49,10 @@ const MinProbeRows = 100
 type Options struct {
 	// Confidence is the default CI level for queries that don't set one.
 	Confidence float64
-	// DeltaReuse, when true (default), charges only the delta blocks
-	// when upgrading from the probe resolution (§4.4); false recharges
-	// the full chosen sample — the ablation of intermediate-data reuse.
-	DeltaReuse *bool
 	// Scale maps physical stored bytes to logical bytes, for base-table
 	// and sample reads alike (our tables are laptop-scale stand-ins for
 	// TB-scale data).
 	Scale float64
-	// ProbeOverheadOnly prices probe runs at job overhead alone,
-	// reflecting §4.1.1's assumption that the smallest samples fit in
-	// aggregate memory and "running Q on these samples is very fast".
-	// Off by default (probes priced like any other read).
-	ProbeOverheadOnly bool
 	// Workers sizes the executor's scan worker pool (default 1). Results
 	// are bit-identical for any value: the executor folds row-budgeted
 	// partial aggregates in a deterministic order.
@@ -84,14 +75,9 @@ type Options struct {
 	// caller shares (a private copy of) the answer. 0 (the default)
 	// disables the cache, preserving the result-cache-free pipeline bit
 	// for bit. Served answers are deep copies (copy-on-return), so
-	// callers can never mutate cached state.
+	// callers can never mutate cached state. An answer lives until it is
+	// evicted or an epoch it depends on moves.
 	ResultCacheSize int
-	// ResultCacheTTL bounds the wall-clock age of served results on top
-	// of epoch validation (epochs track sample rebuilds; the TTL covers
-	// deployments whose base data drifts underneath unchanged samples).
-	// 0 (the default) means no TTL: entries live until evicted or
-	// epoch-invalidated.
-	ResultCacheTTL time.Duration
 	// Telemetry, when non-nil, receives one Observation per completed Run
 	// (keyed by template): wall-clock and predicted latency, rows/bytes
 	// scanned, and predicted-vs-observed error half-width. nil (the
@@ -105,10 +91,6 @@ func (o Options) normalize() Options {
 	if o.Confidence <= 0 || o.Confidence >= 1 {
 		o.Confidence = 0.95
 	}
-	if o.DeltaReuse == nil {
-		v := true
-		o.DeltaReuse = &v
-	}
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
@@ -120,9 +102,6 @@ func (o Options) normalize() Options {
 	}
 	if o.ResultCacheSize < 0 {
 		o.ResultCacheSize = 0
-	}
-	if o.ResultCacheTTL < 0 {
-		o.ResultCacheTTL = 0
 	}
 	return o
 }
@@ -145,7 +124,7 @@ type Runtime struct {
 	// results maps (template key, parameter vector) to completed answers;
 	// nil when disabled. flights collapses concurrent misses of one
 	// result key into a single execution.
-	results *resultcache.Cache[*resultEntry]
+	results *plancache.Cache[*resultEntry]
 	flights resultcache.Flights[*resultEntry]
 
 	// prices memoizes the price of every whole window the runtime reads
@@ -191,7 +170,7 @@ func New(cat *catalog.Catalog, clus *cluster.Cluster, opt Options) *Runtime {
 	return &Runtime{
 		cat: cat, clus: clus, opt: opt,
 		cache:   plancache.New[*PreparedQuery](opt.PlanCacheSize),
-		results: resultcache.New[*resultEntry](opt.ResultCacheSize, opt.ResultCacheTTL),
+		results: plancache.New[*resultEntry](opt.ResultCacheSize),
 	}
 }
 
@@ -291,8 +270,8 @@ func (r *Response) Served(build func() any) any {
 // before a sample refresh is re-prepared, never served) and pays only
 // resolution selection plus the chosen view scan. With the result cache
 // enabled, an exact replay — same template AND same parameter vector —
-// skips even that: the completed answer is served from memory (epoch- and
-// TTL-validated, deep-copied so callers cannot mutate cached state), and
+// skips even that: the completed answer is served from memory (epoch-
+// validated, deep-copied so callers cannot mutate cached state), and
 // concurrent misses of one cold key collapse into a single execution
 // whose answer every caller shares.
 func (rt *Runtime) Run(q *sqlparser.Query) (*Response, error) {
@@ -651,7 +630,7 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 			res, err = rt.runProbe(ctx, count, ins[i], conf, joins, spans[i])
 		}
 		spans[i].End()
-		results[i], lats[i] = res, rt.probePrice(entry, pv.Blocks(), ins[i].Blocks)
+		results[i], lats[i] = res, probePrice(ins[i].Blocks)
 		return err
 	})
 	if err != nil {
@@ -855,18 +834,12 @@ func predictedBound(fam *sample.Family, probe *exec.Result, level int, pv sample
 }
 
 // levelForTime finds the largest resolution executable within the bound,
-// accounting for probe time already spent and §4.4 delta reuse.
+// accounting for probe time already spent and §4.4 delta reuse: reading a
+// level costs only its delta past the probe's resolution.
 func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *exec.Plan, budget, spent float64, pv sample.View) int {
 	best := 0
 	for lvl := 0; lvl < fam.Resolutions(); lvl++ {
-		view := fam.View(lvl)
-		var lat float64
-		if *rt.opt.DeltaReuse {
-			lat = rt.readPrice(entry, plan, view.DeltaBlocks(pv))
-		} else {
-			lat = rt.readPrice(entry, plan, view.Blocks())
-		}
-		if spent+lat <= budget {
+		if spent+rt.readPrice(entry, plan, fam.View(lvl).DeltaBlocks(pv)) <= budget {
 			best = lvl
 		}
 	}
@@ -1075,16 +1048,16 @@ func (rt *Runtime) latencyOf(blocks []*storage.Block) float64 {
 	return lat
 }
 
-// probePrice prices a probe's run over read, the blocks of the probe view's
-// window w the plan reads (see windowPrice).
-func (rt *Runtime) probePrice(entry *catalog.Entry, w, read []*storage.Block) float64 {
-	if rt.opt.ProbeOverheadOnly {
-		if len(read) == 0 {
-			return 0
-		}
-		return cluster.BlinkDBEngine.JobOverheadSec
+// probePrice prices a probe's run over read, the blocks of a probe view the
+// plan reads: job overhead alone, or nothing when it reads no block. Probes
+// run on cluster-memory-resident smallest samples, which §4.1.1 treats as
+// "very fast"; pricing them at job overhead keeps the probe economics of
+// the paper's scale.
+func probePrice(read []*storage.Block) float64 {
+	if len(read) == 0 {
+		return 0
 	}
-	return rt.windowPrice(entry, w, read)
+	return cluster.BlinkDBEngine.JobOverheadSec
 }
 
 // probeView returns the family's probe resolution: the smallest level with

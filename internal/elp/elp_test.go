@@ -352,31 +352,29 @@ func TestProfileShape(t *testing.T) {
 	}
 }
 
+// TestDeltaReuseCheaperThanFullRead: §4.4 — a read past the probe's
+// resolution is priced as the delta blocks the probe did not read, which
+// costs less than reading the chosen view whole.
 func TestDeltaReuseCheaperThanFullRead(t *testing.T) {
-	reuse, noReuse := true, false
-	fr := newFixture(t, 30000, Options{DeltaReuse: &reuse, Scale: 2e4})
-	fn := newFixture(t, 30000, Options{DeltaReuse: &noReuse, Scale: 2e4})
-	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	r1, err := fr.rt.Run(parse(t, q))
+	f := newFixture(t, 30000, Options{Scale: 2e4})
+	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`)
+	r, err := f.rt.Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := fn.rt.Run(parse(t, q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Decisions[0].UsedBase || r2.Decisions[0].UsedBase {
+	d := r.Decisions[0]
+	if d.UsedBase {
 		t.Fatal("5% bound should be satisfiable from samples")
 	}
-	if r1.Decisions[0].View.Level != r2.Decisions[0].View.Level {
-		t.Skip("different levels chosen; comparison not meaningful")
-	}
-	if r1.Decisions[0].View.Level == 0 {
+	if d.View.Level == f.rt.probeView(d.View.Family).Level {
 		t.Skip("probe level chosen; no delta to reuse")
 	}
-	if r1.Decisions[0].ReadLatency >= r2.Decisions[0].ReadLatency {
-		t.Errorf("delta reuse should be cheaper: %g vs %g",
-			r1.Decisions[0].ReadLatency, r2.Decisions[0].ReadLatency)
+	plan, err := exec.Compile(q, f.tab.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full := f.rt.latencyOf(plan.Prune(d.View.Blocks())); d.ReadLatency >= full {
+		t.Errorf("delta reuse should be cheaper: %g vs %g", d.ReadLatency, full)
 	}
 }
 

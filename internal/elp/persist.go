@@ -3,7 +3,6 @@ package elp
 import (
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"blinkdb/internal/blockfile"
 	"blinkdb/internal/exec"
@@ -28,18 +27,17 @@ import (
 // object to recompile, so they re-prepare on first use).
 //
 // Per result-cache entry: the full key, the canonical Response (result
-// groups, decisions, simulated latency), the plan-cache note, epoch
-// deps, and the entry's ORIGINAL absolute TTL deadline — a restart
-// never extends a cached answer's life.
+// groups, decisions, simulated latency), the plan-cache note and epoch
+// deps. An answer carries no age: like a live entry it is servable
+// exactly while its deps' epochs hold.
 //
 // Import is strict-then-selective: a structurally corrupt blob is
 // rejected whole (nothing applied), while well-formed entries are
 // applied one by one, silently skipping any that fail validation
 // against the live catalog — unknown table, missing family, level out
-// of range, epoch mismatch, expired TTL. Families are resurrected by
-// reference (φ against the restored catalog entry), never by value, so
-// a warmup blob can only ever point at samples the engine actually
-// loaded.
+// of range, epoch mismatch. Families are resurrected by reference (φ
+// against the restored catalog entry), never by value, so a warmup blob
+// can only ever point at samples the engine actually loaded.
 
 // warmupVersion versions the elp warmup blob: its layout, and the
 // arithmetic behind the estimates it carries. Versions 2 and 3 have version
@@ -49,8 +47,9 @@ import (
 // frequency and in four lanes, and scan ranges cut at every sample delta,
 // whose last bits differ again. Replaying an older blob's answers beside
 // freshly computed ones would break restart bit-identity, so it is refused
-// and both caches warm lazily.
-const warmupVersion = 3
+// and both caches warm lazily. Version 4 drops the expiry deadline that
+// versions 1–3 stored in every result entry.
+const warmupVersion = 4
 
 // warmupCRC is the blob's integrity check (CRC32-Castagnoli, matching
 // the segment format). The segment layer already checksums the meta
@@ -81,8 +80,8 @@ func (rt *Runtime) ExportWarmup() []byte {
 	}
 
 	var results [][]byte
-	rt.results.Range(func(rkey string, ent *resultEntry, deadline time.Time) bool {
-		results = append(results, encodeResultEntry(rkey, ent, deadline))
+	rt.results.Range(func(rkey string, ent *resultEntry) bool {
+		results = append(results, encodeResultEntry(rkey, ent))
 		return true
 	})
 	e.U32(uint32(len(results)))
@@ -102,8 +101,8 @@ func (rt *Runtime) ExportWarmup() []byte {
 // ImportWarmup replays a warmup blob produced by ExportWarmup into the
 // plan and result caches, returning how many templates and results were
 // restored. Entries that no longer validate — epoch-stale deps, missing
-// families, expired TTLs — are skipped individually; a structurally
-// corrupt blob returns an error with nothing applied.
+// families — are skipped individually; a structurally corrupt blob returns
+// an error with nothing applied.
 //
 // allow is the caller's content gate: an entry is restored only when
 // allow accepts every table it depends on. Catalog epochs restart from
@@ -147,17 +146,16 @@ func (rt *Runtime) ImportWarmup(blob []byte, allow func(table string) bool) (pla
 		staged = append(staged, pq) // nil = valid encoding, stale content
 	}
 	type stagedResult struct {
-		rkey     string
-		ent      *resultEntry
-		deadline time.Time
+		rkey string
+		ent  *resultEntry
 	}
 	stagedResults := make([]stagedResult, 0, len(resultBlobs))
 	for _, b := range resultBlobs {
-		rkey, ent, deadline, err := rt.decodeResultEntry(b)
+		rkey, ent, err := rt.decodeResultEntry(b)
 		if err != nil {
 			return 0, 0, fmt.Errorf("elp: warmup result entry: %w", err)
 		}
-		stagedResults = append(stagedResults, stagedResult{rkey, ent, deadline})
+		stagedResults = append(stagedResults, stagedResult{rkey, ent})
 	}
 
 	allowed := func(deps []tableDep) bool {
@@ -178,15 +176,11 @@ func (rt *Runtime) ImportWarmup(blob []byte, allow func(table string) bool) (pla
 		rt.cache.Put(pq.Key, pq)
 		plans++
 	}
-	now := time.Now()
 	for _, sr := range stagedResults {
 		if sr.ent == nil || !allowed(sr.ent.deps) || !rt.freshDeps(sr.ent.deps) {
 			continue
 		}
-		if !sr.deadline.IsZero() && now.After(sr.deadline) {
-			continue
-		}
-		rt.results.PutWithDeadline(sr.rkey, sr.ent, sr.deadline)
+		rt.results.Put(sr.rkey, sr.ent)
 		results++
 	}
 	return plans, results, nil
@@ -315,33 +309,24 @@ func (rt *Runtime) decodePlan(blob []byte) (*PreparedQuery, error) {
 	return pq, nil
 }
 
-// encodeResultEntry serializes one cached answer with its key, note,
-// deps and absolute expiry deadline.
-func encodeResultEntry(rkey string, ent *resultEntry, deadline time.Time) []byte {
+// encodeResultEntry serializes one cached answer with its key, note and
+// deps.
+func encodeResultEntry(rkey string, ent *resultEntry) []byte {
 	var e blockfile.Enc
 	e.Str(rkey)
 	e.Str(ent.note)
 	encDeps(&e, ent.deps)
-	if deadline.IsZero() {
-		e.I64(0)
-	} else {
-		e.I64(deadline.UnixNano())
-	}
 	encResponse(&e, ent.resp)
 	return e.Bytes()
 }
 
 // decodeResultEntry reconstructs one cached answer. Like decodePlan,
 // stale-but-well-formed entries return a nil entry and no error.
-func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, time.Time, error) {
+func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, error) {
 	d := blockfile.NewDec(blob)
 	rkey := d.Str()
 	note := d.Str()
 	deps := decDeps(d)
-	var deadline time.Time
-	if ns := d.I64(); ns != 0 {
-		deadline = time.Unix(0, ns)
-	}
 
 	stale := len(deps) == 0
 	resolve := func(phiKey string) *sample.Family { return nil }
@@ -361,15 +346,15 @@ func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, time.Ti
 	}
 	resp, respStale := decResponse(d, resolve)
 	if err := d.Err(); err != nil {
-		return "", nil, time.Time{}, err
+		return "", nil, err
 	}
 	if d.Remaining() != 0 {
-		return "", nil, time.Time{}, fmt.Errorf("%d trailing bytes", d.Remaining())
+		return "", nil, fmt.Errorf("%d trailing bytes", d.Remaining())
 	}
 	if stale || respStale {
-		return rkey, nil, deadline, nil
+		return rkey, nil, nil
 	}
-	return rkey, newResultEntry(resp, note, deps), deadline, nil
+	return rkey, newResultEntry(resp, note, deps), nil
 }
 
 // --- field codecs -----------------------------------------------------

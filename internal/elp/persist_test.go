@@ -3,7 +3,6 @@ package elp
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
@@ -11,8 +10,8 @@ import (
 )
 
 // warmupOptions enables both reuse layers the warmup blob persists.
-func warmupOptions(ttl time.Duration) Options {
-	return Options{PlanCacheSize: 64, ResultCacheSize: 64, ResultCacheTTL: ttl}
+func warmupOptions() Options {
+	return Options{PlanCacheSize: 64, ResultCacheSize: 64}
 }
 
 // TestWarmupRoundTrip is the warmup acceptance test at the elp layer: a
@@ -22,7 +21,7 @@ func warmupOptions(ttl time.Duration) Options {
 // responses DeepEqual to the warm original's, simulated latencies and
 // cache markers included.
 func TestWarmupRoundTrip(t *testing.T) {
-	f := newFixture(t, 30000, warmupOptions(0))
+	f := newFixture(t, 30000, warmupOptions())
 	for _, src := range cacheQueries {
 		if _, err := f.rt.Run(parse(t, src)); err != nil {
 			t.Fatalf("%q: %v", src, err)
@@ -43,7 +42,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	}
 
 	blob := f.rt.ExportWarmup()
-	cold := New(f.cat, f.clus, warmupOptions(0))
+	cold := New(f.cat, f.clus, warmupOptions())
 	plans, results, err := cold.ImportWarmup(blob, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 // TestWarmupStaleEpochSkipped: entries whose catalog epochs moved on
 // (a sample refresh between snapshot and restore) must not be restored.
 func TestWarmupStaleEpochSkipped(t *testing.T) {
-	f := newFixture(t, 8000, warmupOptions(0))
+	f := newFixture(t, 8000, warmupOptions())
 	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
 	if _, err := f.rt.Run(parse(t, src)); err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := New(f.cat, f.clus, warmupOptions(0))
+	cold := New(f.cat, f.clus, warmupOptions())
 	plans, results, err := cold.ImportWarmup(blob, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,38 +125,13 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 	}
 }
 
-// TestWarmupExpiredTTLSkipped: a snapshotted result whose original
-// deadline has passed by import time is dropped, and the restart never
-// extends a surviving entry's life.
-func TestWarmupExpiredTTLSkipped(t *testing.T) {
-	f := newFixture(t, 8000, warmupOptions(30*time.Millisecond))
-	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
-		t.Fatal(err)
-	}
-	blob := f.rt.ExportWarmup()
-	time.Sleep(40 * time.Millisecond)
-
-	cold := New(f.cat, f.clus, warmupOptions(30*time.Millisecond))
-	plans, results, err := cold.ImportWarmup(blob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results != 0 {
-		t.Errorf("restored %d expired results, want 0", results)
-	}
-	if plans == 0 {
-		t.Errorf("plan entries have no TTL and must survive; restored 0")
-	}
-}
-
 // TestWarmupCorruptBlobRejected: flipping any byte of the blob must
 // yield either a clean error with nothing applied, or a successful
 // import whose restored entries still answer correctly (field-level
 // mutations that keep the structure valid but break references are
 // skipped as stale).
 func TestWarmupCorruptBlobRejected(t *testing.T) {
-	f := newFixture(t, 8000, warmupOptions(0))
+	f := newFixture(t, 8000, warmupOptions())
 	srcs := cacheQueries[:3]
 	for _, src := range srcs {
 		if _, err := f.rt.Run(parse(t, src)); err != nil {
@@ -169,7 +143,7 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 	for off := 0; off < len(blob); off += len(blob)/257 + 1 {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
-		cold := New(f.cat, f.clus, warmupOptions(0))
+		cold := New(f.cat, f.clus, warmupOptions())
 		if _, _, err := cold.ImportWarmup(mut, nil); err != nil {
 			continue // rejected whole: nothing applied
 		}
@@ -193,7 +167,7 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 
 	// Truncations: must never panic; error or degraded-but-correct.
 	for off := 0; off < len(blob); off += len(blob)/97 + 1 {
-		cold := New(f.cat, f.clus, warmupOptions(0))
+		cold := New(f.cat, f.clus, warmupOptions())
 		cold.ImportWarmup(blob[:off], nil)
 	}
 }

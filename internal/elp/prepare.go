@@ -222,7 +222,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 			return nil, err
 		}
 	}
-	probeLat := rt.probePrice(entry, pv.Blocks(), in.Blocks)
+	probeLat := probePrice(in.Blocks)
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
 		step := rt.readPrice(entry, plan, next.DeltaBlocks(pv))
@@ -282,7 +282,8 @@ type levelChoice struct {
 // sub-query from its prepared probe state: the error bound's row
 // requirement (levelForRows), the time bound's latency cap (levelForTime),
 // the §4.4 delta-reuse bump to at least the probe's resolution, and the
-// full latency/bound accounting for the chosen level.
+// full latency/bound accounting for the chosen level, which reads only the
+// delta past the probe's.
 func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
 	q *sqlparser.Query, conf float64) levelChoice {
 
@@ -345,25 +346,16 @@ func (rt *Runtime) chooseConjunctive(pq *PreparedQuery, pd *prepDisjunct, plan *
 		level = 0
 	}
 	dec.Reason += fmt.Sprintf("; resolution %d/%d (K=%d)", level, fam.Resolutions()-1, fam.View(level).Cap())
-	// With delta reuse the probe's blocks are already read; answering
-	// from at least the probe's resolution costs nothing extra and can
-	// only improve accuracy.
-	if *rt.opt.DeltaReuse && level < pv.Level {
-		level = pv.Level
-	}
+	// The probe's blocks are already read; answering from at least the
+	// probe's resolution costs nothing extra and can only improve accuracy.
+	level = max(level, pv.Level)
 	view := fam.View(level)
 	dec.View = view
 	// The projected half-width at the chosen level — recorded whether or
 	// not telemetry is enabled, so enabling it never perturbs answers.
 	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	// Latency accounting applies §4.4 delta reuse: the probe already read
-	// resolutions 0..pv.Level.
-	if *rt.opt.DeltaReuse && probe != nil {
-		dec.ReadLatency = rt.readPrice(entry, plan, view.DeltaBlocks(pv))
-	} else {
-		dec.ReadLatency = rt.readPrice(entry, plan, view.Blocks())
-	}
-	dec.ReadLatency += rt.broadcastCost(joins)
+	// §4.4: the probe already read resolutions 0..pv.Level.
+	dec.ReadLatency = rt.readPrice(entry, plan, view.DeltaBlocks(pv)) + rt.broadcastCost(joins)
 	return levelChoice{dec: dec, level: level}
 }
 

@@ -88,7 +88,6 @@ func newExploreFixture(t testing.TB, rows int, opt Options) *Runtime {
 	if opt.Scale == 0 {
 		opt.Scale = 1e4
 	}
-	opt.ProbeOverheadOnly = true
 	return New(cat, cluster.New(cluster.PaperConfig()), opt)
 }
 
@@ -158,7 +157,7 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 		results[f] = res
 		scanBlocks = append(scanBlocks, len(in.Blocks))
 		lat := rt.latencyOf(in.Blocks)
-		if rt.opt.ProbeOverheadOnly && len(in.Blocks) > 0 {
+		if len(in.Blocks) > 0 {
 			lat = cluster.BlinkDBEngine.JobOverheadSec
 		}
 		if lat > dec.ProbeLatency {

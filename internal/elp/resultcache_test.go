@@ -243,41 +243,6 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTLExpiry: with a TTL configured, an answer older than
-// the TTL is a miss (re-executed and re-cached); within the TTL it hits.
-// Hit assertions use a generous TTL and expiry assertions a tiny one, so
-// neither direction can flake under scheduler stalls (the exact deadline
-// boundary is pinned with an injected clock in the resultcache package).
-func TestResultCacheTTLExpiry(t *testing.T) {
-	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-
-	// Generous TTL: replays hit.
-	long := newFixture(t, 10000, Options{PlanCacheSize: 64, ResultCacheSize: 64, ResultCacheTTL: time.Hour})
-	if _, err := long.rt.Run(parse(t, src)); err != nil {
-		t.Fatal(err)
-	}
-	if resp, _ := long.rt.Run(parse(t, src)); resp.ResultCache != "hit" {
-		t.Fatalf("replay within the TTL should hit, got %q", resp.ResultCache)
-	}
-
-	// Tiny TTL: any answer is expired by the time it is replayed.
-	short := newFixture(t, 10000, Options{PlanCacheSize: 64, ResultCacheSize: 64, ResultCacheTTL: time.Millisecond})
-	if _, err := short.rt.Run(parse(t, src)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // comfortably past the deadline
-	resp, err := short.rt.Run(parse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ResultCache != "miss" {
-		t.Fatalf("expired answer served: %q, want miss", resp.ResultCache)
-	}
-	if s := short.rt.Stats(); s.ResultMisses != 2 || s.ResultHits != 0 {
-		t.Errorf("short-TTL stats = %d hits / %d misses, want 0 / 2", s.ResultHits, s.ResultMisses)
-	}
-}
-
 // TestResultCacheSingleflight is the -race acceptance test: 8 goroutines
 // missing ONE cold key must execute the pipeline exactly once — one
 // prepare, one miss, executor work identical to a single serial cold run

@@ -30,22 +30,17 @@ type Stats struct {
 	// ResultHits / ResultMisses / ResultShared count result-cache
 	// outcomes: exact replays served from memory, executions that entered
 	// the cache, and singleflight waiters that shared a concurrent miss's
-	// execution. A stale or TTL-expired entry counts as a miss. All stay
-	// 0 when the result cache is disabled.
+	// execution. A stale entry counts as a miss. All stay 0 when the
+	// result cache is disabled.
 	ResultHits   int64
 	ResultMisses int64
 	ResultShared int64
-	// Admitted / Shed count serving-layer admission outcomes, recorded by
-	// the owner of the admission queue (blinkdb-server) via NoteAdmitted /
-	// NoteShed. A shed query never reaches the pipeline — the invariant the
-	// server tests pin is Shed > 0 with PlanExecs unchanged. Both stay 0
-	// for library-only use.
-	Admitted int64
-	Shed     int64
 	// Cancelled counts queries aborted by context cancellation (client
-	// disconnect, deadline) anywhere in the pipeline — before scanning or
-	// mid-scan. Cancelled queries produce no answer and are not counted in
-	// AnswersByLevel.
+	// disconnect, deadline) once they entered the pipeline — before
+	// scanning or mid-scan. A caller that gives up before calling the
+	// runtime, such as a request cancelled while queued for admission, is
+	// counted by whoever queued it. Cancelled queries produce no answer and
+	// are not counted in AnswersByLevel.
 	Cancelled int64
 	// AnswersByLevel counts final answers by the resolution level that
 	// served them (-1 = base table), whether freshly executed or served
@@ -67,27 +62,9 @@ type statCounters struct {
 	resultHits     int64
 	resultMisses   int64
 	resultShared   int64
-	admitted       int64
-	shed           int64
 	cancelled      int64
 	answersByLevel map[int]int64
 }
-
-// NoteAdmitted records one admission-control accept. The serving layer
-// owns the admission decision; the runtime only keeps the counter so one
-// Stats snapshot covers the whole serving picture.
-func (rt *Runtime) NoteAdmitted() { rt.bump(&rt.stats.admitted) }
-
-// NoteShed records one admission-control rejection (load shed before any
-// planning or scanning happened).
-func (rt *Runtime) NoteShed() { rt.bump(&rt.stats.shed) }
-
-// NoteCancelled records one cancellation that happened outside the query
-// pipeline — a client that gave up while still waiting in the admission
-// queue. Cancels inside a running query are counted by the pipeline
-// itself; this entry point exists so queued-then-gone arrivals don't
-// vanish from the admitted/shed/cancelled ledger.
-func (rt *Runtime) NoteCancelled() { rt.bump(&rt.stats.cancelled) }
 
 // bump increments one counter under the stats mutex. Call sites pass a
 // pointer to the field (`rt.bump(&rt.stats.cacheHits)`); computing the
@@ -133,8 +110,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		ResultHits:   s.ResultHits - prev.ResultHits,
 		ResultMisses: s.ResultMisses - prev.ResultMisses,
 		ResultShared: s.ResultShared - prev.ResultShared,
-		Admitted:     s.Admitted - prev.Admitted,
-		Shed:         s.Shed - prev.Shed,
 		Cancelled:    s.Cancelled - prev.Cancelled,
 	}
 	d.AnswersByLevel = make(map[int]int64)
@@ -162,8 +137,6 @@ func (rt *Runtime) Stats() Stats {
 		ResultHits:   rt.stats.resultHits,
 		ResultMisses: rt.stats.resultMisses,
 		ResultShared: rt.stats.resultShared,
-		Admitted:     rt.stats.admitted,
-		Shed:         rt.stats.shed,
 		Cancelled:    rt.stats.cancelled,
 	}
 	s.AnswersByLevel = make(map[int]int64, len(rt.stats.answersByLevel))

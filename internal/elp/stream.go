@@ -28,10 +28,9 @@ package elp
 // and LIMIT handling, so it is DeepEqual (including latencies and cache
 // markers) to what Run would have returned. Intermediate refinements add
 // executor invocations (visible in Stats.PlanExecs) but never perturb the
-// final answer; with Options.DeltaReuse disabled, or when the chain has a
-// single step (result-cache hit, singleflight share, exact template, probe
-// already at the final level), the stream degrades to exactly one final
-// refinement.
+// final answer; when the chain has a single step (result-cache hit,
+// singleflight share, exact template, probe already at the final level),
+// the stream degrades to exactly one final refinement.
 
 import (
 	"context"
@@ -67,9 +66,9 @@ type midEmitter func(resp *Response, level int) error
 // called once per refinement, in order, ending with exactly one Final
 // refinement. An emit error aborts the session and is returned.
 // A session that cannot refine (result-cache hit, singleflight share,
-// exact template, single-level chain, DeltaReuse disabled) emits exactly
-// one final refinement, so emit is always called at least once on
-// success. Cancellation follows RunCtxTraced: ctx is checked between
+// exact template, single-level chain) emits exactly one final
+// refinement, so emit is always called at least once on success.
+// Cancellation follows RunCtxTraced: ctx is checked between
 // refinements and inside scans. It is the same run as RunCtxTraced — one
 // body, with a refinement sink — so tr (which may be nil) sees the same
 // spans plus a "refinement N" span (note level=L, final on the last) per
@@ -152,8 +151,8 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 			steps = max(steps, lcs[i].level-pq.disjuncts[i].pv.Level)
 		}
 	}
-	if emitMid == nil || !*rt.opt.DeltaReuse {
-		steps = 0 // not streaming, or the ablation: no delta chain, one final refinement
+	if emitMid == nil {
+		steps = 0 // not streaming: one final refinement
 	}
 
 	reads := make([]read, len(subs))

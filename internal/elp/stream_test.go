@@ -244,28 +244,6 @@ func TestStreamStampede(t *testing.T) {
 	}
 }
 
-// TestStreamDeltaReuseOff: with the §4.4 ablation the chain is gone and a
-// session is exactly one final refinement — still bit-identical to Run
-// under the same options.
-func TestStreamDeltaReuseOff(t *testing.T) {
-	off := false
-	stream := newFixture(t, 20000, Options{DeltaReuse: &off})
-	serial := newFixture(t, 20000, Options{DeltaReuse: &off})
-	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	want, err := serial.rt.Run(parse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := collect(t, stream.rt, parse(t, src))
-	checkSession(t, refs)
-	if len(refs) != 1 {
-		t.Fatalf("DeltaReuse off streamed %d refinements, want 1", len(refs))
-	}
-	if !reflect.DeepEqual(refs[0].Resp, want) {
-		t.Error("DeltaReuse-off final diverges from Run")
-	}
-}
-
 // TestStreamDoesNotPerturbNonStreaming: running streaming sessions leaves
 // a subsequent non-streaming Run bit-identical to a runtime that never
 // streamed (shared memo, no recorded levels from intermediates).

@@ -8,59 +8,8 @@ import (
 	"blinkdb/internal/exec"
 	"blinkdb/internal/milp"
 	"blinkdb/internal/optimizer"
-	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
 )
-
-// AblationDeltaReuse quantifies §4.4's intermediate-data reuse: the same
-// error-bounded queries run with and without delta-block reuse, comparing
-// simulated latencies. Without reuse, upgrading from the probe resolution
-// re-reads the blocks the probe already scanned.
-func AblationDeltaReuse(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
-	env, err := NewEnv(cfg, "conviva", 17e12)
-	if err != nil {
-		return nil, err
-	}
-	on, off := true, false
-	rtOn := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, DeltaReuse: &on, Workers: env.Cfg.Workers,
-	})
-	rtOff := elp.New(env.Catalog[MultiDim], env.Clus, elp.Options{
-		Scale: env.Scale, ProbeOverheadOnly: true, DeltaReuse: &off, Workers: env.Cfg.Workers,
-	})
-	tab := &Table{
-		Title:  "Ablation (§4.4): intermediate-data (delta block) reuse",
-		Header: []string{"query", "reuse ON (s)", "reuse OFF (s)"},
-	}
-	queries := []string{
-		`SELECT AVG(sessiontimems) FROM sessions WHERE country = 'country02' AND endedflag = 0 ERROR WITHIN 25%`,
-		`SELECT COUNT(*) FROM sessions WHERE country = 'country01' AND endedflag = 1 ERROR WITHIN 20%`,
-		`SELECT AVG(jointimems) FROM sessions WHERE objectid = 2 ERROR WITHIN 15%`,
-	}
-	for i, src := range queries {
-		q, err := sqlparser.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		rOn, err := rtOn.Run(q)
-		if err != nil {
-			return nil, err
-		}
-		rOff, err := rtOff.Run(q)
-		if err != nil {
-			return nil, err
-		}
-		tab.Rows = append(tab.Rows, []string{
-			fmt.Sprintf("Q%d", i+1),
-			fmt.Sprintf("%.2f", rOn.SimLatency),
-			fmt.Sprintf("%.2f", rOff.SimLatency),
-		})
-	}
-	tab.Notes = append(tab.Notes,
-		"reuse must never be slower; the gap is the probe's share of the final read")
-	return tab, nil
-}
 
 // AblationAffinity quantifies the locality-aware cluster model: for each
 // sample family of the Conviva catalog, the largest resolution's blocks

@@ -26,7 +26,6 @@ func All() []Experiment {
 		{"table5mc", "Table 5 Monte-Carlo cross-check", Table5MonteCarlo},
 		{"ola", "BlinkDB vs online aggregation", OnlineVsOffline},
 		{"abl-affinity", "ablation: shard-affine locality & placement pricing", AblationAffinity},
-		{"abl-delta", "ablation: §4.4 delta-block reuse", AblationDeltaReuse},
 		{"abl-milp", "ablation: exact B&B vs greedy solver", AblationMILP},
 		{"abl-skew", "ablation: tail-count vs kurtosis metric", AblationSkewMetric},
 	}

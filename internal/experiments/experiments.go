@@ -271,14 +271,7 @@ func NewEnv(cfg Config, which string, targetBytes float64) (*Env, error) {
 
 // Runtime returns an ELP runtime over the strategy's catalog.
 func (e *Env) Runtime(st Strategy) *elp.Runtime {
-	return elp.New(e.Catalog[st], e.Clus, elp.Options{
-		Scale: e.Scale,
-		// Probes run on cluster-memory-resident smallest samples; §4.1.1
-		// treats them as "very fast". Pricing them at job overhead keeps
-		// the probe economics of the paper's scale.
-		ProbeOverheadOnly: true,
-		Workers:           e.Cfg.Workers,
-	})
+	return elp.New(e.Catalog[st], e.Clus, elp.Options{Scale: e.Scale, Workers: e.Cfg.Workers})
 }
 
 // logicalBlockRows sizes physical blocks so that one block represents an

@@ -43,23 +43,22 @@
 // # Determinism contract
 //
 // Generate is a pure function of the Spec: two calls with equal Specs
-// produce identical Traces — byte-for-byte identical once serialized —
-// regardless of host, GOMAXPROCS, or wall clock. Every random draw
-// comes from per-client PRNGs seeded by (Spec.Seed, cohort index,
-// client index) in a fixed draw order, and the merged schedule is
-// ordered by (arrival time, cohort, client, per-client sequence), a
-// total order with no map iteration or clock dependence anywhere.
+// produce identical Traces regardless of host, GOMAXPROCS, or wall
+// clock. Every random draw comes from per-client PRNGs seeded by
+// (Spec.Seed, cohort index, client index) in a fixed draw order, and the
+// merged schedule is ordered by (arrival time, cohort, client, per-client
+// sequence), a total order with no map iteration or clock dependence
+// anywhere.
 //
-// Replaying a recorded trace (trace.go) therefore reproduces the exact
-// request stream of the original run: same SQL strings, same bounds,
-// same ordering, same timestamps. What is NOT deterministic is the
-// server's response timing — Run measures a real server over real
-// HTTP — which is precisely the quantity under test.
+// Running a Spec's trace therefore reproduces the exact request stream of
+// any earlier run: same SQL strings, same bounds, same ordering, same
+// timestamps. What is NOT deterministic is the server's response timing —
+// Run measures a real server over real HTTP — which is precisely the
+// quantity under test.
 package loadgen
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -143,40 +142,37 @@ type Spec struct {
 }
 
 // Request is one generated arrival: everything the runner needs to
-// issue it and grade the response. The JSON tags are the trace wire
-// format (trace.go).
+// issue it and grade the response.
 type Request struct {
 	// AtMicros is the arrival offset from run start, in microseconds.
-	AtMicros int64 `json:"at_us"`
+	AtMicros int64
 	// Cohort / SLOClass / Client identify the issuer; Seq numbers the
 	// client's own arrivals from 0 (part of the deterministic ordering).
-	Cohort   string `json:"cohort"`
-	SLOClass string `json:"slo"`
-	Client   int    `json:"client"`
-	Seq      int    `json:"seq"`
+	Cohort   string
+	SLOClass string
+	Client   int
+	Seq      int
 	// Template names the SQL shape (metrics grouping).
-	Template string `json:"template"`
+	Template string
 	// SQL is the final query text, bound clauses included.
-	SQL string `json:"sql"`
+	SQL string
 	// Stream requests a refinement session instead of a single answer.
-	Stream bool `json:"stream,omitempty"`
+	Stream bool
 	// ErrorPct / TimeBoundSeconds echo the bound baked into SQL so the
 	// runner can grade compliance without re-parsing the query.
-	ErrorPct         float64 `json:"error_pct,omitempty"`
-	TimeBoundSeconds float64 `json:"time_bound_s,omitempty"`
+	ErrorPct         float64
+	TimeBoundSeconds float64
 	// SLOTargetSeconds / GiveUpSeconds copy the cohort knobs that grade
 	// and abandon this request.
-	SLOTargetSeconds float64 `json:"slo_target_s,omitempty"`
-	GiveUpSeconds    float64 `json:"give_up_s,omitempty"`
+	SLOTargetSeconds float64
+	GiveUpSeconds    float64
 
-	// cohortIdx is the generation-time tiebreak (not serialized; traces
-	// read back from disk are already in final order).
+	// cohortIdx is the generation-time tiebreak.
 	cohortIdx int
 }
 
-// Trace is a fully materialized request schedule: the unit of
-// record/replay. Requests are ordered by (AtMicros, cohort, client,
-// seq).
+// Trace is a fully materialized request schedule: what Run replays.
+// Requests are ordered by (AtMicros, cohort, client, seq).
 type Trace struct {
 	Seed     int64
 	Duration time.Duration
@@ -424,12 +420,4 @@ func bindSQL(pattern string, param int, b Bound) string {
 		sql += fmt.Sprintf(" WITHIN %g SECONDS", b.TimeSeconds)
 	}
 	return sql
-}
-
-// fnv64 hashes a string (trace fingerprinting helper, exported through
-// Trace.Fingerprint).
-func fnv64(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
 }

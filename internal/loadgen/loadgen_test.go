@@ -1,8 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,44 +43,15 @@ func testSpec(seed int64) Spec {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(testSpec(42)).Bytes()
-	b := Generate(testSpec(42)).Bytes()
-	if !bytes.Equal(a, b) {
-		t.Fatal("two Generate calls with equal specs produced different traces")
-	}
-	c := Generate(testSpec(43)).Bytes()
-	if bytes.Equal(a, c) {
-		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := Generate(testSpec(7))
-	if len(tr.Requests) == 0 {
+	a := Generate(testSpec(42))
+	if len(a.Requests) == 0 {
 		t.Fatal("empty trace")
 	}
-	wire := tr.Bytes()
-	back, err := ReadTrace(bytes.NewReader(wire))
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
+	if b := Generate(testSpec(42)); !reflect.DeepEqual(a, b) {
+		t.Fatal("two Generate calls with equal specs produced different traces")
 	}
-	if back.Seed != tr.Seed || back.Duration != tr.Duration || len(back.Requests) != len(tr.Requests) {
-		t.Fatalf("round-trip header mismatch: got seed=%d dur=%v n=%d", back.Seed, back.Duration, len(back.Requests))
-	}
-	if !bytes.Equal(back.Bytes(), wire) {
-		t.Fatal("Encode∘ReadTrace∘Encode is not the identity on bytes")
-	}
-	if back.Fingerprint() != tr.Fingerprint() {
-		t.Fatal("fingerprint changed across round-trip")
-	}
-}
-
-func TestReadTraceRejectsTruncation(t *testing.T) {
-	wire := Generate(testSpec(7)).Bytes()
-	// Drop the last line (keep the trailing newline of the previous one).
-	cut := bytes.LastIndexByte(wire[:len(wire)-1], '\n')
-	if _, err := ReadTrace(bytes.NewReader(wire[:cut+1])); err == nil {
-		t.Fatal("truncated trace accepted")
+	if c := Generate(testSpec(43)); reflect.DeepEqual(a.Requests, c.Requests) {
+		t.Fatal("different seeds produced identical traces")
 	}
 }
 

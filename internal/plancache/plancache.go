@@ -1,7 +1,9 @@
-// Package plancache provides the sharded LRU behind BlinkDB-Go's
-// prepare/execute pipeline: a concurrency-safe map from query-template
-// keys (sqlparser.Normalize) to prepared-query state (compiled plan,
-// probe results, Error-Latency Profile fit).
+// Package plancache provides the sharded LRU behind BlinkDB-Go's two
+// reuse layers: a concurrency-safe map from string keys to cached state.
+// The ELP runtime keeps one from query-template keys (sqlparser.Normalize)
+// to prepared-query state (compiled plan, probe results, Error-Latency
+// Profile fit), and one from fully-bound query keys (template key +
+// parameter vector) to completed answers.
 //
 // The cache is mutex-striped: keys hash to one of up to 16 shards, each
 // an independently locked exact-LRU list, so concurrent lookups of
@@ -14,7 +16,8 @@
 //
 // The cache stores values of any type and never inspects them; staleness
 // (e.g. a sample rebuild) is the caller's concern — the ELP runtime
-// validates catalog epochs on every hit and treats a mismatch as a miss.
+// validates catalog epochs on every hit of either cache and treats a
+// mismatch as a miss.
 package plancache
 
 import (
@@ -141,32 +144,11 @@ func (c *Cache[V]) Delete(key string) {
 	}
 }
 
-// DeleteIf removes the key only while cond holds for its CURRENT value
-// (checked under the shard lock) and reports whether it removed. It lets
-// a reader that decided to evict a value it loaded earlier (e.g. a
-// TTL-expired entry) avoid racing a concurrent Put: if the slot was
-// refreshed in between, cond sees the new value and the fresh entry
-// survives.
-func (c *Cache[V]) DeleteIf(key string, cond func(V) bool) bool {
-	if c == nil {
-		return false
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.tab[key]; ok && cond(el.Value.(*entry[V]).val) {
-		s.ll.Remove(el)
-		delete(s.tab, key)
-		return true
-	}
-	return false
-}
-
 // Sweep removes every entry for which keep returns false and reports how
 // many were removed. Each shard is swept under its own lock; keep must
 // not call back into the cache. The ELP runtime uses it to purge ALL
-// epoch-stale prepared queries the moment any staleness is observed,
-// instead of letting dead catalog snapshots ride the LRU.
+// epoch-stale prepared queries or answers the moment any staleness is
+// observed, instead of letting dead catalog snapshots ride the LRU.
 func (c *Cache[V]) Sweep(keep func(key string, v V) bool) int {
 	if c == nil {
 		return 0

@@ -7,151 +7,141 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"blinkdb/internal/plancache"
 )
 
-// fakeClock is a settable clock for deterministic TTL tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+// answers is the result cache as the ELP runtime assembles it: a plancache
+// LRU of answers, consulted first, with Flights in front of the execution
+// a miss falls through to. The flight's leader fills the LRU.
+type answers struct {
+	lru     *plancache.Cache[*int]
+	flights Flights[*int]
 }
 
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
+// lookup serves key from the LRU, or runs exec under the key's flight
+// and caches what it returns. hit reports whether the LRU answered.
+func (a *answers) lookup(key string, exec func() (*int, error)) (v *int, hit bool, err error) {
+	if v, ok := a.lru.Get(key); ok {
+		return v, true, nil
+	}
+	v, _, err = a.flights.Do(key, func() (*int, error) {
+		v, err := exec()
+		if err == nil {
+			a.lru.Put(key, v)
+		}
+		return v, err
+	})
+	return v, false, err
 }
 
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func newFakeCache(capacity int, ttl time.Duration) (*Cache[int], *fakeClock) {
-	c := New[int](capacity, ttl)
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	c.now = clk.now
-	return c, clk
+// counted returns an exec that yields a fresh answer per call and counts
+// its calls.
+func counted(execs *int) func() (*int, error) {
+	return func() (*int, error) {
+		*execs++
+		v := *execs
+		return &v, nil
+	}
 }
 
 func TestCacheBasic(t *testing.T) {
-	c := New[string](4, 0)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache hit")
+	a := &answers{lru: plancache.New[*int](4)}
+	execs := 0
+	first, hit, err := a.lookup("a", counted(&execs))
+	if err != nil || hit || *first != 1 {
+		t.Fatalf("cold lookup = %d, hit %v, err %v", *first, hit, err)
 	}
-	c.Put("a", "1")
-	if v, ok := c.Get("a"); !ok || v != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	if v, hit, _ := a.lookup("a", counted(&execs)); !hit || v != first || execs != 1 {
+		t.Fatalf("warm lookup = %d, hit %v after %d executions", *v, hit, execs)
 	}
-	c.Put("a", "2") // replace
-	if v, _ := c.Get("a"); v != "2" {
-		t.Fatalf("replace failed: %q", v)
+	replaced := 7
+	a.lru.Put("a", &replaced) // replace
+	if v, hit, _ := a.lookup("a", counted(&execs)); !hit || v != &replaced {
+		t.Fatalf("replace failed: %d, hit %v", *v, hit)
 	}
-	c.Delete("a")
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("deleted key still present")
+	a.lru.Delete("a")
+	if v, hit, _ := a.lookup("a", counted(&execs)); hit || *v != 2 {
+		t.Fatalf("deleted key still present: %d, hit %v", *v, hit)
 	}
 }
 
+// TestCacheNilIsAlwaysMiss: a capacity ≤ 0 result cache is the nil LRU,
+// the "result cache disabled" state — every lookup executes.
 func TestCacheNilIsAlwaysMiss(t *testing.T) {
-	var c *Cache[int]
-	if c != New[int](0, 0) || New[int](-1, time.Second) != nil {
+	if plancache.New[*int](0) != nil || plancache.New[*int](-1) != nil {
 		t.Fatal("capacity ≤ 0 must return the nil always-miss cache")
 	}
-	c.Put("k", 1)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache hit")
+	a := &answers{}
+	execs := 0
+	for i := 0; i < 3; i++ {
+		if _, hit, err := a.lookup("k", counted(&execs)); hit || err != nil {
+			t.Fatalf("nil cache hit %v, err %v", hit, err)
+		}
 	}
-	c.Delete("k")
-	if c.Len() != 0 || c.Sweep(func(string, int) bool { return true }) != 0 {
+	if execs != 3 {
+		t.Fatalf("execs = %d, want 3", execs)
+	}
+	if a.lru.Len() != 0 || a.lru.Sweep(func(string, *int) bool { return true }) != 0 {
 		t.Fatal("nil cache must be empty and sweep nothing")
 	}
 }
 
-// TestCacheTTLExpiry pins the TTL half of the staleness contract with an
-// injected clock: an entry is served until its deadline and becomes a
-// miss (and is dropped) the instant the clock passes it.
-func TestCacheTTLExpiry(t *testing.T) {
-	c, clk := newFakeCache(8, time.Minute)
-	c.Put("k", 42)
-	if v, ok := c.Get("k"); !ok || v != 42 {
-		t.Fatal("fresh entry must hit")
-	}
-	clk.advance(time.Minute) // exactly at the deadline: still valid
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry at its deadline must still be served")
-	}
-	clk.advance(time.Nanosecond) // past it
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("expired entry served")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry not dropped: len = %d", c.Len())
-	}
-	// Re-putting restarts the clock.
-	c.Put("k", 43)
-	clk.advance(30 * time.Second)
-	if v, ok := c.Get("k"); !ok || v != 43 {
-		t.Fatal("re-put entry must get a fresh deadline")
-	}
-}
-
-func TestCacheZeroTTLNeverExpires(t *testing.T) {
-	c, clk := newFakeCache(8, 0)
-	c.Put("k", 1)
-	clk.advance(1000 * time.Hour)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("zero-TTL entry expired")
-	}
-}
-
-// TestCacheSweep: Sweep drops both keep-rejected and expired entries.
-// Capacity 64 gives every shard slack, so no key is LRU-evicted behind
-// the test's back (tiny capacities stripe into single-entry shards).
+// TestCacheSweep: Sweep drops the answers keep rejects — the runtime's
+// epoch-stale entries — and leaves the rest serving. Capacity 64 gives
+// every shard slack, so no key is LRU-evicted behind the test's back
+// (tiny capacities stripe into single-entry shards).
 func TestCacheSweep(t *testing.T) {
-	c, clk := newFakeCache(64, time.Minute)
-	c.Put("fresh", 1)
-	c.Put("stale", 2)
-	clk.advance(2 * time.Minute)
-	c.Put("young", 3) // inserted after the advance: unexpired
-	removed := c.Sweep(func(k string, _ int) bool { return k != "stale" })
-	// "fresh" is expired, "stale" is keep-rejected (and also expired).
-	if removed != 2 {
-		t.Fatalf("swept %d entries, want 2", removed)
+	a := &answers{lru: plancache.New[*int](64)}
+	execs := 0
+	for _, k := range []string{"fresh", "stale", "young"} {
+		a.lookup(k, counted(&execs))
 	}
-	if _, ok := c.Get("young"); !ok {
-		t.Fatal("sweep dropped a fresh kept entry")
+	removed := a.lru.Sweep(func(k string, _ *int) bool { return k != "stale" })
+	if removed != 1 {
+		t.Fatalf("swept %d entries, want 1", removed)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	for _, k := range []string{"fresh", "young"} {
+		if _, hit, _ := a.lookup(k, counted(&execs)); !hit {
+			t.Fatalf("sweep dropped the kept entry %q", k)
+		}
+	}
+	if a.lru.Len() != 2 {
+		t.Fatalf("len = %d, want 2", a.lru.Len())
+	}
+	if _, hit, _ := a.lookup("stale", counted(&execs)); hit || execs != 4 {
+		t.Fatalf("swept entry served: hit %v after %d executions", hit, execs)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	// Single shard (capacity 2 → ≤2 shards... force exactness with cap 2):
 	// plancache stripes min(cap, 16) shards; with cap 2 each shard holds 1.
-	c := New[int](2, 0)
+	a := &answers{lru: plancache.New[*int](2)}
+	execs := 0
 	for i := 0; i < 64; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		a.lookup(fmt.Sprintf("k%d", i), counted(&execs))
 	}
-	if c.Len() > 2 {
-		t.Fatalf("len = %d, want ≤ 2", c.Len())
+	if a.lru.Len() > 2 {
+		t.Fatalf("len = %d, want ≤ 2", a.lru.Len())
 	}
 }
 
-// TestCacheHitNoAllocs is the resultcache half of the hit-path allocation
-// audit: a Get hit allocates nothing (the elp layer's copy-on-return is
-// measured separately — the cache itself must be free).
+// TestCacheHitNoAllocs is the result-cache half of the hit-path
+// allocation audit: a lookup the LRU answers allocates nothing (the elp
+// layer's copy-on-return is measured separately — the cache itself must
+// be free).
 func TestCacheHitNoAllocs(t *testing.T) {
-	c := New[int](64, time.Hour)
-	c.Put("hot", 7)
+	a := &answers{lru: plancache.New[*int](64)}
+	execs := 0
+	exec := counted(&execs)
+	a.lookup("hot", exec)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := c.Get("hot"); !ok {
+		if _, hit, _ := a.lookup("hot", exec); !hit {
 			t.Fatal("hot key missed")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Get hit allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("lookup hit allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

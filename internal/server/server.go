@@ -216,7 +216,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var shed *admission.ShedError
 		if errors.As(err, &shed) {
-			s.eng.NoteShed()
 			s.met.RecordShed()
 			retry := retryAfterSeconds(shed.RetryAfter)
 			w.Header().Set("Retry-After", strconv.Itoa(retry))
@@ -229,14 +228,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Client went away while queued. Nothing useful to write, but the
-		// arrival must not vanish from accounting: without these two
-		// records, admitted + shed + queue-cancelled drifts away from
-		// arrivals under bursty load and conservation checks can't hold.
-		s.eng.NoteCancelled()
+		// arrival must not vanish from accounting: without this record,
+		// admitted + shed + queue-cancelled drifts away from arrivals under
+		// bursty load and conservation checks can't hold.
 		s.met.RecordQueueCancel()
 		return
 	}
-	s.eng.NoteAdmitted()
 	s.met.RecordAdmit(ticket.WaitSeconds)
 
 	// Release the ticket with compute-side seconds only. The handlers

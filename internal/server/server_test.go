@@ -99,8 +99,8 @@ func TestSingleQueryJSON(t *testing.T) {
 	if !reflect.DeepEqual(f.Result, toResultJSON(want)) {
 		t.Fatalf("server answer diverges from library mode:\n got %+v\nwant %+v", f.Result, toResultJSON(want))
 	}
-	if s := eng.Stats(); s.Admitted != 1 || s.Shed != 0 {
-		t.Fatalf("admission counters: %+v", s)
+	if m := srv.Metrics().Snapshot(); m.Admitted != 1 || m.Shed != 0 {
+		t.Fatalf("admission counters: %+v", m)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestShedBeforeScanning(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	before := eng.Stats()
+	before, metBefore := eng.Stats(), srv.Metrics().Snapshot()
 	w := postQuery(t, srv, fmt.Sprintf(`{"sql": %q}`, boundedSQL))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -233,9 +233,9 @@ func TestShedBeforeScanning(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Fatalf("Retry-After %q", w.Header().Get("Retry-After"))
 	}
-	after := eng.Stats()
-	if after.Shed != before.Shed+1 {
-		t.Fatalf("shed counter: before %d after %d", before.Shed, after.Shed)
+	after, metAfter := eng.Stats(), srv.Metrics().Snapshot()
+	if metAfter.Shed != metBefore.Shed+1 {
+		t.Fatalf("shed counter: before %d after %d", metBefore.Shed, metAfter.Shed)
 	}
 	if after.PlanExecs != before.PlanExecs || after.Prepares != before.Prepares {
 		t.Fatalf("a shed query must not plan or scan: %+v vs %+v", before, after)
@@ -505,13 +505,13 @@ func TestBodyLimit(t *testing.T) {
 	if status != http.StatusRequestEntityTooLarge || json.Unmarshal([]byte(body), &e) != nil || e["error"] == "" {
 		t.Fatalf("2 MiB body: status %d, body %.200s", status, body)
 	}
-	if s, m := eng.Stats(), srv.Metrics().Snapshot(); s.Admitted+s.Shed+s.Cancelled != 0 || m.Admitted+m.Shed+m.QueueCancelled != 0 {
+	if s, m := eng.Stats(), srv.Metrics().Snapshot(); s.Cancelled != 0 || m.Admitted+m.Shed+m.QueueCancelled != 0 {
 		t.Fatalf("a refused body reached admission: engine %+v, server %+v", s, m)
 	}
 	if status, body := post(fmt.Sprintf(`{"sql": %q}`, boundedSQL)); status != http.StatusOK {
 		t.Fatalf("request after the refusal: status %d, body %.200s", status, body)
 	}
-	if s := eng.Stats(); s.Admitted != 1 {
-		t.Fatalf("admitted %d, want 1", s.Admitted)
+	if m := srv.Metrics().Snapshot(); m.Admitted != 1 {
+		t.Fatalf("admitted %d, want 1", m.Admitted)
 	}
 }

@@ -20,7 +20,9 @@ package blinkdb
 //     samples are loaded, restoring epochs only when the live content
 //     fingerprint matches the snapshot's — a mismatch (anything
 //     changed under the snapshot) leaves the warmup entries stale and
-//     they are dropped individually, never served.
+//     they are dropped individually, never served. Epochs are all a
+//     restored entry is checked against: an answer carries no age, so a
+//     restart neither shortens nor extends its life.
 //
 //  3. Everything is fail-soft: a missing, truncated, corrupt or
 //     version-skewed file degrades to the cold path with the reason
@@ -356,9 +358,9 @@ func (e *Engine) warmupPath() string {
 // SnapshotWarmup persists the engine's warm state to DataDir: current
 // sample families (re-persisted, so refreshes survive restarts), per-
 // table epochs with content fingerprints, prepared-template probe
-// state, cached results with their original TTL deadlines, and the
-// caller's WarmupState. Safe to call concurrently with queries — it
-// sees a snapshot-quality view. No-op error when DataDir is unset.
+// state, cached results, and the caller's WarmupState. Safe to call
+// concurrently with queries — it sees a snapshot-quality view. No-op
+// error when DataDir is unset.
 func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	if e.cfg.DataDir == "" {
 		return fmt.Errorf("blinkdb: SnapshotWarmup requires Config.DataDir")

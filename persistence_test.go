@@ -331,10 +331,10 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the elp blob's leading version field to 2, the version before
-	// the cap-free partials changed the estimates' last bits. The blob's own
-	// checksum covers the payload behind it; the segment's is re-sealed by
-	// writing the segment anew.
+	// Rewrite the elp blob's leading version field to 3, the version whose
+	// result entries carried an expiry deadline. The blob's own checksum
+	// covers the payload behind it; the segment's is re-sealed by writing
+	// the segment anew.
 	path := filepath.Join(dir, "warmup.seg")
 	seg, err := blockfile.Open(path)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 		metas[name] = append([]byte(nil), blob...)
 	}
 	seg.Close()
-	binary.LittleEndian.PutUint32(metas["elp"], 2)
+	binary.LittleEndian.PutUint32(metas["elp"], 3)
 	err = blockfile.WriteSegment(path, func(w *blockfile.Writer) error {
 		for _, name := range []string{"manifest", "elp", "admission"} {
 			w.PutMeta(name, metas[name])
@@ -371,7 +371,7 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 	if rep == nil || rep.EpochsRestored == 0 || rep.Plans != 0 || rep.Results != 0 {
 		t.Fatalf("restored %+v; want epochs restored, no plans, no results", rep)
 	}
-	if notes := strings.Join(restarted.PersistenceNotes(), "\n"); !strings.Contains(notes, "warmup blob version 2 (want 3)") {
+	if notes := strings.Join(restarted.PersistenceNotes(), "\n"); !strings.Contains(notes, "warmup blob version 3 (want 4)") {
 		t.Fatalf("PersistenceNotes do not give the version skew: %q", notes)
 	}
 	fresh, _ := bootEngine(t, t.TempDir())

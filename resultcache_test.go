@@ -246,30 +246,6 @@ func TestResultCacheInvalidationOnMaintain(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTLExpiryEndToEnd: Config.ResultCacheTTL bounds answer
-// age through the public API. The hit direction is covered by the
-// default (no-TTL) engines elsewhere; here a tiny TTL plus a sleep pins
-// the expiry direction without any timing-sensitive hit assertion.
-func TestResultCacheTTLExpiryEndToEnd(t *testing.T) {
-	cfg := Config{Scale: 1e4, Seed: 7, CacheTables: true, ResultCacheTTL: time.Millisecond}
-	eng := demoEngineCfg(t, 10000, cfg)
-	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 20%`
-	if _, err := eng.Query(src); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	res, err := eng.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ResultCache != "miss" {
-		t.Fatalf("expired answer served: %q, want miss", res.ResultCache)
-	}
-	if s := eng.Stats(); s.ResultCacheMisses != 2 || s.ResultCacheHits != 0 {
-		t.Errorf("stats = %d hits / %d misses, want 0 / 2", s.ResultCacheHits, s.ResultCacheMisses)
-	}
-}
-
 // TestResultCacheSingleflightEndToEnd is the engine-level -race check of
 // the singleflight contract: 8 goroutines racing ONE cold query must
 // trigger exactly one execution (Stats-counted) and all receive equal

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"blinkdb/internal/elp"
 	"blinkdb/internal/telemetry"
 )
 
@@ -266,12 +267,22 @@ func TestCacheMarkerMatrix(t *testing.T) {
 }
 
 // TestTelemetryDisabledBitIdentical replays a query mix through two
-// engines differing only in Config.DisableTelemetry and requires deeply
-// equal results — estimates, bounds, markers AND simulated latencies.
+// engines differing only in whether anything records telemetry — the
+// second runs its queries on a runtime without a registry, as the
+// experiments' runtimes do — and requires deeply equal results:
+// estimates, bounds, markers AND simulated latencies.
 func TestTelemetryDisabledBitIdentical(t *testing.T) {
 	const rows = 15000
 	on := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true})
-	off := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true, DisableTelemetry: true})
+	off := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true})
+	off.tele = nil
+	off.rt = elp.New(off.cat, off.clus, elp.Options{
+		Confidence:      off.cfg.Confidence,
+		Scale:           off.cfg.Scale,
+		Workers:         off.cfg.Workers,
+		PlanCacheSize:   off.cfg.PlanCacheSize,
+		ResultCacheSize: off.cfg.ResultCacheSize,
+	})
 
 	queries := []string{
 		`SELECT COUNT(*) FROM sessions`,
@@ -290,14 +301,14 @@ func TestTelemetryDisabledBitIdentical(t *testing.T) {
 			t.Fatalf("%q: %v", src, err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("DisableTelemetry changed the answer for %q:\n on %+v\noff %+v", src, a, b)
+			t.Errorf("telemetry changed the answer for %q:\n on %+v\noff %+v", src, a, b)
 		}
 	}
 	if snap := off.Telemetry(); len(snap.Templates) != 0 {
-		t.Errorf("disabled engine should report an empty snapshot, got %d templates", len(snap.Templates))
+		t.Errorf("unrecorded engine should report an empty snapshot, got %d templates", len(snap.Templates))
 	}
 	if snap := on.Telemetry(); len(snap.Templates) == 0 {
-		t.Error("enabled engine recorded no templates")
+		t.Error("recording engine recorded no templates")
 	}
 }
 
