@@ -1,6 +1,7 @@
 package elp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
+	"blinkdb/internal/telemetry"
 	"blinkdb/internal/types"
 	"blinkdb/internal/zipf"
 )
@@ -121,6 +123,17 @@ func parse(t testing.TB, src string) *sqlparser.Query {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// answer runs q as one untraced query.
+func answer(rt *Runtime, q *sqlparser.Query) (*Response, error) {
+	return answerTraced(context.Background(), rt, q, nil)
+}
+
+// answerTraced runs q as one query under ctx, recording into tr (nil:
+// untraced): normalized, executed and — a result-cache hit — materialized.
+func answerTraced(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
+	return rt.RunCtxTraced(ctx, q, tr)
 }
 
 func TestUnboundedQueryIsExact(t *testing.T) {

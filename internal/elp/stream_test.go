@@ -18,8 +18,14 @@ import (
 // collect runs q as a streaming session and returns every refinement.
 func collect(t *testing.T, rt *Runtime, q *sqlparser.Query) []Refinement {
 	t.Helper()
+	return collectTraced(t, rt, q, nil)
+}
+
+// collectTraced is collect recording into tr (nil: untraced).
+func collectTraced(t *testing.T, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace) []Refinement {
+	t.Helper()
 	var refs []Refinement
-	if err := rt.RunStreamTraced(context.Background(), q, nil, func(r Refinement) error {
+	if err := rt.RunStreamTraced(context.Background(), q, tr, func(r Refinement) error {
 		refs = append(refs, r)
 		return nil
 	}); err != nil {
