@@ -333,7 +333,6 @@ func Open(cfg Config) *Engine {
 		Workers:         cfg.Workers,
 		PlanCacheSize:   cfg.PlanCacheSize,
 		ResultCacheSize: cfg.ResultCacheSize,
-		Telemetry:       tele,
 	})
 	return &Engine{cfg: cfg, cat: cat, clus: clus, rt: rt, tele: tele}
 }
@@ -842,16 +841,16 @@ func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) e
 	started := time.Now()
 	q, tr := st.q, st.tr
 	u := StreamUpdate{Final: true}
-	var emitMid func(*elp.Response, int) error
+	var emit func(*elp.Response, int) error
 	if mid != nil {
-		emitMid = func(resp *elp.Response, level int) error {
+		emit = func(resp *elp.Response, level int) error {
 			res := buildResult(q, resp)
 			res.Trace = tr.Render() // the tree so far; empty unless EXPLAIN ANALYZE
 			u.Seq++
 			return mid(StreamUpdate{Result: res, Level: level, Seq: u.Seq - 1})
 		}
 	}
-	resp, err := e.rt.RunKeyed(ctx, q, st.Key, st.params, tr, emitMid)
+	resp, err := e.rt.Run(ctx, q, st.Key, st.params, tr, emit)
 	if err != nil {
 		tr.Finish()
 		return StreamUpdate{}, err

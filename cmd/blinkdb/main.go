@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"blinkdb/internal/catalog"
 	"blinkdb/internal/cluster"
@@ -125,7 +126,6 @@ func run(dataset string, rows int, budget float64, seed int64, tb float64) error
 		// result=hit|miss|shared.
 		PlanCacheSize:   256,
 		ResultCacheSize: 1024,
-		Telemetry:       reg,
 	})
 
 	fmt.Printf("\ntable %q ready; pretending it is %.0f TB on a 100-node cluster.\n", data.Table.Name, tb)
@@ -301,20 +301,28 @@ func (sh *shell) execute(src string) error {
 	if sh.tracing || q.Analyze {
 		tr = telemetry.New("query")
 	}
-	var resp *elp.Response
+	started := time.Now()
+	nsp := tr.Root().Child("normalize")
+	key, params := sqlparser.Normalize(q)
+	nsp.End()
+	var emit func(*elp.Response, int) error
 	if sh.streaming {
-		err = sh.rt.RunStreamTraced(context.Background(), q, tr, func(r elp.Refinement) error {
-			if r.Final {
-				resp = r.Resp
-				return nil
-			}
+		seq := 0
+		emit = func(resp *elp.Response, level int) error {
 			fmt.Printf("  ~ refinement %d (L%d): %d groups, worst rel err %.1f%%, sim latency %.2fs\n",
-				r.Seq, r.Level, len(r.Resp.Result.Groups),
-				100*worstRelErr(r.Resp), r.Resp.SimLatency)
+				seq, level, len(resp.Result.Groups), 100*worstRelErr(resp), resp.SimLatency)
+			seq++
 			return nil
-		})
-	} else {
-		resp, err = sh.rt.RunCtxTraced(context.Background(), q, tr)
+		}
+	}
+	resp, err := sh.rt.Run(context.Background(), q, key, params, tr, emit)
+	if err == nil && resp.Shared() {
+		msp := tr.Root().Child("materialize")
+		resp = resp.Materialize() // so its reasons read result=hit
+		msp.End()
+	}
+	if err == nil {
+		sh.reg.Observe(key, elp.ObservationFor(resp, time.Since(started).Seconds()))
 	}
 	tr.Finish()
 	if err != nil {

@@ -131,18 +131,24 @@ func TestExploreDecisionsMatchFullProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var first *elp.Refinement
-		if err := eng.rt.RunStreamTraced(context.Background(), q, nil, func(r elp.Refinement) error {
+		key, params := sqlparser.Normalize(q)
+		var first *elp.Response
+		firstLevel := 0
+		final, err := eng.rt.Run(context.Background(), q, key, params, nil, func(resp *elp.Response, level int) error {
 			if first == nil {
-				first = &r
+				first, firstLevel = resp, level
 			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		dec := first.Resp.Decisions[0]
-		if len(first.Resp.Decisions) != 1 || dec.UsedBase {
-			t.Fatalf("%q: not a single-disjunct sample answer: %+v", src, first.Resp.Decisions)
+		if first == nil { // one step: the final is the first answer
+			first, firstLevel = final, final.Decisions[0].View.Level
+		}
+		dec := first.Decisions[0]
+		if len(first.Decisions) != 1 || dec.UsedBase {
+			t.Fatalf("%q: not a single-disjunct sample answer: %+v", src, first.Decisions)
 		}
 		if len(dec.Probed) == 0 {
 			continue // a covering family: nothing was compared
@@ -176,11 +182,11 @@ func TestExploreDecisionsMatchFullProbes(t *testing.T) {
 		if dec.View.Family != best {
 			t.Fatalf("%q: chose %s, the argmax under the uniform tie-break is %s", src, dec.View.Family.Label(), best.Label())
 		}
-		if pv := probeViewOf(best); first.Level != pv.Level || dec.View.Level != pv.Level {
-			t.Fatalf("%q: first answer at level %d, the probe view is level %d", src, first.Level, pv.Level)
+		if pv := probeViewOf(best); firstLevel != pv.Level || dec.View.Level != pv.Level {
+			t.Fatalf("%q: first answer at level %d, the probe view is level %d", src, firstLevel, pv.Level)
 		}
-		if want := full(dec.View); !reflect.DeepEqual(first.Resp.Result, want) {
-			t.Fatalf("%q: the prepared probe is not the full plan's run on %s\nwant %+v\ngot  %+v", src, dec.View, want, first.Resp.Result)
+		if want := full(dec.View); !reflect.DeepEqual(first.Result, want) {
+			t.Fatalf("%q: the prepared probe is not the full plan's run on %s\nwant %+v\ngot  %+v", src, dec.View, want, first.Result)
 		}
 		if !best.IsUniform() {
 			stratifiedWins++

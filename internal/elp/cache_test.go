@@ -56,12 +56,12 @@ func TestCacheBitIdentity(t *testing.T) {
 	f, ref := twoRuntimes(t, 30000)
 	for _, src := range cacheQueries {
 		q := parse(t, src)
-		want, err := ref.Run(q)
+		want, err := answer(ref, q)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := f.rt.Run(parse(t, src))
+			got, err := answer(f.rt, parse(t, src))
 			if err != nil {
 				t.Fatalf("%q rep %d: %v", src, rep, err)
 			}
@@ -95,7 +95,7 @@ func TestCacheBitIdentity(t *testing.T) {
 func TestCacheMissNotCountedOnError(t *testing.T) {
 	f, _ := twoRuntimes(t, 5000)
 	before := f.rt.Stats()
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM nosuchtable ERROR WITHIN 10%`)); err == nil {
+	if _, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM nosuchtable ERROR WITHIN 10%`)); err == nil {
 		t.Fatal("unknown table should error")
 	}
 	after := f.rt.Stats()
@@ -110,14 +110,14 @@ func TestCacheMissNotCountedOnError(t *testing.T) {
 func TestCacheHitSkipsProbes(t *testing.T) {
 	f, _ := twoRuntimes(t, 30000)
 	q := `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := answer(f.rt, parse(t, q)); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
 	if before.ProbeExecs == 0 {
 		t.Fatal("cold run should have probed")
 	}
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := answer(f.rt, parse(t, q)); err != nil {
 		t.Fatal(err)
 	}
 	after := f.rt.Stats()
@@ -134,7 +134,7 @@ func TestCacheHitSkipsProbes(t *testing.T) {
 	// Same template, different constant: still a hit (no probes), but the
 	// answer is computed for the new constant — exactly one executor run.
 	before = after
-	resp, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCacheDifferentConstantsCorrectAnswer(t *testing.T) {
 		}
 	}
 	point := func(genre string) float64 {
-		resp, err := f.rt.Run(parse(t, fmt.Sprintf(
+		resp, err := answer(f.rt, parse(t, fmt.Sprintf(
 			`SELECT COUNT(*) FROM sessions WHERE genre = '%s' ERROR WITHIN 25%%`, genre)))
 		if err != nil {
 			t.Fatal(err)
@@ -187,15 +187,15 @@ func TestEpochInvalidation(t *testing.T) {
 	f, ref := twoRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
 
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := answer(f.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	// A second warm template that will NOT be re-queried after the
 	// refresh: the stale sweep must still purge it.
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
+	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := f.rt.Run(parse(t, src))
+	resp, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 
 	before := f.rt.Stats()
-	got, err := f.rt.Run(parse(t, src))
+	got, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEpochInvalidation(t *testing.T) {
 	if after.Prepares == before.Prepares || after.ProbeExecs == before.ProbeExecs {
 		t.Error("post-refresh query must re-prepare and re-probe")
 	}
-	want, err := ref.Run(parse(t, src))
+	want, err := answer(ref, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 	// srcLim exercises the LIMIT-truncation path on a shared memoized
 	// result — a former write/write race between concurrent hits.
 	const srcLim = `SELECT AVG(time) FROM sessions WHERE genre = 'western' GROUP BY os ERROR WITHIN 25% LIMIT 2`
-	want, err := ref.Run(parse(t, src))
+	want, err := answer(ref, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLim, err := ref.Run(parse(t, srcLim))
+	wantLim, err := answer(ref, parse(t, srcLim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 				if (i+g)%2 == 1 {
 					q, exp = srcLim, wantLim
 				}
-				resp, err := f.rt.Run(parse(t, q))
+				resp, err := answer(f.rt, parse(t, q))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return
@@ -338,34 +338,5 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestPreparedQueryExplicitAPI drives Prepare/Execute directly: one
-// Prepare serves multiple Executes with different constants, and a
-// mismatched template is rejected.
-func TestPreparedQueryExplicitAPI(t *testing.T) {
-	f := newFixture(t, 20000, Options{})
-	pq, err := f.rt.Prepare(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pq.Key == "" || pq.Epoch() == 0 {
-		t.Fatalf("prepared query missing key/epoch: %+v", pq)
-	}
-	for _, city := range []string{"city1", "city2", "city3"} {
-		resp, err := f.rt.Execute(pq, parse(t, fmt.Sprintf(
-			`SELECT AVG(time) FROM sessions WHERE city = '%s' ERROR WITHIN 25%%`, city)))
-		if err != nil {
-			t.Fatalf("execute %s: %v", city, err)
-		}
-		truth := f.truth[city]
-		got := resp.Result.Groups[0].Estimates[0].Point
-		if got < 0.7*truth || got > 1.3*truth {
-			t.Errorf("city %s: estimate %.2f too far from truth %.2f", city, got, truth)
-		}
-	}
-	if _, err := f.rt.Execute(pq, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 25%`)); err == nil {
-		t.Error("executing a different template must be rejected")
 	}
 }

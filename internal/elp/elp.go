@@ -9,6 +9,11 @@
 // predicate under a single COUNT(*) — and the query's own plan runs once,
 // on the winner's smallest sample; that result seeds the profile.
 //
+// Every read of a disjunct from there on — the probe, its escalations, each
+// streamed refinement, the final read — advances one cursor up the family's
+// resolutions, folding only the deltas it has not read (§4.4; stream.go).
+// Runtime.Run is the one entry point.
+//
 // Latency is attributed by the cluster simulator (internal/cluster) using
 // the same linear-scaling model the paper fits at runtime (§4.2); error
 // projections use the 1/√n law of Table 2.
@@ -20,8 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"time"
 
 	"blinkdb/internal/catalog"
 	"blinkdb/internal/cluster"
@@ -67,51 +70,20 @@ type Options struct {
 	// sample refresh or rebuild is never served stale.
 	PlanCacheSize int
 	// ResultCacheSize enables the cross-query RESULT cache: up to this
-	// many completed answers are kept keyed by (template key, full
-	// parameter vector), so an exact replay of a recent query is served
-	// from memory — no probe, no scan — after validating the catalog
-	// epochs of every table the answer depends on. Concurrent misses of
-	// one key are collapsed by singleflight: the scan runs once and every
-	// caller shares (a private copy of) the answer. 0 (the default)
-	// disables the cache, preserving the result-cache-free pipeline bit
-	// for bit. Served answers are deep copies (copy-on-return), so
-	// callers can never mutate cached state. An answer lives until it is
-	// evicted or an epoch it depends on moves.
+	// many completed answers, keyed by (template key, full parameter
+	// vector), so an exact replay of a recent query is served from memory
+	// — no probe, no scan — while the catalog epochs of every table it
+	// depends on hold. Concurrent misses of one key share one execution
+	// (singleflight). 0 (the default) disables the cache, preserving the
+	// result-cache-free pipeline bit for bit.
 	ResultCacheSize int
-	// Telemetry, when non-nil, receives one Observation per completed Run
-	// (keyed by template): wall-clock and predicted latency, rows/bytes
-	// scanned, and predicted-vs-observed error half-width. nil (the
-	// default) disables recording with zero overhead on the query path —
-	// answers are bit-identical either way (the PredictedBound projection
-	// is computed unconditionally).
-	Telemetry *telemetry.Registry
-}
-
-func (o Options) normalize() Options {
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
-	if o.PlanCacheSize < 0 {
-		o.PlanCacheSize = 0
-	}
-	if o.ResultCacheSize < 0 {
-		o.ResultCacheSize = 0
-	}
-	return o
 }
 
 // Runtime executes bounded queries against a catalog on a simulated
-// cluster via an explicit prepare → execute pipeline: Prepare compiles a
-// query template, probes the smallest samples and fits the Error-Latency
-// Profile; Execute binds constants and bounds, re-runs only resolution
-// selection and the chosen view scan. Run composes the two, and — when
-// Options.PlanCacheSize enables it — reuses prepared state across queries
+// cluster. Run prepares a query's template — compiles it, probes the
+// smallest samples and fits the Error-Latency Profile — then executes it:
+// binds constants and bounds, picks the resolution and walks there. When
+// Options.PlanCacheSize enables it, prepared state is reused across queries
 // of the same template through a sharded LRU with catalog-epoch
 // invalidation. All methods are safe for concurrent use.
 type Runtime struct {
@@ -119,8 +91,8 @@ type Runtime struct {
 	clus *cluster.Cluster
 	opt  Options
 
-	// cache maps template keys to prepared queries; nil when disabled.
-	cache *plancache.Cache[*PreparedQuery]
+	// cache maps template keys to prepared templates; nil when disabled.
+	cache *plancache.Cache[*prepared]
 	// results maps (template key, parameter vector) to completed answers;
 	// nil when disabled. flights collapses concurrent misses of one
 	// result key into a single execution.
@@ -135,7 +107,7 @@ type Runtime struct {
 	// is internally consistent — per-counter atomics let Stats observe a
 	// hits/misses pair that never coexisted, skewing HitRate under load.
 	statMu sync.Mutex
-	stats  statCounters
+	stats  Stats
 }
 
 // resultEntry is one cached answer: the canonical (never-annotated,
@@ -164,13 +136,22 @@ func newResultEntry(resp *Response, note string, deps []tableDep) *resultEntry {
 	return ent
 }
 
-// New creates a runtime.
+// New creates a runtime; Options fields out of range take their defaults.
 func New(cat *catalog.Catalog, clus *cluster.Cluster, opt Options) *Runtime {
-	opt = opt.normalize()
+	if opt.Confidence <= 0 || opt.Confidence >= 1 {
+		opt.Confidence = 0.95
+	}
+	if opt.Scale <= 0 {
+		opt.Scale = 1
+	}
+	if opt.Workers <= 0 {
+		opt.Workers = 1
+	}
 	return &Runtime{
 		cat: cat, clus: clus, opt: opt,
-		cache:   plancache.New[*PreparedQuery](opt.PlanCacheSize),
+		cache:   plancache.New[*prepared](opt.PlanCacheSize),
 		results: plancache.New[*resultEntry](opt.ResultCacheSize),
+		stats:   Stats{AnswersByLevel: map[int]int64{}},
 	}
 }
 
@@ -194,11 +175,9 @@ type Decision struct {
 	RequiredRows float64
 	// PredictedBound is the ELP-projected worst-group CI half-width at
 	// the chosen resolution (probe stderr scaled by the 1/√n law, times
-	// the z score) — what the profile promised before scanning. 0 for
-	// exact/base-table execution. Computed unconditionally and
-	// deterministically, so it is identical with telemetry on or off;
-	// comparing it against the result's reported half-width is the
-	// calibration signal the adaptive loop consumes.
+	// the z score) — what the profile promised before scanning; 0 for
+	// exact/base-table execution. Against the result's reported
+	// half-width it is the calibration signal (ObservationFor).
 	PredictedBound float64
 	// Reason summarises the choice for EXPLAIN-style output.
 	Reason string
@@ -237,16 +216,16 @@ type Response struct {
 	// when the result cache is disabled.
 	ResultCache string
 
-	// ent marks RunKeyed's shared view of a result-cache hit (see Shared).
+	// ent marks Run's shared view of a result-cache hit (see Shared).
 	ent *resultEntry
 }
 
-// Shared reports whether r is RunKeyed's view of a result-cache hit: its
-// Result and Decisions are the cache's own, read-only and unannotated.
+// Shared reports whether r is Run's view of a result-cache hit: its Result
+// and Decisions are the cache's own, read-only and unannotated.
 func (r *Response) Shared() bool { return r.ent != nil }
 
 // Materialize returns a private deep copy of a shared hit, annotated
-// result=hit — the response Run returns for the same query.
+// result=hit: an answer of its own, as every executed one is.
 func (r *Response) Materialize() *Response {
 	resp := r.ent.resp.clone()
 	annotateResult(resp, "hit")
@@ -260,81 +239,38 @@ func (r *Response) Served(build func() any) any {
 	return r.ent.served
 }
 
-// Run parses nothing: q must already be parsed. It plans and executes the
-// query returning estimates with error bars and a simulated latency.
+// Run plans and executes q, returning estimates with error bars and a
+// simulated latency. The caller parses and normalizes q (key, params:
+// sqlparser.Normalize's) and keeps the clock: nothing is observed here (see
+// ObservationFor).
 //
-// Run is Prepare + Execute, wrapped by up to two reuse layers. With the
-// plan cache enabled, the Prepare half is amortized across queries
-// sharing a template: a hit reuses the cached compiled state, probe
-// results and ELP fit (after validating catalog epochs — stale state from
-// before a sample refresh is re-prepared, never served) and pays only
-// resolution selection plus the chosen view scan. With the result cache
-// enabled, an exact replay — same template AND same parameter vector —
-// skips even that: the completed answer is served from memory (epoch-
-// validated, deep-copied so callers cannot mutate cached state), and
-// concurrent misses of one cold key collapse into a single execution
-// whose answer every caller shares.
-func (rt *Runtime) Run(q *sqlparser.Query) (*Response, error) {
-	return rt.RunCtxTraced(context.Background(), q, nil)
-}
-
-// RunCtxTraced is Run with a cancellation context and query-lifecycle
-// telemetry. A context cancelled before the call returns ctx.Err() without
-// planning or scanning anything, and a context cancelled mid-query stops
-// the scan workers within one block range's worth of work; cancelled
-// queries bump Stats.Cancelled and return no partial answer. Span children
-// of the trace's root record each pipeline phase (normalize, cache
-// lookups, the singleflight execution with its probes and per-range scans,
-// result materialization), and — when Options.Telemetry is set — the
-// completed query is recorded against its template key. tr may be nil:
-// with the background context, a nil trace and a nil registry this is
-// exactly Run, with zero telemetry overhead and no allocations on the
-// telemetry paths.
-func (rt *Runtime) RunCtxTraced(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
-	return rt.run(ctx, q, tr, nil)
-}
-
-// run is the one body behind RunCtxTraced (emitMid nil) and
-// RunStreamTraced (emitMid receives the pre-final refinements).
-func (rt *Runtime) run(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace, emitMid midEmitter) (*Response, error) {
-	reg := rt.opt.Telemetry
-	var started time.Time
-	if reg != nil {
-		started = time.Now()
-	}
-	nsp := tr.Root().Child("normalize")
-	key, params := sqlparser.Normalize(q)
-	nsp.End()
-	resp, err := rt.RunKeyed(ctx, q, key, params, tr, emitMid)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Shared() {
-		msp := tr.Root().Child("materialize")
-		resp = resp.Materialize()
-		msp.End()
-	}
-	if reg != nil {
-		reg.Observe(key, ObservationFor(resp, time.Since(started).Seconds()))
-	}
-	return resp, nil
-}
-
-// RunKeyed is the run for a caller that normalized q itself (key, params:
-// sqlparser.Normalize's) and keeps its own clock: nothing is observed
-// here. emitMid, when non-nil, receives each pre-final refinement and its
-// level. A result-cache hit comes back as a Shared view, not a copy, so a
-// serving layer can answer it from the entry's Served form.
-func (rt *Runtime) RunKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, tr *telemetry.Trace, emitMid func(*Response, int) error) (*Response, error) {
+// With the plan cache enabled, a template prepared before reuses its
+// compiled state, probe results and ELP fit (state from before a sample
+// refresh is re-prepared, never served). With the result cache enabled, an
+// exact replay — same template and parameters — is served from memory, and
+// concurrent misses of one key share one execution. A result-cache hit
+// comes back as a Shared view, not a copy, so a serving layer can answer it
+// from the entry's Served form.
+//
+// emit, when non-nil, receives each refinement before the final answer,
+// with its level (the max across disjuncts); an emit error aborts the run.
+// Only an execution streams: a cache hit, a shared answer or an exact
+// template answers once. The final answer is the same with emit or without.
+//
+// A context cancelled before the call returns ctx.Err() having done
+// nothing; one cancelled mid-query stops the scans within one block range,
+// or before the next refinement. Either bumps Stats.Cancelled and returns
+// no partial answer. tr, when non-nil, gets a span per pipeline phase.
+func (rt *Runtime) Run(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, tr *telemetry.Trace, emit func(*Response, int) error) (*Response, error) {
 	// An already-cancelled context never enters the pipeline: no cache
 	// consultation, no scan (the QueryCtx promptness pin).
 	if err := ctx.Err(); err != nil {
-		rt.bump(&rt.stats.cancelled)
+		rt.bump(&rt.stats.Cancelled)
 		return nil, err
 	}
-	resp, err := rt.runKeyed(ctx, q, key, params, tr.Root(), emitMid)
+	resp, err := rt.runKeyed(ctx, q, key, params, tr.Root(), emit)
 	if err != nil && isCancellation(err) {
-		rt.bump(&rt.stats.cancelled)
+		rt.bump(&rt.stats.Cancelled)
 	}
 	return resp, err
 }
@@ -371,14 +307,12 @@ func ObservationFor(resp *Response, wallSeconds float64) telemetry.Observation {
 	return o
 }
 
-// runKeyed is the run body with normalization precomputed and an optional
-// parent span (nil when untraced). Intermediate refinements flow through
-// emitMid (nil when not streaming) on the executing paths only: cache hits
-// and singleflight shares stream nothing — their answer is the session's
-// single final refinement.
-func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emitMid midEmitter) (*Response, error) {
+// runKeyed is Run's body under an optional parent span (nil when
+// untraced). Refinements flow through emit (nil when not streaming) on the
+// executing paths only: cache hits and singleflight shares stream nothing.
+func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emit func(*Response, int) error) (*Response, error) {
 	if rt.results == nil {
-		resp, note, _, err := rt.streamPrepared(ctx, q, key, params, root, emitMid)
+		resp, note, _, err := rt.runPrepared(ctx, q, key, params, root, emit)
 		if err != nil {
 			return nil, err
 		}
@@ -388,24 +322,24 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
 	lsp := root.Child("result-cache lookup")
 	if ent, ok := rt.results.Get(rkey); ok {
-		if rt.freshDeps(ent.deps) {
+		if rt.fresh(ent.deps) {
 			lsp.End()
 			lsp.Note("result=hit")
-			rt.bump(&rt.stats.resultHits)
+			rt.bump(&rt.stats.ResultHits)
 			return ent.hit, nil
 		}
 		// A stale entry means a sample refresh/rebuild happened since the
 		// answer was computed; purge EVERY stale answer now (mirroring the
 		// plan cache's sweep) rather than letting dead epochs ride the LRU.
-		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.freshDeps(cand.deps) })
+		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.fresh(cand.deps) })
 	}
 	lsp.End()
-	if emitMid != nil {
-		// Intermediates only flow on an executing path, whose final is
+	if emit != nil {
+		// Refinements only flow on an executing path, whose final is
 		// annotated result=miss — mark them the same way so a session's
-		// refinements agree about where they came from.
-		inner := emitMid
-		emitMid = func(resp *Response, level int) error {
+		// answers agree about where they came from.
+		inner := emit
+		emit = func(resp *Response, level int) error {
 			annotateResult(resp, "miss")
 			return inner(resp, level)
 		}
@@ -419,7 +353,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		// leader's trace carries the pipeline spans (and only the leader
 		// streams); waiters' "execute" spans cover their wait and are
 		// noted result=shared below.
-		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp, emitMid)
+		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp, emit)
 		return e, err
 	})
 	fsp.End()
@@ -433,14 +367,14 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 			return nil, err
 		}
 		rsp := root.Child("cancelled-leader re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emitMid)
+		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emit)
 		rsp.End()
 		if err != nil {
 			return nil, err
 		}
 		shared = false
 	}
-	if shared && !rt.freshDeps(ent.deps) {
+	if shared && !rt.fresh(ent.deps) {
 		// The shared answer predates an epoch change this caller has
 		// already observed (its own cache lookup happened after the
 		// change): serving it would leak pre-refresh data into a
@@ -448,7 +382,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		// the (already landed) flight; concurrent stale waiters each
 		// re-execute, an acceptable cost for the rare refresh window.
 		rsp := root.Child("stale-shared re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emitMid)
+		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emit)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -456,7 +390,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		shared = false
 	}
 	if cachedHit {
-		rt.bump(&rt.stats.resultHits)
+		rt.bump(&rt.stats.ResultHits)
 		fsp.Note("result=hit")
 		return ent.hit, nil
 	}
@@ -465,7 +399,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	msp := root.Child("materialize")
 	resp := ent.resp.clone()
 	if shared {
-		rt.bump(&rt.stats.resultShared)
+		rt.bump(&rt.stats.ResultShared)
 		annotateResult(resp, "shared")
 		fsp.Note("result=shared")
 	} else {
@@ -484,76 +418,72 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 // would re-run the whole pipeline for an answer that is already cached
 // (and skew the exactly-one-execution Stats contract). cached reports
 // whether the answer came from the cache (a hit) rather than execution.
-func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emitMid midEmitter) (*resultEntry, bool, error) {
-	if cached, ok := rt.results.Get(rkey); ok && rt.freshDeps(cached.deps) {
+func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emit func(*Response, int) error) (*resultEntry, bool, error) {
+	if cached, ok := rt.results.Get(rkey); ok && rt.fresh(cached.deps) {
 		return cached, true, nil
 	}
-	resp, note, deps, err := rt.streamPrepared(ctx, q, key, params, sp, emitMid)
+	resp, note, deps, err := rt.runPrepared(ctx, q, key, params, sp, emit)
 	if err != nil {
 		return nil, false, err
 	}
 	// Count the miss only for executions that enter the cache, like the
 	// plan cache's convention.
-	rt.bump(&rt.stats.resultMisses)
+	rt.bump(&rt.stats.ResultMisses)
 	ent := newResultEntry(resp, note, deps)
 	rt.results.Put(rkey, ent)
 	return ent, false, nil
 }
 
-// streamPrepared is the prepare/execute pipeline of a run — plan-cache
+// runPrepared is the prepare/execute pipeline of a run — plan-cache
 // lookup (when enabled), prepare on miss, execute — returning the
 // UNANNOTATED response, the plan-cache note ("hit"/"miss", "" when
 // disabled) and the table-epoch deps the answer was computed against.
 // Callers own the annotation so the result cache can store canonical
-// responses. When emitMid is non-nil it receives each pre-final refinement
-// (see streamParams); the returned Response is always the final answer —
-// bit-identical to the emitMid==nil path.
-func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, string, []tableDep, error) {
-	if rt.cache == nil {
-		pq, err := rt.prepareKeyed(ctx, q, key, params, sp)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		resp, err := rt.streamParams(ctx, pq, q, pq.prepParams, sp, emitMid)
-		return resp, "", pq.deps, err
-	}
-	lsp := sp.Child("plan-cache lookup")
-	if pq, ok := rt.cache.Get(key); ok {
-		if rt.fresh(pq) {
-			lsp.End()
-			resp, err := rt.streamParams(ctx, pq, q, params, sp, emitMid)
-			if err == nil {
-				lsp.Note("cache=hit")
-				rt.bump(&rt.stats.cacheHits)
-				return resp, "hit", pq.deps, nil
+// responses. emit is execute's.
+func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, []tableDep, error) {
+	note := ""
+	if rt.cache != nil {
+		lsp := sp.Child("plan-cache lookup")
+		if pq, ok := rt.cache.Get(key); ok {
+			if rt.fresh(pq.deps) {
+				lsp.End()
+				resp, err := rt.execute(ctx, pq, q, params, sp, emit)
+				if err == nil {
+					lsp.Note("cache=hit")
+					rt.bump(&rt.stats.CacheHits)
+					return resp, "hit", pq.deps, nil
+				}
+				if err != errTemplateMismatch {
+					return nil, "", nil, err
+				}
+				// Defensive: equal keys should imply equal shape; if not,
+				// fall through and re-prepare. (The mismatch is detected
+				// before any refinement is emitted.)
 			}
-			if err != errTemplateMismatch {
-				return nil, "", nil, err
-			}
-			// Defensive: equal keys should imply equal shape; if not,
-			// fall through and re-prepare. (The mismatch is detected
-			// before any refinement is emitted.)
+			// A stale (or mismatched) entry means a sample refresh/rebuild
+			// happened: a prepared template pins its catalog snapshot — old
+			// table blocks, old sample families, memoized results — so
+			// purge EVERY stale entry now rather than letting dead
+			// snapshots ride the LRU until their template happens to be
+			// queried again.
+			rt.cache.Sweep(func(_ string, cand *prepared) bool { return rt.fresh(cand.deps) })
 		}
-		// A stale (or mismatched) entry means a sample refresh/rebuild
-		// happened: a PreparedQuery pins its catalog snapshot — old
-		// table blocks, old sample families, memoized results — so
-		// purge EVERY stale entry now rather than letting dead
-		// snapshots ride the LRU until their template happens to be
-		// queried again.
-		rt.cache.Sweep(func(_ string, cand *PreparedQuery) bool { return rt.fresh(cand) })
+		lsp.End() // idempotent on the template-mismatch fall-through
+		lsp.Note("cache=miss")
+		note = "miss"
 	}
-	lsp.End() // idempotent on the template-mismatch fall-through
-	lsp.Note("cache=miss")
-	pq, err := rt.prepareKeyed(ctx, q, key, params, sp)
+	pq, err := rt.prepare(ctx, q, key, params, sp)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	// Count the miss only for queries that actually entered the cache;
-	// errored prepares would otherwise skew the hit rate.
-	rt.bump(&rt.stats.cacheMisses)
-	rt.cache.Put(key, pq)
-	resp, err := rt.streamParams(ctx, pq, q, params, sp, emitMid)
-	return resp, "miss", pq.deps, err
+	if rt.cache != nil {
+		// Count the miss only for queries that actually entered the cache;
+		// errored prepares would otherwise skew the hit rate.
+		rt.bump(&rt.stats.CacheMisses)
+		rt.cache.Put(key, pq)
+	}
+	resp, err := rt.execute(ctx, pq, q, params, sp, emit)
+	return resp, note, pq.deps, err
 }
 
 // selectFamily implements §4.1.1: prefer the covering stratified family
@@ -563,10 +493,10 @@ func (rt *Runtime) streamPrepared(ctx context.Context, q *sqlparser.Query, key s
 // off each candidate, so with several candidates each is probed with the
 // plan's count plan (exec.Plan.CountOnly: same predicate, joins, pruning
 // and scan; one COUNT(*), no groups) and the plan itself then runs once, on
-// the winner's probe view; a lone candidate runs the plan directly. The
-// third and fourth return values are that full-plan probe's result and its
-// chain (nil when no probe ran), which prepareConjunctive carries on, so
-// each (family, view) executes the plan at most once per query.
+// the winner's probe view; a lone candidate runs the plan directly. Either
+// run starts the winner's walk; the third and fourth return values are its
+// answer and chain (nil when no probe ran), which prepareConjunctive carries
+// on, so each (family, view) executes the plan at most once per query.
 func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan *exec.Plan,
 	phi types.ColumnSet, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*sample.Family, Decision, *exec.Result, *exec.Chain, error) {
 
@@ -606,14 +536,13 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	defer psp.End()
 	ins := make([]exec.Input, len(cands))
 	results := make([]*exec.Result, len(cands))
-	lats := make([]float64, len(cands))
 	spans := make([]*telemetry.Span, len(cands))
 	if psp != nil {
 		for i, f := range cands {
 			spans[i] = psp.Child("probe " + f.Label()) // in candidate order
 		}
 	}
-	var chain *exec.Chain // a lone candidate's probe runs the plan itself
+	var walk *cursor // the plan's run: a lone candidate's probe, else the winner's
 	var count *exec.Plan
 	if len(cands) > 1 {
 		count = plan.CountOnly()
@@ -624,13 +553,13 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		var res *exec.Result
 		var err error
 		if count == nil {
-			chain = exec.NewChain(plan, joins)
-			res, err = rt.probeChain(ctx, chain, ins[i], conf, spans[i])
+			walk = &cursor{plan: plan, joins: joins, entry: entry, fam: cands[i], conf: conf, probe: true}
+			res, err = rt.advance(ctx, walk, pv.Level, spans[i])
 		} else {
-			res, err = rt.runProbe(ctx, count, ins[i], conf, joins, spans[i])
+			res, err = rt.runPlan(ctx, count, ins[i], conf, joins, true, spans[i])
 		}
 		spans[i].End()
-		results[i], lats[i] = res, probePrice(ins[i].Blocks)
+		results[i] = res
 		return err
 	})
 	if err != nil {
@@ -642,7 +571,7 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	maxProbe := 0.0
 	for i, f := range cands {
 		res := results[i]
-		maxProbe = max(maxProbe, lats[i])
+		maxProbe = max(maxProbe, probePrice(ins[i].Blocks))
 		ratio := res.Selectivity()
 		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: ratio, Matched: res.RowsMatched})
 		if ratio > bestRatio {
@@ -663,8 +592,7 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	dec.ProbeLatency = maxProbe
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
 		len(cands), bestRatio, cands[best].Label())
-	bestRes := results[best]
-	if chain == nil {
+	if walk == nil {
 		// The winner's probe view, read again for what the count pass left
 		// out: the groups and estimates resolution selection extrapolates
 		// from, and — at the probe's own resolution — the answer itself.
@@ -673,14 +601,14 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 		if psp != nil {
 			fsp = psp.Child("probe " + cands[best].Label() + " full")
 		}
-		chain = exec.NewChain(plan, joins)
-		bestRes, err = rt.probeChain(ctx, chain, ins[best], conf, fsp)
+		walk = &cursor{plan: plan, joins: joins, entry: entry, fam: cands[best], conf: conf, probe: true}
+		_, err = rt.advance(ctx, walk, rt.probeView(cands[best]).Level, fsp)
 		fsp.End()
 		if err != nil {
 			return nil, dec, nil, nil, err
 		}
 	}
-	return cands[best], dec, bestRes, chain, nil
+	return cands[best], dec, walk.res, walk.chain, nil
 }
 
 // gather runs fn(0) … fn(n-1) concurrently — one goroutine each, the last
@@ -806,7 +734,7 @@ func expectedMatches(fam *sample.Family, probe *exec.Result, lvl int, pv sample.
 // predictedBound projects the worst-group CI half-width the chosen
 // resolution should deliver: the probe's worst non-exact stderr scaled to
 // the level's expected matches by the 1/√n law, times the z score —
-// the same extrapolation Profile's curve plots. Deterministic and derived
+// Table 2's extrapolation, from the probe. Deterministic and derived
 // only from prepared probe state, so it is identical with telemetry on or
 // off (the bit-identity invariant). 0 when the probe carries no
 // statistical signal (no matches, or all-exact estimates).
@@ -846,108 +774,37 @@ func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *
 	return best
 }
 
-// ProfilePoint is one point of an Error-Latency Profile: the projected
-// standard error and simulated latency of running the plan on one
-// resolution of a family.
-type ProfilePoint struct {
-	// Level is the resolution index.
-	Level int
-	// Cap is the resolution's frequency cap (or row target for uniform).
-	Cap int64
-	// Rows is the resolution's total row count.
-	Rows int64
-	// ExpectedMatches projects the matched rows at this resolution.
-	ExpectedMatches float64
-	// ProjStdErr is the projected worst-group standard error (1/√n law).
-	ProjStdErr float64
-	// ProjRelErr is the projected worst-group relative error.
-	ProjRelErr float64
-	// Latency is the simulated seconds to scan this resolution
-	// (cumulative blocks, no delta reuse).
-	Latency float64
-}
-
-// Profile builds the full ELP for a plan over one family by probing the
-// smallest resolution and extrapolating error with the 1/√n law of
-// Table 2 while pricing latency with the cluster model. This is the curve
-// Fig. 7(c) plots (time to reach a target error).
-func (rt *Runtime) Profile(fam *sample.Family, plan *exec.Plan, conf float64) []ProfilePoint {
-	pv := rt.probeView(fam)
-	smallIn := viewInput(pv, plan)
-	probe, _ := rt.runPlan(context.Background(), plan, smallIn, conf, nil, nil)
-	probeMatched := float64(probe.RowsMatched)
-
-	// Worst-group probe error.
-	worstStd, worstRel := 0.0, 0.0
-	for _, g := range probe.Groups {
-		for _, e := range g.Estimates {
-			if e.StdErr > worstStd {
-				worstStd = e.StdErr
-			}
-			if re := e.RelErr(); re > worstRel && !math.IsInf(re, 1) {
-				worstRel = re
-			}
-		}
-	}
-
-	pts := make([]ProfilePoint, 0, fam.Resolutions())
-	for lvl := 0; lvl < fam.Resolutions(); lvl++ {
-		view := fam.View(lvl)
-		pt := ProfilePoint{Level: lvl, Cap: view.Cap(), Rows: view.Rows()}
-		pt.ExpectedMatches = expectedMatches(fam, probe, lvl, pv)
-		if probeMatched > 0 && pt.ExpectedMatches > 0 {
-			shrink := math.Sqrt(probeMatched / pt.ExpectedMatches)
-			pt.ProjStdErr = worstStd * shrink
-			pt.ProjRelErr = worstRel * shrink
-		}
-		pt.Latency = rt.latencyOf(plan.Prune(view.Blocks()))
-		pts = append(pts, pt)
-	}
-	return pts
-}
-
-// runProbe is runPlan counted as an ELP probe (§4.1.1 candidate count
-// passes) — the executions the plan cache amortizes away.
-func (rt *Runtime) runProbe(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
-	rt.bump(&rt.stats.probeExecs)
-	return rt.runPlan(ctx, plan, in, conf, joins, sp)
-}
-
-// probeChain is extend counted as an ELP probe: the plan's run on the
-// chosen family's probe view and each §4.2 escalation past it.
-func (rt *Runtime) probeChain(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, sp *telemetry.Span) (*exec.Result, error) {
-	rt.bump(&rt.stats.probeExecs)
-	return rt.extend(ctx, c, in, conf, sp)
+// runPlan executes plan over in — a candidate's count pass, or the base
+// table — joining dimension tables when the query has JOIN clauses (§2.1:
+// fact-side sampling, exact broadcast dimensions). probe counts it as an
+// ELP probe. With sp non-nil the scan records a span tree (per-range
+// partials + merge) beneath it. The only possible error is ctx.Err(): a
+// cancelled scan returns no partial result. PlanExecs counts the attempt
+// either way — a cancelled scan may have done most of its work.
+func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, probe bool, sp *telemetry.Span) (*exec.Result, error) {
+	rt.countExec(probe)
+	ssp := scanSpan(sp, in)
+	res, err := exec.RunJoin(ctx, plan, in, joins, conf, rt.opt.Workers, ssp)
+	ssp.End()
+	return res, err
 }
 
 // extend is runPlan for a Chain: in's blocks folded into c, and the
 // answer at in's resolution.
-func (rt *Runtime) extend(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, sp *telemetry.Span) (*exec.Result, error) {
-	rt.bump(&rt.stats.planExecs)
-	var ssp *telemetry.Span
-	if sp != nil {
-		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
-	}
+func (rt *Runtime) extend(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, probe bool, sp *telemetry.Span) (*exec.Result, error) {
+	rt.countExec(probe)
+	ssp := scanSpan(sp, in)
 	res, err := c.Extend(ctx, in, conf, rt.opt.Workers, ssp)
 	ssp.End()
 	return res, err
 }
 
-// runPlan executes the plan over the input, joining dimension tables when
-// the query has JOIN clauses (§2.1: fact-side sampling, exact broadcast
-// dimensions). With sp non-nil the scan records a span tree (per-range
-// partials + merge) beneath it. The only possible error is ctx.Err(): a
-// cancelled scan returns no partial result. PlanExecs counts the attempt
-// either way — a cancelled scan may have done most of its work.
-func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, sp *telemetry.Span) (*exec.Result, error) {
-	rt.bump(&rt.stats.planExecs)
-	var ssp *telemetry.Span
-	if sp != nil {
-		ssp = sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
+// scanSpan is the span a scan of in records under sp (nil when untraced).
+func scanSpan(sp *telemetry.Span, in exec.Input) *telemetry.Span {
+	if sp == nil {
+		return nil
 	}
-	res, err := exec.RunJoin(ctx, plan, in, joins, conf, rt.opt.Workers, ssp)
-	ssp.End()
-	return res, err
+	return sp.Child(fmt.Sprintf("scan blocks=%d", len(in.Blocks)))
 }
 
 // checkJoinAdmissible enforces §2.1's join rules: each join needs either a

@@ -131,14 +131,30 @@ func answer(rt *Runtime, q *sqlparser.Query) (*Response, error) {
 }
 
 // answerTraced runs q as one query under ctx, recording into tr (nil:
-// untraced): normalized, executed and — a result-cache hit — materialized.
+// untraced).
 func answerTraced(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace) (*Response, error) {
-	return rt.RunCtxTraced(ctx, q, tr)
+	return runQuery(ctx, rt, q, tr, nil)
+}
+
+// runQuery drives Run as a caller that owns the query does: normalize under
+// a "normalize" span, Run, and turn a shared result-cache hit into an answer
+// of its own under a "materialize" span.
+func runQuery(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace, emit func(*Response, int) error) (*Response, error) {
+	nsp := tr.Root().Child("normalize")
+	key, params := sqlparser.Normalize(q)
+	nsp.End()
+	resp, err := rt.Run(ctx, q, key, params, tr, emit)
+	if err != nil || !resp.Shared() {
+		return resp, err
+	}
+	msp := tr.Root().Child("materialize")
+	defer msp.End()
+	return resp.Materialize(), nil
 }
 
 func TestUnboundedQueryIsExact(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions`))
+	resp, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +171,7 @@ func TestUnboundedQueryIsExact(t *testing.T) {
 
 func TestCoveringFamilySelected(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +195,7 @@ func TestProbingPathWhenNoCoveringFamily(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
 	// φ = {city, genre}: no covering family (families are [city],
 	// [os,url]); runtime must probe.
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' AND genre = 'western' ERROR WITHIN 10%`))
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +229,7 @@ func TestProbingPathWhenNoCoveringFamily(t *testing.T) {
 
 func TestErrorBoundMet(t *testing.T) {
 	f := newFixture(t, 60000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5% AT CONFIDENCE 95%`))
 	if err != nil {
 		t.Fatal(err)
@@ -232,12 +248,12 @@ func TestErrorBoundMet(t *testing.T) {
 
 func TestTighterErrorUsesBiggerSample(t *testing.T) {
 	f := newFixture(t, 60000, Options{})
-	loose, err := f.rt.Run(parse(t,
+	loose, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 20%`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := f.rt.Run(parse(t,
+	tight, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 1%`))
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +275,7 @@ func TestTighterErrorUsesBiggerSample(t *testing.T) {
 func TestTimeBoundRespected(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4}) // pretend TB-scale
 	for _, budget := range []float64{1, 2, 5, 10} {
-		resp, err := f.rt.Run(parse(t,
+		resp, err := answer(f.rt, parse(t,
 			`SELECT AVG(time) FROM sessions WHERE city = 'city1' GROUP BY os WITHIN `+
 				itoa(int(budget))+` SECONDS`))
 		if err != nil {
@@ -273,12 +289,12 @@ func TestTimeBoundRespected(t *testing.T) {
 
 func TestLargerTimeBudgetMoreAccurate(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4})
-	fast, err := f.rt.Run(parse(t,
+	fast, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 1 SECONDS`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := f.rt.Run(parse(t,
+	slow, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' WITHIN 10 SECONDS`))
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +309,7 @@ func TestBothBoundsTimeWins(t *testing.T) {
 	f := newFixture(t, 60000, Options{Scale: 2e4})
 	// 0.1% error needs a huge sample; 1 second does not allow it. Time
 	// must win (paper: most accurate answer within the time bound).
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 0.1% WITHIN 1 SECONDS`))
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +321,7 @@ func TestBothBoundsTimeWins(t *testing.T) {
 
 func TestDisjunctionRewrite(t *testing.T) {
 	f := newFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions WHERE city = 'city1' OR os = 'Win7' ERROR WITHIN 10%`))
 	if err != nil {
 		t.Fatal(err)
@@ -327,12 +343,12 @@ func TestGroupByRareSubgroupsPresent(t *testing.T) {
 	// Stratified sample on city guarantees rare cities appear in output
 	// (no subset error), unlike a uniform sample of the same size.
 	f := newFixture(t, 60000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions GROUP BY city`))
+	exact, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions GROUP BY city`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,36 +358,13 @@ func TestGroupByRareSubgroupsPresent(t *testing.T) {
 	}
 }
 
-func TestProfileShape(t *testing.T) {
-	f := newFixture(t, 60000, Options{Scale: 2e4})
-	entry, _ := f.cat.Lookup("sessions")
-	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`)
-	plan, err := exec.Compile(q, entry.Table.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fam := entry.CoveringFamilies(types.NewColumnSet("city"))[0]
-	pts := f.rt.Profile(fam, plan, 0.95)
-	if len(pts) != fam.Resolutions() {
-		t.Fatalf("profile points = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Latency < pts[i-1].Latency {
-			t.Errorf("latency must grow with resolution: %v", pts)
-		}
-		if pts[i].ProjStdErr > pts[i-1].ProjStdErr+1e-12 {
-			t.Errorf("projected error must shrink with resolution: %v", pts)
-		}
-	}
-}
-
 // TestDeltaReuseCheaperThanFullRead: §4.4 — a read past the probe's
 // resolution is priced as the delta blocks the probe did not read, which
 // costs less than reading the chosen view whole.
 func TestDeltaReuseCheaperThanFullRead(t *testing.T) {
 	f := newFixture(t, 30000, Options{Scale: 2e4})
 	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`)
-	r, err := f.rt.Run(q)
+	r, err := answer(f.rt, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,10 +386,10 @@ func TestDeltaReuseCheaperThanFullRead(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	f := newFixture(t, 1000, Options{})
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM nope ERROR WITHIN 5%`)); err == nil {
+	if _, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM nope ERROR WITHIN 5%`)); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE bogus = 1 ERROR WITHIN 5%`)); err == nil {
+	if _, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE bogus = 1 ERROR WITHIN 5%`)); err == nil {
 		t.Error("unknown column should error")
 	}
 }
@@ -412,7 +405,7 @@ func TestNoFamiliesFallsBackToBase(t *testing.T) {
 	cat := catalog.New()
 	cat.Register(tab)
 	rt := New(cat, cluster.New(cluster.PaperConfig()), Options{})
-	resp, err := rt.Run(parse(t, `SELECT SUM(x) FROM bare ERROR WITHIN 5%`))
+	resp, err := answer(rt, parse(t, `SELECT SUM(x) FROM bare ERROR WITHIN 5%`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +422,7 @@ func BenchmarkRunErrorBounded(b *testing.B) {
 	q := parse(b, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.rt.Run(q); err != nil {
+		if _, err := answer(f.rt, q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -451,11 +444,11 @@ func TestWorkerEquivalenceELP(t *testing.T) {
 	one := newFixture(t, 20000, Options{Workers: 1})
 	four := newFixture(t, 20000, Options{Workers: 4})
 	for _, src := range queries {
-		want, err := one.rt.Run(parse(t, src))
+		want, err := answer(one.rt, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q (1 worker): %v", src, err)
 		}
-		got, err := four.rt.Run(parse(t, src))
+		got, err := answer(four.rt, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q (4 workers): %v", src, err)
 		}

@@ -31,7 +31,7 @@ func joinFixture(t *testing.T, rows int, opt Options) *fixture {
 
 func TestJoinUnboundedExact(t *testing.T) {
 	f := joinFixture(t, 20000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`))
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +40,8 @@ func TestJoinUnboundedExact(t *testing.T) {
 		t.Error("unbounded join should be exact")
 	}
 	// Apple = OSX + iOS rows; cross-check against two exact counts.
-	osx, _ := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`))
-	ios, _ := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'iOS'`))
+	osx, _ := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`))
+	ios, _ := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE os = 'iOS'`))
 	want := osx.Result.Groups[0].Estimates[0].Point + ios.Result.Groups[0].Estimates[0].Point
 	if got := resp.Result.Groups[0].Estimates[0].Point; got != want {
 		t.Errorf("join count = %g, want %g", got, want)
@@ -52,7 +52,7 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 	// Scale matters: latency advantages only appear when the base table
 	// is logically large.
 	f := joinFixture(t, 40000, Options{Scale: 2e4})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' ERROR WITHIN 10%`))
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 		t.Fatal("bounded join should use a sample")
 	}
 	// §2.1 case (i): the [os,url] family contains the join key os.
-	exact, err := f.rt.Run(parse(t,
+	exact, err := answer(f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple'`))
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestJoinBoundedUsesSample(t *testing.T) {
 
 func TestJoinGroupByDimensionColumn(t *testing.T) {
 	f := joinFixture(t, 30000, Options{})
-	resp, err := f.rt.Run(parse(t,
+	resp, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor ERROR WITHIN 15%`))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestJoinGroupByDimensionColumn(t *testing.T) {
 	if len(resp.Result.Groups) != 3 {
 		t.Fatalf("vendors = %d, want 3 (Apple, Community, Microsoft)", len(resp.Result.Groups))
 	}
-	exact, _ := f.rt.Run(parse(t,
+	exact, _ := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor`))
 	for i, g := range resp.Result.Groups {
 		want := exact.Result.Groups[i].Estimates[0].Point
@@ -114,7 +114,7 @@ func TestJoinAdmissibilityRejected(t *testing.T) {
 	b.Finish()
 	f.cat.Register(dim)
 	// genre is in no stratified family ([city], [os,url]).
-	_, err := f.rt.Run(parse(t,
+	_, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN genres ON genre = genre ERROR WITHIN 10%`))
 	if err == nil {
 		t.Fatal("join without key sample or in-memory dim should be rejected")
@@ -123,7 +123,7 @@ func TestJoinAdmissibilityRejected(t *testing.T) {
 
 func TestJoinUnknownDimTable(t *testing.T) {
 	f := newFixture(t, 1000, Options{})
-	if _, err := f.rt.Run(parse(t,
+	if _, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN missing ON os = os ERROR WITHIN 10%`)); err == nil {
 		t.Error("unknown dimension table should error")
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 
 	"blinkdb/internal/blockfile"
+	"blinkdb/internal/catalog"
 	"blinkdb/internal/exec"
 	"blinkdb/internal/sample"
 	"blinkdb/internal/stats"
@@ -19,7 +20,7 @@ import (
 // table, epoch deps, the prepare-time parameter vector, and each
 // disjunct's family choice (by φ), Decision skeleton, probe-chain
 // endpoint (level, probe result, probe latency). What is NOT: the
-// compiled query/plan (prepQ/prepPlan restore as nil — streamParams
+// compiled query/plan (prepQ/prepPlan restore as nil — execute
 // recompiles per query, its pointer-identity fast path simply never
 // fires), the probe's chain (a read that would have continued it scans
 // its view from the start instead: the same answer, bit for bit), and
@@ -67,7 +68,7 @@ func (rt *Runtime) ExportWarmup() []byte {
 	var e blockfile.Enc
 
 	var plans [][]byte
-	rt.cache.Range(func(_ string, pq *PreparedQuery) bool {
+	rt.cache.Range(func(_ string, pq *prepared) bool {
 		if b, ok := encodePlan(pq); ok {
 			plans = append(plans, b)
 		}
@@ -137,7 +138,7 @@ func (rt *Runtime) ImportWarmup(blob []byte, allow func(table string) bool) (pla
 
 	// Stage everything before applying anything: a blob that decodes
 	// halfway applies nothing.
-	staged := make([]*PreparedQuery, 0, len(planBlobs))
+	staged := make([]*prepared, 0, len(planBlobs))
 	for _, b := range planBlobs {
 		pq, err := rt.decodePlan(b)
 		if err != nil {
@@ -170,14 +171,14 @@ func (rt *Runtime) ImportWarmup(blob []byte, allow func(table string) bool) (pla
 		return true
 	}
 	for _, pq := range staged {
-		if pq == nil || !allowed(pq.deps) || !rt.fresh(pq) {
+		if pq == nil || !allowed(pq.deps) || !rt.fresh(pq.deps) {
 			continue
 		}
-		rt.cache.Put(pq.Key, pq)
+		rt.cache.Put(pq.key, pq)
 		plans++
 	}
 	for _, sr := range stagedResults {
-		if sr.ent == nil || !allowed(sr.ent.deps) || !rt.freshDeps(sr.ent.deps) {
+		if sr.ent == nil || !allowed(sr.ent.deps) || !rt.fresh(sr.ent.deps) {
 			continue
 		}
 		rt.results.Put(sr.rkey, sr.ent)
@@ -206,12 +207,12 @@ func decodeBlobList(d *blockfile.Dec) ([][]byte, error) {
 // encodePlan serializes one prepared template. Join templates are not
 // persisted (ok=false): rebuilding their join-expanded schema and
 // compiled specs requires the original query object.
-func encodePlan(pq *PreparedQuery) ([]byte, bool) {
+func encodePlan(pq *prepared) ([]byte, bool) {
 	if len(pq.joins) > 0 {
 		return nil, false
 	}
 	var e blockfile.Enc
-	e.Str(pq.Key)
+	e.Str(pq.key)
 	e.Str(pq.table)
 	encDeps(&e, pq.deps)
 	e.U8(b2u(pq.exact))
@@ -242,10 +243,10 @@ func encodePlan(pq *PreparedQuery) ([]byte, bool) {
 // decodePlan reconstructs a prepared template against the live catalog.
 // It returns (nil, nil) for well-formed entries whose referenced state
 // no longer exists — those skip silently; only malformed bytes error.
-func (rt *Runtime) decodePlan(blob []byte) (*PreparedQuery, error) {
+func (rt *Runtime) decodePlan(blob []byte) (*prepared, error) {
 	d := blockfile.NewDec(blob)
-	pq := &PreparedQuery{
-		Key:   d.Str(),
+	pq := &prepared{
+		key:   d.Str(),
 		table: d.Str(),
 		deps:  decDeps(d),
 		exact: d.U8() != 0,
@@ -256,20 +257,8 @@ func (rt *Runtime) decodePlan(blob []byte) (*PreparedQuery, error) {
 		return nil, err
 	}
 
-	entry, lookupErr := rt.cat.Lookup(pq.table)
-	resolve := func(phiKey string) *sample.Family {
-		if entry == nil {
-			return nil
-		}
-		for _, f := range entry.Families {
-			if f.Phi.Key() == phiKey {
-				return f
-			}
-		}
-		return nil
-	}
-
-	stale := lookupErr != nil
+	entry, resolve := rt.families(pq.table)
+	stale := entry == nil
 	for i := 0; i < ndis; i++ {
 		pd := &prepDisjunct{}
 		var famKey string
@@ -329,20 +318,11 @@ func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, error) 
 	deps := decDeps(d)
 
 	stale := len(deps) == 0
-	resolve := func(phiKey string) *sample.Family { return nil }
-	if len(deps) > 0 {
-		if ce, err := rt.cat.Lookup(deps[0].table); err == nil {
-			resolve = func(phiKey string) *sample.Family {
-				for _, f := range ce.Families {
-					if f.Phi.Key() == phiKey {
-						return f
-					}
-				}
-				return nil
-			}
-		} else {
-			stale = true
-		}
+	resolve := func(string) *sample.Family { return nil }
+	if !stale {
+		var entry *catalog.Entry
+		entry, resolve = rt.families(deps[0].table)
+		stale = entry == nil
 	}
 	resp, respStale := decResponse(d, resolve)
 	if err := d.Err(); err != nil {
@@ -355,6 +335,24 @@ func (rt *Runtime) decodeResultEntry(blob []byte) (string, *resultEntry, error) 
 		return rkey, nil, nil
 	}
 	return rkey, newResultEntry(resp, note, deps), nil
+}
+
+// families returns table's live catalog entry (nil when the table is
+// gone) and a resolver of φ keys to its families (nil when none matches):
+// how a warmup blob's family references come back to life.
+func (rt *Runtime) families(table string) (*catalog.Entry, func(string) *sample.Family) {
+	entry, _ := rt.cat.Lookup(table)
+	return entry, func(phiKey string) *sample.Family {
+		if entry == nil {
+			return nil
+		}
+		for _, f := range entry.Families {
+			if f.Phi.Key() == phiKey {
+				return f
+			}
+		}
+		return nil
+	}
 }
 
 // --- field codecs -----------------------------------------------------

@@ -23,7 +23,7 @@ func warmupOptions() Options {
 func TestWarmupRoundTrip(t *testing.T) {
 	f := newFixture(t, 30000, warmupOptions())
 	for _, src := range cacheQueries {
-		if _, err := f.rt.Run(parse(t, src)); err != nil {
+		if _, err := answer(f.rt, parse(t, src)); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 	}
@@ -31,7 +31,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	// AND result caches hot).
 	warm := map[string]*Response{}
 	for _, src := range cacheQueries {
-		resp, err := f.rt.Run(parse(t, src))
+		resp, err := answer(f.rt, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -57,7 +57,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	// Replayed parameters: served from the restored result cache,
 	// bit-identical to the never-restarted runtime's warm answers.
 	for _, src := range cacheQueries {
-		resp, err := cold.Run(parse(t, src))
+		resp, err := answer(cold, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q after import: %v", src, err)
 		}
@@ -77,11 +77,11 @@ func TestWarmupRoundTrip(t *testing.T) {
 		`SELECT AVG(time) FROM sessions WHERE city = 'city3' ERROR WITHIN 25%`,
 		`SELECT SUM(time) FROM sessions WHERE city = 'city5' OR os = 'OSX' ERROR WITHIN 20%`,
 	} {
-		want, err := f.rt.Run(parse(t, src))
+		want, err := answer(f.rt, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q live: %v", src, err)
 		}
-		got, err := cold.Run(parse(t, src))
+		got, err := answer(cold, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q restored: %v", src, err)
 		}
@@ -99,7 +99,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 func TestWarmupStaleEpochSkipped(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions())
 	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := answer(f.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	blob := f.rt.ExportWarmup()
@@ -134,7 +134,7 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions())
 	srcs := cacheQueries[:3]
 	for _, src := range srcs {
-		if _, err := f.rt.Run(parse(t, src)); err != nil {
+		if _, err := answer(f.rt, parse(t, src)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,11 +151,11 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 		// correct answers (or miss and re-execute).
 		want := New(f.cat, f.clus, Options{})
 		for _, src := range srcs {
-			got, err := cold.Run(parse(t, src))
+			got, err := answer(cold, parse(t, src))
 			if err != nil {
 				t.Fatalf("off %d %q: %v", off, src, err)
 			}
-			ref, err := want.Run(parse(t, src))
+			ref, err := answer(want, parse(t, src))
 			if err != nil {
 				t.Fatal(err)
 			}

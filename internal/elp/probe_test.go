@@ -278,7 +278,8 @@ func TestCountProbesDecideLikeFullProbes(t *testing.T) {
 			src = strings.Replace(src, "001'", "019'", 1)
 		}
 		q := parse(t, src)
-		pq, err := f.Prepare(q)
+		key, params := sqlparser.Normalize(q)
+		pq, err := f.prepare(context.Background(), q, key, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,11 +336,11 @@ func TestConcurrentProbesWholePipeline(t *testing.T) {
 	one := newExploreFixture(t, 60000, Options{Workers: 1})
 	many := newExploreFixture(t, 60000, Options{Workers: 8, PlanCacheSize: 256, ResultCacheSize: 1024})
 	for _, src := range exploreTemplates() {
-		want, err := one.Run(parse(t, src))
+		want, err := answer(one, parse(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := many.Run(parse(t, src))
+		got, err := answer(many, parse(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,12 +389,12 @@ func waitGoroutines(t *testing.T, baseline int) {
 // complete answer — never a partial one — leaves no goroutine behind, and
 // never caches a half-prepared template: a cancel during the probes
 // caches nothing, and a cancel after them (during the final read) leaves a
-// PreparedQuery that answers exactly like an uncancelled one.
+// prepared template that answers exactly like an uncancelled one.
 func TestProbeCancellation(t *testing.T) {
 	f := newExploreFixture(t, 60000, Options{Workers: 2, PlanCacheSize: 16, ResultCacheSize: 16})
 	const src = `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE os = 'os001' AND dt < 700 GROUP BY device WITHIN 2 SECONDS`
 	ref := newExploreFixture(t, 60000, Options{Workers: 2})
-	want, err := ref.Run(parse(t, src))
+	want, err := answer(ref, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestProbeCancellation(t *testing.T) {
 		ctx := &countdownCtx{Context: context.Background()}
 		ctx.left.Store(checks)
 		before := f.Stats()
-		resp, err := f.RunCtxTraced(ctx, parse(t, src), nil)
+		resp, err := answerTraced(ctx, f, parse(t, src), nil)
 		waitGoroutines(t, baseline)
 		d := f.Stats().Delta(before)
 		if err == nil {
@@ -430,13 +431,15 @@ func TestProbeCancellation(t *testing.T) {
 			// Cancelled during the final read: the template was fully
 			// prepared first, so it must serve the reference answer.
 			afterProbe++
-			got, err := f.Execute(pq, parse(t, src))
+			q := parse(t, src)
+			_, params := sqlparser.Normalize(q)
+			got, err := f.execute(context.Background(), pq, q, params, nil, nil)
 			if err != nil || len(pq.disjuncts) != 1 || len(pq.disjuncts[0].famDec.Probed) != 4 ||
 				!reflect.DeepEqual(got.Result, want.Result) {
 				t.Fatalf("cancel at check %d: cached a template that does not answer like a clean one (err %v)", checks, err)
 			}
 			// Keep every pass cold.
-			f.cache.Sweep(func(string, *PreparedQuery) bool { return false })
+			f.cache.Sweep(func(string, *prepared) bool { return false })
 		}
 	}
 	if midProbe == 0 || afterProbe == 0 {
@@ -526,7 +529,7 @@ func TestProbeOncePerFamilyView(t *testing.T) {
 		t.Helper()
 		before := f.rt.Stats()
 		tr := telemetry.New("q")
-		resp, err := f.rt.RunCtxTraced(context.Background(), parse(t, src), tr)
+		resp, err := answerTraced(context.Background(), f.rt, parse(t, src), tr)
 		tr.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -586,7 +589,7 @@ func TestUniformFamilyReasonLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := New(cat, cluster.New(cluster.PaperConfig()), Options{})
-	resp, err := rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err := answer(rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,11 @@ func TestResultCacheBitIdentity(t *testing.T) {
 	f, ref := resultRuntimes(t, 30000)
 	for _, src := range cacheQueries {
 		for rep := 0; rep < 3; rep++ {
-			want, err := ref.Run(parse(t, src))
+			want, err := answer(ref, parse(t, src))
 			if err != nil {
 				t.Fatalf("%q rep %d (ref): %v", src, rep, err)
 			}
-			got, err := f.rt.Run(parse(t, src))
+			got, err := answer(f.rt, parse(t, src))
 			if err != nil {
 				t.Fatalf("%q rep %d: %v", src, rep, err)
 			}
@@ -105,11 +105,11 @@ func TestResultCacheBitIdentity(t *testing.T) {
 func TestResultCacheHitSkipsAllWork(t *testing.T) {
 	f, _ := resultRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := answer(f.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
-	resp, err := f.rt.Run(parse(t, src))
+	resp, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestResultCacheHitSkipsAllWork(t *testing.T) {
 	// New constant, same template: result miss, plan hit, exactly one
 	// executor run (the chosen view scan), zero probes.
 	before = after
-	resp, err = f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
+	resp, err = answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions WHERE genre = 'drama' ERROR WITHIN 25%`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestResultCacheHitSkipsAllWork(t *testing.T) {
 func TestResultCacheCopyOnReturn(t *testing.T) {
 	f, _ := resultRuntimes(t, 20000)
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	first, err := f.rt.Run(parse(t, src))
+	first, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestResultCacheCopyOnReturn(t *testing.T) {
 	first.Decisions[0].Reason = "vandalized"
 	first.SimLatency = -1
 
-	second, err := f.rt.Run(parse(t, src))
+	second, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +187,15 @@ func TestResultCacheCopyOnReturn(t *testing.T) {
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	f, ref := resultRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
-	if _, err := f.rt.Run(parse(t, src)); err != nil {
+	if _, err := answer(f.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	// A second warm answer that will NOT be re-queried: the sweep must
 	// still purge it.
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
+	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ := f.rt.Run(parse(t, src)); resp.ResultCache != "hit" {
+	if resp, _ := answer(f.rt, parse(t, src)); resp.ResultCache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.ResultCache)
 	}
 	if got := f.rt.results.Len(); got != 2 {
@@ -221,14 +221,14 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := f.rt.Run(parse(t, src))
+	got, err := answer(f.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ResultCache != "miss" {
 		t.Fatalf("post-refresh query served a stale answer: %q, want miss", got.ResultCache)
 	}
-	want, err := ref.Run(parse(t, src))
+	want, err := answer(ref, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	// invocations (same dataset: newFixture is deterministic).
 	twin := newFixture(t, 20000, Options{PlanCacheSize: 64, ResultCacheSize: 64})
 	const src = `SELECT AVG(time) FROM sessions WHERE genre = 'western' GROUP BY os ERROR WITHIN 25%`
-	want, err := twin.rt.Run(parse(t, src))
+	want, err := answer(twin.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			responses[g], errs[g] = f.rt.Run(parse(t, src))
+			responses[g], errs[g] = answer(f.rt, parse(t, src))
 		}(g)
 	}
 	close(start)
@@ -357,17 +357,17 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 			<-started
 
 			tr := telemetry.New("waiter")
-			var frames []Refinement
+			var frames []refinement
 			var resp *Response
 			var err error
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
 				if sink == "run" {
-					resp, err = f.rt.RunCtxTraced(context.Background(), parse(t, src), tr)
+					resp, err = answerTraced(context.Background(), f.rt, parse(t, src), tr)
 					return
 				}
-				err = f.rt.RunStreamTraced(context.Background(), parse(t, src), tr, func(r Refinement) error {
+				err = streamQuery(context.Background(), f.rt, parse(t, src), tr, func(r refinement) error {
 					frames = append(frames, r)
 					return nil
 				})
@@ -397,7 +397,7 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 			if resp.ResultCache != "miss" {
 				t.Errorf("%s: ResultCache = %q, want the waiter's own miss", name, resp.ResultCache)
 			}
-			want, err := ref.Run(parse(t, src))
+			want, err := answer(ref, parse(t, src))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,7 +425,7 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 	q := parse(t, src)
 	key, params := sqlparser.Normalize(q)
 	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-	if _, err := f.rt.Run(q); err != nil { // warms the cache
+	if _, err := answer(f.rt, q); err != nil { // warms the cache
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
@@ -458,7 +458,7 @@ func TestResultCacheConcurrentMixedKeysWithRefresh(t *testing.T) {
 	}
 	wants := make([]*Response, len(srcs))
 	for i, src := range srcs {
-		w, err := ref.Run(parse(t, src))
+		w, err := answer(ref, parse(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestResultCacheConcurrentMixedKeysWithRefresh(t *testing.T) {
 			defer queriers.Done()
 			for i := 0; i < 15; i++ {
 				k := (i + g) % len(srcs)
-				resp, err := f.rt.Run(parse(t, srcs[k]))
+				resp, err := answer(f.rt, parse(t, srcs[k]))
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %v", g, err)
 					return

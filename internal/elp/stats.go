@@ -1,7 +1,9 @@
 package elp
 
+import "maps"
+
 // Stats is a point-in-time snapshot of the runtime's serving counters,
-// the observability surface for the prepare/execute pipeline (consumed by
+// the observability surface for the query pipeline (consumed by
 // Engine.Stats, the benchmark's layer table and the concurrency tests).
 // All counters are cumulative since the runtime was created; use Delta to
 // measure an interval between two snapshots.
@@ -18,7 +20,7 @@ type Stats struct {
 	// executions — N cheap counts and one full pass — not N. The plan
 	// cache exists to amortize exactly these.
 	ProbeExecs int64
-	// Prepares counts Prepare calls: template compilations with their
+	// Prepares counts template preparations: compilations with their
 	// probe+profile work. With the cache on, this is the cold-path count.
 	Prepares int64
 	// CacheHits / CacheMisses count plan-cache outcomes. A stale entry
@@ -50,28 +52,22 @@ type Stats struct {
 	AnswersByLevel map[int]int64
 }
 
-// statCounters is the runtime's live counter block, guarded as a unit by
-// Runtime.statMu so snapshots are internally consistent (no torn
-// hits/misses pairs). Field meanings mirror Stats.
-type statCounters struct {
-	planExecs      int64
-	probeExecs     int64
-	prepares       int64
-	cacheHits      int64
-	cacheMisses    int64
-	resultHits     int64
-	resultMisses   int64
-	resultShared   int64
-	cancelled      int64
-	answersByLevel map[int]int64
-}
-
 // bump increments one counter under the stats mutex. Call sites pass a
-// pointer to the field (`rt.bump(&rt.stats.cacheHits)`); computing the
+// pointer to the field (`rt.bump(&rt.stats.CacheHits)`); computing the
 // field address outside the lock is safe — only the write is guarded.
 func (rt *Runtime) bump(counter *int64) {
 	rt.statMu.Lock()
 	*counter++
+	rt.statMu.Unlock()
+}
+
+// countExec counts one executor run, and an ELP probe when probe is set.
+func (rt *Runtime) countExec(probe bool) {
+	rt.statMu.Lock()
+	rt.stats.PlanExecs++
+	if probe {
+		rt.stats.ProbeExecs++
+	}
 	rt.statMu.Unlock()
 }
 
@@ -124,34 +120,18 @@ func (s Stats) Delta(prev Stats) Stats {
 // Stats returns a consistent snapshot of the runtime's counters: all
 // fields are copied under one mutex, so ratios like HitRate never mix a
 // hits value from one moment with a misses value from another. Safe for
-// concurrent use with Run/Prepare/Execute.
+// concurrent use with Run.
 func (rt *Runtime) Stats() Stats {
 	rt.statMu.Lock()
 	defer rt.statMu.Unlock()
-	s := Stats{
-		PlanExecs:    rt.stats.planExecs,
-		ProbeExecs:   rt.stats.probeExecs,
-		Prepares:     rt.stats.prepares,
-		CacheHits:    rt.stats.cacheHits,
-		CacheMisses:  rt.stats.cacheMisses,
-		ResultHits:   rt.stats.resultHits,
-		ResultMisses: rt.stats.resultMisses,
-		ResultShared: rt.stats.resultShared,
-		Cancelled:    rt.stats.cancelled,
-	}
-	s.AnswersByLevel = make(map[int]int64, len(rt.stats.answersByLevel))
-	for k, v := range rt.stats.answersByLevel {
-		s.AnswersByLevel[k] = v
-	}
+	s := rt.stats
+	s.AnswersByLevel = maps.Clone(s.AnswersByLevel)
 	return s
 }
 
 // recordLevel counts one served answer at a resolution level (-1 base).
 func (rt *Runtime) recordLevel(level int) {
 	rt.statMu.Lock()
-	if rt.stats.answersByLevel == nil {
-		rt.stats.answersByLevel = make(map[int]int64)
-	}
-	rt.stats.answersByLevel[level]++
+	rt.stats.AnswersByLevel[level]++
 	rt.statMu.Unlock()
 }

@@ -1,117 +1,94 @@
 package elp
 
-// Streaming-refinement query sessions (the serving-side face of §4.4).
+// The ELP loop: one walk per disjunct up its family's resolutions (§4.2,
+// §4.4).
 //
-// A family stores its resolutions as non-overlapping delta block sets, so
-// a query that will finally be answered at resolution F has a natural
-// chain of cheaper answers along the way: the probe resolution pv, then
-// pv+1, …, F−1, each adding one delta's worth of blocks. RunStreamTraced
-// walks that chain and emits one Refinement per level, so a client sees a
-// first (coarse, wide-bound) answer long before the final one.
+// A family stores its resolutions as non-overlapping deltas, so a disjunct
+// answered at resolution F passes cheaper answers on the way: the probe's
+// resolution pv, then pv+1, …, F. A cursor walks them. It holds the
+// disjunct's exec.Chain and last answer, and advance(level) folds in the
+// deltas the chain has not read and finalizes it at the level's cap (rows
+// are keyed by stratum frequency and weighed only then). One advance serves
+// the probe, each §4.2 escalation, each streamed refinement and the final
+// read, so an execution reads every delta once — and the probe's levels not
+// at all when its parameters are the ones the template was prepared with.
 //
-// # Refinements fold deltas
-//
-// Each refinement folds one more delta into the session's chain
-// (exec.Chain) and finalizes it at the level's cap. A row's class is keyed
-// by its stratum frequency and weighed only at finalize, so what was
-// folded for level ℓ is still right at ℓ+1: the session reads every delta
-// once — the probe's levels not at all when its parameters are Prepare's —
-// and each refinement's SimLatency is the delta-priced cumulative cost,
-// monotonically approaching the final's.
-//
-// # Bit-identity of the final refinement
-//
-// The final refinement does not take a special path: it is the same
-// chooseConjunctive/readAt pair the non-streaming Execute runs, continuing
-// the chain the refinements built — a chain extended to a level answers
-// bit for bit as a scan of that level's view does — with the same merge
-// and LIMIT handling, so it is DeepEqual (including latencies and cache
-// markers) to what Run would have returned. Intermediate refinements add
-// executor invocations (visible in Stats.PlanExecs) but never perturb the
-// final answer; when the chain has a single step (result-cache hit,
-// singleflight share, exact template, probe already at the final level),
-// the stream degrades to exactly one final refinement.
+// A stop rule says where a walk goes: at prepare, the probe escalates one
+// level at a time until it carries signal (prepareConjunctive); at execute,
+// to stopRule's level, in one step without an emitter and one level per
+// step with one. Every step is a complete answer priced by decisionAt, and
+// the last is the same either way: a streamed final is DeepEqual to the
+// answer without an emitter, latencies and cache markers included.
 
 import (
 	"context"
 	"fmt"
 
+	"blinkdb/internal/catalog"
 	"blinkdb/internal/exec"
+	"blinkdb/internal/sample"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/telemetry"
 	"blinkdb/internal/types"
 )
 
-// Refinement is one streamed answer of a refinement session. Non-final
-// refinements are intermediate answers at coarser resolutions; the final
-// refinement is bit-identical to the non-streaming Run response.
-type Refinement struct {
-	// Resp is the full response at this refinement's resolution. Callers
-	// must treat it as read-only: results may be shared with the prepared
-	// probe and the runtime's caches.
-	Resp *Response
-	// Level is the sample resolution that produced this refinement (max
-	// across disjuncts; -1 = base table).
-	Level int
-	// Seq numbers refinements from 0 within the session.
-	Seq int
-	// Final marks the last refinement of the session.
-	Final bool
+// cursor is one walk's place: the chain of its family's deltas folded so
+// far, and the answer at the last level read (-1: the base table).
+type cursor struct {
+	plan  *exec.Plan
+	joins []exec.JoinSpec
+	entry *catalog.Entry
+	fam   *sample.Family // nil: the base table is the only level
+	conf  float64
+	probe bool // reads are ELP probes (Stats.ProbeExecs)
+
+	chain *exec.Chain
+	res   *exec.Result
+	level int
 }
 
-// midEmitter receives one intermediate (pre-final) refinement response.
-type midEmitter func(resp *Response, level int) error
-
-// RunStreamTraced executes q as a streaming-refinement session: emit is
-// called once per refinement, in order, ending with exactly one Final
-// refinement. An emit error aborts the session and is returned.
-// A session that cannot refine (result-cache hit, singleflight share,
-// exact template, single-level chain) emits exactly one final
-// refinement, so emit is always called at least once on success.
-// Cancellation follows RunCtxTraced: ctx is checked between
-// refinements and inside scans. It is the same run as RunCtxTraced — one
-// body, with a refinement sink — so tr (which may be nil) sees the same
-// spans plus a "refinement N" span (note level=L, final on the last) per
-// refinement under the execute span, ordering first-answer vs
-// final-answer, and the completed session is observed against its template
-// key exactly like a non-streaming Run (one Observation, final answer's
-// accounting).
-func (rt *Runtime) RunStreamTraced(ctx context.Context, q *sqlparser.Query, tr *telemetry.Trace, emit func(Refinement) error) error {
-	seq := 0
-	final, err := rt.run(ctx, q, tr, func(resp *Response, level int) error {
-		r := Refinement{Resp: resp, Level: level, Seq: seq}
-		seq++
-		return emit(r)
-	})
+// advance moves c to level (levels never decrease along a walk) and returns
+// the answer there, reading nothing when c is already there. Level -1 reads
+// the base table; any other folds the deltas c's chain has not read into it,
+// answering bit for bit as a scan of the level's view would (exec.Chain).
+func (rt *Runtime) advance(ctx context.Context, c *cursor, level int, sp *telemetry.Span) (*exec.Result, error) {
+	if c.res != nil && c.level == level {
+		return c.res, nil
+	}
+	var res *exec.Result
+	var err error
+	if level < 0 {
+		res, err = rt.runPlan(ctx, c.plan, exec.FromTable(c.entry.Table), c.conf, c.joins, c.probe, sp)
+	} else {
+		if c.chain == nil {
+			c.chain = exec.NewChain(c.plan, c.joins)
+		}
+		in := exec.FromDelta(c.fam.View(level), c.chain.Level()).Pruned(c.plan)
+		res, err = rt.extend(ctx, c.chain, in, c.conf, c.probe, sp)
+	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return emit(Refinement{Resp: final, Level: responseLevel(final), Seq: seq, Final: true})
+	c.res, c.level = res, level
+	return res, nil
 }
 
-// responseLevel is the resolution a response was served at: the max level
-// across its decisions, -1 when any disjunct used the base table.
-func responseLevel(resp *Response) int {
-	level := 0
-	for _, d := range resp.Decisions {
-		if d.UsedBase {
-			return -1
-		}
-		if d.View.Level > level {
-			level = d.View.Level
-		}
-	}
-	return level
+// walk is one disjunct's part of an execution: its cursor, its prepared
+// probe, the level its stop rule chose (-1: the base table) and the
+// decision the rule made on the way.
+type walk struct {
+	cursor
+	pd  *prepDisjunct
+	to  int
+	dec Decision
 }
 
-// streamParams executes a prepared query, streaming intermediate
-// refinements through emitMid when non-nil: per disjunct the §4.4 level
-// chain pv.Level..final−1, aligned across disjuncts (a disjunct whose chain
-// is exhausted contributes its final-level answer, a base-table disjunct
-// its one answer). Every refinement is a complete, well-formed response;
-// the final one — the returned Response — is the emitMid==nil path's, bit
-// for bit.
-func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlparser.Query, params []types.Value, sp *telemetry.Span, emitMid midEmitter) (*Response, error) {
+// execute answers q from prepared state: each disjunct's stop rule picks a
+// level from the probe, then the walks step there together — in one step
+// without emit, one level per step with it, each step but the last handed
+// to emit with its level (the max across disjuncts). The last step's
+// Response is returned, the same with emit or without.
+func (rt *Runtime) execute(ctx context.Context, pq *prepared, q *sqlparser.Query, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, error) {
 	bsp := sp.Child("bind+scan")
 	defer bsp.End()
 	plan := pq.prepPlan
@@ -123,46 +100,28 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 		}
 	}
 	conf := rt.confidenceFor(q)
-	paramsEq := sqlparser.ParamsEqual(params, pq.prepParams)
-
+	walks, err := rt.walks(pq, plan, q, params, conf)
+	if err != nil {
+		return nil, err
+	}
 	if pq.exact {
-		res, err := rt.runPlan(ctx, plan, exec.FromTable(pq.entry.Table), conf, pq.joins, bsp)
-		if err != nil {
-			return nil, err
-		}
-		d := Decision{UsedBase: true, Reason: "no bounds: exact execution on base table"}
-		d.ReadLatency = rt.tablePrice(pq.entry) + rt.broadcastCost(pq.joins)
-		rt.recordLevel(-1)
-		return &Response{Result: res, Decisions: []Decision{d}, SimLatency: d.Latency(), Confidence: conf}, nil
+		emit = nil // one answer, the base table's: nothing to refine
 	}
-
-	// §4.1.2: rewrite disjunctions into parallel conjunctive sub-queries.
-	disjuncts := types.SplitDisjuncts(plan.Pred)
-	if len(disjuncts) != len(pq.disjuncts) {
-		return nil, errTemplateMismatch
-	}
-	subs := make([]*exec.Plan, len(disjuncts))
-	lcs := make([]levelChoice, len(disjuncts))
-	steps := 0 // intermediate refinements: the most levels a disjunct climbs past its probe's
-	for i, pred := range disjuncts {
-		subs[i] = plan.WithPred(pred)
-		lcs[i] = rt.chooseConjunctive(pq, pq.disjuncts[i], subs[i], q, conf)
-		if lcs[i].level >= 0 {
-			steps = max(steps, lcs[i].level-pq.disjuncts[i].pv.Level)
+	steps := 0 // refinements: the most levels a walk climbs past its probe's
+	if emit != nil {
+		for _, w := range walks {
+			if w.to >= 0 {
+				steps = max(steps, w.to-w.pd.pv.Level)
+			}
 		}
 	}
-	if emitMid == nil {
-		steps = 0 // not streaming: one final refinement
-	}
-
-	reads := make([]read, len(subs))
 	for step := 0; ; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		final := step == steps
 		scanSp, rsp := bsp, (*telemetry.Span)(nil)
-		if bsp != nil && emitMid != nil {
+		if bsp != nil && emit != nil {
 			name := "refinement final"
 			if !final {
 				name = fmt.Sprintf("refinement %d", step)
@@ -170,28 +129,29 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 			rsp = bsp.Child(name)
 			scanSp = rsp
 		}
-		parts := make([]*exec.Result, len(subs))
-		decs := make([]Decision, len(subs))
+		parts := make([]*exec.Result, len(walks))
+		decs := make([]Decision, len(walks))
 		stepLevel := -1
-		for i, lc := range lcs {
-			pd, level := pq.disjuncts[i], lc.level
-			if level >= 0 && !final {
-				level = min(level, pd.pv.Level+step)
+		for i := range walks {
+			w := &walks[i]
+			level := w.to
+			if emit != nil && level >= 0 {
+				level = min(level, w.pd.pv.Level+step)
 			}
-			res, err := rt.readAt(ctx, pq, pd, subs[i], conf, paramsEq, &reads[i], level, scanSp)
+			res, err := rt.advance(ctx, &w.cursor, level, scanSp)
 			if err != nil {
 				rsp.End()
 				return nil, err
 			}
-			parts[i], decs[i] = res, rt.refineDecision(pq, pd, subs[i], lc, level, conf)
+			parts[i], decs[i] = res, rt.decisionAt(w, level)
 			stepLevel = max(stepLevel, level)
 		}
 		resp := respond(plan, parts, decs, conf)
 		if final {
 			rsp.Note("final")
 			rsp.End()
-			for _, lc := range lcs {
-				rt.recordLevel(lc.level)
+			for _, w := range walks {
+				rt.recordLevel(w.to)
 			}
 			return resp, nil
 		}
@@ -199,10 +159,124 @@ func (rt *Runtime) streamParams(ctx context.Context, pq *PreparedQuery, q *sqlpa
 			rsp.Note(fmt.Sprintf("level=%d", stepLevel))
 		}
 		rsp.End()
-		if err := emitMid(resp, stepLevel); err != nil {
+		if err := emit(resp, stepLevel); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// walks starts one walk per disjunct of q (§4.1.2), or one on the base
+// table for an exact template. With the parameters pq was prepared with, a
+// walk starts at the probe's answer and continues its chain (§4.4).
+func (rt *Runtime) walks(pq *prepared, plan *exec.Plan, q *sqlparser.Query, params []types.Value, conf float64) ([]walk, error) {
+	base := cursor{plan: plan, joins: pq.joins, entry: pq.entry, conf: conf}
+	if pq.exact {
+		return []walk{{cursor: base, to: -1, dec: Decision{Reason: "no bounds: exact execution on base table"}}}, nil
+	}
+	// §4.1.2: rewrite disjunctions into parallel conjunctive sub-queries.
+	preds := types.SplitDisjuncts(plan.Pred)
+	if len(preds) != len(pq.disjuncts) {
+		return nil, errTemplateMismatch
+	}
+	paramsEq := sqlparser.ParamsEqual(params, pq.prepParams)
+	walks := make([]walk, len(preds))
+	for i, pred := range preds {
+		pd, w := pq.disjuncts[i], &walks[i]
+		w.cursor, w.pd = base, pd
+		w.plan, w.fam = plan.WithPred(pred), pd.fam
+		w.dec, w.to = rt.stopRule(pq, pd, w.plan, q)
+		if paramsEq && pd.fam != nil {
+			w.res, w.level = pd.probe, pd.pv.Level
+			if w.to > pd.pv.Level {
+				w.chain = pd.chain.Swap(nil)
+			}
+		}
+	}
+	return walks, nil
+}
+
+// stopRule is §4.2 resolution selection for one disjunct from its probe:
+// the error bound's row requirement (levelForRows) under the time bound's
+// cap (levelForTime), and at least the probe's level. It returns the
+// decision so far and the level to answer at: -1, the base table, with no
+// samples or an error bound the samples cannot meet and no time bound.
+func (rt *Runtime) stopRule(pq *prepared, pd *prepDisjunct, plan *exec.Plan, q *sqlparser.Query) (Decision, int) {
+	dec := pd.famDec // copy; Probed slice is shared and immutable
+	if pd.fam == nil {
+		dec.Reason = "no sample families available: exact execution"
+		return dec, -1
+	}
+	fam, pv, probe := pd.fam, pd.pv, pd.probe
+	if pd.probeLat > dec.ProbeLatency {
+		dec.ProbeLatency = pd.probeLat
+	}
+
+	minLevel := 0 // smallest level satisfying the error bound
+	satisfiable := true
+	if q.Err != nil {
+		if probe.RowsMatched == 0 {
+			// The probe saw no matching rows: no error bound can be
+			// certified from this family.
+			satisfiable = false
+			minLevel = fam.Resolutions() - 1
+			dec.Reason += "; probe matched no rows"
+		} else {
+			need := rt.requiredRows(probe, q.Err)
+			dec.RequiredRows = need
+			minLevel, satisfiable = rt.levelForRows(fam, probe, need, pv)
+		}
+	}
+
+	maxLevel := fam.Resolutions() - 1 // largest level within the time bound
+	if q.Time != nil {
+		maxLevel = rt.levelForTime(pq.entry, fam, plan, q.Time.Seconds, dec.ProbeLatency, pv)
+	}
+
+	level := minLevel
+	switch {
+	case q.Err != nil && q.Time != nil:
+		// Time is a hard bound; deliver the most accurate within it.
+		if minLevel > maxLevel || !satisfiable {
+			level = maxLevel
+		}
+	case q.Err != nil:
+		if !satisfiable {
+			// Even the largest resolution cannot meet the error bound and
+			// no time bound caps the work: fall back to exact execution.
+			dec.Reason += "; largest sample insufficient for error bound" +
+				"; error bound unreachable on samples: exact execution"
+			return dec, -1
+		}
+	case q.Time != nil:
+		level = maxLevel
+	}
+	dec.Reason += fmt.Sprintf("; resolution %d/%d (K=%d)", level, fam.Resolutions()-1, fam.View(level).Cap())
+	// The probe's blocks are already read; answering from at least the
+	// probe's resolution costs nothing extra and can only improve accuracy.
+	return dec, max(level, pv.Level)
+}
+
+// decisionAt is w's decision for its answer at level: the stop rule's, with
+// the read's price — the base table, or the deltas past the probe's level
+// alone (§4.4) — and at a sample level the view and the bound the profile
+// projects there. Short of the stop rule's level it is a streamed
+// refinement, and says so.
+func (rt *Runtime) decisionAt(w *walk, level int) Decision {
+	dec := w.dec
+	if level < 0 {
+		dec.UsedBase = true
+		dec.ReadLatency = rt.tablePrice(w.entry) + rt.broadcastCost(w.joins)
+		return dec
+	}
+	fam, pv := w.pd.fam, w.pd.pv
+	view := fam.View(level)
+	dec.View = view
+	dec.PredictedBound = predictedBound(fam, w.pd.probe, level, pv, w.conf)
+	dec.ReadLatency = rt.readPrice(w.entry, w.plan, view.DeltaBlocks(pv)) + rt.broadcastCost(w.joins)
+	if level < w.to {
+		dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
+	}
+	return dec
 }
 
 // respond merges the disjuncts' answers into one Response (§4.1.2): LIMIT
@@ -223,26 +297,4 @@ func respond(plan *exec.Plan, parts []*exec.Result, decs []Decision, conf float6
 		}
 	}
 	return &Response{Result: merged, Decisions: decs, SimLatency: simLatency, Confidence: conf}
-}
-
-// refineDecision derives a refinement's Decision from the final level
-// choice: same probe accounting, but the view, projected bound and
-// delta-priced read latency of the refinement's level. The cumulative
-// ReadLatency (delta blocks pv..level) grows monotonically toward the
-// final decision's, mirroring what a client progressively pays. At the
-// disjunct's final level the final Decision is reported verbatim.
-func (rt *Runtime) refineDecision(pq *PreparedQuery, pd *prepDisjunct, plan *exec.Plan,
-	lc levelChoice, level int, conf float64) Decision {
-
-	if level < 0 || level == lc.level {
-		return lc.dec
-	}
-	fam, pv, probe := pd.fam, pd.pv, pd.probe
-	dec := lc.dec
-	view := fam.View(level)
-	dec.View = view
-	dec.PredictedBound = predictedBound(fam, probe, level, pv, conf)
-	dec.ReadLatency = rt.readPrice(pq.entry, plan, view.DeltaBlocks(pv)) + rt.broadcastCost(pq.joins)
-	dec.Reason += fmt.Sprintf("; streaming refinement at resolution %d/%d (K=%d)", level, fam.Resolutions()-1, view.Cap())
-	return dec
 }

@@ -15,17 +15,59 @@ import (
 	"blinkdb/internal/telemetry"
 )
 
+// refinement is one answer of a streaming session: each refinement Run
+// emits, then the final answer it returns.
+type refinement struct {
+	Resp *Response
+	// Level is the sample resolution that produced it (max across
+	// disjuncts; -1 = base table).
+	Level int
+	// Seq numbers the session's answers from 0.
+	Seq   int
+	Final bool
+}
+
+// streamQuery runs q as a streaming session, handing emit each refinement
+// in order and then the final answer. An emit error aborts the session and
+// is returned.
+func streamQuery(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace, emit func(refinement) error) error {
+	seq := 0
+	final, err := runQuery(ctx, rt, q, tr, func(resp *Response, level int) error {
+		seq++
+		return emit(refinement{Resp: resp, Level: level, Seq: seq - 1})
+	})
+	if err != nil {
+		return err
+	}
+	return emit(refinement{Resp: final, Level: responseLevel(final), Seq: seq, Final: true})
+}
+
+// responseLevel is the resolution a response was served at: the max level
+// across its decisions, -1 when any disjunct used the base table.
+func responseLevel(resp *Response) int {
+	level := 0
+	for _, d := range resp.Decisions {
+		if d.UsedBase {
+			return -1
+		}
+		if d.View.Level > level {
+			level = d.View.Level
+		}
+	}
+	return level
+}
+
 // collect runs q as a streaming session and returns every refinement.
-func collect(t *testing.T, rt *Runtime, q *sqlparser.Query) []Refinement {
+func collect(t *testing.T, rt *Runtime, q *sqlparser.Query) []refinement {
 	t.Helper()
 	return collectTraced(t, rt, q, nil)
 }
 
 // collectTraced is collect recording into tr (nil: untraced).
-func collectTraced(t *testing.T, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace) []Refinement {
+func collectTraced(t *testing.T, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace) []refinement {
 	t.Helper()
-	var refs []Refinement
-	if err := rt.RunStreamTraced(context.Background(), q, tr, func(r Refinement) error {
+	var refs []refinement
+	if err := streamQuery(context.Background(), rt, q, tr, func(r refinement) error {
 		refs = append(refs, r)
 		return nil
 	}); err != nil {
@@ -39,7 +81,7 @@ func collectTraced(t *testing.T, rt *Runtime, q *sqlparser.Query, tr *telemetry.
 
 // checkSession validates the frame invariants every session must hold:
 // contiguous sequence numbers, exactly one final refinement, and it last.
-func checkSession(t *testing.T, refs []Refinement) {
+func checkSession(t *testing.T, refs []refinement) {
 	t.Helper()
 	finals := 0
 	for i, r := range refs {
@@ -88,7 +130,7 @@ func TestStreamFinalBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			forKernels(t, func(t *testing.T) {
 				stream, serial := build(tc.join), build(tc.join)
-				want, err := serial.rt.Run(parse(t, tc.src))
+				want, err := answer(serial.rt, parse(t, tc.src))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +214,7 @@ func TestStreamRefinementChain(t *testing.T) {
 func TestStreamResultCacheHitSingleFinal(t *testing.T) {
 	f, _ := resultRuntimes(t, 20000)
 	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := answer(f.rt, parse(t, q)); err != nil {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
@@ -206,7 +248,7 @@ func TestStreamStampede(t *testing.T) {
 	oneColdRun := twin.rt.Stats()
 
 	const goroutines = 8
-	sessions := make([][]Refinement, goroutines)
+	sessions := make([][]refinement, goroutines)
 	errs := make([]error, goroutines)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -215,7 +257,7 @@ func TestStreamStampede(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			errs[g] = f.rt.RunStreamTraced(context.Background(), parse(t, src), nil, func(r Refinement) error {
+			errs[g] = streamQuery(context.Background(), f.rt, parse(t, src), nil, func(r refinement) error {
 				sessions[g] = append(sessions[g], r)
 				return nil
 			})
@@ -258,14 +300,14 @@ func TestStreamDoesNotPerturbNonStreaming(t *testing.T) {
 	pure := newFixture(t, 20000, Options{})
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
 	collect(t, mixed.rt, parse(t, src))
-	got, err := mixed.rt.Run(parse(t, src))
+	got, err := answer(mixed.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pure.rt.Run(parse(t, src)); err != nil {
+	if _, err := answer(pure.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
-	want, err := pure.rt.Run(parse(t, src))
+	want, err := answer(pure.rt, parse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +327,9 @@ func TestStreamDoesNotPerturbNonStreaming(t *testing.T) {
 func TestStreamSpanOrdering(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
 	tr := telemetry.New("stream")
-	err := f.rt.RunStreamTraced(context.Background(), parse(t,
+	err := streamQuery(context.Background(), f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`), tr,
-		func(Refinement) error { return nil })
+		func(refinement) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +362,10 @@ func TestStreamCancelBetweenRefinements(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var got []Refinement
-	err := f.rt.RunStreamTraced(ctx, parse(t,
+	var got []refinement
+	err := streamQuery(ctx, f.rt, parse(t,
 		`SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`), nil,
-		func(r Refinement) error {
+		func(r refinement) error {
 			got = append(got, r)
 			cancel()
 			return nil
@@ -350,8 +392,8 @@ func TestStreamAlreadyCancelled(t *testing.T) {
 	f := newFixture(t, 5000, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := f.rt.RunStreamTraced(ctx, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`), nil,
-		func(Refinement) error {
+	err := streamQuery(ctx, f.rt, parse(t, `SELECT COUNT(*) FROM sessions ERROR WITHIN 10%`), nil,
+		func(refinement) error {
 			t.Error("emit called despite dead context")
 			return nil
 		})
@@ -402,15 +444,15 @@ func TestSessionReadsEachDeltaOnce(t *testing.T) {
 		for i, city := range []int{1, 2} {
 			q := fmt.Sprintf(src, city)
 			tr := telemetry.New("stream")
-			var refs []Refinement
-			if err := f.rt.RunStreamTraced(context.Background(), parse(t, q), tr, func(r Refinement) error {
+			var refs []refinement
+			if err := streamQuery(context.Background(), f.rt, parse(t, q), tr, func(r refinement) error {
 				refs = append(refs, r)
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 			tr.Finish()
-			want, err := serial.rt.Run(parse(t, q))
+			want, err := answer(serial.rt, parse(t, q))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/telemetry"
@@ -51,7 +52,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10% AT CONFIDENCE 95%`)
 
 	cold := telemetry.New("query")
-	if _, err := f.rt.RunCtxTraced(context.Background(), q, cold); err != nil {
+	if _, err := answerTraced(context.Background(), f.rt, q, cold); err != nil {
 		t.Fatal(err)
 	}
 	cold.Finish()
@@ -75,7 +76,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	}
 
 	warm := telemetry.New("query")
-	if _, err := f.rt.RunCtxTraced(context.Background(), q, warm); err != nil {
+	if _, err := answerTraced(context.Background(), f.rt, q, warm); err != nil {
 		t.Fatal(err)
 	}
 	warm.Finish()
@@ -95,11 +96,11 @@ func TestTraceSpanStructure(t *testing.T) {
 // the result cache but hits the plan cache (no probes, no prepare).
 func TestPlanCacheHitTrace(t *testing.T) {
 	f := newFixture(t, 20000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`)); err != nil {
+	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`)); err != nil {
 		t.Fatal(err)
 	}
 	tr := telemetry.New("query")
-	if _, err := f.rt.RunCtxTraced(context.Background(), parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr); err != nil {
+	if _, err := answerTraced(context.Background(), f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`), tr); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -115,14 +116,28 @@ func TestPlanCacheHitTrace(t *testing.T) {
 	}
 }
 
+// observe answers q and records it into reg the way a caller does: keyed
+// by template, timed on the caller's clock.
+func observe(t *testing.T, rt *Runtime, reg *telemetry.Registry, q *sqlparser.Query, tr *telemetry.Trace) *Response {
+	t.Helper()
+	started := time.Now()
+	resp, err := answerTraced(context.Background(), rt, q, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _ := sqlparser.Normalize(q)
+	reg.Observe(key, ObservationFor(resp, time.Since(started).Seconds()))
+	return resp
+}
+
 // TestTelemetryOnOffBitIdentical replays the same query sequence through
-// two identically-built runtimes, one with a telemetry registry and a
-// trace on every query, one with neither, and requires deeply equal
-// responses — including SimLatency — on every query. This is the
-// disabled-path guarantee: observing a query never changes its answer.
+// two identically-built runtimes, one traced and observed into a registry
+// on every query, one neither, and requires deeply equal responses —
+// including SimLatency — on every query. This is the disabled-path
+// guarantee: observing a query never changes its answer.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	on := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8, Telemetry: reg})
+	on := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 	off := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 
 	queries := []string{
@@ -134,12 +149,9 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	}
 	for _, src := range queries {
 		tr := telemetry.New("query")
-		a, err := on.rt.RunCtxTraced(context.Background(), parse(t, src), tr)
+		a := observe(t, on.rt, reg, parse(t, src), tr)
 		tr.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := off.rt.Run(parse(t, src))
+		b, err := answer(off.rt, parse(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,23 +164,19 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRegistryObservations checks the per-template accounting: bounded
-// templates record positive latency and a positive predicted error
-// half-width; exact templates record a zero bound.
+// TestRegistryObservations checks the per-template accounting of what
+// ObservationFor records: bounded templates record positive latency and a
+// positive predicted error half-width; exact templates record a zero bound.
 func TestRegistryObservations(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	f := newFixture(t, 15000, Options{Telemetry: reg})
+	f := newFixture(t, 15000, Options{})
 
 	bounded := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`
 	exact := `SELECT COUNT(*) FROM sessions`
 	for i := 0; i < 3; i++ {
-		if _, err := f.rt.Run(parse(t, bounded)); err != nil {
-			t.Fatal(err)
-		}
+		observe(t, f.rt, reg, parse(t, bounded), nil)
 	}
-	if _, err := f.rt.Run(parse(t, exact)); err != nil {
-		t.Fatal(err)
-	}
+	observe(t, f.rt, reg, parse(t, exact), nil)
 
 	snap := reg.Snapshot()
 	if len(snap.Templates) != 2 {
@@ -212,7 +220,7 @@ func TestRegistryObservations(t *testing.T) {
 // magnitude is pinned).
 func TestPredictedBoundDecision(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
-	resp, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`))
+	resp, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestPredictedBoundDecision(t *testing.T) {
 		t.Errorf("predicted bound %g wildly off observed %g", d.PredictedBound, obs)
 	}
 
-	exact, err := f.rt.Run(parse(t, `SELECT COUNT(*) FROM sessions`))
+	exact, err := answer(f.rt, parse(t, `SELECT COUNT(*) FROM sessions`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +249,12 @@ func TestPredictedBoundDecision(t *testing.T) {
 func TestStatsDelta(t *testing.T) {
 	f := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 	q := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`
-	if _, err := f.rt.Run(parse(t, q)); err != nil {
+	if _, err := answer(f.rt, parse(t, q)); err != nil {
 		t.Fatal(err)
 	}
 	base := f.rt.Stats()
 	for i := 0; i < 3; i++ {
-		if _, err := f.rt.Run(parse(t, q)); err != nil {
+		if _, err := answer(f.rt, parse(t, q)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +272,7 @@ func TestStatsDelta(t *testing.T) {
 	// A fresh constant executes (plan-cache hit, result-cache miss): its
 	// window must carry exactly one level count.
 	base = f.rt.Stats()
-	if _, err := f.rt.Run(parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`)); err != nil {
+	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city2' ERROR WITHIN 10%`)); err != nil {
 		t.Fatal(err)
 	}
 	d = f.rt.Stats().Delta(base)
@@ -297,7 +305,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 		go func() {
 			defer runners.Done()
 			for i := 0; i < queries; i++ {
-				if _, err := f.rt.Run(parse(t, q)); err != nil {
+				if _, err := answer(f.rt, parse(t, q)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -321,7 +322,8 @@ func TestAblationDeltaReuseNeverSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := rt.Run(q)
+		key, params := sqlparser.Normalize(q)
+		resp, err := rt.Run(context.Background(), q, key, params, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

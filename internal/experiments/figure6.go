@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"blinkdb/internal/baseline"
@@ -115,7 +116,8 @@ func Figure6c(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := rt.Run(q)
+		key, params := sqlparser.Normalize(q)
+		resp, err := rt.Run(context.Background(), q, key, params, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +149,8 @@ func olaComparison(cfg Config, target float64) (blink float64, ola float64, err 
 	if err != nil {
 		return 0, 0, err
 	}
-	resp, err := env.Runtime(MultiDim).Run(q)
+	key, params := sqlparser.Normalize(q)
+	resp, err := env.Runtime(MultiDim).Run(context.Background(), q, key, params, nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -74,7 +75,8 @@ func avgErrorForTemplate(env *Env, st Strategy, tplName string, budget float64) 
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", src, err)
 		}
-		resp, err := rt.Run(q)
+		key, params := sqlparser.Normalize(q)
+		resp, err := rt.Run(context.Background(), q, key, params, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -133,7 +135,8 @@ func Figure7c(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			resp, err := env.Runtime(st).Run(q)
+			key, params := sqlparser.Normalize(q)
+			resp, err := env.Runtime(st).Run(context.Background(), q, key, params, nil, nil)
 			if err != nil {
 				return nil, err
 			}

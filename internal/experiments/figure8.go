@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,7 +35,8 @@ func Figure8a(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", src, err)
 			}
-			resp, err := rt.Run(q)
+			key, params := sqlparser.Normalize(q)
+			resp, err := rt.Run(context.Background(), q, key, params, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -86,7 +88,8 @@ func Figure8b(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", src, err)
 			}
-			resp, err := rt.Run(q)
+			key, params := sqlparser.Normalize(q)
+			resp, err := rt.Run(context.Background(), q, key, params, nil, nil)
 			if err != nil {
 				return nil, err
 			}
