@@ -113,10 +113,10 @@ join cold d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b 
 join hit d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=400187308fd5cbc7 sim=3ff02381100e6c06 digest=87eb8c1dfda6c68c spans=3627ceae37fd8855 execs=1/0/0
 join hit-new d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=400187308fd5cbc7 sim=3ff02381100e6c06 digest=79f0c82d8d473427 spans=3627ceae37fd8855 execs=1/0/0
 join stream d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=400187308fd5cbc7 sim=3ff02381100e6c06 digest=34918c07ae6d1191 spans=0fb54a61d1cec991 execs=3/1/1 refs=[L0:1e817e73a6aee9b3,L1:1220e17cc54a0dfe]
-join-time cold d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=4093b8a5e96c7195 sim=3ff02381100e6c06 digest=5075724806d81cbe spans=87563e2e5444c48c execs=2/1/1
-join-time hit d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=4093b8a5e96c7195 sim=3ff02381100e6c06 digest=efd6be8270a8ca0d spans=3627ceae37fd8855 execs=1/0/0
-join-time hit-new d0=uniform:L1:base=false probe=3fd0000000000000 read=3fe0f666420669b6 pb=40a3b8a5e96c7195 sim=3fe8f666420669b6 digest=3ee4db4bf9d8d7cf spans=47db712256d34ac2 execs=1/0/0
-join-time stream d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84702201cd80b pb=4093b8a5e96c7195 sim=3ff02381100e6c06 digest=7a6ea9b933f1c61c spans=0fb54a61d1cec991 execs=3/1/1 refs=[L0:76347526642c3b63,L1:1ffe8e3f7dcafcae]
+join-time cold d0=uniform:L1:base=false probe=3fd0000000000000 read=3fe0f666420669b6 pb=40a3b8a5e96c7195 sim=3fe8f666420669b6 digest=41944c73f643f54e spans=320881386e9c48f9 execs=2/1/1
+join-time hit d0=uniform:L1:base=false probe=3fd0000000000000 read=3fe0f666420669b6 pb=40a3b8a5e96c7195 sim=3fe8f666420669b6 digest=100a7d5abca725ab spans=47db712256d34ac2 execs=1/0/0
+join-time hit-new d0=uniform:L0:base=false probe=3fd0000000000000 read=3f19c709cd978652 pb=40b3b8a5e96c7195 sim=3fd0019c709cd978 digest=b681ecedf392a71f spans=2e19e0cb765970b0 execs=1/0/0
+join-time stream d0=uniform:L1:base=false probe=3fd0000000000000 read=3fe0f666420669b6 pb=40a3b8a5e96c7195 sim=3fe8f666420669b6 digest=7fd2f6e92cbeacb4 spans=25e57d7160ab41c6 execs=2/1/1 refs=[L0:159787b1cbfb1ac1]
 `
 
 func TestDecisionGolden(t *testing.T) {

@@ -762,8 +762,8 @@ func predictedBound(fam *sample.Family, probe *exec.Result, level int, pv sample
 }
 
 // levelForTime finds the largest resolution executable within the bound,
-// accounting for probe time already spent and §4.4 delta reuse: reading a
-// level costs only its delta past the probe's resolution.
+// given what is spent anyway — the probe, a join's broadcast (§2.1) — and
+// §4.4 delta reuse: a level costs only its delta past the probe's.
 func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *exec.Plan, budget, spent float64, pv sample.View) int {
 	best := 0
 	for lvl := 0; lvl < fam.Resolutions(); lvl++ {

@@ -1,9 +1,13 @@
 package elp
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
+	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -126,5 +130,45 @@ func TestJoinUnknownDimTable(t *testing.T) {
 	if _, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN missing ON os = os ERROR WITHIN 10%`)); err == nil {
 		t.Error("unknown dimension table should error")
+	}
+}
+
+// TestTimeBoundJoinCountsBroadcast: a join ships its dimension tables to
+// every node once per query (§2.1), on top of the probe and the read, so a
+// WITHIN bound must leave room for the broadcast both when it picks the
+// level and when it lets an error-bounded probe escalate. Each bound sits
+// half a broadcast above probe + read of a level past the probe's: the
+// answer must still come in under it.
+func TestTimeBoundJoinCountsBroadcast(t *testing.T) {
+	f := joinFixture(t, 40000, Options{Scale: 2e4})
+	for _, tmpl := range []string{
+		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' WITHIN %s SECONDS`,
+		`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' AND city = 'city150' ERROR WITHIN 20%% WITHIN %s SECONDS`,
+	} {
+		q := parse(t, fmt.Sprintf(tmpl, "1000"))
+		key, params := sqlparser.Normalize(q)
+		pq, err := f.rt.prepare(context.Background(), q, key, params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam, plan := pq.disjuncts[0].fam, pq.prepPlan
+		pv := f.rt.probeView(fam)
+		broadcast := f.rt.broadcastCost(pq.joins)
+		if broadcast <= 0 {
+			t.Fatal("the join prices no broadcast")
+		}
+		for lvl := pv.Level + 1; lvl < fam.Resolutions(); lvl++ {
+			budget := probePrice(viewInput(pv, plan).Blocks) +
+				f.rt.readPrice(pq.entry, plan, fam.View(lvl).DeltaBlocks(pv)) + broadcast/2
+			src := fmt.Sprintf(tmpl, strconv.FormatFloat(budget, 'f', -1, 64))
+			resp, err := answer(f.rt, parse(t, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := resp.Decisions[0]; d.UsedBase || resp.SimLatency > budget {
+				t.Errorf("%q: answered at L%d (base %v) in %v simulated seconds, over the bound by %v",
+					src, d.View.Level, d.UsedBase, resp.SimLatency, resp.SimLatency-budget)
+			}
+		}
 	}
 }

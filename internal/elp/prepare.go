@@ -204,7 +204,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
 		step := rt.readPrice(entry, plan, next.DeltaBlocks(pv))
-		if q.Time != nil && probeLat+step > q.Time.Seconds {
+		if q.Time != nil && probeLat+step+rt.broadcastCost(joins) > q.Time.Seconds {
 			break // escalating further would blow the time bound
 		}
 		var esp *telemetry.Span

@@ -229,7 +229,7 @@ func (rt *Runtime) stopRule(pq *prepared, pd *prepDisjunct, plan *exec.Plan, q *
 
 	maxLevel := fam.Resolutions() - 1 // largest level within the time bound
 	if q.Time != nil {
-		maxLevel = rt.levelForTime(pq.entry, fam, plan, q.Time.Seconds, dec.ProbeLatency, pv)
+		maxLevel = rt.levelForTime(pq.entry, fam, plan, q.Time.Seconds, dec.ProbeLatency+rt.broadcastCost(pq.joins), pv)
 	}
 
 	level := minLevel
