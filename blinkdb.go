@@ -142,6 +142,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"blinkdb/internal/blockfile"
@@ -186,11 +187,11 @@ type Config struct {
 	CoresPerNode int
 	// Workers sizes the executor's scan worker pool. 0 (default) uses
 	// min(CoresPerNode, GOMAXPROCS): a simulated node's cores, but never
-	// more goroutines than this host can run — the ELP runtime probes
-	// several families at once, each with its own pool. 1 runs every scan
-	// on the calling goroutine. Query results are bit-identical for every
-	// value: the executor partitions scans by the blocks' row counts and
-	// merges partial aggregates in partition-index order.
+	// more goroutines than this host can run. 1 runs every scan on the
+	// calling goroutine; §4.1.1's candidate counts run there whatever the
+	// value. Query results are bit-identical for every value: the executor
+	// partitions scans by the blocks' row counts and merges partial
+	// aggregates in partition-index order.
 	Workers int
 	// MemCacheGBPerNode (default 60, ≈ the paper's 6 TB aggregate).
 	MemCacheGBPerNode float64
@@ -287,6 +288,9 @@ type Engine struct {
 	rt   *elp.Runtime
 	tele *telemetry.Registry
 
+	// maintMu serializes Maintain: its passes share maint, lastSnap and
+	// each table's Maintainer.
+	maintMu  sync.Mutex
 	maint    map[string]*maintenance.Maintainer
 	lastSnap map[string]*maintenance.Snapshot
 
@@ -1095,8 +1099,11 @@ type MaintainOptions struct {
 // Maintain runs one maintenance pass over a table: measure data/workload
 // drift against the previous pass, and when it exceeds the 10% thresholds
 // (or Force is set) re-solve the sample-selection problem under the churn
-// constraint and apply the resulting build/drop diff.
+// constraint and apply the resulting build/drop diff. Concurrent calls run
+// one pass at a time.
 func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, error) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
 	entry, err := e.cat.Lookup(table)
 	if err != nil {
 		return nil, err

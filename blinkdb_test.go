@@ -468,6 +468,44 @@ func TestMaintainEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMaintainConcurrent runs maintenance passes over one table from four
+// goroutines at once (run it with -race): every pass succeeds, they leave
+// one baseline behind — a further pass over the same data and workload
+// finds no drift — and the engine still answers.
+func TestMaintainConcurrent(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	opts := MaintainOptions{K: 2000, Templates: []Template{
+		{Columns: []string{"city"}, Weight: 0.7},
+		{Columns: []string{"os"}, Weight: 0.3},
+	}}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := eng.Maintain("sessions", opts); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	rep, err := eng.Maintain("sessions", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resolved || rep.DataDrift > 0.01 || rep.WorkloadDrift > 0.01 {
+		t.Errorf("a pass after the concurrent ones re-solved (%v) or drifted (%.3f / %.3f)", rep.Resolved, rep.DataDrift, rep.WorkloadDrift)
+	}
+	if _, err := eng.Query(`SELECT COUNT(*) FROM sessions WHERE city = 'NY' ERROR WITHIN 10%`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // stripPlanCache normalizes the plan- and result-cache outcome markers
 // so results can be compared across cold (miss), warm (hit) and
 // singleflight (shared) servings — the ANSWER must be bit-identical in

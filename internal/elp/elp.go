@@ -488,12 +488,12 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 
 // selectFamily implements §4.1.1: prefer the covering stratified family
 // with the fewest columns; otherwise probe every candidate's smallest
-// sample — concurrently, one goroutine per family — and take the one
+// sample — one after another, on the calling goroutine — and take the one
 // with the highest matched/read ratio. The comparison reads two integers
-// off each candidate, so with several candidates each is probed with the
-// plan's count plan (exec.Plan.CountOnly: same predicate, joins, pruning
-// and scan; one COUNT(*), no groups) and the plan itself then runs once, on
-// the winner's probe view; a lone candidate runs the plan directly. Either
+// off each candidate, so with several candidates each is probed by
+// exec.Count (the blocks, rows and matches the plan's run would report,
+// from selection alone) and the plan itself then runs once, on the
+// winner's probe view; a lone candidate runs the plan directly. Either
 // run starts the winner's walk; the third and fourth return values are its
 // answer and chain (nil when no probe ran), which prepareConjunctive carries
 // on, so each (family, view) executes the plan at most once per query.
@@ -522,58 +522,41 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	}
 
 	// No covering family: every family's smallest sample is probed
-	// (§4.1.1; entry.Families is non-empty here).
+	// (§4.1.1; entry.Families is non-empty here). §4.1.1 runs the probes in
+	// parallel, which is what ProbeLatency prices: the max, not the sum.
 	cands := entry.Families
-
-	// §4.1.1 probes the candidates' smallest samples in parallel, which is
-	// also what ProbeLatency prices (the max, not the sum). Outcomes are
-	// gathered by candidate index and judged in candidate order below, so
-	// the decision is the one a sequential sweep would reach.
 	var psp *telemetry.Span
 	if sp != nil {
 		psp = sp.Child(fmt.Sprintf("probe candidates=%d", len(cands)))
 	}
 	defer psp.End()
-	ins := make([]exec.Input, len(cands))
-	results := make([]*exec.Result, len(cands))
-	spans := make([]*telemetry.Span, len(cands))
-	if psp != nil {
-		for i, f := range cands {
-			spans[i] = psp.Child("probe " + f.Label()) // in candidate order
-		}
-	}
 	var walk *cursor // the plan's run: a lone candidate's probe, else the winner's
-	var count *exec.Plan
-	if len(cands) > 1 {
-		count = plan.CountOnly()
-	}
-	err := gather(len(cands), func(i int) error {
-		pv := rt.probeView(cands[i])
-		ins[i] = viewInput(pv, plan)
-		var res *exec.Result
-		var err error
-		if count == nil {
-			walk = &cursor{plan: plan, joins: joins, entry: entry, fam: cands[i], conf: conf, probe: true}
-			res, err = rt.advance(ctx, walk, pv.Level, spans[i])
-		} else {
-			res, err = rt.runPlan(ctx, count, ins[i], conf, joins, true, spans[i])
-		}
-		spans[i].End()
-		results[i] = res
-		return err
-	})
-	if err != nil {
-		return nil, dec, nil, nil, err
-	}
-
 	best, uniform := -1, -1
 	bestRatio, uniformRatio := -1.0, -1.0
-	maxProbe := 0.0
 	for i, f := range cands {
-		res := results[i]
-		maxProbe = max(maxProbe, probePrice(ins[i].Blocks))
-		ratio := res.Selectivity()
-		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: ratio, Matched: res.RowsMatched})
+		var csp *telemetry.Span
+		if psp != nil {
+			csp = psp.Child("probe " + f.Label())
+		}
+		pv := rt.probeView(f)
+		var c exec.Counts
+		var err error
+		if len(cands) == 1 {
+			walk = &cursor{plan: plan, joins: joins, entry: entry, fam: f, conf: conf, probe: true}
+			var res *exec.Result
+			if res, err = rt.advance(ctx, walk, pv.Level, csp); err == nil {
+				c = exec.Counts{Blocks: len(viewInput(pv, plan).Blocks), RowsScanned: res.RowsScanned, RowsMatched: res.RowsMatched}
+			}
+		} else {
+			c, err = rt.count(ctx, plan, exec.FromView(pv), joins, csp)
+		}
+		csp.End()
+		if err != nil {
+			return nil, dec, nil, nil, err
+		}
+		dec.ProbeLatency = max(dec.ProbeLatency, probePrice(c.Blocks))
+		ratio := c.Selectivity()
+		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: ratio, Matched: c.RowsMatched})
 		if ratio > bestRatio {
 			bestRatio, best = ratio, i
 		}
@@ -589,50 +572,25 @@ func (rt *Runtime) selectFamily(ctx context.Context, entry *catalog.Entry, plan 
 	if uniform >= 0 && !cands[best].IsUniform() && uniformRatio >= 0.9*bestRatio {
 		best, bestRatio = uniform, uniformRatio
 	}
-	dec.ProbeLatency = maxProbe
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
 		len(cands), bestRatio, cands[best].Label())
 	if walk == nil {
-		// The winner's probe view, read again for what the count pass left
-		// out: the groups and estimates resolution selection extrapolates
-		// from, and — at the probe's own resolution — the answer itself.
-		// Part of probing: ProbeLatency priced this view's read already.
+		// The winner's probe view, read again for what the count left out:
+		// the groups and estimates resolution selection extrapolates from,
+		// and — at the probe's own resolution — the answer itself. Part of
+		// probing: ProbeLatency priced this view's read already.
 		var fsp *telemetry.Span
 		if psp != nil {
 			fsp = psp.Child("probe " + cands[best].Label() + " full")
 		}
 		walk = &cursor{plan: plan, joins: joins, entry: entry, fam: cands[best], conf: conf, probe: true}
-		_, err = rt.advance(ctx, walk, rt.probeView(cands[best]).Level, fsp)
+		_, err := rt.advance(ctx, walk, rt.probeView(cands[best]).Level, fsp)
 		fsp.End()
 		if err != nil {
 			return nil, dec, nil, nil, err
 		}
 	}
 	return cands[best], dec, walk.res, walk.chain, nil
-}
-
-// gather runs fn(0) … fn(n-1) concurrently — one goroutine each, the last
-// on the caller — waits for all of them and returns the lowest-index
-// error: the one a sequential sweep would have stopped at, whichever
-// finished first. n must be at least 1.
-func gather(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n-1; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	errs[n-1] = fn(n - 1)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // requiredRows converts the error bound into a matched-row target using
@@ -774,13 +732,13 @@ func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *
 	return best
 }
 
-// runPlan executes plan over in — a candidate's count pass, or the base
-// table — joining dimension tables when the query has JOIN clauses (§2.1:
-// fact-side sampling, exact broadcast dimensions). probe counts it as an
-// ELP probe. With sp non-nil the scan records a span tree (per-range
-// partials + merge) beneath it. The only possible error is ctx.Err(): a
-// cancelled scan returns no partial result. PlanExecs counts the attempt
-// either way — a cancelled scan may have done most of its work.
+// runPlan executes plan over in — the base table — joining dimension
+// tables when the query has JOIN clauses (§2.1: fact-side sampling, exact
+// broadcast dimensions). probe counts it as an ELP probe. With sp non-nil
+// the scan records a span tree (per-range partials + merge) beneath it.
+// The only possible error is ctx.Err(): a cancelled scan returns no partial
+// result. PlanExecs counts the attempt either way — a cancelled scan may
+// have done most of its work.
 func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, probe bool, sp *telemetry.Span) (*exec.Result, error) {
 	rt.countExec(probe)
 	ssp := scanSpan(sp, in)
@@ -797,6 +755,21 @@ func (rt *Runtime) extend(ctx context.Context, c *exec.Chain, in exec.Input, con
 	res, err := c.Extend(ctx, in, conf, rt.opt.Workers, ssp)
 	ssp.End()
 	return res, err
+}
+
+// count is runPlan for a candidate's probe: exec.Count of plan over in,
+// counted as an ELP probe. Traced, in is pruned first, so that its scan
+// span can name the blocks the count reads.
+func (rt *Runtime) count(ctx context.Context, plan *exec.Plan, in exec.Input, joins []exec.JoinSpec, sp *telemetry.Span) (exec.Counts, error) {
+	rt.countExec(true)
+	if sp == nil {
+		return exec.Count(ctx, plan, in, joins)
+	}
+	in = in.Pruned(plan)
+	ssp := scanSpan(sp, in)
+	c, err := exec.Count(ctx, plan, in, joins)
+	ssp.End()
+	return c, err
 }
 
 // scanSpan is the span a scan of in records under sp (nil when untraced).
@@ -905,13 +878,13 @@ func (rt *Runtime) latencyOf(blocks []*storage.Block) float64 {
 	return lat
 }
 
-// probePrice prices a probe's run over read, the blocks of a probe view the
-// plan reads: job overhead alone, or nothing when it reads no block. Probes
-// run on cluster-memory-resident smallest samples, which §4.1.1 treats as
-// "very fast"; pricing them at job overhead keeps the probe economics of
-// the paper's scale.
-func probePrice(read []*storage.Block) float64 {
-	if len(read) == 0 {
+// probePrice prices a probe's run that reads read blocks of a probe view:
+// job overhead alone, or nothing when it reads no block. Probes run on
+// cluster-memory-resident smallest samples, which §4.1.1 treats as "very
+// fast"; pricing them at job overhead keeps the probe economics of the
+// paper's scale.
+func probePrice(read int) float64 {
+	if read == 0 {
 		return 0
 	}
 	return cluster.BlinkDBEngine.JobOverheadSec

@@ -158,7 +158,7 @@ func TestTimeBoundJoinCountsBroadcast(t *testing.T) {
 			t.Fatal("the join prices no broadcast")
 		}
 		for lvl := pv.Level + 1; lvl < fam.Resolutions(); lvl++ {
-			budget := probePrice(viewInput(pv, plan).Blocks) +
+			budget := probePrice(len(viewInput(pv, plan).Blocks)) +
 				f.rt.readPrice(pq.entry, plan, fam.View(lvl).DeltaBlocks(pv)) + broadcast/2
 			src := fmt.Sprintf(tmpl, strconv.FormatFloat(budget, 'f', -1, 64))
 			resp, err := answer(f.rt, parse(t, src))

@@ -200,7 +200,7 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 			return nil, err
 		}
 	}
-	probeLat := probePrice(viewInput(pv, plan).Blocks)
+	probeLat := probePrice(len(viewInput(pv, plan).Blocks))
 	for q.Err != nil && probe.RowsMatched < 20 && pv.Level < fam.Resolutions()-1 {
 		next := fam.View(pv.Level + 1)
 		step := rt.readPrice(entry, plan, next.DeltaBlocks(pv))

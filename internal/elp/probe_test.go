@@ -172,7 +172,7 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 }
 
 // TestConcurrentProbesMatchSequential sweeps the 648 explore_cold-shaped
-// templates: the concurrent, count-only selectFamily must reach the
+// templates: the count-only selectFamily must reach the
 // sequential full-plan reference's Decision (family, Probed order,
 // selectivities, ProbeLatency, reason string) and winning probe Result bit
 // for bit, count exactly one execution per candidate (the count passes)
@@ -330,8 +330,8 @@ func TestCountProbesDecideLikeFullProbes(t *testing.T) {
 }
 
 // TestConcurrentProbesWholePipeline runs every template through Run on
-// two runtimes that differ only in the scan pool: concurrent probes with
-// concurrent scans inside them must not move a single bit of a Response.
+// two runtimes that differ only in the scan pool: concurrent scans must
+// not move a single bit of a Response.
 func TestConcurrentProbesWholePipeline(t *testing.T) {
 	one := newExploreFixture(t, 60000, Options{Workers: 1})
 	many := newExploreFixture(t, 60000, Options{Workers: 8, PlanCacheSize: 256, ResultCacheSize: 1024})
@@ -370,7 +370,7 @@ func (c *countdownCtx) Err() error {
 }
 
 // waitGoroutines polls until the goroutine count is back at the baseline:
-// gather waits for its probes, but a goroutine that has called Done is
+// a scan waits for its workers, but a goroutine that has called Done is
 // still counted for the instant it takes to exit.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
@@ -444,55 +444,6 @@ func TestProbeCancellation(t *testing.T) {
 	}
 	if midProbe == 0 || afterProbe == 0 {
 		t.Errorf("sweep cancelled %d times mid-probe and %d times after the probes; want both", midProbe, afterProbe)
-	}
-}
-
-// TestGatherErrorOrder: an error from candidate k is the one reported even
-// when candidate k+1 failed first, every candidate runs to completion
-// either way, and a clean sweep reports nil.
-func TestGatherErrorOrder(t *testing.T) {
-	errK, errNext := errors.New("candidate 1"), errors.New("candidate 2")
-	for trial := 0; trial < 50; trial++ {
-		nextDone := make(chan struct{})
-		var ran atomic.Int64
-		err := gather(4, func(i int) error {
-			defer ran.Add(1)
-			switch i {
-			case 1:
-				<-nextDone // candidate 2 has already failed
-				return errK
-			case 2:
-				defer close(nextDone)
-				return errNext
-			}
-			return nil
-		})
-		if err != errK {
-			t.Fatalf("gather reported %v, want the lowest-index error %v", err, errK)
-		}
-		if ran.Load() != 4 {
-			t.Fatalf("gather returned with %d of 4 candidates finished", ran.Load())
-		}
-	}
-	if err := gather(1, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// The last candidate runs on the caller: same rule when it is the one
-	// that fails first.
-	callerDone := make(chan struct{})
-	err := gather(3, func(i int) error {
-		if i == 2 {
-			defer close(callerDone)
-			return errNext
-		}
-		<-callerDone
-		if i == 1 {
-			return errK
-		}
-		return nil
-	})
-	if err != errK {
-		t.Fatalf("gather reported %v, want %v", err, errK)
 	}
 }
 

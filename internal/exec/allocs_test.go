@@ -48,6 +48,29 @@ func TestSpanScanSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCountZeroAlloc pins Count at zero allocations once the pooled scratch
+// is warm — its bitmaps and the dictionary verdict tables it reuses — over
+// a view of several chunks whose rows change metadata run nearly every row,
+// under a dictionary = and an int range.
+func TestCountZeroAlloc(t *testing.T) {
+	tab := randomWeightedTable(t, 5, 150000, 101)
+	if len(tab.Chunks()) < 2 {
+		t.Fatal("the view is meant to span several chunks")
+	}
+	p := compile(t, `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' AND code >= 100 AND code < 900 GROUP BY os`, tab.Schema)
+	in := viewOf(tab.Schema, tab.Blocks, 50, 500, 5000)
+	ctx := context.Background()
+	count := func() {
+		if _, err := Count(ctx, p, in, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count()
+	if a := testing.AllocsPerRun(20, count); a != 0 {
+		t.Errorf("a warm Count allocates %.1f objects a call, want 0", a)
+	}
+}
+
 // TestProbeScanAllocs pins the allocation cost of the benchmark's probe
 // shape — a 10k-row, 60-block GROUP BY through the ctx entry point — so
 // per-block costs cannot creep back: one Partial per block cost ≈2.1k

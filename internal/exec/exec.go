@@ -317,15 +317,13 @@ func (p *Plan) WithPred(pred types.Predicate) *Plan {
 	return &cp
 }
 
-// CountOnly returns the plan's count plan: the same predicate over the
+// countOnly returns the plan's count plan: the same predicate over the
 // same schema — and the same compiled state, so an Input pruned for either
 // is pruned for both — with no GROUP BY, no LIMIT and a single COUNT(*).
-// Every scan counter of a Result (RowsScanned, RowsMatched,
-// WeightedMatched, MaxMatchedStratumFreq, BytesScanned) depends only on
-// which rows are read and which pass the predicate, so the count plan
-// reports exactly the plan's own, at the cost of one group and one
-// accumulator: what §4.1.1's family comparison needs from each candidate.
-func (p *Plan) CountOnly() *Plan {
+// Every scan counter of a Result depends only on which rows are read and
+// which pass the predicate, so the count plan reports the plan's own at
+// the cost of one group and one accumulator: how Count counts a join.
+func (p *Plan) countOnly() *Plan {
 	return &Plan{
 		Schema: p.Schema,
 		Pred:   p.Pred,
@@ -398,11 +396,13 @@ func (r *Result) Clone() *Result {
 }
 
 // Selectivity returns matched/scanned (the s_q of §4.2).
-func (r *Result) Selectivity() float64 {
-	if r.RowsScanned == 0 {
+func (r *Result) Selectivity() float64 { return selectivity(r.RowsMatched, r.RowsScanned) }
+
+func selectivity(matched, scanned int64) float64 {
+	if scanned == 0 {
 		return 0
 	}
-	return float64(r.RowsMatched) / float64(r.RowsScanned)
+	return float64(matched) / float64(scanned)
 }
 
 // MaxRelErr returns the worst relative error across all groups and

@@ -75,6 +75,9 @@ type colScratch struct {
 	// verdict for every dictionary code. A dictionary is chunk-wide, so the
 	// string comparisons are paid once per chunk, not once per span.
 	passTabs map[passKey]dictVerdicts
+	// passFree holds the verdict slices of the tables putScratch dropped,
+	// for the next scan's tables to reuse.
+	passFree [][]bool
 
 	// codeGS caches the group of every dictionary code of codeCol, the
 	// GROUP BY column of the chunk being scanned into codePT. Groups live
@@ -112,6 +115,9 @@ func getScratch() *colScratch { return scratchPool.Get().(*colScratch) }
 // putScratch returns sc to the pool, dropping what it knows about the
 // chunks and partials of the scan it served.
 func putScratch(sc *colScratch) {
+	for _, v := range sc.passTabs {
+		sc.passFree = append(sc.passFree, v.pass)
+	}
 	clear(sc.passTabs)
 	clear(sc.codeGS[:cap(sc.codeGS)])
 	clear(sc.codeSlots[:cap(sc.codeSlots)])
@@ -514,7 +520,14 @@ func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) dictVerdic
 		return v
 	}
 	lt, eq, gt := opFlags(t.Op)
-	v := dictVerdicts{pass: make([]bool, len(col.Dict)), eq: noCode}
+	v := dictVerdicts{eq: noCode}
+	if k := len(sc.passFree); k > 0 {
+		v.pass, sc.passFree = sc.passFree[k-1], sc.passFree[:k-1]
+	}
+	if cap(v.pass) < len(col.Dict) {
+		v.pass = make([]bool, len(col.Dict))
+	}
+	v.pass = v.pass[:len(col.Dict)] // every entry is written below
 	c := t.Val.S
 	for j, s := range col.Dict {
 		switch {
@@ -1049,13 +1062,18 @@ func spanOf(b *storage.Block, rt *planRuntime, join bool, floor int64, meta *met
 	if join {
 		return s
 	}
-	// Three-state zone classification: zoneMayMatch handled all-false; a
-	// zone bracket that PROVES the predicate lets the scan skip evaluation.
-	s.allTrue = rt.pred == nil || (b.N >= minImpliedRows && rt.leaves != nil && zoneImpliesPred(b, rt.leaves))
+	s.allTrue = zonesProve(b, rt)
 	if r := meta.runOf(s.d, s.lo); int(s.d.MetaEnds[r]) >= s.hi {
 		s.metaRun = r
 	}
 	return s
+}
+
+// zonesProve is the all-true state of the three-state zone classification
+// (zoneMayMatch decides all-false): b's zones prove the predicate for every
+// row, so the scan skips evaluating it.
+func zonesProve(b *storage.Block, rt *planRuntime) bool {
+	return rt.pred == nil || (b.N >= minImpliedRows && rt.leaves != nil && zoneImpliesPred(b, rt.leaves))
 }
 
 // extends reports whether next continues s: the rows that follow it in the
