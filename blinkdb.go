@@ -296,7 +296,10 @@ type Engine struct {
 
 	// Persistence bookkeeping (persistence.go): the build signature and
 	// report CreateSamples recorded per table, and the fall-back audit
-	// trail behind PersistenceNotes.
+	// trail behind PersistenceNotes. persistMu guards all three and
+	// serializes SnapshotWarmup, RestoreWarmup and the persisting half of
+	// CreateSamples.
+	persistMu     sync.Mutex
 	sampleSigs    map[string]uint64
 	sampleReports map[string]*SampleReport
 	persistNotes  []string
@@ -579,7 +582,6 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 	if e.cfg.DataDir != "" {
 		sig = e.sampleSignature(entry, opts, blockRows)
 		if rep, ok := e.loadPersistedSamples(table, sig); ok {
-			e.recordSampleReport(table, rep)
 			return rep, nil
 		}
 	}
@@ -604,6 +606,8 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 		})
 		rep.TotalBytes += f.StorageBytes()
 	}
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	if e.cfg.DataDir != "" {
 		e.persistSamples(table, sig, fams, rep)
 	}
@@ -612,7 +616,7 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 }
 
 // recordSampleReport remembers the report SnapshotWarmup re-persists
-// alongside refreshed families.
+// alongside refreshed families. The caller holds persistMu.
 func (e *Engine) recordSampleReport(table string, rep *SampleReport) {
 	if e.sampleReports == nil {
 		e.sampleReports = map[string]*SampleReport{}

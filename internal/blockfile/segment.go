@@ -108,9 +108,6 @@ func (s *Segment) Close() error {
 // Mapped reports whether the segment is backed by an mmap view.
 func (s *Segment) Mapped() bool { return s.mapped }
 
-// SizeBytes is the on-disk segment size.
-func (s *Segment) SizeBytes() int64 { return int64(len(s.data)) }
-
 // readFileAligned reads the whole file into a buffer whose base address
 // is 8-aligned, so the same zero-copy slice views work on the fallback
 // path as on the mmap path.

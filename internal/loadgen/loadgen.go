@@ -1,10 +1,10 @@
 // Package loadgen is a ServeGen-style workload generator for the
-// serving layer: it turns a declarative Spec — heterogeneous client
-// cohorts with skewed per-client rates, bursty arrival processes,
+// serving layer's tests: it turns a declarative Spec — heterogeneous
+// client cohorts with skewed per-client rates, bursty arrival processes,
 // per-cohort template mixes and error/time-bound distributions — into a
 // deterministic Trace of timestamped HTTP query requests, and replays
-// that trace against a live blinkdb-server while collecting per-SLO-class
-// metrics (p50/p99 latency, bound-compliance rate, shed rate).
+// that trace against a live blinkdb-server, counting each arrival's
+// outcome (served, shed, unavailable, cancelled, errored).
 //
 // The paper's headline claim is bounded response time under real query
 // mixes (Figs. 7–8); a bench that replays one template against a quiet
@@ -16,7 +16,7 @@
 // # Model
 //
 // A Spec holds Cohorts. Each cohort models one population of clients
-// that share a workload shape and an SLO class:
+// that share a workload shape:
 //
 //   - Clients and RateQPS: the cohort's aggregate arrival rate is
 //     divided across its clients by a Zipf law with exponent RateSkew
@@ -52,9 +52,9 @@
 //
 // Running a Spec's trace therefore reproduces the exact request stream of
 // any earlier run: same SQL strings, same bounds, same ordering, same
-// timestamps. What is NOT deterministic is the server's response timing —
-// Run measures a real server over real HTTP — which is precisely the
-// quantity under test.
+// timestamps. What is NOT deterministic is which outcome each arrival
+// meets — Run drives a real server over real HTTP — which is precisely
+// the quantity under test.
 package loadgen
 
 import (
@@ -82,8 +82,6 @@ const (
 // Template is one SQL shape in a cohort's mix. Pattern must contain
 // exactly one %d verb, filled from a Zipf draw over [1, Cardinality].
 type Template struct {
-	// Name labels the template in traces (defaults to Pattern).
-	Name string
 	// Pattern is the SQL with one %d parameter slot.
 	Pattern string
 	// Cardinality is the parameter domain size (draws are 1-based).
@@ -108,14 +106,10 @@ type Bound struct {
 	Weight float64
 }
 
-// Cohort models one client population sharing a workload shape and an
-// SLO class. See the package comment for field semantics.
+// Cohort models one client population sharing a workload shape. See the
+// package comment for field semantics.
 type Cohort struct {
-	Name     string
-	SLOClass string
-	// SLOTargetSeconds is the wall-clock final-answer target the class
-	// is graded against (0 disables latency-SLO grading for the class).
-	SLOTargetSeconds float64
+	Name string
 
 	Clients  int
 	RateQPS  float64
@@ -142,30 +136,22 @@ type Spec struct {
 }
 
 // Request is one generated arrival: everything the runner needs to
-// issue it and grade the response.
+// issue it.
 type Request struct {
 	// AtMicros is the arrival offset from run start, in microseconds.
 	AtMicros int64
-	// Cohort / SLOClass / Client identify the issuer; Seq numbers the
-	// client's own arrivals from 0 (part of the deterministic ordering).
-	Cohort   string
-	SLOClass string
-	Client   int
-	Seq      int
-	// Template names the SQL shape (metrics grouping).
-	Template string
+	// Cohort / Client identify the issuer; Seq numbers the client's own
+	// arrivals from 0 (part of the deterministic ordering).
+	Cohort string
+	Client int
+	Seq    int
 	// SQL is the final query text, bound clauses included.
 	SQL string
 	// Stream requests a refinement session instead of a single answer.
 	Stream bool
-	// ErrorPct / TimeBoundSeconds echo the bound baked into SQL so the
-	// runner can grade compliance without re-parsing the query.
-	ErrorPct         float64
-	TimeBoundSeconds float64
-	// SLOTargetSeconds / GiveUpSeconds copy the cohort knobs that grade
-	// and abandon this request.
-	SLOTargetSeconds float64
-	GiveUpSeconds    float64
+	// GiveUpSeconds copies the cohort's patience: the runner abandons
+	// the request after this long.
+	GiveUpSeconds float64
 
 	// cohortIdx is the generation-time tiebreak.
 	cohortIdx int
@@ -290,34 +276,18 @@ func clientArrivals(rng *rand.Rand, c *Cohort, cohortIdx, client int, rate float
 		if c.StreamFraction > 0 {
 			stream = rng.Float64() < c.StreamFraction
 		}
-		name := t.Name
-		if name == "" {
-			name = t.Pattern
-		}
 		out = append(out, Request{
-			AtMicros:         int64(at * 1e6),
-			Cohort:           c.Name,
-			SLOClass:         sloClass(c),
-			Client:           client,
-			Seq:              seq,
-			Template:         name,
-			SQL:              bindSQL(t.Pattern, param, b),
-			Stream:           stream,
-			ErrorPct:         b.ErrorPct,
-			TimeBoundSeconds: b.TimeSeconds,
-			SLOTargetSeconds: c.SLOTargetSeconds,
-			GiveUpSeconds:    c.GiveUpSeconds,
-			cohortIdx:        cohortIdx,
+			AtMicros:      int64(at * 1e6),
+			Cohort:        c.Name,
+			Client:        client,
+			Seq:           seq,
+			SQL:           bindSQL(t.Pattern, param, b),
+			Stream:        stream,
+			GiveUpSeconds: c.GiveUpSeconds,
+			cohortIdx:     cohortIdx,
 		})
 	}
 	return out
-}
-
-func sloClass(c *Cohort) string {
-	if c.SLOClass != "" {
-		return c.SLOClass
-	}
-	return c.Name
 }
 
 // interArrival draws one inter-arrival gap in seconds for a client with

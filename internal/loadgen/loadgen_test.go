@@ -15,12 +15,12 @@ func testSpec(seed int64) Spec {
 		Duration: 2 * time.Second,
 		Cohorts: []Cohort{
 			{
-				Name: "interactive", SLOClass: "interactive", SLOTargetSeconds: 0.5,
+				Name:    "interactive",
 				Clients: 8, RateQPS: 40, RateSkew: 1.2,
 				Arrival: Poisson,
 				Templates: []Template{
-					{Name: "avg-city", Pattern: "SELECT AVG(sessiontime) FROM sessions WHERE city = 'c%d'", Cardinality: 50, Skew: 1.3, Weight: 3},
-					{Name: "cnt-os", Pattern: "SELECT COUNT(sessiontime) FROM sessions WHERE os = 'o%d'", Cardinality: 10, Skew: 1.1, Weight: 1},
+					{Pattern: "SELECT AVG(sessiontime) FROM sessions WHERE city = 'c%d'", Cardinality: 50, Skew: 1.3, Weight: 3},
+					{Pattern: "SELECT COUNT(sessiontime) FROM sessions WHERE os = 'o%d'", Cardinality: 10, Skew: 1.1, Weight: 1},
 				},
 				Bounds: []Bound{
 					{ErrorPct: 5, Confidence: 95, Weight: 2},
@@ -30,11 +30,11 @@ func testSpec(seed int64) Spec {
 				GiveUpSeconds:  2,
 			},
 			{
-				Name: "batch", SLOClass: "batch",
+				Name:    "batch",
 				Clients: 2, RateQPS: 10,
 				Arrival: Gamma, Burstiness: 4,
 				Templates: []Template{
-					{Name: "sum-genre", Pattern: "SELECT SUM(sessiontime) FROM sessions WHERE genre = 'g%d'", Cardinality: 20, Weight: 1},
+					{Pattern: "SELECT SUM(sessiontime) FROM sessions WHERE genre = 'g%d'", Cardinality: 20, Weight: 1},
 				},
 				Bounds: []Bound{{TimeSeconds: 0.2, Weight: 1}},
 			},

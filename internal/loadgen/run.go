@@ -6,404 +6,151 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
 
-// RunOptions configures a trace replay against a live server.
-type RunOptions struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Client overrides the HTTP client (default &http.Client{}; per-
-	// request deadlines come from Request.GiveUpSeconds, so the default
-	// client carries no global timeout).
-	Client *http.Client
-	// Speedup divides every arrival offset: 2 replays the trace twice as
-	// fast as recorded. 0 or 1 replays in real time.
-	Speedup float64
-	// OnVerdict, when set, is called once per completed request (any
-	// outcome) from the issuing goroutine. Tests use it to observe
-	// progress; it must be safe for concurrent calls.
-	OnVerdict func(r *Request, v Verdict)
+// Report counts a replay's outcomes: every arrival lands in exactly one
+// of the five buckets.
+type Report struct {
+	Arrivals int
+	// Served: 200 whose last line is a final frame with a result and no
+	// error.
+	Served int
+	// Shed: 429 from admission control.
+	Shed int
+	// Unavailable: 503 (server warming or restarting).
+	Unavailable int
+	// Cancelled: the client gave up (GiveUpSeconds) before the final
+	// answer, whether still queued or already streaming.
+	Cancelled int
+	// Errored: transport failure, any other HTTP status, or a 200 that
+	// did not end in a clean final frame.
+	Errored int
 }
 
-// Verdict classifies one request's outcome.
-type Verdict int
+// verdict classifies one request's outcome.
+type verdict int
 
 const (
-	// Served: 200 with a well-formed final frame.
-	Served Verdict = iota
-	// Shed: 429 from admission control.
-	Shed
-	// Unavailable: 503 (server warming or restarting).
-	Unavailable
-	// ClientCancelled: the client gave up (GiveUpSeconds) before the
-	// final answer — whether still queued or already streaming.
-	ClientCancelled
-	// Errored: transport failure or any other HTTP status.
-	Errored
+	served verdict = iota
+	shed
+	unavailable
+	cancelled
+	errored
 )
 
-func (v Verdict) String() string {
+func (r *Report) count(v verdict) {
 	switch v {
-	case Served:
-		return "served"
-	case Shed:
-		return "shed"
-	case Unavailable:
-		return "unavailable"
-	case ClientCancelled:
-		return "cancelled"
+	case served:
+		r.Served++
+	case shed:
+		r.Shed++
+	case unavailable:
+		r.Unavailable++
+	case cancelled:
+		r.Cancelled++
 	default:
-		return "errored"
+		r.Errored++
 	}
 }
 
-// ClassReport aggregates one SLO class's outcomes.
-type ClassReport struct {
-	Class       string `json:"class"`
-	Arrivals    int    `json:"arrivals"`
-	Served      int    `json:"served"`
-	Shed        int    `json:"shed"`
-	Unavailable int    `json:"unavailable"`
-	Cancelled   int    `json:"cancelled"`
-	Errored     int    `json:"errored"`
-	// TTFP50Ms / TTFP99Ms summarize wall milliseconds from dispatch to
-	// the final answer across served requests; TTFAP50Ms is the first-
-	// frame latency (== TTF for non-streaming requests).
-	TTFP50Ms  float64 `json:"ttf_p50_ms"`
-	TTFP99Ms  float64 `json:"ttf_p99_ms"`
-	TTFAP50Ms float64 `json:"ttfa_p50_ms"`
-	// BoundComplianceRate is the fraction of served bound-carrying
-	// requests whose final answer honored its bound: every inexact cell
-	// within the requested relative error, and the simulated latency
-	// within the requested time bound. 1 when no request carried bounds.
-	BoundComplianceRate float64 `json:"bound_compliance_rate"`
-	BoundChecked        int     `json:"bound_checked"`
-	// SLOComplianceRate is the fraction of served requests that beat the
-	// class's wall-clock SLOTargetSeconds (1 when the class has none).
-	SLOComplianceRate float64 `json:"slo_compliance_rate"`
-	// ShedRate is Shed/Arrivals.
-	ShedRate float64 `json:"shed_rate"`
-
-	ttf, ttfa          []float64
-	boundMet           int
-	sloChecked, sloMet int
+// finalFrame is the subset of the server's frame that decides Served.
+type finalFrame struct {
+	Final  bool      `json:"final"`
+	Error  string    `json:"error"`
+	Result *struct{} `json:"result"`
 }
 
-// Report is a full replay's outcome.
-type Report struct {
-	Arrivals    int     `json:"arrivals"`
-	Served      int     `json:"served"`
-	Shed        int     `json:"shed"`
-	Unavailable int     `json:"unavailable"`
-	Cancelled   int     `json:"cancelled"`
-	Errored     int     `json:"errored"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// OfferedQPS is arrivals over the trace duration (at the replay
-	// speed); ServedQPS is completed sessions over measured wall time.
-	OfferedQPS float64 `json:"offered_qps"`
-	ServedQPS  float64 `json:"served_qps"`
-	// Classes is sorted by class name.
-	Classes []*ClassReport `json:"classes"`
-}
-
-// Class returns the report for one SLO class (nil when absent).
-func (r *Report) Class(name string) *ClassReport {
-	for _, c := range r.Classes {
-		if c.Class == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// wireFrame is the subset of the server's frame the runner grades.
-type wireFrame struct {
-	Final  bool   `json:"final"`
-	Error  string `json:"error"`
-	Result *struct {
-		SimLatencySeconds float64 `json:"sim_latency_seconds"`
-		Rows              []struct {
-			Cells []struct {
-				RelErr float64 `json:"rel_err"`
-				Exact  bool    `json:"exact"`
-			} `json:"cells"`
-		} `json:"rows"`
-	} `json:"result"`
-}
-
-// Run replays the trace against opt.BaseURL over real HTTP: requests
-// are dispatched open-loop at their recorded arrival offsets (divided
-// by Speedup), each in its own goroutine, and graded into per-SLO-class
-// metrics. Run returns after every dispatched request has completed.
+// Run replays the trace against the server at baseURL over real HTTP:
+// requests are dispatched open-loop at their recorded arrival offsets,
+// each in its own goroutine, and counted by outcome. Run returns after
+// every dispatched request has completed.
 //
 // Note the server may still be finishing the tail of abandoned
 // (client-cancelled) handlers when Run returns; callers asserting
 // server-side conservation should poll the server's counters briefly
 // (see the server package's loadgen tests).
-func Run(trace *Trace, opt RunOptions) (*Report, error) {
-	if opt.BaseURL == "" {
-		return nil, errors.New("loadgen: RunOptions.BaseURL required")
+func Run(trace *Trace, baseURL string) (*Report, error) {
+	if baseURL == "" {
+		return nil, errors.New("loadgen: Run requires a base URL")
 	}
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	speed := opt.Speedup
-	if speed <= 0 {
-		speed = 1
-	}
-
-	agg := aggregator{classes: map[string]*ClassReport{}}
-	start := time.Now()
+	rep := &Report{Arrivals: len(trace.Requests)}
+	var mu sync.Mutex
 	var wg sync.WaitGroup
+	start := time.Now()
 	for i := range trace.Requests {
 		r := &trace.Requests[i]
-		due := start.Add(time.Duration(float64(r.AtMicros)/speed) * time.Microsecond)
-		if d := time.Until(due); d > 0 {
+		if d := time.Until(start.Add(time.Duration(r.AtMicros) * time.Microsecond)); d > 0 {
 			time.Sleep(d)
 		}
 		wg.Add(1)
-		go func(r *Request) {
+		go func() {
 			defer wg.Done()
-			v, o := issue(client, opt.BaseURL, r)
-			agg.record(r, v, o)
-			if opt.OnVerdict != nil {
-				opt.OnVerdict(r, v)
-			}
-		}(r)
+			v := issue(baseURL, r)
+			mu.Lock()
+			rep.count(v)
+			mu.Unlock()
+		}()
 	}
 	wg.Wait()
-	wall := time.Since(start).Seconds()
-
-	rep := agg.report(len(trace.Requests), wall)
-	if d := trace.Duration.Seconds() / speed; d > 0 {
-		rep.OfferedQPS = float64(rep.Arrivals) / d
-	}
 	return rep, nil
 }
 
-// observation carries the gradeable facts of one served request.
-type observation struct {
-	ttfa, ttf  float64
-	boundKnown bool // the request carried a bound AND the frame parsed
-	boundMet   bool
-}
-
 // issue sends one request and classifies the outcome.
-func issue(client *http.Client, baseURL string, r *Request) (Verdict, observation) {
+func issue(baseURL string, r *Request) verdict {
 	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
 	if r.GiveUpSeconds > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(r.GiveUpSeconds*float64(time.Second)))
+		defer cancel()
 	}
-	defer cancel()
-
 	body, err := json.Marshal(map[string]any{"sql": r.SQL, "stream": r.Stream})
 	if err != nil {
-		return Errored, observation{}
+		return errored
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/query", bytes.NewReader(body))
 	if err != nil {
-		return Errored, observation{}
+		return errored
 	}
 	req.Header.Set("Content-Type", "application/json")
 
-	begin := time.Now()
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return ClientCancelled, observation{}
+			return cancelled
 		}
-		return Errored, observation{}
+		return errored
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// fall through to frame grading
-	case http.StatusTooManyRequests:
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return Shed, observation{}
-	case http.StatusServiceUnavailable:
-		io.Copy(io.Discard, resp.Body)
-		return Unavailable, observation{}
-	default:
-		io.Copy(io.Discard, resp.Body)
-		return Errored, observation{}
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
+			return shed
+		case http.StatusServiceUnavailable:
+			return unavailable
+		}
+		return errored
 	}
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var last []byte
-	first := 0.0
 	for sc.Scan() {
-		if first == 0 {
-			first = time.Since(begin).Seconds()
-		}
 		last = append(last[:0], sc.Bytes()...)
 	}
-	ttf := time.Since(begin).Seconds()
 	if err := sc.Err(); err != nil {
 		if ctx.Err() != nil {
-			return ClientCancelled, observation{}
+			return cancelled
 		}
-		return Errored, observation{}
+		return errored
 	}
-	if len(last) == 0 {
-		return Errored, observation{}
-	}
-	var f wireFrame
+	var f finalFrame
 	if err := json.Unmarshal(last, &f); err != nil || !f.Final || f.Error != "" || f.Result == nil {
-		return Errored, observation{}
+		return errored
 	}
-	o := observation{ttfa: first, ttf: ttf}
-	if r.ErrorPct > 0 || r.TimeBoundSeconds > 0 {
-		o.boundKnown = true
-		o.boundMet = gradeBound(r, &f)
-	}
-	return Served, o
-}
-
-// gradeBound checks the final frame against the bound the request
-// asked for: every inexact cell's relative error within ErrorPct (cells
-// with undefined relative error, encoded -1 on the wire, are skipped),
-// and the simulated latency within TimeBoundSeconds. A hair of float
-// slack keeps boundary answers from flapping.
-func gradeBound(r *Request, f *wireFrame) bool {
-	const eps = 1e-9
-	if r.ErrorPct > 0 {
-		for _, row := range f.Result.Rows {
-			for _, c := range row.Cells {
-				if c.Exact || c.RelErr < 0 {
-					continue
-				}
-				if c.RelErr*100 > r.ErrorPct+eps {
-					return false
-				}
-			}
-		}
-	}
-	if r.TimeBoundSeconds > 0 && f.Result.SimLatencySeconds > r.TimeBoundSeconds+eps {
-		return false
-	}
-	return true
-}
-
-// aggregator folds verdicts into per-class accumulators.
-type aggregator struct {
-	mu      sync.Mutex
-	classes map[string]*ClassReport
-}
-
-func (a *aggregator) record(r *Request, v Verdict, o observation) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	c := a.classes[r.SLOClass]
-	if c == nil {
-		c = &ClassReport{Class: r.SLOClass}
-		a.classes[r.SLOClass] = c
-	}
-	c.Arrivals++
-	switch v {
-	case Served:
-		c.Served++
-		c.ttfa = append(c.ttfa, o.ttfa)
-		c.ttf = append(c.ttf, o.ttf)
-		if o.boundKnown {
-			c.BoundChecked++
-			if o.boundMet {
-				c.boundMet++
-			}
-		}
-		if r.SLOTargetSeconds > 0 {
-			c.sloChecked++
-			if o.ttf <= r.SLOTargetSeconds {
-				c.sloMet++
-			}
-		}
-	case Shed:
-		c.Shed++
-	case Unavailable:
-		c.Unavailable++
-	case ClientCancelled:
-		c.Cancelled++
-	default:
-		c.Errored++
-	}
-}
-
-func (a *aggregator) report(arrivals int, wall float64) *Report {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rep := &Report{Arrivals: arrivals, WallSeconds: wall}
-	names := make([]string, 0, len(a.classes))
-	for name := range a.classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := a.classes[name]
-		c.TTFP50Ms = quantile(c.ttf, 0.5) * 1e3
-		c.TTFP99Ms = quantile(c.ttf, 0.99) * 1e3
-		c.TTFAP50Ms = quantile(c.ttfa, 0.5) * 1e3
-		c.BoundComplianceRate = rate(c.boundMet, c.BoundChecked)
-		c.SLOComplianceRate = rate(c.sloMet, c.sloChecked)
-		if c.Arrivals > 0 {
-			c.ShedRate = float64(c.Shed) / float64(c.Arrivals)
-		}
-		rep.Served += c.Served
-		rep.Shed += c.Shed
-		rep.Unavailable += c.Unavailable
-		rep.Cancelled += c.Cancelled
-		rep.Errored += c.Errored
-		rep.Classes = append(rep.Classes, c)
-	}
-	if wall > 0 {
-		rep.ServedQPS = float64(rep.Served) / wall
-	}
-	return rep
-}
-
-// rate returns met/checked, or 1 when nothing was checked (an absent
-// constraint is vacuously honored, not violated).
-func rate(met, checked int) float64 {
-	if checked == 0 {
-		return 1
-	}
-	return float64(met) / float64(checked)
-}
-
-// quantile returns the q-th quantile of xs by the nearest-rank method
-// (0 when empty).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(q*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// Summary renders a compact human-readable report (selfcheck output).
-func (r *Report) Summary() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "arrivals=%d served=%d shed=%d unavailable=%d cancelled=%d errored=%d (%.1f offered qps, %.1f served qps)\n",
-		r.Arrivals, r.Served, r.Shed, r.Unavailable, r.Cancelled, r.Errored, r.OfferedQPS, r.ServedQPS)
-	for _, c := range r.Classes {
-		fmt.Fprintf(&b, "  class %-12s served=%-4d shed=%-4d p50=%.1fms p99=%.1fms bound-compliance=%.3f shed-rate=%.3f\n",
-			c.Class, c.Served, c.Shed, c.TTFP50Ms, c.TTFP99Ms, c.BoundComplianceRate, c.ShedRate)
-	}
-	return b.String()
+	return served
 }

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +9,8 @@ import (
 	"testing"
 	"time"
 )
+
+const finalLine = `{"seq":0,"level":1,"final":true,"elapsed_ms":1,"result":{"rows":[{"group":"*","cells":[{"value":1,"bound":0.1,"rel_err":0.01,"exact":false,"rows":10}]}],"confidence":0.95,"sim_latency_seconds":0.05}}`
 
 // stubHandler speaks just enough of the server's /query wire protocol to
 // exercise every verdict: the SQL text selects the scripted outcome.
@@ -32,13 +33,15 @@ func stubHandler(t *testing.T) http.Handler {
 		case strings.Contains(req.SQL, "hang"):
 			time.Sleep(2 * time.Second)
 			w.WriteHeader(http.StatusOK)
+		case strings.Contains(req.SQL, "garbled"):
+			io.WriteString(w, finalLine+"\n"+`{"seq":1,"fin`+"\n")
+		case strings.Contains(req.SQL, "failed"):
+			io.WriteString(w, strings.Replace(finalLine, `"final":true`, `"final":true,"error":"query canceled"`, 1)+"\n")
+		case strings.Contains(req.SQL, "partial"):
+			io.WriteString(w, strings.Replace(finalLine, `"final":true`, `"final":false`, 1)+"\n")
 		default:
-			relErr := 0.01
-			if strings.Contains(req.SQL, "sloppy") {
-				relErr = 0.40
-			}
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			fmt.Fprintf(w, `{"seq":0,"level":1,"final":true,"elapsed_ms":1,"result":{"rows":[{"group":"*","cells":[{"value":1,"bound":0.1,"rel_err":%g,"exact":false,"rows":10}]}],"confidence":0.95,"sim_latency_seconds":0.05}}`+"\n", relErr)
+			io.WriteString(w, finalLine+"\n")
 		}
 	})
 }
@@ -47,90 +50,46 @@ func TestRunClassifiesOutcomes(t *testing.T) {
 	srv := httptest.NewServer(stubHandler(t))
 	defer srv.Close()
 
-	req := func(at int64, class, sql string) Request {
-		return Request{AtMicros: at, Cohort: class, SLOClass: class, SQL: sql, SLOTargetSeconds: 1}
-	}
 	tr := &Trace{
 		Seed: 1, Duration: 10 * time.Millisecond,
 		Requests: []Request{
-			req(0, "good", "SELECT ok 1"),
-			req(1000, "good", "SELECT ok 2"),
-			req(2000, "good", "SELECT shed"),
-			req(3000, "good", "SELECT warming"),
-			req(4000, "sloppy", "SELECT sloppy"),
-			{AtMicros: 5000, Cohort: "impatient", SLOClass: "impatient",
-				SQL: "SELECT hang", GiveUpSeconds: 0.1},
+			{AtMicros: 0, SQL: "SELECT ok 1"},
+			{AtMicros: 1000, SQL: "SELECT ok 2"},
+			{AtMicros: 2000, SQL: "SELECT shed"},
+			{AtMicros: 3000, SQL: "SELECT warming"},
+			{AtMicros: 4000, SQL: "SELECT ok 3"},
+			{AtMicros: 5000, SQL: "SELECT hang", GiveUpSeconds: 0.1},
 		},
 	}
-	// good requests carry a 5% error bound; sloppy's answer blows it.
-	for i := range tr.Requests {
-		if !strings.Contains(tr.Requests[i].SQL, "hang") {
-			tr.Requests[i].ErrorPct = 5
-		}
-	}
-
-	rep, err := Run(tr, RunOptions{BaseURL: srv.URL, Speedup: 100})
+	rep, err := Run(tr, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Arrivals != 6 || rep.Served != 3 || rep.Shed != 1 || rep.Unavailable != 1 || rep.Cancelled != 1 || rep.Errored != 0 {
 		t.Fatalf("verdicts: %+v", rep)
 	}
-
-	good := rep.Class("good")
-	if good == nil || good.Served != 2 || good.Shed != 1 || good.Unavailable != 1 {
-		t.Fatalf("good class: %+v", good)
-	}
-	// rel_err 0.01 → 1% ≤ 5% bound: compliant.
-	if good.BoundComplianceRate != 1 || good.BoundChecked != 2 {
-		t.Fatalf("good bound compliance: %+v", good)
-	}
-	if good.ShedRate != 0.25 {
-		t.Fatalf("good shed rate: %g", good.ShedRate)
-	}
-	if good.TTFP50Ms <= 0 || good.TTFP99Ms < good.TTFP50Ms {
-		t.Fatalf("good latency percentiles: p50=%g p99=%g", good.TTFP50Ms, good.TTFP99Ms)
-	}
-	if good.SLOComplianceRate != 1 {
-		t.Fatalf("good SLO compliance: %g", good.SLOComplianceRate)
-	}
-
-	// rel_err 0.40 → 40% > 5% bound: non-compliant, but still served.
-	sloppy := rep.Class("sloppy")
-	if sloppy == nil || sloppy.Served != 1 || sloppy.BoundComplianceRate != 0 {
-		t.Fatalf("sloppy class: %+v", sloppy)
-	}
-
-	impatient := rep.Class("impatient")
-	if impatient == nil || impatient.Cancelled != 1 {
-		t.Fatalf("impatient class: %+v", impatient)
-	}
 }
 
-func TestRunCallsOnVerdict(t *testing.T) {
+// TestRunErrorsOnBrokenFinalFrame: a 200 is Served only when its last
+// line is a final frame with a result and no error; anything else a 200
+// can end in is Errored.
+func TestRunErrorsOnBrokenFinalFrame(t *testing.T) {
 	srv := httptest.NewServer(stubHandler(t))
 	defer srv.Close()
-	tr := &Trace{Duration: time.Millisecond, Requests: []Request{
-		{Cohort: "c", SLOClass: "c", SQL: "SELECT ok"},
-		{AtMicros: 100, Cohort: "c", SLOClass: "c", SQL: "SELECT shed"},
-	}}
-	got := make(chan Verdict, 2)
-	_, err := Run(tr, RunOptions{BaseURL: srv.URL, Speedup: 100, OnVerdict: func(r *Request, v Verdict) { got <- v }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(got)
-	counts := map[Verdict]int{}
-	for v := range got {
-		counts[v]++
-	}
-	if counts[Served] != 1 || counts[Shed] != 1 {
-		t.Fatalf("OnVerdict verdicts: %v", counts)
+
+	for _, sql := range []string{"SELECT garbled", "SELECT failed", "SELECT partial"} {
+		rep, err := Run(&Trace{Requests: []Request{{SQL: sql}}}, srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Arrivals != 1 || rep.Errored != 1 {
+			t.Errorf("%s: verdicts %+v, want 1 errored", sql, rep)
+		}
 	}
 }
 
 func TestRunRequiresBaseURL(t *testing.T) {
-	if _, err := Run(&Trace{}, RunOptions{}); err == nil {
-		t.Fatal("expected error for missing BaseURL")
+	if _, err := Run(&Trace{}, ""); err == nil {
+		t.Fatal("expected error for missing base URL")
 	}
 }

@@ -153,11 +153,10 @@ func TestLoadgenConservation(t *testing.T) {
 		Duration: 1500 * time.Millisecond,
 		Cohorts: []loadgen.Cohort{
 			{
-				Name: "steady", SLOClass: "steady",
+				Name:    "steady",
 				Clients: 4, RateQPS: 30, RateSkew: 1.2,
 				Arrival: loadgen.Poisson,
 				Templates: []loadgen.Template{{
-					Name:        "avg-city",
 					Pattern:     "SELECT AVG(sessiontime) FROM sessions WHERE city = 'c%d'",
 					Cardinality: 6, Skew: 1.3, Weight: 1,
 				}},
@@ -165,11 +164,10 @@ func TestLoadgenConservation(t *testing.T) {
 				StreamFraction: 0.3,
 			},
 			{
-				Name: "impatient", SLOClass: "impatient",
+				Name:    "impatient",
 				Clients: 2, RateQPS: 20,
 				Arrival: loadgen.Gamma, Burstiness: 4,
 				Templates: []loadgen.Template{{
-					Name:        "avg-os",
 					Pattern:     "SELECT AVG(sessiontime) FROM sessions WHERE os = 'o%d'",
 					Cardinality: 3, Weight: 1,
 				}},
@@ -191,7 +189,7 @@ func TestLoadgenConservation(t *testing.T) {
 	release := time.AfterFunc(400*time.Millisecond, func() { hold.Release(0) })
 	defer release.Stop()
 
-	rep, err := loadgen.Run(tr, loadgen.RunOptions{BaseURL: hs.URL})
+	rep, err := loadgen.Run(tr, hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,12 @@ type RestoreReport struct {
 // the engine was opened — the audit trail behind "clean rebuild, never
 // wrong". Empty when everything loaded warm or persistence is off.
 func (e *Engine) PersistenceNotes() []string {
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	return append([]string(nil), e.persistNotes...)
 }
 
+// noteF records a fall-back reason. The caller holds persistMu.
 func (e *Engine) noteF(format string, args ...any) {
 	e.persistNotes = append(e.persistNotes, fmt.Sprintf(format, args...))
 }
@@ -230,7 +233,8 @@ func (e *Engine) sampleManifestPath(table string) string {
 // persistSamples writes every family to its own segment, then the
 // manifest last — a crash mid-write leaves either the old manifest
 // (pointing at old, still-present segments) or no manifest (cold
-// rebuild); never a manifest referencing missing data.
+// rebuild); never a manifest referencing missing data. The caller holds
+// persistMu.
 func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family, rep *SampleReport) {
 	dir := e.sampleDir(table)
 	for i, f := range fams {
@@ -265,8 +269,11 @@ func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family,
 // loadPersistedSamples loads the table's families from DataDir when the
 // persisted build signature matches sig. All-or-nothing: families reach
 // the catalog only after every segment loaded and validated; any
-// failure degrades to a cold rebuild with the reason noted.
+// failure degrades to a cold rebuild with the reason noted. A load
+// records its report as CreateSamples would.
 func (e *Engine) loadPersistedSamples(table string, sig uint64) (*SampleReport, bool) {
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	mseg, err := blockfile.Open(e.sampleManifestPath(table))
 	if err != nil {
 		if !os.IsNotExist(err) {
@@ -346,6 +353,7 @@ func (e *Engine) loadPersistedSamples(table string, sig uint64) (*SampleReport, 
 		e.sampleSigs = map[string]uint64{}
 	}
 	e.sampleSigs[strings.ToLower(table)] = sig
+	e.recordSampleReport(table, rep)
 	return rep, true
 }
 
@@ -359,12 +367,15 @@ func (e *Engine) warmupPath() string {
 // sample families (re-persisted, so refreshes survive restarts), per-
 // table epochs with content fingerprints, prepared-template probe
 // state, cached results, and the caller's WarmupState. Safe to call
-// concurrently with queries — it sees a snapshot-quality view. No-op
-// error when DataDir is unset.
+// concurrently with queries — it sees a snapshot-quality view — and with
+// itself: overlapping calls run one at a time. No-op error when DataDir
+// is unset.
 func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	if e.cfg.DataDir == "" {
 		return fmt.Errorf("blinkdb: SnapshotWarmup requires Config.DataDir")
 	}
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	// Re-persist families for every table that went through
 	// CreateSamples, under the signature recorded then: a family
 	// refreshed since (RefreshSamples, Maintain) replaces its segment,
@@ -432,6 +443,8 @@ func (e *Engine) RestoreWarmup() (*RestoreReport, error) {
 	if e.cfg.DataDir == "" {
 		return nil, fmt.Errorf("blinkdb: RestoreWarmup requires Config.DataDir")
 	}
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
 	seg, err := blockfile.Open(e.warmupPath())
 	if err != nil {
 		if os.IsNotExist(err) {

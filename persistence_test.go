@@ -247,6 +247,45 @@ func TestSnapshotDuringConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestSnapshotWarmupConcurrent: SnapshotWarmup calls may overlap — a
+// server's periodic snapshot with its drain's final one — and the
+// directory they leave must boot warm, with nothing noted (run under
+// -race in CI).
+func TestSnapshotWarmupConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	eng, _ := bootEngine(t, dir)
+	for _, src := range persistQueries {
+		if _, err := eng.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if err := eng.SnapshotWarmup(WarmupState{}); err != nil {
+					t.Errorf("snapshot: %v", err)
+				}
+				if notes := eng.PersistenceNotes(); len(notes) != 0 {
+					t.Errorf("snapshot noted: %v", notes)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	restarted, _ := bootEngine(t, dir)
+	rep, err := restarted.RestoreWarmup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if notes := restarted.PersistenceNotes(); rep == nil || len(notes) != 0 {
+		t.Fatalf("warm boot after concurrent snapshots: rep=%+v, notes=%v", rep, notes)
+	}
+}
+
 // TestStaleWarmupDropped: when the data under the snapshot changed (a
 // sample refresh after the snapshot was taken), the restored engine
 // must drop the warmup entries — stale → rebuild, never wrong.
