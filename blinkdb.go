@@ -103,17 +103,17 @@
 // metadata — keyed by a build signature over table content, sampling
 // options and engine knobs; a warm boot mmaps them back as zero-copy
 // column views instead of re-stratifying. SnapshotWarmup additionally
-// writes a warmup file: per-table catalog epochs with content
-// fingerprints, prepared-template probe state, cached results, and the
-// serving layer's admission-cost EWMA; RestoreWarmup replays it into the
-// caches on boot, so the first query after a restart answers from the
-// same steady state the previous process died in — bit-identical, cache
-// markers and simulated latencies included. Everything under DataDir is a
-// cache of reproducible state: corruption, truncation, or staleness (a
-// table reloaded or resampled between snapshot and boot) is detected by
-// checksum, build signature, epoch and content fingerprint, and degrades
-// to a cold rebuild with the reason in PersistenceNotes — deleting the
-// directory costs a cold boot, never correctness. Engines with loaded
+// writes a warmup file: the SQL of the queries that warmed the plan and
+// result caches, and the serving layer's admission-cost EWMA;
+// RestoreWarmup runs those queries again on boot, so the first query
+// after a restart answers from the same steady state the previous process
+// died in — bit-identical, cache markers and simulated latencies
+// included — and every restored entry is computed against the samples
+// actually loaded. Everything under DataDir is a cache of reproducible
+// state: corruption, truncation or a changed build is detected by
+// checksum, build signature and format version, and degrades to a cold
+// rebuild with the reason in PersistenceNotes — deleting the directory
+// costs a cold boot, never correctness. Engines with loaded
 // segments must be released with Close.
 //
 // A minimal session:
@@ -236,11 +236,11 @@ type Config struct {
 	// DataDir enables persistence when set: CreateSamples writes built
 	// families as columnar segment files under it and loads them back
 	// on matching warm boots instead of re-stratifying, and
-	// SnapshotWarmup/RestoreWarmup persist the plan cache's probe
-	// state, the result cache's answers and per-table epochs across
-	// restarts. Empty (the default) keeps the engine fully in-memory.
-	// Everything under DataDir is a cache of reproducible state:
-	// deleting it costs a cold boot, never correctness.
+	// SnapshotWarmup/RestoreWarmup persist the queries behind the plan
+	// and result caches and replay them after a restart. Empty (the
+	// default) keeps the engine fully in-memory. Everything under DataDir
+	// is a cache of reproducible state: deleting it costs a cold boot,
+	// never correctness.
 	DataDir string
 }
 

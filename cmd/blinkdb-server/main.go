@@ -200,8 +200,8 @@ func warmEngine(eng *blinkdb.Engine, srv *server.Server, o options) error {
 			if srv != nil {
 				srv.ImportAdmissionEWMA(rep.Warmup.AdmissionEWMA)
 			}
-			fmt.Printf("  warmup restored: %d table epochs, %d plans, %d results, %d admission costs\n",
-				rep.EpochsRestored, rep.Plans, rep.Results, len(rep.Warmup.AdmissionEWMA))
+			fmt.Printf("  warmup restored: %d plans, %d results, %d admission costs\n",
+				rep.Plans, rep.Results, len(rep.Warmup.AdmissionEWMA))
 		}
 		for _, note := range eng.PersistenceNotes() {
 			fmt.Println("  persistence:", note)

@@ -195,28 +195,6 @@ func (c *Catalog) Epoch(table string) uint64 {
 	return c.epochs[strings.ToLower(table)]
 }
 
-// RestoreEpoch sets the table's epoch to epoch, provided that would not
-// move it backwards: epochs only ever increase, so restoring a smaller
-// value could re-validate artifacts computed against state that has
-// since changed in THIS process. It reports whether the epoch was
-// applied. This is a boot-time API: the engine calls it after reloading
-// a persisted snapshot whose content fingerprint matches the live
-// catalog, so that warmup sets whose entries recorded pre-restart
-// epochs validate against the restored state.
-func (c *Catalog) RestoreEpoch(table string, epoch uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(table)
-	if epoch < c.epochs[key] {
-		return false
-	}
-	c.epochs[key] = epoch
-	if e, ok := c.entries[key]; ok {
-		c.entries[key] = &Entry{Table: e.Table, Families: e.Families, Epoch: epoch}
-	}
-	return true
-}
-
 // Tables returns the registered table names, sorted.
 func (c *Catalog) Tables() []string {
 	c.mu.RLock()

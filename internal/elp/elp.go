@@ -114,22 +114,26 @@ type Runtime struct {
 // never-mutated) response, the plan-cache note of the execution that
 // produced it, and the per-table epochs it was computed against. The
 // entry is servable only while every dep's catalog epoch is unchanged.
+// q is the query answered and prep the query that prepared the state it
+// ran under: what a warmup file replays (persist.go).
 // hit is what a hit of it returns (see Response.Shared); served is the
 // serving layer's immutable form of the answer (for blinkdb.Engine, the
 // Result a hit returns and its wire encoding), built by the first hit
-// that asks. Both die with the entry and neither is persisted.
+// that asks. Both die with the entry.
 type resultEntry struct {
-	resp *Response
-	note string
-	deps []tableDep
+	resp    *Response
+	note    string
+	deps    []tableDep
+	q, prep *sqlparser.Query
 
 	hit        *Response
 	servedOnce sync.Once
 	served     any
 }
 
-func newResultEntry(resp *Response, note string, deps []tableDep) *resultEntry {
-	ent := &resultEntry{resp: resp, note: note, deps: deps}
+// newResultEntry caches resp, the answer to q that pq's state produced.
+func newResultEntry(resp *Response, note string, q *sqlparser.Query, pq *prepared) *resultEntry {
+	ent := &resultEntry{resp: resp, note: note, deps: pq.deps, q: q, prep: pq.prepQ}
 	hit := *resp
 	hit.ResultCache, hit.ent = "hit", ent
 	ent.hit = &hit
@@ -319,7 +323,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		annotate(resp, note)
 		return resp, nil
 	}
-	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
+	rkey := resultKey(key, params)
 	lsp := root.Child("result-cache lookup")
 	if ent, ok := rt.results.Get(rkey); ok {
 		if rt.fresh(ent.deps) {
@@ -411,6 +415,12 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	return resp, nil
 }
 
+// resultKey is the result-cache key of the query with template key and
+// parameters params.
+func resultKey(key string, params []types.Value) string {
+	return key + "\x1e" + sqlparser.ParamsKey(params)
+}
+
 // resultLeader is the singleflight leader's body: re-check the cache,
 // then execute and cache on a true miss. The re-check matters — a caller
 // descheduled between its cache miss and its Do call can find the flight
@@ -422,14 +432,14 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 	if cached, ok := rt.results.Get(rkey); ok && rt.fresh(cached.deps) {
 		return cached, true, nil
 	}
-	resp, note, deps, err := rt.runPrepared(ctx, q, key, params, sp, emit)
+	resp, note, pq, err := rt.runPrepared(ctx, q, key, params, sp, emit)
 	if err != nil {
 		return nil, false, err
 	}
 	// Count the miss only for executions that enter the cache, like the
 	// plan cache's convention.
 	rt.bump(&rt.stats.ResultMisses)
-	ent := newResultEntry(resp, note, deps)
+	ent := newResultEntry(resp, note, q, pq)
 	rt.results.Put(rkey, ent)
 	return ent, false, nil
 }
@@ -437,10 +447,10 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 // runPrepared is the prepare/execute pipeline of a run — plan-cache
 // lookup (when enabled), prepare on miss, execute — returning the
 // UNANNOTATED response, the plan-cache note ("hit"/"miss", "" when
-// disabled) and the table-epoch deps the answer was computed against.
+// disabled) and the prepared state the answer was computed under.
 // Callers own the annotation so the result cache can store canonical
 // responses. emit is execute's.
-func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, []tableDep, error) {
+func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, *prepared, error) {
 	note := ""
 	if rt.cache != nil {
 		lsp := sp.Child("plan-cache lookup")
@@ -451,7 +461,7 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 				if err == nil {
 					lsp.Note("cache=hit")
 					rt.bump(&rt.stats.CacheHits)
-					return resp, "hit", pq.deps, nil
+					return resp, "hit", pq, nil
 				}
 				if err != errTemplateMismatch {
 					return nil, "", nil, err
@@ -483,7 +493,7 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 		rt.cache.Put(key, pq)
 	}
 	resp, err := rt.execute(ctx, pq, q, params, sp, emit)
-	return resp, note, pq.deps, err
+	return resp, note, pq, err
 }
 
 // selectFamily implements §4.1.1: prefer the covering stratified family

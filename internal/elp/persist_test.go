@@ -15,14 +15,16 @@ func warmupOptions() Options {
 }
 
 // TestWarmupRoundTrip is the warmup acceptance test at the elp layer: a
-// runtime that exported its warm state and a fresh runtime that imported
+// runtime that exported its warm state and a fresh runtime that replayed
 // it over the same catalog must answer identically — replayed parameters
-// as result-cache hits, new parameters as plan-cache hits — with
-// responses DeepEqual to the warm original's, simulated latencies and
-// cache markers included.
+// as result-cache hits, new parameters as plan-cache hits, join templates
+// included — with responses DeepEqual to the warm original's, simulated
+// latencies and cache markers included.
 func TestWarmupRoundTrip(t *testing.T) {
-	f := newFixture(t, 30000, warmupOptions())
-	for _, src := range cacheQueries {
+	const join = `SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' ERROR WITHIN 10%`
+	srcs := append(append([]string(nil), cacheQueries...), join)
+	f := joinFixture(t, 30000, warmupOptions())
+	for _, src := range srcs {
 		if _, err := answer(f.rt, parse(t, src)); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -30,7 +32,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 	// Capture the warm runtime's steady-state answers (second run: plan
 	// AND result caches hot).
 	warm := map[string]*Response{}
-	for _, src := range cacheQueries {
+	for _, src := range srcs {
 		resp, err := answer(f.rt, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
@@ -43,12 +45,13 @@ func TestWarmupRoundTrip(t *testing.T) {
 
 	blob := f.rt.ExportWarmup()
 	cold := New(f.cat, f.clus, warmupOptions())
-	plans, results, err := cold.ImportWarmup(blob, nil)
-	if err != nil {
-		t.Fatal(err)
+	plans, results, skipped, err := cold.ImportWarmup(blob)
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("import: err %v, skipped %v", err, skipped)
 	}
-	if plans == 0 || results == 0 {
-		t.Fatalf("restored %d plans, %d results; want both > 0", plans, results)
+	if plans != f.rt.cache.Len() || results != f.rt.results.Len() {
+		t.Fatalf("restored %d plans, %d results; the exporter held %d, %d",
+			plans, results, f.rt.cache.Len(), f.rt.results.Len())
 	}
 	if got, want := cold.results.Len(), f.rt.results.Len(); got != want {
 		t.Errorf("restored result cache holds %d entries, exporter held %d", got, want)
@@ -56,7 +59,7 @@ func TestWarmupRoundTrip(t *testing.T) {
 
 	// Replayed parameters: served from the restored result cache,
 	// bit-identical to the never-restarted runtime's warm answers.
-	for _, src := range cacheQueries {
+	for _, src := range srcs {
 		resp, err := answer(cold, parse(t, src))
 		if err != nil {
 			t.Fatalf("%q after import: %v", src, err)
@@ -70,12 +73,12 @@ func TestWarmupRoundTrip(t *testing.T) {
 		}
 	}
 
-	// New parameters on a known template: the restored prepared state
-	// (nil prepQ/prepPlan — always recompiles) must yield the same
-	// answer and decisions as the live runtime's prepared state.
+	// New parameters on a known template: the replayed prepared state must
+	// yield the same answer and decisions as the live runtime's.
 	for _, src := range []string{
 		`SELECT AVG(time) FROM sessions WHERE city = 'city3' ERROR WITHIN 25%`,
 		`SELECT SUM(time) FROM sessions WHERE city = 'city5' OR os = 'OSX' ERROR WITHIN 20%`,
+		`SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Microsoft' ERROR WITHIN 10%`,
 	} {
 		want, err := answer(f.rt, parse(t, src))
 		if err != nil {
@@ -94,13 +97,69 @@ func TestWarmupRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmupStaleEpochSkipped: entries whose catalog epochs moved on
-// (a sample refresh between snapshot and restore) must not be restored.
+// TestWarmupReplaysAnswersUnderTheirState: an answer cached under a
+// prepared state that was evicted since — its template re-prepared from
+// other constants — must come back as it was served, not as the live
+// template would answer it now.
+func TestWarmupReplaysAnswersUnderTheirState(t *testing.T) {
+	// One template fits the plan cache. The result cache's 16 shards hold
+	// 4 answers each, so the 4 answers here never evict one another.
+	opt := Options{PlanCacheSize: 1, ResultCacheSize: 64}
+	srcs := []string{
+		`SELECT COUNT(*) FROM sessions WHERE city = 'city150' ERROR WITHIN 20%`, // T1(P1)
+		`SELECT COUNT(*) FROM sessions GROUP BY os`,                             // T2(Q1): evicts T1
+		`SELECT COUNT(*) FROM sessions WHERE city = 'city1' ERROR WITHIN 20%`,   // T1(P2): evicts T2
+	}
+	f := newFixture(t, 30000, opt)
+	for _, src := range srcs {
+		if _, err := answer(f.rt, parse(t, src)); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+	}
+	blob := f.rt.ExportWarmup()
+	cold := New(f.cat, f.clus, opt)
+	if _, _, skipped, err := cold.ImportWarmup(blob); err != nil || len(skipped) != 0 {
+		t.Fatalf("import: err %v, skipped %v", err, skipped)
+	}
+	for _, src := range srcs {
+		want, err := answer(f.rt, parse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := answer(cold, parse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ResultCache != "hit" || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: restored answer differs from the twin's\n got %+v\nwant %+v", src, got, want)
+		}
+	}
+	// T1(P3): a plan-cache hit on T1's live state, the one prepared from P2.
+	src := `SELECT COUNT(*) FROM sessions WHERE city = 'city90' ERROR WITHIN 20%`
+	want, err := answer(f.rt, parse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := answer(cold, parse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cache != "hit" || !reflect.DeepEqual(got, want) {
+		t.Errorf("%q: restored plan-cache answer differs from the twin's\n got %+v\nwant %+v", src, got, want)
+	}
+}
+
+// TestWarmupStaleEpochSkipped: a replay after the catalog moved on (a
+// sample refresh between snapshot and restore) computes every entry
+// against the catalog as it is now, so every answer equals a cache-off
+// runtime's over the refreshed catalog.
 func TestWarmupStaleEpochSkipped(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions())
-	src := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`
-	if _, err := answer(f.rt, parse(t, src)); err != nil {
-		t.Fatal(err)
+	srcs := cacheQueries[:3]
+	for _, src := range srcs {
+		if _, err := answer(f.rt, parse(t, src)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	blob := f.rt.ExportWarmup()
 
@@ -116,20 +175,30 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 	}
 
 	cold := New(f.cat, f.clus, warmupOptions())
-	plans, results, err := cold.ImportWarmup(blob, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, skipped, err := cold.ImportWarmup(blob); err != nil || len(skipped) != 0 {
+		t.Fatalf("import: err %v, skipped %v", err, skipped)
 	}
-	if plans != 0 || results != 0 {
-		t.Fatalf("stale warmup restored %d plans, %d results; want 0, 0", plans, results)
+	ref := New(f.cat, f.clus, Options{})
+	for _, src := range srcs {
+		want, err := answer(ref, parse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := answer(cold, parse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripAll(got), want) {
+			t.Errorf("%q: answer after the refresh differs from a cache-off runtime's\n got %+v\nwant %+v", src, got, want)
+		}
 	}
 }
 
 // TestWarmupCorruptBlobRejected: flipping any byte of the blob must
 // yield either a clean error with nothing applied, or a successful
-// import whose restored entries still answer correctly (field-level
-// mutations that keep the structure valid but break references are
-// skipped as stale).
+// import whose restored entries answer as running the blob's queries
+// would (a flip inside a literal leaves a valid query with other
+// constants; one that breaks a query skips it).
 func TestWarmupCorruptBlobRejected(t *testing.T) {
 	f := newFixture(t, 8000, warmupOptions())
 	srcs := cacheQueries[:3]
@@ -144,12 +213,30 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
 		cold := New(f.cat, f.clus, warmupOptions())
-		if _, _, err := cold.ImportWarmup(mut, nil); err != nil {
+		if _, _, _, err := cold.ImportWarmup(mut); err != nil {
 			continue // rejected whole: nothing applied
 		}
-		// Import accepted: whatever was restored must still serve
-		// correct answers (or miss and re-execute).
-		want := New(f.cat, f.clus, Options{})
+		// Import accepted: answers must match a runtime that ran the
+		// accepted blob's queries through Run, in replay order — a
+		// template prepared from flipped constants is what running them
+		// leaves in the plan cache, and what the replay restores.
+		want := New(f.cat, f.clus, warmupOptions())
+		groups, err := decodeWarmup(mut)
+		if err != nil {
+			t.Fatalf("off %d: import accepted a blob that does not decode: %v", off, err)
+		}
+		for _, g := range groups {
+			q, key, _, err := parseWarm(g.prep)
+			if err != nil {
+				continue
+			}
+			answer(want, q) // an error here skips the group in the replay too
+			for _, a := range g.answers {
+				if q, akey, _, err := parseWarm(a.sql); err == nil && akey == key {
+					answer(want, q)
+				}
+			}
+		}
 		for _, src := range srcs {
 			got, err := answer(cold, parse(t, src))
 			if err != nil {
@@ -168,7 +255,7 @@ func TestWarmupCorruptBlobRejected(t *testing.T) {
 	// Truncations: must never panic; error or degraded-but-correct.
 	for off := 0; off < len(blob); off += len(blob)/97 + 1 {
 		cold := New(f.cat, f.clus, warmupOptions())
-		cold.ImportWarmup(blob[:off], nil)
+		cold.ImportWarmup(blob[:off])
 	}
 }
 

@@ -85,8 +85,8 @@ type prepDisjunct struct {
 	// chain is the probe's scan state through pv, which the first walk
 	// with prepare's parameters past pv takes and continues (§4.4),
 	// scanning the deltas past pv alone — the read right after a prepare.
-	// Later walks, and a template restored from a warmup blob (nil), start
-	// a chain of their own: the same answer, bit for bit.
+	// Later walks start a chain of their own: the same answer, bit for
+	// bit.
 	chain atomic.Pointer[exec.Chain]
 }
 

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"blinkdb/internal/stats"
@@ -45,10 +46,11 @@ type ErrorBound struct {
 
 // String renders the clause.
 func (e ErrorBound) String() string {
+	bound := number(e.Bound)
 	if e.Relative {
-		return fmt.Sprintf("ERROR WITHIN %g%% AT CONFIDENCE %g%%", e.Bound*100, e.Confidence*100)
+		bound, _ = percent(e.Bound)
 	}
-	return fmt.Sprintf("ERROR WITHIN %g AT CONFIDENCE %g%%", e.Bound, e.Confidence*100)
+	return "ERROR WITHIN " + bound + " AT CONFIDENCE " + confidence(e.Confidence)
 }
 
 // TimeBound is the "WITHIN n SECONDS" clause.
@@ -58,7 +60,29 @@ type TimeBound struct {
 }
 
 // String renders the clause.
-func (t TimeBound) String() string { return fmt.Sprintf("WITHIN %g SECONDS", t.Seconds) }
+func (t TimeBound) String() string { return "WITHIN " + number(t.Seconds) + " SECONDS" }
+
+// number renders f as the lexer reads numbers: digits and at most one
+// point, never an exponent.
+func number(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
+
+// percent renders a fraction as the parser reads it from "x%": x/100.
+// Every fraction parsed that way comes back from f*100; ok reports
+// whether f does.
+func percent(f float64) (s string, ok bool) {
+	p := f * 100
+	return number(p) + "%", p/100 == f
+}
+
+// confidence renders a confidence level. The parser reads "x%" as x/100
+// and a bare number as itself when at most 1, so a level no percentage
+// reaches came from a bare number and renders as one.
+func confidence(f float64) string {
+	if s, ok := percent(f); ok || f > 1 {
+		return s
+	}
+	return number(f)
+}
 
 // Expr is an unresolved boolean expression (column names not yet bound to
 // schema positions).
@@ -86,12 +110,20 @@ func (e *CmpExpr) Resolve(s *types.Schema) (types.Predicate, error) {
 	return &types.CmpPred{Col: strings.ToLower(e.Col), ColIdx: i, Op: e.Op, Val: e.Val}, nil
 }
 
-// String implements Expr.
+// String implements Expr. It renders the literal so that it parses back to
+// the same kind and value: quotes doubled inside a string, and a float with
+// a point and no exponent (a number without a point parses as an Int).
 func (e *CmpExpr) String() string {
-	if e.Val.Kind == types.KindString {
-		return fmt.Sprintf("%s %s '%s'", e.Col, e.Op, e.Val.S)
+	lit := e.Val.String()
+	switch e.Val.Kind {
+	case types.KindString:
+		lit = "'" + strings.ReplaceAll(e.Val.S, "'", "''") + "'"
+	case types.KindFloat:
+		if lit = number(e.Val.F); !strings.Contains(lit, ".") {
+			lit += ".0"
+		}
 	}
-	return fmt.Sprintf("%s %s %s", e.Col, e.Op, e.Val)
+	return e.Col + " " + e.Op.String() + " " + lit
 }
 
 // BinExpr is AND/OR over two sub-expressions.
@@ -212,10 +244,16 @@ func (q *Query) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.String())
+		if a.Kind == stats.AggQuantile {
+			// Not a.String(), the default output alias, whose %g level
+			// may carry an exponent.
+			fmt.Fprintf(&b, "QUANTILE(%s, %s)", a.Col, number(a.P))
+		} else {
+			b.WriteString(a.String())
+		}
 	}
 	if q.ReportError {
-		fmt.Fprintf(&b, ", RELATIVE ERROR AT %g%% CONFIDENCE", q.ReportConfidence*100)
+		b.WriteString(", RELATIVE ERROR AT " + confidence(q.ReportConfidence) + " CONFIDENCE")
 	}
 	b.WriteString(" FROM ")
 	b.WriteString(q.Table)

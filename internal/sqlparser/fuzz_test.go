@@ -21,6 +21,8 @@ import (
 //     (key, params) is a lossless encoding of everything that affects
 //     execution — the property that makes replaying a cached result for
 //     an equal (key, params) pair sound.
+//  4. SQL round trip: q.String() parses back to the same key and
+//     parameters — what a warm boot replays from the warmup file.
 //
 // The seed corpus lives in testdata/fuzz/FuzzNormalize and runs as part
 // of the ordinary test suite (non-fuzz mode); `go test -fuzz=FuzzNormalize
@@ -35,6 +37,8 @@ func FuzzNormalize(f *testing.F) {
 		`SELECT AVG(v) FROM t WHERE a = 1 AND a = 1.0 AND a = '1'`,
 		`SELECT COUNT(*) FROM t WHERE`,
 		`not sql at all`,
+		`SELECT AVG(v) FROM t WHERE name = 'O''Brien'`,
+		`SELECT AVG(v) FROM t WHERE a < 3.0`,
 	} {
 		f.Add(seed)
 	}
@@ -44,6 +48,16 @@ func FuzzNormalize(f *testing.F) {
 			return // Normalize's domain is parsed queries
 		}
 		key, params := Normalize(q) // invariant 1: must not panic
+
+		sql := q.String()
+		q4, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("String does not parse back\nsrc %q\nsql %q\nerr %v", src, sql, err)
+		}
+		if key4, params4 := Normalize(q4); key4 != key || !paramsBitsEqual(params4, params) {
+			t.Fatalf("String changed the template or parameters\nsrc  %q\nsql  %q\nwant %q %v\ngot  %q %v",
+				src, sql, key, params, key4, params4)
+		}
 
 		q2, err := Parse(src) // independent tree to mutate
 		if err != nil {

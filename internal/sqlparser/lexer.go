@@ -92,6 +92,24 @@ func isIdentStart(c byte) bool {
 	return unicode.IsLetter(rune(c))
 }
 
+// lower folds an identifier's ASCII letters and leaves every other byte as
+// it is, so the folded identifier still lexes as one; strings.ToLower
+// would fold Latin-1 bytes as UTF-8, or replace them.
+func lower(s string) string {
+	for i := 0; i < len(s); i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			b := []byte(s)
+			for ; i < len(b); i++ {
+				if 'A' <= b[i] && b[i] <= 'Z' {
+					b[i] += 'a' - 'A'
+				}
+			}
+			return string(b)
+		}
+	}
+	return s
+}
+
 func isIdentPart(c byte) bool {
 	return isIdentStart(c) || '0' <= c && c <= '9' || c == '.' // Latin-1 has no digits past ASCII
 }

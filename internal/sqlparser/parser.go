@@ -197,8 +197,8 @@ func (p *parser) parseQuery() (*Query, error) {
 		}
 		q.Joins = append(q.Joins, JoinClause{
 			Table:    jt.raw,
-			LeftCol:  strings.ToLower(left.raw),
-			RightCol: strings.ToLower(right.raw),
+			LeftCol:  lower(left.raw),
+			RightCol: lower(right.raw),
 		})
 	}
 
@@ -315,7 +315,7 @@ func (p *parser) parseAgg() (AggSpec, error) {
 		if err != nil {
 			return spec, err
 		}
-		spec.Col = strings.ToLower(col.raw)
+		spec.Col = lower(col.raw)
 	}
 	if spec.Kind == stats.AggQuantile && name != "MEDIAN" {
 		if err := p.expectSym(","); err != nil {
@@ -427,7 +427,7 @@ func (p *parser) parseCmp() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CmpExpr{Col: strings.ToLower(col.raw), Op: op, Val: val}, nil
+	return &CmpExpr{Col: lower(col.raw), Op: op, Val: val}, nil
 }
 
 func (p *parser) parseLiteral() (types.Value, error) {

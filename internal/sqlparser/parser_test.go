@@ -261,7 +261,7 @@ func TestLexerFeatures(t *testing.T) {
 		WHERE a = 'it''s' AND b = "dq" -- trailing comment
 		;`)
 	s := q.Where.String()
-	if !strings.Contains(s, "it's") {
+	if !strings.Contains(s, "'it''s'") {
 		t.Errorf("escaped quote lost: %q", s)
 	}
 	if !strings.Contains(s, "dq") {

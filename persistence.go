@@ -13,16 +13,13 @@ package blinkdb
 //     and because sampling is seeded-deterministic, the loaded
 //     families are the ones a rebuild would produce.
 //
-//  2. The warmup file. SnapshotWarmup writes DataDir/warmup.seg: per-
-//     table catalog epochs with content fingerprints, the ELP
-//     runtime's prepared templates and cached results, and the serving
-//     layer's admission-cost EWMA. RestoreWarmup replays it after the
-//     samples are loaded, restoring epochs only when the live content
-//     fingerprint matches the snapshot's — a mismatch (anything
-//     changed under the snapshot) leaves the warmup entries stale and
-//     they are dropped individually, never served. Epochs are all a
-//     restored entry is checked against: an answer carries no age, so a
-//     restart neither shortens nor extends its life.
+//  2. The warmup file. SnapshotWarmup writes DataDir/warmup.seg: the
+//     SQL of the queries behind the ELP runtime's fresh plan- and
+//     result-cache entries, grouped by the prepared state each answer
+//     ran under, and the serving layer's admission-cost EWMA.
+//     RestoreWarmup replays those queries after the samples are loaded:
+//     every restored entry is computed after the restart, against the
+//     catalog actually loaded, so none can be stale.
 //
 //  3. Everything is fail-soft: a missing, truncated, corrupt or
 //     version-skewed file degrades to the cold path with the reason
@@ -44,8 +41,8 @@ import (
 )
 
 const (
-	// warmupFileVersion versions the warmup manifest blob.
-	warmupFileVersion = 1
+	// warmupFileVersion versions the warmup file's layout.
+	warmupFileVersion = 2
 	// sampleManifestVersion versions the per-table sample manifest blob.
 	sampleManifestVersion = 1
 )
@@ -60,10 +57,7 @@ type WarmupState struct {
 
 // RestoreReport summarises what RestoreWarmup brought back.
 type RestoreReport struct {
-	// EpochsRestored counts tables whose catalog epoch was fast-
-	// forwarded to the snapshot's (content fingerprints matched).
-	EpochsRestored int
-	// Plans and Results count restored plan-cache templates and
+	// Plans and Results count replayed plan-cache templates and
 	// result-cache answers.
 	Plans, Results int
 	// Warmup holds the serving-layer state for the caller to re-seed.
@@ -71,9 +65,10 @@ type RestoreReport struct {
 }
 
 // PersistenceNotes returns the reasons persistence fell back to cold
-// paths (stale signatures, corrupt files, fingerprint mismatches) since
-// the engine was opened — the audit trail behind "clean rebuild, never
-// wrong". Empty when everything loaded warm or persistence is off.
+// paths (stale signatures, corrupt files, warmup queries that no longer
+// replay) since the engine was opened — the audit trail behind "clean
+// rebuild, never wrong". Empty when everything loaded warm or persistence
+// is off.
 func (e *Engine) PersistenceNotes() []string {
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
@@ -85,9 +80,9 @@ func (e *Engine) noteF(format string, args ...any) {
 	e.persistNotes = append(e.persistNotes, fmt.Sprintf(format, args...))
 }
 
-// --- build signatures and content fingerprints ------------------------
+// --- build signatures -------------------------------------------------
 
-// hashW is a tiny FNV-1a sink for signature/fingerprint building.
+// hashW is a tiny FNV-1a sink for signature building.
 type hashW struct{ h uint64 }
 
 func newHashW() *hashW { return &hashW{h: 14695981039346656037} }
@@ -172,52 +167,6 @@ func hashZone(w *hashW, valid bool, min, max types.Value) {
 		w.f64(v.F)
 		w.str(v.S)
 	}
-}
-
-// tableFingerprint hashes a table's live catalog state — schema, block
-// structure, zone contents, and every family's structure and per-block
-// zone contents. It is the cheap (no row scan) content check gating
-// epoch restore: warmup entries recorded pre-restart epochs, and fast-
-// forwarding the live epoch to match is sound only if the state the
-// entries were computed against is the state actually loaded.
-func tableFingerprint(entry *catalog.Entry) uint64 {
-	w := newHashW()
-	w.str("blinkdb-table-fp-v1")
-	t := entry.Table
-	w.str(t.Name)
-	w.str(t.Schema.String())
-	w.i64(t.NumRows())
-	w.i64(t.Bytes())
-	for _, b := range t.Blocks {
-		w.i64(int64(b.NumRows()))
-		w.i64(b.Bytes)
-		w.u64(uint64(b.Node))
-		for _, z := range b.Zones {
-			hashZone(w, z.Valid, z.Min, z.Max)
-		}
-	}
-	fams := append([]*sample.Family(nil), entry.Families...)
-	sort.Slice(fams, func(i, j int) bool { return fams[i].Phi.Key() < fams[j].Phi.Key() })
-	w.i64(int64(len(fams)))
-	for _, f := range fams {
-		w.str(f.Phi.Key())
-		w.i64(int64(len(f.Caps)))
-		for _, k := range f.Caps {
-			w.i64(k)
-		}
-		for _, d := range f.Deltas {
-			w.i64(d.NumRows())
-			w.i64(d.Bytes())
-			for _, b := range d.Blocks {
-				w.i64(int64(b.NumRows()))
-				w.u64(uint64(b.Node))
-				for _, z := range b.Zones {
-					hashZone(w, z.Valid, z.Min, z.Max)
-				}
-			}
-		}
-	}
-	return w.h
 }
 
 // --- sample segment persistence ---------------------------------------
@@ -364,12 +313,11 @@ func (e *Engine) warmupPath() string {
 }
 
 // SnapshotWarmup persists the engine's warm state to DataDir: current
-// sample families (re-persisted, so refreshes survive restarts), per-
-// table epochs with content fingerprints, prepared-template probe
-// state, cached results, and the caller's WarmupState. Safe to call
-// concurrently with queries — it sees a snapshot-quality view — and with
-// itself: overlapping calls run one at a time. No-op error when DataDir
-// is unset.
+// sample families (re-persisted, so refreshes survive restarts), the
+// queries behind the fresh plan- and result-cache entries, and the
+// caller's WarmupState. Safe to call concurrently with queries — it sees
+// a snapshot-quality view — and with itself: overlapping calls run one at
+// a time. No-op error when DataDir is unset.
 func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	if e.cfg.DataDir == "" {
 		return fmt.Errorf("blinkdb: SnapshotWarmup requires Config.DataDir")
@@ -379,8 +327,8 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	// Re-persist families for every table that went through
 	// CreateSamples, under the signature recorded then: a family
 	// refreshed since (RefreshSamples, Maintain) replaces its segment,
-	// so the next warm boot resumes from the refreshed state the
-	// warmup entries were computed against.
+	// so the next warm boot resumes from the refreshed state and replays
+	// the warmup queries against it.
 	for table, sig := range e.sampleSigs {
 		entry, err := e.cat.Lookup(table)
 		if err != nil {
@@ -398,17 +346,6 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 
 	var manifest blockfile.Enc
 	manifest.U32(warmupFileVersion)
-	tables := e.cat.Tables()
-	manifest.U32(uint32(len(tables)))
-	for _, name := range tables {
-		entry, err := e.cat.Lookup(name)
-		if err != nil {
-			return err
-		}
-		manifest.Str(name)
-		manifest.U64(entry.Epoch)
-		manifest.U64(tableFingerprint(entry))
-	}
 
 	var adm blockfile.Enc
 	keys := make([]string, 0, len(st.AdmissionEWMA))
@@ -431,14 +368,15 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	})
 }
 
-// RestoreWarmup replays DataDir/warmup.seg into the engine: catalog
-// epochs fast-forward where content fingerprints match, then the plan
-// and result caches re-fill from the snapshot (entries that no longer
-// validate are dropped individually). Call it AFTER tables are loaded
-// and CreateSamples ran. A missing file returns (nil, nil) — a normal
-// cold boot; corrupt files degrade to (nil, nil) with the reason in
-// PersistenceNotes. Never panics, never restores state it cannot
-// validate.
+// RestoreWarmup replays DataDir/warmup.seg into the engine: each
+// persisted query runs again, refilling the plan and result caches (see
+// elp.Runtime.ImportWarmup), so a warm boot does the prepares and scans
+// the caches hold before the server reports ready, and Stats counts them
+// (Prepares, AnswersByLevel and the probe counters move). Call it AFTER tables are loaded and CreateSamples
+// ran. A missing file returns (nil, nil) — a normal cold boot; corrupt
+// or version-skewed files degrade to (nil, nil) with the reason in
+// PersistenceNotes, as does each query that no longer replays. Never
+// panics.
 func (e *Engine) RestoreWarmup() (*RestoreReport, error) {
 	if e.cfg.DataDir == "" {
 		return nil, fmt.Errorf("blinkdb: RestoreWarmup requires Config.DataDir")
@@ -466,45 +404,14 @@ func (e *Engine) RestoreWarmup() (*RestoreReport, error) {
 		e.noteF("restore warmup: manifest version %d (want %d) — cold boot", ver, warmupFileVersion)
 		return nil, nil
 	}
-	// validated collects tables whose live content fingerprint matches
-	// the snapshot's. Only their epochs fast-forward, and only entries
-	// depending exclusively on them restore: a snapshot epoch can
-	// numerically alias a rebuilt epoch over different content, so
-	// epoch equality alone proves nothing across a restart.
-	validated := map[string]bool{}
-	ntables := d.Count(1)
-	for i := 0; i < ntables; i++ {
-		name := d.Str()
-		epoch := d.U64()
-		fp := d.U64()
-		if d.Err() != nil {
-			break
-		}
-		entry, err := e.cat.Lookup(name)
-		if err != nil {
-			e.noteF("restore warmup: table %q not loaded — entries will drop", name)
-			continue
-		}
-		if tableFingerprint(entry) != fp {
-			e.noteF("restore warmup: table %q content changed since snapshot — entries will drop", name)
-			continue
-		}
-		if e.cat.RestoreEpoch(name, epoch) {
-			validated[strings.ToLower(name)] = true
-			rep.EpochsRestored++
-		}
-	}
-	if err := d.Err(); err != nil {
-		e.noteF("restore warmup: manifest truncated: %v", err)
-		return nil, nil
-	}
 
 	if blob, ok := seg.Meta("elp"); ok {
-		plans, results, err := e.rt.ImportWarmup(blob, func(table string) bool {
-			return validated[strings.ToLower(table)]
-		})
+		plans, results, skipped, err := e.rt.ImportWarmup(blob)
 		if err != nil {
 			e.noteF("restore warmup: elp state: %v — caches warm lazily", err)
+		}
+		for _, err := range skipped {
+			e.noteF("restore warmup: %v — skipped", err)
 		}
 		rep.Plans, rep.Results = plans, results
 	}

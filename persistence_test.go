@@ -136,9 +136,9 @@ func TestRestartBitIdentical(t *testing.T) {
 	if rep == nil {
 		t.Fatalf("RestoreWarmup found nothing; notes: %v", restarted.PersistenceNotes())
 	}
-	if rep.EpochsRestored == 0 || rep.Plans == 0 || rep.Results == 0 {
-		t.Fatalf("restored epochs=%d plans=%d results=%d; want all > 0 (notes: %v)",
-			rep.EpochsRestored, rep.Plans, rep.Results, restarted.PersistenceNotes())
+	if rep.Plans == 0 || rep.Results == 0 {
+		t.Fatalf("restored plans=%d results=%d; want both > 0 (notes: %v)",
+			rep.Plans, rep.Results, restarted.PersistenceNotes())
 	}
 	if !reflect.DeepEqual(rep.Warmup.AdmissionEWMA, ewma) {
 		t.Errorf("admission EWMA did not round-trip: %v", rep.Warmup.AdmissionEWMA)
@@ -300,9 +300,8 @@ func TestStaleWarmupDropped(t *testing.T) {
 	if err := eng.SnapshotWarmup(WarmupState{}); err != nil {
 		t.Fatal(err)
 	}
-	// Refresh AFTER the snapshot: the persisted sample segments now
-	// describe pre-refresh families, but the snapshot's fingerprint
-	// covers the refreshed catalog — restore must refuse the epochs.
+	// Refresh AFTER the snapshot: every cache entry is stale from here,
+	// so the second snapshot carries no query to replay.
 	if _, ok, err := eng.RefreshSamples("sessions"); err != nil || !ok {
 		t.Fatalf("refresh: ok=%v err=%v", ok, err)
 	}
@@ -310,8 +309,7 @@ func TestStaleWarmupDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one persisted family segment so the warm sample load
-	// degrades too: the boot must fall back to a cold rebuild, whose
-	// families cannot fingerprint-match the snapshot.
+	// degrades too: the boot must fall back to a cold rebuild.
 	segs, err := filepath.Glob(filepath.Join(dir, "samples", "sessions", "fam*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no persisted family segments: %v", err)
@@ -355,8 +353,8 @@ func TestStaleWarmupDropped(t *testing.T) {
 }
 
 // TestWarmupVersionSkewBootsCachesCold: a data dir whose warmup file was
-// written by a build with another elp warmup version — its cached answers
-// computed by other arithmetic — restores its samples and epochs but boots
+// written by another warmup file version — version 1 kept the caches'
+// contents, not the queries behind them — loads its samples warm but boots
 // both caches cold, with the reason noted, and answers like a fresh engine.
 func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 	dir := t.TempDir()
@@ -370,10 +368,8 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the elp blob's leading version field to 3, the version whose
-	// result entries carried an expiry deadline. The blob's own checksum
-	// covers the payload behind it; the segment's is re-sealed by writing
-	// the segment anew.
+	// Rewrite the manifest's leading version field to 1; the segment's
+	// checksums are re-sealed by writing the segment anew.
 	path := filepath.Join(dir, "warmup.seg")
 	seg, err := blockfile.Open(path)
 	if err != nil {
@@ -388,7 +384,7 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 		metas[name] = append([]byte(nil), blob...)
 	}
 	seg.Close()
-	binary.LittleEndian.PutUint32(metas["elp"], 3)
+	binary.LittleEndian.PutUint32(metas["manifest"], 1)
 	err = blockfile.WriteSegment(path, func(w *blockfile.Writer) error {
 		for _, name := range []string{"manifest", "elp", "admission"} {
 			w.PutMeta(name, metas[name])
@@ -407,10 +403,10 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep == nil || rep.EpochsRestored == 0 || rep.Plans != 0 || rep.Results != 0 {
-		t.Fatalf("restored %+v; want epochs restored, no plans, no results", rep)
+	if rep != nil && (rep.Plans != 0 || rep.Results != 0) {
+		t.Fatalf("restored %+v; want no plans, no results", rep)
 	}
-	if notes := strings.Join(restarted.PersistenceNotes(), "\n"); !strings.Contains(notes, "warmup blob version 3 (want 4)") {
+	if notes := strings.Join(restarted.PersistenceNotes(), "\n"); !strings.Contains(notes, "manifest version 1 (want 2)") {
 		t.Fatalf("PersistenceNotes do not give the version skew: %q", notes)
 	}
 	fresh, _ := bootEngine(t, t.TempDir())
