@@ -3,6 +3,7 @@ package elp
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 
 	"blinkdb/internal/blockfile"
 	"blinkdb/internal/sqlparser"
@@ -22,6 +23,13 @@ import (
 // template is frozen from the probe of the query that prepared it: an
 // answer cached under a state since evicted and re-prepared from other
 // constants would otherwise come back with another decision.
+
+// warmupCRC checksums the blob (CRC32-Castagnoli, as the segment format
+// does). The segment's section CRC already covers the blob on disk; this
+// one makes the blob self-checking however it is stored, because a
+// flipped byte in a literal still parses, as a query with other
+// constants, and would change what the replay restores.
+var warmupCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // warmGroup is one prepared state's queries.
 type warmGroup struct {
@@ -74,19 +82,32 @@ func (rt *Runtime) ExportWarmup() []byte {
 			e.Str(a.note)
 		}
 	}
-	return e.Bytes()
+	var out blockfile.Enc
+	out.U32(crc32.Checksum(e.Bytes(), warmupCRC))
+	out.Raw(e.Bytes())
+	return out.Bytes()
 }
 
 // decodeWarmup reads a whole blob; malformed bytes are an error.
 func decodeWarmup(blob []byte) ([]warmGroup, error) {
 	d := blockfile.NewDec(blob)
+	sum := d.U32()
+	payload := d.Raw(d.Remaining())
+	if d.Err() != nil || crc32.Checksum(payload, warmupCRC) != sum {
+		return nil, fmt.Errorf("checksum mismatch")
+	}
+	d = blockfile.NewDec(payload)
 	groups := make([]warmGroup, d.Count(9))
 	for i := range groups {
 		g := &groups[i]
 		g.prep, g.live = d.Str(), d.U8() != 0
 		g.answers = make([]warmAnswer, d.Count(8))
 		for j := range g.answers {
-			g.answers[j] = warmAnswer{d.Str(), d.Str()}
+			a := warmAnswer{d.Str(), d.Str()}
+			if a.note != "" && a.note != "hit" && a.note != "miss" {
+				return nil, fmt.Errorf("cache note %q", a.note)
+			}
+			g.answers[j] = a
 		}
 	}
 	if err := d.Err(); err != nil {
@@ -104,8 +125,8 @@ func decodeWarmup(blob []byte) ([]warmGroup, error) {
 // the answer entering the result cache with its persisted note. It returns
 // how many templates and answers were restored. A group or answer that no
 // longer parses or replays (a table or column gone) is skipped, with the
-// reason in skipped; a structurally corrupt blob returns an error with
-// nothing applied.
+// reason in skipped; a blob that fails its checksum, is malformed or
+// carries an unknown cache note returns an error with nothing applied.
 //
 // Replay is real work, counted as such: Stats.Prepares and AnswersByLevel
 // (and the probe counters) move as the queries run. Call it after the

@@ -372,11 +372,11 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 // persisted query runs again, refilling the plan and result caches (see
 // elp.Runtime.ImportWarmup), so a warm boot does the prepares and scans
 // the caches hold before the server reports ready, and Stats counts them
-// (Prepares, AnswersByLevel and the probe counters move). Call it AFTER tables are loaded and CreateSamples
-// ran. A missing file returns (nil, nil) — a normal cold boot; corrupt
-// or version-skewed files degrade to (nil, nil) with the reason in
-// PersistenceNotes, as does each query that no longer replays. Never
-// panics.
+// (Prepares, AnswersByLevel and the probe counters move). Call it AFTER
+// tables are loaded and CreateSamples ran. A missing file returns
+// (nil, nil) — a normal cold boot; corrupt or version-skewed files
+// degrade to (nil, nil) with the reason in PersistenceNotes, as does
+// each query that no longer replays. Never panics.
 func (e *Engine) RestoreWarmup() (*RestoreReport, error) {
 	if e.cfg.DataDir == "" {
 		return nil, fmt.Errorf("blinkdb: RestoreWarmup requires Config.DataDir")
