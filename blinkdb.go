@@ -784,7 +784,9 @@ func newStatement(q *sqlparser.Query, began time.Time, tr *telemetry.Trace) Stat
 // point of this package performs — under the caller's trace, if any.
 func parse(sql string, tr *telemetry.Trace) (Statement, error) {
 	began := time.Now()
+	psp := tr.Root().Child("parse")
 	q, err := sqlparser.Parse(sql)
+	psp.End()
 	if err != nil {
 		return Statement{}, err
 	}
@@ -863,14 +865,42 @@ func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) e
 		tr.Finish()
 		return StreamUpdate{}, err
 	}
+	rsp := tr.Root().Child("build result")
 	u.Result, u.wire = st.result(resp)
+	rsp.End()
 	u.Level = u.Result.Level
 	tr.Finish()
 	if q.Analyze {
 		u.Result.Trace = tr.Render()
 	}
-	e.tele.Observe(st.Key, elp.ObservationFor(resp, (st.spent+time.Since(started)).Seconds()))
+	e.tele.Observe(st.Key, observationFor(resp, (st.spent+time.Since(started)).Seconds()))
 	return u, nil
+}
+
+// observationFor folds one completed response into a telemetry
+// Observation. Predicted latency is the cluster simulator's seconds (a
+// different clock from wall time — the ratio is a per-template
+// calibration constant); the bound pair is same-units.
+func observationFor(resp *elp.Response, wallSeconds float64) telemetry.Observation {
+	o := telemetry.Observation{
+		WallSeconds:      wallSeconds,
+		PredictedSeconds: resp.SimLatency,
+		// A result-cache hit (or a singleflight share of one execution)
+		// scanned nothing this time around; only executed queries feed
+		// the scan-shaped histograms.
+		Executed: resp.ResultCache != "hit" && resp.ResultCache != "shared",
+	}
+	if !o.Executed {
+		return o // the registry keeps nothing else of it
+	}
+	o.RowsScanned, o.BytesScanned = resp.Result.RowsScanned, resp.Result.BytesScanned
+	o.ObservedBound = resp.Result.MaxAbsErr()
+	for _, d := range resp.Decisions {
+		if d.PredictedBound > o.PredictedBound {
+			o.PredictedBound = d.PredictedBound
+		}
+	}
+	return o
 }
 
 // buildResult maps an elp response onto the public Result shape.
@@ -931,103 +961,14 @@ func (e *Engine) Telemetry() telemetry.Snapshot {
 	return e.tele.Snapshot()
 }
 
-// EngineStats is a snapshot of the engine's serving counters.
-type EngineStats struct {
-	// PlanExecs counts executor invocations (probes + final reads); a
-	// fully memoized plan-cache hit adds 0.
-	PlanExecs int64
-	// ProbeExecs counts the subset of PlanExecs that were ELP probes —
-	// the work the plan cache amortizes. Choosing among N ≥ 2 candidate
-	// families is N count-only passes plus the query's plan once on the
-	// winner: N + 1.
-	ProbeExecs int64
-	// Prepares counts template compilations (cold paths).
-	Prepares int64
-	// PlanCacheHits / PlanCacheMisses count plan-cache outcomes; a stale
-	// (epoch-invalidated) entry counts as a miss. Both 0 when the cache
-	// is disabled. A result-cache hit consults neither.
-	PlanCacheHits, PlanCacheMisses int64
-	// ResultCacheHits / ResultCacheMisses / ResultCacheShared count
-	// result-cache outcomes: exact replays served from memory, executions
-	// that entered the cache, and singleflight waiters that shared a
-	// concurrent miss's execution. Stale entries count as misses. All 0
-	// when the result cache is disabled.
-	ResultCacheHits, ResultCacheMisses, ResultCacheShared int64
-	// Cancelled counts queries the engine was asked to answer and that
-	// were aborted by context cancellation (client disconnect, deadline)
-	// before or during scanning. A serving layer's requests that give up
-	// before reaching the engine — queued for admission, say — are its own
-	// to count. Cancelled queries produce no answer and are not counted in
-	// AnswersByLevel.
-	Cancelled int64
-	// AnswersByLevel counts answers by serving resolution level
-	// (-1 = base table).
-	AnswersByLevel map[int]int64
-}
+// EngineStats is a snapshot of the engine's serving counters: plan
+// executions and probes, prepares, plan- and result-cache outcomes,
+// cancellations and answers by serving level (see elp.Stats for each).
+type EngineStats = elp.Stats
 
-// PlanCacheHitRate returns hits/(hits+misses), 0 before any query.
-func (s EngineStats) PlanCacheHitRate() float64 {
-	total := s.PlanCacheHits + s.PlanCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PlanCacheHits) / float64(total)
-}
-
-// ResultCacheHitRate returns the fraction of queries answered without
-// executing: (hits+shared)/(hits+shared+misses), 0 before any query.
-func (s EngineStats) ResultCacheHitRate() float64 {
-	total := s.ResultCacheHits + s.ResultCacheShared + s.ResultCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ResultCacheHits+s.ResultCacheShared) / float64(total)
-}
-
-// Delta returns the counters accumulated since prev was taken: s - prev,
-// field by field. AnswersByLevel keeps only levels whose count changed.
-// Use it to window cumulative snapshots (e.g. per-interval hit rates).
-func (s EngineStats) Delta(prev EngineStats) EngineStats {
-	d := EngineStats{
-		PlanExecs:         s.PlanExecs - prev.PlanExecs,
-		ProbeExecs:        s.ProbeExecs - prev.ProbeExecs,
-		Prepares:          s.Prepares - prev.Prepares,
-		PlanCacheHits:     s.PlanCacheHits - prev.PlanCacheHits,
-		PlanCacheMisses:   s.PlanCacheMisses - prev.PlanCacheMisses,
-		ResultCacheHits:   s.ResultCacheHits - prev.ResultCacheHits,
-		ResultCacheMisses: s.ResultCacheMisses - prev.ResultCacheMisses,
-		ResultCacheShared: s.ResultCacheShared - prev.ResultCacheShared,
-		Cancelled:         s.Cancelled - prev.Cancelled,
-	}
-	for level, n := range s.AnswersByLevel {
-		if diff := n - prev.AnswersByLevel[level]; diff != 0 {
-			if d.AnswersByLevel == nil {
-				d.AnswersByLevel = make(map[int]int64)
-			}
-			d.AnswersByLevel[level] = diff
-		}
-	}
-	return d
-}
-
-// Stats returns the engine's cumulative serving counters. The snapshot is
-// taken under a single lock, so counters are mutually consistent (no torn
-// reads between e.g. hits and misses). Safe for concurrent use with Query.
-func (e *Engine) Stats() EngineStats {
-	s := e.rt.Stats()
-	return EngineStats{
-		PlanExecs:         s.PlanExecs,
-		ProbeExecs:        s.ProbeExecs,
-		Prepares:          s.Prepares,
-		PlanCacheHits:     s.CacheHits,
-		PlanCacheMisses:   s.CacheMisses,
-		ResultCacheHits:   s.ResultHits,
-		ResultCacheMisses: s.ResultMisses,
-		ResultCacheShared: s.ResultShared,
-		Cancelled:         s.Cancelled,
-		AnswersByLevel:    s.AnswersByLevel,
-	}
-}
+// Stats returns the engine's cumulative serving counters, mutually
+// consistent (one lock). Safe for concurrent use with Query.
+func (e *Engine) Stats() EngineStats { return e.rt.Stats() }
 
 // TemplateWallSeconds returns the mean observed wall-clock seconds for
 // queries of the given normalized template key, or false when the

@@ -1,6 +1,7 @@
-// Command blinkdb is an interactive shell for BlinkDB-Go. It loads a
-// synthetic dataset (Conviva-like session log or TPC-H lineitem), builds
-// the optimizer-chosen sample families, and answers ad-hoc bounded queries
+// Command blinkdb is an interactive shell over the public blinkdb API. It
+// generates a synthetic dataset (Conviva-like session log or TPC-H
+// lineitem), loads it into a blinkdb.Engine, builds the optimizer-chosen
+// sample families with CreateSamples, and answers ad-hoc bounded queries
 // from stdin:
 //
 //	$ blinkdb -dataset conviva -rows 100000
@@ -9,7 +10,8 @@
 //
 // Each answer is annotated with its confidence interval, the sample that
 // produced it, and the latency attributed by the simulated 100-node
-// cluster.
+// cluster. A replayed script prints the same transcript at any GOMAXPROCS
+// (testdata/session.golden).
 package main
 
 import (
@@ -17,21 +19,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
-	"blinkdb/internal/catalog"
-	"blinkdb/internal/cluster"
-	"blinkdb/internal/elp"
-	"blinkdb/internal/optimizer"
-	"blinkdb/internal/sample"
-	"blinkdb/internal/sqlparser"
+	"blinkdb"
 	"blinkdb/internal/storage"
-	"blinkdb/internal/telemetry"
+	"blinkdb/internal/types"
 	"blinkdb/internal/workload"
 )
 
@@ -45,100 +40,30 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*dataset, *rows, *budget, *seed, *scale); err != nil {
+	if err := run(os.Stdin, os.Stdout, *dataset, *rows, *budget, *seed, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "blinkdb:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, rows int, budget float64, seed int64, tb float64) error {
-	fmt.Printf("loading %s dataset (%d rows)...\n", dataset, rows)
-	gen := func(rowsPerBlock int) (*workload.Dataset, error) {
-		switch dataset {
-		case "conviva":
-			return workload.Conviva(workload.ConvivaConfig{Rows: rows, Seed: seed, RowsPerBlock: rowsPerBlock}), nil
-		case "tpch":
-			return workload.TPCH(workload.TPCHConfig{Rows: rows, Seed: seed, RowsPerBlock: rowsPerBlock}), nil
-		default:
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
-	}
-	// Size blocks so one physical block ≈ one 256 MB HDFS block at the
-	// pretend scale (two passes: measure row width, then rebuild).
-	data, err := gen(512)
+// run loads the dataset, then answers the statements and backslash
+// commands read from in, writing the session to out.
+func run(in io.Reader, out io.Writer, dataset string, rows int, budget float64, seed int64, tb float64) error {
+	eng, table, err := load(out, dataset, rows, budget, seed, tb)
 	if err != nil {
 		return err
 	}
-	scale := tb * 1e12 / float64(data.Table.Bytes())
-	avgRow := float64(data.Table.Bytes()) / float64(data.Table.NumRows())
-	blockRows := int(256e6 / (scale * avgRow))
-	if blockRows < 2 {
-		blockRows = 2
-	}
-	if blockRows > 4096 {
-		blockRows = 4096
-	}
-	if data, err = gen(blockRows); err != nil {
-		return err
-	}
-
-	k := int64(rows / 200)
-	if k < 64 {
-		k = 64
-	}
-	cfg := optimizer.Config{
-		K: k, CapRatio: 2, Resolutions: 8, MinCap: 2,
-		BudgetBytes: int64(float64(data.Table.Bytes()) * budget),
-		ChurnFrac:   -1,
-		Build: sample.BuildConfig{
-			RowsPerBlock: blockRows, Nodes: 100, Place: storage.InMemory, Seed: seed,
-		},
-	}
-	fmt.Printf("solving sample-selection MILP (budget %.0f%% of table)...\n", budget*100)
-	plan, err := optimizer.ChooseSamples(data.Table, data.OptimizerTemplates(), cfg)
-	if err != nil {
-		return err
-	}
-	fams, err := optimizer.BuildFamilies(data.Table, plan, cfg, 0.2)
-	if err != nil {
-		return err
-	}
-	cat := catalog.New()
-	cat.Register(data.Table)
-	for _, f := range fams {
-		if err := cat.AddFamily(data.Table.Name, f); err != nil {
-			return err
-		}
-		fmt.Printf("  built %s (%d rows, %.1f%% of table)\n",
-			f, f.StorageRows(), 100*float64(f.StorageBytes())/float64(data.Table.Bytes()))
-	}
-
-	clus := cluster.New(cluster.PaperConfig())
-	reg := telemetry.NewRegistry()
-	rt := elp.New(cat, clus, elp.Options{
-		Scale:   scale,
-		Workers: runtime.GOMAXPROCS(0),
-		// Interactive sessions are template-heavy (users tweak constants
-		// and bounds on the same query); cache prepared templates so
-		// replays skip the probe work, and cache completed answers so
-		// re-running the exact same query (a very common REPL gesture) is
-		// instant. EXPLAIN output shows cache=hit|miss and
-		// result=hit|miss|shared.
-		PlanCacheSize:   256,
-		ResultCacheSize: 1024,
-	})
-
-	fmt.Printf("\ntable %q ready; pretending it is %.0f TB on a 100-node cluster.\n", data.Table.Name, tb)
-	fmt.Println(`enter SQL (end with ';'), e.g.:
-  SELECT COUNT(*) FROM ` + data.Table.Name + ` ERROR WITHIN 10% AT CONFIDENCE 95%;
+	fmt.Fprintf(out, "\ntable %q ready; pretending it is %.0f TB on a 100-node cluster.\n", table, tb)
+	fmt.Fprintln(out, `enter SQL (end with ';'), e.g.:
+  SELECT COUNT(*) FROM `+table+` ERROR WITHIN 10% AT CONFIDENCE 95%;
   SELECT AVG(sessiontimems) FROM sessions WHERE country = 'country02' GROUP BY endedflag WITHIN 5 SECONDS;
 backslash commands: \stats  \trace on|off  \stream on|off  \help`)
 
-	sh := &shell{rt: rt, reg: reg}
-	scanner := bufio.NewScanner(os.Stdin)
+	sh := &shell{eng: eng, out: out}
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() { fmt.Print("blinkdb> ") }
+	prompt := func() { fmt.Fprint(out, "blinkdb> ") }
 	prompt()
 	for scanner.Scan() {
 		line := scanner.Text()
@@ -146,7 +71,7 @@ backslash commands: \stats  \trace on|off  \stream on|off  \help`)
 		// SQL statement is in progress, and they never need a ';'.
 		if buf.Len() == 0 && strings.HasPrefix(strings.TrimSpace(line), `\`) {
 			if err := sh.command(strings.TrimSpace(line)); err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 			}
 			prompt()
 			continue
@@ -154,7 +79,7 @@ backslash commands: \stats  \trace on|off  \stream on|off  \help`)
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if !strings.Contains(line, ";") {
-			fmt.Print("      -> ")
+			fmt.Fprint(out, "      -> ")
 			continue
 		}
 		src := strings.TrimSpace(buf.String())
@@ -164,24 +89,104 @@ backslash commands: \stats  \trace on|off  \stream on|off  \help`)
 			continue
 		}
 		if err := sh.execute(src); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 		}
 		prompt()
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	return scanner.Err()
 }
 
-// shell holds REPL state that outlives a single statement: the runtime,
-// the telemetry registry, the \trace toggle, and the stats baseline from
-// the previous \stats call (so each \stats also shows a delta window).
+// load generates the dataset, copies its rows into a new engine whose
+// Scale makes the table pretend to be tb terabytes (the engine sizes its
+// blocks from that), and builds its samples from the dataset's templates.
+func load(out io.Writer, dataset string, rows int, budget float64, seed int64, tb float64) (*blinkdb.Engine, string, error) {
+	fmt.Fprintf(out, "loading %s dataset (%d rows)...\n", dataset, rows)
+	var data *workload.Dataset
+	switch dataset {
+	case "conviva":
+		data = workload.Conviva(workload.ConvivaConfig{Rows: rows, Seed: seed})
+	case "tpch":
+		data = workload.TPCH(workload.TPCHConfig{Rows: rows, Seed: seed})
+	default:
+		return nil, "", fmt.Errorf("unknown dataset %q", dataset)
+	}
+	src := data.Table
+	eng := blinkdb.Open(blinkdb.Config{Scale: tb * 1e12 / float64(src.Bytes()), Seed: seed})
+
+	cols := make([]blinkdb.ColumnDef, len(src.Schema.Columns))
+	for i, c := range src.Schema.Columns {
+		cols[i] = blinkdb.Col(c.Name, columnTypes[c.Kind])
+	}
+	loader := eng.CreateTable(src.Name, cols...)
+	vals := make([]any, len(cols))
+	var err error
+	src.Scan(func(r types.Row, _ storage.RowMeta) bool {
+		for i, v := range r {
+			vals[i] = goValue(v)
+		}
+		err = loader.Append(vals...)
+		return err == nil
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	if err := loader.Close(); err != nil {
+		return nil, "", err
+	}
+
+	opts := blinkdb.SampleOptions{
+		BudgetFraction: budget, K: int64(max(64, rows/200)), Resolutions: 8, CapRatio: 2,
+		UniformFraction: 0.2,
+	}
+	for _, t := range data.Templates {
+		opts.Templates = append(opts.Templates, blinkdb.Template{Columns: t.Columns.Columns(), Weight: t.Weight})
+	}
+	fmt.Fprintf(out, "solving sample-selection MILP (budget %.0f%% of table)...\n", budget*100)
+	rep, err := eng.CreateSamples(src.Name, opts)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, f := range rep.Families {
+		name := "uniform"
+		if len(f.Columns) > 0 {
+			name = fmt.Sprint(f.Columns)
+		}
+		fmt.Fprintf(out, "  built %s (%d resolutions, %d rows, %.1f%% of table)\n",
+			name, f.Resolutions, f.Rows, 100*float64(f.StorageBytes)/float64(src.Bytes()))
+	}
+	return eng, src.Name, nil
+}
+
+var columnTypes = map[types.Kind]blinkdb.ColumnType{
+	types.KindInt: blinkdb.Int, types.KindFloat: blinkdb.Float,
+	types.KindString: blinkdb.String, types.KindBool: blinkdb.Bool,
+}
+
+// goValue is v in the Go form Loader.Append takes.
+func goValue(v types.Value) any {
+	switch v.Kind {
+	case types.KindInt:
+		return v.I
+	case types.KindFloat:
+		return v.F
+	case types.KindString:
+		return v.S
+	case types.KindBool:
+		return v.I != 0
+	}
+	return nil
+}
+
+// shell holds REPL state that outlives a single statement: the engine,
+// the \trace and \stream toggles, and the stats baseline from the
+// previous \stats call (so each \stats also shows a delta window).
 type shell struct {
-	rt        *elp.Runtime
-	reg       *telemetry.Registry
+	eng       *blinkdb.Engine
+	out       io.Writer
 	tracing   bool
 	streaming bool
-	prev      elp.Stats
-	hasPrev   bool
+	prev      *blinkdb.EngineStats
 }
 
 // command dispatches a backslash command.
@@ -191,31 +196,27 @@ func (sh *shell) command(line string) error {
 	case `\stats`:
 		sh.printStats()
 		return nil
-	case `\trace`:
+	case `\trace`, `\stream`:
 		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			return fmt.Errorf(`usage: \trace on|off`)
+			return fmt.Errorf(`usage: %s on|off`, fields[0])
 		}
-		sh.tracing = fields[1] == "on"
-		fmt.Printf("  tracing %s\n", fields[1])
-		return nil
-	case `\stream`:
-		if len(fields) != 2 || (fields[1] != "on" && fields[1] != "off") {
-			return fmt.Errorf(`usage: \stream on|off`)
+		toggle, name := &sh.tracing, "tracing"
+		if fields[0] == `\stream` {
+			toggle, name = &sh.streaming, "streaming"
 		}
-		sh.streaming = fields[1] == "on"
-		fmt.Printf("  streaming %s\n", fields[1])
+		*toggle = fields[1] == "on"
+		fmt.Fprintf(sh.out, "  %s %s\n", name, fields[1])
 		return nil
 	case `\help`, `\h`, `\?`:
-		sh.printHelp()
+		fmt.Fprint(sh.out, help)
 		return nil
 	default:
 		return fmt.Errorf(`unknown command %s (try \help)`, fields[0])
 	}
 }
 
-// printHelp lists backslash commands and the bound-clause grammar.
-func (sh *shell) printHelp() {
-	fmt.Print(`  \stats           serving counters, cache hit rates, top templates by p99
+// help lists backslash commands and the bound-clause grammar.
+const help = `  \stats           serving counters, cache hit rates, top templates by p99
   \trace on|off    print the query-lifecycle span tree after each answer
   \stream on|off   stream refinements: one line per resolution along the
                    delta chain, final answer printed in full (the final is
@@ -227,21 +228,20 @@ func (sh *shell) printHelp() {
     ERROR WITHIN 500                      absolute error bound
     WITHIN 5 SECONDS                      response-time bound
   prefix a query with EXPLAIN ANALYZE to capture its span tree.
-`)
-}
+`
 
 // printStats shows cumulative serving counters, the delta since the last
 // \stats, and the top templates by p99 latency.
 func (sh *shell) printStats() {
-	cur := sh.rt.Stats()
-	fmt.Printf("  queries: plan execs %d (probes %d), prepares %d\n",
+	out, cur := sh.out, sh.eng.Stats()
+	fmt.Fprintf(out, "  queries: plan execs %d (probes %d), prepares %d\n",
 		cur.PlanExecs, cur.ProbeExecs, cur.Prepares)
-	fmt.Printf("  plan cache: %d hits / %d misses (%.0f%% hit rate)\n",
-		cur.CacheHits, cur.CacheMisses, 100*cur.HitRate())
-	fmt.Printf("  result cache: %d hits / %d misses / %d shared (%.0f%% served without executing)\n",
-		cur.ResultHits, cur.ResultMisses, cur.ResultShared, 100*cur.ResultHitRate())
+	fmt.Fprintf(out, "  plan cache: %d hits / %d misses (%.0f%% hit rate)\n",
+		cur.PlanCacheHits, cur.PlanCacheMisses, 100*cur.PlanCacheHitRate())
+	fmt.Fprintf(out, "  result cache: %d hits / %d misses / %d shared (%.0f%% served without executing)\n",
+		cur.ResultCacheHits, cur.ResultCacheMisses, cur.ResultCacheShared, 100*cur.ResultCacheHitRate())
 	if len(cur.AnswersByLevel) > 0 {
-		fmt.Print("  answers by level:")
+		fmt.Fprint(out, "  answers by level:")
 		levels := make([]int, 0, len(cur.AnswersByLevel))
 		for l := range cur.AnswersByLevel {
 			levels = append(levels, l)
@@ -252,126 +252,85 @@ func (sh *shell) printStats() {
 			if l == -1 {
 				name = "base"
 			}
-			fmt.Printf(" %s=%d", name, cur.AnswersByLevel[l])
+			fmt.Fprintf(out, " %s=%d", name, cur.AnswersByLevel[l])
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	if sh.hasPrev {
-		d := cur.Delta(sh.prev)
-		fmt.Printf("  since last \\stats: %d execs, plan cache %d/%d, result cache %d/%d/%d\n",
-			d.PlanExecs, d.CacheHits, d.CacheMisses, d.ResultHits, d.ResultMisses, d.ResultShared)
+	if sh.prev != nil {
+		d := cur.Delta(*sh.prev)
+		fmt.Fprintf(out, "  since last \\stats: %d execs, plan cache %d/%d, result cache %d/%d/%d\n",
+			d.PlanExecs, d.PlanCacheHits, d.PlanCacheMisses, d.ResultCacheHits, d.ResultCacheMisses, d.ResultCacheShared)
 	}
-	sh.prev, sh.hasPrev = cur, true
+	sh.prev = &cur
 
-	snap := sh.reg.Snapshot()
+	snap := sh.eng.Telemetry()
 	if len(snap.Templates) == 0 {
-		fmt.Println("  no per-template telemetry yet")
+		fmt.Fprintln(out, "  no per-template telemetry yet")
 		return
 	}
 	sort.Slice(snap.Templates, func(i, j int) bool {
 		return snap.Templates[i].Latency.P99 > snap.Templates[j].Latency.P99
 	})
-	top := snap.Templates
-	if len(top) > 5 {
-		top = top[:5]
-	}
-	fmt.Println("  top templates by p99 latency:")
-	for _, t := range top {
-		fmt.Printf("    %6d q  p50 %7.3fms  p95 %7.3fms  p99 %7.3fms  pred/obs bound %.2f  %s\n",
+	fmt.Fprintln(out, "  top templates by p99 latency:")
+	for _, t := range snap.Templates[:min(5, len(snap.Templates))] {
+		key := strings.Join(strings.Fields(t.Key), " ")
+		if len(key) > 88 {
+			key = key[:85] + "..."
+		}
+		fmt.Fprintf(out, "    %6d q  p50 %7.3fms  p95 %7.3fms  p99 %7.3fms  pred/obs bound %.2f  %s\n",
 			t.Queries, t.Latency.P50*1e3, t.Latency.P95*1e3, t.Latency.P99*1e3,
-			t.PredictedOverObservedBound, compactKey(t.Key))
+			t.PredictedOverObservedBound, key)
 	}
 }
 
-// compactKey trims a normalized template key for one-line display.
-func compactKey(key string) string {
-	key = strings.Join(strings.Fields(key), " ")
-	if len(key) > 88 {
-		key = key[:85] + "..."
-	}
-	return key
-}
-
+// execute answers one statement — streamed when \stream is on, with its
+// span tree when \trace is on — and prints the answer: its cells, one
+// [sample; reason] line per disjunct and its simulated latency.
 func (sh *shell) execute(src string) error {
-	q, err := sqlparser.Parse(src)
-	if err != nil {
-		return err
+	if f := strings.Fields(src); sh.tracing && !strings.EqualFold(f[0], "EXPLAIN") {
+		src = "EXPLAIN ANALYZE " + src
 	}
-	var tr *telemetry.Trace
-	if sh.tracing || q.Analyze {
-		tr = telemetry.New("query")
-	}
-	started := time.Now()
-	nsp := tr.Root().Child("normalize")
-	key, params := sqlparser.Normalize(q)
-	nsp.End()
-	var emit func(*elp.Response, int) error
+	var res *blinkdb.Result
+	var err error
 	if sh.streaming {
-		seq := 0
-		emit = func(resp *elp.Response, level int) error {
-			fmt.Printf("  ~ refinement %d (L%d): %d groups, worst rel err %.1f%%, sim latency %.2fs\n",
-				seq, level, len(resp.Result.Groups), 100*worstRelErr(resp), resp.SimLatency)
-			seq++
+		err = sh.eng.QueryStream(context.Background(), src, func(u blinkdb.StreamUpdate) error {
+			if u.Final {
+				res = u.Result
+				return nil
+			}
+			fmt.Fprintf(sh.out, "  ~ refinement %d (L%d): %d groups, worst rel err %.1f%%, sim latency %.2fs\n",
+				u.Seq, u.Level, len(u.Result.Rows), 100*u.Result.MaxRelErr(), u.Result.SimLatencySeconds)
 			return nil
-		}
+		})
+	} else {
+		res, err = sh.eng.Query(src)
 	}
-	resp, err := sh.rt.Run(context.Background(), q, key, params, tr, emit)
-	if err == nil && resp.Shared() {
-		msp := tr.Root().Child("materialize")
-		resp = resp.Materialize() // so its reasons read result=hit
-		msp.End()
-	}
-	if err == nil {
-		sh.reg.Observe(key, elp.ObservationFor(resp, time.Since(started).Seconds()))
-	}
-	tr.Finish()
 	if err != nil {
 		return err
 	}
-	for _, g := range resp.Result.Groups {
-		fmt.Printf("  %-24s", g.KeyString())
-		for i, e := range g.Estimates {
-			name := ""
-			if i < len(q.Aggs) {
-				name = q.Aggs[i].Alias
-			}
-			if e.Exact {
-				fmt.Printf("  %s = %.4g (exact)", name, e.Point)
+	out := sh.out
+	for _, row := range res.Rows {
+		fmt.Fprintf(out, "  %-24s", row.Group)
+		for _, c := range row.Cells {
+			if c.Exact {
+				fmt.Fprintf(out, "  %s = %.4g (exact)", c.Name, c.Value)
 			} else {
-				fmt.Printf("  %s = %.4g ± %.3g (%.0f%% conf, %.1f%% rel)",
-					name, e.Point, e.Bound, resp.Confidence*100, 100*e.RelErr())
+				fmt.Fprintf(out, "  %s = %.4g ± %.3g (%.0f%% conf, %.1f%% rel)",
+					c.Name, c.Value, c.Bound, res.Confidence*100, 100*c.RelErr)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	if len(resp.Result.Groups) == 0 {
-		fmt.Println("  (no rows)")
+	if len(res.Rows) == 0 {
+		fmt.Fprintln(out, "  (no rows)")
 	}
-	for _, d := range resp.Decisions {
-		src := "base table"
-		if !d.UsedBase {
-			src = d.View.String()
-		}
-		fmt.Printf("  [%s; %s]\n", src, d.Reason)
+	// Both fields join one entry per disjunct with " | ".
+	reasons := strings.Split(res.Explanation, " | ")
+	for i, sample := range strings.Split(res.SampleDescription, " | ") {
+		fmt.Fprintf(out, "  [%s; %s]\n", sample, reasons[i])
 	}
-	fmt.Printf("  simulated latency: %.2fs; scanned %d sample rows\n",
-		resp.SimLatency, resp.Result.RowsScanned)
-	if tr != nil {
-		fmt.Print(tr.Render())
-	}
+	fmt.Fprintf(out, "  simulated latency: %.2fs; scanned %d sample rows\n",
+		res.SimLatencySeconds, res.RowsScanned)
+	fmt.Fprint(out, res.Trace) // empty unless EXPLAIN ANALYZE
 	return nil
-}
-
-// worstRelErr is the worst finite relative error across a response's
-// estimates (0 when every cell is exact or empty).
-func worstRelErr(resp *elp.Response) float64 {
-	worst := 0.0
-	for _, g := range resp.Result.Groups {
-		for _, e := range g.Estimates {
-			if re := e.RelErr(); re > worst && !math.IsInf(re, 1) {
-				worst = re
-			}
-		}
-	}
-	return worst
 }

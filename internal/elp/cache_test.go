@@ -84,9 +84,9 @@ func TestCacheBitIdentity(t *testing.T) {
 		}
 	}
 	s := f.rt.Stats()
-	if s.CacheMisses != int64(len(cacheQueries)) || s.CacheHits != 2*int64(len(cacheQueries)) {
+	if s.PlanCacheMisses != int64(len(cacheQueries)) || s.PlanCacheHits != 2*int64(len(cacheQueries)) {
 		t.Errorf("stats = %d hits / %d misses, want %d / %d",
-			s.CacheHits, s.CacheMisses, 2*len(cacheQueries), len(cacheQueries))
+			s.PlanCacheHits, s.PlanCacheMisses, 2*len(cacheQueries), len(cacheQueries))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestCacheMissNotCountedOnError(t *testing.T) {
 		t.Fatal("unknown table should error")
 	}
 	after := f.rt.Stats()
-	if after.CacheMisses != before.CacheMisses || after.CacheHits != before.CacheHits {
+	if after.PlanCacheMisses != before.PlanCacheMisses || after.PlanCacheHits != before.PlanCacheHits {
 		t.Errorf("errored prepare moved cache counters: %+v -> %+v", before, after)
 	}
 }

@@ -105,7 +105,7 @@ type Runtime struct {
 
 	// Serving counters behind Stats(), guarded by one mutex so a snapshot
 	// is internally consistent — per-counter atomics let Stats observe a
-	// hits/misses pair that never coexisted, skewing HitRate under load.
+	// hits/misses pair that never coexisted, skewing hit rates under load.
 	statMu sync.Mutex
 	stats  Stats
 }
@@ -181,7 +181,7 @@ type Decision struct {
 	// the chosen resolution (probe stderr scaled by the 1/√n law, times
 	// the z score) — what the profile promised before scanning; 0 for
 	// exact/base-table execution. Against the result's reported
-	// half-width it is the calibration signal (ObservationFor).
+	// half-width it is the calibration signal Engine.Telemetry records.
 	PredictedBound float64
 	// Reason summarises the choice for EXPLAIN-style output.
 	Reason string
@@ -245,8 +245,8 @@ func (r *Response) Served(build func() any) any {
 
 // Run plans and executes q, returning estimates with error bars and a
 // simulated latency. The caller parses and normalizes q (key, params:
-// sqlparser.Normalize's) and keeps the clock: nothing is observed here (see
-// ObservationFor).
+// sqlparser.Normalize's) and keeps the clock: nothing is observed here (the
+// engine records each answer in its telemetry).
 //
 // With the plan cache enabled, a template prepared before reuses its
 // compiled state, probe results and ELP fit (state from before a sample
@@ -285,32 +285,6 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// ObservationFor folds one completed response into a telemetry
-// Observation. Predicted latency is the cluster simulator's seconds (a
-// different clock from wall time — the ratio is a per-template
-// calibration constant); the bound pair is same-units.
-func ObservationFor(resp *Response, wallSeconds float64) telemetry.Observation {
-	o := telemetry.Observation{
-		WallSeconds:      wallSeconds,
-		PredictedSeconds: resp.SimLatency,
-		// A result-cache hit (or a singleflight share of one execution)
-		// scanned nothing this time around; only executed queries feed
-		// the scan-shaped histograms.
-		Executed: resp.ResultCache != "hit" && resp.ResultCache != "shared",
-	}
-	if !o.Executed {
-		return o // the registry keeps nothing else of it
-	}
-	o.RowsScanned, o.BytesScanned = resp.Result.RowsScanned, resp.Result.BytesScanned
-	o.ObservedBound = resp.Result.MaxAbsErr()
-	for _, d := range resp.Decisions {
-		if d.PredictedBound > o.PredictedBound {
-			o.PredictedBound = d.PredictedBound
-		}
-	}
-	return o
-}
-
 // runKeyed is Run's body under an optional parent span (nil when
 // untraced). Refinements flow through emit (nil when not streaming) on the
 // executing paths only: cache hits and singleflight shares stream nothing.
@@ -329,7 +303,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		if rt.fresh(ent.deps) {
 			lsp.End()
 			lsp.Note("result=hit")
-			rt.bump(&rt.stats.ResultHits)
+			rt.bump(&rt.stats.ResultCacheHits)
 			return ent.hit, nil
 		}
 		// A stale entry means a sample refresh/rebuild happened since the
@@ -394,7 +368,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 		shared = false
 	}
 	if cachedHit {
-		rt.bump(&rt.stats.ResultHits)
+		rt.bump(&rt.stats.ResultCacheHits)
 		fsp.Note("result=hit")
 		return ent.hit, nil
 	}
@@ -403,7 +377,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	msp := root.Child("materialize")
 	resp := ent.resp.clone()
 	if shared {
-		rt.bump(&rt.stats.ResultShared)
+		rt.bump(&rt.stats.ResultCacheShared)
 		annotateResult(resp, "shared")
 		fsp.Note("result=shared")
 	} else {
@@ -438,7 +412,7 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 	}
 	// Count the miss only for executions that enter the cache, like the
 	// plan cache's convention.
-	rt.bump(&rt.stats.ResultMisses)
+	rt.bump(&rt.stats.ResultCacheMisses)
 	ent := newResultEntry(resp, note, q, pq)
 	rt.results.Put(rkey, ent)
 	return ent, false, nil
@@ -460,7 +434,7 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 				resp, err := rt.execute(ctx, pq, q, params, sp, emit)
 				if err == nil {
 					lsp.Note("cache=hit")
-					rt.bump(&rt.stats.CacheHits)
+					rt.bump(&rt.stats.PlanCacheHits)
 					return resp, "hit", pq, nil
 				}
 				if err != errTemplateMismatch {
@@ -489,7 +463,7 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 	if rt.cache != nil {
 		// Count the miss only for queries that actually entered the cache;
 		// errored prepares would otherwise skew the hit rate.
-		rt.bump(&rt.stats.CacheMisses)
+		rt.bump(&rt.stats.PlanCacheMisses)
 		rt.cache.Put(key, pq)
 	}
 	resp, err := rt.execute(ctx, pq, q, params, sp, emit)

@@ -89,11 +89,11 @@ func TestResultCacheBitIdentity(t *testing.T) {
 		}
 	}
 	s := f.rt.Stats()
-	if s.ResultMisses != int64(len(cacheQueries)) || s.ResultHits != 2*int64(len(cacheQueries)) {
+	if s.ResultCacheMisses != int64(len(cacheQueries)) || s.ResultCacheHits != 2*int64(len(cacheQueries)) {
 		t.Errorf("stats = %d hits / %d misses, want %d / %d",
-			s.ResultHits, s.ResultMisses, 2*len(cacheQueries), len(cacheQueries))
+			s.ResultCacheHits, s.ResultCacheMisses, 2*len(cacheQueries), len(cacheQueries))
 	}
-	if ref.Stats().ResultMisses != 0 || ref.Stats().ResultHits != 0 {
+	if ref.Stats().ResultCacheMisses != 0 || ref.Stats().ResultCacheHits != 0 {
 		t.Errorf("disabled result cache moved counters: %+v", ref.Stats())
 	}
 }
@@ -285,11 +285,11 @@ func TestResultCacheSingleflight(t *testing.T) {
 		}
 	}
 	s := f.rt.Stats()
-	if s.ResultMisses != 1 {
-		t.Errorf("ResultMisses = %d, want 1 (one execution across %d concurrent callers)", s.ResultMisses, goroutines)
+	if s.ResultCacheMisses != 1 {
+		t.Errorf("ResultCacheMisses = %d, want 1 (one execution across %d concurrent callers)", s.ResultCacheMisses, goroutines)
 	}
-	if s.ResultHits+s.ResultShared != goroutines-1 {
-		t.Errorf("hits+shared = %d+%d, want %d", s.ResultHits, s.ResultShared, goroutines-1)
+	if s.ResultCacheHits+s.ResultCacheShared != goroutines-1 {
+		t.Errorf("hits+shared = %d+%d, want %d", s.ResultCacheHits, s.ResultCacheShared, goroutines-1)
 	}
 	if s.Prepares != 1 {
 		t.Errorf("Prepares = %d, want 1", s.Prepares)
@@ -404,8 +404,8 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 			if !reflect.DeepEqual(stripAll(want), stripAll(resp)) {
 				t.Errorf("%s: answer diverged from the fresh pipeline\nwant %+v\ngot  %+v", name, stripAll(want), stripAll(resp))
 			}
-			if s := f.rt.Stats(); s.ResultMisses != 1 || s.ResultShared != 0 {
-				t.Errorf("%s: misses=%d shared=%d, want one private execution", name, s.ResultMisses, s.ResultShared)
+			if s := f.rt.Stats(); s.ResultCacheMisses != 1 || s.ResultCacheShared != 0 {
+				t.Errorf("%s: misses=%d shared=%d, want one private execution", name, s.ResultCacheMisses, s.ResultCacheShared)
 			}
 			finals[sink] = resp
 		}
@@ -438,7 +438,7 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 	}
 	after := f.rt.Stats()
 	if after.Prepares != before.Prepares || after.PlanExecs != before.PlanExecs ||
-		after.ResultMisses != before.ResultMisses {
+		after.ResultCacheMisses != before.ResultCacheMisses {
 		t.Errorf("second leader re-executed: %+v -> %+v", before, after)
 	}
 }

@@ -3,10 +3,9 @@ package elp
 import "maps"
 
 // Stats is a point-in-time snapshot of the runtime's serving counters,
-// the observability surface for the query pipeline (consumed by
-// Engine.Stats, the benchmark's layer table and the concurrency tests).
-// All counters are cumulative since the runtime was created; use Delta to
-// measure an interval between two snapshots.
+// the observability surface for the query pipeline — Engine.Stats returns
+// it as blinkdb.EngineStats. All counters are cumulative since the runtime
+// was created; use Delta to measure an interval between two snapshots.
 type Stats struct {
 	// PlanExecs counts executor invocations of any kind — candidate count
 	// passes, full-plan probes, probe escalations, and final reads. It is
@@ -23,20 +22,17 @@ type Stats struct {
 	// Prepares counts template preparations: compilations with their
 	// probe+profile work. With the cache on, this is the cold-path count.
 	Prepares int64
-	// CacheHits / CacheMisses count plan-cache outcomes. A stale entry
-	// (catalog epoch changed) counts as a miss. Both stay 0 when the
+	// PlanCacheHits / PlanCacheMisses count plan-cache outcomes. A stale
+	// entry (catalog epoch changed) counts as a miss. Both stay 0 when the
 	// cache is disabled. A result-cache hit consults neither the plan
 	// cache nor these counters.
-	CacheHits   int64
-	CacheMisses int64
-	// ResultHits / ResultMisses / ResultShared count result-cache
-	// outcomes: exact replays served from memory, executions that entered
-	// the cache, and singleflight waiters that shared a concurrent miss's
-	// execution. A stale entry counts as a miss. All stay 0 when the
-	// result cache is disabled.
-	ResultHits   int64
-	ResultMisses int64
-	ResultShared int64
+	PlanCacheHits, PlanCacheMisses int64
+	// ResultCacheHits / ResultCacheMisses / ResultCacheShared count
+	// result-cache outcomes: exact replays served from memory, executions
+	// that entered the cache, and singleflight waiters that shared a
+	// concurrent miss's execution. A stale entry counts as a miss. All
+	// stay 0 when the result cache is disabled.
+	ResultCacheHits, ResultCacheMisses, ResultCacheShared int64
 	// Cancelled counts queries aborted by context cancellation (client
 	// disconnect, deadline) once they entered the pipeline — before
 	// scanning or mid-scan. A caller that gives up before calling the
@@ -53,7 +49,7 @@ type Stats struct {
 }
 
 // bump increments one counter under the stats mutex. Call sites pass a
-// pointer to the field (`rt.bump(&rt.stats.CacheHits)`); computing the
+// pointer to the field (`rt.bump(&rt.stats.PlanCacheHits)`); computing the
 // field address outside the lock is safe — only the write is guarded.
 func (rt *Runtime) bump(counter *int64) {
 	rt.statMu.Lock()
@@ -71,56 +67,56 @@ func (rt *Runtime) countExec(probe bool) {
 	rt.statMu.Unlock()
 }
 
-// HitRate returns CacheHits/(CacheHits+CacheMisses), or 0 before any
+// PlanCacheHitRate returns hits/(hits+misses), or 0 before any
 // cache-eligible query ran.
-func (s Stats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
+func (s Stats) PlanCacheHitRate() float64 {
+	total := s.PlanCacheHits + s.PlanCacheMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.CacheHits) / float64(total)
+	return float64(s.PlanCacheHits) / float64(total)
 }
 
-// ResultHitRate returns the fraction of result-cache-eligible queries
-// answered without executing: (hits + shared) / (hits + shared + misses),
+// ResultCacheHitRate returns the fraction of result-cache-eligible
+// queries answered without executing: (hits+shared)/(hits+shared+misses),
 // or 0 before any such query ran.
-func (s Stats) ResultHitRate() float64 {
-	total := s.ResultHits + s.ResultShared + s.ResultMisses
+func (s Stats) ResultCacheHitRate() float64 {
+	total := s.ResultCacheHits + s.ResultCacheShared + s.ResultCacheMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.ResultHits+s.ResultShared) / float64(total)
+	return float64(s.ResultCacheHits+s.ResultCacheShared) / float64(total)
 }
 
 // Delta returns the interval counters s − prev: what happened between
 // the prev snapshot and this one. AnswersByLevel holds only levels whose
-// count changed. Derived rates (HitRate, ResultHitRate) on the returned
-// value are then interval rates, not cumulative ones.
+// count changed, and the hit rates of the returned value are interval
+// rates, not cumulative ones.
 func (s Stats) Delta(prev Stats) Stats {
 	d := Stats{
-		PlanExecs:    s.PlanExecs - prev.PlanExecs,
-		ProbeExecs:   s.ProbeExecs - prev.ProbeExecs,
-		Prepares:     s.Prepares - prev.Prepares,
-		CacheHits:    s.CacheHits - prev.CacheHits,
-		CacheMisses:  s.CacheMisses - prev.CacheMisses,
-		ResultHits:   s.ResultHits - prev.ResultHits,
-		ResultMisses: s.ResultMisses - prev.ResultMisses,
-		ResultShared: s.ResultShared - prev.ResultShared,
-		Cancelled:    s.Cancelled - prev.Cancelled,
+		PlanExecs:         s.PlanExecs - prev.PlanExecs,
+		ProbeExecs:        s.ProbeExecs - prev.ProbeExecs,
+		Prepares:          s.Prepares - prev.Prepares,
+		PlanCacheHits:     s.PlanCacheHits - prev.PlanCacheHits,
+		PlanCacheMisses:   s.PlanCacheMisses - prev.PlanCacheMisses,
+		ResultCacheHits:   s.ResultCacheHits - prev.ResultCacheHits,
+		ResultCacheMisses: s.ResultCacheMisses - prev.ResultCacheMisses,
+		ResultCacheShared: s.ResultCacheShared - prev.ResultCacheShared,
+		Cancelled:         s.Cancelled - prev.Cancelled,
 	}
 	d.AnswersByLevel = make(map[int]int64)
-	for k, v := range s.AnswersByLevel {
-		if dv := v - prev.AnswersByLevel[k]; dv != 0 {
-			d.AnswersByLevel[k] = dv
+	for level, n := range s.AnswersByLevel {
+		if diff := n - prev.AnswersByLevel[level]; diff != 0 {
+			d.AnswersByLevel[level] = diff
 		}
 	}
 	return d
 }
 
 // Stats returns a consistent snapshot of the runtime's counters: all
-// fields are copied under one mutex, so ratios like HitRate never mix a
-// hits value from one moment with a misses value from another. Safe for
-// concurrent use with Run.
+// fields are copied under one mutex, so a ratio like PlanCacheHitRate
+// never mixes a hits value from one moment with a misses value from
+// another. Safe for concurrent use with Run.
 func (rt *Runtime) Stats() Stats {
 	rt.statMu.Lock()
 	defer rt.statMu.Unlock()

@@ -230,8 +230,8 @@ func TestStreamResultCacheHitSingleFinal(t *testing.T) {
 	if after.PlanExecs != before.PlanExecs {
 		t.Errorf("cache-hit stream ran the executor: PlanExecs %d -> %d", before.PlanExecs, after.PlanExecs)
 	}
-	if after.ResultHits != before.ResultHits+1 {
-		t.Errorf("ResultHits %d -> %d, want +1", before.ResultHits, after.ResultHits)
+	if after.ResultCacheHits != before.ResultCacheHits+1 {
+		t.Errorf("ResultCacheHits %d -> %d, want +1", before.ResultCacheHits, after.ResultCacheHits)
 	}
 }
 
@@ -283,8 +283,8 @@ func TestStreamStampede(t *testing.T) {
 		}
 	}
 	s := f.rt.Stats()
-	if s.ResultMisses != 1 {
-		t.Errorf("ResultMisses = %d, want 1 (one execution across %d sessions)", s.ResultMisses, goroutines)
+	if s.ResultCacheMisses != 1 {
+		t.Errorf("ResultCacheMisses = %d, want 1 (one execution across %d sessions)", s.ResultCacheMisses, goroutines)
 	}
 	if s.PlanExecs != oneColdRun.PlanExecs || s.ProbeExecs != oneColdRun.ProbeExecs {
 		t.Errorf("stampede did %d plan / %d probe execs; one serial cold streaming run does %d / %d",

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/telemetry"
 )
 
@@ -116,27 +114,12 @@ func TestPlanCacheHitTrace(t *testing.T) {
 	}
 }
 
-// observe answers q and records it into reg the way a caller does: keyed
-// by template, timed on the caller's clock.
-func observe(t *testing.T, rt *Runtime, reg *telemetry.Registry, q *sqlparser.Query, tr *telemetry.Trace) *Response {
-	t.Helper()
-	started := time.Now()
-	resp, err := answerTraced(context.Background(), rt, q, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, _ := sqlparser.Normalize(q)
-	reg.Observe(key, ObservationFor(resp, time.Since(started).Seconds()))
-	return resp
-}
-
 // TestTelemetryOnOffBitIdentical replays the same query sequence through
-// two identically-built runtimes, one traced and observed into a registry
-// on every query, one neither, and requires deeply equal responses —
-// including SimLatency — on every query. This is the disabled-path
-// guarantee: observing a query never changes its answer.
+// two identically-built runtimes, one traced on every query, one not, and
+// requires deeply equal responses — including SimLatency — on every query.
+// This is the disabled-path guarantee: tracing a query never changes its
+// answer.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	on := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 	off := newFixture(t, 15000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 
@@ -149,67 +132,21 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	}
 	for _, src := range queries {
 		tr := telemetry.New("query")
-		a := observe(t, on.rt, reg, parse(t, src), tr)
+		a, err := answerTraced(context.Background(), on.rt, parse(t, src), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr.Finish()
 		b, err := answer(off.rt, parse(t, src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("telemetry changed the answer for %q:\n on: %+v\noff: %+v", src, a, b)
+			t.Errorf("tracing changed the answer for %q:\n on: %+v\noff: %+v", src, a, b)
 		}
-	}
-	if len(reg.Snapshot().Templates) == 0 {
-		t.Error("registry recorded no templates")
-	}
-}
-
-// TestRegistryObservations checks the per-template accounting of what
-// ObservationFor records: bounded templates record positive latency and a
-// positive predicted error half-width; exact templates record a zero bound.
-func TestRegistryObservations(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	f := newFixture(t, 15000, Options{})
-
-	bounded := `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10%`
-	exact := `SELECT COUNT(*) FROM sessions`
-	for i := 0; i < 3; i++ {
-		observe(t, f.rt, reg, parse(t, bounded), nil)
-	}
-	observe(t, f.rt, reg, parse(t, exact), nil)
-
-	snap := reg.Snapshot()
-	if len(snap.Templates) != 2 {
-		t.Fatalf("want 2 templates, got %d", len(snap.Templates))
-	}
-	byKey := map[string]telemetry.TemplateSnapshot{}
-	for _, ts := range snap.Templates {
-		byKey[ts.Key] = ts
-	}
-	bkey, _ := sqlparser.Normalize(parse(t, bounded))
-	ekey, _ := sqlparser.Normalize(parse(t, exact))
-	b, e := byKey[bkey], byKey[ekey]
-	if b.Queries != 3 || e.Queries != 1 {
-		t.Fatalf("query counts: bounded %d (want 3), exact %d (want 1)", b.Queries, e.Queries)
-	}
-	if b.Latency.Count != 3 || b.Latency.P50 <= 0 {
-		t.Errorf("bounded latency histogram: count %d p50 %g", b.Latency.Count, b.Latency.P50)
-	}
-	if b.RowsScanned.Mean <= 0 || b.BytesScanned.Mean <= 0 {
-		t.Errorf("bounded rows/bytes means: %g / %g", b.RowsScanned.Mean, b.BytesScanned.Mean)
-	}
-	if b.PredictedBound.Mean <= 0 {
-		t.Error("bounded template should record a positive predicted bound")
-	}
-	if b.PredictedLatency.Mean <= 0 {
-		t.Error("bounded template should record a positive predicted (simulated) latency")
-	}
-	if e.PredictedBound.Mean != 0 || e.ObservedBound.Mean != 0 {
-		t.Errorf("exact template should record zero bounds, got pred %g obs %g",
-			e.PredictedBound.Mean, e.ObservedBound.Mean)
-	}
-	if q := b.Latency; !(q.P50 <= q.P95 && q.P95 <= q.P99 && q.P99 <= q.Max) {
-		t.Errorf("latency percentiles not monotone: %+v", q)
+		if len(tr.Root().Children()) == 0 {
+			t.Errorf("traced run of %q recorded no spans", src)
+		}
 	}
 }
 
@@ -259,10 +196,10 @@ func TestStatsDelta(t *testing.T) {
 		}
 	}
 	d := f.rt.Stats().Delta(base)
-	if d.ResultHits != 3 {
-		t.Errorf("delta window should hold exactly the 3 replay hits, got %d", d.ResultHits)
+	if d.ResultCacheHits != 3 {
+		t.Errorf("delta window should hold exactly the 3 replay hits, got %d", d.ResultCacheHits)
 	}
-	if d.ResultMisses != 0 || d.CacheMisses != 0 || d.Prepares != 0 {
+	if d.ResultCacheMisses != 0 || d.PlanCacheMisses != 0 || d.Prepares != 0 {
 		t.Errorf("delta window should be all-hit: %+v", d)
 	}
 	if len(d.AnswersByLevel) != 0 {
@@ -283,7 +220,7 @@ func TestStatsDelta(t *testing.T) {
 	if levelSum != 1 {
 		t.Errorf("executing window should record one served level, got %+v", d.AnswersByLevel)
 	}
-	if d.ResultMisses != 1 || d.CacheHits != 1 {
+	if d.ResultCacheMisses != 1 || d.PlanCacheHits != 1 {
 		t.Errorf("fresh constant should be result miss + plan hit: %+v", d)
 	}
 }
@@ -322,7 +259,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 			default:
 			}
 			s := f.rt.Stats()
-			total := s.ResultHits + s.ResultMisses + s.ResultShared
+			total := s.ResultCacheHits + s.ResultCacheMisses + s.ResultCacheShared
 			if total > 2*queries {
 				t.Errorf("snapshot outcome sum %d exceeds total queries %d", total, 2*queries)
 				return
@@ -334,7 +271,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	reader.Wait()
 
 	s := f.rt.Stats()
-	if got := s.ResultHits + s.ResultMisses + s.ResultShared; got != 2*queries {
+	if got := s.ResultCacheHits + s.ResultCacheMisses + s.ResultCacheShared; got != 2*queries {
 		t.Errorf("final outcome sum %d, want %d", got, 2*queries)
 	}
 }

@@ -69,8 +69,9 @@ func TestExplainAnalyzeEndToEnd(t *testing.T) {
 
 // TestQueryTracedSpanAccounting checks that span durations account for
 // the query: on the cold path the root's children are sequential, so
-// their durations sum to no more than the root and cover most of it (the
-// gap is untimed glue: response assembly, telemetry observation).
+// their durations sum to no more than the root and cover most of it:
+// parse, normalize, the run and result building each have a span, so only
+// the glue between them is untimed.
 func TestQueryTracedSpanAccounting(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	const src = `SELECT AVG(sessiontime) FROM sessions WHERE city = 'SF' ERROR WITHIN 10%`
@@ -358,6 +359,53 @@ func TestEngineTelemetrySnapshot(t *testing.T) {
 		if ts.Queries != 5 {
 			t.Errorf("bounded template queries = %d, want 5", ts.Queries)
 		}
+	}
+}
+
+// TestRegistryObservations checks the per-template accounting of what
+// observationFor records for executed answers (the result cache is off, so
+// every query executes): bounded templates record positive latency, rows,
+// bytes and a positive predicted error half-width; exact templates record
+// zero bounds.
+func TestRegistryObservations(t *testing.T) {
+	eng := demoEngineCfg(t, 15000, Config{Scale: 1e4, Seed: 7, CacheTables: true, ResultCacheSize: -1})
+	const bounded = `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 10%`
+	const exact = `SELECT COUNT(*) FROM sessions`
+	for _, src := range []string{bounded, bounded, bounded, exact} {
+		if _, err := eng.Query(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	snap := eng.Telemetry()
+	if len(snap.Templates) != 2 {
+		t.Fatalf("want 2 templates, got %d", len(snap.Templates))
+	}
+	byKey := map[string]telemetry.TemplateSnapshot{}
+	for _, ts := range snap.Templates {
+		byKey[ts.Key] = ts
+	}
+	bst, _ := parse(bounded, nil)
+	est, _ := parse(exact, nil)
+	b, e := byKey[bst.Key], byKey[est.Key]
+	if b.Queries != 3 || e.Queries != 1 {
+		t.Fatalf("query counts: bounded %d (want 3), exact %d (want 1)", b.Queries, e.Queries)
+	}
+	if b.Latency.Count != 3 || b.Latency.P50 <= 0 {
+		t.Errorf("bounded latency histogram: count %d p50 %g", b.Latency.Count, b.Latency.P50)
+	}
+	if b.RowsScanned.Mean <= 0 || b.BytesScanned.Mean <= 0 {
+		t.Errorf("bounded rows/bytes means: %g / %g", b.RowsScanned.Mean, b.BytesScanned.Mean)
+	}
+	if b.PredictedBound.Mean <= 0 {
+		t.Error("bounded template should record a positive predicted bound")
+	}
+	if b.PredictedLatency.Mean <= 0 {
+		t.Error("bounded template should record a positive predicted (simulated) latency")
+	}
+	if e.PredictedBound.Mean != 0 || e.ObservedBound.Mean != 0 {
+		t.Errorf("exact template should record zero bounds, got pred %g obs %g",
+			e.PredictedBound.Mean, e.ObservedBound.Mean)
 	}
 }
 
