@@ -12,6 +12,7 @@ package blinkdb
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"blinkdb/internal/experiments"
 )
@@ -115,6 +116,44 @@ func BenchmarkEngineSampleCreation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchEngine(b, 50000)
 	}
+}
+
+// BenchmarkSetup times an engine's set-up over the explore shape at 250k
+// rows: Loader.Append and Close (load_s), then CreateSamples (samples_s).
+// The rows are generated and boxed off the clock.
+func BenchmarkSetup(b *testing.B) {
+	const rows = 250000
+	b.ReportAllocs()
+	var load, samples time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := Open(Config{Scale: 1e4, CacheTables: true})
+		loader := eng.CreateTable("sessions", exploreColumns()...)
+		exploreRows(rows, 25000, func(batch [][]any) {
+			b.StartTimer()
+			start := time.Now()
+			for _, row := range batch {
+				if err := loader.Append(row...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			load += time.Since(start)
+			b.StopTimer()
+		})
+		b.StartTimer()
+		start := time.Now()
+		if err := loader.Close(); err != nil {
+			b.Fatal(err)
+		}
+		load += time.Since(start)
+		start = time.Now()
+		if _, err := eng.CreateSamples("sessions", exploreSampleOptions()); err != nil {
+			b.Fatal(err)
+		}
+		samples += time.Since(start)
+	}
+	b.ReportMetric(load.Seconds()/float64(b.N), "load_s")
+	b.ReportMetric(samples.Seconds()/float64(b.N), "samples_s")
 }
 
 // BenchmarkEngineErrorBoundedQuery measures the ELP runtime end to end.

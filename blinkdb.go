@@ -351,6 +351,7 @@ type Loader struct {
 	builder *storage.Builder
 	schema  *types.Schema
 	place   storage.Placement
+	row     types.Row // Append's conversion buffer; the builders copy out of it
 	err     error
 }
 
@@ -387,11 +388,12 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 		builder: storage.NewBuilder(tab, provisional, e.cfg.Nodes, place),
 		schema:  schema,
 		place:   place,
+		row:     make(types.Row, schema.Len()),
 	}
 }
 
 // Append adds one row; values must match the declared column order.
-// Accepted Go types: int/int64/float64/string/bool/nil.
+// Accepted Go types: int/int32/int64/float32/float64/string/bool/nil.
 func (l *Loader) Append(values ...any) error {
 	if l.err != nil {
 		return l.err
@@ -401,16 +403,15 @@ func (l *Loader) Append(values ...any) error {
 			len(values), l.table.Name, l.schema.Len())
 		return l.err
 	}
-	row := make(types.Row, len(values))
 	for i, v := range values {
 		val, err := toValue(v)
 		if err != nil {
 			l.err = fmt.Errorf("blinkdb: column %s: %w", l.schema.Columns[i].Name, err)
 			return l.err
 		}
-		row[i] = val
+		l.row[i] = val
 	}
-	l.builder.Append(row, storage.RowMeta{Rate: 1})
+	l.builder.Append(l.row, storage.RowMeta{Rate: 1})
 	return nil
 }
 

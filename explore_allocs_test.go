@@ -45,3 +45,23 @@ func TestExploreColdQueryAllocs(t *testing.T) {
 		t.Errorf("cold explore query allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }
+
+// TestLoaderAppendAllocs pins Loader.Append at under one allocation a row
+// for rows of the benchmark's shape: the loader converts each row into one
+// reused buffer, and the builders copy its values out, so what is left is
+// the amortized growth of the column accumulators.
+func TestLoaderAppendAllocs(t *testing.T) {
+	load := Open(Config{Scale: 1e4, CacheTables: true}).CreateTable("sessions", exploreColumns()...)
+	exploreRows(3000, 3000, func(rows [][]any) {
+		next := 0
+		allocs := testing.AllocsPerRun(len(rows)-1, func() {
+			if err := load.Append(rows[next]...); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs >= 1 {
+			t.Fatalf("Loader.Append: %.0f allocations a row, want < 1", allocs)
+		}
+	})
+}

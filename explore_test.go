@@ -28,40 +28,72 @@ var exploreGenres = []string{"drama", "news", "sports", "western"}
 func exploreEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	eng := Open(Config{Scale: 1e4, CacheTables: true})
+	load := eng.CreateTable("sessions", exploreColumns()...)
+	exploreRows(rows, 4096, func(batch [][]any) {
+		for _, row := range batch {
+			if err := load.Append(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := load.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.CreateSamples("sessions", exploreSampleOptions()); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func exploreColumns() []ColumnDef {
 	cols := make([]ColumnDef, 0, len(exploreDims)+4)
 	for _, d := range exploreDims {
 		cols = append(cols, Col(d.name, String))
 	}
-	cols = append(cols, Col("genre", String), Col("dt", Int), Col("sessiontime", Float), Col("buffering", Float))
-	load := eng.CreateTable("sessions", cols...)
+	return append(cols, Col("genre", String), Col("dt", Int), Col("sessiontime", Float), Col("buffering", Float))
+}
+
+// exploreRows generates the explore shape's rows from seed 1, boxed the way
+// Loader.Append takes them, and hands them to fn in batches of up to batch
+// rows. The batch and its rows are reused from one call to the next.
+func exploreRows(rows, batch int, fn func([][]any)) {
 	rng := rand.New(rand.NewSource(1))
 	zipfs := make([]*rand.Zipf, len(exploreDims))
+	vocab := make([][]any, len(exploreDims))
 	for i, d := range exploreDims {
 		zipfs[i] = rand.NewZipf(rng, 2, 1, uint64(d.card-1))
-	}
-	for i := 0; i < rows; i++ {
-		row := make([]any, 0, len(cols))
-		for j, d := range exploreDims {
-			row = append(row, fmt.Sprintf("%s%03d", d.name, zipfs[j].Uint64()))
-		}
-		g := rng.Intn(len(exploreGenres))
-		row = append(row, exploreGenres[g], int64(rng.Intn(1000)),
-			rng.ExpFloat64()*60*float64(1+g), rng.ExpFloat64()*0.8)
-		if err := load.Append(row...); err != nil {
-			t.Fatal(err)
+		vocab[i] = make([]any, d.card)
+		for r := range vocab[i] {
+			vocab[i][r] = fmt.Sprintf("%s%03d", d.name, r)
 		}
 	}
-	if err := load.Close(); err != nil {
-		t.Fatal(err)
+	buf := make([][]any, batch)
+	for i := range buf {
+		buf[i] = make([]any, len(exploreDims)+4)
 	}
+	for done := 0; done < rows; {
+		n := min(batch, rows-done)
+		for _, row := range buf[:n] {
+			for j := range exploreDims {
+				row[j] = vocab[j][zipfs[j].Uint64()]
+			}
+			g := rng.Intn(len(exploreGenres))
+			row[len(exploreDims)] = exploreGenres[g]
+			row[len(exploreDims)+1] = int64(rng.Intn(1000))
+			row[len(exploreDims)+2] = rng.ExpFloat64() * 60 * float64(1+g)
+			row[len(exploreDims)+3] = rng.ExpFloat64() * 0.8
+		}
+		fn(buf[:n])
+		done += n
+	}
+}
+
+func exploreSampleOptions() SampleOptions {
 	opts := SampleOptions{BudgetFraction: 0.5}
 	for i, w := range []float64{0.3, 0.2, 0.2, 0.2, 0.1} {
 		opts.Templates = append(opts.Templates, Template{Columns: []string{exploreDims[i].name}, Weight: w})
 	}
-	if _, err := eng.CreateSamples("sessions", opts); err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return opts
 }
 
 // exploreQueries returns the 648 templates with fixed constants and the

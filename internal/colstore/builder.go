@@ -68,7 +68,8 @@ func (b *Builder) HintSorted(cols ...int) {
 func (b *Builder) Len() int { return b.n }
 
 // Append adds one row. len(r) must equal the builder's column count;
-// short rows are padded with NULLs.
+// short rows are padded with NULLs. The values are copied: r is not
+// retained, so a caller may reuse one row buffer for every Append.
 func (b *Builder) Append(r types.Row, rate float64, freq int64) {
 	for c := range b.cols {
 		v := types.Null()
@@ -83,22 +84,11 @@ func (b *Builder) Append(r types.Row, rate float64, freq int64) {
 
 // AppendFrom adds rows [lo, hi) of an encoded chunk of the same width,
 // values and metadata exactly as they were appended to it, column at a
-// time and without materialising a row.
+// time, in their typed form and without materialising a row: the builder
+// ends up in the state appending the rows one by one leaves it in.
 func (b *Builder) AppendFrom(src *Data, lo, hi int) {
 	for c := range b.cols {
-		a, col := &b.cols[c], &src.Cols[c]
-		if col.Enc == EncRLE {
-			for i, run := lo, col.RunOf(lo); i < hi; run++ {
-				end := min(int(col.RunEnds[run]), hi)
-				for ; i < end; i++ {
-					a.append(col.RunVals[run], b.n+i-lo)
-				}
-			}
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			a.append(col.Value(i), b.n+i-lo)
-		}
+		b.cols[c].appendFrom(&src.Cols[c], lo, hi, b.n)
 	}
 	for i, run := lo, src.MetaRunOf(lo); i < hi; run++ {
 		end := min(int(src.MetaEnds[run]), hi)
@@ -182,7 +172,14 @@ type colAcc struct {
 	last    types.Value
 	hasNull bool
 	hasNaN  bool
+
+	// remap is appendFrom's scratch: a source dictionary code's code in
+	// dict, noCode until the code is first met.
+	remap []uint32
 }
+
+// noCode marks a remap entry not filled yet.
+const noCode = ^uint32(0)
 
 // append adds v as row i of the column.
 func (a *colAcc) append(v types.Value, i int) {
@@ -198,11 +195,7 @@ func (a *colAcc) append(v types.Value, i int) {
 		return
 	}
 	if v.Kind == types.KindNull {
-		a.hasNull = true
-		for len(a.nulls) <= i>>6 {
-			a.nulls = append(a.nulls, 0)
-		}
-		a.nulls[i>>6] |= 1 << uint(i&63)
+		a.setNull(i)
 	} else if a.kind == types.KindNull {
 		a.kind = v.Kind
 		for j := 0; j < i; j++ { // the leading NULL rows' payload slots
@@ -230,17 +223,175 @@ func (a *colAcc) push(v types.Value) {
 	case types.KindString:
 		var code uint32
 		if v.Kind != types.KindNull {
-			var ok bool
-			if code, ok = a.lookup[v.S]; !ok {
-				if a.lookup == nil {
-					a.lookup = map[string]uint32{}
-				}
-				code = uint32(len(a.dict))
-				a.lookup[v.S] = code
-				a.dict = append(a.dict, v.S)
-			}
+			code = a.code(v.S)
 		}
 		a.codes = append(a.codes, code)
+	}
+}
+
+// setNull marks row i NULL.
+func (a *colAcc) setNull(i int) {
+	a.hasNull = true
+	for len(a.nulls) <= i>>6 {
+		a.nulls = append(a.nulls, 0)
+	}
+	a.nulls[i>>6] |= 1 << uint(i&63)
+}
+
+// code returns s's dictionary code, adding s at the end of the dictionary
+// when it is new.
+func (a *colAcc) code(s string) uint32 {
+	code, ok := a.lookup[s]
+	if !ok {
+		if a.lookup == nil {
+			a.lookup = map[string]uint32{}
+		}
+		code = uint32(len(a.dict))
+		a.lookup[s] = code
+		a.dict = append(a.dict, s)
+	}
+	return code
+}
+
+// appendFrom adds rows [lo, hi) of an encoded column as rows at, at+1, …
+// of the accumulator, leaving it exactly as appending their values one by
+// one would: an RLE column goes a run at a time, a verbatim one a value at
+// a time, and a typed one — once the accumulator's kind is the column's —
+// as slices, its dictionary codes translated through remap so each string
+// is looked up once per call rather than once per row.
+func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
+	switch col.Enc {
+	case EncRLE:
+		for run := col.RunOf(lo); lo < hi; run++ {
+			end := min(int(col.RunEnds[run]), hi)
+			a.appendRun(col.RunVals[run], at, end-lo)
+			at += end - lo
+			lo = end
+		}
+		return
+	case EncValue:
+		for i, v := range col.Values[lo:hi] {
+			a.append(v, at+i)
+		}
+		return
+	}
+	// Up to the first non-NULL row the accumulator's kind is open; after
+	// it, a column of another kind mixes, and the rows go one by one.
+	for ; lo < hi && !a.mixed && a.kind == types.KindNull; lo, at = lo+1, at+1 {
+		a.append(col.Value(lo), at)
+	}
+	if lo == hi {
+		return
+	}
+	if a.mixed || a.kind != encKind[col.Enc] {
+		for ; lo < hi; lo, at = lo+1, at+1 {
+			a.append(col.Value(lo), at)
+		}
+		return
+	}
+	first := at == 0 || col.Value(lo) != a.last // row lo starts a run
+	if first {
+		a.runs++
+	}
+	nulls := col.Nulls
+	if CountBits(nulls, lo, hi) == 0 {
+		nulls = nil
+	}
+	null := func(j int) bool { return nulls != nil && nulls[j>>6]&(1<<uint(j&63)) != 0 }
+	var breaks, lastStart int
+	switch col.Enc {
+	case EncFloat:
+		a.floats = append(a.floats, col.Floats[lo:hi]...)
+		breaks, lastStart = runBreaks(a.floats[at:], nulls, lo)
+		for j, x := range a.floats[at:] {
+			if x != x && !null(lo+j) {
+				a.hasNaN = true
+				break
+			}
+		}
+	case EncInt, EncBool:
+		a.ints = append(a.ints, col.Ints[lo:hi]...)
+		breaks, lastStart = runBreaks(a.ints[at:], nulls, lo)
+	case EncDict:
+		a.remap = a.remap[:0]
+		for range col.Dict {
+			a.remap = append(a.remap, noCode)
+		}
+		for j := lo; j < hi; j++ {
+			var code uint32
+			if !null(j) {
+				c := col.Codes[j]
+				if code = a.remap[c]; code == noCode {
+					code = a.code(col.Dict[c])
+					a.remap[c] = code
+				}
+			}
+			a.codes = append(a.codes, code)
+		}
+		// Codes of one dictionary are equal exactly when their strings are.
+		breaks, lastStart = runBreaks(a.codes[at:], nulls, lo)
+	}
+	// A NULL row's payload slot already holds the 0 that append gives it
+	// (see Encoding): only the bitmap needs the row.
+	if nulls != nil {
+		for j := lo; j < hi; j++ {
+			if null(j) {
+				a.setNull(at + j - lo)
+			}
+		}
+	}
+	// last is the value that opened the last run, as append keeps it.
+	a.runs += breaks
+	if breaks > 0 {
+		a.last = a.value(at + lastStart)
+	} else if first {
+		a.last = a.value(at)
+	}
+}
+
+// encKind is the kind of the non-NULL values of a typed encoding.
+var encKind = [...]types.Kind{EncFloat: types.KindFloat, EncInt: types.KindInt, EncBool: types.KindBool, EncDict: types.KindString}
+
+// runBreaks counts the rows of xs after the first that start a new run of
+// exactly-equal values — NULL next to non-NULL, or a payload that differs
+// (a float NaN differs from everything) — and returns the last such row
+// (0 when none). Bit lo+j of nulls (nil: none) says whether row j is NULL.
+func runBreaks[T int64 | float64 | uint32](xs []T, nulls []uint64, lo int) (breaks, last int) {
+	if nulls == nil {
+		for j := 1; j < len(xs); j++ {
+			if xs[j] != xs[j-1] {
+				breaks, last = breaks+1, j
+			}
+		}
+		return breaks, last
+	}
+	null := func(j int) bool { return nulls[(lo+j)>>6]&(1<<uint((lo+j)&63)) != 0 }
+	for j := 1; j < len(xs); j++ {
+		if n := null(j); n != null(j-1) || !n && xs[j] != xs[j-1] {
+			breaks, last = breaks+1, j
+		}
+	}
+	return breaks, last
+}
+
+// appendRun adds k copies of v as rows at, at+1, … — what k calls of
+// append leave, with the string looked up once. v is one run of an RLE
+// column, so it is not a NaN unless k is 1: the copies continue its run.
+func (a *colAcc) appendRun(v types.Value, at, k int) {
+	a.append(v, at)
+	for i := at + 1; i < at+k; i++ {
+		if a.mixed {
+			a.values = append(a.values, v)
+			continue
+		}
+		if v.Kind == types.KindNull {
+			a.setNull(i)
+		}
+		if a.kind == types.KindString {
+			a.codes = append(a.codes, a.codes[at]) // v's code, or a NULL's 0
+		} else {
+			a.push(v)
+		}
 	}
 }
 

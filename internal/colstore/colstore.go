@@ -46,7 +46,9 @@
 package colstore
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"blinkdb/internal/types"
@@ -307,4 +309,229 @@ func (d *Data) RowKey(i int, idx []int) string {
 		buf = append(buf, d.Cols[j].Value(i).Key()...)
 	}
 	return string(buf)
+}
+
+// Strata numbers the distinct projections of rows onto a list of columns
+// with dense ids 0, 1, 2, … in order of first appearance over the rows it
+// is shown. Two rows share an id exactly when their RowKeys are equal:
+// values are told apart as Value.Key tells them, so Int(1) and Bool(true)
+// share an id, every NaN shares one, and −0 is not +0. The ids are exact —
+// a multi-column id numbers the pair (id over the leading columns, id of
+// the next column), with no hash or packing that could collide — and a
+// dictionary column looks each entry up once per IDs call instead of once
+// per row, as an RLE column does each run. Over no columns every row is
+// stratum 0, keyed "".
+type Strata struct {
+	cols []valueIDs
+	idx  []int
+	rows bool // a row has been shown (the no-column case's Len)
+	// pairs[k-1] numbers the (id over columns 0..k-1, id of column k)
+	// pairs met so far, and parts[k-1][id] is the pair id stands for.
+	pairs []map[uint64]uint32
+	parts [][]uint64
+	// Scratch: one column's ids, and Count's ids.
+	colIDs, ids []uint32
+}
+
+// NewStrata creates a numbering of projections onto the column indices idx.
+func NewStrata(idx []int) *Strata {
+	k := len(idx)
+	return &Strata{
+		cols:  make([]valueIDs, k),
+		idx:   append([]int(nil), idx...),
+		pairs: make([]map[uint64]uint32, max(k-1, 0)),
+		parts: make([][]uint64, max(k-1, 0)),
+	}
+}
+
+// Len returns how many distinct projections have been numbered.
+func (s *Strata) Len() int {
+	switch k := len(s.idx); {
+	case k > 1:
+		return len(s.parts[k-2])
+	case k == 1:
+		return len(s.cols[0].vals)
+	case s.rows:
+		return 1
+	}
+	return 0
+}
+
+// IDs appends the ids of rows [lo, hi) of d to out and returns it.
+func (s *Strata) IDs(d *Data, lo, hi int, out []uint32) []uint32 {
+	start := len(out)
+	out = slices.Grow(out, hi-lo)[:start+hi-lo]
+	ids := out[start:]
+	if len(s.idx) == 0 {
+		clear(ids)
+		s.rows = s.rows || hi > lo
+		return out
+	}
+	s.cols[0].column(&d.Cols[s.idx[0]], lo, hi, ids)
+	for k := 1; k < len(s.idx); k++ {
+		s.colIDs = slices.Grow(s.colIDs[:0], hi-lo)[:hi-lo]
+		s.cols[k].column(&d.Cols[s.idx[k]], lo, hi, s.colIDs)
+		pairs, parts := s.pairs[k-1], s.parts[k-1]
+		if pairs == nil {
+			pairs = map[uint64]uint32{}
+			s.pairs[k-1] = pairs
+		}
+		for i, c := range s.colIDs {
+			pair := uint64(ids[i])<<32 | uint64(c)
+			id, ok := pairs[pair]
+			if !ok {
+				id = uint32(len(parts))
+				pairs[pair] = id
+				parts = append(parts, pair)
+			}
+			ids[i] = id
+		}
+		s.parts[k-1] = parts
+	}
+	return out
+}
+
+// Count adds one to counts[id] for each row of [lo, hi) of d, counts
+// grown to Len, and returns counts.
+func (s *Strata) Count(d *Data, lo, hi int, counts []int64) []int64 {
+	s.ids = s.IDs(d, lo, hi, s.ids[:0])
+	if n := s.Len(); n > len(counts) {
+		counts = append(counts, make([]int64, n-len(counts))...)
+	}
+	for _, id := range s.ids {
+		counts[id]++
+	}
+	return counts
+}
+
+// Key returns the RowKey of the rows numbered id.
+func (s *Strata) Key(id uint32) string {
+	if len(s.idx) == 0 {
+		return ""
+	}
+	return string(s.appendKey(nil, len(s.idx)-1, id))
+}
+
+// appendKey appends the key of id over columns 0..k.
+func (s *Strata) appendKey(buf []byte, k int, id uint32) []byte {
+	if k == 0 {
+		return append(buf, s.cols[0].vals[id].Key()...)
+	}
+	pair := s.parts[k-1][id]
+	buf = append(s.appendKey(buf, k-1, uint32(pair>>32)), '\x1f')
+	return append(buf, s.cols[k].vals[uint32(pair)].Key()...)
+}
+
+// valueIDs numbers one column's distinct values by Value.Key equality.
+type valueIDs struct {
+	ints   map[int64]uint32  // KindInt and KindBool, whose keys are one space
+	floats map[uint64]uint32 // by bits, every NaN under nanBits
+	strs   map[string]uint32
+	null   uint32        // NULL's id + 1; 0 until a NULL is met
+	vals   []types.Value // vals[id] is the first value numbered id
+	remap  []uint32      // column's scratch: dictionary code → id, noCode until met
+}
+
+var nanBits = math.Float64bits(math.NaN())
+
+// id returns v's id, numbering it when it is new.
+func (n *valueIDs) id(v types.Value) uint32 {
+	switch v.Kind {
+	case types.KindNull:
+		if n.null == 0 {
+			n.vals = append(n.vals, v)
+			n.null = uint32(len(n.vals))
+		}
+		return n.null - 1
+	case types.KindInt, types.KindBool:
+		return numberOf(&n.ints, v.I, n, v)
+	case types.KindFloat:
+		bits := math.Float64bits(v.F)
+		if v.F != v.F {
+			bits = nanBits
+		}
+		return numberOf(&n.floats, bits, n, v)
+	default:
+		return numberOf(&n.strs, v.S, n, v)
+	}
+}
+
+func numberOf[K comparable](m *map[K]uint32, k K, n *valueIDs, v types.Value) uint32 {
+	id, ok := (*m)[k]
+	if !ok {
+		if *m == nil {
+			*m = map[K]uint32{}
+		}
+		id = uint32(len(n.vals))
+		(*m)[k] = id
+		n.vals = append(n.vals, v)
+	}
+	return id
+}
+
+// column writes the ids of rows [lo, hi) of col to out[:hi-lo].
+func (n *valueIDs) column(col *Column, lo, hi int, out []uint32) {
+	switch col.Enc {
+	case EncRLE:
+		for run, i := col.RunOf(lo), 0; lo < hi; run++ {
+			end := min(int(col.RunEnds[run]), hi)
+			id := n.id(col.RunVals[run])
+			for ; lo < end; lo, i = lo+1, i+1 {
+				out[i] = id
+			}
+		}
+		return
+	case EncValue:
+		for i, v := range col.Values[lo:hi] {
+			out[i] = n.id(v)
+		}
+		return
+	case EncDict:
+		n.remap = n.remap[:0]
+		for range col.Dict {
+			n.remap = append(n.remap, noCode)
+		}
+	}
+	for i := range out[:hi-lo] {
+		j := lo + i
+		if col.Nulls != nil && col.Nulls[j>>6]&(1<<uint(j&63)) != 0 {
+			out[i] = n.id(types.Null())
+			continue
+		}
+		switch col.Enc {
+		case EncDict:
+			c := col.Codes[j]
+			id := n.remap[c]
+			if id == noCode {
+				id = n.id(types.Str(col.Dict[c]))
+				n.remap[c] = id
+			}
+			out[i] = id
+		case EncFloat:
+			out[i] = n.id(types.Float(col.Floats[j]))
+		case EncInt:
+			out[i] = n.id(types.Int(col.Ints[j]))
+		default: // EncBool
+			out[i] = n.id(types.Value{Kind: types.KindBool, I: col.Ints[j]})
+		}
+	}
+}
+
+// CountBits counts the set bits of positions [lo, hi) in a bitmap (0 for a
+// nil one).
+func CountBits(bm []uint64, lo, hi int) int {
+	if bm == nil || lo >= hi {
+		return 0
+	}
+	loW, hiW := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if loW == hiW {
+		return bits.OnesCount64(bm[loW] & loMask & hiMask)
+	}
+	n := bits.OnesCount64(bm[loW]&loMask) + bits.OnesCount64(bm[hiW]&hiMask)
+	for w := loW + 1; w < hiW; w++ {
+		n += bits.OnesCount64(bm[w])
+	}
+	return n
 }

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"blinkdb/internal/catalog"
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/optimizer"
 	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
@@ -55,12 +56,17 @@ func TakeSnapshot(tab *storage.Table, columns []string, templates []optimizer.Te
 		idxs = append(idxs, i)
 		s.ColumnHists[c] = map[string]int64{}
 	}
-	// Per-column histograms read values straight out of either layout.
-	for _, b := range tab.Blocks {
-		for ri, n := 0, b.NumRows(); ri < n; ri++ {
-			for k, i := range idxs {
-				s.ColumnHists[columns[k]][b.ValueAt(ri, i).Key()]++
-			}
+	// Per-column histograms count value ids off the chunks' typed columns
+	// (blocks tile their chunks) and render each id's key once.
+	for k, i := range idxs {
+		strata := colstore.NewStrata([]int{i})
+		var counts []int64
+		for _, d := range tab.Chunks() {
+			counts = strata.Count(d, 0, d.N, counts)
+		}
+		h := s.ColumnHists[columns[k]]
+		for id, n := range counts {
+			h[strata.Key(uint32(id))] += n
 		}
 	}
 	for c := range s.ColumnHists {

@@ -2,6 +2,7 @@ package maintenance
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"blinkdb/internal/catalog"
@@ -65,6 +66,39 @@ func TestSnapshotAndDrift(t *testing.T) {
 	}
 	if diff <= same {
 		t.Error("different skew must drift more than a re-draw")
+	}
+}
+
+// TestSnapshotHistsMatchValueKeys holds TakeSnapshot's histograms, counted
+// by dense value id, to one Value.Key per row and column on a table of
+// three chunks, each with its own dictionaries, with a float column wide
+// enough that the TopK truncation breaks ties by key.
+func TestSnapshotHistsMatchValueKeys(t *testing.T) {
+	tab := buildTable(t, 140000, 1.5, 4)
+	if n := len(tab.Chunks()); n < 3 {
+		t.Fatalf("%d chunks, want at least 3", n)
+	}
+	cols := []string{"city", "os", "v", "city"}
+	snap, err := TakeSnapshot(tab, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]int64{}
+	for _, c := range cols {
+		want[c] = map[string]int64{}
+	}
+	for _, b := range tab.Blocks {
+		for ri := 0; ri < b.NumRows(); ri++ {
+			for _, c := range cols {
+				want[c][b.ValueAt(ri, tab.Schema.Index(c)).Key()]++
+			}
+		}
+	}
+	for c := range want {
+		want[c] = truncateHist(want[c], TopK)
+	}
+	if !reflect.DeepEqual(snap.ColumnHists, want) {
+		t.Fatal("histograms differ from the per-row Value.Key count")
 	}
 }
 

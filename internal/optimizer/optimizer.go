@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/milp"
 	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
@@ -425,20 +426,16 @@ func frequencies(tab *storage.Table, phi types.ColumnSet) ([]int64, error) {
 		}
 		idx = append(idx, i)
 	}
-	// Block.RowKey projects the key from either layout, so columnar base
-	// tables are profiled without materialising rows.
-	counts := map[string]int64{}
-	for _, b := range tab.Blocks {
-		for i, n := 0, b.NumRows(); i < n; i++ {
-			counts[b.RowKey(i, idx)]++
-		}
+	// Rows are counted by stratum id (RowKey equality, numbered off the
+	// chunks' typed columns), not by a key string per row. Blocks tile
+	// their chunks, so whole chunks count every row once.
+	strata := colstore.NewStrata(idx)
+	var counts []int64
+	for _, d := range tab.Chunks() {
+		counts = strata.Count(d, 0, d.N, counts)
 	}
-	out := make([]int64, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] > out[b] })
-	return out, nil
+	sort.Slice(counts, func(a, b int) bool { return counts[a] > counts[b] })
+	return counts, nil
 }
 
 func avgRowBytes(tab *storage.Table) float64 {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/bits"
 	"sort"
 
 	"blinkdb/internal/colstore"
@@ -80,7 +79,7 @@ func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
 	}
 
 	z.Valid = true
-	nulls := countBits(col.Nulls, lo, hi)
+	nulls := colstore.CountBits(col.Nulls, lo, hi)
 	if nulls == n {
 		return z, bytes + int64(n) // Min = Max = NULL
 	}
@@ -171,23 +170,4 @@ func (c *cutter) dict(ci int) (rank []uint32, size []int64) {
 		c.ranks[ci], c.strBytes[ci] = rank, size
 	}
 	return c.ranks[ci], c.strBytes[ci]
-}
-
-// countBits counts the set bits of positions [lo, hi) in a bitmap (0 for a
-// nil one).
-func countBits(bm []uint64, lo, hi int) int {
-	if bm == nil || lo >= hi {
-		return 0
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << uint(lo&63)
-	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
-	if loW == hiW {
-		return bits.OnesCount64(bm[loW] & loMask & hiMask)
-	}
-	n := bits.OnesCount64(bm[loW]&loMask) + bits.OnesCount64(bm[hiW]&hiMask)
-	for w := loW + 1; w < hiW; w++ {
-		n += bits.OnesCount64(bm[w])
-	}
-	return n
 }

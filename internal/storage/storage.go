@@ -439,7 +439,8 @@ func (b *Builder) encoder(width int) *colstore.Builder {
 	return b.cur
 }
 
-// Append adds one row with its sampling metadata.
+// Append adds one row with its sampling metadata. The values are copied:
+// r is not retained, so a caller may reuse one row buffer for every Append.
 func (b *Builder) Append(r types.Row, m RowMeta) {
 	cur := b.encoder(len(r))
 	cur.Append(r, m.Rate, m.StratumFreq)
@@ -477,7 +478,12 @@ func (b *Builder) Finish() *Table {
 // Recut returns src's rows, values and sampling metadata unchanged and in
 // order, as a table of rowsPerBlock-row blocks. Rows move between chunks
 // column at a time in their typed form (a chunk must hold whole blocks, so
-// its boundaries move with the block size); zones and byte sizes are
+// its boundaries move with the block size): payloads and null bitmaps are
+// copied as slices, RLE columns a run at a time, and dictionary codes are
+// translated through a source-code → new-code table filled the first time
+// each code is met, so every new chunk is the one a fresh build of its
+// rows encodes — same dictionary order — while each string is looked up
+// once per window instead of once per row. Zones and byte sizes are
 // computed for the new windows.
 func Recut(src *Table, rowsPerBlock, numNodes int, place Placement) *Table {
 	b := NewBuilder(NewTable(src.Name, src.Schema), rowsPerBlock, numNodes, place)

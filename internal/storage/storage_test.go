@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/types"
 )
 
@@ -279,15 +282,144 @@ func TestZoneSizingFromSchema(t *testing.T) {
 	}
 }
 
+// recutRows extends mixedRows with the shapes a re-cut must carry over
+// encoding by encoding: a string column with NULLs, a column whose kinds
+// mix in every chunk, one whose kind changes where the first chunk ends,
+// one that RLE-encodes in the source, one that is NULL until past the
+// first chunk, a bool column, and float NaNs (of two payloads) and −0.
+func recutRows(n int) ([]types.Row, []RowMeta) {
+	rows, metas := mixedRows(n)
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	for i, r := range rows {
+		city := r[1]
+		if i%13 == 0 {
+			city = types.Null()
+		}
+		v := r[2]
+		switch {
+		case i%97 == 0:
+			v = types.Float(math.NaN())
+		case i%101 == 0:
+			v = types.Float(nan2)
+		case i%103 == 0:
+			v = types.Float(math.Copysign(0, -1))
+		}
+		mix := types.Int(int64(i % 5))
+		if i%7 == 0 {
+			mix = types.Float(float64(i%5) + 0.5)
+		}
+		phase := types.Int(int64(i % 1000))
+		if i >= chunkRows {
+			phase = types.Str(fmt.Sprintf("p%d", i%1000))
+		}
+		grp := types.Str(fmt.Sprintf("g%d", i/700))
+		if i/700%5 == 4 {
+			grp = types.Null()
+		}
+		late := types.Null()
+		if i >= chunkRows+100 {
+			late = types.Int(int64(i % 17))
+		}
+		rows[i] = types.Row{r[0], city, v, mix, phase, grp, late, types.Bool(i%3 == 0)}
+	}
+	return rows, metas
+}
+
+func recutSchema() *types.Schema {
+	return types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "city", Kind: types.KindString},
+		types.Column{Name: "v", Kind: types.KindFloat},
+		types.Column{Name: "mix", Kind: types.KindInt},
+		types.Column{Name: "phase", Kind: types.KindInt},
+		types.Column{Name: "grp", Kind: types.KindString},
+		types.Column{Name: "late", Kind: types.KindInt},
+		types.Column{Name: "flag", Kind: types.KindBool},
+	)
+}
+
+func sameValues(a, b []types.Value) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if !sameValue(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// chunkDiff describes the first field in which two chunks differ, "" when
+// they are identical: encodings, dictionary order, codes, payloads (floats
+// by their bits), null bitmaps, runs, NaNFree and the metadata runs.
+func chunkDiff(got, want *colstore.Data) string {
+	if got.N != want.N {
+		return fmt.Sprintf("%d rows, want %d", got.N, want.N)
+	}
+	if !reflect.DeepEqual(got.MetaEnds, want.MetaEnds) || !sameFloats(got.Rates, want.Rates) || !reflect.DeepEqual(got.Freqs, want.Freqs) {
+		return "metadata runs differ"
+	}
+	for c := range want.Cols {
+		g, w := &got.Cols[c], &want.Cols[c]
+		switch {
+		case g.Enc != w.Enc:
+			return fmt.Sprintf("col %d: encoding %v, want %v", c, g.Enc, w.Enc)
+		case g.NaNFree != w.NaNFree:
+			return fmt.Sprintf("col %d: NaNFree %v, want %v", c, g.NaNFree, w.NaNFree)
+		case !reflect.DeepEqual(g.Dict, w.Dict):
+			return fmt.Sprintf("col %d: dictionary differs", c)
+		case !reflect.DeepEqual(g.Codes, w.Codes):
+			return fmt.Sprintf("col %d: codes differ", c)
+		case !reflect.DeepEqual(g.Ints, w.Ints):
+			return fmt.Sprintf("col %d: ints differ", c)
+		case !sameFloats(g.Floats, w.Floats):
+			return fmt.Sprintf("col %d: floats differ", c)
+		case !sameValues(g.Values, w.Values):
+			return fmt.Sprintf("col %d: values differ", c)
+		case !reflect.DeepEqual(g.Nulls, w.Nulls):
+			return fmt.Sprintf("col %d: null bitmaps differ", c)
+		case !sameValues(g.RunVals, w.RunVals) || !reflect.DeepEqual(g.RunEnds, w.RunEnds):
+			return fmt.Sprintf("col %d: runs differ", c)
+		}
+	}
+	return ""
+}
+
+func sameZones(a, b []Zone) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Valid != b[i].Valid || !sameValue(a[i].Min, b[i].Min) || !sameValue(a[i].Max, b[i].Max) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRecut pins the re-cut a loader does once it knows its block size:
 // contents, metadata and totals survive, blocks come out at the new size
 // with the zones and bytes a fresh build of the same rows gives them, and
-// chunk boundaries move so that every chunk still holds whole blocks.
+// chunk boundaries move so that every chunk still holds whole blocks —
+// each chunk equal, field for field, to the one a fresh build encodes.
 func TestRecut(t *testing.T) {
 	const n = 3*chunkRows + 1234 // several provisional chunks
-	rows, metas := mixedRows(n)
+	rows, metas := recutRows(n)
 	build := func(rowsPerBlock, nodes int) *Table {
-		tab := NewTable("t", mixedSchema())
+		tab := NewTable("t", recutSchema())
 		b := NewBuilder(tab, rowsPerBlock, nodes, OnDisk)
 		for i, r := range rows {
 			b.Append(r, metas[i])
@@ -305,13 +437,19 @@ func TestRecut(t *testing.T) {
 			t.Fatalf("rowsPerBlock %d: %d blocks (want %d), %d/%d rows, %d/%d bytes", rowsPerBlock,
 				len(dst.Blocks), len(want.Blocks), dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
 		}
-		if got, fresh := len(dst.Chunks()), len(want.Chunks()); got != fresh {
-			t.Fatalf("rowsPerBlock %d: %d chunks, a fresh build has %d", rowsPerBlock, got, fresh)
+		gotChunks, wantChunks := dst.Chunks(), want.Chunks()
+		if len(gotChunks) != len(wantChunks) {
+			t.Fatalf("rowsPerBlock %d: %d chunks, a fresh build has %d", rowsPerBlock, len(gotChunks), len(wantChunks))
+		}
+		for k := range wantChunks {
+			if diff := chunkDiff(gotChunks[k], wantChunks[k]); diff != "" {
+				t.Fatalf("rowsPerBlock %d chunk %d: %s", rowsPerBlock, k, diff)
+			}
 		}
 		at := 0
 		for bi, blk := range dst.Blocks {
 			wb := want.Blocks[bi]
-			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !reflect.DeepEqual(blk.Zones, wb.Zones) {
+			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !sameZones(blk.Zones, wb.Zones) {
 				t.Fatalf("rowsPerBlock %d block %d: %+v, a fresh build has %+v", rowsPerBlock, bi, blk, wb)
 			}
 			for ri := 0; ri < blk.N; ri += 1 + blk.N/7 { // a few rows of every block
@@ -319,7 +457,7 @@ func TestRecut(t *testing.T) {
 					t.Fatalf("rowsPerBlock %d: meta diverged at block %d row %d", rowsPerBlock, bi, ri)
 				}
 				for ci, v := range blk.RowAt(ri) {
-					if v != rows[at+ri][ci] {
+					if !sameValue(v, rows[at+ri][ci]) {
 						t.Fatalf("rowsPerBlock %d: row diverged at block %d row %d col %d: %v vs %v", rowsPerBlock, bi, ri, ci, v, rows[at+ri][ci])
 					}
 				}
