@@ -11,6 +11,7 @@ package blinkdb
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -120,11 +121,14 @@ func BenchmarkEngineSampleCreation(b *testing.B) {
 
 // BenchmarkSetup times an engine's set-up over the explore shape at 250k
 // rows: Loader.Append and Close (load_s), then CreateSamples (samples_s).
-// The rows are generated and boxed off the clock.
+// The rows are generated and boxed off the clock. heap_mb is the live heap
+// once set-up is done — two collections, then HeapAlloc — with the engine
+// still reachable: the table and its samples.
 func BenchmarkSetup(b *testing.B) {
 	const rows = 250000
 	b.ReportAllocs()
 	var load, samples time.Duration
+	var heap float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng := Open(Config{Scale: 1e4, CacheTables: true})
@@ -151,9 +155,18 @@ func BenchmarkSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		samples += time.Since(start)
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap += float64(ms.HeapAlloc) / 1e6
+		runtime.KeepAlive(eng)
+		b.StartTimer()
 	}
 	b.ReportMetric(load.Seconds()/float64(b.N), "load_s")
 	b.ReportMetric(samples.Seconds()/float64(b.N), "samples_s")
+	b.ReportMetric(heap/float64(b.N), "heap_mb")
 }
 
 // BenchmarkEngineErrorBoundedQuery measures the ELP runtime end to end.

@@ -219,26 +219,98 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDictionaryOverflowRoundTrip: a table whose one priced block is
+// larger than a storage chunk, so that a string column with more distinct
+// values than 16-bit codes reach is stored verbatim beside a dictionary
+// column, round-trips exactly through both load paths.
+func TestDictionaryOverflowRoundTrip(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "id", Kind: types.KindString},
+		types.Column{Name: "city", Kind: types.KindString},
+	)
+	const rows = colstore.MaxDict + 5000
+	want := storage.NewTable("overflow", schema)
+	b := storage.NewBuilder(want, rows, 3, storage.InMemory)
+	for i := 0; i < rows; i++ {
+		id := types.Str(fmt.Sprintf("k%06d", i))
+		if i%1000 == 7 {
+			id = types.Null()
+		}
+		b.Append(types.Row{id, types.Str([]string{"NY", "SF", "LA"}[i%3])}, storage.RowMeta{Rate: 0.5, StratumFreq: 3})
+	}
+	want = b.Finish()
+	if cols := want.Chunks()[0].Cols; cols[0].Enc != colstore.EncValue || cols[1].Enc != colstore.EncDict {
+		t.Fatalf("encodings %v %v, want value and dict", cols[0].Enc, cols[1].Enc)
+	}
+	path := writeFixture(t, want)
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+		seg, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := seg.Table(0)
+		if err != nil {
+			t.Fatalf("%s: Table: %v", name, err)
+		}
+		assertTablesEqual(t, want, got)
+		seg.Close()
+	}
+}
+
+// TestOversizedDictionaryRejected: a dictionary with more entries than
+// 16-bit codes reach — no builder makes one — fails to load, cleanly.
+func TestOversizedDictionaryRejected(t *testing.T) {
+	dict := make([]string, colstore.MaxDict+1)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("s%d", i)
+	}
+	d := &colstore.Data{
+		N:        1,
+		Cols:     []colstore.Column{{Enc: colstore.EncDict, Codes: []uint16{0}, Dict: dict, NaNFree: true}},
+		MetaEnds: []int32{1}, Rates: []float64{1}, Freqs: []int64{1},
+	}
+	tbl := storage.NewTable("forged", types.NewSchema(types.Column{Name: "s", Kind: types.KindString}))
+	tbl.AddBlock(&storage.Block{Chunk: d, N: 1, Zones: []storage.Zone{{Min: types.Str("s0"), Max: types.Str("s0"), Valid: true}}})
+	seg, err := Open(writeFixture(t, tbl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), "more than 16-bit codes reach") {
+		t.Fatalf("a %d-entry dictionary loaded: err %v", len(dict), err)
+	}
+}
+
 // TestRetiredFormatVersionRejected loads the segments earlier commits
 // wrote, CRCs intact: testdata/row_layout_v1.seg (6 rows in two blocks of
-// the row layout) and testdata/columnar_blocks_v1.seg (6 rows in two
-// blocks, each its own column set — the format before blocks became
-// windows on chunks). Both load paths must refuse them with a clean
+// the row layout), testdata/columnar_blocks_v1.seg (6 rows in two blocks,
+// each its own column set — the format before blocks became windows on
+// chunks) and testdata/chunked_v2.seg (6 rows, one chunk cut into two
+// blocks, with a dictionary column of 32-bit codes — the format before
+// codes became 16-bit). Both load paths must refuse them with a clean
 // version error — no panic, no half-loaded table — so the engine above
 // falls back to a cold rebuild.
 func TestRetiredFormatVersionRejected(t *testing.T) {
-	for _, file := range []string{"row_layout_v1.seg", "columnar_blocks_v1.seg"} {
+	for file, version := range retiredSegments {
 		for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
 			seg, err := open(filepath.Join("testdata", file))
 			if err == nil {
 				seg.Close()
-				t.Fatalf("%s %s: a format-1 segment loaded", file, name)
+				t.Fatalf("%s %s: a format-%d segment loaded", file, name, version)
 			}
-			if !strings.Contains(err.Error(), "unsupported format version 1") {
-				t.Errorf("%s %s: error %q does not name the retired version", file, name, err)
+			if want := fmt.Sprintf("unsupported format version %d", version); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: error %q does not name the retired version %d", file, name, err, version)
 			}
 		}
 	}
+}
+
+// retiredSegments maps each checked-in segment of a retired format to
+// its format version.
+var retiredSegments = map[string]int{
+	"row_layout_v1.seg":      1,
+	"columnar_blocks_v1.seg": 1,
+	"chunked_v2.seg":         2,
 }
 
 // TestEncodingCoverage asserts the fixture actually exercises every

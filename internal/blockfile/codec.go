@@ -25,6 +25,7 @@ type enc struct {
 }
 
 func (e *enc) u8(v uint8)    { e.buf = append(e.buf, v) }
+func (e *enc) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *enc) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
@@ -78,6 +79,16 @@ func (d *dec) u8() uint8 {
 	}
 	v := d.b[d.off]
 	d.off++
+	return v
+}
+
+func (d *dec) u16() uint16 {
+	if d.err != nil || d.remaining() < 2 {
+		d.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint16(d.b[d.off:])
+	d.off += 2
 	return v
 }
 

@@ -16,8 +16,12 @@ import (
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
 // Seeds cover a valid single-table segment, a multi-table segment, the
-// two retired format-1 segments, and systematic mutations of the first;
-// testdata/fuzz holds the checked-in corpus.
+// two retired format-1 segments and the retired format-2 one, and
+// systematic mutations of the first. testdata/fuzz holds the checked-in
+// corpus: a valid format-3 segment (seed-valid), it with a byte flipped a
+// third of the way in (seed-bitflip), cut in half (seed-truncated) and
+// with its last byte changed (seed-badtail), and testdata/chunked_v2.seg
+// (seed-retired-v2).
 func FuzzSegmentLoad(f *testing.F) {
 	seed := func(rows int, extraTable bool) []byte {
 		tbl := buildFixture(f, rows)
@@ -54,11 +58,13 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(valid[:off])
 	}
 	// After the rest, so the earlier seeds keep their numbers.
-	retired, err = os.ReadFile(filepath.Join("testdata", "columnar_blocks_v1.seg"))
-	if err != nil {
-		f.Fatal(err)
+	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg"} {
+		retired, err = os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(retired)
 	}
-	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg := &Segment{data: alignedCopy(data)}

@@ -423,7 +423,7 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		}
 		return s.loadNulls(c, cd, nrows)
 	case colstore.EncDict:
-		if c.Codes, err = s.u32View(cd.payload, nrows); err != nil {
+		if c.Codes, err = s.u16View(cd.payload, nrows); err != nil {
 			return err
 		}
 		if err = s.loadNulls(c, cd, nrows); err != nil {
@@ -435,6 +435,9 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		}
 		d := dec{b: raw}
 		n := d.count(1)
+		if n > colstore.MaxDict {
+			return fmt.Errorf("dict holds %d entries, more than 16-bit codes reach", n)
+		}
 		c.Dict = make([]string, n)
 		for i := range c.Dict {
 			c.Dict[i] = d.str()
@@ -562,18 +565,18 @@ func (s *Segment) u64View(idx uint32, n int) ([]uint64, error) {
 	return out, d.err
 }
 
-func (s *Segment) u32View(idx uint32, n int) ([]uint32, error) {
-	raw, err := s.numericSection(idx, n, 4)
+func (s *Segment) u16View(idx uint32, n int) ([]uint16, error) {
+	raw, err := s.numericSection(idx, n, 2)
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	if viewOK(raw, 4) {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&raw[0])), n), nil
+	if viewOK(raw, 2) {
+		return unsafe.Slice((*uint16)(unsafe.Pointer(&raw[0])), n), nil
 	}
-	out := make([]uint32, n)
+	out := make([]uint16, n)
 	d := dec{b: raw}
 	for i := range out {
-		out[i] = d.u32()
+		out[i] = d.u16()
 	}
 	return out, d.err
 }

@@ -16,12 +16,12 @@
 //	tail     24 B   footer offset/length, footer CRC32C, magic
 //
 // All fixed-width fields are little-endian. Numeric column payloads
-// (float64/int64 values, uint64 null-bitmap words, uint32 dictionary
-// codes, int32 run ends and metadata-run ends) are stored as raw machine-width arrays, so on a
-// little-endian host a loaded column's slices are views over the mapping
-// — zero per-value decode, zero per-value allocation. Strings
-// (dictionaries, mixed-kind value streams) are length-prefixed and
-// decoded on load.
+// (float64/int64 values, uint64 null-bitmap words, uint16 dictionary
+// codes, int32 run ends and metadata-run ends) are stored as raw
+// machine-width arrays, so on a little-endian host a loaded column's
+// slices are views over the mapping — zero per-value decode, zero
+// per-value allocation. Strings (dictionaries of at most 65,536 entries,
+// mixed-kind value streams) are length-prefixed and decoded on load.
 //
 // Every section and the footer carry a CRC32C; loaders verify the CRC of
 // each section they materialize, so a flipped byte surfaces as an error
@@ -48,8 +48,9 @@ const (
 	// FormatVersion is the current segment format version. Readers
 	// reject any other version: the contract is exact-match, and a segment
 	// is a cache — the engine rebuilds over one it cannot read. Version 1
-	// stored every priced block as its own column set.
-	FormatVersion = 2
+	// stored every priced block as its own column set; version 2 stored
+	// chunks as version 3 does, but with 32-bit dictionary codes.
+	FormatVersion = 3
 
 	headerSize = 16
 	tailSize   = 24
@@ -216,7 +217,7 @@ func (w *Writer) addColumn(e *enc, c *colstore.Column) {
 		e.u32(w.section(i64Bytes(c.Ints)))
 		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncDict:
-		e.u32(w.section(u32Bytes(c.Codes)))
+		e.u32(w.section(u16Bytes(c.Codes)))
 		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 		var dict enc
 		dict.u32(uint32(len(c.Dict)))
@@ -368,16 +369,16 @@ func u64Bytes(v []uint64) []byte {
 	return e.buf
 }
 
-func u32Bytes(v []uint32) []byte {
+func u16Bytes(v []uint16) []byte {
 	if len(v) == 0 {
 		return nil
 	}
 	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
+		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*2)
 	}
 	var e enc
 	for _, x := range v {
-		e.u32(x)
+		e.u16(x)
 	}
 	return e.buf
 }

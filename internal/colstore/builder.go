@@ -155,13 +155,14 @@ type colAcc struct {
 	kind   types.Kind
 	floats []float64 // KindFloat payloads, 0 at NULL rows
 	ints   []int64   // KindInt and KindBool payloads
-	codes  []uint32  // KindString codes into dict, first-appearance order
+	codes  []uint16  // KindString codes into dict, first-appearance order
 	dict   []string
-	lookup map[string]uint32
+	lookup map[string]uint16
 	nulls  []uint64 // bitmap, grown to the last NULL row's word
 
-	// mixed is set once two non-NULL kinds have met: from then on values
-	// holds every row verbatim and the typed slices are unused.
+	// mixed is set once two non-NULL kinds have met, or a string would be
+	// dictionary entry MaxDict+1: from then on values holds every row
+	// verbatim and the typed slices are unused.
 	mixed  bool
 	values []types.Value
 
@@ -199,34 +200,45 @@ func (a *colAcc) append(v types.Value, i int) {
 	} else if a.kind == types.KindNull {
 		a.kind = v.Kind
 		for j := 0; j < i; j++ { // the leading NULL rows' payload slots
-			a.push(types.Value{})
+			a.push(types.Value{}, j)
 		}
 	} else if v.Kind != a.kind {
-		a.values = a.values[:0]
-		for j := 0; j < i; j++ {
-			a.values = append(a.values, a.value(j))
-		}
-		a.values = append(a.values, v)
-		a.mixed = true
+		a.mix(v, i)
 		return
 	}
-	a.push(v)
+	a.push(v, i)
 }
 
-// push appends v's payload to the live typed slice (a zero slot for NULL).
-func (a *colAcc) push(v types.Value) {
+// push appends v, row i, to the live typed slice (a zero slot for NULL),
+// or mixes the column when v's string overflows the dictionary.
+func (a *colAcc) push(v types.Value, i int) {
 	switch a.kind {
 	case types.KindFloat:
 		a.floats = append(a.floats, v.F)
 	case types.KindInt, types.KindBool:
 		a.ints = append(a.ints, v.I)
 	case types.KindString:
-		var code uint32
+		var code uint16
 		if v.Kind != types.KindNull {
-			code = a.code(v.S)
+			var ok bool
+			if code, ok = a.code(v.S); !ok {
+				a.mix(v, i)
+				return
+			}
 		}
 		a.codes = append(a.codes, code)
 	}
+}
+
+// mix switches the column to verbatim values: rows 0..i-1 as the typed
+// slices hold them, then v as row i.
+func (a *colAcc) mix(v types.Value, i int) {
+	a.values = a.values[:0]
+	for j := 0; j < i; j++ {
+		a.values = append(a.values, a.value(j))
+	}
+	a.values = append(a.values, v)
+	a.mixed = true
 }
 
 // setNull marks row i NULL.
@@ -239,18 +251,21 @@ func (a *colAcc) setNull(i int) {
 }
 
 // code returns s's dictionary code, adding s at the end of the dictionary
-// when it is new.
-func (a *colAcc) code(s string) uint32 {
+// when it is new, and false when s is new and the dictionary full.
+func (a *colAcc) code(s string) (uint16, bool) {
 	code, ok := a.lookup[s]
 	if !ok {
-		if a.lookup == nil {
-			a.lookup = map[string]uint32{}
+		if len(a.dict) == MaxDict {
+			return 0, false
 		}
-		code = uint32(len(a.dict))
+		if a.lookup == nil {
+			a.lookup = map[string]uint16{}
+		}
+		code = uint16(len(a.dict))
 		a.lookup[s] = code
 		a.dict = append(a.dict, s)
 	}
-	return code
+	return code, true
 }
 
 // appendFrom adds rows [lo, hi) of an encoded column as rows at, at+1, …
@@ -270,9 +285,7 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 		}
 		return
 	case EncValue:
-		for i, v := range col.Values[lo:hi] {
-			a.append(v, at+i)
-		}
+		a.appendValues(col, lo, hi, at)
 		return
 	}
 	// Up to the first non-NULL row the accumulator's kind is open; after
@@ -284,15 +297,10 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 		return
 	}
 	if a.mixed || a.kind != encKind[col.Enc] {
-		for ; lo < hi; lo, at = lo+1, at+1 {
-			a.append(col.Value(lo), at)
-		}
+		a.appendValues(col, lo, hi, at)
 		return
 	}
 	first := at == 0 || col.Value(lo) != a.last // row lo starts a run
-	if first {
-		a.runs++
-	}
 	nulls := col.Nulls
 	if CountBits(nulls, lo, hi) == 0 {
 		nulls = nil
@@ -313,23 +321,18 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 		a.ints = append(a.ints, col.Ints[lo:hi]...)
 		breaks, lastStart = runBreaks(a.ints[at:], nulls, lo)
 	case EncDict:
-		a.remap = a.remap[:0]
-		for range col.Dict {
-			a.remap = append(a.remap, noCode)
-		}
-		for j := lo; j < hi; j++ {
-			var code uint32
-			if !null(j) {
-				c := col.Codes[j]
-				if code = a.remap[c]; code == noCode {
-					code = a.code(col.Dict[c])
-					a.remap[c] = code
-				}
-			}
-			a.codes = append(a.codes, code)
+		if !a.remapCodes(col, lo, hi, null) {
+			// The dictionary is full: undo the codes and go row by row,
+			// the strings met so far already in it in the same order.
+			a.codes = a.codes[:at]
+			a.appendValues(col, lo, hi, at)
+			return
 		}
 		// Codes of one dictionary are equal exactly when their strings are.
 		breaks, lastStart = runBreaks(a.codes[at:], nulls, lo)
+	}
+	if first {
+		a.runs++
 	}
 	// A NULL row's payload slot already holds the 0 that append gives it
 	// (see Encoding): only the bitmap needs the row.
@@ -349,6 +352,40 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 	}
 }
 
+// appendValues adds rows [lo, hi) of col as rows at, at+1, … one value
+// at a time.
+func (a *colAcc) appendValues(col *Column, lo, hi, at int) {
+	for i := lo; i < hi; i++ {
+		a.append(col.Value(i), at+i-lo)
+	}
+}
+
+// remapCodes appends the codes of rows [lo, hi) of the dictionary column
+// col, translated into the accumulator's dictionary through remap (a NULL
+// row's slot 0), and reports false when a string overflows the dictionary.
+func (a *colAcc) remapCodes(col *Column, lo, hi int, null func(int) bool) bool {
+	a.remap = a.remap[:0]
+	for range col.Dict {
+		a.remap = append(a.remap, noCode)
+	}
+	var ok bool
+	for j := lo; j < hi; j++ {
+		var code uint16
+		if !null(j) {
+			c := col.Codes[j]
+			if r := a.remap[c]; r != noCode {
+				code = uint16(r)
+			} else if code, ok = a.code(col.Dict[c]); ok {
+				a.remap[c] = uint32(code)
+			} else {
+				return false
+			}
+		}
+		a.codes = append(a.codes, code)
+	}
+	return true
+}
+
 // encKind is the kind of the non-NULL values of a typed encoding.
 var encKind = [...]types.Kind{EncFloat: types.KindFloat, EncInt: types.KindInt, EncBool: types.KindBool, EncDict: types.KindString}
 
@@ -356,7 +393,7 @@ var encKind = [...]types.Kind{EncFloat: types.KindFloat, EncInt: types.KindInt, 
 // exactly-equal values — NULL next to non-NULL, or a payload that differs
 // (a float NaN differs from everything) — and returns the last such row
 // (0 when none). Bit lo+j of nulls (nil: none) says whether row j is NULL.
-func runBreaks[T int64 | float64 | uint32](xs []T, nulls []uint64, lo int) (breaks, last int) {
+func runBreaks[T int64 | float64 | uint16](xs []T, nulls []uint64, lo int) (breaks, last int) {
 	if nulls == nil {
 		for j := 1; j < len(xs); j++ {
 			if xs[j] != xs[j-1] {
@@ -390,7 +427,7 @@ func (a *colAcc) appendRun(v types.Value, at, k int) {
 		if a.kind == types.KindString {
 			a.codes = append(a.codes, a.codes[at]) // v's code, or a NULL's 0
 		} else {
-			a.push(v)
+			a.push(v, i)
 		}
 	}
 }

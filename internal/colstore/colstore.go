@@ -33,9 +33,11 @@
 //     group resolution advances once per run instead of once per row.
 //   - EncFloat / EncInt / EncBool — one machine-typed slice plus an
 //     optional null bitmap, when every non-null value shares that kind.
-//   - EncDict — strings as codes into a first-appearance dictionary.
+//   - EncDict — strings as 16-bit codes into a first-appearance
+//     dictionary of at most MaxDict entries.
 //   - EncValue — verbatim []types.Value, the fallback for columns whose
-//     non-null values mix kinds (and don't run-length compress).
+//     non-null values mix kinds, or whose strings outnumber MaxDict (and
+//     don't run-length compress).
 //
 // Losslessness contract: for every encoding, Value(i) returns the exact
 // types.Value appended (kind, payload bits, NaN and ±0 included — run
@@ -64,8 +66,9 @@ const (
 	EncInt
 	// EncBool stores KindBool payloads in Ints (0/1).
 	EncBool
-	// EncDict stores KindString values as Codes into Dict (first-appearance
-	// order, so encoding is deterministic for a given row sequence).
+	// EncDict stores KindString values as 16-bit Codes into Dict
+	// (first-appearance order, so encoding is deterministic for a given row
+	// sequence; at most MaxDict entries).
 	EncDict
 	// EncValue stores values verbatim — the fallback for columns whose
 	// non-null values mix kinds. Nulls is not used; Values holds them.
@@ -76,6 +79,9 @@ const (
 	// the encoding is lossless for every kind, NaN payloads included.
 	EncRLE
 )
+
+// MaxDict is the most entries a dictionary can hold: codes are 16 bits.
+const MaxDict = 1 << 16
 
 // String renders the encoding name.
 func (e Encoding) String() string {
@@ -99,11 +105,18 @@ func (e Encoding) String() string {
 // fields selected by Enc are meaningful. Nulls is a little-endian bitmap
 // (bit i set ⇒ row i is NULL); nil means the column has no nulls. EncValue
 // columns keep nulls inline in Values and leave Nulls nil.
+//
+// Codes are 16 bits wide, so an EncDict column's Dict holds at most
+// MaxDict entries: a storage chunk holds at most that many rows, so its
+// dictionaries always fit. A chunk that would need one more distinct
+// string — only one larger than a storage chunk, built by hand or from a
+// priced block over 65,536 rows — stores that column as EncValue instead,
+// the fallback a column of mixed kinds takes.
 type Column struct {
 	Enc    Encoding
 	Floats []float64
 	Ints   []int64
-	Codes  []uint32
+	Codes  []uint16
 	Dict   []string
 	Values []types.Value
 	Nulls  []uint64

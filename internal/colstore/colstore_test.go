@@ -168,7 +168,7 @@ func TestDictDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(d.Cols[0].Dict, want) {
 		t.Fatalf("dict = %v, want %v", d.Cols[0].Dict, want)
 	}
-	if !reflect.DeepEqual(d.Cols[0].Codes, []uint32{0, 1, 0, 2}) {
+	if !reflect.DeepEqual(d.Cols[0].Codes, []uint16{0, 1, 0, 2}) {
 		t.Fatalf("codes = %v", d.Cols[0].Codes)
 	}
 }

@@ -12,10 +12,10 @@ package exec
 func intsInRangeAVX2(xs []int64, lo, width uint64, dst []uint64)
 
 // codesEqAVX2 sets word k of dst to the verdicts codes[i] == c of
-// codes[64k:64k+64] for every whole word of codes, eight rows a compare.
+// codes[64k:64k+64] for every whole word of codes, sixteen rows a compare.
 //
 //go:noescape
-func codesEqAVX2(codes []uint32, c uint32, dst []uint64)
+func codesEqAVX2(codes []uint16, c uint16, dst []uint64)
 
 // rowsOfAVX2 writes the set bits of bm as ascending row numbers (bit k is
 // row base+k) from idxs[0] on, a byte of bm at a time through setBitPos.

@@ -54,37 +54,36 @@ rangeLoop:
 rangeDone:
 	RET
 
-// EQ8 compares codes[8k:8k+8] (k = off/32) with Y0 and ORs the eight
-// verdicts into AX at bit sh.
-#define EQ8(off, sh) \
-	VPCMPEQD  off(SI), Y0, Y1; \
-	VMOVMSKPS Y1, BX; \
-	SHLQ      $sh, BX; \
-	ORQ       BX, AX
+// EQ32 compares codes[32k:32k+32] (at off(SI)) with Y0, sixteen a
+// VPCMPEQW, and leaves the 32 verdicts in row order in reg's low 32 bits.
+// VPACKSSWB narrows each verdict word to a byte (0xFFFF saturates to 0xFF,
+// 0 stays 0) but interleaves the two compares' 128-bit halves; VPERMQ puts
+// the four 8-row quarters back in order before VPMOVMSKB takes the bits.
+#define EQ32(off, reg) \
+	VPCMPEQW  off(SI), Y0, Y1; \
+	VPCMPEQW  off+32(SI), Y0, Y2; \
+	VPACKSSWB Y2, Y1, Y1; \
+	VPERMQ    $0xD8, Y1, Y1; \
+	VPMOVMSKB Y1, reg
 
-// func codesEqAVX2(codes []uint32, c uint32, dst []uint64)
+// func codesEqAVX2(codes []uint16, c uint16, dst []uint64)
 TEXT ·codesEqAVX2(SB), NOSPLIT, $0-56
 	MOVQ codes_base+0(FP), SI
 	MOVQ codes_len+8(FP), CX
 	MOVQ dst_base+32(FP), DI
 	SHRQ $6, CX
 	JZ   eqDone
-	MOVL c+24(FP), AX
+	MOVWLZX c+24(FP), AX
 	VMOVD AX, X0
-	VPBROADCASTD X0, Y0
+	VPBROADCASTW X0, Y0
 
 eqLoop:
-	VPCMPEQD  (SI), Y0, Y1
-	VMOVMSKPS Y1, AX
-	EQ8(32, 8)
-	EQ8(64, 16)
-	EQ8(96, 24)
-	EQ8(128, 32)
-	EQ8(160, 40)
-	EQ8(192, 48)
-	EQ8(224, 56)
+	EQ32(0, AX)
+	EQ32(64, BX)
+	SHLQ $32, BX
+	ORQ  BX, AX
 	MOVQ AX, (DI)
-	ADDQ $256, SI
+	ADDQ $128, SI
 	ADDQ $8, DI
 	DECQ CX
 	JNZ  eqLoop

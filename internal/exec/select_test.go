@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"blinkdb/internal/colstore"
@@ -70,11 +71,11 @@ func selectChunk(n int, seed int64) *colstore.Data {
 	words := (n + 63) / 64
 	a := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), Nulls: make([]uint64, words), NaNFree: true}
 	b := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
-	s := colstore.Column{Enc: colstore.EncDict, Dict: []string{"x", "y", "x", "z"}, Codes: make([]uint32, n), Nulls: make([]uint64, words), NaNFree: true}
+	s := colstore.Column{Enc: colstore.EncDict, Dict: []string{"x", "y", "x", "z"}, Codes: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
 	for i := 0; i < n; i++ {
 		a.Ints[i], b.Ints[i] = pick(), pick()
-		s.Codes[i] = uint32(rng.Intn(len(s.Dict)))
+		s.Codes[i] = uint16(rng.Intn(len(s.Dict)))
 		v.Floats[i] = float64(rng.Intn(100))
 		if rng.Intn(8) == 0 {
 			a.Nulls[i>>6] |= 1 << uint(i&63)
@@ -129,6 +130,20 @@ func selectPreds() []types.Predicate {
 	return preds
 }
 
+// edgeCodes lead with the 8- and 16-bit edges of a dictionary code;
+// edgeColumn draws 1,200 codes from all but the last.
+var (
+	edgeCodes  = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
+	edgeColumn = func() []uint16 {
+		rng := rand.New(rand.NewSource(3))
+		codes := make([]uint16, 1200)
+		for i := range codes {
+			codes[i] = edgeCodes[rng.Intn(len(edgeCodes)-1)]
+		}
+		return codes
+	}()
+)
+
 // TestSelectKernelsMatchGeneric holds the AVX2 selection kernels to the Go
 // ones bit for bit: each kernel over lengths 0, 1, 63, 64, 65 and 1,000,
 // then whole predicates through selectRows over windows that start off a
@@ -162,6 +177,18 @@ func TestSelectKernelsMatchGeneric(t *testing.T) {
 			codesEqual(dict.Codes[:n], c, got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("codesEqual n=%d code %d: avx2 %x, go %x", n, c, got, want)
+			}
+		}
+		// Codes at the 8- and 16-bit edges, where narrowing a verdict word
+		// to a byte, or a code's sign bit, could tell two codes apart
+		// wrongly; 2 is absent.
+		for _, c := range edgeCodes {
+			tab := make([]bool, colstore.MaxDict)
+			tab[c] = true
+			codesPass(edgeColumn[:n], tab, want)
+			codesEqual(edgeColumn[:n], int(c), got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("codesEqual n=%d code %d of the edge codes: avx2 %x, go %x", n, c, got, want)
 			}
 		}
 	}
@@ -219,10 +246,12 @@ func checkRowsOf(t testing.TB, sc *colScratch, bm []uint64, base int) {
 // FuzzSelectKernels is TestSelectKernelsMatchGeneric's kernel checks with
 // the inputs under the fuzzer's control (corpus in
 // testdata/fuzz/FuzzSelectKernels): data's bytes become ints near lo, hi
-// and the ends of int64, dictionary codes and the bitmap rowsOf expands; c
-// picks the code compared against (7: absent) and the rows' base.
+// and the ends of int64, dictionary codes among the first seven edgeCodes
+// and the bitmap rowsOf expands; c picks the code compared against (7:
+// absent) and the rows' base.
 func FuzzSelectKernels(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\xfc\xfd\xfe\xff"), int64(-3), int64(5), uint8(0))
+	f.Add([]byte(strings.Repeat("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c", 10)), int64(0), int64(9), uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int64, c uint8) {
 		if !hostAVX2 {
 			t.Skip("this CPU has no AVX2 selection kernels")
@@ -232,7 +261,7 @@ func FuzzSelectKernels(f *testing.F) {
 			lo, hi = hi, lo
 		}
 		n := len(data)
-		xs, codes := make([]int64, n), make([]uint32, n)
+		xs, codes := make([]int64, n), make([]uint16, n)
 		bm := make([]uint64, (n+7)/8)
 		for i, b := range data {
 			switch off := int64(int8(b)) >> 2; b & 3 {
@@ -245,7 +274,7 @@ func FuzzSelectKernels(f *testing.F) {
 			default:
 				xs[i] = math.MaxInt64 - int64(b>>2)
 			}
-			codes[i] = uint32(b % 7)
+			codes[i] = edgeCodes[b%7]
 			bm[i>>3] |= uint64(b) << (8 * uint(i&7))
 		}
 		words := (n + 63) / 64
@@ -255,10 +284,9 @@ func FuzzSelectKernels(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("intsInRange [%d, %d]: avx2 %x, go %x", lo, hi, got, want)
 		}
-		code, tab := int(c%8), make([]bool, 7)
-		if code == 7 {
-			code = noCode
-		} else {
+		code, tab := noCode, make([]bool, colstore.MaxDict)
+		if c%8 < 7 {
+			code = int(edgeCodes[c%8])
 			tab[code] = true
 		}
 		codesPass(codes, tab, want)
@@ -312,13 +340,13 @@ func BenchmarkSelectKernels(b *testing.B) {
 	const rows = 17408
 	rng := rand.New(rand.NewSource(1))
 	dt := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, rows), NaNFree: true}
-	dev := colstore.Column{Enc: colstore.EncDict, Codes: make([]uint32, rows), NaNFree: true}
+	dev := colstore.Column{Enc: colstore.EncDict, Codes: make([]uint16, rows), NaNFree: true}
 	for j := 0; j < 40; j++ {
 		dev.Dict = append(dev.Dict, fmt.Sprintf("device%02d", j))
 	}
 	for i := 0; i < rows; i++ {
 		dt.Ints[i] = rng.Int63n(1000)
-		dev.Codes[i] = uint32(40 * rng.Float64() * rng.Float64() * rng.Float64())
+		dev.Codes[i] = uint16(40 * rng.Float64() * rng.Float64() * rng.Float64())
 	}
 	d := &colstore.Data{N: rows, Cols: []colstore.Column{dt, dev}, MetaEnds: []int32{rows}, Rates: []float64{1}, Freqs: []int64{0}}
 	interval := mergeIntervals(&types.AndPred{Kids: []types.Predicate{
@@ -377,12 +405,12 @@ func BenchmarkSelectKernels(b *testing.B) {
 // frequencies keep changing, so spans straddle keys.
 func foldChunk(n int, seed int64) (*colstore.Data, *types.Schema) {
 	rng := rand.New(rand.NewSource(seed))
-	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes: make([]uint32, n), NaNFree: true}
-	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes: make([]uint32, n), NaNFree: true}
+	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes: make([]uint16, n), NaNFree: true}
+	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes: make([]uint16, n), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
 	code := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
 	for i := 0; i < n; i++ {
-		g.Codes[i], h.Codes[i] = uint32(rng.Intn(len(g.Dict))), uint32(rng.Intn(len(h.Dict)))
+		g.Codes[i], h.Codes[i] = uint16(rng.Intn(len(g.Dict))), uint16(rng.Intn(len(h.Dict)))
 		v.Floats[i] = rng.NormFloat64() * 1e3
 		if rng.Intn(50) == 0 {
 			v.Floats[i] = math.Copysign(0, -1)

@@ -92,7 +92,7 @@ type colScratch struct {
 	// folds), the codes that do, and the moments each adds to for the
 	// aggregate in hand.
 	codeCnt   []int32
-	codeSeen  []uint32
+	codeSeen  []uint16
 	codeSlots []*stats.Moments
 
 	// kept holds the rows of a gather's values past NULLs, beside xs.
@@ -552,7 +552,7 @@ func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) dictVerdic
 }
 
 // codesPass sets bit i of dst where tab[codes[i]].
-func codesPass(codes []uint32, tab []bool, dst []uint64) {
+func codesPass(codes []uint16, tab []bool, dst []uint64) {
 	n := len(codes)
 	for off := 0; off < n; off += 64 {
 		blk := codes[off:min(off+64, n)]
@@ -573,17 +573,17 @@ func codesPass(codes []uint32, tab []bool, dst []uint64) {
 
 // codesEqual sets bit i of dst where codes[i] == c, and none when c is
 // noCode: the AVX2 kernel over whole words, a Go loop over the tail.
-func codesEqual(codes []uint32, c int, dst []uint64) {
+func codesEqual(codes []uint16, c int, dst []uint64) {
 	if c == noCode {
 		bitmapFill(dst, len(codes), false)
 		return
 	}
 	w := len(codes) &^ 63
-	codesEqAVX2(codes[:w], uint32(c), dst)
+	codesEqAVX2(codes[:w], uint16(c), dst)
 	if tail := codes[w:]; len(tail) > 0 {
 		var m uint64
 		for j, x := range tail {
-			m |= b2u(x == uint32(c)) << uint(j)
+			m |= b2u(x == uint16(c)) << uint(j)
 		}
 		dst[w>>6] = m
 	}
@@ -1402,7 +1402,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 
 // codeGroup returns the group of dictionary code c of GROUP BY column col,
 // through the per-code cache.
-func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState, c uint32, keybuf []types.Value) *groupState {
+func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState, c uint16, keybuf []types.Value) *groupState {
 	gs := codeGS[c]
 	if gs == nil {
 		v := types.Str(col.Dict[c])
@@ -1428,10 +1428,10 @@ func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Colu
 	var cnt [maskedCodes]int
 	var groups [maskedCodes]*groupState
 	for c := range col.Dict {
-		if cnt[c] = stats.CountCodeMasked(col.Codes, uint32(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
+		if cnt[c] = stats.CountCodeMasked(col.Codes, uint16(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
 			continue
 		}
-		groups[c] = pt.codeGroup(p, col, codeGS, uint32(c), keybuf)
+		groups[c] = pt.codeGroup(p, col, codeGS, uint16(c), keybuf)
 		for _, other := range groups[:c] {
 			if other == groups[c] {
 				return false
@@ -1447,7 +1447,7 @@ func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Colu
 				gs.accs[ai].AddCount(cnt[c], k)
 			default:
 				slot := gs.accs[ai].Slot(cnt[c], k)
-				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, col.Codes, uint32(c), sel.bm, sel.base, sel.lo, sel.hi)
+				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, col.Codes, uint16(c), sel.bm, sel.base, sel.lo, sel.hi)
 			}
 		}
 	}

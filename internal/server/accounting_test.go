@@ -66,6 +66,67 @@ func TestReleaseExcludesClientDrainTime(t *testing.T) {
 	}
 }
 
+// stuckWriter blocks the Write of a request's final frame until release
+// is closed, imitating a client that stops reading a large reply: entered
+// is closed when that Write begins.
+type stuckWriter struct {
+	http.ResponseWriter
+	entered, release chan struct{}
+}
+
+func (s *stuckWriter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), `"final":true`) {
+		close(s.entered)
+		<-s.release
+	}
+	return s.ResponseWriter.Write(p)
+}
+
+// TestSeatFreedBeforeWrite pins that the admission seat covers compute
+// only: with one seat, a request whose client stops reading its final
+// frame must not hold the seat, so a second request is answered while the
+// first is still blocked in Write. Holding the ticket until the reply was
+// written queued the second request behind the stuck client.
+func TestSeatFreedBeforeWrite(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+			srv := New(eng, Config{Admission: admission.Config{
+				MaxConcurrent: 1, MaxQueue: 4, MaxBacklogSeconds: -1,
+			}})
+			body := fmt.Sprintf(`{"sql": %q, "stream": %v}`, boundedSQL, stream)
+			stuck := &stuckWriter{ResponseWriter: httptest.NewRecorder(), entered: make(chan struct{}), release: make(chan struct{})}
+			first := make(chan struct{})
+			go func() {
+				defer close(first)
+				srv.ServeHTTP(stuck, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+			}()
+			defer func() { <-first }()
+			defer close(stuck.release)
+			select {
+			case <-stuck.entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("request 1 never wrote its final frame")
+			}
+
+			second := make(chan *httptest.ResponseRecorder, 1)
+			go func() {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+				second <- rec
+			}()
+			select {
+			case rec := <-second:
+				if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"final":true`) {
+					t.Fatalf("request 2: status %d, body %q", rec.Code, rec.Body.String())
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("request 2 not answered while request 1 is blocked in Write: admission %+v", srv.adm.Snapshot())
+			}
+		})
+	}
+}
+
 // TestQueueCancelAccounted pins conservation for queued-then-gone
 // clients: a request cancelled while waiting for admission must be
 // counted in the server's QueueCancelled — pre-fix it vanished from every

@@ -236,18 +236,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.RecordAdmit(ticket.WaitSeconds)
 
-	// Release the ticket with compute-side seconds only. The handlers
-	// stop their clock when the final frame is produced, not when the
-	// last byte is flushed to the client: charging wire-drain time here
-	// would let one slow streaming consumer inflate the template's
-	// admission EWMA and shed everyone else's queries.
-	var compute float64
+	// The seat covers compute only: each handler releases the ticket as
+	// soon as the engine has the final answer, before that answer is
+	// encoded and written, and with compute-side seconds. Holding it
+	// through the write would let one client that stops reading a large
+	// reply wedge every later query behind it, and charging wire-drain
+	// time would let a slow consumer inflate the template's admission
+	// EWMA and shed everyone else's queries.
 	if req.Stream {
-		compute = s.streamQuery(w, r, st, sc, arrival)
+		s.streamQuery(w, r, st, sc, arrival, ticket)
 	} else {
-		compute = s.singleQuery(w, r, st, sc, arrival)
+		s.singleQuery(w, r, st, sc, arrival, ticket)
 	}
-	ticket.Release(compute)
 }
 
 // retryAfterSeconds renders a shed backoff as whole seconds for the
@@ -261,20 +261,22 @@ func retryAfterSeconds(d time.Duration) int {
 	return int((d + time.Second - 1) / time.Second)
 }
 
-// singleQuery answers with one JSON frame in one Write. It returns the
-// engine compute seconds for admission calibration (0 when the query did
-// not complete — Release skips learning on non-positive observations).
-func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time) float64 {
+// singleQuery answers with one JSON frame in one Write. It releases the
+// ticket when Answer returns, with the engine compute seconds for
+// admission calibration (0 when the query did not complete — Release
+// skips learning on non-positive observations).
+func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time, ticket *admission.Ticket) {
 	start := s.cfg.Now()
 	u, err := s.eng.Answer(r.Context(), st)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return 0 // client gone; the engine already counted the cancel
-		}
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return 0
-	}
 	now := s.cfg.Now()
+	if err != nil {
+		ticket.Release(0)
+		if r.Context().Err() == nil { // else the client is gone; the engine counted the cancel
+			writeError(w, http.StatusUnprocessableEntity, err)
+		}
+		return
+	}
+	ticket.Release(now.Sub(start).Seconds())
 	elapsed := now.Sub(arrival).Seconds()
 	s.met.RecordFirstAnswer(elapsed)
 	s.met.RecordFinal(elapsed)
@@ -284,16 +286,17 @@ func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.
 	h["Content-Length"] = []string{strconv.Itoa(len(sc.b))}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.b) // a client that left mid-reply is nobody's error
-	return now.Sub(start).Seconds()
 }
 
 // streamQuery answers with one frame per refinement: NDJSON lines by
 // default, SSE "data:" events when the client asked for an event stream,
-// each frame one Write followed by a flush. It returns the engine compute
-// seconds — wall time minus emit/flush time, accumulated in segments that
-// pause while a frame drains to the client — so a slow reader cannot
-// poison the admission EWMA. 0 when the stream did not complete.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time) float64 {
+// each frame one Write followed by a flush. It releases the ticket when
+// the final update arrives, before that frame is encoded and written
+// (the refinements before it are written inside the seat), with the engine
+// compute seconds — wall time minus emit/flush time, accumulated in
+// segments that pause while a frame drains to the client — so a slow
+// reader cannot poison the admission EWMA. 0 when the stream failed.
+func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time, ticket *admission.Ticket) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -334,20 +337,20 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.
 		}
 		if u.Final {
 			s.met.RecordFinal(elapsed)
+			ticket.Release(compute)
+			ticket = nil
 		}
 		emitErr := emit(&u, elapsed, "")
 		segStart = s.cfg.Now()
 		return emitErr
 	})
-	compute += s.cfg.Now().Sub(segStart).Seconds()
-	if err != nil {
-		if r.Context().Err() == nil {
-			// Headers are gone; deliver the failure in-band as a final frame.
-			_ = emit(&blinkdb.StreamUpdate{Final: true}, s.cfg.Now().Sub(arrival).Seconds(), err.Error())
-		}
-		return 0
+	if ticket != nil { // no final update: the stream failed
+		ticket.Release(0)
 	}
-	return compute
+	if err != nil && r.Context().Err() == nil {
+		// Headers are gone; deliver the failure in-band as a final frame.
+		_ = emit(&blinkdb.StreamUpdate{Final: true}, s.cfg.Now().Sub(arrival).Seconds(), err.Error())
+	}
 }
 
 // decodeRequest reads a queryRequest from JSON (POST; at most

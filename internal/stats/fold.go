@@ -139,7 +139,7 @@ func AddMasked(a *Acc, src []float64, bm []uint64, base, lo, hi, n int, k Key) {
 // dictionary codes select — slots[codes[i]] gains src[i] in lane i mod
 // Lanes — in idxs order, so each slot sees its rows in the order AddRow
 // would. The slots come from Acc.Slot, which has counted the rows.
-func FoldByCode[T Number](slots []*Moments, codes []uint32, src []T, idxs []int32) {
+func FoldByCode[T Number](slots []*Moments, codes []uint16, src []T, idxs []int32) {
 	for _, i := range idxs {
 		slots[codes[i]].add(float64(src[i]), int(i))
 	}
@@ -149,7 +149,7 @@ func FoldByCode[T Number](slots []*Moments, codes []uint32, src []T, idxs []int3
 // row base+j) and whose dictionary code is c: one group's rows of a
 // single-column GROUP BY, in row order. m comes from Acc.Slot, which has
 // counted the rows (CountCodeMasked).
-func FoldCodeMasked(m *Moments, src []float64, codes []uint32, c uint32, bm []uint64, base, lo, hi int) {
+func FoldCodeMasked(m *Moments, src []float64, codes []uint16, c uint16, bm []uint64, base, lo, hi int) {
 	if cpu.AVX2 {
 		if w0, w1 := wholeWords(base, lo, hi); w0 < w1 {
 			from, to := base+w0<<6, base+w1<<6
@@ -163,7 +163,7 @@ func FoldCodeMasked(m *Moments, src []float64, codes []uint32, c uint32, bm []ui
 
 // CountCodeMasked returns how many rows of [lo, hi) bm selects (bit j is
 // row base+j) whose dictionary code is c.
-func CountCodeMasked(codes []uint32, c uint32, bm []uint64, base, lo, hi int) int {
+func CountCodeMasked(codes []uint16, c uint16, bm []uint64, base, lo, hi int) int {
 	n := 0
 	if cpu.AVX2 {
 		if w0, w1 := wholeWords(base, lo, hi); w0 < w1 {
@@ -229,7 +229,7 @@ func foldMaskedGo(m *Moments, src []float64, bm []uint64, base, lo, hi int) {
 }
 
 // foldCodeMaskedGo is FoldCodeMasked's portable kernel, and its reference.
-func foldCodeMaskedGo(m *Moments, src []float64, codes []uint32, c uint32, bm []uint64, base, lo, hi int) {
+func foldCodeMaskedGo(m *Moments, src []float64, codes []uint16, c uint16, bm []uint64, base, lo, hi int) {
 	for r := lo; r < hi; {
 		w, end := selWord(bm, base, r, hi)
 		for ; w != 0; w &= w - 1 {
@@ -242,7 +242,7 @@ func foldCodeMaskedGo(m *Moments, src []float64, codes []uint32, c uint32, bm []
 }
 
 // countCodeGo is CountCodeMasked's portable kernel, and its reference.
-func countCodeGo(codes []uint32, c uint32, bm []uint64, base, lo, hi int) int {
+func countCodeGo(codes []uint16, c uint16, bm []uint64, base, lo, hi int) int {
 	n := 0
 	for r := lo; r < hi; {
 		w, end := selWord(bm, base, r, hi)

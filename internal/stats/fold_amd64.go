@@ -8,17 +8,17 @@ package stats
 func foldMaskedAVX2(xs []float64, bm []uint64, sx, sxx *[Lanes]float64)
 
 // foldCodeMaskedAVX2 is foldMaskedAVX2 over the rows whose code is c:
-// codes[i] is the dictionary code of xs[i], compared eight rows at a time
-// and ANDed into the selection byte.
+// codes[i] is the dictionary code of xs[i], compared sixteen rows at a time
+// and ANDed into the selection bits.
 //
 //go:noescape
-func foldCodeMaskedAVX2(xs []float64, codes []uint32, c uint32, bm []uint64, sx, sxx *[Lanes]float64)
+func foldCodeMaskedAVX2(xs []float64, codes []uint16, c uint16, bm []uint64, sx, sxx *[Lanes]float64)
 
 // countCodeAVX2 returns how many rows bm selects whose code is c, over
 // every whole word of bm: len(codes) is 64·len(bm).
 //
 //go:noescape
-func countCodeAVX2(codes []uint32, c uint32, bm []uint64) int
+func countCodeAVX2(codes []uint16, c uint16, bm []uint64) int
 
 // nibbleMasks[n] keeps lane i of four rows where bit i of nibble n is set:
 // the VANDPD mask foldMaskedAVX2 and foldCodeMaskedAVX2 apply per 4 rows.

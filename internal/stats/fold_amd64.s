@@ -66,18 +66,24 @@ maskedNext:
 maskedDone:
 	RET
 
-// CODE8 folds the rows of xs[8k:8k+8] (at lo(SI) and hi(SI)) whose codes
-// (at coff(DI)) equal Y3 and whose selection bits are set in the low byte of
-// R9, which it then shifts to the next byte.
-#define CODE8(coff, lo, hi) \
-	VPCMPEQD  coff(DI), Y3, Y4; \
-	VMOVMSKPS Y4, R11; \
-	ANDQ      R9, R11; \
-	FOLD4(lo, R11); \
-	FOLD4(hi, R11); \
-	SHRQ      $8, R9
+// CODE16 folds the rows of xs[16k:16k+16] (at xoff(SI) on) whose codes (at
+// coff(DI)) equal Y3 and whose selection bits are set in the low 16 bits of
+// R9, which it then shifts to the next 16. One VPCMPEQW compares the 16
+// codes; VPACKSSWB narrows the verdict words of its two halves to bytes, in
+// row order, for VPMOVMSKB.
+#define CODE16(coff, xoff) \
+	VPCMPEQW     coff(DI), Y3, Y4; \
+	VEXTRACTI128 $1, Y4, X5; \
+	VPACKSSWB    X5, X4, X4; \
+	VPMOVMSKB    X4, R11; \
+	ANDQ         R9, R11; \
+	FOLD4(xoff, R11); \
+	FOLD4(xoff+32, R11); \
+	FOLD4(xoff+64, R11); \
+	FOLD4(xoff+96, R11); \
+	SHRQ         $16, R9
 
-// func foldCodeMaskedAVX2(xs []float64, codes []uint32, c uint32, bm []uint64, sx, sxx *[Lanes]float64)
+// func foldCodeMaskedAVX2(xs []float64, codes []uint16, c uint16, bm []uint64, sx, sxx *[Lanes]float64)
 TEXT ·foldCodeMaskedAVX2(SB), NOSPLIT, $0-96
 	MOVQ  xs_base+0(FP), SI
 	MOVQ  codes_base+24(FP), DI
@@ -87,9 +93,9 @@ TEXT ·foldCodeMaskedAVX2(SB), NOSPLIT, $0-96
 	MOVQ  sxx+88(FP), DX
 	TESTQ CX, CX
 	JZ    codeDone
-	MOVL  c+48(FP), R10
+	MOVWLZX c+48(FP), R10
 	VMOVD R10, X3
-	VPBROADCASTD X3, Y3
+	VPBROADCASTW X3, Y3
 	LEAQ  ·nibbleMasks(SB), R8
 	VMOVUPD (AX), Y0
 	VMOVUPD (DX), Y1
@@ -98,17 +104,13 @@ codeLoop:
 	MOVQ  (BX), R9
 	TESTQ R9, R9
 	JZ    codeNext
-	CODE8(0, 0, 32)
-	CODE8(32, 64, 96)
-	CODE8(64, 128, 160)
-	CODE8(96, 192, 224)
-	CODE8(128, 256, 288)
-	CODE8(160, 320, 352)
-	CODE8(192, 384, 416)
-	CODE8(224, 448, 480)
+	CODE16(0, 0)
+	CODE16(32, 128)
+	CODE16(64, 256)
+	CODE16(96, 384)
 
 codeNext:
-	ADDQ $256, DI
+	ADDQ $128, DI
 	ADDQ $512, SI
 	ADDQ $8, BX
 	DECQ CX
@@ -120,15 +122,17 @@ codeNext:
 codeDone:
 	RET
 
-// COUNT8 ORs the verdicts codes[8k:8k+8] == Y3 (at off(DI)) into AX at bit
-// sh.
-#define COUNT8(off, sh) \
-	VPCMPEQD  off(DI), Y3, Y4; \
-	VMOVMSKPS Y4, R11; \
-	SHLQ      $sh, R11; \
-	ORQ       R11, AX
+// EQ32 leaves the verdicts codes[32k:32k+32] == Y3 (at off(DI)) in row
+// order in reg's low 32 bits: two VPCMPEQW, their verdict words narrowed to
+// bytes by VPACKSSWB, whose interleaved 128-bit halves VPERMQ reorders.
+#define EQ32(off, reg) \
+	VPCMPEQW  off(DI), Y3, Y4; \
+	VPCMPEQW  off+32(DI), Y3, Y5; \
+	VPACKSSWB Y5, Y4, Y4; \
+	VPERMQ    $0xD8, Y4, Y4; \
+	VPMOVMSKB Y4, reg
 
-// func countCodeAVX2(codes []uint32, c uint32, bm []uint64) int
+// func countCodeAVX2(codes []uint16, c uint16, bm []uint64) int
 TEXT ·countCodeAVX2(SB), NOSPLIT, $0-64
 	MOVQ  codes_base+0(FP), DI
 	MOVQ  bm_base+32(FP), BX
@@ -136,24 +140,19 @@ TEXT ·countCodeAVX2(SB), NOSPLIT, $0-64
 	XORQ  R12, R12
 	TESTQ CX, CX
 	JZ    countDone
-	MOVL  c+24(FP), AX
+	MOVWLZX c+24(FP), AX
 	VMOVD AX, X3
-	VPBROADCASTD X3, Y3
+	VPBROADCASTW X3, Y3
 
 countLoop:
-	VPCMPEQD  (DI), Y3, Y4
-	VMOVMSKPS Y4, AX
-	COUNT8(32, 8)
-	COUNT8(64, 16)
-	COUNT8(96, 24)
-	COUNT8(128, 32)
-	COUNT8(160, 40)
-	COUNT8(192, 48)
-	COUNT8(224, 56)
+	EQ32(0, AX)
+	EQ32(64, R11)
+	SHLQ    $32, R11
+	ORQ     R11, AX
 	ANDQ    (BX), AX
 	POPCNTQ AX, AX
 	ADDQ    AX, R12
-	ADDQ    $256, DI
+	ADDQ    $128, DI
 	ADDQ    $8, BX
 	DECQ    CX
 	JNZ     countLoop

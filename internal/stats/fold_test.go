@@ -24,11 +24,18 @@ func sameLanes(a, b *Moments) bool {
 	return a.N == b.N
 }
 
+// edgeCodes are the dictionary codes the fold tests use, in order: a
+// column of n codes holds the first n, and the next is checked absent. They
+// lead with the 8- and 16-bit edges, where narrowing a verdict word to a
+// byte, or a code's sign bit, could tell two codes apart wrongly.
+var edgeCodes = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
+
 // foldCase is one input of the fold kernels: a column, its dictionary
-// codes, a selection bitmap over it (bit j is row j) and a row range.
+// codes (the first ncodes edgeCodes), a selection bitmap over it (bit j is
+// row j) and a row range.
 type foldCase struct {
 	xs     []float64
-	codes  []uint32
+	codes  []uint16
 	bm     []uint64
 	lo, hi int
 	ncodes int
@@ -54,14 +61,14 @@ func checkFoldKernels(t testing.TB, fc foldCase) {
 	if got := run(true, func(m *Moments) { foldMasked(m, fc.xs, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
 		t.Fatalf("masked fold rows [%d,%d): avx2 %+v, go %+v", fc.lo, fc.hi, got, want)
 	}
-	for c := 0; c <= fc.ncodes; c++ {
-		want := run(false, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, uint32(c), fc.bm, 0, fc.lo, fc.hi) })
-		if got := run(true, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, uint32(c), fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
+	for _, c := range edgeCodes[:fc.ncodes+1] {
+		want := run(false, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, c, fc.bm, 0, fc.lo, fc.hi) })
+		if got := run(true, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, c, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
 			t.Fatalf("per-code fold code %d rows [%d,%d): avx2 %+v, go %+v", c, fc.lo, fc.hi, got, want)
 		}
 		var n [2]int
 		for k, avx2 := range []bool{false, true} {
-			run(avx2, func(*Moments) { n[k] = CountCodeMasked(fc.codes, uint32(c), fc.bm, 0, fc.lo, fc.hi) })
+			run(avx2, func(*Moments) { n[k] = CountCodeMasked(fc.codes, c, fc.bm, 0, fc.lo, fc.hi) })
 		}
 		if n[0] != n[1] {
 			t.Fatalf("count code %d rows [%d,%d): avx2 %d, go %d", c, fc.lo, fc.hi, n[1], n[0])
@@ -72,7 +79,8 @@ func checkFoldKernels(t testing.TB, fc foldCase) {
 // TestFoldKernelsMatchGeneric holds the AVX2 fold kernels to the Go ones
 // bit for bit over lengths 0, 1, 63, 64, 65 and 1,000, ranges starting on
 // and off a lane and a bitmap word, densities 0, 1/64, 0.25, 0.85 and 1,
-// columns holding NaN, ±Inf and −0, and one to eight codes.
+// columns holding NaN, ±Inf and −0, and one to eight codes among 0, 255,
+// 256, 32767, 32768 and 65535.
 func TestFoldKernelsMatchGeneric(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("this CPU has no AVX2 fold kernels")
@@ -89,9 +97,9 @@ func TestFoldKernelsMatchGeneric(t *testing.T) {
 			}
 		}
 		for ncodes := 1; ncodes <= 8; ncodes++ {
-			codes := make([]uint32, rows)
+			codes := make([]uint16, rows)
 			for i := range codes {
-				codes[i] = uint32(rng.Intn(ncodes))
+				codes[i] = edgeCodes[rng.Intn(ncodes)]
 			}
 			for _, density := range []float64{0, 1.0 / 64, 0.25, 0.85, 1} {
 				bm := make([]uint64, rows/64+1)
@@ -113,8 +121,8 @@ func TestFoldKernelsMatchGeneric(t *testing.T) {
 // FuzzFoldKernels is TestFoldKernelsMatchGeneric with the inputs under the
 // fuzzer's control (corpus in testdata/fuzz/FuzzFoldKernels): each byte of
 // data is a row — its low bits pick a special value (NaN, ±Inf, −0) or a
-// small number, a code and whether the row is selected — and lo and span
-// pick the rows folded.
+// small number, a code among edgeCodes and whether the row is selected —
+// and lo and span pick the rows folded.
 func FuzzFoldKernels(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\xfc\xfd\xfe\xff\x10\x37\x5a\x81"), uint16(3), uint16(70), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, lo, span uint16, ncodes uint8) {
@@ -122,7 +130,7 @@ func FuzzFoldKernels(f *testing.F) {
 			t.Skip("this CPU has no AVX2 fold kernels")
 		}
 		n := len(data)
-		xs, codes := make([]float64, n), make([]uint32, n)
+		xs, codes := make([]float64, n), make([]uint16, n)
 		bm := make([]uint64, n/64+1)
 		nc := 1 + int(ncodes%8)
 		for i, b := range data {
@@ -136,7 +144,7 @@ func FuzzFoldKernels(f *testing.F) {
 			default:
 				xs[i] = float64(int8(b)) / 3
 			}
-			codes[i] = uint32(int(b>>3) % nc)
+			codes[i] = edgeCodes[int(b>>3)%nc]
 			if b&0x40 != 0 {
 				bm[i>>6] |= 1 << uint(i&63)
 			}
@@ -153,11 +161,11 @@ func FuzzFoldKernels(f *testing.F) {
 func BenchmarkFoldKernels(b *testing.B) {
 	const rows = 17408
 	rng := rand.New(rand.NewSource(1))
-	xs, codes := make([]float64, rows), make([]uint32, rows)
+	xs, codes := make([]float64, rows), make([]uint16, rows)
 	bm := make([]uint64, rows/64)
 	for i := range xs {
 		xs[i] = rng.ExpFloat64() * 60
-		codes[i] = uint32(rng.Intn(4))
+		codes[i] = uint16(rng.Intn(4))
 		if rng.Float64() < 0.85 {
 			bm[i>>6] |= 1 << uint(i&63)
 		}

@@ -350,10 +350,13 @@ func valueBytes(v types.Value) int64 {
 // chunkRows is how many rows a physical chunk aims to hold: enough that a
 // scan's per-chunk setup (dictionaries, run cursors, bitmaps) disappears
 // behind the rows, small enough that row indices stay 32-bit and a
-// chunk-wide dictionary stays cache-sized. A chunk always holds whole
-// blocks, so it closes on the last block boundary at or under this (one
-// block when a block alone is larger).
-const chunkRows = 1 << 16
+// chunk-wide dictionary stays cache-sized. It is colstore.MaxDict (1<<16),
+// so a chunk's dictionary codes fit 16 bits: a column has no more distinct
+// strings than rows. A chunk always holds whole blocks, so it closes on the
+// last block boundary at or under this (one block when a block alone is
+// larger — the one case where a string column can outgrow its dictionary
+// and is stored verbatim).
+const chunkRows = colstore.MaxDict
 
 // Builder accumulates rows into physical chunks and cuts each chunk into
 // fixed-size priced blocks, striped round-robin across numNodes cluster

@@ -489,12 +489,13 @@ func TestCorruptWarmupFileColdBoots(t *testing.T) {
 
 // TestRetiredLayoutSegmentColdBoots: a data dir whose sample segment was
 // written by an earlier format (the blockfile fixtures: the retired row
-// block layout, and format 1's one-column-set-per-block layout from
-// before blocks became windows on chunks) must boot cold — the reason in
-// PersistenceNotes, the rebuilt families answering exactly like a fresh
-// engine's — never panic and never serve a half-loaded family.
+// block layout, format 1's one-column-set-per-block layout from before
+// blocks became windows on chunks, and format 2's chunks with 32-bit
+// dictionary codes) must boot cold — the reason in PersistenceNotes, the
+// rebuilt families answering exactly like a fresh engine's — never panic
+// and never serve a half-loaded family.
 func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
-	for _, file := range []string{"row_layout_v1.seg", "columnar_blocks_v1.seg"} {
+	for file, version := range map[string]int{"row_layout_v1.seg": 1, "columnar_blocks_v1.seg": 1, "chunked_v2.seg": 2} {
 		dir := t.TempDir()
 		fresh, freshRep := bootEngine(t, dir)
 		retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", file))
@@ -506,7 +507,7 @@ func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
 		}
 		rebooted, rep := bootEngine(t, dir)
 		notes := strings.Join(rebooted.PersistenceNotes(), "\n")
-		if !strings.Contains(notes, "unsupported format version 1") || !strings.Contains(notes, "rebuilding") {
+		if !strings.Contains(notes, fmt.Sprintf("unsupported format version %d", version)) || !strings.Contains(notes, "rebuilding") {
 			t.Fatalf("%s: PersistenceNotes do not record the retired-format fallback: %q", file, notes)
 		}
 		if !reflect.DeepEqual(freshRep, rep) {
