@@ -168,6 +168,10 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 			if gc.Cols[c].NaNFree != wc.Cols[c].NaNFree {
 				t.Fatalf("chunk %d col %d NaNFree mismatch", i, c)
 			}
+			g, w := &gc.Cols[c], &wc.Cols[c]
+			if g.Base != w.Base || !reflect.DeepEqual(g.Offs, w.Offs) || !reflect.DeepEqual(g.Ints, w.Ints) || !reflect.DeepEqual(g.Nulls, w.Nulls) {
+				t.Fatalf("chunk %d col %d int payload or nulls differ (narrow %v, want %v)", i, c, g.Narrow(), w.Narrow())
+			}
 		}
 		if !reflect.DeepEqual(gc.MetaEnds, wc.MetaEnds) {
 			t.Fatalf("chunk %d metadata runs differ", i)
@@ -216,6 +220,75 @@ func TestRoundTrip(t *testing.T) {
 			}
 			assertTablesEqual(t, want, got)
 		})
+	}
+}
+
+// TestNarrowIntsRoundTrip: int columns on both sides of the 16-bit window
+// rule — a span of exactly 65,535 and of 65,536, windows at each end of
+// int64, NULLs after a leading NULL run — and a bool column round-trip
+// through both load paths field for field: Base and offsets, or int64s.
+func TestNarrowIntsRoundTrip(t *testing.T) {
+	cols := []struct {
+		name   string
+		base   int64
+		span   uint64
+		nulls  bool
+		narrow bool
+	}{
+		{"span65535", 1000, 65535, false, true},
+		{"span65536", 1000, 65536, false, false},
+		{"bottom", math.MinInt64, 65535, true, true},
+		{"top", math.MaxInt64 - 65535, 65535, false, true},
+	}
+	schema := make([]types.Column, 0, len(cols)+1)
+	for _, c := range cols {
+		schema = append(schema, types.Column{Name: c.name, Kind: types.KindInt})
+	}
+	schema = append(schema, types.Column{Name: "flag", Kind: types.KindBool})
+	want := storage.NewTable("narrow", types.NewSchema(schema...))
+	b := storage.NewBuilder(want, 100, 3, storage.InMemory)
+	const rows = 1500
+	for i := 0; i < rows; i++ {
+		row := make(types.Row, 0, len(schema))
+		for _, c := range cols {
+			off := uint64(i*7919) % (c.span + 1)
+			if i == 1 {
+				off = c.span
+			}
+			v := types.Int(int64(uint64(c.base) + off))
+			if c.nulls && (i < 40 || i%11 == 0) && i != 1 && i != 99 {
+				v = types.Null()
+			}
+			row = append(row, v)
+		}
+		row = append(row, types.Bool(i%3 == 0))
+		if i%5 == 0 {
+			row[len(cols)] = types.Null()
+		}
+		b.Append(row, storage.RowMeta{Rate: 0.25, StratumFreq: 4})
+	}
+	want = b.Finish()
+	d := want.Chunks()[0]
+	for ci, c := range cols {
+		if d.Cols[ci].Narrow() != c.narrow {
+			t.Fatalf("column %s: narrow %v, want %v", c.name, d.Cols[ci].Narrow(), c.narrow)
+		}
+	}
+	if !d.Cols[len(cols)].Narrow() {
+		t.Fatal("the bool column is not narrow")
+	}
+	path := writeFixture(t, want)
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+		seg, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := seg.Table(0)
+		if err != nil {
+			t.Fatalf("%s: Table: %v", name, err)
+		}
+		assertTablesEqual(t, want, got)
+		seg.Close()
 	}
 }
 
@@ -285,9 +358,12 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 // wrote, CRCs intact: testdata/row_layout_v1.seg (6 rows in two blocks of
 // the row layout), testdata/columnar_blocks_v1.seg (6 rows in two blocks,
 // each its own column set — the format before blocks became windows on
-// chunks) and testdata/chunked_v2.seg (6 rows, one chunk cut into two
+// chunks), testdata/chunked_v2.seg (6 rows, one chunk cut into two
 // blocks, with a dictionary column of 32-bit codes — the format before
-// codes became 16-bit). Both load paths must refuse them with a clean
+// codes became 16-bit) and testdata/chunked_v3.seg (buildFixture's 40
+// rows, whose int column spans 0..117 stored as int64s — the format before
+// such a column became its minimum plus 16-bit offsets). Both load paths
+// must refuse them with a clean
 // version error — no panic, no half-loaded table — so the engine above
 // falls back to a cold rebuild.
 func TestRetiredFormatVersionRejected(t *testing.T) {
@@ -311,6 +387,7 @@ var retiredSegments = map[string]int{
 	"row_layout_v1.seg":      1,
 	"columnar_blocks_v1.seg": 1,
 	"chunked_v2.seg":         2,
+	"chunked_v3.seg":         3,
 }
 
 // TestEncodingCoverage asserts the fixture actually exercises every

@@ -16,12 +16,13 @@ import (
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
 // Seeds cover a valid single-table segment, a multi-table segment, the
-// two retired format-1 segments and the retired format-2 one, and
-// systematic mutations of the first. testdata/fuzz holds the checked-in
-// corpus: a valid format-3 segment (seed-valid), it with a byte flipped a
-// third of the way in (seed-bitflip), cut in half (seed-truncated) and
-// with its last byte changed (seed-badtail), and testdata/chunked_v2.seg
-// (seed-retired-v2).
+// two retired format-1 segments and the retired format-2 and format-3
+// ones, and systematic mutations of the first. testdata/fuzz holds the
+// checked-in corpus: a valid format-4 segment of buildFixture's 40 rows,
+// its int column narrow (seed-valid), it with a byte flipped a third of
+// the way in (seed-bitflip), cut in half (seed-truncated) and with its
+// last byte changed (seed-badtail), testdata/chunked_v2.seg
+// (seed-retired-v2) and testdata/chunked_v3.seg (seed-retired-v3).
 func FuzzSegmentLoad(f *testing.F) {
 	seed := func(rows int, extraTable bool) []byte {
 		tbl := buildFixture(f, rows)
@@ -58,7 +59,7 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(valid[:off])
 	}
 	// After the rest, so the earlier seeds keep their numbers.
-	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg"} {
+	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg", "chunked_v3.seg"} {
 		retired, err = os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)

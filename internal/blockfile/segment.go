@@ -52,6 +52,9 @@ type blockDesc struct {
 type colDesc struct {
 	enc     colstore.Encoding
 	nanFree bool
+	// narrow marks an int or bool column stored as base + uint16 offsets.
+	narrow bool
+	base   int64
 	// Section refs by role: payload, nulls, dict (meaning depends on enc).
 	payload, nulls, dict uint32
 }
@@ -251,7 +254,13 @@ func (s *Segment) parseChunk(d *dec, ncols int) (chunkDesc, error) {
 		cd.nanFree = d.u8() != 0
 		cd.payload, cd.nulls, cd.dict = noSection, noSection, noSection
 		switch cd.enc {
-		case colstore.EncFloat, colstore.EncInt, colstore.EncBool:
+		case colstore.EncFloat:
+			cd.payload = d.u32()
+			cd.nulls = d.u32()
+		case colstore.EncInt, colstore.EncBool:
+			if cd.narrow = d.u8() != 0; cd.narrow {
+				cd.base = d.i64()
+			}
 			cd.payload = d.u32()
 			cd.nulls = d.u32()
 		case colstore.EncDict:
@@ -418,7 +427,13 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		}
 		return s.loadNulls(c, cd, nrows)
 	case colstore.EncInt, colstore.EncBool:
-		if c.Ints, err = s.i64View(cd.payload, nrows); err != nil {
+		if cd.narrow {
+			c.Base = cd.base
+			c.Offs, err = s.u16View(cd.payload, nrows)
+		} else {
+			c.Ints, err = s.i64View(cd.payload, nrows)
+		}
+		if err != nil {
 			return err
 		}
 		return s.loadNulls(c, cd, nrows)

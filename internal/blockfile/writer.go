@@ -11,15 +11,18 @@
 //	footer   ...    index: section table (offset, length, CRC32C per
 //	                section) + logical structure (tables → physical
 //	                chunks → columns with their encodings and section
-//	                refs, then the block table: placement, bytes, zones
-//	                and a (chunk, offset, rows) window per priced block)
+//	                refs — an int or bool column names its form: wide,
+//	                an int64 section, or narrow, its Base and a uint16
+//	                offset section — then the block table: placement,
+//	                bytes, zones and a (chunk, offset, rows) window per
+//	                priced block)
 //	tail     24 B   footer offset/length, footer CRC32C, magic
 //
 // All fixed-width fields are little-endian. Numeric column payloads
 // (float64/int64 values, uint64 null-bitmap words, uint16 dictionary
-// codes, int32 run ends and metadata-run ends) are stored as raw
-// machine-width arrays, so on a little-endian host a loaded column's
-// slices are views over the mapping — zero per-value decode, zero
+// codes and narrow int offsets, int32 run ends and metadata-run ends) are
+// stored as raw machine-width arrays, so on a little-endian host a loaded
+// column's slices are views over the mapping — zero per-value decode, zero
 // per-value allocation. Strings (dictionaries of at most 65,536 entries,
 // mixed-kind value streams) are length-prefixed and decoded on load.
 //
@@ -49,8 +52,11 @@ const (
 	// reject any other version: the contract is exact-match, and a segment
 	// is a cache — the engine rebuilds over one it cannot read. Version 1
 	// stored every priced block as its own column set; version 2 stored
-	// chunks as version 3 does, but with 32-bit dictionary codes.
-	FormatVersion = 3
+	// chunks as version 3 does, but with 32-bit dictionary codes; version
+	// 3 stored every int and bool column as int64s, where version 4 stores
+	// one whose values fit a 16-bit window as its minimum plus uint16
+	// offsets.
+	FormatVersion = 4
 
 	headerSize = 16
 	tailSize   = 24
@@ -214,7 +220,14 @@ func (w *Writer) addColumn(e *enc, c *colstore.Column) {
 		e.u32(w.section(f64Bytes(c.Floats)))
 		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncInt, colstore.EncBool:
-		e.u32(w.section(i64Bytes(c.Ints)))
+		if c.Narrow() {
+			e.u8(1)
+			e.i64(c.Base)
+			e.u32(w.section(u16Bytes(c.Offs)))
+		} else {
+			e.u8(0)
+			e.u32(w.section(i64Bytes(c.Ints)))
+		}
 		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncDict:
 		e.u32(w.section(u16Bytes(c.Codes)))

@@ -318,7 +318,13 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 			}
 		}
 	case EncInt, EncBool:
-		a.ints = append(a.ints, col.Ints[lo:hi]...)
+		if col.Narrow() {
+			for _, off := range col.Offs[lo:hi] {
+				a.ints = append(a.ints, col.Base+int64(off))
+			}
+		} else {
+			a.ints = append(a.ints, col.Ints[lo:hi]...)
+		}
 		breaks, lastStart = runBreaks(a.ints[at:], nulls, lo)
 	case EncDict:
 		if !a.remapCodes(col, lo, hi, null) {
@@ -334,12 +340,16 @@ func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
 	if first {
 		a.runs++
 	}
-	// A NULL row's payload slot already holds the 0 that append gives it
-	// (see Encoding): only the bitmap needs the row.
+	// A NULL row's payload slot holds the 0 that append gives it (see
+	// Encoding) — once a narrow column's widened Base is cleared — and
+	// the bitmap needs the row.
 	if nulls != nil {
 		for j := lo; j < hi; j++ {
 			if null(j) {
 				a.setNull(at + j - lo)
+				if col.Narrow() {
+					a.ints[at+j-lo] = 0
+				}
 			}
 		}
 	}
@@ -491,10 +501,16 @@ func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
 		copy(nulls, a.nulls)
 	}
 	switch a.kind {
-	case types.KindInt:
-		return Column{Enc: EncInt, Ints: exact(a.ints), Nulls: nulls}
-	case types.KindBool:
-		return Column{Enc: EncBool, Ints: exact(a.ints), Nulls: nulls}
+	case types.KindInt, types.KindBool:
+		col := Column{Enc: EncInt, Nulls: nulls}
+		if a.kind == types.KindBool {
+			col.Enc = EncBool
+		}
+		var ok bool
+		if col.Base, col.Offs, ok = narrow(a.ints[:n], nulls); !ok {
+			col.Ints = exact(a.ints)
+		}
+		return col
 	case types.KindString:
 		return Column{Enc: EncDict, Codes: exact(a.codes), Dict: exact(a.dict), Nulls: nulls}
 	case types.KindFloat:
@@ -504,4 +520,30 @@ func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
 		// reconstructs it; pick float.
 		return Column{Enc: EncFloat, Floats: make([]float64, n), Nulls: nulls}
 	}
+}
+
+// narrow returns xs as its smallest non-NULL value plus one 16-bit offset
+// per row — a NULL row's offset 0 — when every non-NULL value lies within
+// 65,535 of that smallest, and false otherwise. Bit i of nulls (nil: none)
+// says whether row i is NULL; xs holds at least one non-NULL value.
+func narrow(xs []int64, nulls []uint64) (base int64, offs []uint16, ok bool) {
+	first := 0
+	for nulls != nil && isSet(nulls, first) {
+		first++
+	}
+	mn, mx := Bounds(xs, nulls, first, len(xs))
+	// As uint64 the difference is exact: it cannot overflow as an int64 can.
+	if uint64(mx)-uint64(mn) > 1<<16-1 {
+		return 0, nil, false
+	}
+	offs = make([]uint16, len(xs))
+	for i, x := range xs {
+		offs[i] = uint16(uint64(x) - uint64(mn))
+	}
+	for i := 0; nulls != nil && i < len(xs); i++ {
+		if isSet(nulls, i) {
+			offs[i] = 0
+		}
+	}
+	return mn, offs, true
 }

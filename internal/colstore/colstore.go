@@ -1,9 +1,10 @@
 // Package colstore implements the columnar layout underlying BlinkDB-Go's
 // vectorized scan path. A Data is one physical chunk — tens of thousands
 // of rows, many of storage's priced blocks — decomposed into per-column
-// typed slices — []float64, []int64, dictionary-encoded strings — plus a
-// null bitmap per column and the sampling metadata storage.RowMeta
-// reports per row (rate, stratum frequency), stored as runs.
+// typed slices — []float64, ints as []int64 or as a minimum plus []uint16
+// offsets, dictionary-encoded strings — plus a null bitmap per column and
+// the sampling metadata storage.RowMeta reports per row (rate, stratum
+// frequency), stored as runs.
 //
 // The layout is the paper's §5 speed argument made physical: cached sample
 // blocks are scanned at memory bandwidth because the executor's compiled
@@ -33,6 +34,11 @@
 //     group resolution advances once per run instead of once per row.
 //   - EncFloat / EncInt / EncBool — one machine-typed slice plus an
 //     optional null bitmap, when every non-null value shares that kind.
+//     An int or bool column has two forms: when its non-null values lie
+//     within a 16-bit window (max − min ≤ 65,535, which a bool column
+//     always does) it is its minimum, Base, plus one uint16 offset per
+//     row; otherwise one int64 per row. The builder picks the form from
+//     the data; there is no knob.
 //   - EncDict — strings as 16-bit codes into a first-appearance
 //     dictionary of at most MaxDict entries.
 //   - EncValue — verbatim []types.Value, the fallback for columns whose
@@ -62,9 +68,9 @@ type Encoding uint8
 const (
 	// EncFloat stores KindFloat values in Floats (0 at null positions).
 	EncFloat Encoding = iota
-	// EncInt stores KindInt values in Ints.
+	// EncInt stores KindInt values in Ints, or as Base + Offs (see Column).
 	EncInt
-	// EncBool stores KindBool payloads in Ints (0/1).
+	// EncBool stores KindBool payloads (0/1) as EncInt stores ints.
 	EncBool
 	// EncDict stores KindString values as 16-bit Codes into Dict
 	// (first-appearance order, so encoding is deterministic for a given row
@@ -112,10 +118,20 @@ func (e Encoding) String() string {
 // string — only one larger than a storage chunk, built by hand or from a
 // priced block over 65,536 rows — stores that column as EncValue instead,
 // the fallback a column of mixed kinds takes.
+//
+// An EncInt or EncBool column is in one of two forms. Narrow: when every
+// non-NULL payload lies in [m, m+65535], m the smallest, Base is m and
+// Offs[i] is row i's payload minus Base — one uint16 a row where the wide
+// form spends an int64. Wide: otherwise, Ints[i] is row i's payload. The
+// builder picks the form per chunk from the data (Narrow reports which);
+// Ints is nil in the narrow form and Offs in the wide one. A NULL row's
+// slot holds 0 in the wide form and offset 0 in the narrow form.
 type Column struct {
 	Enc    Encoding
 	Floats []float64
 	Ints   []int64
+	Base   int64
+	Offs   []uint16
 	Codes  []uint16
 	Dict   []string
 	Values []types.Value
@@ -143,6 +159,9 @@ func (c *Column) Len() int {
 	case EncFloat:
 		return len(c.Floats)
 	case EncInt, EncBool:
+		if c.Narrow() {
+			return len(c.Offs)
+		}
 		return len(c.Ints)
 	case EncDict:
 		return len(c.Codes)
@@ -154,6 +173,20 @@ func (c *Column) Len() int {
 	default:
 		return len(c.Values)
 	}
+}
+
+// Narrow reports whether an EncInt or EncBool column is stored as Base
+// plus 16-bit offsets rather than as int64s.
+func (c *Column) Narrow() bool { return c.Offs != nil }
+
+// IntAt returns the payload of row i of an EncInt or EncBool column, in
+// either form. A NULL row's payload is 0 in the wide form and Base in the
+// narrow one: callers test IsNull first.
+func (c *Column) IntAt(i int) int64 {
+	if c.Offs != nil {
+		return c.Base + int64(c.Offs[i])
+	}
+	return c.Ints[i]
 }
 
 // RunOf returns the index of the run containing row i (EncRLE only).
@@ -188,9 +221,9 @@ func (c *Column) Value(i int) types.Value {
 	case EncFloat:
 		return types.Float(c.Floats[i])
 	case EncInt:
-		return types.Int(c.Ints[i])
+		return types.Int(c.IntAt(i))
 	case EncBool:
-		return types.Value{Kind: types.KindBool, I: c.Ints[i]}
+		return types.Value{Kind: types.KindBool, I: c.IntAt(i)}
 	default: // EncDict
 		return types.Str(c.Dict[c.Codes[i]])
 	}
@@ -523,12 +556,33 @@ func (n *valueIDs) column(col *Column, lo, hi int, out []uint32) {
 		case EncFloat:
 			out[i] = n.id(types.Float(col.Floats[j]))
 		case EncInt:
-			out[i] = n.id(types.Int(col.Ints[j]))
+			out[i] = n.id(types.Int(col.IntAt(j)))
 		default: // EncBool
-			out[i] = n.id(types.Value{Kind: types.KindBool, I: col.Ints[j]})
+			out[i] = n.id(types.Value{Kind: types.KindBool, I: col.IntAt(j)})
 		}
 	}
 }
+
+// Bounds returns the smallest and largest of xs[first:hi], skipping the
+// rows nulls marks (nil: none); row first is not NULL. A float NaN after
+// row first compares neither way, so it moves neither end.
+func Bounds[T int64 | uint16 | float64](xs []T, nulls []uint64, first, hi int) (mn, mx T) {
+	mn, mx = xs[first], xs[first]
+	for i := first + 1; i < hi; i++ {
+		if nulls != nil && isSet(nulls, i) {
+			continue
+		}
+		if x := xs[i]; x < mn {
+			mn = x
+		} else if x > mx {
+			mx = x
+		}
+	}
+	return mn, mx
+}
+
+// isSet reports whether bit i of the bitmap bm is set.
+func isSet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
 
 // CountBits counts the set bits of positions [lo, hi) in a bitmap (0 for a
 // nil one).

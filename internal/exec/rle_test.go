@@ -174,9 +174,11 @@ func TestEvalPredMatchesRowEvalRLE(t *testing.T) {
 
 // TestCmpIntsAsFloatNormalization checks the int-threshold rewrite against
 // the per-element float-conversion reference on every tricky constant:
-// fractional, integral, NaN, ±Inf, and the 2^53/2^63 rounding bands.
+// fractional, integral, NaN, ±Inf, and the 2^53/2^63 rounding bands — over
+// a wide column, and over narrow ones (a minimum plus 16-bit offsets) whose
+// windows sit at the ends of int64 and astride ±2^53.
 func TestCmpIntsAsFloatNormalization(t *testing.T) {
-	xs := []int64{
+	wide := []int64{
 		math.MinInt64, math.MinInt64 + 1, -(1 << 62), -(1 << 53) - 1, -(1 << 53), -(1 << 53) + 1,
 		-4, -3, -2, -1, 0, 1, 2, 3, 4, 255,
 		(1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 53) + 2, 1 << 62, math.MaxInt64 - 1, math.MaxInt64,
@@ -186,12 +188,24 @@ func TestCmpIntsAsFloatNormalization(t *testing.T) {
 		float64(1<<53) - 1, float64(1 << 53), float64(1<<53) + 2, -float64(1 << 53),
 		float64(1 << 62), float64(math.MaxInt64), -float64(1 << 63), 1e19, -1e19, 1e300,
 	}
-	dst := make([]uint64, (len(xs)+63)/64)
+	cols := []intCol{{xs: wide}}
+	offs := []uint16{0, 1, 2, 3, 4, 5, 6, 7, 255, 256, 32767, 32768, 65533, 65534, 65535}
+	for _, base := range []int64{math.MinInt64, -(1 << 53) - 3, -5, (1 << 53) - 3, 1 << 62, math.MaxInt64 - 65535} {
+		cols = append(cols, intCol{base: base, offs: offs})
+	}
+	for _, xs := range cols {
+		checkCmpIntsAsFloat(t, xs, consts)
+	}
+}
+
+func checkCmpIntsAsFloat(t *testing.T, xs intCol, consts []float64) {
+	dst := make([]uint64, (xs.len()+63)/64)
 	for _, c := range consts {
 		for _, op := range []types.CmpOp{types.CmpLt, types.CmpLe, types.CmpEq, types.CmpGe, types.CmpGt, types.CmpNe} {
 			lt, eq, gt := opFlags(op)
 			cmpIntsAsFloat(xs, c, dst, lt, eq, gt)
-			for i, v := range xs {
+			for i := 0; i < xs.len(); i++ {
+				v := xs.at(i)
 				f := float64(v)
 				want := eq
 				if f < c {

@@ -1,7 +1,7 @@
 package exec
 
 // The AVX2 selection kernels below run when cpu.AVX2 is set; vector.go's
-// intsInRange, evalCmp (dictionary = and <>) and rowsOf choose them.
+// intsInRange, u16InRange and rowsOf choose them.
 
 // intsInRangeAVX2 sets word k of dst to the verdicts of xs[64k:64k+64] for
 // every whole word of xs: bit i where int64(xs[i]-lo) ≤ int64(width), four
@@ -11,11 +11,15 @@ package exec
 //go:noescape
 func intsInRangeAVX2(xs []int64, lo, width uint64, dst []uint64)
 
-// codesEqAVX2 sets word k of dst to the verdicts codes[i] == c of
-// codes[64k:64k+64] for every whole word of codes, sixteen rows a compare.
+// u16InRangeAVX2 sets word k of dst to the verdicts of xs[64k:64k+64] for
+// every whole word of xs: bit i where uint16(xs[i]-lo) ≤ width, sixteen rows
+// a compare. AVX2 compares 16-bit words signed only; the kernel flips the
+// sign bit of both sides, which keeps the unsigned order (intsInRange's
+// trick at 16 bits), and compares complements, (lo-1)-x against ^width, so
+// that x is subtracted as it is loaded.
 //
 //go:noescape
-func codesEqAVX2(codes []uint16, c uint16, dst []uint64)
+func u16InRangeAVX2(xs []uint16, lo, width uint16, dst []uint64)
 
 // rowsOfAVX2 writes the set bits of bm as ascending row numbers (bit k is
 // row base+k) from idxs[0] on, a byte of bm at a time through setBitPos.

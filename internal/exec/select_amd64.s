@@ -54,42 +54,56 @@ rangeLoop:
 rangeDone:
 	RET
 
-// EQ32 compares codes[32k:32k+32] (at off(SI)) with Y0, sixteen a
-// VPCMPEQW, and leaves the 32 verdicts in row order in reg's low 32 bits.
+// RANGE32 tests xs[32k:32k+32] (at off(SI)) and leaves the 32 FAIL verdicts
+// in row order in reg's low 32 bits, sixteen rows a VPCMPGTW. x passes when
+// uint16(x-lo) ≤ width, that is when its complement, (lo-1)-x, is at least
+// ^width, unsigned. AVX2 compares 16-bit words signed only, so both sides
+// carry the sign bit flipped, which keeps the unsigned order: Y0 holds
+// (lo-1)^0x8000, from which x is subtracted as it is loaded, and Y1 holds
+// ^width^0x8000; x fails where Y1 > Y0-x.
 // VPACKSSWB narrows each verdict word to a byte (0xFFFF saturates to 0xFF,
 // 0 stays 0) but interleaves the two compares' 128-bit halves; VPERMQ puts
 // the four 8-row quarters back in order before VPMOVMSKB takes the bits.
-#define EQ32(off, reg) \
-	VPCMPEQW  off(SI), Y0, Y1; \
-	VPCMPEQW  off+32(SI), Y0, Y2; \
-	VPACKSSWB Y2, Y1, Y1; \
-	VPERMQ    $0xD8, Y1, Y1; \
-	VPMOVMSKB Y1, reg
+#define RANGE32(off, reg) \
+	VPSUBW    off(SI), Y0, Y2; \
+	VPSUBW    off+32(SI), Y0, Y3; \
+	VPCMPGTW  Y2, Y1, Y2; \
+	VPCMPGTW  Y3, Y1, Y3; \
+	VPACKSSWB Y3, Y2, Y2; \
+	VPERMQ    $0xD8, Y2, Y2; \
+	VPMOVMSKB Y2, reg
 
-// func codesEqAVX2(codes []uint16, c uint16, dst []uint64)
-TEXT ·codesEqAVX2(SB), NOSPLIT, $0-56
-	MOVQ codes_base+0(FP), SI
-	MOVQ codes_len+8(FP), CX
+// func u16InRangeAVX2(xs []uint16, lo, width uint16, dst []uint64)
+TEXT ·u16InRangeAVX2(SB), NOSPLIT, $0-56
+	MOVQ xs_base+0(FP), SI
+	MOVQ xs_len+8(FP), CX
 	MOVQ dst_base+32(FP), DI
 	SHRQ $6, CX
-	JZ   eqDone
-	MOVWLZX c+24(FP), AX
+	JZ   u16Done
+	MOVWLZX lo+24(FP), AX
+	DECL  AX
+	XORL  $0x8000, AX
 	VMOVD AX, X0
 	VPBROADCASTW X0, Y0
+	MOVWLZX width+26(FP), AX
+	XORL  $0x7FFF, AX
+	VMOVD AX, X1
+	VPBROADCASTW X1, Y1
 
-eqLoop:
-	EQ32(0, AX)
-	EQ32(64, BX)
+u16Loop:
+	RANGE32(0, AX)
+	RANGE32(64, BX)
 	SHLQ $32, BX
 	ORQ  BX, AX
+	NOTQ AX
 	MOVQ AX, (DI)
 	ADDQ $128, SI
 	ADDQ $8, DI
 	DECQ CX
-	JNZ  eqLoop
+	JNZ  u16Loop
 	VZEROUPPER
 
-eqDone:
+u16Done:
 	RET
 
 // ROWS8 lists the set bits of R9's low byte: the byte's positions from the

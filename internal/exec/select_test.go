@@ -53,12 +53,23 @@ var selectSchema = types.NewSchema(
 	types.Column{Name: "b", Kind: types.KindInt},    // without
 	types.Column{Name: "s", Kind: types.KindString}, // dictionary "x" "y" "x" "z", with NULLs
 	types.Column{Name: "v", Kind: types.KindFloat},
+	types.Column{Name: "bottom", Kind: types.KindInt}, // narrow from math.MinInt64, with NULLs
+	types.Column{Name: "top", Kind: types.KindInt},    // narrow up to math.MaxInt64
 )
 
+// narrowCols are selectSchema's narrow int columns and their Base.
+var narrowCols = []struct {
+	col  int
+	base int64
+}{{4, math.MinInt64}, {5, math.MaxInt64 - 65535}}
+
 // selectChunk hand-builds one chunk of n rows over selectSchema: int
-// columns of small values among the ends of int64, and a dictionary column
+// columns of small values among the ends of int64, a dictionary column
 // whose dictionary holds "x" twice (codes 0 and 2), as a loaded segment's
-// may. NULL rows keep a random code or value under their null bit.
+// may, and two narrow int columns (a minimum plus 16-bit offsets) at the
+// ends of int64 whose offsets are drawn from edgeCodes. NULL rows keep a
+// random code or value under their null bit, except the narrow column's,
+// which hold offset 0 as a built one's do.
 func selectChunk(n int, seed int64) *colstore.Data {
 	rng := rand.New(rand.NewSource(seed))
 	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64}
@@ -73,18 +84,25 @@ func selectChunk(n int, seed int64) *colstore.Data {
 	b := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
 	s := colstore.Column{Enc: colstore.EncDict, Dict: []string{"x", "y", "x", "z"}, Codes: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
+	bottom := colstore.Column{Enc: colstore.EncInt, Base: narrowCols[0].base, Offs: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
+	top := colstore.Column{Enc: colstore.EncInt, Base: narrowCols[1].base, Offs: make([]uint16, n), NaNFree: true}
 	for i := 0; i < n; i++ {
 		a.Ints[i], b.Ints[i] = pick(), pick()
 		s.Codes[i] = uint16(rng.Intn(len(s.Dict)))
 		v.Floats[i] = float64(rng.Intn(100))
+		bottom.Offs[i], top.Offs[i] = edgeCodes[rng.Intn(len(edgeCodes))], edgeCodes[rng.Intn(len(edgeCodes))]
 		if rng.Intn(8) == 0 {
 			a.Nulls[i>>6] |= 1 << uint(i&63)
 		}
 		if rng.Intn(8) == 0 {
 			s.Nulls[i>>6] |= 1 << uint(i&63)
 		}
+		if rng.Intn(8) == 0 {
+			bottom.Nulls[i>>6] |= 1 << uint(i&63)
+			bottom.Offs[i] = 0
+		}
 	}
-	return &colstore.Data{N: n, Cols: []colstore.Column{a, b, s, v}, MetaEnds: []int32{int32(n)}, Rates: []float64{1}, Freqs: []int64{0}}
+	return &colstore.Data{N: n, Cols: []colstore.Column{a, b, s, v, bottom, top}, MetaEnds: []int32{int32(n)}, Rates: []float64{1}, Freqs: []int64{0}}
 }
 
 // selectTable lays d out as a table of 100-row blocks without zones, so
@@ -99,9 +117,10 @@ func selectTable(d *colstore.Data) *storage.Table {
 
 // selectPreds returns leaves and folded intervals over selectSchema that
 // reach every selection kernel: int order tests, = and <> at the ends of
-// int64 and everything- and nothing-passing intervals; dictionary = and <>
-// against a duplicated, a single and an absent string, and one order test
-// (the table path on both kernel sets).
+// int64 and everything- and nothing-passing intervals; over the narrow
+// columns the same with constants below, at the edges of, inside and above
+// their window; dictionary = and <> against a duplicated, a single and an
+// absent string, and one order test (the table path on both kernel sets).
 func selectPreds() []types.Predicate {
 	leaf := func(col int, op types.CmpOp, v types.Value) *types.CmpPred {
 		return &types.CmpPred{Col: selectSchema.Columns[col].Name, ColIdx: col, Op: op, Val: v}
@@ -122,6 +141,20 @@ func selectPreds() []types.Predicate {
 				leaf(col, types.CmpGe, types.Int(iv[0])), leaf(col, types.CmpLe, types.Int(iv[1]))}}))
 		}
 	}
+	for _, nc := range narrowCols {
+		cs := windowConsts(nc.base)
+		for _, c := range cs {
+			for _, op := range ops {
+				preds = append(preds, leaf(nc.col, op, types.Int(c)))
+			}
+		}
+		for i, lo := range cs {
+			for _, hi := range cs[i:] {
+				preds = append(preds, mergeIntervals(&types.AndPred{Kids: []types.Predicate{
+					leaf(nc.col, types.CmpGe, types.Int(lo)), leaf(nc.col, types.CmpLe, types.Int(hi))}}))
+			}
+		}
+	}
 	for _, s := range []string{"x", "y", "w"} {
 		for _, op := range []types.CmpOp{types.CmpEq, types.CmpNe, types.CmpLt} {
 			preds = append(preds, leaf(2, op, types.Str(s)))
@@ -130,8 +163,24 @@ func selectPreds() []types.Predicate {
 	return preds
 }
 
-// edgeCodes lead with the 8- and 16-bit edges of a dictionary code;
-// edgeColumn draws 1,200 codes from all but the last.
+// windowConsts returns constants around the 16-bit window [base, base+65535]
+// of a narrow int column — the ends of int64, below the window, its edges
+// and inside it, above it — as far as int64 reaches.
+func windowConsts(base int64) []int64 {
+	cs := []int64{math.MinInt64}
+	for _, d := range []int64{-1, 0, 1, 255, 256, 32767, 32768, 65534, 65535, 65536} {
+		if c := base + d; (d < 0) == (c < base) { // no overflow
+			cs = append(cs, c)
+		}
+	}
+	cs = append(cs, math.MaxInt64)
+	slices.Sort(cs)
+	return slices.Compact(cs)
+}
+
+// edgeCodes lead with the 8- and 16-bit edges of a dictionary code or a
+// narrow column's offset; edgeColumn draws 1,200 codes from all but the
+// last.
 var (
 	edgeCodes  = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
 	edgeColumn = func() []uint16 {
@@ -157,6 +206,14 @@ func TestSelectKernelsMatchGeneric(t *testing.T) {
 	lengths := []int{0, 1, 63, 64, 65, 1000}
 	d := selectChunk(1200, 1)
 	ints, dict := d.Cols[0].Ints, &d.Cols[2]
+	var u16Ranges [][2]uint16 // every range between two edges: [c, c], [0, 65535], ...
+	for _, lo := range edgeCodes {
+		for _, hi := range edgeCodes {
+			if lo <= hi {
+				u16Ranges = append(u16Ranges, [2]uint16{lo, hi})
+			}
+		}
+	}
 
 	for _, n := range lengths {
 		words := (n + 63) / 64
@@ -168,27 +225,24 @@ func TestSelectKernelsMatchGeneric(t *testing.T) {
 				t.Fatalf("intsInRange n=%d [%d, %d]: avx2 %x, go %x", n, iv[0], iv[1], got, want)
 			}
 		}
-		for _, c := range []int{0, 1, 3, noCode} {
+		// Dictionary = is the 16-bit range kernel over [c, c].
+		for _, c := range []uint16{0, 1, 3} {
 			tab := make([]bool, len(dict.Dict))
-			if c != noCode {
-				tab[c] = true
-			}
+			tab[c] = true
 			codesPass(dict.Codes[:n], tab, want)
-			codesEqual(dict.Codes[:n], c, got)
+			u16InRange(dict.Codes[:n], c, c, got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("codesEqual n=%d code %d: avx2 %x, go %x", n, c, got, want)
+				t.Fatalf("u16InRange n=%d code %d: avx2 %x, go %x", n, c, got, want)
 			}
 		}
-		// Codes at the 8- and 16-bit edges, where narrowing a verdict word
-		// to a byte, or a code's sign bit, could tell two codes apart
-		// wrongly; 2 is absent.
-		for _, c := range edgeCodes {
-			tab := make([]bool, colstore.MaxDict)
-			tab[c] = true
-			codesPass(edgeColumn[:n], tab, want)
-			codesEqual(edgeColumn[:n], int(c), got)
+		// Values at the 8- and 16-bit edges, where narrowing a verdict word
+		// to a byte, or a value's sign bit, could tell two apart wrongly;
+		// 2 is absent.
+		for _, r := range u16Ranges {
+			u16InRangeGo(edgeColumn[:n], r[0], r[1], want)
+			u16InRange(edgeColumn[:n], r[0], r[1], got)
 			if !slices.Equal(got, want) {
-				t.Fatalf("codesEqual n=%d code %d of the edge codes: avx2 %x, go %x", n, c, got, want)
+				t.Fatalf("u16InRange n=%d [%d, %d] of the edge values: avx2 %x, go %x", n, r[0], r[1], got, want)
 			}
 		}
 	}
@@ -246,9 +300,9 @@ func checkRowsOf(t testing.TB, sc *colScratch, bm []uint64, base int) {
 // FuzzSelectKernels is TestSelectKernelsMatchGeneric's kernel checks with
 // the inputs under the fuzzer's control (corpus in
 // testdata/fuzz/FuzzSelectKernels): data's bytes become ints near lo, hi
-// and the ends of int64, dictionary codes among the first seven edgeCodes
-// and the bitmap rowsOf expands; c picks the code compared against (7:
-// absent) and the rows' base.
+// and the ends of int64, 16-bit values among the first eight edgeCodes and
+// the bitmap rowsOf expands; c picks the two edgeCodes that bound the
+// 16-bit range (2 is absent from the values) and the rows' base.
 func FuzzSelectKernels(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\xfc\xfd\xfe\xff"), int64(-3), int64(5), uint8(0))
 	f.Add([]byte(strings.Repeat("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c", 10)), int64(0), int64(9), uint8(5))
@@ -274,7 +328,7 @@ func FuzzSelectKernels(f *testing.F) {
 			default:
 				xs[i] = math.MaxInt64 - int64(b>>2)
 			}
-			codes[i] = edgeCodes[b%7]
+			codes[i] = edgeCodes[b%8]
 			bm[i>>3] |= uint64(b) << (8 * uint(i&7))
 		}
 		words := (n + 63) / 64
@@ -284,15 +338,13 @@ func FuzzSelectKernels(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("intsInRange [%d, %d]: avx2 %x, go %x", lo, hi, got, want)
 		}
-		code, tab := noCode, make([]bool, colstore.MaxDict)
-		if c%8 < 7 {
-			code = int(edgeCodes[c%8])
-			tab[code] = true
-		}
-		codesPass(codes, tab, want)
-		codesEqual(codes, code, got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("codesEqual code %d: avx2 %x, go %x", code, got, want)
+		r0, r1 := edgeCodes[c%9], edgeCodes[c/9%9]
+		for _, r := range [][2]uint16{{min(r0, r1), max(r0, r1)}, {r0, r0}} {
+			u16InRangeGo(codes, r[0], r[1], want)
+			u16InRange(codes, r[0], r[1], got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("u16InRange [%d, %d]: avx2 %x, go %x", r[0], r[1], got, want)
+			}
 		}
 		checkRowsOf(t, &colScratch{}, bm, int(c)<<6)
 	})
@@ -334,8 +386,10 @@ func TestDuplicateDictionaryStrings(t *testing.T) {
 
 // BenchmarkSelectKernels times each AVX2 selection kernel against its Go
 // kernel over 17,408 rows (272 words) shaped like the repo benchmark's
-// sessions table: the date interval dt >= 70 AND dt < 920 (85% pass), a
-// dictionary = over 40 skewed strings, and rowsOf at 85% and 20% density.
+// sessions table: the date interval dt >= 70 AND dt < 920 (85% pass) over
+// dt stored wide (interval) and, built by colstore's builder, narrow
+// (interval16), a dictionary = over 40 skewed strings, and rowsOf at 85%
+// and 20% density.
 func BenchmarkSelectKernels(b *testing.B) {
 	const rows = 17408
 	rng := rand.New(rand.NewSource(1))
@@ -348,11 +402,22 @@ func BenchmarkSelectKernels(b *testing.B) {
 		dt.Ints[i] = rng.Int63n(1000)
 		dev.Codes[i] = uint16(40 * rng.Float64() * rng.Float64() * rng.Float64())
 	}
-	d := &colstore.Data{N: rows, Cols: []colstore.Column{dt, dev}, MetaEnds: []int32{rows}, Rates: []float64{1}, Freqs: []int64{0}}
-	interval := mergeIntervals(&types.AndPred{Kids: []types.Predicate{
-		&types.CmpPred{Col: "dt", ColIdx: 0, Op: types.CmpGe, Val: types.Int(70)},
-		&types.CmpPred{Col: "dt", ColIdx: 0, Op: types.CmpLt, Val: types.Int(920)},
-	}})
+	nb := colstore.NewBuilder(1)
+	for _, x := range dt.Ints {
+		nb.Append(types.Row{types.Int(x)}, 1, 0)
+	}
+	dt16 := nb.Finish().Cols[0]
+	if !dt16.Narrow() {
+		b.Fatal("the builder stored dt wide")
+	}
+	d := &colstore.Data{N: rows, Cols: []colstore.Column{dt, dev, dt16}, MetaEnds: []int32{rows}, Rates: []float64{1}, Freqs: []int64{0}}
+	intervalOn := func(col int) types.Predicate {
+		return mergeIntervals(&types.AndPred{Kids: []types.Predicate{
+			&types.CmpPred{Col: "dt", ColIdx: col, Op: types.CmpGe, Val: types.Int(70)},
+			&types.CmpPred{Col: "dt", ColIdx: col, Op: types.CmpLt, Val: types.Int(920)},
+		}})
+	}
+	interval, interval16 := intervalOn(0), intervalOn(2)
 	eq := &types.CmpPred{Col: "device", ColIdx: 1, Op: types.CmpEq, Val: types.Str("device00")}
 	bitmapAt := func(density float64) []uint64 {
 		bm := make([]uint64, rows/64)
@@ -372,6 +437,7 @@ func BenchmarkSelectKernels(b *testing.B) {
 		run  func()
 	}{
 		{"interval", func() { evalPred(interval, d, 0, rows, dst, sc) }},
+		{"interval16", func() { evalPred(interval16, d, 0, rows, dst, sc) }},
 		{"dict-eq", func() { evalPred(eq, d, 0, rows, dst, sc) }},
 		{"rowsOf85", func() { sc.rowsOf(bm85, 64, bitmapCount(bm85)) }},
 		{"rowsOf20", func() { sc.rowsOf(bm20, 64, bitmapCount(bm20)) }},

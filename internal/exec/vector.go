@@ -50,8 +50,10 @@ import (
 // in for another. On amd64 three selection steps have AVX2 kernels
 // (select_amd64.s) over whole 64-row words, the Go loops finishing the
 // tail: the int interval test behind every int order or equality leaf and
-// every intervalPred (intsInRange), a dictionary column's = and <> against
-// a string as one code compare (evalCmp), and bitmap → row indices
+// every intervalPred over a wide int column (intsInRange); the 16-bit
+// range test, which takes the same interval clamped onto a narrow
+// column's offsets and a dictionary column's = and <> against a string as
+// the range [c, c] of codes (u16InRange); and bitmap → row indices
 // (rowsOf). They run when cpu.AVX2 is set, once at init from CPUID and
 // XGETBV — no option, flag or build tag chooses. The Go kernels are the
 // path on every other platform and CPU, and the reference the tests hold
@@ -97,6 +99,10 @@ type colScratch struct {
 
 	// kept holds the rows of a gather's values past NULLs, beside xs.
 	kept []int32
+
+	// wide holds a narrow int column's payloads as the folds read them,
+	// indexed by row (see ints).
+	wide []int64
 
 	// rowPool recycles the per-group staging buffers across spans and
 	// partials (group states die with their partial; their buffers
@@ -346,7 +352,7 @@ func evalPred(pred types.Predicate, d *colstore.Data, base, n int, dst []uint64,
 		case t.empty:
 			bitmapFill(dst, n, false)
 		default:
-			intsInRange(col.Ints[base:base+n], t.lo, t.hi, dst)
+			intsOf(col, base, base+n).inRange(t.lo, t.hi, dst)
 		}
 		if col.Nulls != nil {
 			patchNulls(dst, col.Nulls[base>>6:], t.nullPass)
@@ -435,11 +441,11 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 	case colstore.EncInt:
 		switch {
 		case val.Kind == types.KindInt:
-			cmpInts(col.Ints[base:base+n], val.I, dst, lt, eq, gt)
+			cmpInts(intsOf(col, base, base+n), val.I, dst, lt, eq, gt)
 			patchNulls(dst, nulls, lt)
 		case numericConst:
 			c := val.AsFloat()
-			cmpIntsAsFloat(col.Ints[base:base+n], c, dst, lt, eq, gt)
+			cmpIntsAsFloat(intsOf(col, base, base+n), c, dst, lt, eq, gt)
 			patchNulls(dst, nulls, lt)
 		case val.Kind == types.KindString:
 			bitmapFill(dst, n, lt)
@@ -453,7 +459,7 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 			// Bool vs Int/Float/Bool constants compare as floats under
 			// types.Compare (only the Int–Int pair compares integrally).
 			c := val.AsFloat()
-			cmpIntsAsFloat(col.Ints[base:base+n], c, dst, lt, eq, gt)
+			cmpIntsAsFloat(intsOf(col, base, base+n), c, dst, lt, eq, gt)
 			patchNulls(dst, nulls, lt)
 		case val.Kind == types.KindString:
 			bitmapFill(dst, n, lt)
@@ -465,11 +471,17 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 		switch {
 		case val.Kind == types.KindString:
 			// One comparison per distinct value of the chunk, then a table
-			// lookup per row — or, for = and <> with AVX2, a code compare.
+			// lookup per row — or, for = and <> with AVX2, the 16-bit range
+			// kernel over [c, c], c the one code of the constant (the Go
+			// range loop is slower than the table's).
 			v := sc.passTab(col, t)
 			codes := col.Codes[base : base+n]
 			if cpu.AVX2 && v.eq != dupCodes && (t.Op == types.CmpEq || t.Op == types.CmpNe) {
-				codesEqual(codes, v.eq, dst)
+				if v.eq == noCode {
+					bitmapFill(dst, n, false)
+				} else {
+					u16InRange(codes, uint16(v.eq), uint16(v.eq), dst)
+				}
 				if t.Op == types.CmpNe {
 					bitmapNot(dst, n)
 				}
@@ -571,24 +583,6 @@ func codesPass(codes []uint16, tab []bool, dst []uint64) {
 	}
 }
 
-// codesEqual sets bit i of dst where codes[i] == c, and none when c is
-// noCode: the AVX2 kernel over whole words, a Go loop over the tail.
-func codesEqual(codes []uint16, c int, dst []uint64) {
-	if c == noCode {
-		bitmapFill(dst, len(codes), false)
-		return
-	}
-	w := len(codes) &^ 63
-	codesEqAVX2(codes[:w], uint16(c), dst)
-	if tail := codes[w:]; len(tail) > 0 {
-		var m uint64
-		for j, x := range tail {
-			m |= b2u(x == uint16(c)) << uint(j)
-		}
-		dst[w>>6] = m
-	}
-}
-
 // The compare kernels below are SIMD-shaped: the constant is hoisted, the
 // per-element verdict is a branch-free table lookup indexed by
 // 1 + (v>c) - (v<c) (both comparisons compile to SETcc, no branches), and
@@ -641,24 +635,80 @@ func cmpFloats(xs []float64, c float64, dst []uint64, lt, eq, gt bool) {
 // cmpInts compares an int column against c. Integers have no unordered
 // case, so every (lt, eq, gt) acceptance triple is a closed interval of
 // int64 — one-sided for an order test, the single point c for = — or the
-// complement of one: there is one compare loop, intsInRange.
-func cmpInts(xs []int64, c int64, dst []uint64, lt, eq, gt bool) {
-	n := len(xs)
+// complement of one: there is one compare loop, intCol.inRange.
+func cmpInts(xs intCol, c int64, dst []uint64, lt, eq, gt bool) {
+	n := xs.len()
 	switch {
 	case lt == eq && eq == gt: // nothing passes, or everything
 		bitmapFill(dst, n, lt)
 	case lt != gt: // an order test
 		if lo, hi, ok := orderInterval(c, lt, eq); ok {
-			intsInRange(xs, lo, hi, dst)
+			xs.inRange(lo, hi, dst)
 		} else {
 			bitmapFill(dst, n, false)
 		}
 	default: // = and, complemented, <>
-		intsInRange(xs, c, c, dst)
+		xs.inRange(c, c, dst)
 		if lt {
 			bitmapNot(dst, n)
 		}
 	}
+}
+
+// intCol is rows of an int or bool chunk column in either of its forms
+// (see colstore.Column): wide, xs, or narrow, base + offs — offs non-nil.
+type intCol struct {
+	xs   []int64
+	base int64
+	offs []uint16
+}
+
+// intsOf returns rows [lo, hi) of the int or bool column col.
+func intsOf(col *colstore.Column, lo, hi int) intCol {
+	if col.Narrow() {
+		return intCol{base: col.Base, offs: col.Offs[lo:hi]}
+	}
+	return intCol{xs: col.Ints[lo:hi]}
+}
+
+func (c intCol) len() int { return len(c.xs) + len(c.offs) }
+
+// at returns row i's payload.
+func (c intCol) at(i int) int64 {
+	if c.offs != nil {
+		return c.base + int64(c.offs[i])
+	}
+	return c.xs[i]
+}
+
+// inRange sets bit i of dst where lo ≤ row i's payload ≤ hi (lo ≤ hi). A
+// narrow column tests its offsets against the interval clamped to its
+// window, one 16-bit kernel (u16InRange) for the 64-bit one.
+func (c intCol) inRange(lo, hi int64, dst []uint64) {
+	if c.offs == nil {
+		intsInRange(c.xs, lo, hi, dst)
+	} else if olo, ohi, ok := offRange(c.base, lo, hi); ok {
+		u16InRange(c.offs, olo, ohi, dst)
+	} else {
+		bitmapFill(dst, len(c.offs), false)
+	}
+}
+
+// offRange returns the offsets o ≤ 65535 with lo ≤ base+o ≤ hi as [olo,
+// ohi], and false when there is none. Distances from base are taken as
+// uint64, which holds every one exactly where int64 could overflow.
+func offRange(base, lo, hi int64) (olo, ohi uint16, ok bool) {
+	if hi < base {
+		return 0, 0, false
+	}
+	var l uint64
+	if lo > base {
+		l = uint64(lo) - uint64(base)
+	}
+	if l > math.MaxUint16 {
+		return 0, 0, false
+	}
+	return uint16(l), uint16(min(uint64(hi)-uint64(base), math.MaxUint16)), true
 }
 
 // orderInterval returns the closed interval [lo, hi] of int64 that passes
@@ -724,6 +774,41 @@ func intsInRangeGo(xs []int64, lo, hi int64, dst []uint64) {
 	}
 }
 
+// u16InRange sets bit i of dst where lo ≤ xs[i] ≤ hi (lo ≤ hi): a narrow
+// int column's offsets against its clamped interval, or dictionary codes
+// against [c, c]. It is intsInRange's one unsigned comparison at 16 bits,
+// uint16(x−lo) ≤ hi−lo, with AVX2 over the whole words (whose compare is
+// signed: see u16InRangeAVX2) and the Go kernel over the tail.
+func u16InRange(xs []uint16, lo, hi uint16, dst []uint64) {
+	if w := len(xs) &^ 63; cpu.AVX2 && w > 0 {
+		u16InRangeAVX2(xs[:w], lo, hi-lo, dst)
+		xs, dst = xs[w:], dst[w>>6:]
+	}
+	u16InRangeGo(xs, lo, hi, dst)
+}
+
+// u16InRangeGo is u16InRange's portable kernel, shaped as intsInRangeGo.
+func u16InRangeGo(xs []uint16, lo, hi uint16, dst []uint64) {
+	width := hi - lo
+	for base := 0; base < len(xs); base += 64 {
+		blk := xs[base:min(base+64, len(xs))]
+		var w uint64
+		j := 0
+		for ; j+8 <= len(blk); j += 8 {
+			q := blk[j : j+8 : j+8]
+			b := b2u(q[0]-lo <= width) | b2u(q[1]-lo <= width)<<1 |
+				b2u(q[2]-lo <= width)<<2 | b2u(q[3]-lo <= width)<<3 |
+				b2u(q[4]-lo <= width)<<4 | b2u(q[5]-lo <= width)<<5 |
+				b2u(q[6]-lo <= width)<<6 | b2u(q[7]-lo <= width)<<7
+			w |= b << (uint(j) & 63)
+		}
+		for ; j < len(blk); j++ {
+			w |= b2u(blk[j]-lo <= width) << (uint(j) & 63)
+		}
+		dst[base>>6] = w
+	}
+}
+
 // interval is a closed interval [lo, hi] of int64, or no int at all.
 type interval struct {
 	lo, hi int64
@@ -733,7 +818,8 @@ type interval struct {
 // intervalPred is a conjunction of two or more order comparisons of one
 // column against numeric constants — dt >= lo AND dt < hi — with the
 // interval of int64 they select worked out when the plan is compiled. Over
-// an int-encoded chunk column it is one intsInRange pass where the leaves
+// an int-encoded chunk column it is one range pass (intCol.inRange: over
+// int64s, or over 16-bit offsets when the column is narrow) where the leaves
 // would each take their own and an AND; over any other encoding it is
 // evaluated as the conjunction it embeds. Float columns are left to their
 // leaves: a NaN takes each side's eq verdict separately, which no interval
@@ -941,10 +1027,10 @@ func normIntCmp(c float64, lt, eq, gt bool) intCmpPlan {
 // cmpIntsAsFloat compares an int column against a float/bool constant with
 // the row closure's float semantics, normalized so the common case runs
 // the pure-int kernel (no per-element conversion).
-func cmpIntsAsFloat(xs []int64, c float64, dst []uint64, lt, eq, gt bool) {
+func cmpIntsAsFloat(xs intCol, c float64, dst []uint64, lt, eq, gt bool) {
 	switch plan := normIntCmp(c, lt, eq, gt); plan.mode {
 	case normFill:
-		bitmapFill(dst, len(xs), plan.fill)
+		bitmapFill(dst, xs.len(), plan.fill)
 	case normInt:
 		cmpInts(xs, plan.c, dst, plan.lt, plan.eq, plan.gt)
 	default:
@@ -954,18 +1040,17 @@ func cmpIntsAsFloat(xs []int64, c float64, dst []uint64, lt, eq, gt bool) {
 
 // cmpIntsAsFloatSlow is the per-element conversion fallback for constants
 // in the 2^53..2^63 magnitude band.
-func cmpIntsAsFloatSlow(xs []int64, c float64, dst []uint64, lt, eq, gt bool) {
+func cmpIntsAsFloatSlow(xs intCol, c float64, dst []uint64, lt, eq, gt bool) {
 	tab := verdictTab(lt, eq, gt)
-	n := len(xs)
+	n := xs.len()
 	for base := 0; base < n; base += 64 {
 		m := n - base
 		if m > 64 {
 			m = 64
 		}
-		blk := xs[base : base+m]
 		var w uint64
 		for k := 0; k < m; k++ {
-			v := float64(blk[k])
+			v := float64(xs.at(base + k))
 			w |= tab[1+b2u(v > c)-b2u(v < c)] << uint(k)
 		}
 		dst[base>>6] = w
@@ -1499,7 +1584,7 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 		if src := &d.Cols[a.Col]; src.Enc == colstore.EncFloat {
 			stats.FoldByCode(slots, codes, src.Floats, idxs)
 		} else {
-			stats.FoldByCode(slots, codes, src.Ints, idxs)
+			stats.FoldByCode(slots, codes, sc.ints(src, idxs, 0, 0), idxs)
 		}
 	}
 	for _, c := range seen {
@@ -1535,7 +1620,7 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 			case col.Enc == colstore.EncFloat:
 				addRows(acc, col.Floats, sel, k)
 			default: // EncInt, EncBool
-				addRows(acc, col.Ints, sel, k)
+				addRows(acc, sc.ints(col, sel.idxs, sel.lo, sel.hi), sel, k)
 			}
 			continue
 		}
@@ -1579,7 +1664,7 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 				case colstore.EncFloat:
 					x = col.Floats[ri]
 				case colstore.EncInt, colstore.EncBool:
-					x = float64(col.Ints[ri])
+					x = float64(col.IntAt(int(ri)))
 				} // EncDict: 0
 			}
 			xs = append(xs, x)
@@ -1602,6 +1687,33 @@ func addRows[T stats.Number](acc *stats.Acc, src []T, sel rowSel, k stats.Key) {
 	} else {
 		stats.AddIndexed(acc, src, sel.idxs, k)
 	}
+}
+
+// ints returns the payloads of the int or bool column col indexed by row,
+// for the fold kernels to read in place: the wide form's Ints, or a narrow
+// column's Base + offset — an int64 sum, so every value is the wide form's
+// — written into the scratch at rows idxs, or rows [lo, hi) when idxs is
+// nil. The scratch's other rows are stale.
+func (sc *colScratch) ints(col *colstore.Column, idxs []int32, lo, hi int) []int64 {
+	if !col.Narrow() {
+		return col.Ints
+	}
+	if len(idxs) > 0 {
+		hi = int(idxs[len(idxs)-1]) + 1
+	}
+	if cap(sc.wide) < hi {
+		sc.wide = make([]int64, hi)
+	}
+	xs := sc.wide[:hi]
+	if idxs == nil {
+		for i := lo; i < hi; i++ {
+			xs[i] = col.Base + int64(col.Offs[i])
+		}
+	}
+	for _, i := range idxs {
+		xs[i] = col.Base + int64(col.Offs[i])
+	}
+	return xs
 }
 
 func growFloats(buf *[]float64, n int) []float64 {

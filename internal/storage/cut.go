@@ -88,35 +88,25 @@ func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
 	for nulls > 0 && isNull(first) {
 		first++
 	}
+	nullBits := col.Nulls
+	if nulls == 0 {
+		nullBits = nil
+	}
 	switch col.Enc {
 	case colstore.EncFloat:
-		xs := col.Floats
-		mn, mx := xs[first], xs[first]
-		for i := first + 1; i < hi; i++ {
-			if nulls > 0 && isNull(i) {
-				continue
-			}
-			if x := xs[i]; x < mn {
-				mn = x
-			} else if x > mx {
-				mx = x
-			}
-		}
+		mn, mx := colstore.Bounds(col.Floats, nullBits, first, hi)
 		z.Min, z.Max = types.Float(mn), types.Float(mx)
 		bytes += 8*int64(n-nulls) + int64(nulls)
 	case colstore.EncInt, colstore.EncBool:
-		xs := col.Ints
-		mn, mx := xs[first], xs[first]
-		for i := first + 1; i < hi; i++ {
-			if nulls > 0 && isNull(i) {
-				continue
-			}
-			if x := xs[i]; x < mn {
-				mn = x
-			} else if x > mx {
-				mx = x
-			}
+		var mn, mx int64
+		if col.Narrow() {
+			omn, omx := colstore.Bounds(col.Offs, nullBits, first, hi)
+			mn, mx = col.Base+int64(omn), col.Base+int64(omx)
+		} else {
+			mn, mx = colstore.Bounds(col.Ints, nullBits, first, hi)
 		}
+		// Bytes are logical, as the rows were appended: 8 per int, in
+		// either form.
 		if col.Enc == colstore.EncInt {
 			z.Min, z.Max = types.Int(mn), types.Int(mx)
 			bytes += 8*int64(n-nulls) + int64(nulls)

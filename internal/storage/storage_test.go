@@ -286,7 +286,9 @@ func TestZoneSizingFromSchema(t *testing.T) {
 // encoding by encoding: a string column with NULLs, a column whose kinds
 // mix in every chunk, one whose kind changes where the first chunk ends,
 // one that RLE-encodes in the source, one that is NULL until past the
-// first chunk, a bool column, and float NaNs (of two payloads) and −0.
+// first chunk, a bool column, float NaNs (of two payloads) and −0, and two
+// int columns at the ends of int64 (one with NULLs) that a chunk stores
+// narrow or wide by a margin of one.
 func recutRows(n int) ([]types.Row, []RowMeta) {
 	rows, metas := mixedRows(n)
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
@@ -320,7 +322,14 @@ func recutRows(n int) ([]types.Row, []RowMeta) {
 		if i >= chunkRows+100 {
 			late = types.Int(int64(i % 17))
 		}
-		rows[i] = types.Row{r[0], city, v, mix, phase, grp, late, types.Bool(i%3 == 0)}
+		// Ints at the ends of int64 whose span is 65,535 over the first
+		// chunk of a build (narrow) and 65,536 over the second (wide).
+		top := types.Int(math.MaxInt64 - int64(i%65537))
+		bottom := types.Null()
+		if i%19 != 0 {
+			bottom = types.Int(math.MinInt64 + int64(i%65537))
+		}
+		rows[i] = types.Row{r[0], city, v, mix, phase, grp, late, types.Bool(i%3 == 0), top, bottom}
 	}
 	return rows, metas
 }
@@ -335,6 +344,8 @@ func recutSchema() *types.Schema {
 		types.Column{Name: "grp", Kind: types.KindString},
 		types.Column{Name: "late", Kind: types.KindInt},
 		types.Column{Name: "flag", Kind: types.KindBool},
+		types.Column{Name: "top", Kind: types.KindInt},
+		types.Column{Name: "bottom", Kind: types.KindInt},
 	)
 }
 
@@ -364,7 +375,8 @@ func sameFloats(a, b []float64) bool {
 
 // chunkDiff describes the first field in which two chunks differ, "" when
 // they are identical: encodings, dictionary order, codes, payloads (floats
-// by their bits), null bitmaps, runs, NaNFree and the metadata runs.
+// by their bits, ints in either form: Ints, or Base and Offs), null
+// bitmaps, runs, NaNFree and the metadata runs.
 func chunkDiff(got, want *colstore.Data) string {
 	if got.N != want.N {
 		return fmt.Sprintf("%d rows, want %d", got.N, want.N)
@@ -385,6 +397,8 @@ func chunkDiff(got, want *colstore.Data) string {
 			return fmt.Sprintf("col %d: codes differ", c)
 		case !reflect.DeepEqual(g.Ints, w.Ints):
 			return fmt.Sprintf("col %d: ints differ", c)
+		case g.Base != w.Base || !reflect.DeepEqual(g.Offs, w.Offs):
+			return fmt.Sprintf("col %d: narrow ints differ (base %d, want %d)", c, g.Base, w.Base)
 		case !sameFloats(g.Floats, w.Floats):
 			return fmt.Sprintf("col %d: floats differ", c)
 		case !sameValues(g.Values, w.Values):
@@ -427,6 +441,9 @@ func TestRecut(t *testing.T) {
 		return b.Finish()
 	}
 	src := build(8192, 4)
+	if c := src.Chunks(); !c[0].Cols[8].Narrow() || c[1].Cols[8].Narrow() || !c[0].Cols[9].Narrow() || c[1].Cols[9].Narrow() {
+		t.Fatal("the top and bottom columns are not narrow in the first chunk and wide in the second")
+	}
 	for _, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
 		dst := Recut(src, rowsPerBlock, 2, OnDisk)
 		if err := Validate(dst, 2); err != nil {

@@ -11,11 +11,26 @@ import (
 // into percentile summaries for Engine.Telemetry, the REPL's \stats and
 // the bench's telemetry record.
 //
+// The registry holds at most MaxTemplates templates: the keys first
+// observed after it is full share one entry, reported under OtherKey, so
+// a stream of distinct templates costs bounded memory and Snapshot still
+// accounts for every observation.
+//
 // A nil *Registry is the disabled state: Observe is a nil-safe no-op.
 type Registry struct {
 	mu        sync.RWMutex
 	templates map[string]*TemplateStats
+	other     *TemplateStats // the keys past MaxTemplates; nil until one is met
 }
+
+const (
+	// MaxTemplates bounds the registry's distinct templates, as admission
+	// bounds its cost model's.
+	MaxTemplates = 4096
+	// OtherKey is the snapshot key of the templates first observed after
+	// the registry held MaxTemplates.
+	OtherKey = "(other templates)"
+)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -72,13 +87,22 @@ func (r *Registry) Observe(key string, o Observation) {
 	}
 	r.mu.RLock()
 	ts := r.templates[key]
+	if ts == nil && len(r.templates) >= MaxTemplates {
+		ts = r.other
+	}
 	r.mu.RUnlock()
 	if ts == nil {
 		r.mu.Lock()
-		ts = r.templates[key]
-		if ts == nil {
+		switch ts = r.templates[key]; {
+		case ts != nil:
+		case len(r.templates) < MaxTemplates:
 			ts = &TemplateStats{}
 			r.templates[key] = ts
+		default:
+			if r.other == nil {
+				r.other = &TemplateStats{}
+			}
+			ts = r.other
 		}
 		r.mu.Unlock()
 	}
@@ -94,7 +118,8 @@ func (r *Registry) Observe(key string, o Observation) {
 
 // ObservedWallSeconds returns the mean observed wall-clock seconds of
 // one query of template key, or false when the template has never been
-// observed (or never completed with positive latency). This is the
+// observed (or never completed with positive latency) or was folded into
+// OtherKey's entry. This is the
 // registry's calibration answer to "how long will this template take":
 // the ELP's simulated-cluster prediction divided by the template's
 // predicted-over-observed ratio collapses algebraically to the observed
@@ -172,17 +197,22 @@ type Snapshot struct {
 	Templates []TemplateSnapshot
 }
 
-// Snapshot summarizes every template observed so far.
+// Snapshot summarizes every template observed so far, those first
+// observed past MaxTemplates as one entry keyed OtherKey.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.RLock()
-	keys := make([]string, 0, len(r.templates))
-	stats := make([]*TemplateStats, 0, len(r.templates))
+	keys := make([]string, 0, len(r.templates)+1)
+	stats := make([]*TemplateStats, 0, len(r.templates)+1)
 	for k, ts := range r.templates {
 		keys = append(keys, k)
 		stats = append(stats, ts)
+	}
+	if r.other != nil {
+		keys = append(keys, OtherKey)
+		stats = append(stats, r.other)
 	}
 	r.mu.RUnlock()
 

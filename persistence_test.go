@@ -490,12 +490,13 @@ func TestCorruptWarmupFileColdBoots(t *testing.T) {
 // TestRetiredLayoutSegmentColdBoots: a data dir whose sample segment was
 // written by an earlier format (the blockfile fixtures: the retired row
 // block layout, format 1's one-column-set-per-block layout from before
-// blocks became windows on chunks, and format 2's chunks with 32-bit
-// dictionary codes) must boot cold — the reason in PersistenceNotes, the
+// blocks became windows on chunks, format 2's chunks with 32-bit
+// dictionary codes, and format 3's with every int column stored as
+// int64s) must boot cold — the reason in PersistenceNotes, the
 // rebuilt families answering exactly like a fresh engine's — never panic
 // and never serve a half-loaded family.
 func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
-	for file, version := range map[string]int{"row_layout_v1.seg": 1, "columnar_blocks_v1.seg": 1, "chunked_v2.seg": 2} {
+	for file, version := range map[string]int{"row_layout_v1.seg": 1, "columnar_blocks_v1.seg": 1, "chunked_v2.seg": 2, "chunked_v3.seg": 3} {
 		dir := t.TempDir()
 		fresh, freshRep := bootEngine(t, dir)
 		retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", file))
