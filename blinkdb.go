@@ -42,12 +42,13 @@
 // # Observability
 //
 // The engine carries a query-lifecycle telemetry layer
-// (internal/telemetry), always on: the serving layer prices admission from
-// it (Engine.TemplateWallSeconds). Every completed query is recorded
+// (internal/telemetry), always on. Every completed query is recorded
 // against its normalized template in mergeable log-bucketed histograms:
 // wall-clock and predicted (simulated-cluster) latency, rows/bytes
 // scanned, and the ELP's projected error half-width against the
-// half-width actually reported.
+// half-width actually reported. The same record keeps the template's one
+// cost estimate, an EWMA of its wall seconds, which the serving layer
+// prices admission from (Engine.TemplateWallSeconds).
 // Engine.Telemetry folds them into per-template p50/p95/p99 snapshots —
 // the calibration substrate for adaptive ELP recalibration. Prefixing a
 // query with EXPLAIN ANALYZE executes it normally (sharing all cache
@@ -89,8 +90,8 @@
 // each a complete answer with bounds, ending in a Final update
 // bit-identical to Query's; Answer and Stream are the same runs for a
 // caller that parsed the query itself. cmd/blinkdb-server wraps those in HTTP/JSON
-// (NDJSON and SSE streaming) with admission control priced by the ELP's
-// predicted latencies: overload is shed with 429 + Retry-After before
+// (NDJSON and SSE streaming) with admission control priced by each
+// template's cost estimate: overload is shed with 429 + Retry-After before
 // any scanning happens, which the server's admitted/shed/queue-cancelled
 // ledger (server.Metrics) makes auditable.
 //
@@ -104,7 +105,8 @@
 // options and engine knobs; a warm boot mmaps them back as zero-copy
 // column views instead of re-stratifying. SnapshotWarmup additionally
 // writes a warmup file: the SQL of the queries that warmed the plan and
-// result caches, and the serving layer's admission-cost EWMA;
+// result caches, and each template's cost estimate (the telemetry
+// registry's EWMA of observed wall seconds, which admission prices by);
 // RestoreWarmup runs those queries again on boot, so the first query
 // after a restart answers from the same steady state the previous process
 // died in — bit-identical, cache markers and simulated latencies
@@ -847,9 +849,13 @@ func (e *Engine) Answer(ctx context.Context, st Statement) (StreamUpdate, error)
 // run is the one path under every entry point: it returns the session's
 // final update, after passing any pre-final refinements to mid (nil:
 // stream none). The trace's root and the Engine.Telemetry clock stop when
-// the final Result is ready, not when its consumer is done with it.
+// the final Result is ready, not when its consumer is done with it, and
+// the telemetry clock pauses while mid runs: the wall seconds a template
+// is observed at — and its cost estimate, which admission prices by —
+// are the engine's, never a slow stream reader's.
 func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) error) (StreamUpdate, error) {
 	started := time.Now()
+	var paused time.Duration // spent in mid
 	q, tr := st.q, st.tr
 	u := StreamUpdate{Final: true}
 	var emit func(*elp.Response, int) error
@@ -858,7 +864,10 @@ func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) e
 			res := buildResult(q, resp)
 			res.Trace = tr.Render() // the tree so far; empty unless EXPLAIN ANALYZE
 			u.Seq++
-			return mid(StreamUpdate{Result: res, Level: level, Seq: u.Seq - 1})
+			t := time.Now()
+			err := mid(StreamUpdate{Result: res, Level: level, Seq: u.Seq - 1})
+			paused += time.Since(t)
+			return err
 		}
 	}
 	resp, err := e.rt.Run(ctx, q, st.Key, st.params, tr, emit)
@@ -874,7 +883,7 @@ func (e *Engine) run(ctx context.Context, st Statement, mid func(StreamUpdate) e
 	if q.Analyze {
 		u.Result.Trace = tr.Render()
 	}
-	e.tele.Observe(st.Key, observationFor(resp, (st.spent+time.Since(started)).Seconds()))
+	e.tele.Observe(st.Key, observationFor(resp, (st.spent+time.Since(started)-paused).Seconds()))
 	return u, nil
 }
 
@@ -971,10 +980,11 @@ type EngineStats = elp.Stats
 // consistent (one lock). Safe for concurrent use with Query.
 func (e *Engine) Stats() EngineStats { return e.rt.Stats() }
 
-// TemplateWallSeconds returns the mean observed wall-clock seconds for
-// queries of the given normalized template key, or false when the
-// template has never completed. The serving layer uses it to price
-// admission before any planning happens.
+// TemplateWallSeconds returns the cost estimate of the given normalized
+// template key: an EWMA (α = 0.3) of the wall seconds its completed
+// queries took, or the estimate RestoreWarmup brought back when none has
+// completed since. False when it has neither. The serving layer prices
+// admission with it before any planning happens.
 func (e *Engine) TemplateWallSeconds(key string) (float64, bool) {
 	return e.tele.ObservedWallSeconds(key)
 }

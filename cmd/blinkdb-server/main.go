@@ -93,7 +93,7 @@ func run(o options) error {
 	}()
 
 	boot := time.Now()
-	if err := warmEngine(eng, srv, o); err != nil {
+	if err := warmEngine(eng, o); err != nil {
 		return err
 	}
 	srv.SetReady()
@@ -103,9 +103,7 @@ func run(o options) error {
 		if o.data == "" {
 			return
 		}
-		if err := eng.SnapshotWarmup(blinkdb.WarmupState{
-			AdmissionEWMA: srv.ExportAdmissionEWMA(),
-		}); err != nil {
+		if err := eng.SnapshotWarmup(blinkdb.WarmupState{}); err != nil {
 			fmt.Fprintln(os.Stderr, "snapshot warmup:", err)
 		}
 	}
@@ -181,9 +179,9 @@ func openEngine(o options) *blinkdb.Engine {
 
 // warmEngine loads the sessions table, builds (or warm-loads) the sample
 // families, and restores persisted warmup state into the caches and the
-// admission controller. Runs behind the live listener while /healthz
-// reports "warming".
-func warmEngine(eng *blinkdb.Engine, srv *server.Server, o options) error {
+// cost estimates admission prices by. Runs behind the live listener while
+// /healthz reports "warming".
+func warmEngine(eng *blinkdb.Engine, o options) error {
 	fmt.Printf("loading sessions dataset (%d rows)...\n", o.rows)
 	if err := loadSessions(eng, o.rows, o.seed); err != nil {
 		return err
@@ -197,11 +195,8 @@ func warmEngine(eng *blinkdb.Engine, srv *server.Server, o options) error {
 			return err
 		}
 		if rep != nil {
-			if srv != nil {
-				srv.ImportAdmissionEWMA(rep.Warmup.AdmissionEWMA)
-			}
 			fmt.Printf("  warmup restored: %d plans, %d results, %d admission costs\n",
-				rep.Plans, rep.Results, len(rep.Warmup.AdmissionEWMA))
+				rep.Plans, rep.Results, rep.Costs)
 		}
 		for _, note := range eng.PersistenceNotes() {
 			fmt.Println("  persistence:", note)

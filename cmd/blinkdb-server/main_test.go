@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"blinkdb"
 	"blinkdb/internal/loadgen"
 	"blinkdb/internal/server"
+	"blinkdb/internal/sqlparser"
 )
 
 // The end-to-end tests: the server on a loopback port over real HTTP,
@@ -39,7 +41,7 @@ func testOptions(t *testing.T) options {
 func buildEngine(t *testing.T, o options) *blinkdb.Engine {
 	t.Helper()
 	eng := openEngine(o)
-	if err := warmEngine(eng, nil, o); err != nil {
+	if err := warmEngine(eng, o); err != nil {
 		eng.Close()
 		t.Fatal(err)
 	}
@@ -174,7 +176,8 @@ func TestSlowHeadersClosed(t *testing.T) {
 // directory, warm the caches, snapshot, tear the whole stack down, boot a
 // successor over the same directory, and require its first answer to be
 // identical to the predecessor's warm answer — result-cache hit marker,
-// simulated latency, and error bars included.
+// simulated latency, and error bars included — and the cost estimate its
+// first admission is priced by to be the predecessor's, bit for bit.
 func TestRestartAnswersWarm(t *testing.T) {
 	o := testOptions(t)
 	o.data = t.TempDir()
@@ -188,9 +191,16 @@ func TestRestartAnswersWarm(t *testing.T) {
 	for i := 0; i < 2; i++ { // second pass: plan AND result caches hot
 		warm = singleFrame(t, base1, boundedSQL)
 	}
-	if err := eng1.SnapshotWarmup(blinkdb.WarmupState{
-		AdmissionEWMA: srv1.ExportAdmissionEWMA(),
-	}); err != nil {
+	q, err := sqlparser.Parse(boundedSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := blinkdb.NewStatement(q, time.Now()).Key
+	cost1, ok := eng1.TemplateWallSeconds(key)
+	if !ok {
+		t.Fatal("life 1 served the query but has no cost estimate for it")
+	}
+	if err := eng1.SnapshotWarmup(blinkdb.WarmupState{}); err != nil {
 		t.Fatal(err)
 	}
 	// The "kill": listener closed, engine closed, process state gone.
@@ -204,6 +214,9 @@ func TestRestartAnswersWarm(t *testing.T) {
 	defer eng2.Close()
 	if notes := eng2.PersistenceNotes(); len(notes) != 0 {
 		t.Fatalf("warm boot hit persistence notes: %v", notes)
+	}
+	if cost2, ok := eng2.TemplateWallSeconds(key); !ok || math.Float64bits(cost2) != math.Float64bits(cost1) {
+		t.Fatalf("restored cost estimate %v (ok=%v), want life 1's %v", cost2, ok, cost1)
 	}
 	base2, _ := serve(t, server.New(eng2, server.Config{Admission: admissionConfig(o)}))
 	diffFrames(t, warm, singleFrame(t, base2, boundedSQL))
@@ -287,9 +300,7 @@ func TestRestartUnderLoad(t *testing.T) {
 	}()
 
 	time.Sleep(1200 * time.Millisecond) // cohorts are mid-burst
-	if err := eng1.SnapshotWarmup(blinkdb.WarmupState{
-		AdmissionEWMA: srv1.ExportAdmissionEWMA(),
-	}); err != nil {
+	if err := eng1.SnapshotWarmup(blinkdb.WarmupState{}); err != nil {
 		t.Fatal(err)
 	}
 	// The "kill": Close (unlike Shutdown) tears down the listener AND
@@ -323,7 +334,7 @@ func TestRestartUnderLoad(t *testing.T) {
 	if status := healthz(t, base); status != "warming" {
 		t.Fatalf("healthz during reload-under-load: %q (want warming)", status)
 	}
-	if err := warmEngine(eng2, srv2, o); err != nil {
+	if err := warmEngine(eng2, o); err != nil {
 		t.Fatal(err)
 	}
 	if notes := eng2.PersistenceNotes(); len(notes) != 0 {

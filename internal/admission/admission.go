@@ -9,14 +9,14 @@
 // immediately with a Retry-After estimate instead of being queued into a
 // latency cliff.
 //
-// Each query's predicted cost comes from the template's EWMA of observed
-// wall seconds (fed back by Ticket.Release), falling back to the
-// caller-supplied prediction — in blinkdb-server, the ELP's simulated-
-// cluster latency scaled by the telemetry registry's predicted-over-
-// observed calibration — for templates never seen before. The controller
-// never scans anything itself: a shed request costs one mutex
-// acquisition, which is what lets the server reject a 2× overload burst
-// before any planning or scanning happens.
+// The controller is a plain gate: the caller prices each admission and
+// the controller keeps no per-template state. In blinkdb-server the price
+// is the engine's cost estimate for the query's template
+// (Engine.TemplateWallSeconds, an EWMA of its observed wall seconds),
+// or a flat default for a template never seen. The controller never
+// scans anything itself: a shed request costs one mutex acquisition,
+// which is what lets the server reject a 2× overload burst before any
+// planning or scanning happens.
 package admission
 
 import (
@@ -62,12 +62,9 @@ func (e *ShedError) Error() string {
 }
 
 // Ticket is a granted execution slot. The holder must call Release
-// exactly once when the query finishes (success, error or cancellation),
-// reporting the observed wall seconds so the per-template cost model
-// learns.
+// exactly once when the query finishes (success, error or cancellation).
 type Ticket struct {
 	c    *Controller
-	key  string
 	cost float64
 	// WaitSeconds is how long the request queued before its grant (0 for
 	// immediate admission).
@@ -93,20 +90,11 @@ type Controller struct {
 	// backlog is the predicted seconds of admitted-but-unfinished work:
 	// the sum of cost over running tickets and queued waiters.
 	backlog float64
-	// ewma holds the per-template cost model: exponentially weighted
-	// moving average of observed wall seconds, α = 0.3. Bounded to
-	// maxKeys templates; unseen keys beyond that use the caller's
-	// prediction (the model degrades, it doesn't grow without bound).
-	ewma map[string]float64
 }
 
-const (
-	ewmaAlpha = 0.3
-	maxKeys   = 4096
-	// minCost floors every prediction so a flood of "free" queries still
-	// consumes backlog budget.
-	minCost = 1e-3
-)
+// minCost floors every price so a flood of "free" queries still consumes
+// backlog budget.
+const minCost = 1e-3
 
 // New returns a Controller for cfg (zero fields get defaults).
 func New(cfg Config) *Controller {
@@ -122,39 +110,28 @@ func New(cfg Config) *Controller {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Controller{cfg: cfg, ewma: make(map[string]float64)}
+	return &Controller{cfg: cfg}
 }
 
-// predictedCost prices one admission: the learned EWMA for the template
-// when present, the caller's prediction otherwise, floored at minCost.
-func (c *Controller) predictedCost(key string, predictedSeconds float64) float64 {
-	cost := predictedSeconds
-	if learned, ok := c.ewma[key]; ok {
-		cost = learned
-	}
-	if cost < minCost {
-		cost = minCost
-	}
-	return cost
-}
-
-// Admit requests an execution slot for a query of template key with the
-// given predicted wall seconds (used only until the template's observed
-// EWMA exists). It returns a granted Ticket, a *ShedError when the
-// request is rejected by the queue or backlog bound, or ctx.Err() when
-// the context is cancelled while queued. Admit never blocks when a shed
-// decision applies — overload is rejected immediately.
-func (c *Controller) Admit(ctx context.Context, key string, predictedSeconds float64) (*Ticket, error) {
+// Admit requests an execution slot for a query predicted to take cost
+// wall seconds; a cost below minCost, NaN included, is raised to it. It
+// returns a granted Ticket, a *ShedError when the request is rejected by
+// the queue or backlog bound, or ctx.Err() when the context is cancelled
+// while queued. Admit never blocks when a shed decision applies —
+// overload is rejected immediately.
+func (c *Controller) Admit(ctx context.Context, cost float64) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if !(cost >= minCost) {
+		cost = minCost
+	}
 	c.mu.Lock()
-	cost := c.predictedCost(key, predictedSeconds)
 	if c.running < c.cfg.MaxConcurrent && len(c.queue) == 0 {
 		c.running++
 		c.backlog += cost
 		c.mu.Unlock()
-		return &Ticket{c: c, key: key, cost: cost}, nil
+		return &Ticket{c: c, cost: cost}, nil
 	}
 	if len(c.queue) >= c.cfg.MaxQueue ||
 		(c.cfg.MaxBacklogSeconds > 0 && c.backlog+cost > c.cfg.MaxBacklogSeconds) {
@@ -174,14 +151,13 @@ func (c *Controller) Admit(ctx context.Context, key string, predictedSeconds flo
 	enqueued := c.cfg.Now()
 	select {
 	case <-w.grant:
-		return &Ticket{c: c, key: key, cost: cost,
+		return &Ticket{c: c, cost: cost,
 			WaitSeconds: c.cfg.Now().Sub(enqueued).Seconds()}, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		if w.granted {
 			// Lost the race: a Release transferred the slot to us after
-			// ctx fired. Hand the slot onward as if we released instantly,
-			// with no observation (we never ran).
+			// ctx fired. Hand the slot onward as if we released instantly.
 			c.releaseLocked(w.cost)
 			c.mu.Unlock()
 			return nil, ctx.Err()
@@ -212,21 +188,11 @@ func (c *Controller) retryAfterLocked() time.Duration {
 	return d
 }
 
-// Release returns the ticket's slot and feeds the observed wall seconds
-// back into the template's cost EWMA. Exactly one call per ticket;
-// observedSeconds ≤ 0 skips the model update (cancelled or failed
-// queries don't teach costs).
-func (t *Ticket) Release(observedSeconds float64) {
+// Release returns the ticket's slot. Exactly one call per ticket.
+func (t *Ticket) Release() {
 	c := t.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if observedSeconds > 0 {
-		if prev, ok := c.ewma[t.key]; ok {
-			c.ewma[t.key] = (1-ewmaAlpha)*prev + ewmaAlpha*observedSeconds
-		} else if len(c.ewma) < maxKeys {
-			c.ewma[t.key] = observedSeconds
-		}
-	}
 	c.releaseLocked(t.cost)
 }
 
@@ -246,42 +212,6 @@ func (c *Controller) releaseLocked(cost float64) {
 		return
 	}
 	c.running--
-}
-
-// ExportEWMA returns a copy of the per-template cost model (template key
-// → EWMA of observed wall seconds). The warmup snapshot persists it so a
-// restarted server prices admissions from learned costs immediately,
-// instead of trusting caller predictions until each template is
-// re-observed.
-func (c *Controller) ExportEWMA() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.ewma))
-	for k, v := range c.ewma {
-		out[k] = v
-	}
-	return out
-}
-
-// ImportEWMA seeds the cost model with previously learned costs. Keys
-// already observed in THIS process win (live observations are newer than
-// any snapshot); non-positive costs are ignored; the maxKeys bound is
-// respected. Intended for boot-time warmup restore.
-func (c *Controller) ImportEWMA(m map[string]float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range m {
-		if v <= 0 {
-			continue
-		}
-		if _, ok := c.ewma[k]; ok {
-			continue
-		}
-		if len(c.ewma) >= maxKeys {
-			break
-		}
-		c.ewma[k] = v
-	}
 }
 
 // Snapshot reports the controller's instantaneous state (for /stats).

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 // grants without queuing and reports zero wait.
 func TestAdmitImmediateWhenIdle(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1})
-	tk, err := c.Admit(context.Background(), "q1", 0.5)
+	tk, err := c.Admit(context.Background(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestAdmitImmediateWhenIdle(t *testing.T) {
 	if s := c.Snapshot(); s.Running != 1 || s.Queued != 0 {
 		t.Fatalf("snapshot after grant: %+v", s)
 	}
-	tk.Release(0.1)
+	tk.Release()
 	if s := c.Snapshot(); s.Running != 0 || s.BacklogSeconds != 0 {
 		t.Fatalf("snapshot after release: %+v", s)
 	}
@@ -33,15 +34,15 @@ func TestAdmitImmediateWhenIdle(t *testing.T) {
 // Retry-After of at least a second, and is never blocked.
 func TestQueueBoundSheds(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, MaxQueue: 1, MaxBacklogSeconds: -1})
-	running, err := c.Admit(context.Background(), "hold", 0.2)
+	running, err := c.Admit(context.Background(), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queuedDone := make(chan error, 1)
 	go func() {
-		tk, err := c.Admit(context.Background(), "queued", 0.2)
+		tk, err := c.Admit(context.Background(), 0.2)
 		if tk != nil {
-			tk.Release(0)
+			tk.Release()
 		}
 		queuedDone <- err
 	}()
@@ -55,7 +56,7 @@ func TestQueueBoundSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err = c.Admit(context.Background(), "shed-me", 0.2)
+	_, err = c.Admit(context.Background(), 0.2)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("full queue must shed, got err=%v", err)
@@ -63,7 +64,7 @@ func TestQueueBoundSheds(t *testing.T) {
 	if shed.RetryAfter < time.Second {
 		t.Fatalf("RetryAfter must be at least 1s, got %v", shed.RetryAfter)
 	}
-	running.Release(0.1)
+	running.Release()
 	if err := <-queuedDone; err != nil {
 		t.Fatalf("queued waiter should have been granted on release: %v", err)
 	}
@@ -73,11 +74,11 @@ func TestQueueBoundSheds(t *testing.T) {
 // above MaxBacklogSeconds sheds even though the count bound has room.
 func TestBacklogBoundSheds(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, MaxQueue: 100, MaxBacklogSeconds: 5})
-	if _, err := c.Admit(context.Background(), "big", 4.0); err != nil {
+	if _, err := c.Admit(context.Background(), 4.0); err != nil {
 		t.Fatal(err)
 	}
 	// 4.0 running + 2.0 candidate > 5.0 cap → shed, with queue empty.
-	_, err := c.Admit(context.Background(), "next", 2.0)
+	_, err := c.Admit(context.Background(), 2.0)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("backlog overflow must shed, got err=%v", err)
@@ -90,9 +91,9 @@ func TestBacklogBoundSheds(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		tk, err := c.Admit(ctx, "small", 0.5)
+		tk, err := c.Admit(ctx, 0.5)
 		if tk != nil {
-			tk.Release(0)
+			tk.Release()
 		}
 		done <- err
 	}()
@@ -115,35 +116,11 @@ func TestBacklogBoundSheds(t *testing.T) {
 	}
 }
 
-// TestEWMAOverridesPrediction pins the cost model: after a template has
-// observed releases, the EWMA prices admission, not the caller's
-// prediction.
-func TestEWMAOverridesPrediction(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxBacklogSeconds: 5})
-	tk, err := c.Admit(context.Background(), "q", 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Release(10.0) // observed: 10s — the template is expensive
-	// Re-admitting the same template must now price at ~10s and blow the
-	// 5s backlog cap even though the caller predicts 1ms.
-	tk2, err := c.Admit(context.Background(), "q", 0.001)
-	if err != nil {
-		t.Fatal(err) // first slot is free, so it runs — backlog 10s
-	}
-	_, err = c.Admit(context.Background(), "q", 0.001)
-	var shed *ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("EWMA-priced backlog must shed, got %v", err)
-	}
-	tk2.Release(10.0)
-}
-
 // TestFIFOOrder pins grant ordering: waiters are granted in arrival
 // order when slots free up.
 func TestFIFOOrder(t *testing.T) {
 	c := New(Config{MaxConcurrent: 1, MaxQueue: 8, MaxBacklogSeconds: -1})
-	first, err := c.Admit(context.Background(), "hold", 0.1)
+	first, err := c.Admit(context.Background(), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +139,7 @@ func TestFIFOOrder(t *testing.T) {
 				}
 				close(ready)
 			}()
-			tk, err := c.Admit(context.Background(), "w", 0.1)
+			tk, err := c.Admit(context.Background(), 0.1)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
@@ -170,54 +147,16 @@ func TestFIFOOrder(t *testing.T) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-			tk.Release(0.01)
+			tk.Release()
 		}(i)
 		<-ready
 	}
-	first.Release(0.01)
+	first.Release()
 	wg.Wait()
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("grants out of FIFO order: %v", order)
 		}
-	}
-}
-
-// TestEWMAExportImport: the learned cost model round-trips through the
-// warmup snapshot, live observations beat imported ones, and junk
-// (non-positive costs) is dropped.
-func TestEWMAExportImport(t *testing.T) {
-	c := New(Config{MaxConcurrent: 2})
-	for i, obs := range []float64{1.0, 3.0} {
-		tk, err := c.Admit(context.Background(), "t"+string(rune('A'+i)), 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk.Release(obs)
-	}
-	exported := c.ExportEWMA()
-	if len(exported) != 2 || exported["tA"] != 1.0 || exported["tB"] != 3.0 {
-		t.Fatalf("exported %v, want tA:1 tB:3", exported)
-	}
-	// Mutating the export must not reach the controller.
-	exported["tA"] = 99
-
-	c2 := New(Config{MaxConcurrent: 2})
-	tk, err := c2.Admit(context.Background(), "tB", 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk.Release(7.0) // live observation, present before import
-	c2.ImportEWMA(map[string]float64{"tA": 1.0, "tB": 3.0, "bad": -1})
-	got := c2.ExportEWMA()
-	if got["tA"] != 1.0 {
-		t.Errorf("tA = %v, want imported 1.0", got["tA"])
-	}
-	if got["tB"] != 7.0 {
-		t.Errorf("tB = %v, want live 7.0 to beat imported 3.0", got["tB"])
-	}
-	if _, ok := got["bad"]; ok {
-		t.Errorf("non-positive imported cost was kept")
 	}
 }
 
@@ -238,10 +177,10 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := New(Config{MaxConcurrent: 1, MaxQueue: 100, MaxBacklogSeconds: 0.01})
-		if _, err := c.Admit(context.Background(), "running", tc.backlog); err != nil {
+		if _, err := c.Admit(context.Background(), tc.backlog); err != nil {
 			t.Fatal(err)
 		}
-		_, err := c.Admit(context.Background(), "next", 1.0)
+		_, err := c.Admit(context.Background(), 1.0)
 		var shed *ShedError
 		if !errors.As(err, &shed) {
 			t.Fatalf("backlog %v: expected shed, got %v", tc.backlog, err)
@@ -249,5 +188,30 @@ func TestRetryAfterRoundsUp(t *testing.T) {
 		if shed.RetryAfter != tc.want {
 			t.Errorf("backlog %vs: RetryAfter = %v, want %v", tc.backlog, shed.RetryAfter, tc.want)
 		}
+	}
+}
+
+// TestNaNCostFloored pins that a cost that is not a number cannot disable
+// the backlog bound: Admit prices it at minCost, so the backlog stays
+// finite and a 10 s request against a 1 s cap is still shed. A NaN that
+// reached the backlog stayed there — every later release subtracted from
+// it — and no request was ever shed by the cap again.
+func TestNaNCostFloored(t *testing.T) {
+	c := New(Config{MaxConcurrent: 1, MaxQueue: 100, MaxBacklogSeconds: 1})
+	tk, err := c.Admit(context.Background(), math.NaN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := c.Snapshot().BacklogSeconds; b != minCost {
+		t.Fatalf("backlog after a NaN-cost admit = %v, want %v", b, minCost)
+	}
+	_, err = c.Admit(context.Background(), 10)
+	var shed *ShedError
+	if !errors.As(err, &shed) {
+		t.Fatalf("a 10s request against a 1s cap must shed, got %v", err)
+	}
+	tk.Release()
+	if s := c.Snapshot(); s.Running != 0 || s.BacklogSeconds != 0 {
+		t.Fatalf("snapshot after release: %+v", s)
 	}
 }

@@ -27,11 +27,12 @@ func (s *slowWriter) Write(p []byte) (int, error) {
 	return s.ResponseWriter.Write(p)
 }
 
-// TestReleaseExcludesClientDrainTime pins the compute-side Release
-// contract: a slow streaming consumer must not inflate the admission
-// EWMA. Pre-fix, Release was charged the full handler wall time
-// (including per-frame drain sleeps), so the learned cost tracked the
-// client's read speed instead of the engine's.
+// TestReleaseExcludesClientDrainTime pins that a slow streaming consumer
+// cannot inflate a template's cost estimate: the engine's telemetry clock
+// pauses while each refinement drains to the client, so the estimate
+// admission prices by — and the template's recorded latency — stay below
+// even half of one throttled write. When the clock ran through the
+// drains, both carried the two intermediate writes (about 0.3s).
 func TestReleaseExcludesClientDrainTime(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	srv := New(eng, Config{})
@@ -47,22 +48,21 @@ func TestReleaseExcludesClientDrainTime(t *testing.T) {
 	if wall < perWrite.Seconds() {
 		t.Fatalf("handler wall %.3fs: the slow writer never throttled anything", wall)
 	}
-	ewma := srv.ExportAdmissionEWMA()
-	if len(ewma) != 1 {
-		t.Fatalf("want one learned template, got %v", ewma)
+	tmpls := eng.Telemetry().Templates
+	if len(tmpls) != 1 {
+		t.Fatalf("want one observed template, got %d", len(tmpls))
 	}
-	var learned float64
-	for _, v := range ewma {
-		learned = v
+	key := tmpls[0].Key
+	learned, ok := eng.TemplateWallSeconds(key)
+	if !ok {
+		t.Fatal("a completed stream left no cost estimate")
 	}
-	if learned <= 0 {
-		t.Fatalf("completed stream must teach the cost model, got %v", ewma)
+	half := (perWrite / 2).Seconds()
+	if learned >= half {
+		t.Fatalf("cost estimate %.3fs ≥ %.3fs: drain time leaked into it (handler wall %.3fs)", learned, half, wall)
 	}
-	// At least one throttled frame means ≥ perWrite of pure drain time;
-	// compute-side accounting must have excluded it. The pre-fix code
-	// (Release with wall-from-grant) fails here by ~the full drain time.
-	if learned > wall-0.1 {
-		t.Fatalf("EWMA %.3fs is within 100ms of handler wall %.3fs: drain time leaked into the cost model", learned, wall)
+	if lat := tmpls[0].Latency.Max; lat >= half {
+		t.Fatalf("recorded latency %.3fs ≥ %.3fs: drain time leaked into it (handler wall %.3fs)", lat, half, wall)
 	}
 }
 
@@ -138,11 +138,11 @@ func TestQueueCancelAccounted(t *testing.T) {
 		MaxConcurrent: 1, MaxQueue: 4, MaxBacklogSeconds: -1,
 	}})
 	// Occupy the only slot so the HTTP arrival queues.
-	hold, err := srv.adm.Admit(context.Background(), "hold", 1)
+	hold, err := srv.adm.Admit(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hold.Release(0)
+	defer hold.Release()
 
 	before := eng.Stats()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -243,11 +243,11 @@ func TestLoadgenConservation(t *testing.T) {
 
 	// Hold the slot for the first part of the run so queues build, sheds
 	// fire, and impatient clients abandon while queued.
-	hold, err := srv.adm.Admit(context.Background(), "hold", 1)
+	hold, err := srv.adm.Admit(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := time.AfterFunc(400*time.Millisecond, func() { hold.Release(0) })
+	release := time.AfterFunc(400*time.Millisecond, func() { hold.Release() })
 	defer release.Stop()
 
 	rep, err := loadgen.Run(tr, hs.URL)

@@ -6,9 +6,10 @@
 //
 // The admission gate sits between parse and plan: a request is parsed
 // (cheap, allocation-bounded) so its normalized template key prices the
-// queue entry — using the template's observed-latency calibration when
-// the engine has seen it, a flat default otherwise — and only admitted
-// requests ever reach the planner or executor. A rejected request costs
+// queue entry — with the engine's cost estimate for the template
+// (Engine.TemplateWallSeconds) when it has one, a flat default otherwise
+// — and only admitted requests ever reach the planner or executor. The
+// gate itself keeps no per-template state. A rejected request costs
 // one parse and one mutex acquisition and gets 429 with a Retry-After
 // estimated from the predicted backlog, which is what keeps a 2×
 // overload burst from converting bounded-latency queries into an
@@ -68,8 +69,8 @@ import (
 type Config struct {
 	// Admission bounds the controller (see admission.Config).
 	Admission admission.Config
-	// DefaultCostSeconds prices templates the engine has never observed
-	// (default 0.1s).
+	// DefaultCostSeconds prices templates the engine has no cost
+	// estimate for (default 0.1s).
 	DefaultCostSeconds float64
 	// Warming starts the server in the not-ready state: /healthz reports
 	// 503 {"status":"warming"} and /query refuses with 503 until
@@ -116,14 +117,6 @@ func New(eng *blinkdb.Engine, cfg Config) *Server {
 // /query starts admitting. One-way; call after samples and warmup state
 // have loaded.
 func (s *Server) SetReady() { s.ready.Store(true) }
-
-// ExportAdmissionEWMA snapshots the admission controller's learned
-// per-template costs for persistence in the engine's warmup file.
-func (s *Server) ExportAdmissionEWMA() map[string]float64 { return s.adm.ExportEWMA() }
-
-// ImportAdmissionEWMA seeds the admission controller from a persisted
-// snapshot. Live observations always win over imported ones.
-func (s *Server) ImportAdmissionEWMA(m map[string]float64) { s.adm.ImportEWMA(m) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -207,12 +200,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := blinkdb.NewStatement(q, began)
 
 	// Admission: everything above was parse-only. Price the queue entry
-	// with the template's observed calibration when the engine has one.
-	predicted := s.cfg.DefaultCostSeconds
-	if obs, ok := s.eng.TemplateWallSeconds(st.Key); ok {
-		predicted = obs
+	// with the engine's cost estimate when it has one.
+	cost := s.cfg.DefaultCostSeconds
+	if est, ok := s.eng.TemplateWallSeconds(st.Key); ok {
+		cost = est
 	}
-	ticket, err := s.adm.Admit(r.Context(), st.Key, predicted)
+	ticket, err := s.adm.Admit(r.Context(), cost)
 	if err != nil {
 		var shed *admission.ShedError
 		if errors.As(err, &shed) {
@@ -238,11 +231,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The seat covers compute only: each handler releases the ticket as
 	// soon as the engine has the final answer, before that answer is
-	// encoded and written, and with compute-side seconds. Holding it
-	// through the write would let one client that stops reading a large
-	// reply wedge every later query behind it, and charging wire-drain
-	// time would let a slow consumer inflate the template's admission
-	// EWMA and shed everyone else's queries.
+	// encoded and written. Holding it through the write would let one
+	// client that stops reading a large reply wedge every later query
+	// behind it. The cost estimate is the engine's: its clock leaves out
+	// the time a stream's frames spend draining to the client, so a slow
+	// consumer cannot inflate it and shed everyone else's queries.
 	if req.Stream {
 		s.streamQuery(w, r, st, sc, arrival, ticket)
 	} else {
@@ -262,22 +255,17 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 // singleQuery answers with one JSON frame in one Write. It releases the
-// ticket when Answer returns, with the engine compute seconds for
-// admission calibration (0 when the query did not complete — Release
-// skips learning on non-positive observations).
+// ticket when Answer returns.
 func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time, ticket *admission.Ticket) {
-	start := s.cfg.Now()
 	u, err := s.eng.Answer(r.Context(), st)
-	now := s.cfg.Now()
+	ticket.Release()
 	if err != nil {
-		ticket.Release(0)
 		if r.Context().Err() == nil { // else the client is gone; the engine counted the cancel
 			writeError(w, http.StatusUnprocessableEntity, err)
 		}
 		return
 	}
-	ticket.Release(now.Sub(start).Seconds())
-	elapsed := now.Sub(arrival).Seconds()
+	elapsed := s.cfg.Now().Sub(arrival).Seconds()
 	s.met.RecordFirstAnswer(elapsed)
 	s.met.RecordFinal(elapsed)
 	sc.b = u.AppendFrame(sc.b[:0], elapsed*1000, "")
@@ -292,10 +280,8 @@ func (s *Server) singleQuery(w http.ResponseWriter, r *http.Request, st blinkdb.
 // default, SSE "data:" events when the client asked for an event stream,
 // each frame one Write followed by a flush. It releases the ticket when
 // the final update arrives, before that frame is encoded and written
-// (the refinements before it are written inside the seat), with the engine
-// compute seconds — wall time minus emit/flush time, accumulated in
-// segments that pause while a frame drains to the client — so a slow
-// reader cannot poison the admission EWMA. 0 when the stream failed.
+// (the refinements before it are written inside the seat), or when the
+// stream fails.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.Statement, sc *scratch, arrival time.Time, ticket *admission.Ticket) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
@@ -325,27 +311,21 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, st blinkdb.
 		return nil
 	}
 	first := true
-	compute := 0.0
-	segStart := s.cfg.Now() // current compute segment; paused during emit
 	err := s.eng.Stream(r.Context(), st, func(u blinkdb.StreamUpdate) error {
-		now := s.cfg.Now()
-		compute += now.Sub(segStart).Seconds()
-		elapsed := now.Sub(arrival).Seconds()
+		elapsed := s.cfg.Now().Sub(arrival).Seconds()
 		if first {
 			s.met.RecordFirstAnswer(elapsed)
 			first = false
 		}
 		if u.Final {
 			s.met.RecordFinal(elapsed)
-			ticket.Release(compute)
+			ticket.Release()
 			ticket = nil
 		}
-		emitErr := emit(&u, elapsed, "")
-		segStart = s.cfg.Now()
-		return emitErr
+		return emit(&u, elapsed, "")
 	})
 	if ticket != nil { // no final update: the stream failed
-		ticket.Release(0)
+		ticket.Release()
 	}
 	if err != nil && r.Context().Err() == nil {
 		// Headers are gone; deliver the failure in-band as a final frame.

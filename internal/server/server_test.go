@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 
 	"blinkdb"
 	"blinkdb/internal/admission"
+	"blinkdb/internal/sqlparser"
 )
 
 // demoEngine mirrors the root package's fixture: a skewed sessions table
@@ -202,18 +204,18 @@ func TestShedBeforeScanning(t *testing.T) {
 		MaxConcurrent: 1, MaxQueue: 1, MaxBacklogSeconds: -1,
 	}})
 	// Occupy the slot and the queue directly; HTTP arrivals now shed.
-	hold, err := srv.adm.Admit(context.Background(), "hold", 1)
+	hold, err := srv.adm.Admit(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hold.Release(0)
+	defer hold.Release()
 	queuedCtx, cancelQueued := context.WithCancel(context.Background())
 	defer cancelQueued()
 	queued := make(chan error, 1)
 	go func() {
-		tk, err := srv.adm.Admit(queuedCtx, "queued", 1)
+		tk, err := srv.adm.Admit(queuedCtx, 1)
 		if tk != nil {
-			tk.Release(0)
+			tk.Release()
 		}
 		queued <- err
 	}()
@@ -355,22 +357,58 @@ func TestWarmingGate(t *testing.T) {
 	}
 }
 
-// TestAdmissionEWMARoundTrip: costs learned by one server seed a
-// successor through the export/import pair the warmup file uses.
-func TestAdmissionEWMARoundTrip(t *testing.T) {
+// TestAdmissionPricedByEstimate pins what a request costs the backlog:
+// with the one seat held at cost 1, a request queues at the engine's cost
+// estimate for its template (floored at 1 ms) once the engine has
+// observed it, and at DefaultCostSeconds before.
+func TestAdmissionPricedByEstimate(t *testing.T) {
 	eng := demoEngine(t, 20000)
-	srv := New(eng, Config{})
-	if w := postQuery(t, srv, fmt.Sprintf(`{"sql": %q}`, boundedSQL)); w.Code != http.StatusOK {
-		t.Fatalf("query: %d", w.Code)
+	seen := `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY'`
+	if _, err := eng.Query(seen); err != nil {
+		t.Fatal(err)
 	}
-	m := srv.ExportAdmissionEWMA()
-	if len(m) == 0 {
-		t.Fatal("no EWMA learned after a completed query")
+	q, err := sqlparser.Parse(seen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	next := New(eng, Config{})
-	next.ImportAdmissionEWMA(m)
-	if got := next.ExportAdmissionEWMA(); !reflect.DeepEqual(got, m) {
-		t.Fatalf("imported EWMA %v, want %v", got, m)
+	est, ok := eng.TemplateWallSeconds(blinkdb.NewStatement(q, time.Now()).Key)
+	if !ok {
+		t.Fatal("the engine answered the query but has no cost estimate for it")
+	}
+	for _, tc := range []struct {
+		sql  string
+		cost float64
+	}{
+		{seen, math.Max(est, 1e-3)},
+		{`SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`, 0.1}, // DefaultCostSeconds
+	} {
+		srv := New(eng, Config{Admission: admission.Config{
+			MaxConcurrent: 1, MaxQueue: 4, MaxBacklogSeconds: -1,
+		}})
+		hold, err := srv.adm.Admit(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req := httptest.NewRequest(http.MethodPost, "/query",
+				strings.NewReader(fmt.Sprintf(`{"sql": %q}`, tc.sql))).WithContext(ctx)
+			srv.ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		for i := 0; srv.adm.Snapshot().Queued != 1; i++ {
+			if i > 5000 {
+				t.Fatalf("%q never queued", tc.sql)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got, want := srv.adm.Snapshot().BacklogSeconds, 1+tc.cost; got != want {
+			t.Errorf("%q queued at backlog %v, want %v", tc.sql, got, want)
+		}
+		cancel()
+		<-done
+		hold.Release()
 	}
 }
 

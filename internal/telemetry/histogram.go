@@ -163,9 +163,9 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 	return s.Max
 }
 
-// atomicFloat is a float64 with atomic add and max via CAS on the bit
-// pattern. Sufficient for monitoring sums; no ordering guarantees beyond
-// atomicity of each update.
+// atomicFloat is a float64 with atomic add, max and EWMA fold via CAS on
+// the bit pattern. Sufficient for monitoring sums; no ordering guarantees
+// beyond atomicity of each update.
 type atomicFloat struct {
 	bits atomic.Uint64
 }
@@ -179,6 +179,21 @@ func (f *atomicFloat) add(v float64) {
 		old := f.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if f.bits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// fold moves f toward v as an EWMA, (1−costAlpha)·f + costAlpha·v; the
+// first v (f still 0) sets it.
+func (f *atomicFloat) fold(v float64) {
+	for {
+		old := f.bits.Load()
+		next := v
+		if prev := math.Float64frombits(old); prev > 0 {
+			next = (1-costAlpha)*prev + costAlpha*v
+		}
+		if f.bits.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -16,6 +17,10 @@ import (
 // a stream of distinct templates costs bounded memory and Snapshot still
 // accounts for every observation.
 //
+// Each template's record also holds its cost estimate, the one answer to
+// "how long will a query of this template take" that admission prices
+// with (ObservedWallSeconds); SeedCost restores it across restarts.
+//
 // A nil *Registry is the disabled state: Observe is a nil-safe no-op.
 type Registry struct {
 	mu        sync.RWMutex
@@ -24,12 +29,14 @@ type Registry struct {
 }
 
 const (
-	// MaxTemplates bounds the registry's distinct templates, as admission
-	// bounds its cost model's.
+	// MaxTemplates bounds the registry's distinct templates.
 	MaxTemplates = 4096
 	// OtherKey is the snapshot key of the templates first observed after
 	// the registry held MaxTemplates.
 	OtherKey = "(other templates)"
+	// costAlpha is the weight of the newest observation in a template's
+	// cost estimate.
+	costAlpha = 0.3
 )
 
 // NewRegistry returns an empty registry.
@@ -48,6 +55,9 @@ type TemplateStats struct {
 	bytes       Histogram // bytes scanned
 	predBound   Histogram // ELP-projected CI half-width
 	obsBound    Histogram // reported CI half-width (worst group)
+	// cost is the template's cost estimate in wall seconds: an EWMA of
+	// its observations, 0 until the first one (or a seed) sets it.
+	cost atomicFloat
 }
 
 // Observation is one completed query's accounting, recorded against its
@@ -85,29 +95,12 @@ func (r *Registry) Observe(key string, o Observation) {
 	if r == nil {
 		return
 	}
-	r.mu.RLock()
-	ts := r.templates[key]
-	if ts == nil && len(r.templates) >= MaxTemplates {
-		ts = r.other
-	}
-	r.mu.RUnlock()
-	if ts == nil {
-		r.mu.Lock()
-		switch ts = r.templates[key]; {
-		case ts != nil:
-		case len(r.templates) < MaxTemplates:
-			ts = &TemplateStats{}
-			r.templates[key] = ts
-		default:
-			if r.other == nil {
-				r.other = &TemplateStats{}
-			}
-			ts = r.other
-		}
-		r.mu.Unlock()
-	}
+	ts := r.record(key, true)
 	ts.latency.Record(o.WallSeconds)
 	ts.predLatency.Record(o.PredictedSeconds)
+	if validCost(o.WallSeconds) {
+		ts.cost.fold(o.WallSeconds)
+	}
 	if o.Executed {
 		ts.rows.Record(float64(o.RowsScanned))
 		ts.bytes.Record(float64(o.BytesScanned))
@@ -116,15 +109,46 @@ func (r *Registry) Observe(key string, o Observation) {
 	}
 }
 
-// ObservedWallSeconds returns the mean observed wall-clock seconds of
-// one query of template key, or false when the template has never been
-// observed (or never completed with positive latency) or was folded into
-// OtherKey's entry. This is the
-// registry's calibration answer to "how long will this template take":
-// the ELP's simulated-cluster prediction divided by the template's
-// predicted-over-observed ratio collapses algebraically to the observed
-// mean, so serving layers can price admission with one cheap lookup
-// instead of folding a full Snapshot. Nil-safe.
+// record returns key's entry, creating it while the registry holds fewer
+// than MaxTemplates; past that, OtherKey's shared entry when overflow is
+// set, nil otherwise.
+func (r *Registry) record(key string, overflow bool) *TemplateStats {
+	r.mu.RLock()
+	ts := r.templates[key]
+	if ts == nil && overflow && len(r.templates) >= MaxTemplates {
+		ts = r.other
+	}
+	r.mu.RUnlock()
+	if ts != nil {
+		return ts
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch ts = r.templates[key]; {
+	case ts != nil:
+	case len(r.templates) < MaxTemplates:
+		ts = &TemplateStats{}
+		r.templates[key] = ts
+	case overflow:
+		if r.other == nil {
+			r.other = &TemplateStats{}
+		}
+		ts = r.other
+	}
+	return ts
+}
+
+// validCost reports whether v may enter a cost estimate: positive and
+// finite. A 0 is a query that did not run; NaN and +Inf would poison
+// every later fold.
+func validCost(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// ObservedWallSeconds returns template key's cost estimate: an EWMA
+// (α = 0.3) of its observed wall seconds, the first observation setting
+// it, or the seed SeedCost restored when none has been observed since.
+// It is false when the template has neither, or was folded into
+// OtherKey's entry. Serving layers price admission with it: one map
+// lookup and one atomic load. Nil-safe.
 func (r *Registry) ObservedWallSeconds(key string) (float64, bool) {
 	if r == nil {
 		return 0, false
@@ -135,11 +159,39 @@ func (r *Registry) ObservedWallSeconds(key string) (float64, bool) {
 	if ts == nil {
 		return 0, false
 	}
-	lat := ts.latency.Snapshot()
-	if m := lat.Mean(); lat.Count > 0 && m > 0 {
-		return m, true
+	c := ts.cost.load()
+	return c, c > 0
+}
+
+// Costs returns every template's cost estimate by key (seeded ones
+// included, OtherKey's entry never), for persistence. Nil-safe.
+func (r *Registry) Costs() map[string]float64 {
+	if r == nil {
+		return nil
 	}
-	return 0, false
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make(map[string]float64, len(r.templates))
+	for k, ts := range r.templates {
+		if c := ts.cost.load(); c > 0 {
+			out[k] = c
+		}
+	}
+	return out
+}
+
+// SeedCost sets template key's cost estimate to seconds, a value a
+// previous process learned, and reports whether it did. It does nothing
+// when the template already has an estimate (a live observation is newer
+// than any snapshot), when seconds is not positive and finite, or when
+// the registry is full. A seeded template joins Snapshot only once it is
+// observed. Nil-safe.
+func (r *Registry) SeedCost(key string, seconds float64) bool {
+	if r == nil || !validCost(seconds) {
+		return false
+	}
+	ts := r.record(key, false)
+	return ts != nil && ts.cost.bits.CompareAndSwap(0, math.Float64bits(seconds))
 }
 
 // Percentiles summarizes one histogram for reporting.
@@ -198,7 +250,8 @@ type Snapshot struct {
 }
 
 // Snapshot summarizes every template observed so far, those first
-// observed past MaxTemplates as one entry keyed OtherKey.
+// observed past MaxTemplates as one entry keyed OtherKey. A template that
+// was only seeded is left out.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -216,10 +269,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.RUnlock()
 
-	snap := Snapshot{Templates: make([]TemplateSnapshot, len(keys))}
+	snap := Snapshot{Templates: make([]TemplateSnapshot, 0, len(keys))}
 	for i, k := range keys {
 		ts := stats[i]
 		lat := ts.latency.Snapshot()
+		if lat.Count == 0 {
+			continue // seeded, never observed
+		}
 		pred := ts.predLatency.Snapshot()
 		pb := ts.predBound.Snapshot()
 		ob := ts.obsBound.Snapshot()
@@ -239,7 +295,7 @@ func (r *Registry) Snapshot() Snapshot {
 		if m := ob.Mean(); m > 0 {
 			t.PredictedOverObservedBound = pb.Mean() / m
 		}
-		snap.Templates[i] = t
+		snap.Templates = append(snap.Templates, t)
 	}
 	sort.Slice(snap.Templates, func(i, j int) bool {
 		return snap.Templates[i].Key < snap.Templates[j].Key

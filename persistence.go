@@ -16,10 +16,13 @@ package blinkdb
 //  2. The warmup file. SnapshotWarmup writes DataDir/warmup.seg: the
 //     SQL of the queries behind the ELP runtime's fresh plan- and
 //     result-cache entries, grouped by the prepared state each answer
-//     ran under, and the serving layer's admission-cost EWMA.
-//     RestoreWarmup replays those queries after the samples are loaded:
-//     every restored entry is computed after the restart, against the
-//     catalog actually loaded, so none can be stale.
+//     ran under, and each template's cost estimate (the telemetry
+//     registry's EWMA of observed wall seconds, which admission prices
+//     by). RestoreWarmup replays those queries after the samples are
+//     loaded — every restored entry is computed after the restart,
+//     against the catalog actually loaded, so none can be stale — and
+//     seeds the estimates, so a restarted server prices its first
+//     admissions from what its predecessor learned.
 //
 //  3. Everything is fail-soft: a missing, truncated, corrupt or
 //     version-skewed file degrades to the cold path with the reason
@@ -47,21 +50,17 @@ const (
 	sampleManifestVersion = 1
 )
 
-// WarmupState carries serving-layer state that rides the warmup file
-// but lives outside the engine: the admission controller's per-template
-// cost EWMA (internal/admission), owned by blinkdb-server.
-type WarmupState struct {
-	// AdmissionEWMA maps template keys to learned wall seconds.
-	AdmissionEWMA map[string]float64
-}
+// WarmupState is empty: the warmup file carries nothing the engine does
+// not hold itself. It stays only because the repository benchmark passes
+// one to SnapshotWarmup; a change to the benchmark removes it.
+type WarmupState struct{}
 
 // RestoreReport summarises what RestoreWarmup brought back.
 type RestoreReport struct {
 	// Plans and Results count replayed plan-cache templates and
-	// result-cache answers.
-	Plans, Results int
-	// Warmup holds the serving-layer state for the caller to re-seed.
-	Warmup WarmupState
+	// result-cache answers; Costs counts the template cost estimates
+	// seeded.
+	Plans, Results, Costs int
 }
 
 // PersistenceNotes returns the reasons persistence fell back to cold
@@ -314,11 +313,11 @@ func (e *Engine) warmupPath() string {
 
 // SnapshotWarmup persists the engine's warm state to DataDir: current
 // sample families (re-persisted, so refreshes survive restarts), the
-// queries behind the fresh plan- and result-cache entries, and the
-// caller's WarmupState. Safe to call concurrently with queries — it sees
-// a snapshot-quality view — and with itself: overlapping calls run one at
-// a time. No-op error when DataDir is unset.
-func (e *Engine) SnapshotWarmup(st WarmupState) error {
+// queries behind the fresh plan- and result-cache entries, and every
+// template's cost estimate. Safe to call concurrently with queries — it
+// sees a snapshot-quality view — and with itself: overlapping calls run
+// one at a time. No-op error when DataDir is unset.
+func (e *Engine) SnapshotWarmup(WarmupState) error {
 	if e.cfg.DataDir == "" {
 		return fmt.Errorf("blinkdb: SnapshotWarmup requires Config.DataDir")
 	}
@@ -348,15 +347,16 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 	manifest.U32(warmupFileVersion)
 
 	var adm blockfile.Enc
-	keys := make([]string, 0, len(st.AdmissionEWMA))
-	for k := range st.AdmissionEWMA {
+	costs := e.tele.Costs()
+	keys := make([]string, 0, len(costs))
+	for k := range costs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	adm.U32(uint32(len(keys)))
 	for _, k := range keys {
 		adm.Str(k)
-		adm.F64(st.AdmissionEWMA[k])
+		adm.F64(costs[k])
 	}
 
 	elpBlob := e.rt.ExportWarmup()
@@ -372,8 +372,10 @@ func (e *Engine) SnapshotWarmup(st WarmupState) error {
 // persisted query runs again, refilling the plan and result caches (see
 // elp.Runtime.ImportWarmup), so a warm boot does the prepares and scans
 // the caches hold before the server reports ready, and Stats counts them
-// (Prepares, AnswersByLevel and the probe counters move). Call it AFTER
-// tables are loaded and CreateSamples ran. A missing file returns
+// (Prepares, AnswersByLevel and the probe counters move). The replays are
+// not observed by telemetry; the persisted cost estimates seed the
+// templates that have none yet, skipping values that are not positive
+// and finite. Call it AFTER tables are loaded and CreateSamples ran. A missing file returns
 // (nil, nil) — a normal cold boot; corrupt or version-skewed files
 // degrade to (nil, nil) with the reason in PersistenceNotes, as does
 // each query that no longer replays. Never panics.
@@ -419,19 +421,19 @@ func (e *Engine) RestoreWarmup() (*RestoreReport, error) {
 	if blob, ok := seg.Meta("admission"); ok {
 		d := blockfile.NewDec(blob)
 		n := d.Count(5)
-		m := make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			k := d.Str()
-			v := d.F64()
-			if d.Err() != nil {
-				break
-			}
-			m[k] = v
+		keys, costs := make([]string, 0, n), make([]float64, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			keys = append(keys, d.Str())
+			costs = append(costs, d.F64())
 		}
 		if err := d.Err(); err != nil {
-			e.noteF("restore warmup: admission ewma corrupt: %v", err)
+			e.noteF("restore warmup: cost estimates corrupt: %v", err)
 		} else {
-			rep.Warmup.AdmissionEWMA = m
+			for i, k := range keys {
+				if e.tele.SeedCost(k, costs[i]) {
+					rep.Costs++
+				}
+			}
 		}
 	}
 	return rep, nil

@@ -3,6 +3,7 @@ package blinkdb
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,8 +123,15 @@ func TestRestartBitIdentical(t *testing.T) {
 		steady[src] = res
 	}
 
-	ewma := map[string]float64{"tmplA": 0.25, "tmplB": 1.5}
-	if err := twin.SnapshotWarmup(WarmupState{AdmissionEWMA: ewma}); err != nil {
+	costs := map[string]float64{}
+	for _, ts := range twin.Telemetry().Templates {
+		c, ok := twin.TemplateWallSeconds(ts.Key)
+		if !ok {
+			t.Fatalf("%q: observed but no cost estimate", ts.Key)
+		}
+		costs[ts.Key] = c
+	}
+	if err := twin.SnapshotWarmup(WarmupState{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,8 +148,18 @@ func TestRestartBitIdentical(t *testing.T) {
 		t.Fatalf("restored plans=%d results=%d; want both > 0 (notes: %v)",
 			rep.Plans, rep.Results, restarted.PersistenceNotes())
 	}
-	if !reflect.DeepEqual(rep.Warmup.AdmissionEWMA, ewma) {
-		t.Errorf("admission EWMA did not round-trip: %v", rep.Warmup.AdmissionEWMA)
+	// Every cost estimate, bit for bit, before the restarted engine has
+	// observed anything; the replays are not observations.
+	if rep.Costs != len(costs) {
+		t.Errorf("restored %d cost estimates, want %d", rep.Costs, len(costs))
+	}
+	for k, want := range costs {
+		if got, ok := restarted.TemplateWallSeconds(k); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%q: restored cost estimate %v (ok=%v), want the twin's %v", k, got, ok, want)
+		}
+	}
+	if n := len(restarted.Telemetry().Templates); n != 0 {
+		t.Errorf("restored estimates show as %d observed templates before any query", n)
 	}
 
 	// Replayed queries: result-cache hits, bit-identical to the twin.
@@ -424,6 +442,49 @@ func TestWarmupVersionSkewBootsCachesCold(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%q: answer differs from a fresh engine's\n fresh     %+v\n restarted %+v", src, want, got)
+		}
+	}
+}
+
+// TestRestoreDropsNonFiniteCosts: a warmup file's cost estimates that are
+// not positive and finite (NaN, +Inf, 0, −1) seed nothing — a NaN price
+// would reach the admission backlog — while a valid one beside them is
+// restored.
+func TestRestoreDropsNonFiniteCosts(t *testing.T) {
+	dir := t.TempDir()
+	var manifest, adm blockfile.Enc
+	manifest.U32(warmupFileVersion)
+	bad := map[string]float64{"nan": math.NaN(), "inf": math.Inf(1), "zero": 0, "negative": -1}
+	adm.U32(uint32(len(bad) + 1))
+	for k, v := range bad {
+		adm.Str(k)
+		adm.F64(v)
+	}
+	adm.Str("valid")
+	adm.F64(0.5)
+	err := blockfile.WriteSegment(filepath.Join(dir, "warmup.seg"), func(w *blockfile.Writer) error {
+		w.PutMeta("manifest", manifest.Bytes())
+		w.PutMeta("admission", adm.Bytes())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := Open(Config{DataDir: dir})
+	defer eng.Close()
+	rep, err := eng.RestoreWarmup()
+	if err != nil || rep == nil {
+		t.Fatalf("RestoreWarmup: %+v, %v; notes %v", rep, err, eng.PersistenceNotes())
+	}
+	if rep.Costs != 1 {
+		t.Errorf("restored %d cost estimates, want 1", rep.Costs)
+	}
+	if got, ok := eng.TemplateWallSeconds("valid"); !ok || got != 0.5 {
+		t.Errorf("valid cost estimate: %v (ok=%v), want 0.5", got, ok)
+	}
+	for k := range bad {
+		if got, ok := eng.TemplateWallSeconds(k); ok {
+			t.Errorf("%q: restored cost estimate %v", k, got)
 		}
 	}
 }
