@@ -18,26 +18,27 @@
 // BlinkDB workloads repeat the same query templates with different
 // constants, so the compiled plan, the smallest-sample probes and the
 // Error-Latency Profile — the dominant cost of a bounded query — are
-// computed once per template and reused. Cached state is validated
-// against per-table catalog epochs on every hit: a sample refresh,
-// maintenance rebuild or table reload bumps the epoch and forces a
-// re-prepare, so stale probes are never served. Result.Explanation
-// reports cache=hit|miss; Engine.Stats exposes hit rates and probe
-// counts. With the cache disabled the engine behaves exactly as before,
-// bit for bit.
+// computed once per template and reused. Cached state belongs to one
+// catalog version, catalog-wide: a sample refresh, maintenance rebuild or
+// table load on any table bumps the version, and the next query starts
+// from empty caches and re-prepares, so stale probes are never served
+// (an engine with several tables drops the cached state of all of them).
+// Result.Explanation reports cache=hit|miss; Engine.Stats exposes hit
+// rates and probe counts. With the cache disabled the engine behaves
+// exactly as before, bit for bit.
 //
 // Above the plan cache sits a cross-query RESULT cache
 // (Config.ResultCacheSize, on by default): an exact replay — same
 // template AND same constants/bounds — is served from memory without
 // probing or scanning, and N concurrent cold replays of one query
 // collapse into a single execution shared by all (singleflight). Answers
-// are epoch-validated like plan-cache entries and copied on return (a
-// serving layer, through Engine.Answer, shares the entry's read-only
-// served form). A loaded table never changes and every reload bumps its
-// epoch, so an answer is served until it is evicted or its samples or
-// table change, with no age limit. Result.Explanation reports
-// result=hit|miss|shared; disabling the cache (ResultCacheSize < 0)
-// restores the execute-every-query pipeline bit for bit.
+// live as long as the catalog version, like plan-cache entries, and are
+// copied on return (a serving layer, through Engine.Answer, shares the
+// entry's read-only served form). A loaded table never changes and every
+// load bumps the one catalog version, so an answer is served until it is
+// evicted or the catalog changes, with no age limit. Result.Explanation
+// reports result=hit|miss|shared; disabling the cache (ResultCacheSize <
+// 0) restores the execute-every-query pipeline bit for bit.
 //
 // # Observability
 //
@@ -216,8 +217,9 @@ type Config struct {
 	// workloads). 0 (the default) selects 256 templates; a negative value
 	// disables the cache entirely, restoring the prepare-every-query
 	// pipeline whose answers and latencies are bit-identical to the
-	// cached path for identical queries. Entries are epoch-validated, so
-	// RefreshSamples/Maintain immediately invalidate affected templates.
+	// cached path for identical queries. Entries live as long as the one
+	// catalog version, so RefreshSamples/Maintain immediately invalidate
+	// every template, catalog-wide.
 	PlanCacheSize int
 	// ResultCacheSize caps how many completed ANSWERS are kept keyed by
 	// (template, full parameter vector): an exact replay of a recent
@@ -226,9 +228,10 @@ type Config struct {
 	// execution (singleflight). 0 (the default) selects 1024 answers; a
 	// negative value disables the cache, restoring the execute-every-
 	// query pipeline bit-identically (no result= markers, same answers
-	// and latencies). Served answers are epoch-validated like plan-cache
-	// entries — RefreshSamples/Maintain invalidate them immediately —
-	// and copied on return, so callers can never corrupt the cache.
+	// and latencies). Served answers live as long as the one catalog
+	// version, like plan-cache entries — RefreshSamples/Maintain
+	// invalidate them immediately, catalog-wide — and are copied on
+	// return, so callers can never corrupt the cache.
 	// Unlike a plan-cache hit, which reuses template-level probe state to
 	// answer NEW constants, a result-cache hit requires the parameters to
 	// match exactly and replays the identical answer.
@@ -290,11 +293,10 @@ type Engine struct {
 	rt   *elp.Runtime
 	tele *telemetry.Registry
 
-	// maintMu serializes Maintain: its passes share maint, lastSnap and
-	// each table's Maintainer.
-	maintMu  sync.Mutex
-	maint    map[string]*maintenance.Maintainer
-	lastSnap map[string]*maintenance.Snapshot
+	// maintMu serializes Maintain: its passes share maint and each
+	// table's Maintainer.
+	maintMu sync.Mutex
+	maint   map[string]*maintenance.Maintainer
 
 	// Persistence bookkeeping (persistence.go): the build signature and
 	// report CreateSamples recorded per table, and the fall-back audit
@@ -1123,16 +1125,12 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 		return nil, err
 	}
 	rep := &MaintainReport{}
-	if last := e.lastSnap[strings.ToLower(table)]; last != nil {
+	if last := m.Last(); last != nil {
 		rep.DataDrift = maintenance.DataDrift(last, snap)
 		rep.WorkloadDrift = maintenance.WorkloadDrift(last, snap)
 	}
 	needs := m.NeedsResolve(snap) || opts.Force
 	m.Observe(snap)
-	if e.lastSnap == nil {
-		e.lastSnap = map[string]*maintenance.Snapshot{}
-	}
-	e.lastSnap[strings.ToLower(table)] = snap
 	if !needs {
 		return rep, nil
 	}

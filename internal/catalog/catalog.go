@@ -9,13 +9,14 @@
 // catalog lock (copy-on-write) — so readers may hold a snapshot across
 // arbitrary work, including full query execution, without further locking.
 //
-// Every mutation also bumps the table's epoch, a monotonically increasing
-// counter that survives re-registration. The epoch is the invalidation
-// token for anything derived from a snapshot (the ELP runtime's prepared
-// queries cache probe results and Error-Latency Profiles keyed by query
-// template): if a cached artifact's epoch no longer matches Epoch(table),
-// a sample was rebuilt, refreshed, dropped or the table was reloaded since
-// the artifact was computed, and it must not be served.
+// Every mutation also bumps the catalog's one version, a counter shared by
+// all of its tables. The version is the invalidation token for anything
+// derived from a snapshot (the ELP runtime's plan and result caches): once
+// Version() has moved past the version a cached artifact was computed
+// under, a sample was rebuilt, refreshed or dropped, or a table was
+// (re)loaded, and the artifact must not be served. Invalidation is
+// catalog-wide: a change to one table retires what was derived from every
+// other table too.
 package catalog
 
 import (
@@ -23,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
@@ -32,15 +34,12 @@ import (
 // Entry is a point-in-time snapshot of one base table with its sample
 // families, as returned by Lookup. The Families slice is never mutated
 // after publication; a later AddFamily/DropFamily installs a new slice in
-// the catalog and bumps the table epoch instead.
+// the catalog and bumps the catalog version instead.
 type Entry struct {
 	Table    *storage.Table
 	Families []*sample.Family
-	// Epoch is the table's sample-epoch at snapshot time. It increases on
-	// every Register, AddFamily and DropFamily for the table; comparing it
-	// against Catalog.Epoch detects any sample or data change since the
-	// snapshot was taken.
-	Epoch uint64
+	// Version is the catalog's version when the snapshot was taken.
+	Version uint64
 }
 
 // Uniform returns the table's uniform family, or nil.
@@ -99,33 +98,28 @@ func (e *Entry) SampleBytes() int64 {
 type Catalog struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry
-	// epochs survives Register replacing an entry, so a cached artifact
-	// computed against the old table can never validate against the new
-	// one (a fresh entry restarting at 0 would alias old epochs).
-	epochs map[string]uint64
+	// version is bumped under mu by every mutation and read without it.
+	version atomic.Uint64
 }
 
 // New creates an empty catalog.
 func New() *Catalog {
-	return &Catalog{entries: make(map[string]*Entry), epochs: make(map[string]uint64)}
+	return &Catalog{entries: make(map[string]*Entry)}
 }
 
 // Register adds a base table. Re-registering a name replaces the entry
-// (and bumps the table epoch, invalidating snapshots of the old data).
+// (and bumps the version, invalidating snapshots of the old data).
 func (c *Catalog) Register(t *storage.Table) *Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(t.Name)
-	c.epochs[key]++
-	e := &Entry{Table: t, Epoch: c.epochs[key]}
-	c.entries[key] = e
-	return &Entry{Table: e.Table, Families: e.Families, Epoch: e.Epoch}
+	c.entries[strings.ToLower(t.Name)] = &Entry{Table: t}
+	return &Entry{Table: t, Version: c.version.Add(1)}
 }
 
 // AddFamily attaches a sample family to a registered table. Only one
 // family per column set is kept; re-adding replaces it (sample refresh).
 // The family list is replaced copy-on-write so existing Lookup snapshots
-// stay valid, and the table epoch is bumped.
+// stay valid, and the version is bumped.
 func (c *Catalog) AddFamily(table string, f *sample.Family) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -147,13 +141,13 @@ func (c *Catalog) AddFamily(table string, f *sample.Family) error {
 	if !replaced {
 		fams = append(fams, f)
 	}
-	c.epochs[key]++
-	c.entries[key] = &Entry{Table: e.Table, Families: fams, Epoch: c.epochs[key]}
+	c.entries[key] = &Entry{Table: e.Table, Families: fams}
+	c.version.Add(1)
 	return nil
 }
 
 // DropFamily removes the family on the given column set (copy-on-write,
-// epoch bumped).
+// version bumped).
 func (c *Catalog) DropFamily(table string, phi types.ColumnSet) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -167,8 +161,8 @@ func (c *Catalog) DropFamily(table string, phi types.ColumnSet) error {
 			fams := make([]*sample.Family, 0, len(e.Families)-1)
 			fams = append(fams, e.Families[:i]...)
 			fams = append(fams, e.Families[i+1:]...)
-			c.epochs[key]++
-			c.entries[key] = &Entry{Table: e.Table, Families: fams, Epoch: c.epochs[key]}
+			c.entries[key] = &Entry{Table: e.Table, Families: fams}
+			c.version.Add(1)
 			return nil
 		}
 	}
@@ -176,7 +170,7 @@ func (c *Catalog) DropFamily(table string, phi types.ColumnSet) error {
 }
 
 // Lookup returns an immutable snapshot of the entry for a table,
-// including its current epoch.
+// stamped with the catalog's current version.
 func (c *Catalog) Lookup(table string) (*Entry, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -184,16 +178,12 @@ func (c *Catalog) Lookup(table string) (*Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown table %q", table)
 	}
-	return &Entry{Table: e.Table, Families: e.Families, Epoch: e.Epoch}, nil
+	return &Entry{Table: e.Table, Families: e.Families, Version: c.version.Load()}, nil
 }
 
-// Epoch returns the table's current sample-epoch (0 for unknown tables).
-// It increases on every Register, AddFamily and DropFamily for the table.
-func (c *Catalog) Epoch(table string) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.epochs[strings.ToLower(table)]
-}
+// Version returns the catalog's current version: 0 for an empty catalog,
+// then one more for every Register, AddFamily and DropFamily on any table.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // Tables returns the registered table names, sorted.
 func (c *Catalog) Tables() []string {

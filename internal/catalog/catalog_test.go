@@ -164,21 +164,22 @@ func TestDropFamily(t *testing.T) {
 	}
 }
 
-// TestEpochBumps pins the invalidation token: every sample or data
-// mutation must advance the table epoch, and re-registering a table must
-// not reset it (a cached plan from the old data would otherwise validate
-// against the new table).
-func TestEpochBumps(t *testing.T) {
+// TestVersionBumps pins the invalidation token: every sample or data
+// mutation of any table advances the one catalog version, a failed
+// mutation does not, and re-registering a table continues the sequence (a
+// cached plan from the old data would otherwise validate against the new
+// table).
+func TestVersionBumps(t *testing.T) {
 	c, tab := buildFixture(t) // Register + 3 AddFamily = 4 bumps
-	if got := c.Epoch("sessions"); got != 4 {
-		t.Fatalf("epoch after fixture = %d, want 4", got)
+	if got := c.Version(); got != 4 {
+		t.Fatalf("version after fixture = %d, want 4", got)
 	}
-	if got := c.Epoch("nope"); got != 0 {
-		t.Fatalf("epoch of unknown table = %d, want 0", got)
+	if got := New().Version(); got != 0 {
+		t.Fatalf("version of an empty catalog = %d, want 0", got)
 	}
 	e, _ := c.Lookup("SESSIONS")
-	if e.Epoch != 4 {
-		t.Fatalf("snapshot epoch = %d, want 4", e.Epoch)
+	if e.Version != 4 {
+		t.Fatalf("snapshot version = %d, want 4", e.Version)
 	}
 	f2, err := sample.Build(tab, types.NewColumnSet("city"), []int64{10, 100}, sample.BuildConfig{Seed: 2})
 	if err != nil {
@@ -187,21 +188,35 @@ func TestEpochBumps(t *testing.T) {
 	if err := c.AddFamily("sessions", f2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Epoch("sessions"); got != 5 {
-		t.Fatalf("epoch after refresh = %d, want 5", got)
+	if got := c.Version(); got != 5 {
+		t.Fatalf("version after refresh = %d, want 5", got)
 	}
 	if err := c.DropFamily("sessions", types.NewColumnSet("city")); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Epoch("sessions"); got != 6 {
-		t.Fatalf("epoch after drop = %d, want 6", got)
+	if got := c.Version(); got != 6 {
+		t.Fatalf("version after drop = %d, want 6", got)
 	}
-	// Re-registering continues the sequence instead of restarting at 1.
+	// Failed mutations change nothing, so they bump nothing.
+	if c.DropFamily("sessions", types.NewColumnSet("city")) == nil || c.AddFamily("nope", f2) == nil {
+		t.Fatal("a drop of a dropped family and an add to an unknown table must fail")
+	}
+	if got := c.Version(); got != 6 {
+		t.Fatalf("version after failed mutations = %d, want 6", got)
+	}
+	// Another table shares the counter: its registration is a bump too.
+	if r := c.Register(storage.NewTable("other", tab.Schema)); r.Version != 7 {
+		t.Fatalf("version returned by registering a second table = %d, want 7", r.Version)
+	}
+	if other, _ := c.Lookup("other"); other.Version != 7 {
+		t.Fatalf("second table's snapshot version = %d, want 7", other.Version)
+	}
+	// Re-registering continues the sequence instead of restarting.
 	c.Register(tab)
-	if got := c.Epoch("sessions"); got != 7 {
-		t.Fatalf("epoch after re-register = %d, want 7", got)
+	if got := c.Version(); got != 8 {
+		t.Fatalf("version after re-register = %d, want 8", got)
 	}
-	if e.Epoch != 4 {
-		t.Error("mutations changed a published snapshot's epoch")
+	if e.Version != 4 {
+		t.Error("mutations changed a published snapshot's version")
 	}
 }

@@ -191,7 +191,7 @@ func TestEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second warm template that will NOT be re-queried after the
-	// refresh: the stale sweep must still purge it.
+	// refresh: it must go with its generation.
 	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +202,17 @@ func TestEpochInvalidation(t *testing.T) {
 	if resp.Cache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.Cache)
 	}
-	if got := f.rt.cache.Len(); got != 2 {
+	if got := f.rt.gen.Load().plans.Len(); got != 2 {
 		t.Fatalf("cache holds %d entries before refresh, want 2", got)
 	}
 
 	// Refresh the [city] family with a fresh seed (the §4.5 background
-	// replacement): the epoch bumps and the cached probe is stale.
+	// replacement): the version bumps and the cached probe is stale.
 	entry, err := f.cat.Lookup("sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochBefore := entry.Epoch
+	versionBefore := entry.Version
 	var cityFam *sample.Family
 	for _, fam := range entry.Families {
 		if fam.Phi.Key() == "city" {
@@ -227,8 +227,8 @@ func TestEpochInvalidation(t *testing.T) {
 	if err := f.cat.AddFamily("sessions", fresh); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.cat.Epoch("sessions"); got != epochBefore+1 {
-		t.Fatalf("epoch = %d, want %d (bump observed)", got, epochBefore+1)
+	if got := f.cat.Version(); got != versionBefore+1 {
+		t.Fatalf("version = %d, want %d (bump observed)", got, versionBefore+1)
 	}
 
 	before := f.rt.Stats()
@@ -250,17 +250,17 @@ func TestEpochInvalidation(t *testing.T) {
 	if !reflect.DeepEqual(want, stripCache(got)) {
 		t.Errorf("post-refresh answer diverged from cache-off path\nwant %+v\ngot  %+v", want, stripCache(got))
 	}
-	// The stale sweep purged BOTH pre-refresh templates; only the
+	// BOTH pre-refresh templates went with their generation; only the
 	// re-prepared one is resident (dead catalog snapshots must not ride
 	// the LRU).
-	if got := f.rt.cache.Len(); got != 1 {
-		t.Errorf("cache holds %d entries after refresh sweep, want 1", got)
+	if got := f.rt.gen.Load().plans.Len(); got != 1 {
+		t.Errorf("cache holds %d entries after the refresh, want 1", got)
 	}
 }
 
 // TestCacheConcurrentHotTemplateWithRefresh is the -race test: 8
 // goroutines hammer one hot template while the catalog concurrently
-// re-installs a family (epoch churn). Every answer must equal one of the
+// re-installs a family (version churn). Every answer must equal one of the
 // two serial cache-off truths (pre- and post-refresh state); since the
 // refresh re-installs byte-identical family content, the two truths
 // coincide and every concurrent answer must equal THE serial cache-off
@@ -296,7 +296,7 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 	errs := make(chan error, goroutines*20+1)
 	stop := make(chan struct{})
 	refresher.Add(1)
-	go func() { // concurrent "refresh": same content, epoch bumps anyway
+	go func() { // concurrent "refresh": same content, the version bumps anyway
 		defer refresher.Done()
 		for {
 			select {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"blinkdb/internal/catalog"
 	"blinkdb/internal/cluster"
@@ -66,14 +67,15 @@ type Options struct {
 	// that dominates bounded queries at high QPS. 0 (the default)
 	// disables the cache, preserving the prepare-per-query pipeline — and
 	// with it every pre-cache answer and latency, bit for bit. Cached
-	// state is epoch-validated against the catalog on every hit, so a
-	// sample refresh or rebuild is never served stale.
+	// state lives only as long as the catalog version it was computed
+	// under, so a sample refresh or rebuild of any table is never served
+	// stale.
 	PlanCacheSize int
 	// ResultCacheSize enables the cross-query RESULT cache: up to this
 	// many completed answers, keyed by (template key, full parameter
 	// vector), so an exact replay of a recent query is served from memory
-	// — no probe, no scan — while the catalog epochs of every table it
-	// depends on hold. Concurrent misses of one key share one execution
+	// — no probe, no scan — until the catalog version moves (a change to
+	// any table). Concurrent misses of one key share one execution
 	// (singleflight). 0 (the default) disables the cache, preserving the
 	// result-cache-free pipeline bit for bit.
 	ResultCacheSize int
@@ -84,20 +86,19 @@ type Options struct {
 // smallest samples and fits the Error-Latency Profile — then executes it:
 // binds constants and bounds, picks the resolution and walks there. When
 // Options.PlanCacheSize enables it, prepared state is reused across queries
-// of the same template through a sharded LRU with catalog-epoch
-// invalidation. All methods are safe for concurrent use.
+// of the same template through a sharded LRU. Both caches belong to one
+// catalog version (a generation): the first request after the version
+// moves starts empty ones, so invalidation is catalog-wide — a change to
+// one table retires the cached state of every table. All methods are safe
+// for concurrent use.
 type Runtime struct {
 	cat  *catalog.Catalog
 	clus *cluster.Cluster
 	opt  Options
 
-	// cache maps template keys to prepared templates; nil when disabled.
-	cache *plancache.Cache[*prepared]
-	// results maps (template key, parameter vector) to completed answers;
-	// nil when disabled. flights collapses concurrent misses of one
-	// result key into a single execution.
-	results *plancache.Cache[*resultEntry]
-	flights resultcache.Flights[*resultEntry]
+	// gen is the generation of the newest catalog version a request has
+	// taken (see current).
+	gen atomic.Pointer[generation]
 
 	// prices memoizes the price of every whole window the runtime reads
 	// (see price.go).
@@ -110,12 +111,53 @@ type Runtime struct {
 	stats  Stats
 }
 
+// generation is the reusable state of one catalog version: the plan cache
+// (template keys to prepared templates), the result cache ((template key,
+// parameter vector) to completed answers) and the flights that collapse
+// concurrent misses of one result key into a single execution. A cache is
+// nil when disabled. Every entry of the live generation of version v was
+// computed from catalog state v or later, which while the version is v is
+// the current state, so no entry carries a freshness check of its own.
+type generation struct {
+	version uint64
+	plans   *plancache.Cache[*prepared]
+	results *plancache.Cache[*resultEntry]
+	flights resultcache.Flights[*resultEntry]
+}
+
+// current returns the generation of the catalog's current version,
+// installing an empty one when the version has moved past the live one's.
+// It loads the generation before it reads the version, so the generation
+// is never ahead of the version read, and replaces it only by
+// compare-and-swap, so an older generation never lands over a newer one.
+// A request takes its generation once and writes only into it: a Put that
+// races a version change lands in a dead generation, which is harmless.
+func (rt *Runtime) current() *generation {
+	for {
+		gen := rt.gen.Load()
+		v := rt.cat.Version()
+		if gen.version == v {
+			return gen
+		}
+		if next := rt.newGeneration(v); rt.gen.CompareAndSwap(gen, next) {
+			return next
+		}
+	}
+}
+
+// newGeneration returns an empty generation of catalog version v.
+func (rt *Runtime) newGeneration(v uint64) *generation {
+	return &generation{
+		version: v,
+		plans:   plancache.New[*prepared](rt.opt.PlanCacheSize),
+		results: plancache.New[*resultEntry](rt.opt.ResultCacheSize),
+	}
+}
+
 // resultEntry is one cached answer: the canonical (never-annotated,
-// never-mutated) response, the plan-cache note of the execution that
-// produced it, and the per-table epochs it was computed against. The
-// entry is servable only while every dep's catalog epoch is unchanged.
-// q is the query answered and prep the query that prepared the state it
-// ran under: what a warmup file replays (persist.go).
+// never-mutated) response and the plan-cache note of the execution that
+// produced it. q is the query answered and prep the query that prepared
+// the state it ran under: what a warmup file replays (persist.go).
 // hit is what a hit of it returns (see Response.Shared); served is the
 // serving layer's immutable form of the answer (for blinkdb.Engine, the
 // Result a hit returns and its wire encoding), built by the first hit
@@ -123,7 +165,6 @@ type Runtime struct {
 type resultEntry struct {
 	resp    *Response
 	note    string
-	deps    []tableDep
 	q, prep *sqlparser.Query
 
 	hit        *Response
@@ -133,7 +174,7 @@ type resultEntry struct {
 
 // newResultEntry caches resp, the answer to q that pq's state produced.
 func newResultEntry(resp *Response, note string, q *sqlparser.Query, pq *prepared) *resultEntry {
-	ent := &resultEntry{resp: resp, note: note, deps: pq.deps, q: q, prep: pq.prepQ}
+	ent := &resultEntry{resp: resp, note: note, q: q, prep: pq.prepQ}
 	hit := *resp
 	hit.ResultCache, hit.ent = "hit", ent
 	ent.hit = &hit
@@ -151,12 +192,9 @@ func New(cat *catalog.Catalog, clus *cluster.Cluster, opt Options) *Runtime {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	return &Runtime{
-		cat: cat, clus: clus, opt: opt,
-		cache:   plancache.New[*prepared](opt.PlanCacheSize),
-		results: plancache.New[*resultEntry](opt.ResultCacheSize),
-		stats:   Stats{AnswersByLevel: map[int]int64{}},
-	}
+	rt := &Runtime{cat: cat, clus: clus, opt: opt, stats: Stats{AnswersByLevel: map[int]int64{}}}
+	rt.gen.Store(rt.newGeneration(cat.Version()))
+	return rt
 }
 
 // Decision records how one conjunctive sub-query was planned.
@@ -249,12 +287,14 @@ func (r *Response) Served(build func() any) any {
 // engine records each answer in its telemetry).
 //
 // With the plan cache enabled, a template prepared before reuses its
-// compiled state, probe results and ELP fit (state from before a sample
-// refresh is re-prepared, never served). With the result cache enabled, an
-// exact replay — same template and parameters — is served from memory, and
-// concurrent misses of one key share one execution. A result-cache hit
+// compiled state, probe results and ELP fit. With the result cache enabled,
+// an exact replay — same template and parameters — is served from memory,
+// and concurrent misses of one key share one execution. A result-cache hit
 // comes back as a Shared view, not a copy, so a serving layer can answer it
-// from the entry's Served form.
+// from the entry's Served form. Run takes the generation of the catalog's
+// current version once (current) and consults no other, so state from
+// before a catalog change — a sample refresh, rebuild or drop, a table
+// (re)load — is never served: the request prepares afresh.
 //
 // emit, when non-nil, receives each refinement before the final answer,
 // with its level (the max across disjuncts); an emit error aborts the run.
@@ -272,7 +312,7 @@ func (rt *Runtime) Run(ctx context.Context, q *sqlparser.Query, key string, para
 		rt.bump(&rt.stats.Cancelled)
 		return nil, err
 	}
-	resp, err := rt.runKeyed(ctx, q, key, params, tr.Root(), emit)
+	resp, err := rt.runKeyed(ctx, rt.current(), q, key, params, tr.Root(), emit)
 	if err != nil && isCancellation(err) {
 		rt.bump(&rt.stats.Cancelled)
 	}
@@ -285,12 +325,13 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runKeyed is Run's body under an optional parent span (nil when
-// untraced). Refinements flow through emit (nil when not streaming) on the
-// executing paths only: cache hits and singleflight shares stream nothing.
-func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emit func(*Response, int) error) (*Response, error) {
-	if rt.results == nil {
-		resp, note, _, err := rt.runPrepared(ctx, q, key, params, root, emit)
+// runKeyed is Run's body in generation gen under an optional parent span
+// (nil when untraced). Refinements flow through emit (nil when not
+// streaming) on the executing paths only: cache hits and singleflight
+// shares stream nothing.
+func (rt *Runtime) runKeyed(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emit func(*Response, int) error) (*Response, error) {
+	if gen.results == nil {
+		resp, note, _, err := rt.runPrepared(ctx, gen, q, key, params, root, emit)
 		if err != nil {
 			return nil, err
 		}
@@ -299,17 +340,11 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	}
 	rkey := resultKey(key, params)
 	lsp := root.Child("result-cache lookup")
-	if ent, ok := rt.results.Get(rkey); ok {
-		if rt.fresh(ent.deps) {
-			lsp.End()
-			lsp.Note("result=hit")
-			rt.bump(&rt.stats.ResultCacheHits)
-			return ent.hit, nil
-		}
-		// A stale entry means a sample refresh/rebuild happened since the
-		// answer was computed; purge EVERY stale answer now (mirroring the
-		// plan cache's sweep) rather than letting dead epochs ride the LRU.
-		rt.results.Sweep(func(_ string, cand *resultEntry) bool { return rt.fresh(cand.deps) })
+	if ent, ok := gen.results.Get(rkey); ok {
+		lsp.End()
+		lsp.Note("result=hit")
+		rt.bump(&rt.stats.ResultCacheHits)
+		return ent.hit, nil
 	}
 	lsp.End()
 	if emit != nil {
@@ -324,14 +359,14 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 	}
 	var cachedHit bool
 	fsp := root.Child("execute")
-	ent, shared, err := rt.flights.Do(rkey, func() (*resultEntry, error) {
+	ent, shared, err := gen.flights.Do(rkey, func() (*resultEntry, error) {
 		var err error
 		var e *resultEntry
 		// Only the singleflight leader's closure runs, so only the
 		// leader's trace carries the pipeline spans (and only the leader
 		// streams); waiters' "execute" spans cover their wait and are
 		// noted result=shared below.
-		e, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, fsp, emit)
+		e, cachedHit, err = rt.resultLeader(ctx, gen, q, key, params, rkey, fsp, emit)
 		return e, err
 	})
 	fsp.End()
@@ -345,22 +380,7 @@ func (rt *Runtime) runKeyed(ctx context.Context, q *sqlparser.Query, key string,
 			return nil, err
 		}
 		rsp := root.Child("cancelled-leader re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emit)
-		rsp.End()
-		if err != nil {
-			return nil, err
-		}
-		shared = false
-	}
-	if shared && !rt.fresh(ent.deps) {
-		// The shared answer predates an epoch change this caller has
-		// already observed (its own cache lookup happened after the
-		// change): serving it would leak pre-refresh data into a
-		// post-refresh query. Fall back to a fresh leader pass — outside
-		// the (already landed) flight; concurrent stale waiters each
-		// re-execute, an acceptable cost for the rare refresh window.
-		rsp := root.Child("stale-shared re-execute")
-		ent, cachedHit, err = rt.resultLeader(ctx, q, key, params, rkey, rsp, emit)
+		ent, cachedHit, err = rt.resultLeader(ctx, gen, q, key, params, rkey, rsp, emit)
 		rsp.End()
 		if err != nil {
 			return nil, err
@@ -395,18 +415,19 @@ func resultKey(key string, params []types.Value) string {
 	return key + "\x1e" + sqlparser.ParamsKey(params)
 }
 
-// resultLeader is the singleflight leader's body: re-check the cache,
-// then execute and cache on a true miss. The re-check matters — a caller
-// descheduled between its cache miss and its Do call can find the flight
-// already landed and become a second "leader"; without the re-check it
-// would re-run the whole pipeline for an answer that is already cached
-// (and skew the exactly-one-execution Stats contract). cached reports
-// whether the answer came from the cache (a hit) rather than execution.
-func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emit func(*Response, int) error) (*resultEntry, bool, error) {
-	if cached, ok := rt.results.Get(rkey); ok && rt.fresh(cached.deps) {
+// resultLeader is the singleflight leader's body in generation gen:
+// re-check the cache, then execute and cache on a true miss. The re-check
+// matters — a caller descheduled between its cache miss and its Do call
+// can find the flight already landed and become a second "leader"; without
+// the re-check it would re-run the whole pipeline for an answer that is
+// already cached (and skew the exactly-one-execution Stats contract).
+// cached reports whether the answer came from the cache (a hit) rather
+// than execution.
+func (rt *Runtime) resultLeader(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, rkey string, sp *telemetry.Span, emit func(*Response, int) error) (*resultEntry, bool, error) {
+	if cached, ok := gen.results.Get(rkey); ok {
 		return cached, true, nil
 	}
-	resp, note, pq, err := rt.runPrepared(ctx, q, key, params, sp, emit)
+	resp, note, pq, err := rt.runPrepared(ctx, gen, q, key, params, sp, emit)
 	if err != nil {
 		return nil, false, err
 	}
@@ -414,43 +435,34 @@ func (rt *Runtime) resultLeader(ctx context.Context, q *sqlparser.Query, key str
 	// plan cache's convention.
 	rt.bump(&rt.stats.ResultCacheMisses)
 	ent := newResultEntry(resp, note, q, pq)
-	rt.results.Put(rkey, ent)
+	gen.results.Put(rkey, ent)
 	return ent, false, nil
 }
 
-// runPrepared is the prepare/execute pipeline of a run — plan-cache
-// lookup (when enabled), prepare on miss, execute — returning the
+// runPrepared is the prepare/execute pipeline of a run in generation gen —
+// plan-cache lookup (when enabled), prepare on miss, execute — returning the
 // UNANNOTATED response, the plan-cache note ("hit"/"miss", "" when
 // disabled) and the prepared state the answer was computed under.
 // Callers own the annotation so the result cache can store canonical
 // responses. emit is execute's.
-func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, *prepared, error) {
+func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, *prepared, error) {
 	note := ""
-	if rt.cache != nil {
+	if gen.plans != nil {
 		lsp := sp.Child("plan-cache lookup")
-		if pq, ok := rt.cache.Get(key); ok {
-			if rt.fresh(pq.deps) {
-				lsp.End()
-				resp, err := rt.execute(ctx, pq, q, params, sp, emit)
-				if err == nil {
-					lsp.Note("cache=hit")
-					rt.bump(&rt.stats.PlanCacheHits)
-					return resp, "hit", pq, nil
-				}
-				if err != errTemplateMismatch {
-					return nil, "", nil, err
-				}
-				// Defensive: equal keys should imply equal shape; if not,
-				// fall through and re-prepare. (The mismatch is detected
-				// before any refinement is emitted.)
+		if pq, ok := gen.plans.Get(key); ok {
+			lsp.End()
+			resp, err := rt.execute(ctx, pq, q, params, sp, emit)
+			if err == nil {
+				lsp.Note("cache=hit")
+				rt.bump(&rt.stats.PlanCacheHits)
+				return resp, "hit", pq, nil
 			}
-			// A stale (or mismatched) entry means a sample refresh/rebuild
-			// happened: a prepared template pins its catalog snapshot — old
-			// table blocks, old sample families, memoized results — so
-			// purge EVERY stale entry now rather than letting dead
-			// snapshots ride the LRU until their template happens to be
-			// queried again.
-			rt.cache.Sweep(func(_ string, cand *prepared) bool { return rt.fresh(cand.deps) })
+			if err != errTemplateMismatch {
+				return nil, "", nil, err
+			}
+			// Defensive: equal keys should imply equal shape; if not,
+			// fall through and re-prepare. (The mismatch is detected
+			// before any refinement is emitted.)
 		}
 		lsp.End() // idempotent on the template-mismatch fall-through
 		lsp.Note("cache=miss")
@@ -460,11 +472,11 @@ func (rt *Runtime) runPrepared(ctx context.Context, q *sqlparser.Query, key stri
 	if err != nil {
 		return nil, "", nil, err
 	}
-	if rt.cache != nil {
+	if gen.plans != nil {
 		// Count the miss only for queries that actually entered the cache;
 		// errored prepares would otherwise skew the hit rate.
 		rt.bump(&rt.stats.PlanCacheMisses)
-		rt.cache.Put(key, pq)
+		gen.plans.Put(key, pq)
 	}
 	resp, err := rt.execute(ctx, pq, q, params, sp, emit)
 	return resp, note, pq, err

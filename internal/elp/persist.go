@@ -41,10 +41,10 @@ type warmGroup struct {
 // warmAnswer is one cached answer's query and plan-cache note.
 type warmAnswer struct{ sql, note string }
 
-// ExportWarmup serializes the queries behind the runtime's fresh cache
-// entries for replay via ImportWarmup after a restart. Safe to call
-// concurrently with queries; it sees a snapshot-quality view of both
-// caches.
+// ExportWarmup serializes the queries behind the cache entries of the
+// catalog's current version for replay via ImportWarmup after a restart.
+// Safe to call concurrently with queries; it sees a snapshot-quality view
+// of both caches.
 func (rt *Runtime) ExportWarmup() []byte {
 	var groups []*warmGroup
 	byPrep := map[*sqlparser.Query]*warmGroup{}
@@ -57,17 +57,14 @@ func (rt *Runtime) ExportWarmup() []byte {
 		}
 		return g
 	}
-	rt.cache.Range(func(_ string, pq *prepared) bool {
-		if rt.fresh(pq.deps) {
-			group(pq.prepQ, true)
-		}
+	gen := rt.current()
+	gen.plans.Range(func(_ string, pq *prepared) bool {
+		group(pq.prepQ, true)
 		return true
 	})
-	rt.results.Range(func(_ string, ent *resultEntry) bool {
-		if rt.fresh(ent.deps) {
-			g := group(ent.prep, false)
-			g.answers = append(g.answers, warmAnswer{ent.q.String(), ent.note})
-		}
+	gen.results.Range(func(_ string, ent *resultEntry) bool {
+		g := group(ent.prep, false)
+		g.answers = append(g.answers, warmAnswer{ent.q.String(), ent.note})
 		return true
 	})
 
@@ -127,6 +124,9 @@ func decodeWarmup(blob []byte) ([]warmGroup, error) {
 // longer parses or replays (a table or column gone) is skipped, with the
 // reason in skipped; a blob that fails its checksum, is malformed or
 // carries an unknown cache note returns an error with nothing applied.
+// Everything replayed goes into the generation current at the start: if
+// the catalog changes during the replay, what it restored is dropped with
+// that generation.
 //
 // Replay is real work, counted as such: Stats.Prepares and AnswersByLevel
 // (and the probe counters) move as the queries run. Call it after the
@@ -137,10 +137,11 @@ func (rt *Runtime) ImportWarmup(blob []byte) (plans, results int, skipped []erro
 		return 0, 0, nil, fmt.Errorf("elp: warmup blob: %w", err)
 	}
 	ctx := context.Background()
+	gen := rt.current()
 	for _, g := range groups {
-		live := g.live && rt.cache != nil
+		live := g.live && gen.plans != nil
 		answers := g.answers
-		if rt.results == nil {
+		if gen.results == nil {
 			answers = nil
 		}
 		if !live && len(answers) == 0 {
@@ -156,7 +157,7 @@ func (rt *Runtime) ImportWarmup(blob []byte) (plans, results int, skipped []erro
 			continue
 		}
 		if live {
-			rt.cache.Put(key, pq)
+			gen.plans.Put(key, pq)
 			plans++
 		}
 		for _, a := range answers {
@@ -172,7 +173,7 @@ func (rt *Runtime) ImportWarmup(blob []byte) (plans, results int, skipped []erro
 				skipped = append(skipped, fmt.Errorf("answer %q: %w", a.sql, err))
 				continue
 			}
-			rt.results.Put(resultKey(key, params), newResultEntry(resp, a.note, q, pq))
+			gen.results.Put(resultKey(key, params), newResultEntry(resp, a.note, q, pq))
 			results++
 		}
 	}

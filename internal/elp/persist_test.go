@@ -52,11 +52,12 @@ func TestWarmupRoundTrip(t *testing.T) {
 	if err != nil || len(skipped) != 0 {
 		t.Fatalf("import: err %v, skipped %v", err, skipped)
 	}
-	if plans != f.rt.cache.Len() || results != f.rt.results.Len() {
+	held := f.rt.gen.Load()
+	if plans != held.plans.Len() || results != held.results.Len() {
 		t.Fatalf("restored %d plans, %d results; the exporter held %d, %d",
-			plans, results, f.rt.cache.Len(), f.rt.results.Len())
+			plans, results, held.plans.Len(), held.results.Len())
 	}
-	if got, want := cold.results.Len(), f.rt.results.Len(); got != want {
+	if got, want := cold.gen.Load().results.Len(), held.results.Len(); got != want {
 		t.Errorf("restored result cache holds %d entries, exporter held %d", got, want)
 	}
 
@@ -166,7 +167,7 @@ func TestWarmupStaleEpochSkipped(t *testing.T) {
 	}
 	blob := f.rt.ExportWarmup()
 
-	// Bump the table's epoch: re-add one family (a refresh).
+	// Bump the catalog version: re-add one family (a refresh).
 	fam, err := sample.Build(f.tab, types.NewColumnSet("city"),
 		sample.GeometricCaps(2000, 4, 4, 8),
 		sample.BuildConfig{Seed: 3, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64})

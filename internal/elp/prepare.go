@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"blinkdb/internal/catalog"
@@ -20,15 +19,6 @@ import (
 // query (different template shape); callers re-prepare.
 var errTemplateMismatch = errors.New("elp: query does not match the prepared template")
 
-// tableDep records one table the prepared state was computed against,
-// with its catalog epoch at prepare time. Any epoch change — a sample
-// refresh, a maintenance rebuild/drop, a table reload — invalidates the
-// prepared state.
-type tableDep struct {
-	table string
-	epoch uint64
-}
-
 // prepared is the reusable outcome of preparing one query template: the
 // resolved catalog snapshot, compiled join specs, and — for bounded
 // queries — each disjunct's probed family, probe result and Error-Latency
@@ -42,8 +32,6 @@ type prepared struct {
 	// key is the template key (sqlparser.Normalize) this state serves.
 	key string
 
-	table string
-	deps  []tableDep
 	entry *catalog.Entry // catalog snapshot at prepare time
 	// schema is the scan schema: the fact table's, or the join-expanded
 	// one when the template has JOIN clauses.
@@ -106,9 +94,9 @@ func (rt *Runtime) confidenceFor(q *sqlparser.Query) float64 {
 // §4.1.1 family selection (probing the smallest samples where needed) and
 // the §4.2 probe walk the Error-Latency Profile is extrapolated from. The
 // result answers any query with the same template (key, params:
-// sqlparser.Normalize's); it becomes stale (and is rejected by the plan
-// cache) when any involved table's catalog epoch changes. The prepare
-// phase and its probes are recorded under sp.
+// sqlparser.Normalize's) for as long as the catalog version it was
+// prepared under lasts (the plan cache keeps it in that version's
+// generation). The prepare phase and its probes are recorded under sp.
 func (rt *Runtime) prepare(ctx context.Context, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span) (*prepared, error) {
 	psp := sp.Child("prepare")
 	defer psp.End()
@@ -119,10 +107,8 @@ func (rt *Runtime) prepare(ctx context.Context, q *sqlparser.Query, key string, 
 	}
 	pq := &prepared{
 		key:        key,
-		table:      q.Table,
 		entry:      entry,
 		prepParams: params,
-		deps:       []tableDep{{strings.ToLower(q.Table), entry.Epoch}},
 	}
 	pq.schema = entry.Table.Schema
 	if len(q.Joins) > 0 {
@@ -132,7 +118,6 @@ func (rt *Runtime) prepare(ctx context.Context, q *sqlparser.Query, key string, 
 				if err != nil {
 					return nil, err
 				}
-				pq.deps = append(pq.deps, tableDep{strings.ToLower(table), de.Epoch})
 				return de.Table, nil
 			})
 		if err != nil {
@@ -222,20 +207,6 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 	pd.pv, pd.probe, pd.probeLat = pv, probe, probeLat
 	pd.chain.Store(c.chain)
 	return pd, nil
-}
-
-// fresh reports whether every table in deps still carries the epoch it
-// had when the prepared template or cached answer depending on them was
-// computed — i.e. no sample refresh, maintenance rebuild or table reload
-// happened since. Stale state must never be served: its probe results, ELP
-// fit or answer were computed on sample data that no longer exists.
-func (rt *Runtime) fresh(deps []tableDep) bool {
-	for _, d := range deps {
-		if rt.cat.Epoch(d.table) != d.epoch {
-			return false
-		}
-	}
-	return true
 }
 
 // clone deep-copies a response: the Result (groups, keys, estimates) and

@@ -1,7 +1,6 @@
 package elp
 
 import (
-	"strings"
 	"sync"
 
 	"blinkdb/internal/catalog"
@@ -21,20 +20,14 @@ import (
 // window is named by the address of its first element and its length: a
 // family's windows are subslices of one block list (sample.Family), a base
 // table's is its block list, so two names agree exactly when the windows
-// are the same, and a window's price never changes. Prices are kept per
-// table and dropped when a snapshot of a newer epoch asks for one — after
-// a sample refresh, a maintenance change or a reload — so the windows of
-// replaced families do not stay pinned.
+// are the same, and a window's price never changes. The prices are of one
+// catalog version and are dropped when a snapshot of a newer version asks
+// for one — after a sample refresh, a maintenance change or a reload — so
+// the windows of replaced families do not stay pinned.
 type priceMemo struct {
-	mu     sync.RWMutex
-	tables map[string]*tablePrices
-}
-
-// tablePrices are the window prices of one table and its families at one
-// catalog epoch.
-type tablePrices struct {
-	epoch  uint64
-	prices map[window]float64
+	mu      sync.RWMutex
+	version uint64
+	prices  map[window]float64
 }
 
 // window names a block window: its first element and its length.
@@ -61,14 +54,11 @@ func (rt *Runtime) windowPrice(entry *catalog.Entry, w, read []*storage.Block) f
 	if len(read) != len(w) || len(w) == 0 {
 		return rt.latencyOf(read)
 	}
-	name, key := strings.ToLower(entry.Table.Name), window{&w[0], len(w)}
+	key := window{&w[0], len(w)}
 	pm := &rt.prices
 	pm.mu.RLock()
-	tp := pm.tables[name]
-	price, ok := 0.0, false
-	if tp != nil && tp.epoch == entry.Epoch {
-		price, ok = tp.prices[key]
-	}
+	price, ok := pm.prices[key]
+	ok = ok && pm.version == entry.Version
 	pm.mu.RUnlock()
 	if ok {
 		return price
@@ -76,17 +66,13 @@ func (rt *Runtime) windowPrice(entry *catalog.Entry, w, read []*storage.Block) f
 	price = rt.latencyOf(w)
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	switch tp = pm.tables[name]; {
-	case tp == nil || tp.epoch < entry.Epoch:
-		// First of this table, or a newer snapshot: older prices go.
-		if pm.tables == nil {
-			pm.tables = make(map[string]*tablePrices)
-		}
-		tp = &tablePrices{epoch: entry.Epoch, prices: make(map[window]float64)}
-		pm.tables[name] = tp
-	case tp.epoch > entry.Epoch:
+	switch {
+	case pm.prices == nil || pm.version < entry.Version:
+		// The first price, or a newer snapshot's: older prices go.
+		pm.version, pm.prices = entry.Version, make(map[window]float64)
+	case pm.version > entry.Version:
 		return price // a stale snapshot's window: priced, not kept
 	}
-	tp.prices[key] = price
+	pm.prices[key] = price
 	return price
 }

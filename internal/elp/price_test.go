@@ -27,7 +27,7 @@ func familyWindows(fam *sample.Family) [][]*storage.Block {
 // family and the base table prices, memoized, to latencyOf's bits — on the
 // pricing miss and on the hit after it — and a window the plan prunes is
 // priced as it is read. A sample refresh (what RefreshSamples does: a new
-// family, a new epoch) drops every price of the replaced family's windows
+// family, a new version) drops every price of the replaced family's windows
 // the first time the new snapshot asks for one.
 func TestWindowPricesMatchLatencyOf(t *testing.T) {
 	f := newFixture(t, 20000, Options{})
@@ -71,7 +71,7 @@ func TestWindowPricesMatchLatencyOf(t *testing.T) {
 	}
 
 	// Refresh the city family: the next snapshot's first price drops the
-	// old epoch's, the replaced family's windows among them.
+	// old version's, the replaced family's windows among them.
 	old := entry.Families[0]
 	fresh, err := sample.Build(f.tab, old.Phi, old.Caps, sample.BuildConfig{Seed: 99, Nodes: 100, Place: storage.InMemory, RowsPerBlock: 64})
 	if err != nil {
@@ -85,18 +85,18 @@ func TestWindowPricesMatchLatencyOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(next, fresh.View(1).Blocks())
-	tp := rt.prices.tables["sessions"]
-	if tp == nil || tp.epoch != next.Epoch || len(tp.prices) != 1 {
-		t.Fatalf("after the refresh the memo holds %+v, want the new epoch's one price", tp)
+	pm := &rt.prices
+	if pm.version != next.Version || len(pm.prices) != 1 {
+		t.Fatalf("after the refresh the memo holds %d prices of version %d, want the new version's one price", len(pm.prices), pm.version)
 	}
 	for _, w := range familyWindows(old) {
-		if _, ok := tp.prices[window{&w[0], len(w)}]; ok {
+		if _, ok := pm.prices[window{&w[0], len(w)}]; ok {
 			t.Fatal("a replaced family's window price survived the refresh")
 		}
 	}
 	// The stale snapshot is still priced right, and keeps nothing.
 	check(entry, old.View(2).Blocks())
-	if len(rt.prices.tables["sessions"].prices) != 1 {
+	if len(pm.prices) != 1 {
 		t.Fatal("a stale snapshot's price was kept")
 	}
 }

@@ -420,10 +420,11 @@ func TestProbeCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || resp != nil {
 			t.Fatalf("cancel at check %d: resp=%v err=%v, want nil and context.Canceled", checks, resp, err)
 		}
-		if d.Cancelled != 1 || f.results.Len() != 0 {
-			t.Fatalf("cancel at check %d: Cancelled moved by %d, %d results cached", checks, d.Cancelled, f.results.Len())
+		gen := f.gen.Load()
+		if d.Cancelled != 1 || gen.results.Len() != 0 {
+			t.Fatalf("cancel at check %d: Cancelled moved by %d, %d results cached", checks, d.Cancelled, gen.results.Len())
 		}
-		pq, cached := f.cache.Get(key)
+		pq, cached := gen.plans.Get(key)
 		switch {
 		case !cached && d.ProbeExecs > 0:
 			midProbe++
@@ -439,7 +440,7 @@ func TestProbeCancellation(t *testing.T) {
 				t.Fatalf("cancel at check %d: cached a template that does not answer like a clean one (err %v)", checks, err)
 			}
 			// Keep every pass cold.
-			f.cache.Sweep(func(string, *prepared) bool { return false })
+			f.gen.Store(f.newGeneration(f.cat.Version()))
 		}
 	}
 	if midProbe == 0 || afterProbe == 0 {

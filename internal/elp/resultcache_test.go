@@ -181,24 +181,24 @@ func TestResultCacheCopyOnReturn(t *testing.T) {
 }
 
 // TestResultCacheEpochInvalidation: re-installing a sample family (what
-// RefreshSamples and Maintain.Apply do) bumps the table epoch; a cached
-// answer computed against the old samples must never be served, and the
-// staleness sweep must purge every stale answer, not just the queried one.
+// RefreshSamples and Maintain.Apply do) bumps the catalog version; a
+// cached answer computed against the old samples must never be served,
+// and every stale answer must go, not just the queried one.
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	f, ref := resultRuntimes(t, 30000)
 	const src = `SELECT COUNT(*) FROM sessions WHERE genre = 'western' ERROR WITHIN 25%`
 	if _, err := answer(f.rt, parse(t, src)); err != nil {
 		t.Fatal(err)
 	}
-	// A second warm answer that will NOT be re-queried: the sweep must
-	// still purge it.
+	// A second warm answer that will NOT be re-queried: it must go with
+	// its generation.
 	if _, err := answer(f.rt, parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 25%`)); err != nil {
 		t.Fatal(err)
 	}
 	if resp, _ := answer(f.rt, parse(t, src)); resp.ResultCache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.ResultCache)
 	}
-	if got := f.rt.results.Len(); got != 2 {
+	if got := f.rt.gen.Load().results.Len(); got != 2 {
 		t.Fatalf("result cache holds %d entries before refresh, want 2", got)
 	}
 
@@ -236,10 +236,10 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Errorf("post-refresh answer diverged from the result-cache-free pipeline\nwant %+v\ngot  %+v",
 			stripAll(want), stripAll(got))
 	}
-	// The sweep purged BOTH stale answers; only the re-executed one is
-	// resident again.
-	if got := f.rt.results.Len(); got != 1 {
-		t.Errorf("result cache holds %d entries after the stale sweep, want 1", got)
+	// BOTH stale answers went with their generation; only the re-executed
+	// one is resident.
+	if got := f.rt.gen.Load().results.Len(); got != 1 {
+		t.Errorf("result cache holds %d entries after the refresh, want 1", got)
 	}
 }
 
@@ -302,18 +302,19 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestResultCacheWaiterReExecutes pins the two branches where a
-// singleflight waiter must discard what the flight handed it and run a
-// private leader pass, through both sinks of the one run path:
+// TestResultCacheWaiterReExecutes pins the two ways a request that meets
+// a flight of its key must not take the flight's answer, through both
+// sinks of the one run path:
 //
-//   - stale-shared: a waiter whose query began AFTER an epoch change must
-//     never be served a flight answer computed before it;
+//   - version-change: a request that began AFTER a catalog version change
+//     runs in the new generation, whose flights are its own, so it never
+//     joins a flight that started before the change;
 //   - cancelled-leader: a leader cancelled mid-flight poisons the shared
 //     error, but a waiter whose own context is live still owes an answer.
 //
-// A fake leader holds the flight open and lands a poisoned stale entry
-// (or context.Canceled); a real Run or stream joins as a waiter. Either
-// way the waiter's answer must be the fresh pipeline's, marked as its own
+// A fake leader holds the flight open and would land a poisoned entry (or
+// context.Canceled); a real Run or stream then asks for the same key.
+// Either way its answer must be the fresh pipeline's, marked as its own
 // miss; the streamed session must carry the very frames of a cold stream
 // (the re-execution keeps the emitter), and its final must be bit-identical
 // to Run's.
@@ -321,13 +322,12 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 	const src = `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 5%`
 	key, params := sqlparser.Normalize(parse(t, src))
 	rkey := key + "\x1e" + sqlparser.ParamsKey(params)
-	stale := &resultEntry{
+	poisoned := &resultEntry{
 		resp: &Response{
 			Result:    &exec.Result{Groups: []exec.Group{{}}},
-			Decisions: []Decision{{Reason: "poisoned stale flight"}},
+			Decisions: []Decision{{Reason: "poisoned flight"}},
 		},
 		note: "miss",
-		deps: []tableDep{{table: "sessions", epoch: 999999}}, // ≠ current: stale
 	}
 	cold, _ := resultRuntimes(t, 20000)
 	coldFrames := collect(t, cold.rt, parse(t, src))
@@ -335,7 +335,7 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 		t.Fatalf("the cold stream has %d frame(s); the matrix needs intermediates", len(coldFrames))
 	}
 
-	for _, branch := range []string{"stale-shared", "cancelled-leader"} {
+	for _, branch := range []string{"version-change", "cancelled-leader"} {
 		finals := map[string]*Response{}
 		for _, sink := range []string{"run", "stream"} {
 			f, ref := resultRuntimes(t, 20000)
@@ -345,16 +345,28 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 			leader.Add(1)
 			go func() { // fake leader holding the flight open
 				defer leader.Done()
-				f.rt.flights.Do(rkey, func() (*resultEntry, error) {
+				f.rt.current().flights.Do(rkey, func() (*resultEntry, error) {
 					close(started) // the flight is registered before fn runs
 					<-release
 					if branch == "cancelled-leader" {
 						return nil, context.Canceled
 					}
-					return stale, nil
+					return poisoned, nil
 				})
 			}()
 			<-started
+			name := branch + "/" + sink
+			if branch == "version-change" {
+				// Re-adding a family bumps the version and leaves the
+				// answer where it was.
+				entry, err := f.cat.Lookup("sessions")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.cat.AddFamily("sessions", entry.Families[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			tr := telemetry.New("waiter")
 			var frames []refinement
@@ -372,19 +384,35 @@ func TestResultCacheWaiterReExecutes(t *testing.T) {
 					return nil
 				})
 			}()
-			time.Sleep(50 * time.Millisecond) // let the waiter join the flight
+			if branch == "version-change" {
+				// The request must finish while the old flight is open.
+				select {
+				case <-done:
+				case <-time.After(time.Minute):
+					t.Fatalf("%s: the request waited on a flight begun before the version change", name)
+				}
+			} else {
+				time.Sleep(50 * time.Millisecond) // let the waiter join the flight
+			}
 			close(release)
 			leader.Wait()
 			<-done
-			name := branch + "/" + sink
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			tr.Finish()
-			took := false
-			tr.Walk(func(sp *telemetry.Span, _ int) { took = took || sp.Name() == branch+" re-execute" })
-			if !took {
-				t.Fatalf("%s: the waiter never took the %s branch:\n%s", name, branch, tr.Render())
+			var reexecuted []string
+			tr.Walk(func(sp *telemetry.Span, _ int) {
+				if strings.HasSuffix(sp.Name(), "re-execute") {
+					reexecuted = append(reexecuted, sp.Name())
+				}
+			})
+			wantReexecuted := []string{"cancelled-leader re-execute"}
+			if branch == "version-change" {
+				wantReexecuted = nil // it ran as its own flight's leader
+			}
+			if !reflect.DeepEqual(reexecuted, wantReexecuted) {
+				t.Fatalf("%s: re-execute spans %q, want %q:\n%s", name, reexecuted, wantReexecuted, tr.Render())
 			}
 			if sink == "stream" {
 				checkSession(t, frames)
@@ -429,7 +457,7 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := f.rt.Stats()
-	ent, cached, err := f.rt.resultLeader(context.Background(), q, key, params, rkey, nil, nil)
+	ent, cached, err := f.rt.resultLeader(context.Background(), f.rt.current(), q, key, params, rkey, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +473,8 @@ func TestResultCacheSecondLeaderServesCachedAnswer(t *testing.T) {
 
 // TestResultCacheConcurrentMixedKeysWithRefresh hammers several result
 // keys from many goroutines while the catalog concurrently re-installs a
-// family (epoch churn), under -race in CI: every answer — hit, miss or
-// shared, before or after any epoch bump — must equal the serial
+// family (version churn), under -race in CI: every answer — hit, miss or
+// shared, before or after any version bump — must equal the serial
 // reference (the refresh re-installs byte-identical family content, so
 // pre- and post-refresh truths coincide).
 func TestResultCacheConcurrentMixedKeysWithRefresh(t *testing.T) {

@@ -22,15 +22,17 @@ type Stats struct {
 	// Prepares counts template preparations: compilations with their
 	// probe+profile work. With the cache on, this is the cold-path count.
 	Prepares int64
-	// PlanCacheHits / PlanCacheMisses count plan-cache outcomes. A stale
-	// entry (catalog epoch changed) counts as a miss. Both stay 0 when the
+	// PlanCacheHits / PlanCacheMisses count plan-cache outcomes. After a
+	// catalog version change every template misses once: the cache starts
+	// empty in the new version's generation. Both stay 0 when the
 	// cache is disabled. A result-cache hit consults neither the plan
 	// cache nor these counters.
 	PlanCacheHits, PlanCacheMisses int64
 	// ResultCacheHits / ResultCacheMisses / ResultCacheShared count
 	// result-cache outcomes: exact replays served from memory, executions
 	// that entered the cache, and singleflight waiters that shared a
-	// concurrent miss's execution. A stale entry counts as a miss. All
+	// concurrent miss's execution. After a catalog version change every
+	// answer misses once, as in the plan cache. All
 	// stay 0 when the result cache is disabled.
 	ResultCacheHits, ResultCacheMisses, ResultCacheShared int64
 	// Cancelled counts queries aborted by context cancellation (client

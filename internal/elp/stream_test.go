@@ -482,7 +482,7 @@ func TestSessionReadsEachDeltaOnce(t *testing.T) {
 func preparedDisjunct(t *testing.T, rt *Runtime, q *sqlparser.Query) *prepDisjunct {
 	t.Helper()
 	key, _ := sqlparser.Normalize(q)
-	pq, ok := rt.cache.Get(key)
+	pq, ok := rt.gen.Load().plans.Get(key)
 	if !ok || len(pq.disjuncts) != 1 {
 		t.Fatalf("%s is not prepared with one disjunct", key)
 	}

@@ -230,6 +230,9 @@ func NewMaintainer(cat *catalog.Catalog, table string, cfg optimizer.Config) *Ma
 // Observe records a snapshot baseline.
 func (m *Maintainer) Observe(s *Snapshot) { m.last = s }
 
+// Last returns the baseline Observe recorded last, or nil.
+func (m *Maintainer) Last() *Snapshot { return m.last }
+
 // NeedsResolve reports whether the current statistics have drifted enough
 // from the last observed snapshot to warrant re-solving.
 func (m *Maintainer) NeedsResolve(cur *Snapshot) bool {
@@ -287,10 +290,9 @@ func (m *Maintainer) Apply(diff *Diff) error {
 	if err != nil {
 		return err
 	}
-	cfg := m.Cfg
-	caps := sample.GeometricCaps(capOf(cfg), capRatioOf(cfg), resolutionsOf(cfg), minCapOf(cfg))
+	caps := m.Cfg.Caps()
 	for _, phi := range diff.Build {
-		f, err := sample.Build(entry.Table, phi, caps, cfg.Build)
+		f, err := sample.Build(entry.Table, phi, caps, m.Cfg.Build)
 		if err != nil {
 			return err
 		}
@@ -304,36 +306,6 @@ func (m *Maintainer) Apply(diff *Diff) error {
 		}
 	}
 	return nil
-}
-
-// The optimizer.Config zero-value defaults are private to that package;
-// mirror them here so Apply builds with the same ladder.
-func capOf(c optimizer.Config) int64 {
-	if c.K <= 0 {
-		return 100000
-	}
-	return c.K
-}
-
-func capRatioOf(c optimizer.Config) float64 {
-	if c.CapRatio <= 1 {
-		return 2
-	}
-	return c.CapRatio
-}
-
-func resolutionsOf(c optimizer.Config) int {
-	if c.Resolutions <= 0 {
-		return 3
-	}
-	return c.Resolutions
-}
-
-func minCapOf(c optimizer.Config) int64 {
-	if c.MinCap <= 0 {
-		return 10
-	}
-	return c.MinCap
 }
 
 // Refresher re-draws sample families with fresh randomness, one per call —

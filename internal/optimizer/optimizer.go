@@ -135,6 +135,14 @@ func (c Config) normalize() Config {
 	return c
 }
 
+// Caps is the frequency-cap ladder of every stratified family built under
+// c: K, K/CapRatio, … over Resolutions levels, none below MinCap, each
+// field at its default when unset.
+func (c Config) Caps() []int64 {
+	c = c.normalize()
+	return sample.GeometricCaps(c.K, c.CapRatio, c.Resolutions, c.MinCap)
+}
+
 // Candidate is a column set considered for a sample family, with its
 // measured statistics.
 type Candidate struct {
@@ -391,7 +399,7 @@ func planFromSolution(prob *milp.Problem, cands []Candidate, sol *milp.Solution)
 // contents are identical for any worker count.
 func BuildFamilies(tab *storage.Table, plan *Plan, cfg Config, uniformFraction float64) ([]*sample.Family, error) {
 	cfg = cfg.normalize()
-	caps := sample.GeometricCaps(cfg.K, cfg.CapRatio, cfg.Resolutions, cfg.MinCap)
+	caps := cfg.Caps()
 	total := len(plan.Chosen)
 	if uniformFraction > 0 {
 		total++

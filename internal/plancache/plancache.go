@@ -15,9 +15,9 @@
 // regardless of cold-template churn elsewhere.
 //
 // The cache stores values of any type and never inspects them; staleness
-// (e.g. a sample rebuild) is the caller's concern — the ELP runtime
-// validates catalog epochs on every hit of either cache and treats a
-// mismatch as a miss.
+// (e.g. a sample rebuild) is the caller's concern — the ELP runtime keeps
+// both caches of one catalog version together and, once the version
+// moves, replaces them with empty ones instead of checking any entry.
 package plancache
 
 import (
@@ -142,34 +142,6 @@ func (c *Cache[V]) Delete(key string) {
 		s.ll.Remove(el)
 		delete(s.tab, key)
 	}
-}
-
-// Sweep removes every entry for which keep returns false and reports how
-// many were removed. Each shard is swept under its own lock; keep must
-// not call back into the cache. The ELP runtime uses it to purge ALL
-// epoch-stale prepared queries or answers the moment any staleness is
-// observed, instead of letting dead catalog snapshots ride the LRU.
-func (c *Cache[V]) Sweep(keep func(key string, v V) bool) int {
-	if c == nil {
-		return 0
-	}
-	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry[V])
-			if !keep(e.key, e.val) {
-				s.ll.Remove(el)
-				delete(s.tab, e.key)
-				removed++
-			}
-			el = next
-		}
-		s.mu.Unlock()
-	}
-	return removed
 }
 
 // Range calls fn for every cached entry without touching recency order

@@ -91,26 +91,6 @@ func TestTinyCapacityShardClamp(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	c := NewSharded[int](32, 1) // single shard: no eviction below 32 entries
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
-	}
-	removed := c.Sweep(func(_ string, v int) bool { return v%2 == 0 })
-	if removed != 10 {
-		t.Errorf("Sweep removed %d, want 10", removed)
-	}
-	for i := 0; i < 20; i++ {
-		_, ok := c.Get(fmt.Sprintf("k%d", i))
-		if want := i%2 == 0; ok != want {
-			t.Errorf("k%d present=%v, want %v", i, ok, want)
-		}
-	}
-	if c := (*Cache[int])(nil); c.Sweep(func(string, int) bool { return false }) != 0 {
-		t.Error("nil cache Sweep must remove nothing")
-	}
-}
-
 // TestConcurrentAccess hammers the stripes from many goroutines; run
 // under -race in CI. Hot keys must stay readable throughout.
 func TestConcurrentAccess(t *testing.T) {

@@ -4,13 +4,14 @@
 // sqlparser.Normalize + ParamsKey) into a single execution.
 //
 // The answers themselves live in a plancache.Cache owned by the ELP
-// runtime, which also owns the staleness contract: it records, at
-// execution time, the catalog epoch of every table an answer depends on
-// and re-validates them on every hit. An epoch moves on every change to
-// what an answer was computed from — RefreshSamples, a Maintain
-// rebuild/drop, a table reload (a loaded storage.Table never changes) —
-// so an entry is served until it is evicted or its epochs move, and no
-// longer.
+// runtime, which also owns the staleness contract: the answer cache and
+// its Flights belong to one catalog version, and a request that finds the
+// version moved starts an empty pair, so no entry or flight is ever
+// checked. The one catalog version moves on every change to what any
+// answer could have been computed from — RefreshSamples, a Maintain
+// rebuild/drop, a table (re)load on any table (a loaded storage.Table
+// never changes) — so an entry is served until it is evicted or the
+// catalog changes, and no longer.
 package resultcache
 
 import (

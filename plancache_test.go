@@ -142,7 +142,7 @@ func TestPlanCacheHotTemplateThroughput(t *testing.T) {
 }
 
 // TestPlanCacheInvalidationOnRefresh: after RefreshSamples, a cached
-// template must re-prepare (epoch bump observed) — never serve probes
+// template must re-prepare (version bump observed) — never serve probes
 // from the replaced sample.
 func TestPlanCacheInvalidationOnRefresh(t *testing.T) {
 	eng := demoEnginePlanCacheOnly(t, 20000)
