@@ -199,18 +199,16 @@ type Config struct {
 	// MemCacheGBPerNode (default 60, ≈ the paper's 6 TB aggregate).
 	MemCacheGBPerNode float64
 	// Scale maps stored bytes to logical bytes for latency modelling
-	// (default 1; experiments use 1e4-1e6 to emulate TB-scale tables).
+	// (default 1; experiments use 1e4-1e6 to emulate TB-scale tables). It
+	// also sizes the priced block — the unit the cluster model places on
+	// a node, prices and prunes, a window on a physical chunk: tables and
+	// samples are cut so one block stands for ≈256 MB of logical data
+	// (HDFS-style blocks), between 2 and 8192 rows.
 	Scale float64
 	// Confidence is the default CI level (default 0.95).
 	Confidence float64
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
-	// RowsPerBlock is the size of the priced block: the unit the cluster
-	// model places on a node, prices and prunes — a window on a physical
-	// chunk, not the unit of storage. When 0 (default) blocks are
-	// auto-sized so one block represents ≈256 MB of logical data at the
-	// configured Scale (HDFS-style blocks).
-	RowsPerBlock int
 	// PlanCacheSize caps how many query templates keep their prepared
 	// state — compiled plan, sample probes, Error-Latency Profile —
 	// across queries (the hot-path amortization for template-heavy
@@ -293,20 +291,16 @@ type Engine struct {
 	rt   *elp.Runtime
 	tele *telemetry.Registry
 
-	// maintMu serializes Maintain: its passes share maint and each
-	// table's Maintainer.
-	maintMu sync.Mutex
-	maint   map[string]*maintenance.Maintainer
+	// samples maps a lower-cased table name to its *tableSamples.
+	samples sync.Map
 
-	// Persistence bookkeeping (persistence.go): the build signature and
-	// report CreateSamples recorded per table, and the fall-back audit
-	// trail behind PersistenceNotes. persistMu guards all three and
-	// serializes SnapshotWarmup, RestoreWarmup and the persisting half of
-	// CreateSamples.
-	persistMu     sync.Mutex
-	sampleSigs    map[string]uint64
-	sampleReports map[string]*SampleReport
-	persistNotes  []string
+	// persistMu guards persistNotes, the fall-back audit trail behind
+	// PersistenceNotes, and each tableSamples' sig and rep; it serializes
+	// SnapshotWarmup, RestoreWarmup and the persisting half of
+	// CreateSamples. A goroutine holding a table's tableSamples.mu may
+	// take persistMu; one holding persistMu takes no tableSamples.mu.
+	persistMu    sync.Mutex
+	persistNotes []string
 	// openSegs are the mmap'd segment files backing warm-loaded sample
 	// families; their mappings must outlive the families' column views.
 	openSegs []*blockfile.Segment
@@ -326,6 +320,32 @@ func (e *Engine) Close() error {
 	}
 	e.openSegs = nil
 	return first
+}
+
+// tableSamples is one table's sample recipe: what CreateSamples resolved
+// its options to, so that Maintain and RefreshSamples rebuild families the
+// way they were first built, plus the state they carry between calls.
+type tableSamples struct {
+	// mu makes CreateSamples, Maintain and RefreshSamples on the table run
+	// one at a time; it guards maint.
+	mu sync.Mutex
+	// maint holds the recipe — the optimizer configuration: caps,
+	// resolutions, candidate width, budget and the sample build layout —
+	// with the drift baseline and the refresh cursor. Nil until
+	// CreateSamples succeeds.
+	maint *maintenance.Maintainer
+	// sig and rep are the build signature and report CreateSamples
+	// persisted the families under (rep nil: nothing was persisted);
+	// SnapshotWarmup re-persists the current families under them.
+	// persistMu guards both.
+	sig uint64
+	rep *SampleReport
+}
+
+// samplesOf returns the table's sample record, creating an empty one.
+func (e *Engine) samplesOf(table string) *tableSamples {
+	rec, _ := e.samples.LoadOrStore(strings.ToLower(table), &tableSamples{})
+	return rec.(*tableSamples)
 }
 
 // Open creates an engine.
@@ -382,14 +402,10 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	if e.cfg.CacheTables {
 		place = storage.InMemory
 	}
-	provisional := e.cfg.RowsPerBlock
-	if provisional <= 0 {
-		provisional = 8192
-	}
 	return &Loader{
 		eng:     e,
 		table:   tab,
-		builder: storage.NewBuilder(tab, provisional, e.cfg.Nodes, place),
+		builder: storage.NewBuilder(tab, 0, e.cfg.Nodes, place), // re-cut by Close
 		schema:  schema,
 		place:   place,
 		row:     make(types.Row, schema.Len()),
@@ -419,25 +435,28 @@ func (l *Loader) Append(values ...any) error {
 	return nil
 }
 
-// Close finalizes the table and registers it with the engine. When the
-// engine auto-sizes blocks, the table is re-cut so each priced block
-// stands for ≈256 MB of logical data at the configured Scale. A closed
-// loader is done: Append and Close return an error after it, and the
-// registered table — and the samples built on it — stay as they are.
+// Close finalizes the table and registers it with the engine, re-cut so
+// each priced block stands for ≈256 MB of logical data at the configured
+// Scale. A table registered under the same name before is replaced, and
+// its samples and sample recipe go with it. A closed loader is done:
+// Append and Close return an error after it, and the registered table —
+// and the samples built on it — stay as they are.
 func (l *Loader) Close() error {
 	if l.err != nil {
 		return l.err
 	}
 	l.builder.Finish()
-	if l.eng.cfg.RowsPerBlock <= 0 && l.table.NumRows() > 0 {
+	if l.table.NumRows() > 0 {
 		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.place)
 	}
 	l.eng.cat.Register(l.table)
+	l.eng.samples.Delete(strings.ToLower(l.table.Name))
 	l.err = fmt.Errorf("blinkdb: table %s: loader already closed", l.table.Name)
 	return nil
 }
 
-// blockRows sizes blocks to ≈256 MB logical each at the engine's scale.
+// blockRows sizes blocks to ≈256 MB logical each at the engine's scale:
+// every table's and every sample's priced block.
 func (e *Engine) blockRows(t *storage.Table) int {
 	avgRow := math.Max(1, float64(t.Bytes())/float64(t.NumRows()))
 	r := int(256e6 / (e.cfg.Scale * avgRow))
@@ -481,7 +500,10 @@ type Template struct {
 	Weight float64
 }
 
-// SampleOptions controls CreateSamples.
+// SampleOptions controls CreateSamples. CreateSamples resolves them, with
+// the engine's Seed, Nodes and block size, into the table's sample recipe,
+// which Maintain and RefreshSamples build by until CreateSamples runs on
+// the table again.
 type SampleOptions struct {
 	// BudgetFraction is the storage budget as a fraction of the base
 	// table size (the paper evaluates 0.5, 1.0 and 2.0). Default 0.5.
@@ -500,8 +522,6 @@ type SampleOptions struct {
 	UniformFraction float64
 	// Templates is the workload; required.
 	Templates []Template
-	// ChurnFraction is r for re-solves (default 1 = unconstrained).
-	ChurnFraction float64
 }
 
 // SampleReport summarises what CreateSamples built.
@@ -531,6 +551,8 @@ type FamilyInfo struct {
 
 // CreateSamples runs the §3.2 optimization over the declared templates and
 // physically builds the chosen stratified families plus a uniform family.
+// The options it resolved become the table's sample recipe, replacing
+// any earlier one: Maintain re-solves and RefreshSamples re-draws by it.
 func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport, error) {
 	entry, err := e.cat.Lookup(table)
 	if err != nil {
@@ -548,36 +570,23 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 	if opts.K <= 0 {
 		opts.K = int64(math.Max(100, float64(entry.Table.NumRows())/100))
 	}
-	if opts.ChurnFraction == 0 {
-		opts.ChurnFraction = -1
-	}
-
-	specs := make([]optimizer.TemplateSpec, len(opts.Templates))
-	for i, t := range opts.Templates {
-		specs[i] = optimizer.TemplateSpec{
-			Columns: types.NewColumnSet(t.Columns...),
-			Weight:  t.Weight,
-		}
-	}
-	blockRows := e.cfg.RowsPerBlock
-	if blockRows <= 0 {
-		blockRows = e.blockRows(entry.Table)
-	}
 	cfg := optimizer.Config{
 		K:           opts.K,
 		CapRatio:    opts.CapRatio,
 		Resolutions: opts.Resolutions,
 		MaxColumns:  opts.MaxColumns,
 		BudgetBytes: int64(float64(entry.Table.Bytes()) * opts.BudgetFraction),
-		ChurnFrac:   opts.ChurnFraction,
 		Workers:     e.cfg.Workers,
 		Build: sample.BuildConfig{
-			RowsPerBlock: blockRows,
+			RowsPerBlock: e.blockRows(entry.Table),
 			Nodes:        e.cfg.Nodes,
 			Place:        storage.InMemory, // samples live in the cache
 			Seed:         e.cfg.Seed,
 		},
 	}
+	rec := e.samplesOf(table)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
 	// Warm path: when DataDir holds families persisted by an earlier
 	// run of this exact build (signature over table content, templates,
 	// budget and seed), load them instead of re-stratifying. Sampling
@@ -585,12 +594,13 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 	// cold path below would produce.
 	var sig uint64
 	if e.cfg.DataDir != "" {
-		sig = e.sampleSignature(entry, opts, blockRows)
-		if rep, ok := e.loadPersistedSamples(table, sig); ok {
+		sig = e.sampleSignature(entry, opts, cfg.Build.RowsPerBlock)
+		if rep, ok := e.loadPersistedSamples(table, rec, sig); ok {
+			rec.maint = maintenance.NewMaintainer(e.cat, table, cfg)
 			return rep, nil
 		}
 	}
-	plan, err := optimizer.ChooseSamples(entry.Table, specs, cfg)
+	plan, err := optimizer.ChooseSamples(entry.Table, templateSpecs(opts.Templates), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -611,22 +621,26 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 		})
 		rep.TotalBytes += f.StorageBytes()
 	}
+	rec.maint = maintenance.NewMaintainer(e.cat, table, cfg)
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
-	if e.cfg.DataDir != "" {
-		e.persistSamples(table, sig, fams, rep)
+	rec.rep = nil
+	if e.cfg.DataDir != "" && e.persistSamples(table, sig, fams, rep) {
+		rec.sig, rec.rep = sig, rep
 	}
-	e.recordSampleReport(table, rep)
 	return rep, nil
 }
 
-// recordSampleReport remembers the report SnapshotWarmup re-persists
-// alongside refreshed families. The caller holds persistMu.
-func (e *Engine) recordSampleReport(table string, rep *SampleReport) {
-	if e.sampleReports == nil {
-		e.sampleReports = map[string]*SampleReport{}
+// templateSpecs is the workload as the optimizer takes it.
+func templateSpecs(tpls []Template) []optimizer.TemplateSpec {
+	specs := make([]optimizer.TemplateSpec, len(tpls))
+	for i, t := range tpls {
+		specs[i] = optimizer.TemplateSpec{
+			Columns: types.NewColumnSet(t.Columns...),
+			Weight:  t.Weight,
+		}
 	}
-	e.sampleReports[strings.ToLower(table)] = rep
+	return specs
 }
 
 // Cell is one aggregate output with its error bar.
@@ -1004,21 +1018,25 @@ func (e *Engine) TableRows(name string) (int64, error) {
 }
 
 // RefreshSamples re-draws one sample family with fresh randomness (§4.5's
-// background replacement, exposed as an explicit step). Returns the
-// refreshed family's column list, or ok=false when the table has no
-// samples.
+// background replacement, exposed as an explicit step) by the recipe
+// CreateSamples resolved. Refreshes rotate: the k-th call on a table
+// re-draws family (k−1) mod n of its n families, in catalog order, each
+// with a seed of its own. The cursor lives in memory only: an engine that
+// warm-boots its samples from DataDir starts again at the first family.
+// Returns the refreshed family's column list, or ok=false when the table
+// has no samples — no family, or CreateSamples never ran on it. A refresh
+// and a Maintain pass on one table run one at a time.
 func (e *Engine) RefreshSamples(table string) (columns []string, ok bool, err error) {
-	entry, err := e.cat.Lookup(table)
-	if err != nil {
+	if _, err := e.cat.Lookup(table); err != nil {
 		return nil, false, err
 	}
-	r := maintenance.NewRefresher(e.cat, table, sample.BuildConfig{
-		RowsPerBlock: e.blockRows(entry.Table),
-		Nodes:        e.cfg.Nodes,
-		Place:        storage.InMemory,
-		Seed:         e.cfg.Seed + 7717,
-	})
-	phi, ok, err := r.RefreshNext()
+	rec := e.samplesOf(table)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.maint == nil {
+		return nil, false, nil
+	}
+	phi, ok, err := rec.maint.Refresh()
 	if err != nil || !ok {
 		return nil, ok, err
 	}
@@ -1037,19 +1055,16 @@ type MaintainReport struct {
 	Built, Dropped [][]string
 }
 
-// MaintainOptions controls a maintenance pass (§3.2.3, §4.5).
+// MaintainOptions controls a maintenance pass (§3.2.3, §4.5). Everything
+// else a pass needs — K, resolutions, candidate width, budget, block size
+// — is the table's sample recipe, which CreateSamples resolved.
 type MaintainOptions struct {
 	// Templates is the current workload (required).
 	Templates []Template
 	// ChurnFraction is r in constraint (5): the storage share of
-	// existing samples that may be rebuilt/dropped. Default 1.
+	// existing samples that may be rebuilt/dropped. Default 1; negative
+	// leaves the re-solve unconstrained.
 	ChurnFraction float64
-	// K, Resolutions, CapRatio, BudgetFraction mirror SampleOptions and
-	// default the same way.
-	K              int64
-	Resolutions    int
-	CapRatio       float64
-	BudgetFraction float64
 	// Force re-solves even when drift is below thresholds.
 	Force bool
 }
@@ -1057,11 +1072,11 @@ type MaintainOptions struct {
 // Maintain runs one maintenance pass over a table: measure data/workload
 // drift against the previous pass, and when it exceeds the 10% thresholds
 // (or Force is set) re-solve the sample-selection problem under the churn
-// constraint and apply the resulting build/drop diff. Concurrent calls run
-// one pass at a time.
+// constraint and apply the resulting build/drop diff, building new
+// families by the recipe CreateSamples resolved. It returns an error for a
+// table CreateSamples never ran on. Passes and RefreshSamples calls on one
+// table run one at a time.
 func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, error) {
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
 	entry, err := e.cat.Lookup(table)
 	if err != nil {
 		return nil, err
@@ -1069,23 +1084,20 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 	if len(opts.Templates) == 0 {
 		return nil, fmt.Errorf("blinkdb: Maintain requires query templates")
 	}
-	if opts.BudgetFraction <= 0 {
-		opts.BudgetFraction = 0.5
-	}
-	if opts.K <= 0 {
-		opts.K = int64(math.Max(100, float64(entry.Table.NumRows())/100))
-	}
 	if opts.ChurnFraction == 0 {
 		opts.ChurnFraction = 1
 	}
-	specs := make([]optimizer.TemplateSpec, len(opts.Templates))
+	rec := e.samplesOf(table)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	m := rec.maint
+	if m == nil {
+		return nil, fmt.Errorf("blinkdb: Maintain: table %s has no samples (run CreateSamples first)", table)
+	}
+	specs := templateSpecs(opts.Templates)
 	var cols []string
 	seen := map[string]bool{}
-	for i, t := range opts.Templates {
-		specs[i] = optimizer.TemplateSpec{
-			Columns: types.NewColumnSet(t.Columns...),
-			Weight:  t.Weight,
-		}
+	for _, t := range opts.Templates {
 		for _, c := range t.Columns {
 			lc := strings.ToLower(c)
 			if !seen[lc] {
@@ -1094,31 +1106,6 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 			}
 		}
 	}
-
-	cfg := optimizer.Config{
-		K:           opts.K,
-		CapRatio:    opts.CapRatio,
-		Resolutions: opts.Resolutions,
-		BudgetBytes: int64(float64(entry.Table.Bytes()) * opts.BudgetFraction),
-		ChurnFrac:   opts.ChurnFraction,
-		Workers:     e.cfg.Workers,
-		Build: sample.BuildConfig{
-			RowsPerBlock: e.blockRows(entry.Table),
-			Nodes:        e.cfg.Nodes,
-			Place:        storage.InMemory,
-			Seed:         e.cfg.Seed + 31,
-		},
-	}
-
-	if e.maint == nil {
-		e.maint = map[string]*maintenance.Maintainer{}
-	}
-	m, ok := e.maint[strings.ToLower(table)]
-	if !ok {
-		m = maintenance.NewMaintainer(e.cat, table, cfg)
-		e.maint[strings.ToLower(table)] = m
-	}
-	m.Cfg = cfg
 
 	snap, err := maintenance.TakeSnapshot(entry.Table, cols, specs)
 	if err != nil {
@@ -1134,7 +1121,7 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 	if !needs {
 		return rep, nil
 	}
-	diff, err := m.Resolve(specs)
+	diff, err := m.Resolve(specs, opts.ChurnFraction)
 	if err != nil {
 		return nil, err
 	}

@@ -425,7 +425,7 @@ func TestMaintainEndToEnd(t *testing.T) {
 	}
 	// First pass establishes a baseline; no priors means drift is 0 but a
 	// re-solve may run (NeedsResolve is true without a baseline).
-	rep, err := eng.Maintain("sessions", MaintainOptions{Templates: tpl, K: 2000})
+	rep, err := eng.Maintain("sessions", MaintainOptions{Templates: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestMaintainEndToEnd(t *testing.T) {
 		t.Error("first pass should resolve")
 	}
 	// Second pass with identical data and workload: no drift, no work.
-	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: tpl, K: 2000})
+	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: tpl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestMaintainEndToEnd(t *testing.T) {
 		{Columns: []string{"os"}, Weight: 0.9},
 		{Columns: []string{"city"}, Weight: 0.1},
 	}
-	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: flipped, K: 2000, ChurnFraction: 1})
+	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: flipped, ChurnFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestMaintainEndToEnd(t *testing.T) {
 // finds no drift — and the engine still answers.
 func TestMaintainConcurrent(t *testing.T) {
 	eng := demoEngine(t, 20000)
-	opts := MaintainOptions{K: 2000, Templates: []Template{
+	opts := MaintainOptions{Templates: []Template{
 		{Columns: []string{"city"}, Weight: 0.7},
 		{Columns: []string{"os"}, Weight: 0.3},
 	}}

@@ -133,18 +133,18 @@ func (s *Segment) parse() error {
 	if len(data) < headerSize+tailSize {
 		return fmt.Errorf("file too small (%d bytes): %w", len(data), errTruncated)
 	}
-	hd := dec{b: data[:headerSize]}
-	if m := hd.u32(); m != magicV1 {
+	hd := Dec{b: data[:headerSize]}
+	if m := hd.U32(); m != magicV1 {
 		return fmt.Errorf("bad magic %#x", m)
 	}
-	if v := hd.u32(); v != FormatVersion {
+	if v := hd.U32(); v != FormatVersion {
 		return fmt.Errorf("unsupported format version %d (want %d)", v, FormatVersion)
 	}
-	td := dec{b: data[len(data)-tailSize:]}
-	footOff := td.u64()
-	footLen := td.u64()
-	footCRC := td.u32()
-	if m := td.u32(); m != magicV1 {
+	td := Dec{b: data[len(data)-tailSize:]}
+	footOff := td.U64()
+	footLen := td.U64()
+	footCRC := td.U32()
+	if m := td.U32(); m != magicV1 {
 		return fmt.Errorf("bad tail magic %#x", m)
 	}
 	if footOff < headerSize || footOff+footLen < footOff ||
@@ -155,21 +155,21 @@ func (s *Segment) parse() error {
 	if crc := crc32.Checksum(foot, crcTable); crc != footCRC {
 		return fmt.Errorf("footer CRC mismatch (%#x != %#x)", crc, footCRC)
 	}
-	d := dec{b: foot}
-	nsec := d.count(20)
+	d := Dec{b: foot}
+	nsec := d.Count(20)
 	s.sections = make([]sectionInfo, nsec)
 	for i := range s.sections {
-		s.sections[i] = sectionInfo{off: d.u64(), len: d.u64(), crc: d.u32()}
+		s.sections[i] = sectionInfo{off: d.U64(), len: d.U64(), crc: d.U32()}
 		si := &s.sections[i]
 		if si.off < headerSize || si.off+si.len < si.off || si.off+si.len > footOff {
 			return fmt.Errorf("section %d out of bounds: %w", i, errTruncated)
 		}
 	}
-	nmeta := d.count(8)
+	nmeta := d.Count(8)
 	s.metas = make(map[string][]byte, nmeta)
 	for i := 0; i < nmeta; i++ {
-		name := d.str()
-		sec := d.u32()
+		name := d.Str()
+		sec := d.U32()
 		if d.err != nil {
 			return d.err
 		}
@@ -179,7 +179,7 @@ func (s *Segment) parse() error {
 		}
 		s.metas[name] = blob
 	}
-	ntab := d.count(8)
+	ntab := d.Count(8)
 	s.tables = make([]tableDesc, 0, ntab)
 	for i := 0; i < ntab; i++ {
 		t, err := s.parseTable(&d)
@@ -194,15 +194,15 @@ func (s *Segment) parse() error {
 	return nil
 }
 
-func (s *Segment) parseTable(d *dec) (tableDesc, error) {
+func (s *Segment) parseTable(d *Dec) (tableDesc, error) {
 	var t tableDesc
-	t.name = d.str()
-	ncols := d.count(5)
+	t.name = d.Str()
+	ncols := d.Count(5)
 	cols := make([]types.Column, ncols)
 	seen := make(map[string]bool, ncols)
 	for i := range cols {
-		cols[i].Name = d.str()
-		cols[i].Kind = types.Kind(d.u8())
+		cols[i].Name = d.Str()
+		cols[i].Kind = types.Kind(d.U8())
 		if d.err != nil {
 			return t, d.err
 		}
@@ -219,7 +219,7 @@ func (s *Segment) parseTable(d *dec) (tableDesc, error) {
 		return t, d.err
 	}
 	t.schema = types.NewSchema(cols...)
-	nchunks := d.count(20)
+	nchunks := d.Count(20)
 	t.chunks = make([]chunkDesc, 0, nchunks)
 	for i := 0; i < nchunks; i++ {
 		c, err := s.parseChunk(d, ncols)
@@ -228,7 +228,7 @@ func (s *Segment) parseTable(d *dec) (tableDesc, error) {
 		}
 		t.chunks = append(t.chunks, c)
 	}
-	nblocks := d.count(29)
+	nblocks := d.Count(29)
 	t.blocks = make([]blockDesc, 0, nblocks)
 	for i := 0; i < nblocks; i++ {
 		b, err := s.parseBlock(d, ncols)
@@ -240,38 +240,38 @@ func (s *Segment) parseTable(d *dec) (tableDesc, error) {
 	return t, d.err
 }
 
-func (s *Segment) parseChunk(d *dec, ncols int) (chunkDesc, error) {
+func (s *Segment) parseChunk(d *Dec, ncols int) (chunkDesc, error) {
 	var c chunkDesc
-	c.nrows = int(d.u32())
-	c.nruns = int(d.u32())
-	c.metaEndsSec = d.u32()
-	c.ratesSec = d.u32()
-	c.freqsSec = d.u32()
+	c.nrows = int(d.U32())
+	c.nruns = int(d.U32())
+	c.metaEndsSec = d.U32()
+	c.ratesSec = d.U32()
+	c.freqsSec = d.U32()
 	c.cols = make([]colDesc, ncols)
 	for i := range c.cols {
 		cd := &c.cols[i]
-		cd.enc = colstore.Encoding(d.u8())
-		cd.nanFree = d.u8() != 0
+		cd.enc = colstore.Encoding(d.U8())
+		cd.nanFree = d.U8() != 0
 		cd.payload, cd.nulls, cd.dict = noSection, noSection, noSection
 		switch cd.enc {
 		case colstore.EncFloat:
-			cd.payload = d.u32()
-			cd.nulls = d.u32()
+			cd.payload = d.U32()
+			cd.nulls = d.U32()
 		case colstore.EncInt, colstore.EncBool:
-			if cd.narrow = d.u8() != 0; cd.narrow {
-				cd.base = d.i64()
+			if cd.narrow = d.U8() != 0; cd.narrow {
+				cd.base = d.I64()
 			}
-			cd.payload = d.u32()
-			cd.nulls = d.u32()
+			cd.payload = d.U32()
+			cd.nulls = d.U32()
 		case colstore.EncDict:
-			cd.payload = d.u32()
-			cd.nulls = d.u32()
-			cd.dict = d.u32()
+			cd.payload = d.U32()
+			cd.nulls = d.U32()
+			cd.dict = d.U32()
 		case colstore.EncValue:
-			cd.payload = d.u32()
+			cd.payload = d.U32()
 		case colstore.EncRLE:
-			cd.payload = d.u32() // run values
-			cd.dict = d.u32()    // run ends
+			cd.payload = d.U32() // run values
+			cd.dict = d.U32()    // run ends
 		default:
 			if d.err != nil {
 				return c, d.err
@@ -282,23 +282,23 @@ func (s *Segment) parseChunk(d *dec, ncols int) (chunkDesc, error) {
 	return c, d.err
 }
 
-func (s *Segment) parseBlock(d *dec, ncols int) (blockDesc, error) {
+func (s *Segment) parseBlock(d *Dec, ncols int) (blockDesc, error) {
 	var b blockDesc
-	b.node = int(d.u32())
-	b.place = storage.Placement(d.u8())
-	b.bytes = d.i64()
-	b.chunk = int(d.u32())
-	b.off = int(d.u32())
-	b.n = int(d.u32())
-	nz := d.count(3)
+	b.node = int(d.U32())
+	b.place = storage.Placement(d.U8())
+	b.bytes = d.I64()
+	b.chunk = int(d.U32())
+	b.off = int(d.U32())
+	b.n = int(d.U32())
+	nz := d.Count(3)
 	if d.err == nil && nz != ncols {
 		return b, fmt.Errorf("zone count %d != %d columns", nz, ncols)
 	}
 	b.zones = make([]storage.Zone, nz)
 	for i := range b.zones {
-		b.zones[i].Valid = d.u8() != 0
-		b.zones[i].Min = d.val()
-		b.zones[i].Max = d.val()
+		b.zones[i].Valid = d.U8() != 0
+		b.zones[i].Min = d.Val()
+		b.zones[i].Max = d.Val()
 	}
 	return b, d.err
 }
@@ -448,14 +448,14 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if err != nil {
 			return fmt.Errorf("dict: %w", err)
 		}
-		d := dec{b: raw}
-		n := d.count(1)
+		d := Dec{b: raw}
+		n := d.Count(1)
 		if n > colstore.MaxDict {
 			return fmt.Errorf("dict holds %d entries, more than 16-bit codes reach", n)
 		}
 		c.Dict = make([]string, n)
 		for i := range c.Dict {
-			c.Dict[i] = d.str()
+			c.Dict[i] = d.Str()
 		}
 		if d.err != nil {
 			return d.err
@@ -471,8 +471,8 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if err != nil {
 			return err
 		}
-		d := dec{b: raw}
-		c.Values = d.vals()
+		d := Dec{b: raw}
+		c.Values = d.Vals()
 		if d.err != nil {
 			return d.err
 		}
@@ -485,8 +485,8 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if err != nil {
 			return err
 		}
-		d := dec{b: raw}
-		c.RunVals = d.vals()
+		d := Dec{b: raw}
+		c.RunVals = d.Vals()
 		if d.err != nil {
 			return d.err
 		}
@@ -541,9 +541,9 @@ func (s *Segment) f64View(idx uint32, n int) ([]float64, error) {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), n), nil
 	}
 	out := make([]float64, n)
-	d := dec{b: raw}
+	d := Dec{b: raw}
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = d.F64()
 	}
 	return out, d.err
 }
@@ -557,9 +557,9 @@ func (s *Segment) i64View(idx uint32, n int) ([]int64, error) {
 		return unsafe.Slice((*int64)(unsafe.Pointer(&raw[0])), n), nil
 	}
 	out := make([]int64, n)
-	d := dec{b: raw}
+	d := Dec{b: raw}
 	for i := range out {
-		out[i] = d.i64()
+		out[i] = d.I64()
 	}
 	return out, d.err
 }
@@ -573,9 +573,9 @@ func (s *Segment) u64View(idx uint32, n int) ([]uint64, error) {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&raw[0])), n), nil
 	}
 	out := make([]uint64, n)
-	d := dec{b: raw}
+	d := Dec{b: raw}
 	for i := range out {
-		out[i] = d.u64()
+		out[i] = d.U64()
 	}
 	return out, d.err
 }
@@ -589,9 +589,9 @@ func (s *Segment) u16View(idx uint32, n int) ([]uint16, error) {
 		return unsafe.Slice((*uint16)(unsafe.Pointer(&raw[0])), n), nil
 	}
 	out := make([]uint16, n)
-	d := dec{b: raw}
+	d := Dec{b: raw}
 	for i := range out {
-		out[i] = d.u16()
+		out[i] = d.U16()
 	}
 	return out, d.err
 }
@@ -605,9 +605,9 @@ func (s *Segment) i32View(idx uint32, n int) ([]int32, error) {
 		return unsafe.Slice((*int32)(unsafe.Pointer(&raw[0])), n), nil
 	}
 	out := make([]int32, n)
-	d := dec{b: raw}
+	d := Dec{b: raw}
 	for i := range out {
-		out[i] = int32(d.u32())
+		out[i] = int32(d.U32())
 	}
 	return out, d.err
 }

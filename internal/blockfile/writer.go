@@ -83,9 +83,9 @@ type Writer struct {
 	w        io.Writer
 	off      uint64
 	sections []sectionInfo
-	metas    []byte // enc-encoded (name, section) pairs
+	metas    []byte // Enc-encoded (name, section) pairs
 	nmetas   uint32
-	tables   []byte // enc-encoded table descriptors
+	tables   []byte // Enc-encoded table descriptors
 	ntables  uint32
 	err      error
 	started  bool
@@ -113,11 +113,11 @@ func (w *Writer) start() {
 		return
 	}
 	w.started = true
-	var e enc
-	e.u32(magicV1)
-	e.u32(FormatVersion)
-	e.u32(0) // flags
-	e.u32(0) // reserved
+	var e Enc
+	e.U32(magicV1)
+	e.U32(FormatVersion)
+	e.U32(0) // flags
+	e.U32(0) // reserved
 	w.writeAll(e.buf)
 }
 
@@ -142,9 +142,9 @@ func (w *Writer) section(data []byte) uint32 {
 // PutMeta stores a named metadata blob (retrievable via Segment.Meta).
 func (w *Writer) PutMeta(name string, blob []byte) {
 	sec := w.section(blob)
-	var e enc
-	e.str(name)
-	e.u32(sec)
+	var e Enc
+	e.Str(name)
+	e.U32(sec)
 	w.metas = append(w.metas, e.buf...)
 	w.nmetas++
 }
@@ -153,30 +153,30 @@ func (w *Writer) PutMeta(name string, blob []byte) {
 // block table. Blocks are written in order, so IDs round-trip through
 // Table.AddBlock on load.
 func (w *Writer) AddTable(t *storage.Table) error {
-	var e enc
-	e.str(t.Name)
-	e.u32(uint32(t.Schema.Len()))
+	var e Enc
+	e.Str(t.Name)
+	e.U32(uint32(t.Schema.Len()))
 	for _, c := range t.Schema.Columns {
-		e.str(c.Name)
-		e.u8(uint8(c.Kind))
+		e.Str(c.Name)
+		e.U8(uint8(c.Kind))
 	}
 	chunks := t.Chunks()
-	e.u32(uint32(len(chunks)))
+	e.U32(uint32(len(chunks)))
 	for ci, d := range chunks {
 		if len(d.Cols) != t.Schema.Len() {
 			return w.fail(fmt.Errorf("blockfile: chunk %d of %q has %d columns, schema %d",
 				ci, t.Name, len(d.Cols), t.Schema.Len()))
 		}
-		e.u32(uint32(d.N))
-		e.u32(uint32(len(d.MetaEnds)))
-		e.u32(w.section(i32Bytes(d.MetaEnds)))
-		e.u32(w.section(f64Bytes(d.Rates)))
-		e.u32(w.section(i64Bytes(d.Freqs)))
+		e.U32(uint32(d.N))
+		e.U32(uint32(len(d.MetaEnds)))
+		e.U32(w.section(i32Bytes(d.MetaEnds)))
+		e.U32(w.section(f64Bytes(d.Rates)))
+		e.U32(w.section(i64Bytes(d.Freqs)))
 		for i := range d.Cols {
 			w.addColumn(&e, &d.Cols[i])
 		}
 	}
-	e.u32(uint32(len(t.Blocks)))
+	e.U32(uint32(len(t.Blocks)))
 	chunk := -1
 	for _, b := range t.Blocks {
 		if b.Chunk == nil {
@@ -186,21 +186,21 @@ func (w *Writer) AddTable(t *storage.Table) error {
 		if chunk < 0 || chunks[chunk] != b.Chunk {
 			chunk++
 		}
-		e.u32(uint32(b.Node))
-		e.u8(uint8(b.Place))
-		e.i64(b.Bytes)
-		e.u32(uint32(chunk))
-		e.u32(uint32(b.Off))
-		e.u32(uint32(b.N))
-		e.u32(uint32(len(b.Zones)))
+		e.U32(uint32(b.Node))
+		e.U8(uint8(b.Place))
+		e.I64(b.Bytes)
+		e.U32(uint32(chunk))
+		e.U32(uint32(b.Off))
+		e.U32(uint32(b.N))
+		e.U32(uint32(len(b.Zones)))
 		for _, z := range b.Zones {
 			if z.Valid {
-				e.u8(1)
+				e.U8(1)
 			} else {
-				e.u8(0)
+				e.U8(0)
 			}
-			e.val(z.Min)
-			e.val(z.Max)
+			e.Val(z.Min)
+			e.Val(z.Max)
 		}
 	}
 	w.tables = append(w.tables, e.buf...)
@@ -208,45 +208,45 @@ func (w *Writer) AddTable(t *storage.Table) error {
 	return w.err
 }
 
-func (w *Writer) addColumn(e *enc, c *colstore.Column) {
-	e.u8(uint8(c.Enc))
+func (w *Writer) addColumn(e *Enc, c *colstore.Column) {
+	e.U8(uint8(c.Enc))
 	if c.NaNFree {
-		e.u8(1)
+		e.U8(1)
 	} else {
-		e.u8(0)
+		e.U8(0)
 	}
 	switch c.Enc {
 	case colstore.EncFloat:
-		e.u32(w.section(f64Bytes(c.Floats)))
-		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
+		e.U32(w.section(f64Bytes(c.Floats)))
+		e.U32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncInt, colstore.EncBool:
 		if c.Narrow() {
-			e.u8(1)
-			e.i64(c.Base)
-			e.u32(w.section(u16Bytes(c.Offs)))
+			e.U8(1)
+			e.I64(c.Base)
+			e.U32(w.section(u16Bytes(c.Offs)))
 		} else {
-			e.u8(0)
-			e.u32(w.section(i64Bytes(c.Ints)))
+			e.U8(0)
+			e.U32(w.section(i64Bytes(c.Ints)))
 		}
-		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
+		e.U32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncDict:
-		e.u32(w.section(u16Bytes(c.Codes)))
-		e.u32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
-		var dict enc
-		dict.u32(uint32(len(c.Dict)))
+		e.U32(w.section(u16Bytes(c.Codes)))
+		e.U32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
+		var dict Enc
+		dict.U32(uint32(len(c.Dict)))
 		for _, s := range c.Dict {
-			dict.str(s)
+			dict.Str(s)
 		}
-		e.u32(w.section(dict.buf))
+		e.U32(w.section(dict.buf))
 	case colstore.EncValue:
-		var vals enc
-		vals.encVals(c.Values)
-		e.u32(w.section(vals.buf))
+		var vals Enc
+		vals.Vals(c.Values)
+		e.U32(w.section(vals.buf))
 	case colstore.EncRLE:
-		var runs enc
-		runs.encVals(c.RunVals)
-		e.u32(w.section(runs.buf))
-		e.u32(w.section(i32Bytes(c.RunEnds)))
+		var runs Enc
+		runs.Vals(c.RunVals)
+		e.U32(w.section(runs.buf))
+		e.U32(w.section(i32Bytes(c.RunEnds)))
 	default:
 		if w.err == nil {
 			w.err = fmt.Errorf("blockfile: unknown encoding %d", c.Enc)
@@ -277,25 +277,25 @@ func (w *Writer) Finish() error {
 	}
 	w.finished = true
 	w.start()
-	var f enc
-	f.u32(uint32(len(w.sections)))
+	var f Enc
+	f.U32(uint32(len(w.sections)))
 	for _, s := range w.sections {
-		f.u64(s.off)
-		f.u64(s.len)
-		f.u32(s.crc)
+		f.U64(s.off)
+		f.U64(s.len)
+		f.U32(s.crc)
 	}
-	f.u32(w.nmetas)
+	f.U32(w.nmetas)
 	f.buf = append(f.buf, w.metas...)
-	f.u32(w.ntables)
+	f.U32(w.ntables)
 	f.buf = append(f.buf, w.tables...)
 
 	footerOff := w.off
 	w.writeAll(f.buf)
-	var tail enc
-	tail.u64(footerOff)
-	tail.u64(uint64(len(f.buf)))
-	tail.u32(crc32.Checksum(f.buf, crcTable))
-	tail.u32(magicV1)
+	var tail Enc
+	tail.U64(footerOff)
+	tail.U64(uint64(len(f.buf)))
+	tail.U32(crc32.Checksum(f.buf, crcTable))
+	tail.U32(magicV1)
 	w.writeAll(tail.buf)
 	return w.err
 }
@@ -347,9 +347,9 @@ func f64Bytes(v []float64) []byte {
 	if hostLittleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 	}
-	var e enc
+	var e Enc
 	for _, x := range v {
-		e.f64(x)
+		e.F64(x)
 	}
 	return e.buf
 }
@@ -361,9 +361,9 @@ func i64Bytes(v []int64) []byte {
 	if hostLittleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 	}
-	var e enc
+	var e Enc
 	for _, x := range v {
-		e.i64(x)
+		e.I64(x)
 	}
 	return e.buf
 }
@@ -375,9 +375,9 @@ func u64Bytes(v []uint64) []byte {
 	if hostLittleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 	}
-	var e enc
+	var e Enc
 	for _, x := range v {
-		e.u64(x)
+		e.U64(x)
 	}
 	return e.buf
 }
@@ -389,9 +389,9 @@ func u16Bytes(v []uint16) []byte {
 	if hostLittleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*2)
 	}
-	var e enc
+	var e Enc
 	for _, x := range v {
-		e.u16(x)
+		e.U16(x)
 	}
 	return e.buf
 }
@@ -403,9 +403,9 @@ func i32Bytes(v []int32) []byte {
 	if hostLittleEndian {
 		return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 	}
-	var e enc
+	var e Enc
 	for _, x := range v {
-		e.u32(uint32(x))
+		e.U32(uint32(x))
 	}
 	return e.buf
 }

@@ -225,7 +225,7 @@ type Plan struct {
 	Aggs       []AggPlan
 	Limit      int
 
-	// rt caches the compiled predicate closure and zone-pruning bounds.
+	// rt caches the predicate's zone-pruning bounds and scan form.
 	// It is populated by Compile/WithPred; hand-assembled Plans fall back
 	// to compiling on entry (without mutating the Plan, so sharing a Plan
 	// across goroutines stays race-free).
@@ -234,8 +234,6 @@ type Plan struct {
 
 // planRuntime is the precompiled hot-path state derived from Plan.Pred.
 type planRuntime struct {
-	// pred is the compiled predicate closure; nil means "always true".
-	pred func(types.Row) bool
 	// bounds are the conjunctive per-column intervals used for zone-map
 	// pruning, flattened once per plan: the scan checks them per block.
 	bounds []colBound
@@ -253,7 +251,6 @@ func newPlanRuntime(pred types.Predicate) *planRuntime {
 		pred = types.TruePred{}
 	}
 	return &planRuntime{
-		pred:   types.CompilePredicate(pred),
 		bounds: boundList(ColumnBounds(pred)),
 		leaves: conjunctiveLeaves(pred),
 		sel:    mergeIntervals(pred),
@@ -307,8 +304,8 @@ func Compile(q *sqlparser.Query, schema *types.Schema) (*Plan, error) {
 	return p, nil
 }
 
-// WithPred returns a copy of the plan with the predicate replaced (and the
-// compiled closure/bounds rebuilt). Used by the §4.1.2 disjunction
+// WithPred returns a copy of the plan with the predicate replaced (and its
+// bounds and scan form rebuilt). Used by the §4.1.2 disjunction
 // rewrite, which runs one sub-query per disjunct.
 func (p *Plan) WithPred(pred types.Predicate) *Plan {
 	cp := *p

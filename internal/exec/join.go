@@ -178,9 +178,9 @@ type joinRuntime struct {
 	// only fact columns, as the columnar scan evaluates it (see
 	// mergeIntervals; nil: no fact-side filtering).
 	factPred types.Predicate
-	// restPred is the compiled remainder (nil: always true). factPred AND
-	// restPred ≡ the plan predicate.
-	restPred func(types.Row) bool
+	// restPred is the remainder, evaluated per combined row (nil: always
+	// true). factPred AND restPred ≡ the plan predicate.
+	restPred types.Predicate
 }
 
 // newJoinRuntime builds the runtime for plan p (compiled against the
@@ -199,9 +199,7 @@ func newJoinRuntime(p *Plan, joins []JoinSpec) *joinRuntime {
 	if factPred != nil {
 		jr.factPred = mergeIntervals(factPred)
 	}
-	if restPred != nil {
-		jr.restPred = types.CompilePredicate(restPred)
-	}
+	jr.restPred = restPred
 	return jr
 }
 

@@ -25,11 +25,11 @@ func viewOf(schema *types.Schema, blocks []*storage.Block, caps ...int64) Input 
 }
 
 // oracle is the naive reference evaluator every production scan must match
-// bit for bit: one materialised row at a time through the compiled
-// predicate closure, one stats.Acc.AddRow per row and aggregate — the row's
+// bit for bit: one materialised row at a time through the interpreted
+// predicate tree, one stats.Acc.AddRow per row and aggregate — the row's
 // chunk row number picks its lane, its key its class — and a nested loop
 // for joins. It takes production's data types and otherwise shares only
-// stats.Acc, types.CompilePredicate, Block.RowAt/MetaAt and the input's
+// stats.Acc, Predicate.Eval, Block.RowAt/MetaAt and the input's
 // delta layout and scan ranges with it — the last because the fold order
 // (one accumulator set per range, merged in range order) is part of the
 // Result's contract, not an implementation detail. It has no kernels, no
@@ -40,7 +40,6 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 		key  []types.Value
 		accs []*stats.Acc
 	}
-	pred := types.CompilePredicate(p.Pred) // nil: always true
 	dims := make([][]types.Row, len(joins))
 	for d, j := range joins {
 		for _, b := range j.Dim.Blocks {
@@ -72,7 +71,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 			}
 			return
 		}
-		if pred != nil && !pred(row) {
+		if p.Pred != nil && !p.Pred.Eval(row) {
 			return
 		}
 		res.RowsMatched++

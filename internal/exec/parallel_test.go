@@ -259,51 +259,6 @@ func TestScanPruningSkipsBlocks(t *testing.T) {
 	}
 }
 
-// TestCompiledPredicateMatchesEval cross-checks the compiled predicate
-// closures against the interpreted tree on random rows.
-func TestCompiledPredicateMatchesEval(t *testing.T) {
-	tab := randomWeightedTable(t, 5, 500, 64)
-	preds := []string{
-		`SELECT COUNT(*) FROM sessions WHERE city = 'NY'`,
-		`SELECT COUNT(*) FROM sessions WHERE city <> 'NY' AND code >= 500`,
-		`SELECT COUNT(*) FROM sessions WHERE sessiontime > 50.5 OR code < 10`,
-		`SELECT COUNT(*) FROM sessions WHERE NOT (city = 'SF' OR city = 'LA')`,
-		`SELECT COUNT(*) FROM sessions WHERE sessiontime <= 20 AND os = 'OSX'`,
-	}
-	// Degenerate trees the parser never emits must still match Eval.
-	for _, pred := range []types.Predicate{
-		&types.OrPred{},  // empty OR is false
-		&types.AndPred{}, // empty AND is true
-		types.TruePred{},
-	} {
-		f := types.CompilePredicate(pred)
-		got := true
-		if f != nil {
-			got = f(types.Row{})
-		}
-		if want := pred.Eval(types.Row{}); got != want {
-			t.Errorf("compiled %T = %v, Eval = %v", pred, got, want)
-		}
-	}
-	for _, src := range preds {
-		p := compile(t, src, tab.Schema)
-		compiled := types.CompilePredicate(p.Pred)
-		for _, blk := range tab.Blocks {
-			for i := 0; i < blk.NumRows(); i++ {
-				row := blk.RowAt(i)
-				want := p.Pred.Eval(row)
-				got := want
-				if compiled != nil {
-					got = compiled(row)
-				}
-				if got != want {
-					t.Fatalf("%q on %v: compiled=%v interpreted=%v", src, row, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestPartitionBlocksDeterminism pins the pricing partition (ScanShards):
 // it depends only on the block count. The executor's own partition has
 // the same property over row counts — TestScanRangesInvariants.

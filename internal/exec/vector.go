@@ -414,7 +414,7 @@ func (sc *colScratch) selectRows(pred types.Predicate, s span) (bm []uint64, bas
 // evalCmp evaluates one comparison leaf over rows [base, base+n). Fast
 // paths cover typed columns against same-class constants; every mixed case
 // falls back to types.Compare, which is exactly what
-// types.CompilePredicate's row closures do for kind mismatches.
+// types.CmpPred.Eval does for kind mismatches.
 func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *colScratch) {
 	lt, eq, gt := opFlags(t.Op)
 	col := &d.Cols[t.ColIdx]
@@ -498,8 +498,8 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 		}
 	case colstore.EncRLE:
 		// One verdict per RUN, painted over the run's bit range. The
-		// generic Compare decides each run exactly as the compiled row
-		// closures decide each row (NULL runs and cross-kind constants
+		// generic Compare decides each run exactly as CmpPred.Eval
+		// decides each row (NULL runs and cross-kind constants
 		// included), so this is the typed kernels' semantics at run
 		// granularity.
 		bitmapFill(dst, n, false)
@@ -588,7 +588,7 @@ func codesPass(codes []uint16, tab []bool, dst []uint64) {
 // 1 + (v>c) - (v<c) (both comparisons compile to SETcc, no branches), and
 // the loops are 4-wide unrolled so the compiler can keep the verdicts in
 // independent registers. NaN yields (v>c)=(v<c)=false → the eq slot, which
-// is exactly how the compiled row closures treat it.
+// is exactly how CmpPred.Eval treats it.
 
 // b2u converts a bool to 0/1 (inlines to SETcc — no branch).
 func b2u(b bool) uint64 {
@@ -604,7 +604,7 @@ func verdictTab(lt, eq, gt bool) [3]uint64 {
 }
 
 // cmpFloats compares a float column against c. The (lt,eq,gt) selection
-// matches the compiled row closure exactly, including NaN (no
+// matches CmpPred.Eval exactly, including NaN (no
 // ordered comparison holds, so the eq flag decides).
 func cmpFloats(xs []float64, c float64, dst []uint64, lt, eq, gt bool) {
 	tab := verdictTab(lt, eq, gt)
@@ -986,7 +986,7 @@ type intCmpPlan struct {
 	fill       bool  // normFill: the shared verdict
 }
 
-// normIntCmp maps "float64(v) versus float constant c" (the row closure's
+// normIntCmp maps "float64(v) versus float constant c" (CmpPred.Eval's
 // semantics for an int column against a float/bool constant) onto an
 // equivalent pure-int64 comparison, so the inner loop never converts.
 //
@@ -1025,7 +1025,7 @@ func normIntCmp(c float64, lt, eq, gt bool) intCmpPlan {
 }
 
 // cmpIntsAsFloat compares an int column against a float/bool constant with
-// the row closure's float semantics, normalized so the common case runs
+// CmpPred.Eval's float semantics, normalized so the common case runs
 // the pure-int kernel (no per-element conversion).
 func cmpIntsAsFloat(xs intCol, c float64, dst []uint64, lt, eq, gt bool) {
 	switch plan := normIntCmp(c, lt, eq, gt); plan.mode {
@@ -1157,8 +1157,13 @@ func spanOf(b *storage.Block, rt *planRuntime, join bool, floor int64, meta *met
 // zonesProve is the all-true state of the three-state zone classification
 // (zoneMayMatch decides all-false): b's zones prove the predicate for every
 // row, so the scan skips evaluating it.
+// A conjunction with no comparison leaf (no WHERE) holds for every row of
+// every block, whatever its size.
 func zonesProve(b *storage.Block, rt *planRuntime) bool {
-	return rt.pred == nil || (b.N >= minImpliedRows && rt.leaves != nil && zoneImpliesPred(b, rt.leaves))
+	if rt.leaves == nil {
+		return false
+	}
+	return len(rt.leaves) == 0 || (b.N >= minImpliedRows && zoneImpliesPred(b, rt.leaves))
 }
 
 // extends reports whether next continues s: the rows that follow it in the
@@ -1747,7 +1752,7 @@ func (pt *Partial) scanSpanJoin(p *Plan, s span, sc *colScratch, jr *joinRuntime
 	var key stats.Key
 	var freq int64
 	emit := func(r types.Row) {
-		if jr.restPred != nil && !jr.restPred(r) {
+		if jr.restPred != nil && !jr.restPred.Eval(r) {
 			return
 		}
 		pt.addMatched(p, r, row, key, freq)

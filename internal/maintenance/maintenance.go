@@ -8,8 +8,8 @@
 //     and the administrator's churn fraction r, yielding a build/drop diff;
 //   - background refresh (§4.5): periodically re-drawing each family with
 //     a fresh seed so unrepresentative samples get replaced. Refresh is
-//     incremental — one family per tick — mirroring the paper's
-//     low-priority background task.
+//     incremental — one family per call, round-robin — mirroring the
+//     paper's low-priority background task.
 package maintenance
 
 import (
@@ -204,27 +204,42 @@ type Diff struct {
 // Changed reports whether the diff performs any work.
 func (d *Diff) Changed() bool { return len(d.Build) > 0 || len(d.Drop) > 0 }
 
-// Maintainer re-solves the sample-selection problem for one table and
-// applies the resulting diff to the catalog.
+// The drift thresholds of NeedsResolve: a total-variation distance above
+// either triggers a re-solve.
+const (
+	dataDriftThreshold     = 0.1
+	workloadDriftThreshold = 0.1
+)
+
+// Seeds a Maintainer derives from its recipe's Build.Seed: a re-solve
+// builds with seed+resolveSeedOffset, and the k-th refresh (k from 1) with
+// seed+refreshSeedOffset+k·refreshSeedStep, so each refresh draws with a
+// seed no build of the table used before.
+const (
+	resolveSeedOffset = 31
+	refreshSeedOffset = 7717
+	refreshSeedStep   = 7919
+)
+
+// Maintainer keeps one table's samples current: it re-solves the
+// sample-selection problem and applies the resulting diff (§3.2.3), and it
+// re-draws families one at a time (§4.5). Everything it builds follows
+// one recipe, the optimizer configuration the table's samples were first
+// chosen and built under. A Maintainer is not safe for concurrent use.
 type Maintainer struct {
 	cat   *catalog.Catalog
 	table string
-	// Cfg is the optimizer configuration; ChurnFrac is the r of (5).
-	Cfg optimizer.Config
-	// DataDriftThreshold and WorkloadDriftThreshold trigger NeedsResolve.
-	DataDriftThreshold     float64
-	WorkloadDriftThreshold float64
+	cfg   optimizer.Config
 
-	last *Snapshot
+	last     *Snapshot
+	refreshK int64 // refreshes so far
 }
 
-// NewMaintainer creates a maintainer. Thresholds default to 0.1.
+// NewMaintainer creates a maintainer whose builds follow cfg: its caps,
+// budget, candidate width and physical layout, with seeds derived from
+// cfg.Build.Seed.
 func NewMaintainer(cat *catalog.Catalog, table string, cfg optimizer.Config) *Maintainer {
-	return &Maintainer{
-		cat: cat, table: table, Cfg: cfg,
-		DataDriftThreshold:     0.1,
-		WorkloadDriftThreshold: 0.1,
-	}
+	return &Maintainer{cat: cat, table: table, cfg: cfg}
 }
 
 // Observe records a snapshot baseline.
@@ -239,28 +254,27 @@ func (m *Maintainer) NeedsResolve(cur *Snapshot) bool {
 	if m.last == nil {
 		return true
 	}
-	return DataDrift(m.last, cur) > m.DataDriftThreshold ||
-		WorkloadDrift(m.last, cur) > m.WorkloadDriftThreshold
+	return DataDrift(m.last, cur) > dataDriftThreshold ||
+		WorkloadDrift(m.last, cur) > workloadDriftThreshold
 }
 
 // Resolve re-runs the optimizer with the currently-built families as the
-// δⱼ inputs and returns the build/drop diff. It does not modify the
-// catalog; call Apply.
-func (m *Maintainer) Resolve(templates []optimizer.TemplateSpec) (*Diff, error) {
+// δⱼ inputs and churn as the r of constraint (5) (negative: unconstrained;
+// a table with no stratified family is unconstrained whatever its value,
+// as §3.2.3 requires of a first solve), and returns the build/drop diff.
+// It does not modify the catalog; call Apply.
+func (m *Maintainer) Resolve(templates []optimizer.TemplateSpec, churn float64) (*Diff, error) {
 	entry, err := m.cat.Lookup(m.table)
 	if err != nil {
 		return nil, err
 	}
-	cfg := m.Cfg
+	cfg := m.cfg
+	cfg.ChurnFrac = churn
 	cfg.Existing = nil
 	existing := map[string]bool{}
 	for _, f := range entry.Stratified() {
 		cfg.Existing = append(cfg.Existing, f.Phi)
 		existing[f.Phi.Key()] = true
-	}
-	if len(cfg.Existing) == 0 {
-		// First solve: the paper forces r = 1 (§3.2.3).
-		cfg.ChurnFrac = -1
 	}
 	plan, err := optimizer.ChooseSamples(entry.Table, templates, cfg)
 	if err != nil {
@@ -290,9 +304,11 @@ func (m *Maintainer) Apply(diff *Diff) error {
 	if err != nil {
 		return err
 	}
-	caps := m.Cfg.Caps()
+	caps := m.cfg.Caps()
+	build := m.cfg.Build
+	build.Seed += resolveSeedOffset
 	for _, phi := range diff.Build {
-		f, err := sample.Build(entry.Table, phi, caps, m.Cfg.Build)
+		f, err := sample.Build(entry.Table, phi, caps, build)
 		if err != nil {
 			return err
 		}
@@ -308,43 +324,28 @@ func (m *Maintainer) Apply(diff *Diff) error {
 	return nil
 }
 
-// Refresher re-draws sample families with fresh randomness, one per call —
-// the §4.5 low-priority background replacement task.
-type Refresher struct {
-	cat   *catalog.Catalog
-	table string
-	cfg   sample.BuildConfig
-	next  int
-	seq   int64
-}
-
-// NewRefresher creates a refresher; cfg.Seed seeds the re-draw sequence.
-func NewRefresher(cat *catalog.Catalog, table string, cfg sample.BuildConfig) *Refresher {
-	return &Refresher{cat: cat, table: table, cfg: cfg}
-}
-
-// RefreshNext rebuilds the next family in round-robin order with a new
-// seed and swaps it into the catalog. Returns the refreshed column set, or
-// false when the table has no families.
-func (r *Refresher) RefreshNext() (types.ColumnSet, bool, error) {
-	entry, err := r.cat.Lookup(r.table)
+// Refresh re-draws one family with fresh randomness and swaps it into the
+// catalog — the §4.5 low-priority background replacement, one family per
+// call. The k-th call re-draws family (k−1) mod n of the n the catalog
+// holds then, in catalog order, at its own caps. Returns the refreshed
+// column set, or false when the table has no families.
+func (m *Maintainer) Refresh() (types.ColumnSet, bool, error) {
+	entry, err := m.cat.Lookup(m.table)
 	if err != nil {
 		return types.ColumnSet{}, false, err
 	}
 	if len(entry.Families) == 0 {
 		return types.ColumnSet{}, false, nil
 	}
-	idx := r.next % len(entry.Families)
-	r.next++
-	old := entry.Families[idx]
-	cfg := r.cfg
-	r.seq++
-	cfg.Seed = r.cfg.Seed + r.seq*7919 // distinct deterministic seeds
-	fresh, err := sample.Build(entry.Table, old.Phi, old.Caps, cfg)
+	old := entry.Families[m.refreshK%int64(len(entry.Families))]
+	m.refreshK++
+	build := m.cfg.Build
+	build.Seed += refreshSeedOffset + m.refreshK*refreshSeedStep
+	fresh, err := sample.Build(entry.Table, old.Phi, old.Caps, build)
 	if err != nil {
 		return types.ColumnSet{}, false, err
 	}
-	if err := r.cat.AddFamily(r.table, fresh); err != nil {
+	if err := m.cat.AddFamily(m.table, fresh); err != nil {
 		return types.ColumnSet{}, false, err
 	}
 	return old.Phi, true, nil

@@ -126,7 +126,7 @@ func TestNeedsResolve(t *testing.T) {
 	tab := buildTable(t, 20000, 1.5, 1)
 	cat := catalog.New()
 	cat.Register(tab)
-	m := NewMaintainer(cat, "sessions", optimizer.Config{K: 100, BudgetBytes: tab.Bytes(), ChurnFrac: 0.5})
+	m := NewMaintainer(cat, "sessions", optimizer.Config{K: 100, BudgetBytes: tab.Bytes()})
 
 	cur, _ := TakeSnapshot(tab, []string{"city"}, templatesFor(0.6, 0.4))
 	if !m.NeedsResolve(cur) {
@@ -153,10 +153,10 @@ func TestResolveAndApplyFirstTime(t *testing.T) {
 	cat.Register(tab)
 	m := NewMaintainer(cat, "sessions", optimizer.Config{
 		K: 100, CapRatio: 4, Resolutions: 2, MinCap: 5,
-		BudgetBytes: tab.Bytes(), ChurnFrac: 0.3,
-		Build: sample.BuildConfig{Seed: 1},
+		BudgetBytes: tab.Bytes(),
+		Build:       sample.BuildConfig{Seed: 1},
 	})
-	diff, err := m.Resolve(templatesFor(0.7, 0.3))
+	diff, err := m.Resolve(templatesFor(0.7, 0.3), 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestResolveAndApplyFirstTime(t *testing.T) {
 	}
 
 	// Second resolve with unchanged inputs: nothing to do.
-	diff2, err := m.Resolve(templatesFor(0.7, 0.3))
+	diff2, err := m.Resolve(templatesFor(0.7, 0.3), 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestChurnZeroFreezesConfiguration(t *testing.T) {
 	cat.Register(tab)
 	cfg := optimizer.Config{
 		K: 100, CapRatio: 4, Resolutions: 2, MinCap: 5,
-		BudgetBytes: tab.Bytes(), ChurnFrac: -1,
-		Build: sample.BuildConfig{Seed: 1},
+		BudgetBytes: tab.Bytes(),
+		Build:       sample.BuildConfig{Seed: 1},
 	}
 	m := NewMaintainer(cat, "sessions", cfg)
-	diff, err := m.Resolve(templatesFor(0.7, 0.3))
+	diff, err := m.Resolve(templatesFor(0.7, 0.3), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,7 @@ func TestChurnZeroFreezesConfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip the workload but set r = 0: nothing may change.
-	m.Cfg.ChurnFrac = 0
-	diff2, err := m.Resolve(templatesFor(0.05, 0.95))
+	diff2, err := m.Resolve(templatesFor(0.05, 0.95), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +210,14 @@ func TestChurnZeroFreezesConfiguration(t *testing.T) {
 		t.Errorf("r=0 must freeze the sample set: build=%v drop=%v", diff2.Build, diff2.Drop)
 	}
 	// r = 1 may adapt.
-	m.Cfg.ChurnFrac = 1
-	diff3, err := m.Resolve(templatesFor(0.05, 0.95))
+	diff3, err := m.Resolve(templatesFor(0.05, 0.95), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = diff3 // adaptation depends on storage weights; just must not error
 }
 
-func TestRefresherRotatesAndReplaces(t *testing.T) {
+func TestMaintainerRefreshRotatesAndReplaces(t *testing.T) {
 	tab := buildTable(t, 10000, 1.5, 1)
 	cat := catalog.New()
 	cat.Register(tab)
@@ -238,10 +236,10 @@ func TestRefresherRotatesAndReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRefresher(cat, "sessions", sample.BuildConfig{Seed: 100})
+	m := NewMaintainer(cat, "sessions", optimizer.Config{Build: sample.BuildConfig{Seed: 100}})
 	seen := map[string]int{}
 	for i := 0; i < 4; i++ {
-		phi, ok, err := r.RefreshNext()
+		phi, ok, err := m.Refresh()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,16 +267,16 @@ func TestRefresherRotatesAndReplaces(t *testing.T) {
 	}
 }
 
-func TestRefresherEmptyCatalog(t *testing.T) {
+func TestMaintainerRefreshEmptyCatalog(t *testing.T) {
 	tab := buildTable(t, 100, 1.5, 1)
 	cat := catalog.New()
 	cat.Register(tab)
-	r := NewRefresher(cat, "sessions", sample.BuildConfig{})
-	if _, ok, err := r.RefreshNext(); err != nil || ok {
+	m := NewMaintainer(cat, "sessions", optimizer.Config{})
+	if _, ok, err := m.Refresh(); err != nil || ok {
 		t.Errorf("empty catalog: ok=%v err=%v", ok, err)
 	}
-	r2 := NewRefresher(cat, "nope", sample.BuildConfig{})
-	if _, _, err := r2.RefreshNext(); err == nil {
+	m2 := NewMaintainer(cat, "nope", optimizer.Config{})
+	if _, _, err := m2.Refresh(); err == nil {
 		t.Error("unknown table should error")
 	}
 }

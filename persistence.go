@@ -118,7 +118,7 @@ func putU64(b *[8]byte, v uint64) {
 // bit for bit (sampling is seeded-deterministic).
 func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, blockRows int) uint64 {
 	w := newHashW()
-	w.str("blinkdb-sample-sig-v1")
+	w.str("blinkdb-sample-sig-v2")
 	t := entry.Table
 	w.str(t.Name)
 	w.str(t.Schema.String())
@@ -140,7 +140,6 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 	w.f64(opts.CapRatio)
 	w.i64(int64(opts.MaxColumns))
 	w.f64(opts.UniformFraction)
-	w.f64(opts.ChurnFraction)
 	for _, tpl := range opts.Templates {
 		w.str(types.NewColumnSet(tpl.Columns...).Key())
 		w.f64(tpl.Weight)
@@ -181,9 +180,9 @@ func (e *Engine) sampleManifestPath(table string) string {
 // persistSamples writes every family to its own segment, then the
 // manifest last — a crash mid-write leaves either the old manifest
 // (pointing at old, still-present segments) or no manifest (cold
-// rebuild); never a manifest referencing missing data. The caller holds
-// persistMu.
-func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family, rep *SampleReport) {
+// rebuild); never a manifest referencing missing data. It reports
+// whether the manifest was written. The caller holds persistMu.
+func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family, rep *SampleReport) bool {
 	dir := e.sampleDir(table)
 	for i, f := range fams {
 		path := filepath.Join(dir, fmt.Sprintf("fam%d.seg", i))
@@ -191,7 +190,7 @@ func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family,
 			return sample.WriteFamily(w, f)
 		}); err != nil {
 			e.noteF("persist samples %s: fam%d: %v", table, i, err)
-			return
+			return false
 		}
 	}
 	var enc blockfile.Enc
@@ -206,20 +205,17 @@ func (e *Engine) persistSamples(table string, sig uint64, fams []*sample.Family,
 	})
 	if err != nil {
 		e.noteF("persist samples %s: manifest: %v", table, err)
-		return
+		return false
 	}
-	if e.sampleSigs == nil {
-		e.sampleSigs = map[string]uint64{}
-	}
-	e.sampleSigs[strings.ToLower(table)] = sig
+	return true
 }
 
 // loadPersistedSamples loads the table's families from DataDir when the
 // persisted build signature matches sig. All-or-nothing: families reach
 // the catalog only after every segment loaded and validated; any
 // failure degrades to a cold rebuild with the reason noted. A load
-// records its report as CreateSamples would.
-func (e *Engine) loadPersistedSamples(table string, sig uint64) (*SampleReport, bool) {
+// records its signature and report in rec as CreateSamples would.
+func (e *Engine) loadPersistedSamples(table string, rec *tableSamples, sig uint64) (*SampleReport, bool) {
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
 	mseg, err := blockfile.Open(e.sampleManifestPath(table))
@@ -297,11 +293,7 @@ func (e *Engine) loadPersistedSamples(table string, sig uint64) (*SampleReport, 
 		total += f.StorageBytes()
 	}
 	rep.TotalBytes = total
-	if e.sampleSigs == nil {
-		e.sampleSigs = map[string]uint64{}
-	}
-	e.sampleSigs[strings.ToLower(table)] = sig
-	e.recordSampleReport(table, rep)
+	rec.sig, rec.rep = sig, rep
 	return rep, true
 }
 
@@ -312,36 +304,34 @@ func (e *Engine) warmupPath() string {
 }
 
 // SnapshotWarmup persists the engine's warm state to DataDir: current
-// sample families (re-persisted, so refreshes survive restarts), the
-// queries behind the fresh plan- and result-cache entries, and every
-// template's cost estimate. Safe to call concurrently with queries — it
-// sees a snapshot-quality view — and with itself: overlapping calls run
-// one at a time. No-op error when DataDir is unset.
+// sample families (re-persisted, so refreshes survive restarts; the
+// refresh cursor does not, and a restarted engine's first RefreshSamples
+// re-draws the first family it loaded), the queries behind the fresh
+// plan- and result-cache entries, and every template's cost estimate.
+// Safe to call concurrently with queries — it sees a snapshot-quality
+// view — and with itself: overlapping calls run one at a time. No-op
+// error when DataDir is unset.
 func (e *Engine) SnapshotWarmup(WarmupState) error {
 	if e.cfg.DataDir == "" {
 		return fmt.Errorf("blinkdb: SnapshotWarmup requires Config.DataDir")
 	}
 	e.persistMu.Lock()
 	defer e.persistMu.Unlock()
-	// Re-persist families for every table that went through
-	// CreateSamples, under the signature recorded then: a family
+	// Re-persist families for every table whose CreateSamples persisted
+	// them, under the signature and report recorded then: a family
 	// refreshed since (RefreshSamples, Maintain) replaces its segment,
 	// so the next warm boot resumes from the refreshed state and replays
 	// the warmup queries against it.
-	for table, sig := range e.sampleSigs {
-		entry, err := e.cat.Lookup(table)
-		if err != nil {
-			continue
+	e.samples.Range(func(table, v any) bool {
+		rec := v.(*tableSamples)
+		if rec.rep == nil {
+			return true
 		}
-		rep := &SampleReport{Optimal: true}
-		for _, f := range entry.Families {
-			rep.TotalBytes += f.StorageBytes()
+		if entry, err := e.cat.Lookup(table.(string)); err == nil {
+			e.persistSamples(table.(string), rec.sig, entry.Families, rec.rep)
 		}
-		if prev, ok := e.sampleReports[table]; ok {
-			rep = prev
-		}
-		e.persistSamples(table, sig, entry.Families, rep)
-	}
+		return true
+	})
 
 	var manifest blockfile.Enc
 	manifest.U32(warmupFileVersion)

@@ -27,11 +27,13 @@ var persistQueries = []string{
 
 // bootEngine opens an engine over dataDir, loads the deterministic
 // sessions table and runs CreateSamples — the full boot sequence a
-// server would run. It returns the engine and the sample report.
+// server would run. It returns the engine and the sample report. Its
+// Scale cuts blocks of ≈120 rows (≈21 B a row), so every family spans
+// several blocks.
 func bootEngine(t testing.TB, dataDir string) (*Engine, *SampleReport) {
 	t.Helper()
 	eng := Open(Config{
-		Nodes: 10, Workers: 2, Seed: 42, RowsPerBlock: 128,
+		Nodes: 10, Workers: 2, Seed: 42, Scale: 1e5,
 		DataDir: dataDir,
 	})
 	load := eng.CreateTable("sessions",

@@ -116,10 +116,11 @@ func TestResultCacheInvalidationOnRefresh(t *testing.T) {
 	// underneath. An answer whose own lookup began after refresh k was
 	// published must be an answer of epoch k or later, and a served
 	// form's bytes must always be the encoding of the Result they ride
-	// with. (A fresh engine: RefreshSamples redraws with one seed, so only
-	// an engine's first refresh changes its samples.)
+	// with. (A fresh engine: refreshes rotate over the families in catalog
+	// order, so its first re-draws family 0, S([city]), which the hot
+	// query reads.)
 	eng = demoEngine(t, 20000)
-	hot := `SELECT AVG(sessiontime), COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%` // on S([city]), the family refreshed
+	hot := `SELECT AVG(sessiontime), COUNT(*) FROM sessions GROUP BY city ERROR WITHIN 10%` // on S([city]), the family refreshed first
 	encode := func(res *Result) string {
 		cp := *res // the rows only: markers differ between a miss and its hits
 		cp.Explanation, cp.PlanCache, cp.ResultCache = "", "", ""
