@@ -76,10 +76,12 @@
 // (zones prove a purely conjunctive predicate for every row, requiring
 // NaN-free columns and magnitudes below 2^53) skip predicate evaluation
 // and batch-aggregate whole group runs, and mixed blocks evaluate the
-// predicate column-at-a-time into a selection bitmap. Joins materialize
-// late: the fact-only conjuncts filter columnar first, join keys probe
-// the typed hash indexes straight from the key columns, and only matched
-// rows are expanded into pooled combined-row buffers.
+// predicate column-at-a-time into a selection bitmap. A join is the same
+// scan over a wider chunk: each fact chunk gains its rows' dimension
+// columns, looked up by key in an index built once when the query is
+// prepared, and a match column, and the predicate AND match = 1 selects.
+// So a dimension table's join key must be unique; a query joining one
+// whose key repeats is refused.
 //
 // # Serving
 //

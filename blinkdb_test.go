@@ -417,6 +417,30 @@ func TestJoinThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestJoinRepeatedKeyRefused: a join against a dimension whose join key
+// repeats is refused with an error naming the table and the key — a fact
+// row joins at most one dimension row — and the engine goes on answering.
+func TestJoinRepeatedKeyRefused(t *testing.T) {
+	eng := demoEngine(t, 5000)
+	dim := eng.CreateTable("vendors", Col("os", String), Col("vendor", String))
+	for _, r := range [][2]string{{"Win7", "Microsoft"}, {"OSX", "Apple"}, {"Win7", "Other"}} {
+		if err := dim.Append(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dim.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := eng.Query(`SELECT COUNT(*) FROM sessions JOIN vendors ON os = os GROUP BY vendor`)
+	if err == nil || !strings.Contains(err.Error(), "join key Win7 repeats in vendors") {
+		t.Fatalf("join on a repeated key: err = %v, want the key and table named", err)
+	}
+	res, err := eng.Query(`SELECT COUNT(*) FROM sessions`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0].Cells[0].Value != 5000 {
+		t.Fatalf("the next query: %+v, %v", res, err)
+	}
+}
+
 func TestMaintainEndToEnd(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	tpl := []Template{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 
 	"blinkdb/internal/sqlparser"
@@ -113,15 +114,15 @@ func TestJoinAdmissibilityRejected(t *testing.T) {
 	dim := storage.NewTable("genres", schema)
 	b := storage.NewBuilder(dim, 8, 1, storage.OnDisk)
 	for i := 0; i < 20000; i++ {
-		b.AppendRow(types.Row{types.Str("g"), types.Str("x")})
+		b.AppendRow(types.Row{types.Str(fmt.Sprintf("g%d", i)), types.Str("x")})
 	}
 	b.Finish()
 	f.cat.Register(dim)
 	// genre is in no stratified family ([city], [os,url]).
 	_, err := answer(f.rt, parse(t,
 		`SELECT COUNT(*) FROM sessions JOIN genres ON genre = genre ERROR WITHIN 10%`))
-	if err == nil {
-		t.Fatal("join without key sample or in-memory dim should be rejected")
+	if err == nil || !strings.Contains(err.Error(), "does not fit in cluster memory (§2.1)") {
+		t.Fatalf("join without key sample or in-memory dim: err = %v, want the §2.1 admissibility error", err)
 	}
 }
 

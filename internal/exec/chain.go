@@ -25,11 +25,10 @@ import (
 // Extend changes the chain; Result only reads it, so a chain nobody extends
 // may be finalized from several goroutines at once.
 type Chain struct {
-	p     *Plan
-	joins []JoinSpec
-	jr    *joinRuntime // built by the first Extend of a join plan
-	view  sample.View  // the resolution reached; no family before the first Extend
-	m     *Merger
+	p    *Plan
+	jr   *joinRuntime // nil: a plain scan
+	view sample.View  // the resolution reached; no family before the first Extend
+	m    *Merger
 }
 
 // NewChain starts an empty chain of plan p, joining the fact rows with
@@ -37,7 +36,7 @@ type Chain struct {
 func NewChain(p *Plan, joins []JoinSpec) *Chain {
 	m := NewMerger(p, 0)
 	m.owned = true // the chain's partials never leave it
-	return &Chain{p: p, joins: joins, m: m}
+	return &Chain{p: p, jr: newJoinRuntime(p, joins), m: m}
 }
 
 // Level returns the resolution the chain has folded through, -1 before the
@@ -65,13 +64,7 @@ func (c *Chain) Extend(ctx context.Context, in Input, confidence float64, worker
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(c.joins) > 0 {
-		if c.jr == nil {
-			c.jr = buildJoinRuntime(c.p, c.joins, sp)
-		}
-		in.Schema = c.p.Schema
-	}
-	if err := scanInto(ctx, c.m, c.p, c.p.runtime(), in, workers, c.jr, sp); err != nil {
+	if err := scanInto(ctx, c.m, c.p, c.jr.runtime(c.p), in, workers, c.jr, sp); err != nil {
 		return nil, err
 	}
 	c.view = in.view

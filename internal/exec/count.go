@@ -23,29 +23,16 @@ func (c Counts) Selectivity() float64 { return selectivity(c.RowsMatched, c.Rows
 // into calls moves neither. What Count leaves out is everything after
 // selection: no span is cut at a metadata run, nothing is folded, merged or
 // finalized, and it runs on the caller. Blocks whose zones prove the
-// predicate count their rows without selection, as the scan's do.
-//
-// A join matches expanded rows, so a plan with joins runs its count plan
-// through the join scan instead. ctx is checked once, on entry; its error is
-// the only one Count returns.
+// predicate count their rows without selection, as the scan's do; a join
+// plan selects over the widened chunks, as its scan does (joinRuntime).
+// ctx is checked once, on entry; its error is the only one Count returns.
 func Count(ctx context.Context, p *Plan, in Input, joins []JoinSpec) (Counts, error) {
 	if err := ctx.Err(); err != nil {
 		return Counts{}, err
 	}
-	rt := p.runtime()
+	jr := newJoinRuntime(p, joins)
+	rt := jr.runtime(p)
 	prune := len(rt.bounds) > 0 && in.prunedFor != rt
-	if len(joins) > 0 {
-		res, err := RunJoin(ctx, p.countOnly(), in, joins, 0, 1, nil)
-		if err != nil {
-			return Counts{}, err
-		}
-		c := Counts{Blocks: len(in.Blocks), RowsScanned: res.RowsScanned, RowsMatched: res.RowsMatched}
-		if prune {
-			kept, _ := pruneBlocks(in.Blocks, rt.bounds)
-			c.Blocks = len(kept)
-		}
-		return c, nil
-	}
 
 	sc := getScratch()
 	defer putScratch(sc)
@@ -60,7 +47,11 @@ func Count(ctx context.Context, p *Plan, in Input, joins []JoinSpec) (Counts, er
 		if open.allTrue {
 			c.RowsMatched += int64(n)
 		} else {
-			bm, _ := sc.selectRows(rt.sel, open)
+			s := open
+			if jr != nil {
+				s = jr.widen(open, sc)
+			}
+			bm, _ := sc.selectRows(rt.sel, s)
 			c.RowsMatched += int64(bitmapCount(bm))
 		}
 		open.d = nil

@@ -314,21 +314,6 @@ func (p *Plan) WithPred(pred types.Predicate) *Plan {
 	return &cp
 }
 
-// countOnly returns the plan's count plan: the same predicate over the
-// same schema — and the same compiled state, so an Input pruned for either
-// is pruned for both — with no GROUP BY, no LIMIT and a single COUNT(*).
-// Every scan counter of a Result depends only on which rows are read and
-// which pass the predicate, so the count plan reports the plan's own at
-// the cost of one group and one accumulator: how Count counts a join.
-func (p *Plan) countOnly() *Plan {
-	return &Plan{
-		Schema: p.Schema,
-		Pred:   p.Pred,
-		Aggs:   []AggPlan{{Kind: stats.AggCount, Col: -1}},
-		rt:     p.runtime(),
-	}
-}
-
 // Group is one output row.
 type Group struct {
 	// Key holds the GROUP BY values (empty for global aggregates).
@@ -466,30 +451,13 @@ func (gs *groupState) clone() *groupState {
 	return cp
 }
 
-// newGroupState initialises a group for the given (possibly nil) first row.
-func newGroupState(p *Plan, row types.Row) *groupState {
+// newGroupState initialises a group of plan p with an empty key.
+func newGroupState(p *Plan) *groupState {
 	gs := &groupState{accs: make([]*stats.Acc, len(p.Aggs))}
 	for ai, a := range p.Aggs {
 		gs.accs[ai] = stats.NewAcc(a.Kind, a.P)
 	}
-	if len(p.GroupBy) > 0 && row != nil {
-		gs.key = make([]types.Value, len(p.GroupBy))
-		for ki, ci := range p.GroupBy {
-			gs.key[ki] = row[ci]
-		}
-	}
 	return gs
-}
-
-// keyMatches reports whether the group's key equals the projection of row
-// onto the GROUP BY columns (hash-collision resolution).
-func (gs *groupState) keyMatches(row types.Row, groupBy []int) bool {
-	for ki, ci := range groupBy {
-		if !types.GroupEqual(gs.key[ki], row[ci]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Partial is the mergeable result of scanning one contiguous block range:
@@ -520,48 +488,6 @@ func (pt *Partial) NumGroups() int {
 		n += len(b)
 	}
 	return n
-}
-
-// findGroup returns (creating if needed) the group state for row.
-func (pt *Partial) findGroup(p *Plan, row types.Row) *groupState {
-	h := types.HashSeed
-	if len(p.GroupBy) > 0 {
-		h = types.HashRowKey(row, p.GroupBy)
-	}
-	bucket := pt.groups[h]
-	for _, gs := range bucket {
-		if gs.keyMatches(row, p.GroupBy) {
-			return gs
-		}
-	}
-	gs := newGroupState(p, row)
-	pt.groups[h] = append(bucket, gs)
-	return gs
-}
-
-// addMatched feeds one row that already passed the predicate through
-// group → aggregate: chunk row r of class key k.
-func (pt *Partial) addMatched(p *Plan, row types.Row, r int, k stats.Key, stratumFreq int64) {
-	pt.RowsMatched++
-	pt.WeightedMatched.Add(k, 1)
-	if stratumFreq > pt.MaxMatchedStratumFreq {
-		pt.MaxMatchedStratumFreq = stratumFreq
-	}
-	gs := pt.findGroup(p, row)
-	for ai, a := range p.Aggs {
-		x := 1.0 // COUNT(*)
-		if a.Col >= 0 {
-			v := row[a.Col]
-			if v.IsNull() {
-				continue // SQL semantics: NULLs ignored
-			}
-			x = v.AsFloat()
-			if a.Kind == stats.AggCount {
-				x = 1
-			}
-		}
-		gs.accs[ai].AddRow(x, r, k)
-	}
 }
 
 // zoneMayMatch reports whether a block's zone maps can intersect the
@@ -595,10 +521,10 @@ func RunPartial(p *Plan, in Input, lo, hi int) *Partial {
 	return runPartial(p, p.runtime(), in, lo, hi, nil, nil)
 }
 
-// runPartial is RunPartial with precompiled plan state, an optional join
-// runtime (joins expand each fact row through the dimension indexes; nil
-// means a plain scan) and an optional scan scratch to reuse across the
-// ranges one worker processes (nil allocates on demand).
+// runPartial is RunPartial with precompiled plan state — a join scan's
+// (joinRuntime.rt) when jr is non-nil: each span is widened with the
+// dimension columns before the scan — and an optional scan scratch to reuse
+// across the ranges one worker processes (nil allocates on demand).
 func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	jr *joinRuntime, sc *colScratch) *Partial {
 
@@ -624,7 +550,7 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, lo, hi int,
 		switch {
 		case open.d == nil:
 		case jr != nil:
-			pt.scanSpanJoin(p, open, sc, jr)
+			pt.scanSpan(p, rt, jr.widen(open, sc), sc)
 		default:
 			pt.scanSpan(p, rt, open, sc)
 		}
@@ -653,7 +579,7 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, lo, hi int,
 		if b.N == 0 {
 			continue
 		}
-		if next := spanOf(b, rt, jr != nil, floor, &meta); open.d != nil && open.extends(next) {
+		if next := spanOf(b, rt, floor, &meta); open.d != nil && open.extends(next) {
 			open.hi = next.hi
 		} else {
 			scan()
@@ -798,7 +724,7 @@ func (m *Merger) result(confidence float64, w stats.Weights) *Result {
 	merged := m.merged
 	if len(m.p.GroupBy) == 0 && len(merged) == 0 {
 		// A global aggregate with zero matches still yields one empty group.
-		merged = map[uint64][]*groupState{types.HashSeed: {newGroupState(m.p, nil)}}
+		merged = map[uint64][]*groupState{types.HashSeed: {newGroupState(m.p)}}
 	}
 	finalize(m.p, res, merged, w)
 	return res

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"blinkdb/internal/sample"
@@ -75,6 +77,17 @@ func compileJoinQuery(t testing.TB, src string, fact *storage.Table,
 	return plan, specs
 }
 
+// joinSpec is newJoinSpec for a dimension whose join keys the test knows
+// to be distinct.
+func joinSpec(t testing.TB, dim *storage.Table, left, right int) JoinSpec {
+	t.Helper()
+	spec, err := newJoinSpec(dim, left, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 // runJoin is RunJoin at 95% confidence under a background context, where
 // it cannot fail.
 func runJoin(t testing.TB, p *Plan, in Input, joins []JoinSpec, workers int) *Result {
@@ -89,7 +102,7 @@ func runJoin(t testing.TB, p *Plan, in Input, joins []JoinSpec, workers int) *Re
 func TestJoinedSchemaCollisionsQualified(t *testing.T) {
 	fact := factTable(t, 10, 5, 1)
 	dim := dimTable(t, 5)
-	combined, offsets, err := JoinedSchema(fact.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(fact.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +113,9 @@ func TestJoinedSchemaCollisionsQualified(t *testing.T) {
 	if combined.Index("genre") < 0 {
 		t.Error("non-colliding dim column should keep its name")
 	}
-	if offsets[0] != fact.Schema.Len() {
-		t.Errorf("offset = %d", offsets[0])
+	// The dimension's columns follow the fact's.
+	if i := combined.Index("media.objectid"); i != fact.Schema.Len() {
+		t.Errorf("first dimension column at %d, want %d", i, fact.Schema.Len())
 	}
 }
 
@@ -220,24 +234,106 @@ func TestJoinDropsUnmatchedRows(t *testing.T) {
 	}
 }
 
+// keyTable builds a one-column dimension table "name" whose key column k
+// holds keys, in order.
+func keyTable(t testing.TB, name string, keys ...types.Value) *storage.Table {
+	t.Helper()
+	tab := storage.NewTable(name, types.NewSchema(types.Column{Name: "k", Kind: keys[0].Kind}))
+	b := storage.NewBuilder(tab, 8, 1, storage.InMemory)
+	for _, k := range keys {
+		b.AppendRow(types.Row{k})
+	}
+	return b.Finish()
+}
+
 func TestCompileJoinsErrors(t *testing.T) {
 	fact := factTable(t, 10, 5, 7)
-	dim := dimTable(t, 5)
-	dims := map[string]*storage.Table{"media": dim}
-	bad := []string{
-		`SELECT COUNT(*) FROM views JOIN media ON bogus = objectid`,
-		`SELECT COUNT(*) FROM views JOIN media ON objectid = bogus`,
-		`SELECT COUNT(*) FROM views JOIN media ON objectid = other.objectid`,
+	dims := map[string]*storage.Table{
+		"media": dimTable(t, 5),
+		"twice": keyTable(t, "twice", types.Str("NY"), types.Str("SF"), types.Str("NY")),
+		// Bool(true) is Int(1)'s Value.Key class: one key, twice.
+		"oneclass": keyTable(t, "oneclass", types.Int(0), types.Int(1), types.Bool(true)),
+		"nulls":    keyTable(t, "nulls", types.Null(), types.Str("NY"), types.Null()),
 	}
-	for _, src := range bad {
+	for src, want := range map[string]string{
+		`SELECT COUNT(*) FROM views JOIN media ON bogus = objectid`:          `join column "bogus" not found`,
+		`SELECT COUNT(*) FROM views JOIN media ON objectid = bogus`:          `join column "bogus" not in media`,
+		`SELECT COUNT(*) FROM views JOIN media ON objectid = other.objectid`: `does not reference media`,
+		`SELECT COUNT(*) FROM views JOIN twice ON city = k`:                  `join key NY repeats in twice`,
+		`SELECT COUNT(*) FROM views JOIN oneclass ON objectid = k`:           `join key true repeats in oneclass`,
+		`SELECT COUNT(*) FROM views JOIN nulls ON city = k`:                  `join key NULL repeats in nulls`,
+	} {
 		q, err := sqlparser.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := CompileJoins(q, fact.Schema, func(name string) (*storage.Table, error) {
+		_, _, err = CompileJoins(q, fact.Schema, func(name string) (*storage.Table, error) {
 			return dims[name], nil
-		}); err == nil {
-			t.Errorf("CompileJoins(%q) should fail", src)
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CompileJoins(%q) = %v, want an error containing %q", src, err, want)
+		}
+	}
+}
+
+// TestJoinChunkHeaders: the widened scan gives every fact chunk a header
+// of its own, because the scan's per-chunk caches (dictionary verdicts,
+// groups by dictionary code) key on column addresses. Two chunks whose
+// dictionaries order the cities differently, cut into scan ranges that
+// straddle the chunk boundary, grouped by the fact's dictionary column and
+// filtered on a dimension column, answer as the oracle does.
+func TestJoinChunkHeaders(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "city", Kind: types.KindString},
+		types.Column{Name: "v", Kind: types.KindFloat},
+	)
+	tab := storage.NewTable("t", schema)
+	b := storage.NewBuilder(tab, 300, 2, storage.InMemory)
+	rng := rand.New(rand.NewSource(11))
+	orders := [][]string{{"NY", "SF", "LA", "Austin"}, {"Austin", "LA", "SF", "NY"}}
+	const rows = 90000
+	for i := 0; i < rows; i++ {
+		order := orders[0]
+		if i >= rows/2 {
+			order = orders[1]
+		}
+		b.AppendRow(types.Row{types.Str(order[i%len(order)]), types.Float(rng.ExpFloat64() * 40)})
+	}
+	b.Finish()
+	chunks := tab.Chunks()
+	if len(chunks) != 2 || chunks[0].Cols[0].Dict[0] == chunks[1].Cols[0].Dict[0] {
+		t.Fatal("the table is meant to be two chunks whose dictionaries start with different cities")
+	}
+	in := FromTable(tab)
+	straddles := false
+	for _, r := range in.ranges() {
+		straddles = straddles || in.Blocks[r.Lo].Chunk != in.Blocks[r.Hi-1].Chunk
+	}
+	if !straddles {
+		t.Fatal("no scan range straddles the chunk boundary")
+	}
+	regions := storage.NewTable("regions", types.NewSchema(
+		types.Column{Name: "name", Kind: types.KindString},
+		types.Column{Name: "region", Kind: types.KindString},
+	))
+	db := storage.NewBuilder(regions, 4, 1, storage.InMemory)
+	for _, r := range [][2]string{{"NY", "east"}, {"SF", "west"}, {"LA", "west"}, {"Austin", "south"}} {
+		db.AppendRow(types.Row{types.Str(r[0]), types.Str(r[1])})
+	}
+	db.Finish()
+	for _, src := range []string{
+		`SELECT COUNT(*), SUM(v) FROM t JOIN regions ON city = name WHERE region = 'west' GROUP BY city`,
+		`SELECT AVG(v) FROM t JOIN regions ON city = name WHERE region <> 'east' AND city <> 'LA' GROUP BY city`,
+	} {
+		p, joins := compileJoinQuery(t, src, tab, map[string]*storage.Table{"regions": regions})
+		checkOracle(t, src, p, in, joins)
+		want := oracle(p, in, joins, 0.95)
+		for _, w := range []int{1, 4} {
+			got := runJoin(t, p, in, joins, w)
+			want.RowsScanned, want.BytesScanned = got.RowsScanned, got.BytesScanned
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s workers=%d: diverged from the oracle\nwant %+v\ngot  %+v", src, w, want, got)
+			}
 		}
 	}
 }

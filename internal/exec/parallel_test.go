@@ -198,13 +198,12 @@ func TestParallelJoinEquivalence(t *testing.T) {
 	}
 	db.Finish()
 
-	combined, offsets, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = offsets
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions GROUP BY region`, combined)
-	spec := JoinSpec{Dim: dim, LeftCol: 0, RightCol: 0}
+	spec := joinSpec(t, dim, 0, 0)
 	in := FromTable(tab)
 	want := runJoin(t, p, in, []JoinSpec{spec}, 1)
 	if len(want.Groups) != 3 {

@@ -206,11 +206,11 @@ func TestPartitionInvariantJoin(t *testing.T) {
 	db.Finish()
 	for name, sizes := range irregularShapes {
 		plain, rle := irregularTable(t, sizes)
-		combined, _, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
+		combined, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
 		if err != nil {
 			t.Fatal(err)
 		}
-		joins := []JoinSpec{{Dim: dim, LeftCol: plain.Schema.Index("city"), RightCol: 0}}
+		joins := []JoinSpec{joinSpec(t, dim, plain.Schema.Index("city"), 0)}
 		p := compile(t, `SELECT COUNT(*), AVG(v) FROM t WHERE code < 700 GROUP BY region`, combined)
 		checkOracle(t, name+" plain", p, FromTable(plain), joins)
 		checkOracle(t, name+" rle", p, FromTable(rle), joins)

@@ -113,7 +113,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 	}
 }
 
-// TestThreeWayJoinEquivalence pins late-materialized joins against the
+// TestThreeWayJoinEquivalence pins the widened join scan against the
 // oracle's nested loop across fact encodings.
 func TestThreeWayJoinEquivalence(t *testing.T) {
 	plain := stratSortedTable(t, false)
@@ -133,15 +133,15 @@ func TestThreeWayJoinEquivalence(t *testing.T) {
 	}
 	db.Finish()
 
-	combined, _, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(plain.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	joins := []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}}
+	joins := []JoinSpec{joinSpec(t, dim, 0, 0)}
 	queries := []string{
-		// Fact-side conjunct + dim-side conjunct: exercises the split.
+		// A fact-side conjunct and a dimension-side one.
 		`SELECT COUNT(*), SUM(v) FROM strat WHERE v < 40 AND bucket <> 'mid' GROUP BY bucket`,
-		`SELECT AVG(v) FROM strat WHERE bucket = 'high' GROUP BY strat`,            // rest-only pred
+		`SELECT AVG(v) FROM strat WHERE bucket = 'high' GROUP BY strat`,            // dimension-only pred
 		`SELECT COUNT(*) FROM strat WHERE tier >= 5 AND tier < 20 GROUP BY bucket`, // fact-only pred
 		`SELECT SUM(v) FROM strat GROUP BY bucket`,                                 // no pred at all
 	}
@@ -262,17 +262,16 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 		})
 	}
 	db.Finish()
-	combined, _, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := compile(t, `SELECT COUNT(*), SUM(v) FROM strat WHERE v < 40 AND bucket <> 'mid' GROUP BY bucket`, combined)
-	jr := newJoinRuntime(p, []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
+	jr := newJoinRuntime(p, []JoinSpec{joinSpec(t, dim, 0, 0)})
 	in := FromTable(tab)
 	sc := &colScratch{}
 	pt := &Partial{groups: make(map[uint64][]*groupState)}
-	rt := p.runtime()
-	scan := func() { pt.scanBlocks(p, rt, in, 0, len(in.Blocks), jr, sc) }
+	scan := func() { pt.scanBlocks(p, jr.rt, in, 0, len(in.Blocks), jr, sc) }
 	scan() // warm: row buffer, bitmap scratch, group states
 	if a := testing.AllocsPerRun(20, scan); a != 0 {
 		t.Errorf("steady-state join scan allocates %.1f allocs/run, want 0", a)
@@ -407,8 +406,8 @@ func BenchmarkCmpRLE(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinLateMat measures the late-materialization join on a plan
-// with one fact-side and one dimension-side conjunct.
+// BenchmarkJoinLateMat measures the widened join scan on a plan with one
+// fact-side and one dimension-side conjunct.
 func BenchmarkJoinLateMat(b *testing.B) {
 	tab := randomWeightedTable(b, 17, 120000, 2048)
 	dimSchema := types.NewSchema(
@@ -421,11 +420,11 @@ func BenchmarkJoinLateMat(b *testing.B) {
 		db.AppendRow(types.Row{types.Str(r[0]), types.Str(r[1])})
 	}
 	db.Finish()
-	combined, _, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
 	if err != nil {
 		b.Fatal(err)
 	}
-	joins := []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}}
+	joins := []JoinSpec{joinSpec(b, dim, 0, 0)}
 	p := compile(b, `SELECT COUNT(*), SUM(sessiontime) FROM sessions WHERE code < 500 AND region <> 'south' GROUP BY region`, combined)
 	in := FromTable(tab)
 	b.ReportAllocs()

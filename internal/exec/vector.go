@@ -20,7 +20,10 @@ import (
 // a selection bitmap, then grouping and aggregation run over the selected
 // rows using contiguous typed slices — no types.Row is materialised and
 // no per-row interface dispatch happens. Row indices are chunk row
-// numbers throughout.
+// numbers throughout. A join scan is this scan over a wider chunk (see
+// joinRuntime): each fact chunk gains its rows' dimension columns, gathered
+// by key lookup, and a match column, and the plan's predicate AND match = 1
+// selects.
 //
 // BIT-IDENTITY CONTRACT: for any span, the scan must produce exactly the
 // state a naive row-at-a-time evaluation would (the reference oracle in
@@ -108,6 +111,16 @@ type colScratch struct {
 	// partials (group states die with their partial; their buffers
 	// shouldn't).
 	rowPool [][]int32
+
+	// wideHdrs holds the widened form of every fact chunk a join scan has
+	// met (see widened), one per join and chunk, so that the caches above,
+	// which key on column addresses, see one column per chunk. The headers
+	// share the gathered payloads — joinVals, one per dimension column, and
+	// joinMatch — indexed by chunk row: each span rewrites the rows it
+	// reads.
+	wideHdrs  map[wideKey]*wideChunk
+	joinVals  [][]types.Value
+	joinMatch []uint16
 }
 
 // scratchPool recycles scan scratch across scans: a span can be a whole
@@ -128,6 +141,7 @@ func putScratch(sc *colScratch) {
 	clear(sc.codeGS[:cap(sc.codeGS)])
 	clear(sc.codeSlots[:cap(sc.codeSlots)])
 	sc.codeCol, sc.codePT = nil, nil
+	clear(sc.wideHdrs)
 	clear(sc.keybuf[:cap(sc.keybuf)])
 	clear(sc.rowbuf[:cap(sc.rowbuf)])
 	scratchPool.Put(sc)
@@ -1059,30 +1073,19 @@ func cmpIntsAsFloatSlow(xs intCol, c float64, dst []uint64, lt, eq, gt bool) {
 
 // ---- grouping + aggregation over selected rows ----
 
-// findGroupVals mirrors Partial.findGroup for keys extracted directly
-// from columns (vals is the projection onto the GROUP BY columns; h its
-// HashRowKey-compatible hash).
+// findGroupVals returns (creating if needed) the group of the key vals, the
+// row's values of the GROUP BY columns in order, h their hash (HashInto
+// chained from HashSeed).
 func (pt *Partial) findGroupVals(p *Plan, vals []types.Value, h uint64) *groupState {
 	bucket := pt.groups[h]
 	for _, gs := range bucket {
-		ok := true
-		for ki := range vals {
-			if !types.GroupEqual(gs.key[ki], vals[ki]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if groupKeysEqual(gs.key, vals) {
 			return gs
 		}
 	}
-	gs := &groupState{accs: make([]*stats.Acc, len(p.Aggs))}
-	for ai, a := range p.Aggs {
-		gs.accs[ai] = stats.NewAcc(a.Kind, a.P)
-	}
+	gs := newGroupState(p)
 	if len(vals) > 0 {
-		gs.key = make([]types.Value, len(vals))
-		copy(gs.key, vals)
+		gs.key = slices.Clone(vals)
 	}
 	pt.groups[h] = append(bucket, gs)
 	return gs
@@ -1140,13 +1143,9 @@ func (c *metaCursor) runOf(d *colstore.Data, row int) int {
 const minImpliedRows = 64
 
 // spanOf classifies one block, of the delta of cap floor (0: a table's), as
-// a span of its own. Join scans evaluate their own fact-side predicate and
-// keys per probed row, so they only need the window.
-func spanOf(b *storage.Block, rt *planRuntime, join bool, floor int64, meta *metaCursor) span {
+// a span of its own.
+func spanOf(b *storage.Block, rt *planRuntime, floor int64, meta *metaCursor) span {
 	s := span{d: b.Chunk, lo: b.Off, hi: b.Off + b.N, metaRun: -1, floor: floor}
-	if join {
-		return s
-	}
 	s.allTrue = zonesProve(b, rt)
 	if r := meta.runOf(s.d, s.lo); int(s.d.MetaEnds[r]) >= s.hi {
 		s.metaRun = r
@@ -1635,7 +1634,7 @@ func (pt *Partial) accumulate(p *Plan, d *colstore.Data, gs *groupState, sel row
 		// are ascending, so an RLE column resolves each run's value and
 		// NULL-ness once.
 		rows := sel.rows(sc)
-		xs := growFloats(&sc.xs, sel.n)[:0]
+		xs := grow(&sc.xs, sel.n)[:0]
 		kept := sc.kept[:0]
 		run, runEnd := 0, int32(0)
 		var runVal types.Value
@@ -1721,79 +1720,11 @@ func (sc *colScratch) ints(col *colstore.Column, idxs []int32, lo, hi int) []int
 	return xs
 }
 
-func growFloats(buf *[]float64, n int) []float64 {
+// grow returns the first n entries of *buf, reallocating it when it holds
+// fewer. What it held is not kept.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
-}
-
-// scanSpanJoin is the late-materialization join scan: the fact-side
-// predicate conjuncts are evaluated FIRST over the span, join keys of
-// surviving rows are probed straight out of the key columns, and only fact
-// rows with at least one dimension match are materialised into the pooled
-// buffer (sized once at plan time, joinRuntime.width; nothing downstream
-// retains it — addMatched copies what it keeps). Expansion order, filter
-// semantics and aggregation order are those of expanding every fact row
-// and filtering the combined rows — rows that would be discarded after
-// materialising (predicate miss or empty join) are skipped before paying
-// for materialisation, which changes no emitted value.
-func (pt *Partial) scanSpanJoin(p *Plan, s span, sc *colScratch, jr *joinRuntime) {
-	d := s.d
-	pt.RowsScanned += int64(s.hi - s.lo)
-
-	buf := sc.rowBuf(jr.width)
-	factW := len(d.Cols)
-	ix0 := jr.idxs[0]
-	keyCol := &d.Cols[ix0.spec.LeftCol]
-	// Probed rows ascend, so their sampling metadata comes off a run cursor;
-	// a combined row sits in its fact row's lane.
-	metaRun, row := -1, 0
-	var key stats.Key
-	var freq int64
-	emit := func(r types.Row) {
-		if jr.restPred != nil && !jr.restPred.Eval(r) {
-			return
-		}
-		pt.addMatched(p, r, row, key, freq)
-	}
-	probe := func(i int) {
-		// Probe the first join from the key column directly — no
-		// materialisation until a match exists.
-		matches := ix0.lookup(keyCol.Value(i))
-		if len(matches) == 0 {
-			return
-		}
-		if metaRun < 0 || int(d.MetaEnds[metaRun]) <= i {
-			metaRun = d.MetaRunOf(i)
-			key, freq = stats.RateKey(d.Rates[metaRun]), d.Freqs[metaRun]
-			if s.floor > 0 {
-				key = stats.FreqKey(freq, s.floor)
-			}
-		}
-		row = i
-		d.RowInto(buf[:factW], i)
-		for _, dimRow := range matches {
-			copy(buf[factW:factW+len(dimRow)], dimRow)
-			jr.expandInto(buf, factW+len(dimRow), 1, emit)
-		}
-	}
-
-	// Fact-side selection: only the conjuncts that reference fact columns.
-	// (Rows they reject can never produce a passing combined row, so
-	// filtering before expansion is exact.)
-	if jr.factPred == nil {
-		for i := s.lo; i < s.hi; i++ {
-			probe(i)
-		}
-		return
-	}
-	bm, base := sc.selectRows(jr.factPred, s)
-	for wi, w := range bm {
-		at := base + wi<<6
-		for w != 0 {
-			probe(at + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }

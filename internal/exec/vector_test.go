@@ -168,12 +168,12 @@ func TestColumnarJoinEquivalence(t *testing.T) {
 	}
 	db.Finish()
 
-	combined, _, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
+	combined, err := JoinedSchema(tab.Schema, []*storage.Table{dim})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime) FROM sessions WHERE code < 700 GROUP BY region`, combined)
-	checkOracle(t, "join", p, FromTable(tab), []JoinSpec{{Dim: dim, LeftCol: 0, RightCol: 0}})
+	checkOracle(t, "join", p, FromTable(tab), []JoinSpec{joinSpec(t, dim, 0, 0)})
 }
 
 // TestIntervalKernel holds the one int compare kernel — intsInRange, behind

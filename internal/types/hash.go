@@ -40,16 +40,6 @@ func hashUint64(h, x uint64) uint64 {
 	return h
 }
 
-// HashRowKey hashes the projection of r onto idx — the hashed equivalent
-// of RowKey(r, idx).
-func HashRowKey(r Row, idx []int) uint64 {
-	h := HashSeed
-	for _, j := range idx {
-		h = r[j].HashInto(h)
-	}
-	return h
-}
-
 // GroupEqual reports whether two values are the same GROUP BY key, with
 // the same equivalence RowKey/Key() encode: NULLs match each other, Int
 // and Bool compare by integer payload, floats by bit pattern, strings by
