@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
@@ -172,6 +173,9 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 			if g.Base != w.Base || !reflect.DeepEqual(g.Offs, w.Offs) || !reflect.DeepEqual(g.Ints, w.Ints) || !reflect.DeepEqual(g.Nulls, w.Nulls) {
 				t.Fatalf("chunk %d col %d int payload or nulls differ (narrow %v, want %v)", i, c, g.Narrow(), w.Narrow())
 			}
+			if !reflect.DeepEqual(g.Codes8, w.Codes8) || !reflect.DeepEqual(g.Codes16, w.Codes16) {
+				t.Fatalf("chunk %d col %d dictionary codes differ (1-byte %v, want %v)", i, c, g.Codes8 != nil, w.Codes8 != nil)
+			}
 		}
 		if !reflect.DeepEqual(gc.MetaEnds, wc.MetaEnds) {
 			t.Fatalf("chunk %d metadata runs differ", i)
@@ -292,6 +296,84 @@ func TestNarrowIntsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDictCodeWidthRoundTrip: dictionary columns on both sides of the
+// 1-byte code rule — 256 distinct strings (1-byte codes) and 257 (2-byte),
+// each with NULLs — round-trip through both load paths field for field,
+// and a mapped segment's 1-byte codes are a view of the mapping, not a
+// copy.
+func TestDictCodeWidthRoundTrip(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "s256", Kind: types.KindString},
+		types.Column{Name: "s257", Kind: types.KindString},
+	)
+	want := storage.NewTable("codes", schema)
+	b := storage.NewBuilder(want, 100, 3, storage.InMemory)
+	for i := 0; i < 1500; i++ {
+		row := types.Row{types.Str(fmt.Sprintf("a%03d", i%256)), types.Str(fmt.Sprintf("b%03d", i%257))}
+		if i%13 == 12 {
+			row[0] = types.Null()
+		}
+		if i%17 == 16 {
+			row[1] = types.Null()
+		}
+		b.Append(row, storage.RowMeta{Rate: 0.5, StratumFreq: 2})
+	}
+	want = b.Finish()
+	d := want.Chunks()[0]
+	if c := &d.Cols[0]; c.Codes8 == nil || len(c.Dict) != colstore.MaxDict8 {
+		t.Fatalf("s256: %d entries, 1-byte codes %v", len(c.Dict), c.Codes8 != nil)
+	}
+	if c := &d.Cols[1]; c.Codes16 == nil || len(c.Dict) != colstore.MaxDict8+1 {
+		t.Fatalf("s257: %d entries, 2-byte codes %v", len(c.Dict), c.Codes16 != nil)
+	}
+	path := writeFixture(t, want)
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+		seg, err := open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := seg.Table(0)
+		if err != nil {
+			t.Fatalf("%s: Table: %v", name, err)
+		}
+		assertTablesEqual(t, want, got)
+		codes := got.Chunks()[0].Cols[0].Codes8
+		lo, hi := uintptr(unsafe.Pointer(&seg.data[0])), uintptr(unsafe.Pointer(&seg.data[len(seg.data)-1]))
+		if at := uintptr(unsafe.Pointer(&codes[0])); at < lo || at > hi || cap(codes) != len(codes) {
+			t.Fatalf("%s: the 1-byte codes are not a capped view of the segment", name)
+		}
+		seg.Close()
+	}
+}
+
+// TestDictCodeOutOfRangeRejected: a dictionary code not below the
+// dictionary's size — no builder writes one — fails to load cleanly, in
+// either width.
+func TestDictCodeOutOfRangeRejected(t *testing.T) {
+	for _, col := range []colstore.Column{
+		{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true},
+		{Enc: colstore.EncDict, Codes16: []uint16{0, 300}, Dict: []string{"a", "b"}, NaNFree: true},
+	} {
+		seg, err := Open(writeFixture(t, badCodeTable(col)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("codes %v %v over %d entries loaded: err %v", col.Codes8, col.Codes16, len(col.Dict), err)
+		}
+		seg.Close()
+	}
+}
+
+// badCodeTable wraps a two-row dictionary column, whatever its codes, as
+// a one-block table.
+func badCodeTable(col colstore.Column) *storage.Table {
+	d := &colstore.Data{N: 2, Cols: []colstore.Column{col}, MetaEnds: []int32{2}, Rates: []float64{1}, Freqs: []int64{1}}
+	tbl := storage.NewTable("forged", types.NewSchema(types.Column{Name: "s", Kind: types.KindString}))
+	tbl.AddBlock(&storage.Block{Chunk: d, N: 2, Zones: []storage.Zone{{Min: types.Str("a"), Max: types.Str("b"), Valid: true}}})
+	return tbl
+}
+
 // TestDictionaryOverflowRoundTrip: a table whose one priced block is
 // larger than a storage chunk, so that a string column with more distinct
 // values than 16-bit codes reach is stored verbatim beside a dictionary
@@ -339,7 +421,7 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 	}
 	d := &colstore.Data{
 		N:        1,
-		Cols:     []colstore.Column{{Enc: colstore.EncDict, Codes: []uint16{0}, Dict: dict, NaNFree: true}},
+		Cols:     []colstore.Column{{Enc: colstore.EncDict, Codes16: []uint16{0}, Dict: dict, NaNFree: true}},
 		MetaEnds: []int32{1}, Rates: []float64{1}, Freqs: []int64{1},
 	}
 	tbl := storage.NewTable("forged", types.NewSchema(types.Column{Name: "s", Kind: types.KindString}))
@@ -360,10 +442,12 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 // each its own column set — the format before blocks became windows on
 // chunks), testdata/chunked_v2.seg (6 rows, one chunk cut into two
 // blocks, with a dictionary column of 32-bit codes — the format before
-// codes became 16-bit) and testdata/chunked_v3.seg (buildFixture's 40
-// rows, whose int column spans 0..117 stored as int64s — the format before
-// such a column became its minimum plus 16-bit offsets). Both load paths
-// must refuse them with a clean
+// codes became 16-bit), testdata/chunked_v3.seg (buildFixture's 40 rows,
+// whose int column spans 0..117 stored as int64s — the format before such
+// a column became its minimum plus 16-bit offsets) and
+// testdata/chunked_v4.seg (buildFixture's 40 rows, whose 23-string
+// dictionary column stores 2-byte codes — the format before such a column
+// took 1-byte ones). Both load paths must refuse them with a clean
 // version error — no panic, no half-loaded table — so the engine above
 // falls back to a cold rebuild.
 func TestRetiredFormatVersionRejected(t *testing.T) {
@@ -388,6 +472,7 @@ var retiredSegments = map[string]int{
 	"columnar_blocks_v1.seg": 1,
 	"chunked_v2.seg":         2,
 	"chunked_v3.seg":         3,
+	"chunked_v4.seg":         4,
 }
 
 // TestEncodingCoverage asserts the fixture actually exercises every

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -16,13 +17,17 @@ import (
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
 // Seeds cover a valid single-table segment, a multi-table segment, the
-// two retired format-1 segments and the retired format-2 and format-3
-// ones, and systematic mutations of the first. testdata/fuzz holds the
-// checked-in corpus: a valid format-4 segment of buildFixture's 40 rows,
-// its int column narrow (seed-valid), it with a byte flipped a third of
-// the way in (seed-bitflip), cut in half (seed-truncated) and with its
-// last byte changed (seed-badtail), testdata/chunked_v2.seg
-// (seed-retired-v2) and testdata/chunked_v3.seg (seed-retired-v3).
+// two retired format-1 segments and the retired format-2, format-3 and
+// format-4 ones, systematic mutations of the first, and a segment whose
+// 1-byte dictionary code is past its dictionary. testdata/fuzz holds the
+// checked-in corpus: a valid format-5 segment of buildFixture's 40 rows,
+// its int column narrow and its dictionary column of 1-byte codes
+// (seed-valid), it with a byte flipped a third of the way in
+// (seed-bitflip), cut in half (seed-truncated) and with its last byte
+// changed (seed-badtail), testdata/chunked_v2.seg (seed-retired-v2),
+// testdata/chunked_v3.seg (seed-retired-v3), testdata/chunked_v4.seg
+// (seed-retired-v4) and the two-row segment whose 1-byte code 2 indexes a
+// two-entry dictionary (seed-badcode8).
 func FuzzSegmentLoad(f *testing.F) {
 	seed := func(rows int, extraTable bool) []byte {
 		tbl := buildFixture(f, rows)
@@ -59,13 +64,14 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(valid[:off])
 	}
 	// After the rest, so the earlier seeds keep their numbers.
-	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg", "chunked_v3.seg"} {
+	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg", "chunked_v3.seg", "chunked_v4.seg"} {
 		retired, err = os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(retired)
 	}
+	f.Add(badCode8Segment(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg := &Segment{data: alignedCopy(data)}
@@ -86,6 +92,20 @@ func FuzzSegmentLoad(f *testing.F) {
 			tbl.Scan(func(_ types.Row, _ storage.RowMeta) bool { return true })
 		}
 	})
+}
+
+// badCode8Segment returns a segment of one two-row dictionary column whose
+// 1-byte codes are 0 and 2, over a two-entry dictionary.
+func badCode8Segment(f testing.TB) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.AddTable(badCodeTable(colstore.Column{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true})); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // alignedCopy mirrors readFileAligned for in-memory fuzz inputs.

@@ -52,7 +52,8 @@ type blockDesc struct {
 type colDesc struct {
 	enc     colstore.Encoding
 	nanFree bool
-	// narrow marks an int or bool column stored as base + uint16 offsets.
+	// narrow marks an int or bool column stored as base + uint16 offsets,
+	// or a dictionary column of 1-byte codes.
 	narrow bool
 	base   int64
 	// Section refs by role: payload, nulls, dict (meaning depends on enc).
@@ -264,6 +265,7 @@ func (s *Segment) parseChunk(d *Dec, ncols int) (chunkDesc, error) {
 			cd.payload = d.U32()
 			cd.nulls = d.U32()
 		case colstore.EncDict:
+			cd.narrow = d.U8() != 0
 			cd.payload = d.U32()
 			cd.nulls = d.U32()
 			cd.dict = d.U32()
@@ -438,7 +440,12 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		}
 		return s.loadNulls(c, cd, nrows)
 	case colstore.EncDict:
-		if c.Codes, err = s.u16View(cd.payload, nrows); err != nil {
+		if cd.narrow {
+			c.Codes8, err = s.u8View(cd.payload, nrows)
+		} else {
+			c.Codes16, err = s.u16View(cd.payload, nrows)
+		}
+		if err != nil {
 			return err
 		}
 		if err = s.loadNulls(c, cd, nrows); err != nil {
@@ -460,12 +467,10 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if d.err != nil {
 			return d.err
 		}
-		for _, code := range c.Codes {
-			if int(code) >= len(c.Dict) {
-				return fmt.Errorf("dict code %d out of range (%d entries)", code, len(c.Dict))
-			}
+		if err := checkCodes(c.Codes8, len(c.Dict)); err != nil {
+			return err
 		}
-		return nil
+		return checkCodes(c.Codes16, len(c.Dict))
 	case colstore.EncValue:
 		raw, err := s.section(cd.payload)
 		if err != nil {
@@ -497,6 +502,17 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 	default:
 		return fmt.Errorf("invalid encoding %d", cd.enc)
 	}
+}
+
+// checkCodes fails on a dictionary code of either width that is not below
+// entries.
+func checkCodes[C colstore.Code](codes []C, entries int) error {
+	for _, code := range codes {
+		if int(code) >= entries {
+			return fmt.Errorf("dict code %d out of range (%d entries)", code, entries)
+		}
+	}
+	return nil
 }
 
 func (s *Segment) loadNulls(c *colstore.Column, cd *colDesc, nrows int) error {
@@ -578,6 +594,16 @@ func (s *Segment) u64View(idx uint32, n int) ([]uint64, error) {
 		out[i] = d.U64()
 	}
 	return out, d.err
+}
+
+// u8View returns the section itself: bytes need neither alignment nor
+// decoding.
+func (s *Segment) u8View(idx uint32, n int) ([]uint8, error) {
+	raw, err := s.numericSection(idx, n, 1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return raw[:n:n], nil
 }
 
 func (s *Segment) u16View(idx uint32, n int) ([]uint16, error) {

@@ -13,14 +13,16 @@
 //	                chunks → columns with their encodings and section
 //	                refs — an int or bool column names its form: wide,
 //	                an int64 section, or narrow, its Base and a uint16
-//	                offset section — then the block table: placement,
+//	                offset section; a dictionary column its code width,
+//	                1 or 2 bytes — then the block table: placement,
 //	                bytes, zones and a (chunk, offset, rows) window per
 //	                priced block)
 //	tail     24 B   footer offset/length, footer CRC32C, magic
 //
 // All fixed-width fields are little-endian. Numeric column payloads
-// (float64/int64 values, uint64 null-bitmap words, uint16 dictionary
-// codes and narrow int offsets, int32 run ends and metadata-run ends) are
+// (float64/int64 values, uint64 null-bitmap words, 1- or 2-byte
+// dictionary codes, chosen per chunk, uint16 narrow int offsets, int32 run
+// ends and metadata-run ends) are
 // stored as raw machine-width arrays, so on a little-endian host a loaded
 // column's slices are views over the mapping — zero per-value decode, zero
 // per-value allocation. Strings (dictionaries of at most 65,536 entries,
@@ -55,8 +57,10 @@ const (
 	// chunks as version 3 does, but with 32-bit dictionary codes; version
 	// 3 stored every int and bool column as int64s, where version 4 stores
 	// one whose values fit a 16-bit window as its minimum plus uint16
-	// offsets.
-	FormatVersion = 4
+	// offsets; version 4 stored every dictionary column's codes as
+	// uint16s, where version 5 stores 1- or 2-byte codes, chosen per
+	// chunk: one byte a row when the dictionary has at most 256 entries.
+	FormatVersion = 5
 
 	headerSize = 16
 	tailSize   = 24
@@ -230,7 +234,13 @@ func (w *Writer) addColumn(e *Enc, c *colstore.Column) {
 		}
 		e.U32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 	case colstore.EncDict:
-		e.U32(w.section(u16Bytes(c.Codes)))
+		if c.Codes8 != nil {
+			e.U8(1)
+			e.U32(w.section(c.Codes8))
+		} else {
+			e.U8(0)
+			e.U32(w.section(u16Bytes(c.Codes16)))
+		}
 		e.U32(w.optSection(u64Bytes(c.Nulls), c.Nulls != nil))
 		var dict Enc
 		dict.U32(uint32(len(c.Dict)))

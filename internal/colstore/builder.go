@@ -129,15 +129,6 @@ func (b *Builder) Finish() *Data {
 	return d
 }
 
-// FromRows encodes a complete chunk in one call.
-func FromRows(numCols int, rows []types.Row, rates []float64, freqs []int64) *Data {
-	b := NewBuilder(numCols)
-	for i, r := range rows {
-		b.Append(r, rates[i], freqs[i])
-	}
-	return b.Finish()
-}
-
 // exact copies xs into a slice with no spare capacity (nil when empty).
 func exact[T any](xs []T) []T {
 	if len(xs) == 0 {
@@ -155,7 +146,7 @@ type colAcc struct {
 	kind   types.Kind
 	floats []float64 // KindFloat payloads, 0 at NULL rows
 	ints   []int64   // KindInt and KindBool payloads
-	codes  []uint16  // KindString codes into dict, first-appearance order
+	codes  []uint16  // KindString codes into dict, first-appearance order (encode may store them 1-byte)
 	dict   []string
 	lookup map[string]uint16
 	nulls  []uint64 // bitmap, grown to the last NULL row's word
@@ -378,14 +369,22 @@ func (a *colAcc) remapCodes(col *Column, lo, hi int, null func(int) bool) bool {
 	for range col.Dict {
 		a.remap = append(a.remap, noCode)
 	}
+	if col.Codes8 != nil {
+		return remapCodes(a, col.Codes8, col.Dict, lo, hi, null)
+	}
+	return remapCodes(a, col.Codes16, col.Dict, lo, hi, null)
+}
+
+// remapCodes is colAcc.remapCodes over codes of either width.
+func remapCodes[C Code](a *colAcc, codes []C, dict []string, lo, hi int, null func(int) bool) bool {
 	var ok bool
 	for j := lo; j < hi; j++ {
 		var code uint16
 		if !null(j) {
-			c := col.Codes[j]
+			c := codes[j]
 			if r := a.remap[c]; r != noCode {
 				code = uint16(r)
-			} else if code, ok = a.code(col.Dict[c]); ok {
+			} else if code, ok = a.code(dict[c]); ok {
 				a.remap[c] = uint32(code)
 			} else {
 				return false
@@ -512,7 +511,16 @@ func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
 		}
 		return col
 	case types.KindString:
-		return Column{Enc: EncDict, Codes: exact(a.codes), Dict: exact(a.dict), Nulls: nulls}
+		col := Column{Enc: EncDict, Dict: exact(a.dict), Nulls: nulls}
+		if len(a.dict) <= MaxDict8 {
+			col.Codes8 = make([]uint8, n)
+			for i, c := range a.codes[:n] {
+				col.Codes8[i] = uint8(c)
+			}
+		} else {
+			col.Codes16 = exact(a.codes)
+		}
+		return col
 	case types.KindFloat:
 		return Column{Enc: EncFloat, Floats: exact(a.floats), Nulls: nulls}
 	default:

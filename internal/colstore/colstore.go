@@ -2,7 +2,8 @@
 // vectorized scan path. A Data is one physical chunk — tens of thousands
 // of rows, many of storage's priced blocks — decomposed into per-column
 // typed slices — []float64, ints as []int64 or as a minimum plus []uint16
-// offsets, dictionary-encoded strings — plus a null bitmap per column and
+// offsets, dictionary-encoded strings as 1- or 2-byte codes, chosen per
+// chunk — plus a null bitmap per column and
 // the sampling metadata storage.RowMeta reports per row (rate, stratum
 // frequency), stored as runs.
 //
@@ -39,8 +40,11 @@
 //     always does) it is its minimum, Base, plus one uint16 offset per
 //     row; otherwise one int64 per row. The builder picks the form from
 //     the data; there is no knob.
-//   - EncDict — strings as 16-bit codes into a first-appearance
-//     dictionary of at most MaxDict entries.
+//   - EncDict — strings as codes into a first-appearance dictionary of at
+//     most MaxDict entries: 1- or 2-byte codes, chosen per chunk — one
+//     byte a row when the dictionary has at most MaxDict8 entries, two
+//     otherwise. The builder picks the width from the data; there is no
+//     knob.
 //   - EncValue — verbatim []types.Value, the fallback for columns whose
 //     non-null values mix kinds, or whose strings outnumber MaxDict (and
 //     don't run-length compress).
@@ -72,9 +76,10 @@ const (
 	EncInt
 	// EncBool stores KindBool payloads (0/1) as EncInt stores ints.
 	EncBool
-	// EncDict stores KindString values as 16-bit Codes into Dict
-	// (first-appearance order, so encoding is deterministic for a given row
-	// sequence; at most MaxDict entries).
+	// EncDict stores KindString values as codes into Dict (first-appearance
+	// order, so encoding is deterministic for a given row sequence; at most
+	// MaxDict entries): 1- or 2-byte codes, chosen per chunk — Codes8 when
+	// Dict has at most MaxDict8 entries, Codes16 otherwise.
 	EncDict
 	// EncValue stores values verbatim — the fallback for columns whose
 	// non-null values mix kinds. Nulls is not used; Values holds them.
@@ -86,8 +91,17 @@ const (
 	EncRLE
 )
 
-// MaxDict is the most entries a dictionary can hold: codes are 16 bits.
-const MaxDict = 1 << 16
+// MaxDict is the most entries a dictionary can hold: codes are at most
+// 16 bits. MaxDict8 is the most a dictionary of 1-byte codes holds; a
+// chunk column whose dictionary is no larger stores 1-byte codes.
+const (
+	MaxDict  = 1 << 16
+	MaxDict8 = 1 << 8
+)
+
+// Code is the element type of a dictionary column's codes: uint8 for a
+// dictionary of at most MaxDict8 entries, uint16 for a larger one.
+type Code interface{ uint8 | uint16 }
 
 // String renders the encoding name.
 func (e Encoding) String() string {
@@ -112,12 +126,15 @@ func (e Encoding) String() string {
 // (bit i set ⇒ row i is NULL); nil means the column has no nulls. EncValue
 // columns keep nulls inline in Values and leave Nulls nil.
 //
-// Codes are 16 bits wide, so an EncDict column's Dict holds at most
-// MaxDict entries: a storage chunk holds at most that many rows, so its
-// dictionaries always fit. A chunk that would need one more distinct
-// string — only one larger than a storage chunk, built by hand or from a
-// priced block over 65,536 rows — stores that column as EncValue instead,
-// the fallback a column of mixed kinds takes.
+// An EncDict column's codes are 1 or 2 bytes, chosen per chunk: Codes8
+// when its Dict has at most MaxDict8 entries, Codes16 otherwise; exactly
+// one of the two is non-nil, unless the column has no rows. Codes are at
+// most 16 bits wide, so Dict holds at most MaxDict entries: a storage
+// chunk holds at most that many rows, so its dictionaries always fit. A
+// chunk that would need one more distinct string — only one larger than a
+// storage chunk, built by hand or from a priced block over 65,536 rows —
+// stores that column as EncValue instead, the fallback a column of mixed
+// kinds takes.
 //
 // An EncInt or EncBool column is in one of two forms. Narrow: when every
 // non-NULL payload lies in [m, m+65535], m the smallest, Base is m and
@@ -127,15 +144,16 @@ func (e Encoding) String() string {
 // Ints is nil in the narrow form and Offs in the wide one. A NULL row's
 // slot holds 0 in the wide form and offset 0 in the narrow form.
 type Column struct {
-	Enc    Encoding
-	Floats []float64
-	Ints   []int64
-	Base   int64
-	Offs   []uint16
-	Codes  []uint16
-	Dict   []string
-	Values []types.Value
-	Nulls  []uint64
+	Enc     Encoding
+	Floats  []float64
+	Ints    []int64
+	Base    int64
+	Offs    []uint16
+	Codes8  []uint8
+	Codes16 []uint16
+	Dict    []string
+	Values  []types.Value
+	Nulls   []uint64
 
 	// RunVals/RunEnds are the EncRLE payload: RunVals[r] is the value of
 	// run r, RunEnds[r] its exclusive cumulative end row (ascending;
@@ -164,7 +182,7 @@ func (c *Column) Len() int {
 		}
 		return len(c.Ints)
 	case EncDict:
-		return len(c.Codes)
+		return len(c.Codes8) + len(c.Codes16)
 	case EncRLE:
 		if len(c.RunEnds) == 0 {
 			return 0
@@ -187,6 +205,14 @@ func (c *Column) IntAt(i int) int64 {
 		return c.Base + int64(c.Offs[i])
 	}
 	return c.Ints[i]
+}
+
+// Code returns row i's code of an EncDict column, in either width.
+func (c *Column) Code(i int) int {
+	if c.Codes8 != nil {
+		return int(c.Codes8[i])
+	}
+	return int(c.Codes16[i])
 }
 
 // RunOf returns the index of the run containing row i (EncRLE only).
@@ -225,69 +251,8 @@ func (c *Column) Value(i int) types.Value {
 	case EncBool:
 		return types.Value{Kind: types.KindBool, I: c.IntAt(i)}
 	default: // EncDict
-		return types.Str(c.Dict[c.Codes[i]])
+		return types.Str(c.Dict[c.Code(i)])
 	}
-}
-
-// NumNulls counts the NULL rows (n is the column length, needed to mask
-// the bitmap's tail word).
-func (c *Column) NumNulls(n int) int {
-	if c.Enc == EncValue {
-		count := 0
-		for i := range c.Values {
-			if c.Values[i].IsNull() {
-				count++
-			}
-		}
-		return count
-	}
-	if c.Enc == EncRLE {
-		count := 0
-		start := int32(0)
-		for r, v := range c.RunVals {
-			if v.IsNull() {
-				count += int(c.RunEnds[r] - start)
-			}
-			start = c.RunEnds[r]
-		}
-		return count
-	}
-	if c.Nulls == nil {
-		return 0
-	}
-	count := 0
-	for wi, w := range c.Nulls {
-		if rem := n - wi*64; rem < 64 {
-			w &= (1 << uint(rem)) - 1
-		}
-		count += bits.OnesCount64(w)
-	}
-	return count
-}
-
-// MinMax returns the smallest and largest non-NULL value of the column
-// under types.Compare, and false when every row is NULL. Note this is a
-// summary helper (tests use it to cross-check encodings), NOT the source
-// of block zone maps: those bracket every value of a block, NULLs
-// included (see storage's cutter).
-func (c *Column) MinMax(n int) (min, max types.Value, ok bool) {
-	for i := 0; i < n; i++ {
-		if c.IsNull(i) {
-			continue
-		}
-		v := c.Value(i)
-		if !ok {
-			min, max, ok = v, v, true
-			continue
-		}
-		if types.Compare(v, min) < 0 {
-			min = v
-		}
-		if types.Compare(v, max) > 0 {
-			max = v
-		}
-	}
-	return min, max, ok
 }
 
 // Data is one physical chunk: every column of a run of rows plus their
@@ -546,7 +511,7 @@ func (n *valueIDs) column(col *Column, lo, hi int, out []uint32) {
 		}
 		switch col.Enc {
 		case EncDict:
-			c := col.Codes[j]
+			c := col.Code(j)
 			id := n.remap[c]
 			if id == noCode {
 				id = n.id(types.Str(col.Dict[c]))

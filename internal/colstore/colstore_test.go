@@ -8,6 +8,50 @@ import (
 	"blinkdb/internal/types"
 )
 
+// FromRows encodes a complete chunk in one call.
+func FromRows(numCols int, rows []types.Row, rates []float64, freqs []int64) *Data {
+	b := NewBuilder(numCols)
+	for i, r := range rows {
+		b.Append(r, rates[i], freqs[i])
+	}
+	return b.Finish()
+}
+
+// MinMax returns the smallest and largest non-NULL value of the column's
+// first n rows under types.Compare, and false when every row is NULL: a
+// summary the tests cross-check encodings with (block zone maps bracket
+// every value of a block, NULLs included — see storage's cutter).
+func (c *Column) MinMax(n int) (min, max types.Value, ok bool) {
+	for i := 0; i < n; i++ {
+		if c.IsNull(i) {
+			continue
+		}
+		v := c.Value(i)
+		if !ok {
+			min, max, ok = v, v, true
+			continue
+		}
+		if types.Compare(v, min) < 0 {
+			min = v
+		}
+		if types.Compare(v, max) > 0 {
+			max = v
+		}
+	}
+	return min, max, ok
+}
+
+// nullCount counts the NULL rows among the column's first n.
+func nullCount(c *Column, n int) int {
+	count := 0
+	for i := 0; i < n; i++ {
+		if c.IsNull(i) {
+			count++
+		}
+	}
+	return count
+}
+
 // randomValue draws a value of a random kind, including NULLs.
 func randomValue(rng *rand.Rand) types.Value {
 	switch rng.Intn(5) {
@@ -146,14 +190,14 @@ func TestMinMaxAndNulls(t *testing.T) {
 	if !ok || min.F != -1 || max.F != 7 {
 		t.Fatalf("minmax = %v %v %v", min, max, ok)
 	}
-	if got := d.Cols[0].NumNulls(d.N); got != 1 {
-		t.Fatalf("NumNulls = %d, want 1", got)
+	if got := nullCount(&d.Cols[0], d.N); got != 1 {
+		t.Fatalf("NULL rows = %d, want 1", got)
 	}
 	if _, _, ok := d.Cols[1].MinMax(d.N); ok {
 		t.Fatalf("all-null column reported a min/max")
 	}
-	if got := d.Cols[1].NumNulls(d.N); got != 4 {
-		t.Fatalf("all-null NumNulls = %d, want 4", got)
+	if got := nullCount(&d.Cols[1], d.N); got != 4 {
+		t.Fatalf("all-null NULL rows = %d, want 4", got)
 	}
 }
 
@@ -168,7 +212,7 @@ func TestDictDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(d.Cols[0].Dict, want) {
 		t.Fatalf("dict = %v, want %v", d.Cols[0].Dict, want)
 	}
-	if !reflect.DeepEqual(d.Cols[0].Codes, []uint16{0, 1, 0, 2}) {
-		t.Fatalf("codes = %v", d.Cols[0].Codes)
+	if !reflect.DeepEqual(d.Cols[0].Codes8, []uint8{0, 1, 0, 2}) || d.Cols[0].Codes16 != nil {
+		t.Fatalf("codes = %v / %v, want one byte each", d.Cols[0].Codes8, d.Cols[0].Codes16)
 	}
 }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -113,4 +114,69 @@ func TestNarrowInts(t *testing.T) {
 			idOf[key] = ids[i]
 		}
 	}
+}
+
+// TestDictCodeWidth pins the dictionary code width rule at its edge: a
+// chunk column of 256 distinct strings stores one byte a row, one of 257
+// two, NULL rows included, and a re-cut (AppendFrom) that joins chunks of
+// either width — or splits one — picks the width from the dictionary it
+// ends with. Every row reads back as appended, through Value and Strata.
+func TestDictCodeWidth(t *testing.T) {
+	strs := func(distinct, n int) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.Str(fmt.Sprintf("v%03d", i%distinct))}
+			if i%11 == 5 && i >= distinct {
+				rows[i] = types.Row{types.Null()}
+			}
+		}
+		return rows
+	}
+	width := func(c *Column) int {
+		switch {
+		case c.Enc != EncDict:
+			return 0
+		case c.Codes8 != nil && c.Codes16 == nil:
+			return 1
+		case c.Codes16 != nil && c.Codes8 == nil:
+			return 2
+		}
+		return -1
+	}
+	rates, freqs := make([]float64, 2000), make([]int64, 2000)
+	for i := range rates {
+		rates[i], freqs[i] = 1, 1
+	}
+	small, large := strs(MaxDict8, 1000), strs(MaxDict8+1, 1000)
+	for _, tc := range []struct {
+		name           string
+		rows           []types.Row
+		entries, width int
+	}{{"256 strings", small, MaxDict8, 1}, {"257 strings", large, MaxDict8 + 1, 2}} {
+		d := FromRows(1, tc.rows, rates, freqs)
+		if got := width(&d.Cols[0]); got != tc.width || len(d.Cols[0].Dict) != tc.entries {
+			t.Fatalf("%s: %d-byte codes over %d entries, want %d-byte over %d", tc.name, got, len(d.Cols[0].Dict), tc.width, tc.entries)
+		}
+		checkRows(t, tc.name, d, tc.rows)
+	}
+
+	// Re-cuts: a 1-byte chunk then a 2-byte one (their union has 257+
+	// strings: 2 bytes), and the first 300 rows of the 2-byte chunk alone
+	// (256 strings met: 1 byte).
+	ds, dl := FromRows(1, small, rates, freqs), FromRows(1, large, rates, freqs)
+	b := NewBuilder(1)
+	b.AppendFrom(ds, 0, ds.N)
+	b.AppendFrom(dl, 0, dl.N)
+	joined := b.Finish()
+	if got := width(&joined.Cols[0]); got != 2 {
+		t.Fatalf("joined: %d-byte codes, want 2", got)
+	}
+	checkRows(t, "joined", joined, append(append([]types.Row(nil), small...), large...))
+	b.AppendFrom(dl, 0, 256)
+	b.AppendFrom(ds, 0, 300)
+	head := b.Finish()
+	if got := width(&head.Cols[0]); got != 1 {
+		t.Fatalf("head: %d-byte codes over %d entries, want 1", got, len(head.Cols[0].Dict))
+	}
+	checkRows(t, "head", head, append(append([]types.Row(nil), large[:256]...), small[:300]...))
 }

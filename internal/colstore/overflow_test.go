@@ -171,8 +171,8 @@ func TestDictionaryOfMaxDictStaysDict(t *testing.T) {
 		if col.Enc != EncDict || len(col.Dict) != MaxDict {
 			t.Fatalf("%s: encoding %v with %d entries, want dict with %d", name, col.Enc, len(col.Dict), MaxDict)
 		}
-		if slices.Max(col.Codes) != MaxDict-1 || col.Dict[MaxDict-1] != fmt.Sprintf("k%06d", MaxDict-1) {
-			t.Fatalf("%s: top code %d holds %q", name, slices.Max(col.Codes), col.Dict[slices.Max(col.Codes)])
+		if col.Codes8 != nil || slices.Max(col.Codes16) != MaxDict-1 || col.Dict[MaxDict-1] != fmt.Sprintf("k%06d", MaxDict-1) {
+			t.Fatalf("%s: top code %d holds %q", name, slices.Max(col.Codes16), col.Dict[slices.Max(col.Codes16)])
 		}
 		checkRows(t, name, d, rows)
 	}

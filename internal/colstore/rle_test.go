@@ -65,8 +65,8 @@ func TestRLERoundTrip(t *testing.T) {
 			t.Fatalf("row %d: IsNull = %v, want %v", i, got, want)
 		}
 	}
-	if got, want := col.NumNulls(len(rows)), 15; got != want {
-		t.Fatalf("NumNulls = %d, want %d", got, want)
+	if got, want := nullCount(&col, len(rows)), 15; got != want {
+		t.Fatalf("NULL rows = %d, want %d", got, want)
 	}
 	// Int(7) and Float(7) compare equal but are distinct values — the
 	// round trip above already proves they landed in separate runs.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/stats"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
@@ -22,15 +23,18 @@ func diffSchema() *types.Schema {
 		types.Column{Name: "v", Kind: types.KindFloat},
 		types.Column{Name: "mix", Kind: types.KindFloat},
 		types.Column{Name: "nanny", Kind: types.KindFloat}, // predicates only: NaN != NaN under DeepEqual
+		types.Column{Name: "tag", Kind: types.KindString},
 	)
 }
 
 var diffCities = []string{"NY", "NY", "SF", "LA", "Austin", "Boise"}
 
 // diffRow draws row n of a differential table: tier is the caller's (the
-// column the zone states hang on), and when dirty one row in ten carries a
-// NULL pair, a NaN beside a mixed-kind value, or another NULL pair.
-func diffRow(rng *rand.Rand, n int, tier int64, dirty bool) types.Row {
+// column the zone states hang on), tag cycles through tags strings — so a
+// chunk of at least tags rows has tags of them, and its dictionary takes
+// 2-byte codes when that is over 256 — and when dirty one row in ten
+// carries NULLs, a NaN beside a mixed-kind value, or another NULL pair.
+func diffRow(rng *rand.Rand, n int, tier int64, tags int, dirty bool) types.Row {
 	row := types.Row{
 		types.Str(fmt.Sprintf("s%03d", n/700)),
 		types.Str(diffCities[rng.Intn(len(diffCities))]),
@@ -39,11 +43,12 @@ func diffRow(rng *rand.Rand, n int, tier int64, dirty bool) types.Row {
 		types.Float(rng.ExpFloat64() * 100),
 		types.Float(float64(rng.Intn(20))),
 		types.Float(rng.NormFloat64()),
+		types.Str(fmt.Sprintf("t%03d", n%tags)),
 	}
 	if dirty {
 		switch rng.Intn(30) {
 		case 0:
-			row[1], row[4] = types.Null(), types.Null()
+			row[1], row[4], row[7] = types.Null(), types.Null(), types.Null()
 		case 1:
 			row[5], row[6] = types.Int(int64(rng.Intn(20))), types.Float(math.NaN())
 		case 2:
@@ -55,9 +60,10 @@ func diffRow(rng *rand.Rand, n int, tier int64, dirty bool) types.Row {
 
 // genCase derives one differential case from a seed: a table over one of
 // partition_test.go's irregular block shapes, every block a chunk of its
-// own (sorted RLE runs, dictionary strings, NULLs, a NaN-bearing column, a
-// mixed int/float column, a block-monotonic column for the three zone
-// states, varying stratum frequencies), then genQuery's plan. Everything
+// own (sorted RLE runs, dictionary strings — with 2-byte codes in a block
+// of over 256 rows half the time — NULLs, a NaN-bearing column, a mixed
+// int/float column, a block-monotonic column for the three zone states,
+// varying stratum frequencies), then genQuery's plan. Everything
 // is a function of the seed, so a failing seed is a complete reproduction.
 func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	rng := rand.New(rand.NewSource(seed))
@@ -82,8 +88,9 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 		} else {
 			b.DisableRLE()
 		}
+		tags := []int{7, 400}[rng.Intn(2)]
 		for i := 0; i < size; i++ {
-			row := diffRow(rng, n, int64(bi), true)
+			row := diffRow(rng, n, int64(bi), tags, true)
 			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * rng.Intn(5))})
 			n++
 		}
@@ -106,8 +113,10 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 // every row, mid-block or every few thousand rows; NULLs, NaNs and
 // mixed-kind values confined to one block per chunk (the whole chunk's
 // columns still pay for them: null bitmaps, the verbatim encoding, no
-// NaN-free guarantee); and, one case in three, a view input whose block
-// list skips blocks the way a pruned one does.
+// NaN-free guarantee); a tag column with 257 to 556 strings in the long
+// chunk and at most 256 in every other, so one scan meets both widths of
+// dictionary code; and, one case in three, a view input whose block list
+// skips blocks the way a pruned one does.
 func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := diffSchema()
@@ -125,7 +134,11 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 		}
 		period := []int{1, 37, 400, 5000}[rng.Intn(4)]    // rows per stratum frequency
 		dirty := rng.Intn((rows+perBlock-1)/perBlock + 1) // this block alone is dirty (one past the end: none)
-		shape += fmt.Sprintf(" %dx%d/f%d", rows, perBlock, period)
+		tags := 1 + rng.Intn(colstore.MaxDict8)
+		if c == long {
+			tags = colstore.MaxDict8 + 1 + rng.Intn(300)
+		}
+		shape += fmt.Sprintf(" %dx%d/f%d/t%d", rows, perBlock, period, tags)
 		one := storage.NewTable("t", schema)
 		b := storage.NewBuilder(one, perBlock, 5, storage.InMemory)
 		if rle {
@@ -139,7 +152,7 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 			if blk%3 == 2 {
 				tier += int64(rng.Intn(5) - 2)
 			}
-			row := diffRow(rng, n, tier, i/perBlock == dirty)
+			row := diffRow(rng, n, tier, tags, i/perBlock == dirty)
 			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * (n / period % 5))})
 			n++
 		}
@@ -180,7 +193,7 @@ func randomCaps(rng *rand.Rand) []int64 {
 // genQuery draws the plan for a differential case: a random AND/OR/NOT
 // predicate with cross-kind constants, 0–2 GROUP BY columns, 1–3
 // aggregates, sometimes a LIMIT, and — one case in three — a dimension
-// join on city.
+// join on city or on tag.
 func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) {
 	p = &Plan{Schema: schema}
 	if rng.Intn(3) == 0 {
@@ -189,7 +202,11 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 			types.Column{Name: "region", Kind: types.KindString},
 		))
 		db := storage.NewBuilder(dim, 4, 1, storage.InMemory)
-		for _, c := range [][2]string{{"NY", "east"}, {"SF", "west"}, {"LA", "west"}} {
+		key, names := 1, [][2]string{{"NY", "east"}, {"SF", "west"}, {"LA", "west"}}
+		if rng.Intn(2) == 0 {
+			key, names = 7, [][2]string{{"t007", "east"}, {"t300", "west"}, {"t001", "west"}}
+		}
+		for _, c := range names {
 			db.AppendRow(types.Row{types.Str(c[0]), types.Str(c[1])})
 		}
 		db.AppendRow(types.Row{types.Null(), types.Str("nowhere")}) // NULL keys join each other
@@ -198,7 +215,7 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 		if err != nil {
 			panic(err)
 		}
-		spec, err := newJoinSpec(dim, 1, 0)
+		spec, err := newJoinSpec(dim, key, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -214,6 +231,7 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 		"mix":    {types.Int(7), types.Float(7), types.Float(12.5), types.Str("x")},
 		"nanny":  {types.Float(0), types.Int(1), types.Float(math.NaN())},
 		"region": {types.Str("west"), types.Str("east")},
+		"tag":    {types.Str("t007"), types.Str("t300"), types.Str("t"), types.Null()},
 	}
 	ops := []types.CmpOp{types.CmpLt, types.CmpLe, types.CmpEq, types.CmpGe, types.CmpGt, types.CmpNe}
 	var pred func(depth int) types.Predicate
@@ -238,7 +256,7 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 	if rng.Intn(8) != 0 {
 		p.Pred = pred(3)
 	}
-	groupable := []int{0, 1, 2} // strat, city, tier
+	groupable := []int{0, 1, 2, 7} // strat, city, tier, tag
 	if joins != nil {
 		groupable = append(groupable, p.Schema.Index("region"))
 	}

@@ -328,7 +328,7 @@ func (jr *joinRuntime) widen(s span, sc *colScratch) span {
 			}
 			var r int32
 			if codeRows != nil {
-				r = codeRows[key.Codes[i]]
+				r = codeRows[key.Code(i)]
 			} else {
 				r = j.idx.lookup(key.Value(i))
 			}

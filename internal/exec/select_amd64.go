@@ -1,7 +1,7 @@
 package exec
 
 // The AVX2 selection kernels below run when cpu.AVX2 is set; vector.go's
-// intsInRange, u16InRange and rowsOf choose them.
+// intsInRange, u16InRange, u8InRange and rowsOf choose them.
 
 // intsInRangeAVX2 sets word k of dst to the verdicts of xs[64k:64k+64] for
 // every whole word of xs: bit i where int64(xs[i]-lo) ≤ int64(width), four
@@ -20,6 +20,14 @@ func intsInRangeAVX2(xs []int64, lo, width uint64, dst []uint64)
 //
 //go:noescape
 func u16InRangeAVX2(xs []uint16, lo, width uint16, dst []uint64)
+
+// u8InRangeAVX2 is u16InRangeAVX2 over 1-byte codes, thirty-two rows a
+// compare: x passes where uint8(x-lo) ≤ width, that is where the unsigned
+// minimum of x-lo and width is x-lo (VPMINUB then VPCMPEQB), so no sign
+// bit needs flipping.
+//
+//go:noescape
+func u8InRangeAVX2(xs []uint8, lo, width uint8, dst []uint64)
 
 // rowsOfAVX2 writes the set bits of bm as ascending row numbers (bit k is
 // row base+k) from idxs[0] on, a byte of bm at a time through setBitPos.

@@ -106,6 +106,45 @@ u16Loop:
 u16Done:
 	RET
 
+// RANGE32B tests xs[32k:32k+32] (1-byte codes, at off(SI)) and leaves the
+// 32 PASS verdicts in row order in reg's low 32 bits: y = x-lo (Y0 holds
+// lo), and x passes where the unsigned minimum of y and width (Y1) is y.
+#define RANGE32B(off, reg) \
+	VMOVDQU   off(SI), Y2; \
+	VPSUBB    Y0, Y2, Y2; \
+	VPMINUB   Y1, Y2, Y3; \
+	VPCMPEQB  Y2, Y3, Y3; \
+	VPMOVMSKB Y3, reg
+
+// func u8InRangeAVX2(xs []uint8, lo, width uint8, dst []uint64)
+TEXT ·u8InRangeAVX2(SB), NOSPLIT, $0-56
+	MOVQ xs_base+0(FP), SI
+	MOVQ xs_len+8(FP), CX
+	MOVQ dst_base+32(FP), DI
+	SHRQ $6, CX
+	JZ   u8Done
+	MOVBLZX lo+24(FP), AX
+	VMOVD AX, X0
+	VPBROADCASTB X0, Y0
+	MOVBLZX width+25(FP), AX
+	VMOVD AX, X1
+	VPBROADCASTB X1, Y1
+
+u8Loop:
+	RANGE32B(0, AX)
+	RANGE32B(32, BX)
+	SHLQ $32, BX
+	ORQ  BX, AX
+	MOVQ AX, (DI)
+	ADDQ $64, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  u8Loop
+	VZEROUPPER
+
+u8Done:
+	RET
+
 // ROWS8 lists the set bits of R9's low byte: the byte's positions from the
 // LUT (R8), widened to 32 bits, plus Y0 (the byte's first row), stored as
 // eight lanes at DI, which then advances past the byte's POPCNT rows. Y0

@@ -9,4 +9,6 @@ func intsInRangeAVX2(xs []int64, lo, width uint64, dst []uint64) { panic("exec: 
 
 func u16InRangeAVX2(xs []uint16, lo, width uint16, dst []uint64) { panic("exec: no AVX2 kernels") }
 
+func u8InRangeAVX2(xs []uint8, lo, width uint8, dst []uint64) { panic("exec: no AVX2 kernels") }
+
 func rowsOfAVX2(bm []uint64, base int32, idxs []int32) { panic("exec: no AVX2 kernels") }

@@ -55,6 +55,7 @@ var selectSchema = types.NewSchema(
 	types.Column{Name: "v", Kind: types.KindFloat},
 	types.Column{Name: "bottom", Kind: types.KindInt}, // narrow from math.MinInt64, with NULLs
 	types.Column{Name: "top", Kind: types.KindInt},    // narrow up to math.MaxInt64
+	types.Column{Name: "s8", Kind: types.KindString},  // s with 1-byte codes
 )
 
 // narrowCols are selectSchema's narrow int columns and their Base.
@@ -66,10 +67,11 @@ var narrowCols = []struct {
 // selectChunk hand-builds one chunk of n rows over selectSchema: int
 // columns of small values among the ends of int64, a dictionary column
 // whose dictionary holds "x" twice (codes 0 and 2), as a loaded segment's
-// may, and two narrow int columns (a minimum plus 16-bit offsets) at the
-// ends of int64 whose offsets are drawn from edgeCodes. NULL rows keep a
-// random code or value under their null bit, except the narrow column's,
-// which hold offset 0 as a built one's do.
+// may, stored with 2-byte codes (s) and with 1-byte ones (s8), and two
+// narrow int columns (a minimum plus 16-bit offsets) at the ends of int64
+// whose offsets are drawn from edgeCodes. NULL rows keep a random code or
+// value under their null bit, except the narrow column's, which hold
+// offset 0 as a built one's do.
 func selectChunk(n int, seed int64) *colstore.Data {
 	rng := rand.New(rand.NewSource(seed))
 	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64}
@@ -82,13 +84,13 @@ func selectChunk(n int, seed int64) *colstore.Data {
 	words := (n + 63) / 64
 	a := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), Nulls: make([]uint64, words), NaNFree: true}
 	b := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
-	s := colstore.Column{Enc: colstore.EncDict, Dict: []string{"x", "y", "x", "z"}, Codes: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
+	s := colstore.Column{Enc: colstore.EncDict, Dict: []string{"x", "y", "x", "z"}, Codes16: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
 	bottom := colstore.Column{Enc: colstore.EncInt, Base: narrowCols[0].base, Offs: make([]uint16, n), Nulls: make([]uint64, words), NaNFree: true}
 	top := colstore.Column{Enc: colstore.EncInt, Base: narrowCols[1].base, Offs: make([]uint16, n), NaNFree: true}
 	for i := 0; i < n; i++ {
 		a.Ints[i], b.Ints[i] = pick(), pick()
-		s.Codes[i] = uint16(rng.Intn(len(s.Dict)))
+		s.Codes16[i] = uint16(rng.Intn(len(s.Dict)))
 		v.Floats[i] = float64(rng.Intn(100))
 		bottom.Offs[i], top.Offs[i] = edgeCodes[rng.Intn(len(edgeCodes))], edgeCodes[rng.Intn(len(edgeCodes))]
 		if rng.Intn(8) == 0 {
@@ -102,7 +104,12 @@ func selectChunk(n int, seed int64) *colstore.Data {
 			bottom.Offs[i] = 0
 		}
 	}
-	return &colstore.Data{N: n, Cols: []colstore.Column{a, b, s, v, bottom, top}, MetaEnds: []int32{int32(n)}, Rates: []float64{1}, Freqs: []int64{0}}
+	s8 := s
+	s8.Codes8, s8.Codes16 = make([]uint8, n), nil
+	for i, c := range s.Codes16 {
+		s8.Codes8[i] = uint8(c)
+	}
+	return &colstore.Data{N: n, Cols: []colstore.Column{a, b, s, v, bottom, top, s8}, MetaEnds: []int32{int32(n)}, Rates: []float64{1}, Freqs: []int64{0}}
 }
 
 // selectTable lays d out as a table of 100-row blocks without zones, so
@@ -120,7 +127,8 @@ func selectTable(d *colstore.Data) *storage.Table {
 // int64 and everything- and nothing-passing intervals; over the narrow
 // columns the same with constants below, at the edges of, inside and above
 // their window; dictionary = and <> against a duplicated, a single and an
-// absent string, and one order test (the table path on both kernel sets).
+// absent string, and one order test (the table path on both kernel sets),
+// over 2-byte and 1-byte codes.
 func selectPreds() []types.Predicate {
 	leaf := func(col int, op types.CmpOp, v types.Value) *types.CmpPred {
 		return &types.CmpPred{Col: selectSchema.Columns[col].Name, ColIdx: col, Op: op, Val: v}
@@ -157,7 +165,7 @@ func selectPreds() []types.Predicate {
 	}
 	for _, s := range []string{"x", "y", "w"} {
 		for _, op := range []types.CmpOp{types.CmpEq, types.CmpNe, types.CmpLt} {
-			preds = append(preds, leaf(2, op, types.Str(s)))
+			preds = append(preds, leaf(2, op, types.Str(s)), leaf(6, op, types.Str(s)))
 		}
 	}
 	return preds
@@ -179,19 +187,38 @@ func windowConsts(base int64) []int64 {
 }
 
 // edgeCodes lead with the 8- and 16-bit edges of a dictionary code or a
-// narrow column's offset; edgeColumn draws 1,200 codes from all but the
-// last.
+// narrow column's offset, edgeCodes8 with the edges of a 1-byte code and
+// its sign bit; edgeColumn and edgeColumn8 draw 1,200 codes from all but
+// their last.
 var (
-	edgeCodes  = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
-	edgeColumn = func() []uint16 {
-		rng := rand.New(rand.NewSource(3))
-		codes := make([]uint16, 1200)
-		for i := range codes {
-			codes[i] = edgeCodes[rng.Intn(len(edgeCodes)-1)]
-		}
-		return codes
-	}()
+	edgeCodes   = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
+	edgeCodes8  = []uint8{0, 255, 127, 128, 1, 254, 2}
+	edgeColumn  = edgeDraws(edgeCodes)
+	edgeColumn8 = edgeDraws(edgeCodes8)
 )
+
+// edgeDraws draws 1,200 values from all but the last of edges.
+func edgeDraws[T uint8 | uint16](edges []T) []T {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]T, 1200)
+	for i := range xs {
+		xs[i] = edges[rng.Intn(len(edges)-1)]
+	}
+	return xs
+}
+
+// edgeRanges returns every range between two of edges, [c, c] and the
+// widest included.
+func edgeRanges[T uint8 | uint16](edges []T) (rs [][2]T) {
+	for _, lo := range edges {
+		for _, hi := range edges {
+			if lo <= hi {
+				rs = append(rs, [2]T{lo, hi})
+			}
+		}
+	}
+	return rs
+}
 
 // TestSelectKernelsMatchGeneric holds the AVX2 selection kernels to the Go
 // ones bit for bit: each kernel over lengths 0, 1, 63, 64, 65 and 1,000,
@@ -205,15 +232,7 @@ func TestSelectKernelsMatchGeneric(t *testing.T) {
 	defer setKernels(true)()
 	lengths := []int{0, 1, 63, 64, 65, 1000}
 	d := selectChunk(1200, 1)
-	ints, dict := d.Cols[0].Ints, &d.Cols[2]
-	var u16Ranges [][2]uint16 // every range between two edges: [c, c], [0, 65535], ...
-	for _, lo := range edgeCodes {
-		for _, hi := range edgeCodes {
-			if lo <= hi {
-				u16Ranges = append(u16Ranges, [2]uint16{lo, hi})
-			}
-		}
-	}
+	ints, dict, dict8 := d.Cols[0].Ints, &d.Cols[2], &d.Cols[6]
 
 	for _, n := range lengths {
 		words := (n + 63) / 64
@@ -225,24 +244,36 @@ func TestSelectKernelsMatchGeneric(t *testing.T) {
 				t.Fatalf("intsInRange n=%d [%d, %d]: avx2 %x, go %x", n, iv[0], iv[1], got, want)
 			}
 		}
-		// Dictionary = is the 16-bit range kernel over [c, c].
+		// Dictionary = is the range kernel of the codes' width over [c, c].
 		for _, c := range []uint16{0, 1, 3} {
 			tab := make([]bool, len(dict.Dict))
 			tab[c] = true
-			codesPass(dict.Codes[:n], tab, want)
-			u16InRange(dict.Codes[:n], c, c, got)
+			codesPass(dict.Codes16[:n], tab, want)
+			u16InRange(dict.Codes16[:n], c, c, got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("u16InRange n=%d code %d: avx2 %x, go %x", n, c, got, want)
+			}
+			codesPass(dict8.Codes8[:n], tab, want)
+			u8InRange(dict8.Codes8[:n], uint8(c), uint8(c), got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("u8InRange n=%d code %d: avx2 %x, go %x", n, c, got, want)
 			}
 		}
 		// Values at the 8- and 16-bit edges, where narrowing a verdict word
 		// to a byte, or a value's sign bit, could tell two apart wrongly;
 		// 2 is absent.
-		for _, r := range u16Ranges {
-			u16InRangeGo(edgeColumn[:n], r[0], r[1], want)
+		for _, r := range edgeRanges(edgeCodes) {
+			inRangeGo(edgeColumn[:n], r[0], r[1], want)
 			u16InRange(edgeColumn[:n], r[0], r[1], got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("u16InRange n=%d [%d, %d] of the edge values: avx2 %x, go %x", n, r[0], r[1], got, want)
+			}
+		}
+		for _, r := range edgeRanges(edgeCodes8) {
+			inRangeGo(edgeColumn8[:n], r[0], r[1], want)
+			u8InRange(edgeColumn8[:n], r[0], r[1], got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("u8InRange n=%d [%d, %d] of the edge values: avx2 %x, go %x", n, r[0], r[1], got, want)
 			}
 		}
 	}
@@ -300,9 +331,11 @@ func checkRowsOf(t testing.TB, sc *colScratch, bm []uint64, base int) {
 // FuzzSelectKernels is TestSelectKernelsMatchGeneric's kernel checks with
 // the inputs under the fuzzer's control (corpus in
 // testdata/fuzz/FuzzSelectKernels): data's bytes become ints near lo, hi
-// and the ends of int64, 16-bit values among the first eight edgeCodes and
-// the bitmap rowsOf expands; c picks the two edgeCodes that bound the
-// 16-bit range (2 is absent from the values) and the rows' base.
+// and the ends of int64, 16-bit values among the first eight edgeCodes,
+// 1-byte codes among the first six edgeCodes8 and the bitmap rowsOf
+// expands; c picks the two edgeCodes that bound the 16-bit range, the two
+// edgeCodes8 that bound the 1-byte one (2 is absent from the values of
+// both) and the rows' base.
 func FuzzSelectKernels(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\xfc\xfd\xfe\xff"), int64(-3), int64(5), uint8(0))
 	f.Add([]byte(strings.Repeat("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c", 10)), int64(0), int64(9), uint8(5))
@@ -315,7 +348,7 @@ func FuzzSelectKernels(f *testing.F) {
 			lo, hi = hi, lo
 		}
 		n := len(data)
-		xs, codes := make([]int64, n), make([]uint16, n)
+		xs, codes, codes8 := make([]int64, n), make([]uint16, n), make([]uint8, n)
 		bm := make([]uint64, (n+7)/8)
 		for i, b := range data {
 			switch off := int64(int8(b)) >> 2; b & 3 {
@@ -328,7 +361,7 @@ func FuzzSelectKernels(f *testing.F) {
 			default:
 				xs[i] = math.MaxInt64 - int64(b>>2)
 			}
-			codes[i] = edgeCodes[b%8]
+			codes[i], codes8[i] = edgeCodes[b%8], edgeCodes8[b%6]
 			bm[i>>3] |= uint64(b) << (8 * uint(i&7))
 		}
 		words := (n + 63) / 64
@@ -340,10 +373,18 @@ func FuzzSelectKernels(f *testing.F) {
 		}
 		r0, r1 := edgeCodes[c%9], edgeCodes[c/9%9]
 		for _, r := range [][2]uint16{{min(r0, r1), max(r0, r1)}, {r0, r0}} {
-			u16InRangeGo(codes, r[0], r[1], want)
+			inRangeGo(codes, r[0], r[1], want)
 			u16InRange(codes, r[0], r[1], got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("u16InRange [%d, %d]: avx2 %x, go %x", r[0], r[1], got, want)
+			}
+		}
+		e0, e1 := edgeCodes8[c%7], edgeCodes8[c/7%7]
+		for _, r := range [][2]uint8{{min(e0, e1), max(e0, e1)}, {e0, e0}} {
+			inRangeGo(codes8, r[0], r[1], want)
+			u8InRange(codes8, r[0], r[1], got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("u8InRange [%d, %d]: avx2 %x, go %x", r[0], r[1], got, want)
 			}
 		}
 		checkRowsOf(t, &colScratch{}, bm, int(c)<<6)
@@ -352,8 +393,8 @@ func FuzzSelectKernels(f *testing.F) {
 
 // TestDuplicateDictionaryStrings pins the scan on a chunk whose dictionary
 // holds one string under two codes — which blockfile does not refuse —
-// against the oracle on both kernel sets: = selects the rows of both codes
-// and <> the rows of neither.
+// against the oracle on both kernel sets, with 2-byte codes (s) and 1-byte
+// ones (s8): = selects the rows of both codes and <> the rows of neither.
 func TestDuplicateDictionaryStrings(t *testing.T) {
 	d := selectChunk(1200, 3)
 	tab := selectTable(d)
@@ -363,21 +404,25 @@ func TestDuplicateDictionaryStrings(t *testing.T) {
 			`SELECT COUNT(*), SUM(v) FROM t WHERE s <> 'x'`,
 			`SELECT COUNT(*), AVG(v) FROM t WHERE s = 'x' AND b < 5 GROUP BY s`,
 			`SELECT COUNT(*) FROM t WHERE s <> 'x' OR a = 0 GROUP BY s`,
+			`SELECT COUNT(*), SUM(v) FROM t WHERE s8 = 'x'`,
+			`SELECT COUNT(*), AVG(v) FROM t WHERE s8 <> 'x' AND b < 5 GROUP BY s8`,
 		} {
 			checkOracle(t, src, compile(t, src, selectSchema), FromTable(tab), nil)
 		}
-		col := &d.Cols[2]
 		sc := &colScratch{}
-		for _, op := range []types.CmpOp{types.CmpEq, types.CmpNe} {
-			pred := &types.CmpPred{Col: "s", ColIdx: 2, Op: op, Val: types.Str("x")}
-			bm, _ := sc.selectRows(pred, span{d: d, lo: 0, hi: d.N})
-			for i := 0; i < d.N; i++ {
-				if col.IsNull(i) {
-					continue
-				}
-				isX := col.Codes[i] == 0 || col.Codes[i] == 2
-				if got := bm[i>>6]&(1<<uint(i&63)) != 0; got != (isX == (op == types.CmpEq)) {
-					t.Fatalf("s %v 'x': row %d (code %d) selected=%v", op, i, col.Codes[i], got)
+		for _, ci := range []int{2, 6} {
+			col := &d.Cols[ci]
+			for _, op := range []types.CmpOp{types.CmpEq, types.CmpNe} {
+				pred := &types.CmpPred{Col: selectSchema.Columns[ci].Name, ColIdx: ci, Op: op, Val: types.Str("x")}
+				bm, _ := sc.selectRows(pred, span{d: d, lo: 0, hi: d.N})
+				for i := 0; i < d.N; i++ {
+					if col.IsNull(i) {
+						continue
+					}
+					isX := col.Code(i) == 0 || col.Code(i) == 2
+					if got := bm[i>>6]&(1<<uint(i&63)) != 0; got != (isX == (op == types.CmpEq)) {
+						t.Fatalf("%s %v 'x': row %d (code %d) selected=%v", pred.Col, op, i, col.Code(i), got)
+					}
 				}
 			}
 		}
@@ -388,19 +433,24 @@ func TestDuplicateDictionaryStrings(t *testing.T) {
 // kernel over 17,408 rows (272 words) shaped like the repo benchmark's
 // sessions table: the date interval dt >= 70 AND dt < 920 (85% pass) over
 // dt stored wide (interval) and, built by colstore's builder, narrow
-// (interval16), a dictionary = over 40 skewed strings, and rowsOf at 85%
-// and 20% density.
+// (interval16), a dictionary = over 40 skewed strings with 2-byte codes
+// (dict-eq) and 1-byte ones (dict-eq8), and rowsOf at 85% and 20% density.
 func BenchmarkSelectKernels(b *testing.B) {
 	const rows = 17408
 	rng := rand.New(rand.NewSource(1))
 	dt := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, rows), NaNFree: true}
-	dev := colstore.Column{Enc: colstore.EncDict, Codes: make([]uint16, rows), NaNFree: true}
+	dev := colstore.Column{Enc: colstore.EncDict, Codes16: make([]uint16, rows), NaNFree: true}
 	for j := 0; j < 40; j++ {
 		dev.Dict = append(dev.Dict, fmt.Sprintf("device%02d", j))
 	}
 	for i := 0; i < rows; i++ {
 		dt.Ints[i] = rng.Int63n(1000)
-		dev.Codes[i] = uint16(40 * rng.Float64() * rng.Float64() * rng.Float64())
+		dev.Codes16[i] = uint16(40 * rng.Float64() * rng.Float64() * rng.Float64())
+	}
+	dev8 := dev
+	dev8.Codes8, dev8.Codes16 = make([]uint8, rows), nil
+	for i, c := range dev.Codes16 {
+		dev8.Codes8[i] = uint8(c)
 	}
 	nb := colstore.NewBuilder(1)
 	for _, x := range dt.Ints {
@@ -410,7 +460,7 @@ func BenchmarkSelectKernels(b *testing.B) {
 	if !dt16.Narrow() {
 		b.Fatal("the builder stored dt wide")
 	}
-	d := &colstore.Data{N: rows, Cols: []colstore.Column{dt, dev, dt16}, MetaEnds: []int32{rows}, Rates: []float64{1}, Freqs: []int64{0}}
+	d := &colstore.Data{N: rows, Cols: []colstore.Column{dt, dev, dt16, dev8}, MetaEnds: []int32{rows}, Rates: []float64{1}, Freqs: []int64{0}}
 	intervalOn := func(col int) types.Predicate {
 		return mergeIntervals(&types.AndPred{Kids: []types.Predicate{
 			&types.CmpPred{Col: "dt", ColIdx: col, Op: types.CmpGe, Val: types.Int(70)},
@@ -419,6 +469,7 @@ func BenchmarkSelectKernels(b *testing.B) {
 	}
 	interval, interval16 := intervalOn(0), intervalOn(2)
 	eq := &types.CmpPred{Col: "device", ColIdx: 1, Op: types.CmpEq, Val: types.Str("device00")}
+	eq8 := &types.CmpPred{Col: "device", ColIdx: 3, Op: types.CmpEq, Val: types.Str("device00")}
 	bitmapAt := func(density float64) []uint64 {
 		bm := make([]uint64, rows/64)
 		for i := 0; i < rows; i++ {
@@ -439,6 +490,7 @@ func BenchmarkSelectKernels(b *testing.B) {
 		{"interval", func() { evalPred(interval, d, 0, rows, dst, sc) }},
 		{"interval16", func() { evalPred(interval16, d, 0, rows, dst, sc) }},
 		{"dict-eq", func() { evalPred(eq, d, 0, rows, dst, sc) }},
+		{"dict-eq8", func() { evalPred(eq8, d, 0, rows, dst, sc) }},
 		{"rowsOf85", func() { sc.rowsOf(bm85, 64, bitmapCount(bm85)) }},
 		{"rowsOf20", func() { sc.rowsOf(bm20, 64, bitmapCount(bm20)) }},
 	}
@@ -465,18 +517,19 @@ func BenchmarkSelectKernels(b *testing.B) {
 }
 
 // foldChunk hand-builds one chunk of n rows for the masked folds: a
-// dictionary column g holding "a" under two codes, a six-string dictionary
-// column h, a float measure v (−0 included) and an int code to filter on,
+// dictionary column g holding "a" under two codes, with 2-byte codes, a
+// six-string dictionary column h with 1-byte ones, a float measure v (−0
+// included) and an int code to filter on,
 // none with NULLs; and metadata runs of 37 to 700 rows whose stratum
 // frequencies keep changing, so spans straddle keys.
 func foldChunk(n int, seed int64) (*colstore.Data, *types.Schema) {
 	rng := rand.New(rand.NewSource(seed))
-	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes: make([]uint16, n), NaNFree: true}
-	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes: make([]uint16, n), NaNFree: true}
+	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes16: make([]uint16, n), NaNFree: true}
+	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes8: make([]uint8, n), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
 	code := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
 	for i := 0; i < n; i++ {
-		g.Codes[i], h.Codes[i] = uint16(rng.Intn(len(g.Dict))), uint16(rng.Intn(len(h.Dict)))
+		g.Codes16[i], h.Codes8[i] = uint16(rng.Intn(len(g.Dict))), uint8(rng.Intn(len(h.Dict)))
 		v.Floats[i] = rng.NormFloat64() * 1e3
 		if rng.Intn(50) == 0 {
 			v.Floats[i] = math.Copysign(0, -1)

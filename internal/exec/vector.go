@@ -56,12 +56,14 @@ import (
 // every intervalPred over a wide int column (intsInRange); the 16-bit
 // range test, which takes the same interval clamped onto a narrow
 // column's offsets and a dictionary column's = and <> against a string as
-// the range [c, c] of codes (u16InRange); and bitmap → row indices
-// (rowsOf). They run when cpu.AVX2 is set, once at init from CPUID and
-// XGETBV — no option, flag or build tag chooses. The Go kernels are the
+// the range [c, c] of codes (u16InRange, and its sibling over 1-byte
+// codes, u8InRange); and bitmap → row indices (rowsOf). They run when
+// cpu.AVX2 is set, once at init from CPUID and XGETBV — no option, flag
+// or build tag chooses. The Go kernels are the
 // path on every other platform and CPU, and the reference the tests hold
 // the assembly to, bit for bit. The folds' own AVX2 kernels (stats'
-// masked and per-code folds, and the per-code count) follow the same rule;
+// masked and per-code folds, and the per-code count, the last two in each
+// code width) follow the same rule;
 // which form a span folds in is a matter of density (see scanSpan), never
 // of the bits it produces.
 
@@ -73,7 +75,6 @@ type colScratch struct {
 	idxs    []int32    // selected row indices, ascending (rowsOf keeps 8 spare)
 	xs      []float64  // aggregate inputs gathered past NULLs
 	keybuf  []types.Value
-	rowbuf  types.Row
 	touched []*groupState // groups staged during the current fold
 
 	// passTabs holds, per (dictionary column, comparison leaf), the leaf's
@@ -143,7 +144,6 @@ func putScratch(sc *colScratch) {
 	sc.codeCol, sc.codePT = nil, nil
 	clear(sc.wideHdrs)
 	clear(sc.keybuf[:cap(sc.keybuf)])
-	clear(sc.rowbuf[:cap(sc.rowbuf)])
 	scratchPool.Put(sc)
 }
 
@@ -206,13 +206,6 @@ func (sc *colScratch) keyBuf(w int) []types.Value {
 		sc.keybuf = make([]types.Value, w)
 	}
 	return sc.keybuf[:w]
-}
-
-func (sc *colScratch) rowBuf(w int) types.Row {
-	if cap(sc.rowbuf) < w {
-		sc.rowbuf = make(types.Row, w)
-	}
-	return sc.rowbuf[:w]
 }
 
 // ---- bitmap primitives ----
@@ -398,16 +391,6 @@ func evalPred(pred types.Predicate, d *colstore.Data, base, n int, dst []uint64,
 	case *types.NotPred:
 		evalPred(t.Kid, d, base, n, dst, sc)
 		bitmapNot(dst, n)
-	default:
-		// Unknown predicate implementation: materialise rows and defer to
-		// Eval.
-		buf := sc.rowBuf(len(d.Cols))
-		bitmapFill(dst, n, false)
-		for i := 0; i < n; i++ {
-			if pred.Eval(d.RowInto(buf, base+i)) {
-				dst[i>>6] |= 1 << uint(i&63)
-			}
-		}
 	}
 }
 
@@ -485,22 +468,26 @@ func evalCmp(t *types.CmpPred, d *colstore.Data, base, n int, dst []uint64, sc *
 		switch {
 		case val.Kind == types.KindString:
 			// One comparison per distinct value of the chunk, then a table
-			// lookup per row — or, for = and <> with AVX2, the 16-bit range
-			// kernel over [c, c], c the one code of the constant (the Go
-			// range loop is slower than the table's).
+			// lookup per row — or, for = and <> with AVX2, the range kernel
+			// of the codes' width over [c, c], c the one code of the
+			// constant (the Go range loop is slower than the table's).
 			v := sc.passTab(col, t)
-			codes := col.Codes[base : base+n]
 			if cpu.AVX2 && v.eq != dupCodes && (t.Op == types.CmpEq || t.Op == types.CmpNe) {
-				if v.eq == noCode {
+				switch {
+				case v.eq == noCode:
 					bitmapFill(dst, n, false)
-				} else {
-					u16InRange(codes, uint16(v.eq), uint16(v.eq), dst)
+				case col.Codes8 != nil:
+					u8InRange(col.Codes8[base:base+n], uint8(v.eq), uint8(v.eq), dst)
+				default:
+					u16InRange(col.Codes16[base:base+n], uint16(v.eq), uint16(v.eq), dst)
 				}
 				if t.Op == types.CmpNe {
 					bitmapNot(dst, n)
 				}
+			} else if col.Codes8 != nil {
+				codesPass(col.Codes8[base:base+n], v.pass, dst)
 			} else {
-				codesPass(codes, v.pass, dst)
+				codesPass(col.Codes16[base:base+n], v.pass, dst)
 			}
 			patchNulls(dst, nulls, lt) // NULL sorts before strings
 		case numericConst:
@@ -578,7 +565,7 @@ func (sc *colScratch) passTab(col *colstore.Column, t *types.CmpPred) dictVerdic
 }
 
 // codesPass sets bit i of dst where tab[codes[i]].
-func codesPass(codes []uint16, tab []bool, dst []uint64) {
+func codesPass[C colstore.Code](codes []C, tab []bool, dst []uint64) {
 	n := len(codes)
 	for off := 0; off < n; off += 64 {
 		blk := codes[off:min(off+64, n)]
@@ -789,20 +776,31 @@ func intsInRangeGo(xs []int64, lo, hi int64, dst []uint64) {
 }
 
 // u16InRange sets bit i of dst where lo ≤ xs[i] ≤ hi (lo ≤ hi): a narrow
-// int column's offsets against its clamped interval, or dictionary codes
-// against [c, c]. It is intsInRange's one unsigned comparison at 16 bits,
-// uint16(x−lo) ≤ hi−lo, with AVX2 over the whole words (whose compare is
-// signed: see u16InRangeAVX2) and the Go kernel over the tail.
+// int column's offsets against its clamped interval, or 2-byte dictionary
+// codes against [c, c]. It is intsInRange's one unsigned comparison at 16
+// bits, uint16(x−lo) ≤ hi−lo, with AVX2 over the whole words (whose compare
+// is signed: see u16InRangeAVX2) and the Go kernel over the tail.
 func u16InRange(xs []uint16, lo, hi uint16, dst []uint64) {
 	if w := len(xs) &^ 63; cpu.AVX2 && w > 0 {
 		u16InRangeAVX2(xs[:w], lo, hi-lo, dst)
 		xs, dst = xs[w:], dst[w>>6:]
 	}
-	u16InRangeGo(xs, lo, hi, dst)
+	inRangeGo(xs, lo, hi, dst)
 }
 
-// u16InRangeGo is u16InRange's portable kernel, shaped as intsInRangeGo.
-func u16InRangeGo(xs []uint16, lo, hi uint16, dst []uint64) {
+// u8InRange is u16InRange over 1-byte dictionary codes, with its own AVX2
+// kernel (u8InRangeAVX2).
+func u8InRange(xs []uint8, lo, hi uint8, dst []uint64) {
+	if w := len(xs) &^ 63; cpu.AVX2 && w > 0 {
+		u8InRangeAVX2(xs[:w], lo, hi-lo, dst)
+		xs, dst = xs[w:], dst[w>>6:]
+	}
+	inRangeGo(xs, lo, hi, dst)
+}
+
+// inRangeGo is u16InRange's and u8InRange's portable kernel, shaped as
+// intsInRangeGo, and the reference of their AVX2 kernels.
+func inRangeGo[T uint8 | uint16](xs []T, lo, hi T, dst []uint64) {
 	width := hi - lo
 	for base := 0; base < len(xs); base += 64 {
 		blk := xs[base:min(base+64, len(xs))]
@@ -1461,7 +1459,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 			}
 			gs = rleGS
 		case dictCol != nil:
-			gs = pt.codeGroup(p, dictCol, codeGS, dictCol.Codes[i32], keybuf)
+			gs = pt.codeGroup(p, dictCol, codeGS, dictCol.Code(int(i32)), keybuf)
 		default:
 			h := types.HashSeed
 			for ki, ci := range p.GroupBy {
@@ -1491,7 +1489,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 
 // codeGroup returns the group of dictionary code c of GROUP BY column col,
 // through the per-code cache.
-func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState, c uint16, keybuf []types.Value) *groupState {
+func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState, c int, keybuf []types.Value) *groupState {
 	gs := codeGS[c]
 	if gs == nil {
 		v := types.Str(col.Dict[c])
@@ -1512,15 +1510,24 @@ func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState
 // row order; the groups it created by then are the ones the fallback
 // creates.
 func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Column, sel rowSel, k stats.Key, sc *colScratch) bool {
+	if col.Codes8 != nil {
+		return foldCodesMasked(pt, p, d, col, col.Codes8, sel, k, sc)
+	}
+	return foldCodesMasked(pt, p, d, col, col.Codes16, sel, k, sc)
+}
+
+// foldCodesMasked is Partial.foldCodesMasked over col's codes, of either
+// width.
+func foldCodesMasked[C colstore.Code](pt *Partial, p *Plan, d *colstore.Data, col *colstore.Column, codes []C, sel rowSel, k stats.Key, sc *colScratch) bool {
 	codeGS := sc.groupCache(pt, col)
 	keybuf := sc.keyBuf(1)
 	var cnt [maskedCodes]int
 	var groups [maskedCodes]*groupState
 	for c := range col.Dict {
-		if cnt[c] = stats.CountCodeMasked(col.Codes, uint16(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
+		if cnt[c] = stats.CountCodeMasked(codes, C(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
 			continue
 		}
-		groups[c] = pt.codeGroup(p, col, codeGS, uint16(c), keybuf)
+		groups[c] = pt.codeGroup(p, col, codeGS, c, keybuf)
 		for _, other := range groups[:c] {
 			if other == groups[c] {
 				return false
@@ -1536,7 +1543,7 @@ func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Colu
 				gs.accs[ai].AddCount(cnt[c], k)
 			default:
 				slot := gs.accs[ai].Slot(cnt[c], k)
-				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, col.Codes, uint16(c), sel.bm, sel.base, sel.lo, sel.hi)
+				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, codes, C(c), sel.bm, sel.base, sel.lo, sel.hi)
 			}
 		}
 	}
@@ -1561,12 +1568,23 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 	if nd := len(col.Dict); cap(sc.codeCnt) < nd {
 		sc.codeCnt, sc.codeSlots = make([]int32, nd), make([]*stats.Moments, nd)
 	}
-	codes, cnt, slots := col.Codes, sc.codeCnt[:len(col.Dict)], sc.codeSlots[:len(col.Dict)]
+	if col.Codes8 != nil {
+		foldByCode(pt, p, d, col, col.Codes8, idxs, k, sc)
+	} else {
+		foldByCode(pt, p, d, col, col.Codes16, idxs, k, sc)
+	}
+	return true
+}
+
+// foldByCode is Partial.foldByCode, once it has accepted the aggregates,
+// over col's codes, of either width.
+func foldByCode[C colstore.Code](pt *Partial, p *Plan, d *colstore.Data, col *colstore.Column, codes []C, idxs []int32, k stats.Key, sc *colScratch) {
+	cnt, slots := sc.codeCnt[:len(col.Dict)], sc.codeSlots[:len(col.Dict)]
 	seen := sc.codeSeen[:0]
 	for _, i := range idxs {
 		c := codes[i]
 		if cnt[c] == 0 {
-			seen = append(seen, c)
+			seen = append(seen, uint16(c))
 		}
 		cnt[c]++
 	}
@@ -1578,12 +1596,12 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 		a := &p.Aggs[ai]
 		if a.countsAs(d) {
 			for _, c := range seen {
-				pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].AddCount(int(cnt[c]), k)
+				pt.codeGroup(p, col, codeGS, int(c), keybuf).accs[ai].AddCount(int(cnt[c]), k)
 			}
 			continue
 		}
 		for _, c := range seen {
-			slots[c] = pt.codeGroup(p, col, codeGS, c, keybuf).accs[ai].Slot(int(cnt[c]), k)
+			slots[c] = pt.codeGroup(p, col, codeGS, int(c), keybuf).accs[ai].Slot(int(cnt[c]), k)
 		}
 		if src := &d.Cols[a.Col]; src.Enc == colstore.EncFloat {
 			stats.FoldByCode(slots, codes, src.Floats, idxs)
@@ -1594,7 +1612,6 @@ func (pt *Partial) foldByCode(p *Plan, d *colstore.Data, col *colstore.Column, i
 	for _, c := range seen {
 		cnt[c] = 0
 	}
-	return true
 }
 
 // numericCol reports whether the folds read every row of the column as a

@@ -122,6 +122,72 @@ codeNext:
 codeDone:
 	RET
 
+// EQ64B leaves the verdicts codes[64k:64k+64] == Y3 (1-byte codes, at
+// (DI)) in row order in reg: two VPCMPEQB, each verdict byte's top bit
+// taken by VPMOVMSKB, the second half shifted above the first. tmp is
+// clobbered.
+#define EQ64B(reg, tmp) \
+	VPCMPEQB  (DI), Y3, Y4; \
+	VPMOVMSKB Y4, reg; \
+	VPCMPEQB  32(DI), Y3, Y5; \
+	VPMOVMSKB Y5, tmp; \
+	SHLQ      $32, tmp; \
+	ORQ       tmp, reg
+
+// func foldCode8MaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64)
+TEXT ·foldCode8MaskedAVX2(SB), NOSPLIT, $0-96
+	MOVQ  xs_base+0(FP), SI
+	MOVQ  codes_base+24(FP), DI
+	MOVQ  bm_base+56(FP), BX
+	MOVQ  bm_len+64(FP), CX
+	MOVQ  sx+80(FP), AX
+	MOVQ  sxx+88(FP), DX
+	TESTQ CX, CX
+	JZ    code8Done
+	MOVBLZX c+48(FP), R10
+	VMOVD R10, X3
+	VPBROADCASTB X3, Y3
+	LEAQ  ·nibbleMasks(SB), R8
+	VMOVUPD (AX), Y0
+	VMOVUPD (DX), Y1
+
+code8Loop:
+	MOVQ  (BX), R9
+	TESTQ R9, R9
+	JZ    code8Next
+	EQ64B(R11, R12)
+	ANDQ  R9, R11
+	JZ    code8Next
+	FOLD4(0, R11)
+	FOLD4(32, R11)
+	FOLD4(64, R11)
+	FOLD4(96, R11)
+	FOLD4(128, R11)
+	FOLD4(160, R11)
+	FOLD4(192, R11)
+	FOLD4(224, R11)
+	FOLD4(256, R11)
+	FOLD4(288, R11)
+	FOLD4(320, R11)
+	FOLD4(352, R11)
+	FOLD4(384, R11)
+	FOLD4(416, R11)
+	FOLD4(448, R11)
+	FOLD4(480, R11)
+
+code8Next:
+	ADDQ $64, DI
+	ADDQ $512, SI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  code8Loop
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (DX)
+	VZEROUPPER
+
+code8Done:
+	RET
+
 // EQ32 leaves the verdicts codes[32k:32k+32] == Y3 (at off(DI)) in row
 // order in reg's low 32 bits: two VPCMPEQW, their verdict words narrowed to
 // bytes by VPACKSSWB, whose interleaved 128-bit halves VPERMQ reorders.
@@ -159,5 +225,32 @@ countLoop:
 	VZEROUPPER
 
 countDone:
+	MOVQ R12, ret+56(FP)
+	RET
+
+// func countCode8AVX2(codes []uint8, c uint8, bm []uint64) int
+TEXT ·countCode8AVX2(SB), NOSPLIT, $0-64
+	MOVQ  codes_base+0(FP), DI
+	MOVQ  bm_base+32(FP), BX
+	MOVQ  bm_len+40(FP), CX
+	XORQ  R12, R12
+	TESTQ CX, CX
+	JZ    count8Done
+	MOVBLZX c+24(FP), AX
+	VMOVD AX, X3
+	VPBROADCASTB X3, Y3
+
+count8Loop:
+	EQ64B(AX, R11)
+	ANDQ    (BX), AX
+	POPCNTQ AX, AX
+	ADDQ    AX, R12
+	ADDQ    $64, DI
+	ADDQ    $8, BX
+	DECQ    CX
+	JNZ     count8Loop
+	VZEROUPPER
+
+count8Done:
 	MOVQ R12, ret+56(FP)
 	RET

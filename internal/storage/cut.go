@@ -116,27 +116,40 @@ func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
 		}
 	default: // EncDict
 		rank, size := c.dict(ci)
-		codes := col.Codes
-		mn, mx := codes[first], codes[first]
-		bytes += int64(nulls)
-		for i := first; i < hi; i++ {
-			if nulls > 0 && isNull(i) {
-				continue
-			}
-			code := codes[i]
-			bytes += size[code]
-			if rank[code] < rank[mn] {
-				mn = code
-			} else if rank[code] > rank[mx] {
-				mx = code
-			}
+		var mn, mx int
+		var strBytes int64
+		if col.Codes8 != nil {
+			mn, mx, strBytes = dictZone(col.Codes8, rank, size, nullBits, first, hi)
+		} else {
+			mn, mx, strBytes = dictZone(col.Codes16, rank, size, nullBits, first, hi)
 		}
+		bytes += int64(nulls) + strBytes
 		z.Min, z.Max = types.Str(col.Dict[mn]), types.Str(col.Dict[mx])
 	}
 	if nulls > 0 {
 		z.Min = types.Null()
 	}
 	return z, bytes
+}
+
+// dictZone returns the codes of the smallest and largest string of
+// codes[first:hi] in rank order, skipping the rows nulls marks (nil: none),
+// and the strings' serialized size; row first is not NULL.
+func dictZone[C colstore.Code](codes []C, rank []uint32, size []int64, nulls []uint64, first, hi int) (mn, mx int, bytes int64) {
+	lo, up := codes[first], codes[first]
+	for i := first; i < hi; i++ {
+		if nulls != nil && nulls[i>>6]&(1<<uint(i&63)) != 0 {
+			continue
+		}
+		code := codes[i]
+		bytes += size[code]
+		if rank[code] < rank[lo] {
+			lo = code
+		} else if rank[code] > rank[up] {
+			up = code
+		}
+	}
+	return int(lo), int(up), bytes
 }
 
 // dict returns column ci's per-code string rank and serialized size.

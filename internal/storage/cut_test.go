@@ -138,7 +138,8 @@ func TestFinishedChunksCarryNoSlack(t *testing.T) {
 			c := &d.Cols[ci]
 			check(fmt.Sprintf("col %d floats", ci), len(c.Floats), cap(c.Floats))
 			check(fmt.Sprintf("col %d ints", ci), len(c.Ints), cap(c.Ints))
-			check(fmt.Sprintf("col %d codes", ci), len(c.Codes), cap(c.Codes))
+			check(fmt.Sprintf("col %d 1-byte codes", ci), len(c.Codes8), cap(c.Codes8))
+			check(fmt.Sprintf("col %d 2-byte codes", ci), len(c.Codes16), cap(c.Codes16))
 			check(fmt.Sprintf("col %d dict", ci), len(c.Dict), cap(c.Dict))
 			check(fmt.Sprintf("col %d values", ci), len(c.Values), cap(c.Values))
 			check(fmt.Sprintf("col %d nulls", ci), len(c.Nulls), cap(c.Nulls))

@@ -352,7 +352,9 @@ func valueBytes(v types.Value) int64 {
 // behind the rows, small enough that row indices stay 32-bit and a
 // chunk-wide dictionary stays cache-sized. It is colstore.MaxDict (1<<16),
 // so a chunk's dictionary codes fit 16 bits: a column has no more distinct
-// strings than rows. A chunk always holds whole blocks, so it closes on the
+// strings than rows. They are 1- or 2-byte codes, chosen per chunk: one
+// byte when the column has at most 256 distinct strings in the chunk. A
+// chunk always holds whole blocks, so it closes on the
 // last block boundary at or under this (one block when a block alone is
 // larger — the one case where a string column can outgrow its dictionary
 // and is stored verbatim).

@@ -393,7 +393,7 @@ func chunkDiff(got, want *colstore.Data) string {
 			return fmt.Sprintf("col %d: NaNFree %v, want %v", c, g.NaNFree, w.NaNFree)
 		case !reflect.DeepEqual(g.Dict, w.Dict):
 			return fmt.Sprintf("col %d: dictionary differs", c)
-		case !reflect.DeepEqual(g.Codes, w.Codes):
+		case !reflect.DeepEqual(g.Codes8, w.Codes8) || !reflect.DeepEqual(g.Codes16, w.Codes16):
 			return fmt.Sprintf("col %d: codes differ", c)
 		case !reflect.DeepEqual(g.Ints, w.Ints):
 			return fmt.Sprintf("col %d: ints differ", c)
