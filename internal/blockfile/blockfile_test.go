@@ -347,22 +347,41 @@ func TestDictCodeWidthRoundTrip(t *testing.T) {
 }
 
 // TestDictCodeOutOfRangeRejected: a dictionary code not below the
-// dictionary's size — no builder writes one — fails to load cleanly, in
-// either width.
+// dictionary's size, in either width, and 1-byte codes over a dictionary
+// larger than they reach — no builder writes either — fail to load
+// cleanly.
 func TestDictCodeOutOfRangeRejected(t *testing.T) {
-	for _, col := range []colstore.Column{
-		{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true},
-		{Enc: colstore.EncDict, Codes16: []uint16{0, 300}, Dict: []string{"a", "b"}, NaNFree: true},
+	for _, tc := range []struct {
+		col  colstore.Column
+		want string
+	}{
+		{colstore.Column{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true}, "out of range"},
+		{colstore.Column{Enc: colstore.EncDict, Codes16: []uint16{0, 300}, Dict: []string{"a", "b"}, NaNFree: true}, "out of range"},
+		{bigDict8Column(), "more than 1-byte codes reach"},
 	} {
+		col := tc.col
 		seg, err := Open(writeFixture(t, badCodeTable(col)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("codes %v %v over %d entries loaded: err %v", col.Codes8, col.Codes16, len(col.Dict), err)
+		if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("codes %v %v over %d entries loaded: err %v, want %q", col.Codes8, col.Codes16, len(col.Dict), err, tc.want)
 		}
 		seg.Close()
 	}
+}
+
+// bigDict8Column returns a two-row dictionary column of 1-byte codes 0
+// and 44 over a dictionary of MaxDict8+44 entries: each code is in range,
+// but the dictionary is larger than 1-byte codes reach, so a constant at
+// entry MaxDict8+44 would read as code 44.
+func bigDict8Column() colstore.Column {
+	dict := make([]string, colstore.MaxDict8+45)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("s%03d", i)
+	}
+	dict[0], dict[1] = "a", "b"
+	return colstore.Column{Enc: colstore.EncDict, Codes8: []uint8{0, 44}, Dict: dict, NaNFree: true}
 }
 
 // badCodeTable wraps a two-row dictionary column, whatever its codes, as

@@ -72,6 +72,7 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(retired)
 	}
 	f.Add(badCode8Segment(f))
+	f.Add(dictSegment(f, bigDict8Column()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg := &Segment{data: alignedCopy(data)}
@@ -97,9 +98,15 @@ func FuzzSegmentLoad(f *testing.F) {
 // badCode8Segment returns a segment of one two-row dictionary column whose
 // 1-byte codes are 0 and 2, over a two-entry dictionary.
 func badCode8Segment(f testing.TB) []byte {
+	return dictSegment(f, colstore.Column{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true})
+}
+
+// dictSegment returns a segment of one table whose one two-row column is
+// col (badCodeTable).
+func dictSegment(f testing.TB, col colstore.Column) []byte {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.AddTable(badCodeTable(colstore.Column{Enc: colstore.EncDict, Codes8: []uint8{0, 2}, Dict: []string{"a", "b"}, NaNFree: true})); err != nil {
+	if err := w.AddTable(badCodeTable(col)); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {

@@ -460,6 +460,9 @@ func (s *Segment) loadColumn(c *colstore.Column, cd *colDesc, nrows int) error {
 		if n > colstore.MaxDict {
 			return fmt.Errorf("dict holds %d entries, more than 16-bit codes reach", n)
 		}
+		if cd.narrow && n > colstore.MaxDict8 {
+			return fmt.Errorf("dict holds %d entries, more than 1-byte codes reach", n)
+		}
 		c.Dict = make([]string, n)
 		for i := range c.Dict {
 			c.Dict[i] = d.Str()

@@ -517,19 +517,18 @@ func BenchmarkSelectKernels(b *testing.B) {
 }
 
 // foldChunk hand-builds one chunk of n rows for the masked folds: a
-// dictionary column g holding "a" under two codes, with 2-byte codes, a
-// six-string dictionary column h with 1-byte ones, a float measure v (−0
-// included) and an int code to filter on,
-// none with NULLs; and metadata runs of 37 to 700 rows whose stratum
+// dictionary column g holding "a" under two codes, a six-string dictionary
+// column h, both of 1-byte codes, a float measure v (−0 included) and an
+// int code to filter on, none with NULLs; and metadata runs of 37 to 700 rows whose stratum
 // frequencies keep changing, so spans straddle keys.
 func foldChunk(n int, seed int64) (*colstore.Data, *types.Schema) {
 	rng := rand.New(rand.NewSource(seed))
-	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes16: make([]uint16, n), NaNFree: true}
+	g := colstore.Column{Enc: colstore.EncDict, Dict: []string{"a", "b", "a", "c"}, Codes8: make([]uint8, n), NaNFree: true}
 	h := colstore.Column{Enc: colstore.EncDict, Dict: []string{"p", "q", "r", "s", "t", "u"}, Codes8: make([]uint8, n), NaNFree: true}
 	v := colstore.Column{Enc: colstore.EncFloat, Floats: make([]float64, n), NaNFree: true}
 	code := colstore.Column{Enc: colstore.EncInt, Ints: make([]int64, n), NaNFree: true}
 	for i := 0; i < n; i++ {
-		g.Codes16[i], h.Codes8[i] = uint16(rng.Intn(len(g.Dict))), uint8(rng.Intn(len(h.Dict)))
+		g.Codes8[i], h.Codes8[i] = uint8(rng.Intn(len(g.Dict))), uint8(rng.Intn(len(h.Dict)))
 		v.Floats[i] = rng.NormFloat64() * 1e3
 		if rng.Intn(50) == 0 {
 			v.Floats[i] = math.Copysign(0, -1)
@@ -580,4 +579,30 @@ func TestMaskedFoldsMatchOracle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMaskedFoldsNeedOneByteCodes: the per-code masked kernels read 1-byte
+// codes, so a small dictionary held in 2-byte codes — which only a
+// hand-built chunk has — folds from the listed rows instead, and answers
+// as the oracle does.
+func TestMaskedFoldsNeedOneByteCodes(t *testing.T) {
+	d, schema := foldChunk(5000, 6)
+	wide := *d
+	wide.Cols = slices.Clone(d.Cols)
+	g := &wide.Cols[0]
+	g.Codes16 = make([]uint16, d.N)
+	for i, c := range g.Codes8 {
+		g.Codes16[i] = uint16(c)
+	}
+	g.Codes8 = nil
+	tab := storage.NewTable("t", schema)
+	for off := 0; off < d.N; off += 100 {
+		tab.AddBlock(&storage.Block{Chunk: &wide, Off: off, N: min(100, d.N-off), Bytes: 800})
+	}
+	const src = `SELECT COUNT(*), AVG(v) FROM t WHERE code < 900 GROUP BY g`
+	p := compile(t, src, schema)
+	if p.foldsMasked(&wide) || !p.foldsMasked(d) {
+		t.Fatalf("foldsMasked: %v over 2-byte codes, %v over 1-byte", p.foldsMasked(&wide), p.foldsMasked(d))
+	}
+	forKernelSets(t, func(t *testing.T) { checkOracle(t, src, p, FromTable(tab), nil) })
 }

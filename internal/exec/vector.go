@@ -62,8 +62,7 @@ import (
 // or build tag chooses. The Go kernels are the
 // path on every other platform and CPU, and the reference the tests hold
 // the assembly to, bit for bit. The folds' own AVX2 kernels (stats'
-// masked and per-code folds, and the per-code count, the last two in each
-// code width) follow the same rule;
+// masked and per-code folds, and the per-code count) follow the same rule;
 // which form a span folds in is a matter of density (see scanSpan), never
 // of the bits it produces.
 
@@ -1261,7 +1260,8 @@ const maskedCodes = 8
 // a quarter of its rows or more are selected: no quantile (it retains
 // values), every other aggregate a count or over a float column without
 // NULLs, and no GROUP BY or one dictionary column without NULLs of at most
-// maskedCodes codes.
+// maskedCodes codes, stored 1-byte (the builder's width for any dictionary
+// that small).
 func (p *Plan) foldsMasked(d *colstore.Data) bool {
 	for ai := range p.Aggs {
 		a := &p.Aggs[ai]
@@ -1274,7 +1274,7 @@ func (p *Plan) foldsMasked(d *colstore.Data) bool {
 		return true
 	case 1:
 		c := &d.Cols[p.GroupBy[0]]
-		return c.Enc == colstore.EncDict && c.Nulls == nil && len(c.Dict) <= maskedCodes
+		return c.Enc == colstore.EncDict && c.Codes8 != nil && c.Nulls == nil && len(c.Dict) <= maskedCodes
 	}
 	return false
 }
@@ -1502,7 +1502,7 @@ func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState
 
 // foldCodesMasked folds a bitmap selection, all of key k, into the groups
 // of the single dictionary GROUP BY column col (Plan.foldsMasked vouched
-// for its size and the aggregates): per code, a popcount pass counts the
+// for its size, its 1-byte codes and the aggregates): per code, a popcount pass counts the
 // code's selected rows — which is every COUNT already — then each other
 // aggregate adds them in one masked pass over its column. It declines
 // (false) when two codes share a group — a dictionary holding one string
@@ -1510,21 +1510,13 @@ func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState
 // row order; the groups it created by then are the ones the fallback
 // creates.
 func (pt *Partial) foldCodesMasked(p *Plan, d *colstore.Data, col *colstore.Column, sel rowSel, k stats.Key, sc *colScratch) bool {
-	if col.Codes8 != nil {
-		return foldCodesMasked(pt, p, d, col, col.Codes8, sel, k, sc)
-	}
-	return foldCodesMasked(pt, p, d, col, col.Codes16, sel, k, sc)
-}
-
-// foldCodesMasked is Partial.foldCodesMasked over col's codes, of either
-// width.
-func foldCodesMasked[C colstore.Code](pt *Partial, p *Plan, d *colstore.Data, col *colstore.Column, codes []C, sel rowSel, k stats.Key, sc *colScratch) bool {
+	codes := col.Codes8
 	codeGS := sc.groupCache(pt, col)
 	keybuf := sc.keyBuf(1)
 	var cnt [maskedCodes]int
 	var groups [maskedCodes]*groupState
 	for c := range col.Dict {
-		if cnt[c] = stats.CountCodeMasked(codes, C(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
+		if cnt[c] = stats.CountCodeMasked(codes, uint8(c), sel.bm, sel.base, sel.lo, sel.hi); cnt[c] == 0 {
 			continue
 		}
 		groups[c] = pt.codeGroup(p, col, codeGS, c, keybuf)
@@ -1543,7 +1535,7 @@ func foldCodesMasked[C colstore.Code](pt *Partial, p *Plan, d *colstore.Data, co
 				gs.accs[ai].AddCount(cnt[c], k)
 			default:
 				slot := gs.accs[ai].Slot(cnt[c], k)
-				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, codes, C(c), sel.bm, sel.base, sel.lo, sel.hi)
+				stats.FoldCodeMasked(slot, d.Cols[a.Col].Floats, codes, uint8(c), sel.bm, sel.base, sel.lo, sel.hi)
 			}
 		}
 	}

@@ -109,11 +109,11 @@ func TestAccBatchFormsMatchAdd(t *testing.T) {
 func checkBatchForms(t *testing.T, n int, keys []Key) {
 	rng := rand.New(rand.NewSource(int64(len(keys))))
 	const base = 64 // the bitmaps start one word into the column
-	floats, ints, codes := make([]float64, n+base), make([]int64, n+base), make([]uint16, n+base)
+	floats, ints, codes := make([]float64, n+base), make([]int64, n+base), make([]uint8, n+base)
 	for i := range floats {
 		floats[i] = rng.NormFloat64() * 100
 		ints[i] = int64(rng.Intn(2000) - 500)
-		codes[i] = uint16(rng.Intn(7))
+		codes[i] = uint8(rng.Intn(7))
 	}
 	// The rows arrive as the scan hands them over: stretches under one key,
 	// of which a random ascending subset is selected, also as a bitmap.
@@ -202,12 +202,12 @@ func checkBatchForms(t *testing.T, n int, keys []Key) {
 				cnt[codes[i]]++
 			}
 			for c, m := range cnt {
-				if got := CountCodeMasked(codes, uint16(c), bm, 0, s.lo, s.hi); got != m {
+				if got := CountCodeMasked(codes, uint8(c), bm, 0, s.lo, s.hi); got != m {
 					t.Fatalf("CountCodeMasked code %d rows [%d,%d): %d, want %d", c, s.lo, s.hi, got, m)
 				}
 				if m > 0 {
 					slots[c] = gots[c].Slot(m, s.k)
-					FoldCodeMasked(gotsM[c].Slot(m, s.k), floats, codes, uint16(c), bm, 0, s.lo, s.hi)
+					FoldCodeMasked(gotsM[c].Slot(m, s.k), floats, codes, uint8(c), bm, 0, s.lo, s.hi)
 				}
 			}
 			FoldByCode(slots, codes, floats, s.idxs)

@@ -3,6 +3,7 @@ package stats
 import (
 	"math/bits"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/cpu"
 )
 
@@ -25,10 +26,6 @@ import (
 
 // Number is the element type of a column the fold kernels read in place.
 type Number interface{ ~int64 | ~float64 }
-
-// Code is the element type of the dictionary codes the per-code kernels
-// read: one byte a row or two (see colstore.Column).
-type Code interface{ uint8 | uint16 }
 
 // AddRange records rows [lo, hi) of the column src, of key k, as AddRow
 // would one at a time.
@@ -143,7 +140,7 @@ func AddMasked(a *Acc, src []float64, bm []uint64, base, lo, hi, n int, k Key) {
 // dictionary codes select — slots[codes[i]] gains src[i] in lane i mod
 // Lanes — in idxs order, so each slot sees its rows in the order AddRow
 // would. The slots come from Acc.Slot, which has counted the rows.
-func FoldByCode[C Code, T Number](slots []*Moments, codes []C, src []T, idxs []int32) {
+func FoldByCode[C colstore.Code, T Number](slots []*Moments, codes []C, src []T, idxs []int32) {
 	for _, i := range idxs {
 		slots[codes[i]].add(float64(src[i]), int(i))
 	}
@@ -152,19 +149,14 @@ func FoldByCode[C Code, T Number](slots []*Moments, codes []C, src []T, idxs []i
 // FoldCodeMasked adds to m the rows of [lo, hi) that bm selects (bit j is
 // row base+j) and whose dictionary code is c: one group's rows of a
 // single-column GROUP BY, in row order. m comes from Acc.Slot, which has
-// counted the rows (CountCodeMasked). Each code width has its own AVX2
-// kernel.
-func FoldCodeMasked[C Code](m *Moments, src []float64, codes []C, c C, bm []uint64, base, lo, hi int) {
+// counted the rows (CountCodeMasked). The codes are 1-byte: a dictionary
+// small enough to fold per code always has them (colstore.MaxDict8).
+func FoldCodeMasked(m *Moments, src []float64, codes []uint8, c uint8, bm []uint64, base, lo, hi int) {
 	if cpu.AVX2 {
 		if w0, w1 := wholeWords(base, lo, hi); w0 < w1 {
 			from, to := base+w0<<6, base+w1<<6
 			foldCodeMaskedGo(m, src, codes, c, bm, base, lo, from)
-			switch cs := any(codes[from:to]).(type) {
-			case []uint8:
-				foldCode8MaskedAVX2(src[from:to], cs, uint8(c), bm[w0:w1], &m.SumX, &m.SumXX)
-			case []uint16:
-				foldCodeMaskedAVX2(src[from:to], cs, uint16(c), bm[w0:w1], &m.SumX, &m.SumXX)
-			}
+			foldCodeMaskedAVX2(src[from:to], codes[from:to], c, bm[w0:w1], &m.SumX, &m.SumXX)
 			lo = to
 		}
 	}
@@ -173,18 +165,12 @@ func FoldCodeMasked[C Code](m *Moments, src []float64, codes []C, c C, bm []uint
 
 // CountCodeMasked returns how many rows of [lo, hi) bm selects (bit j is
 // row base+j) whose dictionary code is c.
-func CountCodeMasked[C Code](codes []C, c C, bm []uint64, base, lo, hi int) int {
+func CountCodeMasked(codes []uint8, c uint8, bm []uint64, base, lo, hi int) int {
 	n := 0
 	if cpu.AVX2 {
 		if w0, w1 := wholeWords(base, lo, hi); w0 < w1 {
 			from, to := base+w0<<6, base+w1<<6
-			n = countCodeGo(codes, c, bm, base, lo, from)
-			switch cs := any(codes[from:to]).(type) {
-			case []uint8:
-				n += countCode8AVX2(cs, uint8(c), bm[w0:w1])
-			case []uint16:
-				n += countCodeAVX2(cs, uint16(c), bm[w0:w1])
-			}
+			n = countCodeGo(codes, c, bm, base, lo, from) + countCodeAVX2(codes[from:to], c, bm[w0:w1])
 			lo = to
 		}
 	}
@@ -244,9 +230,8 @@ func foldMaskedGo(m *Moments, src []float64, bm []uint64, base, lo, hi int) {
 	}
 }
 
-// foldCodeMaskedGo is FoldCodeMasked's portable kernel, and the reference
-// of both widths' AVX2 kernels.
-func foldCodeMaskedGo[C Code](m *Moments, src []float64, codes []C, c C, bm []uint64, base, lo, hi int) {
+// foldCodeMaskedGo is FoldCodeMasked's portable kernel, and its reference.
+func foldCodeMaskedGo(m *Moments, src []float64, codes []uint8, c uint8, bm []uint64, base, lo, hi int) {
 	for r := lo; r < hi; {
 		w, end := selWord(bm, base, r, hi)
 		for ; w != 0; w &= w - 1 {
@@ -258,9 +243,8 @@ func foldCodeMaskedGo[C Code](m *Moments, src []float64, codes []C, c C, bm []ui
 	}
 }
 
-// countCodeGo is CountCodeMasked's portable kernel, and the reference of
-// both widths' AVX2 kernels.
-func countCodeGo[C Code](codes []C, c C, bm []uint64, base, lo, hi int) int {
+// countCodeGo is CountCodeMasked's portable kernel, and its reference.
+func countCodeGo(codes []uint8, c uint8, bm []uint64, base, lo, hi int) int {
 	n := 0
 	for r := lo; r < hi; {
 		w, end := selWord(bm, base, r, hi)

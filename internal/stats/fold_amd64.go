@@ -8,29 +8,19 @@ package stats
 func foldMaskedAVX2(xs []float64, bm []uint64, sx, sxx *[Lanes]float64)
 
 // foldCodeMaskedAVX2 is foldMaskedAVX2 over the rows whose code is c:
-// codes[i] is the dictionary code of xs[i], compared sixteen rows at a time
-// and ANDed into the selection bits.
+// codes[i] is the 1-byte dictionary code of xs[i], a word's 64 codes
+// compared thirty-two at a time and ANDed into the selection bits, and a
+// word with no selected row of code c skipped (adding nothing leaves a lane
+// as adding +0.0 does).
 //
 //go:noescape
-func foldCodeMaskedAVX2(xs []float64, codes []uint16, c uint16, bm []uint64, sx, sxx *[Lanes]float64)
-
-// foldCode8MaskedAVX2 is foldCodeMaskedAVX2 over 1-byte codes: a word's
-// 64 codes compared thirty-two at a time, and a word with no selected row
-// of code c skipped (adding nothing leaves a lane as adding +0.0 does).
-//
-//go:noescape
-func foldCode8MaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64)
+func foldCodeMaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64)
 
 // countCodeAVX2 returns how many rows bm selects whose code is c, over
 // every whole word of bm: len(codes) is 64·len(bm).
 //
 //go:noescape
-func countCodeAVX2(codes []uint16, c uint16, bm []uint64) int
-
-// countCode8AVX2 is countCodeAVX2 over 1-byte codes.
-//
-//go:noescape
-func countCode8AVX2(codes []uint8, c uint8, bm []uint64) int
+func countCodeAVX2(codes []uint8, c uint8, bm []uint64) int
 
 // nibbleMasks[n] keeps lane i of four rows where bit i of nibble n is set:
 // the VANDPD mask foldMaskedAVX2 and the per-code kernels apply per 4 rows.

@@ -66,62 +66,6 @@ maskedNext:
 maskedDone:
 	RET
 
-// CODE16 folds the rows of xs[16k:16k+16] (at xoff(SI) on) whose codes (at
-// coff(DI)) equal Y3 and whose selection bits are set in the low 16 bits of
-// R9, which it then shifts to the next 16. One VPCMPEQW compares the 16
-// codes; VPACKSSWB narrows the verdict words of its two halves to bytes, in
-// row order, for VPMOVMSKB.
-#define CODE16(coff, xoff) \
-	VPCMPEQW     coff(DI), Y3, Y4; \
-	VEXTRACTI128 $1, Y4, X5; \
-	VPACKSSWB    X5, X4, X4; \
-	VPMOVMSKB    X4, R11; \
-	ANDQ         R9, R11; \
-	FOLD4(xoff, R11); \
-	FOLD4(xoff+32, R11); \
-	FOLD4(xoff+64, R11); \
-	FOLD4(xoff+96, R11); \
-	SHRQ         $16, R9
-
-// func foldCodeMaskedAVX2(xs []float64, codes []uint16, c uint16, bm []uint64, sx, sxx *[Lanes]float64)
-TEXT ·foldCodeMaskedAVX2(SB), NOSPLIT, $0-96
-	MOVQ  xs_base+0(FP), SI
-	MOVQ  codes_base+24(FP), DI
-	MOVQ  bm_base+56(FP), BX
-	MOVQ  bm_len+64(FP), CX
-	MOVQ  sx+80(FP), AX
-	MOVQ  sxx+88(FP), DX
-	TESTQ CX, CX
-	JZ    codeDone
-	MOVWLZX c+48(FP), R10
-	VMOVD R10, X3
-	VPBROADCASTW X3, Y3
-	LEAQ  ·nibbleMasks(SB), R8
-	VMOVUPD (AX), Y0
-	VMOVUPD (DX), Y1
-
-codeLoop:
-	MOVQ  (BX), R9
-	TESTQ R9, R9
-	JZ    codeNext
-	CODE16(0, 0)
-	CODE16(32, 128)
-	CODE16(64, 256)
-	CODE16(96, 384)
-
-codeNext:
-	ADDQ $128, DI
-	ADDQ $512, SI
-	ADDQ $8, BX
-	DECQ CX
-	JNZ  codeLoop
-	VMOVUPD Y0, (AX)
-	VMOVUPD Y1, (DX)
-	VZEROUPPER
-
-codeDone:
-	RET
-
 // EQ64B leaves the verdicts codes[64k:64k+64] == Y3 (1-byte codes, at
 // (DI)) in row order in reg: two VPCMPEQB, each verdict byte's top bit
 // taken by VPMOVMSKB, the second half shifted above the first. tmp is
@@ -134,8 +78,8 @@ codeDone:
 	SHLQ      $32, tmp; \
 	ORQ       tmp, reg
 
-// func foldCode8MaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64)
-TEXT ·foldCode8MaskedAVX2(SB), NOSPLIT, $0-96
+// func foldCodeMaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64)
+TEXT ·foldCodeMaskedAVX2(SB), NOSPLIT, $0-96
 	MOVQ  xs_base+0(FP), SI
 	MOVQ  codes_base+24(FP), DI
 	MOVQ  bm_base+56(FP), BX
@@ -143,7 +87,7 @@ TEXT ·foldCode8MaskedAVX2(SB), NOSPLIT, $0-96
 	MOVQ  sx+80(FP), AX
 	MOVQ  sxx+88(FP), DX
 	TESTQ CX, CX
-	JZ    code8Done
+	JZ    codeDone
 	MOVBLZX c+48(FP), R10
 	VMOVD R10, X3
 	VPBROADCASTB X3, Y3
@@ -151,13 +95,13 @@ TEXT ·foldCode8MaskedAVX2(SB), NOSPLIT, $0-96
 	VMOVUPD (AX), Y0
 	VMOVUPD (DX), Y1
 
-code8Loop:
+codeLoop:
 	MOVQ  (BX), R9
 	TESTQ R9, R9
-	JZ    code8Next
+	JZ    codeNext
 	EQ64B(R11, R12)
 	ANDQ  R9, R11
-	JZ    code8Next
+	JZ    codeNext
 	FOLD4(0, R11)
 	FOLD4(32, R11)
 	FOLD4(64, R11)
@@ -175,30 +119,20 @@ code8Loop:
 	FOLD4(448, R11)
 	FOLD4(480, R11)
 
-code8Next:
+codeNext:
 	ADDQ $64, DI
 	ADDQ $512, SI
 	ADDQ $8, BX
 	DECQ CX
-	JNZ  code8Loop
+	JNZ  codeLoop
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y1, (DX)
 	VZEROUPPER
 
-code8Done:
+codeDone:
 	RET
 
-// EQ32 leaves the verdicts codes[32k:32k+32] == Y3 (at off(DI)) in row
-// order in reg's low 32 bits: two VPCMPEQW, their verdict words narrowed to
-// bytes by VPACKSSWB, whose interleaved 128-bit halves VPERMQ reorders.
-#define EQ32(off, reg) \
-	VPCMPEQW  off(DI), Y3, Y4; \
-	VPCMPEQW  off+32(DI), Y3, Y5; \
-	VPACKSSWB Y5, Y4, Y4; \
-	VPERMQ    $0xD8, Y4, Y4; \
-	VPMOVMSKB Y4, reg
-
-// func countCodeAVX2(codes []uint16, c uint16, bm []uint64) int
+// func countCodeAVX2(codes []uint8, c uint8, bm []uint64) int
 TEXT ·countCodeAVX2(SB), NOSPLIT, $0-64
 	MOVQ  codes_base+0(FP), DI
 	MOVQ  bm_base+32(FP), BX
@@ -206,41 +140,11 @@ TEXT ·countCodeAVX2(SB), NOSPLIT, $0-64
 	XORQ  R12, R12
 	TESTQ CX, CX
 	JZ    countDone
-	MOVWLZX c+24(FP), AX
-	VMOVD AX, X3
-	VPBROADCASTW X3, Y3
-
-countLoop:
-	EQ32(0, AX)
-	EQ32(64, R11)
-	SHLQ    $32, R11
-	ORQ     R11, AX
-	ANDQ    (BX), AX
-	POPCNTQ AX, AX
-	ADDQ    AX, R12
-	ADDQ    $128, DI
-	ADDQ    $8, BX
-	DECQ    CX
-	JNZ     countLoop
-	VZEROUPPER
-
-countDone:
-	MOVQ R12, ret+56(FP)
-	RET
-
-// func countCode8AVX2(codes []uint8, c uint8, bm []uint64) int
-TEXT ·countCode8AVX2(SB), NOSPLIT, $0-64
-	MOVQ  codes_base+0(FP), DI
-	MOVQ  bm_base+32(FP), BX
-	MOVQ  bm_len+40(FP), CX
-	XORQ  R12, R12
-	TESTQ CX, CX
-	JZ    count8Done
 	MOVBLZX c+24(FP), AX
 	VMOVD AX, X3
 	VPBROADCASTB X3, Y3
 
-count8Loop:
+countLoop:
 	EQ64B(AX, R11)
 	ANDQ    (BX), AX
 	POPCNTQ AX, AX
@@ -248,9 +152,9 @@ count8Loop:
 	ADDQ    $64, DI
 	ADDQ    $8, BX
 	DECQ    CX
-	JNZ     count8Loop
+	JNZ     countLoop
 	VZEROUPPER
 
-count8Done:
+countDone:
 	MOVQ R12, ret+56(FP)
 	RET

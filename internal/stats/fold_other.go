@@ -9,14 +9,8 @@ func foldMaskedAVX2(xs []float64, bm []uint64, sx, sxx *[Lanes]float64) {
 	panic("stats: no AVX2 kernels")
 }
 
-func foldCodeMaskedAVX2(xs []float64, codes []uint16, c uint16, bm []uint64, sx, sxx *[Lanes]float64) {
+func foldCodeMaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64) {
 	panic("stats: no AVX2 kernels")
 }
 
-func countCodeAVX2(codes []uint16, c uint16, bm []uint64) int { panic("stats: no AVX2 kernels") }
-
-func foldCode8MaskedAVX2(xs []float64, codes []uint8, c uint8, bm []uint64, sx, sxx *[Lanes]float64) {
-	panic("stats: no AVX2 kernels")
-}
-
-func countCode8AVX2(codes []uint8, c uint8, bm []uint64) int { panic("stats: no AVX2 kernels") }
+func countCodeAVX2(codes []uint8, c uint8, bm []uint64) int { panic("stats: no AVX2 kernels") }

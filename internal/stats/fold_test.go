@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"blinkdb/internal/cpu"
@@ -25,80 +24,54 @@ func sameLanes(a, b *Moments) bool {
 	return a.N == b.N
 }
 
-// edgeCodes are the 2-byte dictionary codes the fold tests use, in order:
+// edgeCodes are the 1-byte dictionary codes the fold tests use, in order:
 // a column of n codes holds the first n, and the next is checked absent.
-// They lead with the 8- and 16-bit edges, where narrowing a verdict word to
-// a byte, or a code's sign bit, could tell two codes apart wrongly.
-// edgeCodes8 are the 1-byte codes, used the same way: row i's code is
-// edgeCodes[k] in one column and edgeCodes8[k] in the other.
-var (
-	edgeCodes  = []uint16{0, 65535, 255, 256, 32767, 32768, 1, 65534, 2}
-	edgeCodes8 = []uint8{0, 255, 127, 128, 1, 254, 126, 129, 2}
-)
+// They lead with the byte's edges and its sign bit, where a signed compare
+// could tell two codes apart wrongly.
+var edgeCodes = []uint8{0, 255, 127, 128, 1, 254, 126, 129, 2}
 
 // foldCase is one input of the fold kernels: a column, its dictionary
-// codes (the first ncodes edgeCodes, and the same rows' 1-byte codes among
-// edgeCodes8), a selection bitmap over it (bit j is row j) and a row range.
+// codes (the first ncodes edgeCodes), a selection bitmap over it (bit j is
+// row j) and a row range.
 type foldCase struct {
 	xs     []float64
-	codes  []uint16
-	codes8 []uint8
+	codes  []uint8
 	bm     []uint64
 	lo, hi int
 	ncodes int
 }
 
-// codes8Of returns the 1-byte codes of the rows whose 2-byte codes are
-// codes: edgeCodes8 at each code's place in edgeCodes.
-func codes8Of(codes []uint16) []uint8 {
-	out := make([]uint8, len(codes))
-	for i, c := range codes {
-		out[i] = edgeCodes8[slices.Index(edgeCodes, c)]
-	}
-	return out
-}
-
 // checkFoldKernels holds the AVX2 fold kernels — reached through the
 // entry points, which hand them the whole bitmap words inside [lo, hi) — to
-// the Go ones: the masked fold, and the per-code masked fold and the
-// per-code count over 2-byte and over 1-byte codes, for every code and one
-// absent, bit for bit, lanes starting from non-zero sums.
+// the Go ones: the masked fold, the per-code masked fold and the per-code
+// count, for every code and one absent, bit for bit, lanes starting from
+// non-zero sums.
 func checkFoldKernels(t testing.TB, fc foldCase) {
 	t.Helper()
-	want := runKernels(false, func(m *Moments) { foldMasked(m, fc.xs, fc.bm, 0, fc.lo, fc.hi) })
-	if got := runKernels(true, func(m *Moments) { foldMasked(m, fc.xs, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
+	seed := Moments{SumX: [Lanes]float64{1, -2, 0.5, 3}, SumXX: [Lanes]float64{4, 1, 0.25, 9}}
+	run := func(avx2 bool, f func(m *Moments)) Moments {
+		was := cpu.AVX2
+		cpu.AVX2 = avx2
+		defer func() { cpu.AVX2 = was }()
+		m := seed
+		f(&m)
+		return m
+	}
+	want := run(false, func(m *Moments) { foldMasked(m, fc.xs, fc.bm, 0, fc.lo, fc.hi) })
+	if got := run(true, func(m *Moments) { foldMasked(m, fc.xs, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
 		t.Fatalf("masked fold rows [%d,%d): avx2 %+v, go %+v", fc.lo, fc.hi, got, want)
 	}
-	checkCodeKernels(t, fc, fc.codes, edgeCodes[:fc.ncodes+1])
-	checkCodeKernels(t, fc, fc.codes8, edgeCodes8[:fc.ncodes+1])
-}
-
-// runKernels runs f on the AVX2 kernels or the Go ones over lanes that
-// start from non-zero sums, and returns them.
-func runKernels(avx2 bool, f func(m *Moments)) Moments {
-	was := cpu.AVX2
-	cpu.AVX2 = avx2
-	defer func() { cpu.AVX2 = was }()
-	m := Moments{SumX: [Lanes]float64{1, -2, 0.5, 3}, SumXX: [Lanes]float64{4, 1, 0.25, 9}}
-	f(&m)
-	return m
-}
-
-// checkCodeKernels is checkFoldKernels' per-code half over codes of one
-// width, for each of cs.
-func checkCodeKernels[C Code](t testing.TB, fc foldCase, codes []C, cs []C) {
-	t.Helper()
-	for _, c := range cs {
-		want := runKernels(false, func(m *Moments) { FoldCodeMasked(m, fc.xs, codes, c, fc.bm, 0, fc.lo, fc.hi) })
-		if got := runKernels(true, func(m *Moments) { FoldCodeMasked(m, fc.xs, codes, c, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
-			t.Fatalf("per-code fold %T code %d rows [%d,%d): avx2 %+v, go %+v", c, c, fc.lo, fc.hi, got, want)
+	for _, c := range edgeCodes[:fc.ncodes+1] {
+		want := run(false, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, c, fc.bm, 0, fc.lo, fc.hi) })
+		if got := run(true, func(m *Moments) { FoldCodeMasked(m, fc.xs, fc.codes, c, fc.bm, 0, fc.lo, fc.hi) }); !sameLanes(&want, &got) {
+			t.Fatalf("per-code fold code %d rows [%d,%d): avx2 %+v, go %+v", c, fc.lo, fc.hi, got, want)
 		}
 		var n [2]int
 		for k, avx2 := range []bool{false, true} {
-			runKernels(avx2, func(*Moments) { n[k] = CountCodeMasked(codes, c, fc.bm, 0, fc.lo, fc.hi) })
+			run(avx2, func(*Moments) { n[k] = CountCodeMasked(fc.codes, c, fc.bm, 0, fc.lo, fc.hi) })
 		}
 		if n[0] != n[1] {
-			t.Fatalf("count %T code %d rows [%d,%d): avx2 %d, go %d", c, c, fc.lo, fc.hi, n[1], n[0])
+			t.Fatalf("count code %d rows [%d,%d): avx2 %d, go %d", c, fc.lo, fc.hi, n[1], n[0])
 		}
 	}
 }
@@ -106,8 +79,8 @@ func checkCodeKernels[C Code](t testing.TB, fc foldCase, codes []C, cs []C) {
 // TestFoldKernelsMatchGeneric holds the AVX2 fold kernels to the Go ones
 // bit for bit over lengths 0, 1, 63, 64, 65 and 1,000, ranges starting on
 // and off a lane and a bitmap word, densities 0, 1/64, 0.25, 0.85 and 1,
-// columns holding NaN, ±Inf and −0, and one to eight codes among 0, 255,
-// 256, 32767, 32768 and 65535 — and, 1-byte, among 0, 127, 128 and 255.
+// columns holding NaN, ±Inf and −0, and one to eight codes among 0, 127,
+// 128 and 255.
 func TestFoldKernelsMatchGeneric(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("this CPU has no AVX2 fold kernels")
@@ -124,11 +97,10 @@ func TestFoldKernelsMatchGeneric(t *testing.T) {
 			}
 		}
 		for ncodes := 1; ncodes <= 8; ncodes++ {
-			codes := make([]uint16, rows)
+			codes := make([]uint8, rows)
 			for i := range codes {
 				codes[i] = edgeCodes[rng.Intn(ncodes)]
 			}
-			codes8 := codes8Of(codes)
 			for _, density := range []float64{0, 1.0 / 64, 0.25, 0.85, 1} {
 				bm := make([]uint64, rows/64+1)
 				for i := 0; i < rows; i++ {
@@ -138,7 +110,7 @@ func TestFoldKernelsMatchGeneric(t *testing.T) {
 				}
 				for _, lo := range []int{0, 1, 3, 64, 67, 130} {
 					for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-						checkFoldKernels(t, foldCase{xs, codes, codes8, bm, lo, lo + n, ncodes})
+						checkFoldKernels(t, foldCase{xs, codes, bm, lo, lo + n, ncodes})
 					}
 				}
 			}
@@ -149,8 +121,8 @@ func TestFoldKernelsMatchGeneric(t *testing.T) {
 // FuzzFoldKernels is TestFoldKernelsMatchGeneric with the inputs under the
 // fuzzer's control (corpus in testdata/fuzz/FuzzFoldKernels): each byte of
 // data is a row — its low bits pick a special value (NaN, ±Inf, −0) or a
-// small number, a code among edgeCodes (and edgeCodes8) and whether the
-// row is selected — and lo and span pick the rows folded.
+// small number, a code among edgeCodes and whether the row is selected —
+// and lo and span pick the rows folded.
 func FuzzFoldKernels(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\xfc\xfd\xfe\xff\x10\x37\x5a\x81"), uint16(3), uint16(70), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, lo, span uint16, ncodes uint8) {
@@ -158,7 +130,7 @@ func FuzzFoldKernels(f *testing.F) {
 			t.Skip("this CPU has no AVX2 fold kernels")
 		}
 		n := len(data)
-		xs, codes := make([]float64, n), make([]uint16, n)
+		xs, codes := make([]float64, n), make([]uint8, n)
 		bm := make([]uint64, n/64+1)
 		nc := 1 + int(ncodes%8)
 		for i, b := range data {
@@ -178,24 +150,22 @@ func FuzzFoldKernels(f *testing.F) {
 			}
 		}
 		from := min(int(lo), n)
-		checkFoldKernels(t, foldCase{xs, codes, codes8Of(codes), bm, from, min(n, from+int(span)), nc})
+		checkFoldKernels(t, foldCase{xs, codes, bm, from, min(n, from+int(span)), nc})
 	})
 }
 
 // BenchmarkFoldKernels times each fold kernel, AVX2 against Go, over 17,408
 // rows (272 words) at the density of the repo benchmark's date range (85%
-// selected), with a 4-valued dictionary: the masked fold, and one code's
-// per-code fold and its count over 2-byte codes (per-code, count) and over
-// 1-byte ones (per-code8, count8).
+// selected), with a 4-valued dictionary: the masked fold, one code's
+// per-code fold and its count.
 func BenchmarkFoldKernels(b *testing.B) {
 	const rows = 17408
 	rng := rand.New(rand.NewSource(1))
-	xs, codes, codes8 := make([]float64, rows), make([]uint16, rows), make([]uint8, rows)
+	xs, codes := make([]float64, rows), make([]uint8, rows)
 	bm := make([]uint64, rows/64)
 	for i := range xs {
 		xs[i] = rng.ExpFloat64() * 60
-		codes[i] = uint16(rng.Intn(4))
-		codes8[i] = uint8(codes[i])
+		codes[i] = uint8(rng.Intn(4))
 		if rng.Float64() < 0.85 {
 			bm[i>>6] |= 1 << uint(i&63)
 		}
@@ -208,8 +178,6 @@ func BenchmarkFoldKernels(b *testing.B) {
 		{"masked", func() { foldMasked(&m, xs, bm, 0, 0, rows) }},
 		{"per-code", func() { FoldCodeMasked(&m, xs, codes, 1, bm, 0, 0, rows) }},
 		{"count", func() { CountCodeMasked(codes, 1, bm, 0, 0, rows) }},
-		{"per-code8", func() { FoldCodeMasked(&m, xs, codes8, 1, bm, 0, 0, rows) }},
-		{"count8", func() { CountCodeMasked(codes8, 1, bm, 0, 0, rows) }},
 	} {
 		for _, avx2 := range []bool{false, true} {
 			name := k.name + "/go"
