@@ -157,9 +157,9 @@ type colAcc struct {
 	mixed  bool
 	values []types.Value
 
-	// runs counts maximal runs of exactly-equal values. Equality is struct
-	// equality — kind AND payload — so Int(1)/Float(1) start separate runs
-	// and NaN never extends one, which is what keeps EncRLE lossless.
+	// runs counts maximal runs of equal values, which decides for EncRLE:
+	// struct equality, so Int(1)/Float(1) start separate runs and NaN never
+	// extends one (encode also splits −0 from +0: see sameRun).
 	runs    int
 	last    types.Value
 	hasNull bool
@@ -481,7 +481,7 @@ func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
 		if a.runs*threshold <= n {
 			col := Column{Enc: EncRLE, RunVals: make([]types.Value, 0, a.runs), RunEnds: make([]int32, 0, a.runs)}
 			for j := 0; j < n; j++ {
-				if v := a.value(j); j == 0 || v != col.RunVals[len(col.RunVals)-1] {
+				if v := a.value(j); j == 0 || !sameRun(v, col.RunVals[len(col.RunVals)-1]) {
 					col.RunVals = append(col.RunVals, v)
 					col.RunEnds = append(col.RunEnds, int32(j+1))
 				} else {

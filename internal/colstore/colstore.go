@@ -306,22 +306,6 @@ func (d *Data) RowInto(buf types.Row, i int) types.Row {
 	return buf
 }
 
-// RowKey renders the projection of row i onto the given column indices,
-// byte-identical to types.RowKey over the materialised row.
-func (d *Data) RowKey(i int, idx []int) string {
-	if len(idx) == 1 {
-		return d.Cols[idx[0]].Value(i).Key()
-	}
-	buf := make([]byte, 0, 16*len(idx))
-	for k, j := range idx {
-		if k > 0 {
-			buf = append(buf, '\x1f')
-		}
-		buf = append(buf, d.Cols[j].Value(i).Key()...)
-	}
-	return string(buf)
-}
-
 // Strata numbers the distinct projections of rows onto a list of columns
 // with dense ids 0, 1, 2, … in order of first appearance over the rows it
 // is shown. Two rows share an id exactly when their RowKeys are equal:
@@ -332,6 +316,9 @@ func (d *Data) RowKey(i int, idx []int) string {
 // dictionary column looks each entry up once per IDs call instead of once
 // per row, as an RLE column does each run. Over no columns every row is
 // stratum 0, keyed "".
+//
+// Its users: optimizer.frequencies (the §3.2 profile), the column
+// histograms of maintenance.TakeSnapshot, sample.Build and Family.Validate.
 type Strata struct {
 	cols []valueIDs
 	idx  []int
@@ -444,6 +431,10 @@ type valueIDs struct {
 }
 
 var nanBits = math.Float64bits(math.NaN())
+
+// sameRun reports whether v continues an RLE run of u: struct equality,
+// with a float zero's sign told apart (−0 == +0, but the two key apart).
+func sameRun(u, v types.Value) bool { return u == v && math.Signbit(u.F) == math.Signbit(v.F) }
 
 // id returns v's id, numbering it when it is new.
 func (n *valueIDs) id(v types.Value) uint32 {

@@ -154,9 +154,9 @@ func TestUniformMetaCompression(t *testing.T) {
 	}
 }
 
-// TestRowKeyMatchesTypesRowKey pins byte-identity of the columnar key
-// projection with types.RowKey — the property the sampler and optimizer
-// stratify on.
+// TestRowKeyMatchesTypesRowKey pins that a chunk gives every row back
+// with the RowKey it was appended with, over one to three columns — the
+// key equality Strata numbers and the sampler and optimizer stratify on.
 func TestRowKeyMatchesTypesRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 300
@@ -170,7 +170,7 @@ func TestRowKeyMatchesTypesRowKey(t *testing.T) {
 	d := FromRows(4, rows, rates, freqs)
 	for _, idx := range [][]int{{0}, {2}, {0, 1}, {3, 1, 2}} {
 		for i := range rows {
-			if got, want := d.RowKey(i, idx), types.RowKey(rows[i], idx); got != want {
+			if got, want := types.RowKey(d.Row(i), idx), types.RowKey(rows[i], idx); got != want {
 				t.Fatalf("idx %v row %d: key %q want %q", idx, i, got, want)
 			}
 		}

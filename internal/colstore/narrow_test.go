@@ -104,7 +104,7 @@ func TestNarrowInts(t *testing.T) {
 		ids := s.IDs(d, 0, n, nil)
 		idOf := map[string]uint32{}
 		for i, v := range tc.vals {
-			key := d.RowKey(i, []int{0})
+			key := types.RowKey(d.Row(i), []int{0})
 			if key != v.Key() {
 				t.Fatalf("%s: row %d keyed %q, want %q", tc.name, i, key, v.Key())
 			}

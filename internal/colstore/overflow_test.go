@@ -61,7 +61,7 @@ func checkRows(t *testing.T, label string, d *Data, rows []types.Row) {
 		byKey := map[string]uint32{}
 		for i, id := range ids {
 			key := types.RowKey(rows[i], idx)
-			if got := d.RowKey(i, idx); got != key {
+			if got := types.RowKey(d.Row(i), idx); got != key {
 				t.Fatalf("%s: RowKey(%d, %v) = %q, want %q", label, i, idx, got, key)
 			}
 			if prev, ok := byKey[key]; ok && prev != id || !ok && int(id) != len(byKey) {

@@ -142,7 +142,7 @@ func TestRLENaN(t *testing.T) {
 	}
 }
 
-// TestRLEMinMaxAndRowKey checks the generic readers (MinMax, RowKey) see
+// TestRLEMinMaxAndRowKey checks the generic readers (MinMax, Row) see
 // through the RLE encoding identically to the plain one.
 func TestRLEMinMaxAndRowKey(t *testing.T) {
 	rows := runRows([]struct {
@@ -177,8 +177,40 @@ func TestRLEMinMaxAndRowKey(t *testing.T) {
 	}
 	idx := []int{0}
 	for i := range rows {
-		if kr, kp := rle.RowKey(i, idx), plain.RowKey(i, idx); kr != kp {
+		if kr, kp := types.RowKey(rle.Row(i), idx), types.RowKey(plain.Row(i), idx); kr != kp {
 			t.Fatalf("RowKey(%d): rle %q vs plain %q", i, kr, kp)
+		}
+	}
+}
+
+// TestRLEKeepsZeroSign pins that −0 and +0 never share a run: Float(−0)
+// == Float(+0) as Go values, but their keys differ, so a run that merged
+// them would give rows back with the other sign — and move them to another
+// stratum. Both ways of filling a builder are held: Append, and AppendFrom
+// out of plain chunks (whose runs are counted over the typed payloads).
+func TestRLEKeepsZeroSign(t *testing.T) {
+	negZero := types.Float(math.Copysign(0, -1))
+	rows := runRows([]struct {
+		v types.Value
+		n int
+	}{{negZero, 20}, {types.Float(0), 20}, {negZero, 20}, {types.Null(), 5}, {types.Float(0), 20}})
+	plain := NewBuilder(1)
+	plain.DisableRLE()
+	for _, r := range rows {
+		plain.Append(r, 1, 0)
+	}
+	src := plain.Finish()
+	from := NewBuilder(1)
+	from.AppendFrom(src, 0, 30)
+	from.AppendFrom(src, 30, src.N)
+	for name, col := range map[string]Column{"append": encodeSingle(rows), "appendFrom": from.Finish().Cols[0]} {
+		if col.Enc != EncRLE || len(col.RunVals) != 5 {
+			t.Fatalf("%s: encoding %v with %d runs, want rle with 5", name, col.Enc, len(col.RunVals))
+		}
+		for i, r := range rows {
+			if got := col.Value(i); got.Kind != r[0].Kind || math.Signbit(got.F) != math.Signbit(r[0].F) {
+				t.Fatalf("%s: row %d is %#v (key %q), want key %q", name, i, got, got.Key(), r[0].Key())
+			}
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestStrataMatchRowKey(t *testing.T) {
 					t.Fatalf("idx %v: IDs returned %d ids after the 1 given", idx, len(ids)-1)
 				}
 				for i, id := range ids[1:] {
-					key := d.RowKey(lo+i, idx)
+					key := types.RowKey(d.Row(lo+i), idx)
 					prev, seen := byKey[key]
 					switch {
 					case !seen && int(id) != len(byKey):

@@ -23,7 +23,7 @@ func frequenciesByRowKey(tab *storage.Table, phi types.ColumnSet) []int64 {
 	counts := map[string]int64{}
 	for _, b := range tab.Blocks {
 		for i, n := 0, b.NumRows(); i < n; i++ {
-			counts[b.RowKey(i, idx)]++
+			counts[types.RowKey(b.RowAt(i), idx)]++
 		}
 	}
 	out := make([]int64, 0, len(counts))

@@ -376,12 +376,12 @@ func TestParallelBuildDeterminism(t *testing.T) {
 			idx := allCols(a.Schema())
 			for _, blk := range a.Deltas[li].Blocks {
 				for ri := 0; ri < blk.NumRows(); ri++ {
-					rowsA = append(rowsA, blk.RowKey(ri, idx))
+					rowsA = append(rowsA, types.RowKey(blk.RowAt(ri), idx))
 				}
 			}
 			for _, blk := range b.Deltas[li].Blocks {
 				for ri := 0; ri < blk.NumRows(); ri++ {
-					rowsB = append(rowsB, blk.RowKey(ri, idx))
+					rowsB = append(rowsB, types.RowKey(blk.RowAt(ri), idx))
 				}
 			}
 			if !reflect.DeepEqual(rowsA, rowsB) {

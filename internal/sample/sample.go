@@ -18,8 +18,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -303,24 +305,38 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 		idx = append(idx, i)
 	}
 
-	// Pass 1: group row locators by stratum key. Block.RowKey projects
-	// the key straight from the columns (no row materialisation).
-	type loc struct{ block, row int32 }
-	strata := make(map[string][]loc)
-	var keys []string
-	for bi, b := range base.Blocks {
-		for ri, n := 0, b.NumRows(); ri < n; ri++ {
-			var key string
-			if len(idx) > 0 {
-				key = b.RowKey(ri, idx)
-			}
-			if _, seen := strata[key]; !seen {
-				keys = append(keys, key)
-			}
-			strata[key] = append(strata[key], loc{int32(bi), int32(ri)})
-		}
+	// Pass 1: number each base row's stratum (Strata ids are equal exactly
+	// when RowKeys are) and counting-sort the (block, row) locators by id:
+	// stratum id is locs[at[id]:at[id+1]], its rows in base order.
+	strata := colstore.NewStrata(idx)
+	ids := make([]uint32, 0, base.NumRows())
+	for _, b := range base.Blocks {
+		ids = strata.IDs(b.Chunk, b.Off, b.Off+b.N, ids)
 	}
-	sort.Strings(keys) // §3.1: store strata sorted by φ for clustering
+	n := strata.Len()
+	at := make([]int, n+2)
+	for _, id := range ids {
+		at[id+2]++
+	}
+	for id := 2; id < len(at); id++ {
+		at[id] += at[id-1] // at[id+1] is where stratum id starts
+	}
+	type loc struct{ block, row int32 }
+	locs := make([]loc, len(ids))
+	for bi, b := range base.Blocks {
+		for ri, id := range ids[:b.N] {
+			locs[at[id+1]] = loc{int32(bi), int32(ri)}
+			at[id+1]++ // until it is where stratum id+1 starts
+		}
+		ids = ids[b.N:]
+	}
+	// §3.1: store strata sorted by φ (by RowKey) for clustering.
+	keys := make([]string, n)
+	order := make([]int, n)
+	for id := range order {
+		keys[id], order[id] = strata.Key(uint32(id)), id
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(keys[a], keys[b]) })
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fam := &Family{
@@ -328,12 +344,10 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 		Caps:      append([]int64{}, caps...),
 		schema:    base.Schema,
 		baseRows:  base.NumRows(),
-		numStrata: int64(len(keys)),
+		numStrata: int64(n),
 	}
 	k1 := caps[len(caps)-1]
 
-	// Pass 2: per stratum, shuffle once; nested prefixes give every
-	// resolution. Emit rows level by level so deltas are non-overlapping.
 	builders := make([]*storage.Builder, len(caps))
 	for i := range caps {
 		t := storage.NewTable(fmt.Sprintf("%s@K%d", phi.Key(), caps[i]), base.Schema)
@@ -343,26 +357,25 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 		builders[i].HintSortedColumns(idx...)
 		fam.Deltas = append(fam.Deltas, t)
 	}
-	for _, key := range keys {
-		locs := strata[key]
-		f := int64(len(locs))
+	// Pass 2: per stratum, shuffle once; nested prefixes give every
+	// resolution. Emit rows level by level so deltas are non-overlapping,
+	// each copied through one row buffer (Append does not retain it).
+	row := make(types.Row, base.Schema.Len())
+	for _, id := range order {
+		w := locs[at[id]:at[id+1]]
+		f := int64(len(w))
 		if f < k1 {
 			fam.tailCount++
 		}
-		rng.Shuffle(len(locs), func(i, j int) { locs[i], locs[j] = locs[j], locs[i] })
+		rng.Shuffle(len(w), func(i, j int) { w[i], w[j] = w[j], w[i] })
 		prev := int64(0)
 		for li, cap := range caps {
-			take := f
-			if cap < take {
-				take = cap
+			take := min(f, cap) // caps ascend, so take never falls below prev
+			for _, l := range w[prev:take] {
+				b := base.Blocks[l.block]
+				builders[li].Append(b.Chunk.RowInto(row, b.Off+int(l.row)), storage.RowMeta{Rate: 1, StratumFreq: f})
 			}
-			for _, l := range locs[prev:take] {
-				r := base.Blocks[l.block].RowAt(int(l.row))
-				builders[li].Append(r, storage.RowMeta{Rate: 1, StratumFreq: f})
-			}
-			if take > prev {
-				prev = take
-			}
+			prev = take
 		}
 	}
 	for i := range builders {
@@ -378,21 +391,18 @@ func BuildUniform(base *storage.Table, sizes []int64, cfg BuildConfig) (*Family,
 	return Build(base, types.NewColumnSet(), sizes, cfg)
 }
 
-// Validate checks the family's structural invariants:
-//   - deltas are disjoint in aggregate size and per-stratum counts are
-//     exactly min(F, K_level) at each resolution;
-//   - per-row StratumFreq matches the actual base frequency recorded at
-//     build time (spot-checkable only via totals here);
-//   - blocks pass storage validation.
+// Validate checks the family's structural invariants: every delta passes
+// storage validation, the rows of one stratum all carry one StratumFreq F,
+// and at each resolution (deltas 0..level) a stratum holds exactly
+// min(F, K_level) rows — one that lost rows fails. Strata are numbered by
+// one colstore.Strata across the deltas; a key is rendered only for an
+// error.
 func (f *Family) Validate() error {
 	for li, d := range f.Deltas {
 		if err := storage.Validate(d, 0); err != nil {
 			return fmt.Errorf("delta %d: %w", li, err)
 		}
 	}
-	// Per-stratum counts at each level must be min(F, cap).
-	counts := make(map[string]int64) // stratum key -> rows seen so far
-	freq := make(map[string]int64)   // stratum key -> declared F
 	var idx []int
 	for _, col := range f.Phi.Columns() {
 		i := f.schema.Index(col)
@@ -401,29 +411,32 @@ func (f *Family) Validate() error {
 		}
 		idx = append(idx, i)
 	}
-	for li, d := range f.Deltas {
-		cap := f.Caps[li]
+	strata := colstore.NewStrata(idx)
+	var ids []uint32 // every row's stratum id, delta after delta
+	var freq []int64 // per id: the StratumFreq its rows carry
+	for _, d := range f.Deltas {
 		for _, b := range d.Blocks {
-			for j, n := 0, b.NumRows(); j < n; j++ {
-				key := ""
-				if len(idx) > 0 {
-					key = b.RowKey(j, idx)
+			from := len(ids)
+			ids = strata.IDs(b.Chunk, b.Off, b.Off+b.N, ids)
+			for j, id := range ids[from:] {
+				m := b.MetaAt(j).StratumFreq
+				if int(id) == len(freq) { // ids are numbered densely as met
+					freq = append(freq, m)
+				} else if freq[id] != m {
+					return fmt.Errorf("stratum %q: inconsistent freq %d vs %d", strata.Key(id), freq[id], m)
 				}
-				counts[key]++
-				m := b.MetaAt(j)
-				if prev, ok := freq[key]; ok && prev != m.StratumFreq {
-					return fmt.Errorf("stratum %q: inconsistent freq %d vs %d", key, prev, m.StratumFreq)
-				}
-				freq[key] = m.StratumFreq
 			}
 		}
-		for key, n := range counts {
-			want := freq[key]
-			if cap < want {
-				want = cap
-			}
-			if n > want {
-				return fmt.Errorf("level %d stratum %q: %d rows exceeds min(F=%d, K=%d)", li, key, n, freq[key], cap)
+	}
+	seen := make([]int64, len(freq)) // per id: rows in deltas 0..li
+	for li, d := range f.Deltas {
+		for _, id := range ids[:d.NumRows()] {
+			seen[id]++
+		}
+		ids = ids[d.NumRows():]
+		for id, n := range seen {
+			if want := min(freq[id], f.Caps[li]); n != want {
+				return fmt.Errorf("level %d stratum %q: %d rows, want min(F=%d, K=%d)", li, strata.Key(uint32(id)), n, freq[id], f.Caps[li])
 			}
 		}
 	}

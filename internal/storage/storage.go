@@ -88,7 +88,7 @@ func (z *Zone) Extend(v types.Value) {
 // as one read and prunes by its zones. It is pure metadata — its rows are
 // the window [Off, Off+N) of a physical chunk that neighbouring blocks
 // share. Readers outside the executor's vectorized scan use the accessor
-// methods (NumRows, RowAt, MetaAt, ValueAt, RowKey).
+// methods (NumRows, RowAt, MetaAt, ValueAt).
 type Block struct {
 	// ID is unique within a Table.
 	ID int
@@ -120,10 +120,6 @@ func (b *Block) MetaAt(i int) RowMeta {
 // ValueAt returns the value of column col in row i without materialising
 // the row.
 func (b *Block) ValueAt(i, col int) types.Value { return b.Chunk.Cols[col].Value(b.Off + i) }
-
-// RowKey renders the projection of row i onto the given schema indices —
-// types.RowKey without materialising the row.
-func (b *Block) RowKey(i int, idx []int) string { return b.Chunk.RowKey(b.Off+i, idx) }
 
 // Table is a named collection of blocks sharing a schema.
 type Table struct {
