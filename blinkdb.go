@@ -188,18 +188,14 @@ func Col(name string, t ColumnType) ColumnDef { return ColumnDef{Name: name, Typ
 type Config struct {
 	// Nodes in the simulated cluster (default 100, the paper's setup).
 	Nodes int
-	// CoresPerNode (default 8).
-	CoresPerNode int
 	// Workers sizes the executor's scan worker pool. 0 (default) uses
-	// min(CoresPerNode, GOMAXPROCS): a simulated node's cores, but never
-	// more goroutines than this host can run. 1 runs every scan on the
+	// min(8, GOMAXPROCS): a simulated node's 8 cores, but never more
+	// goroutines than this host can run. 1 runs every scan on the
 	// calling goroutine; §4.1.1's candidate counts run there whatever the
 	// value. Query results are bit-identical for every value: the executor
 	// partitions scans by the blocks' row counts and merges partial
 	// aggregates in partition-index order.
 	Workers int
-	// MemCacheGBPerNode (default 60, ≈ the paper's 6 TB aggregate).
-	MemCacheGBPerNode float64
 	// Scale maps stored bytes to logical bytes for latency modelling
 	// (default 1; experiments use 1e4-1e6 to emulate TB-scale tables). It
 	// also sizes the priced block — the unit the cluster model places on
@@ -207,8 +203,6 @@ type Config struct {
 	// samples are cut so one block stands for ≈256 MB of logical data
 	// (HDFS-style blocks), between 2 and 8192 rows.
 	Scale float64
-	// Confidence is the default CI level (default 0.95).
-	Confidence float64
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
 	// PlanCacheSize caps how many query templates keep their prepared
@@ -253,23 +247,14 @@ func (c Config) normalize() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 100
 	}
-	if c.CoresPerNode <= 0 {
-		c.CoresPerNode = 8
-	}
 	if c.Workers == 0 {
-		c.Workers = min(c.CoresPerNode, runtime.GOMAXPROCS(0))
+		c.Workers = min(cluster.PaperConfig().CoresPerNode, runtime.GOMAXPROCS(0))
 	}
 	if c.Workers < 0 {
 		c.Workers = 1
 	}
-	if c.MemCacheGBPerNode <= 0 {
-		c.MemCacheGBPerNode = 60
-	}
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		c.Confidence = 0.95
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -353,15 +338,10 @@ func (e *Engine) samplesOf(table string) *tableSamples {
 // Open creates an engine.
 func Open(cfg Config) *Engine {
 	cfg = cfg.normalize()
-	clus := cluster.New(cluster.Config{
-		Nodes:                cfg.Nodes,
-		CoresPerNode:         cfg.CoresPerNode,
-		MemCacheBytesPerNode: cfg.MemCacheGBPerNode * 1e9,
-	})
+	clus := cluster.New(cluster.PaperConfig().WithNodes(cfg.Nodes))
 	cat := catalog.New()
 	tele := telemetry.NewRegistry()
 	rt := elp.New(cat, clus, elp.Options{
-		Confidence:      cfg.Confidence,
 		Scale:           cfg.Scale,
 		Workers:         cfg.Workers,
 		PlanCacheSize:   cfg.PlanCacheSize,
@@ -517,8 +497,6 @@ type SampleOptions struct {
 	Resolutions int
 	// CapRatio between successive resolutions (default 2).
 	CapRatio float64
-	// MaxColumns per stratification candidate (default 3, §3.2.2).
-	MaxColumns int
 	// UniformFraction sizes the always-built uniform family as a
 	// fraction of the table (default 0.1).
 	UniformFraction float64
@@ -576,7 +554,6 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 		K:           opts.K,
 		CapRatio:    opts.CapRatio,
 		Resolutions: opts.Resolutions,
-		MaxColumns:  opts.MaxColumns,
 		BudgetBytes: int64(float64(entry.Table.Bytes()) * opts.BudgetFraction),
 		Workers:     e.cfg.Workers,
 		Build: sample.BuildConfig{

@@ -11,7 +11,7 @@ import (
 )
 
 // demoEngine loads a skewed sessions table and builds samples, with the
-// default worker pool (Workers: 0 → min(CoresPerNode, GOMAXPROCS)).
+// default worker pool (Workers: 0 → min(8, GOMAXPROCS)).
 func demoEngine(t testing.TB, rows int) *Engine {
 	t.Helper()
 	return demoEngineWorkers(t, rows, 0)
@@ -360,12 +360,32 @@ func TestDisjunctiveQueryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact, _ := eng.Query(`SELECT COUNT(*) FROM sessions WHERE city = 'NY' OR os = 'OSX'`)
-	got := res.Rows[0].Cells[0].Value
+	got := res.Rows[0].Cells[0]
 	want := exact.Rows[0].Cells[0].Value
-	// Disjunct merging over near-overlapping predicates is approximate;
-	// the paper assumes near-disjoint template predicates. Allow 40%.
-	if math.Abs(got-want)/want > 0.4 {
-		t.Errorf("disjunctive estimate %.0f vs exact %.0f", got, want)
+	// The disjuncts overlap (NY sessions on OSX match both); each row must
+	// count once, so the reported interval covers the exact count.
+	if math.Abs(got.Value-want) > got.Bound {
+		t.Errorf("disjunctive estimate %.0f ± %.0f does not cover the exact %.0f", got.Value, got.Bound, want)
+	}
+}
+
+// TestDisjunctiveExactFallback: a bound no sample meets sends each
+// disjunct to the base table, and the merged answer must be the exact
+// count bit for bit — rows matching both disjuncts counted once.
+func TestDisjunctiveExactFallback(t *testing.T) {
+	eng := demoEngine(t, 30000)
+	const where = `FROM sessions WHERE city = 'NY' OR os = 'OSX'`
+	bounded, err := eng.Query(`SELECT COUNT(*) ` + where + ` ERROR WITHIN 0.01%`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := eng.Query(`SELECT COUNT(*) ` + where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := bounded.Rows[0].Cells[0], exact.Rows[0].Cells[0]
+	if !got.Exact || math.Float64bits(got.Value) != math.Float64bits(want.Value) {
+		t.Errorf("bounded disjunction = %v (exact %v), the exact count is %v", got.Value, got.Exact, want.Value)
 	}
 }
 

@@ -191,15 +191,15 @@ func TestExploreDecisionsMatchFullProbes(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := func(v sample.View) *exec.Result {
-			return exec.Run(plan, exec.FromView(v).Pruned(plan), eng.cfg.Confidence)
+			return exec.RunParallel(plan, exec.FromView(v).Pruned(plan), sqlparser.DefaultConfidence, 1)
 		}
 		var best, uniform *sample.Family
 		bestRatio, uniformRatio := -1.0, -1.0
 		for i, got := range dec.Probed {
 			want := full(probeViewOf(got.Family))
-			if got.Selectivity != want.Selectivity() || got.Matched != want.RowsMatched {
+			if sel := (exec.Counts{RowsScanned: want.RowsScanned, RowsMatched: want.RowsMatched}).Selectivity(); got.Selectivity != sel || got.Matched != want.RowsMatched {
 				t.Fatalf("%q: Probed[%d] (%s) = %v/%d, the full plan on its probe view reports %v/%d", src, i,
-					got.Family.Label(), got.Selectivity, got.Matched, want.Selectivity(), want.RowsMatched)
+					got.Family.Label(), got.Selectivity, got.Matched, sel, want.RowsMatched)
 			}
 			if got.Selectivity > bestRatio {
 				best, bestRatio = got.Family, got.Selectivity

@@ -122,7 +122,7 @@ func scanAll(tbl *storage.Table) ([]types.Row, []storage.RowMeta) {
 	var rows []types.Row
 	var metas []storage.RowMeta
 	tbl.Scan(func(r types.Row, m storage.RowMeta) bool {
-		rows = append(rows, r.Clone())
+		rows = append(rows, append(types.Row(nil), r...))
 		metas = append(metas, m)
 		return true
 	})
@@ -193,6 +193,10 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 
 // TestRoundTrip pins build → persist → load equivalence for every
 // encoding and both load paths (mmap, ReadFile).
+// openReadFile loads the segment without mmap: the in-memory fallback
+// that Open takes when mapping fails.
+func openReadFile(path string) (*Segment, error) { return open(path, true) }
+
 func TestRoundTrip(t *testing.T) {
 	for _, mode := range []string{"mmap", "readfile"} {
 		t.Run(mode, func(t *testing.T) {
@@ -203,19 +207,19 @@ func TestRoundTrip(t *testing.T) {
 			if mode == "mmap" {
 				seg, err = Open(path)
 			} else {
-				seg, err = OpenReadFile(path)
+				seg, err = openReadFile(path)
 			}
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
 			defer seg.Close()
-			if mode == "readfile" && seg.Mapped() {
-				t.Fatal("OpenReadFile produced a mapped segment")
+			if mode == "readfile" && seg.mapped {
+				t.Fatal("the read-file path produced a mapped segment")
 			}
 			if blob, ok := seg.Meta("note"); !ok || string(blob) != "fixture-meta" {
 				t.Fatalf("meta blob lost: %q %v", blob, ok)
 			}
-			if seg.NumTables() != 1 || seg.TableName(0) != "fixture" {
+			if seg.NumTables() != 1 || seg.tables[0].name != "fixture" {
 				t.Fatalf("table index wrong: %d tables", seg.NumTables())
 			}
 			got, err := seg.Table(0)
@@ -282,7 +286,7 @@ func TestNarrowIntsRoundTrip(t *testing.T) {
 		t.Fatal("the bool column is not narrow")
 	}
 	path := writeFixture(t, want)
-	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": openReadFile} {
 		seg, err := open(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -327,7 +331,7 @@ func TestDictCodeWidthRoundTrip(t *testing.T) {
 		t.Fatalf("s257: %d entries, 2-byte codes %v", len(c.Dict), c.Codes16 != nil)
 	}
 	path := writeFixture(t, want)
-	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": openReadFile} {
 		seg, err := open(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -417,7 +421,7 @@ func TestDictionaryOverflowRoundTrip(t *testing.T) {
 		t.Fatalf("encodings %v %v, want value and dict", cols[0].Enc, cols[1].Enc)
 	}
 	path := writeFixture(t, want)
-	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+	for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": openReadFile} {
 		seg, err := open(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -471,7 +475,7 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 // falls back to a cold rebuild.
 func TestRetiredFormatVersionRejected(t *testing.T) {
 	for file, version := range retiredSegments {
-		for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": OpenReadFile} {
+		for name, open := range map[string]func(string) (*Segment, error){"mmap": Open, "readfile": openReadFile} {
 			seg, err := open(filepath.Join("testdata", file))
 			if err == nil {
 				seg.Close()

@@ -68,13 +68,6 @@ func Open(path string) (*Segment, error) {
 	return open(path, false)
 }
 
-// OpenReadFile loads the segment without mmap (always the in-memory
-// fallback). Benchmarks use it to compare load paths; behavior is
-// otherwise identical to Open.
-func OpenReadFile(path string) (*Segment, error) {
-	return open(path, true)
-}
-
 func open(path string, forceRead bool) (*Segment, error) {
 	s := &Segment{}
 	if !forceRead {
@@ -108,9 +101,6 @@ func (s *Segment) Close() error {
 	s.data = nil
 	return nil
 }
-
-// Mapped reports whether the segment is backed by an mmap view.
-func (s *Segment) Mapped() bool { return s.mapped }
 
 // readFileAligned reads the whole file into a buffer whose base address
 // is 8-aligned, so the same zero-copy slice views work on the fallback
@@ -328,9 +318,6 @@ func (s *Segment) Meta(name string) ([]byte, bool) {
 
 // NumTables returns how many tables the segment holds.
 func (s *Segment) NumTables() int { return len(s.tables) }
-
-// TableName returns the name of table i.
-func (s *Segment) TableName(i int) string { return s.tables[i].name }
 
 // Table materializes table i. Columnar int/float payloads, null
 // bitmaps, dictionary codes, run ends and the sampling-metadata runs are

@@ -85,15 +85,6 @@ func (e *Entry) CoveringFamilies(phi types.ColumnSet) []*sample.Family {
 	return out
 }
 
-// SampleBytes returns the total physical bytes of all families.
-func (e *Entry) SampleBytes() int64 {
-	var n int64
-	for _, f := range e.Families {
-		n += f.StorageBytes()
-	}
-	return n
-}
-
 // Catalog is a concurrency-safe table registry.
 type Catalog struct {
 	mu      sync.RWMutex

@@ -77,8 +77,10 @@ func TestUniformAndStratifiedAccessors(t *testing.T) {
 	if got := len(e.Stratified()); got != 2 {
 		t.Errorf("stratified = %d", got)
 	}
-	if e.SampleBytes() <= 0 {
-		t.Error("sample bytes should be positive")
+	for _, f := range e.Families {
+		if f.StorageBytes() <= 0 {
+			t.Errorf("%s: sample bytes should be positive", f.Label())
+		}
 	}
 }
 

@@ -275,9 +275,6 @@ type Data struct {
 	Freqs []int64
 }
 
-// Uniform reports whether every row shares one (rate, freq) pair.
-func (d *Data) Uniform() bool { return len(d.MetaEnds) <= 1 }
-
 // MetaRunOf returns the index of the metadata run containing row i.
 func (d *Data) MetaRunOf(i int) int {
 	if len(d.MetaEnds) <= 1 {
@@ -285,12 +282,6 @@ func (d *Data) MetaRunOf(i int) int {
 	}
 	return sort.Search(len(d.MetaEnds), func(r int) bool { return d.MetaEnds[r] > int32(i) })
 }
-
-// RateAt returns row i's sampling rate.
-func (d *Data) RateAt(i int) float64 { return d.Rates[d.MetaRunOf(i)] }
-
-// FreqAt returns row i's stratum frequency.
-func (d *Data) FreqAt(i int) int64 { return d.Freqs[d.MetaRunOf(i)] }
 
 // Row materialises row i as a fresh types.Row (safe to retain).
 func (d *Data) Row(i int) types.Row {

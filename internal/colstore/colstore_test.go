@@ -130,11 +130,16 @@ func TestRoundTripMixed(t *testing.T) {
 		if got := d.RowInto(buf, i); !reflect.DeepEqual(got, rows[i]) {
 			t.Fatalf("RowInto %d: got %v want %v", i, got, rows[i])
 		}
-		if d.RateAt(i) != rates[i] || d.FreqAt(i) != freqs[i] {
-			t.Fatalf("meta %d: (%g,%d) want (%g,%d)", i, d.RateAt(i), d.FreqAt(i), rates[i], freqs[i])
+		if rateAt(d, i) != rates[i] || freqAt(d, i) != freqs[i] {
+			t.Fatalf("meta %d: (%g,%d) want (%g,%d)", i, rateAt(d, i), freqAt(d, i), rates[i], freqs[i])
 		}
 	}
 }
+
+// rateAt and freqAt read row i's sampling rate and stratum frequency
+// through its metadata run.
+func rateAt(d *Data, i int) float64 { return d.Rates[d.MetaRunOf(i)] }
+func freqAt(d *Data, i int) int64   { return d.Freqs[d.MetaRunOf(i)] }
 
 // TestUniformMetaCompression pins that constant (rate, freq) pairs drop
 // their per-row arrays — the property the executor's hoisted-rate fast
@@ -142,14 +147,14 @@ func TestRoundTripMixed(t *testing.T) {
 func TestUniformMetaCompression(t *testing.T) {
 	rows := []types.Row{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}}
 	d := FromRows(1, rows, []float64{1, 1, 1}, []int64{7, 7, 7})
-	if !d.Uniform() {
+	if len(d.MetaEnds) > 1 {
 		t.Fatalf("uniform meta not compressed: %+v", d)
 	}
-	if d.RateAt(2) != 1 || d.FreqAt(0) != 7 {
-		t.Fatalf("uniform accessors wrong: rate=%g freq=%d", d.RateAt(2), d.FreqAt(0))
+	if rateAt(d, 2) != 1 || freqAt(d, 0) != 7 {
+		t.Fatalf("uniform accessors wrong: rate=%g freq=%d", rateAt(d, 2), freqAt(d, 0))
 	}
 	d2 := FromRows(1, rows, []float64{1, 0.5, 1}, []int64{7, 7, 7})
-	if d2.Uniform() || d2.RateAt(1) != 0.5 || d2.FreqAt(1) != 7 {
+	if len(d2.MetaEnds) <= 1 || rateAt(d2, 1) != 0.5 || freqAt(d2, 1) != 7 {
 		t.Fatalf("varying rates must keep the array: %+v", d2)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"blinkdb/internal/plancache"
 	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
 )
@@ -159,7 +160,7 @@ func TestCacheDifferentConstantsCorrectAnswer(t *testing.T) {
 	counts := map[string]float64{}
 	for _, b := range f.tab.Blocks {
 		for ri, n := 0, b.NumRows(); ri < n; ri++ {
-			counts[b.ValueAt(ri, 3).S]++
+			counts[b.Chunk.Cols[3].Value(b.Off+ri).S]++
 		}
 	}
 	point := func(genre string) float64 {
@@ -202,7 +203,7 @@ func TestEpochInvalidation(t *testing.T) {
 	if resp.Cache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.Cache)
 	}
-	if got := f.rt.gen.Load().plans.Len(); got != 2 {
+	if got := entries(f.rt.gen.Load().plans); got != 2 {
 		t.Fatalf("cache holds %d entries before refresh, want 2", got)
 	}
 
@@ -253,7 +254,7 @@ func TestEpochInvalidation(t *testing.T) {
 	// BOTH pre-refresh templates went with their generation; only the
 	// re-prepared one is resident (dead catalog snapshots must not ride
 	// the LRU).
-	if got := f.rt.gen.Load().plans.Len(); got != 1 {
+	if got := entries(f.rt.gen.Load().plans); got != 1 {
 		t.Errorf("cache holds %d entries after the refresh, want 1", got)
 	}
 }
@@ -339,4 +340,11 @@ func TestCacheConcurrentHotTemplateWithRefresh(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// entries counts a cache's entries.
+func entries[V any](c *plancache.Cache[V]) int {
+	n := 0
+	c.Range(func(string, V) bool { n++; return true })
+	return n
 }

@@ -51,8 +51,6 @@ const MinProbeRows = 100
 
 // Options tune the runtime. Zero values select paper-default behaviour.
 type Options struct {
-	// Confidence is the default CI level for queries that don't set one.
-	Confidence float64
 	// Scale maps physical stored bytes to logical bytes, for base-table
 	// and sample reads alike (our tables are laptop-scale stand-ins for
 	// TB-scale data).
@@ -183,9 +181,6 @@ func newResultEntry(resp *Response, note string, q *sqlparser.Query, pq *prepare
 
 // New creates a runtime; Options fields out of range take their defaults.
 func New(cat *catalog.Catalog, clus *cluster.Cluster, opt Options) *Runtime {
-	if opt.Confidence <= 0 || opt.Confidence >= 1 {
-		opt.Confidence = 0.95
-	}
 	if opt.Scale <= 0 {
 		opt.Scale = 1
 	}

@@ -53,11 +53,11 @@ func TestWarmupRoundTrip(t *testing.T) {
 		t.Fatalf("import: err %v, skipped %v", err, skipped)
 	}
 	held := f.rt.gen.Load()
-	if plans != held.plans.Len() || results != held.results.Len() {
+	if plans != entries(held.plans) || results != entries(held.results) {
 		t.Fatalf("restored %d plans, %d results; the exporter held %d, %d",
-			plans, results, held.plans.Len(), held.results.Len())
+			plans, results, entries(held.plans), entries(held.results))
 	}
-	if got, want := cold.gen.Load().results.Len(), held.results.Len(); got != want {
+	if got, want := entries(cold.gen.Load().results), entries(held.results); got != want {
 		t.Errorf("restored result cache holds %d entries, exporter held %d", got, want)
 	}
 

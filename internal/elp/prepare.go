@@ -80,7 +80,7 @@ type prepDisjunct struct {
 
 // confidenceFor derives the CI level for a query.
 func (rt *Runtime) confidenceFor(q *sqlparser.Query) float64 {
-	conf := rt.opt.Confidence
+	conf := sqlparser.DefaultConfidence
 	if q.Err != nil && q.Err.Confidence > 0 {
 		conf = q.Err.Confidence
 	} else if q.ReportError {
@@ -142,10 +142,11 @@ func (rt *Runtime) prepare(ctx context.Context, q *sqlparser.Query, key string, 
 
 	conf := rt.confidenceFor(q)
 	groupCols := types.NewColumnSet(q.GroupBy...)
-	for _, pred := range types.SplitDisjuncts(plan.Pred) {
+	own, scan := disjuncts(plan.Pred)
+	for i, pred := range scan {
 		// Sample selection considers only fact-table columns: samples
 		// exist on the fact side; dimension columns are joined exactly.
-		phi := factColumns(pred.Columns().Union(groupCols), entry.Table.Schema)
+		phi := factColumns(own[i].Columns().Union(groupCols), entry.Table.Schema)
 		pd, err := rt.prepareConjunctive(ctx, entry, plan.WithPred(pred), phi, q, conf, pq.joins, psp)
 		if err != nil {
 			return nil, err
@@ -153,6 +154,34 @@ func (rt *Runtime) prepare(ctx context.Context, q *sqlparser.Query, key string, 
 		pq.disjuncts = append(pq.disjuncts, pd)
 	}
 	return pq, nil
+}
+
+// disjuncts rewrites a predicate into the conjunctive sub-queries of
+// §4.1.2 (own: types.SplitDisjuncts) and makes them disjoint: sub-query i
+// scans d_i AND NOT d_1 … AND NOT d_(i−1), so a row that matches several
+// disjuncts is counted by the first alone and the merged answer sums
+// disjoint parts. NOT is two-valued over the selection bitmaps, so the
+// scans partition the rows the predicate selects exactly. Family choice
+// reads d_i's own columns; the NOT terms only trim what d_i matched.
+func disjuncts(pred types.Predicate) (own, scan []types.Predicate) {
+	own = types.SplitDisjuncts(pred)
+	if len(own) == 1 {
+		return own, own
+	}
+	scan = append(make([]types.Predicate, 0, len(own)), own[0])
+	for i, d := range own[1:] {
+		var kids []types.Predicate
+		if and, ok := d.(*types.AndPred); ok {
+			kids = append(kids, and.Kids...)
+		} else {
+			kids = append(kids, d)
+		}
+		for _, prev := range own[:i+1] {
+			kids = append(kids, &types.NotPred{Kid: prev})
+		}
+		scan = append(scan, &types.AndPred{Kids: kids})
+	}
+	return own, scan
 }
 
 // prepareConjunctive runs the probing half of planning one conjunctive

@@ -163,7 +163,7 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 		if lat > dec.ProbeLatency {
 			dec.ProbeLatency = lat
 		}
-		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: res.Selectivity(), Matched: res.RowsMatched})
+		dec.Probed = append(dec.Probed, ProbeInfo{Family: f, Selectivity: countsOf(res).Selectivity(), Matched: res.RowsMatched})
 	}
 	best, bestRatio := argmaxFamily(dec.Probed)
 	dec.Reason = fmt.Sprintf("no covering family: probed %d families, best selectivity %.4f on %s",
@@ -295,16 +295,16 @@ func TestCountProbesDecideLikeFullProbes(t *testing.T) {
 			t.Fatal(err)
 		}
 		conf := f.confidenceFor(q)
-		full := func(v sample.View) *exec.Result { return exec.Run(plan, viewInput(v, plan), conf) }
+		full := func(v sample.View) *exec.Result { return exec.RunParallel(plan, viewInput(v, plan), conf, 1) }
 
 		if len(pd.famDec.Probed) != len(entry.Families) {
 			t.Fatalf("%q: probed %d of %d families", src, len(pd.famDec.Probed), len(entry.Families))
 		}
 		for i, got := range pd.famDec.Probed {
 			want := full(f.probeView(entry.Families[i]))
-			if got.Family != entry.Families[i] || got.Selectivity != want.Selectivity() || got.Matched != want.RowsMatched {
+			if got.Family != entry.Families[i] || got.Selectivity != countsOf(want).Selectivity() || got.Matched != want.RowsMatched {
 				t.Fatalf("%q: Probed[%d] = %s %v/%d, the full plan on its probe view reports %s %v/%d", src, i,
-					got.Family.Label(), got.Selectivity, got.Matched, entry.Families[i].Label(), want.Selectivity(), want.RowsMatched)
+					got.Family.Label(), got.Selectivity, got.Matched, entry.Families[i].Label(), countsOf(want).Selectivity(), want.RowsMatched)
 			}
 		}
 		best, _ := argmaxFamily(pd.famDec.Probed)
@@ -421,8 +421,8 @@ func TestProbeCancellation(t *testing.T) {
 			t.Fatalf("cancel at check %d: resp=%v err=%v, want nil and context.Canceled", checks, resp, err)
 		}
 		gen := f.gen.Load()
-		if d.Cancelled != 1 || gen.results.Len() != 0 {
-			t.Fatalf("cancel at check %d: Cancelled moved by %d, %d results cached", checks, d.Cancelled, gen.results.Len())
+		if d.Cancelled != 1 || entries(gen.results) != 0 {
+			t.Fatalf("cancel at check %d: Cancelled moved by %d, %d results cached", checks, d.Cancelled, entries(gen.results))
 		}
 		pq, cached := gen.plans.Get(key)
 		switch {
@@ -561,4 +561,9 @@ func TestUniformFamilyReasonLabel(t *testing.T) {
 	if got := strat.Label(); got != strat.Phi.String() || got == "uniform" {
 		t.Errorf("Label(stratified) = %q", got)
 	}
+}
+
+// countsOf is what a Count of res's run reports (its blocks aside).
+func countsOf(res *exec.Result) exec.Counts {
+	return exec.Counts{RowsScanned: res.RowsScanned, RowsMatched: res.RowsMatched}
 }

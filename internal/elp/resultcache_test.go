@@ -198,7 +198,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	if resp, _ := answer(f.rt, parse(t, src)); resp.ResultCache != "hit" {
 		t.Fatalf("warm query should hit, got %q", resp.ResultCache)
 	}
-	if got := f.rt.gen.Load().results.Len(); got != 2 {
+	if got := entries(f.rt.gen.Load().results); got != 2 {
 		t.Fatalf("result cache holds %d entries before refresh, want 2", got)
 	}
 
@@ -238,7 +238,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	}
 	// BOTH stale answers went with their generation; only the re-executed
 	// one is resident.
-	if got := f.rt.gen.Load().results.Len(); got != 1 {
+	if got := entries(f.rt.gen.Load().results); got != 1 {
 		t.Errorf("result cache holds %d entries after the refresh, want 1", got)
 	}
 }

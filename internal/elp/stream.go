@@ -174,7 +174,7 @@ func (rt *Runtime) walks(pq *prepared, plan *exec.Plan, q *sqlparser.Query, para
 		return []walk{{cursor: base, to: -1, dec: Decision{Reason: "no bounds: exact execution on base table"}}}, nil
 	}
 	// §4.1.2: rewrite disjunctions into parallel conjunctive sub-queries.
-	preds := types.SplitDisjuncts(plan.Pred)
+	_, preds := disjuncts(plan.Pred)
 	if len(preds) != len(pq.disjuncts) {
 		return nil, errTemplateMismatch
 	}

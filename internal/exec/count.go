@@ -11,7 +11,7 @@ type Counts struct {
 	RowsMatched int64
 }
 
-// Selectivity returns matched/scanned, as Result.Selectivity does.
+// Selectivity returns matched/scanned (the s_q of §4.2).
 func (c Counts) Selectivity() float64 { return selectivity(c.RowsMatched, c.RowsScanned) }
 
 // Count returns the Counts a run of p over in would report: Blocks is

@@ -377,28 +377,11 @@ func (r *Result) Clone() *Result {
 	return &cp
 }
 
-// Selectivity returns matched/scanned (the s_q of §4.2).
-func (r *Result) Selectivity() float64 { return selectivity(r.RowsMatched, r.RowsScanned) }
-
 func selectivity(matched, scanned int64) float64 {
 	if scanned == 0 {
 		return 0
 	}
 	return float64(matched) / float64(scanned)
-}
-
-// MaxRelErr returns the worst relative error across all groups and
-// aggregates; +Inf when a group estimate has zero point and nonzero bound.
-func (r *Result) MaxRelErr() float64 {
-	worst := 0.0
-	for _, g := range r.Groups {
-		for _, e := range g.Estimates {
-			if re := e.RelErr(); re > worst {
-				worst = re
-			}
-		}
-	}
-	return worst
 }
 
 // MaxAbsErr returns the worst CI half-width across groups and aggregates.
@@ -412,23 +395,6 @@ func (r *Result) MaxAbsErr() float64 {
 		}
 	}
 	return worst
-}
-
-// MinGroupRows returns the smallest per-group matched row count, a
-// convergence indicator for rare subgroups.
-func (r *Result) MinGroupRows() int64 {
-	if len(r.Groups) == 0 {
-		return 0
-	}
-	min := int64(1<<62 - 1)
-	for _, g := range r.Groups {
-		for _, e := range g.Estimates {
-			if e.Rows < min {
-				min = e.Rows
-			}
-		}
-	}
-	return min
 }
 
 // groupState accumulates one group during execution.
@@ -462,7 +428,7 @@ func newGroupState(p *Plan) *groupState {
 
 // Partial is the mergeable result of scanning one contiguous block range:
 // per-group aggregate states plus the scan counters. Partials from
-// disjoint ranges combine associatively via MergePartials.
+// disjoint ranges combine associatively through a Merger.
 type Partial struct {
 	// RowsScanned, RowsMatched, MaxMatchedStratumFreq and BytesScanned
 	// mirror the same fields on Result, restricted to this partial's block
@@ -479,15 +445,6 @@ type Partial struct {
 	groups map[uint64][]*groupState
 	// w is how the scanned input's class keys weigh (Input.weights).
 	w stats.Weights
-}
-
-// NumGroups returns the number of distinct groups seen in this partial.
-func (pt *Partial) NumGroups() int {
-	n := 0
-	for _, b := range pt.groups {
-		n += len(b)
-	}
-	return n
 }
 
 // zoneMayMatch reports whether a block's zone maps can intersect the
@@ -513,26 +470,18 @@ func zoneMayMatch(b *storage.Block, bounds []colBound) bool {
 	return true
 }
 
-// RunPartial scans blocks [lo, hi) of the input into a mergeable Partial.
-// Zone-map pruning is folded into the scan: blocks whose zones cannot
-// satisfy the predicate's bounds are skipped before any row is read, so
-// they contribute to neither RowsScanned nor BytesScanned.
-func RunPartial(p *Plan, in Input, lo, hi int) *Partial {
-	return runPartial(p, p.runtime(), in, lo, hi, nil, nil)
-}
-
-// runPartial is RunPartial with precompiled plan state — a join scan's
-// (joinRuntime.rt) when jr is non-nil: each span is widened with the
-// dimension columns before the scan — and an optional scan scratch to reuse
-// across the ranges one worker processes (nil allocates on demand).
+// runPartial scans blocks [lo, hi) of the input into a mergeable Partial,
+// with precompiled plan state — a join scan's (joinRuntime.rt) when jr is
+// non-nil: each span is widened with the dimension columns before the
+// scan — and the scan scratch one worker reuses across its ranges. Zone-map
+// pruning is folded into the scan: blocks whose zones cannot satisfy the
+// predicate's bounds are skipped before any row is read, so they count in
+// neither RowsScanned nor BytesScanned.
 func runPartial(p *Plan, rt *planRuntime, in Input, lo, hi int,
 	jr *joinRuntime, sc *colScratch) *Partial {
 
 	pt := &Partial{groups: make(map[uint64][]*groupState), w: in.weights()}
 	lo, hi = max(lo, 0), min(hi, len(in.Blocks))
-	if sc == nil {
-		sc = &colScratch{} // direct RunPartial calls
-	}
 	pt.scanBlocks(p, rt, in, lo, hi, jr, sc)
 	return pt
 }
@@ -699,19 +648,12 @@ func (m *Merger) flush() {
 	}
 }
 
-// Finish folds any remaining delivered partials (still in index order)
-// and finalizes the Result at the given confidence.
-func (m *Merger) Finish(confidence float64) *Result {
-	m.flush()
-	return m.result(confidence, m.w)
-}
-
 // result finalizes the merged state at confidence, its classes weighed by
 // w. It reads the state and changes nothing, so one state may be finalized
 // at several caps, concurrently.
 func (m *Merger) result(confidence float64, w stats.Weights) *Result {
 	if confidence <= 0 || confidence >= 1 {
-		confidence = 0.95
+		confidence = sqlparser.DefaultConfidence
 	}
 	res := &Result{
 		Confidence:            confidence,
@@ -728,22 +670,6 @@ func (m *Merger) result(confidence float64, w stats.Weights) *Result {
 	}
 	finalize(m.p, res, merged, w)
 	return res
-}
-
-// MergePartials folds partials — which MUST be in partition-index order —
-// into a Result. Per-group aggregate states merge associatively
-// (stats.Acc.Merge); because the fold order is the partial order, float
-// accumulation is deterministic and independent of how many workers
-// produced the partials. Nil entries (empty ranges) are skipped. The
-// partials themselves are not mutated (group states are cloned before
-// merging), so the same partials may be merged again, e.g. at another
-// confidence level. It is the materialized-list form of Merger.
-func MergePartials(p *Plan, parts []*Partial, confidence float64) *Result {
-	m := NewMerger(p, len(parts))
-	for i, pt := range parts {
-		m.Add(i, pt)
-	}
-	return m.Finish(confidence)
 }
 
 // findMerged locates the merged group matching gs's key; on first sight
@@ -827,12 +753,6 @@ const SchedNodeAffine Sched = 0
 // partition is scanRanges, and changing one never moves the other.
 func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeShard) {
 	return storage.PartitionBlocksByNode(blocks, maxPartials)
-}
-
-// Run executes the plan over the input at the given confidence level with
-// a single worker. It is exactly RunParallel(p, in, confidence, 1).
-func Run(p *Plan, in Input, confidence float64) *Result {
-	return RunParallel(p, in, confidence, 1)
 }
 
 // RunParallel executes the plan over the input using up to workers
@@ -974,15 +894,10 @@ func compareKeys(a, b []types.Value) int {
 	return 0
 }
 
-// MergeResults combines partial results from disjunct sub-queries
+// MergeResults combines partial results from disjoint disjunct sub-queries
 // (§4.1.2): groups with equal keys have their estimates summed for
 // COUNT/SUM and combined conservatively for AVG/QUANTILE (point estimates
 // weighted by effective rows; variances added for sums).
-//
-// Disjuncts produced by SplitDisjuncts may overlap (a OR b is not a
-// disjoint union); BlinkDB's rewrite assigns per-subquery constraints and
-// aggregates assuming near-disjoint predicates, which holds for the
-// template workloads evaluated in the paper. We follow that design.
 func MergeResults(p *Plan, parts []*Result) *Result {
 	if len(parts) == 1 {
 		return parts[0]

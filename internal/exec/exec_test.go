@@ -59,7 +59,7 @@ func compile(t testing.TB, src string, schema *types.Schema) *Plan {
 func TestExactSumGroupByOnBaseTable(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT SUM(sessiontime) FROM sessions GROUP BY city`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if len(res.Groups) != 3 {
 		t.Fatalf("groups = %d", len(res.Groups))
 	}
@@ -98,7 +98,7 @@ func TestPaperStratifiedExample(t *testing.T) {
 	b.Finish()
 
 	p := compile(t, `SELECT SUM(sessiontime) FROM sessions GROUP BY city`, schema)
-	res := Run(p, viewOf(schema, samp.Blocks, 1), 0.95)
+	res := RunParallel(p, viewOf(schema, samp.Blocks, 1), 0.95, 1)
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %d (Berkeley must be missing)", len(res.Groups))
 	}
@@ -117,14 +117,14 @@ func TestPaperStratifiedExample(t *testing.T) {
 func TestWhereFilterAndSelectivity(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions WHERE city = 'New York'`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if len(res.Groups) != 1 {
 		t.Fatalf("groups = %d", len(res.Groups))
 	}
 	if got := res.Groups[0].Estimates[0].Point; got != 3 {
 		t.Errorf("count = %g", got)
 	}
-	if s := res.Selectivity(); math.Abs(s-0.6) > 1e-9 {
+	if s := selectivity(res.RowsMatched, res.RowsScanned); math.Abs(s-0.6) > 1e-9 {
 		t.Errorf("selectivity = %g", s)
 	}
 }
@@ -132,7 +132,7 @@ func TestWhereFilterAndSelectivity(t *testing.T) {
 func TestMultipleAggregates(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime), MEDIAN(sessiontime) FROM sessions`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	e := res.Groups[0].Estimates
 	if e[0].Point != 5 {
 		t.Errorf("count = %g", e[0].Point)
@@ -159,7 +159,7 @@ func TestCountColumnIgnoresNulls(t *testing.T) {
 	b.AppendRow(types.Row{types.Float(3)})
 	b.Finish()
 	p := compile(t, `SELECT COUNT(x), COUNT(*), SUM(x), AVG(x) FROM t`, schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	e := res.Groups[0].Estimates
 	if e[0].Point != 2 {
 		t.Errorf("COUNT(x) = %g, want 2", e[0].Point)
@@ -178,13 +178,13 @@ func TestCountColumnIgnoresNulls(t *testing.T) {
 func TestEmptyResultGlobalAggregate(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions WHERE city = 'Nowhere'`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if len(res.Groups) != 1 || res.Groups[0].Estimates[0].Point != 0 {
 		t.Errorf("empty global aggregate should yield a zero row: %+v", res.Groups)
 	}
 	// Grouped query with no matches yields no groups.
 	p2 := compile(t, `SELECT COUNT(*) FROM sessions WHERE city = 'Nowhere' GROUP BY city`, tab.Schema)
-	res2 := Run(p2, FromTable(tab), 0.95)
+	res2 := RunParallel(p2, FromTable(tab), 0.95, 1)
 	if len(res2.Groups) != 0 {
 		t.Errorf("grouped empty result should have no groups")
 	}
@@ -193,7 +193,7 @@ func TestEmptyResultGlobalAggregate(t *testing.T) {
 func TestLimit(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions GROUP BY city LIMIT 2`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if len(res.Groups) != 2 {
 		t.Errorf("limit ignored: %d groups", len(res.Groups))
 	}
@@ -202,7 +202,7 @@ func TestLimit(t *testing.T) {
 func TestGroupOrderingDeterministic(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions GROUP BY city`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	want := []string{"Berkeley", "Cambridge", "New York"}
 	for i, g := range res.Groups {
 		if g.KeyString() != want[i] {
@@ -214,7 +214,7 @@ func TestGroupOrderingDeterministic(t *testing.T) {
 func TestMultiColumnGroupBy(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions GROUP BY city, browser`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if len(res.Groups) != 4 {
 		t.Fatalf("groups = %d, want 4", len(res.Groups))
 	}
@@ -275,7 +275,7 @@ func TestRunOnStratifiedViewAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := compile(t, `SELECT AVG(sessiontime) FROM big GROUP BY city`, schema)
-	res := Run(p, FromView(fam.View(0)), 0.95)
+	res := RunParallel(p, FromView(fam.View(0)), 0.95, 1)
 	if len(res.Groups) != 5 {
 		t.Fatalf("missing groups: %d", len(res.Groups))
 	}
@@ -304,18 +304,17 @@ func TestRunOnStratifiedViewAccuracy(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	tab := paperTable(t)
 	p := compile(t, `SELECT COUNT(*) FROM sessions GROUP BY city`, tab.Schema)
-	res := Run(p, FromTable(tab), 0.95)
-	if res.MaxRelErr() != 0 {
-		t.Error("exact result has zero max rel err")
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
+	for _, g := range res.Groups {
+		if re := g.Estimates[0].RelErr(); re != 0 {
+			t.Errorf("%s: exact estimate has relative error %g", g.KeyString(), re)
+		}
 	}
 	if res.MaxAbsErr() != 0 {
 		t.Error("exact result has zero max abs err")
 	}
-	if res.MinGroupRows() != 1 {
-		t.Errorf("min group rows = %d", res.MinGroupRows())
-	}
 	empty := &Result{}
-	if empty.Selectivity() != 0 || empty.MinGroupRows() != 0 {
+	if selectivity(empty.RowsMatched, empty.RowsScanned) != 0 || empty.MaxAbsErr() != 0 {
 		t.Error("empty result helpers wrong")
 	}
 }
@@ -337,7 +336,7 @@ func TestMergeResultsDisjuncts(t *testing.T) {
 	}
 	var parts []*Result
 	for _, d := range disjuncts {
-		parts = append(parts, Run(p.WithPred(d), FromTable(tab), 0.95))
+		parts = append(parts, RunParallel(p.WithPred(d), FromTable(tab), 0.95, 1))
 	}
 	merged := MergeResults(p, parts)
 	// Truth: Firefox appears 3 times in NY+Berkeley, Safari once.
@@ -360,7 +359,7 @@ func TestMergeResultsAvg(t *testing.T) {
 	p, _ := Compile(q, tab.Schema)
 	var parts []*Result
 	for _, d := range types.SplitDisjuncts(p.Pred) {
-		parts = append(parts, Run(p.WithPred(d), FromTable(tab), 0.95))
+		parts = append(parts, RunParallel(p.WithPred(d), FromTable(tab), 0.95, 1))
 	}
 	merged := MergeResults(p, parts)
 	// Weighted avg of NY (39, n=3) and Cambridge (22, n=1) = (117+22)/4.
@@ -387,6 +386,6 @@ func BenchmarkRunFiltered(b *testing.B) {
 	in := FromTable(tab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(p, in, 0.95)
+		RunParallel(p, in, 0.95, 1)
 	}
 }

@@ -108,7 +108,7 @@ func TestJoinedSchemaCollisionsQualified(t *testing.T) {
 	}
 	// fact has objectid; dim's objectid collides → "media.objectid".
 	if combined.Index("media.objectid") < 0 {
-		t.Errorf("colliding column not qualified: %v", combined.Names())
+		t.Errorf("colliding column not qualified: %v", combined)
 	}
 	if combined.Index("genre") < 0 {
 		t.Error("non-colliding dim column should keep its name")

@@ -17,7 +17,7 @@ func streamParts(t testing.TB, tab *storage.Table, src string) (*Plan, []*Partia
 	ranges := storage.PartitionBlocks(len(tab.Blocks), maxPartials)
 	parts := make([]*Partial, len(ranges))
 	for i, r := range ranges {
-		parts[i] = RunPartial(p, in, r.Lo, r.Hi)
+		parts[i] = runPartial(p, p.runtime(), in, r.Lo, r.Hi, nil, &colScratch{})
 	}
 	return p, parts
 }
@@ -30,7 +30,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 	tab := randomWeightedTable(t, 21, 6000, 64)
 	for _, src := range equivalenceQueries {
 		p, parts := streamParts(t, tab, src)
-		want := MergePartials(p, parts, 0.95)
+		want := mergePartials(p, parts, 0.95)
 
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 5; trial++ {
@@ -39,7 +39,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 			for _, i := range order {
 				m.Add(i, parts[i])
 			}
-			got := m.Finish(0.95)
+			got := finishSpan(m, 0.95, m.w, nil)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %q: arrival order %v diverged from in-order fold", src, order)
 			}
@@ -54,7 +54,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 		}
 		m.Add(0, parts[0])
 		// index len(parts)+1 never delivered: Finish skips it.
-		if got := m.Finish(0.95); !reflect.DeepEqual(want, got) {
+		if got := finishSpan(m, 0.95, m.w, nil); !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %q: nil/withheld deliveries diverged", src)
 		}
 	}
@@ -103,14 +103,14 @@ func TestMergerAllocations(t *testing.T) {
 		// Reference shape: collect the full slice, then fold it.
 		buf := make([]*Partial, len(parts))
 		copy(buf, parts)
-		MergePartials(p, buf, 0.95)
+		mergePartials(p, buf, 0.95)
 	})
 	streaming := testing.AllocsPerRun(20, func() {
 		m := NewMerger(p, len(parts))
 		for i, pt := range parts {
 			m.Add(i, pt)
 		}
-		m.Finish(0.95)
+		finishSpan(m, 0.95, m.w, nil)
 	})
 	if streaming > materialized+2 {
 		t.Errorf("streaming merge allocates more than materialized fold: %.0f vs %.0f allocs",

@@ -26,10 +26,11 @@ func viewOf(schema *types.Schema, blocks []*storage.Block, caps ...int64) Input 
 
 // oracle is the naive reference evaluator every production scan must match
 // bit for bit: one materialised row at a time through the interpreted
-// predicate tree, one stats.Acc.AddRow per row and aggregate — the row's
-// chunk row number picks its lane, its key its class — and a nested loop
-// for joins. It takes production's data types and otherwise shares only
-// stats.Acc, Predicate.Eval, Block.RowAt/MetaAt and the input's
+// predicate tree, each row added to each aggregate's stats.Acc on its own
+// (stats.AddValues over a batch of one, which stats' tests hold to their
+// row-at-a-time reference) — the row's chunk row number picks its lane,
+// its key its class — and a nested loop for joins. It takes production's
+// data types and otherwise shares only stats.Acc, Predicate.Eval, Block.RowAt/MetaAt and the input's
 // delta layout and scan ranges with it — the last because the fold order
 // (one accumulator set per range, merged in range order) is part of the
 // Result's contract, not an implementation detail. It has no kernels, no
@@ -101,7 +102,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 					x = row[a.Col].AsFloat()
 				}
 			}
-			g.accs[ai].AddRow(x, rowNum, key)
+			stats.AddValues(g.accs[ai], []float64{x}, []int32{int32(rowNum)}, key)
 		}
 	}
 	for _, r := range in.ranges() {

@@ -119,15 +119,34 @@ func approxResultEqual(t *testing.T, want, got *Result) bool {
 	return true
 }
 
-// TestRunPartialMergeMatchesRun exercises the exported partial API
-// directly: scanning arbitrary block splits and merging them in order must
-// reproduce Run up to float summation order.
+// mergePartials folds parts, in index order, into one Result at
+// confidence: a scan's merge, over a materialized list of partials.
+func mergePartials(p *Plan, parts []*Partial, confidence float64) *Result {
+	m := NewMerger(p, len(parts))
+	for i, pt := range parts {
+		m.Add(i, pt)
+	}
+	return finishSpan(m, confidence, m.w, nil)
+}
+
+// numGroups returns the number of distinct groups a partial holds.
+func numGroups(pt *Partial) int {
+	n := 0
+	for _, b := range pt.groups {
+		n += len(b)
+	}
+	return n
+}
+
+// TestRunPartialMergeMatchesRun exercises the partial API directly:
+// scanning arbitrary block splits and merging them in order must reproduce
+// a one-worker run up to float summation order.
 func TestRunPartialMergeMatchesRun(t *testing.T) {
 	tab := randomWeightedTable(t, 7, 4000, 128)
 	in := FromTable(tab)
 	for _, src := range equivalenceQueries {
 		p := compile(t, src, tab.Schema)
-		want := Run(p, in, 0.95)
+		want := RunParallel(p, in, 0.95, 1)
 		for _, split := range [][]int{
 			{0, len(tab.Blocks)},                      // one partial
 			{0, 1, 2, len(tab.Blocks)},                // uneven
@@ -136,9 +155,9 @@ func TestRunPartialMergeMatchesRun(t *testing.T) {
 		} {
 			var parts []*Partial
 			for i := 0; i+1 < len(split); i++ {
-				parts = append(parts, RunPartial(p, in, split[i], split[i+1]))
+				parts = append(parts, runPartial(p, p.runtime(), in, split[i], split[i+1], nil, &colScratch{}))
 			}
-			got := MergePartials(p, parts, 0.95)
+			got := mergePartials(p, parts, 0.95)
 			if !approxResultEqual(t, want, got) {
 				t.Fatalf("query %q split %v: merged partials diverge from Run\nwant %+v\ngot  %+v",
 					src, split, want, got)
@@ -147,8 +166,8 @@ func TestRunPartialMergeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestMergePartialsNonDestructive pins that MergePartials leaves its
-// inputs reusable: merging the same partials twice (e.g. at two
+// TestMergePartialsNonDestructive pins that a merger leaves its input
+// partials reusable: merging the same partials twice (e.g. at two
 // confidence levels) must not double-count.
 func TestMergePartialsNonDestructive(t *testing.T) {
 	tab := randomWeightedTable(t, 13, 2000, 128)
@@ -156,20 +175,20 @@ func TestMergePartialsNonDestructive(t *testing.T) {
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`, tab.Schema)
 	mid := len(tab.Blocks) / 2
 	parts := []*Partial{
-		RunPartial(p, in, 0, mid),
-		RunPartial(p, in, mid, len(tab.Blocks)),
+		runPartial(p, p.runtime(), in, 0, mid, nil, &colScratch{}),
+		runPartial(p, p.runtime(), in, mid, len(tab.Blocks), nil, &colScratch{}),
 	}
-	groupsBefore := []int{parts[0].NumGroups(), parts[1].NumGroups()}
-	first := MergePartials(p, parts, 0.95)
-	second := MergePartials(p, parts, 0.95)
+	groupsBefore := []int{numGroups(parts[0]), numGroups(parts[1])}
+	first := mergePartials(p, parts, 0.95)
+	second := mergePartials(p, parts, 0.95)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("re-merging the same partials changed the result:\nfirst  %+v\nsecond %+v", first, second)
 	}
-	if parts[0].NumGroups() != groupsBefore[0] || parts[1].NumGroups() != groupsBefore[1] {
-		t.Fatalf("MergePartials mutated its input partials: groups %v -> %d/%d",
-			groupsBefore, parts[0].NumGroups(), parts[1].NumGroups())
+	if numGroups(parts[0]) != groupsBefore[0] || numGroups(parts[1]) != groupsBefore[1] {
+		t.Fatalf("merging mutated its input partials: groups %v -> %d/%d",
+			groupsBefore, numGroups(parts[0]), numGroups(parts[1]))
 	}
-	at90 := MergePartials(p, parts, 0.90)
+	at90 := mergePartials(p, parts, 0.90)
 	if len(at90.Groups) != len(first.Groups) {
 		t.Fatalf("confidence re-merge lost groups")
 	}

@@ -229,11 +229,11 @@ func TestPrunedInputSkipsNothing(t *testing.T) {
 	if len(pruned.Blocks) == 0 || len(pruned.Blocks) >= len(in.Blocks) {
 		t.Fatalf("pruning kept %d of %d blocks; the test needs a real cut", len(pruned.Blocks), len(in.Blocks))
 	}
-	if want, got := Run(p, in, 0.95), Run(p, pruned, 0.95); !reflect.DeepEqual(want, got) {
+	if want, got := RunParallel(p, in, 0.95, 1), RunParallel(p, pruned, 0.95, 1); !reflect.DeepEqual(want, got) {
 		t.Fatalf("pruned input changed the answer\nwant %+v\ngot  %+v", want, got)
 	}
 	// Pruned for p, scanned by another plan: its own zone check must run.
-	if want, got := Run(other, Input{Schema: plain.Schema, Blocks: pruned.Blocks}, 0.95), Run(other, pruned, 0.95); want.RowsScanned != got.RowsScanned {
+	if want, got := RunParallel(other, Input{Schema: plain.Schema, Blocks: pruned.Blocks}, 0.95, 1), RunParallel(other, pruned, 0.95, 1); want.RowsScanned != got.RowsScanned {
 		t.Fatalf("a foreign plan skipped its zone check: scanned %d, want %d", got.RowsScanned, want.RowsScanned)
 	}
 }

@@ -212,15 +212,9 @@ func zoneImpliesPred(b *storage.Block, leaves []*types.CmpPred) bool {
 	return true
 }
 
-// PruneBlocks returns the blocks whose zone maps may contain rows
-// satisfying the bounds. Blocks without zone maps are kept (correctness
-// over savings). The second return value is the fraction of bytes pruned.
-func PruneBlocks(blocks []*storage.Block, bounds map[int]*Bounds) ([]*storage.Block, float64) {
-	return pruneBlocks(blocks, boundList(bounds))
-}
-
-// Prune is PruneBlocks against the plan's own predicate, using the bounds
-// compiled with the plan instead of re-deriving them per call: the blocks
+// Prune returns the blocks whose zone maps may hold rows satisfying the
+// plan's own predicate (blocks without zone maps are kept), using the
+// bounds compiled with the plan instead of re-deriving them: the blocks
 // a scan of p would read, which is also the list the cost model prices.
 func (p *Plan) Prune(blocks []*storage.Block) []*storage.Block {
 	kept, _ := pruneBlocks(blocks, p.runtime().bounds)

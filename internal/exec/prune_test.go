@@ -89,7 +89,7 @@ func TestPruneBlocks(t *testing.T) {
 		mkBlock(0, 9), mkBlock(10, 19), mkBlock(20, 29),
 	}
 	bounds := ColumnBounds(predOf(t, "a = 15"))
-	kept, frac := PruneBlocks(blocks, bounds)
+	kept, frac := pruneBlocks(blocks, boundList(bounds))
 	if len(kept) != 1 || kept[0] != blocks[1] {
 		t.Fatalf("kept = %d blocks", len(kept))
 	}
@@ -98,24 +98,24 @@ func TestPruneBlocks(t *testing.T) {
 	}
 	// Range crossing two blocks.
 	bounds = ColumnBounds(predOf(t, "a >= 8 AND a < 12"))
-	kept, _ = PruneBlocks(blocks, bounds)
+	kept, _ = pruneBlocks(blocks, boundList(bounds))
 	if len(kept) != 2 {
 		t.Errorf("range kept %d blocks, want 2", len(kept))
 	}
 	// Open bound excluding a block boundary: a > 9 excludes block 0... its
 	// zone max is 9, and the bound is open at 9 → pruned.
 	bounds = ColumnBounds(predOf(t, "a > 9"))
-	kept, _ = PruneBlocks(blocks, bounds)
+	kept, _ = pruneBlocks(blocks, boundList(bounds))
 	if len(kept) != 2 {
 		t.Errorf("open bound kept %d blocks, want 2", len(kept))
 	}
 	// Nothing pruned: the input comes back as it is, uncopied. A pruned
 	// list is the caller's own and leaves the input alone.
-	kept, frac = PruneBlocks(blocks, ColumnBounds(predOf(t, "a >= 0")))
+	kept, frac = pruneBlocks(blocks, boundList(ColumnBounds(predOf(t, "a >= 0"))))
 	if len(kept) != 3 || &kept[0] != &blocks[0] || frac != 0 {
 		t.Errorf("unpruned list was copied (or pruned: %d blocks, fraction %g)", len(kept), frac)
 	}
-	kept, _ = PruneBlocks(blocks, ColumnBounds(predOf(t, "a < 20")))
+	kept, _ = pruneBlocks(blocks, boundList(ColumnBounds(predOf(t, "a < 20"))))
 	if len(kept) != 2 || kept[0] != blocks[0] || kept[1] != blocks[1] || &kept[0] == &blocks[0] {
 		t.Errorf("pruning the last block kept %d blocks, in the input's array: %v", len(kept), &kept[0] == &blocks[0])
 	}
@@ -125,7 +125,7 @@ func TestPruneBlocksKeepsUnzoned(t *testing.T) {
 	noZones := &storage.Block{Bytes: 50} // e.g. legacy block
 	blocks := []*storage.Block{noZones, mkBlock(0, 9)}
 	bounds := ColumnBounds(predOf(t, "a = 100"))
-	kept, _ := PruneBlocks(blocks, bounds)
+	kept, _ := pruneBlocks(blocks, boundList(bounds))
 	if len(kept) != 1 || kept[0] != noZones {
 		t.Error("blocks without zone maps must be kept (correctness over savings)")
 	}
@@ -133,12 +133,12 @@ func TestPruneBlocksKeepsUnzoned(t *testing.T) {
 
 func TestPruneBlocksNoBoundsNoPruning(t *testing.T) {
 	blocks := []*storage.Block{mkBlock(0, 9), mkBlock(10, 19)}
-	kept, frac := PruneBlocks(blocks, nil)
+	kept, frac := pruneBlocks(blocks, boundList(nil))
 	if len(kept) != 2 || frac != 0 {
 		t.Error("no bounds should keep everything")
 	}
 	// Empty block list.
-	kept, frac = PruneBlocks(nil, ColumnBounds(predOf(t, "a = 1")))
+	kept, frac = pruneBlocks(nil, boundList(ColumnBounds(predOf(t, "a = 1"))))
 	if len(kept) != 0 || frac != 0 {
 		t.Error("empty input should be a no-op")
 	}
@@ -174,9 +174,9 @@ func TestPruningNeverChangesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := Run(plan, FromTable(tab), 0.95)
-		kept, _ := PruneBlocks(tab.Blocks, ColumnBounds(plan.Pred))
-		pruned := Run(plan, Input{Schema: schema, Blocks: kept}, 0.95)
+		full := RunParallel(plan, FromTable(tab), 0.95, 1)
+		kept := plan.Prune(tab.Blocks)
+		pruned := RunParallel(plan, Input{Schema: schema, Blocks: kept}, 0.95, 1)
 		if full.Groups[0].Estimates[0].Point != pruned.Groups[0].Estimates[0].Point ||
 			full.Groups[0].Estimates[1].Point != pruned.Groups[0].Estimates[1].Point {
 			t.Errorf("WHERE %s: pruning changed the answer", where)

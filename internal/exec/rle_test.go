@@ -330,7 +330,7 @@ func TestZoneImpliesPredGuards(t *testing.T) {
 		t.Error("all-true claimed over a NaN-bearing column")
 	}
 	p := compile(t, `SELECT COUNT(*) FROM guards WHERE f < 100`, schema)
-	res := Run(p, FromTable(tab), 0.95)
+	res := RunParallel(p, FromTable(tab), 0.95, 1)
 	if res.RowsMatched != 63 { // NaN row fails f < 100
 		t.Errorf("RowsMatched = %d, want 63", res.RowsMatched)
 	}

@@ -78,7 +78,7 @@ func BenchmarkScanFold(b *testing.B) {
 					if q.count {
 						Count(context.Background(), p, leg.in, nil)
 					} else {
-						Run(p, leg.in, 0.95)
+						RunParallel(p, leg.in, 0.95, 1)
 					}
 				}
 			})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"blinkdb/internal/sqlparser"
@@ -148,12 +147,4 @@ func Figure7c(cfg Config) (*Table, error) {
 		"a strategy whose samples cannot reach the target falls back to an exact base-table scan — the cliff in its column is the paper's orders-of-magnitude convergence gap",
 		"at laptop scale the single-column and uniform cliffs nearly coincide (per-stratum caps leave too few subgroup rows for intermediate targets); in the paper the 1-D curve sits between BlinkDB and random")
 	return tab, nil
-}
-
-// relErrFinite clamps infinities for display.
-func relErrFinite(x float64) float64 {
-	if math.IsInf(x, 1) {
-		return 1
-	}
-	return x
 }

@@ -55,6 +55,14 @@
 // timestamps. What is NOT deterministic is which outcome each arrival
 // meets — Run drives a real server over real HTTP — which is precisely
 // the quantity under test.
+//
+// # Test support
+//
+// No product code imports this package yet: the server's load tests
+// (cmd/blinkdb-server, internal/server) are its callers. The root
+// package's TestProductReachability allowlists it as test support until a
+// benchmark leg that replays a Spec against the server becomes its first
+// product caller.
 package loadgen
 
 import (

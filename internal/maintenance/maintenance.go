@@ -201,9 +201,6 @@ type Diff struct {
 	Plan *optimizer.Plan
 }
 
-// Changed reports whether the diff performs any work.
-func (d *Diff) Changed() bool { return len(d.Build) > 0 || len(d.Drop) > 0 }
-
 // The drift thresholds of NeedsResolve: a total-variation distance above
 // either triggers a re-solve.
 const (

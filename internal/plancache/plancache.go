@@ -130,20 +130,6 @@ func (c *Cache[V]) Put(key string, v V) {
 	}
 }
 
-// Delete removes the key if present.
-func (c *Cache[V]) Delete(key string) {
-	if c == nil {
-		return
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.tab[key]; ok {
-		s.ll.Remove(el)
-		delete(s.tab, key)
-	}
-}
-
 // Range calls fn for every cached entry without touching recency order
 // (unlike Get, so a full export does not reshuffle the LRU). Iteration
 // stops early when fn returns false. Each shard is visited under its own
@@ -166,19 +152,4 @@ func (c *Cache[V]) Range(fn func(key string, v V) bool) {
 		}
 		s.mu.Unlock()
 	}
-}
-
-// Len returns the current entry count across all shards.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
 }

@@ -154,3 +154,32 @@ func TestMissNoAllocs(t *testing.T) {
 		t.Errorf("Get miss allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// Delete removes the key if present.
+func (c *Cache[V]) Delete(key string) {
+	if c == nil {
+		return
+	}
+	s := c.shardOf(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.tab[key]; ok {
+		s.ll.Remove(el)
+		delete(s.tab, key)
+	}
+}
+
+// Len returns the current entry count across all shards.
+func (c *Cache[V]) Len() int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.ll.Len()
+		s.mu.Unlock()
+	}
+	return n
+}

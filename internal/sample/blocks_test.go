@@ -59,7 +59,7 @@ func TestViewBlocksAreClipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	foreign := uniform.Smallest()
+	foreign := uniform.View(0)
 	for name, f := range map[string]*Family{"built": built, "uniform": uniform, "loaded": loaded, "refreshed": refreshed} {
 		if f.Resolutions() < 3 {
 			t.Fatalf("%s: %d resolutions, want a real chain", name, f.Resolutions())

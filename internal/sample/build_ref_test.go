@@ -227,8 +227,8 @@ func TestBuildMatchesRowKeyBuild(t *testing.T) {
 				t.Fatalf("φ %v over %s: %v", tc.cols, base.Name, err)
 			}
 			want := buildByRowKey(base, phi, tc.caps, cfg)
-			if base == tab && want.NumStrata() < 2 && len(tc.cols) > 0 {
-				t.Fatalf("φ %v: %d strata, the case is meant to have several", tc.cols, want.NumStrata())
+			if base == tab && want.numStrata < 2 && len(tc.cols) > 0 {
+				t.Fatalf("φ %v: %d strata, the case is meant to have several", tc.cols, want.numStrata)
 			}
 			if d := bitsDiff("Family", reflect.ValueOf(got), reflect.ValueOf(want)); d != "" {
 				t.Fatalf("φ %v over %s: %s", tc.cols, base.Name, d)

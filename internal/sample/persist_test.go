@@ -55,11 +55,11 @@ func TestFamilyPersistRoundTrip(t *testing.T) {
 	if !got.Phi.Equal(fam.Phi) || !reflect.DeepEqual(got.Caps, fam.Caps) {
 		t.Fatalf("identity mismatch: %v/%v vs %v/%v", got.Phi, got.Caps, fam.Phi, fam.Caps)
 	}
-	if got.BaseRows() != fam.BaseRows() || got.NumStrata() != fam.NumStrata() ||
-		got.TailCount() != fam.TailCount() {
+	if got.baseRows != fam.baseRows || got.numStrata != fam.numStrata ||
+		got.tailCount != fam.tailCount {
 		t.Fatalf("descriptor stats mismatch: %d/%d/%d vs %d/%d/%d",
-			got.BaseRows(), got.NumStrata(), got.TailCount(),
-			fam.BaseRows(), fam.NumStrata(), fam.TailCount())
+			got.baseRows, got.numStrata, got.tailCount,
+			fam.baseRows, fam.numStrata, fam.tailCount)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("loaded family fails validation: %v", err)

@@ -81,15 +81,6 @@ func (f *Family) Resolutions() int { return len(f.Caps) }
 // Schema returns the sampled table's schema.
 func (f *Family) Schema() *types.Schema { return f.schema }
 
-// BaseRows returns the row count of the table the family was built from.
-func (f *Family) BaseRows() int64 { return f.baseRows }
-
-// NumStrata returns |D(φ)|, the number of distinct values of φ.
-func (f *Family) NumStrata() int64 { return f.numStrata }
-
-// TailCount returns Δ(φ) = |{v : F(φ,T,v) < K1}|.
-func (f *Family) TailCount() int64 { return f.tailCount }
-
 // IsUniform reports whether this is the uniform (φ = ∅) family.
 func (f *Family) IsUniform() bool { return f.Phi.Empty() }
 
@@ -138,9 +129,6 @@ func (f *Family) View(level int) View {
 	}
 	return View{Family: f, Level: level}
 }
-
-// Smallest returns the probe resolution.
-func (f *Family) Smallest() View { return f.View(0) }
 
 // Largest returns the highest-fidelity resolution.
 func (f *Family) Largest() View { return f.View(len(f.Caps) - 1) }
@@ -204,46 +192,6 @@ func (v View) Rows() int64 {
 		n += v.Family.Deltas[i].NumRows()
 	}
 	return n
-}
-
-// Bytes returns the logical size of this resolution.
-func (v View) Bytes() int64 {
-	var n int64
-	for i := 0; i <= v.Level; i++ {
-		n += v.Family.Deltas[i].Bytes()
-	}
-	return n
-}
-
-// Rate computes the effective sampling rate of a row with the given
-// metadata when read through this view: min(1, K/F(x)) where F(x) is the
-// row's stratum frequency in the base table (§3.1). A row whose stratum
-// fits under the cap has rate 1 (it is exact).
-func (v View) Rate(m storage.RowMeta) float64 {
-	return RateForCap(m, v.Cap())
-}
-
-// RateForCap is View.Rate for an explicit cap value.
-func RateForCap(m storage.RowMeta, cap int64) float64 {
-	f := m.StratumFreq
-	if f <= 0 || f <= cap {
-		return 1
-	}
-	return float64(cap) / float64(f)
-}
-
-// Scan iterates the view's rows with their per-view effective rates.
-func (v View) Scan(fn func(r types.Row, rate float64) bool) {
-	cap := v.Cap()
-	for i := 0; i <= v.Level; i++ {
-		for _, b := range v.Family.Deltas[i].Blocks {
-			for j, n := 0, b.NumRows(); j < n; j++ {
-				if !fn(b.RowAt(j), RateForCap(b.MetaAt(j), cap)) {
-					return
-				}
-			}
-		}
-	}
 }
 
 // String renders e.g. "S([city], K=1000)".

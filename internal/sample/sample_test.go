@@ -72,19 +72,19 @@ func TestBuildStratifiedCapsFrequencies(t *testing.T) {
 	if err := fam.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if fam.NumStrata() != 4 {
-		t.Errorf("strata = %d", fam.NumStrata())
+	if fam.numStrata != 4 {
+		t.Errorf("strata = %d", fam.numStrata)
 	}
 	// Δ(φ) with K1=50: cities with freq < 50 are those with 10 and 1.
-	if fam.TailCount() != 2 {
-		t.Errorf("tail count = %d, want 2", fam.TailCount())
+	if fam.tailCount != 2 {
+		t.Errorf("tail count = %d, want 2", fam.tailCount)
 	}
 	// Largest sample: min(1000,50)+min(100,50)+10+1 = 111 rows.
 	if got := fam.Largest().Rows(); got != 111 {
 		t.Errorf("largest rows = %d, want 111", got)
 	}
 	// Smallest: min at cap 5: 5+5+5+1 = 16.
-	if got := fam.Smallest().Rows(); got != 16 {
+	if got := fam.View(0).Rows(); got != 16 {
 		t.Errorf("smallest rows = %d, want 16", got)
 	}
 	// Deltas are non-overlapping: total physical = largest resolution.
@@ -216,8 +216,8 @@ func TestMultiColumnStratification(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Strata = city × os combinations present (≤ 2×3).
-	if fam.NumStrata() < 4 || fam.NumStrata() > 6 {
-		t.Errorf("strata = %d, want 4..6", fam.NumStrata())
+	if fam.numStrata < 4 || fam.numStrata > 6 {
+		t.Errorf("strata = %d, want 4..6", fam.numStrata)
 	}
 	// Each (city, os) stratum is capped at 20.
 	counts := map[string]int{}
@@ -254,7 +254,7 @@ func TestViewClamping(t *testing.T) {
 	if fam.View(99).Level != 1 {
 		t.Error("overlarge level should clamp to max")
 	}
-	if fam.Smallest().Level != 0 || fam.Largest().Level != 1 {
+	if fam.View(0).Level != 0 || fam.Largest().Level != 1 {
 		t.Error("Smallest/Largest wrong")
 	}
 	if fam.String() == "" || fam.View(0).String() == "" {

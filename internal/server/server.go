@@ -356,7 +356,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, sc *scratch) (*queryR
 		req.Confidence = qv.Get("confidence")
 		if t := qv.Get("time"); t != "" {
 			secs, err := strconv.ParseFloat(t, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(secs) || math.IsInf(secs, 0) {
 				return nil, fmt.Errorf("bad time parameter %q", t)
 			}
 			req.TimeSeconds = secs
@@ -388,7 +388,7 @@ func bindBounds(req *queryRequest) (*sqlparser.Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad error parameter: %w", err)
 		}
-		q.Err = &sqlparser.ErrorBound{Relative: pct, Bound: bound, Confidence: 0.95}
+		q.Err = &sqlparser.ErrorBound{Relative: pct, Bound: bound, Confidence: sqlparser.DefaultConfidence}
 		if pct {
 			q.Err.Bound = bound / 100
 		}

@@ -295,6 +295,16 @@ func TestGetQueryParams(t *testing.T) {
 	if !strings.Contains(w.Body.String(), `"final":true`) {
 		t.Fatalf("stream must end with a final frame: %s", w.Body.String())
 	}
+	// A time bound the SQL grammar cannot express is refused.
+	for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+		params := url.Values{"sql": {`SELECT COUNT(*) FROM sessions`}, "time": {bad}}
+		req := httptest.NewRequest(http.MethodGet, "/query?"+params.Encode(), nil)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "bad time parameter") {
+			t.Fatalf("time=%s: status %d: %s", bad, w.Code, w.Body.String())
+		}
+	}
 }
 
 // TestHealthzAndStats pins the sidecar endpoints.

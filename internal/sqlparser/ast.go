@@ -33,6 +33,9 @@ func (a AggSpec) String() string {
 	}
 }
 
+// DefaultConfidence is the CI level of a query that names none.
+const DefaultConfidence = 0.95
+
 // ErrorBound is the "ERROR WITHIN x[%] AT CONFIDENCE c%" clause.
 type ErrorBound struct {
 	// Relative, when true, interprets Bound as a fraction of the answer
@@ -195,7 +198,8 @@ type Query struct {
 	Aggs []AggSpec
 	// ReportError is set by "SELECT ..., RELATIVE ERROR AT c% CONFIDENCE".
 	ReportError bool
-	// ReportConfidence is the confidence for ReportError (default 0.95).
+	// ReportConfidence is the confidence for ReportError (default
+	// DefaultConfidence).
 	ReportConfidence float64
 	// Table is the FROM table name.
 	Table string
@@ -217,20 +221,6 @@ type Query struct {
 	// result-cache state with its plain form — EXPLAIN ANALYZE on a warm
 	// template shows the warm path, not an artificial cold one.
 	Analyze bool
-}
-
-// Columns returns the query-template column set: the union of columns in
-// WHERE and GROUP BY clauses (§3.2.1's φ of the template).
-func (q *Query) Columns(schema *types.Schema) (types.ColumnSet, error) {
-	cs := types.NewColumnSet(q.GroupBy...)
-	if q.Where != nil {
-		p, err := q.Where.Resolve(schema)
-		if err != nil {
-			return cs, err
-		}
-		cs = cs.Union(p.Columns())
-	}
-	return cs, nil
 }
 
 // String renders the query back to SQL.

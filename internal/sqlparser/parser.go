@@ -122,7 +122,7 @@ func (p *parser) percentage() (float64, bool, error) {
 }
 
 func (p *parser) parseQuery() (*Query, error) {
-	q := &Query{ReportConfidence: 0.95}
+	q := &Query{ReportConfidence: DefaultConfidence}
 	if p.acceptKw("EXPLAIN") {
 		if err := p.expectKw("ANALYZE"); err != nil {
 			return nil, err
@@ -235,7 +235,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if err != nil {
 				return nil, err
 			}
-			eb := &ErrorBound{Relative: rel, Bound: bound, Confidence: 0.95}
+			eb := &ErrorBound{Relative: rel, Bound: bound, Confidence: DefaultConfidence}
 			if p.acceptKw("AT") {
 				if err := p.expectKw("CONFIDENCE"); err != nil {
 					return nil, err

@@ -298,3 +298,17 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
+
+// Columns returns the query-template column set: the union of columns in
+// WHERE and GROUP BY clauses (§3.2.1's φ of the template).
+func (q *Query) Columns(schema *types.Schema) (types.ColumnSet, error) {
+	cs := types.NewColumnSet(q.GroupBy...)
+	if q.Where != nil {
+		p, err := q.Where.Resolve(schema)
+		if err != nil {
+			return cs, err
+		}
+		cs = cs.Union(p.Columns())
+	}
+	return cs, nil
+}

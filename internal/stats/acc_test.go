@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"blinkdb/internal/cpu"
-	"blinkdb/internal/sample"
-	"blinkdb/internal/storage"
 )
 
 var accKinds = []struct {
@@ -271,7 +269,7 @@ func TestWeightsMatchRateForCap(t *testing.T) {
 	for _, k := range []int64{1, 7, 100, 3000} {
 		for _, floor := range []int64{1, k / 2, k} {
 			for _, f := range []int64{0, 1, floor - 1, floor, floor + 1, k - 1, k, k + 1, 3 * k, 1 << 40} {
-				rate := sample.RateForCap(storage.RowMeta{StratumFreq: f}, k)
+				rate := rateForCap(f, k)
 				want := 1.0
 				if rate > 0 && rate < 1 {
 					want = 1 / rate

@@ -11,10 +11,11 @@ import (
 // accumulator's lanes. Rows come as a range [lo, hi), as a list of row
 // numbers, or as a selection bitmap over a range — bit j of bm is row
 // base+j, with base a multiple of 64, so a bitmap word covers 64 rows that
-// start in lane 0. Each form adds exactly what AddRow would, row by row:
-// the lane is the row number mod Lanes and the square is rounded before it
-// is added (float64(x*x): the Go spec forbids fusing an explicitly
-// converted product into the add, which arm64 would otherwise do).
+// start in lane 0. Each form adds exactly what the tests' row-at-a-time
+// reference, AddRow, would: the lane is the row number mod Lanes and the
+// square is rounded before it is added (float64(x*x): the Go spec forbids
+// fusing an explicitly converted product into the add, which arm64 would
+// otherwise do).
 //
 // On amd64 the bitmap forms have AVX2 kernels over whole bitmap words
 // (fold_amd64.s), run when cpu.AVX2 is set: four rows at a time, the

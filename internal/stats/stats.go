@@ -159,8 +159,8 @@ func FreqKey(f, floor int64) Key { return Key(max(f, floor)) }
 // Weights turns keys into weights when an accumulator is finalized. The
 // zero value reads keys as weights (RateKey). With Cap K > 0 keys are
 // stratum frequencies (FreqKey) read at cap K: a key past the cap weighs
-// 1/(K/f) — the float sample.RateForCap's rate inverts to — and any other
-// weighs 1.
+// 1/(K/f) — the inverse of §3.1's rate min(1, K/f) — and any other weighs
+// 1.
 type Weights struct{ Cap int64 }
 
 // Of returns the weight of class key k.
@@ -313,11 +313,11 @@ func (t *Tally) Sum(ws Weights) float64 {
 // weighted sample. Each matching row carries its class key (see the
 // package comment); an estimate weighs every class once.
 //
-// Every way of adding rows — one at a time, a range, by index, by
-// selection bitmap, by count, by dictionary code — updates this one state
-// with the same additions to the same lanes in the same order, so each
-// leaves an Acc bit-identical to adding its rows one at a time with AddRow.
-// Finalizing (Estimate, EstimateZ) reads the state and changes nothing, so
+// Every way of adding rows — a range, by index, by selection bitmap, by
+// count, by dictionary code — updates this one state with the same
+// additions to the same lanes in the same order, so each leaves an Acc
+// bit-identical to adding its rows one at a time (AddRow, the tests'
+// reference). Finalizing (EstimateZ) reads the state and changes nothing, so
 // one accumulator may be finalized at several caps, concurrently.
 type Acc struct {
 	kind AggKind
@@ -339,9 +339,6 @@ func NewAcc(kind AggKind, p float64) *Acc {
 	return &Acc{kind: kind, p: p}
 }
 
-// Kind returns the aggregate kind.
-func (a *Acc) Kind() AggKind { return a.kind }
-
 // class returns the class of key k.
 func (a *Acc) class(k Key) *class {
 	if a.cs.live && a.cs.first.k == k { // inlined into the adds: a fifth off a per-row add
@@ -349,24 +346,6 @@ func (a *Acc) class(k Key) *class {
 	}
 	return a.cs.find(k)
 }
-
-// AddRow records one matching row with value x: row r of its chunk, of
-// class key k.
-func (a *Acc) AddRow(x float64, row int, k Key) {
-	c := a.class(k)
-	c.N++
-	if a.kind == AggCount {
-		return
-	}
-	c.add(x, row)
-	if a.kind.NeedsValues() {
-		a.vals = append(a.vals, keyedVal{x, k})
-	}
-}
-
-// Add records one row with value x sampled at rate, as row 0 of a chunk: an
-// accumulator fed this way, outside a scan, sums in one lane.
-func (a *Acc) Add(x, rate float64) { a.AddRow(x, 0, RateKey(rate)) }
 
 // AddCount records n matching rows of key k in a COUNT accumulator, which
 // keeps their number alone.
@@ -398,7 +377,7 @@ func (a *Acc) Slot(n int, k Key) *Moments {
 // finalizing sorts with a total order, so the estimate depends only on the
 // merged multiset, not the merge schedule. Callers who need bit-identical
 // floating-point results across worker counts must additionally fold
-// partials in a deterministic order (see exec.MergePartials).
+// partials in a deterministic order (see exec.Merger).
 func (a *Acc) Merge(other *Acc) {
 	a.cs.merge(&other.cs)
 	a.vals = append(a.vals, other.vals...)
@@ -472,12 +451,6 @@ func (s *sums) weightedVariance() float64 {
 		v = 0 // numeric noise
 	}
 	return v
-}
-
-// Estimate produces the point estimate and CI at the given confidence, with
-// keys read as weights (RateKey).
-func (a *Acc) Estimate(conf float64) Estimate {
-	return a.EstimateZ(conf, ZForConfidence(conf), Weights{})
 }
 
 // EstimateZ is Estimate for a caller that finalizes many accumulators at
@@ -621,24 +594,6 @@ func (q weighedVals) stdErr(p, n float64) float64 {
 
 func clampQ(p float64) float64 {
 	return math.Max(0.001, math.Min(0.999, p))
-}
-
-// UniformCountVariance is the textbook Table 2 COUNT variance
-// N²·c(1−c)/n for a uniform sample: N total rows, n sample rows read,
-// c the matching fraction. Exposed for ELP planning and tests.
-func UniformCountVariance(totalRows, sampleRows float64, c float64) float64 {
-	if sampleRows <= 0 {
-		return math.Inf(1)
-	}
-	return totalRows * totalRows / sampleRows * c * (1 - c)
-}
-
-// UniformAvgVariance is Table 2's AVG variance S²ₙ/n.
-func UniformAvgVariance(sampleVariance float64, n float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	return sampleVariance / n
 }
 
 // RequiredRowsForStdErr extrapolates how many matching rows are needed to

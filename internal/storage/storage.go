@@ -88,7 +88,7 @@ func (z *Zone) Extend(v types.Value) {
 // as one read and prunes by its zones. It is pure metadata — its rows are
 // the window [Off, Off+N) of a physical chunk that neighbouring blocks
 // share. Readers outside the executor's vectorized scan use the accessor
-// methods (NumRows, RowAt, MetaAt, ValueAt).
+// methods (NumRows, RowAt, MetaAt).
 type Block struct {
 	// ID is unique within a Table.
 	ID int
@@ -116,10 +116,6 @@ func (b *Block) MetaAt(i int) RowMeta {
 	run := b.Chunk.MetaRunOf(b.Off + i)
 	return RowMeta{Rate: b.Chunk.Rates[run], StratumFreq: b.Chunk.Freqs[run]}
 }
-
-// ValueAt returns the value of column col in row i without materialising
-// the row.
-func (b *Block) ValueAt(i, col int) types.Value { return b.Chunk.Cols[col].Value(b.Off + i) }
 
 // Table is a named collection of blocks sharing a schema.
 type Table struct {
@@ -500,14 +496,6 @@ func Recut(src *Table, rowsPerBlock, numNodes int, place Placement) *Table {
 		}
 	}
 	return b.Finish()
-}
-
-// SetPlacement moves every block of the table to the given tier. Used by
-// experiments to compare cached vs uncached execution (Fig. 8(c)).
-func SetPlacement(t *Table, p Placement) {
-	for _, b := range t.Blocks {
-		b.Place = p
-	}
 }
 
 // Validate checks internal invariants: chunk column and metadata-run

@@ -88,8 +88,7 @@ func TestEstimateRowBytes(t *testing.T) {
 }
 
 func TestSetPlacement(t *testing.T) {
-	tab := buildTable(t, 30, 8, 2)
-	SetPlacement(tab, InMemory)
+	tab := Recut(buildTable(t, 30, 8, 2), 8, 2, InMemory)
 	for _, b := range tab.Blocks {
 		if b.Place != InMemory {
 			t.Fatal("placement not applied")
@@ -207,7 +206,7 @@ func buildMixedTable(t *testing.T, n, rowsPerBlock, nodes int) *Table {
 
 // TestBlockAccessorsMatchAppendedRows pins that a built table gives back
 // exactly what was appended through every reader: block boundaries, zones,
-// RowAt/MetaAt/ValueAt, and Table.Scan including early stop.
+// RowAt/MetaAt, a column value read in place, and Table.Scan including early stop.
 func TestBlockAccessorsMatchAppendedRows(t *testing.T) {
 	tab := buildMixedTable(t, 230, 16, 4)
 	rows, metas := mixedRows(230)
@@ -228,8 +227,8 @@ func TestBlockAccessorsMatchAppendedRows(t *testing.T) {
 			}
 			got := b.RowAt(i)
 			for ci, want := range rows[n] {
-				if got[ci] != want || b.ValueAt(i, ci) != want {
-					t.Fatalf("block %d row %d col %d: RowAt %v, ValueAt %v, appended %v", bi, i, ci, got[ci], b.ValueAt(i, ci), want)
+				if v := b.Chunk.Cols[ci].Value(b.Off + i); got[ci] != want || v != want {
+					t.Fatalf("block %d row %d col %d: RowAt %v, in place %v, appended %v", bi, i, ci, got[ci], v, want)
 				}
 			}
 		}

@@ -105,21 +105,6 @@ type HistSnapshot struct {
 	Max    float64
 }
 
-// Merge folds o into s and returns the combination. Bucket counts add
-// exactly; Max is exact; Sum is float addition (exact on dyadic inputs).
-// Associative and commutative, like stats.Acc.Merge.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	return s
-}
-
 // Mean returns Sum/Count (0 for an empty snapshot).
 func (s HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

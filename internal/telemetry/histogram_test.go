@@ -188,3 +188,18 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		t.Fatalf("sum = %v, want %v", s.Sum, want)
 	}
 }
+
+// Merge folds o into s and returns the combination. Bucket counts add
+// exactly; Max is exact; Sum is float addition (exact on dyadic inputs).
+// Associative and commutative, like stats.Acc.Merge.
+func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
+	for i := range s.Counts {
+		s.Counts[i] += o.Counts[i]
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+	if o.Max > s.Max {
+		s.Max = o.Max
+	}
+	return s
+}

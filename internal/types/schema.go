@@ -51,15 +51,6 @@ func (s *Schema) MustIndex(name string) (int, error) {
 	return -1, fmt.Errorf("unknown column %q", name)
 }
 
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	out := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // String renders the schema as "(a BIGINT, b STRING)".
 func (s *Schema) String() string {
 	var b strings.Builder
@@ -76,13 +67,6 @@ func (s *Schema) String() string {
 
 // Row is one record; index i corresponds to schema column i.
 type Row []Value
-
-// Clone returns a deep-enough copy of the row (values are immutable).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // ColumnSet is a canonicalised set of column names. The canonical form is
 // lower-cased, sorted and comma-joined, so it can be used as a map key and

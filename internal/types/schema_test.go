@@ -131,3 +131,19 @@ func TestRowClone(t *testing.T) {
 		t.Error("clone must not alias")
 	}
 }
+
+// Names returns the column names in order.
+func (s *Schema) Names() []string {
+	out := make([]string, len(s.Columns))
+	for i, c := range s.Columns {
+		out[i] = c.Name
+	}
+	return out
+}
+
+// Clone returns a copy of the row (values are immutable).
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
+	return out
+}

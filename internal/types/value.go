@@ -89,32 +89,6 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt converts numeric values to int64 (floats truncate).
-func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt, KindBool:
-		return v.I
-	case KindFloat:
-		return int64(v.F)
-	default:
-		return 0
-	}
-}
-
-// AsBool reports the truthiness of the value.
-func (v Value) AsBool() bool {
-	switch v.Kind {
-	case KindBool, KindInt:
-		return v.I != 0
-	case KindFloat:
-		return v.F != 0
-	case KindString:
-		return v.S != ""
-	default:
-		return false
-	}
-}
-
 // String renders the value for display.
 func (v Value) String() string {
 	switch v.Kind {
@@ -194,9 +168,6 @@ func Compare(a, b Value) int {
 		return 0
 	}
 }
-
-// Equal reports whether a and b compare equal.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // Key returns a compact string encoding usable as a map key. Distinct
 // values produce distinct keys within a column's kind.

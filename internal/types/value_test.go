@@ -146,3 +146,29 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// AsInt converts numeric values to int64 (floats truncate).
+func (v Value) AsInt() int64 {
+	switch v.Kind {
+	case KindInt, KindBool:
+		return v.I
+	case KindFloat:
+		return int64(v.F)
+	default:
+		return 0
+	}
+}
+
+// AsBool reports the truthiness of the value.
+func (v Value) AsBool() bool {
+	switch v.Kind {
+	case KindBool, KindInt:
+		return v.I != 0
+	case KindFloat:
+		return v.F != 0
+	case KindString:
+		return v.S != ""
+	default:
+		return false
+	}
+}

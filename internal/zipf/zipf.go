@@ -9,27 +9,6 @@ import (
 	"math/rand"
 )
 
-// Generator draws ranks from a Zipf distribution with exponent S over
-// ranks 1..N: P(rank=r) ∝ 1/r^S. It is a thin deterministic wrapper over
-// math/rand's rejection-inversion sampler.
-type Generator struct {
-	z *rand.Zipf
-	n uint64
-}
-
-// NewGenerator returns a Zipf generator over ranks [1, n] with exponent s.
-// s must be > 1 for math/rand's sampler; callers needing s == 1 should use
-// NewGeneratorCDF which supports any s > 0 via inverse-CDF sampling.
-func NewGenerator(rng *rand.Rand, s float64, n uint64) *Generator {
-	if s <= 1 {
-		panic("zipf: exponent must be > 1 for rejection sampler; use NewGeneratorCDF")
-	}
-	return &Generator{z: rand.NewZipf(rng, s, 1, n-1), n: n}
-}
-
-// Next returns a rank in [1, n]; rank 1 is the most frequent.
-func (g *Generator) Next() uint64 { return g.z.Uint64() + 1 }
-
 // CDFGenerator samples Zipf ranks by inverse-CDF lookup over a
 // precomputed table. It supports any exponent s > 0 (including s ≤ 1,
 // which math/rand cannot) at the cost of O(n) setup memory, so it is
@@ -67,21 +46,6 @@ func (g *CDFGenerator) Next() int {
 		}
 	}
 	return lo + 1
-}
-
-// Frequencies returns the expected frequency of each rank 1..n for a table
-// with total rows, under Zipf exponent s. Frequencies are real-valued
-// expectations, f(r) = total · (1/r^s)/H_{n,s}.
-func Frequencies(s float64, n int, total float64) []float64 {
-	h := 0.0
-	for r := 1; r <= n; r++ {
-		h += 1 / math.Pow(float64(r), s)
-	}
-	out := make([]float64, n)
-	for r := 1; r <= n; r++ {
-		out[r-1] = total / math.Pow(float64(r), s) / h
-	}
-	return out
 }
 
 // StratifiedOverhead computes the fraction of the original table that a

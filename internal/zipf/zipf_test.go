@@ -8,7 +8,7 @@ import (
 
 func TestGeneratorRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := NewGenerator(rng, 1.5, 1000)
+	g := NewGeneratorCDF(rng, 1.5, 1000)
 	for i := 0; i < 10000; i++ {
 		r := g.Next()
 		if r < 1 || r > 1000 {
@@ -17,19 +17,10 @@ func TestGeneratorRange(t *testing.T) {
 	}
 }
 
-func TestGeneratorPanicsOnSmallExponent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for s <= 1")
-		}
-	}()
-	NewGenerator(rand.New(rand.NewSource(1)), 1.0, 10)
-}
-
 func TestGeneratorSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := NewGenerator(rng, 1.5, 1000)
-	counts := make(map[uint64]int)
+	g := NewGeneratorCDF(rng, 1.5, 1000)
+	counts := make(map[int]int)
 	const n = 200000
 	for i := 0; i < n; i++ {
 		counts[g.Next()]++
@@ -139,4 +130,20 @@ func BenchmarkCDFGenerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}
+}
+
+// Frequencies returns the expected frequency of each rank 1..n for a table
+// with total rows, under Zipf exponent s. Frequencies are real-valued
+// expectations, f(r) = total · (1/r^s)/H_{n,s}: the theory the sampler is
+// held to.
+func Frequencies(s float64, n int, total float64) []float64 {
+	h := 0.0
+	for r := 1; r <= n; r++ {
+		h += 1 / math.Pow(float64(r), s)
+	}
+	out := make([]float64, n)
+	for r := 1; r <= n; r++ {
+		out[r-1] = total / math.Pow(float64(r), s) / h
+	}
+	return out
 }

@@ -138,7 +138,6 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 	w.i64(opts.K)
 	w.i64(int64(opts.Resolutions))
 	w.f64(opts.CapRatio)
-	w.i64(int64(opts.MaxColumns))
 	w.f64(opts.UniformFraction)
 	for _, tpl := range opts.Templates {
 		w.str(types.NewColumnSet(tpl.Columns...).Key())

@@ -278,7 +278,6 @@ func TestTelemetryDisabledBitIdentical(t *testing.T) {
 	off := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true})
 	off.tele = nil
 	off.rt = elp.New(off.cat, off.clus, elp.Options{
-		Confidence:      off.cfg.Confidence,
 		Scale:           off.cfg.Scale,
 		Workers:         off.cfg.Workers,
 		PlanCacheSize:   off.cfg.PlanCacheSize,
