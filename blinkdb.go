@@ -194,7 +194,10 @@ type Config struct {
 	// calling goroutine; §4.1.1's candidate counts run there whatever the
 	// value. Query results are bit-identical for every value: the executor
 	// partitions scans by the blocks' row counts and merges partial
-	// aggregates in partition-index order.
+	// aggregates in partition-index order. It also sizes set-up: a
+	// loader's batches and its re-cut spread a chunk's columns over this
+	// many goroutines (1 starts none), and CreateSamples builds families
+	// on as many; every table and sample is bit-identical for every value.
 	Workers int
 	// Scale maps stored bytes to logical bytes for latency modelling
 	// (default 1; experiments use 1e4-1e6 to emulate TB-scale tables). It
@@ -357,8 +360,30 @@ type Loader struct {
 	builder *storage.Builder
 	schema  *types.Schema
 	place   storage.Placement
-	row     types.Row // Append's conversion buffer; the builders copy out of it
-	err     error
+	// Append converts rows into batch, column by column; a full batch goes
+	// to the builder — on its own goroutine when Workers > 1, while Append
+	// fills spare — and the two swap. At most one batch is in flight, and
+	// the next waits for it, so batches reach the builder in order.
+	batch, spare [][]types.Value
+	n            int // rows staged in batch
+	inflight     sync.WaitGroup
+	err          error
+}
+
+// batchRows is how many rows Loader.Append stages before it hands them to
+// the builder: enough that a batch's fan-out over the worker pool is
+// lost among its rows, few enough that the two batches of a wide table
+// stay small next to the table.
+const batchRows = 4096
+
+// newBatch returns a staging batch: one batchRows-row slice per column.
+func newBatch(width int) [][]types.Value {
+	vals := make([]types.Value, width*batchRows)
+	batch := make([][]types.Value, width)
+	for c := range batch {
+		batch[c] = vals[c*batchRows : (c+1)*batchRows : (c+1)*batchRows]
+	}
+	return batch
 }
 
 // CreateTable registers a new table and returns a loader for its rows.
@@ -384,18 +409,24 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	if e.cfg.CacheTables {
 		place = storage.InMemory
 	}
+	builder := storage.NewBuilder(tab, 0, e.cfg.Nodes, place) // re-cut by Close
+	builder.SetWorkers(e.cfg.Workers)
 	return &Loader{
 		eng:     e,
 		table:   tab,
-		builder: storage.NewBuilder(tab, 0, e.cfg.Nodes, place), // re-cut by Close
+		builder: builder,
 		schema:  schema,
 		place:   place,
-		row:     make(types.Row, schema.Len()),
+		batch:   newBatch(schema.Len()),
 	}
 }
 
 // Append adds one row; values must match the declared column order.
 // Accepted Go types: int/int32/int64/float32/float64/string/bool/nil.
+// A row is checked and converted here, then staged: rows are encoded in
+// batches of a few thousand, a batch's columns spread over the engine's
+// Workers, and with more than one worker a batch encodes while Append
+// converts the next.
 func (l *Loader) Append(values ...any) error {
 	if l.err != nil {
 		return l.err
@@ -411,10 +442,35 @@ func (l *Loader) Append(values ...any) error {
 			l.err = fmt.Errorf("blinkdb: column %s: %w", l.schema.Columns[i].Name, err)
 			return l.err
 		}
-		l.row[i] = val
+		l.batch[i][l.n] = val
 	}
-	l.builder.Append(l.row, storage.RowMeta{Rate: 1})
+	if l.n++; l.n == batchRows {
+		l.encode()
+	}
 	return nil
+}
+
+// encode hands the staged rows to the builder and empties the batch. With
+// one worker it encodes them here; otherwise it waits for the batch in
+// flight — it is the spare, and it must reach the builder first — and
+// encodes these on a goroutine while Append fills the spare.
+func (l *Loader) encode() {
+	full, n := l.batch, l.n
+	l.n = 0
+	if l.eng.cfg.Workers == 1 {
+		l.builder.AppendColumns(full, n)
+		return
+	}
+	l.inflight.Wait()
+	if l.spare == nil {
+		l.spare = newBatch(len(full))
+	}
+	l.batch, l.spare = l.spare, full
+	l.inflight.Add(1)
+	go func() {
+		defer l.inflight.Done()
+		l.builder.AppendColumns(full, n)
+	}()
 }
 
 // Close finalizes the table and registers it with the engine, re-cut so
@@ -424,12 +480,15 @@ func (l *Loader) Append(values ...any) error {
 // Append and Close return an error after it, and the registered table —
 // and the samples built on it — stay as they are.
 func (l *Loader) Close() error {
+	l.inflight.Wait()
 	if l.err != nil {
 		return l.err
 	}
+	l.builder.AppendColumns(l.batch, l.n)
+	l.batch, l.spare = nil, nil
 	l.builder.Finish()
 	if l.table.NumRows() > 0 {
-		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.place)
+		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.eng.cfg.Workers, l.place)
 	}
 	l.eng.cat.Register(l.table)
 	l.eng.samples.Delete(strings.ToLower(l.table.Name))

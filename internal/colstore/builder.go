@@ -37,6 +37,9 @@ type Builder struct {
 	// sorted marks columns hinted as sorted/low-cardinality.
 	noRLE  bool
 	sorted []bool
+
+	// workers bounds the goroutines the per-column work fans out over.
+	workers int
 }
 
 // NewBuilder creates a builder for chunks of numCols columns.
@@ -64,6 +67,12 @@ func (b *Builder) HintSorted(cols ...int) {
 	}
 }
 
+// SetWorkers fans AppendColumns, AppendFrom and Finish out over up to n
+// goroutines, a column to a goroutine at a time; a builder it is not
+// called on starts none. Columns are independent accumulators, so the
+// chunks are the same for every n.
+func (b *Builder) SetWorkers(n int) { b.workers = n }
+
 // Len returns the number of rows appended so far.
 func (b *Builder) Len() int { return b.n }
 
@@ -82,14 +91,29 @@ func (b *Builder) Append(r types.Row, rate float64, freq int64) {
 	b.n++
 }
 
+// AppendColumns adds rows [lo, hi) of cols, where cols[c] holds column c's
+// values, each row with the same sampling metadata: the builder ends up in
+// the state appending the rows one by one leaves it in. cols has one slice
+// per column of the builder; the values are copied, not retained.
+func (b *Builder) AppendColumns(cols [][]types.Value, lo, hi int, rate float64, freq int64) {
+	ParallelFor(len(b.cols), b.workers, func(c int) {
+		a := &b.cols[c]
+		for i, v := range cols[c][lo:hi] {
+			a.append(v, b.n+i)
+		}
+	})
+	b.appendMeta(rate, freq, hi-lo)
+	b.n += hi - lo
+}
+
 // AppendFrom adds rows [lo, hi) of an encoded chunk of the same width,
 // values and metadata exactly as they were appended to it, column at a
 // time, in their typed form and without materialising a row: the builder
 // ends up in the state appending the rows one by one leaves it in.
 func (b *Builder) AppendFrom(src *Data, lo, hi int) {
-	for c := range b.cols {
+	ParallelFor(len(b.cols), b.workers, func(c int) {
 		b.cols[c].appendFrom(&src.Cols[c], lo, hi, b.n)
-	}
+	})
 	for i, run := lo, src.MetaRunOf(lo); i < hi; run++ {
 		end := min(int(src.MetaEnds[run]), hi)
 		b.appendMeta(src.Rates[run], src.Freqs[run], end-i)
@@ -119,10 +143,10 @@ func (b *Builder) appendMeta(rate float64, freq int64, count int) {
 // length: the append slack stays with the builder.
 func (b *Builder) Finish() *Data {
 	d := &Data{N: b.n, Cols: make([]Column, len(b.cols))}
-	for c := range b.cols {
+	ParallelFor(len(b.cols), b.workers, func(c int) {
 		hinted := b.sorted != nil && b.sorted[c]
 		d.Cols[c] = b.cols[c].finish(b.n, !b.noRLE, hinted)
-	}
+	})
 	d.MetaEnds, d.Rates, d.Freqs = exact(b.metaEnds), exact(b.rates), exact(b.freqs)
 	b.metaEnds, b.rates, b.freqs = b.metaEnds[:0], b.rates[:0], b.freqs[:0]
 	b.n = 0

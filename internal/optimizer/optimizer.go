@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/milp"
@@ -233,7 +231,7 @@ func BuildMILP(tab *storage.Table, templates []TemplateSpec, cfg Config) (*milp.
 	cands := make([]Candidate, len(keys))
 	candFreqs := make([][]int64, len(keys))
 	errs := make([]error, len(keys))
-	parallelFor(len(keys), cfg.Workers, func(i int) {
+	colstore.ParallelFor(len(keys), cfg.Workers, func(i int) {
 		phi := seen[keys[i]]
 		freqs, err := frequencies(tab, phi)
 		if err != nil {
@@ -284,7 +282,7 @@ func BuildMILP(tab *storage.Table, templates []TemplateSpec, cfg Config) (*milp.
 	}
 	tmplFreqs := make([][]int64, len(templates))
 	errs = make([]error, len(templates))
-	parallelFor(len(templates), cfg.Workers, func(i int) {
+	colstore.ParallelFor(len(templates), cfg.Workers, func(i int) {
 		if f, ok := freqCache[templates[i].Columns.Key()]; ok {
 			tmplFreqs[i] = f // cache is read-only here: safe concurrently
 			return
@@ -314,37 +312,6 @@ func BuildMILP(tab *storage.Table, templates []TemplateSpec, cfg Config) (*milp.
 	}
 
 	return prob, cands, nil
-}
-
-// parallelFor runs fn(0..n-1) on up to workers goroutines (sequentially
-// when workers ≤ 1), mirroring the executor's atomic-counter pool. fn
-// must write only to its own index's output slots.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func firstError(errs []error) error {
@@ -406,7 +373,7 @@ func BuildFamilies(tab *storage.Table, plan *Plan, cfg Config, uniformFraction f
 	}
 	fams := make([]*sample.Family, total)
 	errs := make([]error, total)
-	parallelFor(total, cfg.Workers, func(i int) {
+	colstore.ParallelFor(total, cfg.Workers, func(i int) {
 		if i < len(plan.Chosen) {
 			fams[i], errs[i] = sample.Build(tab, plan.Chosen[i].Phi, caps, cfg.Build)
 			return

@@ -29,7 +29,7 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-func TestPutReplacesAndDelete(t *testing.T) {
+func TestPutReplaces(t *testing.T) {
 	c := NewSharded[string](2, 1)
 	c.Put("k", "v1")
 	c.Put("k", "v2")
@@ -39,11 +39,6 @@ func TestPutReplacesAndDelete(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("replace grew the cache: Len = %d", c.Len())
 	}
-	c.Delete("k")
-	if _, ok := c.Get("k"); ok {
-		t.Error("deleted key still present")
-	}
-	c.Delete("k") // idempotent
 }
 
 // TestNilCacheAlwaysMisses: capacity ≤ 0 yields the nil always-miss
@@ -57,7 +52,6 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("nil cache must always miss")
 	}
-	c.Delete("a")
 	if c.Len() != 0 {
 		t.Error("nil cache Len must be 0")
 	}
@@ -105,8 +99,6 @@ func TestConcurrentAccess(t *testing.T) {
 				k := fmt.Sprintf("key-%d", i%100)
 				if i%3 == 0 {
 					c.Put(k, g*10000+i)
-				} else if i%7 == 0 {
-					c.Delete(k)
 				} else {
 					c.Get(k)
 				}
@@ -152,20 +144,6 @@ func TestMissNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Get miss allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// Delete removes the key if present.
-func (c *Cache[V]) Delete(key string) {
-	if c == nil {
-		return
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.tab[key]; ok {
-		s.ll.Remove(el)
-		delete(s.tab, key)
 	}
 }
 

@@ -7,8 +7,13 @@ import (
 	"blinkdb/internal/types"
 )
 
-// cutter computes the metadata of the priced blocks cut from one chunk:
-// each window's zones and byte size, read from the chunk's typed columns.
+// cut computes the priced blocks of one chunk: its rowsPerBlock-row
+// windows (the last may be short), each with its zones and byte size, read
+// from the chunk's typed columns a column at a time, the columns fanned out
+// over up to workers goroutines. A block's size is the sum of its columns'
+// int64 parts, the same in any order. The blocks and their zones are
+// allocated as two arrays: a scan classifies every block of its range
+// before it reads a row, and walks them in this order.
 //
 // A zone is DEFINED as the row-order fold of Zone.Extend over the window's
 // values, NULLs included (leafImplied and zoneMayMatch in internal/exec
@@ -20,47 +25,40 @@ import (
 // pinned by a leading NaN exactly as the fold is — and NULL, ranked below
 // everything, becomes Min wherever it appears and never Max unless the
 // window holds nothing else.
-type cutter struct {
-	d *colstore.Data
-	// ranks[c][code] is the position of dictionary entry code in string
-	// order, built on first use: a block's string bracket is then an
-	// integer min/max over its codes.
-	ranks [][]uint32
-	// strBytes[c][code] is the entry's serialized size.
-	strBytes [][]int64
-}
-
-// blocks cuts the chunk into rowsPerBlock-row blocks (the last may be
-// short). The blocks and their zones are allocated as two arrays: a scan
-// classifies every block of its range before it reads a row, and walks
-// them in this order.
-func (c *cutter) blocks(rowsPerBlock int) []Block {
-	width := len(c.d.Cols)
-	out := make([]Block, (c.d.N+rowsPerBlock-1)/rowsPerBlock)
-	zones := make([]Zone, len(out)*width)
+func cut(d *colstore.Data, rowsPerBlock, workers int) []Block {
+	width, nb := len(d.Cols), (d.N+rowsPerBlock-1)/rowsPerBlock
+	out := make([]Block, nb)
+	zones := make([]Zone, nb*width)
+	parts := make([]int64, nb*width) // block i's bytes in column ci at [ci*nb+i]
+	colstore.ParallelFor(width, workers, func(ci int) {
+		col := &d.Cols[ci]
+		var rank []uint32
+		var size []int64
+		if col.Enc == colstore.EncDict {
+			rank, size = dictOrder(col.Dict)
+		}
+		for i := 0; i < nb; i++ {
+			off := i * rowsPerBlock
+			zones[i*width+ci], parts[ci*nb+i] = column(col, off, min(off+rowsPerBlock, d.N), rank, size)
+		}
+	})
 	for i := range out {
 		off := i * rowsPerBlock
-		out[i] = c.block(off, min(rowsPerBlock, c.d.N-off), zones[i*width:(i+1)*width:(i+1)*width])
+		out[i] = Block{Chunk: d, Off: off, N: min(rowsPerBlock, d.N-off), Zones: zones[i*width : (i+1)*width : (i+1)*width]}
+		for ci := 0; ci < width; ci++ {
+			out[i].Bytes += parts[ci*nb+i]
+		}
 	}
 	return out
 }
 
-// block cuts rows [off, off+n) of the chunk, n > 0, writing its zones
-// into zones (one per column).
-func (c *cutter) block(off, n int, zones []Zone) Block {
-	b := Block{Chunk: c.d, Off: off, N: n, Zones: zones}
-	for ci := range c.d.Cols {
-		b.Zones[ci], b.Bytes = c.column(ci, off, off+n, b.Bytes)
-	}
-	return b
-}
-
-// column returns column ci's zone over rows [lo, hi) and bytes plus the
-// rows' serialized size in that column (see EstimateRowBytes).
-func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
-	col := &c.d.Cols[ci]
+// column returns col's zone over rows [lo, hi) and the rows' serialized
+// size in it (see EstimateRowBytes). A dictionary column's rank and size
+// are dictOrder's.
+func column(col *colstore.Column, lo, hi int, rank []uint32, size []int64) (Zone, int64) {
 	n := hi - lo
 	var z Zone
+	var bytes int64
 	switch col.Enc {
 	case colstore.EncRLE:
 		for i, run := lo, col.RunOf(lo); i < hi; run++ {
@@ -81,7 +79,7 @@ func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
 	z.Valid = true
 	nulls := colstore.CountBits(col.Nulls, lo, hi)
 	if nulls == n {
-		return z, bytes + int64(n) // Min = Max = NULL
+		return z, int64(n) // Min = Max = NULL
 	}
 	isNull := func(i int) bool { return col.Nulls[i>>6]&(1<<uint(i&63)) != 0 }
 	first := lo // first non-NULL row
@@ -115,7 +113,6 @@ func (c *cutter) column(ci, lo, hi int, bytes int64) (Zone, int64) {
 			bytes += int64(n)
 		}
 	default: // EncDict
-		rank, size := c.dict(ci)
 		var mn, mx int
 		var strBytes int64
 		if col.Codes8 != nil {
@@ -152,25 +149,19 @@ func dictZone[C colstore.Code](codes []C, rank []uint32, size []int64, nulls []u
 	return int(lo), int(up), bytes
 }
 
-// dict returns column ci's per-code string rank and serialized size.
-func (c *cutter) dict(ci int) (rank []uint32, size []int64) {
-	if c.ranks == nil {
-		c.ranks = make([][]uint32, len(c.d.Cols))
-		c.strBytes = make([][]int64, len(c.d.Cols))
+// dictOrder returns each dictionary entry's position in string order and
+// its serialized size, indexed by code: a block's string bracket is then an
+// integer min/max over its codes.
+func dictOrder(dict []string) (rank []uint32, size []int64) {
+	order := make([]uint32, len(dict))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	if c.ranks[ci] == nil {
-		dict := c.d.Cols[ci].Dict
-		order := make([]uint32, len(dict))
-		for i := range order {
-			order[i] = uint32(i)
-		}
-		sort.Slice(order, func(i, j int) bool { return dict[order[i]] < dict[order[j]] })
-		rank, size = make([]uint32, len(dict)), make([]int64, len(dict))
-		for r, code := range order {
-			rank[code] = uint32(r)
-			size[code] = int64(len(dict[code])) + 2
-		}
-		c.ranks[ci], c.strBytes[ci] = rank, size
+	sort.Slice(order, func(i, j int) bool { return dict[order[i]] < dict[order[j]] })
+	rank, size = make([]uint32, len(dict)), make([]int64, len(dict))
+	for r, code := range order {
+		rank[code] = uint32(r)
+		size[code] = int64(len(dict[code])) + 2
 	}
-	return c.ranks[ci], c.strBytes[ci]
+	return rank, size
 }

@@ -17,7 +17,7 @@ func sameValue(a, b types.Value) bool {
 }
 
 // TestZonesMatchExtendFold pins what keeps pruning — and so every rows-
-// scanned count — where it was: the zones the cutter reads off a chunk's
+// scanned count — where it was: the zones cut reads off a chunk's
 // typed columns equal the row-order fold of Zone.Extend over the same
 // rows, and the bytes equal the rows' EstimateRowBytes, for every window
 // of chunks built to hit each encoding and each way the fold can surprise:
@@ -91,10 +91,9 @@ func TestZonesMatchExtendFold(t *testing.T) {
 			t.Fatalf("the chunk never produced encoding %v", enc)
 		}
 	}
-	cut := cutter{d: d}
 	for _, size := range []int{1, 2, 7, 64, 100, n} {
-		for off := 0; off < n; off += size {
-			blk := cut.block(off, min(size, n-off), make([]Zone, len(d.Cols)))
+		for _, blk := range cut(d, size, 3) {
+			off := blk.Off
 			want := make([]Zone, len(d.Cols))
 			var bytes int64
 			for _, r := range rows[off : off+blk.N] {

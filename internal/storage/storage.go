@@ -371,6 +371,10 @@ type Builder struct {
 	// either way.
 	sortedCols []int
 	noRLE      bool
+
+	// workers bounds the goroutines a chunk's per-column encoding and cut
+	// fan out over (≤ 1: none).
+	workers int
 }
 
 // NewBuilder creates a builder for the given table. rowsPerBlock is the
@@ -417,6 +421,12 @@ func (b *Builder) DisableRLE() {
 	}
 }
 
+// SetWorkers fans each chunk's per-column work — appending, encoding and
+// cutting it into blocks — out over up to n goroutines; a builder it is
+// not called on starts none. The table is the same for every n. Call it
+// before the first row.
+func (b *Builder) SetWorkers(n int) { b.workers = n }
+
 // encoder returns the chunk encoder, creating it for width columns.
 func (b *Builder) encoder(width int) *colstore.Builder {
 	if b.cur == nil {
@@ -432,6 +442,7 @@ func (b *Builder) encoder(width int) *colstore.Builder {
 		if len(b.sortedCols) > 0 {
 			b.cur.HintSorted(b.sortedCols...)
 		}
+		b.cur.SetWorkers(b.workers)
 	}
 	return b.cur
 }
@@ -449,13 +460,28 @@ func (b *Builder) Append(r types.Row, m RowMeta) {
 // AppendRow adds an unsampled (rate-1) row.
 func (b *Builder) AppendRow(r types.Row) { b.Append(r, RowMeta{Rate: 1}) }
 
+// AppendColumns adds the first n rows of cols, where cols[c] holds column
+// c's values, as unsampled (rate-1) rows, closing chunks where Append
+// would. cols has one slice per column; the values are copied, not
+// retained.
+func (b *Builder) AppendColumns(cols [][]types.Value, n int) {
+	for lo := 0; lo < n; {
+		cur := b.encoder(len(cols))
+		hi := min(n, lo+b.perChunk-cur.Len())
+		cur.AppendColumns(cols, lo, hi, 1, 0)
+		lo = hi
+		if cur.Len() >= b.perChunk {
+			b.flush()
+		}
+	}
+}
+
 // flush freezes the open chunk and cuts it into blocks.
 func (b *Builder) flush() {
 	if b.cur == nil || b.cur.Len() == 0 {
 		return
 	}
-	cut := cutter{d: b.cur.Finish()}
-	blocks := cut.blocks(b.rowsPerBlock)
+	blocks := cut(b.cur.Finish(), b.rowsPerBlock, b.workers)
 	for i := range blocks {
 		blk := &blocks[i]
 		blk.Node = b.nextTgt % b.numNodes
@@ -481,9 +507,11 @@ func (b *Builder) Finish() *Table {
 // each code is met, so every new chunk is the one a fresh build of its
 // rows encodes — same dictionary order — while each string is looked up
 // once per window instead of once per row. Zones and byte sizes are
-// computed for the new windows.
-func Recut(src *Table, rowsPerBlock, numNodes int, place Placement) *Table {
+// computed for the new windows. Each chunk's columns are copied, encoded
+// and cut on up to workers goroutines; the table is the same for any count.
+func Recut(src *Table, rowsPerBlock, numNodes, workers int, place Placement) *Table {
 	b := NewBuilder(NewTable(src.Name, src.Schema), rowsPerBlock, numNodes, place)
+	b.SetWorkers(workers)
 	for _, d := range src.Chunks() {
 		for off := 0; off < d.N; {
 			cur := b.encoder(len(d.Cols))

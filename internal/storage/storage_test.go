@@ -88,7 +88,7 @@ func TestEstimateRowBytes(t *testing.T) {
 }
 
 func TestSetPlacement(t *testing.T) {
-	tab := Recut(buildTable(t, 30, 8, 2), 8, 2, InMemory)
+	tab := Recut(buildTable(t, 30, 8, 2), 8, 2, 1, InMemory)
 	for _, b := range tab.Blocks {
 		if b.Place != InMemory {
 			t.Fatal("placement not applied")
@@ -440,8 +440,9 @@ func TestRecut(t *testing.T) {
 	if c := src.Chunks(); !c[0].Cols[8].Narrow() || c[1].Cols[8].Narrow() || !c[0].Cols[9].Narrow() || c[1].Cols[9].Narrow() {
 		t.Fatal("the top and bottom columns are not narrow in the first chunk and wide in the second")
 	}
-	for _, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
-		dst := Recut(src, rowsPerBlock, 2, OnDisk)
+	for i, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
+		workers := []int{1, 4, 2, 3}[i] // the table must not depend on it
+		dst := Recut(src, rowsPerBlock, 2, workers, OnDisk)
 		if err := Validate(dst, 2); err != nil {
 			t.Fatalf("rowsPerBlock %d: %v", rowsPerBlock, err)
 		}

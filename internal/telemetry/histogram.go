@@ -13,8 +13,7 @@ import (
 // that). Record is wait-free apart from two CAS loops and performs zero
 // allocations; concurrent recorders never block each other on a mutex.
 //
-// The zero value is ready to use. Snapshots fold across histograms with
-// HistSnapshot.Merge exactly associatively (see the package doc).
+// The zero value is ready to use.
 type Histogram struct {
 	counts [numBuckets]atomic.Uint64
 	sum    atomicFloat
@@ -23,7 +22,7 @@ type Histogram struct {
 
 const (
 	// numBuckets is fixed so HistSnapshot is a comparable array-backed
-	// value and Merge needs no reallocation or resizing protocol.
+	// value.
 	numBuckets = 256
 	// subBits gives 2^subBits sub-buckets per power-of-two octave.
 	subBits = 2

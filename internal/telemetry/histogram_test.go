@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -106,58 +105,6 @@ func TestHistogramZeros(t *testing.T) {
 	}
 }
 
-// TestMergeAssociative mirrors the stats.Acc merge suite: folding the
-// same observations in different groupings must give identical (==)
-// snapshots. Dyadic values make float sums exact.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	parts := make([]HistSnapshot, 8)
-	for i := range parts {
-		var h Histogram
-		for j := 0; j < 200; j++ {
-			// Dyadic: k/1024 for random k — exact under float addition.
-			h.Record(float64(rng.Intn(1<<14)) / 1024)
-		}
-		parts[i] = h.Snapshot()
-	}
-
-	leftFold := parts[0]
-	for _, p := range parts[1:] {
-		leftFold = leftFold.Merge(p)
-	}
-	var rightFold HistSnapshot
-	for i := len(parts) - 1; i >= 0; i-- {
-		rightFold = parts[i].Merge(rightFold)
-	}
-	pairTree := parts[0].Merge(parts[1]).Merge(parts[2].Merge(parts[3])).
-		Merge(parts[4].Merge(parts[5]).Merge(parts[6].Merge(parts[7])))
-
-	if leftFold != rightFold {
-		t.Fatal("left fold != right fold")
-	}
-	if leftFold != pairTree {
-		t.Fatal("left fold != pair tree")
-	}
-	if leftFold.Count != 1600 {
-		t.Fatalf("merged count = %d", leftFold.Count)
-	}
-}
-
-func TestMergeCommutative(t *testing.T) {
-	var a, b Histogram
-	a.Record(0.5)
-	a.Record(2)
-	b.Record(8)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if sa.Merge(sb) != sb.Merge(sa) {
-		t.Fatal("merge not commutative")
-	}
-	var zero HistSnapshot
-	if sa.Merge(zero) != sa {
-		t.Fatal("zero snapshot is not an identity")
-	}
-}
-
 func TestHistogramConcurrentRecord(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -187,19 +134,4 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	if s.Sum != want {
 		t.Fatalf("sum = %v, want %v", s.Sum, want)
 	}
-}
-
-// Merge folds o into s and returns the combination. Bucket counts add
-// exactly; Max is exact; Sum is float addition (exact on dyadic inputs).
-// Associative and commutative, like stats.Acc.Merge.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	return s
 }

@@ -1,5 +1,5 @@
 // Package telemetry is the query-lifecycle observability layer: per-query
-// span trees with monotonic timestamps, fixed-size mergeable log-bucketed
+// span trees with monotonic timestamps, fixed-size log-bucketed
 // histograms, and a per-template registry that accounts predicted
 // (ELP-projected) against observed latency and error.
 //
@@ -25,14 +25,6 @@
 // only for executed queries (Observation.Executed), keeping the
 // microsecond-scale hit path cheap. The enabled end-to-end overhead is
 // the benchmark's trace.overhead_fraction (go run ./benchmark -trace 1).
-//
-// # Merge semantics
-//
-// HistSnapshot.Merge is bucket-wise integer addition plus float sum/max
-// combination — associative and commutative like stats.Acc.Merge, so
-// snapshots taken on different shards, goroutines or processes fold in
-// any grouping (bit-identically for integer counts and max; float sums
-// are exact on dyadic inputs, the same contract stats.Acc tests pin).
 //
 // # Disabled-path guarantee
 //

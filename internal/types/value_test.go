@@ -9,8 +9,8 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null().IsNull() {
 		t.Error("Null() should be null")
 	}
-	if got := Int(42).AsInt(); got != 42 {
-		t.Errorf("Int(42).AsInt() = %d", got)
+	if got := Int(42).I; got != 42 {
+		t.Errorf("Int(42).I = %d", got)
 	}
 	if got := Int(42).AsFloat(); got != 42.0 {
 		t.Errorf("Int(42).AsFloat() = %g", got)
@@ -18,16 +18,13 @@ func TestValueConstructorsAndAccessors(t *testing.T) {
 	if got := Float(2.5).AsFloat(); got != 2.5 {
 		t.Errorf("Float(2.5).AsFloat() = %g", got)
 	}
-	if got := Float(2.9).AsInt(); got != 2 {
-		t.Errorf("Float(2.9).AsInt() = %d, want truncation to 2", got)
-	}
 	if got := Str("x").String(); got != "x" {
 		t.Errorf("Str(x).String() = %q", got)
 	}
-	if !Bool(true).AsBool() || Bool(false).AsBool() {
+	if Bool(true).I != 1 || Bool(false).I != 0 {
 		t.Error("Bool round-trip failed")
 	}
-	if Null().AsBool() || Null().AsFloat() != 0 || Null().AsInt() != 0 {
+	if Null().I != 0 || Null().AsFloat() != 0 {
 		t.Error("NULL should convert to zero values")
 	}
 }
@@ -144,31 +141,5 @@ func TestKindString(t *testing.T) {
 		if k.String() != w {
 			t.Errorf("Kind %d = %q, want %q", k, k.String(), w)
 		}
-	}
-}
-
-// AsInt converts numeric values to int64 (floats truncate).
-func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt, KindBool:
-		return v.I
-	case KindFloat:
-		return int64(v.F)
-	default:
-		return 0
-	}
-}
-
-// AsBool reports the truthiness of the value.
-func (v Value) AsBool() bool {
-	switch v.Kind {
-	case KindBool, KindInt:
-		return v.I != 0
-	case KindFloat:
-		return v.F != 0
-	case KindString:
-		return v.S != ""
-	default:
-		return false
 	}
 }

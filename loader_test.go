@@ -1,0 +1,246 @@
+package blinkdb
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"blinkdb/internal/colstore"
+	"blinkdb/internal/storage"
+)
+
+// loaderColumns and loaderRows are a table that reaches what a load can
+// encode: a column mixing kinds around NULL runs, floats with NaN and both
+// zeros, a sorted column (run-length encoded), a string column whose every
+// row is new — each full chunk holds as many strings as a dictionary can —
+// bools, low-cardinality strings with NULL runs, and ints narrow in the
+// first chunk and wide after it.
+func loaderColumns() []ColumnDef {
+	return []ColumnDef{Col("mixed", Float), Col("f", Float), Col("sorted", Int), Col("uniq", String),
+		Col("b", Bool), Col("city", String), Col("wide", Int)}
+}
+
+func loaderRows(n int) [][]any {
+	rng := rand.New(rand.NewSource(11))
+	negZero := math.Copysign(0, -1)
+	rows := make([][]any, n)
+	for i := range rows {
+		var mixed any = i % 13
+		switch {
+		case (i/50)%9 == 0:
+			mixed = nil
+		case i%7 == 1:
+			mixed = float64(i%13) + 0.5
+		case i%7 == 2:
+			mixed = fmt.Sprintf("m%d", i%5)
+		}
+		var f any = rng.ExpFloat64()
+		switch {
+		case i%97 == 0:
+			f = math.NaN()
+		case i%89 == 0:
+			f = negZero
+		case i%89 == 1:
+			f = 0.0
+		case i%101 == 0:
+			f = nil
+		}
+		var city any = fmt.Sprintf("city%02d", rng.Intn(40))
+		if (i/300)%11 == 0 {
+			city = nil
+		}
+		wide := int64(i % 1000)
+		if i >= 1<<16 {
+			wide = int64(i) * 1000003
+		}
+		rows[i] = []any{mixed, f, i / 1000, fmt.Sprintf("u%07d", i), rng.Intn(3) == 0, city, wide}
+	}
+	return rows
+}
+
+// loadTable loads rows with the given worker count and returns the table
+// registered for them.
+func loadTable(t *testing.T, workers int, rows [][]any) *storage.Table {
+	t.Helper()
+	eng := Open(Config{Workers: workers, Scale: 1e4})
+	load := eng.CreateTable("t", loaderColumns()...)
+	for _, r := range rows {
+		if err := load.Append(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := eng.cat.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ent.Table
+}
+
+// bitDiff names the first field where a and b differ, walking structs,
+// slices and pointers, with floats compared by bit pattern (NaN equals
+// NaN, −0 is not +0) and a nil slice apart from an empty one; "" when
+// they are equal.
+func bitDiff(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s: %v, want %v", path, a.Float(), b.Float())
+		}
+	case reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint8, reflect.Uint16, reflect.Uint32,
+		reflect.Uint64, reflect.Bool, reflect.String:
+		if !a.Equal(b) {
+			return fmt.Sprintf("%s: %v, want %v", path, a, b)
+		}
+	case reflect.Pointer:
+		return bitDiff(path, a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf("%s: length %d (nil %v), want %d (nil %v)", path, a.Len(), a.IsNil(), b.Len(), b.IsNil())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := bitDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := bitDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	default:
+		panic("bitDiff: unhandled kind " + a.Kind().String())
+	}
+	return ""
+}
+
+// TestLoaderWorkersBitIdentical holds a load at every worker count to the
+// serial one: every chunk equal field for field, and every block the same
+// window with the same zones, bytes and node. The row count is a multiple
+// of neither the staging batch nor the chunk, and spans more than two
+// chunks.
+func TestLoaderWorkersBitIdentical(t *testing.T) {
+	const n = 2<<16 + 5000
+	if n%batchRows == 0 || n%(1<<16) == 0 {
+		t.Fatal("the row count must leave a partial batch and a partial chunk")
+	}
+	rows := loaderRows(n)
+	want := loadTable(t, 1, rows)
+	wantChunks := want.Chunks()
+	if len(wantChunks) <= 2 {
+		t.Fatalf("%d chunks, want more than two", len(wantChunks))
+	}
+	encs := map[colstore.Encoding]bool{}
+	for _, d := range wantChunks {
+		for c := range d.Cols {
+			encs[d.Cols[c].Enc] = true
+		}
+	}
+	if uniq := &wantChunks[0].Cols[3]; len(uniq.Dict) != wantChunks[0].N || uniq.Codes16 == nil {
+		t.Fatalf("the first chunk's %d rows have %d distinct strings", wantChunks[0].N, len(uniq.Dict))
+	}
+	for _, enc := range []colstore.Encoding{colstore.EncRLE, colstore.EncValue, colstore.EncFloat,
+		colstore.EncInt, colstore.EncBool, colstore.EncDict} {
+		if !encs[enc] {
+			t.Fatalf("no chunk column is encoded %v", enc)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		got := loadTable(t, workers, rows)
+		gotChunks := got.Chunks()
+		if got.NumRows() != want.NumRows() || got.Bytes() != want.Bytes() ||
+			len(got.Blocks) != len(want.Blocks) || len(gotChunks) != len(wantChunks) {
+			t.Fatalf("workers %d: %d rows, %d bytes, %d blocks, %d chunks; serially %d, %d, %d, %d", workers,
+				got.NumRows(), got.Bytes(), len(got.Blocks), len(gotChunks),
+				want.NumRows(), want.Bytes(), len(want.Blocks), len(wantChunks))
+		}
+		chunkOf := map[*colstore.Data]int{}
+		for k := range wantChunks {
+			chunkOf[gotChunks[k]], chunkOf[wantChunks[k]] = k, k
+			if d := bitDiff("chunk", reflect.ValueOf(gotChunks[k]), reflect.ValueOf(wantChunks[k])); d != "" {
+				t.Fatalf("workers %d chunk %d: %s", workers, k, d)
+			}
+		}
+		for i, g := range got.Blocks {
+			w := want.Blocks[i]
+			if chunkOf[g.Chunk] != chunkOf[w.Chunk] || g.Off != w.Off || g.N != w.N ||
+				g.Bytes != w.Bytes || g.Node != w.Node || g.Place != w.Place {
+				t.Fatalf("workers %d block %d: chunk %d [%d,+%d) %d bytes on node %d; serially chunk %d [%d,+%d) %d bytes on node %d",
+					workers, i, chunkOf[g.Chunk], g.Off, g.N, g.Bytes, g.Node, chunkOf[w.Chunk], w.Off, w.N, w.Bytes, w.Node)
+			}
+			if d := bitDiff("zones", reflect.ValueOf(g.Zones), reflect.ValueOf(w.Zones)); d != "" {
+				t.Fatalf("workers %d block %d: %s", workers, i, d)
+			}
+		}
+	}
+}
+
+// waitGoroutines waits until no more than want goroutines run: a goroutine
+// that has signalled it is done may not have exited yet. It fails the test
+// when that takes a second.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the load", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// TestLoaderLifecycle: a bad value in the middle of a batch, with the
+// previous batch still encoding, fails Append at that row, Close returns
+// the same error and registers nothing, and no goroutine outlives Close,
+// on error or on success. With one worker the loader starts none at all.
+func TestLoaderLifecycle(t *testing.T) {
+	rows := loaderRows(3*batchRows + 100)
+	baseline := runtime.NumGoroutine()
+
+	eng := Open(Config{Workers: 4})
+	load := eng.CreateTable("t", loaderColumns()...)
+	bad := batchRows + 100
+	for i, r := range rows[:bad] {
+		if err := load.Append(r...); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+	}
+	row := append([]any(nil), rows[bad]...)
+	row[4] = struct{}{}
+	appendErr := load.Append(row...)
+	if appendErr == nil {
+		t.Fatal("a struct value was accepted")
+	}
+	if err := load.Close(); err != appendErr {
+		t.Fatalf("Close returned %v, want Append's %v", err, appendErr)
+	}
+	if _, err := eng.TableRows("t"); err == nil {
+		t.Error("a failed load registered its table")
+	}
+	waitGoroutines(t, baseline)
+
+	for _, workers := range []int{1, 4} {
+		eng := Open(Config{Workers: workers})
+		load := eng.CreateTable("t", loaderColumns()...)
+		for i, r := range rows {
+			if err := load.Append(r...); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 && (i+1)%batchRows == 0 && runtime.NumGoroutine() > baseline {
+				t.Fatalf("one worker: %d goroutines after a batch, %d before the load", runtime.NumGoroutine(), baseline)
+			}
+		}
+		if err := load.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := eng.TableRows("t"); err != nil || n != int64(len(rows)) {
+			t.Fatalf("workers %d: %d rows (%v), want %d", workers, n, err, len(rows))
+		}
+		waitGoroutines(t, baseline)
+	}
+}
