@@ -409,12 +409,10 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	if e.cfg.CacheTables {
 		place = storage.InMemory
 	}
-	builder := storage.NewBuilder(tab, 0, e.cfg.Nodes, place) // re-cut by Close
-	builder.SetWorkers(e.cfg.Workers)
 	return &Loader{
 		eng:     e,
 		table:   tab,
-		builder: builder,
+		builder: storage.NewStaging(tab, e.cfg.Workers), // re-cut by Close
 		schema:  schema,
 		place:   place,
 		batch:   newBatch(schema.Len()),

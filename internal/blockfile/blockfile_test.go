@@ -104,18 +104,6 @@ func rowsEq(a, b []types.Row) bool {
 	return true
 }
 
-func zonesEq(a, b []storage.Zone) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Valid != b[i].Valid || !valueEq(a[i].Min, b[i].Min) || !valueEq(a[i].Max, b[i].Max) {
-			return false
-		}
-	}
-	return true
-}
-
 // scanAll materializes every (row, meta) pair — the observable content
 // of a table.
 func scanAll(tbl *storage.Table) ([]types.Row, []storage.RowMeta) {
@@ -149,8 +137,15 @@ func assertTablesEqual(t *testing.T, want, got *storage.Table) {
 		if gb.ID != wb.ID || gb.Node != wb.Node || gb.Place != wb.Place || gb.Bytes != wb.Bytes {
 			t.Fatalf("block %d identity mismatch: %+v vs %+v", i, gb, wb)
 		}
-		if !zonesEq(gb.Zones, wb.Zones) {
+		if !reflect.DeepEqual(gb.Zones, wb.Zones) {
 			t.Fatalf("block %d zones mismatch", i)
+		}
+		for ci := range wb.Zones {
+			gmin, gmax, _ := gb.ZoneAt(ci)
+			wmin, wmax, _ := wb.ZoneAt(ci)
+			if !valueEq(gmin, wmin) || !valueEq(gmax, wmax) {
+				t.Fatalf("block %d column %d: zone [%v, %v], want [%v, %v]", i, ci, gmin, gmax, wmin, wmax)
+			}
 		}
 		if gb.Off != wb.Off || gb.N != wb.N {
 			t.Fatalf("block %d window [%d,+%d) != [%d,+%d)", i, gb.Off, gb.N, wb.Off, wb.N)
@@ -393,7 +388,7 @@ func bigDict8Column() colstore.Column {
 func badCodeTable(col colstore.Column) *storage.Table {
 	d := &colstore.Data{N: 2, Cols: []colstore.Column{col}, MetaEnds: []int32{2}, Rates: []float64{1}, Freqs: []int64{1}}
 	tbl := storage.NewTable("forged", types.NewSchema(types.Column{Name: "s", Kind: types.KindString}))
-	tbl.AddBlock(&storage.Block{Chunk: d, N: 2, Zones: []storage.Zone{{Min: types.Str("a"), Max: types.Str("b"), Valid: true}}})
+	tbl.AddBlock(&storage.Block{Chunk: d, N: 2})
 	return tbl
 }
 
@@ -448,7 +443,7 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 		MetaEnds: []int32{1}, Rates: []float64{1}, Freqs: []int64{1},
 	}
 	tbl := storage.NewTable("forged", types.NewSchema(types.Column{Name: "s", Kind: types.KindString}))
-	tbl.AddBlock(&storage.Block{Chunk: d, N: 1, Zones: []storage.Zone{{Min: types.Str("s0"), Max: types.Str("s0"), Valid: true}}})
+	tbl.AddBlock(&storage.Block{Chunk: d, N: 1})
 	seg, err := Open(writeFixture(t, tbl))
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +465,9 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 // a column became its minimum plus 16-bit offsets) and
 // testdata/chunked_v4.seg (buildFixture's 40 rows, whose 23-string
 // dictionary column stores 2-byte codes — the format before such a column
-// took 1-byte ones). Both load paths must refuse them with a clean
+// took 1-byte ones) and testdata/chunked_v5.seg (buildFixture's 40 rows
+// with every block's byte size and zones stored — the format before the
+// loader derived them). Both load paths must refuse them with a clean
 // version error — no panic, no half-loaded table — so the engine above
 // falls back to a cold rebuild.
 func TestRetiredFormatVersionRejected(t *testing.T) {
@@ -496,6 +493,7 @@ var retiredSegments = map[string]int{
 	"chunked_v2.seg":         2,
 	"chunked_v3.seg":         3,
 	"chunked_v4.seg":         4,
+	"chunked_v5.seg":         5,
 }
 
 // TestEncodingCoverage asserts the fixture actually exercises every

@@ -17,17 +17,19 @@ import (
 // The contract under fuzzing is "error or correct, never panic" — every
 // count, offset and section reference is attacker-controlled here.
 // Seeds cover a valid single-table segment, a multi-table segment, the
-// two retired format-1 segments and the retired format-2, format-3 and
-// format-4 ones, systematic mutations of the first, and a segment whose
-// 1-byte dictionary code is past its dictionary. testdata/fuzz holds the
-// checked-in corpus: a valid format-5 segment of buildFixture's 40 rows,
+// two retired format-1 segments and the retired format-2 to format-5
+// ones, systematic mutations of the first, and a segment whose 1-byte
+// dictionary code is past its dictionary. testdata/fuzz holds the
+// checked-in corpus: a valid format-6 segment of buildFixture's 40 rows,
 // its int column narrow and its dictionary column of 1-byte codes
 // (seed-valid), it with a byte flipped a third of the way in
 // (seed-bitflip), cut in half (seed-truncated) and with its last byte
 // changed (seed-badtail), testdata/chunked_v2.seg (seed-retired-v2),
 // testdata/chunked_v3.seg (seed-retired-v3), testdata/chunked_v4.seg
-// (seed-retired-v4) and the two-row segment whose 1-byte code 2 indexes a
-// two-entry dictionary (seed-badcode8).
+// (seed-retired-v4), testdata/chunked_v5.seg (seed-retired-v5), the
+// two-row segment whose 1-byte code 2 indexes a two-entry dictionary
+// (seed-badcode8) and the one whose 1-byte codes sit over a dictionary
+// larger than they reach (seed-bigdict8).
 func FuzzSegmentLoad(f *testing.F) {
 	seed := func(rows int, extraTable bool) []byte {
 		tbl := buildFixture(f, rows)
@@ -64,7 +66,7 @@ func FuzzSegmentLoad(f *testing.F) {
 		f.Add(valid[:off])
 	}
 	// After the rest, so the earlier seeds keep their numbers.
-	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg", "chunked_v3.seg", "chunked_v4.seg"} {
+	for _, file := range []string{"columnar_blocks_v1.seg", "chunked_v2.seg", "chunked_v3.seg", "chunked_v4.seg", "chunked_v5.seg"} {
 		retired, err = os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
 			f.Fatal(err)

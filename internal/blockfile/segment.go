@@ -43,10 +43,8 @@ type chunkDesc struct {
 type blockDesc struct {
 	node   int
 	place  storage.Placement
-	bytes  int64
 	chunk  int
 	off, n int
-	zones  []storage.Zone
 }
 
 type colDesc struct {
@@ -219,14 +217,15 @@ func (s *Segment) parseTable(d *Dec) (tableDesc, error) {
 		}
 		t.chunks = append(t.chunks, c)
 	}
-	nblocks := d.Count(29)
-	t.blocks = make([]blockDesc, 0, nblocks)
-	for i := 0; i < nblocks; i++ {
-		b, err := s.parseBlock(d, ncols)
-		if err != nil {
-			return t, fmt.Errorf("block %d: %w", i, err)
-		}
-		t.blocks = append(t.blocks, b)
+	nblocks := d.Count(17)
+	t.blocks = make([]blockDesc, nblocks)
+	for i := range t.blocks {
+		b := &t.blocks[i]
+		b.node = int(d.U32())
+		b.place = storage.Placement(d.U8())
+		b.chunk = int(d.U32())
+		b.off = int(d.U32())
+		b.n = int(d.U32())
 	}
 	return t, d.err
 }
@@ -274,27 +273,6 @@ func (s *Segment) parseChunk(d *Dec, ncols int) (chunkDesc, error) {
 	return c, d.err
 }
 
-func (s *Segment) parseBlock(d *Dec, ncols int) (blockDesc, error) {
-	var b blockDesc
-	b.node = int(d.U32())
-	b.place = storage.Placement(d.U8())
-	b.bytes = d.I64()
-	b.chunk = int(d.U32())
-	b.off = int(d.U32())
-	b.n = int(d.U32())
-	nz := d.Count(3)
-	if d.err == nil && nz != ncols {
-		return b, fmt.Errorf("zone count %d != %d columns", nz, ncols)
-	}
-	b.zones = make([]storage.Zone, nz)
-	for i := range b.zones {
-		b.zones[i].Valid = d.U8() != 0
-		b.zones[i].Min = d.Val()
-		b.zones[i].Max = d.Val()
-	}
-	return b, d.err
-}
-
 // section returns the verified bytes of section idx. The CRC is checked
 // on every call — cheap relative to a load, and it keeps the contract
 // simple: bytes handed out are always the bytes that were written.
@@ -340,8 +318,8 @@ func (s *Segment) Table(i int) (*storage.Table, error) {
 		}
 		chunks[ci] = d
 	}
-	t := storage.NewTable(td.name, td.schema)
-	chunk, end := 0, 0 // the chunk being tiled and how far
+	ends := make([]int, len(td.blocks)) // each block's window end in its chunk
+	chunk, end := 0, 0                  // the chunk being tiled and how far
 	for bi := range td.blocks {
 		bd := &td.blocks[bi]
 		if chunk < len(chunks) && end == chunks[chunk].N && bd.chunk == chunk+1 {
@@ -352,15 +330,21 @@ func (s *Segment) Table(i int) (*storage.Table, error) {
 				td.name, bi, bd.off, bd.n, bd.chunk)
 		}
 		end += bd.n
-		t.AddBlock(&storage.Block{
-			Chunk: chunks[chunk], Off: bd.off, N: bd.n,
-			Node: bd.node, Place: bd.place, Bytes: bd.bytes,
-			Zones: append([]storage.Zone(nil), bd.zones...),
-		})
+		ends[bi] = end
 	}
 	if len(chunks) > 0 && (chunk != len(chunks)-1 || end != chunks[chunk].N) {
 		return nil, fmt.Errorf("blockfile: table %q: blocks cover chunk %d to row %d, the table has %d chunks",
 			td.name, chunk, end, len(chunks))
+	}
+	t := storage.NewTable(td.name, td.schema)
+	for lo, hi := 0, 0; lo < len(td.blocks); lo = hi {
+		for hi = lo + 1; hi < len(td.blocks) && td.blocks[hi].chunk == td.blocks[lo].chunk; hi++ {
+		}
+		blocks := storage.Cut(chunks[td.blocks[lo].chunk], ends[lo:hi], 1)
+		for i := range blocks {
+			blocks[i].Node, blocks[i].Place = td.blocks[lo+i].node, td.blocks[lo+i].place
+			t.AddBlock(&blocks[i])
+		}
 	}
 	return t, nil
 }

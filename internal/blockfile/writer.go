@@ -14,9 +14,8 @@
 //	                refs — an int or bool column names its form: wide,
 //	                an int64 section, or narrow, its Base and a uint16
 //	                offset section; a dictionary column its code width,
-//	                1 or 2 bytes — then the block table: placement,
-//	                bytes, zones and a (chunk, offset, rows) window per
-//	                priced block)
+//	                1 or 2 bytes — then the block table: placement and
+//	                a (chunk, offset, rows) window per priced block)
 //	tail     24 B   footer offset/length, footer CRC32C, magic
 //
 // All fixed-width fields are little-endian. Numeric column payloads
@@ -27,6 +26,11 @@
 // column's slices are views over the mapping — zero per-value decode, zero
 // per-value allocation. Strings (dictionaries of at most 65,536 entries,
 // mixed-kind value streams) are length-prefixed and decoded on load.
+//
+// A block's zones and byte size are not stored: the loader derives them
+// from its window's rows (storage.Cut), so they are what a build of the
+// same rows computes and a file cannot carry a zone that excludes its own
+// rows.
 //
 // Every section and the footer carry a CRC32C; loaders verify the CRC of
 // each section they materialize, so a flipped byte surfaces as an error
@@ -59,8 +63,10 @@ const (
 	// one whose values fit a 16-bit window as its minimum plus uint16
 	// offsets; version 4 stored every dictionary column's codes as
 	// uint16s, where version 5 stores 1- or 2-byte codes, chosen per
-	// chunk: one byte a row when the dictionary has at most 256 entries.
-	FormatVersion = 5
+	// chunk: one byte a row when the dictionary has at most 256 entries;
+	// version 5 stored each block's byte size and zones, which version 6
+	// derives on load.
+	FormatVersion = 6
 
 	headerSize = 16
 	tailSize   = 24
@@ -192,20 +198,9 @@ func (w *Writer) AddTable(t *storage.Table) error {
 		}
 		e.U32(uint32(b.Node))
 		e.U8(uint8(b.Place))
-		e.I64(b.Bytes)
 		e.U32(uint32(chunk))
 		e.U32(uint32(b.Off))
 		e.U32(uint32(b.N))
-		e.U32(uint32(len(b.Zones)))
-		for _, z := range b.Zones {
-			if z.Valid {
-				e.U8(1)
-			} else {
-				e.U8(0)
-			}
-			e.Val(z.Min)
-			e.Val(z.Max)
-		}
 	}
 	w.tables = append(w.tables, e.buf...)
 	w.ntables++

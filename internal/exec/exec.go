@@ -451,19 +451,16 @@ type Partial struct {
 // plan's conjunctive bounds. Blocks without zones, and columns holding a
 // NaN, are conservatively kept.
 func zoneMayMatch(b *storage.Block, bounds []colBound) bool {
-	for _, cb := range bounds {
-		if cb.col >= len(b.Zones) || !b.Zones[cb.col].Valid {
-			continue
-		}
+	for i := range bounds {
+		cb := &bounds[i]
 		// A NaN compares equal to everything: it never widens a zone (a
 		// leading one pins it at [NaN, NaN]) yet passes =, <= and >= against
 		// any constant, so the bracket of a column whose chunk holds one says
 		// nothing about the block.
-		if d := b.Chunk; d != nil && cb.col < len(d.Cols) && !d.Cols[cb.col].NaNFree {
+		if cb.col >= len(b.Zones) || !b.Chunk.Cols[cb.col].NaNFree {
 			continue
 		}
-		z := &b.Zones[cb.col]
-		if !cb.b.overlapsZone(z.Min, z.Max) {
+		if !zoneOverlaps(b, cb) {
 			return false
 		}
 	}

@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"sort"
+	"strings"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -92,21 +95,65 @@ func (b *Bounds) tightenHi(v types.Value, open bool) {
 	}
 }
 
-// overlapsZone reports whether the interval can intersect [zMin, zMax].
-func (b *Bounds) overlapsZone(zMin, zMax types.Value) bool {
-	if b.Hi != nil {
-		c := types.Compare(zMin, *b.Hi)
-		if c > 0 || (c == 0 && b.HiOpen) {
+// zoneOverlaps reports whether the interval of cb can intersect the zone
+// of column cb.col in b.
+func zoneOverlaps(b *storage.Block, cb *colBound) bool {
+	z, col := &b.Zones[cb.col], &b.Chunk.Cols[cb.col]
+	if hi := cb.b.Hi; hi != nil {
+		c := cmpEnd(col, z.Lo, z.Null&storage.MinNull != 0, hi)
+		if c > 0 || (c == 0 && cb.b.HiOpen) {
 			return false
 		}
 	}
-	if b.Lo != nil {
-		c := types.Compare(zMax, *b.Lo)
-		if c < 0 || (c == 0 && b.LoOpen) {
+	if lo := cb.b.Lo; lo != nil {
+		c := cmpEnd(col, z.Hi, z.Null&storage.MaxNull != 0, lo)
+		if c < 0 || (c == 0 && cb.b.LoOpen) {
 			return false
 		}
 	}
 	return true
+}
+
+// cmpEnd is types.Compare(e, *v) for an end e of a zone of col: NULL when
+// null is set, else the value payload p stands for (storage.Zone). An int
+// against an int column's payload and a string against a dictionary's
+// string compare typed, as do ints and strings stored in runs or a value
+// stream; everything else compares by types.Compare, the payload decoded
+// (storage.ZoneEnd).
+func cmpEnd(col *colstore.Column, p uint64, null bool, v *types.Value) int {
+	if null {
+		if v.Kind == types.KindNull {
+			return 0
+		}
+		return -1
+	}
+	switch col.Enc {
+	case colstore.EncInt:
+		if v.Kind == types.KindInt {
+			return cmp.Compare(int64(p), v.I)
+		}
+	case colstore.EncDict:
+		if v.Kind == types.KindString {
+			return strings.Compare(col.Dict[p], v.S)
+		}
+	case colstore.EncRLE:
+		return cmpStored(&col.RunVals[p], v)
+	case colstore.EncValue:
+		return cmpStored(&col.Values[p], v)
+	}
+	return types.Compare(storage.ZoneEnd(col, p, false), *v)
+}
+
+// cmpStored is types.Compare(*e, *v), typed when both are strings or both
+// ints.
+func cmpStored(e, v *types.Value) int {
+	switch {
+	case e.Kind == types.KindString && v.Kind == types.KindString:
+		return strings.Compare(e.S, v.S)
+	case e.Kind == types.KindInt && v.Kind == types.KindInt:
+		return cmp.Compare(e.I, v.I)
+	}
+	return types.Compare(*e, *v)
 }
 
 // conjunctiveLeaves returns the predicate's comparison leaves when the
@@ -156,19 +203,21 @@ func zoneOrderSafe(v types.Value) bool {
 	return true
 }
 
-// leafImplied reports whether EVERY value v with zmin ≤ v ≤ zmax (under
-// types.Compare — NULLs included, since zones extend through them as the
-// minimum) satisfies the comparison leaf. Sound because, after the
-// zoneOrderSafe guards, Compare is a transitive total order over the
-// zone's bracket and the constant, and every scan kernel decides each row
-// exactly by
+// zoneImpliesLeaf reports whether EVERY value between the ends of the
+// zone of column t.ColIdx in b (under types.Compare — NULLs included, since
+// zones extend through them as the minimum) satisfies the comparison leaf
+// t. Sound because, after the zoneOrderSafe guards, Compare is a
+// transitive total order over the zone's bracket and the constant, and
+// every scan kernel decides each row exactly by
 // cmpPass(Compare(rowVal, val), opFlags).
-func leafImplied(zmin, zmax, val types.Value, op types.CmpOp) bool {
-	if !zoneOrderSafe(zmin) || !zoneOrderSafe(zmax) || !zoneOrderSafe(val) {
+func zoneImpliesLeaf(b *storage.Block, t *types.CmpPred) bool {
+	z, col := &b.Zones[t.ColIdx], &b.Chunk.Cols[t.ColIdx]
+	minNull, maxNull := z.Null&storage.MinNull != 0, z.Null&storage.MaxNull != 0
+	if !zoneOrderSafe(t.Val) || !endOrderSafe(col, z.Lo, minNull) || !endOrderSafe(col, z.Hi, maxNull) {
 		return false
 	}
-	cmin, cmax := types.Compare(zmin, val), types.Compare(zmax, val)
-	switch op {
+	cmin, cmax := cmpEnd(col, z.Lo, minNull, &t.Val), cmpEnd(col, z.Hi, maxNull, &t.Val)
+	switch t.Op {
 	case types.CmpLt:
 		return cmax < 0
 	case types.CmpLe:
@@ -185,27 +234,38 @@ func leafImplied(zmin, zmax, val types.Value, op types.CmpOp) bool {
 	return false
 }
 
+// endOrderSafe is zoneOrderSafe for an end of a zone of col (see cmpEnd),
+// read off the payload: decoding it through storage.ZoneEnd made an int
+// block's zone checks a third slower (BenchmarkZoneCheck).
+func endOrderSafe(col *colstore.Column, p uint64, null bool) bool {
+	switch {
+	case null:
+		return true
+	case col.Enc == colstore.EncInt:
+		return zoneOrderSafe(types.Int(int64(p)))
+	case col.Enc == colstore.EncFloat:
+		return zoneOrderSafe(types.Float(math.Float64frombits(p)))
+	case col.Enc == colstore.EncRLE:
+		return zoneOrderSafe(col.RunVals[p])
+	case col.Enc == colstore.EncValue:
+		return zoneOrderSafe(col.Values[p])
+	}
+	return true // a string or a bool
+}
+
 // zoneImpliesPred is the all-true third state of zone classification: it
 // reports whether the block's zones prove the (purely conjunctive)
 // predicate holds for EVERY row, letting the scan skip predicate
 // evaluation entirely and batch-aggregate the whole block. Requires each
 // leaf's column to be NaN-free across the block's chunk (a hidden NaN
-// fails ordered comparisons without moving the zone) with a valid zone
-// whose bracket implies the leaf. Purely an evaluation shortcut: a false
+// fails ordered comparisons without moving the zone) with a zone whose
+// bracket implies the leaf. Purely an evaluation shortcut: a false
 // return only means "evaluate normally", so results are bit-identical
 // either way.
 func zoneImpliesPred(b *storage.Block, leaves []*types.CmpPred) bool {
-	d := b.Chunk
 	for _, t := range leaves {
 		ci := t.ColIdx
-		if ci >= len(b.Zones) || !b.Zones[ci].Valid {
-			return false
-		}
-		if ci >= len(d.Cols) || !d.Cols[ci].NaNFree {
-			return false
-		}
-		z := b.Zones[ci]
-		if !leafImplied(z.Min, z.Max, t.Val, t.Op) {
+		if ci >= len(b.Zones) || !b.Chunk.Cols[ci].NaNFree || !zoneImpliesLeaf(b, t) {
 			return false
 		}
 	}

@@ -74,14 +74,17 @@ func TestColumnBoundsNeIgnored(t *testing.T) {
 	}
 }
 
+// mkBlock returns a two-row block (a, b) whose zones are a ∈ [aMin, aMax]
+// and b = 'm'.
 func mkBlock(aMin, aMax int64) *storage.Block {
-	b := &storage.Block{Bytes: 100}
-	var za, zb storage.Zone
-	za.Extend(types.Int(aMin))
-	za.Extend(types.Int(aMax))
-	zb.Extend(types.Str("m"))
-	b.Zones = []storage.Zone{za, zb}
-	return b
+	tab := storage.NewTable("t", types.NewSchema(
+		types.Column{Name: "a", Kind: types.KindInt},
+		types.Column{Name: "b", Kind: types.KindString},
+	))
+	bld := storage.NewBuilder(tab, 2, 1, storage.InMemory)
+	bld.AppendRow(types.Row{types.Int(aMin), types.Str("m")})
+	bld.AppendRow(types.Row{types.Int(aMax), types.Str("m")})
+	return bld.Finish().Blocks[0]
 }
 
 func TestPruneBlocks(t *testing.T) {

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// entries counts the cache's entries through Range.
+func entries[V any](c *Cache[V]) int {
+	n := 0
+	c.Range(func(string, V) bool { n++; return true })
+	return n
+}
+
 // TestLRUOrder uses a single shard for exact-LRU determinism.
 func TestLRUOrder(t *testing.T) {
 	c := NewSharded[int](3, 1)
@@ -24,8 +31,8 @@ func TestLRUOrder(t *testing.T) {
 			t.Errorf("%s should be resident", k)
 		}
 	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d, want 3", c.Len())
+	if entries(c) != 3 {
+		t.Errorf("%d entries, want 3", entries(c))
 	}
 }
 
@@ -36,8 +43,8 @@ func TestPutReplaces(t *testing.T) {
 	if v, _ := c.Get("k"); v != "v2" {
 		t.Errorf("Get = %q, want v2", v)
 	}
-	if c.Len() != 1 {
-		t.Errorf("replace grew the cache: Len = %d", c.Len())
+	if entries(c) != 1 {
+		t.Errorf("replace grew the cache: %d entries", entries(c))
 	}
 }
 
@@ -52,8 +59,8 @@ func TestNilCacheAlwaysMisses(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("nil cache must always miss")
 	}
-	if c.Len() != 0 {
-		t.Error("nil cache Len must be 0")
+	if entries(c) != 0 {
+		t.Error("nil cache must hold no entries")
 	}
 }
 
@@ -65,10 +72,10 @@ func TestCapacityAcrossShards(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), i)
 	}
-	if got := c.Len(); got > capTotal {
-		t.Errorf("Len = %d exceeds capacity %d", got, capTotal)
+	if got := entries(c); got > capTotal {
+		t.Errorf("%d entries exceed capacity %d", got, capTotal)
 	}
-	if got := c.Len(); got == 0 {
+	if got := entries(c); got == 0 {
 		t.Error("cache empty after inserts")
 	}
 }
@@ -80,8 +87,8 @@ func TestTinyCapacityShardClamp(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
-	if got := c.Len(); got == 0 || got > 3 {
-		t.Errorf("Len = %d, want in [1,3]", got)
+	if got := entries(c); got == 0 || got > 3 {
+		t.Errorf("%d entries, want 1 to 3", got)
 	}
 }
 
@@ -106,8 +113,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 64 {
-		t.Errorf("capacity exceeded under concurrency: %d", c.Len())
+	if entries(c) > 64 {
+		t.Errorf("capacity exceeded under concurrency: %d", entries(c))
 	}
 }
 
@@ -145,19 +152,4 @@ func TestMissNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Get miss allocates %.1f objects/op, want 0", allocs)
 	}
-}
-
-// Len returns the current entry count across all shards.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
 }

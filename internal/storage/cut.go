@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"blinkdb/internal/colstore"
@@ -8,25 +10,42 @@ import (
 )
 
 // cut computes the priced blocks of one chunk: its rowsPerBlock-row
-// windows (the last may be short), each with its zones and byte size, read
-// from the chunk's typed columns a column at a time, the columns fanned out
-// over up to workers goroutines. A block's size is the sum of its columns'
-// int64 parts, the same in any order. The blocks and their zones are
-// allocated as two arrays: a scan classifies every block of its range
-// before it reads a row, and walks them in this order.
+// windows (the last may be short). See Cut.
+func cut(d *colstore.Data, rowsPerBlock, workers int) []Block {
+	ends := make([]int, 0, (d.N+rowsPerBlock-1)/rowsPerBlock)
+	for end := rowsPerBlock; ; end += rowsPerBlock {
+		if end >= d.N {
+			ends = append(ends, d.N)
+			break
+		}
+		ends = append(ends, end)
+	}
+	return Cut(d, ends, workers)
+}
+
+// Cut returns the priced blocks of chunk d whose windows end at ends
+// (ascending, the last d.N), each with its zones and byte size, read from
+// the chunk's typed columns a column at a time, the columns fanned out
+// over up to workers goroutines. A block's size is the sum of its
+// columns' int64 parts, the same in any order. The blocks and their zones
+// are allocated as two arrays: a scan classifies every block of its range
+// before it reads a row, and walks them in this order. Node and Place are
+// left to the caller.
 //
-// A zone is DEFINED as the row-order fold of Zone.Extend over the window's
-// values, NULLs included (leafImplied and zoneMayMatch in internal/exec
-// reason about exactly that bracket). The typed passes below are shortcuts
-// to the same bracket: Extend replaces Min only on a strictly smaller
-// value and Max only on a strictly larger one under types.Compare, which
-// for a column of one kind is the machine comparison — so a strict </>
-// loop keeps the same first-seen value on ties (−0 before +0) and is
-// pinned by a leading NaN exactly as the fold is — and NULL, ranked below
+// A zone is DEFINED as the row-order fold, under types.Compare, of the
+// window's values, NULLs included (zoneMayMatch and zoneImpliesPred in
+// internal/exec reason about exactly that bracket): the first value is
+// both ends, and a later one replaces Min only when strictly smaller and
+// Max only when strictly larger. An RLE column folds its runs' values and
+// a value stream its rows', keeping their indices (the payloads). The
+// typed passes are shortcuts to the same bracket: for a column of one
+// kind types.Compare is the machine comparison — so a strict </> loop
+// keeps the same first-seen value on ties (−0 before +0) and is pinned by
+// a leading NaN exactly as the fold is — and NULL, ranked below
 // everything, becomes Min wherever it appears and never Max unless the
 // window holds nothing else.
-func cut(d *colstore.Data, rowsPerBlock, workers int) []Block {
-	width, nb := len(d.Cols), (d.N+rowsPerBlock-1)/rowsPerBlock
+func Cut(d *colstore.Data, ends []int, workers int) []Block {
+	width, nb := len(d.Cols), len(ends)
 	out := make([]Block, nb)
 	zones := make([]Zone, nb*width)
 	parts := make([]int64, nb*width) // block i's bytes in column ci at [ci*nb+i]
@@ -37,49 +56,52 @@ func cut(d *colstore.Data, rowsPerBlock, workers int) []Block {
 		if col.Enc == colstore.EncDict {
 			rank, size = dictOrder(col.Dict)
 		}
-		for i := 0; i < nb; i++ {
-			off := i * rowsPerBlock
-			zones[i*width+ci], parts[ci*nb+i] = column(col, off, min(off+rowsPerBlock, d.N), rank, size)
+		off := 0
+		for i, end := range ends {
+			zones[i*width+ci], parts[ci*nb+i] = column(col, off, end, rank, size)
+			off = end
 		}
 	})
-	for i := range out {
-		off := i * rowsPerBlock
-		out[i] = Block{Chunk: d, Off: off, N: min(rowsPerBlock, d.N-off), Zones: zones[i*width : (i+1)*width : (i+1)*width]}
+	off := 0
+	for i, end := range ends {
+		out[i] = Block{Chunk: d, Off: off, N: end - off, Zones: zones[i*width : (i+1)*width : (i+1)*width]}
 		for ci := 0; ci < width; ci++ {
 			out[i].Bytes += parts[ci*nb+i]
 		}
+		off = end
 	}
 	return out
 }
 
-// column returns col's zone over rows [lo, hi) and the rows' serialized
-// size in it (see EstimateRowBytes). A dictionary column's rank and size
-// are dictOrder's.
+// column returns col's zone over rows [lo, hi), which hold at least one
+// row, and the rows' serialized size in it (see EstimateRowBytes). A
+// dictionary column's rank and size are dictOrder's.
 func column(col *colstore.Column, lo, hi int, rank []uint32, size []int64) (Zone, int64) {
 	n := hi - lo
-	var z Zone
 	var bytes int64
 	switch col.Enc {
 	case colstore.EncRLE:
-		for i, run := lo, col.RunOf(lo); i < hi; run++ {
+		first := col.RunOf(lo)
+		mn, mx := first, first
+		for i, run := lo, first; i < hi; run++ {
 			end := min(int(col.RunEnds[run]), hi)
-			z.Extend(col.RunVals[run])
+			mn, mx = fold(col.RunVals, run, mn, mx)
 			bytes += int64(end-i) * valueBytes(col.RunVals[run])
 			i = end
 		}
-		return z, bytes
+		return valueZone(col.RunVals, mn, mx), bytes
 	case colstore.EncValue:
-		for _, v := range col.Values[lo:hi] {
-			z.Extend(v)
-			bytes += valueBytes(v)
+		mn, mx := lo, lo
+		for i := lo; i < hi; i++ {
+			mn, mx = fold(col.Values, i, mn, mx)
+			bytes += valueBytes(col.Values[i])
 		}
-		return z, bytes
+		return valueZone(col.Values, mn, mx), bytes
 	}
 
-	z.Valid = true
 	nulls := colstore.CountBits(col.Nulls, lo, hi)
 	if nulls == n {
-		return z, int64(n) // Min = Max = NULL
+		return Zone{Null: MinNull | MaxNull}, int64(n)
 	}
 	isNull := func(i int) bool { return col.Nulls[i>>6]&(1<<uint(i&63)) != 0 }
 	first := lo // first non-NULL row
@@ -90,10 +112,11 @@ func column(col *colstore.Column, lo, hi int, rank []uint32, size []int64) (Zone
 	if nulls == 0 {
 		nullBits = nil
 	}
+	var z Zone
 	switch col.Enc {
 	case colstore.EncFloat:
 		mn, mx := colstore.Bounds(col.Floats, nullBits, first, hi)
-		z.Min, z.Max = types.Float(mn), types.Float(mx)
+		z.Lo, z.Hi = math.Float64bits(mn), math.Float64bits(mx)
 		bytes += 8*int64(n-nulls) + int64(nulls)
 	case colstore.EncInt, colstore.EncBool:
 		var mn, mx int64
@@ -103,13 +126,12 @@ func column(col *colstore.Column, lo, hi int, rank []uint32, size []int64) (Zone
 		} else {
 			mn, mx = colstore.Bounds(col.Ints, nullBits, first, hi)
 		}
+		z.Lo, z.Hi = uint64(mn), uint64(mx)
 		// Bytes are logical, as the rows were appended: 8 per int, in
 		// either form.
 		if col.Enc == colstore.EncInt {
-			z.Min, z.Max = types.Int(mn), types.Int(mx)
 			bytes += 8*int64(n-nulls) + int64(nulls)
 		} else {
-			z.Min, z.Max = types.Value{Kind: types.KindBool, I: mn}, types.Value{Kind: types.KindBool, I: mx}
 			bytes += int64(n)
 		}
 	default: // EncDict
@@ -121,12 +143,100 @@ func column(col *colstore.Column, lo, hi int, rank []uint32, size []int64) (Zone
 			mn, mx, strBytes = dictZone(col.Codes16, rank, size, nullBits, first, hi)
 		}
 		bytes += int64(nulls) + strBytes
-		z.Min, z.Max = types.Str(col.Dict[mn]), types.Str(col.Dict[mx])
+		z.Lo, z.Hi = uint64(mn), uint64(mx)
 	}
 	if nulls > 0 {
-		z.Min = types.Null()
+		z.Lo, z.Null = 0, MinNull
 	}
 	return z, bytes
+}
+
+// fold is one step of the zone fold over vals: the indices of the
+// bracket's ends after vals[i].
+func fold(vals []types.Value, i, mn, mx int) (int, int) {
+	if types.Compare(vals[i], vals[mn]) < 0 {
+		mn = i
+	}
+	if types.Compare(vals[i], vals[mx]) > 0 {
+		mx = i
+	}
+	return mn, mx
+}
+
+// valueZone is the zone of an RLE or value-stream bracket whose ends are
+// vals[mn] and vals[mx].
+func valueZone(vals []types.Value, mn, mx int) Zone {
+	z := Zone{Lo: uint64(mn), Hi: uint64(mx)}
+	if vals[mn].IsNull() {
+		z.Null |= MinNull
+	}
+	if vals[mx].IsNull() {
+		z.Null |= MaxNull
+	}
+	return z
+}
+
+// chunkBytes is the serialized size of chunk d's rows (see
+// EstimateRowBytes), column by column on up to workers goroutines: the
+// bytes of one window of every row, without the zones.
+func chunkBytes(d *colstore.Data, workers int) int64 {
+	parts := make([]int64, len(d.Cols))
+	colstore.ParallelFor(len(d.Cols), workers, func(ci int) {
+		col := &d.Cols[ci]
+		switch col.Enc {
+		case colstore.EncRLE:
+			prev := int32(0)
+			for r, end := range col.RunEnds {
+				parts[ci] += int64(end-prev) * valueBytes(col.RunVals[r])
+				prev = end
+			}
+			return
+		case colstore.EncValue:
+			for _, v := range col.Values {
+				parts[ci] += valueBytes(v)
+			}
+			return
+		}
+		nulls := int64(colstore.CountBits(col.Nulls, 0, d.N))
+		switch col.Enc {
+		case colstore.EncFloat, colstore.EncInt:
+			parts[ci] = 8*(int64(d.N)-nulls) + nulls
+		case colstore.EncBool:
+			parts[ci] = int64(d.N)
+		default: // EncDict: count each code, then weigh the counts
+			parts[ci] = nulls
+			if nulls == int64(d.N) {
+				return
+			}
+			counts := make([]int64, len(col.Dict))
+			if col.Codes8 != nil {
+				countCodes(col.Codes8, col.Nulls, counts)
+			} else {
+				countCodes(col.Codes16, col.Nulls, counts)
+			}
+			for code, c := range counts {
+				parts[ci] += c * (int64(len(col.Dict[code])) + 2)
+			}
+		}
+	})
+	var total int64
+	for _, p := range parts {
+		total += p
+	}
+	return total
+}
+
+// countCodes adds to counts how many rows of codes hold each code, leaving
+// out the rows nulls marks (nil: none).
+func countCodes[C colstore.Code](codes []C, nulls []uint64, counts []int64) {
+	for _, c := range codes {
+		counts[c]++
+	}
+	for w, word := range nulls {
+		for ; word != 0; word &= word - 1 {
+			counts[codes[w<<6+bits.TrailingZeros64(word)]]--
+		}
+	}
 }
 
 // dictZone returns the codes of the smallest and largest string of

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/types"
@@ -16,14 +17,39 @@ func sameValue(a, b types.Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
+// foldZone is the reference bracket of a window: the row-order fold of
+// Extend over its values, NULLs included, that cut's zones must decode to.
+type foldZone struct {
+	Min, Max types.Value
+	// Valid is false until the first value.
+	Valid bool
+}
+
+// Extend widens the bracket to include v: it replaces Min only by a
+// strictly smaller value and Max only by a strictly larger one, under
+// types.Compare.
+func (z *foldZone) Extend(v types.Value) {
+	if !z.Valid {
+		z.Min, z.Max, z.Valid = v, v, true
+		return
+	}
+	if types.Compare(v, z.Min) < 0 {
+		z.Min = v
+	}
+	if types.Compare(v, z.Max) > 0 {
+		z.Max = v
+	}
+}
+
 // TestZonesMatchExtendFold pins what keeps pruning — and so every rows-
 // scanned count — where it was: the zones cut reads off a chunk's
-// typed columns equal the row-order fold of Zone.Extend over the same
-// rows, and the bytes equal the rows' EstimateRowBytes, for every window
-// of chunks built to hit each encoding and each way the fold can surprise:
-// a leading NaN (pins the bracket), NaN behind a NULL, NULL-bearing and
-// all-NULL windows, ±0 ties, a column that mixes kinds, runs, and
-// single-row blocks.
+// typed columns decode (ZoneAt) to the row-order fold of Extend over the
+// same rows, payload bits included, and the bytes equal the rows'
+// EstimateRowBytes, for every window of chunks built to hit each encoding
+// and form (1- and 2-byte dictionary codes, narrow and wide ints) and each
+// way the fold can surprise: a leading NaN (pins the bracket), NaN behind
+// a NULL, windows that start or end with a NULL or hold nothing else, ±0
+// ties, a column that mixes kinds, runs, and single-row blocks.
 func TestZonesMatchExtendFold(t *testing.T) {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(7))
@@ -54,6 +80,12 @@ func TestZonesMatchExtendFold(t *testing.T) {
 		if i%29 == 0 {
 			in = types.Null()
 		}
+		// Wide ints, NULL at the start and the end of every 64-row window
+		// and over a stretch of them.
+		wide := types.Int(rng.Int63n(1<<40) - 1<<39)
+		if i%64 == 0 || i%64 == 63 || (i >= 256 && i < 320) {
+			wide = types.Null()
+		}
 		mix := types.Value(types.Int(int64(i % 9)))
 		switch i % 5 {
 		case 1:
@@ -67,16 +99,24 @@ func TestZonesMatchExtendFold(t *testing.T) {
 		if i%41 == 0 {
 			s = types.Null()
 		}
+		words := types.Str(fmt.Sprintf("w%03d", i*7919%1000)) // 2-byte codes
+		if i%64 == 63 || (i >= 64 && i < 128) {
+			words = types.Null()
+		}
 		rows[i] = types.Row{
 			f, nullThenNaN, in, types.Bool(rng.Intn(3) == 0), s, mix,
 			types.Str(fmt.Sprintf("stratum%d", i/45)), // long runs: RLE
 			types.Value(types.Int(int64(i / 30))),     // RLE over ints, with a float run below
+			wide, words,
 		}
 		if i/30 == 4 {
 			rows[i][7] = types.Float(4)
 		}
+		if i/45 == 2 {
+			rows[i][6] = types.Null() // a NULL run
+		}
 	}
-	b := colstore.NewBuilder(8)
+	b := colstore.NewBuilder(len(rows[0]))
 	for _, r := range rows {
 		b.Append(r, 1, 0)
 	}
@@ -91,10 +131,13 @@ func TestZonesMatchExtendFold(t *testing.T) {
 			t.Fatalf("the chunk never produced encoding %v", enc)
 		}
 	}
+	if !d.Cols[2].Narrow() || d.Cols[8].Narrow() || d.Cols[4].Codes8 == nil || d.Cols[9].Codes16 == nil {
+		t.Fatal("the chunk lacks a narrow or a wide int column, or 1- or 2-byte codes")
+	}
 	for _, size := range []int{1, 2, 7, 64, 100, n} {
 		for _, blk := range cut(d, size, 3) {
 			off := blk.Off
-			want := make([]Zone, len(d.Cols))
+			want := make([]foldZone, len(d.Cols))
 			var bytes int64
 			for _, r := range rows[off : off+blk.N] {
 				for ci, v := range r {
@@ -106,12 +149,25 @@ func TestZonesMatchExtendFold(t *testing.T) {
 				t.Fatalf("rows [%d,%d): %d bytes, the rows estimate %d", off, off+blk.N, blk.Bytes, bytes)
 			}
 			for ci, z := range blk.Zones {
-				if z.Valid != want[ci].Valid || !sameValue(z.Min, want[ci].Min) || !sameValue(z.Max, want[ci].Max) {
-					t.Fatalf("rows [%d,%d) column %d (%v): zone %+v, the Extend fold gives %+v",
-						off, off+blk.N, ci, d.Cols[ci].Enc, z, want[ci])
+				zmin, zmax, ok := blk.ZoneAt(ci)
+				if !ok || !sameValue(zmin, want[ci].Min) || !sameValue(zmax, want[ci].Max) {
+					t.Fatalf("rows [%d,%d) column %d (%v): zone [%v, %v], the Extend fold gives [%v, %v]",
+						off, off+blk.N, ci, d.Cols[ci].Enc, zmin, zmax, want[ci].Min, want[ci].Max)
+				}
+				if (z.Null&MinNull != 0) != zmin.IsNull() || (z.Null&MaxNull != 0) != zmax.IsNull() {
+					t.Fatalf("rows [%d,%d) column %d (%v): NULL flags %b for the zone [%v, %v]",
+						off, off+blk.N, ci, d.Cols[ci].Enc, z.Null, zmin, zmax)
 				}
 			}
 		}
+	}
+}
+
+// TestZoneSize pins the zone at 24 bytes: two payload words and the NULL
+// flags. It is most of a priced block's metadata, a zone a column.
+func TestZoneSize(t *testing.T) {
+	if size := unsafe.Sizeof(Zone{}); size != 24 {
+		t.Errorf("a Zone is %d bytes, want 24", size)
 	}
 }
 

@@ -14,6 +14,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"blinkdb/internal/colstore"
@@ -63,26 +64,28 @@ type RowMeta struct {
 // whose zone cannot intersect a predicate's bounds are skipped entirely —
 // this is how the §3.1 clustered layout ("records with the same or
 // consecutive x values are stored contiguously") turns into I/O savings.
+//
+// A zone is 24 bytes: its bracket's payload, read against the encoding of
+// the column in the block's chunk —
+//
+//	EncInt, EncBool  the int64 value
+//	EncFloat         the float64's bits
+//	EncDict          the dictionary code
+//	EncRLE           the run index (into RunVals)
+//	EncValue         the row offset (into Values)
+//
+// — and a NULL flag for each end. Block.ZoneAt decodes it to Values.
 type Zone struct {
-	// Min and Max bound the column's values within the block.
-	Min, Max types.Value
-	// Valid is false until the first row is recorded.
-	Valid bool
+	Lo, Hi uint64
+	// Null has MinNull set when Min is NULL and MaxNull when Max is.
+	Null uint8
 }
 
-// Extend widens the zone to include v.
-func (z *Zone) Extend(v types.Value) {
-	if !z.Valid {
-		z.Min, z.Max, z.Valid = v, v, true
-		return
-	}
-	if types.Compare(v, z.Min) < 0 {
-		z.Min = v
-	}
-	if types.Compare(v, z.Max) > 0 {
-		z.Max = v
-	}
-}
+// The bits of Zone.Null.
+const (
+	MinNull uint8 = 1 << iota
+	MaxNull
+)
 
 // Block is a priced block: what the cluster model places on a node, prices
 // as one read and prunes by its zones. It is pure metadata — its rows are
@@ -110,6 +113,42 @@ func (b *Block) NumRows() int { return b.N }
 
 // RowAt materialises row i (fresh per call, safe to retain).
 func (b *Block) RowAt(i int) types.Row { return b.Chunk.Row(b.Off + i) }
+
+// ZoneAt returns the bracket of column ci's values over the block's rows
+// — the row-order fold of the values under types.Compare, NULLs included
+// (see Cut) — and false when the block has no zone for ci.
+func (b *Block) ZoneAt(ci int) (min, max types.Value, ok bool) {
+	if ci >= len(b.Zones) {
+		return min, max, false
+	}
+	z, col := &b.Zones[ci], &b.Chunk.Cols[ci]
+	return ZoneEnd(col, z.Lo, z.Null&MinNull != 0), ZoneEnd(col, z.Hi, z.Null&MaxNull != 0), true
+}
+
+// ZoneEnd returns the value an end of a zone of col stands for: payload p
+// (see Zone), or NULL when null is set. A run's or a value stream's end is
+// the Value stored there.
+func ZoneEnd(col *colstore.Column, p uint64, null bool) types.Value {
+	switch col.Enc {
+	case colstore.EncRLE:
+		return col.RunVals[p]
+	case colstore.EncValue:
+		return col.Values[p]
+	}
+	if null {
+		return types.Null()
+	}
+	switch col.Enc {
+	case colstore.EncFloat:
+		return types.Float(math.Float64frombits(p))
+	case colstore.EncInt:
+		return types.Int(int64(p))
+	case colstore.EncBool:
+		return types.Value{Kind: types.KindBool, I: int64(p)}
+	default: // EncDict
+		return types.Str(col.Dict[p])
+	}
+}
 
 // MetaAt returns row i's sampling metadata.
 func (b *Block) MetaAt(i int) RowMeta {
@@ -375,6 +414,10 @@ type Builder struct {
 	// workers bounds the goroutines a chunk's per-column encoding and cut
 	// fan out over (≤ 1: none).
 	workers int
+
+	// staging marks a NewStaging builder: a chunk is one block, with its
+	// byte size and no zones.
+	staging bool
 }
 
 // NewBuilder creates a builder for the given table. rowsPerBlock is the
@@ -393,6 +436,18 @@ func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Buil
 		numNodes:     numNodes,
 		place:        place,
 	}
+}
+
+// NewStaging returns a builder for a table that is only ever re-cut
+// (Recut), which reads its chunks and its byte total and nothing else: each
+// chunk of chunkRows rows is one block that carries the chunk's byte size
+// and no zones, so no zone is computed twice. Its chunks' columns are
+// encoded on up to workers goroutines, as SetWorkers says.
+func NewStaging(table *Table, workers int) *Builder {
+	b := NewBuilder(table, chunkRows, 1, OnDisk)
+	b.staging = true
+	b.SetWorkers(workers)
+	return b
 }
 
 // NewBuilderLayout is NewBuilder; see Layout.
@@ -481,7 +536,12 @@ func (b *Builder) flush() {
 	if b.cur == nil || b.cur.Len() == 0 {
 		return
 	}
-	blocks := cut(b.cur.Finish(), b.rowsPerBlock, b.workers)
+	var blocks []Block
+	if d := b.cur.Finish(); b.staging {
+		blocks = []Block{{Chunk: d, N: d.N, Bytes: chunkBytes(d, b.workers)}}
+	} else {
+		blocks = cut(d, b.rowsPerBlock, b.workers)
+	}
 	for i := range blocks {
 		blk := &blocks[i]
 		blk.Node = b.nextTgt % b.numNodes

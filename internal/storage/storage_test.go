@@ -218,8 +218,8 @@ func TestBlockAccessorsMatchAppendedRows(t *testing.T) {
 		if b.Node != bi%4 || b.Place != OnDisk || len(b.Zones) != 3 {
 			t.Fatalf("block %d physical mismatch", bi)
 		}
-		if z := b.Zones[0]; !z.Valid || z.Min.I != int64(n) || z.Max.I != int64(n+b.NumRows()-1) {
-			t.Fatalf("block %d id zone %+v, rows start at %d", bi, z, n)
+		if zmin, zmax, ok := b.ZoneAt(0); !ok || zmin != types.Int(int64(n)) || zmax != types.Int(int64(n+b.NumRows()-1)) {
+			t.Fatalf("block %d id zone [%v, %v], rows start at %d", bi, zmin, zmax, n)
 		}
 		for i := 0; i < b.NumRows(); i, n = i+1, n+1 {
 			if b.MetaAt(i) != metas[n] {
@@ -269,12 +269,11 @@ func TestZoneSizingFromSchema(t *testing.T) {
 	if len(blk.Zones) != 2 {
 		t.Fatalf("zones sized %d from first row, want 2 (schema width)", len(blk.Zones))
 	}
-	z := blk.Zones[1]
-	if !z.Valid || !z.Min.IsNull() || z.Max.S != "ZZ" {
-		t.Fatalf("trailing column zone not maintained: %+v", z)
+	if zmin, zmax, ok := blk.ZoneAt(1); !ok || !zmin.IsNull() || zmax.S != "ZZ" {
+		t.Fatalf("trailing column zone not maintained: [%v, %v]", zmin, zmax)
 	}
-	if z0 := blk.Zones[0]; !z0.Valid || z0.Min.I != 1 || z0.Max.I != 9 {
-		t.Fatalf("leading zone wrong: %+v", z0)
+	if zmin, zmax, ok := blk.ZoneAt(0); !ok || zmin.I != 1 || zmax.I != 9 {
+		t.Fatalf("leading zone wrong: [%v, %v]", zmin, zmax)
 	}
 }
 
@@ -408,18 +407,6 @@ func chunkDiff(got, want *colstore.Data) string {
 	return ""
 }
 
-func sameZones(a, b []Zone) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Valid != b[i].Valid || !sameValue(a[i].Min, b[i].Min) || !sameValue(a[i].Max, b[i].Max) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestRecut pins the re-cut a loader does once it knows its block size:
 // contents, metadata and totals survive, blocks come out at the new size
 // with the zones and bytes a fresh build of the same rows gives them, and
@@ -440,9 +427,26 @@ func TestRecut(t *testing.T) {
 	if c := src.Chunks(); !c[0].Cols[8].Narrow() || c[1].Cols[8].Narrow() || !c[0].Cols[9].Narrow() || c[1].Cols[9].Narrow() {
 		t.Fatal("the top and bottom columns are not narrow in the first chunk and wide in the second")
 	}
+	// A loader stages its rows without zones: one block a chunk, with the
+	// bytes a cut counts.
+	staged := NewStaging(NewTable("t", recutSchema()), 3)
+	for i, r := range rows {
+		staged.Append(r, metas[i])
+	}
+	stagedTab := staged.Finish()
+	if stagedTab.Bytes() != src.Bytes() || stagedTab.NumRows() != src.NumRows() || len(stagedTab.Blocks) != len(src.Chunks()) {
+		t.Fatalf("staged: %d bytes, %d rows in %d blocks; a cut table has %d bytes, %d rows in %d chunks",
+			stagedTab.Bytes(), stagedTab.NumRows(), len(stagedTab.Blocks), src.Bytes(), src.NumRows(), len(src.Chunks()))
+	}
+	for _, b := range stagedTab.Blocks {
+		if b.Zones != nil {
+			t.Fatal("a staged block carries zones")
+		}
+	}
 	for i, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
 		workers := []int{1, 4, 2, 3}[i] // the table must not depend on it
-		dst := Recut(src, rowsPerBlock, 2, workers, OnDisk)
+		from := []*Table{src, stagedTab}[i%2]
+		dst := Recut(from, rowsPerBlock, 2, workers, OnDisk)
 		if err := Validate(dst, 2); err != nil {
 			t.Fatalf("rowsPerBlock %d: %v", rowsPerBlock, err)
 		}
@@ -463,7 +467,7 @@ func TestRecut(t *testing.T) {
 		at := 0
 		for bi, blk := range dst.Blocks {
 			wb := want.Blocks[bi]
-			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !sameZones(blk.Zones, wb.Zones) {
+			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !reflect.DeepEqual(blk.Zones, wb.Zones) {
 				t.Fatalf("rowsPerBlock %d block %d: %+v, a fresh build has %+v", rowsPerBlock, bi, blk, wb)
 			}
 			for ri := 0; ri < blk.N; ri += 1 + blk.N/7 { // a few rows of every block

@@ -130,8 +130,9 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 		w.i64(int64(b.NumRows()))
 		w.i64(b.Bytes)
 		w.u64(uint64(b.Node))
-		for _, z := range b.Zones {
-			hashZone(w, z.Valid, z.Min, z.Max)
+		for ci := range b.Zones {
+			zmin, zmax, _ := b.ZoneAt(ci)
+			hashZone(w, zmin, zmax)
 		}
 	}
 	w.f64(opts.BudgetFraction)
@@ -152,12 +153,7 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 	return w.h
 }
 
-func hashZone(w *hashW, valid bool, min, max types.Value) {
-	if !valid {
-		w.u64(0)
-		return
-	}
-	w.u64(1)
+func hashZone(w *hashW, min, max types.Value) {
 	for _, v := range [2]types.Value{min, max} {
 		w.u64(uint64(v.Kind))
 		w.i64(v.I)

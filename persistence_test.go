@@ -555,12 +555,13 @@ func TestCorruptWarmupFileColdBoots(t *testing.T) {
 // block layout, format 1's one-column-set-per-block layout from before
 // blocks became windows on chunks, format 2's chunks with 32-bit
 // dictionary codes, format 3's with every int column stored as int64s,
-// and format 4's with every dictionary column's codes stored as 2-byte
-// ones) must boot cold — the reason in PersistenceNotes, the
+// format 4's with every dictionary column's codes stored as 2-byte
+// ones, and format 5's with every block's zones and byte size stored) must
+// boot cold — the reason in PersistenceNotes, the
 // rebuilt families answering exactly like a fresh engine's — never panic
 // and never serve a half-loaded family.
 func TestRetiredLayoutSegmentColdBoots(t *testing.T) {
-	for file, version := range map[string]int{"row_layout_v1.seg": 1, "columnar_blocks_v1.seg": 1, "chunked_v2.seg": 2, "chunked_v3.seg": 3, "chunked_v4.seg": 4} {
+	for file, version := range map[string]int{"row_layout_v1.seg": 1, "columnar_blocks_v1.seg": 1, "chunked_v2.seg": 2, "chunked_v3.seg": 3, "chunked_v4.seg": 4, "chunked_v5.seg": 5} {
 		dir := t.TempDir()
 		fresh, freshRep := bootEngine(t, dir)
 		retired, err := os.ReadFile(filepath.Join("internal", "blockfile", "testdata", file))
