@@ -217,7 +217,7 @@ func TestRoundTrip(t *testing.T) {
 			if seg.NumTables() != 1 || seg.tables[0].name != "fixture" {
 				t.Fatalf("table index wrong: %d tables", seg.NumTables())
 			}
-			got, err := seg.Table(0)
+			got, err := seg.Table(0, 2)
 			if err != nil {
 				t.Fatalf("Table: %v", err)
 			}
@@ -286,7 +286,7 @@ func TestNarrowIntsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := seg.Table(0)
+		got, err := seg.Table(0, 2)
 		if err != nil {
 			t.Fatalf("%s: Table: %v", name, err)
 		}
@@ -331,7 +331,7 @@ func TestDictCodeWidthRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := seg.Table(0)
+		got, err := seg.Table(0, 2)
 		if err != nil {
 			t.Fatalf("%s: Table: %v", name, err)
 		}
@@ -363,7 +363,7 @@ func TestDictCodeOutOfRangeRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := seg.Table(0, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("codes %v %v over %d entries loaded: err %v, want %q", col.Codes8, col.Codes16, len(col.Dict), err, tc.want)
 		}
 		seg.Close()
@@ -421,7 +421,7 @@ func TestDictionaryOverflowRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := seg.Table(0)
+		got, err := seg.Table(0, 2)
 		if err != nil {
 			t.Fatalf("%s: Table: %v", name, err)
 		}
@@ -449,7 +449,7 @@ func TestOversizedDictionaryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	if _, err := seg.Table(0); err == nil || !strings.Contains(err.Error(), "more than 16-bit codes reach") {
+	if _, err := seg.Table(0, 2); err == nil || !strings.Contains(err.Error(), "more than 16-bit codes reach") {
 		t.Fatalf("a %d-entry dictionary loaded: err %v", len(dict), err)
 	}
 }
@@ -547,11 +547,11 @@ func TestMultiTableSegment(t *testing.T) {
 	if seg.NumTables() != 2 {
 		t.Fatalf("want 2 tables, got %d", seg.NumTables())
 	}
-	g1, err := seg.Table(0)
+	g1, err := seg.Table(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := seg.Table(1)
+	g2, err := seg.Table(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestCorruption(t *testing.T) {
 		}
 		defer seg.Close()
 		for i := 0; i < seg.NumTables(); i++ {
-			tbl, err := seg.Table(i)
+			tbl, err := seg.Table(i, 2)
 			if err != nil {
 				return err
 			}
@@ -672,7 +672,7 @@ func TestViewAllocsIndependentOfRows(t *testing.T) {
 		}
 		defer seg.Close()
 		return testing.AllocsPerRun(20, func() {
-			if _, err := seg.Table(0); err != nil {
+			if _, err := seg.Table(0, 2); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -85,7 +85,7 @@ func FuzzSegmentLoad(f *testing.F) {
 			seg.Meta(name)
 		}
 		for i := 0; i < seg.NumTables(); i++ {
-			tbl, err := seg.Table(i)
+			tbl, err := seg.Table(i, 2)
 			if err != nil {
 				continue
 			}

@@ -305,7 +305,9 @@ func (s *Segment) NumTables() int { return len(s.tables) }
 // relies on (payload lengths, run-end monotonicity, dictionary code
 // bounds, every chunk tiled in order by its blocks' windows) are
 // validated — a corrupt segment returns an error, never a broken table.
-func (s *Segment) Table(i int) (*storage.Table, error) {
+// The blocks' zones and byte sizes are derived from the rows, each
+// chunk's columns on up to workers goroutines (storage.Cut).
+func (s *Segment) Table(i, workers int) (*storage.Table, error) {
 	if i < 0 || i >= len(s.tables) {
 		return nil, fmt.Errorf("blockfile: table index %d out of range", i)
 	}
@@ -340,7 +342,7 @@ func (s *Segment) Table(i int) (*storage.Table, error) {
 	for lo, hi := 0, 0; lo < len(td.blocks); lo = hi {
 		for hi = lo + 1; hi < len(td.blocks) && td.blocks[hi].chunk == td.blocks[lo].chunk; hi++ {
 		}
-		blocks := storage.Cut(chunks[td.blocks[lo].chunk], ends[lo:hi], 1)
+		blocks := storage.Cut(chunks[td.blocks[lo].chunk], ends[lo:hi], workers)
 		for i := range blocks {
 			blocks[i].Node, blocks[i].Place = td.blocks[lo+i].node, td.blocks[lo+i].place
 			t.AddBlock(&blocks[i])

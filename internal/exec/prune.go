@@ -117,8 +117,8 @@ func zoneOverlaps(b *storage.Block, cb *colBound) bool {
 // cmpEnd is types.Compare(e, *v) for an end e of a zone of col: NULL when
 // null is set, else the value payload p stands for (storage.Zone). An int
 // against an int column's payload and a string against a dictionary's
-// string compare typed, as do ints and strings stored in runs or a value
-// stream; everything else compares by types.Compare, the payload decoded
+// string compare typed, as do strings stored in runs or a value stream;
+// everything else compares by types.Compare, the payload decoded
 // (storage.ZoneEnd).
 func cmpEnd(col *colstore.Column, p uint64, null bool, v *types.Value) int {
 	if null {
@@ -144,14 +144,11 @@ func cmpEnd(col *colstore.Column, p uint64, null bool, v *types.Value) int {
 	return types.Compare(storage.ZoneEnd(col, p, false), *v)
 }
 
-// cmpStored is types.Compare(*e, *v), typed when both are strings or both
-// ints.
+// cmpStored is types.Compare(*e, *v), typed when both are strings
+// (types.Compare starts with the int-int case itself).
 func cmpStored(e, v *types.Value) int {
-	switch {
-	case e.Kind == types.KindString && v.Kind == types.KindString:
+	if e.Kind == types.KindString && v.Kind == types.KindString {
 		return strings.Compare(e.S, v.S)
-	case e.Kind == types.KindInt && v.Kind == types.KindInt:
-		return cmp.Compare(e.I, v.I)
 	}
 	return types.Compare(*e, *v)
 }

@@ -47,7 +47,7 @@ func TestViewBlocksAreClipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	loaded, err := ReadFamily(seg)
+	loaded, err := ReadFamily(seg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

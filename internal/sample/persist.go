@@ -49,7 +49,8 @@ func WriteFamily(w *blockfile.Writer, fam *Family) error {
 // invariants are validated (delta count vs caps, shared schema), but
 // statistical validity is the caller's concern: the engine only loads
 // a family segment whose build signature matches what it would build.
-func ReadFamily(seg *blockfile.Segment) (*Family, error) {
+// Each delta's zones are derived on up to workers goroutines.
+func ReadFamily(seg *blockfile.Segment, workers int) (*Family, error) {
 	blob, ok := seg.Meta(familyMetaKey)
 	if !ok {
 		return nil, fmt.Errorf("sample: segment has no %q descriptor", familyMetaKey)
@@ -89,7 +90,7 @@ func ReadFamily(seg *blockfile.Segment) (*Family, error) {
 			seg.NumTables(), ndeltas)
 	}
 	for i := 0; i < ndeltas; i++ {
-		t, err := seg.Table(i)
+		t, err := seg.Table(i, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,7 @@ func TestFamilyPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	got, err := ReadFamily(seg)
+	got, err := ReadFamily(seg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

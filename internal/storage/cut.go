@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 
 	"blinkdb/internal/colstore"
@@ -174,69 +173,6 @@ func valueZone(vals []types.Value, mn, mx int) Zone {
 		z.Null |= MaxNull
 	}
 	return z
-}
-
-// chunkBytes is the serialized size of chunk d's rows (see
-// EstimateRowBytes), column by column on up to workers goroutines: the
-// bytes of one window of every row, without the zones.
-func chunkBytes(d *colstore.Data, workers int) int64 {
-	parts := make([]int64, len(d.Cols))
-	colstore.ParallelFor(len(d.Cols), workers, func(ci int) {
-		col := &d.Cols[ci]
-		switch col.Enc {
-		case colstore.EncRLE:
-			prev := int32(0)
-			for r, end := range col.RunEnds {
-				parts[ci] += int64(end-prev) * valueBytes(col.RunVals[r])
-				prev = end
-			}
-			return
-		case colstore.EncValue:
-			for _, v := range col.Values {
-				parts[ci] += valueBytes(v)
-			}
-			return
-		}
-		nulls := int64(colstore.CountBits(col.Nulls, 0, d.N))
-		switch col.Enc {
-		case colstore.EncFloat, colstore.EncInt:
-			parts[ci] = 8*(int64(d.N)-nulls) + nulls
-		case colstore.EncBool:
-			parts[ci] = int64(d.N)
-		default: // EncDict: count each code, then weigh the counts
-			parts[ci] = nulls
-			if nulls == int64(d.N) {
-				return
-			}
-			counts := make([]int64, len(col.Dict))
-			if col.Codes8 != nil {
-				countCodes(col.Codes8, col.Nulls, counts)
-			} else {
-				countCodes(col.Codes16, col.Nulls, counts)
-			}
-			for code, c := range counts {
-				parts[ci] += c * (int64(len(col.Dict[code])) + 2)
-			}
-		}
-	})
-	var total int64
-	for _, p := range parts {
-		total += p
-	}
-	return total
-}
-
-// countCodes adds to counts how many rows of codes hold each code, leaving
-// out the rows nulls marks (nil: none).
-func countCodes[C colstore.Code](codes []C, nulls []uint64, counts []int64) {
-	for _, c := range codes {
-		counts[c]++
-	}
-	for w, word := range nulls {
-		for ; word != 0; word &= word - 1 {
-			counts[codes[w<<6+bits.TrailingZeros64(word)]]--
-		}
-	}
 }
 
 // dictZone returns the codes of the smallest and largest string of

@@ -414,10 +414,6 @@ type Builder struct {
 	// workers bounds the goroutines a chunk's per-column encoding and cut
 	// fan out over (≤ 1: none).
 	workers int
-
-	// staging marks a NewStaging builder: a chunk is one block, with its
-	// byte size and no zones.
-	staging bool
 }
 
 // NewBuilder creates a builder for the given table. rowsPerBlock is the
@@ -439,13 +435,11 @@ func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Buil
 }
 
 // NewStaging returns a builder for a table that is only ever re-cut
-// (Recut), which reads its chunks and its byte total and nothing else: each
-// chunk of chunkRows rows is one block that carries the chunk's byte size
-// and no zones, so no zone is computed twice. Its chunks' columns are
-// encoded on up to workers goroutines, as SetWorkers says.
+// (Recut), which reads its chunks and its byte total and nothing else:
+// each chunk of chunkRows rows is one block. Its chunks' columns are
+// encoded and cut on up to workers goroutines, as SetWorkers says.
 func NewStaging(table *Table, workers int) *Builder {
 	b := NewBuilder(table, chunkRows, 1, OnDisk)
-	b.staging = true
 	b.SetWorkers(workers)
 	return b
 }
@@ -536,12 +530,7 @@ func (b *Builder) flush() {
 	if b.cur == nil || b.cur.Len() == 0 {
 		return
 	}
-	var blocks []Block
-	if d := b.cur.Finish(); b.staging {
-		blocks = []Block{{Chunk: d, N: d.N, Bytes: chunkBytes(d, b.workers)}}
-	} else {
-		blocks = cut(d, b.rowsPerBlock, b.workers)
-	}
+	blocks := cut(b.cur.Finish(), b.rowsPerBlock, b.workers)
 	for i := range blocks {
 		blk := &blocks[i]
 		blk.Node = b.nextTgt % b.numNodes

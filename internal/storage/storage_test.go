@@ -427,8 +427,8 @@ func TestRecut(t *testing.T) {
 	if c := src.Chunks(); !c[0].Cols[8].Narrow() || c[1].Cols[8].Narrow() || !c[0].Cols[9].Narrow() || c[1].Cols[9].Narrow() {
 		t.Fatal("the top and bottom columns are not narrow in the first chunk and wide in the second")
 	}
-	// A loader stages its rows without zones: one block a chunk, with the
-	// bytes a cut counts.
+	// A loader stages its rows one block a chunk, with the bytes a cut into
+	// smaller blocks counts.
 	staged := NewStaging(NewTable("t", recutSchema()), 3)
 	for i, r := range rows {
 		staged.Append(r, metas[i])
@@ -437,11 +437,6 @@ func TestRecut(t *testing.T) {
 	if stagedTab.Bytes() != src.Bytes() || stagedTab.NumRows() != src.NumRows() || len(stagedTab.Blocks) != len(src.Chunks()) {
 		t.Fatalf("staged: %d bytes, %d rows in %d blocks; a cut table has %d bytes, %d rows in %d chunks",
 			stagedTab.Bytes(), stagedTab.NumRows(), len(stagedTab.Blocks), src.Bytes(), src.NumRows(), len(src.Chunks()))
-	}
-	for _, b := range stagedTab.Blocks {
-		if b.Zones != nil {
-			t.Fatal("a staged block carries zones")
-		}
 	}
 	for i, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
 		workers := []int{1, 4, 2, 3}[i] // the table must not depend on it

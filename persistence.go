@@ -258,7 +258,7 @@ func (e *Engine) loadPersistedSamples(table string, rec *tableSamples, sig uint6
 			return nil, false
 		}
 		segs = append(segs, seg)
-		fam, err := sample.ReadFamily(seg)
+		fam, err := sample.ReadFamily(seg, e.cfg.Workers)
 		if err == nil {
 			err = fam.Validate()
 		}
