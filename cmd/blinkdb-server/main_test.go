@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -10,11 +12,12 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blinkdb"
-	"blinkdb/internal/loadgen"
 	"blinkdb/internal/server"
 	"blinkdb/internal/sqlparser"
 )
@@ -222,56 +225,139 @@ func TestRestartAnswersWarm(t *testing.T) {
 	diffFrames(t, warm, singleFrame(t, base2, boundedSQL))
 }
 
-// restartLoadSpec is the kill+restart mix: a Poisson interactive cohort
-// and a bursty half-streaming cohort, both aimed at the sessions table,
-// running long enough to straddle the kill, the reload, and the reborn
-// server's steady state.
-func restartLoadSpec() loadgen.Spec {
-	return loadgen.Spec{
-		Seed:     77,
-		Duration: 6 * time.Second,
-		Cohorts: []loadgen.Cohort{
-			{
-				Name:    "interactive",
-				Clients: 4, RateQPS: 40, RateSkew: 1.2,
-				Arrival: loadgen.Poisson,
-				Templates: []loadgen.Template{
-					{Pattern: "SELECT AVG(sessiontimems) FROM sessions WHERE city = 'city00%d'",
-						Cardinality: 9, Skew: 1.2, Weight: 3},
-					{Pattern: "SELECT AVG(bufferingms) FROM sessions WHERE city = 'city00%d'",
-						Cardinality: 9, Skew: 1.2, Weight: 1},
-				},
-				Bounds: []loadgen.Bound{
-					{ErrorPct: 5, Confidence: 95, Weight: 2},
-					{TimeSeconds: 1, Weight: 1},
-					{Weight: 1},
-				},
-				GiveUpSeconds: 2,
-			},
-			{
-				Name:    "dashboard",
-				Clients: 2, RateQPS: 20,
-				Arrival: loadgen.Gamma, Burstiness: 4,
-				Templates: []loadgen.Template{
-					{Pattern: "SELECT AVG(sessiontimems) FROM sessions WHERE city = 'city00%d'",
-						Cardinality: 9, Skew: 1.5, Weight: 1},
-				},
-				Bounds:         []loadgen.Bound{{ErrorPct: 10, Confidence: 95, Weight: 1}},
-				StreamFraction: 0.5,
-			},
-		},
+// restartScript is what the scripted clients of TestRestartUnderLoad send
+// in turn: error-bounded, time-bounded and unbounded queries on the
+// sessions table, one streamed, two abandoned after two seconds.
+var restartScript = []scripted{
+	{sql: `SELECT AVG(sessiontimems) FROM sessions WHERE city = 'city003' ERROR WITHIN 5% AT CONFIDENCE 95%`, giveUp: 2 * time.Second},
+	{sql: `SELECT AVG(bufferingms) FROM sessions WHERE city = 'city005' WITHIN 1 SECONDS`, giveUp: 2 * time.Second},
+	{sql: `SELECT AVG(sessiontimems) FROM sessions WHERE city = 'city007' ERROR WITHIN 10% AT CONFIDENCE 95%`, stream: true},
+	{sql: `SELECT AVG(sessiontimems) FROM sessions WHERE city = 'city002'`},
+}
+
+// scripted is one request of a scripted client: giveUp > 0 abandons it
+// after that long.
+type scripted struct {
+	sql    string
+	stream bool
+	giveUp time.Duration
+}
+
+// sendScripted posts r and names its outcome: "served" (a 200 whose last
+// line is a final frame with a result and no error), "shed" (429),
+// "unavailable" (503), "cancelled" (the client gave up first) or
+// "errored" (anything else).
+func sendScripted(base string, r scripted) string {
+	ctx := context.Background()
+	if r.giveUp > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.giveUp)
+		defer cancel()
+	}
+	body := fmt.Sprintf(`{"sql": %q, "stream": %v}`, r.sql, r.stream)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", strings.NewReader(body))
+	if err != nil {
+		return "errored"
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return "cancelled"
+		}
+		return "errored"
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return "shed"
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		return "unavailable"
+	case err != nil && ctx.Err() != nil:
+		return "cancelled"
+	case err != nil || resp.StatusCode != http.StatusOK:
+		return "errored"
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var f struct {
+		Final  bool      `json:"final"`
+		Error  string    `json:"error"`
+		Result *struct{} `json:"result"`
+	}
+	if json.Unmarshal(lines[len(lines)-1], &f) != nil || !f.Final || f.Error != "" || f.Result == nil {
+		return "errored"
+	}
+	return "served"
+}
+
+// scriptedLoad counts a scripted load's outcomes by the phase of the test
+// each request was sent in.
+type scriptedLoad struct {
+	phase  atomic.Int32
+	mu     sync.Mutex
+	counts [3]map[string]int
+}
+
+// startLoad starts clients goroutines that each send restartScript's
+// requests in turn, one every interval, until the test ends.
+func startLoad(t *testing.T, base string, clients int, every time.Duration) *scriptedLoad {
+	l := &scriptedLoad{}
+	for i := range l.counts {
+		l.counts[i] = map[string]int{}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(every)
+			defer tick.Stop()
+			for k := c; ; k += clients {
+				phase := l.phase.Load()
+				out := sendScripted(base, restartScript[k%len(restartScript)])
+				l.mu.Lock()
+				l.counts[phase][out]++
+				l.mu.Unlock()
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
+			}
+		}()
+	}
+	t.Cleanup(func() { close(stop); wg.Wait() })
+	return l
+}
+
+// waitFor waits until a request sent in phase has had outcome out.
+func (l *scriptedLoad) waitFor(t *testing.T, phase int, out string) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		l.mu.Lock()
+		n := l.counts[phase][out]
+		l.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			t.Fatalf("no request sent in phase %d was %s: %v", phase, out, l.counts)
+		}
 	}
 }
 
-// TestRestartUnderLoad is the kill+restart check with the loadgen cohorts
-// still firing: serve from a data directory, start the mix, snapshot and
-// tear the stack down abruptly mid-burst (no drain — the listener and its
+// TestRestartUnderLoad is the kill+restart check with scripted clients
+// still firing: serve from a data directory, start the load, snapshot and
+// tear the stack down abruptly mid-load (no drain — the listener and its
 // connections die like a SIGKILL), rebind the same port warming, reload
-// behind it, and require that (a) /healthz says "warming" while cohorts
+// behind it, and require that (a) /healthz says "warming" while requests
 // keep arriving, (b) the reborn server's first answer is bit-identical to
-// the predecessor's warm answer, and (c) the cohorts observed all three
-// regimes: served before the kill, 503 warming during the reload, served
-// again after.
+// the predecessor's warm answer, and (c) the clients observed all three
+// regimes: a request sent before the kill served, one sent during the
+// reload answered 503 warming, and one sent after SetReady served again.
 func TestRestartUnderLoad(t *testing.T) {
 	o := testOptions(t)
 	o.data = t.TempDir()
@@ -287,19 +373,9 @@ func TestRestartUnderLoad(t *testing.T) {
 		warm = singleFrame(t, base, boundedSQL)
 	}
 
-	// The cohorts run through the whole arc: kill, reload, rebirth.
-	repc := make(chan *loadgen.Report, 1)
-	errc := make(chan error, 1)
-	go func() {
-		rep, err := loadgen.Run(loadgen.Generate(restartLoadSpec()), base)
-		if err != nil {
-			errc <- err
-			return
-		}
-		repc <- rep
-	}()
-
-	time.Sleep(1200 * time.Millisecond) // cohorts are mid-burst
+	// The clients run through the whole arc: kill, reload, rebirth.
+	load := startLoad(t, base, 4, 25*time.Millisecond)
+	load.waitFor(t, 0, "served")
 	if err := eng1.SnapshotWarmup(blinkdb.WarmupState{}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +383,7 @@ func TestRestartUnderLoad(t *testing.T) {
 	// every active connection with no drain; in-flight streams break
 	// mid-frame. Give the aborted handlers a beat to unwind before the
 	// engine goes away under them.
+	load.phase.Store(1)
 	hs1.Close()
 	time.Sleep(300 * time.Millisecond)
 	eng1.Close()
@@ -334,6 +411,7 @@ func TestRestartUnderLoad(t *testing.T) {
 	if status := healthz(t, base); status != "warming" {
 		t.Fatalf("healthz during reload-under-load: %q (want warming)", status)
 	}
+	load.waitFor(t, 1, "unavailable")
 	if err := warmEngine(eng2, o); err != nil {
 		t.Fatal(err)
 	}
@@ -341,24 +419,15 @@ func TestRestartUnderLoad(t *testing.T) {
 		t.Fatalf("warm boot under load hit persistence notes: %v", notes)
 	}
 	srv2.SetReady()
+	load.phase.Store(2)
 	if status := healthz(t, base); status != "ok" {
 		t.Fatalf("healthz after reload-under-load: %q (want ok)", status)
 	}
 	diffFrames(t, warm, singleFrame(t, base, boundedSQL))
-
-	var rep *loadgen.Report
-	select {
-	case rep = <-repc:
-	case err := <-errc:
-		t.Fatalf("loadgen run: %v", err)
-	}
-	if rep.Served == 0 {
-		t.Fatalf("cohorts were never served: %+v", rep)
-	}
-	if rep.Unavailable == 0 {
-		t.Fatalf("cohorts never saw the warming window (kill+reload too fast?): %+v", rep)
-	}
-	t.Logf("cohorts: %+v", *rep)
+	load.waitFor(t, 2, "served")
+	load.mu.Lock()
+	t.Logf("outcomes by phase: %v", load.counts)
+	load.mu.Unlock()
 }
 
 // healthz returns the status string from /healthz regardless of HTTP

@@ -33,9 +33,7 @@ type Builder struct {
 	rates    []float64
 	freqs    []int64
 
-	// noRLE disables run-length encoding (plain typed encodings only);
 	// sorted marks columns hinted as sorted/low-cardinality.
-	noRLE  bool
 	sorted []bool
 
 	// workers bounds the goroutines the per-column work fans out over.
@@ -46,12 +44,6 @@ type Builder struct {
 func NewBuilder(numCols int) *Builder {
 	return &Builder{cols: make([]colAcc, numCols)}
 }
-
-// DisableRLE makes the builder skip run-length encoding and emit only the
-// plain typed encodings — the pre-RLE physical design. Purely physical:
-// results are bit-identical either way (the equivalence tests' "plain
-// columnar" leg is built with this).
-func (b *Builder) DisableRLE() { b.noRLE = true }
 
 // HintSorted marks columns as sorted (or low-cardinality-clustered) so
 // the encoder accepts shorter runs for them. Out-of-range indices are
@@ -145,7 +137,7 @@ func (b *Builder) Finish() *Data {
 	d := &Data{N: b.n, Cols: make([]Column, len(b.cols))}
 	ParallelFor(len(b.cols), b.workers, func(c int) {
 		hinted := b.sorted != nil && b.sorted[c]
-		d.Cols[c] = b.cols[c].finish(b.n, !b.noRLE, hinted)
+		d.Cols[c] = b.cols[c].finish(b.n, hinted)
 	})
 	d.MetaEnds, d.Rates, d.Freqs = exact(b.metaEnds), exact(b.rates), exact(b.freqs)
 	b.metaEnds, b.rates, b.freqs = b.metaEnds[:0], b.rates[:0], b.freqs[:0]
@@ -486,8 +478,8 @@ func (a *colAcc) value(j int) types.Value {
 
 // finish picks the tightest lossless encoding for the n accumulated rows
 // and resets the accumulator, keeping its buffers.
-func (a *colAcc) finish(n int, allowRLE, hinted bool) Column {
-	col := a.encode(n, allowRLE, hinted)
+func (a *colAcc) finish(n int, hinted bool) Column {
+	col := a.encode(n, hinted)
 	col.NaNFree = !a.hasNaN
 	a.floats, a.ints, a.codes = a.floats[:0], a.ints[:0], a.codes[:0]
 	a.dict, a.nulls, a.values = a.dict[:0], a.nulls[:0], a.values[:0]
@@ -496,8 +488,8 @@ func (a *colAcc) finish(n int, allowRLE, hinted bool) Column {
 	return col
 }
 
-func (a *colAcc) encode(n int, allowRLE, hinted bool) Column {
-	if allowRLE && n >= rleMinRows {
+func (a *colAcc) encode(n int, hinted bool) Column {
+	if n >= rleMinRows {
 		threshold := rleMinMeanRun
 		if hinted {
 			threshold = rleHintedMinMeanRun

@@ -53,8 +53,8 @@
 // types.Value appended (kind, payload bits, NaN and ±0 included — run
 // detection uses struct equality, never float comparison) and IsNull(i)
 // matches the appended value's kind. Encoding choice can therefore never
-// change a query result, only its speed; the Options knobs (DisableRLE,
-// sorted-column hints) are purely physical.
+// change a query result, only its speed; the sorted-column hints are
+// purely physical.
 package colstore
 
 import (

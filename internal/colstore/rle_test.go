@@ -73,8 +73,8 @@ func TestRLERoundTrip(t *testing.T) {
 }
 
 // TestRLEThresholds pins encoder selection: long runs → RLE, short runs →
-// typed encoding, hinted columns accept shorter runs, DisableRLE wins over
-// everything, and tiny blocks never RLE.
+// typed encoding, hinted columns accept shorter runs, and tiny blocks never
+// RLE.
 func TestRLEThresholds(t *testing.T) {
 	longRuns := runRows([]struct {
 		v types.Value
@@ -91,9 +91,6 @@ func TestRLEThresholds(t *testing.T) {
 
 	if col := encodeSingle(longRuns); col.Enc != EncRLE {
 		t.Errorf("long runs: encoding = %v, want rle", col.Enc)
-	}
-	if col := encodeSingle(longRuns, (*Builder).DisableRLE); col.Enc != EncDict {
-		t.Errorf("DisableRLE: encoding = %v, want dict", col.Enc)
 	}
 	if col := encodeSingle(shortRuns); col.Enc != EncDict {
 		t.Errorf("short runs unhinted: encoding = %v, want dict", col.Enc)
@@ -142,43 +139,44 @@ func TestRLENaN(t *testing.T) {
 	}
 }
 
-// TestRLEMinMaxAndRowKey checks the generic readers (MinMax, Row) see
-// through the RLE encoding identically to the plain one.
+// TestRLEMinMaxAndRowKey checks the generic readers (MinMax, Row) over
+// one column's values in two row orders: in runs, which RLE-encode, and
+// interleaved, which take the plain int encoding. Each reads back what
+// was appended.
 func TestRLEMinMaxAndRowKey(t *testing.T) {
-	rows := runRows([]struct {
+	runs := runRows([]struct {
 		v types.Value
 		n int
 	}{{types.Int(5), 30}, {types.Null(), 10}, {types.Int(-3), 30}})
-	rates := make([]float64, len(rows))
-	freqs := make([]int64, len(rows))
-	for i := range rates {
-		rates[i] = 1
-	}
-	b := NewBuilder(1)
-	for i, r := range rows {
-		b.Append(r, rates[i], freqs[i])
-	}
-	rle := b.Finish()
-	plain := func() *Data {
-		b := NewBuilder(1)
-		b.DisableRLE()
-		for i, r := range rows {
-			b.Append(r, rates[i], freqs[i])
+	interleaved := make([]types.Row, 0, len(runs))
+	for i := 0; i < 30; i++ {
+		interleaved = append(interleaved, runs[i], runs[40+i])
+		if i < 10 {
+			interleaved = append(interleaved, runs[30+i])
 		}
-		return b.Finish()
-	}()
-	if rle.Cols[0].Enc != EncRLE || plain.Cols[0].Enc == EncRLE {
-		t.Fatalf("leg encodings = %v / %v", rle.Cols[0].Enc, plain.Cols[0].Enc)
 	}
-	gotMin, gotMax, gotOK := rle.Cols[0].MinMax(rle.N)
-	wantMin, wantMax, wantOK := plain.Cols[0].MinMax(plain.N)
-	if gotOK != wantOK || !reflect.DeepEqual(gotMin, wantMin) || !reflect.DeepEqual(gotMax, wantMax) {
-		t.Fatalf("MinMax: rle (%v,%v,%v) vs plain (%v,%v,%v)", gotMin, gotMax, gotOK, wantMin, wantMax, wantOK)
-	}
-	idx := []int{0}
-	for i := range rows {
-		if kr, kp := types.RowKey(rle.Row(i), idx), types.RowKey(plain.Row(i), idx); kr != kp {
-			t.Fatalf("RowKey(%d): rle %q vs plain %q", i, kr, kp)
+	for _, leg := range []struct {
+		name string
+		rows []types.Row
+		rle  bool
+	}{{"rle", runs, true}, {"plain", interleaved, false}} {
+		b := NewBuilder(1)
+		for _, r := range leg.rows {
+			b.Append(r, 1, 0)
+		}
+		d := b.Finish()
+		if got := d.Cols[0].Enc == EncRLE; got != leg.rle {
+			t.Fatalf("%s: encoding %v", leg.name, d.Cols[0].Enc)
+		}
+		lo, hi, ok := d.Cols[0].MinMax(d.N)
+		if !ok || !reflect.DeepEqual(lo, types.Int(-3)) || !reflect.DeepEqual(hi, types.Int(5)) {
+			t.Fatalf("%s: MinMax (%v,%v,%v), want (-3,5,true)", leg.name, lo, hi, ok)
+		}
+		idx := []int{0}
+		for i, r := range leg.rows {
+			if got, want := types.RowKey(d.Row(i), idx), types.RowKey(r, idx); got != want {
+				t.Fatalf("%s: RowKey(%d) = %q, want %q", leg.name, i, got, want)
+			}
 		}
 	}
 }
@@ -187,22 +185,27 @@ func TestRLEMinMaxAndRowKey(t *testing.T) {
 // == Float(+0) as Go values, but their keys differ, so a run that merged
 // them would give rows back with the other sign — and move them to another
 // stratum. Both ways of filling a builder are held: Append, and AppendFrom
-// out of plain chunks (whose runs are counted over the typed payloads).
+// out of plain chunks (whose runs are counted over the typed payloads),
+// each under rleMinRows rows so that it keeps the typed encoding.
 func TestRLEKeepsZeroSign(t *testing.T) {
 	negZero := types.Float(math.Copysign(0, -1))
 	rows := runRows([]struct {
 		v types.Value
 		n int
 	}{{negZero, 20}, {types.Float(0), 20}, {negZero, 20}, {types.Null(), 5}, {types.Float(0), 20}})
-	plain := NewBuilder(1)
-	plain.DisableRLE()
-	for _, r := range rows {
-		plain.Append(r, 1, 0)
-	}
-	src := plain.Finish()
 	from := NewBuilder(1)
-	from.AppendFrom(src, 0, 30)
-	from.AppendFrom(src, 30, src.N)
+	for lo := 0; lo < len(rows); lo += rleMinRows - 1 {
+		plain := NewBuilder(1)
+		for _, r := range rows[lo:min(lo+rleMinRows-1, len(rows))] {
+			plain.Append(r, 1, 0)
+		}
+		src := plain.Finish()
+		if src.Cols[0].Enc == EncRLE {
+			t.Fatalf("a %d-row chunk is run-length encoded", src.N)
+		}
+		from.AppendFrom(src, 0, 7)
+		from.AppendFrom(src, 7, src.N)
+	}
 	for name, col := range map[string]Column{"append": encodeSingle(rows), "appendFrom": from.Finish().Cols[0]} {
 		if col.Enc != EncRLE || len(col.RunVals) != 5 {
 			t.Fatalf("%s: encoding %v with %d runs, want rle with 5", name, col.Enc, len(col.RunVals))

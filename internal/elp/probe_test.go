@@ -175,9 +175,11 @@ func sequentialSelect(rt *Runtime, entry *catalog.Entry, plan *exec.Plan, conf f
 // templates: the count-only selectFamily must reach the
 // sequential full-plan reference's Decision (family, Probed order,
 // selectivities, ProbeLatency, reason string) and winning probe Result bit
-// for bit, count exactly one execution per candidate (the count passes)
-// plus one (the plan, on the winner), and record them as children of one
-// span: the count passes in candidate order, then the winner's full pass.
+// for bit, keep a chain that, extended by the next resolution, answers as
+// a fresh scan of it does, count exactly one execution per candidate (the
+// count passes) plus one (the plan, on the winner), and record them as
+// children of one span: the count passes in candidate order, then the
+// winner's full pass.
 // Run under -race in CI.
 func TestConcurrentProbesMatchSequential(t *testing.T) {
 	f := newExploreFixture(t, 60000, Options{Workers: 4})
@@ -189,7 +191,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 	if len(templates) != 648 {
 		t.Fatalf("%d templates, want 648", len(templates))
 	}
-	covered := 0
+	covered, extended := 0, 0
 	for _, src := range templates {
 		q := parse(t, src)
 		plan, err := exec.Compile(q, entry.Table.Schema)
@@ -221,7 +223,7 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 			t.Fatalf("%q: decision diverged from the sequential reference\nwant %s %+v\ngot  %s %+v",
 				src, wantFam.Label(), wantDec, fam.Label(), dec)
 		}
-		if !reflect.DeepEqual(res, wantRes) || !reflect.DeepEqual(chain.Result(conf), wantRes) {
+		if !reflect.DeepEqual(res, wantRes) {
 			t.Fatalf("%q: winning probe result diverged\nwant %+v\ngot  %+v", src, wantRes, res)
 		}
 		d := f.Stats().Delta(before)
@@ -252,6 +254,20 @@ func TestConcurrentProbesMatchSequential(t *testing.T) {
 				t.Fatalf("%q: probe span %d is not %q scanning %d blocks:\n%s", src, i, name, blocks, tr.Render())
 			}
 		}
+		// The chain the template keeps must hold exactly the probe's view:
+		// the runtime's next step, extending it by the next resolution,
+		// answers as a fresh scan of that resolution does.
+		if next := chain.Level() + 1; next < fam.Resolutions() {
+			v := fam.View(next)
+			got, err := chain.Extend(context.Background(), exec.FromDelta(v, chain.Level()).Pruned(plan), conf, f.opt.Workers, nil)
+			if want := exec.RunParallel(plan, viewInput(v, plan), conf, 1); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: the kept chain extended to %s diverged (err %v)\nwant %+v\ngot  %+v", src, v, err, want, got)
+			}
+			extended++
+		}
+	}
+	if extended == 0 {
+		t.Error("no kept chain had a next resolution to extend by")
 	}
 	if covered != 18 {
 		t.Errorf("%d covered templates, want 18: the sweep is not the benchmark's mix", covered)

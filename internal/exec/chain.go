@@ -71,12 +71,6 @@ func (c *Chain) Extend(ctx context.Context, in Input, confidence float64, worker
 	return finishSpan(c.m, confidence, c.weights(), sp), nil
 }
 
-// Result finalizes the chain at the cap of its resolution. It reads the
-// chain and changes nothing.
-func (c *Chain) Result(confidence float64) *Result {
-	return c.m.result(confidence, c.weights())
-}
-
 // weights weighs the chain's classes at its resolution's cap.
 func (c *Chain) weights() stats.Weights {
 	if c.view.Family == nil {

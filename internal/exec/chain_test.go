@@ -133,16 +133,18 @@ func TestChainMatchesDirect(t *testing.T) {
 								t.Fatalf("%s: chain at level %d diverged from the view's scan\nwant %+v\ngot  %+v", label, l, want[l], got)
 							}
 						}
-						if got := c.Result(0.95); !reflect.DeepEqual(want[top], got) || c.Level() != top {
-							t.Fatalf("%s: Result at level %d diverged from Extend's", label, c.Level())
+						if c.Level() != top {
+							t.Fatalf("%s: chain at level %d after extending to %d", label, c.Level(), top)
 						}
 						c = NewChain(p, joins)
+						var got *Result
 						for _, step := range [][2]int{{-1, 1}, {1, top}} {
-							if _, err := c.Extend(ctx, view(fam.View(step[1]), step[0]), 0.95, w, nil); err != nil {
+							var err error
+							if got, err = c.Extend(ctx, view(fam.View(step[1]), step[0]), 0.95, w, nil); err != nil {
 								t.Fatal(err)
 							}
 						}
-						if got := c.Result(0.95); !reflect.DeepEqual(want[top], got) {
+						if !reflect.DeepEqual(want[top], got) {
 							t.Fatalf("%s: a chain of two steps diverged from the view's scan\nwant %+v\ngot  %+v", label, want[top], got)
 						}
 					}
@@ -191,7 +193,7 @@ func TestChainFinalizeConcurrently(t *testing.T) {
 				t.Fatalf("%s: concurrent finalize at %+v diverged\nwant %+v\ngot  %+v", src, caps[g%2], want[g%2], res)
 			}
 		}
-		if again := c.Result(0.95); !reflect.DeepEqual(own, again) {
+		if again := c.m.result(0.95, c.weights()); !reflect.DeepEqual(own, again) {
 			t.Fatalf("%s: finalizing changed the chain's answer\nbefore %+v\nafter  %+v", src, own, again)
 		}
 	}

@@ -29,14 +29,20 @@ func diffSchema() *types.Schema {
 
 var diffCities = []string{"NY", "NY", "SF", "LA", "Austin", "Boise"}
 
-// diffRow draws row n of a differential table: tier is the caller's (the
-// column the zone states hang on), tag cycles through tags strings — so a
-// chunk of at least tags rows has tags of them, and its dictionary takes
-// 2-byte codes when that is over 256 — and when dirty one row in ten
-// carries NULLs, a NaN beside a mixed-kind value, or another NULL pair.
-func diffRow(rng *rand.Rand, n int, tier int64, tags int, dirty bool) types.Row {
+// diffRow draws row n of a differential table: strat runs 700 rows, tier
+// is the caller's (the column the zone states hang on), tag cycles through
+// tags strings — so a chunk of at least tags rows has tags of them, and its
+// dictionary takes 2-byte codes when that is over 256 — and when dirty one
+// row in ten carries NULLs, a NaN beside a mixed-kind value, or another
+// NULL pair. With rle false every other row's strat and tier are one
+// higher, so that neither column has a run for the encoder to find.
+func diffRow(rng *rand.Rand, n int, tier int64, tags int, dirty, rle bool) types.Row {
+	strat := n / 700
+	if !rle {
+		strat, tier = strat+n%2, tier+int64(n%2)
+	}
 	row := types.Row{
-		types.Str(fmt.Sprintf("s%03d", n/700)),
+		types.Str(fmt.Sprintf("s%03d", strat)),
 		types.Str(diffCities[rng.Intn(len(diffCities))]),
 		types.Int(tier),
 		types.Int(int64(rng.Intn(1000))),
@@ -60,7 +66,8 @@ func diffRow(rng *rand.Rand, n int, tier int64, tags int, dirty bool) types.Row 
 
 // genCase derives one differential case from a seed: a table over one of
 // partition_test.go's irregular block shapes, every block a chunk of its
-// own (sorted RLE runs, dictionary strings — with 2-byte codes in a block
+// own (sorted RLE runs, or in half the cases run-free rows that take the
+// plain encodings, dictionary strings — with 2-byte codes in a block
 // of over 256 rows half the time — NULLs, a NaN-bearing column, a mixed
 // int/float column, a block-monotonic column for the three zone states,
 // varying stratum frequencies), then genQuery's plan. Everything
@@ -85,17 +92,16 @@ func genCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string) {
 		b := storage.NewBuilder(one, size+1, 5, storage.InMemory)
 		if rle {
 			b.HintSortedColumns(0)
-		} else {
-			b.DisableRLE()
 		}
 		tags := []int{7, 400}[rng.Intn(2)]
 		for i := 0; i < size; i++ {
-			row := diffRow(rng, n, int64(bi), tags, true)
+			row := diffRow(rng, n, int64(bi), tags, true, rle)
 			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * rng.Intn(5))})
 			n++
 		}
 		tab.AddBlock(b.Finish().Blocks[0])
 	}
+	mustBePlain(tab, rle)
 	in = FromTable(tab)
 	if rng.Intn(2) == 0 {
 		in = viewOf(schema, tab.Blocks, randomCaps(rng)...)
@@ -137,14 +143,14 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 		tags := 1 + rng.Intn(colstore.MaxDict8)
 		if c == long {
 			tags = colstore.MaxDict8 + 1 + rng.Intn(300)
+		} else if !rle {
+			tags = max(tags, 2) // one tag is one run
 		}
 		shape += fmt.Sprintf(" %dx%d/f%d/t%d", rows, perBlock, period, tags)
 		one := storage.NewTable("t", schema)
 		b := storage.NewBuilder(one, perBlock, 5, storage.InMemory)
 		if rle {
 			b.HintSortedColumns(0)
-		} else {
-			b.DisableRLE()
 		}
 		for i := 0; i < rows; i++ {
 			blk := bi + i/perBlock
@@ -152,7 +158,7 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 			if blk%3 == 2 {
 				tier += int64(rng.Intn(5) - 2)
 			}
-			row := diffRow(rng, n, tier, tags, i/perBlock == dirty)
+			row := diffRow(rng, n, tier, tags, i/perBlock == dirty, rle)
 			b.Append(row, storage.RowMeta{Rate: 1, StratumFreq: int64(50 * (n / period % 5))})
 			n++
 		}
@@ -161,6 +167,7 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 		}
 		bi += (rows + perBlock - 1) / perBlock
 	}
+	mustBePlain(tab, rle)
 	switch rng.Intn(3) {
 	case 0:
 		in = FromTable(tab)
@@ -178,6 +185,14 @@ func genChunkCase(seed int64) (p *Plan, in Input, joins []JoinSpec, label string
 	}
 	p, joins = genQuery(rng, schema)
 	return p, in, joins, fmt.Sprintf("seed=%d chunks=%s rle=%v joins=%d pred=%s", seed, shape, rle, len(joins), p.Pred)
+}
+
+// mustBePlain panics when a case built without RLE hints holds an RLE
+// column: its plain leg would test the RLE kernels instead.
+func mustBePlain(tab *storage.Table, rle bool) {
+	if !rle && hasRLEColumn(tab) {
+		panic("a plain differential case holds an RLE column")
+	}
 }
 
 // randomCaps draws a view's resolutions: one to three ascending caps, the

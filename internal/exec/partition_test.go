@@ -105,9 +105,12 @@ func TestScanRangesInvariants(t *testing.T) {
 	}
 }
 
-// irregularTable builds both physical designs (plain encodings, RLE) of one
-// logical table whose block sizes are given explicitly (0 = an empty
-// block): the shapes where a row-budgeted partition can go wrong.
+// irregularTable builds both physical designs (plain encodings, RLE) of a
+// table whose block sizes are given explicitly (0 = an empty block): the
+// shapes where a row-budgeted partition can go wrong. strat holds runs of
+// 700 rows in the RLE design; in the plain one every other row's stratum
+// is one higher, so the column has no run and its zones stay two strata
+// wide.
 func irregularTable(t testing.TB, sizes []int) (plain, rle *storage.Table) {
 	t.Helper()
 	schema := types.NewSchema(
@@ -117,25 +120,27 @@ func irregularTable(t testing.TB, sizes []int) (plain, rle *storage.Table) {
 		types.Column{Name: "v", Kind: types.KindFloat},
 	)
 	cities := []string{"NY", "NY", "NY", "SF", "SF", "LA", "Austin", "Boise"}
-	build := func(noRLE bool) *storage.Table {
+	build := func(rle bool) *storage.Table {
 		tab := storage.NewTable("t", schema)
 		rng := rand.New(rand.NewSource(5))
 		n := 0
 		for bi, size := range sizes {
 			one := storage.NewTable("t", schema)
 			b := storage.NewBuilder(one, size+1, 7, storage.InMemory)
-			if noRLE {
-				b.DisableRLE()
-			} else {
+			if rle {
 				b.HintSortedColumns(0)
 			}
 			for i := 0; i < size; i++ {
+				strat := n / 700 // long runs → RLE
+				if !rle {
+					strat += n % 2
+				}
 				v := types.Float(rng.ExpFloat64() * 100)
 				if rng.Intn(40) == 0 {
 					v = types.Null()
 				}
 				b.Append(types.Row{
-					types.Str(fmt.Sprintf("s%03d", n/700)), // long runs → RLE
+					types.Str(fmt.Sprintf("s%03d", strat)),
 					types.Str(cities[rng.Intn(len(cities))]),
 					types.Int(int64(rng.Intn(1000))),
 					v,
@@ -151,7 +156,7 @@ func irregularTable(t testing.TB, sizes []int) (plain, rle *storage.Table) {
 		}
 		return tab
 	}
-	return build(true), build(false)
+	return build(false), build(true)
 }
 
 var irregularShapes = map[string][]int{
@@ -179,7 +184,7 @@ func TestPartitionInvariant(t *testing.T) {
 	for name, sizes := range irregularShapes {
 		plain, rle := irregularTable(t, sizes)
 		if !hasRLEColumn(rle) || hasRLEColumn(plain) {
-			t.Fatalf("%s: RLE legs are not what they claim", name)
+			t.Fatalf("%s: the RLE leg holds no RLE column or the plain leg holds one", name)
 		}
 		for _, src := range queries {
 			p := compile(t, src, plain.Schema)

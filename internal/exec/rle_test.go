@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"blinkdb/internal/colstore"
@@ -15,9 +16,13 @@ import (
 // stratSortedTable builds a table shaped like a stratified sample's
 // physical layout: rows sorted by the stratification column (long runs),
 // a block-monotonic int column (tight zones → all-true/all-false blocks),
-// NULL runs, and a mixed-kind column whose values also arrive in runs.
-// rle toggles run-length encoding (with the stratification columns hinted
-// sorted) vs the plain typed encodings.
+// NULL runs, and a mixed-kind column whose values also arrive in runs —
+// run-length encoded, with the stratification columns hinted sorted. With
+// rle false the same strata alternate row by row in pairs (0 with 1, 2
+// with 3, …) and every other row's tier is one higher: only the longer
+// stratum's tail of a pair keeps a run, too few for run-length encoding,
+// so every column takes its plain typed encoding, while strat's and tier's
+// zones stay two values wide.
 func stratSortedTable(t testing.TB, rle bool) *storage.Table {
 	t.Helper()
 	schema := types.NewSchema(
@@ -27,15 +32,12 @@ func stratSortedTable(t testing.TB, rle bool) *storage.Table {
 		types.Column{Name: "v", Kind: types.KindFloat},
 		types.Column{Name: "blob", Kind: types.KindFloat},
 	)
-	tab := storage.NewTable("strat", schema)
-	b := storage.NewBuilder(tab, 128, 4, storage.InMemory)
-	if !rle {
-		b.DisableRLE()
-	} else {
-		b.HintSortedColumns(0, 1)
-	}
 	rng := rand.New(rand.NewSource(7))
-	row := 0
+	type stratRow struct {
+		s, j int // stratum, row within it
+		row  types.Row
+	}
+	var rows []stratRow
 	for s := 0; s < 30; s++ {
 		strat := types.Str(fmt.Sprintf("stratum-%02d", s))
 		runLen := 120 + rng.Intn(160)
@@ -53,15 +55,31 @@ func stratSortedTable(t testing.TB, rle bool) *storage.Table {
 			default:
 				score = types.Str("grade-" + string(rune('A'+s%5)))
 			}
-			b.Append(types.Row{
-				strat,
-				types.Int(int64(row / 128)), // monotonic per block → tight zones
-				score,
+			rows = append(rows, stratRow{s, j, types.Row{
+				strat, types.Null(), score,
 				types.Float(rng.ExpFloat64() * 50),
 				types.Float(rng.NormFloat64()),
-			}, storage.RowMeta{Rate: 1, StratumFreq: int64(100 + s)})
-			row++
+			}})
 		}
+	}
+	if !rle {
+		sort.SliceStable(rows, func(a, b int) bool {
+			x, y := rows[a], rows[b]
+			return x.s/2 < y.s/2 || x.s/2 == y.s/2 && x.j < y.j
+		})
+	}
+	tab := storage.NewTable("strat", schema)
+	b := storage.NewBuilder(tab, 128, 4, storage.InMemory)
+	if rle {
+		b.HintSortedColumns(0, 1)
+	}
+	for i, r := range rows {
+		tier := int64(i / 128) // monotonic per block → tight zones
+		if !rle {
+			tier += int64(i % 2)
+		}
+		r.row[1] = types.Int(tier)
+		b.Append(r.row, storage.RowMeta{Rate: 1, StratumFreq: int64(100 + r.s)})
 	}
 	return b.Finish()
 }
@@ -78,14 +96,15 @@ func hasRLEColumn(tab *storage.Table) bool {
 }
 
 // TestThreeWayEquivalence is the scan kernels' acceptance gate: the
-// plain-columnar (RLE disabled) and RLE-columnar designs must both return
-// the oracle's Result for every query shape and worker count — including
-// all-true/all-false zone blocks, NULL runs and mixed-kind run columns.
+// plain-columnar and RLE-columnar tables of stratSortedTable must each
+// return the oracle's Result for every query shape and worker count —
+// including all-true/all-false zone blocks, NULL runs and mixed-kind run
+// columns.
 func TestThreeWayEquivalence(t *testing.T) {
 	plain := stratSortedTable(t, false)
 	rle := stratSortedTable(t, true)
 	if hasRLEColumn(plain) {
-		t.Fatal("DisableRLE leg still produced an RLE column")
+		t.Fatal("plain leg holds an RLE column — it would test the RLE kernels twice")
 	}
 	if !hasRLEColumn(rle) {
 		t.Fatal("RLE leg produced no RLE columns — the suite would be vacuous")
@@ -384,8 +403,8 @@ func BenchmarkCmpFloats(b *testing.B) {
 }
 
 // BenchmarkCmpRLE compares predicate evaluation over an RLE stratification
-// column (one verdict per run) against the dictionary kernel on identical
-// logical data.
+// column (one verdict per run) against the dictionary kernel on the same
+// rows in a run-free order.
 func BenchmarkCmpRLE(b *testing.B) {
 	rle := stratSortedTable(b, true)
 	plain := stratSortedTable(b, false)

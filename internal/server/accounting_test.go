@@ -1,16 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"blinkdb/internal/admission"
-	"blinkdb/internal/loadgen"
 )
 
 // slowWriter throttles every response write, imitating a streaming
@@ -196,86 +199,134 @@ func TestRetryAfterSecondsCeil(t *testing.T) {
 	}
 }
 
-// TestLoadgenConservation drives the serving path with a heterogeneous
-// loadgen mix — patient and impatient cohorts against one slot — and
-// asserts the accounting identity the queue-cancel fix makes possible:
-// every arrival that reached admission is admitted, shed, or
-// queue-cancelled. Nothing vanishes.
-func TestLoadgenConservation(t *testing.T) {
+// scripted is one request of a scripted client: giveUp > 0 abandons it
+// after that long.
+type scripted struct {
+	sql    string
+	stream bool
+	giveUp time.Duration
+}
+
+// send posts each request from its own goroutine, all at once, and
+// returns a wait that counts their outcomes: "served" (a 200 whose last
+// line is a final frame with a result and no error), "shed" (429),
+// "cancelled" (the client gave up first) or "errored" (anything else).
+func send(base string, reqs ...scripted) (wait func() map[string]int) {
+	outs := make(chan string, len(reqs))
+	for _, r := range reqs {
+		go func() { outs <- sendScripted(base, r) }()
+	}
+	return func() map[string]int {
+		counts := map[string]int{}
+		for range reqs {
+			counts[<-outs]++
+		}
+		return counts
+	}
+}
+
+func sendScripted(base string, r scripted) string {
+	ctx := context.Background()
+	if r.giveUp > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.giveUp)
+		defer cancel()
+	}
+	body := fmt.Sprintf(`{"sql": %q, "stream": %v}`, r.sql, r.stream)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/query", strings.NewReader(body))
+	if err != nil {
+		return "errored"
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return "cancelled"
+		}
+		return "errored"
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	switch {
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return "shed"
+	case err != nil && ctx.Err() != nil:
+		return "cancelled"
+	case err != nil || resp.StatusCode != http.StatusOK:
+		return "errored"
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var f struct {
+		Final  bool      `json:"final"`
+		Error  string    `json:"error"`
+		Result *struct{} `json:"result"`
+	}
+	if json.Unmarshal(lines[len(lines)-1], &f) != nil || !f.Final || f.Error != "" || f.Result == nil {
+		return "errored"
+	}
+	return "served"
+}
+
+// TestAdmissionConservation drives the serving path over real HTTP in three
+// scripted phases against one held slot and a two-place queue: two
+// impatient requests queue and give up while the slot is held, three more
+// find the queue full and are shed, and after the release three patient
+// ones are served. Every arrival must land in exactly one of the server's
+// admitted, shed and queue-cancelled ledgers: nothing vanishes, and each
+// ledger is exercised.
+func TestAdmissionConservation(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	srv := New(eng, Config{Admission: admission.Config{
 		MaxConcurrent: 1, MaxQueue: 2, MaxBacklogSeconds: -1,
 	}})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
+	const osSQL = "SELECT AVG(sessiontime) FROM sessions WHERE os = 'OSX'"
 
-	spec := loadgen.Spec{
-		Seed:     1234,
-		Duration: 1500 * time.Millisecond,
-		Cohorts: []loadgen.Cohort{
-			{
-				Name:    "steady",
-				Clients: 4, RateQPS: 30, RateSkew: 1.2,
-				Arrival: loadgen.Poisson,
-				Templates: []loadgen.Template{{
-					Pattern:     "SELECT AVG(sessiontime) FROM sessions WHERE city = 'c%d'",
-					Cardinality: 6, Skew: 1.3, Weight: 1,
-				}},
-				Bounds:         []loadgen.Bound{{ErrorPct: 10, Confidence: 95, Weight: 1}},
-				StreamFraction: 0.3,
-			},
-			{
-				Name:    "impatient",
-				Clients: 2, RateQPS: 20,
-				Arrival: loadgen.Gamma, Burstiness: 4,
-				Templates: []loadgen.Template{{
-					Pattern:     "SELECT AVG(sessiontime) FROM sessions WHERE os = 'o%d'",
-					Cardinality: 3, Weight: 1,
-				}},
-				GiveUpSeconds: 0.2,
-			},
-		},
-	}
-	tr := loadgen.Generate(spec)
-	if len(tr.Requests) == 0 {
-		t.Fatal("empty trace")
-	}
-
-	// Hold the slot for the first part of the run so queues build, sheds
-	// fire, and impatient clients abandon while queued.
 	hold, err := srv.adm.Admit(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := time.AfterFunc(400*time.Millisecond, func() { hold.Release() })
-	defer release.Stop()
+	impatient := send(hs.URL,
+		scripted{sql: osSQL, giveUp: time.Second},
+		scripted{sql: boundedSQL, stream: true, giveUp: time.Second})
+	waitQueued(t, srv, 2)
+	full := send(hs.URL,
+		scripted{sql: osSQL}, scripted{sql: boundedSQL, stream: true}, scripted{sql: boundedSQL})
+	phases := []map[string]int{impatient(), full()}
+	waitQueued(t, srv, 0) // the abandoned handlers have left the queue
+	hold.Release()
+	phases = append(phases, send(hs.URL,
+		scripted{sql: osSQL, stream: true}, scripted{sql: boundedSQL}, scripted{sql: boundedSQL, stream: true})())
 
-	rep, err := loadgen.Run(tr, hs.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errored != 0 {
-		t.Fatalf("unexpected request errors: %+v", rep)
-	}
-	if rep.Served == 0 {
-		t.Fatalf("nothing served: %+v", rep)
+	wants := []map[string]int{{"cancelled": 2}, {"shed": 3}, {"served": 3}}
+	if !reflect.DeepEqual(phases, wants) {
+		t.Fatalf("client outcomes by phase %v, want %v", phases, wants)
 	}
 
 	// Handlers for abandoned requests may still be unwinding; poll until
-	// the server-side ledger balances against dispatched arrivals.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	// the server-side ledger balances against the 8 arrivals.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		snap := srv.met.Snapshot()
-		if snap.Admitted+snap.Shed+snap.QueueCancelled == int64(rep.Arrivals) {
-			if rep.Cancelled > 0 && snap.QueueCancelled == 0 {
-				t.Logf("note: all %d client cancels hit running queries, none while queued", rep.Cancelled)
+		if snap.Admitted+snap.Shed+snap.QueueCancelled == 8 {
+			if snap.Admitted != 3 || snap.Shed != 3 || snap.QueueCancelled != 2 {
+				t.Fatalf("admitted %d, shed %d, queue-cancelled %d; want 3, 3, 2",
+					snap.Admitted, snap.Shed, snap.QueueCancelled)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("conservation violated: admitted %d + shed %d + queueCancelled %d != arrivals %d",
-				snap.Admitted, snap.Shed, snap.QueueCancelled, rep.Arrivals)
+			t.Fatalf("conservation violated: admitted %d + shed %d + queue-cancelled %d != 8 arrivals",
+				snap.Admitted, snap.Shed, snap.QueueCancelled)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitQueued waits until n requests wait in srv's admission queue.
+func waitQueued(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); srv.adm.Snapshot().Queued != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission queue holds %d, want %d", srv.adm.Snapshot().Queued, n)
+		}
 	}
 }

@@ -404,12 +404,9 @@ type Builder struct {
 	cur     *colstore.Builder // created at the first row, reused per chunk
 	nextTgt int
 
-	// Encoding knobs forwarded to the chunk encoder: sortedCols hints
-	// sorted/low-cardinality columns, noRLE pins the pre-RLE plain typed
-	// encodings. Both are purely physical — logical content is identical
-	// either way.
+	// sortedCols hints sorted/low-cardinality columns to the chunk
+	// encoder. Purely physical: logical content is identical either way.
 	sortedCols []int
-	noRLE      bool
 
 	// workers bounds the goroutines a chunk's per-column encoding and cut
 	// fan out over (≤ 1: none).
@@ -460,16 +457,6 @@ func (b *Builder) HintSortedColumns(cols ...int) {
 	}
 }
 
-// DisableRLE pins the plain typed encodings (no run-length encoding) —
-// the benchmark and equivalence suites use it to build the pre-RLE
-// physical design from identical input.
-func (b *Builder) DisableRLE() {
-	b.noRLE = true
-	if b.cur != nil {
-		b.cur.DisableRLE()
-	}
-}
-
 // SetWorkers fans each chunk's per-column work — appending, encoding and
 // cutting it into blocks — out over up to n goroutines; a builder it is
 // not called on starts none. The table is the same for every n. Call it
@@ -485,9 +472,6 @@ func (b *Builder) encoder(width int) *colstore.Builder {
 			width = b.table.Schema.Len()
 		}
 		b.cur = colstore.NewBuilder(width)
-		if b.noRLE {
-			b.cur.DisableRLE()
-		}
 		if len(b.sortedCols) > 0 {
 			b.cur.HintSorted(b.sortedCols...)
 		}

@@ -22,14 +22,7 @@ import (
 // product path reaches but that stay in product files, each with its
 // reason. A key is a package path (every function of that package) or one
 // function as the failure prints it: pkg.F, pkg.T.M or pkg.(*T).M.
-var reachAllowed = map[string]string{
-	"blinkdb/internal/loadgen": "test support for the server's load tests; " +
-		"its first product caller is the benchmark's overload_sweep leg, not yet written",
-	"blinkdb/internal/exec.(*Chain).Result": "elp's probe tests finalize the chain a " +
-		"prepared template keeps, holding it to the probe's answer",
-	"blinkdb/internal/storage.(*Builder).DisableRLE": "exec's equivalence tests build " +
-		"the plain encodings beside the run-length ones from the same rows",
-}
+var reachAllowed = map[string]string{}
 
 // TestProductReachability fails on any package-level function or method of
 // the module that no product path reaches. It type-checks every non-test
