@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blinkdb/internal/types"
@@ -66,6 +67,37 @@ func accDiff(got, want *colAcc) string {
 // verbatim, all-NULL), from different chunks into one, so a column's kind
 // can change or mix between windows.
 func TestAppendFromMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const width = 8
+	srcs, srcRows := mixedChunks(rng, width)
+	got, want := NewBuilder(width), NewBuilder(width)
+	for step := 0; step < 400; step++ {
+		s := rng.Intn(len(srcs))
+		lo := rng.Intn(srcs[s].N)
+		hi := lo + 1 + rng.Intn(srcs[s].N-lo)
+		got.AppendFrom(srcs[s], lo, hi)
+		for i := lo; i < hi; i++ {
+			want.Append(srcRows[s][i], 1, int64(srcs[s].N))
+		}
+		for c := range got.cols {
+			if diff := accDiff(&got.cols[c], &want.cols[c]); diff != "" {
+				t.Fatalf("step %d, rows [%d,%d) of chunk %d, column %d: %s", step, lo, hi, s, c, diff)
+			}
+		}
+		// Finish encodes from this state alone; closing chunks at random
+		// starts windows at row 0 too.
+		if rng.Intn(4) == 0 || got.Len() > 2000 {
+			got.Finish()
+			want.Finish()
+		}
+	}
+}
+
+// mixedChunks draws 12 source chunks of width columns and the rows each
+// was built from. Each chunk draws every column from a generator picked
+// per chunk, so a column is encoded every way — typed with NULLs, dict,
+// RLE, verbatim, all-NULL — and changes kind from one chunk to the next.
+func mixedChunks(rng *rand.Rand, width int) ([]*Data, [][]types.Row) {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	gens := []func(rng *rand.Rand, i int) types.Value{
 		func(rng *rand.Rand, i int) types.Value { // floats: NULLs, NaNs, ±0
@@ -107,10 +139,6 @@ func TestAppendFromMatchesAppend(t *testing.T) {
 		func(rng *rand.Rand, i int) types.Value { return randomValue(rng) }, // every kind
 		func(rng *rand.Rand, i int) types.Value { return types.Null() },
 	}
-	rng := rand.New(rand.NewSource(5))
-	const width = 8
-	// Each source chunk draws every column from a generator picked per
-	// chunk, so one column is float in one chunk and strings in the next.
 	var srcs []*Data
 	var srcRows [][]types.Row
 	for s := 0; s < 12; s++ {
@@ -138,22 +166,88 @@ func TestAppendFromMatchesAppend(t *testing.T) {
 		}
 		srcs, srcRows = append(srcs, b.Finish()), append(srcRows, rows)
 	}
+	return srcs, srcRows
+}
+
+// TestAppendGatherMatchesAppend holds AppendGather to appending the same
+// rows one by one, as TestAppendFromMatchesAppend holds AppendFrom: after
+// every gather, every column accumulator and the metadata runs are the
+// same. A gather takes rows of any chunk in any order — a stretch of one
+// chunk's rows, one row from chunk after chunk, a row repeated — and the
+// chunk list is reordered now and then, so the dictionary tables are laid
+// out anew in the middle of a chunk being built.
+func TestAppendGatherMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const width = 8
+	srcs, srcRows := mixedChunks(rng, width)
+	// Two chunks of wide ints and 2-byte dictionary codes, both with NULLs,
+	// which the generators above do not draw.
+	for range 2 {
+		rows := make([]types.Row, 600)
+		for i := range rows {
+			rows[i] = make(types.Row, width)
+			for c := range rows[i] {
+				switch {
+				case rng.Intn(9) == 0:
+					rows[i][c] = types.Null()
+				case c%2 == 0:
+					rows[i][c] = types.Int(rng.Int63n(1<<40) - 1<<39)
+				default:
+					rows[i][c] = types.Str(fmt.Sprintf("w%03d", rng.Intn(400)))
+				}
+			}
+		}
+		rates := make([]float64, len(rows))
+		for i := range rates {
+			rates[i] = 1
+		}
+		d := FromRows(width, rows, rates, make([]int64, len(rows)))
+		if d.Cols[0].Enc != EncInt || d.Cols[0].Narrow() || d.Cols[1].Enc != EncDict || d.Cols[1].Codes16 == nil {
+			t.Fatalf("extra chunk encodes %v (narrow %v) and %v, want wide ints and 2-byte codes", d.Cols[0].Enc, d.Cols[0].Narrow(), d.Cols[1].Enc)
+		}
+		srcs, srcRows = append(srcs, d), append(srcRows, rows)
+	}
+	order := rng.Perm(len(srcs)) // list[i] is srcs[order[i]]
+	list := make([]*Data, len(srcs))
 	got, want := NewBuilder(width), NewBuilder(width)
-	for step := 0; step < 400; step++ {
-		s := rng.Intn(len(srcs))
-		lo := rng.Intn(srcs[s].N)
-		hi := lo + 1 + rng.Intn(srcs[s].N-lo)
-		got.AppendFrom(srcs[s], lo, hi)
-		for i := lo; i < hi; i++ {
-			want.Append(srcRows[s][i], 1, int64(srcs[s].N))
+	for step := 0; step < 600; step++ {
+		if step%40 == 0 {
+			order = rng.Perm(len(srcs))
+			for i, s := range order {
+				list[i] = srcs[s]
+			}
+		}
+		n := 1 + rng.Intn(200)
+		locs := make([]Loc, 0, n)
+		for len(locs) < n {
+			s := rng.Intn(len(list))
+			r := rng.Intn(list[s].N)
+			k := 1 // rows this draw adds
+			switch rng.Intn(3) {
+			case 0:
+				k = min(1+rng.Intn(30), list[s].N-r, n-len(locs))
+			case 1:
+				for range rng.Intn(4) {
+					locs = append(locs, Loc{int32(s), int32(r)})
+				}
+			}
+			for j := range k {
+				locs = append(locs, Loc{int32(s), int32(r + j)})
+			}
+		}
+		freq := int64(rng.Intn(3))
+		got.AppendGather(list, locs, 1, freq)
+		for _, l := range locs {
+			want.Append(srcRows[order[l.Chunk]][l.Row], 1, freq)
 		}
 		for c := range got.cols {
 			if diff := accDiff(&got.cols[c], &want.cols[c]); diff != "" {
-				t.Fatalf("step %d, rows [%d,%d) of chunk %d, column %d: %s", step, lo, hi, s, c, diff)
+				t.Fatalf("step %d, %d rows, column %d: %s", step, len(locs), c, diff)
 			}
 		}
-		// Finish encodes from this state alone; closing chunks at random
-		// starts windows at row 0 too.
+		if got.n != want.n || !slices.Equal(got.metaEnds, want.metaEnds) || !slices.Equal(got.freqs, want.freqs) || !slices.Equal(got.rates, want.rates) {
+			t.Fatalf("step %d: %d rows in metadata runs %v %v, want %d in %v %v", step, got.n, got.metaEnds, got.freqs, want.n, want.metaEnds, want.freqs)
+		}
 		if rng.Intn(4) == 0 || got.Len() > 2000 {
 			got.Finish()
 			want.Finish()

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"slices"
+
 	"blinkdb/internal/types"
 )
 
@@ -17,13 +19,14 @@ const (
 )
 
 // Builder accumulates one chunk's rows and encodes them into a Data:
-// Append rows (with their sampling metadata), or AppendFrom a window of an
-// already-encoded chunk, then Finish to freeze the payload. Values
-// accumulate in their typed form from the first row on — a column only
-// falls back to verbatim values when its non-null kinds actually mix — so
-// a column degrades gracefully instead of ever rejecting a row, and Finish
-// has nothing left to decode. The accumulators are kept across Finish
-// calls: a builder that writes many chunks grows its buffers once.
+// Append rows (with their sampling metadata), AppendFrom a window of an
+// already-encoded chunk or AppendGather a list of rows of several, then
+// Finish to freeze the payload. Values accumulate in their typed form
+// from the first row on — a column only falls back to verbatim values
+// when its non-null kinds actually mix — so a column degrades gracefully
+// instead of ever rejecting a row, and Finish has nothing left to decode.
+// The accumulators are kept across Finish calls: a builder that writes
+// many chunks grows its buffers once.
 type Builder struct {
 	cols []colAcc
 	n    int
@@ -38,6 +41,10 @@ type Builder struct {
 
 	// workers bounds the goroutines the per-column work fans out over.
 	workers int
+
+	// gsrcs is the chunk list of the last AppendGather, which every
+	// accumulator's gather table is laid out over.
+	gsrcs []*Data
 }
 
 // NewBuilder creates a builder for chunks of numCols columns.
@@ -114,6 +121,37 @@ func (b *Builder) AppendFrom(src *Data, lo, hi int) {
 	b.n += hi - lo
 }
 
+// Loc locates one row of a gather: row Row of chunk Chunk of its list.
+type Loc struct{ Chunk, Row int32 }
+
+// AppendGather adds row locs[k].Row of srcs[locs[k].Chunk], for each k in
+// order, every row with the same sampling metadata: the builder ends up in
+// the state appending the rows one by one leaves it in. The chunks have the
+// builder's width. Rows go column at a time as their payloads: a float or
+// int as it is stored, a dictionary code translated through a table per
+// source chunk filled the first time the code is met, which holds until
+// Finish while the chunk list stays the same. The columns go one after
+// another on the calling goroutine: a call copies one stratum's rows, and a
+// sample build runs its families, not their columns, in parallel.
+func (b *Builder) AppendGather(srcs []*Data, locs []Loc, rate float64, freq int64) {
+	if len(locs) == 0 {
+		return
+	}
+	relayout := !slices.Equal(b.gsrcs, srcs)
+	if relayout {
+		b.gsrcs = append(b.gsrcs[:0], srcs...)
+	}
+	for c := range b.cols {
+		a := &b.cols[c]
+		if relayout {
+			a.layout(srcs, c)
+		}
+		a.gather(srcs, c, locs, b.n)
+	}
+	b.appendMeta(rate, freq, len(locs))
+	b.n += len(locs)
+}
+
 // appendMeta records count more rows of one (rate, freq) pair, extending
 // the open metadata run when the pair repeats.
 func (b *Builder) appendMeta(rate float64, freq int64, count int) {
@@ -184,6 +222,13 @@ type colAcc struct {
 	// remap is appendFrom's scratch: a source dictionary code's code in
 	// dict, noCode until the code is first met.
 	remap []uint32
+
+	// gmap is gather's: gmap[gat[s]+k] is code k of source chunk s's
+	// dictionary as a code in dict, noCode until met, and gset lists the
+	// entries filled since dict was last emptied, which finish resets.
+	gmap []uint32
+	gat  []int32
+	gset []int32
 }
 
 // noCode marks a remap entry not filled yet.
@@ -457,12 +502,90 @@ func (a *colAcc) appendRun(v types.Value, at, k int) {
 	}
 }
 
+// layout lays gmap out over column c of the chunks srcs, every entry
+// noCode. gset gets room for every entry, so gathers allocate nothing more.
+func (a *colAcc) layout(srcs []*Data, c int) {
+	a.gat = slices.Grow(a.gat[:0], len(srcs))
+	n := 0
+	for _, d := range srcs {
+		a.gat = append(a.gat, int32(n))
+		n += len(d.Cols[c].Dict)
+	}
+	a.gmap = slices.Grow(a.gmap[:0], n)[:n]
+	for k := range a.gmap {
+		a.gmap[k] = noCode
+	}
+	a.gset = slices.Grow(a.gset[:0], n)
+}
+
+// gather adds column c of row locs[k].Row of srcs[locs[k].Chunk] as row
+// at+k, for each k, leaving the accumulator exactly as appending the values
+// one by one would. A cell of a typed chunk column that is not NULL and is
+// of the accumulator's kind is copied as its payload, its run counted by
+// payload; any other cell — RLE, verbatim, NULL, of another kind, or a
+// string the full dictionary cannot take — goes through append.
+func (a *colAcc) gather(srcs []*Data, c int, locs []Loc, at int) {
+	for _, l := range locs {
+		col, r := &srcs[l.Chunk].Cols[c], int(l.Row)
+		if a.mixed || col.Enc >= EncValue || a.kind != encKind[col.Enc] || col.Nulls != nil && isSet(col.Nulls, r) {
+			a.append(col.Value(r), at)
+			at++
+			continue
+		}
+		switch col.Enc {
+		case EncFloat:
+			x := col.Floats[r]
+			if v := types.Float(x); at == 0 || v != a.last {
+				a.runs++
+				a.last = v
+			}
+			if x != x {
+				a.hasNaN = true
+			}
+			a.floats = append(a.floats, x)
+		case EncInt, EncBool:
+			v := types.Value{Kind: a.kind, I: col.IntAt(r)}
+			if at == 0 || v != a.last {
+				a.runs++
+				a.last = v
+			}
+			a.ints = append(a.ints, v.I)
+		default: // EncDict
+			k := col.Code(r)
+			e := int(a.gat[l.Chunk]) + k
+			code := a.gmap[e]
+			if code == noCode {
+				acc, ok := a.code(col.Dict[k])
+				if !ok {
+					a.append(col.Value(r), at) // mixes the column
+					at++
+					continue
+				}
+				code = uint32(acc)
+				a.gmap[e] = code
+				a.gset = append(a.gset, int32(e))
+			}
+			// The previous row is NULL or a code of dict, whose strings are
+			// equal exactly when their codes are.
+			if at == 0 || a.isNull(at-1) || uint32(a.codes[at-1]) != code {
+				a.runs++
+				a.last = types.Str(col.Dict[k])
+			}
+			a.codes = append(a.codes, uint16(code))
+		}
+		at++
+	}
+}
+
+// isNull reports whether row j of a typed accumulator is NULL.
+func (a *colAcc) isNull(j int) bool { return j>>6 < len(a.nulls) && isSet(a.nulls, j) }
+
 // value reconstructs row j from the typed accumulators.
 func (a *colAcc) value(j int) types.Value {
 	if a.mixed {
 		return a.values[j]
 	}
-	if j>>6 < len(a.nulls) && a.nulls[j>>6]&(1<<uint(j&63)) != 0 {
+	if a.isNull(j) {
 		return types.Null()
 	}
 	switch a.kind {
@@ -484,6 +607,10 @@ func (a *colAcc) finish(n int, hinted bool) Column {
 	a.floats, a.ints, a.codes = a.floats[:0], a.ints[:0], a.codes[:0]
 	a.dict, a.nulls, a.values = a.dict[:0], a.nulls[:0], a.values[:0]
 	clear(a.lookup)
+	for _, e := range a.gset {
+		a.gmap[e] = noCode
+	}
+	a.gset = a.gset[:0]
 	a.kind, a.mixed, a.runs, a.last, a.hasNull, a.hasNaN = types.KindNull, false, 0, types.Value{}, false, false
 	return col
 }

@@ -285,16 +285,11 @@ func (d *Data) MetaRunOf(i int) int {
 
 // Row materialises row i as a fresh types.Row (safe to retain).
 func (d *Data) Row(i int) types.Row {
-	return d.RowInto(make(types.Row, len(d.Cols)), i)
-}
-
-// RowInto materialises row i into buf (which must have len(d.Cols)) and
-// returns it. The scan paths reuse one buffer with this.
-func (d *Data) RowInto(buf types.Row, i int) types.Row {
+	r := make(types.Row, len(d.Cols))
 	for c := range d.Cols {
-		buf[c] = d.Cols[c].Value(i)
+		r[c] = d.Cols[c].Value(i)
 	}
-	return buf
+	return r
 }
 
 // Strata numbers the distinct projections of rows onto a list of columns

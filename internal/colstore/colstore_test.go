@@ -122,13 +122,9 @@ func TestRoundTripMixed(t *testing.T) {
 	if d.N != n {
 		t.Fatalf("N = %d, want %d", d.N, n)
 	}
-	buf := make(types.Row, 3)
 	for i := range rows {
 		if got := d.Row(i); !reflect.DeepEqual(got, rows[i]) {
 			t.Fatalf("row %d: got %v want %v", i, got, rows[i])
-		}
-		if got := d.RowInto(buf, i); !reflect.DeepEqual(got, rows[i]) {
-			t.Fatalf("RowInto %d: got %v want %v", i, got, rows[i])
 		}
 		if rateAt(d, i) != rates[i] || freqAt(d, i) != freqs[i] {
 			t.Fatalf("meta %d: (%g,%d) want (%g,%d)", i, rateAt(d, i), freqAt(d, i), rates[i], freqs[i])

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -176,4 +177,50 @@ func TestDictionaryOfMaxDictStaysDict(t *testing.T) {
 		}
 		checkRows(t, name, d, rows)
 	}
+}
+
+// TestDictionaryOverflowGather: a gather whose strings pass MaxDict partway
+// through one call mixes the column exactly where appending the rows one by
+// one does — every accumulator the same after each call — and the chunk
+// gives back every row, its RowKeys and strata.
+func TestDictionaryOverflowGather(t *testing.T) {
+	a, b := overflowRows(40000, "p"), overflowRows(40000, "q")
+	rates, freqs := make([]float64, len(a)), make([]int64, len(a))
+	for i := range rates {
+		rates[i] = 1
+	}
+	srcs := []*Data{FromRows(2, a, rates, freqs), FromRows(2, b, rates, freqs)}
+	rows := [][]types.Row{a, b}
+	var locs []Loc
+	for s, rs := range rows {
+		for i := range rs {
+			locs = append(locs, Loc{int32(s), int32(i)})
+		}
+	}
+	// The first call takes half of a; the second the rest of a and all of
+	// b, shuffled, so the dictionary fills in its middle.
+	tail := locs[20000:]
+	rand.New(rand.NewSource(3)).Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+	got, want := NewBuilder(2), NewBuilder(2)
+	var all []types.Row
+	for call, part := range [][]Loc{locs[:20000], tail} {
+		if got.cols[0].mixed {
+			t.Fatalf("call %d: column 0 mixed before the call", call)
+		}
+		got.AppendGather(srcs, part, 1, 5)
+		for _, l := range part {
+			want.Append(rows[l.Chunk][l.Row], 1, 5)
+			all = append(all, rows[l.Chunk][l.Row])
+		}
+		for c := range got.cols {
+			if diff := accDiff(&got.cols[c], &want.cols[c]); diff != "" {
+				t.Fatalf("call %d, column %d: %s", call, c, diff)
+			}
+		}
+	}
+	out := got.Finish()
+	if out.Cols[0].Enc != EncValue || out.Cols[1].Enc != EncDict {
+		t.Fatalf("encodings %v %v, want value and dict", out.Cols[0].Enc, out.Cols[1].Enc)
+	}
+	checkRows(t, "gather", out, all)
 }

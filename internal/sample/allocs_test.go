@@ -12,10 +12,11 @@ import (
 )
 
 // TestBuildAllocs pins Build's allocations as independent of the base
-// row count: it numbers strata with colstore.Strata and copies sampled
-// rows through one buffer, so a base four times larger costs only what
-// more base blocks and more chunks written cost — the same sample size
-// here, so the same chunks — not an allocation per row.
+// row count: it numbers strata with colstore.Strata and gathers sampled
+// rows column by column into scratch sized once per builder, so a base
+// four times larger costs only what more base blocks and chunks and more
+// chunks written cost — the same sample size here, so the same chunks —
+// not an allocation per row.
 func TestBuildAllocs(t *testing.T) {
 	phi := types.NewColumnSet("city", "os")
 	caps := []int64{100, 1000}

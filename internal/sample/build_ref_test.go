@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"blinkdb/internal/colstore"
 	"blinkdb/internal/storage"
 	"blinkdb/internal/types"
 )
@@ -81,7 +82,8 @@ func buildByRowKey(base *storage.Table, phi types.ColumnSet, caps []int64, cfg B
 // bitsDiff names the first field on which got and want differ, "" when
 // they are equal: every field, exported or not, is walked, floats compared
 // by their bits (a NaN's payload and −0 count) and pointers by what they
-// point at. A kind it does not walk is reported, not passed.
+// point at. A kind it does not walk is reported, not passed. A field's path
+// is spelled out only once it differs.
 func bitsDiff(path string, got, want reflect.Value) string {
 	if got.Kind() != want.Kind() {
 		return path + ": kinds differ"
@@ -100,8 +102,8 @@ func bitsDiff(path string, got, want reflect.Value) string {
 		return bitsDiff(path, got.Elem(), want.Elem())
 	case reflect.Struct:
 		for i := 0; i < got.NumField(); i++ {
-			if d := bitsDiff(path+"."+got.Type().Field(i).Name, got.Field(i), want.Field(i)); d != "" {
-				return d
+			if d := bitsDiff("", got.Field(i), want.Field(i)); d != "" {
+				return path + "." + got.Type().Field(i).Name + d
 			}
 		}
 	case reflect.Slice, reflect.Array:
@@ -109,8 +111,8 @@ func bitsDiff(path string, got, want reflect.Value) string {
 			return fmt.Sprintf("%s: length %d, want %d", path, got.Len(), want.Len())
 		}
 		for i := 0; i < got.Len(); i++ {
-			if d := bitsDiff(fmt.Sprintf("%s[%d]", path, i), got.Index(i), want.Index(i)); d != "" {
-				return d
+			if d := bitsDiff("", got.Index(i), want.Index(i)); d != "" {
+				return fmt.Sprintf("%s[%d]%s", path, i, d)
 			}
 		}
 	case reflect.Float32, reflect.Float64:
@@ -143,7 +145,12 @@ func bitsDiff(path string, got, want reflect.Value) string {
 // builder and so with its own dictionaries: a shifted string vocabulary
 // with NULLs, a column mixing ints, bools, floats (two NaN payloads, ±0),
 // strings and NULLs, a float column with NaN and ±0, Int(1) beside
-// Bool(true), an int column in runs (RLE), and a float measure.
+// Bool(true), an int column in runs (RLE), and a float measure. So that a
+// gather meets every form a chunk column takes, four more: strings with
+// more than 256 distinct values in chunk 1 (2-byte codes) and a few in the
+// others (1-byte codes), narrow ints with NULLs, a float column all NULL
+// in chunk 0, and ints in runs (RLE) in even chunks and scattered (typed)
+// in odd ones. checkRefShapes says they are there.
 func refTable(chunks, rowsPerChunk int) *storage.Table {
 	schema := types.NewSchema(
 		types.Column{Name: "city", Kind: types.KindString},
@@ -152,10 +159,15 @@ func refTable(chunks, rowsPerChunk int) *storage.Table {
 		types.Column{Name: "b", Kind: types.KindBool},
 		types.Column{Name: "run", Kind: types.KindInt},
 		types.Column{Name: "x", Kind: types.KindFloat},
+		types.Column{Name: "tag", Kind: types.KindString},
+		types.Column{Name: "n", Kind: types.KindInt},
+		types.Column{Name: "late", Kind: types.KindFloat},
+		types.Column{Name: "rt", Kind: types.KindInt},
 	)
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(5))
+	rng2 := rand.New(rand.NewSource(6)) // the last four columns'
 	tab := storage.NewTable("base", schema)
 	for k := 0; k < chunks; k++ {
 		part := storage.NewBuilder(storage.NewTable("part", schema), 50, 3, storage.OnDisk)
@@ -182,13 +194,72 @@ func refTable(chunks, rowsPerChunk int) *storage.Table {
 				f = types.Null()
 			}
 			b := []types.Value{types.Int(0), types.Int(1), types.Bool(true), types.Bool(false)}[rng.Intn(4)]
-			part.AppendRow(types.Row{city, mix, f, b, types.Int(int64(i / 40 % 3)), types.Float(rng.NormFloat64())})
+			tags := 12
+			if k == 1 {
+				tags = 300
+			}
+			tag := types.Str(fmt.Sprintf("t%03d", rng2.Intn(tags)))
+			n := types.Int(int64(1000 + rng2.Intn(50)))
+			if rng2.Intn(8) == 0 {
+				n = types.Null()
+			}
+			late := types.Float(float64(rng2.Intn(4)))
+			if k == 0 {
+				late = types.Null()
+			}
+			rt := types.Int(int64(i / 50))
+			if k%2 == 1 {
+				rt = types.Int(int64(rng2.Intn(20)))
+			}
+			part.AppendRow(types.Row{city, mix, f, b, types.Int(int64(i / 40 % 3)), types.Float(rng.NormFloat64()), tag, n, late, rt})
 		}
 		for _, blk := range part.Finish().Blocks {
 			tab.AddBlock(blk)
 		}
 	}
 	return tab
+}
+
+// checkRefShapes fails unless refTable's base holds every chunk column
+// form it is meant to: 1- and 2-byte codes in one column, narrow ints with
+// NULLs, a column all NULL in one chunk and typed in another, and one RLE
+// in one chunk and typed in another.
+func checkRefShapes(t *testing.T, tab *storage.Table) {
+	t.Helper()
+	col := func(name string) int { return tab.Schema.Index(name) }
+	has := func(name string, form func(c *colstore.Column, n int) bool) bool {
+		for _, d := range tab.Chunks() {
+			if form(&d.Cols[col(name)], d.N) {
+				return true
+			}
+		}
+		return false
+	}
+	allNull := func(c *colstore.Column, n int) bool {
+		for i := 0; i < n; i++ {
+			if !c.IsNull(i) {
+				return false
+			}
+		}
+		return true
+	}
+	typed := func(c *colstore.Column, n int) bool { return c.Enc < colstore.EncValue && !allNull(c, n) }
+	for _, shape := range []struct {
+		name string
+		ok   bool
+	}{
+		{"tag with 1-byte codes", has("tag", func(c *colstore.Column, _ int) bool { return c.Enc == colstore.EncDict && c.Codes8 != nil })},
+		{"tag with 2-byte codes", has("tag", func(c *colstore.Column, _ int) bool { return c.Enc == colstore.EncDict && c.Codes16 != nil })},
+		{"n narrow with NULLs", has("n", func(c *colstore.Column, _ int) bool { return c.Enc == colstore.EncInt && c.Narrow() && c.Nulls != nil })},
+		{"late all NULL", has("late", allNull)},
+		{"late typed", has("late", typed)},
+		{"rt RLE", has("rt", func(c *colstore.Column, _ int) bool { return c.Enc == colstore.EncRLE })},
+		{"rt typed", has("rt", typed)},
+	} {
+		if !shape.ok {
+			t.Fatalf("the base has no chunk column of the shape %q", shape.name)
+		}
+	}
 }
 
 // TestBuildMatchesRowKeyBuild holds Build to buildByRowKey field for field
@@ -200,6 +271,7 @@ func TestBuildMatchesRowKeyBuild(t *testing.T) {
 	if len(tab.Chunks()) != 4 {
 		t.Fatalf("the base is meant to be 4 chunks, has %d", len(tab.Chunks()))
 	}
+	checkRefShapes(t, tab)
 	empty := storage.NewTable("empty", tab.Schema)
 	cfg := BuildConfig{RowsPerBlock: 64, Nodes: 3, Place: storage.InMemory, Seed: 11}
 	for _, tc := range []struct {
@@ -216,6 +288,9 @@ func TestBuildMatchesRowKeyBuild(t *testing.T) {
 		{[]string{"mix", "f"}, []int64{4, 16}},
 		{[]string{"city", "run", "f"}, []int64{1, 3, 9}},
 		{[]string{"b", "mix", "city"}, []int64{2, 6}},
+		{[]string{"tag"}, []int64{1, 4, 16}},
+		{[]string{"late", "n"}, []int64{2, 20}},
+		{[]string{"rt"}, []int64{5, 25}},
 	} {
 		phi := types.NewColumnSet(tc.cols...)
 		for _, base := range []*storage.Table{tab, empty} {

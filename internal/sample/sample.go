@@ -254,8 +254,9 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	}
 
 	// Pass 1: number each base row's stratum (Strata ids are equal exactly
-	// when RowKeys are) and counting-sort the (block, row) locators by id:
+	// when RowKeys are) and counting-sort the (chunk, row) locators by id:
 	// stratum id is locs[at[id]:at[id+1]], its rows in base order.
+	chunks := base.Chunks()
 	strata := colstore.NewStrata(idx)
 	ids := make([]uint32, 0, base.NumRows())
 	for _, b := range base.Blocks {
@@ -269,11 +270,14 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	for id := 2; id < len(at); id++ {
 		at[id] += at[id-1] // at[id+1] is where stratum id starts
 	}
-	type loc struct{ block, row int32 }
-	locs := make([]loc, len(ids))
-	for bi, b := range base.Blocks {
+	locs := make([]colstore.Loc, len(ids))
+	ci := -1 // chunks[ci] holds the block
+	for _, b := range base.Blocks {
+		if ci < 0 || chunks[ci] != b.Chunk {
+			ci++
+		}
 		for ri, id := range ids[:b.N] {
-			locs[at[id+1]] = loc{int32(bi), int32(ri)}
+			locs[at[id+1]] = colstore.Loc{Chunk: int32(ci), Row: int32(b.Off + ri)}
 			at[id+1]++ // until it is where stratum id+1 starts
 		}
 		ids = ids[b.N:]
@@ -307,8 +311,8 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 	}
 	// Pass 2: per stratum, shuffle once; nested prefixes give every
 	// resolution. Emit rows level by level so deltas are non-overlapping,
-	// each copied through one row buffer (Append does not retain it).
-	row := make(types.Row, base.Schema.Len())
+	// each level's rows gathered from the base chunks in one call, column
+	// at a time as payloads.
 	for _, id := range order {
 		w := locs[at[id]:at[id+1]]
 		f := int64(len(w))
@@ -319,10 +323,7 @@ func Build(base *storage.Table, phi types.ColumnSet, caps []int64, cfg BuildConf
 		prev := int64(0)
 		for li, cap := range caps {
 			take := min(f, cap) // caps ascend, so take never falls below prev
-			for _, l := range w[prev:take] {
-				b := base.Blocks[l.block]
-				builders[li].Append(b.Chunk.RowInto(row, b.Off+int(l.row)), storage.RowMeta{Rate: 1, StratumFreq: f})
-			}
+			builders[li].AppendGather(chunks, w[prev:take], storage.RowMeta{Rate: 1, StratumFreq: f})
 			prev = take
 		}
 	}

@@ -509,6 +509,22 @@ func (b *Builder) AppendColumns(cols [][]types.Value, n int) {
 	}
 }
 
+// AppendGather adds row locs[k].Row of chunk srcs[locs[k].Chunk], for each
+// k in order, every row with the sampling metadata m, closing chunks where
+// Append would: the table is the one appending the rows one by one builds.
+// The rows go column at a time as payloads (colstore.Builder.AppendGather).
+func (b *Builder) AppendGather(srcs []*colstore.Data, locs []colstore.Loc, m RowMeta) {
+	for len(locs) > 0 {
+		cur := b.encoder(len(srcs[0].Cols))
+		k := min(len(locs), b.perChunk-cur.Len())
+		cur.AppendGather(srcs, locs[:k], m.Rate, m.StratumFreq)
+		locs = locs[k:]
+		if cur.Len() >= b.perChunk {
+			b.flush()
+		}
+	}
+}
+
 // flush freezes the open chunk and cuts it into blocks.
 func (b *Builder) flush() {
 	if b.cur == nil || b.cur.Len() == 0 {
