@@ -195,9 +195,10 @@ type Config struct {
 	// value. Query results are bit-identical for every value: the executor
 	// partitions scans by the blocks' row counts and merges partial
 	// aggregates in partition-index order. It also sizes set-up: a
-	// loader's batches and its re-cut spread a chunk's columns over this
-	// many goroutines (1 starts none), and CreateSamples builds families
-	// on as many; every table and sample is bit-identical for every value.
+	// loader's batches and its cut into blocks spread a chunk's columns
+	// over this many goroutines (1 starts none), and CreateSamples builds
+	// families on as many; every table and sample is bit-identical for
+	// every value.
 	Workers int
 	// Scale maps stored bytes to logical bytes for latency modelling
 	// (default 1; experiments use 1e4-1e6 to emulate TB-scale tables). It
@@ -412,7 +413,7 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	return &Loader{
 		eng:     e,
 		table:   tab,
-		builder: storage.NewStaging(tab, e.cfg.Workers), // re-cut by Close
+		builder: storage.NewStaging(tab, e.cfg.Workers), // re-blocked by Close
 		schema:  schema,
 		place:   place,
 		batch:   newBatch(schema.Len()),
@@ -471,9 +472,10 @@ func (l *Loader) encode() {
 	}()
 }
 
-// Close finalizes the table and registers it with the engine, re-cut so
-// each priced block stands for ≈256 MB of logical data at the configured
-// Scale. A table registered under the same name before is replaced, and
+// Close finalizes the table and registers it with the engine: its staged
+// chunks, each cut into priced blocks that stand for ≈256 MB of logical
+// data at the configured Scale; no row is encoded again. A table
+// registered under the same name before is replaced, and
 // its samples and sample recipe go with it. A closed loader is done:
 // Append and Close return an error after it, and the registered table —
 // and the samples built on it — stay as they are.
@@ -486,7 +488,7 @@ func (l *Loader) Close() error {
 	l.batch, l.spare = nil, nil
 	l.builder.Finish()
 	if l.table.NumRows() > 0 {
-		l.table = storage.Recut(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.eng.cfg.Workers, l.place)
+		l.table = storage.Reblock(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.eng.cfg.Workers, l.place)
 	}
 	l.eng.cat.Register(l.table)
 	l.eng.samples.Delete(strings.ToLower(l.table.Name))

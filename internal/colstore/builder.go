@@ -19,9 +19,9 @@ const (
 )
 
 // Builder accumulates one chunk's rows and encodes them into a Data:
-// Append rows (with their sampling metadata), AppendFrom a window of an
-// already-encoded chunk or AppendGather a list of rows of several, then
-// Finish to freeze the payload. Values accumulate in their typed form
+// Append rows (with their sampling metadata), AppendColumns a batch of
+// them or AppendGather a list of rows of encoded chunks, then Finish to
+// freeze the payload. Values accumulate in their typed form
 // from the first row on — a column only falls back to verbatim values
 // when its non-null kinds actually mix — so a column degrades gracefully
 // instead of ever rejecting a row, and Finish has nothing left to decode.
@@ -66,7 +66,7 @@ func (b *Builder) HintSorted(cols ...int) {
 	}
 }
 
-// SetWorkers fans AppendColumns, AppendFrom and Finish out over up to n
+// SetWorkers fans AppendColumns and Finish out over up to n
 // goroutines, a column to a goroutine at a time; a builder it is not
 // called on starts none. Columns are independent accumulators, so the
 // chunks are the same for every n.
@@ -102,22 +102,6 @@ func (b *Builder) AppendColumns(cols [][]types.Value, lo, hi int, rate float64, 
 		}
 	})
 	b.appendMeta(rate, freq, hi-lo)
-	b.n += hi - lo
-}
-
-// AppendFrom adds rows [lo, hi) of an encoded chunk of the same width,
-// values and metadata exactly as they were appended to it, column at a
-// time, in their typed form and without materialising a row: the builder
-// ends up in the state appending the rows one by one leaves it in.
-func (b *Builder) AppendFrom(src *Data, lo, hi int) {
-	ParallelFor(len(b.cols), b.workers, func(c int) {
-		b.cols[c].appendFrom(&src.Cols[c], lo, hi, b.n)
-	})
-	for i, run := lo, src.MetaRunOf(lo); i < hi; run++ {
-		end := min(int(src.MetaEnds[run]), hi)
-		b.appendMeta(src.Rates[run], src.Freqs[run], end-i)
-		i = end
-	}
 	b.n += hi - lo
 }
 
@@ -219,10 +203,6 @@ type colAcc struct {
 	hasNull bool
 	hasNaN  bool
 
-	// remap is appendFrom's scratch: a source dictionary code's code in
-	// dict, noCode until the code is first met.
-	remap []uint32
-
 	// gmap is gather's: gmap[gat[s]+k] is code k of source chunk s's
 	// dictionary as a code in dict, noCode until met, and gset lists the
 	// entries filled since dict was last emptied, which finish resets.
@@ -231,7 +211,7 @@ type colAcc struct {
 	gset []int32
 }
 
-// noCode marks a remap entry not filled yet.
+// noCode marks a gmap entry not filled yet.
 const noCode = ^uint32(0)
 
 // append adds v as row i of the column.
@@ -320,187 +300,8 @@ func (a *colAcc) code(s string) (uint16, bool) {
 	return code, true
 }
 
-// appendFrom adds rows [lo, hi) of an encoded column as rows at, at+1, …
-// of the accumulator, leaving it exactly as appending their values one by
-// one would: an RLE column goes a run at a time, a verbatim one a value at
-// a time, and a typed one — once the accumulator's kind is the column's —
-// as slices, its dictionary codes translated through remap so each string
-// is looked up once per call rather than once per row.
-func (a *colAcc) appendFrom(col *Column, lo, hi, at int) {
-	switch col.Enc {
-	case EncRLE:
-		for run := col.RunOf(lo); lo < hi; run++ {
-			end := min(int(col.RunEnds[run]), hi)
-			a.appendRun(col.RunVals[run], at, end-lo)
-			at += end - lo
-			lo = end
-		}
-		return
-	case EncValue:
-		a.appendValues(col, lo, hi, at)
-		return
-	}
-	// Up to the first non-NULL row the accumulator's kind is open; after
-	// it, a column of another kind mixes, and the rows go one by one.
-	for ; lo < hi && !a.mixed && a.kind == types.KindNull; lo, at = lo+1, at+1 {
-		a.append(col.Value(lo), at)
-	}
-	if lo == hi {
-		return
-	}
-	if a.mixed || a.kind != encKind[col.Enc] {
-		a.appendValues(col, lo, hi, at)
-		return
-	}
-	first := at == 0 || col.Value(lo) != a.last // row lo starts a run
-	nulls := col.Nulls
-	if CountBits(nulls, lo, hi) == 0 {
-		nulls = nil
-	}
-	null := func(j int) bool { return nulls != nil && nulls[j>>6]&(1<<uint(j&63)) != 0 }
-	var breaks, lastStart int
-	switch col.Enc {
-	case EncFloat:
-		a.floats = append(a.floats, col.Floats[lo:hi]...)
-		breaks, lastStart = runBreaks(a.floats[at:], nulls, lo)
-		for j, x := range a.floats[at:] {
-			if x != x && !null(lo+j) {
-				a.hasNaN = true
-				break
-			}
-		}
-	case EncInt, EncBool:
-		if col.Narrow() {
-			for _, off := range col.Offs[lo:hi] {
-				a.ints = append(a.ints, col.Base+int64(off))
-			}
-		} else {
-			a.ints = append(a.ints, col.Ints[lo:hi]...)
-		}
-		breaks, lastStart = runBreaks(a.ints[at:], nulls, lo)
-	case EncDict:
-		if !a.remapCodes(col, lo, hi, null) {
-			// The dictionary is full: undo the codes and go row by row,
-			// the strings met so far already in it in the same order.
-			a.codes = a.codes[:at]
-			a.appendValues(col, lo, hi, at)
-			return
-		}
-		// Codes of one dictionary are equal exactly when their strings are.
-		breaks, lastStart = runBreaks(a.codes[at:], nulls, lo)
-	}
-	if first {
-		a.runs++
-	}
-	// A NULL row's payload slot holds the 0 that append gives it (see
-	// Encoding) — once a narrow column's widened Base is cleared — and
-	// the bitmap needs the row.
-	if nulls != nil {
-		for j := lo; j < hi; j++ {
-			if null(j) {
-				a.setNull(at + j - lo)
-				if col.Narrow() {
-					a.ints[at+j-lo] = 0
-				}
-			}
-		}
-	}
-	// last is the value that opened the last run, as append keeps it.
-	a.runs += breaks
-	if breaks > 0 {
-		a.last = a.value(at + lastStart)
-	} else if first {
-		a.last = a.value(at)
-	}
-}
-
-// appendValues adds rows [lo, hi) of col as rows at, at+1, … one value
-// at a time.
-func (a *colAcc) appendValues(col *Column, lo, hi, at int) {
-	for i := lo; i < hi; i++ {
-		a.append(col.Value(i), at+i-lo)
-	}
-}
-
-// remapCodes appends the codes of rows [lo, hi) of the dictionary column
-// col, translated into the accumulator's dictionary through remap (a NULL
-// row's slot 0), and reports false when a string overflows the dictionary.
-func (a *colAcc) remapCodes(col *Column, lo, hi int, null func(int) bool) bool {
-	a.remap = a.remap[:0]
-	for range col.Dict {
-		a.remap = append(a.remap, noCode)
-	}
-	if col.Codes8 != nil {
-		return remapCodes(a, col.Codes8, col.Dict, lo, hi, null)
-	}
-	return remapCodes(a, col.Codes16, col.Dict, lo, hi, null)
-}
-
-// remapCodes is colAcc.remapCodes over codes of either width.
-func remapCodes[C Code](a *colAcc, codes []C, dict []string, lo, hi int, null func(int) bool) bool {
-	var ok bool
-	for j := lo; j < hi; j++ {
-		var code uint16
-		if !null(j) {
-			c := codes[j]
-			if r := a.remap[c]; r != noCode {
-				code = uint16(r)
-			} else if code, ok = a.code(dict[c]); ok {
-				a.remap[c] = uint32(code)
-			} else {
-				return false
-			}
-		}
-		a.codes = append(a.codes, code)
-	}
-	return true
-}
-
 // encKind is the kind of the non-NULL values of a typed encoding.
 var encKind = [...]types.Kind{EncFloat: types.KindFloat, EncInt: types.KindInt, EncBool: types.KindBool, EncDict: types.KindString}
-
-// runBreaks counts the rows of xs after the first that start a new run of
-// exactly-equal values — NULL next to non-NULL, or a payload that differs
-// (a float NaN differs from everything) — and returns the last such row
-// (0 when none). Bit lo+j of nulls (nil: none) says whether row j is NULL.
-func runBreaks[T int64 | float64 | uint16](xs []T, nulls []uint64, lo int) (breaks, last int) {
-	if nulls == nil {
-		for j := 1; j < len(xs); j++ {
-			if xs[j] != xs[j-1] {
-				breaks, last = breaks+1, j
-			}
-		}
-		return breaks, last
-	}
-	null := func(j int) bool { return nulls[(lo+j)>>6]&(1<<uint((lo+j)&63)) != 0 }
-	for j := 1; j < len(xs); j++ {
-		if n := null(j); n != null(j-1) || !n && xs[j] != xs[j-1] {
-			breaks, last = breaks+1, j
-		}
-	}
-	return breaks, last
-}
-
-// appendRun adds k copies of v as rows at, at+1, … — what k calls of
-// append leave, with the string looked up once. v is one run of an RLE
-// column, so it is not a NaN unless k is 1: the copies continue its run.
-func (a *colAcc) appendRun(v types.Value, at, k int) {
-	a.append(v, at)
-	for i := at + 1; i < at+k; i++ {
-		if a.mixed {
-			a.values = append(a.values, v)
-			continue
-		}
-		if v.Kind == types.KindNull {
-			a.setNull(i)
-		}
-		if a.kind == types.KindString {
-			a.codes = append(a.codes, a.codes[at]) // v's code, or a NULL's 0
-		} else {
-			a.push(v, i)
-		}
-	}
-}
 
 // layout lays gmap out over column c of the chunks srcs, every entry
 // noCode. gset gets room for every entry, so gathers allocate nothing more.

@@ -59,38 +59,13 @@ func accDiff(got, want *colAcc) string {
 	return ""
 }
 
-// TestAppendFromMatchesAppend holds the typed AppendFrom to appending the
-// same values one by one: after every window, every column accumulator —
-// payloads, dictionary order, null bitmap, runs, the last run's value, the
-// NULL, NaN and mixed-kind state — is the same.
-// Windows come from chunks encoded every way (typed with NULLs, dict, RLE,
-// verbatim, all-NULL), from different chunks into one, so a column's kind
-// can change or mix between windows.
-func TestAppendFromMatchesAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const width = 8
-	srcs, srcRows := mixedChunks(rng, width)
-	got, want := NewBuilder(width), NewBuilder(width)
-	for step := 0; step < 400; step++ {
-		s := rng.Intn(len(srcs))
-		lo := rng.Intn(srcs[s].N)
-		hi := lo + 1 + rng.Intn(srcs[s].N-lo)
-		got.AppendFrom(srcs[s], lo, hi)
-		for i := lo; i < hi; i++ {
-			want.Append(srcRows[s][i], 1, int64(srcs[s].N))
-		}
-		for c := range got.cols {
-			if diff := accDiff(&got.cols[c], &want.cols[c]); diff != "" {
-				t.Fatalf("step %d, rows [%d,%d) of chunk %d, column %d: %s", step, lo, hi, s, c, diff)
-			}
-		}
-		// Finish encodes from this state alone; closing chunks at random
-		// starts windows at row 0 too.
-		if rng.Intn(4) == 0 || got.Len() > 2000 {
-			got.Finish()
-			want.Finish()
-		}
+// rowsOf locates rows [lo, hi) of chunk s of a gather's list, in order.
+func rowsOf(s, lo, hi int) []Loc {
+	locs := make([]Loc, 0, hi-lo)
+	for r := lo; r < hi; r++ {
+		locs = append(locs, Loc{int32(s), int32(r)})
 	}
+	return locs
 }
 
 // mixedChunks draws 12 source chunks of width columns and the rows each
@@ -170,9 +145,9 @@ func mixedChunks(rng *rand.Rand, width int) ([]*Data, [][]types.Row) {
 }
 
 // TestAppendGatherMatchesAppend holds AppendGather to appending the same
-// rows one by one, as TestAppendFromMatchesAppend holds AppendFrom: after
-// every gather, every column accumulator and the metadata runs are the
-// same. A gather takes rows of any chunk in any order — a stretch of one
+// rows one by one: after every gather, every column accumulator — payloads,
+// dictionary order, null bitmap, runs, the last run's value, the NULL, NaN
+// and mixed-kind state — and the metadata runs are the same. A gather takes rows of any chunk in any order — a stretch of one
 // chunk's rows, one row from chunk after chunk, a row repeated — and the
 // chunk list is reordered now and then, so the dictionary tables are laid
 // out anew in the middle of a chunk being built.

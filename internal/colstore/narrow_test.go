@@ -65,7 +65,7 @@ func narrowCases(n int, seed int64) []narrowCase {
 // TestNarrowInts holds the two int forms to the window rule and to the
 // losslessness contract: the builder stores a column narrow exactly when
 // its non-NULL values span at most 65,535, a NULL row's slot holds 0 in
-// either form, Value gives back every appended value, AppendFrom over
+// either form, Value gives back every appended value, AppendGather over
 // windows rebuilds the column field for field, and Strata and RowKey tell
 // rows apart as the values do.
 func TestNarrowInts(t *testing.T) {
@@ -94,10 +94,10 @@ func TestNarrowInts(t *testing.T) {
 
 		re := NewBuilder(1)
 		for _, w := range [][2]int{{0, 1}, {1, 75}, {75, 1000}, {1000, n}} {
-			re.AppendFrom(d, w[0], w[1])
+			re.AppendGather([]*Data{d}, rowsOf(0, w[0], w[1]), 1, 0)
 		}
 		if got := re.Finish(); !reflect.DeepEqual(got.Cols[0], *col) {
-			t.Fatalf("%s: AppendFrom rebuilt base %d, %d offsets, %d ints; want base %d, %d offsets, %d ints",
+			t.Fatalf("%s: AppendGather rebuilt base %d, %d offsets, %d ints; want base %d, %d offsets, %d ints",
 				tc.name, got.Cols[0].Base, len(got.Cols[0].Offs), len(got.Cols[0].Ints), col.Base, len(col.Offs), len(col.Ints))
 		}
 
@@ -119,9 +119,9 @@ func TestNarrowInts(t *testing.T) {
 
 // TestDictCodeWidth pins the dictionary code width rule at its edge: a
 // chunk column of 256 distinct strings stores one byte a row, one of 257
-// two, NULL rows included, and a re-cut (AppendFrom) that joins chunks of
-// either width — or splits one — picks the width from the dictionary it
-// ends with. Every row reads back as appended, through Value and Strata.
+// two, NULL rows included, and a gather that joins chunks of either width
+// — or takes part of one — picks the width from the dictionary it ends
+// with. Every row reads back as appended, through Value and Strata.
 func TestDictCodeWidth(t *testing.T) {
 	strs := func(distinct, n int) []types.Row {
 		rows := make([]types.Row, n)
@@ -161,20 +161,19 @@ func TestDictCodeWidth(t *testing.T) {
 		checkRows(t, tc.name, d, tc.rows)
 	}
 
-	// Re-cuts: a 1-byte chunk then a 2-byte one (their union has 257+
-	// strings: 2 bytes), and the first 300 rows of the 2-byte chunk alone
-	// (256 strings met: 1 byte).
+	// Gathers: a 1-byte chunk then a 2-byte one (their union has 257+
+	// strings: 2 bytes), and the first 256 rows of the 2-byte chunk then
+	// 300 of the 1-byte one (256 strings met: 1 byte).
 	ds, dl := FromRows(1, small, rates, freqs), FromRows(1, large, rates, freqs)
+	srcs := []*Data{ds, dl}
 	b := NewBuilder(1)
-	b.AppendFrom(ds, 0, ds.N)
-	b.AppendFrom(dl, 0, dl.N)
+	b.AppendGather(srcs, append(rowsOf(0, 0, ds.N), rowsOf(1, 0, dl.N)...), 1, 1)
 	joined := b.Finish()
 	if got := width(&joined.Cols[0]); got != 2 {
 		t.Fatalf("joined: %d-byte codes, want 2", got)
 	}
 	checkRows(t, "joined", joined, append(append([]types.Row(nil), small...), large...))
-	b.AppendFrom(dl, 0, 256)
-	b.AppendFrom(ds, 0, 300)
+	b.AppendGather(srcs, append(rowsOf(1, 0, 256), rowsOf(0, 0, 300)...), 1, 1)
 	head := b.Finish()
 	if got := width(&head.Cols[0]); got != 1 {
 		t.Fatalf("head: %d-byte codes over %d entries, want 1", got, len(head.Cols[0].Dict))

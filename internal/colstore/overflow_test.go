@@ -82,9 +82,9 @@ func checkRows(t *testing.T, label string, d *Data, rows []types.Row) {
 // TestDictionaryOverflowFallsBackToValues: a chunk whose string column
 // would need a dictionary entry past MaxDict stores it verbatim
 // (EncValue), and the chunk still gives back every appended value, its
-// RowKeys and strata, built from rows or re-cut from encoded chunks. The
-// re-cut leaves every accumulator as appending the rows one by one does,
-// also when the dictionary fills inside a window.
+// RowKeys and strata, built from rows or gathered from encoded chunks in
+// windows. The gather leaves every accumulator as appending the rows one
+// by one does, also when the dictionary fills inside a window.
 func TestDictionaryOverflowFallsBackToValues(t *testing.T) {
 	rows := overflowRows(80000, "k")
 	if n := distinctStrings(rows, 0); n <= MaxDict {
@@ -100,7 +100,7 @@ func TestDictionaryOverflowFallsBackToValues(t *testing.T) {
 	}
 	checkRows(t, "FromRows", d, rows)
 
-	// Re-cut: from the overflowed chunk itself, and from two dictionary
+	// Gathers: from the overflowed chunk itself, and from two dictionary
 	// chunks whose strings only overflow together, in windows.
 	a, b := overflowRows(40000, "p"), overflowRows(40000, "q")
 	da, db := FromRows(2, a, rates[:len(a)], freqs[:len(a)]), FromRows(2, b, rates[:len(b)], freqs[:len(b)])
@@ -129,7 +129,7 @@ func TestDictionaryOverflowFallsBackToValues(t *testing.T) {
 		got, want := NewBuilder(2), NewBuilder(2)
 		var all []types.Row
 		for _, w := range windows {
-			got.AppendFrom(w.src, w.lo, w.hi)
+			got.AppendGather([]*Data{w.src}, rowsOf(0, w.lo, w.hi), 1, int64(len(rows)))
 			for _, r := range w.rows[w.lo:w.hi] {
 				want.Append(r, 1, int64(len(rows)))
 			}
@@ -150,7 +150,7 @@ func TestDictionaryOverflowFallsBackToValues(t *testing.T) {
 
 // TestDictionaryOfMaxDictStaysDict: a chunk with exactly MaxDict distinct
 // strings keeps its dictionary, with the top code 65535 in use, built from
-// rows or re-cut from two chunks.
+// rows or gathered from two chunks.
 func TestDictionaryOfMaxDictStaysDict(t *testing.T) {
 	var rows []types.Row
 	for i := 0; i < MaxDict; i++ {
@@ -164,10 +164,10 @@ func TestDictionaryOfMaxDictStaysDict(t *testing.T) {
 		rates[i], freqs[i] = 1, 1
 	}
 	d := FromRows(1, rows, rates, freqs)
-	recut := NewBuilder(1)
-	recut.AppendFrom(FromRows(1, rows[:30000], rates, freqs), 0, 30000)
-	recut.AppendFrom(FromRows(1, rows[30000:], rates, freqs), 0, len(rows)-30000)
-	for name, d := range map[string]*Data{"FromRows": d, "AppendFrom": recut.Finish()} {
+	gather := NewBuilder(1)
+	halves := []*Data{FromRows(1, rows[:30000], rates, freqs), FromRows(1, rows[30000:], rates, freqs)}
+	gather.AppendGather(halves, append(rowsOf(0, 0, 30000), rowsOf(1, 0, len(rows)-30000)...), 1, 1)
+	for name, d := range map[string]*Data{"FromRows": d, "AppendGather": gather.Finish()} {
 		col := &d.Cols[0]
 		if col.Enc != EncDict || len(col.Dict) != MaxDict {
 			t.Fatalf("%s: encoding %v with %d entries, want dict with %d", name, col.Enc, len(col.Dict), MaxDict)

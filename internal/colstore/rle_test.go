@@ -184,9 +184,10 @@ func TestRLEMinMaxAndRowKey(t *testing.T) {
 // TestRLEKeepsZeroSign pins that −0 and +0 never share a run: Float(−0)
 // == Float(+0) as Go values, but their keys differ, so a run that merged
 // them would give rows back with the other sign — and move them to another
-// stratum. Both ways of filling a builder are held: Append, and AppendFrom
-// out of plain chunks (whose runs are counted over the typed payloads),
-// each under rleMinRows rows so that it keeps the typed encoding.
+// stratum. Both ways of filling a builder are held: Append, and
+// AppendGather out of plain chunks (whose cells are copied as typed
+// payloads), each under rleMinRows rows so that it keeps the typed
+// encoding.
 func TestRLEKeepsZeroSign(t *testing.T) {
 	negZero := types.Float(math.Copysign(0, -1))
 	rows := runRows([]struct {
@@ -203,10 +204,10 @@ func TestRLEKeepsZeroSign(t *testing.T) {
 		if src.Cols[0].Enc == EncRLE {
 			t.Fatalf("a %d-row chunk is run-length encoded", src.N)
 		}
-		from.AppendFrom(src, 0, 7)
-		from.AppendFrom(src, 7, src.N)
+		from.AppendGather([]*Data{src}, rowsOf(0, 0, 7), 1, 0)
+		from.AppendGather([]*Data{src}, rowsOf(0, 7, src.N), 1, 0)
 	}
-	for name, col := range map[string]Column{"append": encodeSingle(rows), "appendFrom": from.Finish().Cols[0]} {
+	for name, col := range map[string]Column{"append": encodeSingle(rows), "gather": from.Finish().Cols[0]} {
 		if col.Enc != EncRLE || len(col.RunVals) != 5 {
 			t.Fatalf("%s: encoding %v with %d runs, want rle with 5", name, col.Enc, len(col.RunVals))
 		}

@@ -32,7 +32,7 @@ func TestSpanScanSteadyStateZeroAlloc(t *testing.T) {
 		{weighted, `SELECT COUNT(*) FROM sessions WHERE city = 'NY' OR os = 'Linux' GROUP BY os`},
 	} {
 		p := compile(t, tc.src, tc.tab.Schema)
-		rt := p.runtime()
+		rt := p.rt
 		for name, in := range map[string]Input{"table": FromTable(tc.tab), "capped": viewOf(tc.tab.Schema, tc.tab.Blocks, 120)} {
 			if len(tc.tab.Chunks()) != 1 || len(in.ranges()) != 1 {
 				t.Fatal("the table is meant to be one chunk scanned as one range")

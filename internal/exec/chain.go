@@ -34,9 +34,7 @@ type Chain struct {
 // NewChain starts an empty chain of plan p, joining the fact rows with
 // joins (nil: a plain scan).
 func NewChain(p *Plan, joins []JoinSpec) *Chain {
-	m := NewMerger(p, 0)
-	m.owned = true // the chain's partials never leave it
-	return &Chain{p: p, jr: newJoinRuntime(p, joins), m: m}
+	return &Chain{p: p, jr: newJoinRuntime(p, joins), m: NewMerger(p, 0)}
 }
 
 // Level returns the resolution the chain has folded through, -1 before the

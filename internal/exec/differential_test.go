@@ -208,7 +208,8 @@ func randomCaps(rng *rand.Rand) []int64 {
 // genQuery draws the plan for a differential case: a random AND/OR/NOT
 // predicate with cross-kind constants, 0–2 GROUP BY columns, 1–3
 // aggregates, sometimes a LIMIT, and — one case in three — a dimension
-// join on city or on tag.
+// join on city or on tag. The plan is finished through WithPred, which
+// compiles its predicate as Compile does.
 func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) {
 	p = &Plan{Schema: schema}
 	if rng.Intn(3) == 0 {
@@ -290,7 +291,7 @@ func genQuery(rng *rand.Rand, schema *types.Schema) (p *Plan, joins []JoinSpec) 
 	if rng.Intn(6) == 0 {
 		p.Limit = 1 + rng.Intn(4)
 	}
-	return p, joins
+	return p.WithPred(p.Pred), joins
 }
 
 // TestOracleDifferential sweeps seeded cases from both generators through

@@ -133,8 +133,7 @@ type delta struct {
 // the list the cost model prices. The scan prunes as it goes either way;
 // pruning up front just spares it checking every survivor a second time.
 func (in Input) Pruned(p *Plan) Input {
-	rt := p.runtime()
-	kept, _ := pruneBlocks(in.Blocks, rt.bounds)
+	kept, _ := pruneBlocks(in.Blocks, p.rt.bounds)
 	if len(kept) != len(in.Blocks) && in.deltas != nil {
 		// Pruning moved the delta boundaries: record where they now fall.
 		deltas := make([]delta, len(in.deltas))
@@ -149,7 +148,7 @@ func (in Input) Pruned(p *Plan) Input {
 		}
 		in.deltas = deltas
 	}
-	in.Blocks, in.prunedFor = kept, rt
+	in.Blocks, in.prunedFor = kept, p.rt
 	return in
 }
 
@@ -225,10 +224,8 @@ type Plan struct {
 	Aggs       []AggPlan
 	Limit      int
 
-	// rt caches the predicate's zone-pruning bounds and scan form.
-	// It is populated by Compile/WithPred; hand-assembled Plans fall back
-	// to compiling on entry (without mutating the Plan, so sharing a Plan
-	// across goroutines stays race-free).
+	// rt caches the predicate's zone-pruning bounds and scan form. Compile
+	// and WithPred set it; a Plan made any other way does not run.
 	rt *planRuntime
 }
 
@@ -255,15 +252,6 @@ func newPlanRuntime(pred types.Predicate) *planRuntime {
 		leaves: conjunctiveLeaves(pred),
 		sel:    mergeIntervals(pred),
 	}
-}
-
-// runtime returns the plan's compiled state, compiling a transient copy
-// for plans built without Compile (never mutates p).
-func (p *Plan) runtime() *planRuntime {
-	if p.rt != nil {
-		return p.rt
-	}
-	return newPlanRuntime(p.Pred)
 }
 
 // Compile resolves a parsed query against a schema.
@@ -407,16 +395,6 @@ type groupState struct {
 	batchRows []int32
 }
 
-// clone returns a copy of gs whose accumulators share no memory with it
-// (the key is immutable and shared).
-func (gs *groupState) clone() *groupState {
-	cp := &groupState{key: gs.key, accs: make([]*stats.Acc, len(gs.accs))}
-	for i, acc := range gs.accs {
-		cp.accs[i] = acc.Clone()
-	}
-	return cp
-}
-
 // newGroupState initialises a group of plan p with an empty key.
 func newGroupState(p *Plan) *groupState {
 	gs := &groupState{accs: make([]*stats.Acc, len(p.Aggs))}
@@ -546,22 +524,17 @@ func (pt *Partial) scanBlocks(p *Plan, rt *planRuntime, in Input, lo, hi int,
 // window, rather than one group map per range — the difference that
 // matters at very high group cardinalities.
 //
-// Partials are not mutated (group states are cloned on first occurrence),
-// so the same partials may be folded again by another Merger, e.g. at a
-// different confidence level. The scan driver, whose partials nobody else
-// ever sees, opts out of the cloning (owned). Finalizing reads the merged
-// state and changes nothing.
+// A merger consumes the partials delivered to it: the first one's group
+// map becomes the merged map and later first-seen groups move in as they
+// are — same values, same fold order, no copies — so a partial is folded
+// once and not read after. Finalizing reads the merged state and changes
+// nothing.
 type Merger struct {
 	p    *Plan
 	next int        // lowest index not yet folded
 	wait []*Partial // out-of-order buffer, indexed by partition index
 	got  []bool     // which indices have arrived (nil partials are legal)
 
-	// owned marks every delivered partial as the merger's to consume: the
-	// first one's group map becomes the merged map and later first-seen
-	// groups move in as they are. Same values, same fold order, no clones —
-	// a scan that fits one range finalizes from its own group states.
-	owned bool
 	// w weighs the merged classes at Finish: the weights of the input the
 	// partials were scanned from.
 	w stats.Weights
@@ -616,7 +589,7 @@ func (m *Merger) fold(pt *Partial) {
 	if pt.MaxMatchedStratumFreq > m.maxMatchedStratumFreq {
 		m.maxMatchedStratumFreq = pt.MaxMatchedStratumFreq
 	}
-	if m.owned && len(m.merged) == 0 {
+	if len(m.merged) == 0 {
 		// No row has matched yet: the partial's groups and weights move in.
 		m.merged, m.weightedMatched = pt.groups, pt.WeightedMatched
 		return
@@ -624,9 +597,9 @@ func (m *Merger) fold(pt *Partial) {
 	m.weightedMatched.Merge(&pt.WeightedMatched)
 	for h, bucket := range pt.groups {
 		for _, gs := range bucket {
-			dst, fresh := findMerged(m.merged, h, gs, m.owned)
+			dst, fresh := findMerged(m.merged, h, gs)
 			if fresh {
-				continue // first occurrence: cloned (or moved) into the fold
+				continue // first occurrence: moved into the fold
 			}
 			for ai, acc := range dst.accs {
 				acc.Merge(gs.accs[ai])
@@ -670,16 +643,12 @@ func (m *Merger) result(confidence float64, w stats.Weights) *Result {
 }
 
 // findMerged locates the merged group matching gs's key; on first sight
-// it inserts gs (fresh=true) — as a clone, so the source partial stays
-// untouched, unless the caller owns the partial.
-func findMerged(merged map[uint64][]*groupState, h uint64, gs *groupState, owned bool) (dst *groupState, fresh bool) {
+// it inserts gs itself (fresh=true).
+func findMerged(merged map[uint64][]*groupState, h uint64, gs *groupState) (dst *groupState, fresh bool) {
 	for _, have := range merged[h] {
 		if groupKeysEqual(have.key, gs.key) {
 			return have, false
 		}
-	}
-	if !owned {
-		gs = gs.clone()
 	}
 	merged[h] = append(merged[h], gs)
 	return gs, true
@@ -759,7 +728,7 @@ func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeSh
 // bit-identical for every workers value (1, 8, or more workers than
 // ranges).
 func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
-	res, _ := runRanges(context.Background(), p, p.runtime(), in, confidence, workers, nil, nil)
+	res, _ := runRanges(context.Background(), p, p.rt, in, confidence, workers, nil, nil)
 	return res
 }
 
@@ -772,7 +741,7 @@ func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
 // a nil error guarantees the Result is the same bit-identical answer
 // RunParallel produces.
 func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
-	return runRanges(ctx, p, p.runtime(), in, confidence, workers, nil, sp)
+	return runRanges(ctx, p, p.rt, in, confidence, workers, nil, sp)
 }
 
 // runRanges is the shared scan driver for plain and join execution: the
@@ -786,7 +755,6 @@ func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confiden
 	jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
 
 	merger := NewMerger(p, 0)
-	merger.owned = true // the partials never leave the scan
 	if err := scanInto(ctx, merger, p, rt, in, workers, jr, sp); err != nil {
 		return nil, err
 	}

@@ -231,11 +231,10 @@ func newJoinRuntime(p *Plan, joins []JoinSpec) *joinRuntime {
 	for _, j := range joins {
 		jr.factW -= j.Dim.Schema.Len()
 	}
-	prt := p.runtime()
 	match := &types.CmpPred{Col: "match", ColIdx: jr.width, Op: types.CmpEq, Val: types.Int(1)}
 	jr.rt = &planRuntime{
-		bounds: prt.bounds,
-		sel:    mergeIntervals(&types.AndPred{Kids: []types.Predicate{prt.sel, match}}),
+		bounds: p.rt.bounds,
+		sel:    mergeIntervals(&types.AndPred{Kids: []types.Predicate{p.rt.sel, match}}),
 	}
 	return jr
 }
@@ -246,7 +245,7 @@ func newJoinRuntime(p *Plan, joins []JoinSpec) *joinRuntime {
 // scan, whose runtime is not the plan's.
 func (jr *joinRuntime) runtime(p *Plan) *planRuntime {
 	if jr == nil {
-		return p.runtime()
+		return p.rt
 	}
 	return jr.rt
 }

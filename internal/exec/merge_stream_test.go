@@ -17,7 +17,7 @@ func streamParts(t testing.TB, tab *storage.Table, src string) (*Plan, []*Partia
 	ranges := storage.PartitionBlocks(len(tab.Blocks), maxPartials)
 	parts := make([]*Partial, len(ranges))
 	for i, r := range ranges {
-		parts[i] = runPartial(p, p.runtime(), in, r.Lo, r.Hi, nil, &colScratch{})
+		parts[i] = runPartial(p, p.rt, in, r.Lo, r.Hi, nil, &colScratch{})
 	}
 	return p, parts
 }
@@ -34,6 +34,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 5; trial++ {
+			p, parts := streamParts(t, tab, src) // a merger consumes its partials
 			order := rng.Perm(len(parts))
 			m := NewMerger(p, len(parts))
 			for _, i := range order {
@@ -47,6 +48,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 
 		// Nil (empty-range) deliveries and partials withheld until Finish
 		// must also fold in index order.
+		p, parts = streamParts(t, tab, src)
 		m := NewMerger(p, len(parts)+2)
 		m.Add(len(parts), nil) // trailing empty range, delivered early
 		for i := len(parts) - 1; i >= 1; i-- {
@@ -93,19 +95,33 @@ func TestMergerReleasesFoldedPartials(t *testing.T) {
 // TestMergerAllocations pins that streaming does not cost allocations
 // over the old materialize-then-fold shape: folding partials one at a
 // time through a Merger allocates no more than folding the prebuilt
-// slice (both go through identical group cloning; streaming adds only
-// the fixed-size buffers).
+// slice (both move the partials' group states into the fold; streaming
+// adds only the fixed-size buffers). A merger consumes its partials, so
+// every run folds a set of its own.
 func TestMergerAllocations(t *testing.T) {
 	tab := randomWeightedTable(t, 23, 4000, 64)
-	p, parts := streamParts(t, tab, `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions GROUP BY city`)
+	const src = `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions GROUP BY city`
+	const runs = 20
+	p, _ := streamParts(t, tab, src)
+	sets := make([][]*Partial, 2*(runs+1)) // AllocsPerRun calls f runs+1 times
+	for i := range sets {
+		_, sets[i] = streamParts(t, tab, src)
+	}
+	next := func() []*Partial {
+		parts := sets[0]
+		sets = sets[1:]
+		return parts
+	}
 
-	materialized := testing.AllocsPerRun(20, func() {
+	materialized := testing.AllocsPerRun(runs, func() {
 		// Reference shape: collect the full slice, then fold it.
+		parts := next()
 		buf := make([]*Partial, len(parts))
 		copy(buf, parts)
 		mergePartials(p, buf, 0.95)
 	})
-	streaming := testing.AllocsPerRun(20, func() {
+	streaming := testing.AllocsPerRun(runs, func() {
+		parts := next()
 		m := NewMerger(p, len(parts))
 		for i, pt := range parts {
 			m.Add(i, pt)

@@ -177,14 +177,13 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 //
 // Count (what a §4.1.1 candidate probe runs) is held to the plan itself:
 // the rows it read and matched, and as many blocks as pruning keeps — over
-// the raw input and over one pruned up front for a compiled copy of the
-// plan, the two ways the ELP runtime hands it over.
+// the raw input and over one pruned up front for the plan, the two ways
+// the ELP runtime hands it over.
 func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec) {
 	t.Helper()
 	want := oracle(p, in, joins, 0.95)
 	rows, bytes := want.RowsScanned, want.BytesScanned
-	compiled := p.WithPred(p.Pred)
-	blocks := len(in.Pruned(compiled).Blocks)
+	blocks := len(in.Pruned(p).Blocks)
 	for _, w := range []int{1, 3, 8} {
 		got, err := RunJoin(context.Background(), p, in, joins, 0.95, w, nil)
 		if err != nil {
@@ -200,8 +199,8 @@ func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec
 		}
 		// Pruning up front moves the scan ranges, and with them the order
 		// WeightedMatched is summed in: the pruned input is its own comparison.
-		pruned := in.Pruned(compiled)
-		full, err := RunJoin(context.Background(), compiled, pruned, joins, 0.95, w, nil)
+		pruned := in.Pruned(p)
+		full, err := RunJoin(context.Background(), p, pruned, joins, 0.95, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +208,7 @@ func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec
 			in   Input
 			plan *Result
 		}{{in, got}, {pruned, full}} {
-			cnt, err := Count(context.Background(), compiled, c.in, joins)
+			cnt, err := Count(context.Background(), p, c.in, joins)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -129,15 +129,6 @@ func mergePartials(p *Plan, parts []*Partial, confidence float64) *Result {
 	return finishSpan(m, confidence, m.w, nil)
 }
 
-// numGroups returns the number of distinct groups a partial holds.
-func numGroups(pt *Partial) int {
-	n := 0
-	for _, b := range pt.groups {
-		n += len(b)
-	}
-	return n
-}
-
 // TestRunPartialMergeMatchesRun exercises the partial API directly:
 // scanning arbitrary block splits and merging them in order must reproduce
 // a one-worker run up to float summation order.
@@ -155,7 +146,7 @@ func TestRunPartialMergeMatchesRun(t *testing.T) {
 		} {
 			var parts []*Partial
 			for i := 0; i+1 < len(split); i++ {
-				parts = append(parts, runPartial(p, p.runtime(), in, split[i], split[i+1], nil, &colScratch{}))
+				parts = append(parts, runPartial(p, p.rt, in, split[i], split[i+1], nil, &colScratch{}))
 			}
 			got := mergePartials(p, parts, 0.95)
 			if !approxResultEqual(t, want, got) {
@@ -166,31 +157,30 @@ func TestRunPartialMergeMatchesRun(t *testing.T) {
 	}
 }
 
-// TestMergePartialsNonDestructive pins that a merger leaves its input
-// partials reusable: merging the same partials twice (e.g. at two
-// confidence levels) must not double-count.
-func TestMergePartialsNonDestructive(t *testing.T) {
+// TestMergerFinalizeNonDestructive pins that finalizing reads the merged
+// state and changes nothing: one merger finalized twice gives the same
+// Result, and finalized at another confidence level the same groups and
+// points.
+func TestMergerFinalizeNonDestructive(t *testing.T) {
 	tab := randomWeightedTable(t, 13, 2000, 128)
 	in := FromTable(tab)
 	p := compile(t, `SELECT COUNT(*), AVG(sessiontime), MEDIAN(sessiontime) FROM sessions GROUP BY city`, tab.Schema)
 	mid := len(tab.Blocks) / 2
 	parts := []*Partial{
-		runPartial(p, p.runtime(), in, 0, mid, nil, &colScratch{}),
-		runPartial(p, p.runtime(), in, mid, len(tab.Blocks), nil, &colScratch{}),
+		runPartial(p, p.rt, in, 0, mid, nil, &colScratch{}),
+		runPartial(p, p.rt, in, mid, len(tab.Blocks), nil, &colScratch{}),
 	}
-	groupsBefore := []int{numGroups(parts[0]), numGroups(parts[1])}
-	first := mergePartials(p, parts, 0.95)
-	second := mergePartials(p, parts, 0.95)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("re-merging the same partials changed the result:\nfirst  %+v\nsecond %+v", first, second)
+	m := NewMerger(p, len(parts))
+	for i, pt := range parts {
+		m.Add(i, pt)
 	}
-	if numGroups(parts[0]) != groupsBefore[0] || numGroups(parts[1]) != groupsBefore[1] {
-		t.Fatalf("merging mutated its input partials: groups %v -> %d/%d",
-			groupsBefore, numGroups(parts[0]), numGroups(parts[1]))
+	first := m.result(0.95, m.w)
+	if second := m.result(0.95, m.w); !reflect.DeepEqual(first, second) {
+		t.Fatalf("finalizing again changed the result:\nfirst  %+v\nsecond %+v", first, second)
 	}
-	at90 := mergePartials(p, parts, 0.90)
+	at90 := m.result(0.90, m.w)
 	if len(at90.Groups) != len(first.Groups) {
-		t.Fatalf("confidence re-merge lost groups")
+		t.Fatalf("finalizing at another confidence lost groups")
 	}
 	for i := range at90.Groups {
 		if at90.Groups[i].Estimates[0].Point != first.Groups[i].Estimates[0].Point {

@@ -274,7 +274,7 @@ func zoneImpliesPred(b *storage.Block, leaves []*types.CmpPred) bool {
 // bounds compiled with the plan instead of re-deriving them: the blocks
 // a scan of p would read, which is also the list the cost model prices.
 func (p *Plan) Prune(blocks []*storage.Block) []*storage.Block {
-	kept, _ := pruneBlocks(blocks, p.runtime().bounds)
+	kept, _ := pruneBlocks(blocks, p.rt.bounds)
 	return kept
 }
 

@@ -253,7 +253,7 @@ func TestScanColumnarSteadyStateZeroAlloc(t *testing.T) {
 		in := FromTable(tab)
 		sc := &colScratch{}
 		pt := &Partial{groups: make(map[uint64][]*groupState)}
-		rt := p.runtime()
+		rt := p.rt
 		scan := func() { pt.scanBlocks(p, rt, in, 0, len(in.Blocks), nil, sc) }
 		scan() // warm: group states, scratch buffers, batch pools, verdict tables
 		if a := testing.AllocsPerRun(20, scan); a != 0 {
@@ -304,7 +304,7 @@ func TestScanColumnarJoinSteadyStateZeroAlloc(t *testing.T) {
 func TestTristateZoneSkipsEval(t *testing.T) {
 	tab := stratSortedTable(t, true)
 	p := compile(t, `SELECT COUNT(*) FROM strat WHERE tier >= 2 AND tier < 20`, tab.Schema)
-	rt := p.runtime()
+	rt := p.rt
 	if rt.leaves == nil {
 		t.Fatal("conjunctive predicate yielded no leaves")
 	}

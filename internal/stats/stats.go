@@ -277,15 +277,6 @@ func (c *classes) merge(other *classes) {
 	other.each(func(o *class) { c.find(o.k).merge(&o.Moments) })
 }
 
-// clone returns a copy that shares no memory with c.
-func (c *classes) clone() classes {
-	cp := *c
-	if c.more != nil {
-		cp.more = slices.Clone(c.more)
-	}
-	return cp
-}
-
 // Tally counts rows by key — the exact form of a Horvitz–Thompson count
 // Σ weight. Counts are integers, so tallies merge exactly in any order, and
 // Sum weighs each class once. The zero value is an empty tally; a copy of
@@ -381,18 +372,6 @@ func (a *Acc) Slot(n int, k Key) *Moments {
 func (a *Acc) Merge(other *Acc) {
 	a.cs.merge(&other.cs)
 	a.vals = append(a.vals, other.vals...)
-}
-
-// Clone returns an independent copy of the accumulator (the class list and
-// the quantile value buffer are copied, not aliased), so merging into the
-// clone leaves the original usable.
-func (a *Acc) Clone() *Acc {
-	cp := *a
-	cp.cs = a.cs.clone()
-	if a.vals != nil {
-		cp.vals = slices.Clone(a.vals)
-	}
-	return &cp
 }
 
 // sums are the weighted sums the Table 2 estimators read, derived from the

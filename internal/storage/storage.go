@@ -385,10 +385,11 @@ func valueBytes(v types.Value) int64 {
 // so a chunk's dictionary codes fit 16 bits: a column has no more distinct
 // strings than rows. They are 1- or 2-byte codes, chosen per chunk: one
 // byte when the column has at most 256 distinct strings in the chunk. A
-// chunk always holds whole blocks, so it closes on the
-// last block boundary at or under this (one block when a block alone is
-// larger — the one case where a string column can outgrow its dictionary
-// and is stored verbatim).
+// Builder's chunk holds whole blocks, so it closes on the last block
+// boundary at or under this (one block when a block alone is larger — the
+// one case where a string column can outgrow its dictionary and is stored
+// verbatim). A loaded table keeps its staging chunks of exactly this many
+// rows (Reblock), each ending in a block that may be short.
 const chunkRows = colstore.MaxDict
 
 // Builder accumulates rows into physical chunks and cuts each chunk into
@@ -431,9 +432,9 @@ func NewBuilder(table *Table, rowsPerBlock, numNodes int, place Placement) *Buil
 	}
 }
 
-// NewStaging returns a builder for a table that is only ever re-cut
-// (Recut), which reads its chunks and its byte total and nothing else:
-// each chunk of chunkRows rows is one block. Its chunks' columns are
+// NewStaging returns a builder for a table that is only ever re-blocked
+// (Reblock), which keeps its chunks and reads its byte total and nothing
+// else: each chunk of chunkRows rows is one block. Its chunks' columns are
 // encoded and cut on up to workers goroutines, as SetWorkers says.
 func NewStaging(table *Table, workers int) *Builder {
 	b := NewBuilder(table, chunkRows, 1, OnDisk)
@@ -530,7 +531,13 @@ func (b *Builder) flush() {
 	if b.cur == nil || b.cur.Len() == 0 {
 		return
 	}
-	blocks := cut(b.cur.Finish(), b.rowsPerBlock, b.workers)
+	b.addChunk(b.cur.Finish())
+}
+
+// addChunk cuts d into rowsPerBlock-row blocks, the last possibly short,
+// and adds them to the table, striped round-robin across the nodes.
+func (b *Builder) addChunk(d *colstore.Data) {
+	blocks := cut(d, b.rowsPerBlock, b.workers)
 	for i := range blocks {
 		blk := &blocks[i]
 		blk.Node = b.nextTgt % b.numNodes
@@ -547,32 +554,20 @@ func (b *Builder) Finish() *Table {
 	return b.table
 }
 
-// Recut returns src's rows, values and sampling metadata unchanged and in
-// order, as a table of rowsPerBlock-row blocks. Rows move between chunks
-// column at a time in their typed form (a chunk must hold whole blocks, so
-// its boundaries move with the block size): payloads and null bitmaps are
-// copied as slices, RLE columns a run at a time, and dictionary codes are
-// translated through a source-code → new-code table filled the first time
-// each code is met, so every new chunk is the one a fresh build of its
-// rows encodes — same dictionary order — while each string is looked up
-// once per window instead of once per row. Zones and byte sizes are
-// computed for the new windows. Each chunk's columns are copied, encoded
-// and cut on up to workers goroutines; the table is the same for any count.
-func Recut(src *Table, rowsPerBlock, numNodes, workers int, place Placement) *Table {
+// Reblock returns src's chunks — the same Data, not copies — cut into
+// rowsPerBlock-row blocks, striped round-robin across numNodes from the
+// first block on. A chunk's last block may be short, as a table's last
+// block may be: a block is a priced window on a chunk, and nothing reads
+// where a chunk ends. Zones and byte sizes are computed for the new
+// windows, each chunk's columns on up to workers goroutines; the table is
+// the same for any count.
+func Reblock(src *Table, rowsPerBlock, numNodes, workers int, place Placement) *Table {
 	b := NewBuilder(NewTable(src.Name, src.Schema), rowsPerBlock, numNodes, place)
 	b.SetWorkers(workers)
 	for _, d := range src.Chunks() {
-		for off := 0; off < d.N; {
-			cur := b.encoder(len(d.Cols))
-			take := min(d.N-off, b.perChunk-cur.Len())
-			cur.AppendFrom(d, off, off+take)
-			off += take
-			if cur.Len() >= b.perChunk {
-				b.flush()
-			}
-		}
+		b.addChunk(d)
 	}
-	return b.Finish()
+	return b.table
 }
 
 // Validate checks internal invariants: chunk column and metadata-run

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"blinkdb/internal/colstore"
 	"blinkdb/internal/types"
 )
 
@@ -88,7 +87,7 @@ func TestEstimateRowBytes(t *testing.T) {
 }
 
 func TestSetPlacement(t *testing.T) {
-	tab := Recut(buildTable(t, 30, 8, 2), 8, 2, 1, InMemory)
+	tab := Reblock(buildTable(t, 30, 8, 2), 8, 2, 1, InMemory)
 	for _, b := range tab.Blocks {
 		if b.Place != InMemory {
 			t.Fatal("placement not applied")
@@ -277,14 +276,14 @@ func TestZoneSizingFromSchema(t *testing.T) {
 	}
 }
 
-// recutRows extends mixedRows with the shapes a re-cut must carry over
-// encoding by encoding: a string column with NULLs, a column whose kinds
+// reblockRows extends mixedRows with the shapes a block's zones and bytes
+// are read from, encoding by encoding: a string column with NULLs, a column whose kinds
 // mix in every chunk, one whose kind changes where the first chunk ends,
 // one that RLE-encodes in the source, one that is NULL until past the
 // first chunk, a bool column, float NaNs (of two payloads) and −0, and two
 // int columns at the ends of int64 (one with NULLs) that a chunk stores
 // narrow or wide by a margin of one.
-func recutRows(n int) ([]types.Row, []RowMeta) {
+func reblockRows(n int) ([]types.Row, []RowMeta) {
 	rows, metas := mixedRows(n)
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
 	for i, r := range rows {
@@ -329,7 +328,7 @@ func recutRows(n int) ([]types.Row, []RowMeta) {
 	return rows, metas
 }
 
-func recutSchema() *types.Schema {
+func reblockSchema() *types.Schema {
 	return types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "city", Kind: types.KindString},
@@ -344,92 +343,26 @@ func recutSchema() *types.Schema {
 	)
 }
 
-func sameValues(a, b []types.Value) bool {
-	if len(a) != len(b) || (a == nil) != (b == nil) {
-		return false
+// TestReblock pins the cut a loader makes once it knows its block size:
+// the table keeps the source's chunks — the same Data, not copies — and
+// cuts each into rowsPerBlock-row windows, whole blocks and then one short
+// last block; contents, metadata and totals survive, every block has the
+// zones and bytes Cut gives its window, and nodes go round-robin from the
+// first block.
+func TestReblock(t *testing.T) {
+	const n = 3*chunkRows + 1234 // several chunks
+	rows, metas := reblockRows(n)
+	b := NewBuilder(NewTable("t", reblockSchema()), 8192, 4, OnDisk)
+	for i, r := range rows {
+		b.Append(r, metas[i])
 	}
-	for i := range a {
-		if !sameValue(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameFloats(a, b []float64) bool {
-	if len(a) != len(b) || (a == nil) != (b == nil) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// chunkDiff describes the first field in which two chunks differ, "" when
-// they are identical: encodings, dictionary order, codes, payloads (floats
-// by their bits, ints in either form: Ints, or Base and Offs), null
-// bitmaps, runs, NaNFree and the metadata runs.
-func chunkDiff(got, want *colstore.Data) string {
-	if got.N != want.N {
-		return fmt.Sprintf("%d rows, want %d", got.N, want.N)
-	}
-	if !reflect.DeepEqual(got.MetaEnds, want.MetaEnds) || !sameFloats(got.Rates, want.Rates) || !reflect.DeepEqual(got.Freqs, want.Freqs) {
-		return "metadata runs differ"
-	}
-	for c := range want.Cols {
-		g, w := &got.Cols[c], &want.Cols[c]
-		switch {
-		case g.Enc != w.Enc:
-			return fmt.Sprintf("col %d: encoding %v, want %v", c, g.Enc, w.Enc)
-		case g.NaNFree != w.NaNFree:
-			return fmt.Sprintf("col %d: NaNFree %v, want %v", c, g.NaNFree, w.NaNFree)
-		case !reflect.DeepEqual(g.Dict, w.Dict):
-			return fmt.Sprintf("col %d: dictionary differs", c)
-		case !reflect.DeepEqual(g.Codes8, w.Codes8) || !reflect.DeepEqual(g.Codes16, w.Codes16):
-			return fmt.Sprintf("col %d: codes differ", c)
-		case !reflect.DeepEqual(g.Ints, w.Ints):
-			return fmt.Sprintf("col %d: ints differ", c)
-		case g.Base != w.Base || !reflect.DeepEqual(g.Offs, w.Offs):
-			return fmt.Sprintf("col %d: narrow ints differ (base %d, want %d)", c, g.Base, w.Base)
-		case !sameFloats(g.Floats, w.Floats):
-			return fmt.Sprintf("col %d: floats differ", c)
-		case !sameValues(g.Values, w.Values):
-			return fmt.Sprintf("col %d: values differ", c)
-		case !reflect.DeepEqual(g.Nulls, w.Nulls):
-			return fmt.Sprintf("col %d: null bitmaps differ", c)
-		case !sameValues(g.RunVals, w.RunVals) || !reflect.DeepEqual(g.RunEnds, w.RunEnds):
-			return fmt.Sprintf("col %d: runs differ", c)
-		}
-	}
-	return ""
-}
-
-// TestRecut pins the re-cut a loader does once it knows its block size:
-// contents, metadata and totals survive, blocks come out at the new size
-// with the zones and bytes a fresh build of the same rows gives them, and
-// chunk boundaries move so that every chunk still holds whole blocks —
-// each chunk equal, field for field, to the one a fresh build encodes.
-func TestRecut(t *testing.T) {
-	const n = 3*chunkRows + 1234 // several provisional chunks
-	rows, metas := recutRows(n)
-	build := func(rowsPerBlock, nodes int) *Table {
-		tab := NewTable("t", recutSchema())
-		b := NewBuilder(tab, rowsPerBlock, nodes, OnDisk)
-		for i, r := range rows {
-			b.Append(r, metas[i])
-		}
-		return b.Finish()
-	}
-	src := build(8192, 4)
+	src := b.Finish()
 	if c := src.Chunks(); !c[0].Cols[8].Narrow() || c[1].Cols[8].Narrow() || !c[0].Cols[9].Narrow() || c[1].Cols[9].Narrow() {
 		t.Fatal("the top and bottom columns are not narrow in the first chunk and wide in the second")
 	}
 	// A loader stages its rows one block a chunk, with the bytes a cut into
 	// smaller blocks counts.
-	staged := NewStaging(NewTable("t", recutSchema()), 3)
+	staged := NewStaging(NewTable("t", reblockSchema()), 3)
 	for i, r := range rows {
 		staged.Append(r, metas[i])
 	}
@@ -441,41 +374,60 @@ func TestRecut(t *testing.T) {
 	for i, rowsPerBlock := range []int{3, 308, 5000, chunkRows + 7} {
 		workers := []int{1, 4, 2, 3}[i] // the table must not depend on it
 		from := []*Table{src, stagedTab}[i%2]
-		dst := Recut(from, rowsPerBlock, 2, workers, OnDisk)
+		dst := Reblock(from, rowsPerBlock, 2, workers, OnDisk)
 		if err := Validate(dst, 2); err != nil {
 			t.Fatalf("rowsPerBlock %d: %v", rowsPerBlock, err)
 		}
-		want := build(rowsPerBlock, 2)
-		if len(dst.Blocks) != len(want.Blocks) || dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
-			t.Fatalf("rowsPerBlock %d: %d blocks (want %d), %d/%d rows, %d/%d bytes", rowsPerBlock,
-				len(dst.Blocks), len(want.Blocks), dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
+		if dst.NumRows() != src.NumRows() || dst.Bytes() != src.Bytes() {
+			t.Fatalf("rowsPerBlock %d: %d/%d rows, %d/%d bytes", rowsPerBlock,
+				dst.NumRows(), src.NumRows(), dst.Bytes(), src.Bytes())
 		}
-		gotChunks, wantChunks := dst.Chunks(), want.Chunks()
-		if len(gotChunks) != len(wantChunks) {
-			t.Fatalf("rowsPerBlock %d: %d chunks, a fresh build has %d", rowsPerBlock, len(gotChunks), len(wantChunks))
+		gotChunks, srcChunks := dst.Chunks(), from.Chunks()
+		if len(gotChunks) != len(srcChunks) {
+			t.Fatalf("rowsPerBlock %d: %d chunks, the source has %d", rowsPerBlock, len(gotChunks), len(srcChunks))
 		}
-		for k := range wantChunks {
-			if diff := chunkDiff(gotChunks[k], wantChunks[k]); diff != "" {
-				t.Fatalf("rowsPerBlock %d chunk %d: %s", rowsPerBlock, k, diff)
+		bi, at, short := 0, 0, 0
+		for k, d := range gotChunks {
+			if d != srcChunks[k] {
+				t.Fatalf("rowsPerBlock %d chunk %d: not the source's chunk", rowsPerBlock, k)
 			}
-		}
-		at := 0
-		for bi, blk := range dst.Blocks {
-			wb := want.Blocks[bi]
-			if blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes || blk.Node != wb.Node || !reflect.DeepEqual(blk.Zones, wb.Zones) {
-				t.Fatalf("rowsPerBlock %d block %d: %+v, a fresh build has %+v", rowsPerBlock, bi, blk, wb)
+			// Whole blocks, then one short last block.
+			var ends []int
+			for end := rowsPerBlock; end < d.N; end += rowsPerBlock {
+				ends = append(ends, end)
 			}
-			for ri := 0; ri < blk.N; ri += 1 + blk.N/7 { // a few rows of every block
-				if blk.MetaAt(ri) != metas[at+ri] {
-					t.Fatalf("rowsPerBlock %d: meta diverged at block %d row %d", rowsPerBlock, bi, ri)
+			ends = append(ends, d.N)
+			if d.N%rowsPerBlock != 0 && k < len(gotChunks)-1 {
+				short++
+			}
+			for _, wb := range Cut(d, ends, 1) {
+				if bi == len(dst.Blocks) {
+					t.Fatalf("rowsPerBlock %d: %d blocks, the chunks' windows are more", rowsPerBlock, bi)
 				}
-				for ci, v := range blk.RowAt(ri) {
-					if !sameValue(v, rows[at+ri][ci]) {
-						t.Fatalf("rowsPerBlock %d: row diverged at block %d row %d col %d: %v vs %v", rowsPerBlock, bi, ri, ci, v, rows[at+ri][ci])
+				blk := dst.Blocks[bi]
+				if blk.Chunk != d || blk.N != wb.N || blk.Off != wb.Off || blk.Bytes != wb.Bytes ||
+					blk.Node != bi%2 || blk.Place != OnDisk || !reflect.DeepEqual(blk.Zones, wb.Zones) {
+					t.Fatalf("rowsPerBlock %d block %d: %+v, want the window %+v on node %d", rowsPerBlock, bi, blk, wb, bi%2)
+				}
+				for ri := 0; ri < blk.N; ri += 1 + blk.N/7 { // a few rows of every block
+					if blk.MetaAt(ri) != metas[at+ri] {
+						t.Fatalf("rowsPerBlock %d: meta diverged at block %d row %d", rowsPerBlock, bi, ri)
+					}
+					for ci, v := range blk.RowAt(ri) {
+						if !sameValue(v, rows[at+ri][ci]) {
+							t.Fatalf("rowsPerBlock %d: row diverged at block %d row %d col %d: %v vs %v", rowsPerBlock, bi, ri, ci, v, rows[at+ri][ci])
+						}
 					}
 				}
+				at += blk.N
+				bi++
 			}
-			at += blk.N
+		}
+		if bi != len(dst.Blocks) {
+			t.Fatalf("rowsPerBlock %d: %d blocks, the chunks' windows are %d", rowsPerBlock, len(dst.Blocks), bi)
+		}
+		if short == 0 {
+			t.Fatalf("rowsPerBlock %d: no chunk before the last ends in a short block", rowsPerBlock)
 		}
 	}
 }

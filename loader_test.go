@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"blinkdb/internal/colstore"
+	"blinkdb/internal/sample"
 	"blinkdb/internal/storage"
+	"blinkdb/internal/types"
 )
 
 // loaderColumns and loaderRows are a table that reaches what a load can
@@ -66,25 +68,33 @@ func loaderRows(n int) [][]any {
 // registered for them.
 func loadTable(t *testing.T, workers int, rows [][]any) *storage.Table {
 	t.Helper()
-	eng := Open(Config{Workers: workers, Scale: 1e4})
-	load := eng.CreateTable("t", loaderColumns()...)
+	_, tab := load(t, Open(Config{Workers: workers, Scale: 1e4}), rows)
+	return tab
+}
+
+// load loads rows into eng as table t and returns the table the loader
+// staged them in and the table Close registered.
+func load(t *testing.T, eng *Engine, rows [][]any) (staged, registered *storage.Table) {
+	t.Helper()
+	l := eng.CreateTable("t", loaderColumns()...)
+	staged = l.table
 	for _, r := range rows {
-		if err := load.Append(r...); err != nil {
+		if err := l.Append(r...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := load.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ent, err := eng.cat.Lookup("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ent.Table
+	return staged, ent.Table
 }
 
 // bitDiff names the first field where a and b differ, walking structs,
-// slices and pointers, with floats compared by bit pattern (NaN equals
+// slices, maps and pointers, with floats compared by bit pattern (NaN equals
 // NaN, −0 is not +0) and a nil slice apart from an empty one; "" when
 // they are equal.
 func bitDiff(path string, a, b reflect.Value) string {
@@ -100,6 +110,19 @@ func bitDiff(path string, a, b reflect.Value) string {
 		}
 	case reflect.Pointer:
 		return bitDiff(path, a.Elem(), b.Elem())
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d entries, want %d", path, a.Len(), b.Len())
+		}
+		for it := a.MapRange(); it.Next(); {
+			w := b.MapIndex(it.Key())
+			if !w.IsValid() {
+				return fmt.Sprintf("%s: key %v not wanted", path, it.Key())
+			}
+			if d := bitDiff(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), w); d != "" {
+				return d
+			}
+		}
 	case reflect.Slice:
 		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
 			return fmt.Sprintf("%s: length %d (nil %v), want %d (nil %v)", path, a.Len(), a.IsNil(), b.Len(), b.IsNil())
@@ -178,6 +201,77 @@ func TestLoaderWorkersBitIdentical(t *testing.T) {
 			if d := bitDiff("zones", reflect.ValueOf(g.Zones), reflect.ValueOf(w.Zones)); d != "" {
 				t.Fatalf("workers %d block %d: %s", workers, i, d)
 			}
+		}
+	}
+}
+
+// TestLoaderKeepsStagedChunks: Close encodes no row a second time. The
+// registered table's chunks are the very ones the loader staged, and each
+// is cut into blocks of one size — whole blocks, then a short last block
+// wherever the chunk's rows are not a multiple of it.
+func TestLoaderKeepsStagedChunks(t *testing.T) {
+	staged, tab := load(t, Open(Config{Workers: 2, Scale: 1e4}), loaderRows(2<<16+5000))
+	got, want := tab.Chunks(), staged.Chunks()
+	if len(want) != 3 || len(got) != len(want) {
+		t.Fatalf("%d chunks registered, %d staged; want 3", len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("chunk %d is not the staged chunk: Close encoded its rows again", k)
+		}
+	}
+	blocks := tab.Blocks
+	rowsPerBlock := blocks[0].N
+	if (1<<16)%rowsPerBlock == 0 {
+		t.Fatalf("%d-row blocks tile a chunk: no chunk ends in a short block", rowsPerBlock)
+	}
+	for i, b := range blocks {
+		last := i == len(blocks)-1 || blocks[i+1].Chunk != b.Chunk
+		if b.N != rowsPerBlock && !(last && b.N < rowsPerBlock && b.Off+b.N == b.Chunk.N) {
+			t.Fatalf("block %d: %d rows at %d of a %d-row chunk, want %d or a short last block", i, b.N, b.Off, b.Chunk.N, rowsPerBlock)
+		}
+	}
+}
+
+// TestLoadedFamiliesMatchBuilderLayout: sample families built on a loaded
+// table, whose chunks end in short blocks, are bit for bit the families
+// built on the same rows laid out by storage.NewBuilder at the same block
+// size and striping, whose chunks hold whole blocks: a family reads its
+// base's rows in order, not where its chunks end.
+func TestLoadedFamiliesMatchBuilderLayout(t *testing.T) {
+	rows := loaderRows(2<<16 + 5000)
+	eng := Open(Config{Workers: 2, Scale: 1e4})
+	_, loaded := load(t, eng, rows)
+	rowsPerBlock := loaded.Blocks[0].N
+	b := storage.NewBuilder(storage.NewTable("t", loaded.Schema), rowsPerBlock, eng.cfg.Nodes, storage.OnDisk)
+	row := make(types.Row, loaded.Schema.Len())
+	for _, r := range rows {
+		for i, v := range r {
+			row[i], _ = toValue(v)
+		}
+		b.AppendRow(row)
+	}
+	built := b.Finish()
+	if len(loaded.Chunks()) != 3 || len(loaded.Blocks) == len(built.Blocks) {
+		t.Fatalf("%d chunks in %d blocks loaded, %d blocks built: the layouts do not differ",
+			len(loaded.Chunks()), len(loaded.Blocks), len(built.Blocks))
+	}
+	cfg := sample.BuildConfig{RowsPerBlock: rowsPerBlock, Nodes: eng.cfg.Nodes, Seed: 5}
+	for _, phi := range []types.ColumnSet{types.NewColumnSet(), types.NewColumnSet("city"), types.NewColumnSet("b", "city")} {
+		caps := []int64{20, 60, 150}
+		if phi.Empty() {
+			caps = []int64{500, 2000, 6000}
+		}
+		want, err := sample.Build(built, phi, caps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sample.Build(loaded, phi, caps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := bitDiff("family", reflect.ValueOf(got), reflect.ValueOf(want)); d != "" {
+			t.Fatalf("φ %s: %s", phi.Key(), d)
 		}
 	}
 }
