@@ -14,31 +14,32 @@
 // results are bit-identical for any worker count.
 //
 // Queries flow through an explicit prepare → execute pipeline with a
-// template-keyed plan cache (Config.PlanCacheSize, on by default):
-// BlinkDB workloads repeat the same query templates with different
-// constants, so the compiled plan, the smallest-sample probes and the
-// Error-Latency Profile — the dominant cost of a bounded query — are
-// computed once per template and reused. Cached state belongs to one
-// catalog version, catalog-wide: a sample refresh, maintenance rebuild or
-// table load on any table bumps the version, and the next query starts
-// from empty caches and re-prepares, so stale probes are never served
-// (an engine with several tables drops the cached state of all of them).
-// Result.Explanation reports cache=hit|miss; Engine.Stats exposes hit
-// rates and probe counts. With the cache disabled the engine behaves
-// exactly as before, bit for bit.
+// template-keyed plan cache (256 templates): BlinkDB workloads repeat the
+// same query templates with different constants, so the compiled plan, the
+// smallest-sample probes and the Error-Latency Profile — the dominant cost
+// of a bounded query — are computed once per template and reused. Cached
+// state belongs to one catalog version, catalog-wide: a sample refresh,
+// maintenance rebuild or table load on any table bumps the version, and
+// the next query starts from empty caches and re-prepares, so stale probes
+// are never served (an engine with several tables drops the cached state
+// of all of them). Engine.Stats exposes hit rates and probe counts.
 //
-// Above the plan cache sits a cross-query RESULT cache
-// (Config.ResultCacheSize, on by default): an exact replay — same
-// template AND same constants/bounds — is served from memory without
-// probing or scanning, and N concurrent cold replays of one query
-// collapse into a single execution shared by all (singleflight). Answers
-// live as long as the catalog version, like plan-cache entries, and are
-// copied on return (a serving layer, through Engine.Answer, shares the
-// entry's read-only served form). A loaded table never changes and every
-// load bumps the one catalog version, so an answer is served until it is
-// evicted or the catalog changes, with no age limit. Result.Explanation
-// reports result=hit|miss|shared; disabling the cache (ResultCacheSize <
-// 0) restores the execute-every-query pipeline bit for bit.
+// Above the plan cache sits a cross-query RESULT cache (1,024 answers): an
+// exact replay — same template AND same constants/bounds — is served from
+// memory without probing or scanning, and N concurrent cold replays of one
+// query collapse into a single execution shared by all (singleflight).
+// Answers live as long as the catalog version, like plan-cache entries. A
+// loaded table never changes and every load bumps the one catalog version,
+// so an answer is served until it is evicted or the catalog changes, with
+// no age limit. Every call builds a Result of its own (a serving layer,
+// through Engine.Answer, shares the entry's read-only served form), so a
+// caller that changes one changes no other answer.
+//
+// Which cache served an answer is a diagnostic: Result.PlanCache
+// (hit|miss) and Result.ResultCache (hit|miss|shared), which the engine
+// also renders after each reason in Result.Explanation as "; cache=…"
+// and "; result=…". The runtime keeps them in two fields of its response
+// and never writes them into a reason.
 //
 // # Observability
 //
@@ -55,7 +56,7 @@
 // query with EXPLAIN ANALYZE executes it normally (sharing all cache
 // state with the plain form) and additionally returns a span tree in
 // Result.Trace: normalize → cache lookups → probes → per-range scan
-// partials → merge → materialize, each with monotonic durations and
+// partials → merge → build result, each with monotonic durations and
 // cache markers. Engine.QueryTraced returns the structured trace for
 // programmatic use (e.g. Chrome trace-event export via
 // telemetry.WriteChrome). Telemetry never changes answers: recording a
@@ -186,8 +187,6 @@ func Col(name string, t ColumnType) ColumnDef { return ColumnDef{Name: name, Typ
 // Config configures an Engine. The zero value simulates the paper's
 // 100-node evaluation cluster at physical scale 1.
 type Config struct {
-	// Nodes in the simulated cluster (default 100, the paper's setup).
-	Nodes int
 	// Workers sizes the executor's scan worker pool. 0 (default) uses
 	// min(8, GOMAXPROCS): a simulated node's 8 cores, but never more
 	// goroutines than this host can run. 1 runs every scan on the
@@ -209,31 +208,6 @@ type Config struct {
 	Scale float64
 	// Seed drives all sampling randomness (default 1).
 	Seed int64
-	// PlanCacheSize caps how many query templates keep their prepared
-	// state — compiled plan, sample probes, Error-Latency Profile —
-	// across queries (the hot-path amortization for template-heavy
-	// workloads). 0 (the default) selects 256 templates; a negative value
-	// disables the cache entirely, restoring the prepare-every-query
-	// pipeline whose answers and latencies are bit-identical to the
-	// cached path for identical queries. Entries live as long as the one
-	// catalog version, so RefreshSamples/Maintain immediately invalidate
-	// every template, catalog-wide.
-	PlanCacheSize int
-	// ResultCacheSize caps how many completed ANSWERS are kept keyed by
-	// (template, full parameter vector): an exact replay of a recent
-	// query is served straight from memory — no probe, no scan — and
-	// concurrent cold replays of one query collapse into a single
-	// execution (singleflight). 0 (the default) selects 1024 answers; a
-	// negative value disables the cache, restoring the execute-every-
-	// query pipeline bit-identically (no result= markers, same answers
-	// and latencies). Served answers live as long as the one catalog
-	// version, like plan-cache entries — RefreshSamples/Maintain
-	// invalidate them immediately, catalog-wide — and are copied on
-	// return, so callers can never corrupt the cache.
-	// Unlike a plan-cache hit, which reuses template-level probe state to
-	// answer NEW constants, a result-cache hit requires the parameters to
-	// match exactly and replays the identical answer.
-	ResultCacheSize int
 	// CacheTables places base tables in simulated cluster memory.
 	CacheTables bool
 	// DataDir enables persistence when set: CreateSamples writes built
@@ -248,9 +222,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 100
-	}
 	if c.Workers == 0 {
 		c.Workers = min(cluster.PaperConfig().CoresPerNode, runtime.GOMAXPROCS(0))
 	}
@@ -262,13 +233,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	// Negative cache sizes pass through: elp.Options maps them to off.
-	if c.PlanCacheSize == 0 {
-		c.PlanCacheSize = 256
-	}
-	if c.ResultCacheSize == 0 {
-		c.ResultCacheSize = 1024
 	}
 	return c
 }
@@ -339,17 +303,25 @@ func (e *Engine) samplesOf(table string) *tableSamples {
 	return rec.(*tableSamples)
 }
 
+// The engine's plan cache keeps the prepared state of up to
+// planCacheSize query templates, and its result cache up to
+// resultCacheSize completed answers.
+const (
+	planCacheSize   = 256
+	resultCacheSize = 1024
+)
+
 // Open creates an engine.
 func Open(cfg Config) *Engine {
 	cfg = cfg.normalize()
-	clus := cluster.New(cluster.PaperConfig().WithNodes(cfg.Nodes))
+	clus := cluster.New(cluster.PaperConfig())
 	cat := catalog.New()
 	tele := telemetry.NewRegistry()
 	rt := elp.New(cat, clus, elp.Options{
 		Scale:           cfg.Scale,
 		Workers:         cfg.Workers,
-		PlanCacheSize:   cfg.PlanCacheSize,
-		ResultCacheSize: cfg.ResultCacheSize,
+		PlanCacheSize:   planCacheSize,
+		ResultCacheSize: resultCacheSize,
 	})
 	return &Engine{cfg: cfg, cat: cat, clus: clus, rt: rt, tele: tele}
 }
@@ -420,8 +392,11 @@ func (e *Engine) CreateTable(name string, cols ...ColumnDef) *Loader {
 	}
 }
 
-// Append adds one row; values must match the declared column order.
-// Accepted Go types: int/int32/int64/float32/float64/string/bool/nil.
+// Append adds one row; values must match the declared column order and
+// types. Accepted Go types: int/int32/int64 in an Int column (and in a
+// Float one, converted), float32/float64 in a Float column, string in a
+// String column, bool in a Bool column, and nil (NULL) in any; a value of
+// another type fails the loader.
 // A row is checked and converted here, then staged: rows are encoded in
 // batches of a few thousand, a batch's columns spread over the engine's
 // Workers, and with more than one worker a batch encodes while Append
@@ -437,6 +412,9 @@ func (l *Loader) Append(values ...any) error {
 	}
 	for i, v := range values {
 		val, err := toValue(v)
+		if k := l.schema.Columns[i].Kind; err == nil && val.Kind != k {
+			val, err = toKind(val, k)
+		}
 		if err != nil {
 			l.err = fmt.Errorf("blinkdb: column %s: %w", l.schema.Columns[i].Name, err)
 			return l.err
@@ -488,13 +466,17 @@ func (l *Loader) Close() error {
 	l.batch, l.spare = nil, nil
 	l.builder.Finish()
 	if l.table.NumRows() > 0 {
-		l.table = storage.Reblock(l.table, l.eng.blockRows(l.table), l.eng.cfg.Nodes, l.eng.cfg.Workers, l.place)
+		l.table = storage.Reblock(l.table, l.eng.blockRows(l.table), l.eng.nodes(), l.eng.cfg.Workers, l.place)
 	}
 	l.eng.cat.Register(l.table)
 	l.eng.samples.Delete(strings.ToLower(l.table.Name))
 	l.err = fmt.Errorf("blinkdb: table %s: loader already closed", l.table.Name)
 	return nil
 }
+
+// nodes is the simulated cluster's node count, the width blocks are
+// striped over.
+func (e *Engine) nodes() int { return e.clus.Config().Nodes }
 
 // blockRows sizes blocks to ≈256 MB logical each at the engine's scale:
 // every table's and every sample's priced block.
@@ -531,6 +513,19 @@ func toValue(v any) (types.Value, error) {
 	default:
 		return types.Null(), fmt.Errorf("unsupported value type %T", v)
 	}
+}
+
+// toKind converts val, a value of another kind than k, to kind k: NULL
+// fits any column and an int converts to a float; any other kind is an
+// error.
+func toKind(val types.Value, k types.Kind) (types.Value, error) {
+	switch {
+	case val.IsNull():
+		return val, nil
+	case val.Kind == types.KindInt && k == types.KindFloat:
+		return types.Float(float64(val.I)), nil
+	}
+	return types.Null(), fmt.Errorf("%s value %s in a %s column", val.Kind, val, k)
 }
 
 // Template declares one workload query template for sample creation.
@@ -617,7 +612,7 @@ func (e *Engine) CreateSamples(table string, opts SampleOptions) (*SampleReport,
 		Workers:     e.cfg.Workers,
 		Build: sample.BuildConfig{
 			RowsPerBlock: e.blockRows(entry.Table),
-			Nodes:        e.cfg.Nodes,
+			Nodes:        e.nodes(),
 			Place:        storage.InMemory, // samples live in the cache
 			Seed:         e.cfg.Seed,
 		},
@@ -721,18 +716,19 @@ type Result struct {
 	// SampleDescription says which sample answered the query, e.g.
 	// "S([city], K=1000)" or "base table".
 	SampleDescription string
-	// Explanation is the planner's reasoning (EXPLAIN-style); with the
-	// plan cache enabled it includes a cache=hit|miss marker, and with
-	// the result cache enabled a result=hit|miss|shared marker.
+	// Explanation is the planner's reasoning (EXPLAIN-style), one reason
+	// per disjunct joined by " | ", each followed by the cache markers
+	// "; cache=" PlanCache and "; result=" ResultCache (a marker whose
+	// field is empty is left out).
 	Explanation string
 	// PlanCache reports the plan-cache outcome for this query: "hit",
-	// "miss", or "" when the cache is disabled — or when the answer came
-	// from the result cache, which never consults the plan pipeline.
+	// "miss", or "" when the answer came from the result cache, which
+	// never consults the plan pipeline.
 	PlanCache string
 	// ResultCache reports the result-cache outcome: "hit" (an exact
 	// replay served from memory), "miss" (this query executed and cached
-	// the answer), "shared" (a concurrent identical query's execution
-	// supplied it), or "" when the result cache is disabled.
+	// the answer) or "shared" (a concurrent identical query's execution
+	// supplied it).
 	ResultCache string
 	// RowsScanned and RowsMatched describe the work done.
 	RowsScanned int64
@@ -977,9 +973,16 @@ func buildResult(q *sqlparser.Query, resp *elp.Response) *Result {
 		PlanCache:         resp.Cache,
 		ResultCache:       resp.ResultCache,
 	}
+	var markers string
+	if resp.Cache != "" {
+		markers += "; cache=" + resp.Cache
+	}
+	if resp.ResultCache != "" {
+		markers += "; result=" + resp.ResultCache
+	}
 	var expl, desc []string
 	for _, d := range resp.Decisions {
-		expl = append(expl, d.Reason)
+		expl = append(expl, d.Reason+markers)
 		if d.UsedBase {
 			desc = append(desc, "base table")
 			out.Level = -1
@@ -1099,21 +1102,17 @@ type MaintainReport struct {
 type MaintainOptions struct {
 	// Templates is the current workload (required).
 	Templates []Template
-	// ChurnFraction is r in constraint (5): the storage share of
-	// existing samples that may be rebuilt/dropped. Default 1; negative
-	// leaves the re-solve unconstrained.
-	ChurnFraction float64
 	// Force re-solves even when drift is below thresholds.
 	Force bool
 }
 
 // Maintain runs one maintenance pass over a table: measure data/workload
 // drift against the previous pass, and when it exceeds the 10% thresholds
-// (or Force is set) re-solve the sample-selection problem under the churn
-// constraint and apply the resulting build/drop diff, building new
-// families by the recipe CreateSamples resolved. It returns an error for a
-// table CreateSamples never ran on. Passes and RefreshSamples calls on one
-// table run one at a time.
+// (or Force is set) re-solve the sample-selection problem, any existing
+// sample free to be rebuilt or dropped, and apply the resulting build/drop
+// diff, building new families by the recipe CreateSamples resolved. It
+// returns an error for a table CreateSamples never ran on. Passes and
+// RefreshSamples calls on one table run one at a time.
 func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, error) {
 	entry, err := e.cat.Lookup(table)
 	if err != nil {
@@ -1121,9 +1120,6 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 	}
 	if len(opts.Templates) == 0 {
 		return nil, fmt.Errorf("blinkdb: Maintain requires query templates")
-	}
-	if opts.ChurnFraction == 0 {
-		opts.ChurnFraction = 1
 	}
 	rec := e.samplesOf(table)
 	rec.mu.Lock()
@@ -1159,7 +1155,9 @@ func (e *Engine) Maintain(table string, opts MaintainOptions) (*MaintainReport, 
 	if !needs {
 		return rep, nil
 	}
-	diff, err := m.Resolve(specs, opts.ChurnFraction)
+	// r = 1 in constraint (5): the whole of the existing samples may be
+	// rebuilt or dropped.
+	diff, err := m.Resolve(specs, 1)
 	if err != nil {
 		return nil, err
 	}

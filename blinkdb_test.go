@@ -493,7 +493,7 @@ func TestMaintainEndToEnd(t *testing.T) {
 		{Columns: []string{"os"}, Weight: 0.9},
 		{Columns: []string{"city"}, Weight: 0.1},
 	}
-	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: flipped, ChurnFraction: 1})
+	rep, err = eng.Maintain("sessions", MaintainOptions{Templates: flipped})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,18 +24,11 @@ var cacheQueries = []string{
 	`SELECT AVG(time) FROM sessions WHERE genre = 'nosuchgenre' ERROR WITHIN 1%`,
 }
 
-// stripCache removes the cache annotation from every decision reason so
-// hit/miss responses can be compared against the cache-off reference.
+// stripCache clears the plan-cache outcome so hit/miss responses can be
+// compared against the cache-off reference.
 func stripCache(resp *Response) *Response {
 	cp := *resp
 	cp.Cache = ""
-	cp.Decisions = append([]Decision(nil), resp.Decisions...)
-	for i := range cp.Decisions {
-		r := cp.Decisions[i].Reason
-		r = strings.ReplaceAll(r, "; cache=hit", "")
-		r = strings.ReplaceAll(r, "; cache=miss", "")
-		cp.Decisions[i].Reason = r
-	}
 	return &cp
 }
 
@@ -74,8 +67,8 @@ func TestCacheBitIdentity(t *testing.T) {
 				t.Errorf("%q rep %d: Cache = %q, want %q", src, rep, got.Cache, wantNote)
 			}
 			for _, d := range got.Decisions {
-				if !strings.Contains(d.Reason, "; cache="+wantNote) {
-					t.Errorf("%q rep %d: Reason %q missing cache=%s", src, rep, d.Reason, wantNote)
+				if strings.Contains(d.Reason, "cache=") {
+					t.Errorf("%q rep %d: the runtime wrote a marker into Reason %q", src, rep, d.Reason)
 				}
 			}
 			if !reflect.DeepEqual(want, stripCache(got)) {

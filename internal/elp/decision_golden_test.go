@@ -174,12 +174,19 @@ func decisionLine(resp *Response) string {
 	return b.String()
 }
 
-// responseDigest is an FNV-1a digest of a response's reasons and answer
-// bits.
+// responseDigest is an FNV-1a digest of a response's reasons, each with
+// the cache markers blinkdb renders after it, and answer bits.
 func responseDigest(resp *Response) uint64 {
 	h := fnv.New64a()
+	var markers string
+	if resp.Cache != "" {
+		markers += "; cache=" + resp.Cache
+	}
+	if resp.ResultCache != "" {
+		markers += "; result=" + resp.ResultCache
+	}
 	for _, d := range resp.Decisions {
-		fmt.Fprintf(h, "%s;%016x;", d.Reason, math.Float64bits(d.RequiredRows))
+		fmt.Fprintf(h, "%s%s;%016x;", d.Reason, markers, math.Float64bits(d.RequiredRows))
 	}
 	digestResult(h, resp.Result)
 	return h.Sum64()

@@ -152,17 +152,15 @@ func (rt *Runtime) newGeneration(v uint64) *generation {
 	}
 }
 
-// resultEntry is one cached answer: the canonical (never-annotated,
-// never-mutated) response and the plan-cache note of the execution that
-// produced it. q is the query answered and prep the query that prepared
-// the state it ran under: what a warmup file replays (persist.go).
-// hit is what a hit of it returns (see Response.Shared); served is the
-// serving layer's immutable form of the answer (for blinkdb.Engine, the
-// Result a hit returns and its wire encoding), built by the first hit
-// that asks. Both die with the entry.
+// resultEntry is one cached answer: the response that produced it, with
+// its plan-cache outcome in Cache. q is the query answered and prep the
+// query that prepared the state it ran under: what a warmup file replays
+// (persist.go). hit is what a hit of it returns (see Response.Shared);
+// served is the serving layer's immutable form of the answer (for
+// blinkdb.Engine, the Result a hit returns and its wire encoding), built by
+// the first hit that asks. Both die with the entry.
 type resultEntry struct {
 	resp    *Response
-	note    string
 	q, prep *sqlparser.Query
 
 	hit        *Response
@@ -171,12 +169,23 @@ type resultEntry struct {
 }
 
 // newResultEntry caches resp, the answer to q that pq's state produced.
-func newResultEntry(resp *Response, note string, q *sqlparser.Query, pq *prepared) *resultEntry {
-	ent := &resultEntry{resp: resp, note: note, q: q, prep: pq.prepQ}
-	hit := *resp
-	hit.ResultCache, hit.ent = "hit", ent
-	ent.hit = &hit
+func newResultEntry(resp *Response, q *sqlparser.Query, pq *prepared) *resultEntry {
+	ent := &resultEntry{resp: resp, q: q, prep: pq.prepQ}
+	ent.hit = ent.view("hit")
+	ent.hit.ent = ent
 	return ent
+}
+
+// view is a struct copy of the entry's response with the result-cache
+// outcome set: a miss keeps the plan-cache outcome of the execution, a
+// hit or a shared answer consulted no plan.
+func (ent *resultEntry) view(outcome string) *Response {
+	resp := *ent.resp
+	resp.ResultCache = outcome
+	if outcome != "miss" {
+		resp.Cache = ""
+	}
+	return &resp
 }
 
 // New creates a runtime; Options fields out of range take their defaults.
@@ -230,7 +239,9 @@ type ProbeInfo struct {
 	Matched     int64
 }
 
-// Response is the full outcome of one query.
+// Response is the full outcome of one query. A Response, its Decisions and
+// its Result are read-only once built: a cached answer's are shared by
+// every caller it is served to.
 type Response struct {
 	// Result holds the estimates.
 	Result *exec.Result
@@ -253,21 +264,13 @@ type Response struct {
 	// when the result cache is disabled.
 	ResultCache string
 
-	// ent marks Run's shared view of a result-cache hit (see Shared).
+	// ent marks Run's view of a result-cache hit (see Shared).
 	ent *resultEntry
 }
 
-// Shared reports whether r is Run's view of a result-cache hit: its Result
-// and Decisions are the cache's own, read-only and unannotated.
+// Shared reports whether r is Run's view of a result-cache hit, whose
+// entry keeps a served form (see Served).
 func (r *Response) Shared() bool { return r.ent != nil }
-
-// Materialize returns a private deep copy of a shared hit, annotated
-// result=hit: an answer of its own, as every executed one is.
-func (r *Response) Materialize() *Response {
-	resp := r.ent.resp.clone()
-	annotateResult(resp, "hit")
-	return resp
-}
 
 // Served returns the served form of a shared hit's cache entry, built by
 // build on the entry's first call and immutable: every hit gets it.
@@ -284,12 +287,15 @@ func (r *Response) Served(build func() any) any {
 // With the plan cache enabled, a template prepared before reuses its
 // compiled state, probe results and ELP fit. With the result cache enabled,
 // an exact replay — same template and parameters — is served from memory,
-// and concurrent misses of one key share one execution. A result-cache hit
-// comes back as a Shared view, not a copy, so a serving layer can answer it
-// from the entry's Served form. Run takes the generation of the catalog's
-// current version once (current) and consults no other, so state from
-// before a catalog change — a sample refresh, rebuild or drop, a table
-// (re)load — is never served: the request prepares afresh.
+// and concurrent misses of one key share one execution. Every Response Run
+// returns or emits is read-only: a cached answer's Result and Decisions are
+// shared by every caller it is served to, and only its Cache and
+// ResultCache fields are its own. A result-cache hit comes back Shared, so
+// a serving layer can answer it from the entry's Served form. Run takes
+// the generation of the catalog's current version once (current) and
+// consults no other, so state from before a catalog change — a sample
+// refresh, rebuild or drop, a table (re)load — is never served: the
+// request prepares afresh.
 //
 // emit, when non-nil, receives each refinement before the final answer,
 // with its level (the max across disjuncts); an emit error aborts the run.
@@ -326,12 +332,8 @@ func isCancellation(err error) bool {
 // shares stream nothing.
 func (rt *Runtime) runKeyed(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, root *telemetry.Span, emit func(*Response, int) error) (*Response, error) {
 	if gen.results == nil {
-		resp, note, _, err := rt.runPrepared(ctx, gen, q, key, params, root, emit)
-		if err != nil {
-			return nil, err
-		}
-		annotate(resp, note)
-		return resp, nil
+		resp, _, err := rt.runPrepared(ctx, gen, q, key, params, root, emit)
+		return resp, err
 	}
 	rkey := resultKey(key, params)
 	lsp := root.Child("result-cache lookup")
@@ -343,12 +345,12 @@ func (rt *Runtime) runKeyed(ctx context.Context, gen *generation, q *sqlparser.Q
 	}
 	lsp.End()
 	if emit != nil {
-		// Refinements only flow on an executing path, whose final is
-		// annotated result=miss — mark them the same way so a session's
-		// answers agree about where they came from.
+		// Refinements only flow on an executing path, whose final is a
+		// result=miss — mark them the same way so a session's answers agree
+		// about where they came from.
 		inner := emit
 		emit = func(resp *Response, level int) error {
-			annotateResult(resp, "miss")
+			resp.ResultCache = "miss"
 			return inner(resp, level)
 		}
 	}
@@ -382,26 +384,18 @@ func (rt *Runtime) runKeyed(ctx context.Context, gen *generation, q *sqlparser.Q
 		}
 		shared = false
 	}
-	if cachedHit {
+	switch {
+	case cachedHit:
 		rt.bump(&rt.stats.ResultCacheHits)
 		fsp.Note("result=hit")
 		return ent.hit, nil
-	}
-	// The leader and every singleflight waiter receive a private deep
-	// copy; the canonical response in the entry is never annotated.
-	msp := root.Child("materialize")
-	resp := ent.resp.clone()
-	if shared {
+	case shared:
 		rt.bump(&rt.stats.ResultCacheShared)
-		annotateResult(resp, "shared")
 		fsp.Note("result=shared")
-	} else {
-		annotate(resp, ent.note)
-		annotateResult(resp, "miss")
-		fsp.Note("result=miss")
+		return ent.view("shared"), nil
 	}
-	msp.End()
-	return resp, nil
+	fsp.Note("result=miss")
+	return ent.view("miss"), nil
 }
 
 // resultKey is the result-cache key of the query with template key and
@@ -422,26 +416,23 @@ func (rt *Runtime) resultLeader(ctx context.Context, gen *generation, q *sqlpars
 	if cached, ok := gen.results.Get(rkey); ok {
 		return cached, true, nil
 	}
-	resp, note, pq, err := rt.runPrepared(ctx, gen, q, key, params, sp, emit)
+	resp, pq, err := rt.runPrepared(ctx, gen, q, key, params, sp, emit)
 	if err != nil {
 		return nil, false, err
 	}
 	// Count the miss only for executions that enter the cache, like the
 	// plan cache's convention.
 	rt.bump(&rt.stats.ResultCacheMisses)
-	ent := newResultEntry(resp, note, q, pq)
+	ent := newResultEntry(resp, q, pq)
 	gen.results.Put(rkey, ent)
 	return ent, false, nil
 }
 
 // runPrepared is the prepare/execute pipeline of a run in generation gen —
 // plan-cache lookup (when enabled), prepare on miss, execute — returning the
-// UNANNOTATED response, the plan-cache note ("hit"/"miss", "" when
-// disabled) and the prepared state the answer was computed under.
-// Callers own the annotation so the result cache can store canonical
-// responses. emit is execute's.
-func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, string, *prepared, error) {
-	note := ""
+// response, its Cache set to the plan-cache outcome, and the prepared state
+// the answer was computed under. emit is execute's.
+func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparser.Query, key string, params []types.Value, sp *telemetry.Span, emit func(*Response, int) error) (*Response, *prepared, error) {
 	if gen.plans != nil {
 		lsp := sp.Child("plan-cache lookup")
 		if pq, ok := gen.plans.Get(key); ok {
@@ -450,10 +441,11 @@ func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparse
 			if err == nil {
 				lsp.Note("cache=hit")
 				rt.bump(&rt.stats.PlanCacheHits)
-				return resp, "hit", pq, nil
+				resp.Cache = "hit"
+				return resp, pq, nil
 			}
 			if err != errTemplateMismatch {
-				return nil, "", nil, err
+				return nil, nil, err
 			}
 			// Defensive: equal keys should imply equal shape; if not,
 			// fall through and re-prepare. (The mismatch is detected
@@ -461,11 +453,10 @@ func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparse
 		}
 		lsp.End() // idempotent on the template-mismatch fall-through
 		lsp.Note("cache=miss")
-		note = "miss"
 	}
 	pq, err := rt.prepare(ctx, q, key, params, sp)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	if gen.plans != nil {
 		// Count the miss only for queries that actually entered the cache;
@@ -474,7 +465,10 @@ func (rt *Runtime) runPrepared(ctx context.Context, gen *generation, q *sqlparse
 		gen.plans.Put(key, pq)
 	}
 	resp, err := rt.execute(ctx, pq, q, params, sp, emit)
-	return resp, note, pq, err
+	if err == nil && gen.plans != nil {
+		resp.Cache = "miss"
+	}
+	return resp, pq, err
 }
 
 // selectFamily implements §4.1.1: prefer the covering stratified family

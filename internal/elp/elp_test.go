@@ -137,8 +137,9 @@ func answerTraced(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *tele
 }
 
 // runQuery drives Run as a caller that owns the query does: normalize under
-// a "normalize" span, Run, and turn a shared result-cache hit into an answer
-// of its own under a "materialize" span.
+// a "normalize" span, Run, and read a shared result-cache hit under a
+// "materialize" span — here as a struct copy without its entry, so that it
+// compares with executed answers.
 func runQuery(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetry.Trace, emit func(*Response, int) error) (*Response, error) {
 	nsp := tr.Root().Child("normalize")
 	key, params := sqlparser.Normalize(q)
@@ -149,7 +150,9 @@ func runQuery(ctx context.Context, rt *Runtime, q *sqlparser.Query, tr *telemetr
 	}
 	msp := tr.Root().Child("materialize")
 	defer msp.End()
-	return resp.Materialize(), nil
+	cp := *resp
+	cp.ent = nil
+	return &cp, nil
 }
 
 func TestUnboundedQueryIsExact(t *testing.T) {

@@ -64,7 +64,7 @@ func (rt *Runtime) ExportWarmup() []byte {
 	})
 	gen.results.Range(func(_ string, ent *resultEntry) bool {
 		g := group(ent.prep, false)
-		g.answers = append(g.answers, warmAnswer{ent.q.String(), ent.note})
+		g.answers = append(g.answers, warmAnswer{ent.q.String(), ent.resp.Cache})
 		return true
 	})
 
@@ -173,7 +173,8 @@ func (rt *Runtime) ImportWarmup(blob []byte) (plans, results int, skipped []erro
 				skipped = append(skipped, fmt.Errorf("answer %q: %w", a.sql, err))
 				continue
 			}
-			gen.results.Put(resultKey(key, params), newResultEntry(resp, a.note, q, pq))
+			resp.Cache = a.note
+			gen.results.Put(resultKey(key, params), newResultEntry(resp, q, pq))
 			results++
 		}
 	}

@@ -78,15 +78,16 @@ type prepDisjunct struct {
 	chain atomic.Pointer[exec.Chain]
 }
 
-// confidenceFor derives the CI level for a query.
+// confidenceFor derives the CI level for a query: its ERROR clause's, else
+// its RELATIVE ERROR projection's (sqlparser.Parse holds both to (0, 1)).
 func (rt *Runtime) confidenceFor(q *sqlparser.Query) float64 {
-	conf := sqlparser.DefaultConfidence
-	if q.Err != nil && q.Err.Confidence > 0 {
-		conf = q.Err.Confidence
-	} else if q.ReportError {
-		conf = q.ReportConfidence
+	switch {
+	case q.Err != nil:
+		return q.Err.Confidence
+	case q.ReportError:
+		return q.ReportConfidence
 	}
-	return conf
+	return sqlparser.DefaultConfidence
 }
 
 // prepare compiles a query template and builds its reusable runtime state:
@@ -236,45 +237,4 @@ func (rt *Runtime) prepareConjunctive(ctx context.Context, entry *catalog.Entry,
 	pd.pv, pd.probe, pd.probeLat = pv, probe, probeLat
 	pd.chain.Store(c.chain)
 	return pd, nil
-}
-
-// clone deep-copies a response: the Result (groups, keys, estimates) and
-// the Decisions slice are fresh, so annotating or mutating the clone
-// never touches the canonical cached response or any other caller's
-// copy. The Probed slices and sample.View references inside decisions
-// are shared — both are immutable after planning.
-func (r *Response) clone() *Response {
-	cp := *r
-	cp.Result = r.Result.Clone()
-	if r.Decisions != nil {
-		cp.Decisions = append([]Decision(nil), r.Decisions...)
-	}
-	return &cp
-}
-
-// annotate tags each decision (and the response) with the plan-cache
-// outcome so EXPLAIN output shows cache=hit|miss. No-op when the cache
-// is disabled, preserving pre-cache reason strings bit for bit.
-func annotate(resp *Response, note string) {
-	if note == "" {
-		return
-	}
-	resp.Cache = note
-	for i := range resp.Decisions {
-		resp.Decisions[i].Reason += "; cache=" + note
-	}
-}
-
-// annotateResult tags each decision (and the response) with the
-// result-cache outcome so EXPLAIN output shows result=hit|miss|shared.
-// No-op when the result cache is disabled, preserving pre-result-cache
-// reason strings bit for bit.
-func annotateResult(resp *Response, note string) {
-	if note == "" {
-		return
-	}
-	resp.ResultCache = note
-	for i := range resp.Decisions {
-		resp.Decisions[i].Reason += "; result=" + note
-	}
 }

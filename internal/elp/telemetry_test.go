@@ -43,8 +43,8 @@ func hasNote(s *telemetry.Span, note string) bool {
 // TestTraceSpanStructure runs one bounded query cold and once warm and
 // checks the span topology of each phase: the cold pass walks
 // normalize → result-cache lookup → execute → plan-cache lookup →
-// prepare (probes) → bind+scan (scan → merge) → materialize, while the
-// warm pass short-circuits at the result-cache lookup.
+// prepare (probes) → bind+scan (scan → merge), while the warm pass
+// short-circuits at the result-cache lookup.
 func TestTraceSpanStructure(t *testing.T) {
 	f := newFixture(t, 20000, Options{PlanCacheSize: 8, ResultCacheSize: 8})
 	q := parse(t, `SELECT AVG(time) FROM sessions WHERE city = 'city1' ERROR WITHIN 10% AT CONFIDENCE 95%`)
@@ -55,7 +55,7 @@ func TestTraceSpanStructure(t *testing.T) {
 	}
 	cold.Finish()
 	spans := collectSpans(cold)
-	for _, want := range []string{"normalize", "result-cache lookup", "execute", "plan-cache lookup", "prepare", "bind+scan", "merge", "materialize"} {
+	for _, want := range []string{"normalize", "result-cache lookup", "execute", "plan-cache lookup", "prepare", "bind+scan", "merge"} {
 		if len(spans[want]) == 0 {
 			t.Errorf("cold trace missing span %q; trace:\n%s", want, cold.Render())
 		}
@@ -86,7 +86,7 @@ func TestTraceSpanStructure(t *testing.T) {
 		t.Errorf("warm hit should not prepare or scan; trace:\n%s", warm.Render())
 	}
 	if len(wspans["materialize"]) == 0 {
-		t.Errorf("warm hit should materialize a private copy; trace:\n%s", warm.Render())
+		t.Errorf("warm hit should be read under the caller's materialize span; trace:\n%s", warm.Render())
 	}
 }
 

@@ -346,25 +346,6 @@ type Result struct {
 	Confidence float64
 }
 
-// Clone returns a deep copy of the result: the Groups slice and every
-// group's Key/Estimates slices are fresh, so mutating the clone (or the
-// original) cannot affect the other. Nil-ness is preserved everywhere so
-// a clone is DeepEqual to its source — the result cache's copy-on-return
-// depends on both properties.
-func (r *Result) Clone() *Result {
-	cp := *r
-	if r.Groups != nil {
-		cp.Groups = make([]Group, len(r.Groups))
-		for i, g := range r.Groups {
-			cp.Groups[i] = Group{
-				Key:       append([]types.Value(nil), g.Key...),
-				Estimates: append([]stats.Estimate(nil), g.Estimates...),
-			}
-		}
-	}
-	return &cp
-}
-
 func selectivity(matched, scanned int64) float64 {
 	if scanned == 0 {
 		return 0

@@ -92,44 +92,43 @@ func TestMergerReleasesFoldedPartials(t *testing.T) {
 	}
 }
 
-// TestMergerAllocations pins that streaming does not cost allocations
-// over the old materialize-then-fold shape: folding partials one at a
-// time through a Merger allocates no more than folding the prebuilt
-// slice (both move the partials' group states into the fold; streaming
-// adds only the fixed-size buffers). A merger consumes its partials, so
-// every run folds a set of its own.
+// TestMergerAllocations pins what a streaming merge allocates, delivered in
+// order and in reverse — every partial but the last waiting in the
+// out-of-order window. Either way the partials' group states move into the
+// fold; what is left is the merger, its window and the finalized Result.
+// A merger consumes its partials, so every run folds a set of its own.
 func TestMergerAllocations(t *testing.T) {
 	tab := randomWeightedTable(t, 23, 4000, 64)
 	const src = `SELECT COUNT(*), SUM(sessiontime), AVG(sessiontime) FROM sessions GROUP BY city`
 	const runs = 20
+	const ceiling = 24 // 14 measured, either order
 	p, _ := streamParts(t, tab, src)
-	sets := make([][]*Partial, 2*(runs+1)) // AllocsPerRun calls f runs+1 times
-	for i := range sets {
-		_, sets[i] = streamParts(t, tab, src)
-	}
-	next := func() []*Partial {
-		parts := sets[0]
-		sets = sets[1:]
-		return parts
-	}
-
-	materialized := testing.AllocsPerRun(runs, func() {
-		// Reference shape: collect the full slice, then fold it.
-		parts := next()
-		buf := make([]*Partial, len(parts))
-		copy(buf, parts)
-		mergePartials(p, buf, 0.95)
-	})
-	streaming := testing.AllocsPerRun(runs, func() {
-		parts := next()
-		m := NewMerger(p, len(parts))
-		for i, pt := range parts {
-			m.Add(i, pt)
+	for _, leg := range []struct {
+		name    string
+		reverse bool
+	}{{"in-order", false}, {"reverse", true}} {
+		sets := make([][]*Partial, runs+1) // AllocsPerRun calls f runs+1 times
+		for i := range sets {
+			_, sets[i] = streamParts(t, tab, src)
 		}
-		finishSpan(m, 0.95, m.w, nil)
-	})
-	if streaming > materialized+2 {
-		t.Errorf("streaming merge allocates more than materialized fold: %.0f vs %.0f allocs",
-			streaming, materialized)
+		n := len(sets[0])
+		if n < 3 {
+			t.Fatalf("%d partials: the reverse leg needs a window", n)
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			parts := sets[0]
+			sets = sets[1:]
+			m := NewMerger(p, len(parts))
+			for i := range parts {
+				if leg.reverse {
+					i = len(parts) - 1 - i
+				}
+				m.Add(i, parts[i])
+			}
+			finishSpan(m, 0.95, m.w, nil)
+		})
+		if allocs > ceiling {
+			t.Errorf("%s merge of %d partials: %.0f allocs, ceiling %d", leg.name, n, allocs, ceiling)
+		}
 	}
 }

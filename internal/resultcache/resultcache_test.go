@@ -100,8 +100,8 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // TestCacheHitNoAllocs is the result-cache half of the hit-path
-// allocation audit: a lookup the LRU answers allocates nothing (the elp
-// layer's copy-on-return is measured separately — the cache itself must
+// allocation audit: a lookup the LRU answers allocates nothing (what the
+// engine builds from a hit is measured separately — the cache itself must
 // be free).
 func TestCacheHitNoAllocs(t *testing.T) {
 	a := &answers{lru: plancache.New[*int](64)}

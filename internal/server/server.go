@@ -69,9 +69,6 @@ import (
 type Config struct {
 	// Admission bounds the controller (see admission.Config).
 	Admission admission.Config
-	// DefaultCostSeconds prices templates the engine has no cost
-	// estimate for (default 0.1s).
-	DefaultCostSeconds float64
 	// Warming starts the server in the not-ready state: /healthz reports
 	// 503 {"status":"warming"} and /query refuses with 503 until
 	// SetReady. Lets the listener come up immediately while the engine
@@ -80,6 +77,10 @@ type Config struct {
 	// Now overrides the clock (tests). Default time.Now.
 	Now func() time.Time
 }
+
+// defaultCostSeconds prices the admission of a template the engine has no
+// cost estimate for.
+const defaultCostSeconds = 0.1
 
 // Server is the HTTP handler. Use New.
 type Server struct {
@@ -93,9 +94,6 @@ type Server struct {
 
 // New wraps eng in the serving layer.
 func New(eng *blinkdb.Engine, cfg Config) *Server {
-	if cfg.DefaultCostSeconds <= 0 {
-		cfg.DefaultCostSeconds = 0.1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -201,7 +199,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: everything above was parse-only. Price the queue entry
 	// with the engine's cost estimate when it has one.
-	cost := s.cfg.DefaultCostSeconds
+	cost := defaultCostSeconds
 	if est, ok := s.eng.TemplateWallSeconds(st.Key); ok {
 		cost = est
 	}
@@ -372,7 +370,8 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, sc *scratch) (*queryR
 
 // bindBounds parses the SQL — the request's one parse — and sets the
 // per-request bound parameters on the AST exactly as the parser would
-// have from "ERROR WITHIN e AT CONFIDENCE c% WITHIN t SECONDS". Bound
+// have from "ERROR WITHIN e AT CONFIDENCE c% WITHIN t SECONDS", and
+// refuses them outside their domain as the parser does. Bound
 // parameters conflict with bounds already written in the SQL — that's an
 // error, not an override.
 func bindBounds(req *queryRequest) (*sqlparser.Query, error) {
@@ -413,6 +412,9 @@ func bindBounds(req *queryRequest) (*sqlparser.Query, error) {
 			return nil, errors.New("sql already specifies a WITHIN time bound; drop the time parameter")
 		}
 		q.Time = &sqlparser.TimeBound{Seconds: req.TimeSeconds}
+	}
+	if err := q.CheckBounds(); err != nil {
+		return nil, fmt.Errorf("bad bound parameter: %w", err)
 	}
 	return q, nil
 }

@@ -281,6 +281,38 @@ func TestBoundParams(t *testing.T) {
 	}
 }
 
+// TestOutOfDomainBoundsRefused: a bound outside its domain — in the SQL or
+// in a request parameter — is a 400, never an answer computed as if the
+// bound were absent, clamped or truncated.
+func TestOutOfDomainBoundsRefused(t *testing.T) {
+	srv := New(demoEngine(t, 5000), Config{})
+	const bare = `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY'`
+	for _, body := range []string{
+		fmt.Sprintf(`{"sql": %q, "error": "0%%"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "0"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "-0"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "5%%", "confidence": "0"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "5%%", "confidence": "0%%"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "5%%", "confidence": "100%%"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "5%%", "confidence": "150"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "error": "5%%", "confidence": "150%%"}`, bare),
+		fmt.Sprintf(`{"sql": %q, "time_seconds": -1}`, bare),
+		fmt.Sprintf(`{"sql": %q}`, bare+` ERROR WITHIN 0%`),
+		fmt.Sprintf(`{"sql": %q}`, bare+` ERROR WITHIN 5% AT CONFIDENCE 150%`),
+		fmt.Sprintf(`{"sql": %q}`, bare+` WITHIN -1 SECONDS`),
+		fmt.Sprintf(`{"sql": %q}`, bare+` LIMIT 0`),
+		fmt.Sprintf(`{"sql": %q}`, bare+` LIMIT 2.5`),
+	} {
+		if w := postQuery(t, srv, body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", body, w.Code, w.Body.String())
+		}
+	}
+	body := fmt.Sprintf(`{"sql": %q, "error": "0.5%%", "confidence": "99.9%%"}`, bare)
+	if w := postQuery(t, srv, body); w.Code != http.StatusOK {
+		t.Errorf("%s: status %d, want 200: %s", body, w.Code, w.Body.String())
+	}
+}
+
 // TestGetQueryParams pins the GET form of /query.
 func TestGetQueryParams(t *testing.T) {
 	eng := demoEngine(t, 20000)
@@ -370,7 +402,7 @@ func TestWarmingGate(t *testing.T) {
 // TestAdmissionPricedByEstimate pins what a request costs the backlog:
 // with the one seat held at cost 1, a request queues at the engine's cost
 // estimate for its template (floored at 1 ms) once the engine has
-// observed it, and at DefaultCostSeconds before.
+// observed it, and at defaultCostSeconds before.
 func TestAdmissionPricedByEstimate(t *testing.T) {
 	eng := demoEngine(t, 20000)
 	seen := `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY'`
@@ -390,7 +422,7 @@ func TestAdmissionPricedByEstimate(t *testing.T) {
 		cost float64
 	}{
 		{seen, math.Max(est, 1e-3)},
-		{`SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`, 0.1}, // DefaultCostSeconds
+		{`SELECT COUNT(*) FROM sessions WHERE os = 'OSX'`, defaultCostSeconds},
 	} {
 		srv := New(eng, Config{Admission: admission.Config{
 			MaxConcurrent: 1, MaxQueue: 4, MaxBacklogSeconds: -1,

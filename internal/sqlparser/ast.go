@@ -56,6 +56,30 @@ func (e ErrorBound) String() string {
 	return "ERROR WITHIN " + bound + " AT CONFIDENCE " + confidence(e.Confidence)
 }
 
+// CheckBounds reports a bound outside its domain: an error bound that is
+// not positive, a confidence outside (0, 1) — an ERROR clause's or a
+// RELATIVE ERROR projection's — or a time bound that is not positive.
+// Parse rejects such a query; a caller that sets bounds on a parsed query
+// checks them here.
+func (q *Query) CheckBounds() error {
+	const conf = "the confidence must lie strictly between 0% and 100%"
+	if e := q.Err; e != nil {
+		if !(e.Bound > 0) {
+			return fmt.Errorf("%s: the bound must be positive", e)
+		}
+		if !(e.Confidence > 0 && e.Confidence < 1) {
+			return fmt.Errorf("%s: %s", e, conf)
+		}
+	}
+	if q.ReportError && !(q.ReportConfidence > 0 && q.ReportConfidence < 1) {
+		return fmt.Errorf("RELATIVE ERROR AT %s CONFIDENCE: %s", confidence(q.ReportConfidence), conf)
+	}
+	if q.Time != nil && !(q.Time.Seconds > 0) {
+		return fmt.Errorf("%s: the time bound must be positive", q.Time)
+	}
+	return nil
+}
+
 // TimeBound is the "WITHIN n SECONDS" clause.
 type TimeBound struct {
 	// Seconds is the maximum response time.

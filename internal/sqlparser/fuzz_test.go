@@ -39,6 +39,18 @@ func FuzzNormalize(f *testing.F) {
 		`not sql at all`,
 		`SELECT AVG(v) FROM t WHERE name = 'O''Brien'`,
 		`SELECT AVG(v) FROM t WHERE a < 3.0`,
+		// Bounds outside their domain, which Parse rejects.
+		`SELECT AVG(v) FROM t ERROR WITHIN 0%`,
+		`SELECT AVG(v) FROM t ERROR WITHIN -5%`,
+		`SELECT AVG(v) FROM t ERROR WITHIN 10% AT CONFIDENCE 0%`,
+		`SELECT AVG(v) FROM t ERROR WITHIN 10% AT CONFIDENCE 150%`,
+		`SELECT COUNT(*), RELATIVE ERROR AT 0% CONFIDENCE FROM t`,
+		`SELECT COUNT(*), RELATIVE ERROR AT 100% CONFIDENCE FROM t`,
+		`SELECT AVG(v) FROM t WITHIN -1 SECONDS`,
+		`SELECT AVG(v) FROM t LIMIT 0`,
+		`SELECT AVG(v) FROM t LIMIT -1`,
+		`SELECT AVG(v) FROM t LIMIT 2.5`,
+		`SELECT AVG(v) FROM t LIMIT 99999999999999999999`,
 	} {
 		f.Add(seed)
 	}

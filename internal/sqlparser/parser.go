@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -37,6 +38,9 @@ func Parse(src string) (*Query, error) {
 	p := &parser{toks: toks}
 	q, err := p.parseQuery()
 	if err != nil {
+		return nil, err
+	}
+	if err := q.CheckBounds(); err != nil {
 		return nil, err
 	}
 	return q, nil
@@ -269,6 +273,9 @@ func (p *parser) parseQuery() (*Query, error) {
 			n, err := p.expectNumber()
 			if err != nil {
 				return nil, err
+			}
+			if n < 1 || n > math.MaxInt32 || n != math.Trunc(n) {
+				return nil, p.errf("LIMIT %s is not a positive integer", number(n))
 			}
 			q.Limit = int(n)
 		default:

@@ -312,3 +312,56 @@ func (q *Query) Columns(schema *types.Schema) (types.ColumnSet, error) {
 	}
 	return cs, nil
 }
+
+// TestBoundsOutsideTheirDomain: an error bound ≤ 0, a confidence outside
+// (0, 1) — of an ERROR clause or a RELATIVE ERROR projection — a time
+// bound ≤ 0 and a LIMIT that is not a positive integer are parse errors,
+// not bounds the engine quietly ignores, clamps or truncates. The
+// domain's edges just inside still parse.
+func TestBoundsOutsideTheirDomain(t *testing.T) {
+	const sel = `SELECT AVG(x) FROM t `
+	for _, bad := range []string{
+		`ERROR WITHIN 0%`,
+		`ERROR WITHIN -5%`,
+		`ERROR WITHIN 0`,
+		`ERROR WITHIN -0.5`,
+		`ERROR WITHIN 10% AT CONFIDENCE 0%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 0`,
+		`ERROR WITHIN 10% AT CONFIDENCE -95%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 100%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 1`,
+		`ERROR WITHIN 10% AT CONFIDENCE 150%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 150`,
+		`WITHIN 0 SECONDS`,
+		`WITHIN -1 SECONDS`,
+		`LIMIT 0`,
+		`LIMIT -1`,
+		`LIMIT 2.5`,
+		`LIMIT 99999999999999999999`,
+	} {
+		if q, err := Parse(sel + bad); err == nil {
+			t.Errorf("%q parsed, as %s", bad, q)
+		}
+	}
+	for _, bad := range []string{`0%`, `0`, `-5%`, `100%`, `150%`, `150`} {
+		src := `SELECT COUNT(*), RELATIVE ERROR AT ` + bad + ` CONFIDENCE FROM t`
+		if q, err := Parse(src); err == nil {
+			t.Errorf("%q parsed, as %s", src, q)
+		}
+	}
+	for _, good := range []string{
+		`ERROR WITHIN 0.0001%`,
+		`ERROR WITHIN 0.5`,
+		`ERROR WITHIN 250%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 0.01%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 99.99%`,
+		`ERROR WITHIN 10% AT CONFIDENCE 0.9`,
+		`WITHIN 0.001 SECONDS`,
+		`LIMIT 1`,
+		`LIMIT 3.0`,
+	} {
+		if _, err := Parse(sel + good); err != nil {
+			t.Errorf("%q: %v", good, err)
+		}
+	}
+}

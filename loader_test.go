@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +18,11 @@ import (
 )
 
 // loaderColumns and loaderRows are a table that reaches what a load can
-// encode: a column mixing kinds around NULL runs, floats with NaN and both
-// zeros, a sorted column (run-length encoded), a string column whose every
-// row is new — each full chunk holds as many strings as a dictionary can —
-// bools, low-cardinality strings with NULL runs, and ints narrow in the
-// first chunk and wide after it.
+// encode: a Float column fed Go ints and floats around NULL runs, floats
+// with NaN and both zeros, a sorted column (run-length encoded), a string
+// column whose every row is new — each full chunk holds as many strings as
+// a dictionary can — bools, low-cardinality strings with NULL runs, and
+// ints narrow in the first chunk and wide after it.
 func loaderColumns() []ColumnDef {
 	return []ColumnDef{Col("mixed", Float), Col("f", Float), Col("sorted", Int), Col("uniq", String),
 		Col("b", Bool), Col("city", String), Col("wide", Int)}
@@ -37,8 +39,6 @@ func loaderRows(n int) [][]any {
 			mixed = nil
 		case i%7 == 1:
 			mixed = float64(i%13) + 0.5
-		case i%7 == 2:
-			mixed = fmt.Sprintf("m%d", i%5)
 		}
 		var f any = rng.ExpFloat64()
 		switch {
@@ -169,7 +169,7 @@ func TestLoaderWorkersBitIdentical(t *testing.T) {
 	if uniq := &wantChunks[0].Cols[3]; len(uniq.Dict) != wantChunks[0].N || uniq.Codes16 == nil {
 		t.Fatalf("the first chunk's %d rows have %d distinct strings", wantChunks[0].N, len(uniq.Dict))
 	}
-	for _, enc := range []colstore.Encoding{colstore.EncRLE, colstore.EncValue, colstore.EncFloat,
+	for _, enc := range []colstore.Encoding{colstore.EncRLE, colstore.EncFloat,
 		colstore.EncInt, colstore.EncBool, colstore.EncDict} {
 		if !encs[enc] {
 			t.Fatalf("no chunk column is encoded %v", enc)
@@ -243,20 +243,28 @@ func TestLoadedFamiliesMatchBuilderLayout(t *testing.T) {
 	eng := Open(Config{Workers: 2, Scale: 1e4})
 	_, loaded := load(t, eng, rows)
 	rowsPerBlock := loaded.Blocks[0].N
-	b := storage.NewBuilder(storage.NewTable("t", loaded.Schema), rowsPerBlock, eng.cfg.Nodes, storage.OnDisk)
+	b := storage.NewBuilder(storage.NewTable("t", loaded.Schema), rowsPerBlock, eng.nodes(), storage.OnDisk)
 	row := make(types.Row, loaded.Schema.Len())
 	for _, r := range rows {
 		for i, v := range r {
-			row[i], _ = toValue(v)
+			if row[i], _ = toValue(v); row[i].Kind != loaded.Schema.Columns[i].Kind {
+				row[i], _ = toKind(row[i], loaded.Schema.Columns[i].Kind)
+			}
 		}
 		b.AppendRow(row)
 	}
 	built := b.Finish()
-	if len(loaded.Chunks()) != 3 || len(loaded.Blocks) == len(built.Blocks) {
-		t.Fatalf("%d chunks in %d blocks loaded, %d blocks built: the layouts do not differ",
-			len(loaded.Chunks()), len(loaded.Blocks), len(built.Blocks))
+	short := 0 // loaded blocks cut short by a chunk's end
+	for _, blk := range loaded.Blocks[:len(loaded.Blocks)-1] {
+		if blk.N != rowsPerBlock {
+			short++
+		}
 	}
-	cfg := sample.BuildConfig{RowsPerBlock: rowsPerBlock, Nodes: eng.cfg.Nodes, Seed: 5}
+	if len(loaded.Chunks()) != 3 || short == 0 {
+		t.Fatalf("%d chunks in %d blocks loaded, none short before the last: the layouts do not differ",
+			len(loaded.Chunks()), len(loaded.Blocks))
+	}
+	cfg := sample.BuildConfig{RowsPerBlock: rowsPerBlock, Nodes: eng.nodes(), Seed: 5}
 	for _, phi := range []types.ColumnSet{types.NewColumnSet(), types.NewColumnSet("city"), types.NewColumnSet("b", "city")} {
 		caps := []int64{20, 60, 150}
 		if phi.Empty() {
@@ -336,5 +344,81 @@ func TestLoaderLifecycle(t *testing.T) {
 			t.Fatalf("workers %d: %d rows (%v), want %d", workers, n, err, len(rows))
 		}
 		waitGoroutines(t, baseline)
+	}
+}
+
+// TestLoaderHonoursColumnTypes: a value of another kind than its column's
+// is refused with an error that names the column — a String column takes
+// no Go int, an Int column no float — and the loader registers nothing.
+// A Float column converts Go integers, so one fed ints on some rows is
+// stored as floats (EncFloat), not as verbatim values compared cell by
+// cell. nil is NULL in any column.
+func TestLoaderHonoursColumnTypes(t *testing.T) {
+	cols := []ColumnDef{Col("i", Int), Col("f", Float), Col("s", String), Col("b", Bool)}
+	good := []any{int64(1), 2.5, "x", true}
+	for c, bad := range [][]any{
+		{"1", 1.5, float32(2), true},
+		{"2.5", true, false},
+		{3, int64(4), 2.5, false},
+		{1, "true", 0.0},
+	} {
+		for _, v := range bad {
+			eng := Open(Config{Workers: 1})
+			l := eng.CreateTable("t", cols...)
+			row := slices.Clone(good)
+			row[c] = v
+			if err := l.Append(row...); err == nil || !strings.Contains(err.Error(), "column "+cols[c].Name+":") {
+				t.Errorf("%T %v in column %s: err %v, want one naming the column", v, v, cols[c].Name, err)
+			}
+			if err := l.Close(); err == nil {
+				t.Errorf("%T %v in column %s: Close succeeded", v, v, cols[c].Name)
+			}
+			if _, err := eng.TableRows("t"); err == nil {
+				t.Errorf("%T %v in column %s: the table was registered", v, v, cols[c].Name)
+			}
+		}
+	}
+
+	eng := Open(Config{Workers: 1})
+	l := eng.CreateTable("t", cols...)
+	const n = 1000
+	sum := 0.0
+	for r := range n {
+		var f any
+		switch r % 5 {
+		case 0:
+			f = r
+		case 1:
+			f = int32(r)
+		case 2:
+			f = int64(r)
+		case 3:
+			f = float64(r) + 0.5
+		}
+		if f != nil {
+			sum += float64(r) + float64(r%5/3)*0.5
+		}
+		if err := l.Append(nil, f, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ent, err := eng.cat.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ent.Table.Chunks() {
+		if enc := d.Cols[1].Enc; enc != colstore.EncFloat {
+			t.Errorf("the int-fed Float column is encoded %v, want %v", enc, colstore.EncFloat)
+		}
+	}
+	res, err := eng.Query(`SELECT SUM(f), COUNT(f) FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0].Cells; got[0].Value != sum || got[1].Value != 4*n/5 {
+		t.Errorf("SUM, COUNT = %v, %v; want %v, %d", got[0].Value, got[1].Value, sum, 4*n/5)
 	}
 }

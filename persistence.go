@@ -145,7 +145,7 @@ func (e *Engine) sampleSignature(entry *catalog.Entry, opts SampleOptions, block
 		w.f64(tpl.Weight)
 	}
 	w.i64(int64(blockRows))
-	w.i64(int64(e.cfg.Nodes))
+	w.i64(int64(e.nodes()))
 	w.i64(e.cfg.Seed)
 	// Not Workers: builds are identical for any pool size, and the default
 	// pool follows the host's cores — a restart under another GOMAXPROCS

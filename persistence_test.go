@@ -33,7 +33,7 @@ var persistQueries = []string{
 func bootEngine(t testing.TB, dataDir string) (*Engine, *SampleReport) {
 	t.Helper()
 	eng := Open(Config{
-		Nodes: 10, Workers: 2, Seed: 42, Scale: 1e5,
+		Workers: 2, Seed: 42, Scale: 1e5,
 		DataDir: dataDir,
 	})
 	load := eng.CreateTable("sessions",

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"blinkdb/internal/elp"
 )
 
 // demoEnginePlanCacheOnly is demoEngine with the result cache disabled,
@@ -13,12 +15,27 @@ import (
 // result-cache hit.
 func demoEnginePlanCacheOnly(t testing.TB, rows int) *Engine {
 	t.Helper()
-	return demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true, ResultCacheSize: -1})
+	return withCaches(demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true}), true, false)
+}
+
+// withCaches gives eng a fresh runtime with each of its two caches on, at
+// the size Open gives it, or off: the reference engines the cache suites
+// compare the default engine with.
+func withCaches(eng *Engine, plans, results bool) *Engine {
+	opt := elp.Options{Scale: eng.cfg.Scale, Workers: eng.cfg.Workers}
+	if plans {
+		opt.PlanCacheSize = planCacheSize
+	}
+	if results {
+		opt.ResultCacheSize = resultCacheSize
+	}
+	eng.rt = elp.New(eng.cat, eng.clus, opt)
+	return eng
 }
 
 // TestPlanCacheEquivalenceEndToEnd is the public-API acceptance check of
 // the prepare/execute tentpole: an engine with the plan cache disabled
-// (PlanCacheSize < 0) answers every query bit-identically to main's
+// (withCaches) answers every query bit-identically to main's
 // uncached pipeline, and the default cached engine returns the same
 // answers — estimates, error bars, scan counters AND simulated latencies
 // — for identical queries on miss and on every hit.
@@ -27,12 +44,9 @@ func TestPlanCacheEquivalenceEndToEnd(t *testing.T) {
 	// Result cache off on BOTH engines: this test pins the plan-cache
 	// layer in isolation (the result-cache layering has its own suite in
 	// resultcache_test.go).
-	base := Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: 1, ResultCacheSize: -1}
-
-	off := base
-	off.PlanCacheSize = -1
-	engOff := demoEngineCfg(t, rows, off)
-	engOn := demoEngineCfg(t, rows, base)
+	base := Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: 1}
+	engOff := withCaches(demoEngineCfg(t, rows, base), false, false)
+	engOn := withCaches(demoEngineCfg(t, rows, base), true, false)
 
 	for _, src := range demoQueries {
 		want, err := engOff.Query(src)

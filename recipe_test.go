@@ -74,7 +74,7 @@ func TestRefreshRotatesFamilies(t *testing.T) {
 		}
 		seeded, err := sample.Build(entry.Table, first.Phi, first.Caps, sample.BuildConfig{
 			RowsPerBlock: eng.blockRows(entry.Table),
-			Nodes:        eng.cfg.Nodes,
+			Nodes:        eng.nodes(),
 			Place:        storage.InMemory,
 			Seed:         eng.cfg.Seed + 7717 + 7919,
 		})

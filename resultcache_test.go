@@ -3,6 +3,7 @@ package blinkdb
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -15,17 +16,14 @@ import (
 
 // TestResultCacheEquivalenceEndToEnd is the public-API acceptance check
 // of the result-cache tentpole: an engine with the result cache disabled
-// (ResultCacheSize < 0) behaves exactly like the PR 4 pipeline — no
+// (withCaches) behaves exactly like the PR 4 pipeline — no
 // result= markers anywhere — and the default engine returns the same
 // answers — estimates, error bars, scan counters AND simulated latencies
 // — on the executing miss and on every replayed hit.
 func TestResultCacheEquivalenceEndToEnd(t *testing.T) {
 	const rows = 30000
 	base := Config{Scale: 1e4, Seed: 7, CacheTables: true, Workers: 1}
-
-	off := base
-	off.ResultCacheSize = -1
-	engOff := demoEngineCfg(t, rows, off)
+	engOff := withCaches(demoEngineCfg(t, rows, base), true, false)
 	engOn := demoEngineCfg(t, rows, base)
 
 	for _, src := range demoQueries {
@@ -300,5 +298,112 @@ func TestResultCacheSingleflightEndToEnd(t *testing.T) {
 	if s.Prepares != oneCold.Prepares || s.PlanExecs != oneCold.PlanExecs || s.ProbeExecs != oneCold.ProbeExecs {
 		t.Errorf("concurrent cold key cost %d prepares / %d plan execs / %d probes; one serial run costs %d / %d / %d (notes %v)",
 			s.Prepares, s.PlanExecs, s.ProbeExecs, oneCold.Prepares, oneCold.PlanExecs, oneCold.ProbeExecs, notes)
+	}
+}
+
+// TestCallersOwnTheirResults: a Result the SQL-text entry points return is
+// the caller's own. A caller that writes into every layer of one — rows,
+// cells, Explanation, counters — on a miss, a hit, a singleflight-shared
+// answer and a streamed final changes no later answer: each equals the
+// answer of an engine without caches, cache markers aside.
+func TestCallersOwnTheirResults(t *testing.T) {
+	eng := demoEngine(t, 20000)
+	ref := withCaches(demoEngine(t, 20000), false, false)
+	vandalize := func(r *Result) {
+		for i := range r.Rows {
+			r.Rows[i].Group = "vandalized"
+			for j := range r.Rows[i].Cells {
+				// Every field but the name: a form whose names differ
+				// from the query's aliases is never served.
+				c := &r.Rows[i].Cells[j]
+				c.Value, c.Bound, c.RelErr, c.Exact, c.Rows = -1, -1, -1, !c.Exact, -1
+			}
+		}
+		r.Explanation, r.SampleDescription = "vandalized", "vandalized"
+		r.RowsScanned, r.RowsMatched, r.SimLatencySeconds, r.PredictedBound, r.Level = -1, -1, -1, -1, -2
+	}
+	seen := map[string]int{}
+	// check holds res, an answer to src, to the cache-free engine's, then
+	// writes over it.
+	check := func(src string, res *Result) {
+		t.Helper()
+		want, err := ref.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[res.ResultCache]++
+		if !reflect.DeepEqual(stripPlanCache(want), stripPlanCache(res)) {
+			t.Errorf("%s answer to %q is not the pristine one\nwant %+v\ngot  %+v", res.ResultCache, src, want, res)
+		}
+		vandalize(res)
+	}
+	query := func(src string) *Result {
+		t.Helper()
+		res, err := eng.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	const src = `SELECT AVG(sessiontime), COUNT(*) FROM sessions WHERE city = 'NY' GROUP BY os ERROR WITHIN 10%`
+	for range 3 { // a miss, then hits of its entry
+		check(src, query(src))
+	}
+
+	// A stream that blocks in its first refinement holds its flight open,
+	// so a plain query of the same key joins it and is handed the shared
+	// answer; then both replay as hits. A key whose waiter came too late
+	// (a hit) is retried with another bound.
+	for try := 0; seen["shared"] == 0 && try < 5; try++ {
+		src := fmt.Sprintf(`SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN %.1f%%`, 5-0.1*float64(try))
+		inFlight, release := make(chan struct{}), make(chan struct{})
+		var final *Result
+		streamed := make(chan error, 1)
+		go func() {
+			streamed <- eng.QueryStream(context.Background(), src, func(u StreamUpdate) error {
+				if u.Final {
+					final = u.Result
+					return nil
+				}
+				if u.Seq == 0 {
+					close(inFlight)
+					<-release
+				}
+				vandalize(u.Result)
+				return nil
+			})
+		}()
+		select {
+		case <-inFlight:
+		case err := <-streamed:
+			t.Fatalf("%q streamed no refinement (err %v): the test needs one to hold the flight", src, err)
+		}
+		waiter := make(chan *Result, 1)
+		go func() {
+			res, err := eng.Query(src)
+			if err != nil {
+				t.Error(err)
+			}
+			waiter <- res
+		}()
+		time.Sleep(50 * time.Millisecond) // let the waiter reach the flight
+		close(release)
+		if err := <-streamed; err != nil {
+			t.Fatal(err)
+		}
+		if final.ResultCache != "miss" {
+			t.Fatalf("the streamed final is a %q, want the flight's miss", final.ResultCache)
+		}
+		check(src, final)
+		if res := <-waiter; res != nil {
+			check(src, res)
+		}
+		for range 2 {
+			check(src, query(src))
+		}
+	}
+	if seen["miss"] == 0 || seen["hit"] == 0 || seen["shared"] == 0 {
+		t.Errorf("outcomes %v: want a miss, a hit and a shared answer", seen)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"blinkdb/internal/elp"
 	"blinkdb/internal/telemetry"
 )
 
@@ -36,7 +35,7 @@ func TestExplainAnalyzeEndToEnd(t *testing.T) {
 	if cold.Trace == "" {
 		t.Fatal("EXPLAIN ANALYZE returned no trace")
 	}
-	for _, want := range []string{"query", "normalize", "execute", "plan-cache lookup", "cache=miss", "result=miss", "prepare", "bind+scan", "scan blocks=", "merge", "materialize"} {
+	for _, want := range []string{"query", "normalize", "execute", "plan-cache lookup", "cache=miss", "result=miss", "prepare", "bind+scan", "scan blocks=", "merge", "build result"} {
 		if !strings.Contains(cold.Trace, want) {
 			t.Errorf("cold trace missing %q:\n%s", want, cold.Trace)
 		}
@@ -153,12 +152,12 @@ func TestCacheMarkerMatrix(t *testing.T) {
 		wantPlan, wantResult string // "" = no marker allowed
 	}
 	cases := []struct {
-		name                 string
-		planSize, resultSize int
-		steps                []step
+		name          string
+		plans, result bool
+		steps         []step
 	}{
 		{
-			name: "both-on", planSize: 0, resultSize: 0,
+			name: "both-on", plans: true, result: true,
 			steps: []step{
 				{q1, "miss", "miss"}, // cold template, cold answer
 				{q1, "", "hit"},      // replay: plan pipeline skipped entirely
@@ -166,21 +165,21 @@ func TestCacheMarkerMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "plan-only", planSize: 0, resultSize: -1,
+			name: "plan-only", plans: true, result: false,
 			steps: []step{
 				{q1, "miss", ""},
 				{q1, "hit", ""}, // replay re-executes, amortized by the plan cache
 			},
 		},
 		{
-			name: "result-only", planSize: -1, resultSize: 0,
+			name: "result-only", plans: false, result: true,
 			steps: []step{
 				{q1, "miss", "miss"}, // plan cache disabled reports miss-equivalent "" — see below
 				{q1, "", "hit"},
 			},
 		},
 		{
-			name: "both-off", planSize: -1, resultSize: -1,
+			name: "both-off", plans: false, result: false,
 			steps: []step{
 				{q1, "", ""},
 				{q1, "", ""},
@@ -189,13 +188,10 @@ func TestCacheMarkerMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := demoEngineCfg(t, rows, Config{
-				Scale: 1e4, Seed: 7, CacheTables: true,
-				PlanCacheSize: tc.planSize, ResultCacheSize: tc.resultSize,
-			})
+			eng := withCaches(demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true}), tc.plans, tc.result)
 			for i, st := range tc.steps {
 				wantPlan := st.wantPlan
-				if tc.planSize < 0 {
+				if !tc.plans {
 					wantPlan = "" // disabled cache never annotates
 				}
 				res, err := eng.Query(st.src)
@@ -277,12 +273,7 @@ func TestTelemetryDisabledBitIdentical(t *testing.T) {
 	on := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true})
 	off := demoEngineCfg(t, rows, Config{Scale: 1e4, Seed: 7, CacheTables: true})
 	off.tele = nil
-	off.rt = elp.New(off.cat, off.clus, elp.Options{
-		Scale:           off.cfg.Scale,
-		Workers:         off.cfg.Workers,
-		PlanCacheSize:   off.cfg.PlanCacheSize,
-		ResultCacheSize: off.cfg.ResultCacheSize,
-	})
+	withCaches(off, true, true)
 
 	queries := []string{
 		`SELECT COUNT(*) FROM sessions`,
@@ -367,7 +358,7 @@ func TestEngineTelemetrySnapshot(t *testing.T) {
 // bytes and a positive predicted error half-width; exact templates record
 // zero bounds.
 func TestRegistryObservations(t *testing.T) {
-	eng := demoEngineCfg(t, 15000, Config{Scale: 1e4, Seed: 7, CacheTables: true, ResultCacheSize: -1})
+	eng := withCaches(demoEngineCfg(t, 15000, Config{Scale: 1e4, Seed: 7, CacheTables: true}), true, false)
 	const bounded = `SELECT AVG(sessiontime) FROM sessions WHERE city = 'NY' ERROR WITHIN 10%`
 	const exact = `SELECT COUNT(*) FROM sessions`
 	for _, src := range []string{bounded, bounded, bounded, exact} {

@@ -102,19 +102,17 @@ type served struct {
 // columns differently: aliases are not part of the cache key, so the form
 // has those of the hit that built it, and any other is built for itself.
 func (st Statement) result(resp *elp.Response) (*Result, []byte) {
-	if !resp.Shared() {
-		return buildResult(st.q, resp), nil
+	if resp.Shared() {
+		msp := st.tr.Root().Child("materialize")
+		defer msp.End()
+		if sv := st.served(resp); sv != nil {
+			if st.private {
+				return sv.res.clone(), nil
+			}
+			return &sv.res, sv.wire
+		}
 	}
-	msp := st.tr.Root().Child("materialize")
-	defer msp.End()
-	sv := st.served(resp)
-	switch {
-	case sv == nil:
-		return buildResult(st.q, resp.Materialize()), nil
-	case st.private:
-		return sv.res.clone(), nil
-	}
-	return &sv.res, sv.wire
+	return buildResult(st.q, resp), nil
 }
 
 func (st Statement) served(resp *elp.Response) *served {
@@ -122,7 +120,7 @@ func (st Statement) served(resp *elp.Response) *served {
 		return nil
 	}
 	sv := resp.Served(func() any {
-		sv := &served{res: *buildResult(st.q, resp.Materialize())}
+		sv := &served{res: *buildResult(st.q, resp)}
 		sv.wire = sv.res.appendJSON(nil)
 		return sv
 	}).(*served)
