@@ -149,10 +149,11 @@ var demoQueries = []string{
 // DeepEqual-identical results — estimates, error bars, plan decisions,
 // scan counters AND simulated latency (the cluster model prices block
 // placement, not the scan pool) — for every demo query shape plus a
-// grouped quantile.
+// grouped quantile and a disjunctive AVG.
 func TestWorkersEquivalenceEndToEnd(t *testing.T) {
 	queries := append([]string{
 		`SELECT QUANTILE(sessiontime, 0.9) FROM sessions WHERE ended = 1 GROUP BY genre ERROR WITHIN 15%`,
+		`SELECT AVG(sessiontime) FROM sessions WHERE city = 'Fargo' OR os = 'Win7' ERROR WITHIN 5%`,
 	}, demoQueries...)
 	engines := map[int]*Engine{}
 	for _, workers := range []int{1, 2, 8} {

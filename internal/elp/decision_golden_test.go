@@ -77,10 +77,10 @@ both cold d0=[city]:L3:base=false probe=3fd0000000000000 read=3fef18b049067464 p
 both hit d0=[city]:L3:base=false probe=3fd0000000000000 read=3fef18b049067464 pb=3ffb8db64a1d7b6d sim=3ff38c5824833a32 digest=8371b158a98017aa spans=d14563c408677836 execs=1/0/0
 both hit-new d0=[city]:L0:base=false probe=3fd0000000000000 read=0000000000000000 pb=402baa18eb6d2ae7 sim=3fd0000000000000 digest=d8e0c83a1da78e46 spans=2e19e0cb765970b0 execs=1/0/0
 both stream d0=[city]:L3:base=false probe=3fd0000000000000 read=3fef18b049067464 pb=3ffb8db64a1d7b6d sim=3ff38c5824833a32 digest=a5d5010221c35eed spans=f9426b26d0750be6 execs=4/1/1 refs=[L0:45e8c791fd7b4238,L1:53bab337b1ecfe92,L2:e025092db87b377d]
-or cold d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=183846de2a3ee320 spans=9cdb550fa2151a90 execs=4/2/1
-or hit d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=06b087b179e6011c spans=5be0f1f7e9b0a13b execs=2/0/0
-or hit-new d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe1087f49b8260b pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe91b549726a9ba pb=407816abfeb082ae sim=3ff08daa4b9354dd digest=16c93da062555714 spans=e88072d9189dea6d execs=2/0/0
-or stream d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=42428a72c2b158f0 spans=a4a18f95594193f1 execs=6/2/1 refs=[L0:14251d1dc253194c,L1:c660a35913a0b451]
+or cold d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=8553cf652bacec87 spans=9cdb550fa2151a90 execs=4/2/1
+or hit d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=6894c4b79c01c903 spans=5be0f1f7e9b0a13b execs=2/0/0
+or hit-new d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe1087f49b8260b pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe91b549726a9ba pb=407816abfeb082ae sim=3ff08daa4b9354dd digest=76054a4656c69e18 spans=e88072d9189dea6d execs=2/0/0
+or stream d0=[city]:L2:base=false probe=3fd0000000000000 read=3fe7e67ec11af139 pb=40938b5cee899211 d1=[os+url]:L2:base=false probe=3fd0000000000000 read=3fe1a6dd3e8d2772 pb=407816abfeb082ae sim=3fefe67ec11af139 digest=7b384cda302e6bf7 spans=a4a18f95594193f1 execs=6/2/1 refs=[L0:c34489a409246cef,L1:08f680bfb853d13a]
 groupby cold d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84633e7ce6b4f pb=401b075aa55e5f8e sim=3ff02319f3e735a8 digest=144ca31e9f28f6b9 spans=6fb2169856bb7338 execs=5/4/1
 groupby hit d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84633e7ce6b4f pb=401b075aa55e5f8e sim=3ff02319f3e735a8 digest=28ccb560df7f11ec spans=3627ceae37fd8855 execs=1/0/0
 groupby hit-new d0=uniform:L2:base=false probe=3fd0000000000000 read=3fe84633e7ce6b4f pb=401b075aa55e5f8e sim=3ff02319f3e735a8 digest=d22a7106f07bd4b1 spans=3627ceae37fd8855 execs=1/0/0

@@ -717,33 +717,8 @@ func (rt *Runtime) levelForTime(entry *catalog.Entry, fam *sample.Family, plan *
 	return best
 }
 
-// runPlan executes plan over in — the base table — joining dimension
-// tables when the query has JOIN clauses (§2.1: fact-side sampling, exact
-// broadcast dimensions). probe counts it as an ELP probe. With sp non-nil
-// the scan records a span tree (per-range partials + merge) beneath it.
-// The only possible error is ctx.Err(): a cancelled scan returns no partial
-// result. PlanExecs counts the attempt either way — a cancelled scan may
-// have done most of its work.
-func (rt *Runtime) runPlan(ctx context.Context, plan *exec.Plan, in exec.Input, conf float64, joins []exec.JoinSpec, probe bool, sp *telemetry.Span) (*exec.Result, error) {
-	rt.countExec(probe)
-	ssp := scanSpan(sp, in)
-	res, err := exec.RunJoin(ctx, plan, in, joins, conf, rt.opt.Workers, ssp)
-	ssp.End()
-	return res, err
-}
-
-// extend is runPlan for a Chain: in's blocks folded into c, and the
-// answer at in's resolution.
-func (rt *Runtime) extend(ctx context.Context, c *exec.Chain, in exec.Input, conf float64, probe bool, sp *telemetry.Span) (*exec.Result, error) {
-	rt.countExec(probe)
-	ssp := scanSpan(sp, in)
-	res, err := c.Extend(ctx, in, conf, rt.opt.Workers, ssp)
-	ssp.End()
-	return res, err
-}
-
-// count is runPlan for a candidate's probe: exec.Count of plan over in,
-// counted as an ELP probe. Traced, in is pruned first, so that its scan
+// count is a candidate's probe: exec.Count of plan over in, counted as an
+// ELP probe. Traced, in is pruned first, so that its scan
 // span can name the blocks the count reads.
 func (rt *Runtime) count(ctx context.Context, plan *exec.Plan, in exec.Input, joins []exec.JoinSpec, sp *telemetry.Span) (exec.Counts, error) {
 	rt.countExec(true)

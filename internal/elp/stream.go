@@ -49,23 +49,27 @@ type cursor struct {
 
 // advance moves c to level (levels never decrease along a walk) and returns
 // the answer there, reading nothing when c is already there. Level -1 reads
-// the base table; any other folds the deltas c's chain has not read into it,
-// answering bit for bit as a scan of the level's view would (exec.Chain).
+// the base table on a fresh chain; any other folds the deltas c's chain has
+// not read into it, answering bit for bit as a scan of the level's view
+// would (exec.Chain). A read counts as an execution even when cancelled: it
+// may have done most of its work.
 func (rt *Runtime) advance(ctx context.Context, c *cursor, level int, sp *telemetry.Span) (*exec.Result, error) {
 	if c.res != nil && c.level == level {
 		return c.res, nil
 	}
-	var res *exec.Result
-	var err error
+	var in exec.Input
 	if level < 0 {
-		res, err = rt.runPlan(ctx, c.plan, exec.FromTable(c.entry.Table), c.conf, c.joins, c.probe, sp)
+		c.chain, in = exec.NewChain(c.plan, c.joins), exec.FromTable(c.entry.Table)
 	} else {
 		if c.chain == nil {
 			c.chain = exec.NewChain(c.plan, c.joins)
 		}
-		in := exec.FromDelta(c.fam.View(level), c.chain.Level()).Pruned(c.plan)
-		res, err = rt.extend(ctx, c.chain, in, c.conf, c.probe, sp)
+		in = exec.FromDelta(c.fam.View(level), c.chain.Level()).Pruned(c.plan)
 	}
+	rt.countExec(c.probe)
+	ssp := scanSpan(sp, in)
+	res, err := c.chain.Extend(ctx, in, c.conf, rt.opt.Workers, ssp)
+	ssp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +133,7 @@ func (rt *Runtime) execute(ctx context.Context, pq *prepared, q *sqlparser.Query
 			rsp = bsp.Child(name)
 			scanSp = rsp
 		}
-		parts := make([]*exec.Result, len(walks))
+		var res *exec.Result
 		decs := make([]Decision, len(walks))
 		stepLevel := -1
 		for i := range walks {
@@ -138,15 +142,23 @@ func (rt *Runtime) execute(ctx context.Context, pq *prepared, q *sqlparser.Query
 			if emit != nil && level >= 0 {
 				level = min(level, w.pd.pv.Level+step)
 			}
-			res, err := rt.advance(ctx, &w.cursor, level, scanSp)
-			if err != nil {
+			var err error
+			if res, err = rt.advance(ctx, &w.cursor, level, scanSp); err != nil {
 				rsp.End()
 				return nil, err
 			}
-			parts[i], decs[i] = res, rt.decisionAt(w, level)
+			decs[i] = rt.decisionAt(w, level)
 			stepLevel = max(stepLevel, level)
 		}
-		resp := respond(plan, parts, decs, conf)
+		if len(walks) > 1 {
+			// §4.1.2: the walks' chains, each at its level, estimated once.
+			chains := make([]*exec.Chain, len(walks))
+			for i := range walks {
+				chains[i] = walks[i].chain
+			}
+			res = exec.Union(plan, chains, conf)
+		}
+		resp := respond(res, decs, conf)
 		if final {
 			rsp.Note("final")
 			rsp.End()
@@ -167,7 +179,10 @@ func (rt *Runtime) execute(ctx context.Context, pq *prepared, q *sqlparser.Query
 
 // walks starts one walk per disjunct of q (§4.1.2), or one on the base
 // table for an exact template. With the parameters pq was prepared with, a
-// walk starts at the probe's answer and continues its chain (§4.4).
+// walk starts at the probe's answer and continues its chain (§4.4). With
+// several disjuncts each walk owns its chain, which the union reads, so a
+// walk takes the probe's chain also where it stays at the probe's level; one
+// left without (another execution took it) reads its levels again.
 func (rt *Runtime) walks(pq *prepared, plan *exec.Plan, q *sqlparser.Query, params []types.Value, conf float64) ([]walk, error) {
 	base := cursor{plan: plan, joins: pq.joins, entry: pq.entry, conf: conf}
 	if pq.exact {
@@ -185,11 +200,14 @@ func (rt *Runtime) walks(pq *prepared, plan *exec.Plan, q *sqlparser.Query, para
 		w.cursor, w.pd = base, pd
 		w.plan, w.fam = plan.WithPred(pred), pd.fam
 		w.dec, w.to = rt.stopRule(pq, pd, w.plan, q)
-		if paramsEq && pd.fam != nil {
+		if !paramsEq || pd.fam == nil {
+			continue
+		}
+		if w.to > pd.pv.Level || len(preds) > 1 && w.to == pd.pv.Level {
+			w.chain = pd.chain.Swap(nil)
+		}
+		if w.chain != nil || len(preds) == 1 {
 			w.res, w.level = pd.probe, pd.pv.Level
-			if w.to > pd.pv.Level {
-				w.chain = pd.chain.Swap(nil)
-			}
 		}
 	}
 	return walks, nil
@@ -279,22 +297,14 @@ func (rt *Runtime) decisionAt(w *walk, level int) Decision {
 	return dec
 }
 
-// respond merges the disjuncts' answers into one Response (§4.1.2): LIMIT
-// applied, the disjuncts priced as running in parallel.
-func respond(plan *exec.Plan, parts []*exec.Result, decs []Decision, conf float64) *Response {
-	merged := exec.MergeResults(plan, parts)
-	if plan.Limit > 0 && len(merged.Groups) > plan.Limit {
-		// Copy-on-truncate: with one disjunct, merged IS the disjunct's
-		// answer — possibly the prepared probe's, shared — never mutate it.
-		cp := *merged
-		cp.Groups = merged.Groups[:plan.Limit]
-		merged = &cp
-	}
+// respond is the Response of res, the answer of the disjuncts decided by
+// decs, priced as running in parallel.
+func respond(res *exec.Result, decs []Decision, conf float64) *Response {
 	simLatency := 0.0
 	for _, d := range decs {
 		if l := d.Latency(); l > simLatency {
 			simLatency = l // disjuncts execute in parallel
 		}
 	}
-	return &Response{Result: merged, Decisions: decs, SimLatency: simLatency, Confidence: conf}
+	return &Response{Result: res, Decisions: decs, SimLatency: simLatency, Confidence: conf}
 }

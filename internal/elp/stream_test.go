@@ -106,7 +106,8 @@ func checkSession(t *testing.T, refs []refinement) {
 // TestStreamFinalBitIdentical is the equivalence matrix: for every query
 // shape the final streamed response must be DeepEqual — latencies, cache
 // markers, explanations included — to what the non-streaming Run returns
-// on a twin runtime (newFixture is deterministic, so twins agree).
+// on a twin runtime (newFixture is deterministic, so twins agree). A
+// disjunction's steps each union its walks' chains at that step's levels.
 func TestStreamFinalBitIdentical(t *testing.T) {
 	templates := []struct {
 		name string
@@ -119,6 +120,7 @@ func TestStreamFinalBitIdentical(t *testing.T) {
 		{"time-bounded", `SELECT AVG(time) FROM sessions WHERE os = 'OSX' WITHIN 0.5 SECONDS`, false},
 		{"exact-stratum", `SELECT AVG(time) FROM sessions WHERE city = 'city1'`, false},
 		{"bounded-join", `SELECT AVG(time) FROM sessions JOIN vendors ON os = os WHERE vendor = 'Apple' ERROR WITHIN 10%`, true},
+		{"bounded-or-avg", `SELECT AVG(time) FROM sessions WHERE city = 'city1' OR os = 'Win7' ERROR WITHIN 5%`, false},
 	}
 	build := func(join bool) *fixture {
 		if join {

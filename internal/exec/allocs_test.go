@@ -84,7 +84,7 @@ func TestProbeScanAllocs(t *testing.T) {
 	in := FromTable(plain)
 	for _, w := range []int{1, 8} {
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := RunJoin(context.Background(), p, in, nil, 0.95, w, nil); err != nil {
+			if _, err := NewChain(p, nil).Extend(context.Background(), in, 0.95, w, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

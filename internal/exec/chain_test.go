@@ -193,7 +193,7 @@ func TestChainFinalizeConcurrently(t *testing.T) {
 				t.Fatalf("%s: concurrent finalize at %+v diverged\nwant %+v\ngot  %+v", src, caps[g%2], want[g%2], res)
 			}
 		}
-		if again := c.m.result(0.95, c.weights()); !reflect.DeepEqual(own, again) {
+		if again := c.m.result(0.95, c.m.w); !reflect.DeepEqual(own, again) {
 			t.Fatalf("%s: finalizing changed the chain's answer\nbefore %+v\nafter  %+v", src, own, again)
 		}
 	}

@@ -9,15 +9,18 @@
 // view's one resolution's delta at a time, so no range straddles a delta —
 // each range is scanned into a mergeable Partial (one group map per range,
 // zone-map pruning applied before any row is touched), and the partials
-// are folded in partition-index order. Because the partition depends only
-// on the blocks' row counts, the fold order — and hence every
-// floating-point accumulation — is identical for any worker count:
-// RunParallel(…, 8) returns bit-for-bit the same Result as
-// RunParallel(…, 1). And because it is cut at every delta, a Chain that
-// folds a view's deltas one step at a time folds the same partials, in the
-// same order, as a scan of the whole view (§4.4). How the simulated
-// cluster places and prices those blocks (ScanShards) is a separate,
-// per-block partition the scan never consults.
+// are folded in partition-index order. Every scan is a Chain's: a table's
+// or a sample view's in one read (RunParallel), or a family's a delta at a
+// time (§4.4). Because the partition depends only on the blocks' row
+// counts, the fold order — and hence every floating-point accumulation — is
+// identical for any worker count: RunParallel(…, 8) returns bit-for-bit the
+// same Result as RunParallel(…, 1). And because it is cut at every delta, a
+// Chain that folds a view's deltas one step at a time folds the same
+// partials, in the same order, as a scan of the whole view. A disjunction's
+// chains, one per disjoint sub-query (§4.1.2), merge into one state that is
+// estimated once (Union). How the simulated cluster places and prices
+// those blocks (ScanShards) is a separate, per-block partition the scan
+// never consults.
 //
 // A block is the priced unit — pruned by its zones, counted by its bytes —
 // and a window on a physical chunk. Within a range the kernels (vector.go)
@@ -29,9 +32,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -293,8 +294,10 @@ func Compile(q *sqlparser.Query, schema *types.Schema) (*Plan, error) {
 }
 
 // WithPred returns a copy of the plan with the predicate replaced (and its
-// bounds and scan form rebuilt). Used by the §4.1.2 disjunction
-// rewrite, which runs one sub-query per disjunct.
+// bounds and scan form rebuilt), GROUP BY, aggregates and LIMIT kept. Used
+// by the §4.1.2 disjunction rewrite, which runs one sub-query per
+// disjunct: a lone disjunct's answer is limited as the query's, and a
+// union applies the query plan's LIMIT once.
 func (p *Plan) WithPred(pred types.Predicate) *Plan {
 	cp := *p
 	cp.Pred = pred
@@ -322,7 +325,8 @@ func (g Group) KeyString() string {
 	return strings.Join(parts, "/")
 }
 
-// Result is the output of running a plan over one input.
+// Result is the output of running a plan over one input, or of a union of
+// chains.
 type Result struct {
 	// Groups are the output rows, sorted by key.
 	Groups []Group
@@ -575,7 +579,7 @@ func (m *Merger) fold(pt *Partial) {
 		m.merged, m.weightedMatched = pt.groups, pt.WeightedMatched
 		return
 	}
-	m.weightedMatched.Merge(&pt.WeightedMatched)
+	m.weightedMatched.Merge(&pt.WeightedMatched, stats.Weights{})
 	for h, bucket := range pt.groups {
 		for _, gs := range bucket {
 			dst, fresh := findMerged(m.merged, h, gs)
@@ -583,7 +587,26 @@ func (m *Merger) fold(pt *Partial) {
 				continue // first occurrence: moved into the fold
 			}
 			for ai, acc := range dst.accs {
-				acc.Merge(gs.accs[ai])
+				acc.Merge(gs.accs[ai], stats.Weights{})
+			}
+		}
+	}
+}
+
+// union adds o's merged state to m, each class under the key of its weight
+// at o's cap (o.w): so m, finalized with zero Weights, estimates the union
+// of what m and o read, whatever cap each was read at. o is only read.
+func (m *Merger) union(o *Merger) {
+	m.rowsScanned += o.rowsScanned
+	m.rowsMatched += o.rowsMatched
+	m.bytesScanned += o.bytesScanned
+	m.maxMatchedStratumFreq = max(m.maxMatchedStratumFreq, o.maxMatchedStratumFreq)
+	m.weightedMatched.Merge(&o.weightedMatched, o.w)
+	for h, bucket := range o.merged {
+		for _, gs := range bucket {
+			dst := findGroup(m.p, m.merged, gs.key, h)
+			for ai, acc := range dst.accs {
+				acc.Merge(gs.accs[ai], o.w)
 			}
 		}
 	}
@@ -703,53 +726,28 @@ func ScanShards(blocks []*storage.Block) ([]storage.BlockRange, []storage.NodeSh
 }
 
 // RunParallel executes the plan over the input using up to workers
-// goroutines. The block list is split into contiguous ranges whose
-// boundaries depend only on the blocks' row counts; each range produces
-// one Partial, folded in partition-index order — so the Result is
-// bit-identical for every workers value (1, 8, or more workers than
-// ranges).
+// goroutines: a fresh Chain's one read. The block list is split into
+// contiguous ranges whose boundaries depend only on the blocks' row counts;
+// each range produces one Partial, folded in partition-index order — so the
+// Result is bit-identical for every workers value (1, 8, or more workers
+// than ranges).
 func RunParallel(p *Plan, in Input, confidence float64, workers int) *Result {
-	res, _ := runRanges(context.Background(), p, p.rt, in, confidence, workers, nil, nil)
+	res, _ := NewChain(p, nil).Extend(context.Background(), in, confidence, workers, nil)
 	return res
 }
 
 // RunParallelSchedCtx is RunParallel with a cancellation context and a
-// telemetry span under which the scan records per-range child spans and
-// the merge phase (sp may be nil). Workers re-check ctx between scan
-// ranges, so a cancelled context stops the scan within one range's worth
-// of work; a context cancelled before the call scans nothing. On
-// cancellation the partial merge is abandoned and ctx.Err() is returned;
-// a nil error guarantees the Result is the same bit-identical answer
-// RunParallel produces.
+// telemetry span, as Chain.Extend takes them.
 func RunParallelSchedCtx(ctx context.Context, p *Plan, in Input, confidence float64, workers int, _ Sched, sp *telemetry.Span) (*Result, error) {
-	return runRanges(ctx, p, p.rt, in, confidence, workers, nil, sp)
+	return NewChain(p, nil).Extend(ctx, in, confidence, workers, sp)
 }
 
-// runRanges is the shared scan driver for plain and join execution: the
-// input's ranges scanned into a fresh merger (scanInto), then finalized. A
-// single-range scan runs inline on the caller: no goroutine, no mutex, and
-// the Result is finalized from the Partial's own group states.
-// Cancellation is checked per range; once ctx is cancelled no further
-// range is scanned and ctx.Err() is returned with a nil Result; under a
-// background context the error is therefore always nil.
-func runRanges(ctx context.Context, p *Plan, rt *planRuntime, in Input, confidence float64, workers int,
-	jr *joinRuntime, sp *telemetry.Span) (*Result, error) {
-
-	merger := NewMerger(p, 0)
-	if err := scanInto(ctx, merger, p, rt, in, workers, jr, sp); err != nil {
-		return nil, err
-	}
-	return finishSpan(merger, confidence, merger.w, sp), nil
-}
-
-// finishSpan finalizes the merger's state under a "merge" span of sp.
-func finishSpan(m *Merger, confidence float64, w stats.Weights, sp *telemetry.Span) *Result {
-	var mergeSp *telemetry.Span
-	if sp != nil {
-		mergeSp = sp.Child("merge")
-	}
+// finishSpan finalizes the merger's state, weighed as its input's, under a
+// "merge" span of sp.
+func finishSpan(m *Merger, confidence float64, sp *telemetry.Span) *Result {
+	mergeSp := sp.Child("merge")
 	m.flush()
-	res := m.result(confidence, w)
+	res := m.result(confidence, m.w)
 	mergeSp.End()
 	return res
 }
@@ -838,77 +836,4 @@ func compareKeys(a, b []types.Value) int {
 		return -1
 	}
 	return 0
-}
-
-// MergeResults combines partial results from disjoint disjunct sub-queries
-// (§4.1.2): groups with equal keys have their estimates summed for
-// COUNT/SUM and combined conservatively for AVG/QUANTILE (point estimates
-// weighted by effective rows; variances added for sums).
-func MergeResults(p *Plan, parts []*Result) *Result {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	out := &Result{Confidence: parts[0].Confidence}
-	type slot struct {
-		key []types.Value
-		est []stats.Estimate
-	}
-	merged := map[string]*slot{}
-	var order []string
-	for _, part := range parts {
-		out.RowsScanned += part.RowsScanned
-		out.RowsMatched += part.RowsMatched
-		out.WeightedMatched += part.WeightedMatched
-		out.BytesScanned += part.BytesScanned
-		for _, g := range part.Groups {
-			key := ""
-			for _, v := range g.Key {
-				key += v.Key() + "\x1f"
-			}
-			s, ok := merged[key]
-			if !ok {
-				s = &slot{key: g.Key, est: make([]stats.Estimate, len(g.Estimates))}
-				copy(s.est, g.Estimates)
-				merged[key] = s
-				order = append(order, key)
-				continue
-			}
-			for i := range s.est {
-				s.est[i] = mergeEstimate(p.Aggs[i].Kind, s.est[i], g.Estimates[i])
-			}
-		}
-	}
-	sort.Strings(order)
-	for _, key := range order {
-		s := merged[key]
-		out.Groups = append(out.Groups, Group{Key: s.key, Estimates: s.est})
-	}
-	return out
-}
-
-func mergeEstimate(kind stats.AggKind, a, b stats.Estimate) stats.Estimate {
-	out := a
-	out.Rows = a.Rows + b.Rows
-	out.EffRows = a.EffRows + b.EffRows
-	out.Exact = a.Exact && b.Exact
-	switch kind {
-	case stats.AggCount, stats.AggSum:
-		out.Point = a.Point + b.Point
-		out.StdErr = sqrtSumSq(a.StdErr, b.StdErr)
-	case stats.AggAvg, stats.AggQuantile:
-		// Weighted combination by effective rows.
-		wa, wb := a.EffRows, b.EffRows
-		if wa+wb == 0 {
-			wa, wb = 1, 1
-		}
-		out.Point = (a.Point*wa + b.Point*wb) / (wa + wb)
-		out.StdErr = sqrtSumSq(a.StdErr*wa/(wa+wb), b.StdErr*wb/(wa+wb))
-	}
-	z := stats.ZForConfidence(a.Confidence)
-	out.Bound = z * out.StdErr
-	return out
-}
-
-func sqrtSumSq(a, b float64) float64 {
-	return math.Sqrt(a*a + b*b)
 }

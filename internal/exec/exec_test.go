@@ -319,56 +319,6 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestMergeResultsDisjuncts(t *testing.T) {
-	tab := paperTable(t)
-	schema := tab.Schema
-	q, err := sqlparser.Parse(`SELECT COUNT(*) FROM sessions WHERE city = 'New York' OR city = 'Berkeley' GROUP BY browser`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(q, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disjuncts := types.SplitDisjuncts(p.Pred)
-	if len(disjuncts) != 2 {
-		t.Fatalf("disjuncts = %d", len(disjuncts))
-	}
-	var parts []*Result
-	for _, d := range disjuncts {
-		parts = append(parts, RunParallel(p.WithPred(d), FromTable(tab), 0.95, 1))
-	}
-	merged := MergeResults(p, parts)
-	// Truth: Firefox appears 3 times in NY+Berkeley, Safari once.
-	got := map[string]float64{}
-	for _, g := range merged.Groups {
-		got[g.KeyString()] = g.Estimates[0].Point
-	}
-	if got["Firefox"] != 3 || got["Safari"] != 1 {
-		t.Errorf("merged = %v", got)
-	}
-	// Single-part merge returns the part itself.
-	if MergeResults(p, parts[:1]) != parts[0] {
-		t.Error("single-part merge should be identity")
-	}
-}
-
-func TestMergeResultsAvg(t *testing.T) {
-	tab := paperTable(t)
-	q, _ := sqlparser.Parse(`SELECT AVG(sessiontime) FROM sessions WHERE city = 'New York' OR city = 'Cambridge'`)
-	p, _ := Compile(q, tab.Schema)
-	var parts []*Result
-	for _, d := range types.SplitDisjuncts(p.Pred) {
-		parts = append(parts, RunParallel(p.WithPred(d), FromTable(tab), 0.95, 1))
-	}
-	merged := MergeResults(p, parts)
-	// Weighted avg of NY (39, n=3) and Cambridge (22, n=1) = (117+22)/4.
-	want := (117.0 + 22.0) / 4.0
-	if got := merged.Groups[0].Estimates[0].Point; math.Abs(got-want) > 1e-9 {
-		t.Errorf("merged avg = %g, want %g", got, want)
-	}
-}
-
 func BenchmarkRunFiltered(b *testing.B) {
 	schema := sessionsSchema()
 	tab := storage.NewTable("bench", schema)

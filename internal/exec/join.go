@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"blinkdb/internal/colstore"
 	"blinkdb/internal/sqlparser"
 	"blinkdb/internal/storage"
-	"blinkdb/internal/telemetry"
 	"blinkdb/internal/types"
 )
 
@@ -343,20 +341,4 @@ func (jr *joinRuntime) widen(s span, sc *colScratch) span {
 	}
 	s.d = w.d
 	return s
-}
-
-// RunJoin executes the plan over fact ⋈ dims: the fact side streams from
-// `in` (a base table or a sample view — rates carry through unchanged,
-// since dimensions are unsampled, §2.1) and each span is widened with its
-// rows' dimension columns (joinRuntime) before the plain span scan. plan
-// must be compiled against the combined schema; the specs' indexes are
-// shared read-only across the scan workers. Like RunParallel, the Result
-// is bit-identical for every workers value. ctx and sp follow
-// RunParallelSchedCtx's contract: workers re-check ctx between scan ranges,
-// a pre-cancelled context scans nothing, a nil error guarantees the
-// bit-identical Result, and a non-nil sp covers the scan. With no joins it
-// is the plain scan.
-func RunJoin(ctx context.Context, p *Plan, in Input, joins []JoinSpec, confidence float64, workers int, sp *telemetry.Span) (*Result, error) {
-	jr := newJoinRuntime(p, joins)
-	return runRanges(ctx, p, jr.runtime(p), in, confidence, workers, jr, sp)
 }

@@ -88,11 +88,11 @@ func joinSpec(t testing.TB, dim *storage.Table, left, right int) JoinSpec {
 	return spec
 }
 
-// runJoin is RunJoin at 95% confidence under a background context, where
-// it cannot fail.
+// runJoin is a fresh chain's read at 95% confidence under a background
+// context, where it cannot fail.
 func runJoin(t testing.TB, p *Plan, in Input, joins []JoinSpec, workers int) *Result {
 	t.Helper()
-	res, err := RunJoin(context.Background(), p, in, joins, 0.95, workers, nil)
+	res, err := NewChain(p, joins).Extend(context.Background(), in, 0.95, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 			for _, i := range order {
 				m.Add(i, parts[i])
 			}
-			got := finishSpan(m, 0.95, m.w, nil)
+			got := finishSpan(m, 0.95, nil)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %q: arrival order %v diverged from in-order fold", src, order)
 			}
@@ -56,7 +56,7 @@ func TestMergerArrivalOrderEquivalence(t *testing.T) {
 		}
 		m.Add(0, parts[0])
 		// index len(parts)+1 never delivered: Finish skips it.
-		if got := finishSpan(m, 0.95, m.w, nil); !reflect.DeepEqual(want, got) {
+		if got := finishSpan(m, 0.95, nil); !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %q: nil/withheld deliveries diverged", src)
 		}
 	}
@@ -125,7 +125,7 @@ func TestMergerAllocations(t *testing.T) {
 				}
 				m.Add(i, parts[i])
 			}
-			finishSpan(m, 0.95, m.w, nil)
+			finishSpan(m, 0.95, nil)
 		})
 		if allocs > ceiling {
 			t.Errorf("%s merge of %d partials: %.0f allocs, ceiling %d", leg.name, n, allocs, ceiling)

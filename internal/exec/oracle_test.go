@@ -127,7 +127,7 @@ func oracle(p *Plan, in Input, joins []JoinSpec, conf float64) *Result {
 		for k, g := range part {
 			if have := merged[k]; have != nil {
 				for ai := range have.accs {
-					have.accs[ai].Merge(g.accs[ai])
+					have.accs[ai].Merge(g.accs[ai], stats.Weights{})
 				}
 			} else {
 				merged[k] = g
@@ -185,7 +185,7 @@ func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec
 	rows, bytes := want.RowsScanned, want.BytesScanned
 	blocks := len(in.Pruned(p).Blocks)
 	for _, w := range []int{1, 3, 8} {
-		got, err := RunJoin(context.Background(), p, in, joins, 0.95, w, nil)
+		got, err := NewChain(p, joins).Extend(context.Background(), in, 0.95, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func checkOracle(t testing.TB, label string, p *Plan, in Input, joins []JoinSpec
 		// Pruning up front moves the scan ranges, and with them the order
 		// WeightedMatched is summed in: the pruned input is its own comparison.
 		pruned := in.Pruned(p)
-		full, err := RunJoin(context.Background(), p, pruned, joins, 0.95, w, nil)
+		full, err := NewChain(p, joins).Extend(context.Background(), pruned, 0.95, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func mergePartials(p *Plan, parts []*Partial, confidence float64) *Result {
 	for i, pt := range parts {
 		m.Add(i, pt)
 	}
-	return finishSpan(m, confidence, m.w, nil)
+	return finishSpan(m, confidence, nil)
 }
 
 // TestRunPartialMergeMatchesRun exercises the partial API directly:

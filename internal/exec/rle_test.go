@@ -450,7 +450,7 @@ func BenchmarkJoinLateMat(b *testing.B) {
 	b.SetBytes(int64(tab.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunJoin(context.Background(), p, in, joins, 0.95, 1, nil); err != nil {
+		if _, err := NewChain(p, joins).Extend(context.Background(), in, 0.95, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1070,11 +1070,12 @@ func cmpIntsAsFloatSlow(xs intCol, c float64, dst []uint64, lt, eq, gt bool) {
 
 // ---- grouping + aggregation over selected rows ----
 
-// findGroupVals returns (creating if needed) the group of the key vals, the
-// row's values of the GROUP BY columns in order, h their hash (HashInto
-// chained from HashSeed).
-func (pt *Partial) findGroupVals(p *Plan, vals []types.Value, h uint64) *groupState {
-	bucket := pt.groups[h]
+// findGroup returns the group of key vals in groups — the row's values of
+// the GROUP BY columns in order, h their hash (HashInto chained from
+// HashSeed) — adding an empty one of plan p, with a copy of vals, when
+// there is none.
+func findGroup(p *Plan, groups map[uint64][]*groupState, vals []types.Value, h uint64) *groupState {
+	bucket := groups[h]
 	for _, gs := range bucket {
 		if groupKeysEqual(gs.key, vals) {
 			return gs
@@ -1084,7 +1085,7 @@ func (pt *Partial) findGroupVals(p *Plan, vals []types.Value, h uint64) *groupSt
 	if len(vals) > 0 {
 		gs.key = slices.Clone(vals)
 	}
-	pt.groups[h] = append(bucket, gs)
+	groups[h] = append(bucket, gs)
 	return gs
 }
 
@@ -1398,7 +1399,7 @@ func cut(idxs []int32, n int) (head, tail []int32) {
 func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *colScratch) {
 	pt.WeightedMatched.Add(k, int64(sel.n))
 	if len(p.GroupBy) == 0 {
-		pt.accumulate(p, d, pt.findGroupVals(p, nil, types.HashSeed), sel, k, sc)
+		pt.accumulate(p, d, findGroup(p, pt.groups, nil, types.HashSeed), sel, k, sc)
 		return
 	}
 	keybuf := sc.keyBuf(len(p.GroupBy))
@@ -1417,7 +1418,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 			hi := min(int(rleCol.RunEnds[run]), sel.hi)
 			v := rleCol.RunVals[run]
 			keybuf[0] = v
-			gs := pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+			gs := findGroup(p, pt.groups, keybuf, v.HashInto(types.HashSeed))
 			pt.accumulate(p, d, gs, rowSel{n: hi - lo, lo: lo, hi: hi}, k, sc)
 			lo = hi
 		}
@@ -1455,7 +1456,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 			if rleGS == nil {
 				v := rleCol.RunVals[rleRun]
 				keybuf[0] = v
-				rleGS = pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+				rleGS = findGroup(p, pt.groups, keybuf, v.HashInto(types.HashSeed))
 			}
 			gs = rleGS
 		case dictCol != nil:
@@ -1467,7 +1468,7 @@ func (pt *Partial) fold(p *Plan, d *colstore.Data, sel rowSel, k stats.Key, sc *
 				keybuf[ki] = v
 				h = v.HashInto(h)
 			}
-			gs = pt.findGroupVals(p, keybuf, h)
+			gs = findGroup(p, pt.groups, keybuf, h)
 		}
 		if gs.batchRows == nil {
 			gs.batchRows = sc.getBatchRows()
@@ -1494,7 +1495,7 @@ func (pt *Partial) codeGroup(p *Plan, col *colstore.Column, codeGS []*groupState
 	if gs == nil {
 		v := types.Str(col.Dict[c])
 		keybuf[0] = v
-		gs = pt.findGroupVals(p, keybuf, v.HashInto(types.HashSeed))
+		gs = findGroup(p, pt.groups, keybuf, v.HashInto(types.HashSeed))
 		codeGS[c] = gs
 	}
 	return gs

@@ -39,6 +39,7 @@ func FuzzNormalize(f *testing.F) {
 		`not sql at all`,
 		`SELECT AVG(v) FROM t WHERE name = 'O''Brien'`,
 		`SELECT AVG(v) FROM t WHERE a < 3.0`,
+		`SELECT COUNT(*) FROM t WHERE z = 1 OR (b = 2 OR a = 'x') OR NOT (c = 1 OR a = 2.5) OR a = 1`,
 		// Bounds outside their domain, which Parse rejects.
 		`SELECT AVG(v) FROM t ERROR WITHIN 0%`,
 		`SELECT AVG(v) FROM t ERROR WITHIN -5%`,

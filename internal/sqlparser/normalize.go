@@ -23,9 +23,10 @@ import (
 // (relative vs absolute error, time, error reporting, LIMIT). Aggregate
 // aliases are excluded — they rename output columns without affecting
 // execution. The predicate's syntactic structure is preserved verbatim
-// (no conjunct reordering): execution order determines floating-point
-// accumulation order, so two keys must collide only when replaying one
-// against the other's cached state is bit-reproducible.
+// (no conjunct reordering; OR operands come from the parser already in
+// template order): execution order determines floating-point accumulation
+// order, so two keys must collide only when replaying one against the
+// other's cached state is bit-reproducible.
 //
 // The parameter vector lifts, in deterministic traversal order, every
 // value the key elides: comparison literals (predicate order), then the

@@ -147,3 +147,40 @@ func TestParamsKeyCanonical(t *testing.T) {
 		t.Error("Int(1) and Float(1) literals must key differently")
 	}
 }
+
+// TestOrOperandsCanonical: an OR chain parses in template order — nested
+// ORs flattened into it, ANDs and NOTs kept whole, equal templates in the
+// order written — so every spelling of one disjunction is one template
+// with one parameter vector.
+func TestOrOperandsCanonical(t *testing.T) {
+	for _, c := range []struct {
+		srcs  []string
+		where string
+	}{
+		{[]string{
+			`SELECT AVG(x) FROM t WHERE os = 'Win7' OR city = 'Fargo' ERROR WITHIN 5%`,
+			`SELECT AVG(x) FROM t WHERE city = 'Fargo' OR os = 'Win7' ERROR WITHIN 5%`,
+		}, "(city = 'Fargo' OR os = 'Win7')"},
+		{[]string{
+			`SELECT COUNT(*) FROM t WHERE c = 3 OR (b = 2 OR a = 1)`,
+			`SELECT COUNT(*) FROM t WHERE (a = 1 OR c = 3) OR b = 2`,
+			`SELECT COUNT(*) FROM t WHERE b = 2 OR a = 1 OR c = 3`,
+		}, "((a = 1 OR b = 2) OR c = 3)"},
+		{[]string{
+			`SELECT COUNT(*) FROM t WHERE z = 1 OR NOT (y = 2 OR x = 3) OR (w = 4 AND (v = 5 OR u = 6))`,
+			`SELECT COUNT(*) FROM t WHERE (w = 4 AND (u = 6 OR v = 5)) OR z = 1 OR NOT (x = 3 OR y = 2)`,
+		}, "(((w = 4 AND (u = 6 OR v = 5)) OR NOT ((x = 3 OR y = 2))) OR z = 1)"},
+		{[]string{`SELECT COUNT(*) FROM t WHERE n = 36 OR n = 9`}, "(n = 36 OR n = 9)"},
+	} {
+		key, params := Normalize(mustParse(t, c.srcs[0]))
+		for _, src := range c.srcs {
+			q := mustParse(t, src)
+			if got := q.Where.String(); got != c.where {
+				t.Errorf("%s: where = %q, want %q", src, got, c.where)
+			}
+			if k, ps := Normalize(q); k != key || !ParamsEqual(ps, params) {
+				t.Errorf("%s: template %q %v, want %q %v", src, k, ps, key, params)
+			}
+		}
+	}
+}

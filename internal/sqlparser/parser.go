@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,7 +25,7 @@ import (
 //	agg      := COUNT ( * | ident ) | SUM|AVG|MEAN ( ident )
 //	          | MEDIAN ( ident ) | QUANTILE|PERCENTILE ( ident , num )
 //	expr     := orExpr
-//	orExpr   := andExpr {OR andExpr}
+//	orExpr   := andExpr {OR andExpr}   (operands in template order)
 //	andExpr  := unary {AND unary}
 //	unary    := NOT unary | ( expr ) | cmp
 //	cmp      := ident op literal
@@ -354,19 +355,51 @@ func (p *parser) parseAgg() (AggSpec, error) {
 	return spec, nil
 }
 
+// parseOr parses an OR chain in one canonical order, so that A OR B and
+// B OR A are one query — one template, one family choice per disjunct, one
+// answer: its operands (an OR in parentheses flattened into the chain, an
+// AND or NOT kept whole) stable-sorted by their template rendering
+// (writeExprTemplate) and rebuilt left-associative.
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptKw("OR") {
+	if !p.acceptKw("OR") {
+		return l, nil
+	}
+	ops := orOperands(nil, l)
+	for {
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
+		ops = orOperands(ops, r)
+		if !p.acceptKw("OR") {
+			break
+		}
+	}
+	slices.SortStableFunc(ops, func(a, b Expr) int { return strings.Compare(template(a), template(b)) })
+	l = ops[0]
+	for _, r := range ops[1:] {
 		l = &BinExpr{And: false, L: l, R: r}
 	}
 	return l, nil
+}
+
+// orOperands appends e's operands to dst: e's own when it is an OR, else e.
+func orOperands(dst []Expr, e Expr) []Expr {
+	if or, ok := e.(*BinExpr); ok && !or.And {
+		return orOperands(orOperands(dst, or.L), or.R)
+	}
+	return append(dst, e)
+}
+
+// template renders e's template: its shape with every literal a '?'.
+func template(e Expr) string {
+	var b strings.Builder
+	writeExprTemplate(&b, e, nil)
+	return b.String()
 }
 
 func (p *parser) parseAnd() (Expr, error) {

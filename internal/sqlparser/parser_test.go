@@ -108,9 +108,9 @@ func TestParseAlias(t *testing.T) {
 }
 
 func TestParseWherePrecedence(t *testing.T) {
-	// AND binds tighter than OR.
+	// AND binds tighter than OR (whose operands sort by template: '(' first).
 	q := mustParse(t, `SELECT COUNT(*) FROM s WHERE a = 1 OR b = 2 AND c = 3`)
-	want := "(a = 1 OR (b = 2 AND c = 3))"
+	want := "((b = 2 AND c = 3) OR a = 1)"
 	if got := q.Where.String(); got != want {
 		t.Errorf("where = %q, want %q", got, want)
 	}

@@ -363,8 +363,8 @@ func TestClassTallyMergeOrder(t *testing.T) {
 	fold := func(order []int) (*Acc, *Tally) {
 		a, ta := NewAcc(AggSum, 0), new(Tally)
 		for _, p := range order {
-			a.Merge(parts[p])
-			ta.Merge(tallies[p])
+			a.Merge(parts[p], Weights{})
+			ta.Merge(tallies[p], Weights{})
 		}
 		return a, ta
 	}

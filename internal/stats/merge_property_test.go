@@ -97,15 +97,15 @@ func TestMergePropertyRandomShapes(t *testing.T) {
 			}
 		}
 		ab, ba := a.Clone(), b.Clone()
-		ab.Merge(b)
-		ba.Merge(a)
+		ab.Merge(b, Weights{})
+		ba.Merge(a, Weights{})
 		if ab.Estimate(0.95) != ba.Estimate(0.95) {
 			t.Fatalf("trial %d: Merge does not commute on arbitrary floats\nA∪B %+v\nB∪A %+v",
 				trial, ab.Estimate(0.95), ba.Estimate(0.95))
 		}
 		qab, qba := qa.Clone(), qb.Clone()
-		qab.Merge(qb)
-		qba.Merge(qa)
+		qab.Merge(qb, Weights{})
+		qba.Merge(qa, Weights{})
 		if pa, pb := qab.Estimate(0.95).Point, qba.Estimate(0.95).Point; pa != pb {
 			t.Fatalf("trial %d: quantile point depends on merge order: %v vs %v", trial, pa, pb)
 		}
@@ -116,7 +116,7 @@ func TestMergePropertyRandomShapes(t *testing.T) {
 func foldOrdered(parts []*Acc) *Acc {
 	acc := parts[0].Clone()
 	for _, p := range parts[1:] {
-		acc.Merge(p)
+		acc.Merge(p, Weights{})
 	}
 	return acc
 }
@@ -131,7 +131,7 @@ func foldRandomTree(rng *rand.Rand, parts []*Acc) *Acc {
 	}
 	for len(work) > 1 {
 		i := rng.Intn(len(work) - 1)
-		work[i].Merge(work[i+1])
+		work[i].Merge(work[i+1], Weights{})
 		work = append(work[:i+1], work[i+2:]...)
 	}
 	return work[0]

@@ -52,7 +52,7 @@ func TestMergeEquivalence(t *testing.T) {
 				}
 				merged := accs[0]
 				for _, a := range accs[1:] {
-					merged.Merge(a)
+					merged.Merge(a, Weights{})
 				}
 				got := merged.Estimate(0.95)
 				if got != want {
@@ -75,13 +75,13 @@ func TestMergeEmptyAndZeroRows(t *testing.T) {
 	b := NewAcc(AggAvg, 0)
 	b.Add(10, 1)
 	b.Add(20, 0.5)
-	b.Merge(NewAcc(AggAvg, 0))
+	b.Merge(NewAcc(AggAvg, 0), Weights{})
 	if got := b.Estimate(0.9); got != want {
 		t.Fatalf("merging an empty acc changed the estimate: %+v vs %+v", got, want)
 	}
 
 	empty := NewAcc(AggCount, 0)
-	empty.Merge(NewAcc(AggCount, 0))
+	empty.Merge(NewAcc(AggCount, 0), Weights{})
 	if e := empty.Estimate(0.95); e.Rows != 0 || e.Point != 0 {
 		t.Fatalf("empty merge should stay empty: %+v", e)
 	}
@@ -110,7 +110,7 @@ func TestQuantileOrderInvariance(t *testing.T) {
 				b.Add(vals[i], rate)
 			}
 		}
-		a.Merge(b)
+		a.Merge(b, Weights{})
 		return a.Estimate(0.95)
 	}
 	asc := make([]int, len(vals))
@@ -121,5 +121,45 @@ func TestQuantileOrderInvariance(t *testing.T) {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	if e1, e2 := build(asc), build(shuffled); e1.Point != e2.Point {
 		t.Fatalf("quantile depends on insertion order: %g vs %g", e1.Point, e2.Point)
+	}
+}
+
+// TestMergeWeighsAtCap: merged under a cap's Weights, an accumulator's
+// classes join the classes of their weights there, and its quantile values
+// carry those weights — so the merged state, finalized with zero Weights,
+// answers bit for bit as the source finalized at the cap (values are small
+// integers and the weights powers of two, so every sum is exact), and the
+// source is left as it was. Tallies merge the same way.
+func TestMergeWeighsAtCap(t *testing.T) {
+	const capK = 64
+	ws := Weights{Cap: capK}
+	freqs := []int64{3, 16, 64, 128, 256, 1024} // weights 1, 1, 1, 2, 4, 16
+	z := ZForConfidence(0.95)
+	for _, k := range []struct {
+		kind AggKind
+		p    float64
+	}{{AggCount, 0}, {AggSum, 0}, {AggAvg, 0}, {AggQuantile, 0.5}, {AggQuantile, 0.9}} {
+		rng := rand.New(rand.NewSource(int64(k.kind) + 7))
+		src := NewAcc(k.kind, k.p)
+		var tally Tally
+		for row := 0; row < 3000; row++ {
+			key := FreqKey(freqs[rng.Intn(len(freqs))], 16)
+			src.AddRow(float64(rng.Intn(100)), row, key)
+			tally.Add(key, 1)
+		}
+		want := src.EstimateZ(0.95, z, ws)
+		merged := NewAcc(k.kind, k.p)
+		merged.Merge(src, ws)
+		if got := merged.EstimateZ(0.95, z, Weights{}); got != want {
+			t.Errorf("%v: merged at the cap %+v, finalized at it %+v", k.kind, got, want)
+		}
+		if again := src.EstimateZ(0.95, z, ws); again != want {
+			t.Errorf("%v: merging changed the source: %+v, was %+v", k.kind, again, want)
+		}
+		var sum Tally
+		sum.Merge(&tally, ws)
+		if got, want := sum.Sum(Weights{}), tally.Sum(ws); got != want {
+			t.Errorf("%v: merged tally %v, at the cap %v", k.kind, got, want)
+		}
 	}
 }

@@ -156,11 +156,11 @@ func RateKey(rate float64) Key {
 // strata of f ≤ floor weigh 1 — so they share one class.
 func FreqKey(f, floor int64) Key { return Key(max(f, floor)) }
 
-// Weights turns keys into weights when an accumulator is finalized. The
-// zero value reads keys as weights (RateKey). With Cap K > 0 keys are
-// stratum frequencies (FreqKey) read at cap K: a key past the cap weighs
-// 1/(K/f) — the inverse of §3.1's rate min(1, K/f) — and any other weighs
-// 1.
+// Weights turns keys into weights when an accumulator is finalized or
+// merged. The zero value reads keys as weights (RateKey), so it maps every
+// key to itself. With Cap K > 0 keys are stratum frequencies (FreqKey) read
+// at cap K: a key past the cap weighs 1/(K/f) — the inverse of §3.1's rate
+// min(1, K/f) — and any other weighs 1.
 type Weights struct{ Cap int64 }
 
 // Of returns the weight of class key k.
@@ -272,9 +272,10 @@ func (c *classes) each(f func(*class)) {
 	}
 }
 
-// merge adds other's classes into c, lane by lane.
-func (c *classes) merge(other *classes) {
-	other.each(func(o *class) { c.find(o.k).merge(&o.Moments) })
+// merge adds other's classes into c, lane by lane, each into the class of
+// its weight under ws: with zero ws, the class of its own key.
+func (c *classes) merge(other *classes, ws Weights) {
+	other.each(func(o *class) { c.find(Key(ws.Of(o.k))).merge(&o.Moments) })
 }
 
 // Tally counts rows by key — the exact form of a Horvitz–Thompson count
@@ -290,8 +291,9 @@ func (t *Tally) Add(k Key, n int64) {
 	}
 }
 
-// Merge adds other's counts to t; other is left as it was.
-func (t *Tally) Merge(other *Tally) { t.cs.merge(&other.cs) }
+// Merge adds other's counts to t, each class under the key of its weight
+// by ws (see Acc.Merge); other is left as it was.
+func (t *Tally) Merge(other *Tally, ws Weights) { t.cs.merge(&other.cs, ws) }
 
 // Sum returns Σ_c n_c·w_c over the classes in ascending key, weighed by ws.
 func (t *Tally) Sum(ws Weights) float64 {
@@ -369,9 +371,20 @@ func (a *Acc) Slot(n int, k Key) *Moments {
 // merged multiset, not the merge schedule. Callers who need bit-identical
 // floating-point results across worker counts must additionally fold
 // partials in a deterministic order (see exec.Merger).
-func (a *Acc) Merge(other *Acc) {
-	a.cs.merge(&other.cs)
+//
+// Each class of other joins a's class of its weight under ws, and a
+// quantile's values carry that weight as their key: so parts read at
+// different caps merge into one accumulator keyed by weight, finalized
+// with zero Weights. Zero ws keeps every key, and merges parts of one read.
+func (a *Acc) Merge(other *Acc, ws Weights) {
+	a.cs.merge(&other.cs, ws)
+	n := len(a.vals)
 	a.vals = append(a.vals, other.vals...)
+	if ws.Cap > 0 {
+		for i := n; i < len(a.vals); i++ {
+			a.vals[i].k = Key(ws.Of(a.vals[i].k))
+		}
+	}
 }
 
 // sums are the weighted sums the Table 2 estimators read, derived from the

@@ -232,7 +232,7 @@ func TestMerge(t *testing.T) {
 			b.Add(x, 0.1)
 		}
 	}
-	a.Merge(b)
+	a.Merge(b, Weights{})
 	ea, ef := a.Estimate(0.95), full.Estimate(0.95)
 	if math.Abs(ea.Point-ef.Point) > 1e-9 || math.Abs(ea.StdErr-ef.StdErr) > 1e-9 {
 		t.Errorf("merge mismatch: %+v vs %+v", ea, ef)
